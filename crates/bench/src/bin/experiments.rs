@@ -816,8 +816,16 @@ fn routing_experiment(mode: RouteMode, results: &mut HashMap<String, serde_json:
     const SEED: u64 = 11;
     println!("\n=== Backend routing over the scenario matrix (mode: {}) ===", mode.label());
     println!(
-        "{:<22} {:>10} {:>12} {:>10} {:>9} {:>9} {:>9} {:>6}",
-        "scenario", "route", "est(rel)", "est(xml)", "auto ms", "rel ms", "xml ms", "rows"
+        "{:<22} {:>10} {:>12} {:>10} {:>10} {:>9} {:>9} {:>9} {:>6}",
+        "scenario",
+        "route",
+        "est(rel)",
+        "est(xml)",
+        "nav tuples",
+        "auto ms",
+        "rel ms",
+        "xml ms",
+        "rows"
     );
 
     let min_of_3 = |router: &BackendRouter<'_>, plan: &mars_storage::RoutedPlan| {
@@ -904,11 +912,12 @@ fn routing_experiment(mode: RouteMode, results: &mut HashMap<String, serde_json:
             auto_never_worst = false;
         }
         println!(
-            "{:<22} {:>10} {:>12.1} {:>10} {:>9.3} {:>9.3} {:>9.3} {:>6}",
+            "{:<22} {:>10} {:>12.1} {:>10} {:>10} {:>9.3} {:>9.3} {:>9.3} {:>6}",
             scenario.name(),
             route_label,
             auto.decision.costs.relational,
             auto.decision.costs.xml.map(|c| format!("{c:.1}")).unwrap_or_else(|| "inf".to_string()),
+            xml_exec.nav_tuples,
             auto_ms,
             rel_ms,
             xml_ms,
@@ -929,6 +938,10 @@ fn routing_experiment(mode: RouteMode, results: &mut HashMap<String, serde_json:
             "forced_relational_ms": rel_ms,
             "forced_xml_ms": xml_ms,
             "forced_xml_effective_route": format!("{}", forced_xml.decision.route),
+            // Estimate vs actual of the forced-XML leg, both in candidate
+            // tuples ("rows touched"); the actual repeats exactly.
+            "forced_xml_estimated_cost": xml_exec.estimated_cost,
+            "forced_xml_nav_tuples": xml_exec.nav_tuples,
             "rows": auto_exec.rows.len(),
         }));
     }

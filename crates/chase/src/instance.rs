@@ -23,9 +23,9 @@
 //! relation), so they are always exact, never sampled or stale.
 
 use mars_cq::{Atom, ConjunctiveQuery, Predicate, Substitution, Term, Variable};
-use std::cell::{Ref, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 
 /// Number of from-scratch column-index builds since process start.
 ///
@@ -46,19 +46,23 @@ pub type ColumnIndex = HashMap<Vec<Term>, Vec<usize>>;
 
 /// One relation of the symbolic instance: a deduplicated, insertion-ordered
 /// set of tuples whose entries are [`Term`]s (variables act as constants).
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct Relation {
     tuples: Vec<Vec<Term>>,
     set: HashSet<Vec<Term>>,
     /// Persistent column-set indexes. Interior mutability lets evaluation
-    /// (`&SymbolicInstance`) build an index lazily on first use; instances
-    /// are never shared across threads (branches move between workers
-    /// whole), so the `RefCell` borrows are all thread-local.
-    indexes: RefCell<HashMap<Vec<usize>, ColumnIndex>>,
+    /// (`&SymbolicInstance`) build an index lazily on first use. The cache
+    /// is lock-guarded and hands out shared handles, so a relation — and
+    /// with it `mars_storage::RelationalDatabase` and its router — is
+    /// `Sync`; the chase itself never shares an instance across threads
+    /// (branches move between workers whole), so the locks are uncontended
+    /// there. Clones share the handles; the first insert into either side
+    /// copies the index it touches.
+    indexes: RwLock<HashMap<Vec<usize>, Arc<ColumnIndex>>>,
     /// From-scratch builds of this relation's indexes — the race-free
     /// (per-relation) counterpart of the process-wide [`index_build_count`],
     /// for tests that must not observe other tests' builds.
-    builds: std::cell::Cell<usize>,
+    builds: AtomicUsize,
     /// Per-column distinct-term sets, maintained incrementally on insert
     /// (sized to the relation's arity at the first insert). `distinct[c].len()`
     /// is the *exact* number of distinct terms in column `c` — the
@@ -69,10 +73,34 @@ pub struct Relation {
     /// preferred. The adaptive planner builds the index once the accumulated
     /// work amortizes the build (rent-or-buy); see
     /// [`crate::evaluate::JoinPlanner::Adaptive`].
-    scan_work: RefCell<HashMap<Vec<usize>, usize>>,
+    scan_work: Mutex<HashMap<Vec<usize>, usize>>,
+}
+
+impl Clone for Relation {
+    fn clone(&self) -> Relation {
+        Relation {
+            tuples: self.tuples.clone(),
+            set: self.set.clone(),
+            indexes: RwLock::new(self.cached_indexes().clone()),
+            builds: AtomicUsize::new(self.index_builds()),
+            distinct: self.distinct.clone(),
+            scan_work: Mutex::new(self.scan_ledger().clone()),
+        }
+    }
 }
 
 impl Relation {
+    // A panic while one of these guards is held leaves the map valid (every
+    // update is a single insert of a finished value), so a poisoned lock is
+    // recovered instead of turning one failed request into an outage.
+    fn cached_indexes(&self) -> RwLockReadGuard<'_, HashMap<Vec<usize>, Arc<ColumnIndex>>> {
+        self.indexes.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn scan_ledger(&self) -> MutexGuard<'_, HashMap<Vec<usize>, usize>> {
+        self.scan_work.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Insert a tuple; returns `true` if it was new. Every existing column
     /// index absorbs the new tuple incrementally (no rebuild), and the
     /// per-column distinct statistics are updated in place.
@@ -81,9 +109,10 @@ impl Relation {
             return false;
         }
         let id = self.tuples.len();
-        for (cols, index) in self.indexes.get_mut().iter_mut() {
+        let indexes = self.indexes.get_mut().unwrap_or_else(PoisonError::into_inner);
+        for (cols, index) in indexes.iter_mut() {
             let key: Vec<Term> = cols.iter().map(|&c| tuple[c]).collect();
-            index.entry(key).or_default().push(id);
+            Arc::make_mut(index).entry(key).or_default().push(id);
         }
         if self.distinct.len() < tuple.len() {
             self.distinct.resize_with(tuple.len(), HashSet::new);
@@ -121,43 +150,46 @@ impl Relation {
     /// [`index_build_count`] — and maintained incrementally by
     /// [`Relation::insert`] afterwards.
     ///
-    /// The returned guard holds a shared borrow of the index cache: callers
-    /// must drop it before anything inserts into this relation (the chase
-    /// never evaluates and inserts at the same moment, so in practice this
-    /// only rules out holding the guard across a recursive step that could
-    /// build another index of the *same* relation — copy the posting list
-    /// out first).
-    pub fn index(&self, cols: &[usize]) -> Ref<'_, ColumnIndex> {
-        if !self.indexes.borrow().contains_key(cols) {
-            INDEX_BUILDS.fetch_add(1, Ordering::SeqCst);
-            self.builds.set(self.builds.get() + 1);
-            let mut index = ColumnIndex::new();
-            for (id, tuple) in self.tuples.iter().enumerate() {
-                let key: Vec<Term> = cols.iter().map(|&c| tuple[c]).collect();
-                index.entry(key).or_default().push(id);
-            }
-            self.indexes.borrow_mut().insert(cols.to_vec(), index);
+    /// The returned handle shares the cached index: drop it before anything
+    /// inserts into this relation, or that insert copies the whole index
+    /// instead of extending it in place (the chase never evaluates and
+    /// inserts at the same moment).
+    pub fn index(&self, cols: &[usize]) -> Arc<ColumnIndex> {
+        if let Some(index) = self.cached_indexes().get(cols) {
+            return Arc::clone(index);
         }
-        Ref::map(self.indexes.borrow(), |m| m.get(cols).expect("index just ensured"))
+        let mut index = ColumnIndex::new();
+        for (id, tuple) in self.tuples.iter().enumerate() {
+            let key: Vec<Term> = cols.iter().map(|&c| tuple[c]).collect();
+            index.entry(key).or_default().push(id);
+        }
+        let mut cache = self.indexes.write().unwrap_or_else(PoisonError::into_inner);
+        // Two threads can race to the first probe; the first insert wins and
+        // only it counts as a build.
+        Arc::clone(cache.entry(cols.to_vec()).or_insert_with(|| {
+            INDEX_BUILDS.fetch_add(1, Ordering::SeqCst);
+            self.builds.fetch_add(1, Ordering::Relaxed);
+            Arc::new(index)
+        }))
     }
 
     /// Number of column indexes currently cached (test introspection).
     pub fn cached_index_count(&self) -> usize {
-        self.indexes.borrow().len()
+        self.cached_indexes().len()
     }
 
     /// From-scratch index builds performed by *this relation* (test
     /// introspection; unlike [`index_build_count`] it cannot be perturbed
     /// by tests running on parallel threads).
     pub fn index_builds(&self) -> usize {
-        self.builds.get()
+        self.builds.load(Ordering::Relaxed)
     }
 
     /// Is an index over exactly these columns already cached? The adaptive
     /// planner treats a cached index as free to probe (its build cost is
     /// sunk), so this changes the scan/probe break-even point.
     pub fn has_index(&self, cols: &[usize]) -> bool {
-        self.indexes.borrow().contains_key(cols)
+        self.cached_indexes().contains_key(cols)
     }
 
     /// Exact number of distinct terms in column `col` (0 for an empty
@@ -192,12 +224,12 @@ impl Relation {
     /// where an index probe would have been preferred had the index existed
     /// (the adaptive planner's rent-or-buy ledger).
     pub fn note_scan_work(&self, cols: &[usize], work: usize) {
-        *self.scan_work.borrow_mut().entry(cols.to_vec()).or_default() += work;
+        *self.scan_ledger().entry(cols.to_vec()).or_default() += work;
     }
 
     /// Accumulated scan work over `cols` (see [`Relation::note_scan_work`]).
     pub fn scan_work(&self, cols: &[usize]) -> usize {
-        self.scan_work.borrow().get(cols).copied().unwrap_or(0)
+        self.scan_ledger().get(cols).copied().unwrap_or(0)
     }
 
     /// Arity of the relation as observed from its tuples (0 while empty —
@@ -430,10 +462,13 @@ impl SymbolicInstance {
                     FrozenRelation {
                         tuples: rel.tuples,
                         set: rel.set,
-                        indexes: rel.indexes.into_inner(),
-                        builds: rel.builds.get(),
+                        builds: rel.builds.into_inner(),
+                        indexes: rel.indexes.into_inner().unwrap_or_else(PoisonError::into_inner),
                         distinct: rel.distinct,
-                        scan_work: rel.scan_work.into_inner(),
+                        scan_work: rel
+                            .scan_work
+                            .into_inner()
+                            .unwrap_or_else(PoisonError::into_inner),
                     },
                 )
             })
@@ -450,7 +485,7 @@ impl SymbolicInstance {
 struct FrozenRelation {
     tuples: Vec<Vec<Term>>,
     set: HashSet<Vec<Term>>,
-    indexes: HashMap<Vec<usize>, ColumnIndex>,
+    indexes: HashMap<Vec<usize>, Arc<ColumnIndex>>,
     builds: usize,
     distinct: Vec<HashSet<Term>>,
     scan_work: HashMap<Vec<usize>, usize>,
@@ -463,7 +498,8 @@ struct FrozenRelation {
 /// ledgers — so a back-chase that resumes from a frozen seed starts with hot
 /// access paths instead of re-deriving them from a re-parsed query. Thawing
 /// restores a fully live [`SymbolicInstance`] without counting any index
-/// (re)build: the indexes are copied, not reconstructed.
+/// (re)build: the indexes are shared with the snapshot (and copied by the
+/// first insert that touches them), not reconstructed.
 #[derive(Clone, Debug, Default)]
 pub struct FrozenInstance {
     relations: HashMap<Predicate, FrozenRelation>,
@@ -485,10 +521,10 @@ impl FrozenInstance {
                     Relation {
                         tuples: rel.tuples.clone(),
                         set: rel.set.clone(),
-                        indexes: RefCell::new(rel.indexes.clone()),
-                        builds: std::cell::Cell::new(rel.builds),
+                        indexes: RwLock::new(rel.indexes.clone()),
+                        builds: AtomicUsize::new(rel.builds),
                         distinct: rel.distinct.clone(),
-                        scan_work: RefCell::new(rel.scan_work.clone()),
+                        scan_work: Mutex::new(rel.scan_work.clone()),
                     },
                 )
             })

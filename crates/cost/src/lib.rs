@@ -29,7 +29,11 @@
 //!   against the relational executor, native XML navigation (via the
 //!   [`NavigationStatistics`] trait) and a mixed split plan, and returns a
 //!   deterministic [`RoutingDecision`] — executed by `mars-storage`'s
-//!   `BackendRouter`.
+//!   `BackendRouter`,
+//! * [`plan_navigation`], the one orderer of the XML route: it picks the
+//!   next navigation atom by estimated output cardinality given what is
+//!   bound; [`navigation_cost`] prices that order and `mars-storage`
+//!   compiles exactly it into its navigation kernel.
 
 pub mod catalog;
 pub mod estimator;
@@ -43,8 +47,8 @@ pub use estimator::{fold_atom_costs, CostEstimator, WeightedAtomEstimator};
 pub use join_order::{JoinOrderEstimator, JoinPlan};
 pub use physical::{physical_plan, BuildSide, Operand, PhysicalPlan, TableScan};
 pub use route::{
-    greedy_navigation_key, navigation_cost, navigation_parts, navigation_rank, route_query,
-    NavCost, NavigationStatistics, Route, RouteCosts, RoutingDecision,
+    navigation_atom, navigation_cost, navigation_parts, plan_navigation, route_query, NavBase,
+    NavCost, NavOrder, NavigationStatistics, Route, RouteCosts, RoutingDecision,
 };
 pub use stats::StatisticsCatalog;
 

@@ -22,88 +22,84 @@
 
 use crate::physical_plan;
 use crate::stats::StatisticsCatalog;
-use mars_cq::{Atom, ConjunctiveQuery, Predicate, Term, Variable};
-use std::collections::HashSet;
+use mars_cq::{Atom, ConjunctiveQuery, Constant, Predicate, Term, Variable};
 use std::fmt;
 
-/// The GReX navigation predicate bases (mirrors `mars_grex::GrexSchema`: a
-/// navigation predicate is named `base#document` with `base` in this list).
-/// The router re-parses the convention here so `mars-cost` stays independent
-/// of `mars-grex`.
-const NAVIGATION_BASES: [&str; 8] = ["root", "el", "child", "desc", "tag", "attr", "id", "text"];
+/// A GReX navigation predicate base (mirrors `mars_grex::GrexSchema`: a
+/// navigation predicate is named `base#document`). The router re-parses the
+/// convention here so `mars-cost` stays independent of `mars-grex`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum NavBase {
+    /// `root#d(n)` — the document's root element.
+    Root,
+    /// `el#d(n)` — every element.
+    El,
+    /// `child#d(p, c)` — parent/child edges between elements.
+    Child,
+    /// `desc#d(a, d)` — descendant-or-self pairs.
+    Desc,
+    /// `tag#d(n, t)` — an element's tag name.
+    Tag,
+    /// `attr#d(n, name, value)` — attribute entries.
+    Attr,
+    /// `id#d(n, n)` — node identity.
+    Id,
+    /// `text#d(n, v)` — an element's non-empty direct text.
+    Text,
+}
+
+impl NavBase {
+    fn parse(base: &str) -> Option<NavBase> {
+        Some(match base {
+            "root" => NavBase::Root,
+            "el" => NavBase::El,
+            "child" => NavBase::Child,
+            "desc" => NavBase::Desc,
+            "tag" => NavBase::Tag,
+            "attr" => NavBase::Attr,
+            "id" => NavBase::Id,
+            "text" => NavBase::Text,
+            _ => return None,
+        })
+    }
+
+    /// Number of arguments of the base's GReX relation.
+    pub fn arity(self) -> usize {
+        match self {
+            NavBase::Root | NavBase::El => 1,
+            NavBase::Child | NavBase::Desc | NavBase::Tag | NavBase::Id | NavBase::Text => 2,
+            NavBase::Attr => 3,
+        }
+    }
+}
+
+fn split(p: Predicate) -> Option<(NavBase, &'static str, &'static str)> {
+    let (base, document) = p.name().split_once('#')?;
+    Some((NavBase::parse(base)?, base, document))
+}
 
 /// Split a GReX navigation predicate `base#document` into its parts.
 /// Returns `None` for ordinary relations (including view names that happen
 /// to contain `#`, which never start with a navigation base).
 pub fn navigation_parts(p: Predicate) -> Option<(&'static str, &'static str)> {
-    let (base, document) = p.name().split_once('#')?;
-    if NAVIGATION_BASES.contains(&base) {
-        Some((base, document))
-    } else {
-        None
-    }
+    split(p).map(|(_, base, document)| (base, document))
 }
 
-/// Tie-break rank for the greedy navigation order: among equally-connected
-/// atoms, run the most selective base first. Compiled bodies arrive sorted
-/// by predicate name (`child` < `desc` < … < `tag`), so breaking ties on
-/// body position alone would run every expanding `child`/`desc` atom before
-/// the first `tag` filter — a multi-million-row intermediate on a
-/// 150-element document.
-pub fn navigation_rank(base: &str) -> usize {
-    match base {
-        "root" => 0,
-        "tag" => 1,
-        "text" => 2,
-        "attr" => 3,
-        "id" => 4,
-        "el" => 5,
-        "child" => 6,
-        "desc" => 7,
-        _ => 8,
-    }
-}
-
-/// Ordering key for the greedy most-bound-first navigation loop. Sort
-/// ascending by `(key, body position)`:
-///
-/// 1. atoms **joining an already-bound variable** come before atoms whose
-///    variables are all fresh — joining a fresh-variable atom early is a
-///    cross product that multiplies the intermediate by an unrelated factor
-///    (a `tag` filter seeded too early costs more than it prunes);
-/// 2. fewer **unbound variables** first — pure filters before expansions;
-/// 3. the most selective **base** first ([`navigation_rank`]).
-///
-/// Both [`navigation_cost`] and the native interpreter in `mars_storage` use
-/// this exact key; they must stay in lockstep for the cost model to price
-/// what execution does.
-pub fn greedy_navigation_key(
-    atom: &Atom,
-    base: &str,
-    any_bound: bool,
-    is_bound: impl Fn(&Variable) -> bool,
-) -> (usize, usize, usize) {
-    let mut vars = 0usize;
-    let mut unbound = 0usize;
-    for t in &atom.args {
-        if let Term::Var(v) = t {
-            vars += 1;
-            if !is_bound(v) {
-                unbound += 1;
-            }
-        }
-    }
-    // Disconnected: has variables, none bound, and we already have bindings —
-    // joining it now is a cross product, so defer it until nothing connected
-    // remains (it then seeds the next component).
-    let disconnected = usize::from(vars > 0 && vars == unbound && any_bound);
-    (disconnected, unbound, navigation_rank(base))
+/// Classify an atom as GReX navigation: its base and document, provided the
+/// arity matches the base's relation. An atom that merely *looks* like
+/// navigation (right name, wrong arity) matches no encoded fact, so it is an
+/// ordinary relational atom to every consumer.
+pub fn navigation_atom(atom: &Atom) -> Option<(NavBase, &'static str)> {
+    let (base, _, document) = split(atom.predicate)?;
+    (atom.args.len() == base.arity()).then_some((base, document))
 }
 
 /// The statistics the XML side of the router reads: per-document counters a
-/// document store maintains (implemented by `mars_storage::XmlStore`). All
-/// counts refer to the *GReX encoding* of the document, so they price exactly
-/// the tuples native navigation enumerates.
+/// document store maintains (implemented by `mars_storage::XmlStore`, which
+/// serves every one in O(1) from its resident per-document index — the
+/// planner reads them on the request path). All counts refer to the *GReX
+/// encoding* of the document, so they price exactly the tuples native
+/// navigation enumerates.
 pub trait NavigationStatistics {
     /// Whether `document` is stored (navigation atoms over absent documents
     /// make a route infeasible).
@@ -112,10 +108,16 @@ pub trait NavigationStatistics {
     fn element_count(&self, document: &str) -> usize;
     /// Descendant-or-self pairs (the `desc#d` cardinality; reflexive).
     fn descendant_pairs(&self, document: &str) -> usize;
-    /// Elements with tag `tag` (the selectivity of `tag#d(n, 'tag')`).
-    fn tag_count(&self, document: &str, tag: &str) -> usize;
+    /// Elements with tag `tag` (the exact bucket of `tag#d(n, 'tag')`).
+    fn tag_count(&self, document: &str, tag: Constant) -> usize;
     /// Elements with non-empty direct text (the `text#d` cardinality).
     fn text_count(&self, document: &str) -> usize;
+    /// Elements whose direct text is `value` (the exact bucket of
+    /// `text#d(n, 'value')`).
+    fn text_value_count(&self, document: &str, value: Constant) -> usize;
+    /// Distinct direct-text values (`text_count / distinct_text_values` is
+    /// the expected bucket of a value probe whose value is a bound variable).
+    fn distinct_text_values(&self, document: &str) -> usize;
     /// Attribute entries across all elements (the `attr#d` cardinality).
     fn attr_count(&self, document: &str) -> usize;
 }
@@ -156,7 +158,20 @@ pub struct RouteCosts {
 /// [`navigation_cost`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NavCost {
-    /// Rows touched across the greedy nested-loop evaluation.
+    /// Rows touched across the planned nested-loop evaluation.
+    pub cost: f64,
+    /// Estimated bindings surviving all atoms.
+    pub rows: f64,
+}
+
+/// The order native navigation runs a conjunction of navigation atoms in,
+/// and what that order is estimated to cost (see [`plan_navigation`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct NavOrder {
+    /// Indices into the planned atom slice, in execution order.
+    pub order: Vec<usize>,
+    /// Rows touched across the evaluation — the unit
+    /// `RoutedExecution::nav_tuples` reports the actual in.
     pub cost: f64,
     /// Estimated bindings surviving all atoms.
     pub rows: f64,
@@ -209,119 +224,160 @@ impl fmt::Display for RoutingDecision {
     }
 }
 
-/// Price native navigation of `atoms`: simulate the interpreter's greedy
-/// most-bound-first nested loops, charging each atom its estimated
-/// enumeration volume per surviving binding. Returns `None` when any atom is
-/// not a navigation atom over a stored document (the route is infeasible).
+/// Per-document counters the planner reads once per plan.
+struct DocStats {
+    document: &'static str,
+    /// Elements.
+    n: f64,
+    /// Descendant-or-self pairs.
+    d: f64,
+    /// Elements with text.
+    x: f64,
+    /// Attribute entries.
+    a: f64,
+    /// Expected bucket of a text probe by a bound (non-constant) value.
+    probe: f64,
+}
+
+/// A navigation atom prepared for ordering: variables numbered densely, the
+/// exact index bucket of a constant `tag`/`text` argument looked up once.
+struct PlannedAtom {
+    base: NavBase,
+    stats: usize,
+    /// Dense variable number per argument; `None` for a constant.
+    vars: [Option<usize>; 3],
+    bucket: Option<f64>,
+}
+
+/// Estimated output bindings per input binding of `atom` when `is_bound`
+/// holds of its arguments (`< 1` a selective check, `> 1` an enumeration).
+/// `from_root`: argument 0 is known to be the document root.
 ///
 /// The model is deliberately coarse — routing is advisory, so the estimates
-/// only need to *rank* backends sensibly, never to be exact.
-pub fn navigation_cost(atoms: &[Atom], nav: &dyn NavigationStatistics) -> Option<NavCost> {
-    let mut parsed: Vec<(&str, &str)> = Vec::with_capacity(atoms.len());
+/// only need to *rank* atoms and backends sensibly, never to be exact.
+fn expansion(atom: &PlannedAtom, s: &DocStats, is_bound: [bool; 3], from_root: bool) -> f64 {
+    let (n, d) = (s.n, s.d);
+    match (atom.base, is_bound[0], is_bound[1]) {
+        (NavBase::Root, false, _) => 1.0,
+        // Of the (ancestor, node) pairs, those whose ancestor is the root.
+        (NavBase::Root, true, _) => n / d,
+        (NavBase::El, true, _) => 1.0,
+        (NavBase::El, false, _) => n,
+        (NavBase::Id, false, false) => n,
+        (NavBase::Id, ..) => 1.0,
+        // Average element fanout: one child edge per non-root element.
+        (NavBase::Child, true, false) => (n - 1.0) / n,
+        (NavBase::Child, false, false) => (n - 1.0).max(1.0),
+        // The parent is unique; two bound ends are a check.
+        (NavBase::Child, _, true) => 1.0,
+        (NavBase::Desc, true, true) => 1.0,
+        (NavBase::Desc, true, false) if from_root => n,
+        (NavBase::Desc, true, false) | (NavBase::Desc, false, true) => d / n,
+        (NavBase::Desc, false, false) => d,
+        // A constant tag is priced by its exact bucket; a bound node has
+        // exactly one tag, so the check keeps a t/n fraction.
+        (NavBase::Tag, true, _) => atom.bucket.map_or(1.0, |t| (t / n).min(1.0)),
+        (NavBase::Tag, false, _) => atom.bucket.unwrap_or(n),
+        (NavBase::Text, true, _) => (atom.bucket.unwrap_or(s.x) / n).min(1.0),
+        // A value probe: the exact bucket of a constant, the average bucket
+        // of a bound variable, every text otherwise.
+        (NavBase::Text, false, true) => atom.bucket.unwrap_or(s.probe),
+        (NavBase::Text, false, false) => s.x,
+        (NavBase::Attr, true, _) => s.a / n,
+        (NavBase::Attr, false, _) => s.a,
+    }
+}
+
+/// Order `atoms` for native navigation and price that order: repeatedly run
+/// the remaining atom with the smallest *estimated output cardinality given
+/// what is bound* (constants count as bound; ties on body position),
+/// charging each atom its estimated enumeration volume per surviving
+/// binding. A constant-valued `text` or `tag` probe is therefore a seed like
+/// `root`, not a filter waiting for a document scan to reach it.
+///
+/// This is the one orderer of the XML route: [`navigation_cost`] prices the
+/// returned order and `mars_storage` compiles exactly it into its navigation
+/// kernel, so the estimate prices the plan that runs by construction.
+/// Returns `None` when any atom is not a navigation atom over a stored
+/// document (the route is infeasible).
+pub fn plan_navigation(atoms: &[Atom], nav: &dyn NavigationStatistics) -> Option<NavOrder> {
+    let mut docs: Vec<DocStats> = Vec::new();
+    let mut variables: Vec<Variable> = Vec::new();
+    let mut planned: Vec<PlannedAtom> = Vec::with_capacity(atoms.len());
     for atom in atoms {
-        let (base, document) = navigation_parts(atom.predicate)?;
-        if !nav.has_document(document) {
-            return None;
-        }
-        parsed.push((base, document));
-    }
-
-    let mut bound: HashSet<Variable> = HashSet::new();
-    let mut remaining: Vec<usize> = (0..atoms.len()).collect();
-    let mut rows = 1.0_f64;
-    let mut cost = 0.0_f64;
-    while !remaining.is_empty() {
-        // Greedy: connected-most-bound-first ([`greedy_navigation_key`]),
-        // ties on body position — the order the native interpreter uses.
-        let pos = remaining
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &i)| {
-                let key = greedy_navigation_key(&atoms[i], parsed[i].0, !bound.is_empty(), |v| {
-                    bound.contains(v)
-                });
-                (key, i)
-            })
-            .map(|(k, _)| k)
-            .expect("remaining is non-empty");
-        let i = remaining.remove(pos);
-        let atom = &atoms[i];
-        let (base, document) = parsed[i];
-
-        let n = nav.element_count(document).max(1) as f64;
-        let is_bound = |k: usize| match atom.args.get(k) {
-            Some(Term::Var(v)) => bound.contains(v),
-            Some(Term::Const(_)) => true,
-            None => true,
-        };
-        // Estimated output bindings per input binding. `< 1` means a
-        // selective check, `> 1` an enumeration.
-        let expansion = match base {
-            "root" => 1.0,
-            "el" | "id" => {
-                if is_bound(0) {
-                    1.0
-                } else {
-                    n
+        let (base, document) = navigation_atom(atom)?;
+        let stats = match docs.iter().position(|s| s.document == document) {
+            Some(i) => i,
+            None => {
+                if !nav.has_document(document) {
+                    return None;
                 }
-            }
-            "child" => match (is_bound(0), is_bound(1)) {
-                (true, true) => 1.0,
-                // Average element fanout: one child edge per non-root element.
-                (true, false) => (n - 1.0).max(0.0) / n,
-                // Parent lookup is unique.
-                (false, true) => 1.0,
-                (false, false) => (n - 1.0).max(1.0),
-            },
-            "desc" => {
-                let d = nav.descendant_pairs(document).max(1) as f64;
-                match (is_bound(0), is_bound(1)) {
-                    (true, true) => 1.0,
-                    (true, false) | (false, true) => d / n,
-                    (false, false) => d,
-                }
-            }
-            "tag" => {
-                let t = match atom.args.get(1) {
-                    Some(Term::Const(c)) => nav.tag_count(document, &c.render()) as f64,
-                    _ => n,
-                };
-                match (is_bound(0), is_bound(1)) {
-                    // A bound node has exactly one tag; with a constant tag
-                    // the check keeps a t/n fraction of the bindings.
-                    (true, _) => (t / n).min(1.0),
-                    (false, _) => t.max(0.0),
-                }
-            }
-            "text" => {
                 let x = nav.text_count(document) as f64;
-                match (is_bound(0), is_bound(1)) {
-                    // Bound node: one text check. Bound value: the
-                    // interpreter's by-value index keeps this a probe, about
-                    // one match per binding.
-                    (true, _) | (false, true) => (x / n).min(1.0),
-                    (false, false) => x,
-                }
+                docs.push(DocStats {
+                    document,
+                    n: nav.element_count(document).max(1) as f64,
+                    d: nav.descendant_pairs(document).max(1) as f64,
+                    x,
+                    a: nav.attr_count(document) as f64,
+                    probe: x / nav.distinct_text_values(document).max(1) as f64,
+                });
+                docs.len() - 1
             }
-            "attr" => {
-                let a = nav.attr_count(document) as f64;
-                if is_bound(0) {
-                    a / n
-                } else {
-                    a
-                }
-            }
-            _ => unreachable!("navigation_parts whitelists the bases"),
         };
-        cost += rows * expansion.max(1.0);
-        rows = (rows * expansion).max(0.0);
-        for t in &atom.args {
+        let mut vars = [None; 3];
+        for (k, t) in atom.args.iter().enumerate() {
             if let Term::Var(v) = t {
-                bound.insert(*v);
+                vars[k] = Some(variables.iter().position(|w| w == v).unwrap_or_else(|| {
+                    variables.push(*v);
+                    variables.len() - 1
+                }));
             }
         }
+        let bucket = match (base, atom.args.get(1)) {
+            (NavBase::Tag, Some(Term::Const(c))) => Some(nav.tag_count(document, *c) as f64),
+            (NavBase::Text, Some(Term::Const(c))) => {
+                Some(nav.text_value_count(document, *c) as f64)
+            }
+            _ => None,
+        };
+        planned.push(PlannedAtom { base, stats, vars, bucket });
     }
-    Some(NavCost { cost, rows })
+
+    let mut bound = vec![false; variables.len()];
+    let mut is_root = vec![false; variables.len()];
+    let mut remaining: Vec<usize> = (0..atoms.len()).collect();
+    let mut order = Vec::with_capacity(atoms.len());
+    let (mut rows, mut cost) = (1.0_f64, 0.0_f64);
+    while !remaining.is_empty() {
+        let mut best = (0, f64::INFINITY);
+        for (pos, &i) in remaining.iter().enumerate() {
+            let atom = &planned[i];
+            let is_bound = atom.vars.map(|v| v.is_none_or(|v| bound[v]));
+            let from_root = atom.vars[0].is_some_and(|v| is_root[v]);
+            let e = expansion(atom, &docs[atom.stats], is_bound, from_root);
+            // `remaining` ascends, so a strict improvement keeps ties on
+            // body position.
+            if e < best.1 {
+                best = (pos, e);
+            }
+        }
+        let i = remaining.remove(best.0);
+        order.push(i);
+        cost += rows * best.1.max(1.0);
+        rows *= best.1;
+        for v in planned[i].vars.into_iter().flatten() {
+            bound[v] = true;
+            is_root[v] |= planned[i].base == NavBase::Root;
+        }
+    }
+    Some(NavOrder { order, cost, rows })
+}
+
+/// Price native navigation of `atoms`: the cost and surviving rows of the
+/// order [`plan_navigation`] runs them in. Returns `None` when any atom is
+/// not a navigation atom over a stored document (the route is infeasible).
+pub fn navigation_cost(atoms: &[Atom], nav: &dyn NavigationStatistics) -> Option<NavCost> {
+    plan_navigation(atoms, nav).map(|o| NavCost { cost: o.cost, rows: o.rows })
 }
 
 /// Price `q` against every backend and choose the cheapest feasible one.
@@ -340,7 +396,7 @@ pub fn route_query(
     rel: &dyn StatisticsCatalog,
     nav: &dyn NavigationStatistics,
 ) -> RoutingDecision {
-    let is_nav = |a: &Atom| navigation_parts(a.predicate).is_some_and(|(_, d)| nav.has_document(d));
+    let is_nav = |a: &Atom| navigation_atom(a).is_some_and(|(_, d)| nav.has_document(d));
     let nav_group: Vec<Atom> = q.body.iter().filter(|a| is_nav(a)).cloned().collect();
     let rel_indices: Vec<usize> =
         q.body.iter().enumerate().filter(|(_, a)| !is_nav(a)).map(|(i, _)| i).collect();
@@ -421,11 +477,17 @@ mod tests {
         fn descendant_pairs(&self, _d: &str) -> usize {
             self.pairs
         }
-        fn tag_count(&self, _d: &str, _t: &str) -> usize {
+        fn tag_count(&self, _d: &str, _t: Constant) -> usize {
             self.elements / 4
         }
         fn text_count(&self, _d: &str) -> usize {
             self.elements / 2
+        }
+        fn text_value_count(&self, _d: &str, v: Constant) -> usize {
+            usize::from(v != Constant::str("never-seen"))
+        }
+        fn distinct_text_values(&self, _d: &str) -> usize {
+            self.elements / 4
         }
         fn attr_count(&self, _d: &str) -> usize {
             0
@@ -504,6 +566,38 @@ mod tests {
         let d = route_query(&q, &rel, &nav);
         assert_eq!(d.route, Route::Xml, "{d}");
         assert!(d.costs.xml.unwrap() < d.costs.relational, "{d}");
+    }
+
+    /// A constant-valued `text` probe is a one-row seed, not a filter that
+    /// waits for `root → desc` to enumerate the document: it runs first, the
+    /// walk up to the root follows, and the price no longer depends on the
+    /// document size. A constant no element holds empties the plan at once.
+    #[test]
+    fn constant_probes_seed_the_plan() {
+        let lookup = |key: &str| {
+            vec![
+                nav_atom("root", vec![Term::var("r")]),
+                nav_atom("desc", vec![Term::var("r"), Term::var("x")]),
+                nav_atom("tag", vec![Term::var("x"), Term::constant_str("item")]),
+                nav_atom("child", vec![Term::var("x"), Term::var("k")]),
+                nav_atom("text", vec![Term::var("k"), Term::constant_str(key)]),
+            ]
+        };
+        let small = FixedNav { elements: 100, pairs: 500 };
+        let large = FixedNav { elements: 10_000, pairs: 50_000 };
+        let plan = plan_navigation(&lookup("present"), &large).unwrap();
+        // The two one-row seeds, then up from the key; `desc` ends as a check.
+        assert_eq!(plan.order, [0, 4, 3, 2, 1]);
+        assert_eq!(plan.cost, plan_navigation(&lookup("present"), &small).unwrap().cost);
+        assert_eq!(navigation_cost(&lookup("present"), &large).unwrap().cost, plan.cost);
+
+        let miss = plan_navigation(&lookup("never-seen"), &large).unwrap();
+        assert_eq!((miss.order[0], miss.cost, miss.rows), (4, 1.0, 0.0), "nothing can match");
+
+        // Without the constant the smallest seed is the tag bucket.
+        let mut scan = lookup("present");
+        scan[4] = nav_atom("text", vec![Term::var("k"), Term::var("v")]);
+        assert_eq!(plan_navigation(&scan, &large).unwrap().order, [0, 2, 3, 4, 1]);
     }
 
     /// A small materialized view beats navigating a large document.

@@ -39,7 +39,7 @@ use std::hash::BuildHasherDefault;
 /// the whole probe, and a DoS-resistant hash buys nothing against data the
 /// process itself materialized.
 #[derive(Default)]
-struct FxHasher(u64);
+pub(crate) struct FxHasher(u64);
 
 impl FxHasher {
     fn mix(&mut self, word: u64) {
@@ -75,27 +75,27 @@ impl std::hash::Hasher for FxHasher {
     }
 }
 
-type Fx = BuildHasherDefault<FxHasher>;
+pub(crate) type Fx = BuildHasherDefault<FxHasher>;
 
 /// A flat row-major batch: `len` rows of `width` terms each, stored in one
 /// contiguous allocation. `width` may be 0 (a Boolean sub-result), which is
 /// why `len` is tracked explicitly.
-struct Batch {
-    width: usize,
-    len: usize,
-    data: Vec<Term>,
+pub(crate) struct Batch {
+    pub(crate) width: usize,
+    pub(crate) len: usize,
+    pub(crate) data: Vec<Term>,
 }
 
 impl Batch {
-    fn new(width: usize) -> Batch {
+    pub(crate) fn new(width: usize) -> Batch {
         Batch { width, len: 0, data: Vec::new() }
     }
 
-    fn row(&self, i: usize) -> &[Term] {
+    pub(crate) fn row(&self, i: usize) -> &[Term] {
         &self.data[i * self.width..i * self.width + self.width]
     }
 
-    fn rows(&self) -> impl Iterator<Item = &[Term]> {
+    pub(crate) fn rows(&self) -> impl Iterator<Item = &[Term]> {
         (0..self.len).map(|i| self.row(i))
     }
 }
@@ -116,7 +116,7 @@ pub(crate) fn execute_plan(plan: &PhysicalPlan, inst: &SymbolicInstance) -> Vec<
 
 /// Resolve an operand against a row (unsafe/unbound variables evaluate to
 /// themselves, exactly like the naive evaluator's `apply_term`).
-fn resolve(op: &Operand, row: &[Term]) -> Term {
+pub(crate) fn resolve(op: &Operand, row: &[Term]) -> Term {
     match op {
         Operand::Column(c) => row[*c],
         Operand::Const(k) => Term::Const(*k),
@@ -129,7 +129,7 @@ fn resolve(op: &Operand, row: &[Term]) -> Term {
 /// matching pair in probe-major order. Single-column keys — the common case
 /// for chained star joins — index the bare [`Term`] and skip the per-row
 /// key allocation entirely.
-fn hash_join(
+pub(crate) fn hash_join(
     build: &Batch,
     probe: &Batch,
     build_cols: &[usize],

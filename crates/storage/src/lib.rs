@@ -26,8 +26,10 @@
 //!   recording the chosen route and estimated vs actual cost. Every route
 //!   returns byte-identical rows (property-tested).
 
+pub mod doc_index;
 pub mod executor;
 pub mod materialize;
+pub mod navigation;
 pub mod relational;
 pub mod router;
 pub mod xml_engine;

@@ -7,15 +7,17 @@
 //! executes it through a [`RoutedPlan`]:
 //!
 //! * **relational** — [`RelationalDatabase::query`] (the physical executor);
-//! * **xml** — a native GReX interpreter over the stored [`Document`]s: each
-//!   navigation atom (`root#d`, `el#d`, `child#d`, `desc#d`, `tag#d`,
-//!   `attr#d`, `id#d`, `text#d`) is enumerated directly from the document
-//!   arena, producing exactly the tuples `mars_grex::encode_document` would
-//!   load (node identities are the same `"<doc>/n<k>"` constants), so the
-//!   two backends agree byte for byte;
-//! * **mixed** — the navigation atoms run natively, the remaining atoms run
-//!   as a relational subquery, and the two binding sets are hash-joined on
-//!   their shared variables.
+//! * **xml** — the native navigation kernel ([`crate::navigation`]) over the
+//!   stored [`Document`](mars_xml::Document)s: the navigation atoms (`root#d`,
+//!   `el#d`, `child#d`, `desc#d`, `tag#d`, `attr#d`, `id#d`, `text#d`) are
+//!   compiled, in the order the estimate was priced for, into typed steps
+//!   over each document's resident index, producing exactly the bindings
+//!   joining `mars_grex::encode_document`'s facts would (node identities are
+//!   the same `"<doc>/n<k>"` constants), so the two backends agree byte for
+//!   byte;
+//! * **mixed** — the navigation atoms run on that kernel, the remaining
+//!   atoms run as a relational subquery, and the two binding sets are
+//!   hash-joined on their shared variables.
 //!
 //! Every route ends in the same head projection (unsafe head variables
 //! evaluate to themselves), residual inequality filtering, and ascending
@@ -23,20 +25,15 @@
 //! decision is advisory, the row set is invariant (property-tested in
 //! `tests/property_based.rs` and gated in CI).
 
+use crate::executor::{hash_join, resolve, Batch};
+use crate::navigation::NavPlan;
 use crate::relational::{RelationalDatabase, Row};
 use crate::xml_engine::{XmlStore, XmlStoreError};
-use mars_cost::{greedy_navigation_key, navigation_parts, route_query};
+use mars_cost::{navigation_atom, route_query, Operand};
 pub use mars_cost::{Route, RouteCosts, RoutingDecision};
 use mars_cq::{Atom, ConjunctiveQuery, Term, Variable};
-use mars_xml::{Document, NodeId};
-use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
-
-/// Navigation bindings in slot-indexed form: the variable→column map plus
-/// one `Option<Term>` row per surviving binding (see
-/// [`BackendRouter::navigate_slots`]).
-type SlotBindings = (HashMap<Variable, usize>, Vec<Vec<Option<Term>>>);
 
 /// A query paired with its priced routing decision (see [`BackendRouter::plan`]).
 #[derive(Clone, Debug)]
@@ -54,6 +51,11 @@ pub struct RoutedExecution {
     pub route: Route,
     /// The router's estimate for that route, in rows touched.
     pub estimated_cost: f64,
+    /// Candidate tuples the navigation kernel enumerated — the actual in
+    /// the unit of the navigation estimate, exact and repeatable where the
+    /// wall clock is not. 0 on the relational route; on the mixed route it
+    /// covers the navigation side only.
+    pub nav_tuples: u64,
     /// The result rows — deduplicated, ascending, identical on every route.
     pub rows: Vec<Row>,
     /// Wall-clock execution time (the actual cost).
@@ -68,19 +70,18 @@ impl RoutedExecution {
 }
 
 /// A router over one relational store and one XML store (see module docs).
+/// It holds no state of its own — the navigation indexes live in the
+/// [`XmlStore`] beside their documents — so one router serves any number of
+/// threads.
 pub struct BackendRouter<'a> {
     db: &'a RelationalDatabase,
     xml: &'a XmlStore,
-    /// Per-document navigation indexes, built on first use and reused across
-    /// executions — the router borrows the store immutably, so they stay
-    /// valid for its whole lifetime.
-    indexes: RefCell<HashMap<String, DocIndex<'a>>>,
 }
 
 impl<'a> BackendRouter<'a> {
     /// A router over the two stores.
     pub fn new(db: &'a RelationalDatabase, xml: &'a XmlStore) -> BackendRouter<'a> {
-        BackendRouter { db, xml, indexes: RefCell::new(HashMap::new()) }
+        BackendRouter { db, xml }
     }
 
     /// Price `query` against every backend and choose the cheapest (auto
@@ -119,554 +120,120 @@ impl<'a> BackendRouter<'a> {
     /// # Errors
     ///
     /// [`XmlStoreError::MissingDocument`] when an XML or mixed route
-    /// references a document that left the store after planning (routing
-    /// itself never chooses a route over absent documents).
+    /// references a document that left the store after planning, and
+    /// [`XmlStoreError::NotNavigable`] when a hand-built plan sends a
+    /// non-navigation atom down the XML route (routing itself never chooses
+    /// a route over absent documents or foreign atoms).
     pub fn execute(&self, plan: &RoutedPlan) -> Result<RoutedExecution, XmlStoreError> {
         let start = Instant::now();
-        let rows = match plan.decision.route {
-            Route::Relational => self.db.query(&plan.query),
-            Route::Xml => self.execute_native(&plan.query, &plan.query.body)?,
-            Route::Mixed => self.execute_mixed(&plan.query)?,
+        let q = &plan.query;
+        let (rows, nav_tuples) = match plan.decision.route {
+            Route::Relational => (self.db.query(q), 0),
+            Route::Xml => self.execute_navigation(q, &q.body, &[])?,
+            Route::Mixed => {
+                let is_nav = |a: &Atom| {
+                    navigation_atom(a).is_some_and(|(_, d)| self.xml.document(d).is_some())
+                };
+                let (nav, rel): (Vec<Atom>, Vec<Atom>) = q.body.iter().cloned().partition(is_nav);
+                self.execute_navigation(q, &nav, &rel)?
+            }
         };
         Ok(RoutedExecution {
             route: plan.decision.route,
             estimated_cost: plan.decision.chosen_cost(),
+            nav_tuples,
             rows,
             duration: start.elapsed(),
         })
     }
 
-    /// Run the navigation atoms natively and finish the query (inequalities,
-    /// head projection, set semantics). `nav_atoms` must cover every variable
-    /// the query needs — for the pure XML route that is the whole body.
-    fn execute_native(
+    /// Run `nav_atoms` on the navigation kernel, join the bindings with the
+    /// relational subquery over `rel_atoms` on their shared variables (the
+    /// mixed route; the XML route has none), and finish the query. Returns
+    /// the rows and the candidate tuples the kernel enumerated.
+    fn execute_navigation(
         &self,
         q: &ConjunctiveQuery,
         nav_atoms: &[Atom],
-    ) -> Result<Vec<Row>, XmlStoreError> {
-        let (slot_of, rows) = self.navigate_slots(nav_atoms)?;
-        let resolve = |row: &[Option<Term>], t: &Term| match t {
-            Term::Const(_) => *t,
-            Term::Var(v) => slot_of.get(v).and_then(|&s| row[s]).unwrap_or(Term::Var(*v)),
-        };
-        let mut out: BTreeSet<Row> = BTreeSet::new();
-        for row in &rows {
-            if q.inequalities.iter().any(|(a, b)| resolve(row, a) == resolve(row, b)) {
-                continue;
+        rel_atoms: &[Atom],
+    ) -> Result<(Vec<Row>, u64), XmlStoreError> {
+        let plan = NavPlan::compile(nav_atoms, self.xml)?;
+        let mut rel_vars: Vec<Variable> = Vec::new();
+        for v in rel_atoms.iter().flat_map(Atom::variables) {
+            if !rel_vars.contains(&v) {
+                rel_vars.push(v);
             }
-            out.insert(q.head.iter().map(|t| resolve(row, t)).collect());
         }
-        Ok(out.into_iter().collect())
-    }
-
-    /// The mixed route: navigation atoms natively, the rest as a relational
-    /// subquery, hash-joined on the shared variables.
-    fn execute_mixed(&self, q: &ConjunctiveQuery) -> Result<Vec<Row>, XmlStoreError> {
-        let is_nav = |a: &Atom| {
-            navigation_parts(a.predicate).is_some_and(|(_, d)| self.xml.document(d).is_some())
-        };
-        let nav_atoms: Vec<Atom> = q.body.iter().filter(|a| is_nav(a)).cloned().collect();
-        let rel_atoms: Vec<Atom> = q.body.iter().filter(|a| !is_nav(a)).cloned().collect();
-        let nav_rows = self.navigate(&nav_atoms)?;
+        // Navigation materializes only what the join and the tail read.
+        let mut columns: Vec<Variable> = Vec::new();
+        let read = q.head.iter().chain(q.inequalities.iter().flat_map(|(a, b)| [a, b]));
+        for v in read.filter_map(Term::as_var).chain(rel_vars.iter().copied()) {
+            if plan.binds(v) && !columns.contains(&v) {
+                columns.push(v);
+            }
+        }
+        let (nav, tuples) = plan.execute(&columns);
+        if rel_atoms.is_empty() {
+            return Ok((finish(q, &columns, &nav), tuples));
+        }
 
         // The relational subquery answers *all* variables of its atoms so the
         // join loses nothing; inequalities are applied once, after the join.
-        let mut rel_vars: Vec<Variable> = Vec::new();
-        for atom in &rel_atoms {
-            for t in &atom.args {
-                if let Term::Var(v) = t {
-                    if !rel_vars.contains(v) {
-                        rel_vars.push(*v);
-                    }
-                }
-            }
-        }
         let sub = ConjunctiveQuery::new(&format!("{}__rel", q.name))
             .with_head(rel_vars.iter().map(|v| Term::Var(*v)).collect())
-            .with_body(rel_atoms);
+            .with_body(rel_atoms.to_vec());
         let rel_rows = self.db.query(&sub);
+        let rel = Batch { width: rel_vars.len(), len: rel_rows.len(), data: rel_rows.concat() };
 
         // Hash the relational side on the shared variables, probe with the
         // navigation bindings. An empty shared set is a cross product.
-        let shared: Vec<usize> = rel_vars
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| nav_rows.first().map(|r| r.contains_key(v)).unwrap_or(false))
-            .map(|(i, _)| i)
-            .collect();
-        let mut table: HashMap<Vec<Term>, Vec<usize>> = HashMap::new();
-        for (i, row) in rel_rows.iter().enumerate() {
-            let key: Vec<Term> = shared.iter().map(|&c| row[c]).collect();
-            table.entry(key).or_default().push(i);
-        }
-        let mut joined: Vec<HashMap<Variable, Term>> = Vec::new();
-        for nav in &nav_rows {
-            let key: Vec<Term> = shared.iter().map(|&c| nav[&rel_vars[c]]).collect();
-            let Some(matches) = table.get(&key) else { continue };
-            for &i in matches {
-                let mut merged = nav.clone();
-                for (v, t) in rel_vars.iter().zip(&rel_rows[i]) {
-                    merged.insert(*v, *t);
-                }
-                joined.push(merged);
+        let (mut rel_keys, mut nav_keys) = (Vec::new(), Vec::new());
+        for (rc, v) in rel_vars.iter().enumerate() {
+            if let Some(nc) = columns.iter().position(|c| c == v) {
+                rel_keys.push(rc);
+                nav_keys.push(nc);
             }
         }
-        Ok(finish(q, joined))
-    }
-
-    /// Evaluate a conjunction of GReX navigation atoms over the stored
-    /// documents by greedy most-bound-first nested loops. Produces exactly
-    /// the bindings joining `encode_document`'s ground facts would.
-    fn navigate(&self, atoms: &[Atom]) -> Result<Vec<HashMap<Variable, Term>>, XmlStoreError> {
-        let (slot_of, rows) = self.navigate_slots(atoms)?;
-        // Name the surviving bindings (cheap: result-sized, not
-        // intermediate-sized).
-        Ok(rows
-            .into_iter()
-            .map(|row| slot_of.iter().filter_map(|(v, &s)| row[s].map(|t| (*v, t))).collect())
-            .collect())
-    }
-
-    /// The slot-indexed core of [`BackendRouter::navigate`]: bindings are
-    /// rows of `Option<Term>` columns keyed by the returned variable→slot
-    /// map, so extending a row is a short copy, not a map clone.
-    fn navigate_slots(&self, atoms: &[Atom]) -> Result<SlotBindings, XmlStoreError> {
-        {
-            let mut cache = self.indexes.borrow_mut();
-            for atom in atoms {
-                let (_, document) = navigation_parts(atom.predicate)
-                    .expect("navigate is only called on navigation atoms");
-                if !cache.contains_key(document) {
-                    let doc = self.xml.document(document).ok_or_else(|| {
-                        XmlStoreError::MissingDocument { document: document.to_string() }
-                    })?;
-                    cache.insert(document.to_string(), DocIndex::new(doc));
-                }
-            }
-        }
-        let indexes = self.indexes.borrow();
-        let parsed: Vec<(&str, &str)> = atoms
-            .iter()
-            .map(|a| navigation_parts(a.predicate).expect("classified as navigation"))
-            .collect();
-
-        let mut slot_of: HashMap<Variable, usize> = HashMap::new();
-        for atom in atoms {
-            for t in &atom.args {
-                if let Term::Var(v) = t {
-                    let next = slot_of.len();
-                    slot_of.entry(*v).or_insert(next);
-                }
-            }
-        }
-
-        let mut rows: Vec<Vec<Option<Term>>> = vec![vec![None; slot_of.len()]];
-        let mut bound: BTreeSet<Variable> = BTreeSet::new();
-        let mut remaining: Vec<usize> = (0..atoms.len()).collect();
-        while !remaining.is_empty() {
-            // Same order the cost model simulates (`greedy_navigation_key`):
-            // connected atoms first, fewest unbound variables, most selective
-            // base, ties on body position.
-            let pos = remaining
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &i)| {
-                    let key =
-                        greedy_navigation_key(&atoms[i], parsed[i].0, !bound.is_empty(), |v| {
-                            bound.contains(v)
-                        });
-                    (key, i)
-                })
-                .map(|(k, _)| k)
-                .expect("remaining is non-empty");
-            let i = remaining.remove(pos);
-            let atom = &atoms[i];
-            let (base, document) = parsed[i];
-            let index = &indexes[document];
-            let arg_slots: Vec<Option<usize>> = atom
-                .args
-                .iter()
-                .map(|t| match t {
-                    Term::Var(v) => Some(slot_of[v]),
-                    Term::Const(_) => None,
-                })
-                .collect();
-            // Resolve into a fixed stack buffer — GReX arities are ≤ 3.
-            let resolve = |row: &[Option<Term>]| -> [Option<Term>; 3] {
-                let mut buf = [None; 3];
-                for (k, (t, s)) in atom.args.iter().zip(&arg_slots).enumerate() {
-                    buf[k] = match s {
-                        None => Some(*t),
-                        Some(s) => row[*s],
-                    };
-                }
-                buf
-            };
-            let arity = atom.args.len();
-
-            let fully_bound = atom.args.iter().all(|t| match t {
-                Term::Var(v) => bound.contains(v),
-                Term::Const(_) => true,
-            });
-            // Tag pushdown: an unbound variable of this atom that a later
-            // `tag(v, "c")` atom over the same document constrains. A
-            // candidate binding violating the tag is rejected before the row
-            // is cloned — the tag atom itself stays in `remaining` and
-            // verifies afterwards, so pushdown only skips candidates the tag
-            // filter would drop anyway (the same move the relational planner
-            // makes when it joins `tag` before the expanding atom).
-            let pending_tag: Vec<Option<Term>> = atom
-                .args
-                .iter()
-                .map(|t| match t {
-                    Term::Var(v) if !bound.contains(v) => remaining.iter().find_map(|&j| {
-                        match (navigation_parts(atoms[j].predicate), &atoms[j].args[..]) {
-                            (Some(("tag", d)), [Term::Var(tv), c @ Term::Const(_)])
-                                if d == document && tv == v =>
-                            {
-                                Some(*c)
-                            }
-                            _ => None,
-                        }
-                    }),
-                    _ => None,
-                })
-                .collect();
-
-            if fully_bound {
-                // A pure filter: keep the rows the atom holds on, in place.
-                rows.retain(|row| {
-                    let resolved = resolve(row);
-                    let mut ok = false;
-                    index.for_each_tuple(base, &resolved[..arity], &mut |tuple| {
-                        ok = ok || match_tuple(&atom.args, &arg_slots, tuple, row).is_some();
-                    });
-                    ok
-                });
-            } else {
-                let mut next = Vec::new();
-                for row in &rows {
-                    let resolved = resolve(row);
-                    let mut emit = |tuple: &[Term]| {
-                        let Some(new_binds) = match_tuple(&atom.args, &arg_slots, tuple, row)
-                        else {
-                            return;
-                        };
-                        for (k, c) in pending_tag.iter().enumerate() {
-                            let (Some(c), Some(s)) = (c, arg_slots[k]) else { continue };
-                            let fresh = new_binds.iter().find(|(bs, _)| *bs == s);
-                            if let Some((_, t)) = fresh {
-                                if !index.node_has_tag(*t, *c) {
-                                    return;
-                                }
-                            }
-                        }
-                        let mut r = row.clone();
-                        for (s, t) in new_binds {
-                            r[s] = Some(t);
-                        }
-                        next.push(r);
-                    };
-                    // A text probe by value narrows further through the
-                    // fused (tag, text) index: on skewed data the plain
-                    // by-text bucket for a hot key holds every pointer
-                    // sharing the value.
-                    match (base, pending_tag[0], resolved[0], resolved[1]) {
-                        ("text", Some(tag), None, Some(value)) => {
-                            let nodes = index.by_tag_text.get(&(tag, value));
-                            for &e in nodes.map(Vec::as_slice).unwrap_or_default() {
-                                emit(&[index.term(e), value]);
-                            }
-                        }
-                        _ => index.for_each_tuple(base, &resolved[..arity], &mut emit),
-                    }
-                }
-                rows = next;
-            }
-            for t in &atom.args {
-                if let Term::Var(v) = t {
-                    bound.insert(*v);
-                }
-            }
-            if rows.is_empty() {
-                break;
-            }
-        }
-
-        Ok((slot_of, rows))
+        let mut joined = Batch::new(nav.width + rel.width);
+        hash_join(&rel, &nav, &rel_keys, &nav_keys, |b, p| {
+            joined.data.extend_from_slice(nav.row(p));
+            joined.data.extend_from_slice(rel.row(b));
+            joined.len += 1;
+        });
+        columns.extend(rel_vars);
+        Ok((finish(q, &columns, &joined), tuples))
     }
 }
 
-/// Apply the residual inequalities and the head projection to a binding set,
-/// then deduplicate in ascending order — the exact tail the physical executor
-/// runs (`Filter`, `Project`, `Distinct`), including the unsafe-head-variable
-/// convention (an unbound variable evaluates to itself).
-fn finish(q: &ConjunctiveQuery, bindings: Vec<HashMap<Variable, Term>>) -> Vec<Row> {
-    let resolve = |row: &HashMap<Variable, Term>, t: &Term| match t {
-        Term::Const(_) => *t,
-        Term::Var(v) => row.get(v).copied().unwrap_or(Term::Var(*v)),
-    };
-    let mut out: BTreeSet<Row> = BTreeSet::new();
-    for row in &bindings {
-        if q.inequalities.iter().any(|(a, b)| resolve(row, a) == resolve(row, b)) {
-            continue;
+/// Apply the residual inequalities and the head projection to a binding
+/// batch over `columns`, then deduplicate in ascending order — the exact tail
+/// the physical executor runs (`Filter`, `Project`, `Distinct`), including
+/// the unsafe-head-variable convention (an unbound variable evaluates to
+/// itself).
+fn finish(q: &ConjunctiveQuery, columns: &[Variable], bindings: &Batch) -> Vec<Row> {
+    let operand = |t: &Term| match t {
+        Term::Const(c) => Operand::Const(*c),
+        Term::Var(v) => {
+            columns.iter().position(|c| c == v).map_or(Operand::Unbound(*v), Operand::Column)
         }
-        out.insert(q.head.iter().map(|t| resolve(row, t)).collect());
+    };
+    let head: Vec<Operand> = q.head.iter().map(operand).collect();
+    let distinct: Vec<(Operand, Operand)> =
+        q.inequalities.iter().map(|(a, b)| (operand(a), operand(b))).collect();
+    let mut out: BTreeSet<Row> = BTreeSet::new();
+    for row in bindings.rows() {
+        if distinct.iter().all(|(a, b)| resolve(a, row) != resolve(b, row)) {
+            out.insert(head.iter().map(|op| resolve(op, row)).collect());
+        }
     }
     out.into_iter().collect()
-}
-
-/// Match one candidate tuple against an atom's argument pattern under a
-/// partial binding. Returns the new bindings, or `None` on a clash (constants
-/// and already-bound or repeated variables must agree).
-fn match_tuple(
-    args: &[Term],
-    arg_slots: &[Option<usize>],
-    tuple: &[Term],
-    row: &[Option<Term>],
-) -> Option<Vec<(usize, Term)>> {
-    let mut new_binds: Vec<(usize, Term)> = Vec::new();
-    for (k, val) in tuple.iter().enumerate() {
-        match arg_slots[k] {
-            None => {
-                if args[k] != *val {
-                    return None;
-                }
-            }
-            Some(s) => {
-                let existing =
-                    row[s].or_else(|| new_binds.iter().find(|(bs, _)| *bs == s).map(|(_, t)| *t));
-                match existing {
-                    Some(t) => {
-                        if t != *val {
-                            return None;
-                        }
-                    }
-                    None => new_binds.push((s, *val)),
-                }
-            }
-        }
-    }
-    Some(new_binds)
-}
-
-/// Per-document lookup structures for the native interpreter: element node
-/// constants (the same `"<doc>/n<k>"` identities `encode_document` emits) and
-/// the reverse map for bound-argument lookups.
-struct DocIndex<'d> {
-    doc: &'d Document,
-    elements: Vec<NodeId>,
-    term: HashMap<NodeId, Term>,
-    node_of: HashMap<Term, NodeId>,
-    /// Elements by tag term — makes a `tag(X, "c")` seed enumerate its `t`
-    /// matches instead of scanning all `n` elements per binding.
-    by_tag: HashMap<Term, Vec<NodeId>>,
-    /// Elements by text-value term — the value-join lookup that keeps
-    /// key/pointer joins (`text(X, v)` with `v` bound) at one probe per
-    /// binding instead of a full element scan.
-    by_text: HashMap<Term, Vec<NodeId>>,
-    /// Elements by (tag term, text-value term) — the fused lookup for a
-    /// value probe whose node variable carries a pending constant-tag
-    /// constraint. On skewed data the plain by-text bucket for a hot key
-    /// holds every pointer sharing the value; narrowing by tag first is the
-    /// same move the relational planner makes when it joins `tag` with
-    /// `text` before the key join.
-    by_tag_text: HashMap<(Term, Term), Vec<NodeId>>,
-    /// Tag term of every element — the O(1) check behind tag pushdown.
-    tag_of: HashMap<NodeId, Term>,
-}
-
-impl<'d> DocIndex<'d> {
-    fn new(doc: &'d Document) -> DocIndex<'d> {
-        let elements: Vec<NodeId> =
-            doc.all_nodes().filter(|id| doc.node(*id).is_element()).collect();
-        let term: HashMap<NodeId, Term> = elements
-            .iter()
-            .map(|id| (*id, Term::constant_str(&format!("{}/n{}", doc.name, id.0))))
-            .collect();
-        let node_of: HashMap<Term, NodeId> = term.iter().map(|(id, t)| (*t, *id)).collect();
-        let mut by_tag: HashMap<Term, Vec<NodeId>> = HashMap::new();
-        let mut by_text: HashMap<Term, Vec<NodeId>> = HashMap::new();
-        let mut by_tag_text: HashMap<(Term, Term), Vec<NodeId>> = HashMap::new();
-        let mut tag_of: HashMap<NodeId, Term> = HashMap::new();
-        for &e in &elements {
-            let tag = Term::constant_str(doc.node(e).tag().unwrap_or_default());
-            by_tag.entry(tag).or_default().push(e);
-            tag_of.insert(e, tag);
-            let text = doc.text_of(e);
-            if !text.is_empty() {
-                let value = Term::constant_str(&text);
-                by_text.entry(value).or_default().push(e);
-                by_tag_text.entry((tag, value)).or_default().push(e);
-            }
-        }
-        DocIndex { doc, elements, term, node_of, by_tag, by_text, by_tag_text, tag_of }
-    }
-
-    /// Whether `t` denotes an element of this document carrying `tag`.
-    fn node_has_tag(&self, t: Term, tag: Term) -> bool {
-        self.node_of.get(&t).is_some_and(|id| self.tag_of[id] == tag)
-    }
-
-    fn term(&self, id: NodeId) -> Term {
-        self.term[&id]
-    }
-
-    /// The element a bound argument denotes, if it is a node constant of
-    /// this document.
-    fn node(&self, t: Option<Term>) -> Option<NodeId> {
-        t.and_then(|t| self.node_of.get(&t).copied())
-    }
-
-    fn tag_term(&self, id: NodeId) -> Term {
-        Term::constant_str(self.doc.node(id).tag().unwrap_or_default())
-    }
-
-    /// Enumerate the candidate ground tuples of `base#doc` narrowed by the
-    /// resolved (bound) arguments. Narrowing is an optimization only — the
-    /// caller re-checks every position via [`match_tuple`].
-    fn for_each_tuple(&self, base: &str, resolved: &[Option<Term>], emit: &mut dyn FnMut(&[Term])) {
-        let doc = self.doc;
-        match base {
-            "root" => {
-                if let Some(r) = doc.root() {
-                    emit(&[self.term(r)]);
-                }
-            }
-            "el" => match self.node(resolved[0]) {
-                Some(n) => emit(&[self.term(n)]),
-                None if resolved[0].is_some() => {}
-                None => {
-                    for &e in &self.elements {
-                        emit(&[self.term(e)]);
-                    }
-                }
-            },
-            "id" => {
-                let emit_one = |n: NodeId, emit: &mut dyn FnMut(&[Term])| {
-                    let t = self.term(n);
-                    emit(&[t, t]);
-                };
-                match self.node(resolved[0]).or_else(|| self.node(resolved[1])) {
-                    Some(n) => emit_one(n, emit),
-                    None if resolved[0].is_some() || resolved[1].is_some() => {}
-                    None => {
-                        for &e in &self.elements {
-                            emit_one(e, emit);
-                        }
-                    }
-                }
-            }
-            "tag" => match (self.node(resolved[0]), resolved[1]) {
-                (Some(n), _) => emit(&[self.term(n), self.tag_term(n)]),
-                (None, _) if resolved[0].is_some() => {}
-                (None, Some(t)) => {
-                    for &e in self.by_tag.get(&t).map(Vec::as_slice).unwrap_or_default() {
-                        emit(&[self.term(e), t]);
-                    }
-                }
-                (None, None) => {
-                    for &e in &self.elements {
-                        emit(&[self.term(e), self.tag_term(e)]);
-                    }
-                }
-            },
-            "text" => {
-                let emit_text = |n: NodeId, emit: &mut dyn FnMut(&[Term])| {
-                    let text = doc.text_of(n);
-                    if !text.is_empty() {
-                        emit(&[self.term(n), Term::constant_str(&text)]);
-                    }
-                };
-                match (self.node(resolved[0]), resolved[1]) {
-                    (Some(n), _) => emit_text(n, emit),
-                    (None, _) if resolved[0].is_some() => {}
-                    (None, Some(v)) => {
-                        for &e in self.by_text.get(&v).map(Vec::as_slice).unwrap_or_default() {
-                            emit(&[self.term(e), v]);
-                        }
-                    }
-                    (None, None) => {
-                        for &e in &self.elements {
-                            emit_text(e, emit);
-                        }
-                    }
-                }
-            }
-            "attr" => {
-                let mut emit_attrs = |n: NodeId| {
-                    for (name, value) in &doc.node(n).attributes {
-                        emit(&[self.term(n), Term::constant_str(name), Term::constant_str(value)]);
-                    }
-                };
-                match self.node(resolved[0]) {
-                    Some(n) => emit_attrs(n),
-                    None if resolved[0].is_some() => {}
-                    None => {
-                        for &e in &self.elements {
-                            emit_attrs(e);
-                        }
-                    }
-                }
-            }
-            "child" => match (self.node(resolved[0]), self.node(resolved[1])) {
-                (Some(p), _) => {
-                    for c in doc.child_elements(p) {
-                        emit(&[self.term(p), self.term(c)]);
-                    }
-                }
-                (None, _) if resolved[0].is_some() => {}
-                (None, Some(c)) => {
-                    if let Some(p) = doc.node(c).parent {
-                        emit(&[self.term(p), self.term(c)]);
-                    }
-                }
-                (None, None) if resolved[1].is_some() => {}
-                (None, None) => {
-                    for &p in &self.elements {
-                        for c in doc.child_elements(p) {
-                            emit(&[self.term(p), self.term(c)]);
-                        }
-                    }
-                }
-            },
-            // desc is descendant-or-self, exactly as encoded.
-            "desc" => {
-                let not_a_node =
-                    |k: usize| resolved[k].is_some() && self.node(resolved[k]).is_none();
-                if not_a_node(0) || not_a_node(1) {
-                    // A bound argument outside this document matches nothing.
-                } else if let Some(d) = self.node(resolved[1]) {
-                    // The descendant is bound: walk its ancestors — depth
-                    // steps, never a subtree enumeration (match_tuple checks
-                    // a bound ancestor argument against the emitted pairs).
-                    let mut a = Some(d);
-                    while let Some(n) = a {
-                        emit(&[self.term(n), self.term(d)]);
-                        a = doc.node(n).parent;
-                    }
-                } else if let Some(a) = self.node(resolved[0]) {
-                    for d in doc.descendants_or_self(a) {
-                        emit(&[self.term(a), self.term(d)]);
-                    }
-                } else {
-                    for &a in &self.elements {
-                        for d in doc.descendants_or_self(a) {
-                            emit(&[self.term(a), self.term(d)]);
-                        }
-                    }
-                }
-            }
-            other => unreachable!("navigation_parts whitelists the bases, got {other}"),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mars_grex::encode_document;
-    use mars_xml::parse_document;
+    use mars_xml::{parse_document, Document};
 
     fn sample_doc() -> Document {
         parse_document(
@@ -750,7 +317,7 @@ mod tests {
             ),
         ];
         for (label, q) in cases {
-            let native = router.execute_native(&q, &q.body).unwrap();
+            let (native, _) = router.execute_navigation(&q, &q.body, &[]).unwrap();
             assert_eq!(native, db.query(&q), "base {label} disagrees with the encoding");
             assert!(!native.is_empty(), "base {label} should match something");
         }
@@ -868,5 +435,122 @@ mod tests {
         let native = router.execute(&router.plan_forced(&q, Route::Xml)).unwrap();
         assert_eq!(native.rows, reference);
         assert_eq!(native.rows[0][1], Term::var("ghost"));
+    }
+
+    /// The shapes the typed compiler has to special-case — repeated
+    /// variables, constants in node positions, one variable used as a node
+    /// and as a value, two documents — against the relational oracle.
+    #[test]
+    fn kernel_agrees_with_the_encoding_on_awkward_bodies() {
+        let (mut db, mut xml) = stores();
+        // A second document whose text values name nodes of the first.
+        let refs = parse_document(
+            "refs.xml",
+            r#"<refs><ref kind="kind">shop.xml/n1</ref><ref kind="x">shop.xml/n999</ref></refs>"#,
+        )
+        .unwrap();
+        db.load_facts(&encode_document(&refs));
+        xml.add_document(refs);
+        let router = BackendRouter::new(&db, &xml);
+        let other = |base: &str, args: Vec<Term>| Atom::named(&format!("{base}#refs.xml"), args);
+        let (x, y, z) = (Term::var("x"), Term::var("y"), Term::var("z"));
+        let n1 = Term::constant_str("shop.xml/n1");
+        let bodies: Vec<Vec<Atom>> = vec![
+            vec![nav("child", vec![x, x])],
+            vec![nav("desc", vec![x, x])],
+            vec![nav("id", vec![x, x])],
+            vec![nav("tag", vec![x, Term::constant_str("item")]), nav("id", vec![x, y])],
+            vec![nav("desc", vec![n1, x]), nav("tag", vec![x, y])],
+            vec![nav("child", vec![x, n1]), nav("desc", vec![y, n1])],
+            vec![nav("el", vec![Term::constant_str("shop.xml/n999")]), nav("el", vec![x])],
+            vec![nav("text", vec![x, Term::constant_int(3)])],
+            // `y` is a text value of refs.xml and a node of shop.xml.
+            vec![other("text", vec![x, y]), nav("child", vec![y, z])],
+            vec![nav("child", vec![y, z]), other("text", vec![x, y])],
+            vec![other("text", vec![x, y]), nav("el", vec![y]), nav("tag", vec![y, z])],
+            // The same variable as a node of two documents never joins.
+            vec![nav("el", vec![x]), other("el", vec![x])],
+            vec![other("attr", vec![x, y, y])],
+            vec![other("attr", vec![x, Term::constant_str("kind"), y]), other("text", vec![x, z])],
+            vec![other("tag", vec![x, y]), other("tag", vec![z, y]), other("root", vec![z])],
+        ];
+        for body in bodies {
+            let q = ConjunctiveQuery::new("Q").with_head(vec![x, y, z]).with_body(body);
+            let (native, _) = router.execute_navigation(&q, &q.body, &[]).unwrap();
+            assert_eq!(native, db.query(&q), "{q}");
+        }
+    }
+
+    /// A hand-built plan that sends a relational atom down the XML route is
+    /// a typed error (it used to panic in the interpreter).
+    #[test]
+    fn relational_atoms_on_the_xml_route_are_a_typed_error() {
+        let (mut db, xml) = stores();
+        db.insert_strs("origin", &["bolt", "de"]);
+        let router = BackendRouter::new(&db, &xml);
+        let q = ConjunctiveQuery::new("Q").with_head(vec![Term::var("n")]).with_body(vec![
+            nav("text", vec![Term::var("i"), Term::var("n")]),
+            Atom::named("origin", vec![Term::var("n"), Term::var("o")]),
+        ]);
+        let mut plan = router.plan(&q);
+        plan.decision.route = Route::Xml;
+        let err = router.execute(&plan).unwrap_err();
+        assert_eq!(err, XmlStoreError::NotNavigable { predicate: q.body[1].predicate });
+        assert!(err.to_string().contains("origin"));
+    }
+
+    /// So is an atom that only looks like navigation: an unknown base, or a
+    /// known base at the wrong arity.
+    #[test]
+    fn unknown_bases_and_arities_are_a_typed_error() {
+        let (db, xml) = stores();
+        let router = BackendRouter::new(&db, &xml);
+        for atom in [
+            nav("sibling", vec![Term::var("x"), Term::var("y")]),
+            nav("root", vec![Term::var("x"), Term::var("y")]),
+            nav("attr", vec![Term::var("x"), Term::var("y"), Term::var("z"), Term::var("w")]),
+        ] {
+            let q = ConjunctiveQuery::new("Q")
+                .with_head(vec![Term::var("x")])
+                .with_body(vec![nav("el", vec![Term::var("x")]), atom.clone()]);
+            let mut plan = router.plan(&q);
+            assert!(plan.decision.costs.xml.is_none(), "not navigation: {atom}");
+            plan.decision.route = Route::Xml;
+            let err = router.execute(&plan).unwrap_err();
+            assert_eq!(err, XmlStoreError::NotNavigable { predicate: atom.predicate });
+        }
+    }
+
+    /// Router and store hold no thread-bound state: the navigation indexes
+    /// live in the store behind `OnceLock`s.
+    #[test]
+    fn router_and_store_are_sync() {
+        fn assert_sync<T: Sync>() {}
+        assert_sync::<BackendRouter<'_>>();
+        assert_sync::<XmlStore>();
+    }
+
+    /// Replacing a document replaces its index with it, and a cloned store
+    /// answers like the original.
+    #[test]
+    fn replaced_documents_drop_their_index() {
+        let (db, mut xml) = stores();
+        let q = ConjunctiveQuery::new("Q")
+            .with_head(vec![Term::var("t")])
+            .with_body(vec![nav("text", vec![Term::var("n"), Term::var("t")])]);
+        let texts = |xml: &XmlStore| {
+            let router = BackendRouter::new(&db, xml);
+            let rows = router.execute(&router.plan_forced(&q, Route::Xml)).unwrap().rows;
+            rows.into_iter().map(|r| r[0].to_string()).collect::<Vec<_>>()
+        };
+        let before = texts(&xml);
+        assert!(before.contains(&"\"bolt\"".to_string()));
+        assert_eq!(texts(&xml.clone()), before, "a clone answers identically");
+
+        let replacement: Document =
+            parse_document("shop.xml", "<shop><item><name>rivet</name></item></shop>").unwrap();
+        xml.add_document(replacement);
+        assert_eq!(texts(&xml), vec!["\"rivet\"".to_string()], "the old index is gone");
+        assert_eq!(texts(&xml.clone()), texts(&xml));
     }
 }

@@ -8,10 +8,13 @@
 //! [`RelationalDatabase`](crate::RelationalDatabase), documents via this
 //! store), which is where the paper's net saving comes from.
 
+use crate::doc_index::DocIndex;
+use mars_cq::{Constant, Predicate, Term};
 use mars_xml::{eval_path, Document, NodeId, PathValue};
 use mars_xquery::{XBindAtom, XBindQuery, XBindTerm};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A typed evaluation error from the XML store.
 ///
@@ -26,6 +29,14 @@ pub enum XmlStoreError {
         /// The name the atom (or a prior binding) referenced.
         document: String,
     },
+    /// A plan routed to native navigation contains an atom that is not GReX
+    /// navigation (a relation, a view, or a navigation predicate used at the
+    /// wrong arity). Routing never produces such a plan; a hand-built
+    /// `RoutedPlan` can.
+    NotNavigable {
+        /// The offending atom's predicate.
+        predicate: Predicate,
+    },
 }
 
 impl fmt::Display for XmlStoreError {
@@ -33,6 +44,9 @@ impl fmt::Display for XmlStoreError {
         match self {
             XmlStoreError::MissingDocument { document } => {
                 write!(f, "document '{document}' is not in the XML store")
+            }
+            XmlStoreError::NotNavigable { predicate } => {
+                write!(f, "atom over '{}' cannot run on the XML backend", predicate.name())
             }
         }
     }
@@ -65,10 +79,19 @@ impl Value {
     }
 }
 
+/// A document with its navigation index. The index is built on first use
+/// (relational-only tenants never pay for it) and lives exactly as long as
+/// the document it describes: replacing the document replaces the pair.
+#[derive(Clone, Debug)]
+struct StoredDocument {
+    document: Document,
+    index: OnceLock<DocIndex>,
+}
+
 /// A set of named in-memory XML documents.
 #[derive(Clone, Debug, Default)]
 pub struct XmlStore {
-    documents: HashMap<String, Document>,
+    documents: HashMap<String, StoredDocument>,
 }
 
 impl XmlStore {
@@ -79,12 +102,25 @@ impl XmlStore {
 
     /// Add (or replace) a document; its `name` field is the lookup key.
     pub fn add_document(&mut self, doc: Document) {
-        self.documents.insert(doc.name.clone(), doc);
+        let stored = StoredDocument { document: doc, index: OnceLock::new() };
+        self.documents.insert(stored.document.name.clone(), stored);
     }
 
     /// Look up a document.
     pub fn document(&self, name: &str) -> Option<&Document> {
-        self.documents.get(name)
+        self.documents.get(name).map(|s| &s.document)
+    }
+
+    /// A document with its navigation index, built now if this is its first
+    /// use.
+    pub(crate) fn indexed(&self, name: &str) -> Option<(&Document, &DocIndex)> {
+        let stored = self.documents.get(name)?;
+        Some((&stored.document, stored.index.get_or_init(|| DocIndex::new(&stored.document))))
+    }
+
+    /// A counter of `name`'s index; 0 for a document the store does not hold.
+    fn statistic(&self, name: &str, read: impl FnOnce(&DocIndex) -> usize) -> usize {
+        self.indexed(name).map_or(0, |(_, index)| read(index))
     }
 
     /// Names of all stored documents.
@@ -96,7 +132,7 @@ impl XmlStore {
 
     /// Total number of element nodes across documents.
     pub fn total_elements(&self) -> usize {
-        self.documents.values().map(Document::element_count).sum()
+        self.documents.values().map(|s| s.document.element_count()).sum()
     }
 
     fn path_values(&self, value: &PathValue, document: &str) -> Value {
@@ -254,47 +290,43 @@ impl XmlStore {
     }
 }
 
-/// Navigation statistics over the stored documents, computed from the node
-/// arenas on demand. These are the XML-side counters the backend router
-/// prices native navigation with (the relational side reads the exact
-/// [`StatisticsCatalog`](mars_cost::StatisticsCatalog) counters instead).
-/// Documents are small and routing runs once per query block, so a linear
-/// walk per call is deliberate — no shadow counters to keep coherent.
+/// Navigation statistics over the stored documents — the XML-side counters
+/// the backend router prices native navigation with (the relational side
+/// reads the exact [`StatisticsCatalog`](mars_cost::StatisticsCatalog)
+/// counters instead). Every one is an O(1) read of the document's resident
+/// [index](crate::doc_index), which counted them while it was built: the planner reads
+/// them on the request path.
 impl mars_cost::NavigationStatistics for XmlStore {
     fn has_document(&self, document: &str) -> bool {
         self.documents.contains_key(document)
     }
 
     fn element_count(&self, document: &str) -> usize {
-        self.document(document).map(Document::element_count).unwrap_or(0)
+        self.statistic(document, |i| i.elements().len())
     }
 
     fn descendant_pairs(&self, document: &str) -> usize {
-        let Some(doc) = self.document(document) else { return 0 };
-        doc.all_nodes()
-            .filter(|id| doc.node(*id).is_element())
-            .map(|id| 1 + doc.descendants(id).len())
-            .sum()
+        self.statistic(document, DocIndex::descendant_pairs)
     }
 
-    fn tag_count(&self, document: &str, tag: &str) -> usize {
-        let Some(doc) = self.document(document) else { return 0 };
-        doc.all_nodes().filter(|id| doc.node(*id).tag() == Some(tag)).count()
+    fn tag_count(&self, document: &str, tag: Constant) -> usize {
+        self.statistic(document, |i| i.with_tag(Term::Const(tag)).len())
     }
 
     fn text_count(&self, document: &str) -> usize {
-        let Some(doc) = self.document(document) else { return 0 };
-        doc.all_nodes()
-            .filter(|id| doc.node(*id).is_element() && !doc.text_of(*id).is_empty())
-            .count()
+        self.statistic(document, DocIndex::text_count)
+    }
+
+    fn text_value_count(&self, document: &str, value: Constant) -> usize {
+        self.statistic(document, |i| i.with_text(Term::Const(value)).len())
+    }
+
+    fn distinct_text_values(&self, document: &str) -> usize {
+        self.statistic(document, DocIndex::distinct_text_values)
     }
 
     fn attr_count(&self, document: &str) -> usize {
-        let Some(doc) = self.document(document) else { return 0 };
-        doc.all_nodes()
-            .filter(|id| doc.node(*id).is_element())
-            .map(|id| doc.node(id).attributes.len())
-            .sum()
+        self.statistic(document, DocIndex::attr_count)
     }
 }
 

@@ -864,41 +864,135 @@ fn matrix_reformulations() -> &'static Vec<(mars_workloads::scenarios::Scenario,
     })
 }
 
-/// Auto routing plus both forced ablations return identical rows on every
+/// `q` with head position `i` fixed to `value` — what a client-side
+/// `$v = "<value>"` filter compiles to.
+fn with_head_constant(q: &ConjunctiveQuery, i: usize, value: &str) -> ConjunctiveQuery {
+    let mut fixed = Substitution::new();
+    fixed.set(q.head[i].as_var().expect("scenario heads are variables"), Term::constant_str(value));
+    q.apply(&fixed)
+}
+
+/// Execute `best` on the auto route and on every forced route and assert the
+/// rows identical; returns them. The forced-XML leg falls back to
+/// `navigation` (the compiled navigation form of the same query) where
+/// `best` is XML-infeasible, exactly as the `--route` experiment does.
+fn assert_all_routes_agree(
+    router: &mars_system::storage::BackendRouter<'_>,
+    best: &ConjunctiveQuery,
+    navigation: &ConjunctiveQuery,
+    label: &str,
+) -> Vec<mars_system::storage::Row> {
+    use mars_system::storage::Route;
+
+    let forced_rel = router.plan_forced(best, Route::Relational);
+    let mut forced_xml = router.plan_forced(best, Route::Xml);
+    if forced_xml.decision.route != Route::Xml {
+        forced_xml = router.plan_forced(navigation, Route::Xml);
+    }
+    assert_eq!(forced_xml.decision.route, Route::Xml, "{label}: navigation runs on XML");
+    let forced_mixed = router.plan_forced(best, Route::Mixed);
+
+    let rows = router.execute(&router.plan(best)).expect("documents are stored").rows;
+    for (route, plan) in
+        [("relational", &forced_rel), ("xml", &forced_xml), ("mixed", &forced_mixed)]
+    {
+        let forced = router.execute(plan).expect("documents are stored");
+        assert_eq!(rows, forced.rows, "{label}: auto and forced-{route} rows differ");
+    }
+    rows
+}
+
+/// Auto routing plus the forced ablations return identical rows on every
 /// point of the scenario matrix — the differential contract the `--route`
-/// experiment ablation rests on. The forced-XML leg falls back to the
-/// compiled navigation form of the client query where the best reformulation
-/// is XML-infeasible, exactly as the experiment does.
+/// experiment ablation rests on — for the whole-document scan and, per head
+/// variable, for a present constant, the hottest constant (the skewed
+/// scenarios' hot row) and a constant no document holds: the key-lookup
+/// shapes whose navigation plans are seeded from a value index.
 #[test]
 fn all_routes_return_identical_results() {
-    use mars_system::storage::{BackendRouter, Route};
+    use mars_system::storage::BackendRouter;
+    use std::collections::HashMap;
 
     for (scenario, best) in matrix_reformulations() {
         let (xml, db) = scenario.populate(8, 7);
         let router = BackendRouter::new(&db, &xml);
+        let navigation = scenario.navigation_query();
+        let name = scenario.name();
 
-        let auto = router.plan(best);
-        let forced_rel = router.plan_forced(best, Route::Relational);
-        let mut forced_xml = router.plan_forced(best, Route::Xml);
-        if forced_xml.decision.route != Route::Xml {
-            forced_xml = router.plan_forced(&scenario.navigation_query(), Route::Xml);
-        }
-        let forced_mixed = router.plan_forced(best, Route::Mixed);
+        let rows = assert_all_routes_agree(&router, best, &navigation, &name);
+        assert!(!rows.is_empty(), "{name}: scenario data must produce rows");
 
-        let rows = router.execute(&auto).expect("documents are stored").rows;
-        for (label, plan) in
-            [("relational", &forced_rel), ("xml", &forced_xml), ("mixed", &forced_mixed)]
-        {
-            let forced = router.execute(plan).expect("documents are stored");
-            assert_eq!(
-                rows,
-                forced.rows,
-                "{}: auto and forced-{} rows differ",
-                scenario.name(),
-                label
-            );
+        for i in 0..best.head.len() {
+            let column: Vec<String> =
+                rows.iter().map(|r| r[i].as_const().expect("ground answers").render()).collect();
+            let mut counts: HashMap<&str, usize> = HashMap::new();
+            for value in &column {
+                *counts.entry(value).or_default() += 1;
+            }
+            let hot = column.iter().max_by_key(|v| (counts[v.as_str()], *v)).unwrap();
+            for (kind, value) in [
+                ("present", &column[column.len() / 2]),
+                ("hot", hot),
+                ("never-seen", &"none".to_string()),
+            ] {
+                let label = format!("{name}, head {i} = {kind} {value:?}");
+                let found = assert_all_routes_agree(
+                    &router,
+                    &with_head_constant(best, i, value),
+                    &with_head_constant(&navigation, i, value),
+                    &label,
+                );
+                assert_eq!(
+                    found.len(),
+                    counts.get(value.as_str()).copied().unwrap_or(0),
+                    "{label}"
+                );
+            }
         }
-        assert!(!rows.is_empty(), "{}: scenario data must produce rows", scenario.name());
+    }
+}
+
+/// The navigation work counter pins the planner without a wall clock: a key
+/// lookup is seeded from the value index, so it enumerates the *same* number
+/// of candidate tuples whatever the document size; a constant no document
+/// holds dies at its first probe; only the whole-document scan grows, and
+/// linearly.
+#[test]
+fn key_lookups_enumerate_scale_independent_work() {
+    use mars_system::storage::{BackendRouter, Route};
+    use mars_workloads::scenarios::Scenario;
+
+    for (name, key) in [("chain-uniform-r0", "k1_7"), ("snowflake-skewed-r0", "k7")] {
+        let scenario = Scenario::matrix().into_iter().find(|s| s.name() == name).unwrap();
+        let scan = scenario.navigation_query();
+        // (nav_tuples, rows) of `q` on the XML route at `scale`.
+        let work = |q: &ConjunctiveQuery, scale: usize| {
+            let (xml, db) = scenario.populate(scale, 7);
+            let router = BackendRouter::new(&db, &xml);
+            let exec = router.execute(&router.plan_forced(q, Route::Xml)).unwrap();
+            assert_eq!(exec.route, Route::Xml);
+            assert_eq!(exec.rows, db.query(q), "{name} at scale {scale}");
+            (exec.nav_tuples, exec.rows.len())
+        };
+
+        let lookup = with_head_constant(&scan, 0, key);
+        let (small, large) = (work(&lookup, 50), work(&lookup, 500));
+        assert_eq!(small.1, 1, "{name}: {key} is a key");
+        assert_eq!(small, large, "{name}: a key lookup must not depend on the document size");
+
+        let miss = with_head_constant(&scan, 0, "never-seen");
+        for scale in [50, 500] {
+            let (tuples, rows) = work(&miss, scale);
+            assert!(tuples <= 1 && rows == 0, "{name}: a miss enumerated {tuples} tuples");
+        }
+
+        let (small, large) = (work(&scan, 50), work(&scan, 500));
+        assert_eq!((small.1, large.1), (50, 500), "{name}: one row per hub");
+        let per_row = |(tuples, rows): (u64, usize)| tuples as f64 / rows as f64;
+        assert!(
+            (per_row(large) / per_row(small) - 1.0).abs() < 0.1,
+            "{name}: a scan grows linearly, got {small:?} then {large:?}"
+        );
     }
 }
 
@@ -932,5 +1026,45 @@ proptest! {
             &db.query_naive(best),
             "{}: routed ({:?}) and naive rows differ", scenario.name(), routed.route
         );
+    }
+
+    /// The order navigation atoms are written in is cost only: any
+    /// permutation of a navigation body — scan or key lookup — returns the
+    /// rows the relational oracle returns for the original, and the estimate
+    /// the execution reports is the cost `plan_navigation` gives the order
+    /// the kernel ran (the kernel compiles that order, `navigation_cost`
+    /// prices it).
+    #[test]
+    fn permuted_navigation_bodies_return_identical_rows(
+        idx in 0usize..12,
+        scale in 3usize..10,
+        seed in 0u64..1000,
+        lookup in proptest::bool::ANY,
+        shuffle in 0u64..1_000_000,
+    ) {
+        use mars_system::cost::{navigation_cost, plan_navigation};
+        use mars_system::storage::{BackendRouter, Route};
+
+        let scenario = &matrix_reformulations()[idx].0;
+        let (xml, db) = scenario.populate(scale, seed);
+        let router = BackendRouter::new(&db, &xml);
+        let mut q = scenario.navigation_query();
+        if lookup {
+            let key = db.query(&q)[0][0].as_const().expect("ground answers").render();
+            q = with_head_constant(&q, 0, &key);
+        }
+        let reference = db.query(&q);
+
+        let mut state = shuffle;
+        let mut permuted = q.clone();
+        for i in (1..permuted.body.len()).rev() {
+            permuted.body.swap(i, (mix(&mut state) % (i as u64 + 1)) as usize);
+        }
+        let exec = router.execute(&router.plan_forced(&permuted, Route::Xml)).unwrap();
+        prop_assert_eq!(exec.route, Route::Xml);
+        prop_assert_eq!(&exec.rows, &reference, "{}: permuted body {}", scenario.name(), permuted);
+        let order = plan_navigation(&permuted.body, &xml).expect("pure navigation");
+        prop_assert_eq!(exec.estimated_cost, order.cost);
+        prop_assert_eq!(navigation_cost(&permuted.body, &xml).map(|c| c.cost), Some(order.cost));
     }
 }
