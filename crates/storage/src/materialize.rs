@@ -11,9 +11,11 @@
 use crate::relational::RelationalDatabase;
 use crate::xml_engine::{Value, XmlStore, XmlStoreError};
 use mars_grex::{ViewDef, ViewOutput};
-use mars_xml::Document;
+use mars_xml::{Document, NodeId};
 use mars_xquery::{DecorrelatedQuery, TemplateNode};
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// Materialize a view: evaluate its body over the XML store (its navigation
 /// part) and write the result either into the relational database or as a new
@@ -29,31 +31,25 @@ pub fn materialize_view(
     relational: &mut RelationalDatabase,
 ) -> Result<usize, XmlStoreError> {
     let bindings = xml.eval_xbind(&view.body, &HashMap::new())?;
-    let rows: Vec<Vec<String>> = bindings
+    // Set semantics for materialized views: a row stays where it first appears.
+    let mut seen = HashSet::new();
+    let unique: Vec<Vec<String>> = bindings
         .iter()
-        .map(|b| {
+        .map(|b| -> Vec<String> {
             view.body
                 .head
                 .iter()
                 .map(|h| match b.get(h) {
                     Some(Value::Str(s)) => s.clone(),
-                    Some(Value::Node { document, node }) => {
-                        // Element-valued columns are represented by their text
-                        // content (the common case for the paper's flat views).
-                        xml.document(document).map(|d| d.text_of(*node)).unwrap_or_default()
-                    }
+                    // Element-valued columns are represented by their text
+                    // content (the common case for the paper's flat views).
+                    Some(Value::Node { document, node }) => node_text(xml, document, *node),
                     None => String::new(),
                 })
                 .collect()
         })
+        .filter(|row| seen.insert(row.clone()))
         .collect();
-    // Deduplicate (set semantics for materialized views).
-    let mut unique: Vec<Vec<String>> = Vec::new();
-    for r in rows {
-        if !unique.contains(&r) {
-            unique.push(r);
-        }
-    }
 
     match &view.output {
         ViewOutput::Relation { name } => {
@@ -77,72 +73,271 @@ pub fn materialize_view(
     Ok(unique.len())
 }
 
+/// The text an element-valued binding prints as; empty when the store does
+/// not hold its document.
+fn node_text(xml: &XmlStore, document: &str, node: NodeId) -> String {
+    xml.document(document).map(|d| d.text_of(node)).unwrap_or_default()
+}
+
 /// Assemble the XML result of a decorrelated query from the bindings of its
 /// blocks (sorted outer union tagging).
+///
+/// A row binds variables of its block's head. A nested block's rows are
+/// instantiated under the enclosing rows they agree with on every variable
+/// the heads share, in row order; a variable one side leaves unbound agrees
+/// with anything.
 pub fn tag_results(
     query: &DecorrelatedQuery,
     blocks: &HashMap<String, Vec<HashMap<String, Value>>>,
     xml: &XmlStore,
     result_name: &str,
 ) -> Document {
-    let mut doc = Document::new(result_name);
+    let steps = compile(&query.template.roots, query, blocks, &mut Vec::new());
+    let (each, nested) = estimated_nodes(&steps);
+    let mut doc = Document::with_capacity(result_name, 1 + each + nested);
     let root = doc.create_root("xquery-result");
-    for node in &query.template.roots {
-        instantiate(node, query, blocks, xml, &mut doc, root, &HashMap::new());
-    }
+    Tagger { xml, doc: &mut doc, frames: Vec::new() }.instantiate(&steps, root);
     doc
 }
 
-fn value_text(v: &Value, xml: &XmlStore) -> String {
-    match v {
-        Value::Str(s) => s.clone(),
-        Value::Node { document, node } => {
-            xml.document(document).map(|d| d.text_of(*node)).unwrap_or_default()
+type Binding = HashMap<String, Value>;
+
+/// The tagging template compiled against one call's binding tables.
+enum Step<'a> {
+    Literal(&'a str),
+    Element { tag: &'a str, children: Vec<Step<'a>> },
+    VarText(&'a str),
+    ForEach { rows: &'a [Binding], correlation: Correlation<'a>, children: Vec<Step<'a>> },
+}
+
+/// How a block's rows find the enclosing rows they are instantiated under.
+struct Correlation<'a> {
+    /// The head variables the block shares with the blocks around it.
+    key: Vec<&'a str>,
+    hasher: RandomState,
+    /// Row indexes by the hash of their key values, in row order. `None` when
+    /// nothing can be looked up: the key is empty, or a row lacks a key
+    /// variable and so agrees with any value of it.
+    by_key: Option<HashMap<u64, Vec<usize>>>,
+}
+
+impl<'a> Correlation<'a> {
+    fn new(key: Vec<&'a str>, rows: &[Binding]) -> Correlation<'a> {
+        let mut correlation = Correlation { key, hasher: RandomState::new(), by_key: None };
+        correlation.by_key = correlation.index(rows);
+        correlation
+    }
+
+    fn index(&self, rows: &[Binding]) -> Option<HashMap<u64, Vec<usize>>> {
+        if self.key.is_empty() {
+            return None;
+        }
+        let mut by_key: HashMap<u64, Vec<usize>> = HashMap::new();
+        for (i, row) in rows.iter().enumerate() {
+            by_key.entry(self.hash(|var| row.get(var))?).or_default().push(i);
+        }
+        Some(by_key)
+    }
+
+    /// Hash of the key values `lookup` finds, `None` if one is unbound.
+    fn hash<'v>(&self, lookup: impl Fn(&str) -> Option<&'v Value>) -> Option<u64> {
+        let mut hasher = self.hasher.build_hasher();
+        for var in &self.key {
+            lookup(var)?.hash(&mut hasher);
+        }
+        Some(hasher.finish())
+    }
+
+    /// The only rows that can agree with `frames`; `None` when any row can,
+    /// because nothing was hashed or `frames` leave a key variable unbound.
+    fn bucket(&self, frames: &[&Binding]) -> Option<&[usize]> {
+        let by_key = self.by_key.as_ref()?;
+        let hash = self.hash(|var| bound(frames, var))?;
+        Some(by_key.get(&hash).map_or(&[], Vec::as_slice))
+    }
+
+    fn agrees(&self, frames: &[&Binding], row: &Binding) -> bool {
+        self.key.iter().all(|var| match (bound(frames, var), row.get(*var)) {
+            (Some(outer), Some(inner)) => outer == inner,
+            _ => true,
+        })
+    }
+}
+
+/// The value of `var` in the innermost frame that binds it.
+fn bound<'a>(frames: &[&'a Binding], var: &str) -> Option<&'a Value> {
+    frames.iter().rev().find_map(|frame| frame.get(var))
+}
+
+/// Compile template nodes nested in blocks whose heads bind `visible`.
+fn compile<'a>(
+    nodes: &'a [TemplateNode],
+    query: &'a DecorrelatedQuery,
+    blocks: &'a HashMap<String, Vec<Binding>>,
+    visible: &mut Vec<&'a str>,
+) -> Vec<Step<'a>> {
+    let mut steps = Vec::with_capacity(nodes.len());
+    for node in nodes {
+        steps.push(match node {
+            TemplateNode::Literal(s) => Step::Literal(s),
+            TemplateNode::VarText { var, .. } => Step::VarText(var),
+            TemplateNode::Element { tag, children } => {
+                Step::Element { tag, children: compile(children, query, blocks, visible) }
+            }
+            TemplateNode::ForEach { block, children } => {
+                let Some(block) = query.blocks.get(*block) else { continue };
+                let rows = blocks.get(&block.name).map_or(&[][..], Vec::as_slice);
+                let shared = block.head.iter().map(String::as_str).filter(|v| visible.contains(v));
+                let correlation = Correlation::new(shared.collect(), rows);
+                let outer = visible.len();
+                visible.extend(block.head.iter().map(String::as_str));
+                let children = compile(children, query, blocks, visible);
+                visible.truncate(outer);
+                Step::ForEach { rows, correlation, children }
+            }
+        });
+    }
+    steps
+}
+
+/// Nodes one instantiation of `steps` adds outside nested blocks, and nodes
+/// the nested blocks add if each of their rows is instantiated once.
+fn estimated_nodes(steps: &[Step<'_>]) -> (usize, usize) {
+    steps.iter().fold((0, 0), |(each, nested), step| match step {
+        Step::Literal(_) | Step::VarText(_) => (each + 1, nested),
+        Step::Element { children, .. } => {
+            let (inner_each, inner_nested) = estimated_nodes(children);
+            (each + 1 + inner_each, nested + inner_nested)
+        }
+        Step::ForEach { rows, children, .. } => {
+            let (inner_each, inner_nested) = estimated_nodes(children);
+            (each, nested + rows.len() * inner_each + inner_nested)
+        }
+    })
+}
+
+struct Tagger<'a> {
+    xml: &'a XmlStore,
+    doc: &'a mut Document,
+    /// The rows of the enclosing blocks, outermost first.
+    frames: Vec<&'a Binding>,
+}
+
+impl<'a> Tagger<'a> {
+    fn instantiate(&mut self, steps: &'a [Step<'a>], parent: NodeId) {
+        for step in steps {
+            match step {
+                Step::Literal(s) => {
+                    self.doc.add_text(parent, s);
+                }
+                Step::Element { tag, children } => {
+                    let el = self.doc.add_element(parent, tag);
+                    self.instantiate(children, el);
+                }
+                Step::VarText(var) => match bound(&self.frames, var) {
+                    Some(Value::Str(s)) => {
+                        self.doc.add_text(parent, s);
+                    }
+                    Some(Value::Node { document, node }) => {
+                        self.doc.add_text(parent, &node_text(self.xml, document, *node));
+                    }
+                    None => {}
+                },
+                Step::ForEach { rows, correlation, children } => {
+                    // The hash bucket of the enclosing key values, or every
+                    // row when there is none to look in.
+                    let (scan, bucket) = match correlation.bucket(&self.frames) {
+                        Some(bucket) => (0..0, bucket),
+                        None => (0..rows.len(), &[][..]),
+                    };
+                    for i in scan.chain(bucket.iter().copied()) {
+                        if correlation.agrees(&self.frames, &rows[i]) {
+                            self.frames.push(&rows[i]);
+                            self.instantiate(children, parent);
+                            self.frames.pop();
+                        }
+                    }
+                }
+            }
         }
     }
 }
 
-fn binding_matches(outer: &HashMap<String, Value>, inner: &HashMap<String, Value>) -> bool {
-    outer.iter().all(|(k, v)| inner.get(k).map(|iv| iv == v).unwrap_or(true))
-}
+/// `tag_results` as it was before the compiled plan: one merged context map
+/// per row, every child row tried against every parent row. Kept as the
+/// reference the plan is compared with.
+#[cfg(test)]
+mod reference {
+    use super::{Binding, Value, XmlStore};
+    use mars_xml::{Document, NodeId};
+    use mars_xquery::{DecorrelatedQuery, TemplateNode};
+    use std::collections::HashMap;
 
-fn instantiate(
-    node: &TemplateNode,
-    query: &DecorrelatedQuery,
-    blocks: &HashMap<String, Vec<HashMap<String, Value>>>,
-    xml: &XmlStore,
-    doc: &mut Document,
-    parent: mars_xml::NodeId,
-    context: &HashMap<String, Value>,
-) {
-    match node {
-        TemplateNode::Literal(s) => {
-            doc.add_text(parent, s);
+    pub fn tag_results(
+        query: &DecorrelatedQuery,
+        blocks: &HashMap<String, Vec<Binding>>,
+        xml: &XmlStore,
+        result_name: &str,
+    ) -> Document {
+        let mut doc = Document::new(result_name);
+        let root = doc.create_root("xquery-result");
+        for node in &query.template.roots {
+            instantiate(node, query, blocks, xml, &mut doc, root, &HashMap::new());
         }
-        TemplateNode::Element { tag, children } => {
-            let el = doc.add_element(parent, tag);
-            for c in children {
-                instantiate(c, query, blocks, xml, doc, el, context);
+        doc
+    }
+
+    fn value_text(v: &Value, xml: &XmlStore) -> String {
+        match v {
+            Value::Str(s) => s.clone(),
+            Value::Node { document, node } => {
+                xml.document(document).map(|d| d.text_of(*node)).unwrap_or_default()
             }
         }
-        TemplateNode::VarText { var, .. } => {
-            if let Some(v) = context.get(var) {
-                doc.add_text(parent, &value_text(v, xml));
+    }
+
+    fn binding_matches(outer: &Binding, inner: &Binding) -> bool {
+        outer.iter().all(|(k, v)| inner.get(k).map(|iv| iv == v).unwrap_or(true))
+    }
+
+    fn instantiate(
+        node: &TemplateNode,
+        query: &DecorrelatedQuery,
+        blocks: &HashMap<String, Vec<Binding>>,
+        xml: &XmlStore,
+        doc: &mut Document,
+        parent: NodeId,
+        context: &Binding,
+    ) {
+        match node {
+            TemplateNode::Literal(s) => {
+                doc.add_text(parent, s);
             }
-        }
-        TemplateNode::ForEach { block, children } => {
-            let Some(block_query) = query.blocks.get(*block) else { return };
-            let rows = blocks.get(&block_query.name).map(Vec::as_slice).unwrap_or(&[]);
-            for row in rows {
-                if !binding_matches(context, row) {
-                    continue;
-                }
-                let mut merged = context.clone();
-                for (k, v) in row {
-                    merged.insert(k.clone(), v.clone());
-                }
+            TemplateNode::Element { tag, children } => {
+                let el = doc.add_element(parent, tag);
                 for c in children {
-                    instantiate(c, query, blocks, xml, doc, parent, &merged);
+                    instantiate(c, query, blocks, xml, doc, el, context);
+                }
+            }
+            TemplateNode::VarText { var, .. } => {
+                if let Some(v) = context.get(var) {
+                    doc.add_text(parent, &value_text(v, xml));
+                }
+            }
+            TemplateNode::ForEach { block, children } => {
+                let Some(block_query) = query.blocks.get(*block) else { return };
+                let rows = blocks.get(&block_query.name).map(Vec::as_slice).unwrap_or(&[]);
+                for row in rows {
+                    if !binding_matches(context, row) {
+                        continue;
+                    }
+                    let mut merged = context.clone();
+                    for (k, v) in row {
+                        merged.insert(k.clone(), v.clone());
+                    }
+                    for c in children {
+                        instantiate(c, query, blocks, xml, doc, parent, &merged);
+                    }
                 }
             }
         }
@@ -153,7 +348,8 @@ fn instantiate(
 mod tests {
     use super::*;
     use mars_xml::parse_document;
-    use mars_xquery::{decorrelate, parse_xquery, XBindAtom, XBindQuery};
+    use mars_xquery::{decorrelate, parse_xquery, TaggingTemplate, XBindAtom, XBindQuery};
+    use proptest::prelude::*;
 
     fn catalog_store() -> XmlStore {
         let mut store = XmlStore::new();
@@ -252,5 +448,143 @@ mod tests {
         let stevens_idx = xml_text.find("Stevens").unwrap();
         let abiteboul_idx = xml_text.find("Abiteboul").unwrap();
         assert_ne!(stevens_idx, abiteboul_idx);
+    }
+
+    /// A template of up to three nested `ForEach` levels over up to three
+    /// blocks whose heads are random subsets of four variables (so heads
+    /// share some names and not others), with rows that leave head variables
+    /// unbound, node and string values, absent and empty binding tables,
+    /// `ForEach` over a block that does not exist and `VarText` of variables
+    /// nothing binds.
+    struct RandomTagging {
+        rng: TestRng,
+        blocks: usize,
+    }
+
+    impl RandomTagging {
+        const VARS: [&'static str; 4] = ["x", "y", "z", "w"];
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.rng.next_u64() % n as u64) as usize
+        }
+
+        fn value(&mut self) -> Value {
+            match self.below(8) {
+                0 => Value::Node { document: "d.xml".to_string(), node: NodeId(1) },
+                1 => Value::Node { document: "d.xml".to_string(), node: NodeId(3) },
+                2 => Value::Node { document: "missing.xml".to_string(), node: NodeId(0) },
+                n => Value::Str(["1", "2", "a&b <c>", "\"é\" → 𝄞", ""][n - 3].to_string()),
+            }
+        }
+
+        fn template(&mut self, loops: usize, depth: usize) -> Vec<TemplateNode> {
+            (0..1 + self.below(3))
+                .map(|_| match self.below(if depth < 4 { 6 } else { 2 }) {
+                    0 => TemplateNode::Literal(["lit", "<&>"][self.below(2)].to_string()),
+                    1 | 2 => TemplateNode::VarText {
+                        block: 0,
+                        var: Self::VARS[self.below(4)].to_string(),
+                    },
+                    3 | 4 if loops < 3 => TemplateNode::ForEach {
+                        block: self.below(self.blocks + 1),
+                        children: self.template(loops + 1, depth + 1),
+                    },
+                    _ => TemplateNode::Element {
+                        tag: ["a", "b", "c"][self.below(3)].to_string(),
+                        children: self.template(loops, depth + 1),
+                    },
+                })
+                .collect()
+        }
+
+        fn generate(seed: u64) -> (DecorrelatedQuery, HashMap<String, Vec<Binding>>) {
+            let mut g = RandomTagging { rng: TestRng::new(seed), blocks: 0 };
+            g.blocks = 1 + g.below(3);
+            let mut bindings = HashMap::new();
+            let mut blocks = Vec::new();
+            for b in 0..g.blocks {
+                let mut block = XBindQuery::new(&format!("Xb{b}"));
+                block.head = Self::VARS.iter().map(|v| v.to_string()).collect();
+                block.head.retain(|_| g.below(2) == 0);
+                if g.below(8) > 0 {
+                    let mut rows = vec![Binding::new(); g.below(6)];
+                    for row in &mut rows {
+                        for var in &block.head {
+                            if g.below(5) > 0 {
+                                row.insert(var.clone(), g.value());
+                            }
+                        }
+                    }
+                    bindings.insert(block.name.clone(), rows);
+                }
+                blocks.push(block);
+            }
+            let template = TaggingTemplate { roots: g.template(0, 0) };
+            (DecorrelatedQuery { blocks, template }, bindings)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn compiled_tagging_agrees_with_the_reference(seed in 0u64..u64::MAX) {
+            let mut store = XmlStore::new();
+            store.add_document(parse_document("d.xml", "<r><n>one &amp; two</n><n> é </n></r>").unwrap());
+            let (query, bindings) = RandomTagging::generate(seed);
+            let expected = reference::tag_results(&query, &bindings, &store, "result.xml");
+            let tagged = tag_results(&query, &bindings, &store, "result.xml");
+            prop_assert_eq!(&tagged, &expected);
+            prop_assert_eq!(tagged.to_xml(), expected.to_xml());
+        }
+    }
+
+    #[test]
+    fn nested_results_over_evaluated_blocks_agree_with_the_reference() {
+        let mut store = XmlStore::new();
+        store.add_document(
+            parse_document(
+                "books.xml",
+                "<bib><book><title>TCP/IP</title><author>Stevens</author></book>\
+                 <book><title>Advanced TCP/IP</title><author>Stevens</author></book>\
+                 <book><title>Data on the Web</title><author>Abiteboul</author></book></bib>",
+            )
+            .unwrap(),
+        );
+        let ast = parse_xquery(
+            "<result> for $a in distinct(//author/text()) return <item><writer>$a</writer> \
+             {for $b in //book $a1 in $b/author/text() $t in $b/title where $a = $a1 \
+             return <title>$t</title>} </item> </result>",
+        )
+        .unwrap();
+        let dec = decorrelate(&ast, "books.xml");
+        let blocks = store.eval_blocks(&dec.blocks).unwrap();
+        let tagged = tag_results(&dec, &blocks, &store, "result.xml");
+        assert_eq!(tagged, reference::tag_results(&dec, &blocks, &store, "result.xml"));
+        assert_eq!(tagged.to_xml().matches("<title>").count(), 3);
+    }
+
+    #[test]
+    fn materialized_rows_are_distinct_and_keep_their_first_position() {
+        let mut xml = XmlStore::new();
+        xml.add_document(
+            parse_document(
+                "catalog.xml",
+                "<catalog><drug><name>b</name><price>1</price></drug>\
+                 <drug><name>a</name><price>2</price></drug>\
+                 <drug><name>b</name><price>1</price></drug></catalog>",
+            )
+            .unwrap(),
+        );
+        let mut db = RelationalDatabase::new();
+        let view = ViewDef::xml_flat("V", drug_price_view().body, "v.xml", "entry", &["n", "p"]);
+        assert_eq!(materialize_view(&view, &mut xml, &mut db).unwrap(), 2);
+        let doc = xml.document("v.xml").unwrap();
+        let names: Vec<String> = doc
+            .all_nodes()
+            .filter(|id| doc.node(*id).tag() == Some("n"))
+            .map(|id| doc.text_of(id))
+            .collect();
+        assert_eq!(names, ["b", "a"]);
     }
 }

@@ -7,6 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Handle to a node in a [`Document`] arena.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -28,8 +29,9 @@ impl fmt::Debug for NodeId {
 /// Kind of a node.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum NodeKind {
-    /// An element node with a tag name.
-    Element { tag: String },
+    /// An element node with a tag name, shared by every element of that
+    /// tag in the document.
+    Element { tag: Arc<str> },
     /// A text node.
     Text { value: String },
 }
@@ -48,9 +50,9 @@ pub struct Node {
 }
 
 impl Node {
-    fn element(tag: &str, parent: Option<NodeId>) -> Node {
+    fn element(tag: Arc<str>, parent: Option<NodeId>) -> Node {
         Node {
-            kind: NodeKind::Element { tag: tag.to_string() },
+            kind: NodeKind::Element { tag },
             parent,
             children: Vec::new(),
             attributes: Vec::new(),
@@ -95,18 +97,48 @@ pub struct Document {
     pub name: String,
     nodes: Vec<Node>,
     root: Option<NodeId>,
+    /// The first [`SHARED_TAGS`] distinct element tags, in order of first use.
+    /// A document has a handful, so an element costs a scan of this list and
+    /// a reference count instead of a string of its own.
+    tags: Vec<Arc<str>>,
 }
+
+/// How many distinct tags a document shares among its elements; an element
+/// with a later tag owns its copy, so the scan per element stays bounded.
+const SHARED_TAGS: usize = 32;
 
 impl Document {
     /// An empty document with the given name.
     pub fn new(name: &str) -> Document {
-        Document { name: name.to_string(), nodes: Vec::new(), root: None }
+        Document::with_capacity(name, 0)
+    }
+
+    /// An empty document with room for `nodes` nodes (elements + text nodes).
+    pub fn with_capacity(name: &str, nodes: usize) -> Document {
+        Document {
+            name: name.to_string(),
+            nodes: Vec::with_capacity(nodes),
+            root: None,
+            tags: Vec::new(),
+        }
+    }
+
+    fn intern(&mut self, tag: &str) -> Arc<str> {
+        if let Some(known) = self.tags.iter().find(|known| known.as_ref() == tag) {
+            return known.clone();
+        }
+        let shared: Arc<str> = Arc::from(tag);
+        if self.tags.len() < SHARED_TAGS {
+            self.tags.push(shared.clone());
+        }
+        shared
     }
 
     /// Create the root element; panics if a root already exists.
     pub fn create_root(&mut self, tag: &str) -> NodeId {
         assert!(self.root.is_none(), "document already has a root");
         let id = NodeId(self.nodes.len() as u32);
+        let tag = self.intern(tag);
         self.nodes.push(Node::element(tag, None));
         self.root = Some(id);
         id
@@ -120,6 +152,7 @@ impl Document {
     /// Append a child element under `parent`.
     pub fn add_element(&mut self, parent: NodeId, tag: &str) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
+        let tag = self.intern(tag);
         self.nodes.push(Node::element(tag, Some(parent)));
         self.nodes[parent.index()].children.push(id);
         id
@@ -214,12 +247,7 @@ impl Document {
 
     /// Concatenated text content of the node's direct text children.
     pub fn text_of(&self, id: NodeId) -> String {
-        self.node(id)
-            .children
-            .iter()
-            .filter_map(|c| self.node(*c).text_value())
-            .collect::<Vec<_>>()
-            .join("")
+        self.node(id).children.iter().filter_map(|c| self.node(*c).text_value()).collect()
     }
 
     /// Attribute value lookup.
@@ -249,17 +277,139 @@ impl Document {
     }
 
     /// Serialize to XML text (no declaration, two-space indentation).
+    ///
+    /// One node per line, except that an element whose only child is a text
+    /// node is written compactly as `<tag>text</tag>`, the text verbatim;
+    /// [`parse_document`](crate::parse_document) reads that form back
+    /// verbatim too. A text node with element siblings goes on a line of its
+    /// own and reads back trimmed.
     pub fn to_xml(&self) -> String {
         let mut out = String::new();
-        if let Some(root) = self.root {
-            self.write_node(root, 0, &mut out);
+        self.write_xml(&mut out).expect("writing to a String does not fail");
+        out
+    }
+
+    /// Write what [`Document::to_xml`] returns into `out`, in one pass and
+    /// without intermediate strings.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `out` reports.
+    pub fn write_xml(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        match self.root {
+            Some(root) => self.write_node(root, 0, out),
+            None => Ok(()),
+        }
+    }
+
+    fn write_node(&self, id: NodeId, depth: usize, out: &mut impl fmt::Write) -> fmt::Result {
+        let node = self.node(id);
+        write_indent(out, depth)?;
+        let tag = match &node.kind {
+            NodeKind::Text { value } => {
+                write_escaped(out, value)?;
+                return out.write_char('\n');
+            }
+            NodeKind::Element { tag } => tag,
+        };
+        out.write_char('<')?;
+        out.write_str(tag)?;
+        for (n, v) in &node.attributes {
+            out.write_char(' ')?;
+            out.write_str(n)?;
+            out.write_str("=\"")?;
+            write_escaped(out, v)?;
+            out.write_char('"')?;
+        }
+        let only_text = match node.children.as_slice() {
+            [] => return out.write_str("/>\n"),
+            [only] => self.node(*only).text_value(),
+            _ => None,
+        };
+        if let Some(text) = only_text {
+            // Compact form for leaf elements with a single text child.
+            out.write_char('>')?;
+            write_escaped(out, text)?;
+        } else {
+            out.write_str(">\n")?;
+            for c in &node.children {
+                self.write_node(*c, depth + 1, out)?;
+            }
+            write_indent(out, depth)?;
+        }
+        out.write_str("</")?;
+        out.write_str(tag)?;
+        out.write_str(">\n")
+    }
+}
+
+fn write_indent(out: &mut impl fmt::Write, depth: usize) -> fmt::Result {
+    (0..depth).try_for_each(|_| out.write_str("  "))
+}
+
+/// Write `s` with `&`, `<`, `>` and `"` replaced by their entities: one scan,
+/// the runs between specials copied as slices. The specials are ASCII, so
+/// every cut falls on a character boundary.
+fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            _ => continue,
+        };
+        out.write_str(&s[copied..i])?;
+        out.write_str(entity)?;
+        copied = i + 1;
+    }
+    out.write_str(&s[copied..])
+}
+
+/// Escape XML special characters.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    write_escaped(&mut out, s).expect("writing to a String does not fail");
+    out
+}
+
+/// Unescape XML entities produced by [`escape`].
+pub fn unescape(s: &str) -> String {
+    const ENTITIES: [(&str, char); 4] =
+        [("&lt;", '<'), ("&gt;", '>'), ("&quot;", '"'), ("&amp;", '&')];
+    let mut out = String::with_capacity(s.len());
+    let mut rest = s;
+    while let Some(at) = rest.find('&') {
+        out.push_str(&rest[..at]);
+        rest = &rest[at..];
+        let (entity, c) =
+            ENTITIES.into_iter().find(|(e, _)| rest.starts_with(e)).unwrap_or(("&", '&'));
+        out.push(c);
+        rest = &rest[entity.len()..];
+    }
+    out.push_str(rest);
+    out
+}
+
+/// The serializer and the escapers as they were before `write_xml`: an indent
+/// string per node, four `replace` passes per value. Kept as the reference the
+/// single-pass code is compared with.
+#[cfg(test)]
+mod reference {
+    use super::{Document, NodeId, NodeKind};
+
+    pub fn to_xml(doc: &Document) -> String {
+        let mut out = String::new();
+        if let Some(root) = doc.root() {
+            write_node(doc, root, 0, &mut out);
         }
         out
     }
 
-    fn write_node(&self, id: NodeId, depth: usize, out: &mut String) {
+    fn write_node(doc: &Document, id: NodeId, depth: usize, out: &mut String) {
         let indent = "  ".repeat(depth);
-        let node = self.node(id);
+        let node = doc.node(id);
         match &node.kind {
             NodeKind::Text { value } => {
                 out.push_str(&indent);
@@ -279,7 +429,7 @@ impl Document {
                 }
                 // Compact form for leaf elements with a single text child.
                 if node.children.len() == 1 {
-                    if let Some(text) = self.node(node.children[0]).text_value() {
+                    if let Some(text) = doc.node(node.children[0]).text_value() {
                         out.push('>');
                         out.push_str(&escape(text));
                         out.push_str(&format!("</{tag}>\n"));
@@ -288,28 +438,27 @@ impl Document {
                 }
                 out.push_str(">\n");
                 for c in &node.children {
-                    self.write_node(*c, depth + 1, out);
+                    write_node(doc, *c, depth + 1, out);
                 }
                 out.push_str(&indent);
                 out.push_str(&format!("</{tag}>\n"));
             }
         }
     }
-}
 
-/// Escape XML special characters.
-pub fn escape(s: &str) -> String {
-    s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;").replace('"', "&quot;")
-}
+    pub fn escape(s: &str) -> String {
+        s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;").replace('"', "&quot;")
+    }
 
-/// Unescape XML entities produced by [`escape`].
-pub fn unescape(s: &str) -> String {
-    s.replace("&lt;", "<").replace("&gt;", ">").replace("&quot;", "\"").replace("&amp;", "&")
+    pub fn unescape(s: &str) -> String {
+        s.replace("&lt;", "<").replace("&gt;", ">").replace("&quot;", "\"").replace("&amp;", "&")
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn catalog() -> Document {
         // <catalog><drug><name>aspirin</name><price>3</price></drug>
@@ -405,5 +554,88 @@ mod tests {
         let mut d = Document::new("x");
         d.create_root("a");
         d.create_root("b");
+    }
+
+    /// Text drawn from an alphabet heavy in what the escapers look for:
+    /// specials, entity fragments, multi-byte characters, whitespace.
+    fn awkward_text(rng: &mut TestRng) -> String {
+        const PIECES: [&str; 16] = [
+            "&", "<", ">", "\"", "'", "&amp;", "&lt;", "&gt", "&quot;", ";", "é", "→", "𝄞", " ",
+            "\n", "ab",
+        ];
+        (0..rng.next_u64() % 8).map(|_| PIECES[(rng.next_u64() % 16) as usize]).collect()
+    }
+
+    /// A random tree: empty elements, text-only leaves, mixed content,
+    /// attributes, a few tags reused at every depth.
+    fn awkward_document(rng: &mut TestRng) -> Document {
+        let mut doc = Document::new("random.xml");
+        let root = doc.create_root("root");
+        let mut open = vec![root];
+        for _ in 0..rng.next_u64() % 40 {
+            let parent = open[(rng.next_u64() % open.len() as u64) as usize];
+            match rng.next_u64() % 4 {
+                0 => {
+                    doc.add_text(parent, &awkward_text(rng));
+                }
+                1 => {
+                    let name = ["k", "v"][(rng.next_u64() % 2) as usize];
+                    doc.set_attribute(parent, name, &awkward_text(rng));
+                }
+                _ => open
+                    .push(doc.add_element(parent, ["a", "b", "c"][(rng.next_u64() % 3) as usize])),
+            }
+        }
+        doc
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn write_xml_agrees_with_the_reference_serializer(seed in 0u64..u64::MAX) {
+            let doc = awkward_document(&mut TestRng::new(seed));
+            prop_assert_eq!(doc.to_xml(), reference::to_xml(&doc));
+        }
+
+        #[test]
+        fn single_pass_escapers_agree_with_the_replace_chains(seed in 0u64..u64::MAX) {
+            let text = awkward_text(&mut TestRng::new(seed));
+            prop_assert_eq!(escape(&text), reference::escape(&text));
+            prop_assert_eq!(unescape(&text), reference::unescape(&text));
+            prop_assert_eq!(unescape(&escape(&text)), text);
+        }
+    }
+
+    #[test]
+    fn write_xml_reports_the_error_of_its_sink() {
+        struct Full;
+        impl fmt::Write for Full {
+            fn write_str(&mut self, _: &str) -> fmt::Result {
+                Err(fmt::Error)
+            }
+        }
+        assert!(catalog().write_xml(&mut Full).is_err());
+        assert!(Document::new("empty.xml").write_xml(&mut Full).is_ok());
+    }
+
+    #[test]
+    fn tags_are_shared_up_to_the_bound_and_owned_beyond_it() {
+        let mut doc = Document::new("wide.xml");
+        let root = doc.create_root("root");
+        let tags: Vec<String> = (0..2 * SHARED_TAGS).map(|i| format!("t{i}")).collect();
+        for tag in tags.iter().chain(&tags) {
+            doc.add_element(root, tag);
+        }
+        assert_eq!(doc.tags.len(), SHARED_TAGS);
+        let written: Vec<&str> =
+            doc.child_elements(root).filter_map(|c| doc.node(c).tag()).collect();
+        assert_eq!(written, tags.iter().chain(&tags).map(String::as_str).collect::<Vec<_>>());
+        let shared = |i: usize| match &doc.nodes[i].kind {
+            NodeKind::Element { tag } => Arc::strong_count(tag),
+            NodeKind::Text { .. } => 0,
+        };
+        assert_eq!(shared(1), 3, "an early tag: the table and both of its elements");
+        assert_eq!(shared(2 * SHARED_TAGS), 1, "a late tag: the element's own");
     }
 }

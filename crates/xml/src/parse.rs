@@ -159,6 +159,7 @@ impl<'a> Parser<'a> {
             }
         }
         // Content.
+        let content = self.pos;
         loop {
             if self.starts_with("<!--") {
                 match self.input[self.pos..].windows(3).position(|w| w == b"-->") {
@@ -192,8 +193,12 @@ impl<'a> Parser<'a> {
                         }
                         self.pos += 1;
                     }
-                    let raw = String::from_utf8_lossy(&self.input[start..self.pos]).into_owned();
-                    let text = unescape(raw.trim());
+                    let raw = String::from_utf8_lossy(&self.input[start..self.pos]);
+                    // Text that is the element's whole content is its value,
+                    // whitespace included; beside elements or comments the
+                    // surrounding whitespace is layout.
+                    let whole = start == content && self.starts_with("</");
+                    let text = unescape(if whole { &raw } else { raw.trim() });
                     if !text.is_empty() {
                         doc.add_text(node, &text);
                     }
@@ -205,6 +210,11 @@ impl<'a> Parser<'a> {
 }
 
 /// Parse an XML string into a [`Document`] with the given logical name.
+///
+/// Text that is all of an element's content (`<e> x </e>`) is kept verbatim,
+/// so what [`Document::to_xml`] writes for a leaf reads back as written. Text
+/// beside child elements or comments is trimmed, and dropped when nothing is
+/// left: indentation is not content.
 pub fn parse_document(name: &str, input: &str) -> Result<Document, ParseError> {
     let mut parser = Parser::new(input);
     let mut doc = Document::new(name);
