@@ -5,9 +5,8 @@
 //! - `sibling_sweep`: the backchase inner loop — checking the original query
 //!   against K sibling candidates that share a chased seed and differ in one
 //!   fresh atom each. `scratch` rebuilds a full [`ContainmentTarget`] per
-//!   sibling (the pre-memo behaviour); `memoized_delta` prepares a
-//!   [`DeltaTarget`] with the carried atoms below the fresh mark, so the
-//!   homomorphism search only explores mappings that use a fresh atom.
+//!   sibling from a rendered query; `from_parts` assembles a [`DeltaTarget`]
+//!   straight from the atom list, the form the backchase confirm uses.
 //! - `find_all_homomorphisms`: enumeration cost over targets of growing
 //!   redundancy (the in-place substitution/trail rewrite vs. the old
 //!   clone-per-trial search is visible here as allocation volume).
@@ -83,13 +82,13 @@ fn bench_sibling_sweep(c: &mut Criterion) {
             assert_eq!(found, siblings);
         })
     });
-    g.bench_function(&format!("memoized_delta/{siblings}"), |b| {
+    g.bench_function(&format!("from_parts/{siblings}"), |b| {
         b.iter(|| {
             let mut found = 0usize;
             for k in 0..siblings {
                 let mut atoms = base.clone();
                 atoms.extend(fresh_atoms(m, k));
-                let target = DeltaTarget::with_fresh_mark(head.clone(), atoms, base.len());
+                let target = DeltaTarget::new(head.clone(), atoms);
                 found += target.mapping_from(&q).is_some() as usize;
             }
             assert_eq!(found, siblings);

@@ -1,15 +1,14 @@
-//! Join-level micro-benchmark: full premise joins vs semi-naive
-//! (delta-seeded) joins over a growing symbolic instance.
+//! Join-level micro-benchmark: the full premise join over a symbolic
+//! instance.
 //!
-//! Isolates `evaluate_bindings` / `evaluate_bindings_delta` from the
-//! end-to-end fig5 numbers so join-level regressions are visible on their
-//! own. The scenario mirrors the chase's hot path: a premise of a few atoms
-//! evaluated over an instance of `n` tuples after a single-tuple insert —
-//! the full join re-derives every homomorphism, the delta join only those
-//! touching the new tuple.
+//! Isolates `evaluate_bindings` from the end-to-end fig5 numbers so
+//! join-level regressions are visible on their own. The scenario mirrors the
+//! chase's hot path: a premise of a few atoms evaluated over an instance of
+//! `n` tuples — the sizes sit on both sides of `SCAN_THRESHOLD`, so both the
+//! filtered scan and the index probe are timed.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use mars_chase::{evaluate_bindings, evaluate_bindings_delta, SymbolicInstance};
+use mars_chase::{evaluate_bindings, SymbolicInstance};
 use mars_cq::{Atom, Substitution, Term};
 
 fn t(n: &str) -> Term {
@@ -17,8 +16,8 @@ fn t(n: &str) -> Term {
 }
 
 /// A branchy instance: `n` R-edges forming chains of length 4 plus a unary
-/// L-label per node, then one extra edge appended (the delta).
-fn instance(n: usize) -> (SymbolicInstance, Vec<usize>) {
+/// L-label per node.
+fn instance(n: usize) -> SymbolicInstance {
     let mut inst = SymbolicInstance::new();
     for i in 0..n {
         let group = i / 4;
@@ -27,11 +26,7 @@ fn instance(n: usize) -> (SymbolicInstance, Vec<usize>) {
         inst.insert_atom(&Atom::named("R", vec![t(&a), t(&b)]));
         inst.insert_atom(&Atom::named("L", vec![t(&a)]));
     }
-    let premise = premise();
-    // Watermarks taken before the delta insert.
-    let marks: Vec<usize> = premise.iter().map(|a| inst.relation_len(a.predicate)).collect();
-    inst.insert_atom(&Atom::named("R", vec![t("n0_1"), t("fresh")]));
-    (inst, marks)
+    inst
 }
 
 fn premise() -> Vec<Atom> {
@@ -45,16 +40,11 @@ fn premise() -> Vec<Atom> {
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("evaluate_bindings");
     g.sample_size(20);
-    for n in [64usize, 256, 1024] {
-        let (inst, marks) = instance(n);
+    for n in [8usize, 64, 256, 1024] {
+        let inst = instance(n);
         let p = premise();
         g.bench_with_input(BenchmarkId::new("full_join", n), &n, |b, _| {
             b.iter(|| black_box(evaluate_bindings(&p, &[], &inst, &Substitution::new())))
-        });
-        g.bench_with_input(BenchmarkId::new("delta_seeded", n), &n, |b, _| {
-            b.iter(|| {
-                black_box(evaluate_bindings_delta(&p, &[], &inst, &Substitution::new(), &marks))
-            })
         });
     }
     g.finish();

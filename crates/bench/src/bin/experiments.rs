@@ -8,7 +8,7 @@
 //! should match; see EXPERIMENTS.md).
 
 use mars::{MarsError, MarsOptions, MarsService, ReformulationBudget};
-use mars_bench::{measure_fig5_opts, measure_fig8_threads};
+use mars_bench::{measure_fig5_threads, measure_fig8_threads};
 use mars_chase::{chase_to_universal_plan, ChaseOptions};
 use mars_cq::{naive_chase, ChaseBudget};
 use mars_storage::{BackendRouter, QueryExecutor, Route};
@@ -23,8 +23,7 @@ use std::time::{Duration, Instant};
 
 const USAGE: &str = "Usage: experiments [--fig5] [--fig8] [--stress] [--oldnew] [--savings] \
 [--xmark] [--serve] [--chaos] [--all] [--route MODE] [--max-nc N] [--threads N] \
-[--serve-batch N] [--serve-requests N] \
-[--fixed-scan-threshold N] [--naive-joins] [--scratch-containment] [--naive-executor]
+[--serve-batch N] [--serve-requests N] [--naive-executor]
 
 Regenerates the paper's tables and figures (see EXPERIMENTS.md). With no
 experiment flags, --all is assumed. --max-nc N (default 6) bounds the star
@@ -43,12 +42,6 @@ and stalls, zero-deadline budgets. Every arrival must be accounted as
 served, degraded, shed or panicked (0 lost) with at least one panic, one
 stall and one degradation exercised, or the process exits 1. Counters and
 per-request latency tails land in experiments_results.json.
-Ablations (results are byte-identical; only join cost changes):
---fixed-scan-threshold N replaces the adaptive statistics-driven join
-planning with the historical fixed scan threshold, --naive-joins
-disables the semi-naive delta-seeded joins, and --scratch-containment
-disables the cross-candidate containment memo (every candidate's
-containment check runs from scratch), across the fig5 sweep.
 --naive-executor runs the savings/xmark reformulated executions through the
 naive relational evaluator instead of the cost-based physical plans (the
 executor ablation; rows are byte-identical either way).
@@ -74,14 +67,6 @@ struct Args {
     serve_requests: usize,
     /// Run the serve-mode chaos harness instead of the throughput benchmark.
     chaos: bool,
-    /// `Some(n)` runs the fig5 sweep with the fixed-threshold planner
-    /// ablation instead of adaptive planning.
-    fixed_scan_threshold: Option<usize>,
-    /// Run the fig5 sweep with naive (full-join) premise evaluation.
-    naive_joins: bool,
-    /// Run the fig5 sweep with the containment memo disabled (every
-    /// candidate's containment check from scratch).
-    scratch_containment: bool,
     /// Execute the savings/xmark reformulated queries with the naive
     /// relational evaluator instead of the physical plans (the executor
     /// ablation).
@@ -122,9 +107,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         serve_batch: 8,
         serve_requests: 48,
         chaos: false,
-        fixed_scan_threshold: None,
-        naive_joins: false,
-        scratch_containment: false,
         naive_executor: false,
         route: RouteMode::Auto,
     };
@@ -174,15 +156,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         } else if arg == "--chaos" {
             parsed.chaos = true;
             serve_flag_seen = true;
-        } else if arg == "--fixed-scan-threshold" {
-            let value = it.next().ok_or("--fixed-scan-threshold requires a value".to_string())?;
-            parsed.fixed_scan_threshold = Some(value.parse().map_err(|_| {
-                format!("invalid --fixed-scan-threshold value: {value:?} (expected a number)")
-            })?);
-        } else if arg == "--naive-joins" {
-            parsed.naive_joins = true;
-        } else if arg == "--scratch-containment" {
-            parsed.scratch_containment = true;
         } else if arg == "--naive-executor" {
             parsed.naive_executor = true;
         } else if arg == "--route" {
@@ -203,17 +176,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         } else {
             return Err(format!("unknown argument: {arg:?}"));
         }
-    }
-    // The join-strategy ablations apply to the fig5 sweep only; accepting
-    // them for a run that skips fig5 would silently do nothing.
-    let runs_fig5 =
-        parsed.selected.is_empty() || parsed.selected.iter().any(|a| a == "--all" || a == "--fig5");
-    if (parsed.fixed_scan_threshold.is_some() || parsed.naive_joins || parsed.scratch_containment)
-        && !runs_fig5
-    {
-        return Err("--fixed-scan-threshold / --naive-joins / --scratch-containment are fig5 \
-                    ablations; add --fig5 or --all"
-            .to_string());
     }
     // The executor ablation applies to the savings/xmark executions only.
     let runs_executions = parsed.selected.is_empty()
@@ -251,29 +213,12 @@ fn main() {
         serve_batch,
         serve_requests,
         chaos,
-        fixed_scan_threshold,
-        naive_joins,
-        scratch_containment,
         naive_executor,
         route,
     } = parsed;
     let executor = if naive_executor { QueryExecutor::Naive } else { QueryExecutor::Physical };
     let has = |flag: &str| args.iter().any(|a| a == flag);
     let all = args.is_empty() || has("--all");
-    // The fig5 options, with the requested join-strategy ablations applied.
-    let fig5_options = move || {
-        let mut o = MarsOptions::specialized().with_threads(threads);
-        if let Some(t) = fixed_scan_threshold {
-            o = o.with_fixed_scan_threshold(t);
-        }
-        if naive_joins {
-            o = o.with_naive_joins();
-        }
-        if scratch_containment {
-            o = o.with_scratch_containment();
-        }
-        o
-    };
 
     let mut results: HashMap<String, serde_json::Value> = HashMap::new();
     // Per-phase wall-clock times, recorded alongside the thread count so a
@@ -293,7 +238,7 @@ fn main() {
     let mut fig5_phases: Option<(Duration, Duration)> = None;
     if all || has("--fig5") {
         timed("fig5", &mut results, &mut |r| {
-            fig5_phases = Some(fig5(max_nc, threads, &fig5_options, r));
+            fig5_phases = Some(fig5(max_nc, threads, r));
         });
     }
     if all || has("--fig8") {
@@ -353,12 +298,6 @@ fn main() {
         serde_json::json!({
             "threads": threads,
             "max_nc": max_nc,
-            "fig5_join_planner": match fixed_scan_threshold {
-                Some(t) => format!("fixed({t})"),
-                None => "adaptive".to_string(),
-            },
-            "fig5_semi_naive": !naive_joins,
-            "fig5_containment_memo": !scratch_containment,
             "fig5_backchase_chase_phase_ms":
                 fig5_phases.map(|(c, _)| ms(c)).map(serde_json::Value::from)
                     .unwrap_or(serde_json::Value::Null),
@@ -440,7 +379,6 @@ fn rustc_version() -> String {
 fn fig5(
     max_nc: usize,
     threads: usize,
-    options: &dyn Fn() -> MarsOptions,
     results: &mut HashMap<String, serde_json::Value>,
 ) -> (Duration, Duration) {
     println!(
@@ -450,7 +388,7 @@ fn fig5(
     let mut rows = Vec::new();
     let (mut chase_total, mut containment_total) = (Duration::ZERO, Duration::ZERO);
     for nc in 3..=max_nc {
-        let p = measure_fig5_opts(nc, options());
+        let p = measure_fig5_threads(nc, threads);
         chase_total += p.chase_phase;
         containment_total += p.containment_phase;
         println!(
@@ -525,48 +463,27 @@ fn stress_experiment(results: &mut HashMap<String, serde_json::Value>) {
     let with_shortcut = chase_to_universal_plan(&q, &tix, &ChaseOptions::default());
     let with_shortcut_time = start.elapsed();
 
-    // Join-strategy ablation: the closure-shortcut chase with semi-naive
-    // delta-seeded joins (the default measured above) vs naive full joins.
-    // Results are byte-identical; only the premise-join volume differs.
-    let start = Instant::now();
-    let naive_joins =
-        chase_to_universal_plan(&q, &tix, &ChaseOptions::default().with_naive_joins());
-    let naive_joins_time = start.elapsed();
-    assert_eq!(
-        with_shortcut.primary().body.len(),
-        naive_joins.primary().body.len(),
-        "join strategy must not change the universal plan"
-    );
-
     println!("input atoms:                 {}", q.body.len());
     println!("universal plan atoms:        {}", with_shortcut.primary().body.len());
     println!("old (naive) implementation:  {naive_label}   (paper: >12 h)");
     println!("new join-tree implementation: {:.1} ms   (paper: 2.6 s)", ms(no_shortcut_time));
     println!("new + closure shortcut:       {:.1} ms   (paper: 640 ms)", ms(with_shortcut_time));
-    println!(
-        "  with naive full joins:      {:.1} ms   (semi-naive ablation)",
-        ms(naive_joins_time)
-    );
 
-    // Depth sweep with both join strategies, so chase-side perf is tracked
-    // over growing inputs (not just the paper's depth-10 point).
-    println!("{:>6} {:>18} {:>18}", "depth", "semi-naive (ms)", "naive joins (ms)");
+    // Depth sweep, so chase-side perf is tracked over growing inputs (not
+    // just the paper's depth-10 point).
+    println!("{:>6} {:>12} {:>8}", "depth", "chase (ms)", "atoms");
     let mut sweep = Vec::new();
     for d in [6usize, 8, 10, 12] {
         let q = stress::compiled_stress_query(d);
         let start = Instant::now();
-        let semi = chase_to_universal_plan(&q, &tix, &ChaseOptions::default());
-        let semi_time = start.elapsed();
-        let start = Instant::now();
-        let full = chase_to_universal_plan(&q, &tix, &ChaseOptions::default().with_naive_joins());
-        let full_time = start.elapsed();
-        assert_eq!(semi.primary().body.len(), full.primary().body.len());
-        println!("{:>6} {:>18.1} {:>18.1}", d, ms(semi_time), ms(full_time));
+        let up = chase_to_universal_plan(&q, &tix, &ChaseOptions::default());
+        let time = start.elapsed();
+        let atoms = up.primary().body.len();
+        println!("{:>6} {:>12.1} {:>8}", d, ms(time), atoms);
         sweep.push(serde_json::json!({
             "depth": d,
-            "seminaive_ms": ms(semi_time),
-            "naive_joins_ms": ms(full_time),
-            "universal_plan_atoms": semi.primary().body.len(),
+            "chase_ms": ms(time),
+            "universal_plan_atoms": atoms,
         }));
     }
 
@@ -578,7 +495,6 @@ fn stress_experiment(results: &mut HashMap<String, serde_json::Value>) {
             "naive_terminated": naive.terminated(),
             "join_tree_ms": ms(no_shortcut_time),
             "shortcut_ms": ms(with_shortcut_time),
-            "shortcut_naive_joins_ms": ms(naive_joins_time),
             "depth_sweep": serde_json::Value::Array(sweep),
         }),
     );
@@ -1389,18 +1305,6 @@ mod tests {
     fn serve_is_not_selected_by_all() {
         let args = parse(&["--all"]).unwrap();
         assert_eq!(args.selected, vec!["--all"]);
-    }
-
-    /// The containment ablation is fig5-scoped like the join-strategy
-    /// ablations; accepting it elsewhere would silently do nothing.
-    #[test]
-    fn scratch_containment_requires_fig5() {
-        assert!(parse(&["--serve", "--scratch-containment"]).is_err());
-        assert!(parse(&["--fig8", "--scratch-containment"]).is_err());
-        assert!(parse(&["--fig5", "--scratch-containment"]).unwrap().scratch_containment);
-        assert!(parse(&["--all", "--scratch-containment"]).unwrap().scratch_containment);
-        assert!(parse(&["--scratch-containment"]).unwrap().scratch_containment);
-        assert!(!parse(&["--fig5"]).unwrap().scratch_containment);
     }
 
     /// The executor ablation only applies to runs that execute reformulations

@@ -28,7 +28,7 @@ pub struct Fig5Point {
     /// Wall time the backchase spent chasing candidate subqueries.
     pub chase_phase: Duration,
     /// Wall time the backchase spent in containment checks (homomorphism
-    /// searches plus the containment memo bookkeeping).
+    /// searches).
     pub containment_phase: Duration,
 }
 
@@ -43,15 +43,8 @@ pub fn measure_fig5(nc: usize) -> Fig5Point {
 /// reformulation results are byte-identical for any `threads`; only the wall
 /// clock changes.
 pub fn measure_fig5_threads(nc: usize, threads: usize) -> Fig5Point {
-    measure_fig5_opts(nc, MarsOptions::specialized().with_threads(threads))
-}
-
-/// The Figure 5 measurement with fully explicit [`MarsOptions`] — the hook
-/// behind the `experiments` binary's ablation flags (`--fixed-scan-threshold
-/// N`, `--naive-joins`). The options change join strategy, never results.
-pub fn measure_fig5_opts(nc: usize, options: MarsOptions) -> Fig5Point {
     let cfg = StarConfig::figure5(nc);
-    let mars = cfg.mars(options);
+    let mars = cfg.mars(MarsOptions::specialized().with_threads(threads));
     let block = mars.reformulate_xbind(&cfg.client_query());
     let initial = block.result.stats.time_to_initial;
     let delta = block.result.stats.backchase_duration;

@@ -34,7 +34,7 @@
 //! * **Resident chase memoization**: completed back-chases are cached keyed
 //!   on the candidate's [`AtomSet`], as *resident* branches
 //!   ([`ResidentBranch`]) — frozen symbolic instances that keep their column
-//!   indexes, distinct statistics and scan-work ledgers. A candidate grown
+//!   indexes and distinct statistics. A candidate grown
 //!   from an already-chased subset thaws the cached instances and resumes
 //!   with the one new atom ([`chase_resident_with_atoms_compiled`]) instead
 //!   of re-parsing a memoized query and re-deriving every access path — the
@@ -140,21 +140,8 @@ pub struct BackchaseOptions {
     pub chase_cache_per_level: usize,
     /// Number of worker threads evaluating the candidates of a BFS level.
     /// `1` (the default) runs sequentially; any value produces byte-identical
-    /// outcomes (deterministic in-order merge of per-level results). When a
-    /// level has fewer candidates than threads, the spare workers check the
-    /// per-branch containment targets of a candidate concurrently (the
-    /// verdicts are normalized to the sequential short-circuit shape, so the
-    /// outcome stays thread-count-invariant).
+    /// outcomes (deterministic in-order merge of per-level results).
     pub threads: usize,
-    /// Reuse per-branch containment verdicts memoized alongside the chases
-    /// of the previous BFS level: a memoized *success* transfers to a resumed
-    /// branch whose carried-over atoms survive intact (no search at all), and
-    /// a memoized *failure* restricts the homomorphism search to mappings
-    /// that touch the branch's fresh delta. `false` re-derives every
-    /// homomorphism from scratch — the `--scratch-containment` ablation.
-    /// Either setting produces byte-identical reformulations and search
-    /// statistics (only the `containment_*` reuse counters differ).
-    pub containment_memo: bool,
     /// Replace subset enumeration with greedy minimization of the initial
     /// reformulation: repeatedly drop atoms while the query stays a
     /// reformulation. Yields **at most one** reformulation, never the full
@@ -186,7 +173,6 @@ impl Default for BackchaseOptions {
             max_candidates: 200_000,
             chase_cache_per_level: 8_192,
             threads: 1,
-            containment_memo: true,
             greedy: false,
             deadline: None,
             chase: ChaseOptions::default(),
@@ -242,13 +228,6 @@ pub struct BackchaseOutcome {
     /// budgeted run is byte-identical to the unbounded one (property-tested
     /// in `tests/property_based.rs`).
     pub degradation: Option<Degradation>,
-    /// Containment verdicts answered by transferring a memoized success from
-    /// the seed candidate's branch (the carried-over atoms survived intact,
-    /// so the seed's mapping is still a witness — no search ran).
-    pub containment_success_transfers: usize,
-    /// Homomorphism searches restricted to the fresh delta of a resumed
-    /// branch (a memoized failure proves no mapping avoids the fresh atoms).
-    pub containment_delta_searches: usize,
     /// Candidates whose entire superset cone was skipped because they failed
     /// to map into a universal-plan branch: a homomorphism from a superset
     /// restricts to one from the subset, so no superset can pass either —
@@ -326,54 +305,9 @@ fn back_chase_confirms(original: &ConjunctiveQuery, back: &UniversalPlan) -> boo
         && back.branches.iter().all(|b| containment_mapping(original, b).is_some())
 }
 
-/// Memoized result of one candidate's back-chase, cached for reuse by its
-/// supersets on the next BFS level.
-///
-/// The branches are kept **resident** ([`ResidentBranch`]): the frozen
-/// symbolic instances carry their warm column indexes, distinct statistics
-/// and scan-work ledgers, so a superset's resumed chase thaws them instead of
-/// re-parsing a memoized `ConjunctiveQuery` from scratch and re-deriving
-/// every access path. Alongside each branch the per-branch containment
-/// verdict (`original ⊆ branch`) is recorded in branch order up to the first
-/// failure (`None` past it: the confirm short-circuited there) — the seed of
-/// the sibling-sharing containment memo (success transfer + delta-restricted
-/// search, see [`check_branch`]).
-struct ContainmentMemo {
-    branches: Vec<ResidentBranch>,
-    verdicts: Vec<Option<bool>>,
-}
-
-/// How one branch verdict of [`confirm_with_memo`] was obtained.
-enum BranchCheck {
-    /// Full homomorphism search over the whole branch.
-    Full,
-    /// The seed branch's memoized success transferred: its atoms survive
-    /// verbatim in the resumed branch (per-relation prefix) with the same
-    /// head, so the seed's mapping is still a witness — no search ran.
-    SuccessTransfer,
-    /// The seed branch's memoized failure restricted the search to mappings
-    /// that use the resumed branch's fresh delta.
-    DeltaSearch,
-}
-
-/// Is every relation of `seed` an element-wise prefix of the same relation
-/// in `resumed`? Resumed chases only append tuples unless an EGD rewrote the
-/// relation, so this holds for every untouched relation — and where it
-/// holds, every seed atom is present verbatim in the resumed branch.
-fn prefix_preserved(
-    seed: &crate::instance::FrozenInstance,
-    resumed: &crate::instance::FrozenInstance,
-) -> bool {
-    seed.predicates().all(|p| {
-        let s = seed.relation(p);
-        let r = resumed.relation(p);
-        r.len() >= s.len() && &r[..s.len()] == s
-    })
-}
-
-/// The resumed branch as an unrestricted containment target, assembled
-/// straight from the frozen relations (no sorted query rendering, no atom
-/// set materialization — the hot-path replacement for
+/// The resumed branch as a containment target, assembled straight from the
+/// frozen relations (no sorted query rendering, no atom set materialization
+/// — the hot-path replacement for
 /// `containment_mapping(original, &branch.to_query(..))`).
 fn full_target(branch: &ResidentBranch) -> DeltaTarget {
     let inst = branch.instance();
@@ -386,116 +320,13 @@ fn full_target(branch: &ResidentBranch) -> DeltaTarget {
     DeltaTarget::new(branch.head().to_vec(), atoms)
 }
 
-/// The resumed branch as a delta-restricted containment target: atoms are
-/// partitioned per relation into the prefix carried over intact from `seed`
-/// and the fresh remainder (relations an EGD rewrote count as entirely
-/// fresh — the conservative side). Sound because the seed's memoized failure
-/// proves no head-preserving mapping lands entirely in carried-over atoms:
-/// such a mapping would be a mapping into the seed branch itself.
-fn delta_target(seed: &ResidentBranch, branch: &ResidentBranch) -> DeltaTarget {
-    let inst = branch.instance();
-    let seed_inst = seed.instance();
-    let mut carried: Vec<Atom> = Vec::new();
-    let mut fresh: Vec<Atom> = Vec::new();
-    for p in inst.sorted_predicates() {
-        let r = inst.relation(p);
-        let s = seed_inst.relation(p);
-        let keep = if r.len() >= s.len() && &r[..s.len()] == s { s.len() } else { 0 };
-        for t in &r[..keep] {
-            carried.push(Atom::new(p, t.clone()));
-        }
-        for t in &r[keep..] {
-            fresh.push(Atom::new(p, t.clone()));
-        }
-    }
-    let mark = carried.len();
-    carried.extend(fresh);
-    DeltaTarget::with_fresh_mark(branch.head().to_vec(), carried, mark)
-}
-
-/// One branch of the `original ⊆ candidate` check, with memo transfer when a
-/// seed branch verdict is available and the heads agree.
-fn check_branch(
-    original: &ConjunctiveQuery,
-    branch: &ResidentBranch,
-    seed: Option<(&ResidentBranch, bool)>,
-) -> (bool, BranchCheck) {
-    if let Some((seed_branch, verdict)) = seed {
-        if seed_branch.head() == branch.head() {
-            if verdict {
-                if prefix_preserved(seed_branch.instance(), branch.instance()) {
-                    return (true, BranchCheck::SuccessTransfer);
-                }
-            } else {
-                let target = delta_target(seed_branch, branch);
-                return (target.mapping_from(original).is_some(), BranchCheck::DeltaSearch);
-            }
-        }
-    }
-    (full_target(branch).mapping_from(original).is_some(), BranchCheck::Full)
-}
-
 /// The `candidate ⊆ original` confirm over a resident back-chase: completed,
 /// at least one surviving branch, and the original maps into every branch
-/// preserving the head. Branch checks reuse the memoized verdicts of the
-/// candidate's seed where they transfer ([`check_branch`]), and run
-/// concurrently when the level left `threads > 1` workers idle — the result
-/// is normalized to the sequential short-circuit shape (verdicts in branch
-/// order up to the first failure, reuse counters summed over exactly those
-/// checks), so memo contents and statistics are thread-count-invariant.
-fn confirm_with_memo(
-    original: &ConjunctiveQuery,
-    back: &ResidentChase,
-    seed: Option<&ContainmentMemo>,
-    threads: usize,
-    eval: &mut CandidateEval,
-) -> (bool, Vec<Option<bool>>) {
-    if !back.stats().completed || back.is_empty() {
-        return (false, Vec::new());
-    }
-    let branches = back.branches();
-    let seed_for = |i: usize| -> Option<(&ResidentBranch, bool)> {
-        let memo = seed?;
-        Some((memo.branches.get(i)?, (*memo.verdicts.get(i)?)?))
-    };
-    let results: Vec<(bool, BranchCheck)> = if threads > 1 && branches.len() > 1 {
-        let mut out: Vec<Option<(bool, BranchCheck)>> = Vec::new();
-        out.resize_with(branches.len(), || None);
-        std::thread::scope(|scope| {
-            for (slot, (i, b)) in out.iter_mut().zip(branches.iter().enumerate()) {
-                let seed_i = seed_for(i);
-                scope.spawn(move || {
-                    *slot = Some(check_branch(original, b, seed_i));
-                });
-            }
-        });
-        out.into_iter().map(|r| r.expect("every branch checked")).collect()
-    } else {
-        let mut out = Vec::new();
-        for (i, b) in branches.iter().enumerate() {
-            let result = check_branch(original, b, seed_for(i));
-            let failed = !result.0;
-            out.push(result);
-            if failed {
-                break;
-            }
-        }
-        out
-    };
-    // Normalize (parallel runs computed past the first failure; drop that).
-    let mut verdicts: Vec<Option<bool>> = vec![None; branches.len()];
-    for (i, (ok, kind)) in results.iter().enumerate() {
-        verdicts[i] = Some(*ok);
-        match kind {
-            BranchCheck::SuccessTransfer => eval.success_transfers += 1,
-            BranchCheck::DeltaSearch => eval.delta_searches += 1,
-            BranchCheck::Full => {}
-        }
-        if !*ok {
-            return (false, verdicts);
-        }
-    }
-    (true, verdicts)
+/// preserving the head.
+fn confirm_resident(original: &ConjunctiveQuery, back: &ResidentChase) -> bool {
+    back.stats().completed
+        && !back.is_empty()
+        && back.branches().iter().all(|b| full_target(b).mapping_from(original).is_some())
 }
 
 /// Head-variable coverage prefilter: safety as a bitset fold over the head
@@ -543,26 +374,16 @@ struct LevelContext<'a> {
     pool_query: &'a ConjunctiveQuery,
     graph: &'a ReachabilityGraph,
     branch_targets: &'a [ContainmentTarget],
-    /// Order in which the plan-branch targets are checked: indices into
-    /// `branch_targets`, most-frequently-first-to-fail first (recorded over
-    /// the previous levels), so non-equivalent candidates fail fast. The
-    /// conjunction is order-independent, so any order gives the same verdict.
-    target_order: &'a [usize],
     atom_costs: Option<&'a [f64]>,
     estimator: &'a dyn CostEstimator,
     deds: &'a CompiledDeps,
     back_chase_opts: &'a ChaseOptions,
     safety: &'a SafetyPrefilter,
-    /// Memoized back-chases (+ per-branch containment verdicts) of the
-    /// previous BFS level (read-only).
-    prev_level: &'a HashMap<AtomSet, ContainmentMemo>,
+    /// Memoized back-chases of the previous BFS level, as resident branches
+    /// (read-only).
+    prev_level: &'a HashMap<AtomSet, Vec<ResidentBranch>>,
     navigation_pruning: bool,
     exhaustive: bool,
-    /// Reuse memoized containment verdicts ([`BackchaseOptions::containment_memo`]).
-    containment_memo: bool,
-    /// Workers available to one candidate's per-branch containment checks
-    /// (spare capacity when the level is narrower than the thread pool).
-    containment_threads: usize,
     /// Best reformulation cost as of the end of the previous level. Frozen
     /// for the whole level — the price of thread-count-independent results:
     /// a reformulation discovered mid-level cannot cost-prune its own level,
@@ -588,15 +409,10 @@ struct CandidateEval {
     cache_hit: bool,
     /// The candidate is a minimal reformulation.
     found: Option<ConjunctiveQuery>,
-    /// Completed (non-reformulation) chase + verdicts to memoize for the
-    /// next level.
-    cache_entry: Option<ContainmentMemo>,
+    /// Completed (non-reformulation) chase to memoize for the next level.
+    cache_entry: Option<Vec<ResidentBranch>>,
     /// Pool indices the BFS may grow this candidate by.
     grow: Vec<usize>,
-    /// The first plan-branch target (index into `branch_targets`) the
-    /// candidate failed to map into, if any — feeds the failure-frequency
-    /// target ordering of the next level.
-    first_failed_target: Option<usize>,
     /// The candidate failed `original ⊆ candidate`, so its whole superset
     /// cone was cut (antichain dead-cone rule).
     dead_cone: bool,
@@ -604,10 +420,6 @@ struct CandidateEval {
     /// candidate could then not be confirmed): the degradation reason to
     /// surface on the outcome.
     chase_degradation: Option<Degradation>,
-    /// Branch verdicts answered by memo success transfer.
-    success_transfers: usize,
-    /// Branch verdicts answered by a delta-restricted search.
-    delta_searches: usize,
     /// Phase profile of this evaluation (cost / chase / containment).
     cost_time: Duration,
     chase_time: Duration,
@@ -649,18 +461,10 @@ fn evaluate_candidate(
         if candidate.is_safe() {
             eval.checked = true;
             // original ⊆ candidate: the candidate must map into every
-            // universal-plan branch (identity fast path on the primary),
-            // checked in failure-frequency order so the usual culprit is
-            // tried first.
+            // universal-plan branch (identity fast path on the primary).
             let containment_start = Instant::now();
-            let mut maps_into_plan = true;
-            for &ti in ctx.target_order {
-                if ctx.branch_targets[ti].mapping_from(&candidate).is_none() {
-                    eval.first_failed_target = Some(ti);
-                    maps_into_plan = false;
-                    break;
-                }
-            }
+            let maps_into_plan =
+                ctx.branch_targets.iter().all(|t| t.mapping_from(&candidate).is_some());
             eval.containment_time += containment_start.elapsed();
             if maps_into_plan {
                 // candidate ⊆ original: back-chase (memoized) and map the
@@ -670,13 +474,13 @@ fn evaluate_candidate(
                     .iter()
                     .find_map(|&i| ctx.prev_level.get(&mask.without(i)).map(|s| (s, i)));
                 let back = match seed {
-                    Some((memo, added)) => {
+                    Some((branches, added)) => {
                         eval.cache_hit = true;
                         // Resume from the memoized *resident* branches: the
-                        // seed instances thaw with their indexes, statistics
-                        // and scan ledgers warm — nothing is re-parsed.
+                        // seed instances thaw with their indexes and
+                        // statistics warm — nothing is re-parsed.
                         chase_resident_with_atoms_compiled(
-                            &memo.branches,
+                            branches,
                             std::slice::from_ref(&ctx.pool[added]),
                             ctx.deds,
                             ctx.back_chase_opts,
@@ -687,28 +491,18 @@ fn evaluate_candidate(
                 eval.chase_time = chase_start.elapsed();
                 eval.chase_degradation = Degradation::of_chase(back.stats());
                 let confirm_start = Instant::now();
-                let memo_seed = if ctx.containment_memo { seed.map(|(m, _)| m) } else { None };
-                let (confirmed, verdicts) = confirm_with_memo(
-                    ctx.original,
-                    &back,
-                    memo_seed,
-                    ctx.containment_threads,
-                    &mut eval,
-                );
+                let confirmed = confirm_resident(ctx.original, &back);
                 eval.containment_time += confirm_start.elapsed();
                 if confirmed {
                     eval.found = Some(candidate);
                     return eval; // supersets are not minimal: no growth
                 }
                 // Not (yet) a reformulation: its supersets are chased next
-                // level — hand this chase (and the branch verdicts it
-                // produced) back as their memoization seed (position-gated
-                // so a wide level cannot hold more chases than the cache
-                // budget between evaluation and merge).
+                // level — hand this chase back as their memoization seed
+                // (position-gated so a wide level cannot hold more chases
+                // than the cache budget between evaluation and merge).
                 if position < ctx.cache_budget && back.stats().completed && !back.is_empty() {
-                    let verdicts = if ctx.containment_memo { verdicts } else { Vec::new() };
-                    eval.cache_entry =
-                        Some(ContainmentMemo { branches: back.into_branches(), verdicts });
+                    eval.cache_entry = Some(back.into_branches());
                 }
             } else {
                 // Antichain dead cone: a homomorphism from any superset into
@@ -856,16 +650,8 @@ pub fn backchase(
     let mut frontier: Vec<AtomSet> = Vec::new();
     let mut found: Vec<AtomSet> = Vec::new();
     let mut best_cost = f64::INFINITY;
-    // Memoized back-chases (+ containment verdicts) of the previous BFS size
-    // level.
-    let mut prev_level: HashMap<AtomSet, ContainmentMemo> = HashMap::new();
-    // Failure-frequency ordering of the plan-branch containment targets:
-    // how often each target was the first to reject a candidate (all levels
-    // so far), and the resulting check order (most failures first, index
-    // tiebreak). Updated between levels from the deterministic merge, so it
-    // is identical for every thread count.
-    let mut target_fail_counts: Vec<usize> = vec![0; branch_targets.len()];
-    let mut target_order: Vec<usize> = (0..branch_targets.len()).collect();
+    // Memoized back-chases of the previous BFS size level.
+    let mut prev_level: HashMap<AtomSet, Vec<ResidentBranch>> = HashMap::new();
 
     let seeds: Vec<usize> =
         if options.navigation_pruning { graph.roots.clone() } else { (0..pool.len()).collect() };
@@ -906,17 +692,12 @@ pub fn backchase(
             break;
         }
 
-        // Spare thread capacity: a level narrower than the pool hands the
-        // leftover workers to each candidate's per-branch containment checks.
-        let threads = options.threads.max(1);
-        let containment_threads = (threads / level.len().max(1)).max(1);
         let ctx = LevelContext {
             original,
             pool: &pool,
             pool_query: &pool_query,
             graph: &graph,
             branch_targets: &branch_targets,
-            target_order: &target_order,
             atom_costs: atom_costs.as_deref(),
             estimator,
             deds,
@@ -925,15 +706,13 @@ pub fn backchase(
             prev_level: &prev_level,
             navigation_pruning: options.navigation_pruning,
             exhaustive: options.exhaustive,
-            containment_memo: options.containment_memo,
-            containment_threads,
             best_cost,
             cache_budget: options.chase_cache_per_level,
         };
         let evals = evaluate_level(&level, &ctx, options.threads, outcome.candidates_inspected);
 
         // Deterministic merge, in level order.
-        let mut cur_level: HashMap<AtomSet, ContainmentMemo> = HashMap::new();
+        let mut cur_level: HashMap<AtomSet, Vec<ResidentBranch>> = HashMap::new();
         for (mask, eval) in level.iter().zip(evals) {
             outcome.candidates_inspected += 1;
             outcome.cost_phase += eval.cost_time;
@@ -943,17 +722,12 @@ pub fn backchase(
             }
             outcome.chase_phase += eval.chase_time;
             outcome.containment_phase += eval.containment_time;
-            outcome.containment_success_transfers += eval.success_transfers;
-            outcome.containment_delta_searches += eval.delta_searches;
             if eval.checked {
                 outcome.equivalence_checks += 1;
             }
             outcome.degradation = Degradation::merge(outcome.degradation, eval.chase_degradation);
             if eval.cache_hit {
                 outcome.chase_cache_hits += 1;
-            }
-            if let Some(ti) = eval.first_failed_target {
-                target_fail_counts[ti] += 1;
             }
             if eval.dead_cone {
                 outcome.containment_dead_cone_skips += 1;
@@ -982,9 +756,6 @@ pub fn backchase(
             }
         }
         prev_level = cur_level;
-        // Re-rank the plan-branch targets for the next level by recorded
-        // first-failure frequency (stable: index breaks ties).
-        target_order.sort_by_key(|&ti| (std::cmp::Reverse(target_fail_counts[ti]), ti));
         if outcome.truncated {
             break;
         }
@@ -1280,45 +1051,6 @@ mod tests {
             chase_phase: Duration::default(),
             containment_phase: Duration::default(),
             ..outcome.clone()
-        }
-    }
-
-    /// [`strip_duration`] with the containment-reuse counters additionally
-    /// zeroed — the shape compared between memoized and scratch containment
-    /// (like `chase_cache_hits` for the chase memo, the reuse counters are
-    /// the *only* fields allowed to differ).
-    fn strip_memo_counters(outcome: &BackchaseOutcome) -> BackchaseOutcome {
-        BackchaseOutcome {
-            containment_success_transfers: 0,
-            containment_delta_searches: 0,
-            ..strip_duration(outcome)
-        }
-    }
-
-    /// Memoized containment (success transfer + delta-restricted search)
-    /// must be byte-identical to scratch containment on everything except
-    /// the reuse counters, at every thread count.
-    #[test]
-    fn scratch_containment_agrees_with_memoized() {
-        let (q, deds, proprietary) = redundant_setup();
-        for exhaustive in [false, true] {
-            let memo = BackchaseOptions {
-                exhaustive,
-                ..if exhaustive { BackchaseOptions::exhaustive() } else { Default::default() }
-            };
-            let scratch = BackchaseOptions { containment_memo: false, ..memo.clone() };
-            let memoized = run(&q, &deds, &proprietary, &memo);
-            for threads in [1usize, 3] {
-                let scratched =
-                    run(&q, &deds, &proprietary, &scratch.clone().with_threads(threads));
-                assert_eq!(scratched.containment_success_transfers, 0);
-                assert_eq!(scratched.containment_delta_searches, 0);
-                assert_eq!(
-                    format!("{:?}", strip_memo_counters(&memoized)),
-                    format!("{:?}", strip_memo_counters(&scratched)),
-                    "threads = {threads}, exhaustive = {exhaustive}"
-                );
-            }
         }
     }
 

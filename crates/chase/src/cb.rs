@@ -144,12 +144,9 @@ pub struct CbStatistics {
     pub equivalence_checks: usize,
     /// Back-chases resumed from a memoized subset chase.
     pub chase_cache_hits: usize,
-    /// Containment verdicts transferred from a memoized seed branch (no
-    /// homomorphism search ran; see
-    /// [`BackchaseOutcome::containment_success_transfers`]).
+    /// Always 0: nothing produces it any more (kept for `marsbench`).
     pub containment_success_transfers: usize,
-    /// Homomorphism searches restricted to the fresh delta of a resumed
-    /// branch (see [`BackchaseOutcome::containment_delta_searches`]).
+    /// Always 0: nothing produces it any more (kept for `marsbench`).
     pub containment_delta_searches: usize,
     /// Candidates whose superset cone was cut after failing to map into a
     /// universal-plan branch (see
@@ -307,8 +304,8 @@ impl ChaseBackchase {
             candidates_inspected: bc.candidates_inspected,
             equivalence_checks: bc.equivalence_checks,
             chase_cache_hits: bc.chase_cache_hits,
-            containment_success_transfers: bc.containment_success_transfers,
-            containment_delta_searches: bc.containment_delta_searches,
+            containment_success_transfers: 0,
+            containment_delta_searches: 0,
             containment_dead_cone_skips: bc.containment_dead_cone_skips,
             backchase_cost_phase: bc.cost_phase,
             backchase_chase_phase: bc.chase_phase,

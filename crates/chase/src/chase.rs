@@ -8,7 +8,6 @@
 //! (Section 3.2) when [`ChaseOptions::use_shortcut`] is enabled.
 
 use crate::compiled::{CompiledDed, CompiledDeps, DedIndex};
-use crate::evaluate::JoinPlanner;
 use crate::instance::{FrozenInstance, SymbolicInstance};
 use crate::shortcut::{apply_closure_watermarked, ClosureConstraints, ClosureInputMark};
 use mars_cq::{Atom, Conjunct, ConjunctiveQuery, Ded, Predicate, Substitution, Term, Variable};
@@ -51,23 +50,6 @@ pub struct ChaseOptions {
     /// with further pool atoms ([`chase_branches_with_atoms`]) without an
     /// invented variable colliding with a pool variable of the same name.
     pub min_fresh_index: u32,
-    /// Semi-naive (delta-seeded) premise joins: a dirty dependency seeds its
-    /// join from the tuples inserted since it was last confirmed at fixpoint
-    /// (each premise atom takes a turn as the delta atom) instead of
-    /// re-joining its full premise. Produces a universal plan byte-identical
-    /// to the naive full join — the delta bindings come back in the full
-    /// join's order and the skipped all-old bindings were all blocked.
-    /// On by default; [`ChaseOptions::with_naive_joins`] disables it (the
-    /// ablation baseline and the agreement tests).
-    pub semi_naive: bool,
-    /// How each premise-join step is resolved to a filtered scan or an
-    /// index probe. [`JoinPlanner::Adaptive`] (the default) decides per
-    /// step from the instance's incremental relation statistics;
-    /// [`ChaseOptions::with_fixed_scan_threshold`] restores the historical
-    /// fixed-threshold rule as a fallback/ablation. The planner never
-    /// changes a chase result — only join cost (agreement is
-    /// property-tested and enforced in CI).
-    pub join_planner: JoinPlanner,
     /// Number of worker threads chasing the branches of one worklist level
     /// (disjunctive DEDs split the chase into independent branches). `1`
     /// runs sequentially; any value produces byte-identical universal plans
@@ -86,8 +68,6 @@ impl Default for ChaseOptions {
             timeout: None,
             deadline: None,
             min_fresh_index: 0,
-            semi_naive: true,
-            join_planner: JoinPlanner::default(),
             threads: 1,
         }
     }
@@ -113,36 +93,10 @@ impl ChaseOptions {
         self
     }
 
-    /// Builder: disable the semi-naive delta-seeded joins (every dirty
-    /// dependency re-joins its full premise — the pre-delta baseline the
-    /// agreement tests and ablation experiments compare against).
-    pub fn with_naive_joins(mut self) -> ChaseOptions {
-        self.semi_naive = false;
-        self
-    }
-
     /// Builder: chase the branches of each worklist level on `n` worker
     /// threads (byte-identical results for any thread count).
     pub fn with_threads(mut self, n: usize) -> ChaseOptions {
         self.threads = n.max(1);
-        self
-    }
-
-    /// Builder: replace the adaptive statistics-driven join planning with
-    /// the historical fixed rule — scan any join window of at most
-    /// `threshold` tuples, probe (building the index if needed) anything
-    /// larger. This is the documented fallback and the ablation baseline
-    /// the adaptive-vs-fixed agreement tests compare against; results are
-    /// byte-identical either way ([`JoinPlanner`]). The pre-statistics
-    /// engine hard-coded [`JoinPlanner::DEFAULT_FIXED_THRESHOLD`].
-    pub fn with_fixed_scan_threshold(mut self, threshold: usize) -> ChaseOptions {
-        self.join_planner = JoinPlanner::FixedThreshold(threshold);
-        self
-    }
-
-    /// Builder: set the join planner directly (see [`JoinPlanner`]).
-    pub fn with_join_planner(mut self, planner: JoinPlanner) -> ChaseOptions {
-        self.join_planner = planner;
         self
     }
 }
@@ -245,14 +199,6 @@ struct Branch {
     /// [`run_round`] — the instance only grows and blocked steps stay
     /// blocked, so skipping them is sound.
     needs_check: Vec<bool>,
-    /// Semi-naive delta watermarks: `marks[i]` holds, per premise predicate
-    /// of compiled dependency `i` (aligned with its `premise_preds`), the
-    /// relation length when the dependency was last confirmed at fixpoint.
-    /// Tuples at index ≥ the watermark are that dependency's delta; 0 means
-    /// the whole relation is delta (initial state, or the relation was
-    /// rewritten by an EGD). A dirty dependency whose marks are all 0 falls
-    /// back to the full join.
-    marks: Vec<Vec<usize>>,
     /// Next fresh-variable disambiguator. Per-branch: branches are chased
     /// independently (children inherit the parent's counter at a split),
     /// which is what makes the level-parallel worklist deterministic.
@@ -277,7 +223,6 @@ impl Branch {
             inequalities: q.inequalities.clone(),
             renaming: Substitution::new(),
             needs_check: Vec::new(),
-            marks: Vec::new(),
             fresh: 0,
             rounds: 0,
             closure_marks: Vec::new(),
@@ -288,7 +233,7 @@ impl Branch {
     fn rename(&mut self, s: &Substitution, index: &DedIndex) {
         self.rewrites += 1;
         for p in self.inst.apply_substitution(s) {
-            index.mark_rewrite(p, &mut self.needs_check, &mut self.marks);
+            index.mark(p, &mut self.needs_check);
         }
         self.head = self.head.iter().map(|t| s.apply_term_deep(*t)).collect();
         self.inequalities = self
@@ -361,43 +306,26 @@ fn apply_conjunct(
 /// were last confirmed at fixpoint, the instance only grows, and blocked
 /// steps stay blocked — so no new unblocked binding can exist. This is what
 /// makes resumed back-chases (a fixpoint seed plus one atom) touch only the
-/// dependency cone of the new atom instead of sweeping the whole set.
-///
-/// A dirty dependency with non-zero delta watermarks additionally joins
-/// **semi-naive**: [`CompiledDed::premise_bindings_delta`] seeds the join
-/// from the tuples inserted past the watermarks instead of re-joining the
-/// full premise. The all-old bindings it skips were each confirmed blocked
-/// when the watermarks were taken, and the delta bindings come back in the
-/// full join's order — so the applied-step sequence (and with it the
-/// universal plan) is byte-identical to the naive full join.
+/// dependency cone of the new atom instead of sweeping the whole set. A
+/// dirty dependency re-joins its full premise.
 fn run_round(
     branch: &mut Branch,
     compiled: &[CompiledDed],
     index: &DedIndex,
     stats: &mut ChaseStats,
-    options: &ChaseOptions,
+    max_atoms: usize,
 ) -> RoundResult {
-    let ChaseOptions { max_atoms, semi_naive, join_planner: planner, .. } = *options;
     let mut changed = false;
     for (di, ded) in compiled.iter().enumerate() {
         if !branch.needs_check[di] {
             continue;
         }
-        // Watermark snapshot *before* evaluating: tuples this round inserts
-        // stay above it, so they remain delta for the next evaluation.
-        let snapshot = if semi_naive { ded.premise_watermarks(&branch.inst) } else { Vec::new() };
-        let use_delta = semi_naive && branch.marks[di].iter().any(|&m| m > 0);
-        let bindings = if use_delta {
-            ded.premise_bindings_delta_with(&branch.inst, &branch.marks[di], planner)
-        } else {
-            ded.premise_bindings_with(&branch.inst, planner)
-        };
         let mut applied_any = false;
-        for h in bindings {
+        for h in ded.premise_bindings(&branch.inst) {
             // Re-check against the (possibly grown) instance so that bulk
             // application does not duplicate work already satisfied earlier in
             // this round.
-            if ded.blocked_with(&h, &branch.inst, planner) {
+            if ded.blocked(&h, &branch.inst) {
                 continue;
             }
             stats.applied_steps += 1;
@@ -434,13 +362,8 @@ fn run_round(
         if !applied_any {
             // Every binding blocked: this dependency is at fixpoint until an
             // atom of one of its premise predicates changes (apply_conjunct /
-            // rename re-mark it through the index). Advance the delta
-            // watermarks to the snapshot — everything below it has just been
-            // confirmed blocked, so the next wake-up joins only the delta.
+            // rename re-mark it through the index).
             branch.needs_check[di] = false;
-            if semi_naive {
-                branch.marks[di] = snapshot;
-            }
         }
         // Restart after the first dependency that applied any step, so the
         // EGDs (sorted to the front of `compiled`) re-run before further
@@ -510,21 +433,13 @@ pub fn chase_branches_with_atoms_compiled(
     compiled: &CompiledDeps,
     options: &ChaseOptions,
 ) -> UniversalPlan {
-    let (compiled_deds, closure, _) = compiled.for_chase(options.use_shortcut);
+    let (_, closure, _) = compiled.for_chase(options.use_shortcut);
     let initial: Vec<Branch> = seeds
         .iter()
         .map(|(q, renaming)| {
             let mut b = Branch::from_query(q);
             b.renaming = renaming.clone();
-            // The seed is at fixpoint: every binding over the pre-insert
-            // tuples is blocked. Watermark every dependency at the
-            // pre-insert relation lengths so the dirty ones seed their
-            // joins from exactly the delta — the inserted atoms and their
-            // consequences.
-            if options.semi_naive {
-                b.marks = compiled_deds.iter().map(|d| d.premise_watermarks(&b.inst)).collect();
-            }
-            // Closure is likewise at fixpoint over the pre-insert relations:
+            // The seed's closure is at fixpoint over the pre-insert relations:
             // mark it *before* the inserts so the first round only recomputes
             // groups whose inputs the inserted atoms actually grew.
             if let Some(c) = closure {
@@ -544,8 +459,8 @@ pub fn chase_branches_with_atoms_compiled(
 }
 
 /// One chased branch kept *resident*: the frozen symbolic instance (with its
-/// warm column indexes, distinct statistics and scan-work ledgers), the head
-/// and inequalities it carries, and the renaming the chase accumulated.
+/// warm column indexes and distinct statistics), the head and inequalities
+/// it carries, and the renaming the chase accumulated.
 ///
 /// Unlike the `(ConjunctiveQuery, Substitution)` seeds of
 /// [`chase_branches_with_atoms_compiled`], resuming from a `ResidentBranch`
@@ -574,9 +489,7 @@ impl ResidentBranch {
     }
 
     /// The frozen instance backing the branch. The backchase reads it to
-    /// assemble containment targets directly from the relations — in
-    /// particular, to partition a resumed branch's atoms into the prefix
-    /// carried over from its memoized seed and the fresh delta.
+    /// assemble containment targets directly from the relations.
     pub fn instance(&self) -> &FrozenInstance {
         &self.inst
     }
@@ -595,7 +508,6 @@ impl ResidentBranch {
             inequalities: self.inequalities.clone(),
             renaming: self.renaming.clone(),
             needs_check: Vec::new(),
-            marks: Vec::new(),
             fresh: 0,
             rounds: 0,
             closure_marks: Vec::new(),
@@ -677,30 +589,23 @@ pub fn chase_to_resident_compiled(
 /// Resume a chase from resident branches, each extended with extra atoms —
 /// the resident counterpart of [`chase_branches_with_atoms_compiled`].
 ///
-/// Each seed is thawed (its warm indexes, statistics and scan ledgers carry
-/// over without any rebuild), watermarked at its pre-insert relation lengths,
-/// and grown by the renamed `extra` atoms; only the dependency cone of the
-/// inserted predicates starts dirty, exactly as in the re-parsing resume
-/// path.
+/// Each seed is thawed (its warm indexes and statistics carry over without
+/// any rebuild) and grown by the renamed `extra` atoms; only the dependency
+/// cone of the inserted predicates starts dirty, exactly as in the
+/// re-parsing resume path.
 pub fn chase_resident_with_atoms_compiled(
     seeds: &[ResidentBranch],
     extra: &[Atom],
     compiled: &CompiledDeps,
     options: &ChaseOptions,
 ) -> ResidentChase {
-    let (compiled_deds, closure, _) = compiled.for_chase(options.use_shortcut);
+    let (_, closure, _) = compiled.for_chase(options.use_shortcut);
     let initial: Vec<Branch> = seeds
         .iter()
         .map(|seed| {
             let mut b = seed.thaw();
-            // The seed is at fixpoint: watermark every dependency at the
-            // pre-insert relation lengths so the dirty ones join only the
-            // delta (the inserted atoms and their consequences).
-            if options.semi_naive {
-                b.marks = compiled_deds.iter().map(|d| d.premise_watermarks(&b.inst)).collect();
-            }
-            // Closure fixpoint too: mark before the inserts (see the
-            // re-parsing resume path above).
+            // Closure fixpoint: mark before the inserts (see the re-parsing
+            // resume path above).
             if let Some(c) = closure {
                 b.closure_marks = c.marks_at_fixpoint(&b.inst, b.rewrites);
             }
@@ -730,8 +635,8 @@ fn freeze_done(done: Vec<Branch>, stats: ChaseStats) -> ResidentChase {
 }
 
 /// What chasing one branch to quiescence produced. The finished branch is
-/// boxed: a `Branch` carries its instance, watermarks and closure marks
-/// inline, which would otherwise dwarf the other variants.
+/// boxed: a `Branch` carries its instance and closure marks inline, which
+/// would otherwise dwarf the other variants.
 enum BranchOutcome {
     /// Reached a fixpoint (or ran out of budget — `completed` is cleared in
     /// the per-branch stats then).
@@ -744,7 +649,7 @@ enum BranchOutcome {
 }
 
 /// Chase one branch until it finishes, fails or splits. Self-contained: all
-/// state lives in the branch (fresh counter, delta watermarks, round budget)
+/// state lives in the branch (fresh counter, dirty flags, round budget)
 /// and in the local `stats`, which is what lets a worklist level run its
 /// branches on parallel workers and still merge deterministically.
 fn chase_branch(
@@ -791,8 +696,7 @@ fn chase_branch(
                     // The closure inserted `desc` atoms behind the index's
                     // back: re-check exactly the dependencies whose premise
                     // mentions a group's `desc` relation — the only ones the
-                    // shortcut can unblock (the delta watermarks stay valid,
-                    // closure atoms are appended above them).
+                    // shortcut can unblock.
                     for g in &closure.groups {
                         index.mark(g.desc_pred(), &mut branch.needs_check);
                     }
@@ -800,7 +704,7 @@ fn chase_branch(
             }
         }
 
-        match run_round(&mut branch, compiled, index, stats, options) {
+        match run_round(&mut branch, compiled, index, stats, options.max_atoms) {
             RoundResult::NoChange => {
                 if !shortcut_changed {
                     return BranchOutcome::Done(Box::new(branch));
@@ -915,9 +819,6 @@ fn run_chase_branches(
     let mut level = initial;
     for b in &mut level {
         b.needs_check = index.initial_needs(initial_dirty);
-        if b.marks.len() != compiled.len() {
-            b.marks = compiled.iter().map(|d| vec![0; d.premise_preds.len()]).collect();
-        }
         b.fresh = base_fresh;
     }
     let mut done: Vec<Branch> = Vec::new();
@@ -1296,119 +1197,10 @@ mod tests {
     }
 
     /// A universal plan with the wall-clock field zeroed: everything else
-    /// must be bit-for-bit reproducible across join strategies and thread
-    /// counts.
+    /// must be bit-for-bit reproducible across thread counts.
     fn plan_fingerprint(up: &UniversalPlan) -> String {
         let stats = ChaseStats { duration: Duration::default(), ..up.stats.clone() };
         format!("{:?} {:?} {:?}", up.branches, up.renamings, stats)
-    }
-
-    /// The byte-identical contract of the semi-naive joins: delta-seeded and
-    /// naive full-join chases agree on every branch, renaming and statistic
-    /// — including through EGD unifications (watermark resets) and resumed
-    /// seeded chases.
-    #[test]
-    fn seminaive_and_naive_chase_are_byte_identical() {
-        let q = ConjunctiveQuery::new("Q").with_head(vec![t("x"), t("y")]).with_body(vec![
-            Atom::named("R", vec![t("k"), t("x")]),
-            Atom::named("R", vec![t("k"), t("y")]),
-            Atom::named("A", vec![t("x"), t("y")]),
-        ]);
-        let key = Ded::egd(
-            "key",
-            vec![Atom::named("R", vec![t("u"), t("p")]), Atom::named("R", vec![t("u"), t("q")])],
-            t("p"),
-            t("q"),
-        );
-        let ind = Ded::tgd(
-            "ind",
-            vec![Atom::named("A", vec![t("x"), t("y")])],
-            vec![v("z")],
-            vec![Atom::named("B", vec![t("y"), t("z")])],
-        );
-        let chain = Ded::tgd(
-            "chain",
-            vec![Atom::named("B", vec![t("x"), t("y")])],
-            vec![],
-            vec![Atom::named("C", vec![t("x"), t("y")])],
-        );
-        let deds = vec![key, ind, chain];
-        let semi = chase_to_universal_plan(&q, &deds, &ChaseOptions::default());
-        let naive = chase_to_universal_plan(&q, &deds, &ChaseOptions::default().with_naive_joins());
-        assert_eq!(plan_fingerprint(&semi), plan_fingerprint(&naive));
-
-        // Resumed chases (the backchase's memoization hook) must agree too —
-        // this is where the delta watermarks seed from the inserted atoms.
-        let seeds_semi: Vec<(ConjunctiveQuery, Substitution)> =
-            semi.branches.iter().cloned().zip(semi.renamings.iter().cloned()).collect();
-        let extra = Atom::named("A", vec![t("y"), t("w")]);
-        let resumed_semi = chase_branches_with_atoms(
-            &seeds_semi,
-            std::slice::from_ref(&extra),
-            "S",
-            &deds,
-            &ChaseOptions::default(),
-        );
-        let resumed_naive = chase_branches_with_atoms(
-            &seeds_semi,
-            std::slice::from_ref(&extra),
-            "S",
-            &deds,
-            &ChaseOptions::default().with_naive_joins(),
-        );
-        assert_eq!(plan_fingerprint(&resumed_semi), plan_fingerprint(&resumed_naive));
-    }
-
-    /// The byte-identical contract of the adaptive join planner: the
-    /// statistics-driven scan/probe choice must agree with the fixed
-    /// threshold — at any threshold, including the degenerate always-probe
-    /// and always-scan extremes — on every branch, renaming and statistic.
-    #[test]
-    fn adaptive_and_fixed_threshold_planning_are_byte_identical() {
-        let q = ConjunctiveQuery::new("Q").with_head(vec![t("x"), t("y")]).with_body(vec![
-            Atom::named("R", vec![t("k"), t("x")]),
-            Atom::named("R", vec![t("k"), t("y")]),
-            Atom::named("A", vec![t("x"), t("y")]),
-        ]);
-        let key = Ded::egd(
-            "key",
-            vec![Atom::named("R", vec![t("u"), t("p")]), Atom::named("R", vec![t("u"), t("q")])],
-            t("p"),
-            t("q"),
-        );
-        let ind = Ded::tgd(
-            "ind",
-            vec![Atom::named("A", vec![t("x"), t("y")])],
-            vec![v("z")],
-            vec![Atom::named("B", vec![t("y"), t("z")])],
-        );
-        let chain = Ded::tgd(
-            "chain",
-            vec![Atom::named("B", vec![t("x"), t("y")])],
-            vec![],
-            vec![Atom::named("C", vec![t("x"), t("y")])],
-        );
-        let deds = vec![key, ind, chain];
-        let adaptive = chase_to_universal_plan(&q, &deds, &ChaseOptions::default());
-        for threshold in [0usize, JoinPlanner::DEFAULT_FIXED_THRESHOLD, usize::MAX] {
-            let fixed = chase_to_universal_plan(
-                &q,
-                &deds,
-                &ChaseOptions::default().with_fixed_scan_threshold(threshold),
-            );
-            assert_eq!(
-                plan_fingerprint(&adaptive),
-                plan_fingerprint(&fixed),
-                "threshold = {threshold} must be byte-identical to adaptive planning"
-            );
-        }
-        // The planner knob composes with naive joins.
-        let naive_fixed = chase_to_universal_plan(
-            &q,
-            &deds,
-            &ChaseOptions::default().with_naive_joins().with_fixed_scan_threshold(4),
-        );
-        assert_eq!(plan_fingerprint(&adaptive), plan_fingerprint(&naive_fixed));
     }
 
     /// The parallel branch worklist is deterministic: disjunctive DEDs split
@@ -1453,13 +1245,6 @@ mod tests {
                 "threads = {threads} must be byte-identical to sequential"
             );
         }
-        // And the thread knob composes with naive joins.
-        let naive_par = chase_to_universal_plan(
-            &q,
-            &deds,
-            &ChaseOptions::default().with_naive_joins().with_threads(4),
-        );
-        assert_eq!(plan_fingerprint(&seq), plan_fingerprint(&naive_par));
     }
 
     #[test]

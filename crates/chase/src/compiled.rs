@@ -12,10 +12,7 @@
 //! query block via `Arc`. Before this type existed every chase recompiled
 //! the dependency set from scratch, which dominated the backchase hot loop.
 
-use crate::evaluate::{
-    evaluate_bindings_delta_ordered, evaluate_bindings_ordered, order_atoms, satisfiable_ordered,
-    JoinPlanner,
-};
+use crate::evaluate::{evaluate_bindings_ordered, order_atoms, satisfiable_ordered};
 use crate::instance::SymbolicInstance;
 use crate::shortcut::{detect_closure_constraints, ClosureConstraints};
 use mars_cq::{Atom, Conjunct, Ded, Predicate, Substitution, Term, Variable};
@@ -62,20 +59,8 @@ impl CompiledConclusion {
     /// Equalities among premise-bound terms are checked directly; equalities
     /// that mention a still-free existential variable force a binding for it;
     /// remaining atoms are checked by a (semijoin-style) satisfiability query
-    /// over the instance, with join steps resolved by the adaptive planner
-    /// ([`CompiledConclusion::satisfied_with`] chooses it explicitly).
+    /// over the instance.
     pub fn satisfied(&self, h: &Substitution, inst: &SymbolicInstance) -> bool {
-        self.satisfied_with(h, inst, JoinPlanner::default())
-    }
-
-    /// [`CompiledConclusion::satisfied`] with an explicit [`JoinPlanner`]
-    /// for the satisfiability check. The planner never changes the answer.
-    pub fn satisfied_with(
-        &self,
-        h: &Substitution,
-        inst: &SymbolicInstance,
-        planner: JoinPlanner,
-    ) -> bool {
         let mut init = h.clone();
         for (a, b) in &self.conjunct.equalities {
             let ia = init.apply_term_deep(*a);
@@ -100,7 +85,7 @@ impl CompiledConclusion {
         if self.conjunct.atoms.is_empty() {
             return true;
         }
-        satisfiable_ordered(&self.conjunct.atoms, &[], inst, init, &self.order, planner)
+        satisfiable_ordered(&self.conjunct.atoms, &[], inst, init, &self.order)
     }
 }
 
@@ -111,38 +96,18 @@ pub struct CompiledDed {
     pub ded: Ded,
     /// Compiled conclusions (empty for denial constraints).
     pub conclusions: Vec<CompiledConclusion>,
-    /// Unique premise predicates, in first-occurrence order. The semi-naive
-    /// chase keeps one delta watermark per entry ([`premise_slots`] maps each
-    /// premise atom onto its entry).
-    ///
-    /// [`premise_slots`]: CompiledDed::premise_slots
-    pub premise_preds: Vec<Predicate>,
-    /// Per premise atom, the index of its predicate in
-    /// [`CompiledDed::premise_preds`].
-    pub premise_slots: Vec<usize>,
     /// The premise join order, chosen once at compile time (the order
     /// depends only on the atoms and the — empty — set of initially bound
     /// variables, so recomputing it per evaluation was pure waste). Which
     /// join *strategy* each ordered step uses (scan vs index probe) is
-    /// still resolved at evaluation time by the [`JoinPlanner`] from the
-    /// instance's statistics.
+    /// resolved at evaluation time from the relation's size
+    /// ([`crate::evaluate::SCAN_THRESHOLD`]).
     pub premise_order: Vec<usize>,
 }
 
 impl CompiledDed {
     /// Compile a dependency.
     pub fn compile(ded: &Ded) -> CompiledDed {
-        let mut premise_preds: Vec<Predicate> = Vec::new();
-        let premise_slots: Vec<usize> = ded
-            .premise
-            .iter()
-            .map(|a| {
-                premise_preds.iter().position(|p| *p == a.predicate).unwrap_or_else(|| {
-                    premise_preds.push(a.predicate);
-                    premise_preds.len() - 1
-                })
-            })
-            .collect();
         CompiledDed {
             conclusions: ded
                 .conclusions
@@ -151,8 +116,6 @@ impl CompiledDed {
                 .collect(),
             premise_order: order_atoms(&ded.premise, &[]),
             ded: ded.clone(),
-            premise_preds,
-            premise_slots,
         }
     }
 
@@ -163,88 +126,21 @@ impl CompiledDed {
 
     /// All homomorphisms from the premise into the instance (respecting the
     /// premise inequalities), found in bulk by hash-join evaluation along
-    /// the precompiled [`CompiledDed::premise_order`], with each join step
-    /// resolved by the default (adaptive) planner.
+    /// the precompiled [`CompiledDed::premise_order`].
     pub fn premise_bindings(&self, inst: &SymbolicInstance) -> Vec<Substitution> {
-        self.premise_bindings_with(inst, JoinPlanner::default())
-    }
-
-    /// [`CompiledDed::premise_bindings`] with an explicit [`JoinPlanner`].
-    /// The planner never changes the bindings or their order, only the
-    /// scan/probe strategy per join step.
-    pub fn premise_bindings_with(
-        &self,
-        inst: &SymbolicInstance,
-        planner: JoinPlanner,
-    ) -> Vec<Substitution> {
         evaluate_bindings_ordered(
             &self.ded.premise,
             &self.ded.premise_inequalities,
             inst,
             &Substitution::new(),
             &self.premise_order,
-            planner,
         )
-    }
-
-    /// Semi-naive premise evaluation: only homomorphisms that use at least
-    /// one tuple beyond the per-slot watermarks in `marks` (aligned with
-    /// [`CompiledDed::premise_preds`]), in the full join's order — see
-    /// [`crate::evaluate::evaluate_bindings_delta`].
-    pub fn premise_bindings_delta(
-        &self,
-        inst: &SymbolicInstance,
-        marks: &[usize],
-    ) -> Vec<Substitution> {
-        self.premise_bindings_delta_with(inst, marks, JoinPlanner::default())
-    }
-
-    /// [`CompiledDed::premise_bindings_delta`] with an explicit
-    /// [`JoinPlanner`]. The old-prefix join of the delta passes is computed
-    /// once and shared (see
-    /// [`crate::evaluate::evaluate_bindings_delta_with`]); the planner never
-    /// changes the bindings or their order.
-    pub fn premise_bindings_delta_with(
-        &self,
-        inst: &SymbolicInstance,
-        marks: &[usize],
-        planner: JoinPlanner,
-    ) -> Vec<Substitution> {
-        let old_len: Vec<usize> = self.premise_slots.iter().map(|&s| marks[s]).collect();
-        evaluate_bindings_delta_ordered(
-            &self.ded.premise,
-            &self.ded.premise_inequalities,
-            inst,
-            &Substitution::new(),
-            &old_len,
-            &self.premise_order,
-            planner,
-        )
-    }
-
-    /// Relation lengths of the premise predicates (the watermark snapshot a
-    /// fixpoint confirmation records), aligned with
-    /// [`CompiledDed::premise_preds`].
-    pub fn premise_watermarks(&self, inst: &SymbolicInstance) -> Vec<usize> {
-        self.premise_preds.iter().map(|p| inst.relation_len(*p)).collect()
     }
 
     /// Is the chase step for homomorphism `h` *blocked* (some conclusion
     /// disjunct already holds)?
     pub fn blocked(&self, h: &Substitution, inst: &SymbolicInstance) -> bool {
-        self.blocked_with(h, inst, JoinPlanner::default())
-    }
-
-    /// [`CompiledDed::blocked`] with an explicit [`JoinPlanner`] for the
-    /// conclusion satisfiability checks. The planner never changes the
-    /// answer.
-    pub fn blocked_with(
-        &self,
-        h: &Substitution,
-        inst: &SymbolicInstance,
-        planner: JoinPlanner,
-    ) -> bool {
-        self.conclusions.iter().any(|c| c.satisfied_with(h, inst, planner))
+        self.conclusions.iter().any(|c| c.satisfied(h, inst))
     }
 }
 
@@ -267,19 +163,20 @@ pub fn compilation_count() -> usize {
 /// stay blocked), so the round skips it without evaluating anything.
 #[derive(Clone, Debug, Default)]
 pub struct DedIndex {
-    /// Per predicate, every `(dependency, watermark slot)` whose premise
-    /// mentions it (the slot indexes the dependency's
-    /// [`CompiledDed::premise_preds`]).
-    by_pred: HashMap<Predicate, Vec<(usize, usize)>>,
+    /// Per predicate, every dependency whose premise mentions it.
+    by_pred: HashMap<Predicate, Vec<usize>>,
     n: usize,
 }
 
 impl DedIndex {
     fn new(compiled: &[CompiledDed]) -> DedIndex {
-        let mut by_pred: HashMap<Predicate, Vec<(usize, usize)>> = HashMap::new();
+        let mut by_pred: HashMap<Predicate, Vec<usize>> = HashMap::new();
         for (i, d) in compiled.iter().enumerate() {
-            for (slot, p) in d.premise_preds.iter().enumerate() {
-                by_pred.entry(*p).or_default().push((i, slot));
+            for a in &d.ded.premise {
+                let dis = by_pred.entry(a.predicate).or_default();
+                if dis.last() != Some(&i) {
+                    dis.push(i);
+                }
             }
         }
         DedIndex { by_pred, n: compiled.len() }
@@ -303,24 +200,12 @@ impl DedIndex {
     }
 
     /// Mark every dependency whose premise mentions `p` as needing a
-    /// re-check (an atom of that predicate was inserted).
+    /// re-check (an atom of that predicate was inserted, or an EGD
+    /// unification rewrote its relation).
     pub fn mark(&self, p: Predicate, needs: &mut [bool]) {
         if let Some(dis) = self.by_pred.get(&p) {
-            for &(i, _) in dis {
+            for &i in dis {
                 needs[i] = true;
-            }
-        }
-    }
-
-    /// Mark every dependency whose premise mentions `p` after the relation
-    /// of `p` was *rewritten* (an EGD unification): besides the re-check
-    /// flag, the dependency's delta watermark for `p` is reset to 0 — tuple
-    /// positions changed, so the whole relation is delta again.
-    pub fn mark_rewrite(&self, p: Predicate, needs: &mut [bool], marks: &mut [Vec<usize>]) {
-        if let Some(dis) = self.by_pred.get(&p) {
-            for &(i, slot) in dis {
-                needs[i] = true;
-                marks[i][slot] = 0;
             }
         }
     }

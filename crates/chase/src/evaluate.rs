@@ -12,139 +12,27 @@
 //! (relation, column-set) and maintained incrementally on insert, so repeated
 //! evaluations over a growing instance never rebuild hash tables.
 //!
-//! Whether one join step *scans* its tuple window or *probes* the hash index
-//! is resolved **at evaluation time** by a [`JoinPlanner`] from the
-//! relation's incremental statistics (tuple counts, per-column distinct
-//! counts, accumulated scan work) — see [`JoinPlanner::Adaptive`]. The
-//! former fixed `SCAN_THRESHOLD` survives only as the documented
-//! [`JoinPlanner::FixedThreshold`] fallback/ablation. Both strategies
-//! enumerate matching tuples in ascending tuple-index order, so the planner
-//! choice can never change a result, only its cost — the agreement property
-//! tests pin this down.
-//!
-//! [`evaluate_bindings_delta`] is the semi-naive variant: given per-atom
-//! tuple watermarks, it enumerates exactly the homomorphisms that use at
-//! least one tuple beyond its atom's watermark. Each atom (in join order)
-//! takes a turn as the *delta atom* — old × delta × full windows — and the
-//! **old-prefix join is computed once and shared across the passes**: pass
-//! `p` extends the prefix rows that joined the first `p` atoms entirely
-//! below their watermarks, and the same prefix state then grows by one atom
-//! to seed pass `p + 1`, instead of every pass re-joining its pre-watermark
-//! prefix from scratch. The merged passes are sorted by the tuple-index
-//! trail their rows carry; the full join emits rows in lexicographic trail
-//! order, so the sorted union reproduces it exactly. The chase therefore
-//! applies identical steps in identical order whether it joins full or
-//! delta — the byte-identical contract.
+//! Whether one join step *scans* its relation or *probes* the hash index is
+//! decided by the constant [`SCAN_THRESHOLD`]: a relation of at most that many
+//! tuples is scanned with the selections applied inline, anything larger is
+//! probed (building the index on first use). Both strategies enumerate
+//! matching tuples in ascending tuple-index order, so the choice can never
+//! change a result, only its cost — the agreement test against the
+//! backtracking search of `mars-cq` covers relations on both sides of the
+//! threshold.
 
-use crate::instance::{Relation, SymbolicInstance};
-use mars_cq::{Atom, Predicate, Substitution, Term, Variable};
+use crate::instance::SymbolicInstance;
+use mars_cq::{Atom, Substitution, Term, Variable};
 
 /// A homomorphism produced by evaluation (bindings of the evaluated atoms'
 /// variables to terms of the instance).
 pub type Binding = Substitution;
 
-/// A tuple-index window `[lo, hi)` restricting which tuples of a relation an
-/// atom may match (semi-naive old/delta/full roles).
-type Window = (usize, usize);
-
-/// Modeled cost of building a hash index, in scan-equivalent tuple
-/// inspections: one pass over the relation (hash and insert each tuple).
-/// Deliberately *not* padded with constant overhead — chase instances are
-/// short-lived and probed heavily, so an index that one full-relation scan
-/// can amortize should be built immediately (a fresh instance per back-chase
-/// candidate would otherwise re-pay a deferral transient thousands of
-/// times).
-const INDEX_BUILD_COST_PER_TUPLE: usize = 1;
-
-/// Modeled fixed cost of one index probe, in scan-equivalent tuple
-/// inspections: materializing the key vector, hashing it, and narrowing the
-/// posting list to the window (two binary searches). Scanning a window
-/// smaller than this is always cheaper than probing, whatever the key
-/// selectivity.
-const PROBE_COST: usize = 8;
-
-/// How evaluation resolves each join step to a filtered scan or an index
-/// probe.
-///
-/// Every strategy enumerates matching tuples in ascending tuple-index order,
-/// so the choice is invisible in the results — universal plans, renamings
-/// and statistics are byte-identical across planners (property-tested and
-/// enforced in CI); only the join cost changes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum JoinPlanner {
-    /// Statistics-driven choice (the default). Per join step, the planner
-    /// reads the relation's incremental statistics
-    /// ([`Relation::distinct_for_columns`], [`Relation::has_index`],
-    /// [`Relation::scan_work`]) and:
-    ///
-    /// 1. scans when one probe (hash + expected matches) cannot beat
-    ///    scanning the window outright — tiny windows, e.g. delta atoms;
-    /// 2. probes when the index over the key columns is already cached (its
-    ///    build cost is sunk);
-    /// 3. otherwise *rents or buys*: the scan work this step would spend is
-    ///    accrued in the relation's per-column-set ledger
-    ///    ([`Relation::note_scan_work`]), and the index is built as soon as
-    ///    the accumulated work amortizes the modeled build cost.
-    #[default]
-    Adaptive,
-    /// The pre-statistics behaviour: scan any window of at most this many
-    /// tuples, probe (building the index if needed) anything larger,
-    /// regardless of row counts or key selectivity. Kept as the documented
-    /// fallback and ablation baseline
-    /// ([`crate::chase::ChaseOptions::with_fixed_scan_threshold`]); the
-    /// historical threshold is [`JoinPlanner::DEFAULT_FIXED_THRESHOLD`].
-    FixedThreshold(usize),
-}
-
-impl JoinPlanner {
-    /// The window size below which the pre-statistics engine always scanned
-    /// (its fixed `SCAN_THRESHOLD`).
-    pub const DEFAULT_FIXED_THRESHOLD: usize = 8;
-
-    /// The fixed-threshold planner at the historical default threshold.
-    pub fn fixed() -> JoinPlanner {
-        JoinPlanner::FixedThreshold(Self::DEFAULT_FIXED_THRESHOLD)
-    }
-
-    /// Resolve one join step: probe the persistent index over `cols`
-    /// (`true`) or scan the `window`-wide tuple range (`false`), for a step
-    /// extending `rows` partial bindings. In adaptive mode a `false` answer
-    /// also accrues the step's scan work in the relation's ledger, so
-    /// repeated scans over the same column set eventually tip into building
-    /// the index (rent-or-buy).
-    fn use_probe(self, rel: &Relation, cols: &[usize], rows: usize, window: usize) -> bool {
-        match self {
-            JoinPlanner::FixedThreshold(t) => window > t,
-            JoinPlanner::Adaptive => {
-                // One probe costs key materialization + hash + narrowing
-                // the posting list to the window (PROBE_COST), plus walking
-                // the expected matches; a scan inspects the whole window
-                // inline. If probing cannot win even with the index in
-                // hand, scan without accruing debt. (The first test is pure
-                // arithmetic so the common tiny-window case — delta atoms —
-                // never touches the statistics.)
-                if window <= PROBE_COST {
-                    return false;
-                }
-                let expected = rel.expected_matches(cols, window);
-                if PROBE_COST + expected >= window {
-                    return false;
-                }
-                if rel.has_index(cols) {
-                    return true;
-                }
-                let scan_now = rows.saturating_mul(window);
-                let build_price = INDEX_BUILD_COST_PER_TUPLE.saturating_mul(rel.len());
-                if rel.scan_work(cols).saturating_add(scan_now) >= build_price {
-                    true
-                } else {
-                    rel.note_scan_work(cols, scan_now);
-                    false
-                }
-            }
-        }
-    }
-}
+/// Relations of at most this many tuples are joined by a filtered scan;
+/// larger ones through the persistent column index. Below it, materializing
+/// the key vector, hashing it and walking the posting list costs more than
+/// inspecting every tuple inline.
+pub const SCAN_THRESHOLD: usize = 8;
 
 /// Choose an evaluation order for the atoms: start from the atom with the
 /// most constants (most selective), then repeatedly pick an atom sharing a
@@ -185,62 +73,42 @@ pub(crate) fn order_atoms(atoms: &[Atom], initially_bound: &[Variable]) -> Vec<u
     order
 }
 
-/// Columnar join state: a variable per column, flat term-vector rows, and —
-/// when trails are tracked — the tuple index chosen at each join step (in
-/// join order) per row.
+/// Columnar join state: a variable per column and flat term-vector rows.
 ///
 /// Intermediate join results are kept *columnar* — a shared variable list
 /// plus flat term-vector rows — and only surviving final rows are
 /// materialized as [`Substitution`]s by the callers. Cloning a hash-map
 /// substitution per intermediate row dominated the chase profile; the term
 /// vectors make each extension a `Vec` push.
-#[derive(Clone)]
 struct JoinState {
     vars: Vec<Variable>,
     rows: Vec<Vec<Term>>,
-    trails: Vec<Vec<u32>>,
-    track: bool,
 }
 
 impl JoinState {
     /// The one-row state every join starts from: the initially bound
     /// variables as columns, the initial binding as the single row.
-    fn new(initial: &Substitution, track: bool) -> JoinState {
+    fn new(initial: &Substitution) -> JoinState {
         let vars: Vec<Variable> = initial.iter().map(|(v, _)| v).collect();
         let rows = vec![vars.iter().map(|v| initial.get(*v).expect("initially bound")).collect()];
-        JoinState { vars, rows, trails: if track { vec![Vec::new()] } else { Vec::new() }, track }
-    }
-
-    fn clear(&mut self) {
-        self.rows.clear();
-        self.trails.clear();
+        JoinState { vars, rows }
     }
 }
 
-/// Extend the join state by one atom restricted to a tuple-index `window`,
-/// resolving scan vs index probe through `planner`. Returns `false` when the
-/// state has no surviving rows (missing relation, empty window, or no
-/// matches) — callers may then stop early; the variable layout is left
-/// truncated, which is fine because empty states are never materialized.
-fn join_step(
-    state: &mut JoinState,
-    atom: &Atom,
-    inst: &SymbolicInstance,
-    window: Window,
-    planner: JoinPlanner,
-) -> bool {
+/// Extend the join state by one atom, scanning relations of at most
+/// [`SCAN_THRESHOLD`] tuples and probing the column index of larger ones.
+/// Returns `false` when the state has no surviving rows (missing or empty
+/// relation, or no matches) — callers may then stop early; the variable
+/// layout is left truncated, which is fine because empty states are never
+/// materialized.
+fn join_step(state: &mut JoinState, atom: &Atom, inst: &SymbolicInstance) -> bool {
     if state.rows.is_empty() {
         return false;
     }
-    let Some(rel) = inst.relation_data(atom.predicate) else {
-        state.clear();
+    let Some(rel) = inst.relation_data(atom.predicate).filter(|rel| !rel.is_empty()) else {
+        state.rows.clear();
         return false;
     };
-    let (lo, hi) = (window.0, window.1.min(rel.len()));
-    if lo >= hi {
-        state.clear();
-        return false;
-    }
     let tuples = rel.tuples();
 
     // Classify argument positions against the current column set.
@@ -272,14 +140,11 @@ fn join_step(
         }
     }
 
-    let track = state.track;
     let rows = &state.rows;
-    let trails = &state.trails;
     let mut next_rows: Vec<Vec<Term>> = Vec::new();
-    let mut next_trails: Vec<Vec<u32>> = Vec::new();
-    // Extend one row by one matching tuple (dup filter + window applied
-    // by the callers below).
-    let mut extend = |row: &Vec<Term>, trail: Option<&Vec<u32>>, ti: usize| {
+    // Extend one row by one matching tuple (dup filter applied here, key
+    // filter by the callers below).
+    let mut extend = |row: &Vec<Term>, ti: usize| {
         let tuple = &tuples[ti];
         for &(i, p) in &dup_positions {
             if tuple[i] != tuple[p] {
@@ -290,28 +155,19 @@ fn join_step(
         extended.extend_from_slice(row);
         extended.extend(new_positions.iter().map(|&p| tuple[p]));
         next_rows.push(extended);
-        if let Some(trail) = trail {
-            let mut t = Vec::with_capacity(trail.len() + 1);
-            t.extend_from_slice(trail);
-            t.push(ti as u32);
-            next_trails.push(t);
-        }
     };
 
     if key_cols.is_empty() {
-        // No bound position: scan the window (Cartesian extension).
-        for (ri, row) in rows.iter().enumerate() {
-            let trail = track.then(|| &trails[ri]);
-            for ti in lo..hi {
-                extend(row, trail, ti);
+        // No bound position: Cartesian extension.
+        for row in rows {
+            for ti in 0..tuples.len() {
+                extend(row, ti);
             }
         }
-    } else if !planner.use_probe(rel, &key_cols, rows.len(), hi - lo) {
-        // The planner chose a filtered scan of the window (tiny windows,
-        // unselective keys, or an index that has not amortized yet).
-        for (ri, row) in rows.iter().enumerate() {
-            let trail = track.then(|| &trails[ri]);
-            'scan: for (ti, tuple) in tuples.iter().enumerate().take(hi).skip(lo) {
+    } else if tuples.len() <= SCAN_THRESHOLD {
+        // Filtered scan of a small relation.
+        for row in rows {
+            'scan: for (ti, tuple) in tuples.iter().enumerate() {
                 for (i, src) in key_cols.iter().zip(&key_sources) {
                     let want = match src {
                         Ok(c) => *c,
@@ -321,34 +177,29 @@ fn join_step(
                         continue 'scan;
                     }
                 }
-                extend(row, trail, ti);
+                extend(row, ti);
             }
         }
     } else {
         // Probe the persistent index; posting lists are ascending tuple
-        // indices, so the window is a subrange — the same ascending
-        // enumeration the scan produces, which is why planner choices are
-        // invisible in the results.
+        // indices — the same ascending enumeration the scan produces, which
+        // is why the scan/probe choice is invisible in the results.
         let index = rel.index(&key_cols);
         let mut key: Vec<Term> = Vec::with_capacity(key_sources.len());
-        for (ri, row) in rows.iter().enumerate() {
+        for row in rows {
             key.clear();
             key.extend(key_sources.iter().map(|s| match s {
                 Ok(c) => *c,
                 Err(col) => row[*col],
             }));
             if let Some(matches) = index.get(&key) {
-                let from = matches.partition_point(|&ti| ti < lo);
-                let to = matches.partition_point(|&ti| ti < hi);
-                let trail = track.then(|| &trails[ri]);
-                for &ti in &matches[from..to] {
-                    extend(row, trail, ti);
+                for &ti in matches {
+                    extend(row, ti);
                 }
             }
         }
     }
     state.rows = next_rows;
-    state.trails = next_trails;
     state.vars.extend(
         new_positions.iter().map(|&p| atom.args[p].as_var().expect("new slots are variables")),
     );
@@ -383,26 +234,11 @@ fn materialize(vars: &[Variable], rows: Vec<Vec<Term>>, initial: &Substitution) 
 
 /// Evaluate `atoms` (a conjunction) over `inst`, extending `initial`, and
 /// filter the results by the inequalities. Returns every homomorphism.
-///
-/// Join steps are planned adaptively from the instance's statistics; use
-/// [`evaluate_bindings_with`] to choose the planner explicitly.
 pub fn evaluate_bindings(
     atoms: &[Atom],
     inequalities: &[(Term, Term)],
     inst: &SymbolicInstance,
     initial: &Substitution,
-) -> Vec<Binding> {
-    evaluate_bindings_with(atoms, inequalities, inst, initial, JoinPlanner::default())
-}
-
-/// [`evaluate_bindings`] with an explicit [`JoinPlanner`]. The planner never
-/// changes the result, only the join strategy per step.
-pub fn evaluate_bindings_with(
-    atoms: &[Atom],
-    inequalities: &[(Term, Term)],
-    inst: &SymbolicInstance,
-    initial: &Substitution,
-    planner: JoinPlanner,
 ) -> Vec<Binding> {
     if atoms.is_empty() {
         // Only the initial binding, provided it satisfies the inequalities.
@@ -411,168 +247,26 @@ pub fn evaluate_bindings_with(
     }
     let initially_bound: Vec<Variable> = initial.iter().map(|(v, _)| v).collect();
     let order = order_atoms(atoms, &initially_bound);
-    evaluate_bindings_ordered(atoms, inequalities, inst, initial, &order, planner)
+    evaluate_bindings_ordered(atoms, inequalities, inst, initial, &order)
 }
 
-/// The join core behind [`evaluate_bindings_with`], with the atom order
-/// already chosen — the entry point for callers holding a precompiled order
-/// ([`crate::compiled::CompiledDed::premise_bindings_with`]).
+/// The join core behind [`evaluate_bindings`], with the atom order already
+/// chosen — the entry point for callers holding a precompiled order
+/// ([`crate::compiled::CompiledDed::premise_bindings`]).
 pub(crate) fn evaluate_bindings_ordered(
     atoms: &[Atom],
     inequalities: &[(Term, Term)],
     inst: &SymbolicInstance,
     initial: &Substitution,
     order: &[usize],
-    planner: JoinPlanner,
 ) -> Vec<Binding> {
-    let mut state = JoinState::new(initial, false);
+    let mut state = JoinState::new(initial);
     for &ai in order {
-        if !join_step(&mut state, &atoms[ai], inst, (0, usize::MAX), planner) {
+        if !join_step(&mut state, &atoms[ai], inst) {
             break;
         }
     }
-    let JoinState { vars, mut rows, .. } = state;
-    if !inequalities.is_empty() {
-        rows.retain(|r| row_satisfies(&vars, r, inequalities));
-    }
-    materialize(&vars, rows, initial)
-}
-
-/// Semi-naive (delta-seeded) evaluation: every homomorphism that maps at
-/// least one atom to a tuple at index ≥ that atom's watermark `old_len[i]`.
-///
-/// Homomorphisms whose atoms all map below their watermarks (*all-old*
-/// bindings) are exactly the ones the chase already confirmed blocked when
-/// the watermarks were taken — blocked steps stay blocked on a growing
-/// instance, so skipping them is sound. Each atom in join order takes a turn
-/// as the delta atom (`old × delta × full` windows, partitioning the new
-/// bindings by their first over-watermark join step), the **old-prefix join
-/// is shared across the passes** (computed once, grown one atom per pass),
-/// and the union is sorted by tuple-index trail — precisely the order the
-/// full join emits, so downstream chase steps fire in an order byte-identical
-/// to the naive full join.
-pub fn evaluate_bindings_delta(
-    atoms: &[Atom],
-    inequalities: &[(Term, Term)],
-    inst: &SymbolicInstance,
-    initial: &Substitution,
-    old_len: &[usize],
-) -> Vec<Binding> {
-    evaluate_bindings_delta_with(
-        atoms,
-        inequalities,
-        inst,
-        initial,
-        old_len,
-        JoinPlanner::default(),
-    )
-}
-
-/// [`evaluate_bindings_delta`] with an explicit [`JoinPlanner`].
-pub fn evaluate_bindings_delta_with(
-    atoms: &[Atom],
-    inequalities: &[(Term, Term)],
-    inst: &SymbolicInstance,
-    initial: &Substitution,
-    old_len: &[usize],
-    planner: JoinPlanner,
-) -> Vec<Binding> {
-    if atoms.is_empty() {
-        // No atoms, hence no delta tuple can be involved: the (single)
-        // initial binding is all-old by definition.
-        return Vec::new();
-    }
-    let initially_bound: Vec<Variable> = initial.iter().map(|(v, _)| v).collect();
-    // The same join order the full join would use: every pass then probes
-    // the same persistent column indexes the full join would (no per-pass
-    // index variants), and the per-row trails are directly comparable.
-    let order = order_atoms(atoms, &initially_bound);
-    evaluate_bindings_delta_ordered(atoms, inequalities, inst, initial, old_len, &order, planner)
-}
-
-/// The delta-join core behind [`evaluate_bindings_delta_with`], with the
-/// atom order already chosen.
-///
-/// Pass `p` (in join order) joins `old-prefix × delta(order[p]) × full
-/// suffix`. The old prefix — the rows joining `order[..p]` entirely below
-/// their watermarks — is **shared**: one [`JoinState`] is grown by one
-/// old-windowed atom per pass and cloned as each pass's seed, so the
-/// pre-watermark prefixes are joined once overall instead of once per pass.
-/// The pass windows partition the delta bindings by their first
-/// over-watermark join step, so the trail-sorted union reproduces the full
-/// join's order exactly.
-pub(crate) fn evaluate_bindings_delta_ordered(
-    atoms: &[Atom],
-    inequalities: &[(Term, Term)],
-    inst: &SymbolicInstance,
-    initial: &Substitution,
-    old_len: &[usize],
-    order: &[usize],
-    planner: JoinPlanner,
-) -> Vec<Binding> {
-    if atoms.is_empty() {
-        return Vec::new();
-    }
-    debug_assert_eq!(atoms.len(), old_len.len());
-
-    // The last join-order position whose atom has any delta tuples bounds
-    // the loop: passes beyond it cannot exist, so neither their shared
-    // prefix nor anything after it is ever computed. All-old evaluations
-    // (no delta anywhere) return without joining a single tuple.
-    let Some(last_delta) = (0..order.len())
-        .rev()
-        .find(|&p| inst.delta_width(atoms[order[p]].predicate, old_len[order[p]]) > 0)
-    else {
-        return Vec::new();
-    };
-
-    let mut prefix = JoinState::new(initial, true);
-    let mut vars: Vec<Variable> = Vec::new();
-    let mut merged: Vec<(Vec<u32>, Vec<Term>)> = Vec::new();
-    for (p, &ai) in order.iter().enumerate().take(last_delta + 1) {
-        if inst.delta_width(atoms[ai].predicate, old_len[ai]) > 0 {
-            // Pass p: shared old prefix × delta atom × full suffix. The
-            // final pass consumes the prefix instead of cloning it (nothing
-            // extends it afterwards — the empty placeholder is never read).
-            let mut pass = if p == last_delta {
-                let empty = JoinState {
-                    vars: Vec::new(),
-                    rows: Vec::new(),
-                    trails: Vec::new(),
-                    track: true,
-                };
-                std::mem::replace(&mut prefix, empty)
-            } else {
-                prefix.clone()
-            };
-            let mut alive =
-                join_step(&mut pass, &atoms[ai], inst, (old_len[ai], usize::MAX), planner);
-            for &aj in &order[p + 1..] {
-                if !alive {
-                    break;
-                }
-                alive = join_step(&mut pass, &atoms[aj], inst, (0, usize::MAX), planner);
-            }
-            if alive {
-                // The pass windows partition the binding space, so trails —
-                // and only trails — differ across non-empty passes; the
-                // variable layout is identical.
-                merged.extend(pass.trails.into_iter().zip(pass.rows));
-                vars = pass.vars;
-            }
-        }
-        if p == last_delta {
-            break; // the prefix has served its final pass
-        }
-        // Grow the shared prefix by this atom's old window; once it empties,
-        // no later pass can contribute (they all extend it).
-        if !join_step(&mut prefix, &atoms[ai], inst, (0, old_len[ai]), planner) {
-            break;
-        }
-    }
-    // Lexicographic trail order == the order the full join enumerates rows.
-    merged.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    let mut rows: Vec<Vec<Term>> = merged.into_iter().map(|(_, row)| row).collect();
+    let JoinState { vars, mut rows } = state;
     if !inequalities.is_empty() {
         rows.retain(|r| row_satisfies(&vars, r, inequalities));
     }
@@ -587,47 +281,33 @@ pub(crate) fn evaluate_bindings_delta_ordered(
 /// [`evaluate_bindings`] it does not materialize anything: a backtracking
 /// search over the (join-ordered) atoms binds variables in place and
 /// returns at the first witness. Candidate tuples at each depth come from
-/// the persistent column indexes (probed on the positions bound so far)
-/// or a filtered scan, as resolved per depth by the adaptive planner; use
-/// [`satisfiable_with`] to choose the planner explicitly.
+/// a filtered scan (relations of at most [`SCAN_THRESHOLD`] tuples) or the
+/// persistent column indexes, probed on the positions bound so far.
 pub fn satisfiable(
     atoms: &[Atom],
     inequalities: &[(Term, Term)],
     inst: &SymbolicInstance,
     initial: &Substitution,
 ) -> bool {
-    satisfiable_with(atoms, inequalities, inst, initial, JoinPlanner::default())
-}
-
-/// [`satisfiable`] with an explicit [`JoinPlanner`]. The planner never
-/// changes the answer, only how candidate tuples are found per depth.
-pub fn satisfiable_with(
-    atoms: &[Atom],
-    inequalities: &[(Term, Term)],
-    inst: &SymbolicInstance,
-    initial: &Substitution,
-    planner: JoinPlanner,
-) -> bool {
     if atoms.is_empty() {
         return inequalities.iter().all(|(a, b)| initial.apply_term(*a) != initial.apply_term(*b));
     }
     let initially_bound: Vec<Variable> = initial.iter().map(|(v, _)| v).collect();
     let order = order_atoms(atoms, &initially_bound);
-    satisfiable_ordered(atoms, inequalities, inst, initial.clone(), &order, planner)
+    satisfiable_ordered(atoms, inequalities, inst, initial.clone(), &order)
 }
 
-/// The search core behind [`satisfiable_with`], with the atom order already
+/// The search core behind [`satisfiable`], with the atom order already
 /// chosen — the entry point for callers holding a precompiled order
-/// ([`crate::compiled::CompiledConclusion::satisfied_with`], whose bound
-/// *set* is known at compile time). The order only steers the search, never
-/// the boolean answer, so a precompiled order is always sound.
+/// ([`crate::compiled::CompiledConclusion::satisfied`], whose bound *set* is
+/// known at compile time). The order only steers the search, never the
+/// boolean answer, so a precompiled order is always sound.
 pub(crate) fn satisfiable_ordered(
     atoms: &[Atom],
     inequalities: &[(Term, Term)],
     inst: &SymbolicInstance,
     initial: Substitution,
     order: &[usize],
-    planner: JoinPlanner,
 ) -> bool {
     if atoms.is_empty() {
         return inequalities.iter().all(|(a, b)| initial.apply_term(*a) != initial.apply_term(*b));
@@ -640,10 +320,9 @@ pub(crate) fn satisfiable_ordered(
     // copied out of the index so no index borrow is held across recursion
     // (a deeper probe of the same relation may need to build a new index).
     let mut scratch: Vec<Vec<usize>> = vec![Vec::new(); order.len()];
-    satisfiable_from(order, 0, atoms, inequalities, inst, &mut sub, &mut scratch, planner)
+    satisfiable_from(order, 0, atoms, inequalities, inst, &mut sub, &mut scratch)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn satisfiable_from(
     order: &[usize],
     depth: usize,
@@ -652,7 +331,6 @@ fn satisfiable_from(
     inst: &SymbolicInstance,
     sub: &mut Substitution,
     scratch: &mut [Vec<usize>],
-    planner: JoinPlanner,
 ) -> bool {
     if depth == order.len() {
         return inequalities.iter().all(|(a, b)| sub.apply_term(*a) != sub.apply_term(*b));
@@ -687,14 +365,13 @@ fn satisfiable_from(
     if key_cols.len() == atom.args.len() {
         // Fully bound: the key *is* the tuple — a set-membership test.
         return rel.contains(&key)
-            && satisfiable_from(order, depth + 1, atoms, inequalities, inst, sub, rest, planner);
+            && satisfiable_from(order, depth + 1, atoms, inequalities, inst, sub, rest);
     }
     mine.clear();
     if key_cols.is_empty() {
         mine.extend(0..rel.len());
-    } else if !planner.use_probe(rel, &key_cols, 1, rel.len()) {
-        // The planner chose a filtered scan (tiny or unselective relations,
-        // or an index that has not amortized across repeated probes yet).
+    } else if rel.len() <= SCAN_THRESHOLD {
+        // Filtered scan of a small relation.
         'scan: for (ti, tuple) in rel.tuples().iter().enumerate() {
             for (i, want) in key_cols.iter().zip(&key) {
                 if tuple[*i] != *want {
@@ -734,7 +411,7 @@ fn satisfiable_from(
         for (v, t) in &added {
             sub.set(*v, *t);
         }
-        if satisfiable_from(order, depth + 1, atoms, inequalities, inst, sub, rest, planner) {
+        if satisfiable_from(order, depth + 1, atoms, inequalities, inst, sub, rest) {
             return true;
         }
         for (v, _) in &added {
@@ -744,11 +421,6 @@ fn satisfiable_from(
     false
 }
 
-/// Per-atom delta watermarks derived from per-predicate watermarks: the
-/// convenience used by [`crate::compiled::CompiledDed::premise_bindings_delta`].
-pub fn atom_watermarks(atoms: &[Atom], watermark: impl Fn(Predicate) -> usize) -> Vec<usize> {
-    atoms.iter().map(|a| watermark(a.predicate)).collect()
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -896,108 +568,80 @@ mod tests {
         assert_eq!(res.len(), 4);
     }
 
+    /// Cross-check the set-oriented evaluator against the backtracking
+    /// search of `mars-cq`, with relations on both sides of
+    /// [`SCAN_THRESHOLD`]: a scanned step and a probed step must enumerate
+    /// the same bindings, in ascending tuple-index order along the join
+    /// order. The pattern has a constant key, a repeated fresh variable and
+    /// an inequality.
     #[test]
     fn agrees_with_backtracking_homomorphism_search() {
-        // Cross-check the set-oriented evaluator against the naive search
-        // from mars-cq on a moderately branchy instance.
-        let mut inst = SymbolicInstance::new();
-        let mut atoms_in_instance = Vec::new();
-        for i in 0..6 {
-            for j in 0..3 {
-                let a = child(t(&format!("p{i}")), t(&format!("c{i}_{j}")));
-                inst.insert_atom(&a);
-                atoms_in_instance.push(a);
-            }
-        }
-        let pattern = vec![child(t("x"), t("y")), child(t("x"), t("z"))];
-        let fast = evaluate_bindings(&pattern, &[], &inst, &Substitution::new());
-        let index = mars_cq::AtomIndex::new(&atoms_in_instance);
-        let slow = mars_cq::find_all_homomorphisms(&pattern, &index, &Substitution::new(), None);
-        assert_eq!(fast.len(), slow.len());
-        assert_eq!(fast.len(), 6 * 3 * 3);
-    }
-
-    /// With all-zero watermarks, the only non-empty pass is the first one
-    /// and its windows are unrestricted: the delta evaluation *is* the full
-    /// join, including its order.
-    #[test]
-    fn delta_with_zero_watermarks_equals_full_join() {
-        let inst = example_instance();
-        let premise = vec![
-            Atom::named("R", vec![t("x"), t("y")]),
-            Atom::named("R", vec![t("y"), t("z")]),
-            Atom::named("S", vec![t("z"), t("u")]),
+        let pattern = vec![
+            child(t("x"), t("y")),
+            tag(t("y"), "a"),
+            child(t("x"), t("z")),
+            Atom::named("E", vec![t("z"), t("w"), t("w")]),
         ];
-        let full = evaluate_bindings(&premise, &[], &inst, &Substitution::new());
-        let delta = evaluate_bindings_delta(&premise, &[], &inst, &Substitution::new(), &[0, 0, 0]);
-        assert_eq!(full, delta);
-    }
+        let ineqs = vec![(t("y"), t("z"))];
+        // (parents, children per parent, padding E tuples): `child` and
+        // `tag` hold parents × children tuples, `E` that plus the padding.
+        for (parents, per_parent, padding) in [(2, 3, 0), (2, 4, 0), (3, 3, 0), (2, 3, 5)] {
+            let mut inst = SymbolicInstance::new();
+            for i in 0..parents {
+                for j in 0..per_parent {
+                    let c = t(&format!("c{i}_{j}"));
+                    inst.insert_atom(&child(t(&format!("p{i}")), c));
+                    inst.insert_atom(&tag(c, if j % 2 == 0 { "a" } else { "b" }));
+                    let other = if j % 2 == 0 { t("u") } else { t("v") };
+                    inst.insert_atom(&Atom::named("E", vec![c, t("u"), other]));
+                }
+            }
+            for k in 0..padding {
+                inst.insert_atom(&Atom::named("E", vec![t(&format!("pad{k}")), t("q"), t("q")]));
+            }
+            let child_len = inst.relation_len(pattern[0].predicate);
+            let e_len = inst.relation_len(pattern[3].predicate);
+            assert_eq!(child_len, parents * per_parent);
+            assert_eq!(e_len, child_len + padding);
 
-    /// Delta bindings + all-old bindings partition the full join: watermarks
-    /// taken before an insert make the delta evaluation return exactly the
-    /// new homomorphisms, in the full join's relative order.
-    #[test]
-    fn delta_after_insert_returns_exactly_the_new_bindings() {
-        let mut inst = SymbolicInstance::new();
-        inst.insert_atom(&child(t("n1"), t("n2")));
-        inst.insert_atom(&child(t("n2"), t("n3")));
-        let pattern = vec![child(t("x"), t("y")), child(t("y"), t("z"))];
-        let before = evaluate_bindings(&pattern, &[], &inst, &Substitution::new());
-        assert_eq!(before.len(), 1);
-        let marks = vec![inst.relation_len(pattern[0].predicate); 2];
+            // The tuple index each join step chose, in join order.
+            let order = order_atoms(&pattern, &[]);
+            let trail = |h: &Binding| -> Vec<usize> {
+                order
+                    .iter()
+                    .map(|&ai| {
+                        let image = h.apply_atom(&pattern[ai]);
+                        inst.relation(image.predicate)
+                            .iter()
+                            .position(|tuple| *tuple == image.args)
+                            .expect("a binding maps every atom onto a tuple")
+                    })
+                    .collect()
+            };
 
-        inst.insert_atom(&child(t("n3"), t("n4")));
-        inst.insert_atom(&child(t("n0"), t("n1")));
-        let after = evaluate_bindings(&pattern, &[], &inst, &Substitution::new());
-        let delta = evaluate_bindings_delta(&pattern, &[], &inst, &Substitution::new(), &marks);
-        // Every old binding is absent from the delta, every new one present,
-        // and the delta preserves the full join's relative order.
-        assert_eq!(after.len(), before.len() + delta.len());
-        for b in &before {
-            assert!(!delta.contains(b));
-        }
-        let filtered: Vec<&Binding> = after.iter().filter(|b| !before.contains(b)).collect();
-        assert_eq!(filtered.len(), delta.len());
-        for (f, d) in filtered.iter().zip(&delta) {
-            assert_eq!(**f, *d, "delta must preserve the full join's order");
-        }
-    }
+            let fast = evaluate_bindings(&pattern, &ineqs, &inst, &Substitution::new());
+            let fast_trails: Vec<Vec<usize>> = fast.iter().map(&trail).collect();
+            assert!(
+                fast_trails.windows(2).all(|w| w[0] < w[1]),
+                "child = {child_len}, E = {e_len}: bindings must come in ascending trail order"
+            );
 
-    /// The same partition property on a branchier instance with repeated
-    /// predicates and inequalities.
-    #[test]
-    fn delta_partition_with_inequalities() {
-        let mut inst = SymbolicInstance::new();
-        for (a, b) in [("a", "b"), ("b", "c"), ("a", "a"), ("c", "a")] {
-            inst.insert_atom(&Atom::named("R", vec![t(a), t(b)]));
-        }
-        let pattern =
-            vec![Atom::named("R", vec![t("x"), t("y")]), Atom::named("R", vec![t("y"), t("z")])];
-        let ineqs = vec![(t("x"), t("z"))];
-        let marks = vec![inst.relation_len(pattern[0].predicate); 2];
-        inst.insert_atom(&Atom::named("R", vec![t("c"), t("d")]));
-        inst.insert_atom(&Atom::named("R", vec![t("d"), t("a")]));
+            let index = mars_cq::AtomIndex::new(&inst.atoms());
+            let mut slow =
+                mars_cq::find_all_homomorphisms(&pattern, &index, &Substitution::new(), None);
+            slow.retain(|h| ineqs.iter().all(|(a, b)| h.apply_term(*a) != h.apply_term(*b)));
+            slow.sort_by_key(&trail);
+            assert_eq!(fast, slow, "child = {child_len}, E = {e_len}");
+            // Per parent: ordered pairs of distinct "a"-tagged children.
+            let tagged_a = per_parent.div_ceil(2);
+            assert_eq!(fast.len(), parents * tagged_a * (tagged_a - 1));
 
-        let after = evaluate_bindings(&pattern, &ineqs, &inst, &Substitution::new());
-        let delta = evaluate_bindings_delta(&pattern, &ineqs, &inst, &Substitution::new(), &marks);
-        let old: Vec<&Binding> = after
-            .iter()
-            .filter(|b| {
-                // A binding is all-old iff both matched tuples predate the mark.
-                let pos = |x: Term, y: Term| {
-                    inst.relation(pattern[0].predicate)
-                        .iter()
-                        .position(|tu| tu[0] == x && tu[1] == y)
-                        .unwrap()
-                };
-                pos(b.get(v("x")).unwrap(), b.get(v("y")).unwrap()) < marks[0]
-                    && pos(b.get(v("y")).unwrap(), b.get(v("z")).unwrap()) < marks[1]
-            })
-            .collect();
-        assert_eq!(old.len() + delta.len(), after.len());
-        for d in &delta {
-            assert!(after.contains(d));
-            assert!(!old.contains(&d));
+            assert!(satisfiable(&pattern, &ineqs, &inst, &Substitution::new()));
+            // `E` pairs equal terms only under "a"-tagged nodes.
+            let mut unsat = pattern.clone();
+            unsat.push(tag(t("z"), "b"));
+            assert!(!satisfiable(&unsat, &ineqs, &inst, &Substitution::new()));
+            assert!(evaluate_bindings(&unsat, &ineqs, &inst, &Substitution::new()).is_empty());
         }
     }
 
@@ -1028,110 +672,5 @@ mod tests {
             &inst2,
             &Substitution::new()
         ));
-    }
-
-    /// The planner resolves scan vs probe per step but can never change a
-    /// result: adaptive, the historical fixed threshold, an always-scan and
-    /// an always-probe planner must return identical binding lists — order
-    /// included — on full, delta and semijoin evaluation.
-    #[test]
-    fn planners_agree_on_bindings_deltas_and_satisfiability() {
-        let mut inst = SymbolicInstance::new();
-        for i in 0..24 {
-            inst.insert_atom(&child(t(&format!("p{}", i % 6)), t(&format!("c{i}"))));
-            inst.insert_atom(&tag(t(&format!("c{i}")), if i % 2 == 0 { "a" } else { "b" }));
-        }
-        let pattern = vec![child(t("x"), t("y")), tag(t("y"), "a"), child(t("x"), t("z"))];
-        let ineqs = vec![(t("y"), t("z"))];
-        let marks = vec![
-            inst.relation_len(pattern[0].predicate) - 3,
-            inst.relation_len(pattern[1].predicate) - 2,
-            inst.relation_len(pattern[2].predicate) - 3,
-        ];
-        let planners = [
-            JoinPlanner::Adaptive,
-            JoinPlanner::fixed(),
-            JoinPlanner::FixedThreshold(0),
-            JoinPlanner::FixedThreshold(usize::MAX),
-        ];
-        let reference =
-            evaluate_bindings_with(&pattern, &ineqs, &inst, &Substitution::new(), planners[0]);
-        let ref_delta = evaluate_bindings_delta_with(
-            &pattern,
-            &ineqs,
-            &inst,
-            &Substitution::new(),
-            &marks,
-            planners[0],
-        );
-        assert!(!reference.is_empty());
-        for p in planners[1..].iter() {
-            assert_eq!(
-                reference,
-                evaluate_bindings_with(&pattern, &ineqs, &inst, &Substitution::new(), *p),
-                "planner {p:?} changed the full join"
-            );
-            assert_eq!(
-                ref_delta,
-                evaluate_bindings_delta_with(
-                    &pattern,
-                    &ineqs,
-                    &inst,
-                    &Substitution::new(),
-                    &marks,
-                    *p
-                ),
-                "planner {p:?} changed the delta join"
-            );
-            assert!(
-                satisfiable_with(&pattern, &ineqs, &inst, &Substitution::new(), *p),
-                "planner {p:?} changed satisfiability"
-            );
-        }
-    }
-
-    /// The shared old-prefix delta join must still partition exactly like
-    /// the per-pass formulation: zero watermarks degenerate to the full
-    /// join, and a mid-stream watermark returns exactly the new bindings in
-    /// full-join order (these complement the pre-existing partition tests).
-    #[test]
-    fn shared_prefix_delta_equals_per_pass_partition() {
-        let mut inst = SymbolicInstance::new();
-        for (a, b) in [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "c")] {
-            inst.insert_atom(&Atom::named("R", vec![t(a), t(b)]));
-        }
-        let pattern = vec![
-            Atom::named("R", vec![t("x"), t("y")]),
-            Atom::named("R", vec![t("y"), t("z")]),
-            Atom::named("R", vec![t("z"), t("w")]),
-        ];
-        // Watermark below the full length on every atom: multiple passes
-        // have non-empty deltas and non-empty shared prefixes.
-        let marks = vec![3usize, 2, 4];
-        let full = evaluate_bindings(&pattern, &[], &inst, &Substitution::new());
-        let delta = evaluate_bindings_delta(&pattern, &[], &inst, &Substitution::new(), &marks);
-        // Every delta binding appears in the full join, in the same relative
-        // order, and no all-old binding leaks in.
-        let mut fi = full.iter();
-        for d in &delta {
-            assert!(fi.any(|f| f == d), "delta binding missing or out of order: {d:?}");
-        }
-        let rel = inst.relation(pattern[0].predicate);
-        let pos = |x: Term, y: Term| {
-            rel.iter().position(|tu| tu[0] == x && tu[1] == y).expect("tuple present")
-        };
-        for b in &full {
-            let steps = [
-                pos(b.get(v("x")).unwrap(), b.get(v("y")).unwrap()),
-                pos(b.get(v("y")).unwrap(), b.get(v("z")).unwrap()),
-                pos(b.get(v("z")).unwrap(), b.get(v("w")).unwrap()),
-            ];
-            let all_old = steps.iter().zip(&marks).all(|(s, m)| s < m);
-            assert_eq!(
-                !all_old,
-                delta.contains(b),
-                "binding {b:?} misclassified by the shared-prefix delta join"
-            );
-        }
     }
 }

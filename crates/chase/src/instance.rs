@@ -13,19 +13,17 @@
 //! relations it actually touches. The process-wide [`index_build_count`]
 //! lets regression tests pin this contract down.
 //!
-//! Relations also maintain cheap **incremental statistics** — tuple counts,
-//! exact per-column distinct counts ([`Relation::distinct_in_column`]) and a
-//! per-column-set *scan-work ledger* ([`Relation::note_scan_work`]) — which
-//! the adaptive join planner ([`crate::evaluate::JoinPlanner`]) reads at
-//! evaluation time to resolve each join step to a filtered scan or an index
-//! probe. Statistics are updated on the same paths that maintain the indexes
-//! (insert updates them in place, an EGD rewrite rebuilds them with the
-//! relation), so they are always exact, never sampled or stale.
+//! Relations also maintain cheap **incremental statistics** — tuple counts
+//! and exact per-column distinct counts ([`Relation::distinct_in_column`]) —
+//! exposed through the shared `mars_cost::StatisticsCatalog`. Statistics are
+//! updated on the same paths that maintain the indexes (insert updates them
+//! in place, an EGD rewrite rebuilds them with the relation), so they are
+//! always exact, never sampled or stale.
 
 use mars_cq::{Atom, ConjunctiveQuery, Predicate, Substitution, Term, Variable};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 /// Number of from-scratch column-index builds since process start.
 ///
@@ -68,12 +66,6 @@ pub struct Relation {
     /// is the *exact* number of distinct terms in column `c` — the
     /// cardinality statistic behind [`Relation::expected_matches`].
     distinct: Vec<HashSet<Term>>,
-    /// Scan-work ledger: per column set, how many tuple inspections filtered
-    /// scans have already spent where an index probe would have been
-    /// preferred. The adaptive planner builds the index once the accumulated
-    /// work amortizes the build (rent-or-buy); see
-    /// [`crate::evaluate::JoinPlanner::Adaptive`].
-    scan_work: Mutex<HashMap<Vec<usize>, usize>>,
 }
 
 impl Clone for Relation {
@@ -84,21 +76,16 @@ impl Clone for Relation {
             indexes: RwLock::new(self.cached_indexes().clone()),
             builds: AtomicUsize::new(self.index_builds()),
             distinct: self.distinct.clone(),
-            scan_work: Mutex::new(self.scan_ledger().clone()),
         }
     }
 }
 
 impl Relation {
-    // A panic while one of these guards is held leaves the map valid (every
-    // update is a single insert of a finished value), so a poisoned lock is
-    // recovered instead of turning one failed request into an outage.
+    // A panic while this guard is held leaves the map valid (every update is
+    // a single insert of a finished value), so a poisoned lock is recovered
+    // instead of turning one failed request into an outage.
     fn cached_indexes(&self) -> RwLockReadGuard<'_, HashMap<Vec<usize>, Arc<ColumnIndex>>> {
         self.indexes.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn scan_ledger(&self) -> MutexGuard<'_, HashMap<Vec<usize>, usize>> {
-        self.scan_work.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Insert a tuple; returns `true` if it was new. Every existing column
@@ -185,13 +172,6 @@ impl Relation {
         self.builds.load(Ordering::Relaxed)
     }
 
-    /// Is an index over exactly these columns already cached? The adaptive
-    /// planner treats a cached index as free to probe (its build cost is
-    /// sunk), so this changes the scan/probe break-even point.
-    pub fn has_index(&self, cols: &[usize]) -> bool {
-        self.cached_indexes().contains_key(cols)
-    }
-
     /// Exact number of distinct terms in column `col` (0 for an empty
     /// relation or an out-of-arity column). Maintained incrementally by
     /// [`Relation::insert`]; rebuilt with the relation on an EGD rewrite.
@@ -203,8 +183,7 @@ impl Relation {
     /// the per-column distinct counts, clamped to `[1, len]`. A composite key
     /// has at least as many distinct values as its most selective column, so
     /// this is a conservative (under-)estimate that errs toward predicting
-    /// more matches per probe — i.e. toward scanning — never toward building
-    /// an index that cannot pay off.
+    /// more matches per probe.
     pub fn distinct_for_columns(&self, cols: &[usize]) -> usize {
         cols.iter()
             .map(|&c| self.distinct_in_column(c))
@@ -220,18 +199,6 @@ impl Relation {
         window.div_ceil(self.distinct_for_columns(cols))
     }
 
-    /// Record `work` tuple inspections spent by a filtered scan over `cols`
-    /// where an index probe would have been preferred had the index existed
-    /// (the adaptive planner's rent-or-buy ledger).
-    pub fn note_scan_work(&self, cols: &[usize], work: usize) {
-        *self.scan_ledger().entry(cols.to_vec()).or_default() += work;
-    }
-
-    /// Accumulated scan work over `cols` (see [`Relation::note_scan_work`]).
-    pub fn scan_work(&self, cols: &[usize]) -> usize {
-        self.scan_ledger().get(cols).copied().unwrap_or(0)
-    }
-
     /// Arity of the relation as observed from its tuples (0 while empty —
     /// arity is fixed at the first insert).
     pub fn arity(&self) -> usize {
@@ -241,10 +208,10 @@ impl Relation {
 
 /// The chase side of the shared statistics catalog (`mars_cost`): the
 /// symbolic instance exposes its incrementally maintained exact counters —
-/// tuple counts, per-column distincts, scan-work ledgers — through the same
-/// trait the storage layer implements, so the physical planner and the cost
-/// estimators read either substrate interchangeably. Maintenance stays here
-/// (insert updates in place, EGD rewrites rebuild); the trait is read-only.
+/// tuple counts and per-column distincts — through the same trait the storage
+/// layer implements, so the physical planner and the cost estimators read
+/// either substrate interchangeably. Maintenance stays here (insert updates
+/// in place, EGD rewrites rebuild); the trait is read-only.
 impl mars_cost::StatisticsCatalog for SymbolicInstance {
     fn tuple_count(&self, relation: Predicate) -> usize {
         self.relation_len(relation)
@@ -264,10 +231,6 @@ impl mars_cost::StatisticsCatalog for SymbolicInstance {
 
     fn expected_matches(&self, relation: Predicate, cols: &[usize], window: usize) -> usize {
         self.relation_data(relation).map(|r| r.expected_matches(cols, window)).unwrap_or(window)
-    }
-
-    fn scan_work(&self, relation: Predicate, cols: &[usize]) -> usize {
-        self.relation_data(relation).map(|r| r.scan_work(cols)).unwrap_or(0)
     }
 }
 
@@ -325,19 +288,9 @@ impl SymbolicInstance {
         self.relations.get(&p)
     }
 
-    /// Number of tuples of a predicate (0 if absent). The semi-naive chase
-    /// uses relation lengths as delta watermarks: tuples at index ≥ the
-    /// watermark are the delta.
+    /// Number of tuples of a predicate (0 if absent).
     pub fn relation_len(&self, p: Predicate) -> usize {
         self.relations.get(&p).map(|r| r.len()).unwrap_or(0)
-    }
-
-    /// Width of the delta of predicate `p` relative to a watermark: the
-    /// number of tuples inserted since the watermark was taken. This is the
-    /// statistic that makes delta join windows cheap to size without
-    /// touching the tuples themselves.
-    pub fn delta_width(&self, p: Predicate, watermark: usize) -> usize {
-        self.relation_len(p).saturating_sub(watermark)
     }
 
     /// All predicates present.
@@ -449,9 +402,8 @@ impl SymbolicInstance {
     }
 
     /// Freeze the instance into an immutable, thread-shareable snapshot that
-    /// keeps the warm state — cached column indexes, distinct statistics and
-    /// the scan-work ledgers — alongside the tuples. The inverse is
-    /// [`FrozenInstance::thaw`].
+    /// keeps the warm state — cached column indexes and distinct statistics —
+    /// alongside the tuples. The inverse is [`FrozenInstance::thaw`].
     pub fn freeze(self) -> FrozenInstance {
         let relations = self
             .relations
@@ -465,10 +417,6 @@ impl SymbolicInstance {
                         builds: rel.builds.into_inner(),
                         indexes: rel.indexes.into_inner().unwrap_or_else(PoisonError::into_inner),
                         distinct: rel.distinct,
-                        scan_work: rel
-                            .scan_work
-                            .into_inner()
-                            .unwrap_or_else(PoisonError::into_inner),
                     },
                 )
             })
@@ -478,9 +426,9 @@ impl SymbolicInstance {
 }
 
 /// An immutable snapshot of one [`Relation`]: the same tuples, cached column
-/// indexes, distinct statistics and scan-work ledger, but in plain containers
-/// with no interior mutability — so the snapshot is `Sync` and can be shared
-/// by reference across the backchase worker threads.
+/// indexes and distinct statistics, but in plain containers with no interior
+/// mutability — so the snapshot is `Sync` and can be shared by reference
+/// across the backchase worker threads.
 #[derive(Clone, Debug)]
 struct FrozenRelation {
     tuples: Vec<Vec<Term>>,
@@ -488,15 +436,14 @@ struct FrozenRelation {
     indexes: HashMap<Vec<usize>, Arc<ColumnIndex>>,
     builds: usize,
     distinct: Vec<HashSet<Term>>,
-    scan_work: HashMap<Vec<usize>, usize>,
 }
 
 /// An immutable, thread-shareable snapshot of a [`SymbolicInstance`].
 ///
 /// Freezing preserves everything the chase warmed up — persistent column
-/// indexes, exact distinct statistics and the adaptive planner's scan-work
-/// ledgers — so a back-chase that resumes from a frozen seed starts with hot
-/// access paths instead of re-deriving them from a re-parsed query. Thawing
+/// indexes and exact distinct statistics — so a back-chase that resumes from
+/// a frozen seed starts with hot access paths instead of re-deriving them
+/// from a re-parsed query. Thawing
 /// restores a fully live [`SymbolicInstance`] without counting any index
 /// (re)build: the indexes are shared with the snapshot (and copied by the
 /// first insert that touches them), not reconstructed.
@@ -508,8 +455,8 @@ pub struct FrozenInstance {
 }
 
 impl FrozenInstance {
-    /// Restore a live instance from the snapshot. Cached indexes, statistics
-    /// and scan ledgers carry over verbatim; nothing is rebuilt and no build
+    /// Restore a live instance from the snapshot. Cached indexes and
+    /// statistics carry over verbatim; nothing is rebuilt and no build
     /// counter (process-wide or per-relation) advances.
     pub fn thaw(&self) -> SymbolicInstance {
         let relations = self
@@ -524,7 +471,6 @@ impl FrozenInstance {
                         indexes: RwLock::new(rel.indexes.clone()),
                         builds: AtomicUsize::new(rel.builds),
                         distinct: rel.distinct.clone(),
-                        scan_work: Mutex::new(rel.scan_work.clone()),
                     },
                 )
             })
@@ -542,17 +488,10 @@ impl FrozenInstance {
         self.atom_count == 0
     }
 
-    /// All predicates present (iteration order is not deterministic; use
-    /// [`FrozenInstance::sorted_predicates`] for a stable order).
-    pub fn predicates(&self) -> impl Iterator<Item = Predicate> + '_ {
-        self.relations.keys().copied()
-    }
-
     /// Predicates present, sorted by name — the canonical order for
     /// assembling deterministic atom lists without the per-atom sort of
     /// [`FrozenInstance::to_query`] (tuples keep their insertion order
-    /// within each predicate, which is what lets a resumed chase branch be
-    /// compared prefix-wise against its seed).
+    /// within each predicate).
     pub fn sorted_predicates(&self) -> Vec<Predicate> {
         let mut ps: Vec<Predicate> = self.relations.keys().copied().collect();
         ps.sort_by(|a, b| a.name().cmp(b.name()));
@@ -739,15 +678,10 @@ mod tests {
         let rel = inst.relation_data(p).unwrap();
         assert_eq!(rel.distinct_in_column(0), 3);
         assert_eq!(rel.distinct_in_column(1), 2);
-        // The delta-width statistic is the growth past a watermark.
-        assert_eq!(inst.delta_width(p, 3), 1);
-        assert_eq!(inst.delta_width(p, 9), 0);
-        assert_eq!(inst.delta_width(mars_cq::Predicate::new("absent"), 0), 0);
     }
 
     /// An EGD rewrite rebuilds the touched relation — and with it the
-    /// distinct statistics, which must reflect the merged terms exactly
-    /// (stale statistics would mis-price every later scan/probe choice).
+    /// distinct statistics, which must reflect the merged terms exactly.
     #[test]
     fn distinct_estimates_survive_egd_rewrites() {
         let mut inst = SymbolicInstance::new();
@@ -764,28 +698,10 @@ mod tests {
         assert_eq!(rel.len(), 3);
         assert_eq!(rel.distinct_in_column(1), 1, "x merged into y");
         assert_eq!(rel.distinct_in_column(0), 3, "column 0 untouched by the unification");
-        // The scan-work ledger restarts with the rewritten relation.
-        assert_eq!(rel.scan_work(&[1]), 0);
-    }
-
-    /// The scan-work ledger accrues per column set and is independent across
-    /// sets — the adaptive planner's rent-or-buy bookkeeping.
-    #[test]
-    fn scan_work_ledger_accrues_per_column_set() {
-        let mut inst = SymbolicInstance::new();
-        inst.insert_atom(&child(t("a"), t("x")));
-        let rel = inst.relation_data(mars_cq::Predicate::new("child")).unwrap();
-        assert_eq!(rel.scan_work(&[0]), 0);
-        rel.note_scan_work(&[0], 5);
-        rel.note_scan_work(&[0], 7);
-        rel.note_scan_work(&[1], 2);
-        assert_eq!(rel.scan_work(&[0]), 12);
-        assert_eq!(rel.scan_work(&[1]), 2);
-        assert_eq!(rel.scan_work(&[0, 1]), 0);
     }
 
     /// Freeze/thaw is the resident-reuse contract: a thawed instance carries
-    /// the frozen one's warm indexes, statistics and scan ledgers verbatim —
+    /// the frozen one's warm indexes and statistics verbatim —
     /// no index is rebuilt and the build counters do not move.
     #[test]
     fn freeze_thaw_preserves_indexes_without_rebuilds() {
@@ -795,7 +711,6 @@ mod tests {
         inst.insert_atom(&child(t("b"), t("x")));
         let p = mars_cq::Predicate::new("child");
         let _ = inst.relation_data(p).unwrap().index(&[0]);
-        inst.relation_data(p).unwrap().note_scan_work(&[1], 9);
         assert_eq!(inst.relation_data(p).unwrap().index_builds(), 1);
 
         let frozen = inst.freeze();
@@ -805,13 +720,12 @@ mod tests {
         assert_eq!(thawed.len(), 3);
         let rel = thawed.relation_data(p).unwrap();
         // The cached index came across as data: probing it is not a build.
-        assert!(rel.has_index(&[0]));
+        assert_eq!(rel.cached_index_count(), 1);
         assert_eq!(rel.index_builds(), 1, "thaw copies indexes, it does not rebuild them");
         assert_eq!(rel.index(&[0]).get(&vec![t("a")]), Some(&vec![0, 1]));
         assert_eq!(rel.index_builds(), 1);
-        // Statistics and the scan ledger survive too.
+        // Statistics survive too.
         assert_eq!(rel.distinct_in_column(0), 2);
-        assert_eq!(rel.scan_work(&[1]), 9);
         // The frozen form converts to the same deterministic query.
         let q1 = frozen.to_query("Q", vec![], vec![]);
         let q2 = thawed.to_query("Q", vec![], vec![]);

@@ -19,17 +19,10 @@
 //!   compiled once per engine (closure detection, EGD-priority ordering,
 //!   per-DED join plans with precompiled join orders) and shared via `Arc`
 //!   across every chase, back-chase, branch and query block,
-//! * **adaptive join planning** ([`JoinPlanner`]): each join step is
-//!   resolved at evaluation time to a filtered scan or an index probe from
-//!   the symbolic instance's incremental relation statistics (tuple counts,
-//!   per-column distinct counts, scan-work ledgers); the historical fixed
-//!   scan threshold survives only as the documented
-//!   [`ChaseOptions::with_fixed_scan_threshold`] fallback/ablation,
-//! * **semi-naive delta joins with a shared old-prefix**
-//!   ([`evaluate_bindings_delta`]): dirty dependencies join delta-seeded,
-//!   and the pre-watermark prefix join is computed once per dependency and
-//!   shared across its delta passes — byte-identical to the naive full
-//!   join,
+//! * **one premise-join path** ([`evaluate_bindings`]): a dirty dependency
+//!   re-joins its full premise, each step a filtered scan of a relation of
+//!   at most [`SCAN_THRESHOLD`] tuples or a probe of the persistent column
+//!   index of a larger one,
 //! * the **chase shortcut** of Section 3.2 (the effect of the TIX constraints
 //!   `(refl)`, `(base)`, `(trans)` is computed directly as a transitive
 //!   closure instead of step-by-step),
@@ -62,10 +55,7 @@ pub use chase::{
     ResidentChase, UniversalPlan,
 };
 pub use compiled::{compilation_count, CompiledConclusion, CompiledDed, CompiledDeps};
-pub use evaluate::{
-    evaluate_bindings, evaluate_bindings_delta, evaluate_bindings_delta_with,
-    evaluate_bindings_with, satisfiable, satisfiable_with, Binding, JoinPlanner,
-};
+pub use evaluate::{evaluate_bindings, satisfiable, Binding, SCAN_THRESHOLD};
 pub use instance::{index_build_count, FrozenInstance, Relation, SymbolicInstance};
 pub use reach::{prune_parallel_desc, ReachabilityGraph};
 pub use shortcut::{detect_closure_constraints, ClosureConstraints};

@@ -18,7 +18,7 @@
 //!   per accessed atom (descendant navigation costlier than child navigation),
 //!   used by unit tests and by backchase pruning criterion 1,
 //! * the [`StatisticsCatalog`] trait — the shared read interface to the exact
-//!   per-relation counters (tuple counts, per-column distincts, scan ledgers)
+//!   per-relation counters (tuple counts, per-column distincts)
 //!   that both the chase's symbolic instance and the storage layer maintain
 //!   incrementally on insert,
 //! * [`physical_plan`], the logical→physical compiler turning a conjunctive

@@ -2,9 +2,8 @@
 //! every substrate that stores tuples.
 //!
 //! The chase grew these counters first — `mars_chase`'s symbolic instance
-//! maintains tuple counts, exact per-column distinct counts and scan-work
-//! ledgers incrementally on insert, and its adaptive `JoinPlanner` reads them
-//! at evaluation time. The storage layer stores its ground facts in the same
+//! maintains tuple counts and exact per-column distinct counts incrementally
+//! on insert. The storage layer stores its ground facts in the same
 //! representation, so it maintains the same counters on insert/load. This
 //! trait is the shared read interface: `mars_chase::SymbolicInstance` and
 //! `mars_storage::RelationalDatabase` both implement it, and the physical
@@ -53,14 +52,6 @@ pub trait StatisticsCatalog {
     /// `⌈window / distinct(cols)⌉`.
     fn expected_matches(&self, relation: Predicate, cols: &[usize], window: usize) -> usize {
         window.div_ceil(self.distinct_for_columns(relation, cols))
-    }
-
-    /// Accumulated rent-or-buy scan work over `cols` (tuple inspections spent
-    /// by filtered scans where an index probe would have been preferred).
-    /// Substrates without a scan ledger report 0.
-    fn scan_work(&self, relation: Predicate, cols: &[usize]) -> usize {
-        let _ = (relation, cols);
-        0
     }
 }
 
@@ -128,7 +119,6 @@ mod tests {
         assert_eq!(s.expected_matches(r, &[1], 100), 10);
         // Absent relation: distincts clamp to 1, never 0 (no divide-by-zero).
         assert_eq!(s.distinct_for_columns(Predicate::new("missing"), &[0]), 1);
-        assert_eq!(s.scan_work(r, &[0]), 0, "default ledger is empty");
     }
 
     #[test]

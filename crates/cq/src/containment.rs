@@ -10,7 +10,7 @@
 use crate::atom::Atom;
 use crate::chase::{naive_chase, ChaseBudget};
 use crate::ded::Ded;
-use crate::homomorphism::{find_homomorphism, find_homomorphism_using_fresh, AtomIndex};
+use crate::homomorphism::{find_homomorphism, AtomIndex};
 use crate::query::ConjunctiveQuery;
 use crate::substitution::Substitution;
 use crate::term::Term;
@@ -105,44 +105,23 @@ impl ContainmentTarget {
 
 /// A containment target assembled directly from pre-rendered parts — the
 /// head and atom list of a resident chase branch — skipping the sorted
-/// query rendering [`ContainmentTarget::new`] needs, and optionally
-/// partitioned at a *fresh mark*: atoms at index `< fresh_mark` were carried
-/// over unchanged from a memoized seed branch, atoms at `>= fresh_mark` are
-/// new or rewritten.
-///
-/// With a fresh mark, [`DeltaTarget::mapping_from`] runs the
-/// delta-restricted homomorphism search
-/// ([`find_homomorphism_using_fresh`]): when the caller knows (from a
-/// memoized verdict) that no head-preserving mapping lands entirely in the
-/// carried-over prefix, any mapping must use a fresh atom, and search
-/// subtrees that cannot reach one are pruned. The verdict is identical to
-/// the unrestricted search under that guarantee — only the work differs.
+/// query rendering and the atom set [`ContainmentTarget::new`] needs.
 pub struct DeltaTarget {
     head: Vec<Term>,
     index: AtomIndex,
-    fresh_mark: Option<usize>,
 }
 
 impl DeltaTarget {
-    /// An unrestricted target over the given head and atoms.
+    /// A target over the given head and atoms.
     pub fn new(head: Vec<Term>, atoms: Vec<Atom>) -> DeltaTarget {
-        DeltaTarget { head, index: AtomIndex::from_atoms(atoms), fresh_mark: None }
-    }
-
-    /// A delta-restricted target: atoms at index `>= fresh_mark` are fresh,
-    /// and every mapping found must use at least one of them. Sound only
-    /// when no head-preserving mapping into the atoms below the mark exists.
-    pub fn with_fresh_mark(head: Vec<Term>, atoms: Vec<Atom>, fresh_mark: usize) -> DeltaTarget {
-        DeltaTarget { head, index: AtomIndex::from_atoms(atoms), fresh_mark: Some(fresh_mark) }
+        DeltaTarget { head, index: AtomIndex::from_atoms(atoms) }
     }
 
     /// Containment mapping from `from` into this target (head-preserving).
     ///
     /// The identity fast path of [`ContainmentTarget::mapping_from`] applies
     /// here too (membership is checked through the per-predicate index, no
-    /// atom set is materialized), and is valid even under a fresh mark: an
-    /// identity mapping into the full atom list is a witness regardless of
-    /// which atoms it touches.
+    /// atom set is materialized).
     pub fn mapping_from(&self, from: &ConjunctiveQuery) -> Option<Substitution> {
         if from.head == self.head && from.body.iter().all(|a| self.index.contains_exact(a)) {
             let mut identity = Substitution::new();
@@ -152,10 +131,7 @@ impl DeltaTarget {
             return Some(identity);
         }
         let init = head_alignment(from, &self.head)?;
-        match self.fresh_mark {
-            Some(mark) => find_homomorphism_using_fresh(&from.body, &self.index, &init, mark),
-            None => find_homomorphism(&from.body, &self.index, &init),
-        }
+        find_homomorphism(&from.body, &self.index, &init)
     }
 }
 

@@ -164,31 +164,18 @@ struct SearchCtx<'a> {
     order: &'a [usize],
     target: &'a AtomIndex,
     inequalities: &'a [(Term, Term)],
-    /// Target atoms at index `>= fresh_mark` are *fresh*; when restricted
-    /// (`fresh_mark < usize::MAX`) every reported homomorphism must match at
-    /// least one source atom to a fresh target atom. `usize::MAX` disables
-    /// the restriction.
-    fresh_mark: usize,
-    /// `suffix_has_fresh[pos]`: can any source atom at `order[pos..]` still
-    /// match a fresh target atom? When it cannot and none was used yet, the
-    /// whole subtree is abandoned. Empty when unrestricted.
-    suffix_has_fresh: Vec<bool>,
     limit: Option<usize>,
 }
 
 fn search(
     ctx: &SearchCtx<'_>,
     pos: usize,
-    used_fresh: bool,
     sub: &mut Substitution,
     trail: &mut Vec<Variable>,
     all: &mut Option<&mut Vec<Substitution>>,
     found_one: &mut Option<Substitution>,
 ) -> bool {
     if pos == ctx.source.len() {
-        if ctx.fresh_mark != usize::MAX && !used_fresh {
-            return false;
-        }
         // Check premise inequalities under the found mapping: both sides must
         // be distinct terms after substitution (we treat distinct constants as
         // unequal; distinct variables/labelled nulls are also treated as
@@ -209,15 +196,11 @@ fn search(
             }
         }
     } else {
-        if ctx.fresh_mark != usize::MAX && !used_fresh && !ctx.suffix_has_fresh[pos] {
-            return false;
-        }
         let atom = &ctx.source[ctx.order[pos]];
         let mark = trail.len();
         for &i in ctx.target.candidates(atom.predicate) {
             if match_atom_in_place(atom, &ctx.target.atoms()[i], sub, trail) {
-                let fresh = used_fresh || i >= ctx.fresh_mark;
-                let stop = search(ctx, pos + 1, fresh, sub, trail, all, found_one);
+                let stop = search(ctx, pos + 1, sub, trail, all, found_one);
                 unwind(sub, trail, mark);
                 if stop {
                     return true;
@@ -234,41 +217,15 @@ fn run_search(
     target: &AtomIndex,
     initial: &Substitution,
     inequalities: &[(Term, Term)],
-    fresh_mark: Option<usize>,
     mut all: Option<&mut Vec<Substitution>>,
     limit: Option<usize>,
 ) -> Option<Substitution> {
     let order = plan_order(source, target, initial);
-    let fresh_mark = fresh_mark.unwrap_or(usize::MAX);
-    let suffix_has_fresh = if fresh_mark == usize::MAX {
-        Vec::new()
-    } else {
-        // Candidate buckets are ascending, so the last entry decides whether
-        // a position can still contribute a fresh atom.
-        let mut suffix = vec![false; source.len() + 1];
-        for pos in (0..source.len()).rev() {
-            let has = target
-                .candidates(source[order[pos]].predicate)
-                .last()
-                .map(|&i| i >= fresh_mark)
-                .unwrap_or(false);
-            suffix[pos] = suffix[pos + 1] || has;
-        }
-        suffix
-    };
-    let ctx = SearchCtx {
-        source,
-        order: &order,
-        target,
-        inequalities,
-        fresh_mark,
-        suffix_has_fresh,
-        limit,
-    };
+    let ctx = SearchCtx { source, order: &order, target, inequalities, limit };
     let mut sub = initial.clone();
     let mut trail: Vec<Variable> = Vec::new();
     let mut found_one = None;
-    search(&ctx, 0, false, &mut sub, &mut trail, &mut all, &mut found_one);
+    search(&ctx, 0, &mut sub, &mut trail, &mut all, &mut found_one);
     found_one
 }
 
@@ -279,7 +236,7 @@ pub fn find_homomorphism(
     target: &AtomIndex,
     initial: &Substitution,
 ) -> Option<Substitution> {
-    run_search(source, target, initial, &[], None, None, None)
+    run_search(source, target, initial, &[], None, None)
 }
 
 /// Find one homomorphism respecting the given source inequalities.
@@ -289,25 +246,7 @@ pub fn find_homomorphism_with_inequalities(
     target: &AtomIndex,
     initial: &Substitution,
 ) -> Option<Substitution> {
-    run_search(source, target, initial, inequalities, None, None, None)
-}
-
-/// Find one homomorphism that matches at least one source atom to a target
-/// atom with index `>= fresh_mark`.
-///
-/// This restricted search is **complete** only under the caller's guarantee
-/// that no homomorphism maps entirely into the target atoms below the mark —
-/// the delta-restricted containment check of the backchase: when a memoized
-/// verdict proves the carried-over prefix of a resumed chase branch admits no
-/// mapping, any mapping into the grown branch must use a fresh atom, so
-/// subtrees that can no longer reach one are pruned.
-pub fn find_homomorphism_using_fresh(
-    source: &[Atom],
-    target: &AtomIndex,
-    initial: &Substitution,
-    fresh_mark: usize,
-) -> Option<Substitution> {
-    run_search(source, target, initial, &[], Some(fresh_mark), None, None)
+    run_search(source, target, initial, inequalities, None, None)
 }
 
 /// Find all homomorphisms from `source` into `target` extending `initial`.
@@ -320,7 +259,7 @@ pub fn find_all_homomorphisms(
     limit: Option<usize>,
 ) -> Vec<Substitution> {
     let mut out = Vec::new();
-    run_search(source, target, initial, &[], None, Some(&mut out), limit);
+    run_search(source, target, initial, &[], Some(&mut out), limit);
     out
 }
 
@@ -539,33 +478,6 @@ mod tests {
         assert!(all.iter().any(|h| !extend_to_conclusion(&conclusion, h, &target)));
         // And there are also homomorphisms mapping q=r (both to x), which do satisfy it.
         assert!(all.iter().any(|h| extend_to_conclusion(&conclusion, h, &target)));
-    }
-
-    #[test]
-    fn fresh_restricted_search_requires_a_fresh_atom() {
-        // Target: R(a,b), R(b,c) carried over | R(c,d) fresh (mark = 2).
-        let target = AtomIndex::new(&[
-            Atom::named("R", vec![t("a"), t("b")]),
-            Atom::named("R", vec![t("b"), t("c")]),
-            Atom::named("R", vec![t("c"), t("d")]),
-        ]);
-        // R(x,y) alone has mappings below the mark; the restricted search
-        // must return one that uses the fresh atom.
-        let src = vec![Atom::named("R", vec![t("x"), t("y")])];
-        let h = find_homomorphism_using_fresh(&src, &target, &Substitution::new(), 2).unwrap();
-        assert_eq!(h.get(v("x")), Some(t("c")));
-        assert_eq!(h.get(v("y")), Some(t("d")));
-        // With the mark past the last atom nothing can satisfy it.
-        assert!(find_homomorphism_using_fresh(&src, &target, &Substitution::new(), 3).is_none());
-        // A two-atom chain can only reach the fresh atom via its suffix:
-        // R(x,y), R(y,z) restricted to the fresh atom forces b,c,d.
-        let chain =
-            vec![Atom::named("R", vec![t("x"), t("y")]), Atom::named("R", vec![t("y"), t("z")])];
-        let h = find_homomorphism_using_fresh(&chain, &target, &Substitution::new(), 2).unwrap();
-        assert_eq!(h.get(v("x")), Some(t("b")));
-        assert_eq!(h.get(v("z")), Some(t("d")));
-        // Unrestricted agrees with the classic search on existence.
-        assert!(find_homomorphism(&chain, &target, &Substitution::new()).is_some());
     }
 
     #[test]

@@ -39,8 +39,7 @@ pub use containment::{
 };
 pub use ded::{Conjunct, Ded};
 pub use homomorphism::{
-    extend_to_conclusion, find_all_homomorphisms, find_homomorphism, find_homomorphism_using_fresh,
-    AtomIndex,
+    extend_to_conclusion, find_all_homomorphisms, find_homomorphism, AtomIndex,
 };
 pub use query::{ConjunctiveQuery, UnionQuery};
 pub use substitution::Substitution;

@@ -2,7 +2,7 @@
 
 use crate::error::MarsError;
 use crate::result::{BlockReformulation, MarsResult};
-use mars_chase::{CbOptions, ChaseBackchase, JoinPlanner, ReformulationBudget};
+use mars_chase::{CbOptions, ChaseBackchase, ReformulationBudget};
 use mars_cost::{CostEstimator, WeightedAtomEstimator};
 use mars_cq::{ConjunctiveQuery, Constant, Ded, Predicate, Term};
 use mars_grex::{
@@ -116,13 +116,6 @@ impl MarsOptions {
         self
     }
 
-    /// Builder: specialized proprietary documents are reachable only through
-    /// their specialization relations (see [`MarsOptions::spec_replaces_navigation`]).
-    pub fn with_spec_replacing_navigation(mut self) -> MarsOptions {
-        self.spec_replaces_navigation = true;
-        self
-    }
-
     /// Builder: evaluate each backchase BFS level — and each branch level of
     /// the initial chase's disjunctive worklist — on `n` worker threads.
     /// Any thread count produces byte-identical reformulation results —
@@ -132,43 +125,6 @@ impl MarsOptions {
     pub fn with_threads(mut self, n: usize) -> MarsOptions {
         self.cb.backchase.threads = n.max(1);
         self.cb.chase.threads = n.max(1);
-        self
-    }
-
-    /// Builder: disable the semi-naive delta-seeded premise joins everywhere
-    /// (initial chase and back-chases). The ablation baseline: results are
-    /// byte-identical either way, only the join volume changes.
-    pub fn with_naive_joins(mut self) -> MarsOptions {
-        self.cb.chase.semi_naive = false;
-        self.cb.backchase.chase.semi_naive = false;
-        self
-    }
-
-    /// Builder: replace the adaptive statistics-driven join planning with
-    /// the historical fixed scan threshold, everywhere (initial chase and
-    /// back-chases). The documented fallback and the ablation baseline of
-    /// the adaptive planner: results are byte-identical either way, only
-    /// the scan/probe choices change (see
-    /// [`mars_chase::ChaseOptions::with_fixed_scan_threshold`]).
-    pub fn with_fixed_scan_threshold(self, threshold: usize) -> MarsOptions {
-        self.with_join_planner(JoinPlanner::FixedThreshold(threshold))
-    }
-
-    /// Builder: set the join planner for every chase the pipeline runs (see
-    /// [`mars_chase::JoinPlanner`]).
-    pub fn with_join_planner(mut self, planner: JoinPlanner) -> MarsOptions {
-        self.cb.chase.join_planner = planner;
-        self.cb.backchase.chase.join_planner = planner;
-        self
-    }
-
-    /// Builder: disable the cross-candidate containment memo in the
-    /// backchase, so every candidate's containment check runs from scratch.
-    /// The ablation baseline for the memoized containment engine: results
-    /// are byte-identical either way (only the reuse counters and phase
-    /// wall-times differ), only the homomorphism-search volume changes.
-    pub fn with_scratch_containment(mut self) -> MarsOptions {
-        self.cb.backchase.containment_memo = false;
         self
     }
 
@@ -609,96 +565,6 @@ mod tests {
             assert_eq!(ca, cb);
         }
         assert_eq!(seq.result.stats.candidates_inspected, par.result.stats.candidates_inspected);
-    }
-
-    /// The semi-naive delta-seeded joins are a pure evaluation-strategy
-    /// change: the full pipeline must produce byte-identical reformulations
-    /// with them on (default) and off.
-    #[test]
-    fn seminaive_and_naive_joins_reformulate_identically() {
-        let client = XBindQuery::new("Client")
-            .with_head(&["t", "a"])
-            .with_atom(XBindAtom::AbsolutePath {
-                document: "bib.xml".to_string(),
-                path: parse_path("//book").unwrap(),
-                var: "b".to_string(),
-            })
-            .with_atom(XBindAtom::RelativePath {
-                path: parse_path("./title/text()").unwrap(),
-                source: "b".to_string(),
-                var: "t".to_string(),
-            })
-            .with_atom(XBindAtom::RelativePath {
-                path: parse_path("./author/text()").unwrap(),
-                source: "b".to_string(),
-                var: "a".to_string(),
-            });
-        let semi = Mars::with_options(mini_correspondence(), MarsOptions::default().exhaustive())
-            .reformulate_xbind(&client);
-        let naive = Mars::with_options(
-            mini_correspondence(),
-            MarsOptions::default().exhaustive().with_naive_joins(),
-        )
-        .reformulate_xbind(&client);
-        assert_eq!(format!("{}", semi.compiled), format!("{}", naive.compiled));
-        assert_eq!(semi.result.minimal.len(), naive.result.minimal.len());
-        for ((a, ca), (b, cb)) in semi.result.minimal.iter().zip(&naive.result.minimal) {
-            assert_eq!(format!("{a}"), format!("{b}"));
-            assert_eq!(ca, cb);
-        }
-        assert_eq!(semi.sql, naive.sql);
-        assert_eq!(semi.result.stats.candidates_inspected, naive.result.stats.candidates_inspected);
-        assert_eq!(semi.result.stats.equivalence_checks, naive.result.stats.equivalence_checks);
-        assert_eq!(semi.result.stats.chase.applied_steps, naive.result.stats.chase.applied_steps);
-    }
-
-    /// The adaptive join planner is a pure evaluation-strategy change: the
-    /// full pipeline must produce byte-identical reformulations with it
-    /// (default) and with the fixed-threshold fallback, at any threshold.
-    #[test]
-    fn adaptive_and_fixed_threshold_reformulate_identically() {
-        let client = XBindQuery::new("Client")
-            .with_head(&["t", "a"])
-            .with_atom(XBindAtom::AbsolutePath {
-                document: "bib.xml".to_string(),
-                path: parse_path("//book").unwrap(),
-                var: "b".to_string(),
-            })
-            .with_atom(XBindAtom::RelativePath {
-                path: parse_path("./title/text()").unwrap(),
-                source: "b".to_string(),
-                var: "t".to_string(),
-            })
-            .with_atom(XBindAtom::RelativePath {
-                path: parse_path("./author/text()").unwrap(),
-                source: "b".to_string(),
-                var: "a".to_string(),
-            });
-        let adaptive =
-            Mars::with_options(mini_correspondence(), MarsOptions::default().exhaustive())
-                .reformulate_xbind(&client);
-        for threshold in [0usize, 8, usize::MAX] {
-            let fixed = Mars::with_options(
-                mini_correspondence(),
-                MarsOptions::default().exhaustive().with_fixed_scan_threshold(threshold),
-            )
-            .reformulate_xbind(&client);
-            assert_eq!(format!("{}", adaptive.compiled), format!("{}", fixed.compiled));
-            assert_eq!(adaptive.result.minimal.len(), fixed.result.minimal.len());
-            for ((a, ca), (b, cb)) in adaptive.result.minimal.iter().zip(&fixed.result.minimal) {
-                assert_eq!(format!("{a}"), format!("{b}"), "threshold = {threshold}");
-                assert_eq!(ca, cb);
-            }
-            assert_eq!(adaptive.sql, fixed.sql);
-            assert_eq!(
-                adaptive.result.stats.candidates_inspected,
-                fixed.result.stats.candidates_inspected
-            );
-            assert_eq!(
-                adaptive.result.stats.chase.applied_steps,
-                fixed.result.stats.chase.applied_steps
-            );
-        }
     }
 
     #[test]

@@ -24,8 +24,7 @@ pub type Row = Vec<Term>;
 ///
 /// Both return the identical row set in the identical (ascending) order —
 /// property-tested byte-for-byte in `tests/property_based.rs` — so the choice
-/// changes execution cost only, mirroring the chase's `with_naive_joins`
-/// ablation.
+/// changes execution cost only.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum QueryExecutor {
     /// Compile a cost-based physical plan from the store's exact statistics
@@ -144,7 +143,7 @@ impl RelationalDatabase {
 
 /// The storage side of the shared statistics catalog: the database keeps its
 /// facts in the chase's instance representation, so the same exact counters
-/// (tuple counts, per-column distincts, scan ledgers) are maintained on every
+/// (tuple counts, per-column distincts) are maintained on every
 /// insert/load and read here by the physical planner and cost estimators.
 impl StatisticsCatalog for RelationalDatabase {
     fn tuple_count(&self, relation: Predicate) -> usize {
@@ -165,10 +164,6 @@ impl StatisticsCatalog for RelationalDatabase {
 
     fn expected_matches(&self, relation: Predicate, cols: &[usize], window: usize) -> usize {
         self.inst.expected_matches(relation, cols, window)
-    }
-
-    fn scan_work(&self, relation: Predicate, cols: &[usize]) -> usize {
-        self.inst.scan_work(relation, cols)
     }
 }
 

@@ -14,12 +14,9 @@
 //! The snapshots are sensitive to the chase's *binding order*: fresh
 //! (existential) variables are numbered in the order chase steps fire, so an
 //! engine change that reorders premise bindings renames variables throughout
-//! the emitted SQL and the goldens must be regenerated. The semi-naive
-//! delta-seeded joins were specifically built to preserve the full join's
-//! binding order (trail-sorted merge — see `evaluate_bindings_delta`), which
-//! is why these snapshots survived that change byte-for-byte; an engine
-//! change that intentionally alters the order should regenerate them and
-//! say so in its commit message.
+//! the emitted SQL and the goldens must be regenerated. An engine change
+//! that intentionally alters the order should regenerate them and say so in
+//! its commit message.
 
 use mars::MarsOptions;
 use mars_system::storage::sql_for_query;

@@ -40,11 +40,12 @@ proptest! {
     }
 
     /// The set-oriented premise evaluation finds exactly as many homomorphisms
-    /// as the backtracking search.
+    /// as the backtracking search — over targets on both sides of the
+    /// scan/probe threshold (`SCAN_THRESHOLD` = 8 tuples).
     #[test]
     fn bulk_and_backtracking_homomorphisms_agree(
-        n_atoms in 1usize..12,
-        pattern_len in 1usize..3,
+        n_atoms in 1usize..21,
+        pattern_len in 1usize..4,
     ) {
         let mut target_atoms = Vec::new();
         for i in 0..n_atoms {
@@ -95,7 +96,7 @@ proptest! {
 
 /// A universal plan's fingerprint: branches, renamings and statistics with
 /// the wall-clock field zeroed — the byte-identical contract of the
-/// semi-naive joins and of the parallel branch worklist.
+/// parallel branch worklist.
 fn plan_fingerprint(up: &mars_system::chase::UniversalPlan) -> String {
     let stats = mars_system::chase::ChaseStats {
         duration: std::time::Duration::default(),
@@ -106,8 +107,8 @@ fn plan_fingerprint(up: &mars_system::chase::UniversalPlan) -> String {
 
 /// A randomized DED set over the chain relations: per-relation copy TGDs, a
 /// transitive closure, optionally a key EGD on R0 and a disjunctive DED on
-/// the last relation — enough variety to exercise delta watermarks,
-/// watermark resets (EGD rewrites) and branch splits.
+/// the last relation — enough variety to exercise EGD rewrites and branch
+/// splits.
 fn random_deds(len: usize, copy_mask: u8, with_egd: bool, with_disjunction: bool) -> Vec<Ded> {
     use mars_system::cq::{Conjunct, Variable};
     let mut deds = vec![
@@ -163,68 +164,6 @@ fn random_deds(len: usize, copy_mask: u8, with_egd: bool, with_disjunction: bool
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The semi-naive delta-seeded chase must produce a universal plan
-    /// byte-identical to the naive full-join chase across random DED sets
-    /// (branches, renamings and statistics all agree).
-    #[test]
-    fn seminaive_chase_is_byte_identical_to_naive(
-        len in 1usize..4,
-        shared in proptest::bool::ANY,
-        copy_mask in 0u8..16,
-        with_egd in proptest::bool::ANY,
-        with_disjunction in proptest::bool::ANY,
-    ) {
-        let mut q = chain_query(len, shared);
-        if with_egd {
-            // Two R0 facts sharing a key trigger the EGD.
-            q = q
-                .with_atom(Atom::named("R0", vec![Term::var("k"), Term::var("x0")]))
-                .with_atom(Atom::named("R0", vec![Term::var("k"), Term::var("e")]));
-        }
-        let deds = random_deds(len, copy_mask, with_egd, with_disjunction);
-        let semi = chase_to_universal_plan(&q, &deds, &ChaseOptions::default());
-        let naive = chase_to_universal_plan(&q, &deds, &ChaseOptions::default().with_naive_joins());
-        prop_assert_eq!(plan_fingerprint(&semi), plan_fingerprint(&naive));
-    }
-
-    /// The byte-identical contract of the adaptive join planner: across
-    /// random DED sets (EGD rewrites resetting statistics, disjunctive
-    /// splits cloning them, delta watermarks windowing the joins), the
-    /// statistics-driven scan/probe choice must produce a universal plan
-    /// byte-identical to the fixed-threshold fallback at any threshold —
-    /// including the degenerate always-probe (0) and always-scan (MAX)
-    /// extremes.
-    #[test]
-    fn adaptive_and_fixed_threshold_chases_are_byte_identical(
-        len in 1usize..4,
-        shared in proptest::bool::ANY,
-        copy_mask in 0u8..16,
-        with_egd in proptest::bool::ANY,
-        with_disjunction in proptest::bool::ANY,
-        threshold_pick in 0usize..4,
-    ) {
-        let mut q = chain_query(len, shared);
-        if with_egd {
-            q = q
-                .with_atom(Atom::named("R0", vec![Term::var("k"), Term::var("x0")]))
-                .with_atom(Atom::named("R0", vec![Term::var("k"), Term::var("e")]));
-        }
-        let deds = random_deds(len, copy_mask, with_egd, with_disjunction);
-        let adaptive = chase_to_universal_plan(&q, &deds, &ChaseOptions::default());
-        let threshold = [0usize, 2, 8, usize::MAX][threshold_pick];
-        let fixed = chase_to_universal_plan(
-            &q,
-            &deds,
-            &ChaseOptions::default().with_fixed_scan_threshold(threshold),
-        );
-        prop_assert_eq!(
-            plan_fingerprint(&adaptive),
-            plan_fingerprint(&fixed),
-            "threshold = {}",
-            threshold
-        );
-    }
 
     /// The determinism contract of the parallel branch worklist: for any
     /// randomized DED set, chasing with 2 or 4 worker threads is
@@ -349,35 +288,6 @@ proptest! {
         }
     }
 
-    /// End-to-end: semi-naive and naive joins must reformulate identically
-    /// through the full C&B pipeline (initial chase + every memoized
-    /// back-chase), across randomized redundant-storage setups.
-    #[test]
-    fn seminaive_and_naive_reformulation_agree(
-        len in 2usize..4,
-        copy_mask in 0u8..16,
-        join_mask in 0u8..8,
-    ) {
-        use mars_system::chase::CbOptions;
-
-        let (engine, q) = redundant_chain_engine(len, copy_mask, join_mask);
-        let mut naive_opts = CbOptions::exhaustive();
-        naive_opts.chase = naive_opts.chase.with_naive_joins();
-        naive_opts.backchase.chase = naive_opts.backchase.chase.with_naive_joins();
-        let semi = engine.clone().with_options(CbOptions::exhaustive()).reformulate(&q);
-        let naive = engine.with_options(naive_opts).reformulate(&q);
-
-        prop_assert_eq!(format!("{}", semi.universal_plan), format!("{}", naive.universal_plan));
-        prop_assert_eq!(semi.minimal.len(), naive.minimal.len());
-        for ((qa, ca), (qb, cb)) in semi.minimal.iter().zip(&naive.minimal) {
-            prop_assert_eq!(format!("{qa}"), format!("{qb}"));
-            prop_assert_eq!(ca, cb);
-        }
-        prop_assert_eq!(semi.stats.candidates_inspected, naive.stats.candidates_inspected);
-        prop_assert_eq!(semi.stats.equivalence_checks, naive.stats.equivalence_checks);
-        prop_assert_eq!(semi.stats.chase.applied_steps, naive.stats.chase.applied_steps);
-    }
-
     /// The determinism contract of the parallel backchase engine: for any
     /// redundant-storage setup and any thread count, the parallel run is
     /// identical to the sequential one — same minimal reformulations (names,
@@ -423,55 +333,6 @@ proptest! {
                 parallel.stats.backchase_truncated,
                 sequential.stats.backchase_truncated
             );
-        }
-    }
-
-    /// The determinism contract of the containment memo: disabling it (every
-    /// candidate's containment check from scratch) must produce byte-identical
-    /// reformulations, statistics and discovery order — at any thread count.
-    /// Only the reuse counters (success transfers, delta searches) and the
-    /// wall-clock fields may differ, and the scratch run's reuse counters
-    /// must be exactly zero.
-    #[test]
-    fn memoized_containment_is_byte_identical_to_scratch(
-        len in 2usize..4,
-        copy_mask in 0u8..16,
-        join_mask in 0u8..8,
-        exhaustive in proptest::bool::ANY,
-    ) {
-        use mars_system::chase::CbOptions;
-
-        let (engine, q) = redundant_chain_engine(len, copy_mask, join_mask);
-        let base = if exhaustive { CbOptions::exhaustive() } else { CbOptions::default() };
-        let memoized = engine.clone().with_options(base.clone()).reformulate(&q);
-        for threads in [1usize, 2, 4] {
-            let mut opts = base.clone();
-            opts.backchase.threads = threads;
-            opts.backchase.containment_memo = false;
-            let scratch = engine.clone().with_options(opts).reformulate(&q);
-
-            prop_assert_eq!(scratch.stats.containment_success_transfers, 0);
-            prop_assert_eq!(scratch.stats.containment_delta_searches, 0);
-            prop_assert_eq!(scratch.minimal.len(), memoized.minimal.len());
-            for ((qa, ca), (qb, cb)) in scratch.minimal.iter().zip(&memoized.minimal) {
-                prop_assert_eq!(&qa.name, &qb.name);
-                prop_assert_eq!(&qa.body, &qb.body);
-                prop_assert_eq!(ca, cb);
-            }
-            prop_assert_eq!(
-                scratch.best.as_ref().map(|(q, c)| (format!("{q}"), *c)),
-                memoized.best.as_ref().map(|(q, c)| (format!("{q}"), *c))
-            );
-            prop_assert_eq!(
-                scratch.stats.candidates_inspected,
-                memoized.stats.candidates_inspected
-            );
-            prop_assert_eq!(scratch.stats.equivalence_checks, memoized.stats.equivalence_checks);
-            prop_assert_eq!(
-                scratch.stats.containment_dead_cone_skips,
-                memoized.stats.containment_dead_cone_skips
-            );
-            prop_assert_eq!(scratch.stats.backchase_truncated, memoized.stats.backchase_truncated);
         }
     }
 }
