@@ -5,8 +5,9 @@
 //! - `sibling_sweep`: the backchase inner loop — checking the original query
 //!   against K sibling candidates that share a chased seed and differ in one
 //!   fresh atom each. `scratch` rebuilds a full [`ContainmentTarget`] per
-//!   sibling from a rendered query; `from_parts` assembles a [`DeltaTarget`]
-//!   straight from the atom list, the form the backchase confirm uses.
+//!   sibling from a rendered query; `from_parts` assembles one straight from
+//!   the atom list ([`ContainmentTarget::from_parts`]), the form the
+//!   backchase confirm uses.
 //! - `find_all_homomorphisms`: enumeration cost over targets of growing
 //!   redundancy (the in-place substitution/trail rewrite vs. the old
 //!   clone-per-trial search is visible here as allocation volume).
@@ -16,8 +17,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mars_cq::{
-    find_all_homomorphisms, Atom, AtomIndex, ConjunctiveQuery, ContainmentTarget, DeltaTarget,
-    Substitution, Term,
+    find_all_homomorphisms, Atom, AtomIndex, ConjunctiveQuery, ContainmentTarget, Substitution,
+    Term,
 };
 
 /// The probe query: a chain R0(x0,x1)..R{m-1}(x{m-1},xm) plus a marker atom
@@ -88,7 +89,7 @@ fn bench_sibling_sweep(c: &mut Criterion) {
             for k in 0..siblings {
                 let mut atoms = base.clone();
                 atoms.extend(fresh_atoms(m, k));
-                let target = DeltaTarget::new(head.clone(), atoms);
+                let target = ContainmentTarget::from_parts(head.clone(), atoms);
                 found += target.mapping_from(&q).is_some() as usize;
             }
             assert_eq!(found, siblings);

@@ -1,15 +1,26 @@
-//! Join-level micro-benchmark: the full premise join over a symbolic
-//! instance.
+//! Join-level micro-benchmarks: the premise join over a symbolic instance.
 //!
-//! Isolates `evaluate_bindings` from the end-to-end fig5 numbers so
-//! join-level regressions are visible on their own. The scenario mirrors the
-//! chase's hot path: a premise of a few atoms evaluated over an instance of
-//! `n` tuples — the sizes sit on both sides of `SCAN_THRESHOLD`, so both the
-//! filtered scan and the index probe are timed.
+//! Isolates the join kernel from the end-to-end fig5 numbers so join-level
+//! regressions are visible on their own. Two groups:
+//!
+//! - `evaluate_bindings/full_join`: a premise of a few atoms evaluated over
+//!   an instance of `n` tuples — the sizes sit on both sides of
+//!   `SCAN_THRESHOLD`, so both the filtered scan and the index probe are
+//!   timed (compile on the fly + run + one `Substitution` per binding).
+//! - `unique_child`: the shape that dominates a back-chase — the compiled
+//!   8-atom `unique_child` premises of the star configuration (`R_one_*`,
+//!   `S*_one_*`: "an element has at most one such child") over the star
+//!   NC = 6 universal plan (≈ 200 atoms, at fixpoint, so every binding is
+//!   diagonal `n = m` and blocked). `fused` is what the chase calls (blocked
+//!   test pushed into the join, nothing materialized); `bindings_then_blocked`
+//!   is the same answer the long way round — every homomorphism as a
+//!   `Substitution`, each then tested.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use mars_chase::{evaluate_bindings, SymbolicInstance};
+use mars::MarsOptions;
+use mars_chase::{evaluate_bindings, CompiledDed, JoinScratch, SymbolicInstance};
 use mars_cq::{Atom, Substitution, Term};
+use mars_workloads::star::StarConfig;
 
 fn t(n: &str) -> Term {
     Term::var(n)
@@ -50,5 +61,47 @@ fn bench(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench);
+fn bench_unique_child(c: &mut Criterion) {
+    let cfg = StarConfig::figure5(6);
+    let mars = cfg.mars(MarsOptions::default());
+    let plan = mars.reformulate_xbind(&cfg.client_query()).result.universal_plan;
+    let inst = SymbolicInstance::from_query(&plan);
+    let deds: Vec<CompiledDed> = mars
+        .dependencies()
+        .iter()
+        .filter(|d| d.name.contains("_one_"))
+        .map(CompiledDed::compile)
+        .collect();
+    let bindings: usize = deds.iter().map(|d| d.premise_bindings(&inst).len()).sum();
+    assert!(!deds.is_empty() && bindings >= deds.len(), "every premise matches the plan");
+
+    let mut g = c.benchmark_group("unique_child");
+    g.sample_size(20);
+    let label = format!("{}_deds_{}_atoms", deds.len(), inst.len());
+    g.bench_function(&format!("fused/{label}"), |b| {
+        let mut scratch = JoinScratch::default();
+        b.iter(|| {
+            let mut rows = 0usize;
+            for d in &deds {
+                let unblocked = d.unblocked_bindings(black_box(&inst), &mut scratch);
+                assert!(unblocked.bindings.is_empty());
+                rows += unblocked.premise_rows;
+            }
+            black_box(rows)
+        })
+    });
+    g.bench_function(&format!("bindings_then_blocked/{label}"), |b| {
+        b.iter(|| {
+            let mut unblocked = 0usize;
+            for d in &deds {
+                let hs = d.premise_bindings(black_box(&inst));
+                unblocked += hs.iter().filter(|h| !d.blocked(h, &inst)).count();
+            }
+            assert_eq!(unblocked, 0);
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench, bench_unique_child);
 criterion_main!(benches);

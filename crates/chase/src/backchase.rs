@@ -34,7 +34,7 @@
 //! * **Resident chase memoization**: completed back-chases are cached keyed
 //!   on the candidate's [`AtomSet`], as *resident* branches
 //!   ([`ResidentBranch`]) — frozen symbolic instances that keep their column
-//!   indexes and distinct statistics. A candidate grown
+//!   indexes. A candidate grown
 //!   from an already-chased subset thaws the cached instances and resumes
 //!   with the one new atom ([`chase_resident_with_atoms_compiled`]) instead
 //!   of re-parsing a memoized query and re-deriving every access path — the
@@ -58,7 +58,7 @@ use crate::chase::{
 use crate::compiled::CompiledDeps;
 use crate::reach::{prune_parallel_desc, ReachabilityGraph};
 use mars_cost::{fold_atom_costs, CostEstimator};
-use mars_cq::containment::{containment_mapping, ContainmentTarget, DeltaTarget};
+use mars_cq::containment::{containment_mapping, ContainmentTarget};
 use mars_cq::{Atom, AtomSet, ConjunctiveQuery, Predicate, Variable};
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
@@ -309,7 +309,7 @@ fn back_chase_confirms(original: &ConjunctiveQuery, back: &UniversalPlan) -> boo
 /// frozen relations (no sorted query rendering, no atom set materialization
 /// — the hot-path replacement for
 /// `containment_mapping(original, &branch.to_query(..))`).
-fn full_target(branch: &ResidentBranch) -> DeltaTarget {
+fn full_target(branch: &ResidentBranch) -> ContainmentTarget {
     let inst = branch.instance();
     let mut atoms: Vec<Atom> = Vec::with_capacity(inst.len());
     for p in inst.sorted_predicates() {
@@ -317,7 +317,7 @@ fn full_target(branch: &ResidentBranch) -> DeltaTarget {
             atoms.push(Atom::new(p, t.clone()));
         }
     }
-    DeltaTarget::new(branch.head().to_vec(), atoms)
+    ContainmentTarget::from_parts(branch.head().to_vec(), atoms)
 }
 
 /// The `candidate ⊆ original` confirm over a resident back-chase: completed,
@@ -477,8 +477,8 @@ fn evaluate_candidate(
                     Some((branches, added)) => {
                         eval.cache_hit = true;
                         // Resume from the memoized *resident* branches: the
-                        // seed instances thaw with their indexes and
-                        // statistics warm — nothing is re-parsed.
+                        // seed instances thaw with their indexes warm —
+                        // nothing is re-parsed, nothing copied until written.
                         chase_resident_with_atoms_compiled(
                             branches,
                             std::slice::from_ref(&ctx.pool[added]),

@@ -8,6 +8,7 @@
 //! (Section 3.2) when [`ChaseOptions::use_shortcut`] is enabled.
 
 use crate::compiled::{CompiledDed, CompiledDeps, DedIndex};
+use crate::evaluate::JoinScratch;
 use crate::instance::{FrozenInstance, SymbolicInstance};
 use crate::shortcut::{apply_closure_watermarked, ClosureConstraints, ClosureInputMark};
 use mars_cq::{Atom, Conjunct, ConjunctiveQuery, Ded, Predicate, Substitution, Term, Variable};
@@ -124,6 +125,11 @@ pub struct ChaseStats {
     pub rounds: usize,
     /// Number of applied chase steps (atom-producing or unifying).
     pub applied_steps: usize,
+    /// Rows that left a premise join program, summed over every premise
+    /// evaluation — the deterministic work counter of the chase's inner
+    /// loop. A row the pushed-down blocked test drops inside the join never
+    /// leaves it and is not counted.
+    pub premise_rows: usize,
     /// Number of `desc` atoms added by the shortcut.
     pub shortcut_desc_added: usize,
     /// Number of failed branches (denials or constant clashes).
@@ -307,13 +313,15 @@ fn apply_conjunct(
 /// steps stay blocked — so no new unblocked binding can exist. This is what
 /// makes resumed back-chases (a fixpoint seed plus one atom) touch only the
 /// dependency cone of the new atom instead of sweeping the whole set. A
-/// dirty dependency re-joins its full premise.
+/// dirty dependency re-joins its full premise, asking only for the bindings
+/// that are not blocked on the instance as it stands.
 fn run_round(
     branch: &mut Branch,
     compiled: &[CompiledDed],
     index: &DedIndex,
     stats: &mut ChaseStats,
     max_atoms: usize,
+    scratch: &mut JoinScratch,
 ) -> RoundResult {
     let mut changed = false;
     for (di, ded) in compiled.iter().enumerate() {
@@ -321,7 +329,9 @@ fn run_round(
             continue;
         }
         let mut applied_any = false;
-        for h in ded.premise_bindings(&branch.inst) {
+        let unblocked = ded.unblocked_bindings(&branch.inst, scratch);
+        stats.premise_rows += unblocked.premise_rows;
+        for h in unblocked.bindings {
             // Re-check against the (possibly grown) instance so that bulk
             // application does not duplicate work already satisfied earlier in
             // this round.
@@ -459,13 +469,14 @@ pub fn chase_branches_with_atoms_compiled(
 }
 
 /// One chased branch kept *resident*: the frozen symbolic instance (with its
-/// warm column indexes and distinct statistics), the head and inequalities
-/// it carries, and the renaming the chase accumulated.
+/// warm column indexes), the head and inequalities it carries, and the
+/// renaming the chase accumulated.
 ///
 /// Unlike the `(ConjunctiveQuery, Substitution)` seeds of
 /// [`chase_branches_with_atoms_compiled`], resuming from a `ResidentBranch`
 /// does not re-parse the query into a fresh instance — it thaws the snapshot,
-/// so every index and statistic the previous chase built is reused as-is. The
+/// so every index the previous chase built is reused as-is and a relation is
+/// copied only when the resumed chase first writes it. The
 /// snapshot is `Sync` and can be shared by reference across backchase worker
 /// threads.
 #[derive(Clone, Debug)]
@@ -589,10 +600,10 @@ pub fn chase_to_resident_compiled(
 /// Resume a chase from resident branches, each extended with extra atoms —
 /// the resident counterpart of [`chase_branches_with_atoms_compiled`].
 ///
-/// Each seed is thawed (its warm indexes and statistics carry over without
-/// any rebuild) and grown by the renamed `extra` atoms; only the dependency
-/// cone of the inserted predicates starts dirty, exactly as in the
-/// re-parsing resume path.
+/// Each seed is thawed (its relations and their warm indexes carry over by
+/// handle, without any rebuild) and grown by the renamed `extra` atoms; only
+/// the dependency cone of the inserted predicates starts dirty, exactly as in
+/// the re-parsing resume path.
 pub fn chase_resident_with_atoms_compiled(
     seeds: &[ResidentBranch],
     extra: &[Atom],
@@ -661,6 +672,8 @@ fn chase_branch(
     start: Instant,
     stats: &mut ChaseStats,
 ) -> BranchOutcome {
+    // One working memory for every premise evaluation of this branch.
+    let mut scratch = JoinScratch::default();
     loop {
         let over_budget = if branch.rounds >= options.max_rounds {
             Some(ChaseStop::Rounds)
@@ -704,7 +717,7 @@ fn chase_branch(
             }
         }
 
-        match run_round(&mut branch, compiled, index, stats, options.max_atoms) {
+        match run_round(&mut branch, compiled, index, stats, options.max_atoms, &mut scratch) {
             RoundResult::NoChange => {
                 if !shortcut_changed {
                     return BranchOutcome::Done(Box::new(branch));
@@ -841,6 +854,7 @@ fn run_chase_branches(
         for (outcome, s) in outcomes {
             stats.rounds += s.rounds;
             stats.applied_steps += s.applied_steps;
+            stats.premise_rows += s.premise_rows;
             stats.shortcut_desc_added += s.shortcut_desc_added;
             stats.failed_branches += s.failed_branches;
             stats.completed &= s.completed;

@@ -1,9 +1,18 @@
 //! Compiled constraints.
 //!
 //! Constraints are compiled once, when read into the system (Section 3.1):
-//! the premise becomes a join plan evaluated over the symbolic instance and
-//! each conclusion disjunct becomes the probe side of a semijoin used for the
-//! extension check.
+//! the premise becomes a join program evaluated over the symbolic instance
+//! (`JoinProgram`) and each conclusion disjunct becomes the probe side of a
+//! semijoin used for the extension check, compiled against the premise's
+//! slot layout so it reads a premise row directly.
+//!
+//! The chase asks a compiled dependency for its **unblocked** premise
+//! bindings only ([`CompiledDed::unblocked_bindings`]): the blocked test runs
+//! over the flat rows of the premise join — for a single pure-equality
+//! conclusion over premise variables (keys, `unique_child`, single-valued
+//! fields) it is pushed *into* the join, so a row whose equalities already
+//! hold is dropped before it joins the remaining atoms — and a
+//! [`Substitution`] is built only for a binding that is about to fire.
 //!
 //! [`CompiledDeps`] packages the full dependency set in its chase-ready form
 //! (closure-shortcut detection, EGD-priority ordering, per-DED compilation)
@@ -12,12 +21,25 @@
 //! query block via `Arc`. Before this type existed every chase recompiled
 //! the dependency set from scratch, which dominated the backchase hot loop.
 
-use crate::evaluate::{evaluate_bindings_ordered, order_atoms, satisfiable_ordered};
+use crate::evaluate::{
+    order_atoms, EqualityFilter, ExistsScratch, JoinProgram, JoinScratch, RowBuffers, Source,
+};
 use crate::instance::SymbolicInstance;
 use crate::shortcut::{detect_closure_constraints, ClosureConstraints};
-use mars_cq::{Atom, Conjunct, Ded, Predicate, Substitution, Term, Variable};
-use std::collections::{HashMap, HashSet};
+use mars_cq::{Conjunct, Ded, FxHashMap, Predicate, Substitution, Term, Variable};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// One conclusion equality, compiled. The conclusion's row starts as the
+/// premise row and grows by one slot per forced existential.
+#[derive(Clone, Copy, Debug)]
+enum EqualityOp {
+    /// Both sides are bound: they must be equal.
+    Check(Source, Source),
+    /// One side is an existential variable nothing has bound yet: the
+    /// equality binds it, as the next slot, to the other side's value.
+    Force(Source),
+}
 
 /// A compiled conclusion disjunct.
 #[derive(Clone, Debug)]
@@ -26,66 +48,101 @@ pub struct CompiledConclusion {
     pub conjunct: Conjunct,
     /// True if the conjunct has no atoms (pure equality / EGD component).
     pub is_pure_equality: bool,
-    /// Precompiled semijoin atom order for the extension check. The
-    /// satisfiability search is entered with the premise variables (and any
-    /// equality-forced existentials) bound, and only the bound *set* steers
-    /// the ordering heuristic — so the order is computed once here instead
-    /// of per blocked test, the chase's highest-volume call. The order can
-    /// never change the boolean answer, only the search cost.
-    order: Vec<usize>,
+    /// The conjunct's equalities, in order.
+    equalities: Vec<EqualityOp>,
+    /// The conjunct's atoms as an existence program, entered with the premise
+    /// slots and the forced existentials bound. The join order is chosen
+    /// here, once — the blocked test is the chase's highest-volume call —
+    /// and can never change the boolean answer, only the search cost.
+    atoms: JoinProgram,
 }
 
 impl CompiledConclusion {
-    fn new(conjunct: &Conjunct, premise: &[Atom]) -> CompiledConclusion {
-        // Variables bound when the extension check runs: every premise
-        // variable (the homomorphism binds all of them) plus variables a
-        // conclusion equality may force a binding for. Over-approximating
-        // the bound set only affects ordering quality, never soundness.
-        let mut bound: Vec<Variable> = premise.iter().flat_map(|a| a.variables()).collect();
+    fn new(conjunct: &Conjunct, premise: &JoinProgram) -> CompiledConclusion {
+        let mut bound: Vec<Variable> = premise.vars().to_vec();
+        let mut equalities = Vec::with_capacity(conjunct.equalities.len());
+        // Two existentials equated before either is bound are one variable.
+        let mut alias = Substitution::new();
         for (a, b) in &conjunct.equalities {
-            bound.extend(a.as_var());
-            bound.extend(b.as_var());
+            let (a, b) = (alias.apply_term_deep(*a), alias.apply_term_deep(*b));
+            let source = |t: Term, bound: &[Variable]| match t {
+                Term::Const(_) => Some(Source::Fixed(t)),
+                Term::Var(v) => bound.iter().position(|w| *w == v).map(Source::Slot),
+            };
+            match (source(a, &bound), source(b, &bound), a, b) {
+                (Some(sa), Some(sb), _, _) => equalities.push(EqualityOp::Check(sa, sb)),
+                (None, Some(value), Term::Var(v), _) | (Some(value), None, _, Term::Var(v)) => {
+                    equalities.push(EqualityOp::Force(value));
+                    bound.push(v);
+                }
+                (None, None, Term::Var(v), _) if a != b => alias.set(v, b),
+                _ => {}
+            }
         }
+        let atoms: Vec<_> = conjunct.atoms.iter().map(|a| alias.apply_atom_deep(a)).collect();
         CompiledConclusion {
             is_pure_equality: conjunct.atoms.is_empty(),
-            order: order_atoms(&conjunct.atoms, &bound),
+            equalities,
+            atoms: JoinProgram::compile(&atoms, &[], &order_atoms(&atoms, &bound), &bound),
             conjunct: conjunct.clone(),
         }
     }
 
-    /// Does the homomorphism `h` (from the owning DED's premise into `inst`)
-    /// extend to this conclusion over `inst`?
+    /// Does the premise homomorphism given as `row` (one term per slot of the
+    /// owning DED's premise program) extend to this conclusion over `inst`?
     ///
-    /// Equalities among premise-bound terms are checked directly; equalities
-    /// that mention a still-free existential variable force a binding for it;
-    /// remaining atoms are checked by a (semijoin-style) satisfiability query
-    /// over the instance.
-    pub fn satisfied(&self, h: &Substitution, inst: &SymbolicInstance) -> bool {
-        let mut init = h.clone();
-        for (a, b) in &self.conjunct.equalities {
-            let ia = init.apply_term_deep(*a);
-            let ib = init.apply_term_deep(*b);
-            if ia == ib {
-                continue;
-            }
-            if let Term::Var(v) = ia {
-                if a.as_var() == Some(v) && !init.binds(v) {
-                    init.set(v, ib);
-                    continue;
+    /// Equalities among bound terms are checked directly; an equality that
+    /// mentions a still-free existential variable forces a binding for it;
+    /// the atoms are checked by a (semijoin-style) existence search over the
+    /// instance.
+    fn satisfied(
+        &self,
+        row: &[Term],
+        inst: &SymbolicInstance,
+        scratch: &mut ExistsScratch,
+    ) -> bool {
+        let slots = &mut scratch.slots;
+        slots.clear();
+        slots.extend_from_slice(row);
+        for op in &self.equalities {
+            match *op {
+                EqualityOp::Check(a, b) => {
+                    if self.resolve(a.of(slots), slots) != self.resolve(b.of(slots), slots) {
+                        return false;
+                    }
+                }
+                EqualityOp::Force(value) => {
+                    let value = self.resolve(value.of(slots), slots);
+                    slots.push(value);
                 }
             }
-            if let Term::Var(v) = ib {
-                if b.as_var() == Some(v) && !init.binds(v) {
-                    init.set(v, ia);
-                    continue;
+        }
+        self.atoms.exists(inst, scratch)
+    }
+
+    /// `Substitution::apply_term_deep` over the bound slots, continued from
+    /// a slot's value `t`: a value that is itself a variable with a slot (an
+    /// instance variable sharing its name with a variable of this
+    /// dependency) is followed to that slot's value. Applying a conclusion
+    /// resolves equalities the same way to decide whether a unification is a
+    /// no-op, and the two must agree — a step judged unblocked here that
+    /// then changes nothing would fire forever.
+    fn resolve(&self, mut t: Term, slots: &[Term]) -> Term {
+        let bound = &self.atoms.vars()[..slots.len()];
+        let mut hops = 1; // reading the slot was the first
+        while let Term::Var(v) = t {
+            match bound.iter().position(|w| *w == v) {
+                Some(s) if slots[s] != t => {
+                    t = slots[s];
+                    hops += 1;
+                    if hops > slots.len() + 1 {
+                        break; // cycle guard
+                    }
                 }
+                _ => break,
             }
-            return false;
         }
-        if self.conjunct.atoms.is_empty() {
-            return true;
-        }
-        satisfiable_ordered(&self.conjunct.atoms, &[], inst, init, &self.order)
+        t
     }
 }
 
@@ -96,25 +153,38 @@ pub struct CompiledDed {
     pub ded: Ded,
     /// Compiled conclusions (empty for denial constraints).
     pub conclusions: Vec<CompiledConclusion>,
-    /// The premise join order, chosen once at compile time (the order
-    /// depends only on the atoms and the — empty — set of initially bound
-    /// variables, so recomputing it per evaluation was pure waste). Which
-    /// join *strategy* each ordered step uses (scan vs index probe) is
-    /// resolved at evaluation time from the relation's size
+    /// The premise as a join program. The join order is chosen once, here
+    /// (it depends only on the atoms and the — empty — set of initially
+    /// bound variables); which *strategy* each step uses (scan vs index
+    /// probe) is resolved at evaluation time from the relation's size
     /// ([`crate::evaluate::SCAN_THRESHOLD`]).
-    pub premise_order: Vec<usize>,
+    premise: JoinProgram,
+    /// The blocked test as a filter inside the premise join — present when
+    /// the only conclusion is a pure equality over premise variables.
+    pushdown: Option<EqualityFilter>,
 }
 
 impl CompiledDed {
     /// Compile a dependency.
     pub fn compile(ded: &Ded) -> CompiledDed {
+        let premise = JoinProgram::compile(
+            &ded.premise,
+            &ded.premise_inequalities,
+            &order_atoms(&ded.premise, &[]),
+            &[],
+        );
+        let pushdown = match ded.conclusions.as_slice() {
+            [only] if only.atoms.is_empty() => premise.equality_filter(&only.equalities),
+            _ => None,
+        };
         CompiledDed {
             conclusions: ded
                 .conclusions
                 .iter()
-                .map(|c| CompiledConclusion::new(c, &ded.premise))
+                .map(|c| CompiledConclusion::new(c, &premise))
                 .collect(),
-            premise_order: order_atoms(&ded.premise, &[]),
+            premise,
+            pushdown,
             ded: ded.clone(),
         }
     }
@@ -125,23 +195,53 @@ impl CompiledDed {
     }
 
     /// All homomorphisms from the premise into the instance (respecting the
-    /// premise inequalities), found in bulk by hash-join evaluation along
-    /// the precompiled [`CompiledDed::premise_order`].
+    /// premise inequalities) — blocked ones included — found in bulk by
+    /// running the premise program without the pushed-down blocked test.
     pub fn premise_bindings(&self, inst: &SymbolicInstance) -> Vec<Substitution> {
-        evaluate_bindings_ordered(
-            &self.ded.premise,
-            &self.ded.premise_inequalities,
-            inst,
-            &Substitution::new(),
-            &self.premise_order,
-        )
+        let mut buffers = RowBuffers::default();
+        let rows = self.premise.run(inst, &[], None, &mut buffers);
+        rows.iter().map(|row| self.premise.binding(row)).collect()
     }
 
-    /// Is the chase step for homomorphism `h` *blocked* (some conclusion
-    /// disjunct already holds)?
-    pub fn blocked(&self, h: &Substitution, inst: &SymbolicInstance) -> bool {
-        self.conclusions.iter().any(|c| c.satisfied(h, inst))
+    /// The premise homomorphisms whose chase step is **not** blocked on
+    /// `inst` — exactly `premise_bindings(inst)` without those
+    /// [`CompiledDed::blocked`] holds for, in the same order — as the chase
+    /// consumes them, together with the number of rows that left the premise
+    /// program to get there.
+    pub fn unblocked_bindings(
+        &self,
+        inst: &SymbolicInstance,
+        scratch: &mut JoinScratch,
+    ) -> Unblocked {
+        let rows = self.premise.run(inst, &[], self.pushdown.as_ref(), &mut scratch.rows);
+        let exists = &mut scratch.exists;
+        let bindings = rows
+            .iter()
+            .filter(|row| !self.conclusions.iter().any(|c| c.satisfied(row, inst, exists)))
+            .map(|row| self.premise.binding(row))
+            .collect();
+        Unblocked { bindings, premise_rows: rows.len() }
     }
+
+    /// Is the chase step for the premise homomorphism `h` *blocked* (some
+    /// conclusion disjunct already holds)? A premise variable `h` leaves
+    /// unbound stands for itself.
+    pub fn blocked(&self, h: &Substitution, inst: &SymbolicInstance) -> bool {
+        let row: Vec<Term> =
+            self.premise.vars().iter().map(|v| h.apply_term(Term::Var(*v))).collect();
+        let mut scratch = ExistsScratch::default();
+        self.conclusions.iter().any(|c| c.satisfied(&row, inst, &mut scratch))
+    }
+}
+
+/// What [`CompiledDed::unblocked_bindings`] found.
+#[derive(Clone, Debug)]
+pub struct Unblocked {
+    /// The unblocked premise homomorphisms, in join order.
+    pub bindings: Vec<Substitution>,
+    /// Rows that left the premise program (a row the pushed-down blocked
+    /// test dropped inside the join is not among them).
+    pub premise_rows: usize,
 }
 
 /// Number of dependency-set compilations performed since process start.
@@ -164,13 +264,13 @@ pub fn compilation_count() -> usize {
 #[derive(Clone, Debug, Default)]
 pub struct DedIndex {
     /// Per predicate, every dependency whose premise mentions it.
-    by_pred: HashMap<Predicate, Vec<usize>>,
+    by_pred: FxHashMap<Predicate, Vec<usize>>,
     n: usize,
 }
 
 impl DedIndex {
     fn new(compiled: &[CompiledDed]) -> DedIndex {
-        let mut by_pred: HashMap<Predicate, Vec<usize>> = HashMap::new();
+        let mut by_pred: FxHashMap<Predicate, Vec<usize>> = FxHashMap::default();
         for (i, d) in compiled.iter().enumerate() {
             for a in &d.ded.premise {
                 let dis = by_pred.entry(a.predicate).or_default();

@@ -7,22 +7,37 @@
 //! pushed into the joins, producing *all* homomorphisms in bulk rather than
 //! one backtracking search per candidate.
 //!
+//! A conjunction is **compiled once** into a `JoinProgram`: along a fixed
+//! atom order every argument of every atom is resolved to *constant / slot
+//! already bound / repeat within the atom / new slot*, together with the
+//! index key columns of the step and the inequalities that become decidable
+//! there. `JoinProgram::run` then executes the steps over flat row-major
+//! term rows (two buffers swapped between steps, no allocation per row —
+//! and none per evaluation when the caller keeps its [`JoinScratch`]) and
+//! `JoinProgram::exists` walks the same steps depth-first for the semijoin
+//! existence test, returning at the first witness.
+//! [`crate::compiled::CompiledDed`] holds its premise and conclusion
+//! programs; [`evaluate_bindings`] and [`satisfiable`] compile one on the fly
+//! and run the same kernel.
+//!
 //! Joins probe the instance's **persistent** per-predicate column indexes
 //! ([`crate::instance::Relation::index`]): an index is built at most once per
 //! (relation, column-set) and maintained incrementally on insert, so repeated
 //! evaluations over a growing instance never rebuild hash tables.
 //!
 //! Whether one join step *scans* its relation or *probes* the hash index is
-//! decided by the constant [`SCAN_THRESHOLD`]: a relation of at most that many
-//! tuples is scanned with the selections applied inline, anything larger is
-//! probed (building the index on first use). Both strategies enumerate
-//! matching tuples in ascending tuple-index order, so the choice can never
-//! change a result, only its cost — the agreement test against the
-//! backtracking search of `mars-cq` covers relations on both sides of the
-//! threshold.
+//! decided at run time by the constant [`SCAN_THRESHOLD`]: a relation of at
+//! most that many tuples is scanned with the selections applied inline,
+//! anything larger is probed (building the index on first use); a step all of
+//! whose positions are bound is a membership test on the relation's dedup
+//! set. Every strategy enumerates matching tuples in ascending tuple-index
+//! order, so the choice can never change a result, only its cost — the
+//! agreement tests against the backtracking search of `mars-cq` cover
+//! relations on both sides of the threshold.
 
-use crate::instance::SymbolicInstance;
-use mars_cq::{Atom, Substitution, Term, Variable};
+use crate::instance::{ColumnIndex, Relation, SymbolicInstance};
+use mars_cq::{Atom, Constant, Predicate, Substitution, Term, Variable};
+use std::sync::Arc;
 
 /// A homomorphism produced by evaluation (bindings of the evaluated atoms'
 /// variables to terms of the instance).
@@ -73,352 +88,410 @@ pub(crate) fn order_atoms(atoms: &[Atom], initially_bound: &[Variable]) -> Vec<u
     order
 }
 
-/// Columnar join state: a variable per column and flat term-vector rows.
+/// Where a compiled operand takes its value from: fixed at compile time (a
+/// constant, or a variable nothing binds, which stands for itself) or read
+/// from a slot of the row.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Source {
+    Fixed(Term),
+    Slot(usize),
+}
+
+impl Source {
+    pub(crate) fn of(self, row: &[Term]) -> Term {
+        match self {
+            Source::Fixed(t) => t,
+            Source::Slot(s) => row[s],
+        }
+    }
+}
+
+/// One atom of a compiled conjunction. Its argument positions are
+/// partitioned into key positions (constants and slots bound by earlier
+/// steps), repeats of a variable first seen earlier in the same atom, and
+/// positions whose variable becomes a new slot.
+#[derive(Clone, Debug)]
+struct JoinStep {
+    predicate: Predicate,
+    /// Row width on entry; the new slots follow it.
+    width_in: usize,
+    /// Key positions, ascending — the column set of the persistent index —
+    /// and where each key term comes from.
+    key_cols: Vec<usize>,
+    key_sources: Vec<Source>,
+    /// `(position, earlier position)` pairs that must carry equal terms.
+    dups: Vec<(usize, usize)>,
+    /// Positions appended to the row as new slots, in argument order.
+    new_positions: Vec<usize>,
+    /// Inequalities decidable once this step's slots are bound (and not
+    /// before): checked on every extended row.
+    inequalities: Vec<(Source, Source)>,
+}
+
+/// How one step reaches the tuples matching a key — settled once per step
+/// and relation, not per row.
+enum Access {
+    /// No bound position: every tuple extends the row.
+    Every,
+    /// Every position bound: the key *is* the tuple, a membership test.
+    Member,
+    /// At most [`SCAN_THRESHOLD`] tuples: compare each against the key.
+    Scan,
+    /// Probe the persistent column index. Posting lists are ascending tuple
+    /// indices — the enumeration order of the scan, which is why the choice
+    /// is invisible in the results.
+    Probe(Arc<ColumnIndex>),
+}
+
+impl JoinStep {
+    fn access(&self, rel: &Relation) -> Access {
+        if self.key_cols.is_empty() {
+            Access::Every
+        } else if self.new_positions.is_empty() {
+            Access::Member
+        } else if rel.len() <= SCAN_THRESHOLD {
+            Access::Scan
+        } else {
+            Access::Probe(rel.index(&self.key_cols))
+        }
+    }
+
+    fn fill_key(&self, row: &[Term], key: &mut Vec<Term>) {
+        key.clear();
+        key.extend(self.key_sources.iter().map(|s| s.of(row)));
+    }
+
+    /// Call `visit` with every tuple of `rel` matching `key` on the key
+    /// positions (and the repeat constraints), in ascending tuple order,
+    /// until it returns `true`; returns whether it did.
+    fn any_match(
+        &self,
+        rel: &Relation,
+        access: &Access,
+        key: &[Term],
+        mut visit: impl FnMut(&[Term]) -> bool,
+    ) -> bool {
+        let tuples = rel.tuples();
+        let repeats_agree = |tuple: &[Term]| self.dups.iter().all(|&(i, p)| tuple[i] == tuple[p]);
+        match access {
+            Access::Every => tuples.iter().any(|t| repeats_agree(t) && visit(t)),
+            Access::Member => rel.contains(key) && visit(key),
+            Access::Scan => tuples.iter().any(|t| {
+                self.key_cols.iter().zip(key).all(|(&c, want)| t[c] == *want)
+                    && repeats_agree(t)
+                    && visit(t)
+            }),
+            Access::Probe(index) => index.get(key).is_some_and(|ids| {
+                ids.iter().any(|&ti| repeats_agree(&tuples[ti]) && visit(&tuples[ti]))
+            }),
+        }
+    }
+
+    fn passes_inequalities(&self, row: &[Term]) -> bool {
+        self.inequalities.iter().all(|(a, b)| a.of(row) != b.of(row))
+    }
+}
+
+/// A conjunction of atoms (with inequalities) compiled against a fixed atom
+/// order and a fixed set of initially bound variables.
 ///
-/// Intermediate join results are kept *columnar* — a shared variable list
-/// plus flat term-vector rows — and only surviving final rows are
-/// materialized as [`Substitution`]s by the callers. Cloning a hash-map
-/// substitution per intermediate row dominated the chase profile; the term
-/// vectors make each extension a `Vec` push.
-struct JoinState {
+/// Rows are flat slices of terms, one slot per variable: the initially bound
+/// variables first (in the order given to [`JoinProgram::compile`]), then the
+/// variables each step binds.
+#[derive(Clone, Debug)]
+pub(crate) struct JoinProgram {
     vars: Vec<Variable>,
-    rows: Vec<Vec<Term>>,
+    bound: usize,
+    steps: Vec<JoinStep>,
+    /// Inequalities decidable on the initial row alone.
+    initial_inequalities: Vec<(Source, Source)>,
 }
 
-impl JoinState {
-    /// The one-row state every join starts from: the initially bound
-    /// variables as columns, the initial binding as the single row.
-    fn new(initial: &Substitution) -> JoinState {
-        let vars: Vec<Variable> = initial.iter().map(|(v, _)| v).collect();
-        let rows = vec![vars.iter().map(|v| initial.get(*v).expect("initially bound")).collect()];
-        JoinState { vars, rows }
+/// The chase's blocked test for a pure-equality conclusion, pushed into the
+/// premise join: a row on which every pair is equal is dropped at step `at`,
+/// the first one where all the slots involved are bound — so a blocked row
+/// never joins the remaining atoms.
+#[derive(Clone, Debug)]
+pub(crate) struct EqualityFilter {
+    at: usize,
+    pairs: Vec<(Source, Source)>,
+}
+
+/// The rows a program produced: `len` rows of `width` terms, row-major in
+/// the scratch buffer they borrow (`width` may be 0, hence the explicit
+/// `len`).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Rows<'a> {
+    width: usize,
+    len: usize,
+    data: &'a [Term],
+}
+
+impl<'a> Rows<'a> {
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The rows, in the order the join produced them.
+    pub(crate) fn iter(self) -> impl Iterator<Item = &'a [Term]> {
+        (0..self.len).map(move |i| &self.data[i * self.width..(i + 1) * self.width])
     }
 }
 
-/// Extend the join state by one atom, scanning relations of at most
-/// [`SCAN_THRESHOLD`] tuples and probing the column index of larger ones.
-/// Returns `false` when the state has no surviving rows (missing or empty
-/// relation, or no matches) — callers may then stop early; the variable
-/// layout is left truncated, which is fine because empty states are never
-/// materialized.
-fn join_step(state: &mut JoinState, atom: &Atom, inst: &SymbolicInstance) -> bool {
-    if state.rows.is_empty() {
-        return false;
-    }
-    let Some(rel) = inst.relation_data(atom.predicate).filter(|rel| !rel.is_empty()) else {
-        state.rows.clear();
-        return false;
-    };
-    let tuples = rel.tuples();
+/// Reusable working memory of the join kernel: the two row buffers a run
+/// swaps between steps, and the row under construction plus one key buffer
+/// per step of an existence test. One scratch serves any number of
+/// evaluations of any programs — the chase keeps one per branch, so a
+/// premise evaluation allocates nothing.
+#[derive(Debug, Default)]
+pub struct JoinScratch {
+    pub(crate) rows: RowBuffers,
+    pub(crate) exists: ExistsScratch,
+}
 
-    // Classify argument positions against the current column set.
-    // Argument positions whose (fresh) variable becomes a new column.
-    let mut new_positions: Vec<usize> = Vec::new();
-    // Positions repeating a fresh variable first seen at an earlier
-    // position of the same atom: the tuple must carry equal terms.
-    let mut dup_positions: Vec<(usize, usize)> = Vec::new();
-    // Hash-key columns of the persistent index (ascending positions) and
-    // how to fill the probe key: a fixed constant or a row column.
-    let mut key_cols: Vec<usize> = Vec::new();
-    let mut key_sources: Vec<Result<Term, usize>> = Vec::new();
-    for (i, arg) in atom.args.iter().enumerate() {
-        match arg {
-            Term::Const(_) => {
-                key_cols.push(i);
-                key_sources.push(Ok(*arg));
-            }
-            Term::Var(v) => {
-                if let Some(col) = state.vars.iter().position(|w| w == v) {
-                    key_cols.push(i);
-                    key_sources.push(Err(col));
-                } else if let Some(p) = atom.args[..i].iter().position(|w| w.as_var() == Some(*v)) {
-                    dup_positions.push((i, p));
+#[derive(Debug, Default)]
+pub(crate) struct RowBuffers {
+    cur: Vec<Term>,
+    next: Vec<Term>,
+    key: Vec<Term>,
+}
+
+#[derive(Debug, Default)]
+pub(crate) struct ExistsScratch {
+    /// The caller fills the initially bound slots before each test.
+    pub(crate) slots: Vec<Term>,
+    keys: Vec<Vec<Term>>,
+}
+
+impl JoinProgram {
+    /// Compile `atoms`, joined in `order` (indices into `atoms`), entered
+    /// with the variables `bound` already bound, and filtered by
+    /// `inequalities` — each applied at the first step that binds both of its
+    /// sides. A variable no atom binds stands for itself.
+    pub(crate) fn compile(
+        atoms: &[Atom],
+        inequalities: &[(Term, Term)],
+        order: &[usize],
+        bound: &[Variable],
+    ) -> JoinProgram {
+        let mut vars: Vec<Variable> = bound.to_vec();
+        let mut steps: Vec<JoinStep> = Vec::with_capacity(order.len());
+        for &ai in order {
+            let atom = &atoms[ai];
+            let mut step = JoinStep {
+                predicate: atom.predicate,
+                width_in: vars.len(),
+                key_cols: Vec::new(),
+                key_sources: Vec::new(),
+                dups: Vec::new(),
+                new_positions: Vec::new(),
+                inequalities: Vec::new(),
+            };
+            for (i, arg) in atom.args.iter().enumerate() {
+                let key_source = match arg {
+                    Term::Const(_) => Some(Source::Fixed(*arg)),
+                    Term::Var(v) => vars.iter().position(|w| w == v).map(Source::Slot),
+                };
+                if let Some(source) = key_source {
+                    step.key_cols.push(i);
+                    step.key_sources.push(source);
+                } else if let Some(&p) = step.new_positions.iter().find(|&&p| atom.args[p] == *arg)
+                {
+                    step.dups.push((i, p));
                 } else {
-                    new_positions.push(i);
+                    step.new_positions.push(i);
                 }
             }
+            vars.extend(step.new_positions.iter().filter_map(|&p| atom.args[p].as_var()));
+            steps.push(step);
+        }
+        let mut program =
+            JoinProgram { vars, bound: bound.len(), steps, initial_inequalities: Vec::new() };
+        for (a, b) in inequalities {
+            let pair = (program.source(*a), program.source(*b));
+            match program.ready_at(&[pair.0, pair.1]) {
+                Some(k) => program.steps[k].inequalities.push(pair),
+                None => program.initial_inequalities.push(pair),
+            }
+        }
+        program
+    }
+
+    /// The slot layout: one variable per slot.
+    pub(crate) fn vars(&self) -> &[Variable] {
+        &self.vars
+    }
+
+    /// How a term reads off a row of this program.
+    pub(crate) fn source(&self, t: Term) -> Source {
+        match t.as_var().and_then(|v| self.vars.iter().position(|w| *w == v)) {
+            Some(slot) => Source::Slot(slot),
+            None => Source::Fixed(t),
         }
     }
 
-    let rows = &state.rows;
-    let mut next_rows: Vec<Vec<Term>> = Vec::new();
-    // Extend one row by one matching tuple (dup filter applied here, key
-    // filter by the callers below).
-    let mut extend = |row: &Vec<Term>, ti: usize| {
-        let tuple = &tuples[ti];
-        for &(i, p) in &dup_positions {
-            if tuple[i] != tuple[p] {
-                return;
-            }
-        }
-        let mut extended = Vec::with_capacity(row.len() + new_positions.len());
-        extended.extend_from_slice(row);
-        extended.extend(new_positions.iter().map(|&p| tuple[p]));
-        next_rows.push(extended);
-    };
+    /// The first step after which every slot among `sources` is bound
+    /// (`None`: they all are on entry).
+    fn ready_at(&self, sources: &[Source]) -> Option<usize> {
+        let last = sources
+            .iter()
+            .filter_map(|s| match s {
+                Source::Slot(slot) => Some(*slot),
+                Source::Fixed(_) => None,
+            })
+            .max()?;
+        self.steps.iter().position(|step| last < step.width_in + step.new_positions.len())
+    }
 
-    if key_cols.is_empty() {
-        // No bound position: Cartesian extension.
-        for row in rows {
-            for ti in 0..tuples.len() {
-                extend(row, ti);
-            }
+    /// The filter dropping every row on which all `equalities` hold, or
+    /// `None` when they cannot be decided from the rows alone (a side is a
+    /// variable this program does not bind) or involve no slot a step binds.
+    pub(crate) fn equality_filter(&self, equalities: &[(Term, Term)]) -> Option<EqualityFilter> {
+        let is_decidable = |t: &Term| t.as_var().is_none_or(|v| self.vars.contains(&v));
+        if !equalities.iter().all(|(a, b)| is_decidable(a) && is_decidable(b)) {
+            return None;
         }
-    } else if tuples.len() <= SCAN_THRESHOLD {
-        // Filtered scan of a small relation.
-        for row in rows {
-            'scan: for (ti, tuple) in tuples.iter().enumerate() {
-                for (i, src) in key_cols.iter().zip(&key_sources) {
-                    let want = match src {
-                        Ok(c) => *c,
-                        Err(col) => row[*col],
-                    };
-                    if tuple[*i] != want {
-                        continue 'scan;
+        let pairs: Vec<(Source, Source)> =
+            equalities.iter().map(|(a, b)| (self.source(*a), self.source(*b))).collect();
+        let sides: Vec<Source> = pairs.iter().flat_map(|(a, b)| [*a, *b]).collect();
+        Some(EqualityFilter { at: self.ready_at(&sides)?, pairs })
+    }
+
+    /// Run the join: every extension of the `initial` row (one term per
+    /// initially bound variable) through all the steps that satisfies the
+    /// inequalities, in ascending tuple order along the step order. With a
+    /// `filter`, rows it matches are dropped at the step it is armed at.
+    pub(crate) fn run<'s>(
+        &self,
+        inst: &SymbolicInstance,
+        initial: &[Term],
+        filter: Option<&EqualityFilter>,
+        scratch: &'s mut RowBuffers,
+    ) -> Rows<'s> {
+        assert_eq!(initial.len(), self.bound, "one term per initially bound variable");
+        let RowBuffers { cur, next, key } = scratch;
+        let none = Rows { width: self.vars.len(), len: 0, data: &[] };
+        if !self.initial_inequalities.iter().all(|(a, b)| a.of(initial) != b.of(initial)) {
+            return none;
+        }
+        cur.clear();
+        cur.extend_from_slice(initial);
+        let mut len = 1usize;
+        for (k, step) in self.steps.iter().enumerate() {
+            let Some(rel) = inst.relation_data(step.predicate) else {
+                return none;
+            };
+            let access = step.access(rel);
+            let armed = filter.filter(|f| f.at == k);
+            let width = step.width_in;
+            next.clear();
+            let mut produced = 0usize;
+            for r in 0..len {
+                let row = &cur[r * width..(r + 1) * width];
+                step.fill_key(row, key);
+                step.any_match(rel, &access, key, |tuple| {
+                    let start = next.len();
+                    next.extend_from_slice(row);
+                    next.extend(step.new_positions.iter().map(|&p| tuple[p]));
+                    let extended = &next[start..];
+                    let dropped = !step.passes_inequalities(extended)
+                        || armed.is_some_and(|f| {
+                            f.pairs.iter().all(|(a, b)| a.of(extended) == b.of(extended))
+                        });
+                    if dropped {
+                        next.truncate(start);
+                    } else {
+                        produced += 1;
                     }
-                }
-                extend(row, ti);
+                    false
+                });
             }
-        }
-    } else {
-        // Probe the persistent index; posting lists are ascending tuple
-        // indices — the same ascending enumeration the scan produces, which
-        // is why the scan/probe choice is invisible in the results.
-        let index = rel.index(&key_cols);
-        let mut key: Vec<Term> = Vec::with_capacity(key_sources.len());
-        for row in rows {
-            key.clear();
-            key.extend(key_sources.iter().map(|s| match s {
-                Ok(c) => *c,
-                Err(col) => row[*col],
-            }));
-            if let Some(matches) = index.get(&key) {
-                for &ti in matches {
-                    extend(row, ti);
-                }
+            if produced == 0 {
+                return none;
             }
+            std::mem::swap(cur, next);
+            len = produced;
         }
+        Rows { width: self.vars.len(), len, data: cur }
     }
-    state.rows = next_rows;
-    state.vars.extend(
-        new_positions.iter().map(|&p| atom.args[p].as_var().expect("new slots are variables")),
-    );
-    !state.rows.is_empty()
-}
 
-/// Does a columnar row satisfy every inequality?
-fn row_satisfies(vars: &[Variable], row: &[Term], ineqs: &[(Term, Term)]) -> bool {
-    let value = |t: Term| -> Term {
-        match t {
-            Term::Var(v) => {
-                vars.iter().position(|w| *w == v).map(|c| row[c]).unwrap_or(Term::Var(v))
-            }
-            Term::Const(_) => t,
+    /// A row of this program as a [`Substitution`].
+    pub(crate) fn binding(&self, row: &[Term]) -> Binding {
+        Substitution::from_distinct(self.vars.iter().copied().zip(row.iter().copied()))
+    }
+
+    /// Semijoin-style existence test: can the initially bound slots — the
+    /// first `bound` entries of `scratch.slots`, filled by the caller — be
+    /// extended through every step? Nothing is materialized: the steps are
+    /// walked depth-first, binding slots in place, and the search returns at
+    /// the first witness.
+    pub(crate) fn exists(&self, inst: &SymbolicInstance, scratch: &mut ExistsScratch) -> bool {
+        let ExistsScratch { slots, keys } = scratch;
+        assert_eq!(slots.len(), self.bound, "one term per initially bound variable");
+        if !self.initial_inequalities.iter().all(|(a, b)| a.of(slots) != b.of(slots)) {
+            return false;
         }
-    };
-    ineqs.iter().all(|(a, b)| value(*a) != value(*b))
-}
+        // The unbound slots hold a placeholder until their step writes them.
+        slots.resize(self.vars.len(), Term::Const(Constant::Int(0)));
+        if keys.len() < self.steps.len() {
+            keys.resize_with(self.steps.len(), Vec::new);
+        }
+        self.exists_from(0, inst, slots, keys)
+    }
 
-/// Materialize columnar rows as [`Substitution`]s extending `initial`.
-fn materialize(vars: &[Variable], rows: Vec<Vec<Term>>, initial: &Substitution) -> Vec<Binding> {
-    rows.into_iter()
-        .map(|row| {
-            let mut s = initial.clone();
-            for (v, t) in vars.iter().zip(&row) {
-                s.set(*v, *t);
+    fn exists_from(
+        &self,
+        depth: usize,
+        inst: &SymbolicInstance,
+        slots: &mut [Term],
+        keys: &mut [Vec<Term>],
+    ) -> bool {
+        let Some(step) = self.steps.get(depth) else {
+            return true;
+        };
+        let Some(rel) = inst.relation_data(step.predicate) else {
+            return false;
+        };
+        let (key, deeper) = keys.split_first_mut().expect("one key buffer per step");
+        step.fill_key(slots, key);
+        step.any_match(rel, &step.access(rel), key, |tuple| {
+            for (j, &p) in step.new_positions.iter().enumerate() {
+                slots[step.width_in + j] = tuple[p];
             }
-            s
+            step.passes_inequalities(slots) && self.exists_from(depth + 1, inst, slots, deeper)
         })
-        .collect()
+    }
 }
 
 /// Evaluate `atoms` (a conjunction) over `inst`, extending `initial`, and
-/// filter the results by the inequalities. Returns every homomorphism.
+/// filter the results by the inequalities. Returns every homomorphism, in
+/// ascending tuple order along the join order `order_atoms` chooses.
 pub fn evaluate_bindings(
     atoms: &[Atom],
     inequalities: &[(Term, Term)],
     inst: &SymbolicInstance,
     initial: &Substitution,
 ) -> Vec<Binding> {
-    if atoms.is_empty() {
-        // Only the initial binding, provided it satisfies the inequalities.
-        let ok = inequalities.iter().all(|(a, b)| initial.apply_term(*a) != initial.apply_term(*b));
-        return if ok { vec![initial.clone()] } else { Vec::new() };
-    }
-    let initially_bound: Vec<Variable> = initial.iter().map(|(v, _)| v).collect();
-    let order = order_atoms(atoms, &initially_bound);
-    evaluate_bindings_ordered(atoms, inequalities, inst, initial, &order)
-}
-
-/// The join core behind [`evaluate_bindings`], with the atom order already
-/// chosen — the entry point for callers holding a precompiled order
-/// ([`crate::compiled::CompiledDed::premise_bindings`]).
-pub(crate) fn evaluate_bindings_ordered(
-    atoms: &[Atom],
-    inequalities: &[(Term, Term)],
-    inst: &SymbolicInstance,
-    initial: &Substitution,
-    order: &[usize],
-) -> Vec<Binding> {
-    let mut state = JoinState::new(initial);
-    for &ai in order {
-        if !join_step(&mut state, &atoms[ai], inst) {
-            break;
-        }
-    }
-    let JoinState { vars, mut rows } = state;
-    if !inequalities.is_empty() {
-        rows.retain(|r| row_satisfies(&vars, r, inequalities));
-    }
-    materialize(&vars, rows, initial)
+    let (bound, row): (Vec<Variable>, Vec<Term>) = initial.iter().unzip();
+    let program = JoinProgram::compile(atoms, inequalities, &order_atoms(atoms, &bound), &bound);
+    let mut buffers = RowBuffers::default();
+    program.run(inst, &row, None, &mut buffers).iter().map(|r| program.binding(r)).collect()
 }
 
 /// Semijoin-style existence check: is there at least one extension of
-/// `initial` satisfying the atoms and inequalities?
-///
-/// This is the chase's *blocked* test, called once per premise binding —
-/// by far the highest-volume entry point of this module — so unlike
-/// [`evaluate_bindings`] it does not materialize anything: a backtracking
-/// search over the (join-ordered) atoms binds variables in place and
-/// returns at the first witness. Candidate tuples at each depth come from
-/// a filtered scan (relations of at most [`SCAN_THRESHOLD`] tuples) or the
-/// persistent column indexes, probed on the positions bound so far.
+/// `initial` satisfying the atoms and inequalities? Compiles the conjunction
+/// and runs its existence search — the search behind the chase's *blocked*
+/// test, which holds its conclusions compiled
+/// ([`crate::compiled::CompiledConclusion`]).
 pub fn satisfiable(
     atoms: &[Atom],
     inequalities: &[(Term, Term)],
     inst: &SymbolicInstance,
     initial: &Substitution,
 ) -> bool {
-    if atoms.is_empty() {
-        return inequalities.iter().all(|(a, b)| initial.apply_term(*a) != initial.apply_term(*b));
-    }
-    let initially_bound: Vec<Variable> = initial.iter().map(|(v, _)| v).collect();
-    let order = order_atoms(atoms, &initially_bound);
-    satisfiable_ordered(atoms, inequalities, inst, initial.clone(), &order)
-}
-
-/// The search core behind [`satisfiable`], with the atom order already
-/// chosen — the entry point for callers holding a precompiled order
-/// ([`crate::compiled::CompiledConclusion::satisfied`], whose bound *set* is
-/// known at compile time). The order only steers the search, never the
-/// boolean answer, so a precompiled order is always sound.
-pub(crate) fn satisfiable_ordered(
-    atoms: &[Atom],
-    inequalities: &[(Term, Term)],
-    inst: &SymbolicInstance,
-    initial: Substitution,
-    order: &[usize],
-) -> bool {
-    if atoms.is_empty() {
-        return inequalities.iter().all(|(a, b)| initial.apply_term(*a) != initial.apply_term(*b));
-    }
-    // The initial binding is taken by value: the highest-volume caller (the
-    // blocked test) hands over a substitution it just built, so the search
-    // mutates it in place instead of cloning a second time.
-    let mut sub = initial;
-    // One posting-list scratch buffer per depth: candidate tuple ids are
-    // copied out of the index so no index borrow is held across recursion
-    // (a deeper probe of the same relation may need to build a new index).
-    let mut scratch: Vec<Vec<usize>> = vec![Vec::new(); order.len()];
-    satisfiable_from(order, 0, atoms, inequalities, inst, &mut sub, &mut scratch)
-}
-
-fn satisfiable_from(
-    order: &[usize],
-    depth: usize,
-    atoms: &[Atom],
-    inequalities: &[(Term, Term)],
-    inst: &SymbolicInstance,
-    sub: &mut Substitution,
-    scratch: &mut [Vec<usize>],
-) -> bool {
-    if depth == order.len() {
-        return inequalities.iter().all(|(a, b)| sub.apply_term(*a) != sub.apply_term(*b));
-    }
-    let atom = &atoms[order[depth]];
-    let Some(rel) = inst.relation_data(atom.predicate) else {
-        return false;
-    };
-    if rel.is_empty() {
-        return false;
-    }
-
-    // Bound positions (constants and variables already bound) form the probe
-    // key; the rest are free.
-    let mut key_cols: Vec<usize> = Vec::new();
-    let mut key: Vec<Term> = Vec::new();
-    for (i, arg) in atom.args.iter().enumerate() {
-        match arg {
-            Term::Const(_) => {
-                key_cols.push(i);
-                key.push(*arg);
-            }
-            Term::Var(v) => {
-                if let Some(t) = sub.get(*v) {
-                    key_cols.push(i);
-                    key.push(t);
-                }
-            }
-        }
-    }
-    let (mine, rest) = scratch.split_first_mut().expect("scratch sized to the atom order");
-    if key_cols.len() == atom.args.len() {
-        // Fully bound: the key *is* the tuple — a set-membership test.
-        return rel.contains(&key)
-            && satisfiable_from(order, depth + 1, atoms, inequalities, inst, sub, rest);
-    }
-    mine.clear();
-    if key_cols.is_empty() {
-        mine.extend(0..rel.len());
-    } else if rel.len() <= SCAN_THRESHOLD {
-        // Filtered scan of a small relation.
-        'scan: for (ti, tuple) in rel.tuples().iter().enumerate() {
-            for (i, want) in key_cols.iter().zip(&key) {
-                if tuple[*i] != *want {
-                    continue 'scan;
-                }
-            }
-            mine.push(ti);
-        }
-    } else {
-        let index = rel.index(&key_cols);
-        if let Some(matches) = index.get(&key) {
-            mine.extend_from_slice(matches);
-        }
-    }
-
-    'tuples: for &ti in mine.iter() {
-        let tuple = &rel.tuples()[ti];
-        // Match the free positions against the tuple, collecting the fresh
-        // bindings this tuple would add (repeated fresh variables within the
-        // atom must match equal terms; bound positions already matched via
-        // the probe key).
-        let mut added: Vec<(Variable, Term)> = Vec::new();
-        for (i, arg) in atom.args.iter().enumerate() {
-            if let Term::Var(v) = arg {
-                if sub.binds(*v) {
-                    continue;
-                }
-                if let Some((_, t)) = added.iter().find(|(w, _)| w == v) {
-                    if *t != tuple[i] {
-                        continue 'tuples;
-                    }
-                } else {
-                    added.push((*v, tuple[i]));
-                }
-            }
-        }
-        for (v, t) in &added {
-            sub.set(*v, *t);
-        }
-        if satisfiable_from(order, depth + 1, atoms, inequalities, inst, sub, rest) {
-            return true;
-        }
-        for (v, _) in &added {
-            sub.remove(*v);
-        }
-    }
-    false
+    let (bound, row): (Vec<Variable>, Vec<Term>) = initial.iter().unzip();
+    let program = JoinProgram::compile(atoms, inequalities, &order_atoms(atoms, &bound), &bound);
+    program.exists(inst, &mut ExistsScratch { slots: row, ..Default::default() })
 }
 
 #[cfg(test)]
@@ -568,12 +641,14 @@ mod tests {
         assert_eq!(res.len(), 4);
     }
 
-    /// Cross-check the set-oriented evaluator against the backtracking
-    /// search of `mars-cq`, with relations on both sides of
-    /// [`SCAN_THRESHOLD`]: a scanned step and a probed step must enumerate
-    /// the same bindings, in ascending tuple-index order along the join
-    /// order. The pattern has a constant key, a repeated fresh variable and
-    /// an inequality.
+    /// Cross-check the compiled kernel against the backtracking search of
+    /// `mars-cq`, with relations on both sides of [`SCAN_THRESHOLD`]: a
+    /// scanned step and a probed step must enumerate the same bindings, in
+    /// ascending tuple-index order along the join order. The pattern has a
+    /// constant key, a repeated fresh variable, a fully bound atom, and
+    /// inequalities that become decidable at different steps (one of them
+    /// against a constant, one against a variable nothing binds); it is run
+    /// from the empty binding and from a non-empty one.
     #[test]
     fn agrees_with_backtracking_homomorphism_search() {
         let pattern = vec![
@@ -581,8 +656,14 @@ mod tests {
             tag(t("y"), "a"),
             child(t("x"), t("z")),
             Atom::named("E", vec![t("z"), t("w"), t("w")]),
+            child(t("x"), t("y")),
         ];
-        let ineqs = vec![(t("y"), t("z"))];
+        let ineqs = vec![
+            (t("y"), t("z")),
+            (t("w"), Term::constant_str("never")),
+            (t("x"), t("unbound")),
+            (t("z"), t("x")),
+        ];
         // (parents, children per parent, padding E tuples): `child` and
         // `tag` hold parents × children tuples, `E` that plus the padding.
         for (parents, per_parent, padding) in [(2, 3, 0), (2, 4, 0), (3, 3, 0), (2, 3, 5)] {
@@ -603,46 +684,104 @@ mod tests {
             let e_len = inst.relation_len(pattern[3].predicate);
             assert_eq!(child_len, parents * per_parent);
             assert_eq!(e_len, child_len + padding);
-
-            // The tuple index each join step chose, in join order.
-            let order = order_atoms(&pattern, &[]);
-            let trail = |h: &Binding| -> Vec<usize> {
-                order
-                    .iter()
-                    .map(|&ai| {
-                        let image = h.apply_atom(&pattern[ai]);
-                        inst.relation(image.predicate)
-                            .iter()
-                            .position(|tuple| *tuple == image.args)
-                            .expect("a binding maps every atom onto a tuple")
-                    })
-                    .collect()
-            };
-
-            let fast = evaluate_bindings(&pattern, &ineqs, &inst, &Substitution::new());
-            let fast_trails: Vec<Vec<usize>> = fast.iter().map(&trail).collect();
-            assert!(
-                fast_trails.windows(2).all(|w| w[0] < w[1]),
-                "child = {child_len}, E = {e_len}: bindings must come in ascending trail order"
-            );
-
             let index = mars_cq::AtomIndex::new(&inst.atoms());
-            let mut slow =
-                mars_cq::find_all_homomorphisms(&pattern, &index, &Substitution::new(), None);
-            slow.retain(|h| ineqs.iter().all(|(a, b)| h.apply_term(*a) != h.apply_term(*b)));
-            slow.sort_by_key(&trail);
-            assert_eq!(fast, slow, "child = {child_len}, E = {e_len}");
             // Per parent: ordered pairs of distinct "a"-tagged children.
             let tagged_a = per_parent.div_ceil(2);
-            assert_eq!(fast.len(), parents * tagged_a * (tagged_a - 1));
+            let per_parent_bindings = tagged_a * (tagged_a - 1);
 
-            assert!(satisfiable(&pattern, &ineqs, &inst, &Substitution::new()));
-            // `E` pairs equal terms only under "a"-tagged nodes.
-            let mut unsat = pattern.clone();
-            unsat.push(tag(t("z"), "b"));
-            assert!(!satisfiable(&unsat, &ineqs, &inst, &Substitution::new()));
-            assert!(evaluate_bindings(&unsat, &ineqs, &inst, &Substitution::new()).is_empty());
+            let from_p0 = Substitution::from_pairs(vec![(v("x"), t("p0"))]).unwrap();
+            for (initial, expected) in [
+                (Substitution::new(), parents * per_parent_bindings),
+                (from_p0, per_parent_bindings),
+            ] {
+                // The tuple index each join step chose, in join order.
+                let bound: Vec<Variable> = initial.iter().map(|(v, _)| v).collect();
+                let order = order_atoms(&pattern, &bound);
+                let trail = |h: &Binding| -> Vec<usize> {
+                    order
+                        .iter()
+                        .map(|&ai| {
+                            let image = h.apply_atom(&pattern[ai]);
+                            inst.relation(image.predicate)
+                                .iter()
+                                .position(|tuple| *tuple == image.args)
+                                .expect("a binding maps every atom onto a tuple")
+                        })
+                        .collect()
+                };
+
+                let fast = evaluate_bindings(&pattern, &ineqs, &inst, &initial);
+                let fast_trails: Vec<Vec<usize>> = fast.iter().map(&trail).collect();
+                assert!(
+                    fast_trails.windows(2).all(|w| w[0] < w[1]),
+                    "child = {child_len}, E = {e_len}: bindings must come in ascending trail order"
+                );
+
+                let mut slow = mars_cq::find_all_homomorphisms(&pattern, &index, &initial, None);
+                slow.retain(|h| ineqs.iter().all(|(a, b)| h.apply_term(*a) != h.apply_term(*b)));
+                slow.sort_by_key(&trail);
+                assert_eq!(fast, slow, "child = {child_len}, E = {e_len}");
+                assert_eq!(fast.len(), expected);
+
+                assert!(satisfiable(&pattern, &ineqs, &inst, &initial));
+                // `E` pairs equal terms only under "a"-tagged nodes.
+                let mut unsat = pattern.clone();
+                unsat.push(tag(t("z"), "b"));
+                assert!(!satisfiable(&unsat, &ineqs, &inst, &initial));
+                assert!(evaluate_bindings(&unsat, &ineqs, &inst, &initial).is_empty());
+                // An inequality that fails on the initial row alone.
+                let self_neq = [(t("x"), t("x"))];
+                assert!(!satisfiable(&pattern, &self_neq, &inst, &initial));
+                assert!(evaluate_bindings(&pattern, &self_neq, &inst, &initial).is_empty());
+            }
         }
+    }
+
+    /// The pushed-down equality filter drops exactly the rows on which every
+    /// pair is equal, whatever step it is armed at, and is refused for
+    /// equalities the rows cannot decide.
+    #[test]
+    fn equality_filter_drops_exactly_the_rows_it_matches() {
+        // A key-style premise: R(k,a), R(k,b), S(b) over 3 × 3 R-tuples.
+        let atoms = vec![
+            Atom::named("R", vec![t("k"), t("a")]),
+            Atom::named("R", vec![t("k"), t("b")]),
+            Atom::named("S", vec![t("b")]),
+        ];
+        let mut inst = SymbolicInstance::new();
+        for k in 0..3 {
+            for j in 0..3 {
+                inst.insert_atom(&Atom::named(
+                    "R",
+                    vec![t(&format!("k{k}")), t(&format!("v{k}_{j}"))],
+                ));
+                inst.insert_atom(&Atom::named("S", vec![t(&format!("v{k}_{j}"))]));
+            }
+        }
+        let program = JoinProgram::compile(&atoms, &[], &order_atoms(&atoms, &[]), &[]);
+        let (mut unfiltered, mut filtered) = (RowBuffers::default(), RowBuffers::default());
+        let all = program.run(&inst, &[], None, &mut unfiltered);
+        assert_eq!(all.len(), 27);
+
+        let filter = program.equality_filter(&[(t("a"), t("b"))]).expect("both sides are slots");
+        assert!(filter.at < program.steps.len() - 1, "armed before the last step");
+        let kept = program.run(&inst, &[], Some(&filter), &mut filtered);
+        let a = program.vars().iter().position(|w| *w == v("a")).unwrap();
+        let b = program.vars().iter().position(|w| *w == v("b")).unwrap();
+        let expected: Vec<&[Term]> = all.iter().filter(|row| row[a] != row[b]).collect();
+        assert_eq!(kept.iter().collect::<Vec<_>>(), expected);
+        assert_eq!(kept.len(), 18);
+
+        // Two equalities: only rows satisfying *both* are dropped.
+        let both = program.equality_filter(&[(t("a"), t("b")), (t("k"), t("k0"))]);
+        assert!(both.is_none(), "`k0` is not a variable of the program");
+        let both = program
+            .equality_filter(&[(t("a"), t("b")), (t("b"), Term::constant_str("nope"))])
+            .expect("constants are decidable");
+        assert_eq!(program.run(&inst, &[], Some(&both), &mut filtered).len(), 27);
+        // No slot involved, or an existential side: no filter.
+        assert!(program.equality_filter(&[]).is_none());
+        assert!(program.equality_filter(&[(t("a"), t("fresh"))]).is_none());
     }
 
     #[test]

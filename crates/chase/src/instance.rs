@@ -13,17 +13,27 @@
 //! relations it actually touches. The process-wide [`index_build_count`]
 //! lets regression tests pin this contract down.
 //!
-//! Relations also maintain cheap **incremental statistics** — tuple counts
-//! and exact per-column distinct counts ([`Relation::distinct_in_column`]) —
-//! exposed through the shared `mars_cost::StatisticsCatalog`. Statistics are
-//! updated on the same paths that maintain the indexes (insert updates them
-//! in place, an EGD rewrite rebuilds them with the relation), so they are
-//! always exact, never sampled or stale.
+//! Relations also answer **exact statistics** — tuple counts and per-column
+//! distinct counts ([`Relation::distinct_in_column`]) — exposed through the
+//! shared `mars_cost::StatisticsCatalog`. The distinct counts are *lazy*:
+//! counted on the first read after the relation last changed and cached
+//! until the next insert, so they are always exact, never sampled or stale —
+//! and the chase, which inserts constantly and never reads them, pays
+//! nothing for them. Only the storage-side planner reads them, over stores
+//! that stop changing once loaded.
+//!
+//! Dedup sets, column indexes and the per-instance relation map hash with
+//! the workspace's Fx-style hasher (`mars_cq::fx`). Relations sit behind
+//! `Arc` and are copied on first write, so cloning an instance — a
+//! disjunctive split, a [`FrozenInstance::thaw`] — copies a map of handles,
+//! and a relation the clone never writes is never copied.
 
-use mars_cq::{Atom, ConjunctiveQuery, Predicate, Substitution, Term, Variable};
-use std::collections::{HashMap, HashSet};
+use mars_cq::{
+    Atom, ConjunctiveQuery, FxHashMap, FxHashSet, Predicate, Substitution, Term, Variable,
+};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
 /// Number of from-scratch column-index builds since process start.
 ///
@@ -40,32 +50,35 @@ pub fn index_build_count() -> usize {
 
 /// A hash index over one column set: key terms (in column order) → indices of
 /// the matching tuples, ascending in insertion order.
-pub type ColumnIndex = HashMap<Vec<Term>, Vec<usize>>;
+pub type ColumnIndex = FxHashMap<Vec<Term>, Vec<usize>>;
+
+/// The cached column indexes of one relation, by (ascending) column set.
+type IndexCache = FxHashMap<Vec<usize>, Arc<ColumnIndex>>;
 
 /// One relation of the symbolic instance: a deduplicated, insertion-ordered
 /// set of tuples whose entries are [`Term`]s (variables act as constants).
 #[derive(Debug, Default)]
 pub struct Relation {
     tuples: Vec<Vec<Term>>,
-    set: HashSet<Vec<Term>>,
+    set: FxHashSet<Vec<Term>>,
     /// Persistent column-set indexes. Interior mutability lets evaluation
     /// (`&SymbolicInstance`) build an index lazily on first use. The cache
     /// is lock-guarded and hands out shared handles, so a relation — and
     /// with it `mars_storage::RelationalDatabase` and its router — is
-    /// `Sync`; the chase itself never shares an instance across threads
-    /// (branches move between workers whole), so the locks are uncontended
-    /// there. Clones share the handles; the first insert into either side
-    /// copies the index it touches.
-    indexes: RwLock<HashMap<Vec<usize>, Arc<ColumnIndex>>>,
+    /// `Sync`; the chase itself never shares a *live* instance across
+    /// threads (branches move between workers whole), so the locks are
+    /// uncontended there. Clones share the handles; the first insert into
+    /// either side copies the index it touches.
+    indexes: RwLock<IndexCache>,
     /// From-scratch builds of this relation's indexes — the race-free
     /// (per-relation) counterpart of the process-wide [`index_build_count`],
     /// for tests that must not observe other tests' builds.
     builds: AtomicUsize,
-    /// Per-column distinct-term sets, maintained incrementally on insert
-    /// (sized to the relation's arity at the first insert). `distinct[c].len()`
-    /// is the *exact* number of distinct terms in column `c` — the
-    /// cardinality statistic behind [`Relation::expected_matches`].
-    distinct: Vec<HashSet<Term>>,
+    /// Exact per-column distinct-term counts, counted on first read
+    /// ([`Relation::distinct_in_column`]) and dropped by every insert. A
+    /// clone starts with an empty cell of its own: the counts are cheap to
+    /// recount and the chase, which clones constantly, never reads them.
+    distinct: OnceLock<Vec<usize>>,
 }
 
 impl Clone for Relation {
@@ -75,7 +88,7 @@ impl Clone for Relation {
             set: self.set.clone(),
             indexes: RwLock::new(self.cached_indexes().clone()),
             builds: AtomicUsize::new(self.index_builds()),
-            distinct: self.distinct.clone(),
+            distinct: OnceLock::new(),
         }
     }
 }
@@ -84,32 +97,32 @@ impl Relation {
     // A panic while this guard is held leaves the map valid (every update is
     // a single insert of a finished value), so a poisoned lock is recovered
     // instead of turning one failed request into an outage.
-    fn cached_indexes(&self) -> RwLockReadGuard<'_, HashMap<Vec<usize>, Arc<ColumnIndex>>> {
+    fn cached_indexes(&self) -> RwLockReadGuard<'_, IndexCache> {
         self.indexes.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Insert a tuple; returns `true` if it was new. Every existing column
-    /// index absorbs the new tuple incrementally (no rebuild), and the
-    /// per-column distinct statistics are updated in place.
+    /// index absorbs the new tuple incrementally (no rebuild); the cached
+    /// distinct counts are dropped and recounted on their next read.
     pub fn insert(&mut self, tuple: Vec<Term>) -> bool {
         if self.set.contains(&tuple) {
             return false;
         }
+        self.push_new(tuple);
+        true
+    }
+
+    /// Append a tuple the caller has checked to be absent.
+    fn push_new(&mut self, tuple: Vec<Term>) {
         let id = self.tuples.len();
         let indexes = self.indexes.get_mut().unwrap_or_else(PoisonError::into_inner);
         for (cols, index) in indexes.iter_mut() {
             let key: Vec<Term> = cols.iter().map(|&c| tuple[c]).collect();
             Arc::make_mut(index).entry(key).or_default().push(id);
         }
-        if self.distinct.len() < tuple.len() {
-            self.distinct.resize_with(tuple.len(), HashSet::new);
-        }
-        for (c, t) in tuple.iter().enumerate() {
-            self.distinct[c].insert(*t);
-        }
+        self.distinct.take();
         self.set.insert(tuple.clone());
         self.tuples.push(tuple);
-        true
     }
 
     /// All tuples in insertion order.
@@ -145,7 +158,7 @@ impl Relation {
         if let Some(index) = self.cached_indexes().get(cols) {
             return Arc::clone(index);
         }
-        let mut index = ColumnIndex::new();
+        let mut index = ColumnIndex::default();
         for (id, tuple) in self.tuples.iter().enumerate() {
             let key: Vec<Term> = cols.iter().map(|&c| tuple[c]).collect();
             index.entry(key).or_default().push(id);
@@ -173,10 +186,20 @@ impl Relation {
     }
 
     /// Exact number of distinct terms in column `col` (0 for an empty
-    /// relation or an out-of-arity column). Maintained incrementally by
-    /// [`Relation::insert`]; rebuilt with the relation on an EGD rewrite.
+    /// relation or an out-of-arity column). The first read after a change
+    /// counts every column in one pass over the tuples; later reads are a
+    /// lookup until the next [`Relation::insert`].
     pub fn distinct_in_column(&self, col: usize) -> usize {
-        self.distinct.get(col).map(|s| s.len()).unwrap_or(0)
+        let counts = self.distinct.get_or_init(|| {
+            let mut seen: Vec<FxHashSet<Term>> = vec![FxHashSet::default(); self.arity()];
+            for tuple in &self.tuples {
+                for (column, t) in seen.iter_mut().zip(tuple) {
+                    column.insert(*t);
+                }
+            }
+            seen.iter().map(FxHashSet::len).collect()
+        });
+        counts.get(col).copied().unwrap_or(0)
     }
 
     /// Distinct estimate for a *composite* key over `cols`: the maximum of
@@ -202,16 +225,15 @@ impl Relation {
     /// Arity of the relation as observed from its tuples (0 while empty —
     /// arity is fixed at the first insert).
     pub fn arity(&self) -> usize {
-        self.distinct.len()
+        self.tuples.first().map_or(0, Vec::len)
     }
 }
 
 /// The chase side of the shared statistics catalog (`mars_cost`): the
-/// symbolic instance exposes its incrementally maintained exact counters —
-/// tuple counts and per-column distincts — through the same trait the storage
-/// layer implements, so the physical planner and the cost estimators read
-/// either substrate interchangeably. Maintenance stays here (insert updates
-/// in place, EGD rewrites rebuild); the trait is read-only.
+/// symbolic instance exposes its exact counters — tuple counts and (lazily
+/// counted) per-column distincts — through the same trait the storage layer
+/// implements, so the physical planner and the cost estimators read either
+/// substrate interchangeably. The trait is read-only.
 impl mars_cost::StatisticsCatalog for SymbolicInstance {
     fn tuple_count(&self, relation: Predicate) -> usize {
         self.relation_len(relation)
@@ -237,7 +259,7 @@ impl mars_cost::StatisticsCatalog for SymbolicInstance {
 /// The symbolic database instance associated with a query.
 #[derive(Clone, Debug, Default)]
 pub struct SymbolicInstance {
-    relations: HashMap<Predicate, Relation>,
+    relations: FxHashMap<Predicate, Arc<Relation>>,
     atom_count: usize,
     max_var: u32,
 }
@@ -260,16 +282,19 @@ impl SymbolicInstance {
     /// Insert an atom as a tuple; returns `true` if it was new.
     pub fn insert_atom(&mut self, atom: &Atom) -> bool {
         let rel = self.relations.entry(atom.predicate).or_default();
-        let added = rel.insert(atom.args.clone());
-        if added {
-            self.atom_count += 1;
-            for t in &atom.args {
-                if let Term::Var(v) = t {
-                    self.max_var = self.max_var.max(v.index);
-                }
+        if rel.contains(&atom.args) {
+            return false;
+        }
+        // Copy-on-write: a relation still shared with a frozen seed or a
+        // sibling branch is copied here, at its first new tuple.
+        Arc::make_mut(rel).push_new(atom.args.clone());
+        self.atom_count += 1;
+        for t in &atom.args {
+            if let Term::Var(v) = t {
+                self.max_var = self.max_var.max(v.index);
             }
         }
-        added
+        true
     }
 
     /// Does the instance contain the atom (exactly)?
@@ -285,7 +310,7 @@ impl SymbolicInstance {
     /// The full relation object (tuples + persistent indexes) for a
     /// predicate, if present.
     pub fn relation_data(&self, p: Predicate) -> Option<&Relation> {
-        self.relations.get(&p)
+        self.relations.get(&p).map(|rel| &**rel)
     }
 
     /// Number of tuples of a predicate (0 if absent).
@@ -373,7 +398,7 @@ impl SymbolicInstance {
                 for tuple in &rel.tuples {
                     rewritten.insert(tuple.iter().map(|t| s.apply_term_deep(*t)).collect());
                 }
-                *rel = rewritten;
+                *rel = Arc::new(rewritten);
             }
             count += rel.len();
         }
@@ -402,90 +427,43 @@ impl SymbolicInstance {
     }
 
     /// Freeze the instance into an immutable, thread-shareable snapshot that
-    /// keeps the warm state — cached column indexes and distinct statistics —
-    /// alongside the tuples. The inverse is [`FrozenInstance::thaw`].
+    /// keeps the warm state — the cached column indexes — alongside the
+    /// tuples. The inverse is [`FrozenInstance::thaw`].
     pub fn freeze(self) -> FrozenInstance {
-        let relations = self
-            .relations
-            .into_iter()
-            .map(|(p, rel)| {
-                (
-                    p,
-                    FrozenRelation {
-                        tuples: rel.tuples,
-                        set: rel.set,
-                        builds: rel.builds.into_inner(),
-                        indexes: rel.indexes.into_inner().unwrap_or_else(PoisonError::into_inner),
-                        distinct: rel.distinct,
-                    },
-                )
-            })
-            .collect();
-        FrozenInstance { relations, atom_count: self.atom_count, max_var: self.max_var }
+        FrozenInstance { inst: self }
     }
-}
-
-/// An immutable snapshot of one [`Relation`]: the same tuples, cached column
-/// indexes and distinct statistics, but in plain containers with no interior
-/// mutability — so the snapshot is `Sync` and can be shared by reference
-/// across the backchase worker threads.
-#[derive(Clone, Debug)]
-struct FrozenRelation {
-    tuples: Vec<Vec<Term>>,
-    set: HashSet<Vec<Term>>,
-    indexes: HashMap<Vec<usize>, Arc<ColumnIndex>>,
-    builds: usize,
-    distinct: Vec<HashSet<Term>>,
 }
 
 /// An immutable, thread-shareable snapshot of a [`SymbolicInstance`].
 ///
-/// Freezing preserves everything the chase warmed up — persistent column
-/// indexes and exact distinct statistics — so a back-chase that resumes from
-/// a frozen seed starts with hot access paths instead of re-deriving them
-/// from a re-parsed query. Thawing
-/// restores a fully live [`SymbolicInstance`] without counting any index
-/// (re)build: the indexes are shared with the snapshot (and copied by the
-/// first insert that touches them), not reconstructed.
+/// Freezing preserves everything the chase warmed up — the persistent column
+/// indexes — so a back-chase that resumes from a frozen seed starts with hot
+/// access paths instead of re-deriving them from a re-parsed query. Thawing
+/// hands out the snapshot's relations by handle: nothing is copied or
+/// rebuilt, and a relation is copied only when the thawed instance first
+/// writes it (its indexes are then shared per index, and copied by the first
+/// insert that touches them).
 #[derive(Clone, Debug, Default)]
 pub struct FrozenInstance {
-    relations: HashMap<Predicate, FrozenRelation>,
-    atom_count: usize,
-    max_var: u32,
+    inst: SymbolicInstance,
 }
 
 impl FrozenInstance {
-    /// Restore a live instance from the snapshot. Cached indexes and
-    /// statistics carry over verbatim; nothing is rebuilt and no build
+    /// Restore a live instance from the snapshot. Relations, their cached
+    /// indexes and their build counters carry over by handle; no build
     /// counter (process-wide or per-relation) advances.
     pub fn thaw(&self) -> SymbolicInstance {
-        let relations = self
-            .relations
-            .iter()
-            .map(|(p, rel)| {
-                (
-                    *p,
-                    Relation {
-                        tuples: rel.tuples.clone(),
-                        set: rel.set.clone(),
-                        indexes: RwLock::new(rel.indexes.clone()),
-                        builds: AtomicUsize::new(rel.builds),
-                        distinct: rel.distinct.clone(),
-                    },
-                )
-            })
-            .collect();
-        SymbolicInstance { relations, atom_count: self.atom_count, max_var: self.max_var }
+        self.inst.clone()
     }
 
     /// Total number of atoms (tuples) in the snapshot.
     pub fn len(&self) -> usize {
-        self.atom_count
+        self.inst.len()
     }
 
     /// Is the snapshot empty?
     pub fn is_empty(&self) -> bool {
-        self.atom_count == 0
+        self.inst.is_empty()
     }
 
     /// Predicates present, sorted by name — the canonical order for
@@ -493,14 +471,14 @@ impl FrozenInstance {
     /// [`FrozenInstance::to_query`] (tuples keep their insertion order
     /// within each predicate).
     pub fn sorted_predicates(&self) -> Vec<Predicate> {
-        let mut ps: Vec<Predicate> = self.relations.keys().copied().collect();
+        let mut ps: Vec<Predicate> = self.inst.predicates().collect();
         ps.sort_by(|a, b| a.name().cmp(b.name()));
         ps
     }
 
     /// Tuples of one predicate in insertion order (empty if absent).
     pub fn relation(&self, p: Predicate) -> &[Vec<Term>] {
-        self.relations.get(&p).map(|r| r.tuples.as_slice()).unwrap_or(&[])
+        self.inst.relation(p)
     }
 
     /// Convert the snapshot to a query with the given name, head and
@@ -512,14 +490,7 @@ impl FrozenInstance {
         head: Vec<Term>,
         inequalities: Vec<(Term, Term)>,
     ) -> ConjunctiveQuery {
-        let mut atoms = Vec::with_capacity(self.atom_count);
-        for (p, rel) in &self.relations {
-            for t in &rel.tuples {
-                atoms.push(Atom::new(*p, t.clone()));
-            }
-        }
-        atoms.sort_by(|a, b| (a.predicate.name(), &a.args).cmp(&(b.predicate.name(), &b.args)));
-        ConjunctiveQuery { name: name.to_string(), head, body: atoms, inequalities }
+        self.inst.to_query(name, head, inequalities)
     }
 }
 
@@ -698,6 +669,68 @@ mod tests {
         assert_eq!(rel.len(), 3);
         assert_eq!(rel.distinct_in_column(1), 1, "x merged into y");
         assert_eq!(rel.distinct_in_column(0), 3, "column 0 untouched by the unification");
+    }
+
+    /// The distinct counts are cached per relation value and never copied: a
+    /// clone, and a thawed relation from its first write on, recount for
+    /// themselves, so an insert on one side cannot leave a stale count on
+    /// the other.
+    #[test]
+    fn clones_and_thaws_recount_distinct_statistics_for_themselves() {
+        let mut inst = SymbolicInstance::new();
+        inst.insert_atom(&child(t("a"), t("x")));
+        inst.insert_atom(&child(t("a"), t("y")));
+        inst.insert_atom(&child(t("b"), t("x")));
+        let p = mars_cq::Predicate::new("child");
+        let rel = inst.relation_data(p).unwrap();
+        assert_eq!((rel.distinct_in_column(0), rel.distinct_in_column(1)), (2, 2));
+        assert!(rel.distinct.get().is_some(), "the first read fills the cell");
+
+        let mut copy = rel.clone();
+        assert!(copy.distinct.get().is_none(), "a clone starts with an empty cell");
+        assert_eq!((copy.distinct_in_column(0), copy.distinct_in_column(1)), (2, 2));
+        copy.insert(vec![t("c"), t("x")]);
+        assert_eq!((copy.distinct_in_column(0), copy.distinct_in_column(1)), (3, 2));
+        assert_eq!(rel.distinct_in_column(0), 2, "the original never saw the insert");
+
+        let frozen = inst.freeze();
+        let mut thawed = frozen.thaw();
+        assert_eq!(thawed.relation_data(p).unwrap().distinct_in_column(0), 2);
+        thawed.insert_atom(&child(t("c"), t("z")));
+        let written = thawed.relation_data(p).unwrap();
+        assert_eq!((written.distinct_in_column(0), written.distinct_in_column(1)), (3, 3));
+        let snapshot = frozen.thaw();
+        let kept = snapshot.relation_data(p).unwrap();
+        assert_eq!((kept.len(), kept.distinct_in_column(0), kept.distinct_in_column(1)), (3, 2, 2));
+    }
+
+    /// Thawing hands out relations by handle: the relation a thawed instance
+    /// writes is copied at that write (sharing its warm indexes), every other
+    /// one stays the snapshot's own, and an index a thawed instance builds on
+    /// an unwritten relation is there for the next thaw.
+    #[test]
+    fn thaw_copies_a_relation_at_its_first_write_only() {
+        let mut inst = SymbolicInstance::new();
+        inst.insert_atom(&child(t("a"), t("x")));
+        inst.insert_atom(&tag(t("x"), "book"));
+        let (child_p, tag_p) = (mars_cq::Predicate::new("child"), mars_cq::Predicate::new("tag"));
+        let _ = inst.relation_data(child_p).unwrap().index(&[0]);
+        let frozen = inst.freeze();
+
+        let mut first = frozen.thaw();
+        first.insert_atom(&child(t("a"), t("y")));
+        let _ = first.relation_data(tag_p).unwrap().index(&[1]);
+        assert_eq!(first.relation_len(child_p), 2);
+        assert_eq!(first.relation_data(child_p).unwrap().index_builds(), 1, "index came along");
+        assert_eq!(first.relation_data(child_p).unwrap().index(&[0]).len(), 1);
+
+        let second = frozen.thaw();
+        assert_eq!(second.relation_len(child_p), 1, "the snapshot is untouched by the write");
+        assert!(std::ptr::eq(
+            second.relation_data(tag_p).unwrap(),
+            first.relation_data(tag_p).unwrap()
+        ));
+        assert_eq!(second.relation_data(tag_p).unwrap().cached_index_count(), 1);
     }
 
     /// Freeze/thaw is the resident-reuse contract: a thawed instance carries

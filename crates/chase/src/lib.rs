@@ -17,12 +17,14 @@
 //!
 //! * **shared compilation** ([`CompiledDeps`]): the dependency set is
 //!   compiled once per engine (closure detection, EGD-priority ordering,
-//!   per-DED join plans with precompiled join orders) and shared via `Arc`
-//!   across every chase, back-chase, branch and query block,
-//! * **one premise-join path** ([`evaluate_bindings`]): a dirty dependency
-//!   re-joins its full premise, each step a filtered scan of a relation of
-//!   at most [`SCAN_THRESHOLD`] tuples or a probe of the persistent column
-//!   index of a larger one,
+//!   per-DED slot-compiled join programs for premise and conclusions) and
+//!   shared via `Arc` across every chase, back-chase, branch and query block,
+//! * **one premise-join kernel** ([`evaluate`]): a dirty dependency re-joins
+//!   its full premise over flat term rows, each step a filtered scan of a
+//!   relation of at most [`SCAN_THRESHOLD`] tuples or a probe of the
+//!   persistent column index of a larger one, with the blocked test of
+//!   pure-equality conclusions pushed into the join
+//!   ([`CompiledDed::unblocked_bindings`]),
 //! * the **chase shortcut** of Section 3.2 (the effect of the TIX constraints
 //!   `(refl)`, `(base)`, `(trans)` is computed directly as a transitive
 //!   closure instead of step-by-step),
@@ -54,8 +56,8 @@ pub use chase::{
     chase_to_universal_plan_compiled, ChaseOptions, ChaseStats, ChaseStop, ResidentBranch,
     ResidentChase, UniversalPlan,
 };
-pub use compiled::{compilation_count, CompiledConclusion, CompiledDed, CompiledDeps};
-pub use evaluate::{evaluate_bindings, satisfiable, Binding, SCAN_THRESHOLD};
+pub use compiled::{compilation_count, CompiledConclusion, CompiledDed, CompiledDeps, Unblocked};
+pub use evaluate::{evaluate_bindings, satisfiable, Binding, JoinScratch, SCAN_THRESHOLD};
 pub use instance::{index_build_count, FrozenInstance, Relation, SymbolicInstance};
 pub use reach::{prune_parallel_desc, ReachabilityGraph};
 pub use shortcut::{detect_closure_constraints, ClosureConstraints};

@@ -12,8 +12,7 @@
 //! closure constraints are therefore detected and applied *per document*.
 
 use crate::instance::SymbolicInstance;
-use mars_cq::{Atom, Ded, Predicate, Term};
-use std::collections::{HashMap, HashSet};
+use mars_cq::{Atom, Ded, FxHashMap, FxHashSet, Predicate, Term};
 
 /// Split a predicate name into its GReX base name and optional document
 /// suffix.
@@ -34,7 +33,7 @@ fn pred_for(base: &str, doc: &Option<String>) -> Predicate {
 
 /// The closure constraints of one document (or of the unsuffixed GReX
 /// predicates when `document` is `None`).
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ClosureGroup {
     /// Document the group's predicates refer to.
     pub document: Option<String>,
@@ -44,6 +43,12 @@ pub struct ClosureGroup {
     pub trans: Option<usize>,
     /// Index of the `(refl)` constraint (`el(x) → desc(x,x)`).
     pub refl: Option<usize>,
+    /// The group's `child` / `desc` / `el` predicates, interned once at
+    /// detection — the shortcut runs several times per back-chase and must
+    /// not format names and take the interner's lock each time.
+    child: Predicate,
+    desc: Predicate,
+    el: Predicate,
 }
 
 /// All closure constraints detected in a dependency set, grouped by document.
@@ -54,10 +59,22 @@ pub struct ClosureConstraints {
 }
 
 impl ClosureGroup {
+    fn new(document: Option<String>) -> ClosureGroup {
+        ClosureGroup {
+            child: pred_for("child", &document),
+            desc: pred_for("desc", &document),
+            el: pred_for("el", &document),
+            document,
+            base: None,
+            trans: None,
+            refl: None,
+        }
+    }
+
     /// The `desc` predicate this group's shortcut inserts into — the only
     /// relation [`apply_closure`] ever changes.
     pub fn desc_pred(&self) -> Predicate {
-        pred_for("desc", &self.document)
+        self.desc
     }
 
     /// Snapshot of this group's closure *inputs* on `inst`: the lengths of
@@ -68,9 +85,9 @@ impl ClosureGroup {
     /// nothing.
     fn input_mark(&self, inst: &SymbolicInstance, rewrites: u64) -> ClosureInputMark {
         ClosureInputMark {
-            child: inst.relation(pred_for("child", &self.document)).len(),
-            desc: inst.relation(self.desc_pred()).len(),
-            el: inst.relation(pred_for("el", &self.document)).len(),
+            child: inst.relation_len(self.child),
+            desc: inst.relation_len(self.desc),
+            el: inst.relation_len(self.el),
             rewrites,
         }
     }
@@ -113,7 +130,7 @@ impl ClosureConstraints {
         if let Some(pos) = self.groups.iter().position(|g| g.document == doc) {
             &mut self.groups[pos]
         } else {
-            self.groups.push(ClosureGroup { document: doc, ..Default::default() });
+            self.groups.push(ClosureGroup::new(doc));
             self.groups.last_mut().expect("just pushed")
         }
     }
@@ -230,49 +247,51 @@ pub fn detect_closure_constraints(deds: &[Ded]) -> ClosureConstraints {
 /// of terms connected by a path of `child`/`desc` edges, and `desc(x,x)` for
 /// every `el(x)` when `(refl)` is present. Returns the number of atoms added.
 fn apply_group(inst: &mut SymbolicInstance, group: &ClosureGroup) -> usize {
-    let desc_pred = pred_for("desc", &group.document);
-    let child_pred = pred_for("child", &group.document);
-    let el_pred = pred_for("el", &group.document);
-
-    let mut adjacency: HashMap<Term, Vec<Term>> = HashMap::new();
-    let mut nodes: HashSet<Term> = HashSet::new();
+    // Nodes in first-seen tuple order, so the order `desc` atoms are inserted
+    // in does not depend on a hasher.
+    let mut adjacency: FxHashMap<Term, Vec<Term>> = FxHashMap::default();
+    let mut nodes: Vec<Term> = Vec::new();
+    let mut edge = |from: Term, to: Term| {
+        for n in [from, to] {
+            adjacency.entry(n).or_insert_with(|| {
+                nodes.push(n);
+                Vec::new()
+            });
+        }
+        adjacency.get_mut(&from).expect("both ends were just added").push(to);
+    };
     if group.base.is_some() || group.trans.is_some() {
-        for tup in inst.relation(child_pred) {
-            adjacency.entry(tup[0]).or_default().push(tup[1]);
-            nodes.insert(tup[0]);
-            nodes.insert(tup[1]);
+        for tup in inst.relation(group.child) {
+            edge(tup[0], tup[1]);
         }
     }
-    for tup in inst.relation(desc_pred) {
-        adjacency.entry(tup[0]).or_default().push(tup[1]);
-        nodes.insert(tup[0]);
-        nodes.insert(tup[1]);
+    for tup in inst.relation(group.desc) {
+        edge(tup[0], tup[1]);
     }
 
     let mut added = 0usize;
     if group.trans.is_some() || group.base.is_some() {
+        let mut seen: FxHashSet<Term> = FxHashSet::default();
         for &start in &nodes {
-            let mut seen: HashSet<Term> = HashSet::new();
-            let mut stack: Vec<Term> = adjacency.get(&start).cloned().unwrap_or_default();
+            seen.clear();
+            let mut stack: Vec<Term> = adjacency[&start].clone();
             while let Some(next) = stack.pop() {
                 if !seen.insert(next) {
                     continue;
                 }
-                if inst.insert_atom(&Atom::new(desc_pred, vec![start, next])) {
+                if inst.insert_atom(&Atom::new(group.desc, vec![start, next])) {
                     added += 1;
                 }
                 if group.trans.is_some() {
-                    if let Some(succ) = adjacency.get(&next) {
-                        stack.extend(succ.iter().copied());
-                    }
+                    stack.extend(adjacency[&next].iter().copied());
                 }
             }
         }
     }
     if group.refl.is_some() {
-        let els: Vec<Term> = inst.relation(el_pred).iter().map(|t| t[0]).collect();
+        let els: Vec<Term> = inst.relation(group.el).iter().map(|t| t[0]).collect();
         for e in els {
-            if inst.insert_atom(&Atom::new(desc_pred, vec![e, e])) {
+            if inst.insert_atom(&Atom::new(group.desc, vec![e, e])) {
                 added += 1;
             }
         }
@@ -282,8 +301,8 @@ fn apply_group(inst: &mut SymbolicInstance, group: &ClosureGroup) -> usize {
 
 /// All terms reachable from `from` (inclusive) over `adj`, in deterministic
 /// DFS order.
-fn reach_with(adj: &HashMap<Term, Vec<Term>>, from: Term) -> Vec<Term> {
-    let mut seen: HashSet<Term> = HashSet::new();
+fn reach_with(adj: &FxHashMap<Term, Vec<Term>>, from: Term) -> Vec<Term> {
+    let mut seen: FxHashSet<Term> = FxHashSet::default();
     seen.insert(from);
     let mut out = vec![from];
     let mut stack = vec![from];
@@ -317,12 +336,9 @@ fn apply_group_incremental(
     group: &ClosureGroup,
     mark: &ClosureInputMark,
 ) -> usize {
-    let desc_pred = group.desc_pred();
-    let child_pred = pred_for("child", &group.document);
-    let el_pred = pred_for("el", &group.document);
-
-    let mut fwd: HashMap<Term, Vec<Term>> = HashMap::new();
-    let mut rev: HashMap<Term, Vec<Term>> = HashMap::new();
+    let (child_pred, desc_pred, el_pred) = (group.child, group.desc, group.el);
+    let mut fwd: FxHashMap<Term, Vec<Term>> = FxHashMap::default();
+    let mut rev: FxHashMap<Term, Vec<Term>> = FxHashMap::default();
     let mut new_edges: Vec<(Term, Term)> = Vec::new();
     if group.base.is_some() || group.trans.is_some() {
         for (i, tup) in inst.relation(child_pred).iter().enumerate() {

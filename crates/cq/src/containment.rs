@@ -63,65 +63,36 @@ pub fn containment_mapping(
     ContainmentTarget::new(into).mapping_from(from)
 }
 
-/// A query prepared as the *target* of repeated containment tests: the atom
-/// index (and an exact atom set for the identity fast path) are built once
-/// instead of per call. The backchase checks every candidate against the same
-/// universal-plan branches, so this hoists the per-candidate index
-/// construction out of the hot loop.
+/// A query prepared as the *target* of repeated containment tests: the
+/// per-predicate atom index is built once instead of per call. The backchase
+/// checks every candidate against the same universal-plan branches, and the
+/// original query against every resumed back-chase branch, so this hoists the
+/// index construction out of both loops.
 pub struct ContainmentTarget {
     head: Vec<Term>,
     index: AtomIndex,
-    atoms: std::collections::HashSet<crate::atom::Atom>,
 }
 
 impl ContainmentTarget {
     /// Prepare `into` as a containment target.
     pub fn new(into: &ConjunctiveQuery) -> ContainmentTarget {
-        ContainmentTarget {
-            head: into.head.clone(),
-            index: AtomIndex::new(&into.body),
-            atoms: into.body.iter().cloned().collect(),
-        }
+        ContainmentTarget::from_parts(into.head.clone(), into.body.clone())
+    }
+
+    /// A target over a head and an atom list taken as they are — the form the
+    /// backchase uses when it assembles a target straight from the relations
+    /// of a resident chase branch, with no query rendered in between.
+    pub fn from_parts(head: Vec<Term>, atoms: Vec<Atom>) -> ContainmentTarget {
+        ContainmentTarget { head, index: AtomIndex::from_atoms(atoms) }
     }
 
     /// Containment mapping from `from` into this target (head-preserving).
     ///
     /// When `from`'s head equals the target's head and every `from` atom
-    /// occurs verbatim in the target body, the identity is such a mapping and
-    /// the homomorphism search is skipped — the common case for subqueries of
-    /// a universal-plan branch checked against that same branch.
-    pub fn mapping_from(&self, from: &ConjunctiveQuery) -> Option<Substitution> {
-        if from.head == self.head && from.body.iter().all(|a| self.atoms.contains(a)) {
-            let mut identity = Substitution::new();
-            for v in from.variables() {
-                identity.set(v, Term::Var(v));
-            }
-            return Some(identity);
-        }
-        let init = head_alignment(from, &self.head)?;
-        find_homomorphism(&from.body, &self.index, &init)
-    }
-}
-
-/// A containment target assembled directly from pre-rendered parts — the
-/// head and atom list of a resident chase branch — skipping the sorted
-/// query rendering and the atom set [`ContainmentTarget::new`] needs.
-pub struct DeltaTarget {
-    head: Vec<Term>,
-    index: AtomIndex,
-}
-
-impl DeltaTarget {
-    /// A target over the given head and atoms.
-    pub fn new(head: Vec<Term>, atoms: Vec<Atom>) -> DeltaTarget {
-        DeltaTarget { head, index: AtomIndex::from_atoms(atoms) }
-    }
-
-    /// Containment mapping from `from` into this target (head-preserving).
-    ///
-    /// The identity fast path of [`ContainmentTarget::mapping_from`] applies
-    /// here too (membership is checked through the per-predicate index, no
-    /// atom set is materialized).
+    /// occurs verbatim in the target body (checked through the per-predicate
+    /// index), the identity is such a mapping and the homomorphism search is
+    /// skipped — the common case for subqueries of a universal-plan branch
+    /// checked against that same branch.
     pub fn mapping_from(&self, from: &ConjunctiveQuery) -> Option<Substitution> {
         if from.head == self.head && from.body.iter().all(|a| self.index.contains_exact(a)) {
             let mut identity = Substitution::new();
@@ -328,6 +299,34 @@ mod tests {
             .with_body(vec![Atom::named("Whatever", vec![t("y")])]);
         let denial = Ded::denial("no_self", vec![child(t("u"), t("u"))]);
         assert!(contained_in(&q1, &q2, &[denial], &ContainmentOptions::small()));
+    }
+
+    /// A target assembled from parts answers like one prepared from the
+    /// rendered query, on the identity fast path and on a real search.
+    #[test]
+    fn targets_from_parts_and_from_queries_agree() {
+        let into = ConjunctiveQuery::new("T").with_head(vec![t("x")]).with_body(vec![
+            Atom::named("R", vec![t("x"), t("y")]),
+            Atom::named("R", vec![t("y"), t("z")]),
+            Atom::named("S", vec![t("z")]),
+        ]);
+        let verbatim = into.subquery(&[0, 2]);
+        let renamed = ConjunctiveQuery::new("Q").with_head(vec![t("a")]).with_body(vec![
+            Atom::named("R", vec![t("a"), t("b")]),
+            Atom::named("S", vec![t("c")]),
+        ]);
+        let absent = ConjunctiveQuery::new("N")
+            .with_head(vec![t("a")])
+            .with_body(vec![Atom::named("S", vec![t("a")])]);
+        let prepared = ContainmentTarget::new(&into);
+        let assembled = ContainmentTarget::from_parts(into.head.clone(), into.body.clone());
+        for q in [&verbatim, &renamed, &absent] {
+            assert_eq!(prepared.mapping_from(q), assembled.mapping_from(q), "{}", q.name);
+        }
+        let identity = assembled.mapping_from(&verbatim).expect("a subquery maps into its query");
+        assert!(verbatim.variables().into_iter().all(|v| identity.get(v) == Some(Term::Var(v))));
+        assert!(assembled.mapping_from(&renamed).is_some());
+        assert!(assembled.mapping_from(&absent).is_none());
     }
 
     #[test]

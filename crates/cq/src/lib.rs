@@ -24,6 +24,7 @@ pub mod atomset;
 pub mod chase;
 pub mod containment;
 pub mod ded;
+pub mod fx;
 pub mod homomorphism;
 pub mod pretty;
 pub mod query;
@@ -34,10 +35,9 @@ pub mod term;
 pub use atom::{Atom, Predicate};
 pub use atomset::AtomSet;
 pub use chase::{naive_chase, ChaseBudget, ChaseOutcome, ChaseTree};
-pub use containment::{
-    contained_in, equivalent, minimize, ContainmentOptions, ContainmentTarget, DeltaTarget,
-};
+pub use containment::{contained_in, equivalent, minimize, ContainmentOptions, ContainmentTarget};
 pub use ded::{Conjunct, Ded};
+pub use fx::{FxBuild, FxHashMap, FxHashSet, FxHasher};
 pub use homomorphism::{
     extend_to_conclusion, find_all_homomorphisms, find_homomorphism, AtomIndex,
 };

@@ -153,6 +153,19 @@ impl Substitution {
         out
     }
 
+    /// Build a substitution from bindings of pairwise distinct variables, in
+    /// one allocation and without the per-pair agreement check of
+    /// [`Substitution::from_pairs`] — for callers whose variables are distinct
+    /// by construction (the slots of a compiled join program).
+    pub fn from_distinct<I: IntoIterator<Item = (Variable, Term)>>(pairs: I) -> Substitution {
+        let map: Vec<(Variable, Term)> = pairs.into_iter().collect();
+        debug_assert!(
+            map.iter().enumerate().all(|(i, (v, _))| map[..i].iter().all(|(w, _)| w != v)),
+            "from_distinct: a variable is bound twice"
+        );
+        Substitution { map }
+    }
+
     /// Build a substitution from pairs; later pairs must agree with earlier ones.
     pub fn from_pairs<I: IntoIterator<Item = (Variable, Term)>>(pairs: I) -> Option<Substitution> {
         let mut s = Substitution::new();
@@ -234,6 +247,23 @@ mod tests {
         let s = s1.then(&s2);
         assert_eq!(s.apply_term(Term::var("x")), Term::constant_int(3));
         assert_eq!(s.apply_term(Term::var("y")), Term::constant_int(3));
+    }
+
+    #[test]
+    fn from_distinct_keeps_every_binding() {
+        let s = Substitution::from_distinct(vec![
+            (v("x"), Term::var("a")),
+            (v("y"), Term::constant_int(2)),
+        ]);
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.get(v("y")), Some(Term::constant_int(2)));
+        assert_eq!(
+            Some(s),
+            Substitution::from_pairs(vec![
+                (v("y"), Term::constant_int(2)),
+                (v("x"), Term::var("a")),
+            ])
+        );
     }
 
     #[test]

@@ -32,50 +32,10 @@ use mars_chase::SymbolicInstance;
 use mars_cost::{BuildSide, Operand, PhysicalPlan};
 use mars_cq::Term;
 use std::collections::{BTreeSet, HashMap};
-use std::hash::BuildHasherDefault;
 
-/// FxHash-style multiplicative hasher. Join keys are one or two tiny `Copy`
-/// terms (interned `u32` pairs); SipHash's setup cost per key would dominate
-/// the whole probe, and a DoS-resistant hash buys nothing against data the
-/// process itself materialized.
-#[derive(Default)]
-pub(crate) struct FxHasher(u64);
-
-impl FxHasher {
-    fn mix(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl std::hash::Hasher for FxHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.mix(u64::from_le_bytes(word));
-        }
-    }
-    fn write_u8(&mut self, n: u8) {
-        self.mix(n as u64);
-    }
-    fn write_u32(&mut self, n: u32) {
-        self.mix(n as u64);
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.mix(n);
-    }
-    fn write_i64(&mut self, n: i64) {
-        self.mix(n as u64);
-    }
-    fn write_usize(&mut self, n: usize) {
-        self.mix(n as u64);
-    }
-}
-
-pub(crate) type Fx = BuildHasherDefault<FxHasher>;
+/// The workspace's Fx-style hasher (`mars_cq::fx`): join keys are one or two
+/// tiny `Copy` terms, so SipHash's per-key setup would dominate the probe.
+pub(crate) use mars_cq::FxBuild as Fx;
 
 /// A flat row-major batch: `len` rows of `width` terms each, stored in one
 /// contiguous allocation. `width` may be 0 (a Boolean sub-result), which is

@@ -403,6 +403,72 @@ mod tests {
         }
     }
 
+    /// The blocked test pushed into the premise joins changes how much the
+    /// chase does, never what it does. Star NC = 4, exhaustive: the minimal
+    /// reformulations and the `applied_steps` / `rounds` of the universal-plan
+    /// chase are the ones recorded at commit 038592a, before the push-down,
+    /// where `premise_bindings` handed that same chase 416 homomorphisms to
+    /// test one by one; now fewer than a third as many rows leave a premise
+    /// program (113 — what is left are the bindings of the TGDs, whose
+    /// blocked test needs the whole row). On the plan itself, a fixpoint,
+    /// every binding of every pure-equality EGD dies inside the join.
+    #[test]
+    fn pushed_down_blocked_test_cuts_premise_rows_not_steps() {
+        use mars_chase::{CompiledDeps, JoinScratch, SymbolicInstance};
+
+        let cfg = StarConfig::figure5(4);
+        let mars = cfg.mars(MarsOptions::specialized().exhaustive());
+        let result = mars.reformulate_xbind(&cfg.client_query()).result;
+
+        let mut minimal: Vec<String> = result
+            .minimal
+            .iter()
+            .map(|(q, _)| {
+                let mut preds: Vec<&str> = q.body.iter().map(|a| a.predicate.name()).collect();
+                preds.sort_unstable();
+                preds.join(",")
+            })
+            .collect();
+        minimal.sort_unstable();
+        assert_eq!(
+            minimal,
+            [
+                "Rspec,S1spec,S2spec,S3spec,S4spec",
+                "Rspec,S1spec,S2spec,S4spec,V3",
+                "Rspec,S1spec,S3spec,S4spec,V2",
+                "Rspec,S1spec,S4spec,V2,V3",
+                "Rspec,S2spec,S3spec,S4spec,V1",
+                "Rspec,S2spec,S4spec,V1,V3",
+                "Rspec,S3spec,S4spec,V1,V2",
+                "Rspec,S4spec,V1,V2,V3",
+            ]
+        );
+        let chase = &result.stats.chase;
+        assert_eq!((chase.applied_steps, chase.rounds), (43, 15));
+        const PREMISE_BINDINGS_BEFORE: usize = 416;
+        assert!(chase.premise_rows >= chase.applied_steps);
+        assert!(
+            3 * chase.premise_rows <= PREMISE_BINDINGS_BEFORE,
+            "{} rows left the premise programs",
+            chase.premise_rows
+        );
+
+        let plan = SymbolicInstance::from_query(&result.universal_plan);
+        let deps = CompiledDeps::new(mars.dependencies());
+        let mut scratch = JoinScratch::default();
+        let (mut egd_bindings, mut egd_rows) = (0, 0);
+        for ded in deps.for_chase(true).0 {
+            let unblocked = ded.unblocked_bindings(&plan, &mut scratch);
+            assert!(unblocked.bindings.is_empty(), "{}: the plan is a fixpoint", ded.ded.name);
+            if ded.ded.is_egd() {
+                egd_bindings += ded.premise_bindings(&plan).len();
+                egd_rows += unblocked.premise_rows;
+            }
+        }
+        assert!(egd_bindings >= 50, "the EGD premises do match the plan ({egd_bindings})");
+        assert_eq!(egd_rows, 0, "a blocked EGD binding never leaves its join");
+    }
+
     #[test]
     fn unreformulated_query_executes_on_the_naive_engine() {
         let cfg = StarConfig::figure5(3);

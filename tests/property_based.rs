@@ -39,29 +39,156 @@ proptest! {
         prop_assert!(!contained_in(&prefix, &q, &[], &ContainmentOptions::small()));
     }
 
-    /// The set-oriented premise evaluation finds exactly as many homomorphisms
-    /// as the backtracking search — over targets on both sides of the
-    /// scan/probe threshold (`SCAN_THRESHOLD` = 8 tuples).
+    /// The compiled join kernel finds exactly the homomorphisms the
+    /// backtracking search finds — same set, and `satisfiable` agrees on
+    /// emptiness — over targets on both sides of the scan/probe threshold
+    /// (`SCAN_THRESHOLD` = 8 tuples), for patterns with constants, repeated
+    /// variables within an atom, an optional non-empty initial binding and
+    /// inequalities that become decidable at different join steps.
     #[test]
     fn bulk_and_backtracking_homomorphisms_agree(
         n_atoms in 1usize..21,
         pattern_len in 1usize..4,
+        seed in 1u64..1_000_000,
     ) {
+        let mut rng = TestRng::new(seed);
+        let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+        let node = |i: usize| if i == 4 { Term::constant_str("k") } else { Term::var(&format!("a{i}")) };
         let mut target_atoms = Vec::new();
         for i in 0..n_atoms {
-            target_atoms.push(Atom::named(
-                "R",
-                vec![Term::var(&format!("a{}", i % 4)), Term::var(&format!("a{}", (i + 1) % 5))],
-            ));
+            target_atoms.push(Atom::named("R", vec![node(i % 4), node((i + 1) % 5)]));
+            if i % 3 == 0 {
+                target_atoms.push(Atom::named("T", vec![node(i % 5), node(i % 5), node((i + 2) % 5)]));
+            }
         }
-        let target_q = ConjunctiveQuery::new("T").with_body(target_atoms.clone());
+        let target_q = ConjunctiveQuery::new("T").with_body(target_atoms);
         let inst = SymbolicInstance::from_query(&target_q);
-        let pattern = chain_query(pattern_len, true).body;
+        // The instance is a set: index its atoms, not the generated list.
+        let index = mars_system::cq::AtomIndex::new(&inst.atoms());
 
-        let bulk = mars_system::chase::evaluate_bindings(&pattern, &[], &inst, &Substitution::new());
-        let index = mars_system::cq::AtomIndex::new(&target_q.body);
-        let slow = find_all_homomorphisms(&pattern, &index, &Substitution::new(), None);
+        // A chain over R, one atom of which may carry the constant, plus
+        // optionally a T atom repeating a variable within the atom.
+        let mut pattern = chain_query(pattern_len, true).body;
+        if pick(2) == 0 {
+            let at = pick(pattern_len);
+            pattern[at].args[1] = Term::constant_str("k");
+        }
+        if pick(2) == 0 {
+            let x = Term::var(&format!("x{}", pick(pattern_len + 1)));
+            pattern.push(Atom::named("T", vec![Term::var("r"), Term::var("r"), x]));
+        }
+        let var = |i: usize| Term::var(&format!("x{i}"));
+        let mut ineqs = Vec::new();
+        for _ in 0..pick(3) {
+            ineqs.push((var(pick(pattern_len + 1)), var(pick(pattern_len + 1))));
+        }
+        if pick(3) == 0 {
+            ineqs.push((var(pick(pattern_len + 1)), Term::constant_str("k")));
+        }
+        let initial = if pick(2) == 0 {
+            Substitution::new()
+        } else {
+            let x = format!("x{}", pick(pattern_len + 1));
+            Substitution::from_pairs(vec![(mars_system::cq::Variable::named(&x), node(pick(5)))]).unwrap()
+        };
+
+        let bulk = mars_system::chase::evaluate_bindings(&pattern, &ineqs, &inst, &initial);
+        let mut slow = find_all_homomorphisms(&pattern, &index, &initial, None);
+        slow.retain(|h| ineqs.iter().all(|(a, b)| h.apply_term(*a) != h.apply_term(*b)));
         prop_assert_eq!(bulk.len(), slow.len());
+        for h in &bulk {
+            prop_assert!(slow.contains(h), "{:?} is not a homomorphism", h);
+        }
+        for (i, h) in bulk.iter().enumerate() {
+            prop_assert!(!bulk[..i].contains(h), "{:?} is reported twice", h);
+        }
+        prop_assert_eq!(
+            mars_system::chase::satisfiable(&pattern, &ineqs, &inst, &initial),
+            !slow.is_empty()
+        );
+    }
+
+    /// The chase's fused entry point — premise join with the blocked test
+    /// inside it — returns exactly the premise bindings that are not blocked,
+    /// in the order `premise_bindings` lists them, for pure-equality EGDs
+    /// (one or two equalities, pushed into the join), TGDs with existentials,
+    /// a conclusion mixing atoms with an equality on an existential, and a
+    /// disjunctive dependency; and `blocked` agrees with the naive chase's
+    /// extension check. Some instance variables share their names with
+    /// premise variables on purpose.
+    #[test]
+    fn fused_unblocked_bindings_are_the_unblocked_premise_bindings(
+        kind in 0usize..5,
+        n_tuples in 1usize..15,
+        seed in 1u64..1_000_000,
+    ) {
+        use mars_system::chase::{CompiledDed, JoinScratch};
+        use mars_system::cq::{extend_to_conclusion, Conjunct, Variable};
+
+        let mut rng = TestRng::new(seed);
+        let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+        let domain = [
+            Term::var("a0"), Term::var("a1"), Term::var("a2"),
+            Term::var("x0"), Term::var("x1"), Term::constant_str("c"),
+        ];
+        let mut inst = SymbolicInstance::new();
+        for _ in 0..n_tuples {
+            inst.insert_atom(&Atom::named("R", vec![domain[pick(6)], domain[pick(6)]]));
+            inst.insert_atom(&Atom::named("S", vec![domain[pick(6)], domain[pick(6)]]));
+            if pick(2) == 0 {
+                inst.insert_atom(&Atom::named("U", vec![domain[pick(6)]]));
+            }
+        }
+        let index = mars_system::cq::AtomIndex::new(&inst.atoms());
+
+        let x = |i: usize| Term::var(&format!("x{i}"));
+        let mut premise = vec![
+            Atom::named("R", vec![x(0), x(1)]),
+            Atom::named(if pick(2) == 0 { "R" } else { "S" }, vec![x(pick(2)), x(2)]),
+        ];
+        if pick(2) == 0 {
+            premise.push(Atom::named("S", vec![x(2), x(3)]));
+        }
+        if pick(3) == 0 {
+            premise.push(Atom::named("U", vec![x(pick(3))]));
+        }
+        if pick(4) == 0 {
+            premise.push(Atom::named("R", vec![Term::constant_str("c"), x(pick(3))]));
+        }
+        let z = Term::var("z");
+        let tgd = Conjunct::atoms(vec![
+            Atom::named("S", vec![x(1), z]),
+            Atom::named("U", vec![z]),
+        ]).with_exists(vec![Variable::named("z")]);
+        let conclusions = match kind {
+            0 => vec![Conjunct::equalities(vec![(x(1), x(2))])],
+            1 => vec![Conjunct::equalities(vec![(x(1), x(2)), (x(pick(3)), domain[pick(6)])])],
+            2 => vec![tgd],
+            3 => vec![Conjunct::atoms(vec![Atom::named("R", vec![z, x(2)])])
+                .with_exists(vec![Variable::named("z")])
+                .with_equalities(vec![(z, x(0))])],
+            _ => vec![tgd, Conjunct::equalities(vec![(x(0), x(2))])],
+        };
+        let mut ded = Ded::disjunctive("d", premise, conclusions);
+        if pick(3) == 0 {
+            ded = ded.with_premise_inequalities(vec![(x(0), x(1))]);
+        }
+        let compiled = CompiledDed::compile(&ded);
+
+        let all = compiled.premise_bindings(&inst);
+        let expected: Vec<Substitution> =
+            all.iter().filter(|h| !compiled.blocked(h, &inst)).cloned().collect();
+        let fused = compiled.unblocked_bindings(&inst, &mut JoinScratch::default());
+        let rows = fused.premise_rows;
+        prop_assert_eq!(&fused.bindings, &expected, "{:?}", ded);
+        prop_assert!(expected.len() <= rows && rows <= all.len());
+        if kind >= 2 {
+            prop_assert_eq!(rows, all.len(), "nothing is pushed into the join of {:?}", ded);
+        }
+        for h in &all {
+            let oracle = ded.conclusions.iter().any(|c| extend_to_conclusion(c, h, &index));
+            prop_assert_eq!(compiled.blocked(h, &inst), oracle, "{:?} under {:?}", ded, h);
+        }
     }
 
     /// The naive chase and the set-oriented chase produce universal plans of
