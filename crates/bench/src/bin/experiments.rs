@@ -5,112 +5,37 @@
 //!
 //! Each experiment prints the same rows/series the paper reports (absolute
 //! numbers differ — different hardware and substitute engines — but the shape
-//! should match; see EXPERIMENTS.md).
+//! should match; see EXPERIMENTS.md). Latency and throughput of a resident
+//! service are `marsbench`'s job (`benchmark/`), not this binary's.
 
-use mars::{MarsError, MarsOptions, MarsService, ReformulationBudget};
-use mars_bench::{measure_fig5_threads, measure_fig8_threads};
+use mars::MarsOptions;
+use mars_bench::{measure_fig5, measure_fig8};
 use mars_chase::{chase_to_universal_plan, ChaseOptions};
 use mars_cq::{naive_chase, ChaseBudget};
-use mars_storage::{BackendRouter, QueryExecutor, Route};
-use mars_workloads::chaos::{adversarial_request, FaultInjector};
-use mars_workloads::scenarios::Scenario;
 use mars_workloads::{example11, star::StarConfig, stress, xmark};
-use mars_xquery::{XBindAtom, XBindQuery, XBindTerm};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "Usage: experiments [--fig5] [--fig8] [--stress] [--oldnew] [--savings] \
-[--xmark] [--serve] [--chaos] [--all] [--route MODE] [--max-nc N] [--threads N] \
-[--serve-batch N] [--serve-requests N] [--naive-executor]
+[--xmark] [--all] [--max-nc N]
 
 Regenerates the paper's tables and figures (see EXPERIMENTS.md). With no
 experiment flags, --all is assumed. --max-nc N (default 6) bounds the star
-size of the fig5/fig8 sweeps; --threads N (default 1) sets the backchase
-worker-thread count (results are byte-identical for any thread count).
---serve runs the resident reformulation service on the star workload at
-NC = max-nc: batches of requests (--serve-batch N per batch, default 8;
---serve-requests N in total, default 48) are driven over --threads N worker
-threads cold (no cache) and warm (shape-keyed plan cache), reporting
-reformulations/sec and end-to-end publishes/sec for both; the process exits
-non-zero if warm throughput does not beat cold. --serve is not part of
---all (it reuses the fig5 workload and is gated separately in CI).
---chaos (serve-scoped) replaces the throughput benchmark with a
-fault-injection run: adversarial cache-defeating arrivals, injected panics
-and stalls, zero-deadline budgets. Every arrival must be accounted as
-served, degraded, shed or panicked (0 lost) with at least one panic, one
-stall and one degradation exercised, or the process exits 1. Counters and
-per-request latency tails land in experiments_results.json.
---naive-executor runs the savings/xmark reformulated executions through the
-naive relational evaluator instead of the cost-based physical plans (the
-executor ablation; rows are byte-identical either way).
---route MODE (auto | relational | xml) runs the backend-routing phase over
-the 12-point scenario matrix (chain/snowflake x uniform/skewed x redundancy
-0-2): every scenario's best reformulation is priced and executed on the
-auto-chosen route and on both forced routes (min-of-3 each), rows are
-byte-compared across routes, and per-route counters land in
-experiments_results.json. MODE picks which decision the counters follow;
-auto additionally gates the exit code: the router must pick the XML backend
-on at least one navigation-heavy (redundancy 0) scenario and the relational
-backend on at least one view-backed one, or the process exits 1. The
-routing phase is part of --all (in auto mode).";
+size of the fig5/fig8 sweeps.";
 
 /// The parsed command line.
 struct Args {
     selected: Vec<String>,
     max_nc: usize,
-    threads: usize,
-    /// Requests per serve-mode batch (a worker thread claims whole batches).
-    serve_batch: usize,
-    /// Total number of serve-mode requests per phase.
-    serve_requests: usize,
-    /// Run the serve-mode chaos harness instead of the throughput benchmark.
-    chaos: bool,
-    /// Execute the savings/xmark reformulated queries with the naive
-    /// relational evaluator instead of the physical plans (the executor
-    /// ablation).
-    naive_executor: bool,
-    /// Which routing decision the scenario-matrix counters follow
-    /// (`auto` | `relational` | `xml`; `auto` also arms the exit gate).
-    route: RouteMode,
-}
-
-/// The `--route` ablation mode.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum RouteMode {
-    Auto,
-    Relational,
-    Xml,
-}
-
-impl RouteMode {
-    fn label(self) -> &'static str {
-        match self {
-            RouteMode::Auto => "auto",
-            RouteMode::Relational => "relational",
-            RouteMode::Xml => "xml",
-        }
-    }
 }
 
 /// Parse the command line strictly: unknown flags and malformed values are
 /// errors, not silently ignored (a typo must not produce an empty results
 /// file with exit code 0).
 fn parse_args(args: &[String]) -> Result<Args, String> {
-    const FLAGS: [&str; 8] =
-        ["--fig5", "--fig8", "--stress", "--oldnew", "--savings", "--xmark", "--serve", "--all"];
-    let mut parsed = Args {
-        selected: Vec::new(),
-        max_nc: 6,
-        threads: 1,
-        serve_batch: 8,
-        serve_requests: 48,
-        chaos: false,
-        naive_executor: false,
-        route: RouteMode::Auto,
-    };
-    let mut serve_flag_seen = false;
+    const FLAGS: [&str; 7] =
+        ["--fig5", "--fig8", "--stress", "--oldnew", "--savings", "--xmark", "--all"];
+    let mut parsed = Args { selected: Vec::new(), max_nc: 6 };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         if arg == "--max-nc" {
@@ -121,108 +46,30 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             if parsed.max_nc < 3 {
                 return Err(format!("--max-nc must be at least 3, got {}", parsed.max_nc));
             }
-        } else if arg == "--threads" {
-            let value = it.next().ok_or("--threads requires a value".to_string())?;
-            parsed.threads = value
-                .parse()
-                .map_err(|_| format!("invalid --threads value: {value:?} (expected a number)"))?;
-            if parsed.threads < 1 {
-                return Err(format!("--threads must be at least 1, got {}", parsed.threads));
-            }
-        } else if arg == "--serve-batch" {
-            let value = it.next().ok_or("--serve-batch requires a value".to_string())?;
-            parsed.serve_batch = value.parse().map_err(|_| {
-                format!("invalid --serve-batch value: {value:?} (expected a number)")
-            })?;
-            if parsed.serve_batch < 1 {
-                return Err(format!(
-                    "--serve-batch must be at least 1, got {}",
-                    parsed.serve_batch
-                ));
-            }
-            serve_flag_seen = true;
-        } else if arg == "--serve-requests" {
-            let value = it.next().ok_or("--serve-requests requires a value".to_string())?;
-            parsed.serve_requests = value.parse().map_err(|_| {
-                format!("invalid --serve-requests value: {value:?} (expected a number)")
-            })?;
-            if parsed.serve_requests < 1 {
-                return Err(format!(
-                    "--serve-requests must be at least 1, got {}",
-                    parsed.serve_requests
-                ));
-            }
-            serve_flag_seen = true;
-        } else if arg == "--chaos" {
-            parsed.chaos = true;
-            serve_flag_seen = true;
-        } else if arg == "--naive-executor" {
-            parsed.naive_executor = true;
-        } else if arg == "--route" {
-            let value = it.next().ok_or("--route requires a value".to_string())?;
-            parsed.route = match value.as_str() {
-                "auto" => RouteMode::Auto,
-                "relational" => RouteMode::Relational,
-                "xml" => RouteMode::Xml,
-                other => {
-                    return Err(format!(
-                        "invalid --route value: {other:?} (expected auto, relational or xml)"
-                    ))
-                }
-            };
-            parsed.selected.push(arg.clone());
         } else if FLAGS.contains(&arg.as_str()) {
             parsed.selected.push(arg.clone());
         } else {
             return Err(format!("unknown argument: {arg:?}"));
         }
     }
-    // The executor ablation applies to the savings/xmark executions only.
-    let runs_executions = parsed.selected.is_empty()
-        || parsed.selected.iter().any(|a| a == "--all" || a == "--savings" || a == "--xmark");
-    if parsed.naive_executor && !runs_executions {
-        return Err(
-            "--naive-executor is a savings/xmark ablation; add --savings, --xmark or --all"
-                .to_string(),
-        );
-    }
-    // Same scoping rule for the serve knobs: accepting them for a run that
-    // never serves would silently do nothing.
-    if serve_flag_seen && !parsed.selected.iter().any(|a| a == "--serve") {
-        return Err(
-            "--serve-batch / --serve-requests / --chaos only apply to --serve; add --serve"
-                .to_string(),
-        );
-    }
     Ok(parsed)
 }
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match parse_args(&raw) {
+    let Args { selected: args, max_nc } = match parse_args(&raw) {
         Ok(parsed) => parsed,
         Err(msg) => {
             eprintln!("error: {msg}\n\n{USAGE}");
             std::process::exit(2);
         }
     };
-    let Args {
-        selected: args,
-        max_nc,
-        threads,
-        serve_batch,
-        serve_requests,
-        chaos,
-        naive_executor,
-        route,
-    } = parsed;
-    let executor = if naive_executor { QueryExecutor::Naive } else { QueryExecutor::Physical };
     let has = |flag: &str| args.iter().any(|a| a == flag);
     let all = args.is_empty() || has("--all");
 
     let mut results: HashMap<String, serde_json::Value> = HashMap::new();
-    // Per-phase wall-clock times, recorded alongside the thread count so a
-    // results file is self-describing about how it was produced.
+    // Per-phase wall-clock times, so a results file is self-describing about
+    // how it was produced.
     let mut phase_wall_ms: Vec<(&str, f64)> = Vec::new();
     let mut timed =
         |name: &'static str,
@@ -238,11 +85,11 @@ fn main() {
     let mut fig5_phases: Option<(Duration, Duration)> = None;
     if all || has("--fig5") {
         timed("fig5", &mut results, &mut |r| {
-            fig5_phases = Some(fig5(max_nc, threads, r));
+            fig5_phases = Some(fig5(max_nc, r));
         });
     }
     if all || has("--fig8") {
-        timed("fig8", &mut results, &mut |r| fig8(max_nc, threads, r));
+        timed("fig8", &mut results, &mut |r| fig8(max_nc, r));
     }
     if all || has("--stress") {
         timed("stress", &mut results, &mut stress_experiment);
@@ -251,52 +98,20 @@ fn main() {
         timed("old_vs_new", &mut results, &mut old_vs_new);
     }
     if all || has("--savings") {
-        timed("net_savings", &mut results, &mut |r| net_savings(executor, r));
+        timed("net_savings", &mut results, &mut net_savings);
     }
     if all || has("--xmark") {
-        timed("xmark", &mut results, &mut |r| xmark_feasibility(executor, r));
-    }
-    // Backend routing over the scenario matrix. Auto mode arms the exit
-    // gate: the router must actually route (XML on at least one
-    // navigation-heavy scenario, relational on at least one view-backed
-    // one), or the statistics plumbing has regressed.
-    let mut routing_ok = true;
-    if all || has("--route") {
-        timed("routing", &mut results, &mut |r| {
-            routing_ok = routing_experiment(route, r);
-        });
-    }
-    // Serve mode is opt-in only (it reuses the fig5 workload): run it when
-    // requested and gate the exit code on warm beating cold. --chaos
-    // replaces the throughput benchmark with the fault-injection harness,
-    // gated on full request accounting instead.
-    let mut warm_beats_cold = true;
-    let mut serve_summary: Option<ServeSummary> = None;
-    let mut chaos_ok = true;
-    let mut chaos_summary: Option<serde_json::Value> = None;
-    if has("--serve") && chaos {
-        timed("chaos", &mut results, &mut |r| {
-            let (ok, summary) = chaos_experiment(max_nc, threads, serve_batch, serve_requests, r);
-            chaos_ok = ok;
-            chaos_summary = Some(summary);
-        });
-    } else if has("--serve") {
-        timed("serve", &mut results, &mut |r| {
-            serve_summary = Some(serve_experiment(max_nc, threads, serve_batch, serve_requests, r));
-        });
-        warm_beats_cold = serve_summary.as_ref().map(|s| s.warm_beats_cold).unwrap_or(true);
+        timed("xmark", &mut results, &mut xmark_feasibility);
     }
 
     let phases: std::collections::BTreeMap<String, serde_json::Value> = phase_wall_ms
         .iter()
         .map(|(name, t)| (name.to_string(), serde_json::Value::from(*t)))
         .collect();
-    // Environment metadata: multi-core re-benchmarks must be comparable to
-    // the 1-core container numbers, so record what produced this file.
+    // Environment metadata: record what produced this file.
     results.insert(
         "run".to_string(),
         serde_json::json!({
-            "threads": threads,
             "max_nc": max_nc,
             "fig5_backchase_chase_phase_ms":
                 fig5_phases.map(|(c, _)| ms(c)).map(serde_json::Value::from)
@@ -304,51 +119,15 @@ fn main() {
             "fig5_backchase_containment_phase_ms":
                 fig5_phases.map(|(_, c)| ms(c)).map(serde_json::Value::from)
                     .unwrap_or(serde_json::Value::Null),
-            "relational_executor": match executor {
-                QueryExecutor::Physical => "physical",
-                QueryExecutor::Naive => "naive",
-            },
-            "route_mode": route.label(),
             "cpu_cores": detected_cpu_cores(),
             "rustc": rustc_version(),
             "phase_wall_ms": serde_json::Value::Object(phases),
-            // Degradation accounting: a degraded or truncated answer is a
-            // recorded fact of the run, not a guess (null when the phase
-            // did not run).
-            "serve_degraded": serve_summary.as_ref().map(|s| s.degraded)
-                .map(serde_json::Value::from).unwrap_or(serde_json::Value::Null),
-            "serve_truncated": serve_summary.as_ref().map(|s| s.truncated)
-                .map(serde_json::Value::from).unwrap_or(serde_json::Value::Null),
-            "chaos": chaos_summary.clone().unwrap_or(serde_json::Value::Null),
         }),
     );
 
     if let Ok(json) = serde_json::to_string_pretty(&results) {
         let _ = std::fs::write("experiments_results.json", json);
         println!("\n(results also written to experiments_results.json)");
-    }
-    if !warm_beats_cold {
-        eprintln!(
-            "error: serve mode measured warm throughput at or below cold — the plan cache \
-             is not paying for itself"
-        );
-        std::process::exit(1);
-    }
-    if !chaos_ok {
-        eprintln!(
-            "error: chaos serve run failed its gate — requests were lost, or no fault \
-             (panic / stall / degradation) was actually exercised"
-        );
-        std::process::exit(1);
-    }
-    if !routing_ok {
-        eprintln!(
-            "error: the auto router failed its smoke gate — it must pick the XML backend \
-             on at least one navigation-heavy scenario and the relational backend on at \
-             least one view-backed scenario (see the routing entry in \
-             experiments_results.json)"
-        );
-        std::process::exit(1);
     }
 }
 
@@ -376,19 +155,13 @@ fn rustc_version() -> String {
 
 /// Figure 5: scalability of reformulation. Returns the backchase chase and
 /// containment phase times summed across the sweep (for the run metadata).
-fn fig5(
-    max_nc: usize,
-    threads: usize,
-    results: &mut HashMap<String, serde_json::Value>,
-) -> (Duration, Duration) {
-    println!(
-        "== Figure 5: scalability of reformulation (XML star, NV = NC-1, {threads} thread(s)) =="
-    );
+fn fig5(max_nc: usize, results: &mut HashMap<String, serde_json::Value>) -> (Duration, Duration) {
+    println!("== Figure 5: scalability of reformulation (XML star, NV = NC-1) ==");
     println!("{:>4} {:>18} {:>22} {:>10}", "NC", "initial (ms)", "delta to best (ms)", "#minimal");
     let mut rows = Vec::new();
     let (mut chase_total, mut containment_total) = (Duration::ZERO, Duration::ZERO);
     for nc in 3..=max_nc {
-        let p = measure_fig5_threads(nc, threads);
+        let p = measure_fig5(nc);
         chase_total += p.chase_phase;
         containment_total += p.containment_phase;
         println!(
@@ -420,12 +193,12 @@ fn fig5(
 }
 
 /// Figure 8: effect of schema specialization (ratio without/with).
-fn fig8(max_nc: usize, threads: usize, results: &mut HashMap<String, serde_json::Value>) {
+fn fig8(max_nc: usize, results: &mut HashMap<String, serde_json::Value>) {
     println!("\n== Figure 8: effect of schema specialization (views-only storage) ==");
     println!("{:>4} {:>16} {:>14} {:>10}", "NC", "without (ms)", "with (ms)", "ratio");
     let mut rows = Vec::new();
     for nc in 3..=max_nc {
-        let p = measure_fig8_threads(nc, threads);
+        let p = measure_fig8(nc);
         println!("{:>4} {:>16.2} {:>14.2} {:>10.1}", p.nc, ms(p.without), ms(p.with), p.ratio());
         rows.push(serde_json::json!({
             "nc": p.nc,
@@ -538,7 +311,7 @@ fn old_vs_new(results: &mut HashMap<String, serde_json::Value>) {
 }
 
 /// Section 4.2: reformulation time vs execution-time saving.
-fn net_savings(executor: QueryExecutor, results: &mut HashMap<String, serde_json::Value>) {
+fn net_savings(results: &mut HashMap<String, serde_json::Value>) {
     println!("\n== Section 4.2: net saving of reformulation (star, small document) ==");
     println!(
         "{:>4} {:>16} {:>20} {:>18} {:>16}",
@@ -565,8 +338,7 @@ fn net_savings(executor: QueryExecutor, results: &mut HashMap<String, serde_json
         // engine over the materialized views.
         let best = block.result.best_or_initial().cloned();
         let start = Instant::now();
-        let reformulated_rows =
-            best.as_ref().map(|q| db.query_with(q, executor).len()).unwrap_or(0);
+        let reformulated_rows = best.as_ref().map(|q| db.query(q).len()).unwrap_or(0);
         let ref_time = start.elapsed();
 
         let saving = unref_time.as_secs_f64() - (reform_time + ref_time).as_secs_f64();
@@ -652,10 +424,10 @@ fn executor_scale_sweep(results: &mut HashMap<String, serde_json::Value>) {
 }
 
 /// Section 4.2: XMark-based feasibility (average reformulation time), plus
-/// real execution of each reformulation over a populated store with the
-/// selected relational executor (both executors are run and must agree;
-/// `executor` picks which time is the headline `exec_ms`).
-fn xmark_feasibility(executor: QueryExecutor, results: &mut HashMap<String, serde_json::Value>) {
+/// real execution of each reformulation over a populated store (the
+/// physical executor is the headline; the naive oracle runs next to it and
+/// must agree).
+fn xmark_feasibility(results: &mut HashMap<String, serde_json::Value>) {
     println!("\n== Section 4.2: XMark-based scenario (reformulation feasibility) ==");
     let system = xmark::mars(true);
     let (_xml, db) = xmark::populate(300, 120, 200);
@@ -668,7 +440,7 @@ fn xmark_feasibility(executor: QueryExecutor, results: &mut HashMap<String, serd
         total += t;
 
         // Execute the chosen reformulation over the materialized views with
-        // both executors; the ablation flag only picks the headline number.
+        // the physical executor and with the naive oracle.
         let best = block.result.best_or_initial();
         let (result_rows, naive_ms, physical_ms) = match best {
             Some(best) => {
@@ -683,24 +455,19 @@ fn xmark_feasibility(executor: QueryExecutor, results: &mut HashMap<String, serd
             }
             None => (0, 0.0, 0.0),
         };
-        let exec_ms = match executor {
-            QueryExecutor::Naive => naive_ms,
-            QueryExecutor::Physical => physical_ms,
-        };
         println!(
             "{:<32} {:>10.2} ms   reformulated: {}   minimal: {}   exec: {:>8.2} ms ({} rows)",
             q.name,
             ms(t),
             block.result.has_reformulation(),
             block.result.minimal.len(),
-            exec_ms,
+            physical_ms,
             result_rows,
         );
         rows.push(serde_json::json!({
             "query": q.name,
             "ms": ms(t),
             "reformulated": block.result.has_reformulation(),
-            "exec_ms": exec_ms,
             "naive_exec_ms": naive_ms,
             "physical_exec_ms": physical_ms,
             "result_rows": result_rows,
@@ -721,523 +488,6 @@ fn xmark_feasibility(executor: QueryExecutor, results: &mut HashMap<String, serd
     );
 }
 
-/// The backend-routing phase: reformulate every scenario of the 12-point
-/// matrix, price the best reformulation against both backends, execute it on
-/// the auto-chosen route and on both forced routes (min-of-3 each), and
-/// byte-compare the row sets across routes. Returns whether the auto-mode
-/// smoke gate holds (always `true` for forced modes, which only shift the
-/// counters).
-fn routing_experiment(mode: RouteMode, results: &mut HashMap<String, serde_json::Value>) -> bool {
-    const SCALE: usize = 192;
-    const SEED: u64 = 11;
-    println!("\n=== Backend routing over the scenario matrix (mode: {}) ===", mode.label());
-    println!(
-        "{:<22} {:>10} {:>12} {:>10} {:>10} {:>9} {:>9} {:>9} {:>6}",
-        "scenario",
-        "route",
-        "est(rel)",
-        "est(xml)",
-        "nav tuples",
-        "auto ms",
-        "rel ms",
-        "xml ms",
-        "rows"
-    );
-
-    let min_of_3 = |router: &BackendRouter<'_>, plan: &mars_storage::RoutedPlan| {
-        let mut best: Option<mars_storage::RoutedExecution> = None;
-        for _ in 0..3 {
-            let exec = router.execute(plan).expect("scenario documents are stored");
-            if best.as_ref().map(|b| exec.duration < b.duration).unwrap_or(true) {
-                best = Some(exec);
-            }
-        }
-        best.expect("three runs produce a minimum")
-    };
-
-    let mut rows_json = Vec::new();
-    let mut counters: HashMap<&'static str, usize> = HashMap::new();
-    let mut xml_on_navigation_heavy = false;
-    let mut relational_on_view_backed = false;
-    let mut totals = (0.0f64, 0.0f64, 0.0f64); // auto, forced-relational, forced-xml
-    let mut auto_never_worst = true;
-    for scenario in Scenario::matrix() {
-        let mars = scenario.mars();
-        let block = mars
-            .try_reformulate_xbind(&scenario.client_query())
-            .expect("scenario queries are well-formed");
-        let best = block.result.best_or_initial().expect("every scenario has an executable query");
-        let (xml, db) = scenario.populate(SCALE, SEED);
-        let router = BackendRouter::new(&db, &xml);
-
-        let auto = router.plan(best);
-        let forced_rel = router.plan_forced(best, Route::Relational);
-        // The forced-XML policy means "run on the XML store natively". When
-        // the best reformulation is XML-infeasible (view-backed scenarios
-        // reformulate onto pure relations), the honest ablation executes the
-        // compiled navigation form of the client query instead of silently
-        // clamping to the relational backend.
-        let mut forced_xml = router.plan_forced(best, Route::Xml);
-        if forced_xml.decision.route != Route::Xml {
-            forced_xml = router.plan_forced(&scenario.navigation_query(), Route::Xml);
-        }
-        let auto_exec = min_of_3(&router, &auto);
-        let rel_exec = min_of_3(&router, &forced_rel);
-        let xml_exec = min_of_3(&router, &forced_xml);
-
-        // The differential contract, enforced in-run: every route returns
-        // the same rows, byte for byte.
-        assert_eq!(
-            auto_exec.rows,
-            rel_exec.rows,
-            "{}: auto and forced-relational rows differ",
-            scenario.name()
-        );
-        assert_eq!(
-            auto_exec.rows,
-            xml_exec.rows,
-            "{}: auto and forced-xml rows differ",
-            scenario.name()
-        );
-
-        let followed = match mode {
-            RouteMode::Auto => &auto,
-            RouteMode::Relational => &forced_rel,
-            RouteMode::Xml => &forced_xml,
-        };
-        let route_label = match followed.decision.route {
-            Route::Relational => "relational",
-            Route::Xml => "xml",
-            Route::Mixed => "mixed",
-        };
-        *counters.entry(route_label).or_insert(0) += 1;
-        if auto.decision.route == Route::Xml && !scenario.view_backed() {
-            xml_on_navigation_heavy = true;
-        }
-        if auto.decision.route == Route::Relational && scenario.view_backed() {
-            relational_on_view_backed = true;
-        }
-
-        let (auto_ms, rel_ms, xml_ms) =
-            (ms(auto_exec.duration), ms(rel_exec.duration), ms(xml_exec.duration));
-        totals = (totals.0 + auto_ms, totals.1 + rel_ms, totals.2 + xml_ms);
-        // Timing acceptance is *recorded*, not asserted: micro-timings on a
-        // shared CI core are too noisy to gate on, the route choices above
-        // are not.
-        if auto_ms > rel_ms.max(xml_ms) * 1.5 {
-            auto_never_worst = false;
-        }
-        println!(
-            "{:<22} {:>10} {:>12.1} {:>10} {:>10} {:>9.3} {:>9.3} {:>9.3} {:>6}",
-            scenario.name(),
-            route_label,
-            auto.decision.costs.relational,
-            auto.decision.costs.xml.map(|c| format!("{c:.1}")).unwrap_or_else(|| "inf".to_string()),
-            xml_exec.nav_tuples,
-            auto_ms,
-            rel_ms,
-            xml_ms,
-            auto_exec.rows.len(),
-        );
-        rows_json.push(serde_json::json!({
-            "scenario": scenario.name(),
-            "redundancy": scenario.redundancy,
-            "view_backed": scenario.view_backed(),
-            "route": route_label,
-            "auto_route": format!("{}", auto.decision.route),
-            "estimated_cost_relational": auto.decision.costs.relational,
-            "estimated_cost_xml": auto.decision.costs.xml
-                .map(serde_json::Value::from).unwrap_or(serde_json::Value::Null),
-            "estimated_cost_mixed": auto.decision.costs.mixed
-                .map(serde_json::Value::from).unwrap_or(serde_json::Value::Null),
-            "auto_ms": auto_ms,
-            "forced_relational_ms": rel_ms,
-            "forced_xml_ms": xml_ms,
-            "forced_xml_effective_route": format!("{}", forced_xml.decision.route),
-            // Estimate vs actual of the forced-XML leg, both in candidate
-            // tuples ("rows touched"); the actual repeats exactly.
-            "forced_xml_estimated_cost": xml_exec.estimated_cost,
-            "forced_xml_nav_tuples": xml_exec.nav_tuples,
-            "rows": auto_exec.rows.len(),
-        }));
-    }
-
-    let auto_beats_best_single_backend = totals.0 < totals.1.min(totals.2);
-    let gate_ok = mode != RouteMode::Auto || (xml_on_navigation_heavy && relational_on_view_backed);
-    println!(
-        "totals: auto {:.3} ms, all-relational {:.3} ms, all-xml {:.3} ms",
-        totals.0, totals.1, totals.2
-    );
-    results.insert(
-        "routing".to_string(),
-        serde_json::json!({
-            "mode": mode.label(),
-            "scenarios": rows_json,
-            "counters": serde_json::json!({
-                "relational": counters.get("relational").copied().unwrap_or(0),
-                "xml": counters.get("xml").copied().unwrap_or(0),
-                "mixed": counters.get("mixed").copied().unwrap_or(0),
-            }),
-            "total_auto_ms": totals.0,
-            "total_forced_relational_ms": totals.1,
-            "total_forced_xml_ms": totals.2,
-            "acceptance": serde_json::json!({
-                "xml_on_navigation_heavy": xml_on_navigation_heavy,
-                "relational_on_view_backed": relational_on_view_backed,
-                "auto_never_worst_than_forced": auto_never_worst,
-                "auto_beats_best_single_backend": auto_beats_best_single_backend,
-            }),
-        }),
-    );
-    gate_ok
-}
-
-/// Drain `reqs` in batches of `batch` across `threads` worker threads
-/// (workers claim whole batches from a shared counter) and return the
-/// wall-clock time for the whole drain.
-fn run_batched<F: Fn(&XBindQuery) + Sync>(
-    reqs: &[XBindQuery],
-    batch: usize,
-    threads: usize,
-    f: F,
-) -> Duration {
-    let next = AtomicUsize::new(0);
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let lo = next.fetch_add(1, Ordering::SeqCst) * batch;
-                if lo >= reqs.len() {
-                    break;
-                }
-                for q in &reqs[lo..(lo + batch).min(reqs.len())] {
-                    f(q);
-                }
-            });
-        }
-    });
-    start.elapsed()
-}
-
-/// What the serve phase reported (for the gate and the run metadata).
-struct ServeSummary {
-    /// Warm reformulation throughput beat cold (the serve gate).
-    warm_beats_cold: bool,
-    /// Requests answered degraded ([`mars::ServiceStats::degraded`]).
-    degraded: u64,
-    /// Served blocks whose backchase was truncated (the long-standing
-    /// silent flag, now propagated into the results file).
-    truncated: u64,
-}
-
-/// Serve mode: the resident reformulation service on the star workload.
-///
-/// Every request is the fig5 client query at NC = `max_nc` plus a
-/// per-request key constant — the arrival pattern a resident service sees:
-/// one template, many constants. The cold phases reformulate each request
-/// from scratch on a shared `Mars`; the warm phases answer from the
-/// shape-keyed plan cache of a shared `MarsService` (primed with one
-/// request). "Publish" is the end-to-end unit: reformulate, then execute the
-/// best plan on the materialized relational views. Cold and warm drain the
-/// same batches with the same thread count (publish phases sequentially, on
-/// the single-connection relational engine), so each reported gap isolates
-/// the cache. Returns whether warm reformulation throughput beat cold.
-fn serve_experiment(
-    max_nc: usize,
-    threads: usize,
-    batch: usize,
-    requests: usize,
-    results: &mut HashMap<String, serde_json::Value>,
-) -> ServeSummary {
-    println!(
-        "\n== Serve mode: resident reformulation service \
-         (star NC={max_nc}, {requests} requests, batch {batch}, {threads} thread(s)) =="
-    );
-    let cfg = StarConfig::figure5(max_nc);
-    let mars = cfg.mars(MarsOptions::specialized());
-    let (_xml, db) = cfg.populate(5, 4, 17);
-    let reqs: Vec<XBindQuery> = (0..requests)
-        .map(|i| {
-            cfg.client_query().with_atom(XBindAtom::Eq(
-                XBindTerm::var("k"),
-                XBindTerm::str(&format!("servekey{i}")),
-            ))
-        })
-        .collect();
-
-    // Sanity: the workload must actually reformulate, or throughput is noise.
-    let probe = mars.reformulate_xbind(&reqs[0]);
-    assert!(probe.result.has_reformulation(), "star serve request failed to reformulate");
-
-    let served = AtomicUsize::new(0);
-    let cold_reform = run_batched(&reqs, batch, threads, |q| {
-        let block = mars.reformulate_xbind(q);
-        assert!(block.result.has_reformulation());
-        served.fetch_add(1, Ordering::SeqCst);
-    });
-    // The in-memory relational engine keeps per-relation index caches behind
-    // RefCell (single connection) — publish phases therefore drain
-    // sequentially; the cold/warm comparison still isolates the plan cache.
-    let start = Instant::now();
-    for q in &reqs {
-        let block = mars.reformulate_xbind(q);
-        if let Some(best) = block.result.best_or_initial() {
-            let _ = db.query(best);
-        }
-    }
-    let cold_publish = start.elapsed();
-
-    let service = MarsService::new(cfg.mars(MarsOptions::specialized()));
-    // Prime the cache so the warm phases measure steady-state service.
-    let primer = cfg
-        .client_query()
-        .with_atom(XBindAtom::Eq(XBindTerm::var("k"), XBindTerm::str("servekey_warmup")));
-    service.reformulate_xbind(&primer).expect("priming request reformulates");
-    let truncated = AtomicU64::new(0);
-    let warm_reform = run_batched(&reqs, batch, threads, |q| {
-        let block = service.reformulate_xbind(q).expect("warm request reformulates");
-        assert!(block.result.has_reformulation());
-        if block.result.stats.backchase_truncated {
-            truncated.fetch_add(1, Ordering::SeqCst);
-        }
-        served.fetch_add(1, Ordering::SeqCst);
-    });
-    let start = Instant::now();
-    for q in &reqs {
-        let block = service.reformulate_xbind(q).expect("warm request reformulates");
-        if let Some(best) = block.result.best_or_initial() {
-            let _ = db.query(best);
-        }
-    }
-    let warm_publish = start.elapsed();
-    assert_eq!(served.load(Ordering::SeqCst), 2 * requests, "every request must be served");
-
-    let rps = |d: Duration| requests as f64 / d.as_secs_f64().max(1e-9);
-    let stats = service.cache_stats();
-    let service_stats = service.service_stats();
-    let truncated = truncated.load(Ordering::SeqCst);
-    println!("{:>22} {:>14} {:>14} {:>10}", "", "cold", "warm", "speedup");
-    println!(
-        "{:>22} {:>14.1} {:>14.1} {:>9.1}x",
-        "reformulations/sec",
-        rps(cold_reform),
-        rps(warm_reform),
-        rps(warm_reform) / rps(cold_reform)
-    );
-    println!(
-        "{:>22} {:>14.1} {:>14.1} {:>9.1}x",
-        "publishes/sec",
-        rps(cold_publish),
-        rps(warm_publish),
-        rps(warm_publish) / rps(cold_publish)
-    );
-    println!("cache: {} hits, {} misses, {} entries", stats.hits, stats.misses, stats.entries);
-
-    results.insert(
-        "serve".to_string(),
-        serde_json::json!({
-            "nc": max_nc,
-            "requests": requests,
-            "batch": batch,
-            "threads": threads,
-            "cold_reformulations_per_sec": rps(cold_reform),
-            "warm_reformulations_per_sec": rps(warm_reform),
-            "reform_speedup": rps(warm_reform) / rps(cold_reform),
-            "cold_publishes_per_sec": rps(cold_publish),
-            "warm_publishes_per_sec": rps(warm_publish),
-            "publish_speedup": rps(warm_publish) / rps(cold_publish),
-            "cache_hits": stats.hits,
-            "cache_misses": stats.misses,
-            // Degradation accounting (satellite of the degradation ladder):
-            // a truncated or degraded answer is recorded, not guessed.
-            "served": service_stats.served,
-            "degraded": service_stats.degraded,
-            "shed": service_stats.shed,
-            "panicked": service_stats.panicked,
-            "degraded_uncached": stats.degraded_uncached,
-            "truncated_results": truncated,
-        }),
-    );
-    ServeSummary {
-        warm_beats_cold: rps(warm_reform) > rps(cold_reform),
-        degraded: service_stats.degraded,
-        truncated,
-    }
-}
-
-/// `p`-th percentile of an ascending-sorted latency list (nearest rank).
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ms.len() as f64 - 1.0) * p).round() as usize;
-    sorted_ms[idx.min(sorted_ms.len() - 1)]
-}
-
-/// Chaos serve mode: drive the degradation ladder end to end and verify that
-/// no request is ever lost.
-///
-/// The arrival stream is adversarial ([`adversarial_request`]): shapes
-/// diverge so the plan cache cannot absorb them. A [`FaultInjector`] panics
-/// on every 5th cold reformulation and stalls on every 3rd lookup; every 4th
-/// request carries a zero deadline so it must degrade; admission is bounded
-/// below the worker count so overlap sheds. Workers model a well-behaved
-/// client: an [`MarsError::Overloaded`] rejection is retried with backoff a
-/// bounded number of times, and only a request that stays rejected counts as
-/// finally shed. The gate: every arrival's *final* outcome is accounted as
-/// served, degraded, shed or panicked (0 lost), every worker thread survives
-/// to the end (a panic escaping the service's isolation would abort the
-/// scoped drain), and at least one panic, one stall and one degradation were
-/// actually exercised. Returns `(gate_ok, run summary)`.
-fn chaos_experiment(
-    max_nc: usize,
-    threads: usize,
-    batch: usize,
-    requests: usize,
-    results: &mut HashMap<String, serde_json::Value>,
-) -> (bool, serde_json::Value) {
-    println!(
-        "\n== Chaos serve mode: fault-injected resident service \
-         (star NC={max_nc}, {requests} requests, batch {batch}, {threads} thread(s)) =="
-    );
-    let cfg = StarConfig::figure5(max_nc);
-    let injector = Arc::new(FaultInjector::new(5, 3, Duration::from_millis(2)));
-    let service = MarsService::new(cfg.mars(MarsOptions::specialized()))
-        .with_admission_limit(threads.saturating_sub(1).max(1))
-        .with_fault_hook(injector.hook());
-    let reqs: Vec<(XBindQuery, ReformulationBudget)> = (0..requests)
-        .map(|i| {
-            let budget = if i % 4 == 3 {
-                // A hopeless deadline: this arrival must degrade (and must
-                // not poison the cache for its shape).
-                ReformulationBudget::unbounded().with_deadline(Duration::ZERO)
-            } else {
-                ReformulationBudget::unbounded().with_deadline(Duration::from_secs(30))
-            };
-            (adversarial_request(&cfg, i), budget)
-        })
-        .collect();
-
-    // Injected panics are expected here: silence the default hook's
-    // backtrace spew for the drain (the service's catch_unwind still sees
-    // every unwind), then restore it.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let next = AtomicUsize::new(0);
-    let latencies: Mutex<Vec<f64>> = Mutex::new(Vec::with_capacity(requests));
-    // Final per-arrival outcomes, harness-side. The service's own counters
-    // count every *attempt* (each retried rejection bumps `shed` again), so
-    // the zero-lost gate is stated over these finals.
-    let (f_served, f_degraded, f_shed, f_panicked) =
-        (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let lo = next.fetch_add(1, Ordering::SeqCst) * batch;
-                if lo >= reqs.len() {
-                    break;
-                }
-                for (q, budget) in &reqs[lo..(lo + batch).min(reqs.len())] {
-                    let arrived = Instant::now();
-                    let mut backoffs = 0u32;
-                    let outcome = loop {
-                        match service.reformulate_xbind_with(q, budget) {
-                            Err(MarsError::Overloaded { .. }) if backoffs < 250 => {
-                                backoffs += 1;
-                                std::thread::sleep(Duration::from_millis(1));
-                            }
-                            other => break other,
-                        }
-                    };
-                    latencies.lock().unwrap().push(ms(arrived.elapsed()));
-                    match outcome {
-                        Ok(b) if b.is_degraded() => f_degraded.fetch_add(1, Ordering::SeqCst),
-                        Ok(_) => f_served.fetch_add(1, Ordering::SeqCst),
-                        Err(MarsError::Overloaded { .. }) => f_shed.fetch_add(1, Ordering::SeqCst),
-                        Err(MarsError::ReformulationPanicked { .. }) => {
-                            f_panicked.fetch_add(1, Ordering::SeqCst)
-                        }
-                        // Any other error is a hole in the ladder: the
-                        // arrival stays unaccounted and fails the gate.
-                        Err(_) => 0,
-                    };
-                }
-            });
-        }
-    });
-    let wall = start.elapsed();
-    std::panic::set_hook(prev_hook);
-
-    let stats = service.service_stats();
-    let cache = service.cache_stats();
-    let (served, degraded, shed, panicked) = (
-        f_served.load(Ordering::SeqCst),
-        f_degraded.load(Ordering::SeqCst),
-        f_shed.load(Ordering::SeqCst),
-        f_panicked.load(Ordering::SeqCst),
-    );
-    let lost = (requests as u64).saturating_sub(served + degraded + shed + panicked);
-    let panics = injector.injected_panics();
-    let stalls = injector.injected_stalls();
-
-    let mut lat = latencies.into_inner().unwrap();
-    lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let (p50, p95, p99) = (percentile(&lat, 0.50), percentile(&lat, 0.95), percentile(&lat, 0.99));
-    let max_ms = lat.last().copied().unwrap_or(0.0);
-
-    println!(
-        "arrivals: {requests}   served: {served}   degraded: {degraded}   shed: {shed}   \
-         panicked: {panicked}   lost: {lost}"
-    );
-    println!(
-        "injected: {panics} panic(s), {stalls} stall(s); service counters: \
-         {} served, {} degraded, {} rejections (retried rejections included), {} panicked",
-        stats.served, stats.degraded, stats.shed, stats.panicked
-    );
-    println!(
-        "latency ms: p50 {p50:.2}   p95 {p95:.2}   p99 {p99:.2}   max {max_ms:.2}   \
-         (wall {:.1} ms)",
-        ms(wall)
-    );
-    println!(
-        "cache: {} entries, {} hits, {} degraded results withheld",
-        cache.entries, cache.hits, cache.degraded_uncached
-    );
-
-    let gate_ok = lost == 0 && panics >= 1 && stalls >= 1 && degraded >= 1;
-    let summary = serde_json::json!({
-        "lost": lost,
-        "injected_panics": panics,
-        "injected_stalls": stalls,
-    });
-    results.insert(
-        "chaos".to_string(),
-        serde_json::json!({
-            "nc": max_nc,
-            "requests": requests,
-            "batch": batch,
-            "threads": threads,
-            "served": served,
-            "degraded": degraded,
-            "shed": shed,
-            "panicked": panicked,
-            "lost": lost,
-            "service_rejections": stats.shed,
-            "injected_panics": panics,
-            "injected_stalls": stalls,
-            "degraded_uncached": cache.degraded_uncached,
-            "cache_hits": cache.hits,
-            "latency_ms": serde_json::json!({
-                "p50": p50, "p95": p95, "p99": p99, "max": max_ms,
-            }),
-            "wall_ms": ms(wall),
-            "gate_ok": gate_ok,
-        }),
-    );
-    (gate_ok, summary)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1246,95 +496,27 @@ mod tests {
         parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
     }
 
-    /// Regression: degenerate numeric flag values must be rejected at parse
-    /// time (main exits 2 on any parse error), never run sequentially or
-    /// divide by zero mid-experiment.
+    /// Regression: degenerate values and anything outside the accepted set
+    /// must be rejected at parse time (main exits 2 with the usage text on
+    /// any parse error).
     #[test]
     fn zero_and_malformed_values_are_rejected() {
-        assert!(parse(&["--threads", "0"]).is_err());
-        assert!(parse(&["--serve", "--serve-batch", "0"]).is_err());
-        assert!(parse(&["--serve", "--serve-requests", "0"]).is_err());
         assert!(parse(&["--max-nc", "2"]).is_err());
-        assert!(parse(&["--threads", "two"]).is_err());
-        assert!(parse(&["--serve", "--serve-batch"]).is_err(), "missing value");
+        assert!(parse(&["--max-nc", "six"]).is_err());
+        assert!(parse(&["--max-nc"]).is_err(), "missing value");
         assert!(parse(&["--frobnicate"]).is_err(), "unknown flag");
-    }
-
-    /// The serve knobs only make sense with --serve; accepting them without
-    /// it would silently do nothing.
-    #[test]
-    fn serve_knobs_require_serve() {
-        assert!(parse(&["--serve-batch", "4"]).is_err());
-        assert!(parse(&["--fig5", "--serve-requests", "16"]).is_err());
-        assert!(parse(&["--serve", "--serve-batch", "4", "--serve-requests", "16"]).is_ok());
-    }
-
-    /// --chaos is serve-scoped like the other serve knobs, and strict-parsed
-    /// (garbage around it still exits 2 with usage).
-    #[test]
-    fn chaos_is_serve_scoped_and_strict() {
-        assert!(parse(&["--chaos"]).is_err(), "--chaos without --serve is rejected");
-        assert!(parse(&["--fig5", "--chaos"]).is_err());
-        assert!(parse(&["--serve", "--chaos"]).unwrap().chaos);
-        assert!(!parse(&["--serve"]).unwrap().chaos);
-        assert!(parse(&["--serve", "--chaos", "--frobnicate"]).is_err(), "unknown flag");
-        assert!(parse(&["--serve", "--chaos", "--threads", "zero"]).is_err());
-        let args =
-            parse(&["--serve", "--chaos", "--serve-requests", "24", "--serve-batch", "1"]).unwrap();
-        assert!(args.chaos);
-        assert_eq!((args.serve_requests, args.serve_batch), (24, 1));
+        assert!(parse(&["--fig5", "--frobnicate", "2"]).is_err(), "unknown flag with a value");
     }
 
     #[test]
     fn defaults_and_valid_flags_parse() {
         let args = parse(&[]).unwrap();
-        assert_eq!(args.threads, 1);
-        assert_eq!(args.serve_batch, 8);
-        assert_eq!(args.serve_requests, 48);
+        assert_eq!(args.max_nc, 6);
         assert!(args.selected.is_empty());
 
-        let args =
-            parse(&["--serve", "--threads", "4", "--serve-batch", "2", "--serve-requests", "16"])
-                .unwrap();
-        assert_eq!(args.selected, vec!["--serve"]);
-        assert_eq!((args.threads, args.serve_batch, args.serve_requests), (4, 2, 16));
-    }
-
-    /// --serve is deliberately not part of --all.
-    #[test]
-    fn serve_is_not_selected_by_all() {
-        let args = parse(&["--all"]).unwrap();
-        assert_eq!(args.selected, vec!["--all"]);
-    }
-
-    /// The executor ablation only applies to runs that execute reformulations
-    /// (savings/xmark); accepting it elsewhere would silently do nothing.
-    #[test]
-    fn naive_executor_requires_an_execution_phase() {
-        assert!(parse(&["--fig5", "--naive-executor"]).is_err());
-        assert!(parse(&["--serve", "--naive-executor"]).is_err());
-        assert!(parse(&["--savings", "--naive-executor"]).unwrap().naive_executor);
-        assert!(parse(&["--xmark", "--naive-executor"]).unwrap().naive_executor);
-        assert!(parse(&["--all", "--naive-executor"]).unwrap().naive_executor);
-        assert!(parse(&["--naive-executor"]).unwrap().naive_executor, "bare run implies --all");
-        assert!(!parse(&["--savings"]).unwrap().naive_executor);
-    }
-
-    /// --route is value-carrying, strictly validated, and selects the
-    /// routing phase; the default mode is auto (what --all runs).
-    #[test]
-    fn route_parses_strictly_and_selects_the_phase() {
-        assert!(parse(&["--route"]).is_err(), "missing value");
-        assert!(parse(&["--route", "fastest"]).is_err(), "unknown mode");
-        assert!(parse(&["--route", "auto", "--frobnicate"]).is_err(), "unknown flag");
-        let args = parse(&["--route", "auto"]).unwrap();
-        assert_eq!(args.route, RouteMode::Auto);
-        assert_eq!(args.selected, vec!["--route"]);
-        assert_eq!(parse(&["--route", "relational"]).unwrap().route, RouteMode::Relational);
-        assert_eq!(parse(&["--route", "xml"]).unwrap().route, RouteMode::Xml);
-        assert_eq!(parse(&["--all"]).unwrap().route, RouteMode::Auto, "--all routes in auto");
-        // --route composes with other phases without implying --all.
-        let args = parse(&["--fig5", "--route", "xml"]).unwrap();
-        assert_eq!(args.selected, vec!["--fig5", "--route"]);
+        let flags = ["--fig5", "--fig8", "--stress", "--oldnew", "--savings", "--xmark", "--all"];
+        let args = parse(&[&flags[..], &["--max-nc", "4"]].concat()).unwrap();
+        assert_eq!(args.selected, flags);
+        assert_eq!(args.max_nc, 4);
     }
 }

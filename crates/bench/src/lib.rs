@@ -33,18 +33,10 @@ pub struct Fig5Point {
 }
 
 /// Run one Figure 5 measurement (specialized compilation, cost-pruned
-/// backchase — see EXPERIMENTS.md for the substitutions) on one backchase
-/// worker thread.
+/// backchase — see EXPERIMENTS.md for the substitutions).
 pub fn measure_fig5(nc: usize) -> Fig5Point {
-    measure_fig5_threads(nc, 1)
-}
-
-/// [`measure_fig5`] with an explicit backchase worker-thread count. The
-/// reformulation results are byte-identical for any `threads`; only the wall
-/// clock changes.
-pub fn measure_fig5_threads(nc: usize, threads: usize) -> Fig5Point {
     let cfg = StarConfig::figure5(nc);
-    let mars = cfg.mars(MarsOptions::specialized().with_threads(threads));
+    let mars = cfg.mars(MarsOptions::specialized());
     let block = mars.reformulate_xbind(&cfg.client_query());
     let initial = block.result.stats.time_to_initial;
     let delta = block.result.stats.backchase_duration;
@@ -78,21 +70,16 @@ impl Fig8Point {
     }
 }
 
-/// Run one Figure 8 measurement on one backchase worker thread.
+/// Run one Figure 8 measurement.
 pub fn measure_fig8(nc: usize) -> Fig8Point {
-    measure_fig8_threads(nc, 1)
-}
-
-/// [`measure_fig8`] with an explicit backchase worker-thread count.
-pub fn measure_fig8_threads(nc: usize, threads: usize) -> Fig8Point {
     let cfg = StarConfig::figure8(nc);
     let start = Instant::now();
-    let plain = cfg.mars(MarsOptions::default().with_threads(threads));
+    let plain = cfg.mars(MarsOptions::default());
     let _ = plain.reformulate_xbind(&cfg.client_query());
     let without = start.elapsed();
 
     let start = Instant::now();
-    let spec = cfg.mars(MarsOptions::specialized().with_threads(threads));
+    let spec = cfg.mars(MarsOptions::specialized());
     let _ = spec.reformulate_xbind(&cfg.client_query());
     let with = start.elapsed();
     Fig8Point { nc, without, with }
@@ -113,15 +100,5 @@ mod tests {
     fn fig8_ratio_is_positive() {
         let p = measure_fig8(3);
         assert!(p.ratio() > 0.0);
-    }
-
-    /// Thread count must not change what the measurement reports, only how
-    /// long it takes.
-    #[test]
-    fn fig5_threads_do_not_change_results() {
-        let seq = measure_fig5_threads(3, 1);
-        let par = measure_fig5_threads(3, 2);
-        assert_eq!(seq.minimal_count, par.minimal_count);
-        assert_eq!(seq.truncated, par.truncated);
     }
 }

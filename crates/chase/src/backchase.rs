@@ -18,11 +18,17 @@
 //! gone). Each level holds every candidate of one subquery size, and a
 //! candidate's evaluation reads only state frozen at the start of its level:
 //! the memoized chases of the *previous* level, the best cost and the minimal
-//! reformulations found on previous levels. Evaluations are therefore
-//! independent and run on a [`std::thread::scope`] worker pool
-//! ([`BackchaseOptions::threads`]); results are merged back **in level
-//! order**, so the outcome is byte-identical for any thread count — parallel
-//! and sequential runs agree on every reformulation, statistic and flag.
+//! reformulations found on previous levels. The level loop is single-threaded
+//! — the candidates of a level are evaluated one after the other and merged
+//! in that order — but evaluation (`evaluate_candidate`, pure) and merge
+//! stay split, and the best cost stays frozen per level, for two reasons.
+//! The funnel counters (candidates inspected, cost-pruned, equivalence
+//! checks) then do not depend on the order in which same-size candidates
+//! happen to be visited, so they are reproducible and comparable across
+//! changes. And a reformulation found mid-level cannot cost-prune a
+//! same-size candidate: neither contains the other, both may be minimal, and
+//! in the non-exhaustive mode `minimal` keeps every one whose cost does not
+//! exceed the best of the *smaller* sizes.
 //!
 //! The expensive step per candidate is the "back" chase (the `candidate ⊆
 //! original` half of the equivalence check). Four optimizations keep it off
@@ -138,10 +144,6 @@ pub struct BackchaseOptions {
     /// Upper bound on the number of memoized back-chase results retained per
     /// BFS size level (memory guard for very wide pools).
     pub chase_cache_per_level: usize,
-    /// Number of worker threads evaluating the candidates of a BFS level.
-    /// `1` (the default) runs sequentially; any value produces byte-identical
-    /// outcomes (deterministic in-order merge of per-level results).
-    pub threads: usize,
     /// Replace subset enumeration with greedy minimization of the initial
     /// reformulation: repeatedly drop atoms while the query stays a
     /// reformulation. Yields **at most one** reformulation, never the full
@@ -152,8 +154,8 @@ pub struct BackchaseOptions {
     /// exhaustively.
     pub greedy: bool,
     /// Absolute wall-clock deadline for the enumeration, checked between BFS
-    /// levels (level-synchronously, so an undegraded run stays byte-identical
-    /// for any thread count). When it expires the backchase returns
+    /// levels (never mid-level, so an undegraded run is byte-identical to an
+    /// unbounded one). When it expires the backchase returns
     /// **anytime**: the minimal reformulations and best found so far, with
     /// [`BackchaseOutcome::degradation`] set to
     /// [`Degradation::DeadlineExceeded`]. Callers should set the same
@@ -172,7 +174,6 @@ impl Default for BackchaseOptions {
             navigation_pruning: true,
             max_candidates: 200_000,
             chase_cache_per_level: 8_192,
-            threads: 1,
             greedy: false,
             deadline: None,
             chase: ChaseOptions::default(),
@@ -184,12 +185,6 @@ impl BackchaseOptions {
     /// Options that enumerate every minimal reformulation.
     pub fn exhaustive() -> BackchaseOptions {
         BackchaseOptions { exhaustive: true, ..Default::default() }
-    }
-
-    /// Builder: evaluate each BFS level on `n` worker threads.
-    pub fn with_threads(mut self, n: usize) -> BackchaseOptions {
-        self.threads = n.max(1);
-        self
     }
 }
 
@@ -365,9 +360,7 @@ impl SafetyPrefilter {
 }
 
 /// Everything a candidate evaluation reads — all of it frozen for the
-/// duration of one BFS level, which is what makes the per-level parallelism
-/// deterministic (workers share this by reference; nothing is written until
-/// the in-order merge).
+/// duration of one BFS level (nothing is written until the in-order merge).
 struct LevelContext<'a> {
     original: &'a ConjunctiveQuery,
     pool: &'a [Atom],
@@ -385,16 +378,14 @@ struct LevelContext<'a> {
     navigation_pruning: bool,
     exhaustive: bool,
     /// Best reformulation cost as of the end of the previous level. Frozen
-    /// for the whole level — the price of thread-count-independent results:
-    /// a reformulation discovered mid-level cannot cost-prune its own level,
-    /// only the next one. Sound (monotone cost model) and bounded: at most
-    /// one level of same-size candidates is evaluated without the tighter
-    /// bound.
+    /// for the whole level (see the module docs): a reformulation discovered
+    /// mid-level cannot cost-prune its own level, only the next one. Sound
+    /// (monotone cost model) and bounded: at most one level of same-size
+    /// candidates is evaluated without the tighter bound.
     best_cost: f64,
-    /// Cache budget ([`BackchaseOptions::chase_cache_per_level`]). Only the
+    /// Cache budget ([`BackchaseOptions::chase_cache_per_level`]): only the
     /// first `cache_budget` candidates of a level may return a chase for
-    /// memoization, which bounds the memory held between evaluation and
-    /// merge by the budget instead of by the level width.
+    /// memoization, so a level never memoizes more than the budget.
     cache_budget: usize,
 }
 
@@ -499,8 +490,7 @@ fn evaluate_candidate(
                 }
                 // Not (yet) a reformulation: its supersets are chased next
                 // level — hand this chase back as their memoization seed
-                // (position-gated so a wide level cannot hold more chases
-                // than the cache budget between evaluation and merge).
+                // (position-gated: the per-level cache budget).
                 if position < ctx.cache_budget && back.stats().completed && !back.is_empty() {
                     eval.cache_entry = Some(back.into_branches());
                 }
@@ -521,41 +511,6 @@ fn evaluate_candidate(
         (0..ctx.pool.len()).filter(|&i| !mask.contains(i)).collect()
     };
     eval
-}
-
-/// Evaluate every candidate of one BFS level, on `threads` workers when that
-/// pays off. Results come back in level order regardless of thread count —
-/// each worker writes into its own disjoint slice of the result vector.
-/// `base` is the number of candidates inspected before this level (candidate
-/// indices, used for naming, continue from it).
-fn evaluate_level(
-    level: &[AtomSet],
-    ctx: &LevelContext<'_>,
-    threads: usize,
-    base: usize,
-) -> Vec<CandidateEval> {
-    let threads = threads.max(1).min(level.len());
-    if threads <= 1 {
-        return level
-            .iter()
-            .enumerate()
-            .map(|(j, mask)| evaluate_candidate(ctx, base + j + 1, j, mask))
-            .collect();
-    }
-    let chunk = level.len().div_ceil(threads);
-    let mut evals: Vec<Option<CandidateEval>> = Vec::new();
-    evals.resize_with(level.len(), || None);
-    std::thread::scope(|scope| {
-        for (ci, (masks, out)) in level.chunks(chunk).zip(evals.chunks_mut(chunk)).enumerate() {
-            let offset = ci * chunk;
-            scope.spawn(move || {
-                for (j, mask) in masks.iter().enumerate() {
-                    out[j] = Some(evaluate_candidate(ctx, base + offset + j + 1, offset + j, mask));
-                }
-            });
-        }
-    });
-    evals.into_iter().map(|e| e.expect("every level slot evaluated")).collect()
 }
 
 /// Run the backchase.
@@ -666,7 +621,7 @@ pub fn backchase(
         // Anytime deadline, checked level-synchronously: an expired deadline
         // stops the enumeration *between* levels, keeping everything found
         // so far — never mid-level, so an undegraded run is byte-identical
-        // for any thread count.
+        // to an unbounded one.
         if options.deadline.map(|d| Instant::now() >= d).unwrap_or(false) {
             outcome.truncated = true;
             outcome.degradation =
@@ -709,12 +664,12 @@ pub fn backchase(
             best_cost,
             cache_budget: options.chase_cache_per_level,
         };
-        let evals = evaluate_level(&level, &ctx, options.threads, outcome.candidates_inspected);
-
-        // Deterministic merge, in level order.
+        // Evaluate against the frozen context, then merge — in level order.
         let mut cur_level: HashMap<AtomSet, Vec<ResidentBranch>> = HashMap::new();
-        for (mask, eval) in level.iter().zip(evals) {
+        for (position, mask) in level.iter().enumerate() {
+            // Candidate indices (used for naming) continue across levels.
             outcome.candidates_inspected += 1;
+            let eval = evaluate_candidate(&ctx, outcome.candidates_inspected, position, mask);
             outcome.cost_phase += eval.cost_time;
             if eval.pruned_by_cost {
                 outcome.pruned_by_cost += 1;
@@ -743,9 +698,7 @@ pub fn backchase(
                 continue; // supersets are not minimal
             }
             if let Some(cached) = eval.cache_entry {
-                if cur_level.len() < options.chase_cache_per_level {
-                    cur_level.insert(mask.clone(), cached);
-                }
+                cur_level.insert(mask.clone(), cached);
             }
             // Grow the subset by one atom.
             for g in eval.grow {
@@ -930,6 +883,40 @@ mod tests {
         );
     }
 
+    /// The plug-in point for non-additive models: an estimator without
+    /// per-atom costs is asked for a full estimate per candidate, and the
+    /// enumeration finds what it finds under the additive default.
+    #[test]
+    fn non_additive_estimator_takes_the_full_estimate_path() {
+        /// Monotone (a subquery has no more atoms) but not a per-atom sum.
+        struct SquaredBodyLength;
+        impl CostEstimator for SquaredBodyLength {
+            fn estimate(&self, query: &ConjunctiveQuery) -> f64 {
+                (query.body.len() * query.body.len()) as f64
+            }
+        }
+        let est = SquaredBodyLength;
+        assert!(est.atom_costs(&ConjunctiveQuery::new("Q")).is_none());
+
+        let (q, deds, proprietary) = redundant_setup();
+        let compiled = CompiledDeps::new(&deds);
+        let up = chase_to_universal_plan_compiled(&q, &compiled, &ChaseOptions::default());
+        let bodies = |out: &BackchaseOutcome| -> Vec<Vec<Atom>> {
+            out.minimal.iter().map(|(m, _)| m.body.clone()).collect()
+        };
+
+        let exhaustive = BackchaseOptions::exhaustive();
+        let full = backchase(&q, &up, &proprietary, &compiled, &est, &exhaustive);
+        let weighted = run(&q, &deds, &proprietary, &exhaustive);
+        assert_eq!(bodies(&full), bodies(&weighted));
+        assert!(full.minimal.iter().all(|(m, cost)| *cost == est.estimate(m)));
+
+        let pruned =
+            backchase(&q, &up, &proprietary, &compiled, &est, &BackchaseOptions::default());
+        let cheapest = full.minimal.iter().map(|(_, c)| *c).fold(f64::INFINITY, f64::min);
+        assert_eq!(pruned.best.as_ref().map(|(_, c)| *c), Some(cheapest));
+    }
+
     /// Regression: a truncated enumeration must be distinguishable from a
     /// complete one.
     #[test]
@@ -1018,32 +1005,8 @@ mod tests {
         assert_eq!(memo.best.as_ref().map(|(_, c)| *c), scratch.best.as_ref().map(|(_, c)| *c));
     }
 
-    /// The determinism contract of the parallel engine: any thread count
-    /// produces an outcome byte-identical to the sequential run — same
-    /// reformulations (names, bodies, costs, order), same statistics, same
-    /// flags.
-    #[test]
-    fn parallel_and_sequential_backchase_are_identical() {
-        let (q, deds, proprietary) = redundant_setup();
-        for exhaustive in [false, true] {
-            let base = BackchaseOptions {
-                exhaustive,
-                ..if exhaustive { BackchaseOptions::exhaustive() } else { Default::default() }
-            };
-            let seq = run(&q, &deds, &proprietary, &base);
-            for threads in [2usize, 4, 7] {
-                let par = run(&q, &deds, &proprietary, &base.clone().with_threads(threads));
-                assert_eq!(
-                    format!("{:?}", strip_duration(&seq)),
-                    format!("{:?}", strip_duration(&par)),
-                    "threads = {threads}, exhaustive = {exhaustive}"
-                );
-            }
-        }
-    }
-
     /// `outcome` with the wall-clock fields zeroed (everything else must be
-    /// bit-for-bit reproducible across thread counts).
+    /// bit-for-bit reproducible).
     fn strip_duration(outcome: &BackchaseOutcome) -> BackchaseOutcome {
         BackchaseOutcome {
             duration: Duration::default(),
@@ -1091,16 +1054,6 @@ mod tests {
         assert_eq!(out.minimal[0].0.body.len(), steps + 1);
         // Navigation pruning keeps it linear: one prefix per size.
         assert_eq!(out.candidates_inspected, steps + 1);
-        // And the parallel engine agrees on the wide pool too.
-        let par = backchase(
-            &q,
-            &up,
-            &proprietary,
-            &compiled,
-            &est,
-            &BackchaseOptions::exhaustive().with_threads(4),
-        );
-        assert_eq!(format!("{:?}", strip_duration(&out)), format!("{:?}", strip_duration(&par)));
     }
 
     /// Greedy minimization only runs as an explicit opt-in, and still finds

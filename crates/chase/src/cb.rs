@@ -3,14 +3,11 @@
 //! [`ChaseBackchase`] bundles the dependency set (compiled schema
 //! correspondence + XICs + TIX), the proprietary-schema predicate set, a
 //! plug-in cost estimator and the chase/backchase options, and exposes the
-//! reformulation entry points used by the MARS facade and the experiments:
-//!
-//! * [`ChaseBackchase::reformulate`] — full C&B: chase to the universal plan,
-//!   compute the initial reformulation, run the backchase, return all minimal
-//!   reformulations and the cost-optimal one;
-//! * [`ChaseBackchase::initial_only`] — "switch off" the backchase and return
-//!   just the initial reformulation (Section 2.3), for scenarios without
-//!   significant redundancy or when any reformulation is needed fast.
+//! reformulation entry point used by the MARS facade and the experiments,
+//! [`ChaseBackchase::reformulate`] — full C&B: chase to the universal plan,
+//! compute the initial reformulation (Section 2.3; the time to it is
+//! [`CbStatistics::time_to_initial`]), run the backchase, return all minimal
+//! reformulations and the cost-optimal one.
 
 use crate::backchase::{
     backchase, initial_reformulation, BackchaseOptions, BackchaseOutcome, Degradation,
@@ -315,30 +312,6 @@ impl ChaseBackchase {
         };
         ReformulationResult { universal_plan, initial, minimal: bc.minimal, best: bc.best, stats }
     }
-
-    /// Chase only ("switch off the backchase"): return the initial
-    /// reformulation and the chase statistics.
-    pub fn initial_only(
-        &self,
-        query: &ConjunctiveQuery,
-    ) -> (Option<ConjunctiveQuery>, CbStatistics) {
-        let start = Instant::now();
-        let up = chase_to_universal_plan_compiled(query, &self.compiled, &self.options.chase);
-        let time_to_universal_plan = start.elapsed();
-        let initial = up.branches.first().map(|b| initial_reformulation(b, &self.proprietary));
-        let initial = initial.filter(|q| !q.body.is_empty());
-        let stats = CbStatistics {
-            universal_plan_atoms: up.branches.first().map(|b| b.body.len()).unwrap_or(0),
-            degradation: Degradation::of_chase(&up.stats),
-            chase: up.stats,
-            time_to_universal_plan,
-            time_to_initial: start.elapsed(),
-            backchase_duration: Duration::default(),
-            total: start.elapsed(),
-            ..Default::default()
-        };
-        (initial, stats)
-    }
 }
 
 #[cfg(test)]
@@ -382,16 +355,6 @@ mod tests {
         assert!(result.stats.time_to_initial <= result.stats.total);
         assert_eq!(result.minimal.len(), 1);
         assert_eq!(result.best_or_initial().unwrap().body[0].predicate.name(), "V");
-    }
-
-    #[test]
-    fn initial_only_skips_backchase() {
-        let (cb, q) = engine();
-        let (initial, stats) = cb.initial_only(&q);
-        let initial = initial.expect("initial reformulation exists");
-        assert_eq!(initial.body.len(), 1);
-        assert_eq!(stats.candidates_inspected, 0);
-        assert_eq!(stats.backchase_duration, Duration::default());
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub struct ChaseOptions {
     /// [`ChaseOptions::deadline`] instead.
     pub timeout: Option<Duration>,
     /// Absolute wall-clock deadline. Unlike [`ChaseOptions::timeout`], the
-    /// deadline is a fixed [`Instant`]: every branch worker of every level
+    /// deadline is a fixed [`Instant`]: every branch of every level
     /// and every *resumed* chase (thawed [`FrozenInstance`] seeds included)
     /// checks against the same point in time, so a deadline set before a
     /// resume cannot be silently ignored. A chase stopped by the deadline
@@ -48,15 +48,10 @@ pub struct ChaseOptions {
     /// Lower bound for the disambiguator indices of invented (fresh)
     /// variables. The backchase raises this above every variable index of the
     /// candidate pool so that a chase of one candidate can later be extended
-    /// with further pool atoms ([`chase_branches_with_atoms`]) without an
-    /// invented variable colliding with a pool variable of the same name.
+    /// with further pool atoms ([`chase_resident_with_atoms_compiled`])
+    /// without an invented variable colliding with a pool variable of the
+    /// same name.
     pub min_fresh_index: u32,
-    /// Number of worker threads chasing the branches of one worklist level
-    /// (disjunctive DEDs split the chase into independent branches). `1`
-    /// runs sequentially; any value produces byte-identical universal plans
-    /// (branches are chased independently — per-branch fresh-variable
-    /// counters — and merged back in level order).
-    pub threads: usize,
 }
 
 impl Default for ChaseOptions {
@@ -69,7 +64,6 @@ impl Default for ChaseOptions {
             timeout: None,
             deadline: None,
             min_fresh_index: 0,
-            threads: 1,
         }
     }
 }
@@ -91,13 +85,6 @@ impl ChaseOptions {
     /// [`ChaseOptions::deadline`]).
     pub fn with_deadline(mut self, deadline: Instant) -> ChaseOptions {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Builder: chase the branches of each worklist level on `n` worker
-    /// threads (byte-identical results for any thread count).
-    pub fn with_threads(mut self, n: usize) -> ChaseOptions {
-        self.threads = n.max(1);
         self
     }
 }
@@ -149,12 +136,6 @@ pub struct ChaseStats {
 pub struct UniversalPlan {
     /// Surviving branches (exactly one for non-disjunctive dependency sets).
     pub branches: Vec<ConjunctiveQuery>,
-    /// For each branch, the substitution accumulated by EGD unifications
-    /// during the chase: it maps variables of the *input* query to the terms
-    /// that replaced them. Needed to resume a chase from a previously chased
-    /// branch (see [`chase_branches_with_atoms`]) — atoms phrased over the
-    /// input query's variables must be renamed before insertion.
-    pub renamings: Vec<Substitution>,
     /// Chase statistics.
     pub stats: ChaseStats,
 }
@@ -195,8 +176,10 @@ struct Branch {
     inst: SymbolicInstance,
     head: Vec<Term>,
     inequalities: Vec<(Term, Term)>,
-    /// Composition of every unification applied to this branch, relative to
-    /// the variables of the query the chase started from.
+    /// Composition of every unification applied to this branch: it maps
+    /// variables of the query the chase started from to the terms that
+    /// replaced them. A resume renames its extra atoms — phrased over those
+    /// original variables — through it before insertion.
     renaming: Substitution,
     /// Delta tracking: `needs_check[i]` is true when compiled dependency `i`
     /// may have acquired a new unblocked premise binding since it was last
@@ -206,8 +189,7 @@ struct Branch {
     /// blocked, so skipping them is sound.
     needs_check: Vec<bool>,
     /// Next fresh-variable disambiguator. Per-branch: branches are chased
-    /// independently (children inherit the parent's counter at a split),
-    /// which is what makes the level-parallel worklist deterministic.
+    /// independently (children inherit the parent's counter at a split).
     fresh: u32,
     /// Rounds consumed on the root-to-leaf path (per-branch round budget).
     rounds: usize,
@@ -248,10 +230,6 @@ impl Branch {
             .map(|(a, b)| (s.apply_term_deep(*a), s.apply_term_deep(*b)))
             .collect();
         self.renaming = self.renaming.then(s);
-    }
-
-    fn to_query(&self, name: &str) -> ConjunctiveQuery {
-        self.inst.to_query(name, self.head.clone(), self.inequalities.clone())
     }
 }
 
@@ -409,76 +387,17 @@ pub fn chase_to_universal_plan_compiled(
     compiled: &CompiledDeps,
     options: &ChaseOptions,
 ) -> UniversalPlan {
-    run_chase(vec![Branch::from_query(query)], &query.name, compiled, options, None)
-}
-
-/// Resume a chase from already-chased branches, each extended with extra
-/// atoms.
-///
-/// `seeds` are `(branch, renaming)` pairs as returned by a previous chase of
-/// a *subquery* (its `branches` zipped with its `renamings`); `extra` is
-/// phrased over the variables of that original subquery and is renamed per
-/// branch before insertion. Because the chase is monotone, chasing
-/// `chase(Q) ∪ θ(extra)` reaches a universal plan homomorphically equivalent
-/// to chasing `Q ∪ extra` from scratch — but the seed branches are already at
-/// fixpoint, so only consequences of the new atoms fire. This is the
-/// memoization hook the backchase uses to grow candidates one atom at a time.
-pub fn chase_branches_with_atoms(
-    seeds: &[(ConjunctiveQuery, Substitution)],
-    extra: &[Atom],
-    name: &str,
-    deds: &[Ded],
-    options: &ChaseOptions,
-) -> UniversalPlan {
-    chase_branches_with_atoms_compiled(seeds, extra, name, &CompiledDeps::new(deds), options)
-}
-
-/// [`chase_branches_with_atoms`] with an already-compiled dependency set —
-/// the form the backchase hot loop uses (one shared compilation across every
-/// memoized resume).
-pub fn chase_branches_with_atoms_compiled(
-    seeds: &[(ConjunctiveQuery, Substitution)],
-    extra: &[Atom],
-    name: &str,
-    compiled: &CompiledDeps,
-    options: &ChaseOptions,
-) -> UniversalPlan {
-    let (_, closure, _) = compiled.for_chase(options.use_shortcut);
-    let initial: Vec<Branch> = seeds
-        .iter()
-        .map(|(q, renaming)| {
-            let mut b = Branch::from_query(q);
-            b.renaming = renaming.clone();
-            // The seed's closure is at fixpoint over the pre-insert relations:
-            // mark it *before* the inserts so the first round only recomputes
-            // groups whose inputs the inserted atoms actually grew.
-            if let Some(c) = closure {
-                b.closure_marks = c.marks_at_fixpoint(&b.inst, b.rewrites);
-            }
-            for a in extra {
-                b.inst.insert_atom(&renaming.apply_atom_deep(a));
-            }
-            b
-        })
-        .collect();
-    // The seeds are at fixpoint, so only dependencies whose premise mentions
-    // a predicate of the inserted atoms can have new unblocked steps — the
-    // chase starts with exactly those dirty (renaming preserves predicates).
-    let dirty: HashSet<Predicate> = extra.iter().map(|a| a.predicate).collect();
-    run_chase(initial, name, compiled, options, Some(&dirty))
+    chase_to_resident_compiled(query, compiled, options).into_universal_plan(&query.name)
 }
 
 /// One chased branch kept *resident*: the frozen symbolic instance (with its
 /// warm column indexes), the head and inequalities it carries, and the
 /// renaming the chase accumulated.
 ///
-/// Unlike the `(ConjunctiveQuery, Substitution)` seeds of
-/// [`chase_branches_with_atoms_compiled`], resuming from a `ResidentBranch`
-/// does not re-parse the query into a fresh instance — it thaws the snapshot,
-/// so every index the previous chase built is reused as-is and a relation is
-/// copied only when the resumed chase first writes it. The
-/// snapshot is `Sync` and can be shared by reference across backchase worker
-/// threads.
+/// Resuming from a `ResidentBranch` ([`chase_resident_with_atoms_compiled`])
+/// thaws the snapshot: every index the previous chase built is reused as-is
+/// and a relation is copied only when the resumed chase first writes it, so
+/// one snapshot seeds every superset candidate of the next backchase level.
 #[derive(Clone, Debug)]
 pub struct ResidentBranch {
     inst: FrozenInstance,
@@ -531,8 +450,7 @@ impl ResidentBranch {
 ///
 /// This is the chase result form the backchase memoizes across levels: a
 /// candidate's chase is kept as frozen instances, and each superset of the
-/// candidate resumes directly from them instead of re-parsing memoized
-/// queries from scratch.
+/// candidate resumes directly from them.
 #[derive(Clone, Debug)]
 pub struct ResidentChase {
     branches: Vec<ResidentBranch>,
@@ -577,9 +495,7 @@ impl ResidentChase {
 
     /// Convert to a [`UniversalPlan`] (thaws nothing; renders each branch).
     pub fn into_universal_plan(self, name: &str) -> UniversalPlan {
-        let branches = self.branch_queries(name);
-        let renamings = self.branches.into_iter().map(|b| b.renaming).collect();
-        UniversalPlan { branches, renamings, stats: self.stats }
+        UniversalPlan { branches: self.branch_queries(name), stats: self.stats }
     }
 }
 
@@ -592,18 +508,24 @@ pub fn chase_to_resident_compiled(
     compiled: &CompiledDeps,
     options: &ChaseOptions,
 ) -> ResidentChase {
-    let (done, stats) =
-        run_chase_branches(vec![Branch::from_query(query)], compiled, options, None);
+    let (done, stats) = run_chase(vec![Branch::from_query(query)], compiled, options, None);
     freeze_done(done, stats)
 }
 
-/// Resume a chase from resident branches, each extended with extra atoms —
-/// the resident counterpart of [`chase_branches_with_atoms_compiled`].
+/// Resume a chase from resident branches, each extended with extra atoms.
+///
+/// `seeds` are the branches of a previous chase of a *subquery*; `extra` is
+/// phrased over the variables of that original subquery and is renamed per
+/// branch ([`ResidentBranch::renaming`]) before insertion. Because the chase
+/// is monotone, chasing `chase(Q) ∪ θ(extra)` reaches a universal plan
+/// homomorphically equivalent to chasing `Q ∪ extra` from scratch — but the
+/// seed branches are already at fixpoint, so only consequences of the new
+/// atoms fire. This is the memoization hook the backchase uses to grow
+/// candidates one atom at a time.
 ///
 /// Each seed is thawed (its relations and their warm indexes carry over by
 /// handle, without any rebuild) and grown by the renamed `extra` atoms; only
-/// the dependency cone of the inserted predicates starts dirty, exactly as in
-/// the re-parsing resume path.
+/// the dependency cone of the inserted predicates starts dirty.
 pub fn chase_resident_with_atoms_compiled(
     seeds: &[ResidentBranch],
     extra: &[Atom],
@@ -615,8 +537,9 @@ pub fn chase_resident_with_atoms_compiled(
         .iter()
         .map(|seed| {
             let mut b = seed.thaw();
-            // Closure fixpoint: mark before the inserts (see the re-parsing
-            // resume path above).
+            // The seed's closure is at fixpoint over the pre-insert relations:
+            // mark it *before* the inserts so the first round only recomputes
+            // groups whose inputs the inserted atoms actually grew.
             if let Some(c) = closure {
                 b.closure_marks = c.marks_at_fixpoint(&b.inst, b.rewrites);
             }
@@ -626,8 +549,11 @@ pub fn chase_resident_with_atoms_compiled(
             b
         })
         .collect();
+    // The seeds are at fixpoint, so only dependencies whose premise mentions
+    // a predicate of the inserted atoms can have new unblocked steps — the
+    // chase starts with exactly those dirty (renaming preserves predicates).
     let dirty: HashSet<Predicate> = extra.iter().map(|a| a.predicate).collect();
-    let (done, stats) = run_chase_branches(initial, compiled, options, Some(&dirty));
+    let (done, stats) = run_chase(initial, compiled, options, Some(&dirty));
     freeze_done(done, stats)
 }
 
@@ -661,8 +587,7 @@ enum BranchOutcome {
 
 /// Chase one branch until it finishes, fails or splits. Self-contained: all
 /// state lives in the branch (fresh counter, dirty flags, round budget)
-/// and in the local `stats`, which is what lets a worklist level run its
-/// branches on parallel workers and still merge deterministically.
+/// and in the per-branch `stats`.
 fn chase_branch(
     mut branch: Branch,
     compiled: &[CompiledDed],
@@ -733,60 +658,9 @@ fn chase_branch(
     }
 }
 
-/// Chase every branch of one worklist level, on `threads` workers when that
-/// pays off. Results come back in level order regardless of thread count —
-/// each worker owns a disjoint slice of the output vector — so the merge in
-/// [`run_chase`] is deterministic.
-fn chase_level(
-    level: Vec<Branch>,
-    compiled: &[CompiledDed],
-    closure: Option<&ClosureConstraints>,
-    index: &DedIndex,
-    options: &ChaseOptions,
-    start: Instant,
-) -> Vec<(BranchOutcome, ChaseStats)> {
-    let fresh_stats = || ChaseStats { completed: true, ..Default::default() };
-    let threads = options.threads.max(1).min(level.len());
-    if threads <= 1 {
-        return level
-            .into_iter()
-            .map(|b| {
-                let mut s = fresh_stats();
-                let r = chase_branch(b, compiled, closure, index, options, start, &mut s);
-                (r, s)
-            })
-            .collect();
-    }
-    let chunk = level.len().div_ceil(threads);
-    let mut outs: Vec<Option<(BranchOutcome, ChaseStats)>> = Vec::new();
-    outs.resize_with(level.len(), || None);
-    let mut chunks: Vec<Vec<Branch>> = Vec::new();
-    {
-        let mut it = level.into_iter();
-        loop {
-            let c: Vec<Branch> = it.by_ref().take(chunk).collect();
-            if c.is_empty() {
-                break;
-            }
-            chunks.push(c);
-        }
-    }
-    std::thread::scope(|scope| {
-        for (branches, out) in chunks.into_iter().zip(outs.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (j, b) in branches.into_iter().enumerate() {
-                    let mut s = fresh_stats();
-                    let r = chase_branch(b, compiled, closure, index, options, start, &mut s);
-                    out[j] = Some((r, s));
-                }
-            });
-        }
-    });
-    outs.into_iter().map(|o| o.expect("every level slot chased")).collect()
-}
-
-/// The chase driver shared by [`chase_to_universal_plan_compiled`] and
-/// [`chase_branches_with_atoms_compiled`].
+/// The chase driver behind every entry point, returning the finished
+/// branches themselves (live instances included) so resident callers can
+/// freeze them instead of flattening to queries.
 ///
 /// The dependency set arrives pre-compiled (closure detection, per-DED
 /// compilation, EGD-priority ordering, premise-predicate index — see
@@ -795,28 +669,11 @@ fn chase_level(
 /// a from-scratch chase, the inserted predicates for a chase resumed from
 /// fixpoint seeds.
 ///
-/// The branch worklist is **level-synchronous**: every pending branch of a
-/// level is chased independently (optionally on a worker pool,
-/// [`ChaseOptions::threads`]) and the outcomes are merged back in level
-/// order, so the universal plan is byte-identical for any thread count.
+/// The branch worklist is **level-synchronous**: the pending branches of a
+/// level are chased one after the other, each with its own fresh-variable
+/// counter and statistics, and the children of a split wait for the next
+/// level.
 fn run_chase(
-    initial: Vec<Branch>,
-    name: &str,
-    deps: &CompiledDeps,
-    options: &ChaseOptions,
-    initial_dirty: Option<&HashSet<Predicate>>,
-) -> UniversalPlan {
-    let (done, stats) = run_chase_branches(initial, deps, options, initial_dirty);
-    let branches =
-        done.iter().enumerate().map(|(i, b)| b.to_query(&format!("{name}_up{i}"))).collect();
-    let renamings = done.iter().map(|b| b.renaming.clone()).collect();
-    UniversalPlan { branches, renamings, stats }
-}
-
-/// The worklist driver behind [`run_chase`], returning the finished branches
-/// themselves (live instances included) so resident callers can freeze them
-/// instead of flattening to queries.
-fn run_chase_branches(
     initial: Vec<Branch>,
     deps: &CompiledDeps,
     options: &ChaseOptions,
@@ -849,9 +706,10 @@ fn run_chase_branches(
                 break;
             }
         }
-        let outcomes = chase_level(level, compiled, closure, index, options, start);
         let mut next: Vec<Branch> = Vec::new();
-        for (outcome, s) in outcomes {
+        for branch in level {
+            let mut s = ChaseStats { completed: true, ..Default::default() };
+            let outcome = chase_branch(branch, compiled, closure, index, options, start, &mut s);
             stats.rounds += s.rounds;
             stats.applied_steps += s.applied_steps;
             stats.premise_rows += s.premise_rows;
@@ -981,18 +839,17 @@ mod tests {
             vec![Atom::named("B", vec![t("y"), t("z")])],
         );
         let opts = ChaseOptions::default();
-        let up_sub = chase_to_universal_plan(&q_sub, std::slice::from_ref(&ind), &opts);
-        let seeds: Vec<(ConjunctiveQuery, Substitution)> =
-            up_sub.branches.iter().cloned().zip(up_sub.renamings.iter().cloned()).collect();
+        let compiled = CompiledDeps::new(std::slice::from_ref(&ind));
+        let sub = chase_to_resident_compiled(&q_sub, &compiled, &opts);
 
         let extra = Atom::named("A", vec![t("y"), t("w")]);
-        let seeded = chase_branches_with_atoms(
-            &seeds,
+        let seeded = chase_resident_with_atoms_compiled(
+            sub.branches(),
             std::slice::from_ref(&extra),
-            "S",
-            std::slice::from_ref(&ind),
+            &compiled,
             &opts,
-        );
+        )
+        .into_universal_plan("S");
         let scratch = chase_to_universal_plan(&q_sub.clone().with_atom(extra), &[ind], &opts);
         assert!(seeded.stats.completed && scratch.stats.completed);
         assert_eq!(seeded.primary().body.len(), scratch.primary().body.len());
@@ -1002,9 +859,10 @@ mod tests {
         assert!(containment_mapping(scratch.primary(), seeded.primary()).is_some());
     }
 
-    /// The resident resume path (thawed frozen instances) reaches a universal
-    /// plan homomorphically equivalent to both the re-parsing resume path and
-    /// the from-scratch chase, and confirms completion the same way.
+    /// A resident resume reaches a universal plan homomorphically equivalent
+    /// to the from-scratch chase whether its seed came from a from-scratch
+    /// chase or is itself a resumed chase (how the backchase grows a
+    /// candidate level by level), and confirms completion the same way.
     #[test]
     fn resident_chase_matches_seeded_and_scratch_chase() {
         let q_sub = ConjunctiveQuery::new("Q")
@@ -1024,29 +882,26 @@ mod tests {
         assert_eq!(resident.len(), 1);
         assert!(!resident.is_empty());
 
-        let extra = Atom::named("A", vec![t("y"), t("w")]);
-        let resumed = chase_resident_with_atoms_compiled(
-            resident.branches(),
-            std::slice::from_ref(&extra),
-            &compiled,
-            &opts,
-        );
+        let extras =
+            [Atom::named("A", vec![t("y"), t("w")]), Atom::named("A", vec![t("w"), t("u")])];
+        let resumed =
+            chase_resident_with_atoms_compiled(resident.branches(), &extras, &compiled, &opts);
         let scratch = chase_to_universal_plan_compiled(
-            &q_sub.clone().with_atom(extra.clone()),
+            &q_sub.clone().with_atom(extras[0].clone()).with_atom(extras[1].clone()),
             &compiled,
             &opts,
         );
-        let seeds: Vec<(ConjunctiveQuery, Substitution)> = {
-            let up = chase_to_universal_plan_compiled(&q_sub, &compiled, &opts);
-            up.branches.into_iter().zip(up.renamings).collect()
+        // The seed of the second resume is the result of the first.
+        let seeded = {
+            let first = chase_resident_with_atoms_compiled(
+                resident.branches(),
+                &extras[..1],
+                &compiled,
+                &opts,
+            );
+            chase_resident_with_atoms_compiled(first.branches(), &extras[1..], &compiled, &opts)
+                .into_universal_plan("S")
         };
-        let seeded = chase_branches_with_atoms_compiled(
-            &seeds,
-            std::slice::from_ref(&extra),
-            "S",
-            &compiled,
-            &opts,
-        );
         assert!(resumed.stats().completed && scratch.stats.completed && seeded.stats.completed);
         let resumed_q = &resumed.branch_queries("S")[0];
         assert_eq!(resumed_q.body.len(), scratch.primary().body.len());
@@ -1060,7 +915,6 @@ mod tests {
         // naming scheme as the query-level API.
         let as_plan = resumed.into_universal_plan("S");
         assert_eq!(as_plan.branches[0].name, "S_up0");
-        assert_eq!(as_plan.renamings.len(), as_plan.branches.len());
     }
 
     /// A resident seed is a true fixpoint resume: inserting nothing fires
@@ -1109,19 +963,19 @@ mod tests {
             t("p"),
             t("q"),
         );
-        let up = chase_to_universal_plan(&q, std::slice::from_ref(&key), &ChaseOptions::default());
-        assert_eq!(up.renamings.len(), 1);
-        let seeds: Vec<(ConjunctiveQuery, Substitution)> =
-            up.branches.iter().cloned().zip(up.renamings.iter().cloned()).collect();
+        let compiled = CompiledDeps::new(&[key]);
+        let resident = chase_to_resident_compiled(&q, &compiled, &ChaseOptions::default());
+        assert_eq!(resident.len(), 1);
+        assert!(!resident.branches()[0].renaming().is_empty());
         // `S(y)` references the unified-away variable; the renaming must map
         // it onto the representative that survived in the branch.
-        let seeded = chase_branches_with_atoms(
-            &seeds,
+        let seeded = chase_resident_with_atoms_compiled(
+            resident.branches(),
             &[Atom::named("S", vec![t("y")])],
-            "S",
-            &[key],
+            &compiled,
             &ChaseOptions::default(),
-        );
+        )
+        .into_universal_plan("S");
         let plan = seeded.primary();
         let s_atom = plan.body.iter().find(|a| a.predicate.name() == "S").unwrap();
         assert_eq!(s_atom.args[0], plan.head[0], "S must mention the surviving head variable");
@@ -1210,57 +1064,6 @@ mod tests {
         assert_ne!(b_atoms[0].args[1], b_atoms[1].args[1]);
     }
 
-    /// A universal plan with the wall-clock field zeroed: everything else
-    /// must be bit-for-bit reproducible across thread counts.
-    fn plan_fingerprint(up: &UniversalPlan) -> String {
-        let stats = ChaseStats { duration: Duration::default(), ..up.stats.clone() };
-        format!("{:?} {:?} {:?}", up.branches, up.renamings, stats)
-    }
-
-    /// The parallel branch worklist is deterministic: disjunctive DEDs split
-    /// the chase into branch trees, and any thread count must produce a plan
-    /// byte-identical to the sequential one.
-    #[test]
-    fn parallel_branch_worklist_is_byte_identical() {
-        let split_st = Ded::disjunctive(
-            "st",
-            vec![Atom::named("R", vec![t("x")])],
-            vec![
-                Conjunct::atoms(vec![Atom::named("S", vec![t("x")])]),
-                Conjunct::atoms(vec![Atom::named("T", vec![t("x")])]),
-            ],
-        );
-        let split_uv = Ded::disjunctive(
-            "uv",
-            vec![Atom::named("S", vec![t("x")])],
-            vec![
-                Conjunct::atoms(vec![Atom::named("U", vec![t("x")])]),
-                Conjunct::atoms(vec![Atom::named("V", vec![t("x")])]),
-            ],
-        );
-        let grow = Ded::tgd(
-            "grow",
-            vec![Atom::named("T", vec![t("x")])],
-            vec![v("y")],
-            vec![Atom::named("W", vec![t("x"), t("y")])],
-        );
-        let deds = vec![split_st, split_uv, grow];
-        let q = ConjunctiveQuery::new("Q")
-            .with_head(vec![t("a"), t("b")])
-            .with_body(vec![Atom::named("R", vec![t("a")]), Atom::named("R", vec![t("b")])]);
-        let seq = chase_to_universal_plan(&q, &deds, &ChaseOptions::default());
-        assert!(seq.branches.len() > 2, "the setup must actually split");
-        for threads in [2usize, 3, 8] {
-            let par =
-                chase_to_universal_plan(&q, &deds, &ChaseOptions::default().with_threads(threads));
-            assert_eq!(
-                plan_fingerprint(&seq),
-                plan_fingerprint(&par),
-                "threads = {threads} must be byte-identical to sequential"
-            );
-        }
-    }
-
     #[test]
     fn timeout_is_reported_as_incomplete() {
         let d = Ded::tgd(
@@ -1333,7 +1136,7 @@ mod tests {
 
         let expired = Instant::now() - Duration::from_secs(1);
         let extra = Atom::named("A", vec![t("y"), t("w")]);
-        // The resident resume respects the pre-set absolute deadline...
+        // The resume respects the pre-set absolute deadline.
         let resumed = chase_resident_with_atoms_compiled(
             resident.branches(),
             std::slice::from_ref(&extra),
@@ -1343,19 +1146,6 @@ mod tests {
         assert!(!resumed.stats().completed, "an already-expired deadline must stop the resume");
         assert_eq!(resumed.stats().stop, Some(ChaseStop::Deadline));
         assert_eq!(resumed.stats().applied_steps, 0);
-        // ...and so does the re-parsing resume path.
-        let up = chase_to_universal_plan_compiled(&q, &compiled, &ChaseOptions::default());
-        let seeds: Vec<(ConjunctiveQuery, Substitution)> =
-            up.branches.into_iter().zip(up.renamings).collect();
-        let seeded = chase_branches_with_atoms_compiled(
-            &seeds,
-            std::slice::from_ref(&extra),
-            "S",
-            &compiled,
-            &ChaseOptions::default().with_deadline(expired),
-        );
-        assert!(!seeded.stats.completed);
-        assert_eq!(seeded.stats.stop, Some(ChaseStop::Deadline));
         // A generous deadline changes nothing: the resume completes and is
         // byte-identical to an undeadlined resume.
         let fut = Instant::now() + Duration::from_secs(3600);

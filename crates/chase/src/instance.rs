@@ -65,9 +65,9 @@ pub struct Relation {
     /// (`&SymbolicInstance`) build an index lazily on first use. The cache
     /// is lock-guarded and hands out shared handles, so a relation — and
     /// with it `mars_storage::RelationalDatabase` and its router — is
-    /// `Sync`; the chase itself never shares a *live* instance across
-    /// threads (branches move between workers whole), so the locks are
-    /// uncontended there. Clones share the handles; the first insert into
+    /// `Sync`; the chase itself is single-threaded and every request chases
+    /// instances of its own, so the locks are uncontended there. Clones
+    /// share the handles; the first insert into
     /// either side copies the index it touches.
     indexes: RwLock<IndexCache>,
     /// From-scratch builds of this relation's indexes — the race-free

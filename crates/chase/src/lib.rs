@@ -30,12 +30,14 @@
 //!   closure instead of step-by-step),
 //! * the **backchase** with level-synchronous bottom-up subquery enumeration
 //!   over growable [`mars_cq::AtomSet`] bitsets (no pool-width ceiling),
-//!   deterministic multi-threaded candidate evaluation
-//!   ([`BackchaseOptions::threads`]), cost-based pruning and the three
-//!   XML-specific pruning criteria implemented on the atom reachability
-//!   graph,
+//!   cost-based pruning and the three XML-specific pruning criteria
+//!   implemented on the atom reachability graph,
 //! * the top-level [`ChaseBackchase`] driver returning the initial
 //!   reformulation, all minimal reformulations and the cost-optimal one.
+//!
+//! One reformulation runs on the calling thread from start to finish. The
+//! engine is `Send + Sync`, and the request is the unit of parallelism: a
+//! resident service reformulates different requests on different threads.
 
 #![deny(missing_docs)]
 
@@ -51,7 +53,6 @@ pub mod shortcut;
 pub use backchase::{backchase, BackchaseOptions, BackchaseOutcome, Degradation};
 pub use cb::{CbOptions, CbStatistics, ChaseBackchase, ReformulationBudget, ReformulationResult};
 pub use chase::{
-    chase_branches_with_atoms, chase_branches_with_atoms_compiled,
     chase_resident_with_atoms_compiled, chase_to_resident_compiled, chase_to_universal_plan,
     chase_to_universal_plan_compiled, ChaseOptions, ChaseStats, ChaseStop, ResidentBranch,
     ResidentChase, UniversalPlan,

@@ -9,18 +9,18 @@
 //!
 //! This crate provides:
 //!
-//! * the [`CostEstimator`] trait that MARS accepts as a plug-in,
-//! * a [`Catalog`] of per-relation statistics,
-//! * [`JoinOrderEstimator`], the default estimator, which reorders joins with
-//!   dynamic programming (as in the paper, following Popa's implementation)
-//!   and sums estimated intermediate-result cardinalities,
-//! * [`WeightedAtomEstimator`], a simple monotone model that charges a weight
-//!   per accessed atom (descendant navigation costlier than child navigation),
-//!   used by unit tests and by backchase pruning criterion 1,
-//! * the [`StatisticsCatalog`] trait — the shared read interface to the exact
-//!   per-relation counters (tuple counts, per-column distincts)
-//!   that both the chase's symbolic instance and the storage layer maintain
-//!   incrementally on insert,
+//! * the [`CostEstimator`] trait that MARS accepts as a plug-in — additive
+//!   models expose per-atom costs ([`CostEstimator::atom_costs`]) that the
+//!   backchase folds per candidate, any other monotone model is asked for a
+//!   full estimate per candidate,
+//! * [`WeightedAtomEstimator`], the shipped model and the default of
+//!   `ChaseBackchase::new` and `Mars::new`: a monotone, additive weight per
+//!   accessed atom (descendant navigation costlier than child navigation, as
+//!   backchase pruning criterion 1 assumes),
+//! * the [`StatisticsCatalog`] trait — the one statistics interface: shared
+//!   read access to the exact per-relation counters (tuple counts,
+//!   per-column distincts) that both the chase's symbolic instance and the
+//!   storage layer maintain incrementally on insert,
 //! * [`physical_plan`], the logical→physical compiler turning a conjunctive
 //!   query into an executable operator tree (pruned scans with constant
 //!   pushdown, statistics-ordered hash joins with chosen build sides,
@@ -35,16 +35,12 @@
 //!   bound; [`navigation_cost`] prices that order and `mars-storage`
 //!   compiles exactly it into its navigation kernel.
 
-pub mod catalog;
 pub mod estimator;
-pub mod join_order;
 pub mod physical;
 pub mod route;
 pub mod stats;
 
-pub use catalog::{Catalog, RelationStats};
 pub use estimator::{fold_atom_costs, CostEstimator, WeightedAtomEstimator};
-pub use join_order::{JoinOrderEstimator, JoinPlan};
 pub use physical::{physical_plan, BuildSide, Operand, PhysicalPlan, TableScan};
 pub use route::{
     navigation_atom, navigation_cost, navigation_parts, plan_navigation, route_query, NavBase,
@@ -65,9 +61,6 @@ mod tests {
             Atom::named("T", vec![Term::var("z"), Term::var("w")]),
         ]);
         let sub = q.subquery(&[0, 1]);
-        let catalog = Catalog::with_default_cardinality(1000.0);
-        let join = JoinOrderEstimator::new(catalog);
-        assert!(join.estimate(&sub) <= join.estimate(&q));
         let weighted = WeightedAtomEstimator::default();
         assert!(weighted.estimate(&sub) <= weighted.estimate(&q));
     }

@@ -14,7 +14,6 @@
 //! and **advisory**: they steer plan shape and cost only — a wrong statistic
 //! can produce a slow plan, never a wrong answer.
 
-use crate::catalog::{Catalog, RelationStats};
 use mars_cq::Predicate;
 
 /// Exact relation-level statistics of a tuple store.
@@ -55,34 +54,6 @@ pub trait StatisticsCatalog {
     }
 }
 
-impl Catalog {
-    /// Snapshot exact [`StatisticsCatalog`] counters into an estimator
-    /// [`Catalog`] for the listed relations, so the backchase's
-    /// [`crate::JoinOrderEstimator`] can cost candidates against *measured*
-    /// storage instead of synthetic defaults. `distinct_per_column` is the
-    /// mean of the per-column distinct counts (the catalog's uniformity
-    /// summary); relations absent from the source get zero cardinality.
-    pub fn from_statistics<S: StatisticsCatalog + ?Sized>(
-        source: &S,
-        relations: impl IntoIterator<Item = Predicate>,
-    ) -> Catalog {
-        let mut catalog = Catalog::default();
-        for relation in relations {
-            let cardinality = source.tuple_count(relation) as f64;
-            let columns = source.column_count(relation);
-            let distinct_per_column = if columns == 0 {
-                1.0
-            } else {
-                let total: usize =
-                    (0..columns).map(|c| source.distinct_in_column(relation, c)).sum();
-                (total as f64 / columns as f64).max(1.0)
-            };
-            catalog.set(relation, RelationStats { cardinality, distinct_per_column });
-        }
-        catalog
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,15 +90,5 @@ mod tests {
         assert_eq!(s.expected_matches(r, &[1], 100), 10);
         // Absent relation: distincts clamp to 1, never 0 (no divide-by-zero).
         assert_eq!(s.distinct_for_columns(Predicate::new("missing"), &[0]), 1);
-    }
-
-    #[test]
-    fn catalog_snapshot_uses_measured_counters() {
-        let s = fixture();
-        let catalog =
-            Catalog::from_statistics(&s, [Predicate::new("R"), Predicate::new("missing")]);
-        assert_eq!(catalog.get(Predicate::new("R")).cardinality, 100.0);
-        assert_eq!(catalog.get(Predicate::new("R")).distinct_per_column, 55.0);
-        assert_eq!(catalog.get(Predicate::new("missing")).cardinality, 0.0);
     }
 }

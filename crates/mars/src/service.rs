@@ -16,8 +16,7 @@
 //! entries are invalidated rather than served.
 //!
 //! The service is `Sync`: one instance can be shared across request threads
-//! (`&MarsService` handles), which is how the `experiments --serve` harness
-//! drives it.
+//! (`&MarsService` handles) — the request is the unit of parallelism.
 //!
 //! # The degradation ladder
 //!

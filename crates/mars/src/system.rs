@@ -116,18 +116,6 @@ impl MarsOptions {
         self
     }
 
-    /// Builder: evaluate each backchase BFS level — and each branch level of
-    /// the initial chase's disjunctive worklist — on `n` worker threads.
-    /// Any thread count produces byte-identical reformulation results —
-    /// both engines merge per-level results deterministically. (The back
-    /// chases inside candidate evaluations stay sequential; they are already
-    /// parallelized at the candidate level.)
-    pub fn with_threads(mut self, n: usize) -> MarsOptions {
-        self.cb.backchase.threads = n.max(1);
-        self.cb.chase.threads = n.max(1);
-        self
-    }
-
     /// Builder: replace the exhaustive subquery enumeration with greedy
     /// minimization of the initial reformulation. An explicit trade of
     /// completeness (at most one reformulation, not necessarily the optimum)
@@ -536,35 +524,6 @@ mod tests {
         assert!(best.body.iter().any(|a| a.predicate == Predicate::new("bookRel")));
         let sql = block.sql.as_ref().unwrap();
         assert!(sql.contains("bookRel"));
-    }
-
-    #[test]
-    fn threaded_reformulation_is_identical_to_sequential() {
-        let client = XBindQuery::new("Client")
-            .with_head(&["a"])
-            .with_atom(XBindAtom::AbsolutePath {
-                document: "bib.xml".to_string(),
-                path: parse_path("//book").unwrap(),
-                var: "b".to_string(),
-            })
-            .with_atom(XBindAtom::RelativePath {
-                path: parse_path("./author/text()").unwrap(),
-                source: "b".to_string(),
-                var: "a".to_string(),
-            });
-        let seq = Mars::with_options(mini_correspondence(), MarsOptions::default().exhaustive())
-            .reformulate_xbind(&client);
-        let par = Mars::with_options(
-            mini_correspondence(),
-            MarsOptions::default().exhaustive().with_threads(4),
-        )
-        .reformulate_xbind(&client);
-        assert_eq!(seq.result.minimal.len(), par.result.minimal.len());
-        for ((a, ca), (b, cb)) in seq.result.minimal.iter().zip(&par.result.minimal) {
-            assert_eq!(format!("{a}"), format!("{b}"));
-            assert_eq!(ca, cb);
-        }
-        assert_eq!(seq.result.stats.candidates_inspected, par.result.stats.candidates_inspected);
     }
 
     #[test]

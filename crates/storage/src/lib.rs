@@ -8,7 +8,7 @@
 //!   conjunctive queries through cost-based physical plans (pruned scans
 //!   with constant pushdown, statistics-ordered hash joins — see
 //!   [`mars_cost::physical_plan`] and the [`executor`] module; the naive
-//!   evaluator survives as the [`QueryExecutor::Naive`] ablation) and
+//!   evaluator survives as the oracle [`RelationalDatabase::query_naive`]) and
 //!   emitting the equivalent SQL text, standing in for the commercial RDBMS
 //!   holding the proprietary tables and materialized relational views;
 //! * [`XmlStore`] — a set of in-memory XML documents with a deliberately
@@ -35,6 +35,6 @@ pub mod router;
 pub mod xml_engine;
 
 pub use materialize::{materialize_view, tag_results};
-pub use relational::{sql_for_query, QueryExecutor, RelationalDatabase, Row, SqlUnboundVariable};
+pub use relational::{sql_for_query, RelationalDatabase, Row, SqlUnboundVariable};
 pub use router::{BackendRouter, Route, RouteCosts, RoutedExecution, RoutedPlan, RoutingDecision};
 pub use xml_engine::{Value, XmlStore, XmlStoreError};

@@ -7,8 +7,9 @@
 //! reformulations — execute directly against it through a cost-based
 //! physical plan ([`RelationalDatabase::plan`], executed by
 //! [`crate::executor`]). The historical naive evaluator survives as the
-//! explicit [`QueryExecutor::Naive`] ablation. [`sql_for_query`] renders the
-//! SQL text MARS would ship to an external RDBMS.
+//! executor's correctness oracle ([`RelationalDatabase::query_naive`]).
+//! [`sql_for_query`] renders the SQL text MARS would ship to an external
+//! RDBMS.
 
 use crate::executor::execute_plan;
 use mars_chase::{evaluate_bindings, SymbolicInstance};
@@ -19,23 +20,6 @@ use std::fmt;
 
 /// A result row: one value per head term.
 pub type Row = Vec<Term>;
-
-/// Which evaluator executes a conjunctive query.
-///
-/// Both return the identical row set in the identical (ascending) order —
-/// property-tested byte-for-byte in `tests/property_based.rs` — so the choice
-/// changes execution cost only.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QueryExecutor {
-    /// Compile a cost-based physical plan from the store's exact statistics
-    /// and execute it (the default).
-    #[default]
-    Physical,
-    /// The historical naive path: enumerate bindings with the chase's
-    /// evaluator, then project and deduplicate. Kept as an explicit ablation
-    /// and as the executor correctness oracle.
-    Naive,
-}
 
 /// An in-memory relational database of ground facts.
 #[derive(Clone, Debug, Default)]
@@ -95,31 +79,27 @@ impl RelationalDatabase {
         physical_plan(q, &self.inst)
     }
 
-    /// Execute a conjunctive query with the default (physical) executor.
+    /// Execute a conjunctive query through its physical plan.
     ///
     /// Returns the deduplicated head rows in **ascending row order** — the
-    /// engine's deterministic output contract, identical for every
-    /// [`QueryExecutor`] and every planner choice.
+    /// engine's deterministic output contract, identical for every planner
+    /// choice and for [`Self::query_naive`].
     pub fn query(&self, q: &ConjunctiveQuery) -> Vec<Row> {
-        self.query_with(q, QueryExecutor::Physical)
-    }
-
-    /// Execute with the naive evaluator (the explicit ablation path).
-    pub fn query_naive(&self, q: &ConjunctiveQuery) -> Vec<Row> {
-        self.query_with(q, QueryExecutor::Naive)
-    }
-
-    /// Execute a conjunctive query with the chosen executor. Both executors
-    /// return the identical rows in the identical (ascending) order.
-    pub fn query_with(&self, q: &ConjunctiveQuery, executor: QueryExecutor) -> Vec<Row> {
-        if executor == QueryExecutor::Physical && !q.body.is_empty() {
-            return execute_plan(&self.plan(q), &self.inst);
+        if q.body.is_empty() {
+            // Nothing to scan, nothing to plan.
+            return self.query_naive(q);
         }
-        // Naive path (and the body-less degenerate case): enumerate bindings,
-        // project the head, deduplicate into ascending order. Rows move into
-        // the set (no per-row clone).
+        execute_plan(&self.plan(q), &self.inst)
+    }
+
+    /// Execute with the naive evaluator — the executor's correctness oracle
+    /// (differential tests, `benches/executor.rs`): enumerate bindings with
+    /// the chase's evaluator, project the head, deduplicate into ascending
+    /// order. Same rows, same order as [`Self::query`].
+    pub fn query_naive(&self, q: &ConjunctiveQuery) -> Vec<Row> {
         let bindings =
             evaluate_bindings(&q.body, &q.inequalities, &self.inst, &Substitution::new());
+        // Rows move into the set (no per-row clone).
         let rows: BTreeSet<Row> =
             bindings.iter().map(|b| q.head.iter().map(|t| b.apply_term(*t)).collect()).collect();
         rows.into_iter().collect()
@@ -331,7 +311,6 @@ mod tests {
         let mut sorted = physical.clone();
         sorted.sort();
         assert_eq!(physical, sorted, "rows must come back in ascending order");
-        assert_eq!(db.query_with(&q, QueryExecutor::default()), physical);
     }
 
     /// The shared statistics catalog is maintained on insert and visible

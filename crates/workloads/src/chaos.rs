@@ -1,5 +1,5 @@
 //! Fault injection and adversarial arrivals for chaos-testing the resident
-//! service (`experiments --serve --chaos`).
+//! service (`tests/chaos.rs`).
 //!
 //! Two ingredients:
 //!

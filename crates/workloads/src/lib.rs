@@ -17,12 +17,12 @@
 //!
 //! For robustness testing, [`chaos`] provides a deterministic fault
 //! injector and an adversarial (cache-defeating) arrival stream used by the
-//! `experiments --serve --chaos` harness.
+//! chaos accounting test (`tests/chaos.rs`).
 //!
 //! For the backend router, [`scenarios`] provides the 12-point scenario
 //! matrix (chain/snowflake schema × uniform/skewed data × redundancy 0–2)
-//! behind the cross-backend differential suite and the
-//! `experiments --route` ablation.
+//! behind the cross-backend differential suite and the golden routing
+//! decisions (`tests/golden/routes/`).
 
 pub mod chaos;
 pub mod example11;

@@ -13,7 +13,7 @@
 //!   0 the best reformulation is pure navigation, so the router should pick
 //!   the XML backend; at redundancy ≥ 1 the query reformulates onto
 //!   materialized relations, so it should pick the relational backend. The
-//!   `experiments --route auto` smoke gate checks exactly this.
+//!   `tests/golden_routes.rs` pins exactly this.
 //!
 //! [`Scenario::populate`] loads the generated document into the XML store,
 //! materializes the redundant views, **and** loads the document's GReX
@@ -139,7 +139,7 @@ impl Scenario {
     /// The client query compiled to pure GReX navigation — the query the
     /// XML backend runs natively. On view-backed scenarios the *best*
     /// reformulation is pure relational (XML-infeasible), so the forced-XML
-    /// ablation in `experiments --route` falls back to this form; it returns
+    /// ablation of the differential suite falls back to this form; it returns
     /// the same rows (the reformulation is an equivalence under the
     /// scenario's constraints, and [`Scenario::populate`] materializes the
     /// views from the same document).
@@ -472,8 +472,8 @@ mod tests {
         }
     }
 
-    /// The routing expectation the `experiments --route auto` smoke gate
-    /// enforces: redundancy 0 navigates (XML backend), redundancy ≥ 1 is
+    /// The routing expectation `tests/golden_routes.rs` also pins on
+    /// populated stores: redundancy 0 navigates (XML backend), redundancy ≥ 1 is
     /// view-backed (relational backend).
     #[test]
     fn redundancy_drives_the_route() {

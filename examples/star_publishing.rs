@@ -2,50 +2,45 @@
 //! exponentially many reformulations possible; MARS enumerates the minimal
 //! ones and picks the cheapest.
 //!
-//! Run with `cargo run --release --example star_publishing [-- --nc N --threads T]`
-//! (defaults: NC = 5, 1 backchase worker thread).
+//! Run with `cargo run --release --example star_publishing [-- --nc N]`
+//! (default: NC = 5).
 
 use mars::MarsOptions;
 use mars_workloads::star::StarConfig;
 use std::collections::HashMap;
 
-/// Parse `--nc N` / `--threads T`, rejecting anything malformed (exit 2).
-fn parse_args() -> (usize, usize) {
+/// Parse `--nc N`, rejecting anything malformed (exit 2).
+fn parse_args() -> usize {
     let mut nc = 5usize;
-    let mut threads = 1usize;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let target: &mut usize = match arg.as_str() {
-            "--nc" => &mut nc,
-            "--threads" => &mut threads,
-            other => {
-                eprintln!("error: unknown argument {other:?} (expected --nc N or --threads T)");
-                std::process::exit(2);
-            }
-        };
+        if arg != "--nc" {
+            eprintln!("error: unknown argument {arg:?} (expected --nc N)");
+            std::process::exit(2);
+        }
         let value = it.next().unwrap_or_else(|| {
             eprintln!("error: {arg} requires a value");
             std::process::exit(2);
         });
-        *target = value.parse().unwrap_or_else(|_| {
+        nc = value.parse().unwrap_or_else(|_| {
             eprintln!("error: invalid {arg} value: {value:?} (expected a number)");
             std::process::exit(2);
         });
-        if *target < 1 {
+        if nc < 1 {
             eprintln!("error: {arg} must be at least 1");
             std::process::exit(2);
         }
     }
-    (nc, threads)
+    nc
 }
 
 fn main() {
-    let (nc, threads) = parse_args();
+    let nc = parse_args();
     let cfg = StarConfig::figure5(nc);
-    println!("star configuration: NC = {nc}, NV = {}, threads = {threads}", cfg.nv);
+    println!("star configuration: NC = {nc}, NV = {}", cfg.nv);
 
-    let mars = cfg.mars(MarsOptions::specialized().exhaustive().with_threads(threads));
+    let mars = cfg.mars(MarsOptions::specialized().exhaustive());
     let block = mars.reformulate_xbind(&cfg.client_query());
 
     println!("universal plan: {} atoms", block.result.stats.universal_plan_atoms);

@@ -21,7 +21,7 @@
 //! so they are sensitive to the workload generators' scale and seed (pinned
 //! below) and to the navigation cost model in `mars-cost`.
 
-use mars_system::storage::BackendRouter;
+use mars_system::storage::{BackendRouter, Route};
 use mars_workloads::scenarios::Scenario;
 use std::path::PathBuf;
 
@@ -59,6 +59,7 @@ fn assert_matches_golden(name: &str, actual: &str) {
 /// best reformulation, with every backend's estimate (or `infeasible`).
 #[test]
 fn routing_decisions_are_stable_across_the_scenario_matrix() {
+    let mut routed = Vec::new();
     for scenario in Scenario::matrix() {
         let block = scenario
             .mars()
@@ -72,5 +73,9 @@ fn routing_decisions_are_stable_across_the_scenario_matrix() {
             &format!("{}.route.txt", scenario.name()),
             &plan.decision.to_string(),
         );
+        routed.push((scenario.view_backed(), plan.decision.route));
     }
+    // Survives a golden regeneration: the router must actually route.
+    assert!(routed.contains(&(false, Route::Xml)), "no navigation-heavy scenario went to XML");
+    assert!(routed.contains(&(true, Route::Relational)), "no view-backed scenario went relational");
 }

@@ -221,106 +221,6 @@ proptest! {
     }
 }
 
-/// A universal plan's fingerprint: branches, renamings and statistics with
-/// the wall-clock field zeroed — the byte-identical contract of the
-/// parallel branch worklist.
-fn plan_fingerprint(up: &mars_system::chase::UniversalPlan) -> String {
-    let stats = mars_system::chase::ChaseStats {
-        duration: std::time::Duration::default(),
-        ..up.stats.clone()
-    };
-    format!("{:?} {:?} {:?}", up.branches, up.renamings, stats)
-}
-
-/// A randomized DED set over the chain relations: per-relation copy TGDs, a
-/// transitive closure, optionally a key EGD on R0 and a disjunctive DED on
-/// the last relation — enough variety to exercise EGD rewrites and branch
-/// splits.
-fn random_deds(len: usize, copy_mask: u8, with_egd: bool, with_disjunction: bool) -> Vec<Ded> {
-    use mars_system::cq::{Conjunct, Variable};
-    let mut deds = vec![
-        Ded::tgd(
-            "copy",
-            vec![Atom::named("R", vec![Term::var("x"), Term::var("y")])],
-            vec![],
-            vec![Atom::named("S", vec![Term::var("x"), Term::var("y")])],
-        ),
-        Ded::tgd(
-            "strans",
-            vec![
-                Atom::named("S", vec![Term::var("x"), Term::var("y")]),
-                Atom::named("S", vec![Term::var("y"), Term::var("z")]),
-            ],
-            vec![],
-            vec![Atom::named("S", vec![Term::var("x"), Term::var("z")])],
-        ),
-    ];
-    for i in 0..len.min(8) {
-        if copy_mask & (1 << i) != 0 {
-            deds.push(Ded::tgd(
-                &format!("grow{i}"),
-                vec![Atom::named(&format!("R{i}"), vec![Term::var("x"), Term::var("y")])],
-                vec![Variable::named("w")],
-                vec![Atom::named("G", vec![Term::var("y"), Term::var("w")])],
-            ));
-        }
-    }
-    if with_egd {
-        deds.push(Ded::egd(
-            "key",
-            vec![
-                Atom::named("R0", vec![Term::var("u"), Term::var("p")]),
-                Atom::named("R0", vec![Term::var("u"), Term::var("q")]),
-            ],
-            Term::var("p"),
-            Term::var("q"),
-        ));
-    }
-    if with_disjunction {
-        deds.push(Ded::disjunctive(
-            "split",
-            vec![Atom::named("G", vec![Term::var("x"), Term::var("y")])],
-            vec![
-                Conjunct::atoms(vec![Atom::named("L", vec![Term::var("x")])]),
-                Conjunct::atoms(vec![Atom::named("M", vec![Term::var("x")])]),
-            ],
-        ));
-    }
-    deds
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The determinism contract of the parallel branch worklist: for any
-    /// randomized DED set, chasing with 2 or 4 worker threads is
-    /// byte-identical to the sequential chase.
-    #[test]
-    fn parallel_branch_worklist_agrees_with_sequential(
-        len in 1usize..4,
-        copy_mask in 1u8..16,
-        with_egd in proptest::bool::ANY,
-    ) {
-        let q = chain_query(len, false);
-        // Always include the disjunctive DED so branches actually split.
-        let deds = random_deds(len, copy_mask, with_egd, true);
-        let sequential = chase_to_universal_plan(&q, &deds, &ChaseOptions::default());
-        for threads in [2usize, 4] {
-            let parallel = chase_to_universal_plan(
-                &q,
-                &deds,
-                &ChaseOptions::default().with_threads(threads),
-            );
-            prop_assert_eq!(
-                plan_fingerprint(&sequential),
-                plan_fingerprint(&parallel),
-                "threads = {}",
-                threads
-            );
-        }
-    }
-}
-
 /// Build a redundant-storage C&B engine over a length-`len` chain query:
 /// every relation gets a stored proprietary copy when the corresponding bit
 /// of `copy_mask` is set, and adjacent pairs additionally get a stored join
@@ -412,54 +312,6 @@ proptest! {
                     );
                 }
             }
-        }
-    }
-
-    /// The determinism contract of the parallel backchase engine: for any
-    /// redundant-storage setup and any thread count, the parallel run is
-    /// identical to the sequential one — same minimal reformulations (names,
-    /// bodies, costs, discovery order), same best, same candidate /
-    /// equivalence-check / cache statistics, same truncation flag.
-    #[test]
-    fn parallel_and_sequential_backchase_agree(
-        len in 2usize..4,
-        copy_mask in 0u8..16,
-        join_mask in 0u8..8,
-        exhaustive in proptest::bool::ANY,
-    ) {
-        use mars_system::chase::{BackchaseOptions, CbOptions};
-
-        let (engine, q) = redundant_chain_engine(len, copy_mask, join_mask);
-        let mut opts = if exhaustive { CbOptions::exhaustive() } else { CbOptions::default() };
-        let sequential = engine.clone().with_options(opts.clone()).reformulate(&q);
-        for threads in [2usize, 4] {
-            opts.backchase =
-                BackchaseOptions { threads, ..opts.backchase.clone() };
-            let parallel = engine.clone().with_options(opts.clone()).reformulate(&q);
-
-            prop_assert_eq!(parallel.minimal.len(), sequential.minimal.len());
-            for ((qa, ca), (qb, cb)) in parallel.minimal.iter().zip(&sequential.minimal) {
-                prop_assert_eq!(&qa.name, &qb.name);
-                prop_assert_eq!(&qa.body, &qb.body);
-                prop_assert_eq!(ca, cb);
-            }
-            prop_assert_eq!(
-                parallel.best.as_ref().map(|(q, c)| (format!("{q}"), *c)),
-                sequential.best.as_ref().map(|(q, c)| (format!("{q}"), *c))
-            );
-            prop_assert_eq!(
-                parallel.stats.candidates_inspected,
-                sequential.stats.candidates_inspected
-            );
-            prop_assert_eq!(
-                parallel.stats.equivalence_checks,
-                sequential.stats.equivalence_checks
-            );
-            prop_assert_eq!(parallel.stats.chase_cache_hits, sequential.stats.chase_cache_hits);
-            prop_assert_eq!(
-                parallel.stats.backchase_truncated,
-                sequential.stats.backchase_truncated
-            );
         }
     }
 }
@@ -863,7 +715,7 @@ fn with_head_constant(q: &ConjunctiveQuery, i: usize, value: &str) -> Conjunctiv
 /// Execute `best` on the auto route and on every forced route and assert the
 /// rows identical; returns them. The forced-XML leg falls back to
 /// `navigation` (the compiled navigation form of the same query) where
-/// `best` is XML-infeasible, exactly as the `--route` experiment does.
+/// `best` is XML-infeasible.
 fn assert_all_routes_agree(
     router: &mars_system::storage::BackendRouter<'_>,
     best: &ConjunctiveQuery,
@@ -891,8 +743,8 @@ fn assert_all_routes_agree(
 }
 
 /// Auto routing plus the forced ablations return identical rows on every
-/// point of the scenario matrix — the differential contract the `--route`
-/// experiment ablation rests on — for the whole-document scan and, per head
+/// point of the scenario matrix — the differential contract routing rests
+/// on — for the whole-document scan and, per head
 /// variable, for a present constant, the hottest constant (the skewed
 /// scenarios' hot row) and a constant no document holds: the key-lookup
 /// shapes whose navigation plans are seeded from a value index.
