@@ -4,18 +4,17 @@
 //!
 //! - `sibling_sweep`: the backchase inner loop — checking the original query
 //!   against K sibling candidates that share a chased seed and differ in one
-//!   fresh atom each. `scratch` rebuilds a full [`ContainmentTarget`] per
-//!   sibling from a rendered query; `from_parts` assembles one straight from
-//!   the atom list ([`ContainmentTarget::from_parts`]), the form the
-//!   backchase confirm uses.
+//!   fresh atom each. `instance` is what the backchase runs: each sibling is
+//!   a clone of the seed's [`SymbolicInstance`] grown by its fresh atoms, and
+//!   the original is tested against it where it lies ([`maps_into`]).
+//!   `scratch` is the oracle's cost: a full
+//!   [`ContainmentTarget`] per sibling from a rendered query.
 //! - `find_all_homomorphisms`: enumeration cost over targets of growing
 //!   redundancy (the in-place substitution/trail rewrite vs. the old
 //!   clone-per-trial search is visible here as allocation volume).
-//!
-//! Record before/after numbers in `BENCH_backchase.json` under
-//! `containment_pr8`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mars_chase::{maps_into, SymbolicInstance};
 use mars_cq::{
     find_all_homomorphisms, Atom, AtomIndex, ConjunctiveQuery, ContainmentTarget, Substitution,
     Term,
@@ -83,14 +82,16 @@ fn bench_sibling_sweep(c: &mut Criterion) {
             assert_eq!(found, siblings);
         })
     });
-    g.bench_function(&format!("from_parts/{siblings}"), |b| {
+    let seed = SymbolicInstance::from_query(&ConjunctiveQuery::new("seed").with_body(base.clone()));
+    g.bench_function(&format!("instance/{siblings}"), |b| {
         b.iter(|| {
             let mut found = 0usize;
             for k in 0..siblings {
-                let mut atoms = base.clone();
-                atoms.extend(fresh_atoms(m, k));
-                let target = ContainmentTarget::from_parts(head.clone(), atoms);
-                found += target.mapping_from(&q).is_some() as usize;
+                let mut sibling = seed.clone();
+                for atom in fresh_atoms(m, k) {
+                    sibling.insert_atom(&atom);
+                }
+                found += maps_into(&q, &sibling, &head) as usize;
             }
             assert_eq!(found, siblings);
         })

@@ -30,42 +30,49 @@
 //! in the non-exhaustive mode `minimal` keeps every one whose cost does not
 //! exceed the best of the *smaller* sizes.
 //!
-//! The expensive step per candidate is the "back" chase (the `candidate ⊆
-//! original` half of the equivalence check). Four optimizations keep it off
-//! the critical path:
+//! Whether a candidate is equivalent to the original query is decided by one
+//! function, `Equivalence::check`, for the enumeration and for the greedy
+//! opt-in alike: safety, then `original ⊆ candidate` (the candidate maps into
+//! every universal-plan branch), then the "back" chase of the candidate —
+//! from scratch or resumed from a memoized subset — under the engine's one
+//! [`ChaseOptions`], then `candidate ⊆ original` (the original maps into
+//! every back-chase branch). Both containment halves run the chase's own
+//! join kernel over the chase's own instances ([`maps_into`]): the original
+//! is tested against each resident branch where it lies, and the plan
+//! branches are loaded into instances once, a candidate whose atoms occur
+//! verbatim in one (every subquery of that branch) passing by identity
+//! without a search.
+//!
+//! The expensive step per candidate is the back chase. Three optimizations
+//! keep it off the critical path:
 //!
 //! * **Shared compilation**: the dependency set arrives as a
 //!   [`CompiledDeps`] built once per engine; no chase anywhere in the
 //!   enumeration recompiles it.
 //! * **Resident chase memoization**: completed back-chases are cached keyed
 //!   on the candidate's [`AtomSet`], as *resident* branches
-//!   ([`ResidentBranch`]) — frozen symbolic instances that keep their column
-//!   indexes. A candidate grown
-//!   from an already-chased subset thaws the cached instances and resumes
-//!   with the one new atom ([`chase_resident_with_atoms_compiled`]) instead
-//!   of re-parsing a memoized query and re-deriving every access path — the
-//!   seed is already at fixpoint, so only consequences of the new atom fire.
-//!   Because the BFS visits subsets level by level, only the previous and
-//!   current size levels are retained.
+//!   ([`ResidentBranch`]) — symbolic instances that keep their column
+//!   indexes. A candidate grown from an already-chased subset clones the
+//!   cached instances (a map of relation handles) and resumes with the one
+//!   new atom ([`chase_resident_with_atoms_compiled`]) — the seed is already
+//!   at fixpoint, so only consequences of the new atom fire. Because the BFS
+//!   visits subsets level by level, only the previous and current size
+//!   levels are retained.
 //! * **O(1) subset costs**: for additive cost models
 //!   ([`CostEstimator::atom_costs`]) the per-atom costs of the pool are
 //!   computed once and a candidate's cost is a bitset fold
 //!   ([`fold_atom_costs`]).
-//! * **Prepared containment targets**: the `original ⊆ candidate` half checks
-//!   the candidate against every universal-plan branch; the branches' atom
-//!   indexes are built once ([`ContainmentTarget`]), and subqueries of a
-//!   branch hit the identity fast path.
 
 use crate::chase::{
-    chase_resident_with_atoms_compiled, chase_to_resident_compiled,
-    chase_to_universal_plan_compiled, ChaseOptions, ChaseStats, ChaseStop, ResidentBranch,
-    ResidentChase, UniversalPlan,
+    chase_resident_with_atoms_compiled, chase_to_resident_compiled, ChaseOptions, ChaseStats,
+    ChaseStop, ResidentBranch, ResidentChase, UniversalPlan,
 };
 use crate::compiled::CompiledDeps;
+use crate::evaluate::maps_into;
+use crate::instance::SymbolicInstance;
 use crate::reach::{prune_parallel_desc, ReachabilityGraph};
 use mars_cost::{fold_atom_costs, CostEstimator};
-use mars_cq::containment::{containment_mapping, ContainmentTarget};
-use mars_cq::{Atom, AtomSet, ConjunctiveQuery, Predicate, Variable};
+use mars_cq::{Atom, AtomSet, ConjunctiveQuery, Predicate, Term, Variable};
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
@@ -80,8 +87,9 @@ use std::time::{Duration, Instant};
 /// exists even when the enumeration found nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Degradation {
-    /// The wall-clock deadline expired mid-search (the chase to the
-    /// universal plan, a back-chase, or the BFS level loop).
+    /// The wall-clock deadline ([`ChaseOptions::deadline`]) expired
+    /// mid-search (the chase to the universal plan, a back-chase, or the BFS
+    /// level loop).
     DeadlineExceeded,
     /// [`BackchaseOptions::max_candidates`] stopped the enumeration.
     CandidateBudget,
@@ -126,7 +134,9 @@ impl Degradation {
     }
 }
 
-/// Options controlling the backchase.
+/// Options controlling the backchase. Back-chases run under the engine's
+/// [`ChaseOptions`], passed to [`backchase`] beside these; its
+/// [`deadline`](ChaseOptions::deadline) is also the clock of the enumeration.
 #[derive(Clone, Debug)]
 pub struct BackchaseOptions {
     /// Enumerate *all* minimal reformulations, even those costing more than
@@ -134,10 +144,6 @@ pub struct BackchaseOptions {
     /// reformulations (and by the paper's proposed cost-model testbed); when
     /// `false`, cost-based pruning discards expensive candidates early.
     pub exhaustive: bool,
-    /// Apply pruning criterion 1 (drop parallel `desc` atoms) to the pool.
-    pub prune_parallel_desc: bool,
-    /// Apply criteria 2–3 (navigation contiguity + entry-point anchoring).
-    pub navigation_pruning: bool,
     /// Upper bound on the number of candidate subqueries inspected. When the
     /// bound stops the enumeration, [`BackchaseOutcome::truncated`] is set.
     pub max_candidates: usize,
@@ -153,30 +159,15 @@ pub struct BackchaseOptions {
     /// silently: without the opt-in every pool, however wide, is enumerated
     /// exhaustively.
     pub greedy: bool,
-    /// Absolute wall-clock deadline for the enumeration, checked between BFS
-    /// levels (never mid-level, so an undegraded run is byte-identical to an
-    /// unbounded one). When it expires the backchase returns
-    /// **anytime**: the minimal reformulations and best found so far, with
-    /// [`BackchaseOutcome::degradation`] set to
-    /// [`Degradation::DeadlineExceeded`]. Callers should set the same
-    /// deadline on [`BackchaseOptions::chase`] (via
-    /// [`ChaseOptions::deadline`]) so individual back-chases are bounded too.
-    pub deadline: Option<Instant>,
-    /// Chase options used for the "back" chases (equivalence checks).
-    pub chase: ChaseOptions,
 }
 
 impl Default for BackchaseOptions {
     fn default() -> Self {
         BackchaseOptions {
             exhaustive: false,
-            prune_parallel_desc: true,
-            navigation_pruning: true,
             max_candidates: 200_000,
             chase_cache_per_level: 8_192,
             greedy: false,
-            deadline: None,
-            chase: ChaseOptions::default(),
         }
     }
 }
@@ -206,15 +197,15 @@ pub struct BackchaseOutcome {
     /// Number of candidates discarded by cost-based pruning.
     pub pruned_by_cost: usize,
     /// `true` when a budget ([`BackchaseOptions::max_candidates`] or
-    /// [`BackchaseOptions::deadline`]) stopped the breadth-first enumeration
+    /// [`ChaseOptions::deadline`]) stopped the breadth-first enumeration
     /// before it exhausted the search space: the reported `minimal` set may
     /// then be incomplete and (in exhaustive mode) `best` may not be the
     /// optimum — `degradation` records which budget it was. A complete
     /// enumeration leaves this `false`. These budgets are the only
     /// truncation the engine performs — pool width no longer truncates
-    /// anything (the former 128-atom ceiling), and the explicitly requested
-    /// [`BackchaseOptions::greedy`] mode documents its own incompleteness
-    /// rather than reporting it here.
+    /// anything, and the explicitly requested [`BackchaseOptions::greedy`]
+    /// mode documents its own incompleteness rather than reporting it here
+    /// (a budget that cut one of its back-chases shows in `degradation`).
     pub truncated: bool,
     /// Why the enumeration fell short of a complete search, when it did: the
     /// most severe budget hit ([`Degradation::merge`]). `None` exactly when
@@ -233,11 +224,20 @@ pub struct BackchaseOutcome {
     pub cost_phase: Duration,
     /// Wall-clock spent in back-chases, from scratch or resumed.
     pub chase_phase: Duration,
-    /// Wall-clock spent in containment checks (homomorphism searches, both
-    /// halves of the equivalence test).
+    /// Wall-clock spent in containment checks (both halves of the
+    /// equivalence test).
     pub containment_phase: Duration,
     /// Wall-clock duration of the backchase.
     pub duration: Duration,
+}
+
+impl BackchaseOutcome {
+    /// Add what one equivalence check cost, and what cut it, to the totals.
+    fn absorb(&mut self, check: &EquivalenceCheck) {
+        self.chase_phase += check.chase_time;
+        self.containment_phase += check.containment_time;
+        self.degradation = Degradation::merge(self.degradation, check.degradation);
+    }
 }
 
 /// The *initial reformulation*: the largest subquery of the universal plan
@@ -260,68 +260,108 @@ pub fn initial_reformulation(
     q
 }
 
-/// Is `candidate` (a subquery of the universal plan, same head) equivalent to
-/// the original query under the dependencies?
-///
-/// * `original ⊆ candidate` holds iff `candidate` maps into every branch of
-///   the (already computed) universal plan preserving the head — for
-///   subqueries of a branch this is the identity mapping, but we check
-///   explicitly so that multi-branch (disjunctive) plans are handled.
-/// * `candidate ⊆ original` holds iff chasing `candidate` ("back") yields a
-///   plan into which the original maps preserving the head.
-fn is_reformulation(
-    candidate: &ConjunctiveQuery,
-    original: &ConjunctiveQuery,
-    universal_plan_branches: &[ConjunctiveQuery],
-    deds: &CompiledDeps,
-    chase_opts: &ChaseOptions,
-) -> bool {
-    if !candidate.is_safe() {
-        return false;
-    }
-    // original ⊆ candidate
-    if !universal_plan_branches.iter().all(|b| containment_mapping(candidate, b).is_some()) {
-        return false;
-    }
-    // candidate ⊆ original
-    let back: UniversalPlan = chase_to_universal_plan_compiled(candidate, deds, chase_opts);
-    back_chase_confirms(original, &back)
+/// What one equivalence check concluded.
+enum Verdict {
+    /// A head variable of the candidate is not bound by its body: nothing
+    /// else was looked at.
+    Unsafe,
+    /// `original ⊆ candidate` fails: the candidate does not map into some
+    /// universal-plan branch — and a homomorphism from any superset would
+    /// restrict to one from the candidate, so no superset does either.
+    OutsidePlan,
+    /// `candidate ⊆ original` was not established: the back-chase (handed
+    /// back for memoization) ran out of budget, lost every branch, or has a
+    /// branch the original does not map into.
+    NotContained(ResidentChase),
+    /// Both containments hold.
+    Equivalent,
 }
 
-/// The `candidate ⊆ original` half of the equivalence test, over a back
-/// chase that has already been computed (from scratch or resumed from a
-/// memoized subset): the chase must have completed with at least one
-/// surviving branch, and the original must map into every branch preserving
-/// the head. Shared by [`is_reformulation`] (greedy opt-in) and the
-/// enumerating BFS so the two paths cannot drift.
-fn back_chase_confirms(original: &ConjunctiveQuery, back: &UniversalPlan) -> bool {
-    back.stats.completed
-        && !back.branches.is_empty()
-        && back.branches.iter().all(|b| containment_mapping(original, b).is_some())
+/// A [`Verdict`] with what reaching it cost.
+struct EquivalenceCheck {
+    verdict: Verdict,
+    /// The back-chase resumed from a memoized subset chase.
+    resumed: bool,
+    /// Why the back-chase stopped short of its fixpoint, when it did (the
+    /// candidate could then not be confirmed).
+    degradation: Option<Degradation>,
+    chase_time: Duration,
+    containment_time: Duration,
 }
 
-/// The resumed branch as a containment target, assembled straight from the
-/// frozen relations (no sorted query rendering, no atom set materialization
-/// — the hot-path replacement for
-/// `containment_mapping(original, &branch.to_query(..))`).
-fn full_target(branch: &ResidentBranch) -> ContainmentTarget {
-    let inst = branch.instance();
-    let mut atoms: Vec<Atom> = Vec::with_capacity(inst.len());
-    for p in inst.sorted_predicates() {
-        for t in inst.relation(p) {
-            atoms.push(Atom::new(p, t.clone()));
+/// The equivalence test of one backchase: everything about it that does not
+/// depend on the candidate, prepared once.
+struct Equivalence<'a> {
+    original: &'a ConjunctiveQuery,
+    /// The universal plan's branches, head and body, loaded into instances
+    /// once: the targets of `candidate → plan branch`.
+    plan: Vec<(&'a [Term], SymbolicInstance)>,
+    deds: &'a CompiledDeps,
+    /// The engine's chase options as the back-chases run under them.
+    chase: ChaseOptions,
+}
+
+impl Equivalence<'_> {
+    /// Is `candidate` (a subquery of the universal plan, same head)
+    /// equivalent to the original query under the dependencies?
+    ///
+    /// * `original ⊆ candidate` holds iff `candidate` maps into every branch
+    ///   of the universal plan preserving the head — for subqueries of a
+    ///   branch this is the identity mapping, but every branch is checked so
+    ///   that multi-branch (disjunctive) plans are handled.
+    /// * `candidate ⊆ original` holds iff chasing `candidate` ("back")
+    ///   completes with at least one surviving branch and the original maps
+    ///   into every one preserving the head. With a `seed` — the resident
+    ///   chase of the candidate minus one atom, and that atom — the chase
+    ///   resumes from it instead of starting over.
+    fn check(
+        &self,
+        candidate: &ConjunctiveQuery,
+        seed: Option<(&[ResidentBranch], &Atom)>,
+    ) -> EquivalenceCheck {
+        let mut check = EquivalenceCheck {
+            verdict: Verdict::Unsafe,
+            resumed: false,
+            degradation: None,
+            chase_time: Duration::ZERO,
+            containment_time: Duration::ZERO,
+        };
+        if !candidate.is_safe() {
+            return check;
         }
+        let containment_start = Instant::now();
+        let maps_into_plan = self.plan.iter().all(|(head, inst)| {
+            (candidate.head == *head && candidate.body.iter().all(|a| inst.contains_atom(a)))
+                || maps_into(candidate, inst, head)
+        });
+        check.containment_time = containment_start.elapsed();
+        if !maps_into_plan {
+            check.verdict = Verdict::OutsidePlan;
+            return check;
+        }
+        let chase_start = Instant::now();
+        let back = match seed {
+            Some((branches, added)) => {
+                check.resumed = true;
+                chase_resident_with_atoms_compiled(
+                    branches,
+                    std::slice::from_ref(added),
+                    self.deds,
+                    &self.chase,
+                )
+            }
+            None => chase_to_resident_compiled(candidate, self.deds, &self.chase),
+        };
+        check.chase_time = chase_start.elapsed();
+        check.degradation = Degradation::of_chase(back.stats());
+        let confirm_start = Instant::now();
+        let confirmed = back.stats().completed
+            && !back.is_empty()
+            && back.branches().iter().all(|b| maps_into(self.original, b.instance(), b.head()));
+        check.containment_time += confirm_start.elapsed();
+        check.verdict = if confirmed { Verdict::Equivalent } else { Verdict::NotContained(back) };
+        check
     }
-    ContainmentTarget::from_parts(branch.head().to_vec(), atoms)
-}
-
-/// The `candidate ⊆ original` confirm over a resident back-chase: completed,
-/// at least one surviving branch, and the original maps into every branch
-/// preserving the head.
-fn confirm_resident(original: &ConjunctiveQuery, back: &ResidentChase) -> bool {
-    back.stats().completed
-        && !back.is_empty()
-        && back.branches().iter().all(|b| full_target(b).mapping_from(original).is_some())
 }
 
 /// Head-variable coverage prefilter: safety as a bitset fold over the head
@@ -362,20 +402,16 @@ impl SafetyPrefilter {
 /// Everything a candidate evaluation reads — all of it frozen for the
 /// duration of one BFS level (nothing is written until the in-order merge).
 struct LevelContext<'a> {
-    original: &'a ConjunctiveQuery,
+    equivalence: &'a Equivalence<'a>,
     pool: &'a [Atom],
     pool_query: &'a ConjunctiveQuery,
     graph: &'a ReachabilityGraph,
-    branch_targets: &'a [ContainmentTarget],
     atom_costs: Option<&'a [f64]>,
     estimator: &'a dyn CostEstimator,
-    deds: &'a CompiledDeps,
-    back_chase_opts: &'a ChaseOptions,
     safety: &'a SafetyPrefilter,
     /// Memoized back-chases of the previous BFS level, as resident branches
     /// (read-only).
     prev_level: &'a HashMap<AtomSet, Vec<ResidentBranch>>,
-    navigation_pruning: bool,
     exhaustive: bool,
     /// Best reformulation cost as of the end of the previous level. Frozen
     /// for the whole level (see the module docs): a reformulation discovered
@@ -383,133 +419,62 @@ struct LevelContext<'a> {
     /// (monotone cost model) and bounded: at most one level of same-size
     /// candidates is evaluated without the tighter bound.
     best_cost: f64,
-    /// Cache budget ([`BackchaseOptions::chase_cache_per_level`]): only the
-    /// first `cache_budget` candidates of a level may return a chase for
-    /// memoization, so a level never memoizes more than the budget.
-    cache_budget: usize,
 }
 
 /// What evaluating one candidate produced; merged in level order.
-#[derive(Default)]
 struct CandidateEval {
     cost: f64,
-    pruned_by_cost: bool,
-    /// An equivalence check (the chase-based test) ran.
-    checked: bool,
-    /// The back-chase resumed from a memoized subset chase.
-    cache_hit: bool,
-    /// The candidate is a minimal reformulation.
-    found: Option<ConjunctiveQuery>,
-    /// Completed (non-reformulation) chase to memoize for the next level.
-    cache_entry: Option<Vec<ResidentBranch>>,
-    /// Pool indices the BFS may grow this candidate by.
-    grow: Vec<usize>,
-    /// The candidate failed `original ⊆ candidate`, so its whole superset
-    /// cone was cut (antichain dead-cone rule).
-    dead_cone: bool,
-    /// The back-chase ran out of budget before reaching a fixpoint (the
-    /// candidate could then not be confirmed): the degradation reason to
-    /// surface on the outcome.
-    chase_degradation: Option<Degradation>,
-    /// Phase profile of this evaluation (cost / chase / containment).
     cost_time: Duration,
-    chase_time: Duration,
-    containment_time: Duration,
+    pruned_by_cost: bool,
+    /// The candidate and its equivalence check, when it got one: a legal
+    /// navigation subset that passes the safety prefilter.
+    checked: Option<(ConjunctiveQuery, EquivalenceCheck)>,
+    /// Pool indices the BFS may grow this candidate by — none when it was
+    /// cost-pruned, or when the verdict ends its superset cone.
+    grow: Vec<usize>,
 }
 
 /// Evaluate one candidate against the frozen level context. Pure: reads only
 /// `ctx`, writes nothing shared.
-fn evaluate_candidate(
-    ctx: &LevelContext<'_>,
-    index: usize,
-    position: usize,
-    mask: &AtomSet,
-) -> CandidateEval {
+fn evaluate_candidate(ctx: &LevelContext<'_>, index: usize, mask: &AtomSet) -> CandidateEval {
     let subset: Vec<usize> = mask.iter().collect();
     let cost_start = Instant::now();
     let cost = match ctx.atom_costs {
         Some(w) => fold_atom_costs(w, mask),
         None => ctx.estimator.estimate(&ctx.pool_query.subquery(&subset)),
     };
-    let mut eval = CandidateEval { cost, ..Default::default() };
-    eval.cost_time = cost_start.elapsed();
-
-    // Cost-based pruning: a subquery costing more than the best found so far
-    // cannot lead to the optimum (monotone cost model), so neither it nor its
-    // supersets are considered further (no growth).
-    if !ctx.exhaustive && cost > ctx.best_cost {
-        eval.pruned_by_cost = true;
+    let mut eval = CandidateEval {
+        cost,
+        cost_time: cost_start.elapsed(),
+        // Cost-based pruning: a subquery costing more than the best found so
+        // far cannot lead to the optimum (monotone cost model), so neither
+        // it nor its supersets are considered further (no growth).
+        pruned_by_cost: !ctx.exhaustive && cost > ctx.best_cost,
+        checked: None,
+        grow: Vec::new(),
+    };
+    if eval.pruned_by_cost {
         return eval;
     }
 
-    let legal = !ctx.navigation_pruning || ctx.graph.is_legal_subset(&subset);
-    if legal && ctx.safety.passes(&subset) {
-        let candidate = {
-            let mut q = ctx.pool_query.subquery(&subset);
-            q.name = format!("{}_candidate{}", ctx.original.name, index);
-            q
-        };
-        if candidate.is_safe() {
-            eval.checked = true;
-            // original ⊆ candidate: the candidate must map into every
-            // universal-plan branch (identity fast path on the primary).
-            let containment_start = Instant::now();
-            let maps_into_plan =
-                ctx.branch_targets.iter().all(|t| t.mapping_from(&candidate).is_some());
-            eval.containment_time += containment_start.elapsed();
-            if maps_into_plan {
-                // candidate ⊆ original: back-chase (memoized) and map the
-                // original into every surviving branch.
-                let chase_start = Instant::now();
-                let seed = subset
-                    .iter()
-                    .find_map(|&i| ctx.prev_level.get(&mask.without(i)).map(|s| (s, i)));
-                let back = match seed {
-                    Some((branches, added)) => {
-                        eval.cache_hit = true;
-                        // Resume from the memoized *resident* branches: the
-                        // seed instances thaw with their indexes warm —
-                        // nothing is re-parsed, nothing copied until written.
-                        chase_resident_with_atoms_compiled(
-                            branches,
-                            std::slice::from_ref(&ctx.pool[added]),
-                            ctx.deds,
-                            ctx.back_chase_opts,
-                        )
-                    }
-                    None => chase_to_resident_compiled(&candidate, ctx.deds, ctx.back_chase_opts),
-                };
-                eval.chase_time = chase_start.elapsed();
-                eval.chase_degradation = Degradation::of_chase(back.stats());
-                let confirm_start = Instant::now();
-                let confirmed = confirm_resident(ctx.original, &back);
-                eval.containment_time += confirm_start.elapsed();
-                if confirmed {
-                    eval.found = Some(candidate);
-                    return eval; // supersets are not minimal: no growth
-                }
-                // Not (yet) a reformulation: its supersets are chased next
-                // level — hand this chase back as their memoization seed
-                // (position-gated: the per-level cache budget).
-                if position < ctx.cache_budget && back.stats().completed && !back.is_empty() {
-                    eval.cache_entry = Some(back.into_branches());
-                }
-            } else {
-                // Antichain dead cone: a homomorphism from any superset into
-                // the failed plan branch would restrict to one from this
-                // candidate, so every superset fails the same check — none
-                // can be a reformulation. Cut the whole cone.
-                eval.dead_cone = true;
-                return eval;
-            }
+    // Navigation pruning (criteria 2–3) and the safety prefilter: a subset
+    // failing either is not checked, only grown.
+    if ctx.graph.is_legal_subset(&subset) && ctx.safety.passes(&subset) {
+        let mut candidate = ctx.pool_query.subquery(&subset);
+        candidate.name = format!("{}_candidate{}", ctx.equivalence.original.name, index);
+        let seed = subset.iter().find_map(|&i| {
+            ctx.prev_level.get(&mask.without(i)).map(|s| (s.as_slice(), &ctx.pool[i]))
+        });
+        let check = ctx.equivalence.check(&candidate, seed);
+        // Outside the plan, no superset can pass either (antichain dead
+        // cone); of a reformulation, no superset is minimal.
+        let cone_ends = matches!(check.verdict, Verdict::OutsidePlan | Verdict::Equivalent);
+        eval.checked = Some((candidate, check));
+        if cone_ends {
+            return eval;
         }
     }
-
-    eval.grow = if ctx.navigation_pruning {
-        ctx.graph.enabled(&subset)
-    } else {
-        (0..ctx.pool.len()).filter(|&i| !mask.contains(i)).collect()
-    };
+    eval.grow = ctx.graph.enabled(&subset);
     eval
 }
 
@@ -519,68 +484,42 @@ fn evaluate_candidate(
 /// the chase (its `branches`), `proprietary` the set of predicates that may
 /// appear in a reformulation, `deds` the dependency set in its shared
 /// compiled form ([`CompiledDeps`] — built once per engine, reused by every
-/// back-chase here).
+/// back-chase here), and `chase` the engine's chase options: every back-chase
+/// runs under them, and their deadline is the clock of the enumeration.
 pub fn backchase(
     original: &ConjunctiveQuery,
     universal_plan: &UniversalPlan,
     proprietary: &HashSet<Predicate>,
     deds: &CompiledDeps,
     estimator: &dyn CostEstimator,
+    chase: &ChaseOptions,
     options: &BackchaseOptions,
 ) -> BackchaseOutcome {
     let start = Instant::now();
     let mut outcome = BackchaseOutcome::default();
-    if universal_plan.branches.is_empty() {
+    let Some(primary) = universal_plan.try_primary() else {
         outcome.duration = start.elapsed();
         return outcome;
-    }
-    let primary = universal_plan.primary();
-    let pruned_plan =
-        if options.prune_parallel_desc { prune_parallel_desc(primary) } else { primary.clone() };
+    };
 
-    // Pool of candidate atoms: proprietary atoms of the (pruned) plan.
-    let pool: Vec<_> =
-        pruned_plan.body.iter().filter(|a| proprietary.contains(&a.predicate)).cloned().collect();
+    // Pool of candidate atoms: proprietary atoms of the plan, minus the
+    // parallel `desc` atoms (pruning criterion 1).
+    let pool: Vec<_> = prune_parallel_desc(primary)
+        .body
+        .into_iter()
+        .filter(|a| proprietary.contains(&a.predicate))
+        .collect();
     if pool.is_empty() {
         outcome.duration = start.elapsed();
         return outcome;
     }
-
-    if options.greedy {
-        // Explicitly requested greedy minimization (at most one
-        // reformulation; see the option's docs for the trade-off).
-        let initial = ConjunctiveQuery {
-            name: format!("{}_initial", primary.name),
-            head: primary.head.clone(),
-            body: pool.clone(),
-            inequalities: primary.inequalities.clone(),
-        };
-        if let Some(minimized) = greedy_minimize(
-            &initial,
-            original,
-            &universal_plan.branches,
-            deds,
-            &options.chase,
-            &mut outcome,
-        ) {
-            let cost = estimator.estimate(&minimized);
-            outcome.best = Some((minimized.clone(), cost));
-            outcome.minimal.push((minimized, cost));
-        }
-        outcome.duration = start.elapsed();
-        return outcome;
-    }
-
     let pool_query = ConjunctiveQuery {
         name: format!("{}_pool", primary.name),
         head: primary.head.clone(),
         body: pool.clone(),
         inequalities: primary.inequalities.clone(),
     };
-    let graph = ReachabilityGraph::new(&pool_query);
 
-    // Precomputed per-candidate machinery (see the module docs).
-    //
     // Back-chases invent variables strictly above every pool variable index,
     // so a cached chase can later absorb any further pool atom without an
     // invented variable colliding with a pool variable of the same base name.
@@ -591,12 +530,34 @@ pub fn backchase(
         .chain(original.variables().iter().map(|v| v.index))
         .max()
         .unwrap_or(0);
-    let back_chase_opts = ChaseOptions {
-        min_fresh_index: options.chase.min_fresh_index.max(max_pool_index + 1),
-        ..options.chase.clone()
+    let equivalence = Equivalence {
+        original,
+        plan: universal_plan
+            .branches
+            .iter()
+            .map(|b| (b.head.as_slice(), SymbolicInstance::from_query(b)))
+            .collect(),
+        deds,
+        chase: ChaseOptions {
+            min_fresh_index: chase.min_fresh_index.max(max_pool_index + 1),
+            ..chase.clone()
+        },
     };
-    let branch_targets: Vec<ContainmentTarget> =
-        universal_plan.branches.iter().map(ContainmentTarget::new).collect();
+
+    if options.greedy {
+        // Explicitly requested greedy minimization (at most one
+        // reformulation; see the option's docs for the trade-off).
+        let initial = ConjunctiveQuery { name: format!("{}_initial", primary.name), ..pool_query };
+        if let Some(minimized) = greedy_minimize(&initial, &equivalence, &mut outcome) {
+            let cost = estimator.estimate(&minimized);
+            outcome.best = Some((minimized.clone(), cost));
+            outcome.minimal.push((minimized, cost));
+        }
+        outcome.duration = start.elapsed();
+        return outcome;
+    }
+
+    let graph = ReachabilityGraph::new(&pool_query);
     let atom_costs = estimator.atom_costs(&pool_query);
     let safety = SafetyPrefilter::new(&pool_query, &pool);
 
@@ -608,9 +569,8 @@ pub fn backchase(
     // Memoized back-chases of the previous BFS size level.
     let mut prev_level: HashMap<AtomSet, Vec<ResidentBranch>> = HashMap::new();
 
-    let seeds: Vec<usize> =
-        if options.navigation_pruning { graph.roots.clone() } else { (0..pool.len()).collect() };
-    for s in seeds {
+    // Seeds: the entry points of the navigation (pruning criterion 3).
+    for &s in &graph.roots {
         let mask = AtomSet::singleton(s);
         if visited.insert(mask.clone()) {
             frontier.push(mask);
@@ -622,7 +582,7 @@ pub fn backchase(
         // stops the enumeration *between* levels, keeping everything found
         // so far — never mid-level, so an undegraded run is byte-identical
         // to an unbounded one.
-        if options.deadline.map(|d| Instant::now() >= d).unwrap_or(false) {
+        if chase.deadline.is_some_and(|d| Instant::now() >= d) {
             outcome.truncated = true;
             outcome.degradation =
                 Degradation::merge(outcome.degradation, Some(Degradation::DeadlineExceeded));
@@ -648,57 +608,54 @@ pub fn backchase(
         }
 
         let ctx = LevelContext {
-            original,
+            equivalence: &equivalence,
             pool: &pool,
             pool_query: &pool_query,
             graph: &graph,
-            branch_targets: &branch_targets,
             atom_costs: atom_costs.as_deref(),
             estimator,
-            deds,
-            back_chase_opts: &back_chase_opts,
             safety: &safety,
             prev_level: &prev_level,
-            navigation_pruning: options.navigation_pruning,
             exhaustive: options.exhaustive,
             best_cost,
-            cache_budget: options.chase_cache_per_level,
         };
         // Evaluate against the frozen context, then merge — in level order.
         let mut cur_level: HashMap<AtomSet, Vec<ResidentBranch>> = HashMap::new();
         for (position, mask) in level.iter().enumerate() {
             // Candidate indices (used for naming) continue across levels.
             outcome.candidates_inspected += 1;
-            let eval = evaluate_candidate(&ctx, outcome.candidates_inspected, position, mask);
+            let eval = evaluate_candidate(&ctx, outcome.candidates_inspected, mask);
             outcome.cost_phase += eval.cost_time;
             if eval.pruned_by_cost {
                 outcome.pruned_by_cost += 1;
-                continue;
             }
-            outcome.chase_phase += eval.chase_time;
-            outcome.containment_phase += eval.containment_time;
-            if eval.checked {
-                outcome.equivalence_checks += 1;
-            }
-            outcome.degradation = Degradation::merge(outcome.degradation, eval.chase_degradation);
-            if eval.cache_hit {
-                outcome.chase_cache_hits += 1;
-            }
-            if eval.dead_cone {
-                outcome.containment_dead_cone_skips += 1;
-                continue; // no superset can be a reformulation: no growth
-            }
-            if let Some(candidate) = eval.found {
-                found.push(mask.clone());
-                if eval.cost < best_cost {
-                    best_cost = eval.cost;
-                    outcome.best = Some((candidate.clone(), eval.cost));
+            if let Some((candidate, check)) = eval.checked {
+                outcome.absorb(&check);
+                outcome.equivalence_checks +=
+                    usize::from(!matches!(check.verdict, Verdict::Unsafe));
+                outcome.chase_cache_hits += usize::from(check.resumed);
+                match check.verdict {
+                    Verdict::OutsidePlan => outcome.containment_dead_cone_skips += 1,
+                    Verdict::Equivalent => {
+                        found.push(mask.clone());
+                        if eval.cost < best_cost {
+                            best_cost = eval.cost;
+                            outcome.best = Some((candidate.clone(), eval.cost));
+                        }
+                        outcome.minimal.push((candidate, eval.cost));
+                    }
+                    // Not (yet) a reformulation: its supersets are chased next
+                    // level — keep this chase as their memoization seed
+                    // (position-gated: the per-level cache budget).
+                    Verdict::NotContained(back)
+                        if position < options.chase_cache_per_level
+                            && back.stats().completed
+                            && !back.is_empty() =>
+                    {
+                        cur_level.insert(mask.clone(), back.into_branches());
+                    }
+                    Verdict::NotContained(_) | Verdict::Unsafe => {}
                 }
-                outcome.minimal.push((candidate, eval.cost));
-                continue; // supersets are not minimal
-            }
-            if let Some(cached) = eval.cache_entry {
-                cur_level.insert(mask.clone(), cached);
             }
             // Grow the subset by one atom.
             for g in eval.grow {
@@ -720,17 +677,21 @@ pub fn backchase(
 
 /// Greedy minimization (the explicit [`BackchaseOptions::greedy`] opt-in):
 /// repeatedly drop atoms from the initial reformulation while it remains a
-/// reformulation.
+/// reformulation. Every test is an [`Equivalence::check`] from scratch, so a
+/// back-chase cut by the engine's budgets fails its candidate and surfaces
+/// on the outcome like one of the enumeration's.
 fn greedy_minimize(
     initial: &ConjunctiveQuery,
-    original: &ConjunctiveQuery,
-    branches: &[ConjunctiveQuery],
-    deds: &CompiledDeps,
-    chase_opts: &ChaseOptions,
+    equivalence: &Equivalence<'_>,
     outcome: &mut BackchaseOutcome,
 ) -> Option<ConjunctiveQuery> {
-    outcome.equivalence_checks += 1;
-    if !is_reformulation(initial, original, branches, deds, chase_opts) {
+    let mut equivalent = |candidate: &ConjunctiveQuery| {
+        let check = equivalence.check(candidate, None);
+        outcome.equivalence_checks += 1;
+        outcome.absorb(&check);
+        matches!(check.verdict, Verdict::Equivalent)
+    };
+    if !equivalent(initial) {
         return None;
     }
     let mut current = initial.clone();
@@ -743,8 +704,7 @@ fn greedy_minimize(
             }
             let mut cand = current.clone();
             cand.body.remove(i);
-            outcome.equivalence_checks += 1;
-            if is_reformulation(&cand, original, branches, deds, chase_opts) {
+            if equivalent(&cand) {
                 current = cand;
                 changed = true;
                 break;
@@ -757,7 +717,7 @@ fn greedy_minimize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chase::chase_to_universal_plan;
+    use crate::chase::{chase_to_universal_plan, chase_to_universal_plan_compiled};
     use mars_cost::WeightedAtomEstimator;
     use mars_cq::atom::builders::{child, root};
     use mars_cq::ded::view_dependencies;
@@ -809,10 +769,22 @@ mod tests {
         proprietary: &HashSet<Predicate>,
         options: &BackchaseOptions,
     ) -> BackchaseOutcome {
+        run_under(q, deds, proprietary, &ChaseOptions::default(), options)
+    }
+
+    /// The universal plan chased under default options, then the backchase
+    /// under `chase`.
+    fn run_under(
+        q: &ConjunctiveQuery,
+        deds: &[Ded],
+        proprietary: &HashSet<Predicate>,
+        chase: &ChaseOptions,
+        options: &BackchaseOptions,
+    ) -> BackchaseOutcome {
         let compiled = CompiledDeps::new(deds);
         let up = chase_to_universal_plan_compiled(q, &compiled, &ChaseOptions::default());
         let est = WeightedAtomEstimator::default();
-        backchase(q, &up, proprietary, &compiled, &est, options)
+        backchase(q, &up, proprietary, &compiled, &est, chase, options)
     }
 
     #[test]
@@ -906,13 +878,14 @@ mod tests {
         };
 
         let exhaustive = BackchaseOptions::exhaustive();
-        let full = backchase(&q, &up, &proprietary, &compiled, &est, &exhaustive);
+        let chase = ChaseOptions::default();
+        let full = backchase(&q, &up, &proprietary, &compiled, &est, &chase, &exhaustive);
         let weighted = run(&q, &deds, &proprietary, &exhaustive);
         assert_eq!(bodies(&full), bodies(&weighted));
         assert!(full.minimal.iter().all(|(m, cost)| *cost == est.estimate(m)));
 
         let pruned =
-            backchase(&q, &up, &proprietary, &compiled, &est, &BackchaseOptions::default());
+            backchase(&q, &up, &proprietary, &compiled, &est, &chase, &BackchaseOptions::default());
         let cheapest = full.minimal.iter().map(|(_, c)| *c).fold(f64::INFINITY, f64::min);
         assert_eq!(pruned.best.as_ref().map(|(_, c)| *c), Some(cheapest));
     }
@@ -952,22 +925,19 @@ mod tests {
     #[test]
     fn expired_deadline_yields_anytime_degradation() {
         let (q, deds, proprietary) = redundant_setup();
-        let opts = BackchaseOptions {
-            deadline: Some(Instant::now() - Duration::from_secs(1)),
-            ..BackchaseOptions::exhaustive()
-        };
-        let out = run(&q, &deds, &proprietary, &opts);
+        let exhaustive = BackchaseOptions::exhaustive();
+        let expired =
+            ChaseOptions::default().with_deadline(Instant::now() - Duration::from_secs(1));
+        let out = run_under(&q, &deds, &proprietary, &expired, &exhaustive);
         assert!(out.truncated);
         assert_eq!(out.degradation, Some(Degradation::DeadlineExceeded));
         assert!(out.minimal.is_empty());
         assert_eq!(out.candidates_inspected, 0);
         // A generous deadline is byte-identical to no deadline at all.
-        let generous = BackchaseOptions {
-            deadline: Some(Instant::now() + Duration::from_secs(3600)),
-            ..BackchaseOptions::exhaustive()
-        };
-        let bounded = run(&q, &deds, &proprietary, &generous);
-        let unbounded = run(&q, &deds, &proprietary, &BackchaseOptions::exhaustive());
+        let generous =
+            ChaseOptions::default().with_deadline(Instant::now() + Duration::from_secs(3600));
+        let bounded = run_under(&q, &deds, &proprietary, &generous, &exhaustive);
+        let unbounded = run(&q, &deds, &proprietary, &exhaustive);
         assert_eq!(
             format!("{:?}", strip_duration(&bounded)),
             format!("{:?}", strip_duration(&unbounded))
@@ -1044,11 +1014,7 @@ mod tests {
             ConjunctiveQuery::new("deep").with_head(vec![t(&format!("x{steps}"))]).with_body(body);
         let proprietary: HashSet<Predicate> =
             [Predicate::new("root"), Predicate::new("child")].into_iter().collect();
-        let compiled = CompiledDeps::new(&[]);
-        let up = chase_to_universal_plan_compiled(&q, &compiled, &ChaseOptions::default());
-        let est = WeightedAtomEstimator::default();
-        let out =
-            backchase(&q, &up, &proprietary, &compiled, &est, &BackchaseOptions::exhaustive());
+        let out = run(&q, &[], &proprietary, &BackchaseOptions::exhaustive());
         assert!(!out.truncated, "a wide pool must enumerate completely, not truncate");
         assert_eq!(out.minimal.len(), 1, "only the full chain binds the head");
         assert_eq!(out.minimal[0].0.body.len(), steps + 1);
@@ -1070,5 +1036,31 @@ mod tests {
         // The exhaustive default, by contrast, enumerates both.
         let full = run(&q, &deds, &proprietary, &BackchaseOptions::exhaustive());
         assert_eq!(full.minimal.len(), 2);
+    }
+
+    /// A greedy run races the engine's clock like the enumeration: a
+    /// back-chase the deadline cuts fails its candidate *and* is reported
+    /// (`degradation == None` must mean nothing was cut), and a deadline that
+    /// never trips changes nothing.
+    #[test]
+    fn greedy_minimization_reports_a_budget_cut() {
+        let (q, deds, proprietary) = redundant_setup();
+        let greedy = BackchaseOptions { greedy: true, ..Default::default() };
+        let expired =
+            ChaseOptions::default().with_deadline(Instant::now() - Duration::from_secs(1));
+        let cut = run_under(&q, &deds, &proprietary, &expired, &greedy);
+        assert_eq!(cut.degradation, Some(Degradation::DeadlineExceeded));
+        assert!(cut.minimal.is_empty() && cut.best.is_none());
+
+        let generous =
+            ChaseOptions::default().with_deadline(Instant::now() + Duration::from_secs(3600));
+        let bounded = run_under(&q, &deds, &proprietary, &generous, &greedy);
+        let unbounded = run(&q, &deds, &proprietary, &greedy);
+        assert_eq!(unbounded.degradation, None);
+        assert_eq!(unbounded.minimal.len(), 1);
+        assert_eq!(
+            format!("{:?}", strip_duration(&bounded)),
+            format!("{:?}", strip_duration(&unbounded))
+        );
     }
 }

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 /// A per-request budget for one reformulation: a wall-clock deadline plus
 /// candidate/atom ceilings, all optional. The budget extends the standing
-/// engine options ([`ChaseOptions::timeout`],
+/// engine options ([`ChaseOptions::deadline`],
 /// [`BackchaseOptions::max_candidates`]) without replacing them: applying it
 /// ([`ReformulationBudget::apply`]) tightens a copy of the engine's
 /// [`CbOptions`] for this one request.
@@ -34,9 +34,9 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReformulationBudget {
     /// Wall-clock budget for the whole chase → backchase pipeline. Converted
-    /// to one absolute [`Instant`] when applied, so the initial chase, every
-    /// back-chase (resumed ones included) and the BFS level loop all race
-    /// the same clock.
+    /// to one absolute [`Instant`] when applied ([`ChaseOptions::deadline`]),
+    /// the clock the initial chase, every back-chase (resumed ones included)
+    /// and the BFS level loop all read.
     pub deadline: Option<Duration>,
     /// Ceiling on backchase candidates inspected (`None` keeps the engine's
     /// [`BackchaseOptions::max_candidates`]).
@@ -77,26 +77,19 @@ impl ReformulationBudget {
     }
 
     /// Tighten a copy of `base` with this budget. The relative deadline is
-    /// resolved to one absolute [`Instant`] *now* and threaded into the
-    /// universal-plan chase, the backchase level loop and every back-chase,
-    /// so resumed chases cannot restart the clock (see
-    /// [`ChaseOptions::deadline`]).
+    /// resolved to one absolute [`Instant`] *now*, so resumed chases cannot
+    /// restart the clock (see [`ChaseOptions::deadline`]).
     pub fn apply(&self, base: &CbOptions) -> CbOptions {
         let mut opts = base.clone();
         if let Some(d) = self.deadline {
             // `None` on overflow = a deadline too far away to ever trip.
-            if let Some(abs) = Instant::now().checked_add(d) {
-                opts.chase.deadline = Some(abs);
-                opts.backchase.deadline = Some(abs);
-                opts.backchase.chase.deadline = Some(abs);
-            }
+            opts.chase.deadline = Instant::now().checked_add(d).or(opts.chase.deadline);
         }
         if let Some(n) = self.max_candidates {
             opts.backchase.max_candidates = n;
         }
         if let Some(n) = self.max_atoms {
             opts.chase.max_atoms = n;
-            opts.backchase.chase.max_atoms = n;
         }
         opts
     }
@@ -105,7 +98,8 @@ impl ReformulationBudget {
 /// Options for the full C&B run.
 #[derive(Clone, Debug, Default)]
 pub struct CbOptions {
-    /// Chase options (universal-plan construction).
+    /// Chase options: the chase to the universal plan and every back-chase
+    /// of the backchase run under these.
     pub chase: ChaseOptions,
     /// Backchase options (minimization).
     pub backchase: BackchaseOptions,
@@ -153,7 +147,7 @@ pub struct CbStatistics {
     pub backchase_cost_phase: Duration,
     /// Backchase wall-clock spent in back-chases (scratch or resumed).
     pub backchase_chase_phase: Duration,
-    /// Backchase wall-clock spent in containment (homomorphism) checks.
+    /// Backchase wall-clock spent in containment checks.
     pub backchase_containment_phase: Duration,
     /// `true` when the backchase hit its candidate budget or deadline before
     /// exhausting the search space (see [`BackchaseOutcome::truncated`]): the
@@ -231,11 +225,6 @@ impl ChaseBackchase {
         self.compiled.deds()
     }
 
-    /// The shared compiled form of the dependency set.
-    pub fn compiled(&self) -> &Arc<CompiledDeps> {
-        &self.compiled
-    }
-
     /// Builder: replace the cost estimator.
     pub fn with_estimator(mut self, estimator: Arc<dyn CostEstimator>) -> ChaseBackchase {
         self.estimator = estimator;
@@ -245,12 +234,6 @@ impl ChaseBackchase {
     /// Builder: replace the options.
     pub fn with_options(mut self, options: CbOptions) -> ChaseBackchase {
         self.options = options;
-        self
-    }
-
-    /// Builder: add proprietary predicates by name.
-    pub fn with_proprietary_names(mut self, names: &[&str]) -> ChaseBackchase {
-        self.proprietary.extend(names.iter().map(|n| Predicate::new(n)));
         self
     }
 
@@ -278,18 +261,16 @@ impl ChaseBackchase {
         };
         let time_to_initial = start.elapsed();
 
-        let bc: BackchaseOutcome = if up.branches.is_empty() {
-            BackchaseOutcome::default()
-        } else {
-            backchase(
-                query,
-                &up,
-                &self.proprietary,
-                &self.compiled,
-                self.estimator.as_ref(),
-                &self.options.backchase,
-            )
-        };
+        // No surviving branch (an unsatisfiable query): an empty outcome.
+        let bc: BackchaseOutcome = backchase(
+            query,
+            &up,
+            &self.proprietary,
+            &self.compiled,
+            self.estimator.as_ref(),
+            &self.options.chase,
+            &self.options.backchase,
+        );
 
         let stats = CbStatistics {
             chase: up.stats.clone(),
@@ -375,9 +356,8 @@ mod tests {
         let (cb, q) = engine();
         let cb = cb
             .with_estimator(Arc::new(WeightedAtomEstimator::default()))
-            .with_options(CbOptions::exhaustive())
-            .with_proprietary_names(&["extraRel"]);
-        assert!(cb.proprietary.contains(&Predicate::new("extraRel")));
+            .with_options(CbOptions::exhaustive());
+        assert!(cb.options.backchase.exhaustive);
         let result = cb.reformulate(&q);
         assert!(result.has_reformulation());
     }

@@ -9,7 +9,7 @@
 
 use crate::compiled::{CompiledDed, CompiledDeps, DedIndex};
 use crate::evaluate::JoinScratch;
-use crate::instance::{FrozenInstance, SymbolicInstance};
+use crate::instance::SymbolicInstance;
 use crate::shortcut::{apply_closure_watermarked, ClosureConstraints, ClosureInputMark};
 use mars_cq::{Atom, Conjunct, ConjunctiveQuery, Ded, Predicate, Substitution, Term, Variable};
 use std::collections::HashSet;
@@ -26,24 +26,18 @@ pub struct ChaseOptions {
     /// at the first dependency that applies any step (EGD-priority restart),
     /// so this effectively bounds the number of *dependency applications*,
     /// not full sweeps — the default is sized accordingly (divergent chases
-    /// are additionally stopped by `max_atoms` and `timeout`).
+    /// are additionally stopped by `max_atoms` and `deadline`).
     pub max_rounds: usize,
     /// Maximum number of atoms in any branch instance.
     pub max_atoms: usize,
     /// Maximum number of branches of the chase tree (disjunctive DEDs).
     pub max_branches: usize,
-    /// Wall-clock timeout, measured from the start of each chase *run*. A
-    /// resumed chase (seeded or resident) restarts this clock — callers that
-    /// need one budget to span an initial chase **and** every resume (the
-    /// anytime backchase, per-request service deadlines) must set
-    /// [`ChaseOptions::deadline`] instead.
-    pub timeout: Option<Duration>,
-    /// Absolute wall-clock deadline. Unlike [`ChaseOptions::timeout`], the
-    /// deadline is a fixed [`Instant`]: every branch of every level
-    /// and every *resumed* chase (thawed [`FrozenInstance`] seeds included)
-    /// checks against the same point in time, so a deadline set before a
-    /// resume cannot be silently ignored. A chase stopped by the deadline
-    /// reports `completed = false` with [`ChaseStop::Deadline`].
+    /// Absolute wall-clock deadline — the engine's one clock. It is a fixed
+    /// [`Instant`], not a duration measured per run: every branch of every
+    /// level, every *resumed* chase and the backchase's level loop check
+    /// against the same point in time, so a deadline set before a resume
+    /// cannot be silently ignored. A chase stopped by the deadline reports
+    /// `completed = false` with [`ChaseStop::Deadline`].
     pub deadline: Option<Instant>,
     /// Lower bound for the disambiguator indices of invented (fresh)
     /// variables. The backchase raises this above every variable index of the
@@ -61,7 +55,6 @@ impl Default for ChaseOptions {
             max_rounds: 500_000,
             max_atoms: 200_000,
             max_branches: 32,
-            timeout: None,
             deadline: None,
             min_fresh_index: 0,
         }
@@ -72,12 +65,6 @@ impl ChaseOptions {
     /// Options with the shortcut disabled (used by the ablation experiments).
     pub fn without_shortcut() -> ChaseOptions {
         ChaseOptions { use_shortcut: false, ..Default::default() }
-    }
-
-    /// Builder: set a wall-clock timeout.
-    pub fn with_timeout(mut self, d: Duration) -> ChaseOptions {
-        self.timeout = Some(d);
-        self
     }
 
     /// Builder: set an absolute wall-clock deadline honored by this run and
@@ -97,8 +84,7 @@ pub enum ChaseStop {
     Rounds,
     /// A branch instance grew past [`ChaseOptions::max_atoms`].
     Atoms,
-    /// The wall clock passed [`ChaseOptions::timeout`] or
-    /// [`ChaseOptions::deadline`].
+    /// The wall clock passed [`ChaseOptions::deadline`].
     Deadline,
     /// The chase tree grew past [`ChaseOptions::max_branches`] and the
     /// excess branches were parked unchased.
@@ -141,15 +127,6 @@ pub struct UniversalPlan {
 }
 
 impl UniversalPlan {
-    /// The single branch, if the chase did not branch.
-    pub fn single(&self) -> Option<&ConjunctiveQuery> {
-        if self.branches.len() == 1 {
-            self.branches.first()
-        } else {
-            None
-        }
-    }
-
     /// The first branch; panics if the query was inconsistent with the
     /// constraints (no surviving branch). Library callers that cannot rule
     /// out an inconsistent input should use [`UniversalPlan::try_primary`].
@@ -162,11 +139,6 @@ impl UniversalPlan {
     /// [`UniversalPlan::primary`].
     pub fn try_primary(&self) -> Option<&ConjunctiveQuery> {
         self.branches.first()
-    }
-
-    /// Total number of atoms across branches (used in experiment reports).
-    pub fn total_atoms(&self) -> usize {
-        self.branches.iter().map(|b| b.body.len()).sum()
     }
 }
 
@@ -390,37 +362,33 @@ pub fn chase_to_universal_plan_compiled(
     chase_to_resident_compiled(query, compiled, options).into_universal_plan(&query.name)
 }
 
-/// One chased branch kept *resident*: the frozen symbolic instance (with its
-/// warm column indexes), the head and inequalities it carries, and the
-/// renaming the chase accumulated.
+/// One chased branch kept *resident*: the symbolic instance (with its warm
+/// column indexes), the head and inequalities it carries, and the renaming
+/// the chase accumulated.
 ///
 /// Resuming from a `ResidentBranch` ([`chase_resident_with_atoms_compiled`])
-/// thaws the snapshot: every index the previous chase built is reused as-is
-/// and a relation is copied only when the resumed chase first writes it, so
-/// one snapshot seeds every superset candidate of the next backchase level.
+/// clones the instance's map of relation handles: every index the previous
+/// chase built is reused as-is and a relation is copied only when the
+/// resumed chase first writes it, so one branch seeds every superset
+/// candidate of the next backchase level.
 #[derive(Clone, Debug)]
 pub struct ResidentBranch {
-    inst: FrozenInstance,
+    inst: SymbolicInstance,
     head: Vec<Term>,
     inequalities: Vec<(Term, Term)>,
+    /// Maps variables of the chased query to the terms that replaced them.
     renaming: Substitution,
 }
 
 impl ResidentBranch {
-    /// The renaming accumulated by the chase that produced this branch (maps
-    /// variables of the chased query to the terms that replaced them).
-    pub fn renaming(&self) -> &Substitution {
-        &self.renaming
-    }
-
     /// The branch head (in branch variable space).
     pub fn head(&self) -> &[Term] {
         &self.head
     }
 
-    /// The frozen instance backing the branch. The backchase reads it to
-    /// assemble containment targets directly from the relations.
-    pub fn instance(&self) -> &FrozenInstance {
+    /// The instance backing the branch — what a containment test into the
+    /// branch runs over ([`crate::maps_into`]).
+    pub fn instance(&self) -> &SymbolicInstance {
         &self.inst
     }
 
@@ -430,10 +398,11 @@ impl ResidentBranch {
         self.inst.to_query(name, self.head.clone(), self.inequalities.clone())
     }
 
-    /// Thaw into a live chase branch (warm indexes carried over, no rebuild).
-    fn thaw(&self) -> Branch {
+    /// A live chase branch over a clone of the instance (warm indexes
+    /// carried over by handle, no rebuild).
+    fn resume(&self) -> Branch {
         Branch {
-            inst: self.inst.thaw(),
+            inst: self.inst.clone(),
             head: self.head.clone(),
             inequalities: self.inequalities.clone(),
             renaming: self.renaming.clone(),
@@ -449,7 +418,7 @@ impl ResidentBranch {
 /// A completed chase whose branches stay resident (see [`ResidentBranch`]).
 ///
 /// This is the chase result form the backchase memoizes across levels: a
-/// candidate's chase is kept as frozen instances, and each superset of the
+/// candidate's chase is kept as instances, and each superset of the
 /// candidate resumes directly from them.
 #[derive(Clone, Debug)]
 pub struct ResidentChase {
@@ -461,11 +430,6 @@ impl ResidentChase {
     /// Chase statistics.
     pub fn stats(&self) -> &ChaseStats {
         &self.stats
-    }
-
-    /// Number of surviving branches.
-    pub fn len(&self) -> usize {
-        self.branches.len()
     }
 
     /// Did every branch fail (query inconsistent with the constraints)?
@@ -483,19 +447,16 @@ impl ResidentChase {
         self.branches
     }
 
-    /// The surviving branches as queries named `{name}_up{i}` — the same
-    /// queries [`UniversalPlan::branches`] would hold.
-    pub fn branch_queries(&self, name: &str) -> Vec<ConjunctiveQuery> {
-        self.branches
+    /// Convert to a [`UniversalPlan`]: each surviving branch rendered as a
+    /// query named `{name}_up{i}`.
+    pub fn into_universal_plan(self, name: &str) -> UniversalPlan {
+        let branches = self
+            .branches
             .iter()
             .enumerate()
             .map(|(i, b)| b.to_query(&format!("{name}_up{i}")))
-            .collect()
-    }
-
-    /// Convert to a [`UniversalPlan`] (thaws nothing; renders each branch).
-    pub fn into_universal_plan(self, name: &str) -> UniversalPlan {
-        UniversalPlan { branches: self.branch_queries(name), stats: self.stats }
+            .collect();
+        UniversalPlan { branches, stats: self.stats }
     }
 }
 
@@ -508,22 +469,22 @@ pub fn chase_to_resident_compiled(
     compiled: &CompiledDeps,
     options: &ChaseOptions,
 ) -> ResidentChase {
-    let (done, stats) = run_chase(vec![Branch::from_query(query)], compiled, options, None);
-    freeze_done(done, stats)
+    resident(run_chase(vec![Branch::from_query(query)], compiled, options, None))
 }
 
 /// Resume a chase from resident branches, each extended with extra atoms.
 ///
 /// `seeds` are the branches of a previous chase of a *subquery*; `extra` is
 /// phrased over the variables of that original subquery and is renamed per
-/// branch ([`ResidentBranch::renaming`]) before insertion. Because the chase
+/// branch (through the renaming its chase accumulated) before insertion.
+/// Because the chase
 /// is monotone, chasing `chase(Q) ∪ θ(extra)` reaches a universal plan
 /// homomorphically equivalent to chasing `Q ∪ extra` from scratch — but the
 /// seed branches are already at fixpoint, so only consequences of the new
 /// atoms fire. This is the memoization hook the backchase uses to grow
 /// candidates one atom at a time.
 ///
-/// Each seed is thawed (its relations and their warm indexes carry over by
+/// Each seed is cloned (its relations and their warm indexes carry over by
 /// handle, without any rebuild) and grown by the renamed `extra` atoms; only
 /// the dependency cone of the inserted predicates starts dirty.
 pub fn chase_resident_with_atoms_compiled(
@@ -536,7 +497,7 @@ pub fn chase_resident_with_atoms_compiled(
     let initial: Vec<Branch> = seeds
         .iter()
         .map(|seed| {
-            let mut b = seed.thaw();
+            let mut b = seed.resume();
             // The seed's closure is at fixpoint over the pre-insert relations:
             // mark it *before* the inserts so the first round only recomputes
             // groups whose inputs the inserted atoms actually grew.
@@ -553,16 +514,15 @@ pub fn chase_resident_with_atoms_compiled(
     // a predicate of the inserted atoms can have new unblocked steps — the
     // chase starts with exactly those dirty (renaming preserves predicates).
     let dirty: HashSet<Predicate> = extra.iter().map(|a| a.predicate).collect();
-    let (done, stats) = run_chase(initial, compiled, options, Some(&dirty));
-    freeze_done(done, stats)
+    resident(run_chase(initial, compiled, options, Some(&dirty)))
 }
 
-/// Freeze finished branches into a [`ResidentChase`].
-fn freeze_done(done: Vec<Branch>, stats: ChaseStats) -> ResidentChase {
+/// The finished branches of a chase as a [`ResidentChase`].
+fn resident((done, stats): (Vec<Branch>, ChaseStats)) -> ResidentChase {
     let branches = done
         .into_iter()
         .map(|b| ResidentBranch {
-            inst: b.inst.freeze(),
+            inst: b.inst,
             head: b.head,
             inequalities: b.inequalities,
             renaming: b.renaming,
@@ -594,7 +554,6 @@ fn chase_branch(
     closure: Option<&ClosureConstraints>,
     index: &DedIndex,
     options: &ChaseOptions,
-    start: Instant,
     stats: &mut ChaseStats,
 ) -> BranchOutcome {
     // One working memory for every premise evaluation of this branch.
@@ -604,9 +563,7 @@ fn chase_branch(
             Some(ChaseStop::Rounds)
         } else if branch.inst.len() >= options.max_atoms {
             Some(ChaseStop::Atoms)
-        } else if options.timeout.map(|t| start.elapsed() > t).unwrap_or(false)
-            || options.deadline.map(|d| Instant::now() >= d).unwrap_or(false)
-        {
+        } else if options.deadline.is_some_and(|d| Instant::now() >= d) {
             Some(ChaseStop::Deadline)
         } else {
             None
@@ -660,7 +617,7 @@ fn chase_branch(
 
 /// The chase driver behind every entry point, returning the finished
 /// branches themselves (live instances included) so resident callers can
-/// freeze them instead of flattening to queries.
+/// keep them instead of flattening to queries.
 ///
 /// The dependency set arrives pre-compiled (closure detection, per-DED
 /// compilation, EGD-priority ordering, premise-predicate index — see
@@ -709,7 +666,7 @@ fn run_chase(
         let mut next: Vec<Branch> = Vec::new();
         for branch in level {
             let mut s = ChaseStats { completed: true, ..Default::default() };
-            let outcome = chase_branch(branch, compiled, closure, index, options, start, &mut s);
+            let outcome = chase_branch(branch, compiled, closure, index, options, &mut s);
             stats.rounds += s.rounds;
             stats.applied_steps += s.applied_steps;
             stats.premise_rows += s.premise_rows;
@@ -733,6 +690,7 @@ fn run_chase(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, clippy::disallowed_types)]
 mod tests {
     use super::*;
     use mars_cq::atom::builders::*;
@@ -879,7 +837,7 @@ mod tests {
 
         let resident = chase_to_resident_compiled(&q_sub, &compiled, &opts);
         assert!(resident.stats().completed);
-        assert_eq!(resident.len(), 1);
+        assert_eq!(resident.branches().len(), 1);
         assert!(!resident.is_empty());
 
         let extras =
@@ -903,7 +861,7 @@ mod tests {
                 .into_universal_plan("S")
         };
         assert!(resumed.stats().completed && scratch.stats.completed && seeded.stats.completed);
-        let resumed_q = &resumed.branch_queries("S")[0];
+        let resumed_q = &resumed.branches()[0].to_query("S_up0");
         assert_eq!(resumed_q.body.len(), scratch.primary().body.len());
         assert_eq!(resumed_q.body.len(), seeded.primary().body.len());
         use mars_cq::containment::containment_mapping;
@@ -918,7 +876,7 @@ mod tests {
     }
 
     /// A resident seed is a true fixpoint resume: inserting nothing fires
-    /// nothing (the freeze/thaw pair preserving warm indexes without
+    /// nothing (that a cloned instance keeps its warm indexes without
     /// rebuilds is unit-tested in `instance::tests`).
     #[test]
     fn resident_resume_is_a_fixpoint_resume() {
@@ -965,8 +923,8 @@ mod tests {
         );
         let compiled = CompiledDeps::new(&[key]);
         let resident = chase_to_resident_compiled(&q, &compiled, &ChaseOptions::default());
-        assert_eq!(resident.len(), 1);
-        assert!(!resident.branches()[0].renaming().is_empty());
+        assert_eq!(resident.branches().len(), 1);
+        assert!(!resident.branches()[0].renaming.is_empty());
         // `S(y)` references the unified-away variable; the renaming must map
         // it onto the representative that survived in the branch.
         let seeded = chase_resident_with_atoms_compiled(
@@ -1005,8 +963,7 @@ mod tests {
             .with_body(vec![Atom::named("R", vec![t("a")])]);
         let up = chase_to_universal_plan(&q, &[d], &ChaseOptions::default());
         assert_eq!(up.branches.len(), 2);
-        assert!(up.single().is_none());
-        assert_eq!(up.total_atoms(), 4);
+        assert!(up.branches.iter().all(|b| b.body.len() == 2));
     }
 
     #[test]
@@ -1075,7 +1032,7 @@ mod tests {
         let q = ConjunctiveQuery::new("Q")
             .with_head(vec![t("a")])
             .with_body(vec![Atom::named("R", vec![t("a"), t("b")])]);
-        let opts = ChaseOptions::default().with_timeout(Duration::from_millis(0));
+        let opts = ChaseOptions::default().with_deadline(Instant::now());
         let up = chase_to_universal_plan(&q, &[d], &opts);
         assert!(!up.stats.completed);
         assert_eq!(up.stats.stop, Some(ChaseStop::Deadline));
@@ -1114,10 +1071,9 @@ mod tests {
         assert_eq!(complete.stats.stop, None);
     }
 
-    /// Regression for the resumed-chase deadline hole: `timeout` restarts its
-    /// clock on every run, so a deadline set before a resume used to be
-    /// silently ignored by the thawed-seed resume path. The absolute
-    /// `deadline` must stop the resumed chase exactly like a fresh one.
+    /// The deadline is an absolute instant, not a duration measured per run:
+    /// one set before a resume must stop the resumed chase exactly like a
+    /// fresh one.
     #[test]
     fn expired_deadline_is_honored_on_resumed_chases() {
         let q = ConjunctiveQuery::new("Q")
@@ -1163,8 +1119,8 @@ mod tests {
         );
         assert!(bounded.stats().completed);
         assert_eq!(
-            format!("{:?}", bounded.branch_queries("S")),
-            format!("{:?}", unbounded.branch_queries("S"))
+            format!("{:?}", bounded.into_universal_plan("S").branches),
+            format!("{:?}", unbounded.into_universal_plan("S").branches)
         );
     }
 }

@@ -189,11 +189,6 @@ impl CompiledDed {
         }
     }
 
-    /// Compile a set of dependencies.
-    pub fn compile_all(deds: &[Ded]) -> Vec<CompiledDed> {
-        deds.iter().map(CompiledDed::compile).collect()
-    }
-
     /// All homomorphisms from the premise into the instance (respecting the
     /// premise inequalities) — blocked ones included — found in bulk by
     /// running the premise program without the pushed-down blocked test.

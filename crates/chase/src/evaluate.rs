@@ -18,7 +18,9 @@
 //! existence test, returning at the first witness.
 //! [`crate::compiled::CompiledDed`] holds its premise and conclusion
 //! programs; [`evaluate_bindings`] and [`satisfiable`] compile one on the fly
-//! and run the same kernel.
+//! and run the same kernel; [`maps_into`] is the containment-mapping test of
+//! Section 2.3 — the same existence search, entered with the head variables
+//! bound.
 //!
 //! Joins probe the instance's **persistent** per-predicate column indexes
 //! ([`crate::instance::Relation::index`]): an index is built at most once per
@@ -36,7 +38,7 @@
 //! relations on both sides of the threshold.
 
 use crate::instance::{ColumnIndex, Relation, SymbolicInstance};
-use mars_cq::{Atom, Constant, Predicate, Substitution, Term, Variable};
+use mars_cq::{Atom, ConjunctiveQuery, Constant, Predicate, Substitution, Term, Variable};
 use std::sync::Arc;
 
 /// A homomorphism produced by evaluation (bindings of the evaluated atoms'
@@ -494,7 +496,30 @@ pub fn satisfiable(
     program.exists(inst, &mut ExistsScratch { slots: row, ..Default::default() })
 }
 
+/// The containment-mapping test of Section 2.3 over the chase's own
+/// instances: is there a homomorphism from `from`'s body into `inst` that
+/// sends `from`'s head onto `head`, position by position? The target query
+/// is given the way the chase holds it — its body as a symbolic instance,
+/// its head beside it — so the test is head alignment followed by
+/// [`satisfiable`]: nothing is copied out of the instance and no second
+/// index is built beside its own.
+///
+/// `false` on an arity mismatch, on a head constant the target does not
+/// carry, and on a repeated head variable whose positions carry different
+/// terms. As in `mars_cq::containment_mapping` (the oracle this is
+/// property-tested against) `from`'s inequalities take no part.
+pub fn maps_into(from: &ConjunctiveQuery, inst: &SymbolicInstance, head: &[Term]) -> bool {
+    let mut aligned = Substitution::new();
+    from.head.len() == head.len()
+        && from.head.iter().zip(head).all(|(t, image)| match t {
+            Term::Var(v) => aligned.bind(*v, *image),
+            Term::Const(_) => t == image,
+        })
+        && satisfiable(&from.body, &[], inst, &aligned)
+}
+
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, clippy::disallowed_types)]
 mod tests {
     use super::*;
     use mars_cq::atom::builders::*;

@@ -25,8 +25,9 @@
 //! Dedup sets, column indexes and the per-instance relation map hash with
 //! the workspace's Fx-style hasher (`mars_cq::fx`). Relations sit behind
 //! `Arc` and are copied on first write, so cloning an instance — a
-//! disjunctive split, a [`FrozenInstance::thaw`] — copies a map of handles,
-//! and a relation the clone never writes is never copied.
+//! disjunctive split, a back-chase resumed from a memoized one — copies a
+//! map of handles: a relation the clone never writes is never copied, and an
+//! index either side builds on a relation neither has written serves both.
 
 use mars_cq::{
     Atom, ConjunctiveQuery, FxHashMap, FxHashSet, Predicate, Substitution, Term, Variable,
@@ -173,8 +174,9 @@ impl Relation {
         }))
     }
 
-    /// Number of column indexes currently cached (test introspection).
-    pub fn cached_index_count(&self) -> usize {
+    /// Number of column indexes currently cached.
+    #[cfg(test)]
+    fn cached_index_count(&self) -> usize {
         self.cached_indexes().len()
     }
 
@@ -285,7 +287,7 @@ impl SymbolicInstance {
         if rel.contains(&atom.args) {
             return false;
         }
-        // Copy-on-write: a relation still shared with a frozen seed or a
+        // Copy-on-write: a relation still shared with a memoized seed or a
         // sibling branch is copied here, at its first new tuple.
         Arc::make_mut(rel).push_new(atom.args.clone());
         self.atom_count += 1;
@@ -316,11 +318,6 @@ impl SymbolicInstance {
     /// Number of tuples of a predicate (0 if absent).
     pub fn relation_len(&self, p: Predicate) -> usize {
         self.relations.get(&p).map(|r| r.len()).unwrap_or(0)
-    }
-
-    /// All predicates present.
-    pub fn predicates(&self) -> impl Iterator<Item = Predicate> + '_ {
-        self.relations.keys().copied()
     }
 
     /// Total number of atoms (tuples) in the instance.
@@ -424,73 +421,6 @@ impl SymbolicInstance {
     /// resumed chases consult it per seed branch.
     pub fn max_variable_index(&self) -> u32 {
         self.max_var
-    }
-
-    /// Freeze the instance into an immutable, thread-shareable snapshot that
-    /// keeps the warm state — the cached column indexes — alongside the
-    /// tuples. The inverse is [`FrozenInstance::thaw`].
-    pub fn freeze(self) -> FrozenInstance {
-        FrozenInstance { inst: self }
-    }
-}
-
-/// An immutable, thread-shareable snapshot of a [`SymbolicInstance`].
-///
-/// Freezing preserves everything the chase warmed up — the persistent column
-/// indexes — so a back-chase that resumes from a frozen seed starts with hot
-/// access paths instead of re-deriving them from a re-parsed query. Thawing
-/// hands out the snapshot's relations by handle: nothing is copied or
-/// rebuilt, and a relation is copied only when the thawed instance first
-/// writes it (its indexes are then shared per index, and copied by the first
-/// insert that touches them).
-#[derive(Clone, Debug, Default)]
-pub struct FrozenInstance {
-    inst: SymbolicInstance,
-}
-
-impl FrozenInstance {
-    /// Restore a live instance from the snapshot. Relations, their cached
-    /// indexes and their build counters carry over by handle; no build
-    /// counter (process-wide or per-relation) advances.
-    pub fn thaw(&self) -> SymbolicInstance {
-        self.inst.clone()
-    }
-
-    /// Total number of atoms (tuples) in the snapshot.
-    pub fn len(&self) -> usize {
-        self.inst.len()
-    }
-
-    /// Is the snapshot empty?
-    pub fn is_empty(&self) -> bool {
-        self.inst.is_empty()
-    }
-
-    /// Predicates present, sorted by name — the canonical order for
-    /// assembling deterministic atom lists without the per-atom sort of
-    /// [`FrozenInstance::to_query`] (tuples keep their insertion order
-    /// within each predicate).
-    pub fn sorted_predicates(&self) -> Vec<Predicate> {
-        let mut ps: Vec<Predicate> = self.inst.predicates().collect();
-        ps.sort_by(|a, b| a.name().cmp(b.name()));
-        ps
-    }
-
-    /// Tuples of one predicate in insertion order (empty if absent).
-    pub fn relation(&self, p: Predicate) -> &[Vec<Term>] {
-        self.inst.relation(p)
-    }
-
-    /// Convert the snapshot to a query with the given name, head and
-    /// inequalities — same deterministic atom order as
-    /// [`SymbolicInstance::to_query`].
-    pub fn to_query(
-        &self,
-        name: &str,
-        head: Vec<Term>,
-        inequalities: Vec<(Term, Term)>,
-    ) -> ConjunctiveQuery {
-        self.inst.to_query(name, head, inequalities)
     }
 }
 
@@ -672,11 +602,11 @@ mod tests {
     }
 
     /// The distinct counts are cached per relation value and never copied: a
-    /// clone, and a thawed relation from its first write on, recount for
-    /// themselves, so an insert on one side cannot leave a stale count on
-    /// the other.
+    /// cloned relation, and a relation of a cloned instance from its first
+    /// write on, recount for themselves, so an insert on one side cannot
+    /// leave a stale count on the other.
     #[test]
-    fn clones_and_thaws_recount_distinct_statistics_for_themselves() {
+    fn clones_recount_distinct_statistics_for_themselves() {
         let mut inst = SymbolicInstance::new();
         inst.insert_atom(&child(t("a"), t("x")));
         inst.insert_atom(&child(t("a"), t("y")));
@@ -693,39 +623,36 @@ mod tests {
         assert_eq!((copy.distinct_in_column(0), copy.distinct_in_column(1)), (3, 2));
         assert_eq!(rel.distinct_in_column(0), 2, "the original never saw the insert");
 
-        let frozen = inst.freeze();
-        let mut thawed = frozen.thaw();
-        assert_eq!(thawed.relation_data(p).unwrap().distinct_in_column(0), 2);
-        thawed.insert_atom(&child(t("c"), t("z")));
-        let written = thawed.relation_data(p).unwrap();
+        let mut resumed = inst.clone();
+        assert_eq!(resumed.relation_data(p).unwrap().distinct_in_column(0), 2);
+        resumed.insert_atom(&child(t("c"), t("z")));
+        let written = resumed.relation_data(p).unwrap();
         assert_eq!((written.distinct_in_column(0), written.distinct_in_column(1)), (3, 3));
-        let snapshot = frozen.thaw();
-        let kept = snapshot.relation_data(p).unwrap();
+        let kept = inst.relation_data(p).unwrap();
         assert_eq!((kept.len(), kept.distinct_in_column(0), kept.distinct_in_column(1)), (3, 2, 2));
     }
 
-    /// Thawing hands out relations by handle: the relation a thawed instance
-    /// writes is copied at that write (sharing its warm indexes), every other
-    /// one stays the snapshot's own, and an index a thawed instance builds on
-    /// an unwritten relation is there for the next thaw.
+    /// Cloning hands out relations by handle: the relation a clone writes is
+    /// copied at that write (sharing its warm indexes), every other one stays
+    /// the seed's own, and an index a clone builds on an unwritten relation
+    /// is there for the next clone.
     #[test]
-    fn thaw_copies_a_relation_at_its_first_write_only() {
+    fn clone_copies_a_relation_at_its_first_write_only() {
         let mut inst = SymbolicInstance::new();
         inst.insert_atom(&child(t("a"), t("x")));
         inst.insert_atom(&tag(t("x"), "book"));
         let (child_p, tag_p) = (mars_cq::Predicate::new("child"), mars_cq::Predicate::new("tag"));
         let _ = inst.relation_data(child_p).unwrap().index(&[0]);
-        let frozen = inst.freeze();
 
-        let mut first = frozen.thaw();
+        let mut first = inst.clone();
         first.insert_atom(&child(t("a"), t("y")));
         let _ = first.relation_data(tag_p).unwrap().index(&[1]);
         assert_eq!(first.relation_len(child_p), 2);
         assert_eq!(first.relation_data(child_p).unwrap().index_builds(), 1, "index came along");
         assert_eq!(first.relation_data(child_p).unwrap().index(&[0]).len(), 1);
 
-        let second = frozen.thaw();
-        assert_eq!(second.relation_len(child_p), 1, "the snapshot is untouched by the write");
+        let second = inst.clone();
+        assert_eq!(second.relation_len(child_p), 1, "the seed is untouched by the write");
         assert!(std::ptr::eq(
             second.relation_data(tag_p).unwrap(),
             first.relation_data(tag_p).unwrap()
@@ -733,11 +660,11 @@ mod tests {
         assert_eq!(second.relation_data(tag_p).unwrap().cached_index_count(), 1);
     }
 
-    /// Freeze/thaw is the resident-reuse contract: a thawed instance carries
-    /// the frozen one's warm indexes and statistics verbatim —
-    /// no index is rebuilt and the build counters do not move.
+    /// Cloning is the resident-reuse contract: a clone carries the seed's
+    /// warm indexes and statistics verbatim — no index is rebuilt and the
+    /// build counters do not move.
     #[test]
-    fn freeze_thaw_preserves_indexes_without_rebuilds() {
+    fn clone_preserves_indexes_without_rebuilds() {
         let mut inst = SymbolicInstance::new();
         inst.insert_atom(&child(t("a"), t("x")));
         inst.insert_atom(&child(t("a"), t("y")));
@@ -746,22 +673,19 @@ mod tests {
         let _ = inst.relation_data(p).unwrap().index(&[0]);
         assert_eq!(inst.relation_data(p).unwrap().index_builds(), 1);
 
-        let frozen = inst.freeze();
-        assert_eq!(frozen.len(), 3);
-        assert!(!frozen.is_empty());
-        let thawed = frozen.thaw();
-        assert_eq!(thawed.len(), 3);
-        let rel = thawed.relation_data(p).unwrap();
+        let resumed = inst.clone();
+        assert_eq!(resumed.len(), 3);
+        let rel = resumed.relation_data(p).unwrap();
         // The cached index came across as data: probing it is not a build.
         assert_eq!(rel.cached_index_count(), 1);
-        assert_eq!(rel.index_builds(), 1, "thaw copies indexes, it does not rebuild them");
+        assert_eq!(rel.index_builds(), 1, "a clone shares indexes, it does not rebuild them");
         assert_eq!(rel.index(&[0]).get(&vec![t("a")]), Some(&vec![0, 1]));
         assert_eq!(rel.index_builds(), 1);
         // Statistics survive too.
         assert_eq!(rel.distinct_in_column(0), 2);
-        // The frozen form converts to the same deterministic query.
-        let q1 = frozen.to_query("Q", vec![], vec![]);
-        let q2 = thawed.to_query("Q", vec![], vec![]);
+        // Seed and clone render the same deterministic query.
+        let q1 = inst.to_query("Q", vec![], vec![]);
+        let q2 = resumed.to_query("Q", vec![], vec![]);
         assert_eq!(q1.body, q2.body);
     }
 

@@ -24,7 +24,11 @@
 //!   relation of at most [`SCAN_THRESHOLD`] tuples or a probe of the
 //!   persistent column index of a larger one, with the blocked test of
 //!   pure-equality conclusions pushed into the join
-//!   ([`CompiledDed::unblocked_bindings`]),
+//!   ([`CompiledDed::unblocked_bindings`]) — and the same kernel, entered
+//!   with a query's head variables bound, is the containment-mapping test
+//!   ([`maps_into`]): the engine has one conjunctive-query
+//!   evaluator, and `mars_cq`'s backtracking search is the oracle it is
+//!   tested against (`clippy.toml` keeps product code here off it),
 //! * the **chase shortcut** of Section 3.2 (the effect of the TIX constraints
 //!   `(refl)`, `(base)`, `(trans)` is computed directly as a transitive
 //!   closure instead of step-by-step),
@@ -58,7 +62,9 @@ pub use chase::{
     ResidentChase, UniversalPlan,
 };
 pub use compiled::{compilation_count, CompiledConclusion, CompiledDed, CompiledDeps, Unblocked};
-pub use evaluate::{evaluate_bindings, satisfiable, Binding, JoinScratch, SCAN_THRESHOLD};
-pub use instance::{index_build_count, FrozenInstance, Relation, SymbolicInstance};
+pub use evaluate::{
+    evaluate_bindings, maps_into, satisfiable, Binding, JoinScratch, SCAN_THRESHOLD,
+};
+pub use instance::{index_build_count, Relation, SymbolicInstance};
 pub use reach::{prune_parallel_desc, ReachabilityGraph};
 pub use shortcut::{detect_closure_constraints, ClosureConstraints};

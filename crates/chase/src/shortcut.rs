@@ -72,7 +72,7 @@ impl ClosureGroup {
     }
 
     /// The `desc` predicate this group's shortcut inserts into — the only
-    /// relation [`apply_closure`] ever changes.
+    /// relation the shortcut ever changes.
     pub fn desc_pred(&self) -> Predicate {
         self.desc
     }
@@ -388,13 +388,8 @@ fn apply_group_incremental(
     added
 }
 
-/// Apply the closure shortcut for every detected group. Returns the total
-/// number of `desc` atoms added.
-pub fn apply_closure(inst: &mut SymbolicInstance, closure: &ClosureConstraints) -> usize {
-    closure.groups.iter().map(|g| apply_group(inst, g)).sum()
-}
-
-/// [`apply_closure`] with per-group input watermarks: a group whose
+/// Apply the closure shortcut for every detected group, returning the total
+/// number of `desc` atoms added, with per-group input watermarks: a group whose
 /// `child`/`desc`/`el` relations are unchanged since its mark (same lengths,
 /// same rewrite epoch) is skipped outright — its recomputation would add
 /// nothing — and a group whose relations merely *grew* within the same
@@ -404,7 +399,7 @@ pub fn apply_closure(inst: &mut SymbolicInstance, closure: &ClosureConstraints) 
 /// "unknown" and forces a full first application, as does a rewrite-epoch
 /// change (an EGD rewrite may rewrite or dedup tuples in place, invalidating
 /// the append-only reading of the mark). The inserted atom *set* matches a
-/// full [`apply_closure`] on every instance whose marks are honest.
+/// full application of every group on every instance whose marks are honest.
 pub fn apply_closure_watermarked(
     inst: &mut SymbolicInstance,
     closure: &ClosureConstraints,
@@ -440,6 +435,11 @@ mod tests {
 
     fn t(n: &str) -> Term {
         Term::var(n)
+    }
+
+    /// The full (unmarked) application of every group.
+    fn apply_closure(inst: &mut SymbolicInstance, closure: &ClosureConstraints) -> usize {
+        closure.groups.iter().map(|g| apply_group(inst, g)).sum()
     }
 
     fn tix_core() -> Vec<Ded> {

@@ -110,15 +110,6 @@ impl AtomSet {
         AtomSet { words }
     }
 
-    /// The intersection `self ∩ other`. O(words).
-    pub fn intersection(&self, other: &AtomSet) -> AtomSet {
-        let mut words: Vec<u64> = self.words.iter().zip(&other.words).map(|(a, b)| a & b).collect();
-        while words.last() == Some(&0) {
-            words.pop();
-        }
-        AtomSet { words }
-    }
-
     /// `self` with `i` added (functional insert).
     pub fn with(&self, i: usize) -> AtomSet {
         let mut s = self.clone();
@@ -146,24 +137,6 @@ impl AtomSet {
                 Some(wi * WORD_BITS + b)
             })
         })
-    }
-
-    /// The set as a `u128` mask, when every index fits (used by tests that
-    /// cross-check against the legacy representation).
-    pub fn as_u128(&self) -> Option<u128> {
-        if self.words.len() > 2 {
-            return None;
-        }
-        let lo = self.words.first().copied().unwrap_or(0) as u128;
-        let hi = self.words.get(1).copied().unwrap_or(0) as u128;
-        Some(lo | (hi << 64))
-    }
-
-    /// Build the set from a `u128` mask.
-    pub fn from_u128(mask: u128) -> AtomSet {
-        let mut s = AtomSet { words: vec![mask as u64, (mask >> 64) as u64] };
-        s.trim();
-        s
     }
 }
 
@@ -236,7 +209,6 @@ mod tests {
         assert!(small.is_subset_of(&large));
         assert!(!large.is_subset_of(&small));
         assert_eq!(small.union(&large), large);
-        assert_eq!(large.intersection(&small), small);
         // Canonical-form subset: a longer array never subsets a shorter one.
         assert!(!AtomSet::singleton(500).is_subset_of(&AtomSet::singleton(1)));
     }
@@ -248,25 +220,27 @@ mod tests {
         assert_eq!(got, vec![0, 5, 63, 64, 129]);
     }
 
-    /// Roundtrip and operation agreement with the legacy `u128`
-    /// representation on pools of ≤ 128 atoms.
+    /// Roundtrip and operation agreement with a `u128` bit mask on pools of
+    /// ≤ 128 atoms.
     #[test]
     fn agrees_with_u128_semantics_below_128_atoms() {
+        let from_u128 =
+            |mask: u128| -> AtomSet { (0..128).filter(|i| mask >> i & 1 != 0).collect() };
+        let as_u128 = |s: &AtomSet| s.iter().fold(0u128, |mask, i| mask | 1 << i);
         let mut rng = XorShift(0x9E3779B97F4A7C15);
         for _ in 0..200 {
             let a128 = rng.mask128();
             let b128 = rng.mask128();
-            let a = AtomSet::from_u128(a128);
-            let b = AtomSet::from_u128(b128);
-            assert_eq!(a.as_u128(), Some(a128));
+            let a = from_u128(a128);
+            let b = from_u128(b128);
+            assert_eq!(as_u128(&a), a128);
             assert_eq!(a.len() as u32, a128.count_ones());
             assert_eq!(a.is_subset_of(&b), a128 & !b128 == 0);
-            assert_eq!(a.union(&b).as_u128(), Some(a128 | b128));
-            assert_eq!(a.intersection(&b).as_u128(), Some(a128 & b128));
+            assert_eq!(as_u128(&a.union(&b)), a128 | b128);
             let idx = (rng.next() % 128) as usize;
             assert_eq!(a.contains(idx), a128 & (1 << idx) != 0);
-            assert_eq!(a.with(idx).as_u128(), Some(a128 | (1 << idx)));
-            assert_eq!(a.without(idx).as_u128(), Some(a128 & !(1 << idx)));
+            assert_eq!(as_u128(&a.with(idx)), a128 | (1 << idx));
+            assert_eq!(as_u128(&a.without(idx)), a128 & !(1 << idx));
             let indices: Vec<usize> = a.iter().collect();
             let expect: Vec<usize> = (0..128).filter(|i| a128 & (1 << i) != 0).collect();
             assert_eq!(indices, expect);
@@ -279,7 +253,6 @@ mod tests {
         let s: AtomSet = (0..300).filter(|i| i % 3 == 0).collect();
         assert_eq!(s.len(), 100);
         assert!(s.contains(297) && !s.contains(298));
-        assert!(s.as_u128().is_none());
         let full: AtomSet = (0..300).collect();
         assert!(s.is_subset_of(&full));
         assert_eq!(s.union(&full), full);

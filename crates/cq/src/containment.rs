@@ -7,7 +7,6 @@
 //! that the backchase phase relies on when checking that a subquery of the
 //! universal plan is equivalent to the original query.
 
-use crate::atom::Atom;
 use crate::chase::{naive_chase, ChaseBudget};
 use crate::ded::Ded;
 use crate::homomorphism::{find_homomorphism, AtomIndex};
@@ -64,10 +63,7 @@ pub fn containment_mapping(
 }
 
 /// A query prepared as the *target* of repeated containment tests: the
-/// per-predicate atom index is built once instead of per call. The backchase
-/// checks every candidate against the same universal-plan branches, and the
-/// original query against every resumed back-chase branch, so this hoists the
-/// index construction out of both loops.
+/// per-predicate atom index is built once instead of per call.
 pub struct ContainmentTarget {
     head: Vec<Term>,
     index: AtomIndex,
@@ -76,14 +72,7 @@ pub struct ContainmentTarget {
 impl ContainmentTarget {
     /// Prepare `into` as a containment target.
     pub fn new(into: &ConjunctiveQuery) -> ContainmentTarget {
-        ContainmentTarget::from_parts(into.head.clone(), into.body.clone())
-    }
-
-    /// A target over a head and an atom list taken as they are — the form the
-    /// backchase uses when it assembles a target straight from the relations
-    /// of a resident chase branch, with no query rendered in between.
-    pub fn from_parts(head: Vec<Term>, atoms: Vec<Atom>) -> ContainmentTarget {
-        ContainmentTarget { head, index: AtomIndex::from_atoms(atoms) }
+        ContainmentTarget { head: into.head.clone(), index: AtomIndex::new(&into.body) }
     }
 
     /// Containment mapping from `from` into this target (head-preserving).
@@ -299,34 +288,6 @@ mod tests {
             .with_body(vec![Atom::named("Whatever", vec![t("y")])]);
         let denial = Ded::denial("no_self", vec![child(t("u"), t("u"))]);
         assert!(contained_in(&q1, &q2, &[denial], &ContainmentOptions::small()));
-    }
-
-    /// A target assembled from parts answers like one prepared from the
-    /// rendered query, on the identity fast path and on a real search.
-    #[test]
-    fn targets_from_parts_and_from_queries_agree() {
-        let into = ConjunctiveQuery::new("T").with_head(vec![t("x")]).with_body(vec![
-            Atom::named("R", vec![t("x"), t("y")]),
-            Atom::named("R", vec![t("y"), t("z")]),
-            Atom::named("S", vec![t("z")]),
-        ]);
-        let verbatim = into.subquery(&[0, 2]);
-        let renamed = ConjunctiveQuery::new("Q").with_head(vec![t("a")]).with_body(vec![
-            Atom::named("R", vec![t("a"), t("b")]),
-            Atom::named("S", vec![t("c")]),
-        ]);
-        let absent = ConjunctiveQuery::new("N")
-            .with_head(vec![t("a")])
-            .with_body(vec![Atom::named("S", vec![t("a")])]);
-        let prepared = ContainmentTarget::new(&into);
-        let assembled = ContainmentTarget::from_parts(into.head.clone(), into.body.clone());
-        for q in [&verbatim, &renamed, &absent] {
-            assert_eq!(prepared.mapping_from(q), assembled.mapping_from(q), "{}", q.name);
-        }
-        let identity = assembled.mapping_from(&verbatim).expect("a subquery maps into its query");
-        assert!(verbatim.variables().into_iter().all(|v| identity.get(v) == Some(Term::Var(v))));
-        assert!(assembled.mapping_from(&renamed).is_some());
-        assert!(assembled.mapping_from(&absent).is_none());
     }
 
     #[test]

@@ -163,7 +163,6 @@ struct SearchCtx<'a> {
     source: &'a [Atom],
     order: &'a [usize],
     target: &'a AtomIndex,
-    inequalities: &'a [(Term, Term)],
     limit: Option<usize>,
 }
 
@@ -176,15 +175,6 @@ fn search(
     found_one: &mut Option<Substitution>,
 ) -> bool {
     if pos == ctx.source.len() {
-        // Check premise inequalities under the found mapping: both sides must
-        // be distinct terms after substitution (we treat distinct constants as
-        // unequal; distinct variables/labelled nulls are also treated as
-        // unequal, which is the standard semantics on canonical instances).
-        for (a, b) in ctx.inequalities {
-            if sub.apply_term(*a) == sub.apply_term(*b) {
-                return false;
-            }
-        }
         match all {
             Some(v) => {
                 v.push(sub.clone());
@@ -216,12 +206,11 @@ fn run_search(
     source: &[Atom],
     target: &AtomIndex,
     initial: &Substitution,
-    inequalities: &[(Term, Term)],
     mut all: Option<&mut Vec<Substitution>>,
     limit: Option<usize>,
 ) -> Option<Substitution> {
     let order = plan_order(source, target, initial);
-    let ctx = SearchCtx { source, order: &order, target, inequalities, limit };
+    let ctx = SearchCtx { source, order: &order, target, limit };
     let mut sub = initial.clone();
     let mut trail: Vec<Variable> = Vec::new();
     let mut found_one = None;
@@ -236,17 +225,7 @@ pub fn find_homomorphism(
     target: &AtomIndex,
     initial: &Substitution,
 ) -> Option<Substitution> {
-    run_search(source, target, initial, &[], None, None)
-}
-
-/// Find one homomorphism respecting the given source inequalities.
-pub fn find_homomorphism_with_inequalities(
-    source: &[Atom],
-    inequalities: &[(Term, Term)],
-    target: &AtomIndex,
-    initial: &Substitution,
-) -> Option<Substitution> {
-    run_search(source, target, initial, inequalities, None, None)
+    run_search(source, target, initial, None, None)
 }
 
 /// Find all homomorphisms from `source` into `target` extending `initial`.
@@ -259,7 +238,7 @@ pub fn find_all_homomorphisms(
     limit: Option<usize>,
 ) -> Vec<Substitution> {
     let mut out = Vec::new();
-    run_search(source, target, initial, &[], Some(&mut out), limit);
+    run_search(source, target, initial, Some(&mut out), limit);
     out
 }
 
@@ -406,23 +385,6 @@ mod tests {
         assert_eq!(all.len(), 2);
         let limited = find_all_homomorphisms(&src, &target, &Substitution::new(), Some(1));
         assert_eq!(limited.len(), 1);
-    }
-
-    #[test]
-    fn inequalities_filter_homomorphisms() {
-        let target = AtomIndex::new(&[
-            Atom::named("R", vec![t("a"), t("a")]),
-            Atom::named("R", vec![t("a"), t("b")]),
-        ]);
-        let src = vec![Atom::named("R", vec![t("x"), t("y")])];
-        let h = find_homomorphism_with_inequalities(
-            &src,
-            &[(t("x"), t("y"))],
-            &target,
-            &Substitution::new(),
-        )
-        .unwrap();
-        assert_ne!(h.get(v("x")), h.get(v("y")));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! (Deutsch & Tannen, VLDB 2003) compiles XML publishing problems into:
 //!
 //! * interned [`Symbol`]s, [`Term`]s, [`Atom`]s and [`ConjunctiveQuery`]s
-//!   (with inequalities and unions), plus [`AtomSet`] — the growable
+//!   (with inequalities), plus [`AtomSet`] — the growable
 //!   atom-index bitset the backchase enumerates subqueries with,
 //! * [`Ded`]s — *disjunctive embedded dependencies* — the constraint language
 //!   used for relational integrity constraints, compiled XML integrity
@@ -17,7 +17,11 @@
 //!   ([`containment`]).
 //!
 //! The scalable join-tree based chase of Section 3.1 of the paper lives in
-//! the `mars-chase` crate; it shares all data types defined here.
+//! the `mars-chase` crate; it shares all data types defined here. The last
+//! three items above are the paper's old implementation and the oracle the
+//! engine is tested against: no product path calls them (`mars-chase`
+//! evaluates premises, blocked tests and containment mappings through its
+//! own compiled join kernel).
 
 pub mod atom;
 pub mod atomset;
@@ -26,7 +30,6 @@ pub mod containment;
 pub mod ded;
 pub mod fx;
 pub mod homomorphism;
-pub mod pretty;
 pub mod query;
 pub mod substitution;
 pub mod symbol;
@@ -41,7 +44,7 @@ pub use fx::{FxBuild, FxHashMap, FxHashSet, FxHasher};
 pub use homomorphism::{
     extend_to_conclusion, find_all_homomorphisms, find_homomorphism, AtomIndex,
 };
-pub use query::{ConjunctiveQuery, UnionQuery};
+pub use query::ConjunctiveQuery;
 pub use substitution::Substitution;
 pub use symbol::{symbol, symbol_name, Symbol};
 pub use term::{Constant, Term, VarGen, Variable};

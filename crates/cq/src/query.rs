@@ -1,10 +1,9 @@
-//! Conjunctive queries (with inequalities) and unions thereof.
+//! Conjunctive queries (with inequalities).
 //!
 //! MARS compiles the navigation part of client XQueries (XBind queries) into
 //! conjunctive queries over the GReX schema; views and subqueries of the
 //! universal plan are conjunctive queries as well. Inequalities arise from
-//! XQuery `where` clauses, disjunction from XIC compilation (handled as
-//! [`UnionQuery`]).
+//! XQuery `where` clauses.
 
 use crate::atom::{Atom, Predicate};
 use crate::substitution::Substitution;
@@ -151,30 +150,6 @@ impl ConjunctiveQuery {
             inequalities,
         }
     }
-
-    /// Rename all variables with a fresh disambiguator offset so the result
-    /// shares no variables with the original (used before chasing a query
-    /// with a copy of itself, e.g. in containment checks).
-    pub fn rename_apart(&self, offset: u32) -> ConjunctiveQuery {
-        let mut s = Substitution::new();
-        for v in self.variables() {
-            s.set(v, Term::Var(Variable { name: v.name, index: v.index + offset }));
-        }
-        self.apply(&s)
-    }
-
-    /// Canonical (frozen) database of the query: each body atom becomes a fact
-    /// whose "constants" are the query's variables. Returned as atoms — the
-    /// chase implementations build their own instance representation on top.
-    pub fn canonical_instance(&self) -> Vec<Atom> {
-        self.body.clone()
-    }
-
-    /// Number of joins (atoms − 1, floored at zero) — used in reporting to
-    /// match the paper's "queries with hundreds of joins" phrasing.
-    pub fn join_count(&self) -> usize {
-        self.body.len().saturating_sub(1)
-    }
 }
 
 impl fmt::Debug for ConjunctiveQuery {
@@ -203,40 +178,6 @@ impl fmt::Debug for ConjunctiveQuery {
 impl fmt::Display for ConjunctiveQuery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self, f)
-    }
-}
-
-/// A union of conjunctive queries (all with compatible heads).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct UnionQuery {
-    pub name: String,
-    pub disjuncts: Vec<ConjunctiveQuery>,
-}
-
-impl UnionQuery {
-    /// A union with a single disjunct.
-    pub fn single(q: ConjunctiveQuery) -> UnionQuery {
-        UnionQuery { name: q.name.clone(), disjuncts: vec![q] }
-    }
-
-    /// Build a union.
-    pub fn new(name: &str, disjuncts: Vec<ConjunctiveQuery>) -> UnionQuery {
-        UnionQuery { name: name.to_string(), disjuncts }
-    }
-
-    /// Head arity (taken from the first disjunct; unions are assumed
-    /// head-compatible).
-    pub fn arity(&self) -> usize {
-        self.disjuncts.first().map(|q| q.head.len()).unwrap_or(0)
-    }
-
-    /// All disjuncts share the same head arity.
-    pub fn is_head_compatible(&self) -> bool {
-        let mut arities = self.disjuncts.iter().map(|q| q.head.len());
-        match arities.next() {
-            None => true,
-            Some(first) => arities.all(|a| a == first),
-        }
     }
 }
 
@@ -275,7 +216,6 @@ mod tests {
     #[test]
     fn predicates_and_joins() {
         let q = sample();
-        assert_eq!(q.join_count(), 4);
         let preds: Vec<&str> = q.predicates().iter().map(|p| p.name()).collect();
         assert!(preds.contains(&"child"));
         assert!(preds.contains(&"root"));
@@ -295,16 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn rename_apart_shares_no_variables() {
-        let q = sample();
-        let r = q.rename_apart(100);
-        let qv: HashSet<Variable> = q.variables().into_iter().collect();
-        let rv: HashSet<Variable> = r.variables().into_iter().collect();
-        assert!(qv.is_disjoint(&rv));
-        assert_eq!(q.body.len(), r.body.len());
-    }
-
-    #[test]
     fn apply_substitution_to_query() {
         let q = sample();
         let s = Substitution::from_pairs(vec![(Variable::named("a"), Term::constant_str("Knuth"))])
@@ -319,19 +249,6 @@ mod tests {
         let q = sample().with_inequality(Term::var("a"), Term::var("a"));
         assert!(q.has_contradictory_inequality());
         assert!(!sample().has_contradictory_inequality());
-    }
-
-    #[test]
-    fn union_queries() {
-        let u = UnionQuery::new("U", vec![sample(), sample()]);
-        assert_eq!(u.arity(), 1);
-        assert!(u.is_head_compatible());
-        let mut bad = sample();
-        bad.head.push(Term::var("r"));
-        let u2 = UnionQuery::new("U2", vec![sample(), bad]);
-        assert!(!u2.is_head_compatible());
-        let s = UnionQuery::single(sample());
-        assert_eq!(s.disjuncts.len(), 1);
     }
 
     #[test]

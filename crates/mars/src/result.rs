@@ -18,12 +18,12 @@ pub struct BlockReformulation {
     /// SQL rendering of the chosen reformulation, when one exists.
     pub sql: Option<String>,
     /// The backend routing decision for the chosen reformulation, when one
-    /// was priced (see [`Mars::try_reformulate_xbind_routed`]). Cached and
+    /// was priced (see [`MarsService::reformulate_xbind_routed`]). Cached and
     /// replayed alongside the SQL: the decision depends only on the query
     /// shape and the store statistics, never on the constants, so
     /// resubstitution clones it verbatim.
     ///
-    /// [`Mars::try_reformulate_xbind_routed`]: crate::Mars::try_reformulate_xbind_routed
+    /// [`MarsService::reformulate_xbind_routed`]: crate::MarsService::reformulate_xbind_routed
     pub route: Option<RoutingDecision>,
     /// Wall-clock time spent reformulating this block.
     pub duration: Duration,
@@ -65,11 +65,6 @@ impl MarsResult {
     pub fn reformulated_block_count(&self) -> usize {
         self.blocks.iter().filter(|b| b.result.has_reformulation()).count()
     }
-
-    /// Sum of the per-block best costs (when every block has one).
-    pub fn total_best_cost(&self) -> Option<f64> {
-        self.blocks.iter().map(|b| b.result.best.as_ref().map(|(_, c)| *c)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -107,6 +102,5 @@ mod tests {
         };
         assert_eq!(result.reformulated_block_count(), 1);
         assert_eq!(result.blocks[0].minimal_count(), 1);
-        assert_eq!(result.total_best_cost(), None);
     }
 }

@@ -33,6 +33,10 @@
 //! results are never inserted into the [`PlanCache`]** — a retry of the
 //! shape gets a real attempt ([`CacheStats::degraded_uncached`] counts the
 //! withheld inserts).
+//!
+//! The ladder is written once, in the private `serve`; the three public
+//! entry points differ only in the budget they pass it and in whether they
+//! hand it the stores to price a route against.
 
 use crate::cache::{CacheStats, PlanCache};
 use crate::error::MarsError;
@@ -182,31 +186,80 @@ impl MarsService {
     /// results are cached; degraded ones are not (module docs). Degenerate
     /// blocks surface the same [`MarsError`]s as the cold path.
     pub fn reformulate_xbind(&self, xbind: &XBindQuery) -> Result<BlockReformulation, MarsError> {
-        self.reformulate_xbind_with(xbind, &self.default_budget)
+        self.serve(xbind, &self.default_budget, None)
     }
 
     /// [`MarsService::reformulate_xbind`] with an explicit per-request
-    /// budget. This is the full degradation ladder: admission (shed on
-    /// overload), panic isolation, budgeted anytime reformulation, and the
-    /// never-cache-degraded rule.
+    /// budget.
     pub fn reformulate_xbind_with(
         &self,
         xbind: &XBindQuery,
         budget: &ReformulationBudget,
     ) -> Result<BlockReformulation, MarsError> {
+        self.serve(xbind, budget, None)
+    }
+
+    /// [`MarsService::reformulate_xbind`] with backend routing: the chosen
+    /// reformulation ([`best_or_initial`], the query the caller will
+    /// execute) is priced against the two stores — the relational store's
+    /// exact statistics, the XML store's navigation statistics — and the
+    /// route is cached *inside* the block, so a warm shape hit replays the
+    /// cached decision byte-identically instead of re-pricing (the decision
+    /// depends on the query shape and store statistics, not the constants).
+    /// A warm hit cached by an unrouted entry point carries no route and is
+    /// priced on the fly, without rewriting the cache entry; a block whose
+    /// reformulation produced no executable query carries none.
+    ///
+    /// [`best_or_initial`]: mars_chase::ReformulationResult::best_or_initial
+    ///
+    /// # Errors
+    ///
+    /// The same ladder as [`MarsService::reformulate_xbind_with`]:
+    /// [`MarsError::Overloaded`] on admission, degenerate-input errors, and
+    /// [`MarsError::ReformulationPanicked`] from panic isolation.
+    pub fn reformulate_xbind_routed(
+        &self,
+        xbind: &XBindQuery,
+        db: &RelationalDatabase,
+        xml: &XmlStore,
+    ) -> Result<BlockReformulation, MarsError> {
+        self.serve(xbind, &self.default_budget, Some((db, xml)))
+    }
+
+    /// The one request body — the full degradation ladder: admission (shed
+    /// on overload), panic isolation, cache lookup, budgeted anytime
+    /// reformulation on a miss, and the never-cache-degraded rule. With
+    /// `stores`, a block that carries no route yet (a cold result, or a hit
+    /// cached unrouted) is priced against them before it is cached or
+    /// returned.
+    fn serve(
+        &self,
+        xbind: &XBindQuery,
+        budget: &ReformulationBudget,
+        stores: Option<(&RelationalDatabase, &XmlStore)>,
+    ) -> Result<BlockReformulation, MarsError> {
         let _permit = self.admit()?;
+        let routed = |mut block: BlockReformulation| {
+            if let (None, Some((db, xml))) = (&block.route, stores) {
+                block.route = block
+                    .result
+                    .best_or_initial()
+                    .map(|best| mars_cost::route_query(best, db, xml));
+            }
+            block
+        };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if let Some(hook) = &self.fault_hook {
                 hook("lookup");
             }
             let shape = shape_of(xbind, &self.reserved);
             if let Some(hit) = self.cache.lookup(&shape, self.fingerprint) {
-                return Ok(hit);
+                return Ok(routed(hit));
             }
             if let Some(hook) = &self.fault_hook {
                 hook("reformulate");
             }
-            let block = self.mars.try_reformulate_xbind_budgeted(xbind, budget)?;
+            let block = routed(self.mars.try_reformulate_xbind_budgeted(xbind, budget)?);
             if block.is_degraded() {
                 self.cache.note_degraded_uncached();
             } else {
@@ -225,68 +278,6 @@ impl MarsService {
             }
             // Degenerate-input client errors bump no outcome counter: they
             // are the caller's bug, not service load.
-            Ok(Err(e)) => Err(e),
-            Err(_) => {
-                self.panicked.fetch_add(1, Ordering::SeqCst);
-                Err(MarsError::ReformulationPanicked { block: xbind.name.clone() })
-            }
-        }
-    }
-
-    /// [`MarsService::reformulate_xbind`] with backend routing: the cold
-    /// path prices the chosen reformulation against the two stores and the
-    /// route is cached *inside* the block, so a warm shape hit replays the
-    /// cached decision byte-identically instead of re-pricing (the decision
-    /// depends on the query shape and store statistics, not the constants).
-    /// A warm hit cached by an unrouted entry point carries no route and is
-    /// priced on the fly, without rewriting the cache entry.
-    ///
-    /// # Errors
-    ///
-    /// The same ladder as [`MarsService::reformulate_xbind_with`]:
-    /// [`MarsError::Overloaded`] on admission, degenerate-input errors, and
-    /// [`MarsError::ReformulationPanicked`] from panic isolation.
-    pub fn reformulate_xbind_routed(
-        &self,
-        xbind: &XBindQuery,
-        db: &RelationalDatabase,
-        xml: &XmlStore,
-    ) -> Result<BlockReformulation, MarsError> {
-        let _permit = self.admit()?;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(hook) = &self.fault_hook {
-                hook("lookup");
-            }
-            let shape = shape_of(xbind, &self.reserved);
-            if let Some(mut hit) = self.cache.lookup(&shape, self.fingerprint) {
-                if hit.route.is_none() {
-                    hit.route = hit
-                        .result
-                        .best_or_initial()
-                        .map(|best| mars_cost::route_query(best, db, xml));
-                }
-                return Ok(hit);
-            }
-            if let Some(hook) = &self.fault_hook {
-                hook("reformulate");
-            }
-            let block = self.mars.try_reformulate_xbind_routed(xbind, db, xml)?;
-            if block.is_degraded() {
-                self.cache.note_degraded_uncached();
-            } else {
-                self.cache.insert(shape, self.fingerprint, block.clone());
-            }
-            Ok(block)
-        }));
-        match outcome {
-            Ok(Ok(block)) => {
-                if block.is_degraded() {
-                    self.degraded.fetch_add(1, Ordering::SeqCst);
-                } else {
-                    self.served.fetch_add(1, Ordering::SeqCst);
-                }
-                Ok(block)
-            }
             Ok(Err(e)) => Err(e),
             Err(_) => {
                 self.panicked.fetch_add(1, Ordering::SeqCst);

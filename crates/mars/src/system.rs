@@ -10,7 +10,7 @@ use mars_grex::{
     ViewDef,
 };
 use mars_specialize::{specialize_query, specialize_view, specialize_xic, SpecializationMapping};
-use mars_storage::{sql_for_query, RelationalDatabase, XmlStore};
+use mars_storage::sql_for_query;
 use mars_xquery::{decorrelate, parse_xquery, XBindAtom, XBindQuery, Xic};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
@@ -163,11 +163,6 @@ impl Mars {
         self.engine.deds()
     }
 
-    /// The proprietary-schema predicates reformulations may mention.
-    pub fn proprietary_predicates(&self) -> &HashSet<Predicate> {
-        &self.engine.proprietary
-    }
-
     /// The schema correspondence this system was built from.
     pub fn correspondence(&self) -> &SchemaCorrespondence {
         &self.correspondence
@@ -315,24 +310,6 @@ impl Mars {
         self.reformulate_xbind_with_engine(xbind, &self.engine)
     }
 
-    /// [`Mars::reformulate_xbind`] under a per-request budget. The budget
-    /// tightens a copy of the engine's standing options for this one request
-    /// (the shared engine and its fingerprint are untouched, so cache keys
-    /// stay comparable across budgets). Budget exhaustion degrades rather
-    /// than errors: the result carries the best reformulation found, tagged
-    /// via [`BlockReformulation::degradation`].
-    pub fn reformulate_xbind_budgeted(
-        &self,
-        xbind: &XBindQuery,
-        budget: &ReformulationBudget,
-    ) -> BlockReformulation {
-        if budget.is_unbounded() {
-            return self.reformulate_xbind(xbind);
-        }
-        let engine = self.engine.clone().with_options(budget.apply(&self.options.cb));
-        self.reformulate_xbind_with_engine(xbind, &engine)
-    }
-
     fn reformulate_xbind_with_engine(
         &self,
         xbind: &XBindQuery,
@@ -365,26 +342,25 @@ impl Mars {
     /// front: a correspondence that compiled to nothing, a block with no
     /// atoms, and an unsafe block (head variable unbound in the body) each
     /// surface as a structured [`MarsError`] instead of a meaningless run.
-    /// This is the entry point resident services should use.
     pub fn try_reformulate_xbind(
         &self,
         xbind: &XBindQuery,
     ) -> Result<BlockReformulation, MarsError> {
-        if self.engine.deds().is_empty() && self.engine.proprietary.is_empty() {
-            return Err(MarsError::EmptyCorrespondence);
-        }
-        if xbind.atoms.is_empty() {
-            return Err(MarsError::EmptyBlock { block: xbind.name.clone() });
-        }
-        if !xbind.is_safe() {
-            return Err(MarsError::UnsafeBlock { block: xbind.name.clone() });
-        }
-        Ok(self.reformulate_xbind(xbind))
+        self.try_reformulate_xbind_budgeted(xbind, &ReformulationBudget::unbounded())
     }
 
-    /// [`Mars::try_reformulate_xbind`] under a per-request budget: the same
-    /// degenerate-input checks, then a budgeted run (see
-    /// [`Mars::reformulate_xbind_budgeted`]).
+    /// [`Mars::try_reformulate_xbind`] under a per-request budget — the entry
+    /// point resident services use. The budget tightens a copy of the
+    /// engine's standing options for this one request (the shared engine and
+    /// its fingerprint are untouched, so cache keys stay comparable across
+    /// budgets). Budget exhaustion degrades rather than errors: the result
+    /// carries the best reformulation found, tagged via
+    /// [`BlockReformulation::degradation`].
+    ///
+    /// # Errors
+    ///
+    /// [`MarsError::EmptyCorrespondence`], [`MarsError::EmptyBlock`] and
+    /// [`MarsError::UnsafeBlock`] for the degenerate inputs.
     pub fn try_reformulate_xbind_budgeted(
         &self,
         xbind: &XBindQuery,
@@ -399,33 +375,11 @@ impl Mars {
         if !xbind.is_safe() {
             return Err(MarsError::UnsafeBlock { block: xbind.name.clone() });
         }
-        Ok(self.reformulate_xbind_budgeted(xbind, budget))
-    }
-
-    /// [`Mars::try_reformulate_xbind`], then price the chosen reformulation
-    /// against the two storage backends and attach the
-    /// [`RoutingDecision`](mars_cost::RoutingDecision) to the block.
-    ///
-    /// The decision is computed on
-    /// [`best_or_initial`](mars_chase::ReformulationResult::best_or_initial)
-    /// — the query the caller will actually execute — using the relational
-    /// store's exact statistics and the XML store's navigation statistics.
-    /// Blocks whose reformulation produced no executable query carry no
-    /// route.
-    ///
-    /// # Errors
-    ///
-    /// The same degenerate-input errors as [`Mars::try_reformulate_xbind`].
-    pub fn try_reformulate_xbind_routed(
-        &self,
-        xbind: &XBindQuery,
-        db: &RelationalDatabase,
-        xml: &XmlStore,
-    ) -> Result<BlockReformulation, MarsError> {
-        let mut block = self.try_reformulate_xbind(xbind)?;
-        block.route =
-            block.result.best_or_initial().map(|best| mars_cost::route_query(best, db, xml));
-        Ok(block)
+        if budget.is_unbounded() {
+            return Ok(self.reformulate_xbind(xbind));
+        }
+        let engine = self.engine.clone().with_options(budget.apply(&self.options.cb));
+        Ok(self.reformulate_xbind_with_engine(xbind, &engine))
     }
 
     /// Reformulate a full client XQuery (text): parse, decorrelate, and
@@ -487,8 +441,8 @@ mod tests {
     fn correspondence_compiles_to_deds_and_proprietary_predicates() {
         let mars = Mars::new(mini_correspondence());
         assert!(!mars.dependencies().is_empty());
-        assert!(mars.proprietary_predicates().contains(&Predicate::new("bookRel")));
-        assert!(mars.proprietary_predicates().contains(&Predicate::new("authorsCache")));
+        assert!(mars.engine.proprietary.contains(&Predicate::new("bookRel")));
+        assert!(mars.engine.proprietary.contains(&Predicate::new("authorsCache")));
         // TIX added for the published document.
         assert!(mars
             .dependencies()

@@ -39,16 +39,11 @@ impl RelationalDatabase {
         self.inst.insert_atom(&atom);
     }
 
-    /// Insert a ground fact.
-    pub fn insert_fact(&mut self, fact: &Atom) {
-        debug_assert!(fact.is_ground(), "facts must be ground: {fact}");
-        self.inst.insert_atom(fact);
-    }
-
     /// Bulk-load ground facts (e.g. a GReX document encoding).
     pub fn load_facts(&mut self, facts: &[Atom]) {
-        for f in facts {
-            self.insert_fact(f);
+        for fact in facts {
+            debug_assert!(fact.is_ground(), "facts must be ground: {fact}");
+            self.inst.insert_atom(fact);
         }
     }
 

@@ -130,11 +130,6 @@ impl XmlStore {
         names
     }
 
-    /// Total number of element nodes across documents.
-    pub fn total_elements(&self) -> usize {
-        self.documents.values().map(|s| s.document.element_count()).sum()
-    }
-
     fn path_values(&self, value: &PathValue, document: &str) -> Value {
         match value {
             PathValue::Node(n) => Value::Node { document: document.to_string(), node: *n },
@@ -389,7 +384,6 @@ mod tests {
         let err = store.eval_xbind(&xbo, &HashMap::new()).unwrap_err();
         assert_eq!(err, XmlStoreError::MissingDocument { document: "books.xml".to_string() });
         assert!(err.to_string().contains("books.xml"));
-        assert_eq!(store.total_elements(), 0);
         assert!(store.document_names().is_empty());
     }
 

@@ -327,6 +327,42 @@ fn degraded_results_never_poison_the_plan_cache() {
     assert_eq!((served.served, served.degraded), (2, 1));
 }
 
+/// The routed entry point — the one that executes — runs the same ladder:
+/// under the service's default budget a routed request degrades, is counted
+/// and is withheld from the cache exactly like an unrouted one; without the
+/// budget the same shape is served routed, cached, and the warm hit replays
+/// the cached route.
+#[test]
+fn routed_requests_run_under_the_default_budget() {
+    use mars_system::mars::{MarsService, ReformulationBudget};
+    use mars_system::storage::{RelationalDatabase, XmlStore};
+    use std::time::Duration;
+
+    let _serial = COUNTER_LOCK.lock().unwrap();
+    let (db, xml) = (RelationalDatabase::new(), XmlStore::new());
+    let strangled = MarsService::new(Mars::new(correspondence()))
+        .with_default_budget(ReformulationBudget::unbounded().with_deadline(Duration::ZERO));
+    let degraded = strangled
+        .reformulate_xbind_routed(&title_filter("alpha"), &db, &xml)
+        .expect("degraded, not an error");
+    assert!(degraded.is_degraded(), "a zero default deadline must cut the routed request too");
+    let stats = strangled.cache_stats();
+    assert_eq!((stats.entries, stats.degraded_uncached), (0, 1));
+    assert_eq!(strangled.service_stats().degraded, 1);
+
+    let service = MarsService::new(Mars::new(correspondence()));
+    let cold =
+        service.reformulate_xbind_routed(&title_filter("alpha"), &db, &xml).expect("reformulates");
+    assert!(!cold.is_degraded());
+    let cold_route = cold.route.as_ref().expect("the routed entry point prices the plan");
+    let warm =
+        service.reformulate_xbind_routed(&title_filter("beta"), &db, &xml).expect("reformulates");
+    let stats = service.cache_stats();
+    assert_eq!((stats.entries, stats.hits, stats.misses), (1, 1, 1));
+    assert_eq!(warm.route.as_ref().expect("replayed").to_string(), cold_route.to_string());
+    assert_eq!(service.service_stats().served, 2);
+}
+
 /// The cache outranks the budget in the degradation ladder: once a healthy
 /// plan is cached, even a zero-deadline arrival of the same shape is served
 /// warm and undegraded — budgets only bite on the cold path.

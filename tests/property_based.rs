@@ -108,6 +108,102 @@ proptest! {
         );
     }
 
+    /// The backchase's `original → back-chase branch` confirm — `maps_into`
+    /// over each resident branch's own instance — answers exactly what the
+    /// oracle answers on the
+    /// rendered branch (`containment_mapping(source, &branch.to_query(..))`),
+    /// for random small queries chased under a random subset of a view's
+    /// dependencies, a key and a disjunctive dependency. The source is the
+    /// chased query itself, a renamed copy, or a random body whose variables
+    /// are named like the target's; its head may carry a constant, repeat a
+    /// variable, or have one position more than the target's.
+    #[test]
+    fn kernel_confirm_agrees_with_containment_mapping(seed in 1u64..1_000_000) {
+        use mars_system::chase::{chase_to_resident_compiled, maps_into, CompiledDeps};
+        use mars_system::cq::containment::containment_mapping;
+        use mars_system::cq::ded::view_dependencies;
+        use mars_system::cq::Conjunct;
+
+        let mut rng = TestRng::new(seed);
+        let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+        let x = |i: usize| Term::var(&format!("x{i}"));
+        let term = |i: usize| if i == 5 { Term::constant_str("k") } else { x(i) };
+
+        let view = ConjunctiveQuery::new("V").with_head(vec![x(0), x(2)]).with_body(vec![
+            Atom::named("A", vec![x(0), x(1)]),
+            Atom::named("B", vec![x(1), x(2)]),
+        ]);
+        let (c_v, b_v) = view_dependencies("V", &view);
+        let key = Ded::egd(
+            "key",
+            vec![Atom::named("A", vec![x(0), x(1)]), Atom::named("A", vec![x(0), x(2)])],
+            x(1),
+            x(2),
+        );
+        let split = Ded::disjunctive(
+            "split",
+            vec![Atom::named("B", vec![x(0), x(1)])],
+            vec![
+                Conjunct::atoms(vec![Atom::named("S", vec![x(0)])]),
+                Conjunct::atoms(vec![Atom::named("T", vec![x(1)])]),
+            ],
+        );
+        // The shim samples 24 seeds; each drives 16 rounds.
+        for _ in 0..16 {
+            let deds: Vec<Ded> =
+                [&c_v, &b_v, &key, &split].into_iter().filter(|_| pick(3) != 0).cloned().collect();
+
+            let mut random_query = |name: &str, relations: &[(&str, usize)]| {
+                let mut q = ConjunctiveQuery::new(name);
+                for _ in 0..1 + pick(4) {
+                    let (rel, arity) = relations[pick(relations.len())];
+                    q = q.with_atom(Atom::named(rel, (0..arity).map(|_| term(pick(6))).collect()));
+                }
+                q.with_head((0..1 + pick(2)).map(|_| term(pick(6))).collect())
+            };
+            let target = random_query("Q", &[("A", 2), ("B", 2)]);
+            let unrelated = random_query("P", &[("A", 2), ("B", 2), ("V", 2), ("S", 1), ("T", 1)]);
+            let source = match pick(4) {
+                0 => target.clone(),
+                1 => {
+                    let renamed =
+                        target.variables().into_iter().map(|v| (v, Term::var(&format!("y{}", v.name))));
+                    target.apply(&Substitution::from_pairs(renamed).unwrap())
+                }
+                _ => unrelated,
+            };
+            let source = match pick(6) {
+                0 => {
+                    let mut longer = source.clone();
+                    longer.head.push(x(0));
+                    longer
+                }
+                1 => {
+                    let repeated = vec![source.head[0]; target.head.len()];
+                    source.with_head(repeated)
+                }
+                _ => source,
+            };
+
+            let back = chase_to_resident_compiled(
+                &target,
+                &CompiledDeps::new(&deds),
+                &ChaseOptions::default(),
+            );
+            prop_assert!(back.stats().completed);
+            for branch in back.branches() {
+                let rendered = branch.to_query("branch");
+                prop_assert_eq!(
+                    maps_into(&source, branch.instance(), branch.head()),
+                    containment_mapping(&source, &rendered).is_some(),
+                    "{:?} into {:?}",
+                    source,
+                    rendered
+                );
+            }
+        }
+    }
+
     /// The chase's fused entry point — premise join with the blocked test
     /// inside it — returns exactly the premise bindings that are not blocked,
     /// in the order `premise_bindings` lists them, for pure-equality EGDs
@@ -907,4 +1003,51 @@ proptest! {
         prop_assert_eq!(exec.estimated_cost, order.cost);
         prop_assert_eq!(navigation_cost(&permuted.body, &xml).map(|c| c.cost), Some(order.cost));
     }
+}
+
+/// The deterministic companion of `kernel_confirm_agrees_with_containment_mapping`
+/// on the paper's star at NC = 4: for the initial reformulation, each of the
+/// 16 minimal reformulations of an exhaustive run, and each of those minus
+/// one atom (not a reformulation, by minimality), the candidate is chased
+/// back and the kernel confirm of the original into every back-chase branch
+/// is the oracle's answer — `true` exactly for the reformulations.
+#[test]
+fn star_back_chases_confirm_like_the_oracle() {
+    use mars_system::chase::{chase_to_resident_compiled, maps_into, CompiledDeps};
+    use mars_system::cq::containment::containment_mapping;
+    use mars_system::mars::MarsOptions;
+    use mars_system::workloads::star::StarConfig;
+
+    let cfg = StarConfig::figure5(4);
+    let mars = cfg.mars(MarsOptions::specialized().exhaustive());
+    let block = mars.reformulate_xbind(&cfg.client_query());
+    assert_eq!(block.result.minimal.len(), 1 << cfg.nv);
+    let deds = CompiledDeps::new(mars.dependencies());
+    let original = &block.compiled;
+
+    let mut candidates = vec![(block.result.initial.clone().expect("initial"), true)];
+    for (minimal, _) in &block.result.minimal {
+        candidates.push((minimal.clone(), true));
+        for i in 0..minimal.body.len() {
+            let mut smaller = minimal.clone();
+            smaller.body.remove(i);
+            candidates.push((smaller, false));
+        }
+    }
+    let mut back_chases = 0;
+    for (candidate, is_reformulation) in &candidates {
+        if !candidate.is_safe() {
+            continue;
+        }
+        let back = chase_to_resident_compiled(candidate, &deds, &ChaseOptions::default());
+        assert!(back.stats().completed && !back.is_empty());
+        back_chases += 1;
+        for branch in back.branches() {
+            let kernel = maps_into(original, branch.instance(), branch.head());
+            let oracle = containment_mapping(original, &branch.to_query("back")).is_some();
+            assert_eq!(kernel, oracle, "{candidate:?}");
+            assert_eq!(kernel, *is_reformulation, "{candidate:?}");
+        }
+    }
+    assert!(back_chases > 1 + (1 << cfg.nv), "some shrunk candidates must stay safe");
 }
