@@ -15,20 +15,18 @@
 //! The enumeration is a **level-synchronous** BFS over candidate atom sets
 //! ([`AtomSet`] — growable bitsets, so pools wider than 128 atoms enumerate
 //! exhaustively; the old `u128` ceiling and its silent greedy fallback are
-//! gone). Each level holds every candidate of one subquery size, and a
-//! candidate's evaluation reads only state frozen at the start of its level:
-//! the memoized chases of the *previous* level, the best cost and the minimal
-//! reformulations found on previous levels. The level loop is single-threaded
-//! — the candidates of a level are evaluated one after the other and merged
-//! in that order — but evaluation (`evaluate_candidate`, pure) and merge
-//! stay split, and the best cost stays frozen per level, for two reasons.
-//! The funnel counters (candidates inspected, cost-pruned, equivalence
-//! checks) then do not depend on the order in which same-size candidates
-//! happen to be visited, so they are reproducible and comparable across
-//! changes. And a reformulation found mid-level cannot cost-prune a
-//! same-size candidate: neither contains the other, both may be minimal, and
-//! in the non-exhaustive mode `minimal` keeps every one whose cost does not
-//! exceed the best of the *smaller* sizes.
+//! gone). Each level holds every candidate of one subquery size, judged one
+//! after the other in one loop body: cost, cost pruning, navigation legality
+//! and the safety prefilter, the equivalence check, and growth by one atom.
+//! The best cost a candidate is pruned against stays frozen for its level
+//! (the level's discoveries take effect at its end), for two reasons. The
+//! funnel counters (candidates inspected, cost-pruned, equivalence checks)
+//! then do not depend on the order in which same-size candidates happen to
+//! be visited, so they are reproducible and comparable across changes. And a
+//! reformulation found mid-level cannot cost-prune a same-size candidate:
+//! neither contains the other, both may be minimal, and in the
+//! non-exhaustive mode `minimal` keeps every one whose cost does not exceed
+//! the best of the *smaller* sizes.
 //!
 //! Whether a candidate is equivalent to the original query is decided by one
 //! function, `Equivalence::check`, for the enumeration and for the greedy
@@ -37,11 +35,13 @@
 //! from scratch or resumed from a memoized subset — under the engine's one
 //! [`ChaseOptions`], then `candidate ⊆ original` (the original maps into
 //! every back-chase branch). Both containment halves run the chase's own
-//! join kernel over the chase's own instances ([`maps_into`]): the original
-//! is tested against each resident branch where it lies, and the plan
-//! branches are loaded into instances once, a candidate whose atoms occur
-//! verbatim in one (every subquery of that branch) passing by identity
-//! without a search.
+//! join kernel over the chase's own instances, where they lie: the
+//! universal plan arrives as the resident branches the chase produced, a
+//! candidate whose atoms occur verbatim in one (every subquery of that
+//! branch) passing by identity without a search and any other through
+//! [`maps_into`]; and the original is compiled once per backchase
+//! ([`ContainmentProgram`]) and asked against each resident back-chase
+//! branch.
 //!
 //! The expensive step per candidate is the back chase. Three optimizations
 //! keep it off the critical path:
@@ -65,14 +65,13 @@
 
 use crate::chase::{
     chase_resident_with_atoms_compiled, chase_to_resident_compiled, ChaseOptions, ChaseStats,
-    ChaseStop, ResidentBranch, ResidentChase, UniversalPlan,
+    ChaseStop, ResidentBranch, ResidentChase,
 };
 use crate::compiled::CompiledDeps;
-use crate::evaluate::maps_into;
-use crate::instance::SymbolicInstance;
+use crate::evaluate::{maps_into, ContainmentProgram};
 use crate::reach::{prune_parallel_desc, ReachabilityGraph};
 use mars_cost::{fold_atom_costs, CostEstimator};
-use mars_cq::{Atom, AtomSet, ConjunctiveQuery, Predicate, Term, Variable};
+use mars_cq::{Atom, AtomSet, ConjunctiveQuery, Predicate, Variable};
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
@@ -292,10 +291,11 @@ struct EquivalenceCheck {
 /// The equivalence test of one backchase: everything about it that does not
 /// depend on the candidate, prepared once.
 struct Equivalence<'a> {
-    original: &'a ConjunctiveQuery,
-    /// The universal plan's branches, head and body, loaded into instances
-    /// once: the targets of `candidate → plan branch`.
-    plan: Vec<(&'a [Term], SymbolicInstance)>,
+    /// The original query, compiled for `original → back-chase branch`.
+    original: ContainmentProgram,
+    /// The universal plan's branches as the chase left them: the targets of
+    /// `candidate → plan branch`.
+    plan: &'a [ResidentBranch],
     deds: &'a CompiledDeps,
     /// The engine's chase options as the back-chases run under them.
     chase: ChaseOptions,
@@ -330,8 +330,9 @@ impl Equivalence<'_> {
             return check;
         }
         let containment_start = Instant::now();
-        let maps_into_plan = self.plan.iter().all(|(head, inst)| {
-            (candidate.head == *head && candidate.body.iter().all(|a| inst.contains_atom(a)))
+        let maps_into_plan = self.plan.iter().all(|b| {
+            let (head, inst) = (b.head(), b.instance());
+            (candidate.head == head && candidate.body.iter().all(|a| inst.contains_atom(a)))
                 || maps_into(candidate, inst, head)
         });
         check.containment_time = containment_start.elapsed();
@@ -357,7 +358,7 @@ impl Equivalence<'_> {
         let confirm_start = Instant::now();
         let confirmed = back.stats().completed
             && !back.is_empty()
-            && back.branches().iter().all(|b| maps_into(self.original, b.instance(), b.head()));
+            && back.branches().iter().all(|b| self.original.maps_into(b.instance(), b.head()));
         check.containment_time += confirm_start.elapsed();
         check.verdict = if confirmed { Verdict::Equivalent } else { Verdict::NotContained(back) };
         check
@@ -399,96 +400,22 @@ impl SafetyPrefilter {
     }
 }
 
-/// Everything a candidate evaluation reads — all of it frozen for the
-/// duration of one BFS level (nothing is written until the in-order merge).
-struct LevelContext<'a> {
-    equivalence: &'a Equivalence<'a>,
-    pool: &'a [Atom],
-    pool_query: &'a ConjunctiveQuery,
-    graph: &'a ReachabilityGraph,
-    atom_costs: Option<&'a [f64]>,
-    estimator: &'a dyn CostEstimator,
-    safety: &'a SafetyPrefilter,
-    /// Memoized back-chases of the previous BFS level, as resident branches
-    /// (read-only).
-    prev_level: &'a HashMap<AtomSet, Vec<ResidentBranch>>,
-    exhaustive: bool,
-    /// Best reformulation cost as of the end of the previous level. Frozen
-    /// for the whole level (see the module docs): a reformulation discovered
-    /// mid-level cannot cost-prune its own level, only the next one. Sound
-    /// (monotone cost model) and bounded: at most one level of same-size
-    /// candidates is evaluated without the tighter bound.
-    best_cost: f64,
-}
-
-/// What evaluating one candidate produced; merged in level order.
-struct CandidateEval {
-    cost: f64,
-    cost_time: Duration,
-    pruned_by_cost: bool,
-    /// The candidate and its equivalence check, when it got one: a legal
-    /// navigation subset that passes the safety prefilter.
-    checked: Option<(ConjunctiveQuery, EquivalenceCheck)>,
-    /// Pool indices the BFS may grow this candidate by — none when it was
-    /// cost-pruned, or when the verdict ends its superset cone.
-    grow: Vec<usize>,
-}
-
-/// Evaluate one candidate against the frozen level context. Pure: reads only
-/// `ctx`, writes nothing shared.
-fn evaluate_candidate(ctx: &LevelContext<'_>, index: usize, mask: &AtomSet) -> CandidateEval {
-    let subset: Vec<usize> = mask.iter().collect();
-    let cost_start = Instant::now();
-    let cost = match ctx.atom_costs {
-        Some(w) => fold_atom_costs(w, mask),
-        None => ctx.estimator.estimate(&ctx.pool_query.subquery(&subset)),
-    };
-    let mut eval = CandidateEval {
-        cost,
-        cost_time: cost_start.elapsed(),
-        // Cost-based pruning: a subquery costing more than the best found so
-        // far cannot lead to the optimum (monotone cost model), so neither
-        // it nor its supersets are considered further (no growth).
-        pruned_by_cost: !ctx.exhaustive && cost > ctx.best_cost,
-        checked: None,
-        grow: Vec::new(),
-    };
-    if eval.pruned_by_cost {
-        return eval;
-    }
-
-    // Navigation pruning (criteria 2–3) and the safety prefilter: a subset
-    // failing either is not checked, only grown.
-    if ctx.graph.is_legal_subset(&subset) && ctx.safety.passes(&subset) {
-        let mut candidate = ctx.pool_query.subquery(&subset);
-        candidate.name = format!("{}_candidate{}", ctx.equivalence.original.name, index);
-        let seed = subset.iter().find_map(|&i| {
-            ctx.prev_level.get(&mask.without(i)).map(|s| (s.as_slice(), &ctx.pool[i]))
-        });
-        let check = ctx.equivalence.check(&candidate, seed);
-        // Outside the plan, no superset can pass either (antichain dead
-        // cone); of a reformulation, no superset is minimal.
-        let cone_ends = matches!(check.verdict, Verdict::OutsidePlan | Verdict::Equivalent);
-        eval.checked = Some((candidate, check));
-        if cone_ends {
-            return eval;
-        }
-    }
-    eval.grow = ctx.graph.enabled(&subset);
-    eval
-}
-
 /// Run the backchase.
 ///
-/// `original` is the query being reformulated, `universal_plan` the result of
-/// the chase (its `branches`), `proprietary` the set of predicates that may
-/// appear in a reformulation, `deds` the dependency set in its shared
-/// compiled form ([`CompiledDeps`] — built once per engine, reused by every
-/// back-chase here), and `chase` the engine's chase options: every back-chase
-/// runs under them, and their deadline is the clock of the enumeration.
+/// `original` is the query being reformulated; `plan` holds the resident
+/// branches its chase produced (at least one) and `primary` is the first of
+/// them rendered as a query ([`ResidentChase::primary`]) — the universal plan
+/// whose subqueries are enumerated. `proprietary` is the set of predicates
+/// that may appear in a reformulation, `deds` the dependency set in its
+/// shared compiled form ([`CompiledDeps`] — built once per engine, reused by
+/// every back-chase here), and `chase` the engine's chase options: every
+/// back-chase runs under them, and their deadline is the clock of the
+/// enumeration.
+#[allow(clippy::too_many_arguments)]
 pub fn backchase(
     original: &ConjunctiveQuery,
-    universal_plan: &UniversalPlan,
+    primary: &ConjunctiveQuery,
+    plan: &[ResidentBranch],
     proprietary: &HashSet<Predicate>,
     deds: &CompiledDeps,
     estimator: &dyn CostEstimator,
@@ -497,10 +424,6 @@ pub fn backchase(
 ) -> BackchaseOutcome {
     let start = Instant::now();
     let mut outcome = BackchaseOutcome::default();
-    let Some(primary) = universal_plan.try_primary() else {
-        outcome.duration = start.elapsed();
-        return outcome;
-    };
 
     // Pool of candidate atoms: proprietary atoms of the plan, minus the
     // parallel `desc` atoms (pruning criterion 1).
@@ -531,12 +454,8 @@ pub fn backchase(
         .max()
         .unwrap_or(0);
     let equivalence = Equivalence {
-        original,
-        plan: universal_plan
-            .branches
-            .iter()
-            .map(|b| (b.head.as_slice(), SymbolicInstance::from_query(b)))
-            .collect(),
+        original: ContainmentProgram::new(original),
+        plan,
         deds,
         chase: ChaseOptions {
             min_fresh_index: chase.min_fresh_index.max(max_pool_index + 1),
@@ -565,6 +484,11 @@ pub fn backchase(
     let mut visited: HashSet<AtomSet> = HashSet::new();
     let mut frontier: Vec<AtomSet> = Vec::new();
     let mut found: Vec<AtomSet> = Vec::new();
+    // Best reformulation cost as of the end of the previous level. Frozen
+    // for the whole level (see the module docs): a reformulation discovered
+    // mid-level cannot cost-prune its own level, only the next one. Sound
+    // (monotone cost model) and bounded: at most one level of same-size
+    // candidates is evaluated without the tighter bound.
     let mut best_cost = f64::INFINITY;
     // Memoized back-chases of the previous BFS size level.
     let mut prev_level: HashMap<AtomSet, Vec<ResidentBranch>> = HashMap::new();
@@ -607,42 +531,56 @@ pub fn backchase(
             break;
         }
 
-        let ctx = LevelContext {
-            equivalence: &equivalence,
-            pool: &pool,
-            pool_query: &pool_query,
-            graph: &graph,
-            atom_costs: atom_costs.as_deref(),
-            estimator,
-            safety: &safety,
-            prev_level: &prev_level,
-            exhaustive: options.exhaustive,
-            best_cost,
-        };
-        // Evaluate against the frozen context, then merge — in level order.
         let mut cur_level: HashMap<AtomSet, Vec<ResidentBranch>> = HashMap::new();
+        let mut next_best = best_cost;
         for (position, mask) in level.iter().enumerate() {
             // Candidate indices (used for naming) continue across levels.
             outcome.candidates_inspected += 1;
-            let eval = evaluate_candidate(&ctx, outcome.candidates_inspected, mask);
-            outcome.cost_phase += eval.cost_time;
-            if eval.pruned_by_cost {
+            let subset: Vec<usize> = mask.iter().collect();
+            let cost_start = Instant::now();
+            let cost = match &atom_costs {
+                Some(w) => fold_atom_costs(w, mask),
+                None => estimator.estimate(&pool_query.subquery(&subset)),
+            };
+            outcome.cost_phase += cost_start.elapsed();
+            // Cost-based pruning: a subquery costing more than the best found
+            // so far cannot lead to the optimum (monotone cost model), so
+            // neither it nor its supersets are considered further.
+            if !options.exhaustive && cost > best_cost {
                 outcome.pruned_by_cost += 1;
+                continue;
             }
-            if let Some((candidate, check)) = eval.checked {
+
+            // Navigation pruning (criteria 2–3) and the safety prefilter: a
+            // subset failing either is not checked, only grown.
+            if graph.is_legal_subset(&subset) && safety.passes(&subset) {
+                let mut candidate = pool_query.subquery(&subset);
+                candidate.name =
+                    format!("{}_candidate{}", original.name, outcome.candidates_inspected);
+                let seed = subset.iter().find_map(|&i| {
+                    prev_level.get(&mask.without(i)).map(|s| (s.as_slice(), &pool[i]))
+                });
+                let check = equivalence.check(&candidate, seed);
                 outcome.absorb(&check);
                 outcome.equivalence_checks +=
                     usize::from(!matches!(check.verdict, Verdict::Unsafe));
                 outcome.chase_cache_hits += usize::from(check.resumed);
                 match check.verdict {
-                    Verdict::OutsidePlan => outcome.containment_dead_cone_skips += 1,
+                    // Outside the plan, no superset can pass either (antichain
+                    // dead cone): the cone ends here.
+                    Verdict::OutsidePlan => {
+                        outcome.containment_dead_cone_skips += 1;
+                        continue;
+                    }
+                    // No superset of a reformulation is minimal.
                     Verdict::Equivalent => {
                         found.push(mask.clone());
-                        if eval.cost < best_cost {
-                            best_cost = eval.cost;
-                            outcome.best = Some((candidate.clone(), eval.cost));
+                        if cost < next_best {
+                            next_best = cost;
+                            outcome.best = Some((candidate.clone(), cost));
                         }
-                        outcome.minimal.push((candidate, eval.cost));
+                        outcome.minimal.push((candidate, cost));
+                        continue;
                     }
                     // Not (yet) a reformulation: its supersets are chased next
                     // level — keep this chase as their memoization seed
@@ -658,13 +596,14 @@ pub fn backchase(
                 }
             }
             // Grow the subset by one atom.
-            for g in eval.grow {
+            for g in graph.enabled(&subset) {
                 let next = mask.with(g);
                 if visited.insert(next.clone()) {
                     frontier.push(next);
                 }
             }
         }
+        best_cost = next_best;
         prev_level = cur_level;
         if outcome.truncated {
             break;
@@ -715,13 +654,15 @@ fn greedy_minimize(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, clippy::disallowed_types)]
 mod tests {
     use super::*;
-    use crate::chase::{chase_to_universal_plan, chase_to_universal_plan_compiled};
+    use crate::chase::chase_to_universal_plan;
     use mars_cost::WeightedAtomEstimator;
     use mars_cq::atom::builders::{child, root};
+    use mars_cq::containment::containment_mapping;
     use mars_cq::ded::view_dependencies;
-    use mars_cq::{Atom, Ded, Term, Variable};
+    use mars_cq::{naive_chase, Atom, ChaseBudget, Conjunct, Ded, Term, Variable};
 
     fn t(n: &str) -> Term {
         Term::var(n)
@@ -782,9 +723,25 @@ mod tests {
         options: &BackchaseOptions,
     ) -> BackchaseOutcome {
         let compiled = CompiledDeps::new(deds);
-        let up = chase_to_universal_plan_compiled(q, &compiled, &ChaseOptions::default());
         let est = WeightedAtomEstimator::default();
-        backchase(q, &up, proprietary, &compiled, &est, chase, options)
+        run_with(q, &compiled, proprietary, &est, chase, options)
+    }
+
+    /// [`run_under`] with the dependencies compiled and the estimator given.
+    /// A query every chase branch of which fails has no reformulation.
+    fn run_with(
+        q: &ConjunctiveQuery,
+        compiled: &CompiledDeps,
+        proprietary: &HashSet<Predicate>,
+        est: &dyn CostEstimator,
+        chase: &ChaseOptions,
+        options: &BackchaseOptions,
+    ) -> BackchaseOutcome {
+        let up = chase_to_resident_compiled(q, compiled, &ChaseOptions::default());
+        let Some(primary) = up.primary(&q.name) else {
+            return BackchaseOutcome::default();
+        };
+        backchase(q, &primary, up.branches(), proprietary, compiled, est, chase, options)
     }
 
     #[test]
@@ -805,6 +762,93 @@ mod tests {
         let initial = initial_reformulation(up.primary(), &proprietary);
         assert_eq!(initial.body.len(), 1);
         assert_eq!(initial.body[0].predicate.name(), "V");
+    }
+
+    /// The branchy half of the equivalence check. `A(x,y) → S(x) ∨ (T(x) ∧
+    /// x = y)` splits the universal plan of `Q(x) :- A(x,y)` in two; the
+    /// primary branch holds `Astored(x,y)`, `VS(x)` (a view over `A ∧ S`) and
+    /// `W(x)` (a view of `VS`), the second one `Astored(y,y)` under the head
+    /// `y`. A candidate without `Astored` does not map into the second
+    /// branch — its cone is cut — and one with it maps there only through
+    /// the kernel (head and atoms differ from the primary's). `minimal` is
+    /// what brute force over every subset of the pool finds, each decided by
+    /// the oracle: the naive chase and a containment mapping into every leaf.
+    #[test]
+    fn disjunctive_plan_is_checked_on_every_branch() {
+        let q = ConjunctiveQuery::new("Q")
+            .with_head(vec![t("x")])
+            .with_body(vec![Atom::named("A", vec![t("x"), t("y")])]);
+        let split = Ded::disjunctive(
+            "split",
+            vec![Atom::named("A", vec![t("x"), t("y")])],
+            vec![
+                Conjunct::atoms(vec![Atom::named("S", vec![t("x")])]),
+                Conjunct::atoms(vec![Atom::named("T", vec![t("x")])])
+                    .with_equalities(vec![(t("x"), t("y"))]),
+            ],
+        );
+        let mut deds = vec![split];
+        for (name, head, body) in [
+            ("Astored", vec![t("x"), t("y")], vec![Atom::named("A", vec![t("x"), t("y")])]),
+            (
+                "VS",
+                vec![t("x")],
+                vec![Atom::named("A", vec![t("x"), t("y")]), Atom::named("S", vec![t("x")])],
+            ),
+            ("W", vec![t("x")], vec![Atom::named("VS", vec![t("x")])]),
+        ] {
+            let def = ConjunctiveQuery::new(name).with_head(head).with_body(body);
+            let (c, b) = view_dependencies(name, &def);
+            deds.extend([c, b]);
+        }
+        let proprietary: HashSet<Predicate> =
+            ["Astored", "VS", "W"].into_iter().map(Predicate::new).collect();
+
+        let compiled = CompiledDeps::new(&deds);
+        let up = chase_to_resident_compiled(&q, &compiled, &ChaseOptions::default());
+        assert_eq!(up.branches().len(), 2, "the disjunction splits the universal plan");
+        let primary = up.primary(&q.name).unwrap();
+        let pool: Vec<Atom> =
+            primary.body.iter().filter(|a| proprietary.contains(&a.predicate)).cloned().collect();
+        assert_eq!(pool.len(), 3);
+
+        let out = run(&q, &deds, &proprietary, &BackchaseOptions::exhaustive());
+        assert!(out.containment_dead_cone_skips >= 1, "a cone outside the second branch is cut");
+        assert!(!out.truncated && out.degradation.is_none());
+
+        // The oracle: `candidate ≡ q` iff each maps into every leaf of the
+        // other's naive chase (and the candidate is safe and consistent).
+        let maps_into_chase_of = |from: &ConjunctiveQuery, of: &ConjunctiveQuery| {
+            let tree = naive_chase(of, &deds, &ChaseBudget::small());
+            assert!(tree.terminated());
+            !tree.leaves.is_empty()
+                && tree.leaves.iter().all(|leaf| containment_mapping(from, leaf).is_some())
+        };
+        let equivalent: Vec<Vec<Atom>> = (1u32..1 << pool.len())
+            .map(|mask| -> Vec<Atom> {
+                (0..pool.len()).filter(|i| mask & (1 << i) != 0).map(|i| pool[i].clone()).collect()
+            })
+            .filter(|body| {
+                let candidate = primary.clone().with_body(body.clone());
+                candidate.is_safe()
+                    && maps_into_chase_of(&candidate, &q)
+                    && maps_into_chase_of(&q, &candidate)
+            })
+            .collect();
+        let mut minimal: Vec<Vec<Atom>> = equivalent
+            .iter()
+            .filter(|body| {
+                !equivalent
+                    .iter()
+                    .any(|e| e.len() < body.len() && e.iter().all(|a| body.contains(a)))
+            })
+            .cloned()
+            .collect();
+        minimal.sort();
+        let mut found: Vec<Vec<Atom>> = out.minimal.iter().map(|(m, _)| m.body.clone()).collect();
+        found.sort();
+        assert_eq!(found, minimal);
+        assert_eq!(found, [vec![pool[0].clone()]], "only the stored copy answers the query");
     }
 
     /// A redundant-storage scenario: the proprietary schema stores the public
@@ -872,20 +916,19 @@ mod tests {
 
         let (q, deds, proprietary) = redundant_setup();
         let compiled = CompiledDeps::new(&deds);
-        let up = chase_to_universal_plan_compiled(&q, &compiled, &ChaseOptions::default());
         let bodies = |out: &BackchaseOutcome| -> Vec<Vec<Atom>> {
             out.minimal.iter().map(|(m, _)| m.body.clone()).collect()
         };
 
         let exhaustive = BackchaseOptions::exhaustive();
         let chase = ChaseOptions::default();
-        let full = backchase(&q, &up, &proprietary, &compiled, &est, &chase, &exhaustive);
+        let full = run_with(&q, &compiled, &proprietary, &est, &chase, &exhaustive);
         let weighted = run(&q, &deds, &proprietary, &exhaustive);
         assert_eq!(bodies(&full), bodies(&weighted));
         assert!(full.minimal.iter().all(|(m, cost)| *cost == est.estimate(m)));
 
         let pruned =
-            backchase(&q, &up, &proprietary, &compiled, &est, &chase, &BackchaseOptions::default());
+            run_with(&q, &compiled, &proprietary, &est, &chase, &BackchaseOptions::default());
         let cheapest = full.minimal.iter().map(|(_, c)| *c).fold(f64::INFINITY, f64::min);
         assert_eq!(pruned.best.as_ref().map(|(_, c)| *c), Some(cheapest));
     }

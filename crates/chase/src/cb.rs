@@ -12,7 +12,7 @@
 use crate::backchase::{
     backchase, initial_reformulation, BackchaseOptions, BackchaseOutcome, Degradation,
 };
-use crate::chase::{chase_to_universal_plan_compiled, ChaseOptions, ChaseStats};
+use crate::chase::{chase_to_resident_compiled, ChaseOptions, ChaseStats};
 use crate::compiled::CompiledDeps;
 use mars_cost::{CostEstimator, WeightedAtomEstimator};
 use mars_cq::{ConjunctiveQuery, Ded, Predicate};
@@ -70,8 +70,7 @@ impl ReformulationBudget {
         self
     }
 
-    /// Does this budget constrain anything at all? The hot path skips the
-    /// per-request options clone when it does not.
+    /// Does this budget constrain anything at all?
     pub fn is_unbounded(&self) -> bool {
         self.deadline.is_none() && self.max_candidates.is_none() && self.max_atoms.is_none()
     }
@@ -237,43 +236,50 @@ impl ChaseBackchase {
         self
     }
 
-    /// Full chase & backchase reformulation of a query.
-    pub fn reformulate(&self, query: &ConjunctiveQuery) -> ReformulationResult {
+    /// Full chase & backchase reformulation of a query, under the engine's
+    /// options tightened by `budget` for this one request (see
+    /// [`ReformulationBudget::apply`]; the engine itself is untouched).
+    pub fn reformulate(
+        &self,
+        query: &ConjunctiveQuery,
+        budget: &ReformulationBudget,
+    ) -> ReformulationResult {
         let start = Instant::now();
-        let up = chase_to_universal_plan_compiled(query, &self.compiled, &self.options.chase);
+        let options = budget.apply(&self.options);
+        let up = chase_to_resident_compiled(query, &self.compiled, &options.chase);
         let time_to_universal_plan = start.elapsed();
 
-        let (universal_plan, initial) = if up.branches.is_empty() {
-            (
-                ConjunctiveQuery {
-                    name: format!("{}_unsat", query.name),
-                    head: query.head.clone(),
-                    body: Vec::new(),
-                    inequalities: query.inequalities.clone(),
-                },
-                None,
-            )
-        } else {
-            let primary = up.primary().clone();
-            let initial = initial_reformulation(&primary, &self.proprietary);
-            let initial = if initial.body.is_empty() { None } else { Some(initial) };
-            (primary, initial)
-        };
+        // The one rendering of the chase result: the primary branch.
+        let primary = up.primary(&query.name);
+        let initial = primary
+            .as_ref()
+            .map(|p| initial_reformulation(p, &self.proprietary))
+            .filter(|initial| !initial.body.is_empty());
         let time_to_initial = start.elapsed();
 
-        // No surviving branch (an unsatisfiable query): an empty outcome.
-        let bc: BackchaseOutcome = backchase(
-            query,
-            &up,
-            &self.proprietary,
-            &self.compiled,
-            self.estimator.as_ref(),
-            &self.options.chase,
-            &self.options.backchase,
-        );
+        let bc = match &primary {
+            Some(primary) => backchase(
+                query,
+                primary,
+                up.branches(),
+                &self.proprietary,
+                &self.compiled,
+                self.estimator.as_ref(),
+                &options.chase,
+                &options.backchase,
+            ),
+            // No surviving branch (an unsatisfiable query): an empty outcome.
+            None => BackchaseOutcome::default(),
+        };
+        let universal_plan = primary.unwrap_or_else(|| ConjunctiveQuery {
+            name: format!("{}_unsat", query.name),
+            head: query.head.clone(),
+            body: Vec::new(),
+            inequalities: query.inequalities.clone(),
+        });
 
         let stats = CbStatistics {
-            chase: up.stats.clone(),
+            chase: up.stats().clone(),
             time_to_universal_plan,
             time_to_initial,
             backchase_duration: bc.duration,
@@ -289,7 +295,7 @@ impl ChaseBackchase {
             backchase_chase_phase: bc.chase_phase,
             backchase_containment_phase: bc.containment_phase,
             backchase_truncated: bc.truncated,
-            degradation: Degradation::merge(bc.degradation, Degradation::of_chase(&up.stats)),
+            degradation: Degradation::merge(bc.degradation, Degradation::of_chase(up.stats())),
         };
         ReformulationResult { universal_plan, initial, minimal: bc.minimal, best: bc.best, stats }
     }
@@ -327,7 +333,7 @@ mod tests {
     #[test]
     fn end_to_end_reformulation() {
         let (cb, q) = engine();
-        let result = cb.reformulate(&q);
+        let result = cb.reformulate(&q, &ReformulationBudget::unbounded());
         assert!(result.has_reformulation());
         let best = result.best.as_ref().unwrap();
         assert_eq!(best.0.body.len(), 1);
@@ -345,7 +351,7 @@ mod tests {
         let q = ConjunctiveQuery::new("Qother")
             .with_head(vec![t("x")])
             .with_body(vec![Atom::named("C", vec![t("x")])]);
-        let result = cb.reformulate(&q);
+        let result = cb.reformulate(&q, &ReformulationBudget::unbounded());
         assert!(!result.has_reformulation());
         assert!(result.best.is_none());
         assert!(result.initial.is_none());
@@ -358,7 +364,7 @@ mod tests {
             .with_estimator(Arc::new(WeightedAtomEstimator::default()))
             .with_options(CbOptions::exhaustive());
         assert!(cb.options.backchase.exhaustive);
-        let result = cb.reformulate(&q);
+        let result = cb.reformulate(&q, &ReformulationBudget::unbounded());
         assert!(result.has_reformulation());
     }
 
@@ -369,7 +375,7 @@ mod tests {
         let q = ConjunctiveQuery::new("Q")
             .with_head(vec![t("x")])
             .with_body(vec![Atom::named("A", vec![t("x"), t("y")])]);
-        let result = cb.reformulate(&q);
+        let result = cb.reformulate(&q, &ReformulationBudget::unbounded());
         assert!(result.universal_plan.body.is_empty());
         assert!(!result.has_reformulation());
     }

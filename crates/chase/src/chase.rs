@@ -117,7 +117,9 @@ pub struct ChaseStats {
     pub duration: Duration,
 }
 
-/// The chase result: one universal plan per surviving branch.
+/// The chase result rendered as queries, one universal plan per surviving
+/// branch — the form tests, `experiments` and the stress workload read. The
+/// engine keeps the [`ResidentChase`] it is rendered from.
 #[derive(Clone, Debug)]
 pub struct UniversalPlan {
     /// Surviving branches (exactly one for non-disjunctive dependency sets).
@@ -128,31 +130,18 @@ pub struct UniversalPlan {
 
 impl UniversalPlan {
     /// The first branch; panics if the query was inconsistent with the
-    /// constraints (no surviving branch). Library callers that cannot rule
-    /// out an inconsistent input should use [`UniversalPlan::try_primary`].
+    /// constraints (no surviving branch). The engine does not come this way:
+    /// it reads [`ResidentChase::primary`], which is an `Option`.
     pub fn primary(&self) -> &ConjunctiveQuery {
         self.branches.first().expect("universal plan has no surviving branch")
     }
-
-    /// The first branch, or `None` when the query was inconsistent with the
-    /// constraints (every chase branch failed) — the non-panicking form of
-    /// [`UniversalPlan::primary`].
-    pub fn try_primary(&self) -> Option<&ConjunctiveQuery> {
-        self.branches.first()
-    }
 }
 
-/// One branch of the chase tree during execution.
+/// One branch of the chase tree during execution: the [`ResidentBranch`] it
+/// becomes when the chase finishes, plus what only a running chase needs.
 #[derive(Clone, Debug)]
 struct Branch {
-    inst: SymbolicInstance,
-    head: Vec<Term>,
-    inequalities: Vec<(Term, Term)>,
-    /// Composition of every unification applied to this branch: it maps
-    /// variables of the query the chase started from to the terms that
-    /// replaced them. A resume renames its extra atoms — phrased over those
-    /// original variables — through it before insertion.
-    renaming: Substitution,
+    resident: ResidentBranch,
     /// Delta tracking: `needs_check[i]` is true when compiled dependency `i`
     /// may have acquired a new unblocked premise binding since it was last
     /// confirmed at fixpoint (an atom of one of its premise predicates was
@@ -176,12 +165,10 @@ struct Branch {
 }
 
 impl Branch {
-    fn from_query(q: &ConjunctiveQuery) -> Branch {
+    /// A chase about to start (or resume) from `resident`.
+    fn live(resident: ResidentBranch) -> Branch {
         Branch {
-            inst: SymbolicInstance::from_query(q),
-            head: q.head.clone(),
-            inequalities: q.inequalities.clone(),
-            renaming: Substitution::new(),
+            resident,
             needs_check: Vec::new(),
             fresh: 0,
             rounds: 0,
@@ -192,16 +179,17 @@ impl Branch {
 
     fn rename(&mut self, s: &Substitution, index: &DedIndex) {
         self.rewrites += 1;
-        for p in self.inst.apply_substitution(s) {
+        let at = &mut self.resident;
+        for p in at.inst.apply_substitution(s) {
             index.mark(p, &mut self.needs_check);
         }
-        self.head = self.head.iter().map(|t| s.apply_term_deep(*t)).collect();
-        self.inequalities = self
+        at.head = at.head.iter().map(|t| s.apply_term_deep(*t)).collect();
+        at.inequalities = at
             .inequalities
             .iter()
             .map(|(a, b)| (s.apply_term_deep(*a), s.apply_term_deep(*b)))
             .collect();
-        self.renaming = self.renaming.then(s);
+        at.renaming = at.renaming.then(s);
     }
 }
 
@@ -230,7 +218,7 @@ fn apply_conjunct(
     }
     for atom in &conjunct.atoms {
         let applied = sub.apply_atom(atom);
-        if branch.inst.insert_atom(&applied) {
+        if branch.resident.inst.insert_atom(&applied) {
             index.mark(applied.predicate, &mut branch.needs_check);
         }
     }
@@ -279,13 +267,13 @@ fn run_round(
             continue;
         }
         let mut applied_any = false;
-        let unblocked = ded.unblocked_bindings(&branch.inst, scratch);
+        let unblocked = ded.unblocked_bindings(&branch.resident.inst, scratch);
         stats.premise_rows += unblocked.premise_rows;
         for h in unblocked.bindings {
             // Re-check against the (possibly grown) instance so that bulk
             // application does not duplicate work already satisfied earlier in
             // this round.
-            if ded.blocked(&h, &branch.inst) {
+            if ded.blocked(&h, &branch.resident.inst) {
                 continue;
             }
             stats.applied_steps += 1;
@@ -310,7 +298,7 @@ fn run_round(
                 Ok(()) => changed = true,
                 Err(()) => return RoundResult::Failed,
             }
-            if branch.inst.len() > max_atoms {
+            if branch.resident.inst.len() > max_atoms {
                 return RoundResult::Changed;
             }
             // A unification may invalidate the remaining pre-computed
@@ -376,11 +364,24 @@ pub struct ResidentBranch {
     inst: SymbolicInstance,
     head: Vec<Term>,
     inequalities: Vec<(Term, Term)>,
-    /// Maps variables of the chased query to the terms that replaced them.
+    /// Composition of every unification applied to this branch: it maps
+    /// variables of the query the chase started from to the terms that
+    /// replaced them. A resume renames its extra atoms — phrased over those
+    /// original variables — through it before insertion.
     renaming: Substitution,
 }
 
 impl ResidentBranch {
+    /// `Inst(Q)` with `q`'s head and inequalities: where a chase starts.
+    fn from_query(q: &ConjunctiveQuery) -> ResidentBranch {
+        ResidentBranch {
+            inst: SymbolicInstance::from_query(q),
+            head: q.head.clone(),
+            inequalities: q.inequalities.clone(),
+            renaming: Substitution::new(),
+        }
+    }
+
     /// The branch head (in branch variable space).
     pub fn head(&self) -> &[Term] {
         &self.head
@@ -396,22 +397,6 @@ impl ResidentBranch {
     /// as in [`SymbolicInstance::to_query`]).
     pub fn to_query(&self, name: &str) -> ConjunctiveQuery {
         self.inst.to_query(name, self.head.clone(), self.inequalities.clone())
-    }
-
-    /// A live chase branch over a clone of the instance (warm indexes
-    /// carried over by handle, no rebuild).
-    fn resume(&self) -> Branch {
-        Branch {
-            inst: self.inst.clone(),
-            head: self.head.clone(),
-            inequalities: self.inequalities.clone(),
-            renaming: self.renaming.clone(),
-            needs_check: Vec::new(),
-            fresh: 0,
-            rounds: 0,
-            closure_marks: Vec::new(),
-            rewrites: 0,
-        }
     }
 }
 
@@ -447,6 +432,13 @@ impl ResidentChase {
         self.branches
     }
 
+    /// The first surviving branch rendered as the query `{name}_up0` — the
+    /// universal plan the backchase enumerates subqueries of. `None` when the
+    /// query was inconsistent with the constraints.
+    pub fn primary(&self, name: &str) -> Option<ConjunctiveQuery> {
+        self.branches.first().map(|b| b.to_query(&format!("{name}_up0")))
+    }
+
     /// Convert to a [`UniversalPlan`]: each surviving branch rendered as a
     /// query named `{name}_up{i}`.
     pub fn into_universal_plan(self, name: &str) -> UniversalPlan {
@@ -469,7 +461,7 @@ pub fn chase_to_resident_compiled(
     compiled: &CompiledDeps,
     options: &ChaseOptions,
 ) -> ResidentChase {
-    resident(run_chase(vec![Branch::from_query(query)], compiled, options, None))
+    run_chase(vec![Branch::live(ResidentBranch::from_query(query))], compiled, options, None)
 }
 
 /// Resume a chase from resident branches, each extended with extra atoms.
@@ -497,15 +489,16 @@ pub fn chase_resident_with_atoms_compiled(
     let initial: Vec<Branch> = seeds
         .iter()
         .map(|seed| {
-            let mut b = seed.resume();
+            let mut b = Branch::live(seed.clone());
             // The seed's closure is at fixpoint over the pre-insert relations:
             // mark it *before* the inserts so the first round only recomputes
             // groups whose inputs the inserted atoms actually grew.
             if let Some(c) = closure {
-                b.closure_marks = c.marks_at_fixpoint(&b.inst, b.rewrites);
+                b.closure_marks = c.marks_at_fixpoint(&b.resident.inst, b.rewrites);
             }
             for a in extra {
-                b.inst.insert_atom(&b.renaming.apply_atom_deep(a));
+                let renamed = b.resident.renaming.apply_atom_deep(a);
+                b.resident.inst.insert_atom(&renamed);
             }
             b
         })
@@ -514,21 +507,7 @@ pub fn chase_resident_with_atoms_compiled(
     // a predicate of the inserted atoms can have new unblocked steps — the
     // chase starts with exactly those dirty (renaming preserves predicates).
     let dirty: HashSet<Predicate> = extra.iter().map(|a| a.predicate).collect();
-    resident(run_chase(initial, compiled, options, Some(&dirty)))
-}
-
-/// The finished branches of a chase as a [`ResidentChase`].
-fn resident((done, stats): (Vec<Branch>, ChaseStats)) -> ResidentChase {
-    let branches = done
-        .into_iter()
-        .map(|b| ResidentBranch {
-            inst: b.inst,
-            head: b.head,
-            inequalities: b.inequalities,
-            renaming: b.renaming,
-        })
-        .collect();
-    ResidentChase { branches, stats }
+    run_chase(initial, compiled, options, Some(&dirty))
 }
 
 /// What chasing one branch to quiescence produced. The finished branch is
@@ -561,7 +540,7 @@ fn chase_branch(
     loop {
         let over_budget = if branch.rounds >= options.max_rounds {
             Some(ChaseStop::Rounds)
-        } else if branch.inst.len() >= options.max_atoms {
+        } else if branch.resident.inst.len() >= options.max_atoms {
             Some(ChaseStop::Atoms)
         } else if options.deadline.is_some_and(|d| Instant::now() >= d) {
             Some(ChaseStop::Deadline)
@@ -580,7 +559,7 @@ fn chase_branch(
         if let Some(closure) = closure {
             if closure.any() {
                 let added = apply_closure_watermarked(
-                    &mut branch.inst,
+                    &mut branch.resident.inst,
                     closure,
                     &mut branch.closure_marks,
                     branch.rewrites,
@@ -615,9 +594,9 @@ fn chase_branch(
     }
 }
 
-/// The chase driver behind every entry point, returning the finished
-/// branches themselves (live instances included) so resident callers can
-/// keep them instead of flattening to queries.
+/// The chase driver behind every entry point. The finished branches stay
+/// resident (live instances included); only the transients of the run are
+/// dropped.
 ///
 /// The dependency set arrives pre-compiled (closure detection, per-DED
 /// compilation, EGD-priority ordering, premise-predicate index — see
@@ -635,14 +614,15 @@ fn run_chase(
     deps: &CompiledDeps,
     options: &ChaseOptions,
     initial_dirty: Option<&HashSet<Predicate>>,
-) -> (Vec<Branch>, ChaseStats) {
+) -> ResidentChase {
     let start = Instant::now();
     let (compiled, closure, index) = deps.for_chase(options.use_shortcut);
 
     let mut stats = ChaseStats { completed: true, ..Default::default() };
     let base_fresh =
-        (initial.iter().map(|b| b.inst.max_variable_index()).max().unwrap_or_default() + 1)
-            .max(options.min_fresh_index);
+        (initial.iter().map(|b| b.resident.inst.max_variable_index()).max().unwrap_or_default()
+            + 1)
+        .max(options.min_fresh_index);
     let mut level = initial;
     for b in &mut level {
         b.needs_check = index.initial_needs(initial_dirty);
@@ -686,7 +666,7 @@ fn run_chase(
     }
 
     stats.duration = start.elapsed();
-    (done, stats)
+    ResidentChase { branches: done.into_iter().map(|b| b.resident).collect(), stats }
 }
 
 #[cfg(test)]

@@ -20,7 +20,8 @@
 //! programs; [`evaluate_bindings`] and [`satisfiable`] compile one on the fly
 //! and run the same kernel; [`maps_into`] is the containment-mapping test of
 //! Section 2.3 — the same existence search, entered with the head variables
-//! bound.
+//! bound — and [`ContainmentProgram`] is that test with the mapped query
+//! compiled once.
 //!
 //! Joins probe the instance's **persistent** per-predicate column indexes
 //! ([`crate::instance::Relation::index`]): an index is built at most once per
@@ -516,6 +517,52 @@ pub fn maps_into(from: &ConjunctiveQuery, inst: &SymbolicInstance, head: &[Term]
             Term::Const(_) => t == image,
         })
         && satisfiable(&from.body, &[], inst, &aligned)
+}
+
+/// [`maps_into`] with `from` compiled once for any number of targets: the
+/// backchase confirms `candidate ⊆ original` by mapping the one original
+/// query into every back-chase branch, so the original is compiled when the
+/// backchase starts — as every dependency is when the engine is built — and
+/// each confirm is head alignment plus one existence search.
+#[derive(Clone, Debug)]
+pub struct ContainmentProgram {
+    /// `from`'s head, position by position: the slot its variable is bound
+    /// in, or the constant the target's head must carry there.
+    head: Vec<Source>,
+    /// `from`'s body, entered with the distinct head variables bound.
+    body: JoinProgram,
+}
+
+impl ContainmentProgram {
+    /// Compile `from` (as in [`maps_into`], its inequalities take no part).
+    pub fn new(from: &ConjunctiveQuery) -> ContainmentProgram {
+        let mut bound: Vec<Variable> = Vec::new();
+        for v in from.head.iter().filter_map(Term::as_var) {
+            if !bound.contains(&v) {
+                bound.push(v);
+            }
+        }
+        let body = JoinProgram::compile(&from.body, &[], &order_atoms(&from.body, &bound), &bound);
+        ContainmentProgram { head: from.head.iter().map(|t| body.source(*t)).collect(), body }
+    }
+
+    /// Does the compiled query map into `inst` with its head sent onto
+    /// `head`? Answers exactly what [`maps_into`] answers.
+    pub fn maps_into(&self, inst: &SymbolicInstance, head: &[Term]) -> bool {
+        if self.head.len() != head.len() {
+            return false;
+        }
+        // Fill the slots, then read every position back: a constant, or a
+        // repeated variable whose positions carry different terms, disagrees.
+        let mut slots = vec![Term::Const(Constant::Int(0)); self.body.bound];
+        for (source, image) in self.head.iter().zip(head) {
+            if let Source::Slot(slot) = source {
+                slots[*slot] = *image;
+            }
+        }
+        self.head.iter().zip(head).all(|(source, image)| source.of(&slots) == *image)
+            && self.body.exists(inst, &mut ExistsScratch { slots, ..Default::default() })
+    }
 }
 
 #[cfg(test)]

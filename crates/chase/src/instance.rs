@@ -204,26 +204,6 @@ impl Relation {
         counts.get(col).copied().unwrap_or(0)
     }
 
-    /// Distinct estimate for a *composite* key over `cols`: the maximum of
-    /// the per-column distinct counts, clamped to `[1, len]`. A composite key
-    /// has at least as many distinct values as its most selective column, so
-    /// this is a conservative (under-)estimate that errs toward predicting
-    /// more matches per probe.
-    pub fn distinct_for_columns(&self, cols: &[usize]) -> usize {
-        cols.iter()
-            .map(|&c| self.distinct_in_column(c))
-            .max()
-            .unwrap_or(0)
-            .clamp(1, self.len().max(1))
-    }
-
-    /// Expected number of tuples matching one probe key over `cols` within a
-    /// window of `window` tuples, assuming keys are uniformly distributed:
-    /// `⌈window / distinct(cols)⌉`.
-    pub fn expected_matches(&self, cols: &[usize], window: usize) -> usize {
-        window.div_ceil(self.distinct_for_columns(cols))
-    }
-
     /// Arity of the relation as observed from its tuples (0 while empty —
     /// arity is fixed at the first insert).
     pub fn arity(&self) -> usize {
@@ -247,14 +227,6 @@ impl mars_cost::StatisticsCatalog for SymbolicInstance {
 
     fn distinct_in_column(&self, relation: Predicate, col: usize) -> usize {
         self.relation_data(relation).map(|r| r.distinct_in_column(col)).unwrap_or(0)
-    }
-
-    fn distinct_for_columns(&self, relation: Predicate, cols: &[usize]) -> usize {
-        self.relation_data(relation).map(|r| r.distinct_for_columns(cols)).unwrap_or(1)
-    }
-
-    fn expected_matches(&self, relation: Predicate, cols: &[usize], window: usize) -> usize {
-        self.relation_data(relation).map(|r| r.expected_matches(cols, window)).unwrap_or(window)
     }
 }
 
@@ -570,8 +542,6 @@ mod tests {
         let rel = inst.relation_data(p).unwrap();
         assert_eq!(rel.distinct_in_column(0), 2, "a, b");
         assert_eq!(rel.distinct_in_column(1), 2, "x, y");
-        assert_eq!(rel.distinct_for_columns(&[0, 1]), 2, "composite = max of columns");
-        assert_eq!(rel.expected_matches(&[0], 3), 2, "ceil(3 / 2)");
         // Out-of-arity columns and duplicates are handled.
         assert_eq!(rel.distinct_in_column(7), 0);
         inst.insert_atom(&child(t("a"), t("x"))); // duplicate: no change

@@ -26,7 +26,8 @@
 //!   pure-equality conclusions pushed into the join
 //!   ([`CompiledDed::unblocked_bindings`]) — and the same kernel, entered
 //!   with a query's head variables bound, is the containment-mapping test
-//!   ([`maps_into`]): the engine has one conjunctive-query
+//!   ([`maps_into`]; [`ContainmentProgram`] when one query is mapped into
+//!   many targets): the engine has one conjunctive-query
 //!   evaluator, and `mars_cq`'s backtracking search is the oracle it is
 //!   tested against (`clippy.toml` keeps product code here off it),
 //! * the **chase shortcut** of Section 3.2 (the effect of the TIX constraints
@@ -63,7 +64,8 @@ pub use chase::{
 };
 pub use compiled::{compilation_count, CompiledConclusion, CompiledDed, CompiledDeps, Unblocked};
 pub use evaluate::{
-    evaluate_bindings, maps_into, satisfiable, Binding, JoinScratch, SCAN_THRESHOLD,
+    evaluate_bindings, maps_into, satisfiable, Binding, ContainmentProgram, JoinScratch,
+    SCAN_THRESHOLD,
 };
 pub use instance::{index_build_count, Relation, SymbolicInstance};
 pub use reach::{prune_parallel_desc, ReachabilityGraph};

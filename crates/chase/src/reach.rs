@@ -12,27 +12,19 @@
 //!   traversing a directed *reachability graph* whose nodes are the atoms of
 //!   the universal plan.
 
-use mars_cq::{Atom, ConjunctiveQuery, Predicate, Term, Variable};
+use mars_cq::{Atom, ConjunctiveQuery, Term, Variable};
 use std::collections::{HashMap, HashSet, VecDeque};
 
-/// GReX navigation predicates (with or without a `#document` suffix) are the
-/// ones subject to the navigation legality criteria; every other predicate
-/// (base relations, materialized views, specialization relations) is a valid
-/// entry point by itself.
-fn grex_base_name(p: Predicate) -> &'static str {
-    let name = p.name();
-    match name.split_once('#') {
-        Some((base, _)) => base,
-        None => name,
-    }
-}
-
 /// The variable(s) an atom *requires* to be already bound for its navigation
-/// to be contiguous, and the variable(s) it *produces*.
+/// to be contiguous, and the variable(s) it *produces*. GReX navigation
+/// predicates (with or without a `#document` suffix) are the ones subject to
+/// the navigation legality criteria; every other predicate (base relations,
+/// materialized views, specialization relations) is a valid entry point by
+/// itself.
 fn atom_io(atom: &Atom) -> (Vec<Variable>, Vec<Variable>) {
     let vars: Vec<Option<Variable>> = atom.args.iter().map(|t| t.as_var()).collect();
     let var = |i: usize| -> Vec<Variable> { vars.get(i).copied().flatten().into_iter().collect() };
-    match grex_base_name(atom.predicate) {
+    match atom.predicate.grex().0 {
         // root(x): produces x, requires nothing — an entry point.
         "root" => (vec![], var(0)),
         // el(x): structural marker; requires the node, produces nothing new.
@@ -68,7 +60,7 @@ pub fn is_entry_point(atom: &Atom) -> bool {
 /// completeness loss, not just a missed optimization).
 pub fn prune_parallel_desc(plan: &ConjunctiveQuery) -> ConjunctiveQuery {
     let is_nav = |a: &Atom| {
-        let base = grex_base_name(a.predicate);
+        let base = a.predicate.grex().0;
         (base == "desc" || base == "child") && a.arity() == 2
     };
     let mut keep = vec![true; plan.body.len()];
@@ -103,7 +95,7 @@ pub fn prune_parallel_desc(plan: &ConjunctiveQuery) -> ConjunctiveQuery {
     while changed {
         changed = false;
         for (i, a) in plan.body.iter().enumerate() {
-            if !keep[i] || grex_base_name(a.predicate) != "desc" || a.arity() != 2 {
+            if !keep[i] || a.predicate.grex().0 != "desc" || a.arity() != 2 {
                 continue;
             }
             if reachable_without(a.args[0], a.args[1], i, &keep) {

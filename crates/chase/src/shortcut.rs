@@ -14,16 +14,6 @@
 use crate::instance::SymbolicInstance;
 use mars_cq::{Atom, Ded, FxHashMap, FxHashSet, Predicate, Term};
 
-/// Split a predicate name into its GReX base name and optional document
-/// suffix.
-fn split_pred(p: Predicate) -> (&'static str, Option<&'static str>) {
-    let name = p.name();
-    match name.split_once('#') {
-        Some((base, doc)) => (base, Some(doc)),
-        None => (name, None),
-    }
-}
-
 fn pred_for(base: &str, doc: &Option<String>) -> Predicate {
     match doc {
         Some(d) => Predicate::new(&format!("{base}#{d}")),
@@ -137,7 +127,7 @@ impl ClosureConstraints {
 }
 
 fn is_binary_base(a: &Atom, base: &str) -> Option<Option<String>> {
-    let (b, doc) = split_pred(a.predicate);
+    let (b, doc) = a.predicate.grex();
     if b == base && a.arity() == 2 && a.args.iter().all(Term::is_var) {
         Some(doc.map(str::to_string))
     } else {
@@ -146,7 +136,7 @@ fn is_binary_base(a: &Atom, base: &str) -> Option<Option<String>> {
 }
 
 fn is_unary_base(a: &Atom, base: &str) -> Option<Option<String>> {
-    let (b, doc) = split_pred(a.predicate);
+    let (b, doc) = a.predicate.grex();
     if b == base && a.arity() == 1 && a.args.iter().all(Term::is_var) {
         Some(doc.map(str::to_string))
     } else {
@@ -299,107 +289,13 @@ fn apply_group(inst: &mut SymbolicInstance, group: &ClosureGroup) -> usize {
     added
 }
 
-/// All terms reachable from `from` (inclusive) over `adj`, in deterministic
-/// DFS order.
-fn reach_with(adj: &FxHashMap<Term, Vec<Term>>, from: Term) -> Vec<Term> {
-    let mut seen: FxHashSet<Term> = FxHashSet::default();
-    seen.insert(from);
-    let mut out = vec![from];
-    let mut stack = vec![from];
-    while let Some(n) = stack.pop() {
-        if let Some(succ) = adj.get(&n) {
-            for &s in succ {
-                if seen.insert(s) {
-                    out.push(s);
-                    stack.push(s);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Incremental variant of [`apply_group`] for a group whose input relations
-/// have only *grown* since `mark` was taken at closure fixpoint (same rewrite
-/// epoch, so no tuple was rewritten or removed in between). Every `desc` pair
-/// still missing from the instance must then ride on at least one appended
-/// edge, so for each new edge `(u, v)` the function inserts
-/// `ancestors*(u) × descendants*(v)` over the full edge set instead of
-/// re-running the DFS from every node. Pairs whose paths use several new
-/// edges are caught when their first new edge is processed (the surrounding
-/// reachability runs over the full adjacency), and pairs riding on the
-/// freshly *inserted* `desc` atoms are subsumed because each such atom stands
-/// for a path that already exists edge-by-edge in the adjacency. The inserted
-/// atom set is therefore exactly the one a full [`apply_group`] would add.
-fn apply_group_incremental(
-    inst: &mut SymbolicInstance,
-    group: &ClosureGroup,
-    mark: &ClosureInputMark,
-) -> usize {
-    let (child_pred, desc_pred, el_pred) = (group.child, group.desc, group.el);
-    let mut fwd: FxHashMap<Term, Vec<Term>> = FxHashMap::default();
-    let mut rev: FxHashMap<Term, Vec<Term>> = FxHashMap::default();
-    let mut new_edges: Vec<(Term, Term)> = Vec::new();
-    if group.base.is_some() || group.trans.is_some() {
-        for (i, tup) in inst.relation(child_pred).iter().enumerate() {
-            fwd.entry(tup[0]).or_default().push(tup[1]);
-            rev.entry(tup[1]).or_default().push(tup[0]);
-            if i >= mark.child {
-                new_edges.push((tup[0], tup[1]));
-            }
-        }
-        for (i, tup) in inst.relation(desc_pred).iter().enumerate() {
-            fwd.entry(tup[0]).or_default().push(tup[1]);
-            rev.entry(tup[1]).or_default().push(tup[0]);
-            if i >= mark.desc {
-                new_edges.push((tup[0], tup[1]));
-            }
-        }
-    }
-
-    let mut added = 0usize;
-    if group.trans.is_some() {
-        for &(u, v) in &new_edges {
-            let sources = reach_with(&rev, u);
-            let targets = reach_with(&fwd, v);
-            for &s in &sources {
-                for &t in &targets {
-                    if inst.insert_atom(&Atom::new(desc_pred, vec![s, t])) {
-                        added += 1;
-                    }
-                }
-            }
-        }
-    } else if group.base.is_some() {
-        for &(u, v) in &new_edges {
-            if inst.insert_atom(&Atom::new(desc_pred, vec![u, v])) {
-                added += 1;
-            }
-        }
-    }
-    if group.refl.is_some() {
-        let els: Vec<Term> = inst.relation(el_pred).iter().skip(mark.el).map(|t| t[0]).collect();
-        for e in els {
-            if inst.insert_atom(&Atom::new(desc_pred, vec![e, e])) {
-                added += 1;
-            }
-        }
-    }
-    added
-}
-
 /// Apply the closure shortcut for every detected group, returning the total
 /// number of `desc` atoms added, with per-group input watermarks: a group whose
 /// `child`/`desc`/`el` relations are unchanged since its mark (same lengths,
 /// same rewrite epoch) is skipped outright — its recomputation would add
-/// nothing — and a group whose relations merely *grew* within the same
-/// rewrite epoch is closed incrementally over the appended edges
-/// (`apply_group_incremental`) instead of DFS-ing from every node. `marks`
-/// is updated in place to the post-application state; an empty vector means
-/// "unknown" and forces a full first application, as does a rewrite-epoch
-/// change (an EGD rewrite may rewrite or dedup tuples in place, invalidating
-/// the append-only reading of the mark). The inserted atom *set* matches a
-/// full application of every group on every instance whose marks are honest.
+/// nothing — and any other group is re-closed by `apply_group`. `marks` is
+/// updated in place to the post-application state; an empty vector means
+/// "unknown" and forces a first application of every group.
 pub fn apply_closure_watermarked(
     inst: &mut SymbolicInstance,
     closure: &ClosureConstraints,
@@ -409,19 +305,9 @@ pub fn apply_closure_watermarked(
     let unknown = marks.len() != closure.groups.len();
     let mut added = 0;
     for (gi, g) in closure.groups.iter().enumerate() {
-        if !unknown {
-            let cur = g.input_mark(inst, rewrites);
-            if marks[gi] == cur {
-                continue; // unchanged inputs: recomputation is a no-op
-            }
-            if marks[gi].rewrites == rewrites {
-                // Same rewrite epoch: the inputs only grew since the mark was
-                // taken at fixpoint, so only the appended edges need closing.
-                added += apply_group_incremental(inst, g, &marks[gi]);
-                continue;
-            }
+        if unknown || marks[gi] != g.input_mark(inst, rewrites) {
+            added += apply_group(inst, g);
         }
-        added += apply_group(inst, g);
     }
     *marks = closure.groups.iter().map(|g| g.input_mark(inst, rewrites)).collect();
     added

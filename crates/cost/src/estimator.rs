@@ -61,10 +61,8 @@ impl Default for WeightedAtomEstimator {
 
 impl WeightedAtomEstimator {
     fn atom_cost(&self, a: &mars_cq::Atom) -> f64 {
-        let name = a.predicate.name();
         // GReX predicates carry a `#document` suffix.
-        let base = name.split_once('#').map(|(b, _)| b).unwrap_or(name);
-        match base {
+        match a.predicate.grex().0 {
             "child" => self.child_weight,
             "desc" => self.desc_weight,
             _ => self.default_weight,

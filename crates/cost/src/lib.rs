@@ -32,8 +32,8 @@
 //!   `BackendRouter`,
 //! * [`plan_navigation`], the one orderer of the XML route: it picks the
 //!   next navigation atom by estimated output cardinality given what is
-//!   bound; [`navigation_cost`] prices that order and `mars-storage`
-//!   compiles exactly it into its navigation kernel.
+//!   bound; [`route_query`] prices that order and `mars-storage` compiles
+//!   exactly it into its navigation kernel.
 
 pub mod estimator;
 pub mod physical;
@@ -43,8 +43,8 @@ pub mod stats;
 pub use estimator::{fold_atom_costs, CostEstimator, WeightedAtomEstimator};
 pub use physical::{physical_plan, BuildSide, Operand, PhysicalPlan, TableScan};
 pub use route::{
-    navigation_atom, navigation_cost, navigation_parts, plan_navigation, route_query, NavBase,
-    NavCost, NavOrder, NavigationStatistics, Route, RouteCosts, RoutingDecision,
+    navigation_atom, plan_navigation, route_query, NavBase, NavOrder, NavigationStatistics, Route,
+    RouteCosts, RoutingDecision,
 };
 pub use stats::StatisticsCatalog;
 

@@ -22,12 +22,12 @@
 
 use crate::physical_plan;
 use crate::stats::StatisticsCatalog;
-use mars_cq::{Atom, ConjunctiveQuery, Constant, Predicate, Term, Variable};
+use mars_cq::{Atom, ConjunctiveQuery, Constant, Term, Variable};
 use std::fmt;
 
 /// A GReX navigation predicate base (mirrors `mars_grex::GrexSchema`: a
-/// navigation predicate is named `base#document`). The router re-parses the
-/// convention here so `mars-cost` stays independent of `mars-grex`.
+/// navigation predicate is named `base#document`, read by
+/// [`mars_cq::Predicate::grex`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NavBase {
     /// `root#d(n)` — the document's root element.
@@ -73,24 +73,15 @@ impl NavBase {
     }
 }
 
-fn split(p: Predicate) -> Option<(NavBase, &'static str, &'static str)> {
-    let (base, document) = p.name().split_once('#')?;
-    Some((NavBase::parse(base)?, base, document))
-}
-
-/// Split a GReX navigation predicate `base#document` into its parts.
-/// Returns `None` for ordinary relations (including view names that happen
-/// to contain `#`, which never start with a navigation base).
-pub fn navigation_parts(p: Predicate) -> Option<(&'static str, &'static str)> {
-    split(p).map(|(_, base, document)| (base, document))
-}
-
 /// Classify an atom as GReX navigation: its base and document, provided the
 /// arity matches the base's relation. An atom that merely *looks* like
 /// navigation (right name, wrong arity) matches no encoded fact, so it is an
 /// ordinary relational atom to every consumer.
 pub fn navigation_atom(atom: &Atom) -> Option<(NavBase, &'static str)> {
-    let (base, _, document) = split(atom.predicate)?;
+    let (base, Some(document)) = atom.predicate.grex() else {
+        return None;
+    };
+    let base = NavBase::parse(base)?;
     (atom.args.len() == base.arity()).then_some((base, document))
 }
 
@@ -152,16 +143,6 @@ pub struct RouteCosts {
     pub xml: Option<f64>,
     /// The split plan, when both atom groups are non-empty.
     pub mixed: Option<f64>,
-}
-
-/// Estimated enumeration volume of running `atoms` natively (see
-/// [`navigation_cost`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct NavCost {
-    /// Rows touched across the planned nested-loop evaluation.
-    pub cost: f64,
-    /// Estimated bindings surviving all atoms.
-    pub rows: f64,
 }
 
 /// The order native navigation runs a conjunction of navigation atoms in,
@@ -295,7 +276,7 @@ fn expansion(atom: &PlannedAtom, s: &DocStats, is_bound: [bool; 3], from_root: b
 /// binding. A constant-valued `text` or `tag` probe is therefore a seed like
 /// `root`, not a filter waiting for a document scan to reach it.
 ///
-/// This is the one orderer of the XML route: [`navigation_cost`] prices the
+/// This is the one orderer of the XML route: [`route_query`] prices the
 /// returned order and `mars_storage` compiles exactly it into its navigation
 /// kernel, so the estimate prices the plan that runs by construction.
 /// Returns `None` when any atom is not a navigation atom over a stored
@@ -373,17 +354,10 @@ pub fn plan_navigation(atoms: &[Atom], nav: &dyn NavigationStatistics) -> Option
     Some(NavOrder { order, cost, rows })
 }
 
-/// Price native navigation of `atoms`: the cost and surviving rows of the
-/// order [`plan_navigation`] runs them in. Returns `None` when any atom is
-/// not a navigation atom over a stored document (the route is infeasible).
-pub fn navigation_cost(atoms: &[Atom], nav: &dyn NavigationStatistics) -> Option<NavCost> {
-    plan_navigation(atoms, nav).map(|o| NavCost { cost: o.cost, rows: o.rows })
-}
-
 /// Price `q` against every backend and choose the cheapest feasible one.
 ///
 /// * relational cost: [`physical_plan`]`(q, rel).estimated_cost()`;
-/// * xml cost: [`navigation_cost`] over the whole body, feasible only when
+/// * xml cost: [`plan_navigation`]'s over the whole body, feasible only when
 ///   every atom is navigational over a stored document;
 /// * mixed cost: navigation cost of the navigational group + physical cost
 ///   of the relational subquery + the estimated join volume, feasible only
@@ -405,12 +379,12 @@ pub fn route_query(
 
     let relational = if q.body.is_empty() { 0.0 } else { physical_plan(q, rel).estimated_cost() };
     let xml = if relational_atoms == 0 && navigation_atoms > 0 {
-        navigation_cost(&q.body, nav).map(|n| n.cost)
+        plan_navigation(&q.body, nav).map(|n| n.cost)
     } else {
         None
     };
     let mixed = if navigation_atoms > 0 && relational_atoms > 0 {
-        navigation_cost(&nav_group, nav).map(|n| {
+        plan_navigation(&nav_group, nav).map(|n| {
             let sub = q.subquery(&rel_indices);
             let plan = physical_plan(&sub, rel);
             // Join volume: both sides are touched once more by the hash join.
@@ -446,6 +420,7 @@ fn choose(costs: &RouteCosts) -> Route {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mars_cq::Predicate;
     use std::collections::HashMap;
 
     struct FixedRel(HashMap<Predicate, (usize, Vec<usize>)>);
@@ -496,13 +471,6 @@ mod tests {
 
     fn nav_atom(base: &str, args: Vec<Term>) -> Atom {
         Atom::named(&format!("{base}#d.xml"), args)
-    }
-
-    #[test]
-    fn navigation_parts_follow_the_grex_convention() {
-        assert_eq!(navigation_parts(Predicate::new("desc#a.xml")), Some(("desc", "a.xml")));
-        assert_eq!(navigation_parts(Predicate::new("V1#star")), None, "views are not navigation");
-        assert_eq!(navigation_parts(Predicate::new("bookRel")), None);
     }
 
     /// A pure-navigation query over a stored document is feasible on all
@@ -589,7 +557,6 @@ mod tests {
         // The two one-row seeds, then up from the key; `desc` ends as a check.
         assert_eq!(plan.order, [0, 4, 3, 2, 1]);
         assert_eq!(plan.cost, plan_navigation(&lookup("present"), &small).unwrap().cost);
-        assert_eq!(navigation_cost(&lookup("present"), &large).unwrap().cost, plan.cost);
 
         let miss = plan_navigation(&lookup("never-seen"), &large).unwrap();
         assert_eq!((miss.order[0], miss.cost, miss.rows), (4, 1.0, 0.0), "nothing can match");

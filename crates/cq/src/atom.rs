@@ -24,6 +24,18 @@ impl Predicate {
     pub fn symbol(&self) -> Symbol {
         Symbol(self.0)
     }
+
+    /// The name read by the GReX convention `base#document`
+    /// (`child#case.xml`): the base name and the document the predicate
+    /// refers to. A name without a `#` is its own base and has no document;
+    /// whether the base is a navigation relation is the caller's question.
+    pub fn grex(&self) -> (&'static str, Option<&'static str>) {
+        let name = self.name();
+        match name.split_once('#') {
+            Some((base, document)) => (base, Some(document)),
+            None => (name, None),
+        }
+    }
 }
 
 impl fmt::Debug for Predicate {

@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{OnceLock, RwLock};
+use std::sync::{OnceLock, PoisonError, RwLock};
 
 /// An interned string. Cheap to copy, hash and compare.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -48,22 +48,27 @@ fn interner() -> &'static RwLock<Interner> {
 }
 
 /// Intern `s`, returning its [`Symbol`].
+///
+/// A poisoned lock is recovered, here and in [`symbol_name`]: the interner
+/// is append-only and a name is pushed before the map points at it, so a
+/// panic under a guard leaves it valid — and a resident service must not
+/// lose every later request to one that died.
 pub fn symbol(s: &str) -> Symbol {
     // Fast path: check under a read lock first (most symbols repeat).
     {
-        let guard = interner().read().expect("symbol interner poisoned");
+        let guard = interner().read().unwrap_or_else(PoisonError::into_inner);
         if let Some(&id) = guard.map.get(s) {
             return Symbol(id);
         }
     }
-    let mut guard = interner().write().expect("symbol interner poisoned");
+    let mut guard = interner().write().unwrap_or_else(PoisonError::into_inner);
     Symbol(guard.intern(s))
 }
 
 /// Resolve a [`Symbol`] back to its string. Allocation-free: the interner
 /// leaks each distinct string once, so the resolved name is `'static`.
 pub fn symbol_name(sym: Symbol) -> &'static str {
-    let guard = interner().read().expect("symbol interner poisoned");
+    let guard = interner().read().unwrap_or_else(PoisonError::into_inner);
     guard.names.get(sym.0 as usize).copied().unwrap_or("<sym:invalid>")
 }
 

@@ -111,29 +111,26 @@ impl GrexSchema {
         self.all_predicates().contains(&p)
     }
 
-    /// The base name (e.g. `child`) of a GReX predicate of any document, or
-    /// `None` for non-GReX predicates.
-    pub fn base_name(p: Predicate) -> Option<String> {
-        let name = p.name();
-        let (base, _) = name.split_once('#')?;
-        match base {
-            "root" | "el" | "child" | "desc" | "tag" | "attr" | "id" | "text" => {
-                Some(base.to_string())
-            }
+    /// Base name and document of a GReX predicate of any document.
+    fn navigation(p: Predicate) -> Option<(&'static str, &'static str)> {
+        match p.grex() {
+            (
+                base @ ("root" | "el" | "child" | "desc" | "tag" | "attr" | "id" | "text"),
+                Some(document),
+            ) => Some((base, document)),
             _ => None,
         }
     }
 
+    /// The base name (e.g. `child`) of a GReX predicate of any document, or
+    /// `None` for non-GReX predicates.
+    pub fn base_name(p: Predicate) -> Option<String> {
+        Self::navigation(p).map(|(base, _)| base.to_string())
+    }
+
     /// The document a GReX predicate refers to, if any.
     pub fn document_of(p: Predicate) -> Option<String> {
-        let name = p.name();
-        let (base, doc) = name.split_once('#')?;
-        match base {
-            "root" | "el" | "child" | "desc" | "tag" | "attr" | "id" | "text" => {
-                Some(doc.to_string())
-            }
-            _ => None,
-        }
+        Self::navigation(p).map(|(_, document)| document.to_string())
     }
 }
 

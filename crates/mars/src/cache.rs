@@ -25,7 +25,7 @@ use mars_storage::sql_for_query;
 use mars_xquery::QueryShape;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Hit/miss/invalidation counters and the current entry count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -63,6 +63,14 @@ pub struct PlanCache {
 }
 
 impl PlanCache {
+    // A panic while this guard is held (say, inside `resubstitute` during a
+    // lookup) leaves the map valid — every update is one insert or removal of
+    // a finished entry — so a poisoned lock is recovered instead of turning
+    // one failed request into an outage.
+    fn entries(&self) -> MutexGuard<'_, HashMap<(String, u64), CachedEntry>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// An empty cache.
     pub fn new() -> PlanCache {
         PlanCache::default()
@@ -76,7 +84,7 @@ impl PlanCache {
             misses: self.misses.load(Ordering::SeqCst),
             invalidations: self.invalidations.load(Ordering::SeqCst),
             degraded_uncached: self.degraded_uncached.load(Ordering::SeqCst),
-            entries: self.entries.lock().expect("plan cache lock").len(),
+            entries: self.entries().len(),
         }
     }
 
@@ -90,7 +98,7 @@ impl PlanCache {
     /// stored result is re-substituted with `shape`'s variables and
     /// constants; on a miss `None` is returned and the miss is counted.
     pub fn lookup(&self, shape: &QueryShape, fingerprint: u64) -> Option<BlockReformulation> {
-        let entries = self.entries.lock().expect("plan cache lock");
+        let entries = self.entries();
         let entry = entries.get(&(shape.key.clone(), fingerprint));
         match entry {
             Some(e)
@@ -114,7 +122,7 @@ impl PlanCache {
     /// First writer wins: a concurrent duplicate insert leaves the resident
     /// entry in place, so racing warm readers keep seeing one plan.
     pub fn insert(&self, shape: QueryShape, fingerprint: u64, block: BlockReformulation) {
-        let mut entries = self.entries.lock().expect("plan cache lock");
+        let mut entries = self.entries();
         entries.entry((shape.key.clone(), fingerprint)).or_insert(CachedEntry { shape, block });
     }
 
@@ -122,19 +130,10 @@ impl PlanCache {
     /// spec/dependency set changed). Dropped entries are counted as
     /// invalidations.
     pub fn invalidate_except(&self, current: u64) {
-        let mut entries = self.entries.lock().expect("plan cache lock");
+        let mut entries = self.entries();
         let before = entries.len();
         entries.retain(|(_, fp), _| *fp == current);
         let dropped = (before - entries.len()) as u64;
-        drop(entries);
-        self.invalidations.fetch_add(dropped, Ordering::SeqCst);
-    }
-
-    /// Drop every entry (counted as invalidations).
-    pub fn clear(&self) {
-        let mut entries = self.entries.lock().expect("plan cache lock");
-        let dropped = entries.len() as u64;
-        entries.clear();
         drop(entries);
         self.invalidations.fetch_add(dropped, Ordering::SeqCst);
     }
@@ -305,6 +304,31 @@ mod tests {
             format!("{}", cold.result.universal_plan)
         );
         assert_eq!(swapped.sql, cold.sql);
+    }
+
+    /// A request that panics under the cache's lock poisons the mutex; the
+    /// cache must keep serving (the service catches the panic and moves on).
+    #[test]
+    fn a_poisoned_lock_is_recovered() {
+        let cache = PlanCache::new();
+        let s = shape("k", &["x"], &["a", "b"]);
+        cache.insert(s.clone(), 1, block("a", "b"));
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = cache.entries.lock().unwrap();
+                    panic!("a request dies holding the plan cache lock");
+                })
+                .join()
+        });
+        assert!(panicked.is_err() && cache.entries.is_poisoned());
+
+        assert_eq!(cache.stats().entries, 1);
+        assert!(cache.lookup(&s, 1).is_some());
+        cache.insert(shape("other", &["x"], &["a", "b"]), 1, block("a", "b"));
+        assert_eq!(cache.stats().entries, 2);
+        cache.invalidate_except(2);
+        assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]

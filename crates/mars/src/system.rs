@@ -307,13 +307,13 @@ impl Mars {
 
     /// Reformulate a single XBind query (one navigation block).
     pub fn reformulate_xbind(&self, xbind: &XBindQuery) -> BlockReformulation {
-        self.reformulate_xbind_with_engine(xbind, &self.engine)
+        self.reformulate_within(xbind, &ReformulationBudget::unbounded())
     }
 
-    fn reformulate_xbind_with_engine(
+    fn reformulate_within(
         &self,
         xbind: &XBindQuery,
-        engine: &ChaseBackchase,
+        budget: &ReformulationBudget,
     ) -> BlockReformulation {
         let start = Instant::now();
         let effective =
@@ -324,7 +324,7 @@ impl Mars {
             };
         let mut ctx = CompileContext::new();
         let compiled: ConjunctiveQuery = compile_xbind(&mut ctx, &effective);
-        let result = engine.reformulate(&compiled);
+        let result = self.engine.reformulate(&compiled, budget);
         // Reformulations are safe (head variables bound in the body), so SQL
         // rendering cannot fail on them; `.ok()` guards the contract anyway.
         let sql = result.best_or_initial().and_then(|q| sql_for_query(q).ok());
@@ -350,12 +350,12 @@ impl Mars {
     }
 
     /// [`Mars::try_reformulate_xbind`] under a per-request budget — the entry
-    /// point resident services use. The budget tightens a copy of the
-    /// engine's standing options for this one request (the shared engine and
-    /// its fingerprint are untouched, so cache keys stay comparable across
-    /// budgets). Budget exhaustion degrades rather than errors: the result
-    /// carries the best reformulation found, tagged via
-    /// [`BlockReformulation::degradation`].
+    /// point resident services use. The engine tightens a copy of its
+    /// standing options for this one request ([`ChaseBackchase::reformulate`];
+    /// the shared engine and its fingerprint are untouched, so cache keys
+    /// stay comparable across budgets). Budget exhaustion degrades rather
+    /// than errors: the result carries the best reformulation found, tagged
+    /// via [`BlockReformulation::degradation`].
     ///
     /// # Errors
     ///
@@ -375,11 +375,7 @@ impl Mars {
         if !xbind.is_safe() {
             return Err(MarsError::UnsafeBlock { block: xbind.name.clone() });
         }
-        if budget.is_unbounded() {
-            return Ok(self.reformulate_xbind(xbind));
-        }
-        let engine = self.engine.clone().with_options(budget.apply(&self.options.cb));
-        Ok(self.reformulate_xbind_with_engine(xbind, &engine))
+        Ok(self.reformulate_within(xbind, budget))
     }
 
     /// Reformulate a full client XQuery (text): parse, decorrelate, and

@@ -19,9 +19,10 @@
 //! * `Project` assembles the head row (columns, literal constants, or the
 //!   variable itself for unsafe head variables — matching the naive
 //!   evaluator);
-//! * `Distinct` deduplicates and emits rows in **ascending [`Row`] order** —
-//!   the deterministic output order `RelationalDatabase::query` guarantees
-//!   for both the physical and the naive evaluator.
+//! * `Distinct`, the plan's root, is `execute_plan` itself: it deduplicates
+//!   and emits rows in **ascending [`Row`] order** — the deterministic output
+//!   order `RelationalDatabase::query` guarantees for both the physical and
+//!   the naive evaluator.
 //!
 //! Correctness does not depend on the planner: any join order, build side or
 //! pruning produces the same row set (property-tested byte-identical to the
@@ -64,12 +65,7 @@ impl Batch {
 /// rows in ascending order. `plan` must be a root plan (ending in
 /// `Distinct ∘ Project`, as [`mars_cost::physical_plan`] produces).
 pub(crate) fn execute_plan(plan: &PhysicalPlan, inst: &SymbolicInstance) -> Vec<Row> {
-    let batch = match plan {
-        PhysicalPlan::Distinct { input } => eval(input, inst),
-        // physical_plan always roots at Distinct; anything else is still a
-        // well-defined batch (deduplicated below all the same).
-        other => eval(other, inst),
-    };
+    let batch = eval(plan, inst);
     let rows: BTreeSet<Row> = batch.rows().map(<[Term]>::to_vec).collect();
     rows.into_iter().collect()
 }
@@ -199,15 +195,8 @@ fn eval(plan: &PhysicalPlan, inst: &SymbolicInstance) -> Batch {
             }
             out
         }
-        PhysicalPlan::Distinct { input } => {
-            let batch = eval(input, inst);
-            let rows: BTreeSet<Vec<Term>> = batch.rows().map(<[Term]>::to_vec).collect();
-            let mut out = Batch::new(batch.width);
-            for row in rows {
-                out.data.extend(row);
-                out.len += 1;
-            }
-            out
-        }
+        // Rows are a set: the one deduplication (and the output order) is
+        // `execute_plan`'s, at the root.
+        PhysicalPlan::Distinct { input } => eval(input, inst),
     }
 }

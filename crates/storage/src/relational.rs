@@ -132,14 +132,6 @@ impl StatisticsCatalog for RelationalDatabase {
     fn distinct_in_column(&self, relation: Predicate, col: usize) -> usize {
         self.inst.distinct_in_column(relation, col)
     }
-
-    fn distinct_for_columns(&self, relation: Predicate, cols: &[usize]) -> usize {
-        self.inst.distinct_for_columns(relation, cols)
-    }
-
-    fn expected_matches(&self, relation: Predicate, cols: &[usize], window: usize) -> usize {
-        self.inst.expected_matches(relation, cols, window)
-    }
 }
 
 /// SQL rendering failed: the query uses a variable its body never binds, so
@@ -318,8 +310,6 @@ mod tests {
         assert_eq!(db.column_count(p), 3);
         assert_eq!(db.distinct_in_column(p, 0), 2, "ann appears twice");
         assert_eq!(db.distinct_in_column(p, 1), 3);
-        assert_eq!(db.distinct_for_columns(p, &[0, 2]), 2);
-        assert_eq!(db.expected_matches(p, &[0], 3), 2);
         assert_eq!(db.tuple_count(Predicate::new("missing")), 0);
     }
 

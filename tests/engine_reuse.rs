@@ -397,8 +397,26 @@ fn star_reformulation_reuses_the_engine_compilation() {
     // every one must reuse the shared compilation.
     let block = mars.reformulate_xbind(&cfg.client_query());
     assert_eq!(block.result.minimal.len(), 1 << cfg.nv);
-    assert!(block.result.stats.equivalence_checks > 10);
     assert_eq!(compilation_count() - after_build, 0, "back-chases must not recompile");
+
+    // The funnel, counter for counter (recorded at 4202318, before the
+    // backchase became one pass): candidates inspected, equivalence checks,
+    // memoized resumes, minimal reformulations, and the steps and rounds of
+    // the chase to the universal plan.
+    let funnel = |options: MarsOptions| {
+        let result = cfg.mars(options).reformulate_xbind(&cfg.client_query()).result;
+        let stats = &result.stats;
+        [
+            stats.candidates_inspected,
+            stats.equivalence_checks,
+            stats.chase_cache_hits,
+            result.minimal.len(),
+            stats.chase.applied_steps,
+            stats.chase.rounds,
+        ]
+    };
+    assert_eq!(funnel(MarsOptions::specialized().exhaustive()), [236, 34, 26, 8, 43, 15]);
+    assert_eq!(funnel(MarsOptions::specialized()), [234, 27, 19, 8, 43, 15]);
 }
 
 /// Warm plan-cache hits replay the cached routing decision byte-identically:

@@ -109,8 +109,8 @@ proptest! {
     }
 
     /// The backchase's `original → back-chase branch` confirm — `maps_into`
-    /// over each resident branch's own instance — answers exactly what the
-    /// oracle answers on the
+    /// over each resident branch's own instance, and its compiled-once form
+    /// `ContainmentProgram` — answers exactly what the oracle answers on the
     /// rendered branch (`containment_mapping(source, &branch.to_query(..))`),
     /// for random small queries chased under a random subset of a view's
     /// dependencies, a key and a disjunctive dependency. The source is the
@@ -119,7 +119,9 @@ proptest! {
     /// variable, or have one position more than the target's.
     #[test]
     fn kernel_confirm_agrees_with_containment_mapping(seed in 1u64..1_000_000) {
-        use mars_system::chase::{chase_to_resident_compiled, maps_into, CompiledDeps};
+        use mars_system::chase::{
+            chase_to_resident_compiled, maps_into, CompiledDeps, ContainmentProgram,
+        };
         use mars_system::cq::containment::containment_mapping;
         use mars_system::cq::ded::view_dependencies;
         use mars_system::cq::Conjunct;
@@ -191,15 +193,14 @@ proptest! {
                 &ChaseOptions::default(),
             );
             prop_assert!(back.stats().completed);
+            let compiled_once = ContainmentProgram::new(&source);
             for branch in back.branches() {
                 let rendered = branch.to_query("branch");
-                prop_assert_eq!(
-                    maps_into(&source, branch.instance(), branch.head()),
-                    containment_mapping(&source, &rendered).is_some(),
-                    "{:?} into {:?}",
-                    source,
-                    rendered
-                );
+                let oracle = containment_mapping(&source, &rendered).is_some();
+                let per_call = maps_into(&source, branch.instance(), branch.head());
+                prop_assert_eq!(per_call, oracle, "{:?} into {:?}", source, rendered);
+                let compiled = compiled_once.maps_into(branch.instance(), branch.head());
+                prop_assert_eq!(compiled, oracle, "compiled {:?} into {:?}", source, rendered);
             }
         }
     }
@@ -380,11 +381,13 @@ proptest! {
         copy_mask in 0u8..16,
         join_mask in 0u8..8,
     ) {
-        use mars_system::chase::CbOptions;
+        use mars_system::chase::{CbOptions, ReformulationBudget};
 
         let (engine, q) = redundant_chain_engine(len, copy_mask, join_mask);
-        let exhaustive = engine.clone().with_options(CbOptions::exhaustive()).reformulate(&q);
-        let pruned = engine.with_options(CbOptions::default()).reformulate(&q);
+        let unbounded = ReformulationBudget::unbounded();
+        let exhaustive =
+            engine.clone().with_options(CbOptions::exhaustive()).reformulate(&q, &unbounded);
+        let pruned = engine.with_options(CbOptions::default()).reformulate(&q, &unbounded);
 
         prop_assert!(!exhaustive.stats.backchase_truncated);
         prop_assert_eq!(
@@ -968,8 +971,8 @@ proptest! {
     /// permutation of a navigation body — scan or key lookup — returns the
     /// rows the relational oracle returns for the original, and the estimate
     /// the execution reports is the cost `plan_navigation` gives the order
-    /// the kernel ran (the kernel compiles that order, `navigation_cost`
-    /// prices it).
+    /// the kernel ran (the kernel compiles that order, the router prices
+    /// it).
     #[test]
     fn permuted_navigation_bodies_return_identical_rows(
         idx in 0usize..12,
@@ -978,7 +981,7 @@ proptest! {
         lookup in proptest::bool::ANY,
         shuffle in 0u64..1_000_000,
     ) {
-        use mars_system::cost::{navigation_cost, plan_navigation};
+        use mars_system::cost::plan_navigation;
         use mars_system::storage::{BackendRouter, Route};
 
         let scenario = &matrix_reformulations()[idx].0;
@@ -1001,7 +1004,6 @@ proptest! {
         prop_assert_eq!(&exec.rows, &reference, "{}: permuted body {}", scenario.name(), permuted);
         let order = plan_navigation(&permuted.body, &xml).expect("pure navigation");
         prop_assert_eq!(exec.estimated_cost, order.cost);
-        prop_assert_eq!(navigation_cost(&permuted.body, &xml).map(|c| c.cost), Some(order.cost));
     }
 }
 
@@ -1010,10 +1012,13 @@ proptest! {
 /// 16 minimal reformulations of an exhaustive run, and each of those minus
 /// one atom (not a reformulation, by minimality), the candidate is chased
 /// back and the kernel confirm of the original into every back-chase branch
-/// is the oracle's answer — `true` exactly for the reformulations.
+/// — per call and compiled once — is the oracle's answer: `true` exactly for
+/// the reformulations.
 #[test]
 fn star_back_chases_confirm_like_the_oracle() {
-    use mars_system::chase::{chase_to_resident_compiled, maps_into, CompiledDeps};
+    use mars_system::chase::{
+        chase_to_resident_compiled, maps_into, CompiledDeps, ContainmentProgram,
+    };
     use mars_system::cq::containment::containment_mapping;
     use mars_system::mars::MarsOptions;
     use mars_system::workloads::star::StarConfig;
@@ -1024,6 +1029,7 @@ fn star_back_chases_confirm_like_the_oracle() {
     assert_eq!(block.result.minimal.len(), 1 << cfg.nv);
     let deds = CompiledDeps::new(mars.dependencies());
     let original = &block.compiled;
+    let compiled_once = ContainmentProgram::new(original);
 
     let mut candidates = vec![(block.result.initial.clone().expect("initial"), true)];
     for (minimal, _) in &block.result.minimal {
@@ -1046,6 +1052,7 @@ fn star_back_chases_confirm_like_the_oracle() {
             let kernel = maps_into(original, branch.instance(), branch.head());
             let oracle = containment_mapping(original, &branch.to_query("back")).is_some();
             assert_eq!(kernel, oracle, "{candidate:?}");
+            assert_eq!(compiled_once.maps_into(branch.instance(), branch.head()), oracle);
             assert_eq!(kernel, *is_reformulation, "{candidate:?}");
         }
     }
