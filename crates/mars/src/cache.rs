@@ -15,13 +15,13 @@
 //! stored entry's variables and constants are mapped pairwise onto the new
 //! query's (both shapes list them in first-occurrence order, and equal shape
 //! keys guarantee the lists align), every query in the result is rewritten in
-//! one simultaneous pass, and the SQL is re-rendered from the rewritten best
-//! query. The service layer property-tests that this equals a cold
-//! reformulation byte for byte.
+//! one simultaneous pass, and nothing derived from them is kept beside them
+//! (the SQL is rendered from the rewritten best query when asked for). The
+//! service layer property-tests that this equals a cold reformulation byte
+//! for byte.
 
 use crate::result::BlockReformulation;
 use mars_cq::{ConjunctiveQuery, Constant, Term, Variable};
-use mars_storage::sql_for_query;
 use mars_xquery::QueryShape;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -174,14 +174,10 @@ fn resubstitute(
     result.initial = result.initial.as_ref().map(&q);
     result.minimal = result.minimal.iter().map(|(m, c)| (q(m), *c)).collect();
     result.best = result.best.as_ref().map(|(b, c)| (q(b), *c));
-    // Reformulations are safe (head variables bound in the body), so SQL
-    // rendering cannot fail on them; `.ok()` guards the contract anyway.
-    let sql = result.best_or_initial().and_then(|q| sql_for_query(q).ok());
     BlockReformulation {
         name: block.name.clone(),
         compiled: q(&block.compiled),
         result,
-        sql,
         // Routing depends on the query shape and the store statistics, not
         // on the constants a shape abstracts over — replay it verbatim.
         route: block.route.clone(),
@@ -241,7 +237,6 @@ mod tests {
             "r",
             vec![Term::var("x"), Term::constant_str(c0), Term::constant_str(c1)],
         ));
-        let sql = sql_for_query(&q).ok();
         BlockReformulation {
             name: "Q".to_string(),
             compiled: q.clone(),
@@ -252,7 +247,6 @@ mod tests {
                 best: Some((q, 1.0)),
                 stats: CbStatistics::default(),
             },
-            sql,
             route: None,
             duration: Duration::default(),
         }
@@ -282,7 +276,7 @@ mod tests {
         cache.insert(s.clone(), 1, block("a", "b"));
         cache.insert(s.clone(), 1, block("other", "values"));
         let hit = cache.lookup(&s, 1).unwrap();
-        assert!(hit.sql.as_ref().unwrap().contains('a'), "the first entry stayed resident");
+        assert!(hit.sql().unwrap().contains('a'), "the first entry stayed resident");
         assert_eq!(cache.stats().entries, 1);
     }
 
@@ -303,7 +297,7 @@ mod tests {
             format!("{}", swapped.result.universal_plan),
             format!("{}", cold.result.universal_plan)
         );
-        assert_eq!(swapped.sql, cold.sql);
+        assert_eq!(swapped.sql(), cold.sql());
     }
 
     /// A request that panics under the cache's lock poisons the mutex; the

@@ -3,6 +3,7 @@
 use mars_chase::{Degradation, ReformulationResult};
 use mars_cost::RoutingDecision;
 use mars_cq::ConjunctiveQuery;
+use mars_storage::sql_for_query;
 use mars_xquery::DecorrelatedQuery;
 use std::time::Duration;
 
@@ -15,11 +16,9 @@ pub struct BlockReformulation {
     pub compiled: ConjunctiveQuery,
     /// The C&B result: universal plan, initial, minimal and best reformulations.
     pub result: ReformulationResult,
-    /// SQL rendering of the chosen reformulation, when one exists.
-    pub sql: Option<String>,
     /// The backend routing decision for the chosen reformulation, when one
     /// was priced (see [`MarsService::reformulate_xbind_routed`]). Cached and
-    /// replayed alongside the SQL: the decision depends only on the query
+    /// replayed with the plan: the decision depends only on the query
     /// shape and the store statistics, never on the constants, so
     /// resubstitution clones it verbatim.
     ///
@@ -30,6 +29,13 @@ pub struct BlockReformulation {
 }
 
 impl BlockReformulation {
+    /// SQL rendering of the chosen reformulation, when one exists.
+    pub fn sql(&self) -> Option<String> {
+        // Reformulations are safe (head variables bound in the body), so SQL
+        // rendering cannot fail on them; `.ok()` guards the contract anyway.
+        self.result.best_or_initial().and_then(|q| sql_for_query(q).ok())
+    }
+
     /// The number of minimal reformulations found for this block.
     pub fn minimal_count(&self) -> usize {
         self.result.minimal.len()
@@ -84,7 +90,6 @@ mod tests {
                 best: if with_best { Some((q, 1.0)) } else { None },
                 stats: CbStatistics::default(),
             },
-            sql: None,
             route: None,
             duration: Duration::default(),
         }

@@ -396,10 +396,10 @@ mod tests {
     fn constants_only_repeat_is_a_hit_with_fresh_constants() {
         let service = MarsService::new(Mars::new(correspondence()));
         let cold = service.reformulate_xbind(&title_filter("First Title")).unwrap();
-        assert!(cold.sql.as_ref().unwrap().contains("First Title"));
+        assert!(cold.sql().unwrap().contains("First Title"));
         let warm = service.reformulate_xbind(&title_filter("Second Title")).unwrap();
-        assert!(warm.sql.as_ref().unwrap().contains("Second Title"));
-        assert!(!warm.sql.as_ref().unwrap().contains("First Title"));
+        assert!(warm.sql().unwrap().contains("Second Title"));
+        assert!(!warm.sql().unwrap().contains("First Title"));
         let stats = service.cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
     }

@@ -10,7 +10,6 @@ use mars_grex::{
     ViewDef,
 };
 use mars_specialize::{specialize_query, specialize_view, specialize_xic, SpecializationMapping};
-use mars_storage::sql_for_query;
 use mars_xquery::{decorrelate, parse_xquery, XBindAtom, XBindQuery, Xic};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
@@ -325,14 +324,10 @@ impl Mars {
         let mut ctx = CompileContext::new();
         let compiled: ConjunctiveQuery = compile_xbind(&mut ctx, &effective);
         let result = self.engine.reformulate(&compiled, budget);
-        // Reformulations are safe (head variables bound in the body), so SQL
-        // rendering cannot fail on them; `.ok()` guards the contract anyway.
-        let sql = result.best_or_initial().and_then(|q| sql_for_query(q).ok());
         BlockReformulation {
             name: xbind.name.clone(),
             compiled,
             result,
-            sql,
             route: None,
             duration: start.elapsed(),
         }
@@ -472,7 +467,7 @@ mod tests {
         assert!(block.result.has_reformulation(), "a reformulation over bookRel must exist");
         let best = block.result.best_or_initial().unwrap();
         assert!(best.body.iter().any(|a| a.predicate == Predicate::new("bookRel")));
-        let sql = block.sql.as_ref().unwrap();
+        let sql = block.sql().unwrap();
         assert!(sql.contains("bookRel"));
     }
 

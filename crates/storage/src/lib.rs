@@ -11,15 +11,18 @@
 //!   evaluator survives as the oracle [`RelationalDatabase::query_naive`]) and
 //!   emitting the equivalent SQL text, standing in for the commercial RDBMS
 //!   holding the proprietary tables and materialized relational views;
-//! * [`XmlStore`] — a set of in-memory XML documents with a deliberately
-//!   naive, nested-loop XBind/XQuery evaluator. It plays the role of the
-//!   Galax / Enosys engines in the paper's experiments: executing the
-//!   *unreformulated* query against the published documents, so that the net
-//!   saving of reformulation can be measured;
-//! * view [`materialization`](materialize) — running GAV/LAV view bodies over
-//!   the stores to populate the redundant storage (tables, cached documents),
-//!   and result **tagging** (the sorted-outer-union assembly of the XML result
-//!   from decorrelated binding tables);
+//! * [`XmlStore`] — a set of in-memory XML documents, each with its
+//!   navigation index, plus a deliberately naive, nested-loop XBind/XQuery
+//!   evaluator. The evaluator plays the role of the Galax / Enosys engines in
+//!   the paper's experiments — executing the *unreformulated* query against
+//!   the published documents, so that the net saving of reformulation can be
+//!   measured — and is the oracle of the differential tests; it has no
+//!   product caller;
+//! * view [`materialization`](materialize) — running the compiled GAV/LAV
+//!   view bodies through the [`BackendRouter`] to populate the redundant
+//!   storage (tables, cached documents), and result **tagging** (the
+//!   sorted-outer-union assembly of the XML result from decorrelated binding
+//!   tables);
 //! * the [`BackendRouter`] — the statistics-driven dispatcher that prices a
 //!   reformulated query block against the relational executor, native XML
 //!   navigation and a mixed plan, and executes it through a [`RoutedPlan`]

@@ -3,22 +3,28 @@
 //! * [`materialize_view`] runs a view body over the stores and writes its
 //!   output — a stored relation or a flat XML document — into the proprietary
 //!   storage. This is the tuning step of the paper (materialized views,
-//!   caches of previously answered queries such as `cacheEntry.xml`).
+//!   caches of previously answered queries such as `cacheEntry.xml`). The
+//!   body runs as the query `compile_view` builds `c_V` / `b_V` from, on the
+//!   [`BackendRouter`]: what is stored satisfies what the chase assumes.
 //! * [`tag_results`] assembles the XML result of a client query from the
 //!   binding tables of its decorrelated blocks, following the sorted
 //!   outer-union approach the paper adopts from XPeranto.
 
 use crate::relational::RelationalDatabase;
+use crate::router::{BackendRouter, Route};
 use crate::xml_engine::{Value, XmlStore, XmlStoreError};
-use mars_grex::{ViewDef, ViewOutput};
+use mars_cq::Term;
+use mars_grex::{compile_xbind, CompileContext, ViewDef, ViewOutput};
 use mars_xml::{Document, NodeId};
-use mars_xquery::{DecorrelatedQuery, TemplateNode};
+use mars_xquery::{DecorrelatedQuery, TemplateNode, XBindAtom};
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, Hasher};
 
-/// Materialize a view: evaluate its body over the XML store (its navigation
-/// part) and write the result either into the relational database or as a new
+/// Materialize a view: run its compiled body (the query `c_V` / `b_V` are
+/// built from) through the [`BackendRouter`] — stored documents navigated
+/// natively, relational atoms joined from `relational` — and write the rows,
+/// a set in the router's order, into the relational database or as a new
 /// document in the XML store. Returns the number of rows materialized.
 ///
 /// # Errors
@@ -30,21 +36,40 @@ pub fn materialize_view(
     xml: &mut XmlStore,
     relational: &mut RelationalDatabase,
 ) -> Result<usize, XmlStoreError> {
-    let bindings = xml.eval_xbind(&view.body, &HashMap::new())?;
-    // Set semantics for materialized views: a row stays where it first appears.
+    let body = &view.body;
+    let mut documents = Vec::new();
+    for atom in &body.atoms {
+        if let XBindAtom::AbsolutePath { document, .. } = atom {
+            let missing = || XmlStoreError::MissingDocument { document: document.clone() };
+            documents.push(xml.indexed(document).ok_or_else(missing)?);
+        }
+    }
+    let router = BackendRouter::new(relational, xml);
+    let query = compile_xbind(&mut CompileContext::new(), body);
+    let rows = router.execute(&router.plan_forced(&query, Route::Xml))?.rows;
+    // A head column bound by a path that ends in an element step holds node
+    // constants. It is stored as the element's text content (the common case
+    // for the paper's flat views), so rows are deduplicated again after that
+    // projection. An unbound head variable stores the empty string.
+    let element = |head: &String| {
+        body.atoms.iter().any(|atom| match atom {
+            XBindAtom::AbsolutePath { path, var, .. }
+            | XBindAtom::RelativePath { path, var, .. } => var == head && !path.returns_value(),
+            _ => false,
+        })
+    };
+    let elements: Vec<bool> = body.head.iter().map(element).collect();
+    let text = |node| documents.iter().find_map(|(d, index)| Some(d.text_of(index.node_of(node)?)));
     let mut seen = HashSet::new();
-    let unique: Vec<Vec<String>> = bindings
+    let unique: Vec<Vec<String>> = rows
         .iter()
-        .map(|b| -> Vec<String> {
-            view.body
-                .head
-                .iter()
-                .map(|h| match b.get(h) {
-                    Some(Value::Str(s)) => s.clone(),
-                    // Element-valued columns are represented by their text
-                    // content (the common case for the paper's flat views).
-                    Some(Value::Node { document, node }) => node_text(xml, document, *node),
-                    None => String::new(),
+        .map(|row| -> Vec<String> {
+            row.iter()
+                .zip(&elements)
+                .map(|(value, element)| match value {
+                    Term::Var(_) => String::new(),
+                    Term::Const(_) if *element => text(*value).unwrap_or_default(),
+                    Term::Const(c) => c.render(),
                 })
                 .collect()
         })
@@ -71,12 +96,6 @@ pub fn materialize_view(
         }
     }
     Ok(unique.len())
-}
-
-/// The text an element-valued binding prints as; empty when the store does
-/// not hold its document.
-fn node_text(xml: &XmlStore, document: &str, node: NodeId) -> String {
-    xml.document(document).map(|d| d.text_of(node)).unwrap_or_default()
 }
 
 /// Assemble the XML result of a decorrelated query from the bindings of its
@@ -238,8 +257,10 @@ impl<'a> Tagger<'a> {
                     Some(Value::Str(s)) => {
                         self.doc.add_text(parent, s);
                     }
+                    // Empty when the store does not hold the binding's document.
                     Some(Value::Node { document, node }) => {
-                        self.doc.add_text(parent, &node_text(self.xml, document, *node));
+                        let element = self.xml.document(document).map(|d| d.text_of(*node));
+                        self.doc.add_text(parent, &element.unwrap_or_default());
                     }
                     None => {}
                 },
@@ -345,10 +366,12 @@ mod reference {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
+    use mars_cq::{Atom, ConjunctiveQuery};
     use mars_xml::parse_document;
-    use mars_xquery::{decorrelate, parse_xquery, TaggingTemplate, XBindAtom, XBindQuery};
+    use mars_xquery::{decorrelate, parse_xquery, TaggingTemplate, XBindQuery, XBindTerm};
     use proptest::prelude::*;
 
     fn catalog_store() -> XmlStore {
@@ -564,8 +587,54 @@ mod tests {
         assert_eq!(tagged.to_xml().matches("<title>").count(), 3);
     }
 
+    /// The rows a view stored, read back from its relation or flat document.
+    fn stored_extent(view: &ViewDef, xml: &XmlStore, db: &RelationalDatabase) -> Vec<Vec<String>> {
+        match &view.output {
+            ViewOutput::Relation { name } => {
+                let columns: Vec<Term> =
+                    (0..view.body.head.len()).map(|i| Term::var(&format!("c{i}"))).collect();
+                let scan = ConjunctiveQuery::new("Extent")
+                    .with_head(columns.clone())
+                    .with_atom(Atom::named(name, columns));
+                db.query_strings(&scan)
+            }
+            ViewOutput::XmlFlat { document, .. } => {
+                let doc = xml.document(document).expect("the view wrote its document");
+                doc.child_elements(doc.root().unwrap())
+                    .map(|row| doc.child_elements(row).map(|field| doc.text_of(field)).collect())
+                    .collect()
+            }
+        }
+    }
+
+    fn compiled_body(view: &ViewDef) -> ConjunctiveQuery {
+        compile_xbind(&mut CompileContext::new(), &view.body)
+    }
+
+    fn sorted<T: Ord>(mut rows: Vec<T>) -> Vec<T> {
+        rows.sort();
+        rows
+    }
+
+    fn absolute(document: &str, path: &str, var: &str) -> XBindAtom {
+        XBindAtom::AbsolutePath {
+            document: document.to_string(),
+            path: mars_xml::parse_path(path).unwrap(),
+            var: var.to_string(),
+        }
+    }
+
+    fn relative(source: &str, path: &str, var: &str) -> XBindAtom {
+        XBindAtom::RelativePath {
+            path: mars_xml::parse_path(path).unwrap(),
+            source: source.to_string(),
+            var: var.to_string(),
+        }
+    }
+
+    /// Rows are a set, written in the order the engine returns them.
     #[test]
-    fn materialized_rows_are_distinct_and_keep_their_first_position() {
+    fn materialized_rows_are_distinct_and_in_engine_order() {
         let mut xml = XmlStore::new();
         xml.add_document(
             parse_document(
@@ -578,13 +647,133 @@ mod tests {
         );
         let mut db = RelationalDatabase::new();
         let view = ViewDef::xml_flat("V", drug_price_view().body, "v.xml", "entry", &["n", "p"]);
-        assert_eq!(materialize_view(&view, &mut xml, &mut db).unwrap(), 2);
-        let doc = xml.document("v.xml").unwrap();
-        let names: Vec<String> = doc
-            .all_nodes()
-            .filter(|id| doc.node(*id).tag() == Some("n"))
-            .map(|id| doc.text_of(id))
+        let router = BackendRouter::new(&db, &xml);
+        let plan = router.plan_forced(&compiled_body(&view), Route::Xml);
+        let engine: Vec<Vec<String>> = (router.execute(&plan).unwrap().rows.iter())
+            .map(|row| row.iter().map(|t| t.as_const().unwrap().render()).collect())
             .collect();
-        assert_eq!(names, ["b", "a"]);
+        assert_eq!(materialize_view(&view, &mut xml, &mut db).unwrap(), 2);
+        assert_eq!(stored_extent(&view, &xml, &db), engine);
+        assert_eq!(sorted(engine), [["a", "2"], ["b", "1"]]);
+    }
+
+    /// A GAV body's relational atoms are joined — with each other and with
+    /// the paths over a stored document — not skipped.
+    #[test]
+    fn gav_views_join_their_relational_atoms() {
+        let mut xml = catalog_store();
+        let mut db = RelationalDatabase::new();
+        db.load_facts(&mars_grex::encode_document(xml.document("catalog.xml").unwrap()));
+        for (who, what) in [("ann", "flu"), ("bob", "asthma"), ("cy", "flu")] {
+            db.insert_strs("diag", &[who, what]);
+        }
+        for (who, drug) in
+            [("ann", "aspirin"), ("bob", "inhaler"), ("bob", "aspirin"), ("dee", "statin")]
+        {
+            db.insert_strs("takes", &[who, drug]);
+        }
+        let table = |relation: &str, args: [&str; 2]| XBindAtom::Relational {
+            relation: relation.to_string(),
+            args: args.iter().map(|a| XBindTerm::var(a)).collect(),
+        };
+        let cases = XBindQuery::new("Cases")
+            .with_head(&["what", "drug"])
+            .with_atom(table("diag", ["who", "what"]))
+            .with_atom(table("takes", ["who", "drug"]));
+        let bills = XBindQuery::new("Bills")
+            .with_head(&["who", "p"])
+            .with_atom(table("takes", ["who", "n"]))
+            .with_atom(absolute("catalog.xml", "//drug", "d"))
+            .with_atom(relative("d", "./name/text()", "n"))
+            .with_atom(relative("d", "./price/text()", "p"));
+        for body in [cases, bills] {
+            let view = ViewDef::xml_flat("V", body, "v.xml", "row", &["a", "b"]);
+            assert_eq!(materialize_view(&view, &mut xml, &mut db).unwrap(), 3, "{}", view.body);
+            let extent = stored_extent(&view, &xml, &db);
+            assert_eq!(sorted(extent), sorted(db.query_strings(&compiled_body(&view))));
+        }
+    }
+
+    /// What is stored satisfies `b_V`: `text()` of an empty element is no
+    /// binding (GReX has no `text#d` fact for it), so the extent is exactly
+    /// the compiled body's answer and a query through the view returns what
+    /// direct navigation returns, on every route.
+    #[test]
+    fn an_extent_satisfies_its_own_constraints() {
+        let source = "<c><d><n>a</n><p>1</p></d><d><n>b</n><p></p></d></c>";
+        let body = XBindQuery::new("NP")
+            .with_head(&["n", "p"])
+            .with_atom(absolute("c.xml", "//d", "d"))
+            .with_atom(relative("d", "./n/text()", "n"))
+            .with_atom(relative("d", "./p/text()", "p"));
+        let through_document = XBindQuery::new("NP")
+            .with_head(&["n", "p"])
+            .with_atom(absolute("np.xml", "//row", "r"))
+            .with_atom(relative("r", "./n/text()", "n"))
+            .with_atom(relative("r", "./p/text()", "p"));
+        let through_relation = ConjunctiveQuery::new("NP")
+            .with_head(vec![Term::var("n"), Term::var("p")])
+            .with_atom(Atom::named("np", vec![Term::var("n"), Term::var("p")]));
+        let views = [
+            (ViewDef::relational("np", body.clone()), through_relation),
+            (
+                ViewDef::xml_flat("NPdoc", body, "np.xml", "row", &["n", "p"]),
+                compile_xbind(&mut CompileContext::new(), &through_document),
+            ),
+        ];
+        for (view, through_view) in views {
+            let mut xml = XmlStore::new();
+            xml.add_document(parse_document("c.xml", source).unwrap());
+            let mut db = RelationalDatabase::new();
+            assert_eq!(materialize_view(&view, &mut xml, &mut db).unwrap(), 1, "{}", view.name);
+            for name in xml.document_names() {
+                db.load_facts(&mars_grex::encode_document(xml.document(&name).unwrap()));
+            }
+            let navigation = compiled_body(&view);
+            let extent = stored_extent(&view, &xml, &db);
+            assert_eq!(extent, db.query_strings(&navigation), "{}", view.name);
+            let router = BackendRouter::new(&db, &xml);
+            let mut plans = vec![router.plan(&navigation), router.plan(&through_view)];
+            for route in [Route::Relational, Route::Xml, Route::Mixed] {
+                plans.push(router.plan_forced(&navigation, route));
+                plans.push(router.plan_forced(&through_view, route));
+            }
+            for plan in &plans {
+                let rows = router.execute(plan).unwrap().rows;
+                assert_eq!(rows, db.query(&navigation), "{} on {:?}", plan.query, plan.decision);
+            }
+        }
+    }
+
+    /// An element-valued head column stores the element's text, and rows
+    /// that differ only in the element's identity collapse.
+    #[test]
+    fn element_valued_columns_store_their_text() {
+        let mut xml = XmlStore::new();
+        let source = "<r><e>x<k>1</k></e><e>x<k>2</k></e><s><e>y</e></s></r>";
+        xml.add_document(parse_document("r.xml", source).unwrap());
+        let mut db = RelationalDatabase::new();
+        let body = XBindQuery::new("E")
+            .with_atom(absolute("r.xml", "//r", "r"))
+            .with_atom(relative("r", "./e", "e"))
+            .with_atom(relative("e", "./k/text()", "k"));
+        let elements = ViewDef::relational("e", body.clone().with_head(&["e"]));
+        assert_eq!(materialize_view(&elements, &mut xml, &mut db).unwrap(), 1);
+        assert_eq!(stored_extent(&elements, &xml, &db), [["x"]]);
+        let keyed = ViewDef::relational("ek", body.with_head(&["e", "k"]));
+        assert_eq!(materialize_view(&keyed, &mut xml, &mut db).unwrap(), 2);
+        assert_eq!(sorted(stored_extent(&keyed, &xml, &db)), [["x", "1"], ["x", "2"]]);
+    }
+
+    /// A head variable the body does not bind stores the empty string.
+    #[test]
+    fn an_unbound_head_variable_stores_empty() {
+        let mut xml = catalog_store();
+        let mut db = RelationalDatabase::new();
+        let mut view = drug_price_view();
+        view.body.head.push("nowhere".to_string());
+        assert_eq!(materialize_view(&view, &mut xml, &mut db).unwrap(), 2);
+        let extent = stored_extent(&view, &xml, &db);
+        assert_eq!(sorted(extent), [["aspirin", "3", ""], ["inhaler", "25", ""]]);
     }
 }

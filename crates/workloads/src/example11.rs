@@ -176,42 +176,12 @@ pub fn populate(patients: usize) -> (XmlStore, RelationalDatabase) {
     let mut xml = XmlStore::new();
     xml.add_document(parse_document(names::CATALOG, &catalog).unwrap());
 
-    // Materialize CaseMap (publishing) by joining the tables directly.
-    let mut case_doc = mars_xml::Document::new(names::CASE);
-    let root = case_doc.create_root("cases");
-    let q = mars_cq::ConjunctiveQuery::new("casejoin")
-        .with_head(vec![
-            mars_cq::Term::var("diag"),
-            mars_cq::Term::var("drug"),
-            mars_cq::Term::var("usage"),
-        ])
-        .with_body(vec![
-            mars_cq::Atom::named(
-                names::PATIENT_DIAG,
-                vec![mars_cq::Term::var("n"), mars_cq::Term::var("diag")],
-            ),
-            mars_cq::Atom::named(
-                names::PATIENT_DRUG,
-                vec![
-                    mars_cq::Term::var("n"),
-                    mars_cq::Term::var("drug"),
-                    mars_cq::Term::var("usage"),
-                ],
-            ),
-        ]);
-    for row in db.query_strings(&q) {
-        let case = case_doc.add_element(root, "case");
-        case_doc.add_leaf(case, "diagnosis", &row[0]);
-        case_doc.add_leaf(case, "drug", &row[1]);
-        case_doc.add_leaf(case, "usage", &row[2]);
+    // Materialize CaseMap (publishing, the GAV join of the tables), then the
+    // LAV tuning views over the catalog and over the case document it wrote.
+    for view in [case_map(), drug_price_map(), cache_map()] {
+        materialize_view(&view, &mut xml, &mut db)
+            .expect("each view reads tables and documents populated before it");
     }
-    xml.add_document(case_doc);
-
-    // Materialize the LAV tuning views.
-    materialize_view(&drug_price_map(), &mut xml, &mut db)
-        .expect("DrugPriceMap navigates the freshly added catalog");
-    materialize_view(&cache_map(), &mut xml, &mut db)
-        .expect("cacheEntry view navigates the freshly added documents");
     // Ground GReX encodings of the proprietary catalog and the cached
     // document: reformulations navigate them with `tag#`/`child#`/... atoms,
     // which the relational executor can only satisfy from loaded facts.

@@ -36,7 +36,7 @@ fn main() {
         match block.result.best_or_initial() {
             Some(best) => {
                 println!("  best reformulation: {best}");
-                println!("  as SQL:\n{}", block.sql.as_deref().unwrap_or("<none>"));
+                println!("  as SQL:\n{}", block.sql().as_deref().unwrap_or("<none>"));
             }
             None => println!("  no reformulation found"),
         }

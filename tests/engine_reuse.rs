@@ -193,7 +193,7 @@ fn plan_cache_counts_hits_and_misses() {
     assert!(cold.result.has_reformulation());
     for key in ["beta", "gamma", "delta"] {
         let warm = service.reformulate_xbind(&title_filter(key)).expect("reformulates");
-        assert!(warm.sql.as_ref().expect("sql").contains(key), "hit carries the fresh constant");
+        assert!(warm.sql().expect("sql").contains(key), "hit carries the fresh constant");
     }
     // A structurally different template (no filter) is its own shape.
     let other = title_filter("unused");
@@ -259,7 +259,7 @@ fn concurrent_warm_cache_access_is_deterministic() {
                                 "{} | {:?} | {}",
                                 block.result.universal_plan,
                                 block.result.minimal,
-                                block.sql.as_deref().unwrap_or("-")
+                                block.sql().as_deref().unwrap_or("-")
                             )
                         })
                         .collect()
@@ -280,7 +280,7 @@ fn concurrent_warm_cache_access_is_deterministic() {
             "{} | {:?} | {}",
             block.result.universal_plan,
             block.result.minimal,
-            block.sql.as_deref().unwrap_or("-")
+            block.sql().as_deref().unwrap_or("-")
         );
         assert_eq!(per_thread[0][i], rendered, "warm output differs from cold for {k}");
     }
@@ -319,7 +319,7 @@ fn degraded_results_never_poison_the_plan_cache() {
     // Third arrival: a warm hit off the healthy entry, carrying its constant.
     let warm = service.reformulate_xbind(&title_filter("gamma")).expect("reformulates");
     assert!(!warm.is_degraded());
-    assert!(warm.sql.as_ref().expect("sql").contains("gamma"));
+    assert!(warm.sql().expect("sql").contains("gamma"));
     let stats = service.cache_stats();
     assert_eq!(stats.hits, 1);
     assert_eq!(stats.degraded_uncached, 1, "hygiene counter unmoved by healthy traffic");
@@ -378,7 +378,7 @@ fn warm_hits_survive_a_zero_budget() {
     let strangled = ReformulationBudget::unbounded().with_deadline(Duration::ZERO);
     let warm = service.reformulate_xbind_with(&title_filter("beta"), &strangled).expect("warm run");
     assert!(!warm.is_degraded(), "warm traffic must not degrade under any budget");
-    assert!(warm.sql.as_ref().expect("sql").contains("beta"));
+    assert!(warm.sql().expect("sql").contains("beta"));
     let stats = service.cache_stats();
     assert_eq!((stats.hits, stats.degraded_uncached), (1, 0));
     assert_eq!(service.service_stats().served, 2);
