@@ -15,9 +15,28 @@
 //! The enumeration is a **level-synchronous** BFS over candidate atom sets
 //! ([`AtomSet`] — growable bitsets, so pools wider than 128 atoms enumerate
 //! exhaustively; the old `u128` ceiling and its silent greedy fallback are
-//! gone). Each level holds every candidate of one subquery size, judged one
-//! after the other in one loop body: cost, cost pruning, navigation legality
-//! and the safety prefilter, the equivalence check, and growth by one atom.
+//! gone). Each level holds every candidate of one subquery size. Its costs
+//! are computed in one pass before the level's loop, which then judges the
+//! candidates one after the other: cost pruning, the safety prefilter, the
+//! equivalence check, and growth by one atom. Only a candidate that reaches
+//! the equivalence check is rendered as a subquery.
+//!
+//! Growth is bitset work. The [`ReachabilityGraph`] compiles each pool
+//! atom's required and produced variables into word bitsets once, so the
+//! atoms a candidate enables are found with word operations
+//! ([`ReachabilityGraph::enabled_into`]). Each child is probed in place (the
+//! atom inserted into the candidate, looked up, removed) against an
+//! Fx-hashed set of the next level's candidates, and only a new child is
+//! cloned; that set starts empty at every level, because a (k+1)-subset is
+//! only ever grown at level k. The frontier keeps first-insertion order, so
+//! the candidate order — and with it `minimal`, `best` ties and the
+//! per-level memo budget — does not depend on the set. Navigation legality
+//! (criteria 2–3) is never checked per candidate: every candidate is an
+//! entry point grown by atoms it enables, so it is constructible by
+//! construction. The legality fixpoint,
+//! [`ReachabilityGraph::is_legal_subset`], is the oracle the tests hold that
+//! growth against.
+//!
 //! The best cost a candidate is pruned against stays frozen for its level
 //! (the level's discoveries take effect at its end), for two reasons. The
 //! funnel counters (candidates inspected, cost-pruned, equivalence checks)
@@ -61,7 +80,7 @@
 //! * **O(1) subset costs**: for additive cost models
 //!   ([`CostEstimator::atom_costs`]) the per-atom costs of the pool are
 //!   computed once and a candidate's cost is a bitset fold
-//!   ([`fold_atom_costs`]).
+//!   ([`fold_atom_costs`]), one pass per level.
 
 use crate::chase::{
     chase_resident_with_atoms_compiled, chase_to_resident_compiled, ChaseOptions, ChaseStats,
@@ -71,8 +90,8 @@ use crate::compiled::CompiledDeps;
 use crate::evaluate::{maps_into, ContainmentProgram};
 use crate::reach::{prune_parallel_desc, ReachabilityGraph};
 use mars_cost::{fold_atom_costs, CostEstimator};
-use mars_cq::{Atom, AtomSet, ConjunctiveQuery, Predicate, Variable};
-use std::collections::{HashMap, HashSet};
+use mars_cq::{Atom, AtomSet, ConjunctiveQuery, FxHashMap, FxHashSet, Predicate, Variable};
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 /// Why an anytime backchase stopped short of a complete enumeration.
@@ -218,8 +237,12 @@ pub struct BackchaseOutcome {
     /// restricts to one from the subset, so no superset can pass either —
     /// none can be a reformulation (the antichain dead-cone rule).
     pub containment_dead_cone_skips: usize,
-    /// Wall-clock spent computing candidate costs (phase profile; the three
-    /// phase counters partition the per-candidate work of `duration`).
+    /// Wall-clock spent computing candidate costs, timed once per level.
+    /// With `chase_phase` and `containment_phase` it profiles `duration`:
+    /// the three cover the cost passes, the back-chases and the two
+    /// containment halves. The rest of `duration` — growing and
+    /// deduplicating candidates, the memo probes, rendering the subqueries
+    /// that reach the equivalence check — belongs to no phase.
     pub cost_phase: Duration,
     /// Wall-clock spent in back-chases, from scratch or resumed.
     pub chase_phase: Duration,
@@ -395,8 +418,8 @@ impl SafetyPrefilter {
         SafetyPrefilter { active, full, per_atom }
     }
 
-    fn passes(&self, subset: &[usize]) -> bool {
-        !self.active || subset.iter().fold(0u64, |acc, &i| acc | self.per_atom[i]) == self.full
+    fn passes(&self, mask: &AtomSet) -> bool {
+        !self.active || mask.iter().fold(0u64, |acc, i| acc | self.per_atom[i]) == self.full
     }
 }
 
@@ -480,9 +503,13 @@ pub fn backchase(
     let atom_costs = estimator.atom_costs(&pool_query);
     let safety = SafetyPrefilter::new(&pool_query, &pool);
 
-    // Level-synchronous breadth-first enumeration by subset size.
-    let mut visited: HashSet<AtomSet> = HashSet::new();
-    let mut frontier: Vec<AtomSet> = Vec::new();
+    // Level-synchronous breadth-first enumeration by subset size. Seeds: the
+    // entry points of the navigation (pruning criterion 3).
+    let mut frontier: Vec<AtomSet> = graph.roots.iter().map(|&s| AtomSet::singleton(s)).collect();
+    // The next level's candidates, for deduplication: a (k+1)-subset is only
+    // ever grown at level k, so the set starts empty at every level.
+    let mut visited: FxHashSet<AtomSet> = FxHashSet::default();
+    let (mut produced, mut enabled) = (Vec::new(), Vec::new());
     let mut found: Vec<AtomSet> = Vec::new();
     // Best reformulation cost as of the end of the previous level. Frozen
     // for the whole level (see the module docs): a reformulation discovered
@@ -491,15 +518,7 @@ pub fn backchase(
     // candidates is evaluated without the tighter bound.
     let mut best_cost = f64::INFINITY;
     // Memoized back-chases of the previous BFS size level.
-    let mut prev_level: HashMap<AtomSet, Vec<ResidentBranch>> = HashMap::new();
-
-    // Seeds: the entry points of the navigation (pruning criterion 3).
-    for &s in &graph.roots {
-        let mask = AtomSet::singleton(s);
-        if visited.insert(mask.clone()) {
-            frontier.push(mask);
-        }
-    }
+    let mut prev_level: FxHashMap<AtomSet, Vec<ResidentBranch>> = FxHashMap::default();
 
     while !frontier.is_empty() {
         // Anytime deadline, checked level-synchronously: an expired deadline
@@ -531,18 +550,24 @@ pub fn backchase(
             break;
         }
 
-        let mut cur_level: HashMap<AtomSet, Vec<ResidentBranch>> = HashMap::new();
+        // The level's costs, in one pass: the bound they are pruned against
+        // is frozen for the level.
+        let cost_start = Instant::now();
+        let costs: Vec<f64> = level
+            .iter()
+            .map(|mask| match &atom_costs {
+                Some(w) => fold_atom_costs(w, mask),
+                None => estimator.estimate(&pool_query.subquery(&mask.iter().collect::<Vec<_>>())),
+            })
+            .collect();
+        outcome.cost_phase += cost_start.elapsed();
+
+        visited.clear();
+        let mut cur_level: FxHashMap<AtomSet, Vec<ResidentBranch>> = FxHashMap::default();
         let mut next_best = best_cost;
-        for (position, mask) in level.iter().enumerate() {
+        for (position, (mut mask, cost)) in level.into_iter().zip(costs).enumerate() {
             // Candidate indices (used for naming) continue across levels.
             outcome.candidates_inspected += 1;
-            let subset: Vec<usize> = mask.iter().collect();
-            let cost_start = Instant::now();
-            let cost = match &atom_costs {
-                Some(w) => fold_atom_costs(w, mask),
-                None => estimator.estimate(&pool_query.subquery(&subset)),
-            };
-            outcome.cost_phase += cost_start.elapsed();
             // Cost-based pruning: a subquery costing more than the best found
             // so far cannot lead to the optimum (monotone cost model), so
             // neither it nor its supersets are considered further.
@@ -551,15 +576,26 @@ pub fn backchase(
                 continue;
             }
 
-            // Navigation pruning (criteria 2–3) and the safety prefilter: a
-            // subset failing either is not checked, only grown.
-            if graph.is_legal_subset(&subset) && safety.passes(&subset) {
+            // The safety prefilter: a subset failing it is not checked, only
+            // grown. (Navigation legality, criteria 2–3, holds by
+            // construction: every candidate is a root grown by enabled atoms.)
+            if safety.passes(&mask) {
+                let subset: Vec<usize> = mask.iter().collect();
                 let mut candidate = pool_query.subquery(&subset);
                 candidate.name =
                     format!("{}_candidate{}", original.name, outcome.candidates_inspected);
-                let seed = subset.iter().find_map(|&i| {
-                    prev_level.get(&mask.without(i)).map(|s| (s.as_slice(), &pool[i]))
-                });
+                // Resume from the memoized chase of the candidate minus one
+                // atom, probed by taking each atom out and putting it back.
+                let mut seed = None;
+                for &i in &subset {
+                    mask.remove(i);
+                    let memo = prev_level.get(&mask);
+                    mask.insert(i);
+                    if let Some(branches) = memo {
+                        seed = Some((branches.as_slice(), &pool[i]));
+                        break;
+                    }
+                }
                 let check = equivalence.check(&candidate, seed);
                 outcome.absorb(&check);
                 outcome.equivalence_checks +=
@@ -574,7 +610,7 @@ pub fn backchase(
                     }
                     // No superset of a reformulation is minimal.
                     Verdict::Equivalent => {
-                        found.push(mask.clone());
+                        found.push(mask);
                         if cost < next_best {
                             next_best = cost;
                             outcome.best = Some((candidate.clone(), cost));
@@ -595,12 +631,16 @@ pub fn backchase(
                     Verdict::NotContained(_) | Verdict::Unsafe => {}
                 }
             }
-            // Grow the subset by one atom.
-            for g in graph.enabled(&subset) {
-                let next = mask.with(g);
-                if visited.insert(next.clone()) {
-                    frontier.push(next);
+            // Grow the subset by one atom: each child is probed in place and
+            // only a new one is cloned.
+            graph.enabled_into(&mask, &mut produced, &mut enabled);
+            for &g in &enabled {
+                mask.insert(g);
+                if !visited.contains(&mask) {
+                    visited.insert(mask.clone());
+                    frontier.push(mask.clone());
                 }
+                mask.remove(g);
             }
         }
         best_cost = next_best;
@@ -1030,9 +1070,8 @@ mod tests {
         }
     }
 
-    /// The phase profiler partitions the per-candidate work: the recorded
-    /// phases are non-zero where work happened and sum to at most the total
-    /// backchase duration.
+    /// The phase profile: the recorded phases are non-zero where work
+    /// happened and sum to at most the total backchase duration.
     #[test]
     fn phase_profile_is_recorded() {
         let (q, deds, proprietary) = redundant_setup();

@@ -11,9 +11,19 @@
 //!   navigation and are never enumerated. Both criteria are implemented by
 //!   traversing a directed *reachability graph* whose nodes are the atoms of
 //!   the universal plan.
+//!
+//! The graph is compiled once per backchase: each atom's required and
+//! produced variables become word bitsets over dense variable ids, so the
+//! atoms a candidate enables are found with word operations
+//! ([`ReachabilityGraph::enabled_into`]). Every candidate the backchase grows
+//! is an entry point extended by enabled atoms, hence legal by construction;
+//! [`ReachabilityGraph::is_legal_subset`] states the definition and is the
+//! oracle the growth is tested against.
 
-use mars_cq::{Atom, ConjunctiveQuery, Term, Variable};
-use std::collections::{HashMap, HashSet, VecDeque};
+use mars_cq::{Atom, AtomSet, ConjunctiveQuery, FxHashMap, FxHashSet, Term, Variable};
+use std::collections::VecDeque;
+
+const WORD_BITS: usize = 64;
 
 /// The variable(s) an atom *requires* to be already bound for its navigation
 /// to be contiguous, and the variable(s) it *produces*. GReX navigation
@@ -58,25 +68,28 @@ pub fn is_entry_point(atom: &Atom) -> bool {
 /// are each other's only alternative path would both be justified and both
 /// removed, disconnecting navigation that some reformulation still needs (a
 /// completeness loss, not just a missed optimization).
+///
+/// The navigation edges are indexed once, each tagged by its atom; a search
+/// skips the edges of the atom under test and of every atom already dropped,
+/// so a later check sees an earlier removal without rebuilding anything.
 pub fn prune_parallel_desc(plan: &ConjunctiveQuery) -> ConjunctiveQuery {
-    let is_nav = |a: &Atom| {
+    let mut adjacency: FxHashMap<Term, Vec<(usize, Term)>> = FxHashMap::default();
+    for (i, a) in plan.body.iter().enumerate() {
         let base = a.predicate.grex().0;
-        (base == "desc" || base == "child") && a.arity() == 2
-    };
+        if (base == "desc" || base == "child") && a.arity() == 2 {
+            adjacency.entry(a.args[0]).or_default().push((i, a.args[1]));
+        }
+    }
     let mut keep = vec![true; plan.body.len()];
-
-    let reachable_without = |from: Term, to: Term, skip: usize, keep: &[bool]| -> bool {
+    let mut seen: FxHashSet<Term> = FxHashSet::default();
+    let mut queue: VecDeque<Term> = VecDeque::new();
+    let mut reachable_without = |from: Term, to: Term, skip: usize, keep: &[bool]| -> bool {
         if from == to {
             return true;
         }
-        let mut adj: HashMap<Term, Vec<Term>> = HashMap::new();
-        for (i, a) in plan.body.iter().enumerate() {
-            if keep[i] && i != skip && is_nav(a) {
-                adj.entry(a.args[0]).or_default().push(a.args[1]);
-            }
-        }
-        let mut seen = HashSet::new();
-        let mut queue = VecDeque::from([from]);
+        seen.clear();
+        queue.clear();
+        queue.push_back(from);
         while let Some(cur) = queue.pop_front() {
             if cur == to {
                 return true;
@@ -84,8 +97,8 @@ pub fn prune_parallel_desc(plan: &ConjunctiveQuery) -> ConjunctiveQuery {
             if !seen.insert(cur) {
                 continue;
             }
-            if let Some(next) = adj.get(&cur) {
-                queue.extend(next.iter().copied());
+            if let Some(edges) = adjacency.get(&cur) {
+                queue.extend(edges.iter().filter(|&&(j, _)| j != skip && keep[j]).map(|&(_, y)| y));
             }
         }
         false
@@ -114,55 +127,81 @@ pub fn prune_parallel_desc(plan: &ConjunctiveQuery) -> ConjunctiveQuery {
     }
 }
 
-/// The atom reachability graph of a query: nodes are atom indices, with an
-/// edge `a1 → a2` when `a1` produces a variable that `a2` requires. The
-/// graph's roots are the entry-point atoms.
+/// The atom reachability graph of a query: an atom is *enabled* by a set of
+/// atoms when each variable it requires is produced by one of them, and the
+/// graph's roots are the entry-point atoms, which the empty set enables.
 #[derive(Clone, Debug)]
 pub struct ReachabilityGraph {
-    /// For each atom, the variables it requires.
-    requires: Vec<Vec<Variable>>,
-    /// For each atom, the variables it produces.
-    produces: Vec<Vec<Variable>>,
+    /// Words per variable bitset (at least one).
+    words: usize,
+    /// Atom `i`'s required variables: words `i * words .. (i + 1) * words`.
+    requires: Vec<u64>,
+    /// Atom `i`'s produced variables, laid out like `requires`.
+    produces: Vec<u64>,
     /// Indices of entry-point atoms (criterion 3 roots).
     pub roots: Vec<usize>,
-    /// Successor lists (atom index → atoms it enables).
-    pub successors: Vec<Vec<usize>>,
 }
 
 impl ReachabilityGraph {
-    /// Build the reachability graph of a query body.
+    /// Build the reachability graph of a query body, numbering its variables
+    /// densely and compiling what each atom requires and produces into
+    /// bitsets.
     pub fn new(query: &ConjunctiveQuery) -> ReachabilityGraph {
-        let n = query.body.len();
-        let mut requires = Vec::with_capacity(n);
-        let mut produces = Vec::with_capacity(n);
-        for a in &query.body {
-            let (r, p) = atom_io(a);
-            requires.push(r);
-            produces.push(p);
+        let io: Vec<_> = query.body.iter().map(atom_io).collect();
+        let mut ids: FxHashMap<Variable, usize> = FxHashMap::default();
+        for &v in io.iter().flat_map(|(r, p)| r.iter().chain(p)) {
+            let next = ids.len();
+            ids.entry(v).or_insert(next);
         }
-        let roots: Vec<usize> = (0..n).filter(|&i| requires[i].is_empty()).collect();
-        let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for i in 0..n {
-            for (j, required) in requires.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                if required.iter().any(|v| produces[i].contains(v)) {
-                    successors[i].push(j);
+        let words = ids.len().div_ceil(WORD_BITS).max(1);
+        let mut requires = vec![0; io.len() * words];
+        let mut produces = vec![0; io.len() * words];
+        for (i, (r, p)) in io.iter().enumerate() {
+            for (bits, vars) in [(&mut requires, r), (&mut produces, p)] {
+                for v in vars {
+                    let id = ids[v];
+                    bits[i * words + id / WORD_BITS] |= 1 << (id % WORD_BITS);
                 }
             }
         }
-        ReachabilityGraph { requires, produces, roots, successors }
+        let roots = (0..io.len()).filter(|&i| io[i].0.is_empty()).collect();
+        ReachabilityGraph { words, requires, produces, roots }
     }
 
     /// Number of atoms.
-    pub fn len(&self) -> usize {
-        self.requires.len()
+    fn atoms(&self) -> usize {
+        self.requires.len() / self.words
     }
 
-    /// Is the graph empty?
-    pub fn is_empty(&self) -> bool {
-        self.requires.is_empty()
+    fn requires(&self, i: usize) -> &[u64] {
+        &self.requires[i * self.words..(i + 1) * self.words]
+    }
+
+    fn produces(&self, i: usize) -> &[u64] {
+        &self.produces[i * self.words..(i + 1) * self.words]
+    }
+
+    /// Does `produced` hold every variable atom `i` requires?
+    fn is_enabled_by(&self, i: usize, produced: &[u64]) -> bool {
+        self.requires(i).iter().zip(produced).all(|(r, p)| r & !p == 0)
+    }
+
+    /// The atoms outside `mask` that `mask` *enables* (all required variables
+    /// produced by an atom of `mask`), ascending, into `out` — the atoms the
+    /// subset can grow by. `produced` is scratch space for the variables the
+    /// mask produces; both buffers are overwritten.
+    pub fn enabled_into(&self, mask: &AtomSet, produced: &mut Vec<u64>, out: &mut Vec<usize>) {
+        produced.clear();
+        produced.resize(self.words, 0);
+        for i in mask.iter() {
+            for (p, w) in produced.iter_mut().zip(self.produces(i)) {
+                *p |= w;
+            }
+        }
+        out.clear();
+        out.extend(
+            (0..self.atoms()).filter(|&i| !mask.contains(i) && self.is_enabled_by(i, produced)),
+        );
     }
 
     /// Is the subset of atom indices a *legal* subquery body according to
@@ -171,50 +210,127 @@ impl ReachabilityGraph {
     /// produced) by atoms added before it. This is strictly stronger than
     /// checking that requirements are produced *somewhere* in the subset —
     /// that weaker test accepts navigation cycles detached from any entry
-    /// point, which no XQuery navigation can express and which the
-    /// [`ReachabilityGraph::enabled`]-driven enumeration can never reach
-    /// (the two must agree, or the backchase's seed/grow strategy and its
-    /// legality filter would disagree about the search space).
+    /// point, which no XQuery navigation can express.
+    ///
+    /// The backchase never asks: every candidate it grows from the roots by
+    /// [`ReachabilityGraph::enabled_into`] is constructible by construction,
+    /// and conversely. This fixpoint is the oracle the tests hold that
+    /// growth against.
     pub fn is_legal_subset(&self, subset: &[usize]) -> bool {
-        if subset.is_empty() {
-            return false;
+        let mut produced = vec![0; self.words];
+        let mut pending = subset.to_vec();
+        loop {
+            let before = pending.len();
+            pending.retain(|&i| {
+                if !self.is_enabled_by(i, &produced) {
+                    return true;
+                }
+                for (p, w) in produced.iter_mut().zip(self.produces(i)) {
+                    *p |= w;
+                }
+                false
+            });
+            if pending.is_empty() {
+                return !subset.is_empty();
+            }
+            if pending.len() == before {
+                return false;
+            }
         }
-        let mut produced: HashSet<Variable> = HashSet::new();
-        let mut added = vec![false; subset.len()];
-        let mut remaining = subset.len();
-        let mut progress = true;
-        while progress && remaining > 0 {
-            progress = false;
-            for (k, &i) in subset.iter().enumerate() {
-                if !added[k] && self.requires[i].iter().all(|v| produced.contains(v)) {
-                    produced.extend(self.produces[i].iter().copied());
-                    added[k] = true;
-                    remaining -= 1;
-                    progress = true;
+    }
+}
+
+/// The set-based forms the compiled ones replaced, kept as the oracles the
+/// tests compare against.
+#[cfg(test)]
+mod reference {
+    use super::atom_io;
+    use mars_cq::{Atom, ConjunctiveQuery, Term, Variable};
+    use std::collections::{HashMap, HashSet, VecDeque};
+
+    /// The atoms (outside `subset`) whose required variables `subset`
+    /// produces, ascending.
+    pub fn enabled(query: &ConjunctiveQuery, subset: &[usize]) -> Vec<usize> {
+        let io: Vec<_> = query.body.iter().map(atom_io).collect();
+        let chosen: HashSet<usize> = subset.iter().copied().collect();
+        let produced: HashSet<Variable> =
+            subset.iter().flat_map(|&i| io[i].1.iter().copied()).collect();
+        (0..io.len())
+            .filter(|i| !chosen.contains(i))
+            .filter(|&i| io[i].0.iter().all(|v| produced.contains(v)))
+            .collect()
+    }
+
+    /// Criterion 1 with the surviving edges re-indexed for every search.
+    pub fn prune_parallel_desc(plan: &ConjunctiveQuery) -> ConjunctiveQuery {
+        let is_nav = |a: &Atom| {
+            let base = a.predicate.grex().0;
+            (base == "desc" || base == "child") && a.arity() == 2
+        };
+        let mut keep = vec![true; plan.body.len()];
+
+        let reachable_without = |from: Term, to: Term, skip: usize, keep: &[bool]| -> bool {
+            if from == to {
+                return true;
+            }
+            let mut adj: HashMap<Term, Vec<Term>> = HashMap::new();
+            for (i, a) in plan.body.iter().enumerate() {
+                if keep[i] && i != skip && is_nav(a) {
+                    adj.entry(a.args[0]).or_default().push(a.args[1]);
+                }
+            }
+            let mut seen = HashSet::new();
+            let mut queue = VecDeque::from([from]);
+            while let Some(cur) = queue.pop_front() {
+                if cur == to {
+                    return true;
+                }
+                if !seen.insert(cur) {
+                    continue;
+                }
+                if let Some(next) = adj.get(&cur) {
+                    queue.extend(next.iter().copied());
+                }
+            }
+            false
+        };
+
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for (i, a) in plan.body.iter().enumerate() {
+                if !keep[i] || a.predicate.grex().0 != "desc" || a.arity() != 2 {
+                    continue;
+                }
+                if reachable_without(a.args[0], a.args[1], i, &keep) {
+                    keep[i] = false;
+                    changed = true;
                 }
             }
         }
-        remaining == 0
-    }
-
-    /// The atoms that become *enabled* (all required variables produced) by
-    /// the given subset — candidates for growing the subset by one atom.
-    pub fn enabled(&self, subset: &[usize]) -> Vec<usize> {
-        let chosen: HashSet<usize> = subset.iter().copied().collect();
-        let produced: HashSet<Variable> =
-            subset.iter().flat_map(|&i| self.produces[i].iter().copied()).collect();
-        (0..self.len())
-            .filter(|i| !chosen.contains(i))
-            .filter(|&i| self.requires[i].iter().all(|v| produced.contains(v)))
-            .collect()
+        let body: Vec<Atom> = plan
+            .body
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| keep[*i])
+            .map(|(_, a)| a.clone())
+            .collect();
+        ConjunctiveQuery {
+            name: plan.name.clone(),
+            head: plan.head.clone(),
+            body,
+            inequalities: plan.inequalities.clone(),
+        }
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use mars_cq::atom::builders::*;
     use mars_cq::{Atom, ConjunctiveQuery, Term};
+    use proptest::prelude::*;
 
     fn t(n: &str) -> Term {
         Term::var(n)
@@ -227,6 +343,18 @@ mod tests {
             body.push(child(t(&format!("x{i}")), t(&format!("x{}", i + 1))));
         }
         ConjunctiveQuery::new("chain").with_head(vec![t(&format!("x{n}"))]).with_body(body)
+    }
+
+    /// [`ReachabilityGraph::enabled_into`] on the set of `subset`'s indices.
+    fn enabled(g: &ReachabilityGraph, subset: &[usize]) -> Vec<usize> {
+        let (mut produced, mut out) = (Vec::new(), Vec::new());
+        g.enabled_into(&subset.iter().copied().collect(), &mut produced, &mut out);
+        out
+    }
+
+    /// The indices of `bits`, ascending.
+    fn indices(bits: u32, n: usize) -> Vec<usize> {
+        (0..n).filter(|i| bits >> i & 1 != 0).collect()
     }
 
     #[test]
@@ -308,10 +436,53 @@ mod tests {
         assert!(reaches(t("z")), "z disconnected: {pruned}");
     }
 
+    /// A random `root` / `child` / `desc` plan of at most 14 atoms over two
+    /// documents, with reflexive `desc` atoms and mutually parallel `desc`
+    /// pairs shaped like the one above.
+    fn random_navigation(seed: u64) -> ConjunctiveQuery {
+        let mut rng = TestRng::new(seed);
+        let len = 1 + (rng.next_u64() % 14) as usize;
+        let mut body = Vec::new();
+        while body.len() < len {
+            let doc = ["#a.xml", "#b.xml"][(rng.next_u64() % 2) as usize];
+            let nav = |base: &str, x: usize, y: usize| {
+                Atom::named(&format!("{base}{doc}"), vec![t(&format!("v{x}")), t(&format!("v{y}"))])
+            };
+            let (x, y, z) = (rng.next_u64() % 6, rng.next_u64() % 6, rng.next_u64() % 6);
+            let (x, y, z) = (x as usize, y as usize, z as usize);
+            match rng.next_u64() % 6 {
+                0 => body.push(Atom::named(&format!("root{doc}"), vec![t(&format!("v{x}"))])),
+                1 | 2 => body.push(nav("child", x, y)),
+                3 => body.push(nav("desc", x, y)),
+                4 => body.push(nav("desc", x, x)),
+                _ => body.extend([
+                    nav("desc", x, y),
+                    nav("desc", x, z),
+                    nav("child", y, z),
+                    nav("child", z, y),
+                ]),
+            }
+        }
+        body.truncate(14);
+        ConjunctiveQuery::new("P").with_head(vec![t("v0")]).with_body(body)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// One adjacency tagged by atom drops the same atoms, in the same
+        /// order, as re-indexing the surviving edges for every search.
+        #[test]
+        fn criterion_1_agrees_with_the_reference(seed in 0u64..u64::MAX) {
+            let plan = random_navigation(seed);
+            prop_assert_eq!(prune_parallel_desc(&plan), reference::prune_parallel_desc(&plan));
+        }
+    }
+
     /// Regression (criteria 2–3): a navigation cycle detached from the entry
     /// point satisfies the naive "requirements produced somewhere" test but
     /// is not constructible and must be rejected — `is_legal_subset` and the
-    /// `enabled`-driven enumeration must agree on the search space.
+    /// growth by `enabled_into` must agree on the search space.
     #[test]
     fn criteria_2_3_reject_detached_cycles() {
         let q = ConjunctiveQuery::new("Q").with_head(vec![t("b")]).with_body(vec![
@@ -368,9 +539,96 @@ mod tests {
         let q = chain_query(4);
         let g = ReachabilityGraph::new(&q);
         // With nothing chosen, only the entry point (root) is enabled.
-        assert_eq!(g.enabled(&[]), vec![0]);
-        assert_eq!(g.enabled(&[0]), vec![1]);
-        assert_eq!(g.enabled(&[0, 1]), vec![2]);
+        for (subset, expected) in [(&[][..], vec![0]), (&[0], vec![1]), (&[0, 1], vec![2])] {
+            assert_eq!(enabled(&g, subset), expected);
+            assert_eq!(reference::enabled(&q, subset), expected);
+        }
+    }
+
+    /// 70 atoms over 70 variables: the variable bitsets and the atom sets
+    /// both span two words. Growth from the root reaches the prefixes, one
+    /// per size, and nothing else.
+    #[test]
+    fn growth_spans_two_words_on_a_70_atom_chain() {
+        let q = chain_query(70);
+        let g = ReachabilityGraph::new(&q);
+        assert_eq!(g.words, 2);
+        let mut level: Vec<AtomSet> = g.roots.iter().map(|&r| AtomSet::singleton(r)).collect();
+        for k in 1..=70 {
+            let prefix: Vec<usize> = (0..k).collect();
+            assert_eq!(level, [prefix.iter().copied().collect::<AtomSet>()], "size {k}");
+            assert!(g.is_legal_subset(&prefix));
+            let grown = enabled(&g, &prefix);
+            assert_eq!(grown, reference::enabled(&q, &prefix));
+            level = grown.iter().map(|&a| level[0].with(a)).collect();
+        }
+        assert!(level.is_empty());
+        // A gap at the word boundary: illegal, and it enables only the gap.
+        let gapped: Vec<usize> = (0..70).filter(|&i| i != 63).collect();
+        assert!(!g.is_legal_subset(&gapped));
+        assert_eq!(enabled(&g, &gapped), [63]);
+        assert_eq!(reference::enabled(&q, &gapped), [63]);
+    }
+
+    /// A random pool of at most 12 atoms: GReX navigation over two documents
+    /// with constants in node positions, views as entry points, detached
+    /// navigation cycles, and `el` / `tag` / `attr` / `text` tests.
+    fn random_pool(seed: u64) -> ConjunctiveQuery {
+        let mut rng = TestRng::new(seed);
+        let len = 1 + (rng.next_u64() % 12) as usize;
+        let mut body = Vec::new();
+        while body.len() < len {
+            let doc = ["#a.xml", "#b.xml"][(rng.next_u64() % 2) as usize];
+            let mut node = || match rng.next_u64() % 8 {
+                0 => Term::constant_str("n0"),
+                k => t(&format!("x{}", k % 5)),
+            };
+            let (x, y) = (node(), node());
+            let value = t(&format!("v{}", rng.next_u64() % 3));
+            let grex = |base: &str, args: Vec<Term>| Atom::named(&format!("{base}{doc}"), args);
+            match rng.next_u64() % 10 {
+                0 | 1 => body.push(grex("root", vec![x])),
+                2 | 3 => body.push(grex("child", vec![x, y])),
+                4 => body.push(grex("desc", vec![x, y])),
+                5 => body.push(grex("el", vec![x])),
+                6 => body.push(grex("tag", vec![x, Term::constant_str("a")])),
+                7 => body.push(grex("attr", vec![x, Term::constant_str("k"), value])),
+                8 => body.push(Atom::named("V", vec![x, value])),
+                _ => body.extend([grex("child", vec![x, y]), grex("child", vec![y, x])]),
+            }
+        }
+        body.truncate(12);
+        ConjunctiveQuery::new("P").with_head(vec![t("x0")]).with_body(body)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The search space is the same, proved over every subset: (i) growth
+        /// from the roots by `enabled_into` reaches exactly the subsets the
+        /// legality fixpoint accepts — the invariant that keeps the fixpoint
+        /// out of the backchase — and (ii) `enabled_into` agrees with the
+        /// set-based reference on each one.
+        #[test]
+        fn growth_from_the_roots_reaches_exactly_the_legal_subsets(seed in 0u64..u64::MAX) {
+            let q = random_pool(seed);
+            let g = ReachabilityGraph::new(&q);
+            let n = q.body.len();
+            for bits in 0u32..1 << n {
+                let subset = indices(bits, n);
+                prop_assert_eq!(enabled(&g, &subset), reference::enabled(&q, &subset), "{}", q);
+            }
+            let mut grown: FxHashSet<u32> = FxHashSet::default();
+            let mut stack: Vec<u32> = g.roots.iter().map(|&r| 1 << r).collect();
+            while let Some(bits) = stack.pop() {
+                if grown.insert(bits) {
+                    stack.extend(enabled(&g, &indices(bits, n)).iter().map(|&a| bits | 1 << a));
+                }
+            }
+            let legal: FxHashSet<u32> =
+                (0u32..1 << n).filter(|&bits| g.is_legal_subset(&indices(bits, n))).collect();
+            prop_assert_eq!(grown, legal, "{}", q);
+        }
     }
 
     #[test]
