@@ -21,39 +21,16 @@
 //! so they are sensitive to the workload generators' scale and seed (pinned
 //! below) and to the navigation cost model in `mars-cost`.
 
+mod common;
+
+use common::assert_matches_golden;
 use mars_system::storage::{BackendRouter, Route};
 use mars_workloads::scenarios::Scenario;
-use std::path::PathBuf;
 
 /// Scale and seed for the snapshot stores — small enough to populate fast,
 /// large enough that the per-backend estimates separate clearly.
 const SCALE: usize = 8;
 const SEED: u64 = 7;
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/routes").join(name)
-}
-
-fn assert_matches_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run with UPDATE_GOLDEN=1 to create it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        expected.trim(),
-        actual.trim(),
-        "routing decision for {name} diverged from the golden snapshot; if the \
-         change is intentional, regenerate with UPDATE_GOLDEN=1 and review the diff"
-    );
-}
 
 /// One snapshot per scenario-matrix point: the auto route chosen for the
 /// best reformulation, with every backend's estimate (or `infeasible`).
@@ -70,6 +47,7 @@ fn routing_decisions_are_stable_across_the_scenario_matrix() {
         let router = BackendRouter::new(&db, &xml);
         let plan = router.plan(best);
         assert_matches_golden(
+            "tests/golden/routes",
             &format!("{}.route.txt", scenario.name()),
             &plan.decision.to_string(),
         );

@@ -18,34 +18,14 @@
 //! that intentionally alters the order should regenerate them and say so in
 //! its commit message.
 
+mod common;
+
 use mars::MarsOptions;
 use mars_system::storage::sql_for_query;
 use mars_workloads::{example11, star::StarConfig};
-use std::path::PathBuf;
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
-}
 
 fn assert_matches_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run with UPDATE_GOLDEN=1 to create it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        expected.trim(),
-        actual.trim(),
-        "emitted SQL for {name} diverged from the golden snapshot; if the \
-         change is intentional, regenerate with UPDATE_GOLDEN=1 and review the diff"
-    );
+    common::assert_matches_golden("tests/golden", name, actual);
 }
 
 #[test]
