@@ -1,6 +1,7 @@
 //! The backchase: bottom-up enumeration of subqueries of the universal plan
 //! with cost-based pruning (Section 2.3) and the XML-specific navigation
-//! pruning of Section 3.2.
+//! pruning of Section 3.2 — or, for a query under no dependencies at all,
+//! minimization to its core.
 //!
 //! Reformulations may only mention the *proprietary* schema, so the
 //! enumeration is restricted to the subquery `M` of the universal plan induced
@@ -9,6 +10,20 @@
 //! increasing size; when one is found equivalent to the original query it is a
 //! *minimal* reformulation (no smaller subquery was equivalent), the best cost
 //! is updated, and supersets are pruned.
+//!
+//! # The core path
+//!
+//! Under an empty dependency set a cost-pruned backchase does not enumerate.
+//! Without dependencies the minimal reformulations are exactly the cores of
+//! the pool — all isomorphic, so all the same size and cost — and dropping
+//! atoms one at a time while the rest stays equivalent finds one (classical
+//! conjunctive-query minimization, Chandra–Merlin 1977). The choice is made
+//! by the input alone: `deds` empty and [`BackchaseOptions::exhaustive`]
+//! unset. An exhaustive run enumerates whatever the dependencies, because
+//! its contract is every minimal reformulation. The enumeration over a
+//! 27–42-atom dependency-free navigation pool (the redundancy-0 scenarios)
+//! takes seconds per query, where the core path runs a few dozen
+//! equivalence checks.
 //!
 //! # Engine structure
 //!
@@ -48,8 +63,8 @@
 //! the best of the *smaller* sizes.
 //!
 //! Whether a candidate is equivalent to the original query is decided by one
-//! function, `Equivalence::check`, for the enumeration and for the greedy
-//! opt-in alike: safety, then `original ⊆ candidate` (the candidate maps into
+//! function, `Equivalence::check`, for the enumeration and for the core path
+//! alike: safety, then `original ⊆ candidate` (the candidate maps into
 //! every universal-plan branch), then the "back" chase of the candidate —
 //! from scratch or resumed from a memoized subset — under the engine's one
 //! [`ChaseOptions`], then `candidate ⊆ original` (the original maps into
@@ -77,11 +92,15 @@
 //!   at fixpoint, so only consequences of the new atom fire. Because the BFS
 //!   visits subsets level by level, only the previous and current size
 //!   levels are retained.
-//! * **O(1) subset costs**: for additive cost models
-//!   ([`CostEstimator::atom_costs`]) the per-atom costs of the pool are
-//!   computed once and a candidate's cost is a bitset fold
-//!   ([`fold_atom_costs`]), one pass per level.
+//! * **Folded subset costs**: the cost model is additive ([`atom_cost`]),
+//!   so the pool's per-atom costs are computed once and a candidate's cost
+//!   is a fold over its bitset, one pass per level.
+//!
+//! The backchase's work — the funnel counters, the phase times, whether and
+//! why a budget cut it — is written into the [`CbStatistics`] it is handed;
+//! the [`BackchaseOutcome`] it returns holds only what it found.
 
+use crate::cb::CbStatistics;
 use crate::chase::{
     chase_resident_with_atoms_compiled, chase_to_resident_compiled, ChaseOptions, ChaseStats,
     ChaseStop, ResidentBranch, ResidentChase,
@@ -89,7 +108,7 @@ use crate::chase::{
 use crate::compiled::CompiledDeps;
 use crate::evaluate::{maps_into, ContainmentProgram};
 use crate::reach::{prune_parallel_desc, ReachabilityGraph};
-use mars_cost::{fold_atom_costs, CostEstimator};
+use mars_cost::atom_cost;
 use mars_cq::{Atom, AtomSet, ConjunctiveQuery, FxHashMap, FxHashSet, Predicate, Variable};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -160,23 +179,17 @@ pub struct BackchaseOptions {
     /// Enumerate *all* minimal reformulations, even those costing more than
     /// the best found so far. Needed by the experiments that count
     /// reformulations (and by the paper's proposed cost-model testbed); when
-    /// `false`, cost-based pruning discards expensive candidates early.
+    /// `false`, cost-based pruning discards expensive candidates early, and
+    /// a query under no dependencies is minimized to its core instead of
+    /// enumerated (see the module docs).
     pub exhaustive: bool,
     /// Upper bound on the number of candidate subqueries inspected. When the
-    /// bound stops the enumeration, [`BackchaseOutcome::truncated`] is set.
+    /// bound stops the enumeration, [`CbStatistics::backchase_truncated`] is
+    /// set.
     pub max_candidates: usize,
     /// Upper bound on the number of memoized back-chase results retained per
     /// BFS size level (memory guard for very wide pools).
     pub chase_cache_per_level: usize,
-    /// Replace subset enumeration with greedy minimization of the initial
-    /// reformulation: repeatedly drop atoms while the query stays a
-    /// reformulation. Yields **at most one** reformulation, never the full
-    /// minimal set, and it need not be the optimum — an explicit trade of
-    /// completeness for speed on very wide pools (opt in through
-    /// `MarsOptions::with_greedy_minimization`). This is never applied
-    /// silently: without the opt-in every pool, however wide, is enumerated
-    /// exhaustively.
-    pub greedy: bool,
 }
 
 impl Default for BackchaseOptions {
@@ -185,7 +198,6 @@ impl Default for BackchaseOptions {
             exhaustive: false,
             max_candidates: 200_000,
             chase_cache_per_level: 8_192,
-            greedy: false,
         }
     }
 }
@@ -197,7 +209,8 @@ impl BackchaseOptions {
     }
 }
 
-/// Result of the backchase.
+/// What the backchase found. How much work that took, and whether a budget
+/// cut it short, is recorded in the [`CbStatistics`] handed to [`backchase`].
 #[derive(Clone, Debug, Default)]
 pub struct BackchaseOutcome {
     /// All minimal reformulations found (query + estimated cost), in the
@@ -205,60 +218,21 @@ pub struct BackchaseOutcome {
     pub minimal: Vec<(ConjunctiveQuery, f64)>,
     /// The minimum-cost reformulation.
     pub best: Option<(ConjunctiveQuery, f64)>,
-    /// Number of candidate subqueries inspected.
-    pub candidates_inspected: usize,
-    /// Number of (chase-based) equivalence checks performed.
-    pub equivalence_checks: usize,
-    /// Number of back-chases resumed from a memoized subset chase instead of
-    /// run from scratch.
-    pub chase_cache_hits: usize,
-    /// Number of candidates discarded by cost-based pruning.
-    pub pruned_by_cost: usize,
-    /// `true` when a budget ([`BackchaseOptions::max_candidates`] or
-    /// [`ChaseOptions::deadline`]) stopped the breadth-first enumeration
-    /// before it exhausted the search space: the reported `minimal` set may
-    /// then be incomplete and (in exhaustive mode) `best` may not be the
-    /// optimum — `degradation` records which budget it was. A complete
-    /// enumeration leaves this `false`. These budgets are the only
-    /// truncation the engine performs — pool width no longer truncates
-    /// anything, and the explicitly requested [`BackchaseOptions::greedy`]
-    /// mode documents its own incompleteness rather than reporting it here
-    /// (a budget that cut one of its back-chases shows in `degradation`).
-    pub truncated: bool,
-    /// Why the enumeration fell short of a complete search, when it did: the
-    /// most severe budget hit ([`Degradation::merge`]). `None` exactly when
-    /// nothing was cut — no level truncated, no deadline tripped, and every
-    /// back-chase completed — which is the precondition under which a
-    /// budgeted run is byte-identical to the unbounded one (property-tested
-    /// in `tests/property_based.rs`).
-    pub degradation: Option<Degradation>,
-    /// Candidates whose entire superset cone was skipped because they failed
-    /// to map into a universal-plan branch: a homomorphism from a superset
-    /// restricts to one from the subset, so no superset can pass either —
-    /// none can be a reformulation (the antichain dead-cone rule).
-    pub containment_dead_cone_skips: usize,
-    /// Wall-clock spent computing candidate costs, timed once per level.
-    /// With `chase_phase` and `containment_phase` it profiles `duration`:
-    /// the three cover the cost passes, the back-chases and the two
-    /// containment halves. The rest of `duration` — growing and
-    /// deduplicating candidates, the memo probes, rendering the subqueries
-    /// that reach the equivalence check — belongs to no phase.
-    pub cost_phase: Duration,
-    /// Wall-clock spent in back-chases, from scratch or resumed.
-    pub chase_phase: Duration,
-    /// Wall-clock spent in containment checks (both halves of the
-    /// equivalence test).
-    pub containment_phase: Duration,
-    /// Wall-clock duration of the backchase.
-    pub duration: Duration,
 }
 
-impl BackchaseOutcome {
+impl CbStatistics {
     /// Add what one equivalence check cost, and what cut it, to the totals.
     fn absorb(&mut self, check: &EquivalenceCheck) {
-        self.chase_phase += check.chase_time;
-        self.containment_phase += check.containment_time;
+        self.backchase_chase_phase += check.chase_time;
+        self.backchase_containment_phase += check.containment_time;
         self.degradation = Degradation::merge(self.degradation, check.degradation);
+    }
+
+    /// Record that a budget stopped the enumeration short of exhausting the
+    /// search space.
+    fn truncate(&mut self, reason: Degradation) {
+        self.backchase_truncated = true;
+        self.degradation = Degradation::merge(self.degradation, Some(reason));
     }
 }
 
@@ -434,6 +408,12 @@ impl SafetyPrefilter {
 /// every back-chase here), and `chase` the engine's chase options: every
 /// back-chase runs under them, and their deadline is the clock of the
 /// enumeration.
+///
+/// The backchase's work is added to `stats`: the funnel counters
+/// (`candidates_inspected`, `pruned_by_cost`, `equivalence_checks`,
+/// `chase_cache_hits`, `containment_dead_cone_skips`), the phase times, the
+/// duration, and whether and why a budget cut it (`backchase_truncated`,
+/// merged into `degradation`).
 #[allow(clippy::too_many_arguments)]
 pub fn backchase(
     original: &ConjunctiveQuery,
@@ -441,9 +421,9 @@ pub fn backchase(
     plan: &[ResidentBranch],
     proprietary: &HashSet<Predicate>,
     deds: &CompiledDeps,
-    estimator: &dyn CostEstimator,
     chase: &ChaseOptions,
     options: &BackchaseOptions,
+    stats: &mut CbStatistics,
 ) -> BackchaseOutcome {
     let start = Instant::now();
     let mut outcome = BackchaseOutcome::default();
@@ -456,7 +436,7 @@ pub fn backchase(
         .filter(|a| proprietary.contains(&a.predicate))
         .collect();
     if pool.is_empty() {
-        outcome.duration = start.elapsed();
+        stats.backchase_duration += start.elapsed();
         return outcome;
     }
     let pool_query = ConjunctiveQuery {
@@ -486,21 +466,20 @@ pub fn backchase(
         },
     };
 
-    if options.greedy {
-        // Explicitly requested greedy minimization (at most one
-        // reformulation; see the option's docs for the trade-off).
+    if deds.deds().is_empty() && !options.exhaustive {
+        // The core path (see the module docs): one minimal reformulation.
         let initial = ConjunctiveQuery { name: format!("{}_initial", primary.name), ..pool_query };
-        if let Some(minimized) = greedy_minimize(&initial, &equivalence, &mut outcome) {
-            let cost = estimator.estimate(&minimized);
-            outcome.best = Some((minimized.clone(), cost));
-            outcome.minimal.push((minimized, cost));
+        if let Some(core) = minimize_to_core(&initial, &equivalence, stats) {
+            let cost = core.body.iter().map(atom_cost).sum();
+            outcome.best = Some((core.clone(), cost));
+            outcome.minimal.push((core, cost));
         }
-        outcome.duration = start.elapsed();
+        stats.backchase_duration += start.elapsed();
         return outcome;
     }
 
     let graph = ReachabilityGraph::new(&pool_query);
-    let atom_costs = estimator.atom_costs(&pool_query);
+    let atom_costs: Vec<f64> = pool.iter().map(atom_cost).collect();
     let safety = SafetyPrefilter::new(&pool_query, &pool);
 
     // Level-synchronous breadth-first enumeration by subset size. Seeds: the
@@ -519,6 +498,9 @@ pub fn backchase(
     let mut best_cost = f64::INFINITY;
     // Memoized back-chases of the previous BFS size level.
     let mut prev_level: FxHashMap<AtomSet, Vec<ResidentBranch>> = FxHashMap::default();
+    // Candidates inspected so far: the candidate budget, and (continuing
+    // across levels) the candidates' names.
+    let mut inspected = 0usize;
 
     while !frontier.is_empty() {
         // Anytime deadline, checked level-synchronously: an expired deadline
@@ -526,9 +508,7 @@ pub fn backchase(
         // so far — never mid-level, so an undegraded run is byte-identical
         // to an unbounded one.
         if chase.deadline.is_some_and(|d| Instant::now() >= d) {
-            outcome.truncated = true;
-            outcome.degradation =
-                Degradation::merge(outcome.degradation, Some(Degradation::DeadlineExceeded));
+            stats.truncate(Degradation::DeadlineExceeded);
             break;
         }
         // Minimality pruning: supersets of a found reformulation are not
@@ -539,11 +519,10 @@ pub fn backchase(
             .into_iter()
             .filter(|m| !found.iter().any(|f| f.is_subset_of(m)))
             .collect();
-        let remaining = options.max_candidates.saturating_sub(outcome.candidates_inspected);
-        if level.len() > remaining {
-            outcome.truncated = true;
-            outcome.degradation =
-                Degradation::merge(outcome.degradation, Some(Degradation::CandidateBudget));
+        let remaining = options.max_candidates.saturating_sub(inspected);
+        let truncated = level.len() > remaining;
+        if truncated {
+            stats.truncate(Degradation::CandidateBudget);
             level.truncate(remaining);
         }
         if level.is_empty() {
@@ -553,26 +532,20 @@ pub fn backchase(
         // The level's costs, in one pass: the bound they are pruned against
         // is frozen for the level.
         let cost_start = Instant::now();
-        let costs: Vec<f64> = level
-            .iter()
-            .map(|mask| match &atom_costs {
-                Some(w) => fold_atom_costs(w, mask),
-                None => estimator.estimate(&pool_query.subquery(&mask.iter().collect::<Vec<_>>())),
-            })
-            .collect();
-        outcome.cost_phase += cost_start.elapsed();
+        let costs: Vec<f64> =
+            level.iter().map(|mask| mask.iter().map(|i| atom_costs[i]).sum()).collect();
+        stats.backchase_cost_phase += cost_start.elapsed();
 
         visited.clear();
         let mut cur_level: FxHashMap<AtomSet, Vec<ResidentBranch>> = FxHashMap::default();
         let mut next_best = best_cost;
         for (position, (mut mask, cost)) in level.into_iter().zip(costs).enumerate() {
-            // Candidate indices (used for naming) continue across levels.
-            outcome.candidates_inspected += 1;
+            inspected += 1;
             // Cost-based pruning: a subquery costing more than the best found
             // so far cannot lead to the optimum (monotone cost model), so
             // neither it nor its supersets are considered further.
             if !options.exhaustive && cost > best_cost {
-                outcome.pruned_by_cost += 1;
+                stats.pruned_by_cost += 1;
                 continue;
             }
 
@@ -582,8 +555,7 @@ pub fn backchase(
             if safety.passes(&mask) {
                 let subset: Vec<usize> = mask.iter().collect();
                 let mut candidate = pool_query.subquery(&subset);
-                candidate.name =
-                    format!("{}_candidate{}", original.name, outcome.candidates_inspected);
+                candidate.name = format!("{}_candidate{inspected}", original.name);
                 // Resume from the memoized chase of the candidate minus one
                 // atom, probed by taking each atom out and putting it back.
                 let mut seed = None;
@@ -597,15 +569,14 @@ pub fn backchase(
                     }
                 }
                 let check = equivalence.check(&candidate, seed);
-                outcome.absorb(&check);
-                outcome.equivalence_checks +=
-                    usize::from(!matches!(check.verdict, Verdict::Unsafe));
-                outcome.chase_cache_hits += usize::from(check.resumed);
+                stats.absorb(&check);
+                stats.equivalence_checks += usize::from(!matches!(check.verdict, Verdict::Unsafe));
+                stats.chase_cache_hits += usize::from(check.resumed);
                 match check.verdict {
                     // Outside the plan, no superset can pass either (antichain
                     // dead cone): the cone ends here.
                     Verdict::OutsidePlan => {
-                        outcome.containment_dead_cone_skips += 1;
+                        stats.containment_dead_cone_skips += 1;
                         continue;
                     }
                     // No superset of a reformulation is minimal.
@@ -645,29 +616,30 @@ pub fn backchase(
         }
         best_cost = next_best;
         prev_level = cur_level;
-        if outcome.truncated {
+        if truncated {
             break;
         }
     }
 
-    outcome.duration = start.elapsed();
+    stats.candidates_inspected += inspected;
+    stats.backchase_duration += start.elapsed();
     outcome
 }
 
-/// Greedy minimization (the explicit [`BackchaseOptions::greedy`] opt-in):
-/// repeatedly drop atoms from the initial reformulation while it remains a
-/// reformulation. Every test is an [`Equivalence::check`] from scratch, so a
-/// back-chase cut by the engine's budgets fails its candidate and surfaces
-/// on the outcome like one of the enumeration's.
-fn greedy_minimize(
+/// The core path: drop atoms from the initial reformulation one at a time
+/// while what is left stays a reformulation. Every test is an
+/// [`Equivalence::check`] from scratch, so a back-chase cut by the engine's
+/// budgets fails its candidate and is recorded in `stats` like one of the
+/// enumeration's.
+fn minimize_to_core(
     initial: &ConjunctiveQuery,
     equivalence: &Equivalence<'_>,
-    outcome: &mut BackchaseOutcome,
+    stats: &mut CbStatistics,
 ) -> Option<ConjunctiveQuery> {
     let mut equivalent = |candidate: &ConjunctiveQuery| {
         let check = equivalence.check(candidate, None);
-        outcome.equivalence_checks += 1;
-        outcome.absorb(&check);
+        stats.equivalence_checks += 1;
+        stats.absorb(&check);
         matches!(check.verdict, Verdict::Equivalent)
     };
     if !equivalent(initial) {
@@ -698,11 +670,11 @@ fn greedy_minimize(
 mod tests {
     use super::*;
     use crate::chase::chase_to_universal_plan;
-    use mars_cost::WeightedAtomEstimator;
-    use mars_cq::atom::builders::{child, root};
+    use mars_cq::atom::builders::{child, desc, root, tag, text};
     use mars_cq::containment::containment_mapping;
     use mars_cq::ded::view_dependencies;
     use mars_cq::{naive_chase, Atom, ChaseBudget, Conjunct, Ded, Term, Variable};
+    use proptest::prelude::*;
 
     fn t(n: &str) -> Term {
         Term::var(n)
@@ -744,52 +716,63 @@ mod tests {
         (q, deds, proprietary)
     }
 
+    /// A query under no dependencies with a redundant atom,
+    /// `Q(x) :- A(x,y), A(x,z)`: either atom alone is its core.
+    fn dependency_free_setup() -> (ConjunctiveQuery, HashSet<Predicate>) {
+        let q = ConjunctiveQuery::new("Q").with_head(vec![t("x")]).with_body(vec![
+            Atom::named("A", vec![t("x"), t("y")]),
+            Atom::named("A", vec![t("x"), t("z")]),
+        ]);
+        (q, [Predicate::new("A")].into_iter().collect())
+    }
+
+    /// What the backchase found, and the statistics it recorded.
+    type Run = (BackchaseOutcome, CbStatistics);
+
     fn run(
         q: &ConjunctiveQuery,
         deds: &[Ded],
         proprietary: &HashSet<Predicate>,
         options: &BackchaseOptions,
-    ) -> BackchaseOutcome {
+    ) -> Run {
         run_under(q, deds, proprietary, &ChaseOptions::default(), options)
     }
 
     /// The universal plan chased under default options, then the backchase
-    /// under `chase`.
+    /// under `chase`. A query every chase branch of which fails has no
+    /// reformulation.
     fn run_under(
         q: &ConjunctiveQuery,
         deds: &[Ded],
         proprietary: &HashSet<Predicate>,
         chase: &ChaseOptions,
         options: &BackchaseOptions,
-    ) -> BackchaseOutcome {
+    ) -> Run {
         let compiled = CompiledDeps::new(deds);
-        let est = WeightedAtomEstimator::default();
-        run_with(q, &compiled, proprietary, &est, chase, options)
-    }
-
-    /// [`run_under`] with the dependencies compiled and the estimator given.
-    /// A query every chase branch of which fails has no reformulation.
-    fn run_with(
-        q: &ConjunctiveQuery,
-        compiled: &CompiledDeps,
-        proprietary: &HashSet<Predicate>,
-        est: &dyn CostEstimator,
-        chase: &ChaseOptions,
-        options: &BackchaseOptions,
-    ) -> BackchaseOutcome {
-        let up = chase_to_resident_compiled(q, compiled, &ChaseOptions::default());
+        let up = chase_to_resident_compiled(q, &compiled, &ChaseOptions::default());
+        let mut stats = CbStatistics::default();
         let Some(primary) = up.primary(&q.name) else {
-            return BackchaseOutcome::default();
+            return (BackchaseOutcome::default(), stats);
         };
-        backchase(q, &primary, up.branches(), proprietary, compiled, est, chase, options)
+        let outcome = backchase(
+            q,
+            &primary,
+            up.branches(),
+            proprietary,
+            &compiled,
+            chase,
+            options,
+            &mut stats,
+        );
+        (outcome, stats)
     }
 
     #[test]
     fn section_2_3_backchase_finds_view_rewriting() {
         let (q, deds, proprietary) = section_2_3_setup();
-        let out = run(&q, &deds, &proprietary, &BackchaseOptions::default());
+        let (out, stats) = run(&q, &deds, &proprietary, &BackchaseOptions::default());
         assert_eq!(out.minimal.len(), 1);
-        assert!(!out.truncated);
+        assert!(!stats.backchase_truncated);
         let (best, _) = out.best.as_ref().unwrap();
         assert_eq!(best.body.len(), 1);
         assert_eq!(best.body[0].predicate.name(), "V");
@@ -852,10 +835,9 @@ mod tests {
             primary.body.iter().filter(|a| proprietary.contains(&a.predicate)).cloned().collect();
         assert_eq!(pool.len(), 3);
 
-        let out = run(&q, &deds, &proprietary, &BackchaseOptions::exhaustive());
-        assert!(out.containment_dead_cone_skips >= 1, "a cone outside the second branch is cut");
-        assert!(!out.truncated && out.degradation.is_none());
-
+        let (out, stats) = run(&q, &deds, &proprietary, &BackchaseOptions::exhaustive());
+        assert!(stats.containment_dead_cone_skips >= 1, "a cone outside the second branch is cut");
+        assert!(!stats.backchase_truncated && stats.degradation.is_none());
         // The oracle: `candidate ≡ q` iff each maps into every leaf of the
         // other's naive chase (and the candidate is safe and consistent).
         let maps_into_chase_of = |from: &ConjunctiveQuery, of: &ConjunctiveQuery| {
@@ -897,12 +879,12 @@ mod tests {
     #[test]
     fn redundant_storage_yields_multiple_minimal_reformulations() {
         let (q, deds, proprietary) = redundant_setup();
-        let out = run(&q, &deds, &proprietary, &BackchaseOptions::exhaustive());
+        let (out, _) = run(&q, &deds, &proprietary, &BackchaseOptions::exhaustive());
         assert_eq!(out.minimal.len(), 2, "both the view and the stored copy are minimal");
         let best = out.best.as_ref().unwrap();
         assert_eq!(best.0.body.len(), 1);
         // Cost pruning (non-exhaustive) still finds at least one and the best.
-        let pruned = run(&q, &deds, &proprietary, &BackchaseOptions::default());
+        let (pruned, _) = run(&q, &deds, &proprietary, &BackchaseOptions::default());
         assert!(pruned.best.is_some());
     }
 
@@ -911,7 +893,7 @@ mod tests {
         // Without (ind) the view cannot answer Q.
         let (q, deds, proprietary) = section_2_3_setup();
         let deds_no_ind: Vec<Ded> = deds.iter().skip(1).cloned().collect();
-        let out = run(&q, &deds_no_ind, &proprietary, &BackchaseOptions::default());
+        let (out, _) = run(&q, &deds_no_ind, &proprietary, &BackchaseOptions::default());
         assert!(out.minimal.is_empty());
         assert!(out.best.is_none());
     }
@@ -922,55 +904,24 @@ mod tests {
         let (q, deds, _) = section_2_3_setup();
         // Make only B proprietary: B(y,z) does not bind x, so no reformulation.
         let proprietary: HashSet<Predicate> = [Predicate::new("B")].into_iter().collect();
-        let out = run(&q, &deds, &proprietary, &BackchaseOptions::default());
+        let (out, _) = run(&q, &deds, &proprietary, &BackchaseOptions::default());
         assert!(out.minimal.is_empty());
     }
 
     #[test]
     fn cost_pruning_reduces_inspected_candidates() {
         let (q, deds, proprietary) = redundant_setup();
-        let exhaustive = run(&q, &deds, &proprietary, &BackchaseOptions::exhaustive());
-        let pruned = run(&q, &deds, &proprietary, &BackchaseOptions::default());
-        assert!(pruned.candidates_inspected <= exhaustive.candidates_inspected);
+        let (exhaustive, exhaustive_stats) =
+            run(&q, &deds, &proprietary, &BackchaseOptions::exhaustive());
+        let (pruned, pruned_stats) = run(&q, &deds, &proprietary, &BackchaseOptions::default());
+        assert!(pruned_stats.candidates_inspected <= exhaustive_stats.candidates_inspected);
+        assert_eq!(exhaustive_stats.pruned_by_cost, 0, "an exhaustive run prunes nothing by cost");
+        assert!(pruned_stats.pruned_by_cost <= pruned_stats.candidates_inspected);
         assert_eq!(
             pruned.best.as_ref().map(|(_, c)| *c),
             exhaustive.best.as_ref().map(|(_, c)| *c),
             "pruning must not change the optimum under a monotone cost model"
         );
-    }
-
-    /// The plug-in point for non-additive models: an estimator without
-    /// per-atom costs is asked for a full estimate per candidate, and the
-    /// enumeration finds what it finds under the additive default.
-    #[test]
-    fn non_additive_estimator_takes_the_full_estimate_path() {
-        /// Monotone (a subquery has no more atoms) but not a per-atom sum.
-        struct SquaredBodyLength;
-        impl CostEstimator for SquaredBodyLength {
-            fn estimate(&self, query: &ConjunctiveQuery) -> f64 {
-                (query.body.len() * query.body.len()) as f64
-            }
-        }
-        let est = SquaredBodyLength;
-        assert!(est.atom_costs(&ConjunctiveQuery::new("Q")).is_none());
-
-        let (q, deds, proprietary) = redundant_setup();
-        let compiled = CompiledDeps::new(&deds);
-        let bodies = |out: &BackchaseOutcome| -> Vec<Vec<Atom>> {
-            out.minimal.iter().map(|(m, _)| m.body.clone()).collect()
-        };
-
-        let exhaustive = BackchaseOptions::exhaustive();
-        let chase = ChaseOptions::default();
-        let full = run_with(&q, &compiled, &proprietary, &est, &chase, &exhaustive);
-        let weighted = run(&q, &deds, &proprietary, &exhaustive);
-        assert_eq!(bodies(&full), bodies(&weighted));
-        assert!(full.minimal.iter().all(|(m, cost)| *cost == est.estimate(m)));
-
-        let pruned =
-            run_with(&q, &compiled, &proprietary, &est, &chase, &BackchaseOptions::default());
-        let cheapest = full.minimal.iter().map(|(_, c)| *c).fold(f64::INFINITY, f64::min);
-        assert_eq!(pruned.best.as_ref().map(|(_, c)| *c), Some(cheapest));
     }
 
     /// Regression: a truncated enumeration must be distinguishable from a
@@ -979,11 +930,11 @@ mod tests {
     fn truncation_is_reported() {
         let (q, deds, proprietary) = redundant_setup();
         let opts = BackchaseOptions { max_candidates: 1, ..BackchaseOptions::exhaustive() };
-        let out = run(&q, &deds, &proprietary, &opts);
-        assert!(out.truncated, "hitting max_candidates must set the flag");
+        let (out, stats) = run(&q, &deds, &proprietary, &opts);
+        assert!(stats.backchase_truncated, "hitting max_candidates must set the flag");
         assert!(out.minimal.len() < 2);
-        let complete = run(&q, &deds, &proprietary, &BackchaseOptions::exhaustive());
-        assert!(!complete.truncated);
+        let (_, complete) = run(&q, &deds, &proprietary, &BackchaseOptions::exhaustive());
+        assert!(!complete.backchase_truncated);
     }
 
     /// The candidate budget degrades anytime-style: whatever was found before
@@ -992,14 +943,14 @@ mod tests {
     fn candidate_budget_degrades_to_best_so_far() {
         let (q, deds, proprietary) = redundant_setup();
         let opts = BackchaseOptions { max_candidates: 1, ..BackchaseOptions::exhaustive() };
-        let out = run(&q, &deds, &proprietary, &opts);
-        assert!(out.truncated);
-        assert_eq!(out.degradation, Some(Degradation::CandidateBudget));
+        let (out, stats) = run(&q, &deds, &proprietary, &opts);
+        assert!(stats.backchase_truncated);
+        assert_eq!(stats.degradation, Some(Degradation::CandidateBudget));
         assert_eq!(out.minimal.len(), 1, "the anytime result keeps what was found before the cut");
         assert!(out.best.is_some());
-        let complete = run(&q, &deds, &proprietary, &BackchaseOptions::exhaustive());
+        let (_, complete) = run(&q, &deds, &proprietary, &BackchaseOptions::exhaustive());
         assert_eq!(complete.degradation, None);
-        assert!(!complete.truncated);
+        assert!(!complete.backchase_truncated);
     }
 
     /// An already-expired deadline stops the enumeration before the first
@@ -1011,20 +962,17 @@ mod tests {
         let exhaustive = BackchaseOptions::exhaustive();
         let expired =
             ChaseOptions::default().with_deadline(Instant::now() - Duration::from_secs(1));
-        let out = run_under(&q, &deds, &proprietary, &expired, &exhaustive);
-        assert!(out.truncated);
-        assert_eq!(out.degradation, Some(Degradation::DeadlineExceeded));
+        let (out, stats) = run_under(&q, &deds, &proprietary, &expired, &exhaustive);
+        assert!(stats.backchase_truncated);
+        assert_eq!(stats.degradation, Some(Degradation::DeadlineExceeded));
         assert!(out.minimal.is_empty());
-        assert_eq!(out.candidates_inspected, 0);
+        assert_eq!(stats.candidates_inspected, 0);
         // A generous deadline is byte-identical to no deadline at all.
         let generous =
             ChaseOptions::default().with_deadline(Instant::now() + Duration::from_secs(3600));
         let bounded = run_under(&q, &deds, &proprietary, &generous, &exhaustive);
         let unbounded = run(&q, &deds, &proprietary, &exhaustive);
-        assert_eq!(
-            format!("{:?}", strip_duration(&bounded)),
-            format!("{:?}", strip_duration(&unbounded))
-        );
+        assert_eq!(strip_durations(bounded), strip_durations(unbounded));
     }
 
     /// Degradation reasons merge by severity: a deadline stop outranks the
@@ -1050,24 +998,25 @@ mod tests {
     #[test]
     fn memoized_and_scratch_backchase_agree() {
         let (q, deds, proprietary) = redundant_setup();
-        let memo = run(&q, &deds, &proprietary, &BackchaseOptions::exhaustive());
+        let (memo, _) = run(&q, &deds, &proprietary, &BackchaseOptions::exhaustive());
         let opts = BackchaseOptions { chase_cache_per_level: 0, ..BackchaseOptions::exhaustive() };
-        let scratch = run(&q, &deds, &proprietary, &opts);
-        assert_eq!(scratch.chase_cache_hits, 0);
+        let (scratch, scratch_stats) = run(&q, &deds, &proprietary, &opts);
+        assert_eq!(scratch_stats.chase_cache_hits, 0);
         assert_eq!(memo.minimal.len(), scratch.minimal.len());
         assert_eq!(memo.best.as_ref().map(|(_, c)| *c), scratch.best.as_ref().map(|(_, c)| *c));
     }
 
-    /// `outcome` with the wall-clock fields zeroed (everything else must be
-    /// bit-for-bit reproducible).
-    fn strip_duration(outcome: &BackchaseOutcome) -> BackchaseOutcome {
-        BackchaseOutcome {
-            duration: Duration::default(),
-            cost_phase: Duration::default(),
-            chase_phase: Duration::default(),
-            containment_phase: Duration::default(),
-            ..outcome.clone()
-        }
+    /// A run rendered with its wall-clock fields zeroed (everything else must
+    /// be bit-for-bit reproducible).
+    fn strip_durations((outcome, stats): Run) -> String {
+        let stats = CbStatistics {
+            backchase_duration: Duration::ZERO,
+            backchase_cost_phase: Duration::ZERO,
+            backchase_chase_phase: Duration::ZERO,
+            backchase_containment_phase: Duration::ZERO,
+            ..stats
+        };
+        format!("{outcome:?} {stats:?}")
     }
 
     /// The phase profile: the recorded phases are non-zero where work
@@ -1075,10 +1024,15 @@ mod tests {
     #[test]
     fn phase_profile_is_recorded() {
         let (q, deds, proprietary) = redundant_setup();
-        let out = run(&q, &deds, &proprietary, &BackchaseOptions::exhaustive());
-        assert!(out.chase_phase > Duration::default());
-        assert!(out.containment_phase > Duration::default());
-        assert!(out.cost_phase + out.chase_phase + out.containment_phase <= out.duration);
+        let (_, stats) = run(&q, &deds, &proprietary, &BackchaseOptions::exhaustive());
+        assert!(stats.backchase_chase_phase > Duration::default());
+        assert!(stats.backchase_containment_phase > Duration::default());
+        assert!(
+            stats.backchase_cost_phase
+                + stats.backchase_chase_phase
+                + stats.backchase_containment_phase
+                <= stats.backchase_duration
+        );
     }
 
     /// Regression for the removed 128-atom ceiling: a candidate pool wider
@@ -1096,53 +1050,124 @@ mod tests {
             ConjunctiveQuery::new("deep").with_head(vec![t(&format!("x{steps}"))]).with_body(body);
         let proprietary: HashSet<Predicate> =
             [Predicate::new("root"), Predicate::new("child")].into_iter().collect();
-        let out = run(&q, &[], &proprietary, &BackchaseOptions::exhaustive());
-        assert!(!out.truncated, "a wide pool must enumerate completely, not truncate");
+        let (out, stats) = run(&q, &[], &proprietary, &BackchaseOptions::exhaustive());
+        assert!(!stats.backchase_truncated, "a wide pool must enumerate completely, not truncate");
         assert_eq!(out.minimal.len(), 1, "only the full chain binds the head");
         assert_eq!(out.minimal[0].0.body.len(), steps + 1);
         // Navigation pruning keeps it linear: one prefix per size.
-        assert_eq!(out.candidates_inspected, steps + 1);
+        assert_eq!(stats.candidates_inspected, steps + 1);
     }
 
-    /// Greedy minimization only runs as an explicit opt-in, and still finds
-    /// a correct (single) reformulation.
+    /// Under no dependencies a cost-pruned run takes the core path: it finds
+    /// one correct reformulation, the core, without inspecting a candidate;
+    /// an exhaustive run still enumerates every minimal one.
     #[test]
-    fn greedy_minimization_is_an_explicit_opt_in() {
-        let (q, deds, proprietary) = redundant_setup();
-        let greedy = BackchaseOptions { greedy: true, ..Default::default() };
-        let out = run(&q, &deds, &proprietary, &greedy);
-        assert_eq!(out.minimal.len(), 1, "greedy yields at most one reformulation");
-        assert!(!out.truncated, "greedy is requested incompleteness, not truncation");
+    fn dependency_free_pool_is_minimized_to_its_core() {
+        let (q, proprietary) = dependency_free_setup();
+        let (out, stats) = run(&q, &[], &proprietary, &BackchaseOptions::default());
+        assert_eq!(out.minimal.len(), 1, "the core path yields one reformulation");
+        assert!(!stats.backchase_truncated, "the core path is complete, not truncated");
         let (m, _) = &out.minimal[0];
-        assert_eq!(m.body.len(), 1, "greedy minimizes down to a single atom here");
-        // The exhaustive default, by contrast, enumerates both.
-        let full = run(&q, &deds, &proprietary, &BackchaseOptions::exhaustive());
+        assert_eq!(m.body.len(), 1, "the core is a single atom here");
+        assert_eq!(stats.candidates_inspected, 0, "the core path enumerates nothing");
+        // The exhaustive enumeration, by contrast, finds both cores.
+        let (full, _) = run(&q, &[], &proprietary, &BackchaseOptions::exhaustive());
         assert_eq!(full.minimal.len(), 2);
     }
 
-    /// A greedy run races the engine's clock like the enumeration: a
+    /// The core path races the engine's clock like the enumeration: a
     /// back-chase the deadline cuts fails its candidate *and* is reported
     /// (`degradation == None` must mean nothing was cut), and a deadline that
     /// never trips changes nothing.
     #[test]
     fn greedy_minimization_reports_a_budget_cut() {
-        let (q, deds, proprietary) = redundant_setup();
-        let greedy = BackchaseOptions { greedy: true, ..Default::default() };
+        let (q, proprietary) = dependency_free_setup();
+        let options = BackchaseOptions::default();
         let expired =
             ChaseOptions::default().with_deadline(Instant::now() - Duration::from_secs(1));
-        let cut = run_under(&q, &deds, &proprietary, &expired, &greedy);
-        assert_eq!(cut.degradation, Some(Degradation::DeadlineExceeded));
+        let (cut, cut_stats) = run_under(&q, &[], &proprietary, &expired, &options);
+        assert_eq!(cut_stats.degradation, Some(Degradation::DeadlineExceeded));
         assert!(cut.minimal.is_empty() && cut.best.is_none());
 
         let generous =
             ChaseOptions::default().with_deadline(Instant::now() + Duration::from_secs(3600));
-        let bounded = run_under(&q, &deds, &proprietary, &generous, &greedy);
-        let unbounded = run(&q, &deds, &proprietary, &greedy);
-        assert_eq!(unbounded.degradation, None);
-        assert_eq!(unbounded.minimal.len(), 1);
-        assert_eq!(
-            format!("{:?}", strip_duration(&bounded)),
-            format!("{:?}", strip_duration(&unbounded))
-        );
+        let bounded = run_under(&q, &[], &proprietary, &generous, &options);
+        let unbounded = run(&q, &[], &proprietary, &options);
+        assert_eq!(unbounded.1.degradation, None);
+        assert_eq!(unbounded.0.minimal.len(), 1);
+        assert_eq!(strip_durations(bounded), strip_durations(unbounded));
+    }
+
+    /// A random navigation query of at most 8 atoms under no dependencies: a
+    /// tree of `child` / `desc` steps under `root(n0)`, each new node
+    /// optionally tested by a constant `tag` or given a `text` value (a
+    /// constant or a variable). About a third of the steps duplicate an
+    /// earlier step under fresh variables, tests and values included, so the
+    /// core is usually a proper subset; the head picks one or two variables
+    /// of the body, which may sit inside a duplicate.
+    fn random_dependency_free(seed: u64) -> ConjunctiveQuery {
+        let mut rng = TestRng::new(seed);
+        let mut body = vec![root(t("n0"))];
+        // Each step below node 0: its parent, whether it is a `desc` step,
+        // and the atoms on its node.
+        let mut steps: Vec<(usize, bool, Vec<Atom>)> = Vec::new();
+        while body.len() < 8 {
+            let node = steps.len() + 1;
+            let n = t(&format!("n{node}"));
+            let step = if !steps.is_empty() && rng.next_u64().is_multiple_of(3) {
+                let (parent, descendant, on_node) = &steps[rng.next_u64() as usize % steps.len()];
+                let renamed = on_node
+                    .iter()
+                    .map(|a| match a.args[1] {
+                        Term::Var(_) => text(n, t(&format!("v{node}"))),
+                        value => Atom::new(a.predicate, vec![n, value]),
+                    })
+                    .collect();
+                (*parent, *descendant, renamed)
+            } else {
+                let on_node = match rng.next_u64() % 5 {
+                    0 => vec![tag(n, "a")],
+                    1 => vec![tag(n, "b")],
+                    2 => vec![text(n, Term::constant_str("c"))],
+                    3 => vec![text(n, t(&format!("v{node}")))],
+                    _ => vec![],
+                };
+                (rng.next_u64() as usize % node, rng.next_u64().is_multiple_of(4), on_node)
+            };
+            let p = t(&format!("n{}", step.0));
+            body.push(if step.1 { desc(p, n) } else { child(p, n) });
+            body.extend(step.2.iter().cloned());
+            steps.push(step);
+        }
+        body.truncate(8);
+        let vars = ConjunctiveQuery::new("B").with_body(body.clone()).variables();
+        let head: Vec<Term> = (0..1 + rng.next_u64() % 2)
+            .map(|_| Term::Var(vars[rng.next_u64() as usize % vars.len()]))
+            .collect();
+        ConjunctiveQuery::new("R").with_head(head).with_body(body)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The core path returns a reformulation the enumeration returns:
+        /// under no dependencies, the cost-pruned run finds exactly one
+        /// minimal reformulation, undegraded, whose body is one of the
+        /// exhaustive enumeration's minimal bodies — and every one of those
+        /// has its size and cost (the cores of a query are isomorphic).
+        #[test]
+        fn core_path_returns_a_reformulation_the_enumeration_returns(seed in 0u64..u64::MAX) {
+            let q = random_dependency_free(seed);
+            let proprietary: HashSet<Predicate> = q.body.iter().map(|a| a.predicate).collect();
+            let (core, stats) = run(&q, &[], &proprietary, &BackchaseOptions::default());
+            let (all, _) = run(&q, &[], &proprietary, &BackchaseOptions::exhaustive());
+            prop_assert_eq!(stats.degradation, None);
+            prop_assert_eq!(core.minimal.len(), 1, "{}", q);
+            let (body, cost) = (&core.minimal[0].0.body, core.minimal[0].1);
+            prop_assert!(all.minimal.iter().any(|(m, _)| &m.body == body), "{}", q);
+            for (m, c) in &all.minimal {
+                prop_assert_eq!((m.body.len(), *c), (body.len(), cost), "{}", q);
+            }
+        }
     }
 }

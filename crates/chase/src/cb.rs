@@ -1,20 +1,20 @@
 //! The top-level Chase & Backchase driver.
 //!
 //! [`ChaseBackchase`] bundles the dependency set (compiled schema
-//! correspondence + XICs + TIX), the proprietary-schema predicate set, a
-//! plug-in cost estimator and the chase/backchase options, and exposes the
-//! reformulation entry point used by the MARS facade and the experiments,
+//! correspondence + XICs + TIX), the proprietary-schema predicate set and
+//! the chase/backchase options, and exposes the reformulation entry point
+//! used by the MARS facade and the experiments,
 //! [`ChaseBackchase::reformulate`] — full C&B: chase to the universal plan,
 //! compute the initial reformulation (Section 2.3; the time to it is
 //! [`CbStatistics::time_to_initial`]), run the backchase, return all minimal
-//! reformulations and the cost-optimal one.
+//! reformulations and the cost-optimal one. Candidates are priced by
+//! [`mars_cost::atom_cost`].
 
 use crate::backchase::{
     backchase, initial_reformulation, BackchaseOptions, BackchaseOutcome, Degradation,
 };
 use crate::chase::{chase_to_resident_compiled, ChaseOptions, ChaseStats};
 use crate::compiled::CompiledDeps;
-use mars_cost::{CostEstimator, WeightedAtomEstimator};
 use mars_cq::{ConjunctiveQuery, Ded, Predicate};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -23,9 +23,10 @@ use std::time::{Duration, Instant};
 /// A per-request budget for one reformulation: a wall-clock deadline plus
 /// candidate/atom ceilings, all optional. The budget extends the standing
 /// engine options ([`ChaseOptions::deadline`],
-/// [`BackchaseOptions::max_candidates`]) without replacing them: applying it
-/// ([`ReformulationBudget::apply`]) tightens a copy of the engine's
-/// [`CbOptions`] for this one request.
+/// [`BackchaseOptions::max_candidates`], [`ChaseOptions::max_atoms`])
+/// without replacing them: applying it ([`ReformulationBudget::apply`])
+/// tightens a copy of the engine's [`CbOptions`] for this one request, and a
+/// bound looser than the engine's changes nothing.
 ///
 /// Budgets degrade, they do not error: a run that exhausts its budget
 /// returns the best reformulation found so far tagged with a
@@ -75,20 +76,23 @@ impl ReformulationBudget {
         self.deadline.is_none() && self.max_candidates.is_none() && self.max_atoms.is_none()
     }
 
-    /// Tighten a copy of `base` with this budget. The relative deadline is
-    /// resolved to one absolute [`Instant`] *now*, so resumed chases cannot
-    /// restart the clock (see [`ChaseOptions::deadline`]).
+    /// Tighten a copy of `base` with this budget: each bound becomes the
+    /// tighter of the budget's and `base`'s — the smaller ceiling, the
+    /// earlier deadline. The relative deadline is resolved to one absolute
+    /// [`Instant`] *now*, so resumed chases cannot restart the clock (see
+    /// [`ChaseOptions::deadline`]).
     pub fn apply(&self, base: &CbOptions) -> CbOptions {
         let mut opts = base.clone();
         if let Some(d) = self.deadline {
             // `None` on overflow = a deadline too far away to ever trip.
-            opts.chase.deadline = Instant::now().checked_add(d).or(opts.chase.deadline);
+            let at = Instant::now().checked_add(d);
+            opts.chase.deadline = opts.chase.deadline.into_iter().chain(at).min();
         }
         if let Some(n) = self.max_candidates {
-            opts.backchase.max_candidates = n;
+            opts.backchase.max_candidates = opts.backchase.max_candidates.min(n);
         }
         if let Some(n) = self.max_atoms {
-            opts.chase.max_atoms = n;
+            opts.chase.max_atoms = opts.chase.max_atoms.min(n);
         }
         opts
     }
@@ -111,7 +115,8 @@ impl CbOptions {
     }
 }
 
-/// Timing and size statistics of a C&B run.
+/// Timing, size and work statistics of a C&B run: the chase to the
+/// universal plan, and everything [`backchase`] records of its own work.
 #[derive(Clone, Debug, Default)]
 pub struct CbStatistics {
     /// Statistics of the chase phase.
@@ -128,35 +133,52 @@ pub struct CbStatistics {
     pub total: Duration,
     /// Number of atoms in the (primary) universal plan.
     pub universal_plan_atoms: usize,
-    /// Candidate subqueries inspected by the backchase.
+    /// Candidate subqueries the backchase's enumeration inspected (the core
+    /// path inspects none: it only drops atoms).
     pub candidates_inspected: usize,
+    /// Inspected candidates discarded by cost-based pruning: they cost more
+    /// than the best reformulation of a smaller size.
+    pub pruned_by_cost: usize,
     /// Equivalence (chase) checks performed by the backchase.
     pub equivalence_checks: usize,
-    /// Back-chases resumed from a memoized subset chase.
+    /// Back-chases resumed from a memoized subset chase instead of run from
+    /// scratch.
     pub chase_cache_hits: usize,
     /// Always 0: nothing produces it any more (kept for `marsbench`).
     pub containment_success_transfers: usize,
     /// Always 0: nothing produces it any more (kept for `marsbench`).
     pub containment_delta_searches: usize,
-    /// Candidates whose superset cone was cut after failing to map into a
-    /// universal-plan branch (see
-    /// [`BackchaseOutcome::containment_dead_cone_skips`]).
+    /// Candidates whose entire superset cone was skipped because they failed
+    /// to map into a universal-plan branch: a homomorphism from a superset
+    /// restricts to one from the subset, so no superset can pass either —
+    /// none can be a reformulation (the antichain dead-cone rule).
     pub containment_dead_cone_skips: usize,
-    /// Backchase wall-clock spent computing candidate costs.
+    /// Backchase wall-clock spent computing candidate costs, timed once per
+    /// level. With `backchase_chase_phase` and `backchase_containment_phase`
+    /// it profiles `backchase_duration`: the three cover the cost passes,
+    /// the back-chases and the two containment halves. The rest — growing
+    /// and deduplicating candidates, the memo probes, rendering the
+    /// subqueries that reach the equivalence check — belongs to no phase.
     pub backchase_cost_phase: Duration,
     /// Backchase wall-clock spent in back-chases (scratch or resumed).
     pub backchase_chase_phase: Duration,
-    /// Backchase wall-clock spent in containment checks.
+    /// Backchase wall-clock spent in containment checks (both halves of the
+    /// equivalence test).
     pub backchase_containment_phase: Duration,
-    /// `true` when the backchase hit its candidate budget or deadline before
-    /// exhausting the search space (see [`BackchaseOutcome::truncated`]): the
-    /// minimal reformulation set is possibly incomplete.
+    /// `true` when a budget ([`BackchaseOptions::max_candidates`] or
+    /// [`ChaseOptions::deadline`]) stopped the backchase's enumeration before
+    /// it exhausted the search space: the reported `minimal` set may then be
+    /// incomplete and (in exhaustive mode) `best` may not be the optimum —
+    /// `degradation` records which budget it was. These budgets are the only
+    /// truncation the engine performs; a budget that cut one of the core
+    /// path's back-chases shows in `degradation` alone.
     pub backchase_truncated: bool,
-    /// Why this run degraded, when it did: the most severe budget hit across
-    /// the universal-plan chase and the backchase
-    /// ([`BackchaseOutcome::degradation`] merged with the chase's own stop
-    /// reason). `None` exactly when nothing was cut anywhere — the answer is
-    /// the same one an unbounded run would produce.
+    /// Why this run degraded, when it did: the most severe budget hit
+    /// ([`Degradation::merge`]) across the universal-plan chase, the
+    /// backchase's levels and every back-chase. `None` exactly when nothing
+    /// was cut anywhere — the answer is the same one an unbounded run would
+    /// produce, byte for byte (property-tested in
+    /// `tests/property_based.rs`).
     pub degradation: Option<Degradation>,
 }
 
@@ -201,20 +223,17 @@ pub struct ChaseBackchase {
     /// Predicates of the proprietary schema (the only ones allowed in
     /// reformulations).
     pub proprietary: HashSet<Predicate>,
-    /// Plug-in cost estimator.
-    pub estimator: Arc<dyn CostEstimator>,
     /// Options.
     pub options: CbOptions,
 }
 
 impl ChaseBackchase {
-    /// An engine with the default (weighted-atom) cost estimator. Compiles
-    /// the dependency set once, up front.
+    /// An engine with the default options. Compiles the dependency set
+    /// once, up front.
     pub fn new(deds: Vec<Ded>, proprietary: HashSet<Predicate>) -> ChaseBackchase {
         ChaseBackchase {
             compiled: Arc::new(CompiledDeps::new(&deds)),
             proprietary,
-            estimator: Arc::new(WeightedAtomEstimator::default()),
             options: CbOptions::default(),
         }
     }
@@ -222,12 +241,6 @@ impl ChaseBackchase {
     /// The dependency set this engine reformulates under.
     pub fn deds(&self) -> &[Ded] {
         self.compiled.deds()
-    }
-
-    /// Builder: replace the cost estimator.
-    pub fn with_estimator(mut self, estimator: Arc<dyn CostEstimator>) -> ChaseBackchase {
-        self.estimator = estimator;
-        self
     }
 
     /// Builder: replace the options.
@@ -257,18 +270,26 @@ impl ChaseBackchase {
             .filter(|initial| !initial.body.is_empty());
         let time_to_initial = start.elapsed();
 
-        let bc = match &primary {
+        let mut stats = CbStatistics {
+            chase: up.stats().clone(),
+            time_to_universal_plan,
+            time_to_initial,
+            universal_plan_atoms: primary.as_ref().map_or(0, |p| p.body.len()),
+            degradation: Degradation::of_chase(up.stats()),
+            ..CbStatistics::default()
+        };
+        let BackchaseOutcome { minimal, best } = match &primary {
             Some(primary) => backchase(
                 query,
                 primary,
                 up.branches(),
                 &self.proprietary,
                 &self.compiled,
-                self.estimator.as_ref(),
                 &options.chase,
                 &options.backchase,
+                &mut stats,
             ),
-            // No surviving branch (an unsatisfiable query): an empty outcome.
+            // No surviving branch (an unsatisfiable query): nothing found.
             None => BackchaseOutcome::default(),
         };
         let universal_plan = primary.unwrap_or_else(|| ConjunctiveQuery {
@@ -277,27 +298,8 @@ impl ChaseBackchase {
             body: Vec::new(),
             inequalities: query.inequalities.clone(),
         });
-
-        let stats = CbStatistics {
-            chase: up.stats().clone(),
-            time_to_universal_plan,
-            time_to_initial,
-            backchase_duration: bc.duration,
-            total: start.elapsed(),
-            universal_plan_atoms: universal_plan.body.len(),
-            candidates_inspected: bc.candidates_inspected,
-            equivalence_checks: bc.equivalence_checks,
-            chase_cache_hits: bc.chase_cache_hits,
-            containment_success_transfers: 0,
-            containment_delta_searches: 0,
-            containment_dead_cone_skips: bc.containment_dead_cone_skips,
-            backchase_cost_phase: bc.cost_phase,
-            backchase_chase_phase: bc.chase_phase,
-            backchase_containment_phase: bc.containment_phase,
-            backchase_truncated: bc.truncated,
-            degradation: Degradation::merge(bc.degradation, Degradation::of_chase(up.stats())),
-        };
-        ReformulationResult { universal_plan, initial, minimal: bc.minimal, best: bc.best, stats }
+        stats.total = start.elapsed();
+        ReformulationResult { universal_plan, initial, minimal, best, stats }
     }
 }
 
@@ -360,12 +362,46 @@ mod tests {
     #[test]
     fn builder_methods() {
         let (cb, q) = engine();
-        let cb = cb
-            .with_estimator(Arc::new(WeightedAtomEstimator::default()))
-            .with_options(CbOptions::exhaustive());
+        let cb = cb.with_options(CbOptions::exhaustive());
         assert!(cb.options.backchase.exhaustive);
         let result = cb.reformulate(&q, &ReformulationBudget::unbounded());
         assert!(result.has_reformulation());
+    }
+
+    /// A budget only ever tightens the engine: a looser ceiling or a later
+    /// deadline than the engine's leaves the engine's in force, and a
+    /// tighter one wins.
+    #[test]
+    fn budget_takes_the_tighter_bound() {
+        let soon = Instant::now() + Duration::from_secs(60);
+        let mut base = CbOptions::default();
+        base.chase.deadline = Some(soon);
+        let (candidates, atoms) = (base.backchase.max_candidates, base.chase.max_atoms);
+
+        let looser = ReformulationBudget::unbounded()
+            .with_max_candidates(candidates * 5)
+            .with_max_atoms(atoms * 5)
+            .with_deadline(Duration::from_secs(3600))
+            .apply(&base);
+        assert_eq!(looser.backchase.max_candidates, candidates);
+        assert_eq!(looser.chase.max_atoms, atoms);
+        assert_eq!(looser.chase.deadline, Some(soon));
+
+        let before = Instant::now();
+        let tighter = ReformulationBudget::unbounded()
+            .with_max_candidates(7)
+            .with_max_atoms(11)
+            .with_deadline(Duration::from_secs(1))
+            .apply(&base);
+        assert_eq!((tighter.backchase.max_candidates, tighter.chase.max_atoms), (7, 11));
+        let deadline = tighter.chase.deadline.expect("a deadline");
+        assert!(deadline < soon && deadline >= before + Duration::from_secs(1));
+
+        // Without a standing deadline the budget's applies as is.
+        let fresh = ReformulationBudget::unbounded()
+            .with_deadline(Duration::from_secs(1))
+            .apply(&CbOptions::default());
+        assert!(fresh.chase.deadline.is_some());
     }
 
     #[test]

@@ -36,7 +36,8 @@
 //! * the **backchase** with level-synchronous bottom-up subquery enumeration
 //!   over growable [`mars_cq::AtomSet`] bitsets (no pool-width ceiling),
 //!   cost-based pruning and the three XML-specific pruning criteria
-//!   implemented on the atom reachability graph,
+//!   implemented on the atom reachability graph — or, for a query under no
+//!   dependencies, minimization to its core,
 //! * the top-level [`ChaseBackchase`] driver returning the initial
 //!   reformulation, all minimal reformulations and the cost-optimal one.
 //!

@@ -1,86 +1,30 @@
-//! The plug-in cost estimator interface and a simple weighted-atom model.
+//! The backchase's cost model: a fixed weight per body atom.
 
-use mars_cq::{AtomSet, ConjunctiveQuery};
+use mars_cq::Atom;
 
-/// A plug-in cost estimator.
+/// Weight of a `child` atom.
+const CHILD: f64 = 1.0;
+/// Weight of a `desc` atom.
+const DESC: f64 = 4.0;
+/// Weight of any other atom.
+const OTHER: f64 = 2.0;
+
+/// The estimated cost of one body atom. A query costs the sum over its body,
+/// so the model is additive — the backchase prices a candidate by folding
+/// the pool's per-atom costs over its atom set — and **monotone**: a
+/// subquery never costs more than the query it was taken from, which is all
+/// the cost-based pruning of the backchase needs to never discard the optimum
+/// (Section 2.3).
 ///
-/// MARS only requires the model to be **monotone**: if `S` is a subquery of
-/// `U` (its body atoms are a subset of `U`'s), then `estimate(S) <=
-/// estimate(U)`. Under monotonicity the cost-based pruning of the backchase
-/// (discard any subquery costing more than the best reformulation found so
-/// far, together with all its superqueries) never discards the optimum.
-pub trait CostEstimator: Send + Sync {
-    /// Estimated cost of evaluating the query.
-    fn estimate(&self, query: &ConjunctiveQuery) -> f64;
-
-    /// For *additive* models, the per-atom cost contributions of `query`'s
-    /// body: any subquery's cost is then the sum over its atoms, which lets
-    /// the backchase fold a subset bitmask over precomputed weights instead
-    /// of calling [`CostEstimator::estimate`] per candidate. Models whose
-    /// cost is not a per-atom sum return `None` (the default) and the
-    /// backchase falls back to a full estimate per candidate.
-    fn atom_costs(&self, _query: &ConjunctiveQuery) -> Option<Vec<f64>> {
-        None
-    }
-
-    /// A short human-readable name, used in experiment output.
-    fn name(&self) -> &'static str {
-        "cost-estimator"
-    }
-}
-
-/// Fold precomputed per-atom costs ([`CostEstimator::atom_costs`]) over a
-/// candidate atom set: the cost of the induced subquery under an additive
-/// model. This is the backchase's per-candidate cost path — an O(words)
-/// bitset iteration instead of a full estimate, for pools of any width (the
-/// former `u128`-mask fold capped pools at 128 atoms).
-pub fn fold_atom_costs(costs: &[f64], atoms: &AtomSet) -> f64 {
-    atoms.iter().map(|i| costs[i]).sum()
-}
-
-/// A simple monotone model charging a fixed weight per body atom, with
-/// navigation-aware weights: `desc` (descendant) atoms are charged more than
-/// `child` atoms, reflecting the paper's observation (pruning criterion 1 in
-/// Section 3.2) that "in any reasonable cost model accessing the descendants
-/// of a node is at least as expensive as accessing its children".
-#[derive(Clone, Debug)]
-pub struct WeightedAtomEstimator {
-    /// Weight of a `child` atom.
-    pub child_weight: f64,
-    /// Weight of a `desc` atom.
-    pub desc_weight: f64,
-    /// Weight of any other atom.
-    pub default_weight: f64,
-}
-
-impl Default for WeightedAtomEstimator {
-    fn default() -> Self {
-        WeightedAtomEstimator { child_weight: 1.0, desc_weight: 4.0, default_weight: 2.0 }
-    }
-}
-
-impl WeightedAtomEstimator {
-    fn atom_cost(&self, a: &mars_cq::Atom) -> f64 {
-        // GReX predicates carry a `#document` suffix.
-        match a.predicate.grex().0 {
-            "child" => self.child_weight,
-            "desc" => self.desc_weight,
-            _ => self.default_weight,
-        }
-    }
-}
-
-impl CostEstimator for WeightedAtomEstimator {
-    fn estimate(&self, query: &ConjunctiveQuery) -> f64 {
-        query.body.iter().map(|a| self.atom_cost(a)).sum()
-    }
-
-    fn atom_costs(&self, query: &ConjunctiveQuery) -> Option<Vec<f64>> {
-        Some(query.body.iter().map(|a| self.atom_cost(a)).collect())
-    }
-
-    fn name(&self) -> &'static str {
-        "weighted-atom"
+/// Navigation is weighted as backchase pruning criterion 1 (Section 3.2)
+/// assumes: "in any reasonable cost model accessing the descendants of a
+/// node is at least as expensive as accessing its children". GReX
+/// predicates are matched with or without their `#document` suffix.
+pub fn atom_cost(atom: &Atom) -> f64 {
+    match atom.predicate.grex().0 {
+        "child" => CHILD,
+        "desc" => DESC,
+        _ => OTHER,
     }
 }
 
@@ -88,27 +32,25 @@ impl CostEstimator for WeightedAtomEstimator {
 mod tests {
     use super::*;
     use mars_cq::atom::builders::*;
-    use mars_cq::{Atom, Term};
+    use mars_cq::{ConjunctiveQuery, Term};
 
     fn t(n: &str) -> Term {
         Term::var(n)
     }
 
+    fn cost(q: &ConjunctiveQuery) -> f64 {
+        q.body.iter().map(atom_cost).sum()
+    }
+
     #[test]
     fn desc_costs_more_than_child() {
-        let est = WeightedAtomEstimator::default();
-        let with_child = ConjunctiveQuery::new("C")
-            .with_head(vec![t("x")])
-            .with_body(vec![child(t("x"), t("y"))]);
-        let with_desc = ConjunctiveQuery::new("D")
-            .with_head(vec![t("x")])
-            .with_body(vec![desc(t("x"), t("y"))]);
-        assert!(est.estimate(&with_desc) > est.estimate(&with_child));
+        assert!(atom_cost(&desc(t("x"), t("y"))) > atom_cost(&child(t("x"), t("y"))));
+        let suffixed = Atom::named("desc#d.xml", vec![t("x"), t("y")]);
+        assert_eq!(atom_cost(&suffixed), atom_cost(&desc(t("x"), t("y"))));
     }
 
     #[test]
     fn monotone_in_number_of_atoms() {
-        let est = WeightedAtomEstimator::default();
         let q = ConjunctiveQuery::new("Q").with_head(vec![t("x")]).with_body(vec![
             Atom::named("R", vec![t("x"), t("y")]),
             Atom::named("S", vec![t("y"), t("z")]),
@@ -116,34 +58,21 @@ mod tests {
         ]);
         for k in 1..=q.body.len() {
             let idx: Vec<usize> = (0..k).collect();
-            let sub = q.subquery(&idx);
-            assert!(est.estimate(&sub) <= est.estimate(&q));
+            assert!(cost(&q.subquery(&idx)) <= cost(&q));
         }
     }
 
-    #[test]
-    fn name_reported() {
-        assert_eq!(WeightedAtomEstimator::default().name(), "weighted-atom");
-    }
-
-    /// The additivity contract of `atom_costs`: the per-atom costs of any
-    /// query sum to its estimate, so an [`AtomSet`] fold over them equals a
-    /// full estimate of the corresponding subquery.
+    /// Additivity: the costs of two disjoint subqueries sum to the cost of
+    /// their union, so the backchase's per-candidate fold over the pool's
+    /// atom costs prices every subquery exactly.
     #[test]
     fn atom_costs_sum_to_estimate() {
-        let est = WeightedAtomEstimator::default();
         let q = ConjunctiveQuery::new("Q").with_head(vec![t("x")]).with_body(vec![
             child(t("x"), t("y")),
             desc(t("y"), t("z")),
             Atom::named("V", vec![t("z")]),
         ]);
-        let costs = est.atom_costs(&q).expect("weighted-atom model is additive");
-        assert_eq!(costs.len(), q.body.len());
-        assert_eq!(costs.iter().sum::<f64>(), est.estimate(&q));
-        // Per-subquery agreement, through the backchase's fold path.
-        let sub = q.subquery(&[0, 2]);
-        let set = AtomSet::from_indices([0, 2]);
-        assert_eq!(fold_atom_costs(&costs, &set), est.estimate(&sub));
-        assert_eq!(costs[0] + costs[2], est.estimate(&sub));
+        assert_eq!(cost(&q), 7.0);
+        assert_eq!(cost(&q.subquery(&[0, 2])) + cost(&q.subquery(&[1])), cost(&q));
     }
 }

@@ -1,22 +1,19 @@
-//! # mars-cost — plug-in cost estimation for the MARS backchase
+//! # mars-cost — cost estimation and backend routing for MARS
 //!
 //! The backchase phase of the C&B algorithm compares candidate reformulations
-//! (subqueries of the universal plan) using a *plug-in* cost estimator
-//! (Section 2.3 of the paper). Assuming the cost model is **monotone** — a
-//! subquery never costs more than a superquery over the same data — the
-//! cost-based pruning of the backchase is guaranteed to return the optimal
-//! minimal reformulation.
+//! (subqueries of the universal plan) by estimated cost (Section 2.3 of the
+//! paper). The paper asks one thing of the cost model: it must be
+//! **monotone** — a subquery never costs more than a superquery over the
+//! same data — so that the cost-based pruning of the backchase is guaranteed
+//! to return the optimal minimal reformulation.
 //!
 //! This crate provides:
 //!
-//! * the [`CostEstimator`] trait that MARS accepts as a plug-in — additive
-//!   models expose per-atom costs ([`CostEstimator::atom_costs`]) that the
-//!   backchase folds per candidate, any other monotone model is asked for a
-//!   full estimate per candidate,
-//! * [`WeightedAtomEstimator`], the shipped model and the default of
-//!   `ChaseBackchase::new` and `Mars::new`: a monotone, additive weight per
-//!   accessed atom (descendant navigation costlier than child navigation, as
-//!   backchase pruning criterion 1 assumes),
+//! * [`atom_cost`], the backchase's one cost model: a fixed weight per body
+//!   atom (descendant navigation costlier than child navigation, as
+//!   backchase pruning criterion 1 assumes), summed over a query — additive,
+//!   hence monotone. An exhaustive backchase returns every minimal
+//!   reformulation, so any other model can rank them afterwards,
 //! * the [`StatisticsCatalog`] trait — the one statistics interface: shared
 //!   read access to the exact per-relation counters (tuple counts,
 //!   per-column distincts) that both the chase's symbolic instance and the
@@ -35,12 +32,14 @@
 //!   bound; [`route_query`] prices that order and `mars-storage` compiles
 //!   exactly it into its navigation kernel.
 
+#![deny(missing_docs)]
+
 pub mod estimator;
 pub mod physical;
 pub mod route;
 pub mod stats;
 
-pub use estimator::{fold_atom_costs, CostEstimator, WeightedAtomEstimator};
+pub use estimator::atom_cost;
 pub use physical::{physical_plan, BuildSide, Operand, PhysicalPlan, TableScan};
 pub use route::{
     navigation_atom, plan_navigation, route_query, NavBase, NavOrder, NavigationStatistics, Route,
@@ -60,8 +59,7 @@ mod tests {
             Atom::named("S", vec![Term::var("y"), Term::var("z")]),
             Atom::named("T", vec![Term::var("z"), Term::var("w")]),
         ]);
-        let sub = q.subquery(&[0, 1]);
-        let weighted = WeightedAtomEstimator::default();
-        assert!(weighted.estimate(&sub) <= weighted.estimate(&q));
+        let cost = |q: &ConjunctiveQuery| q.body.iter().map(atom_cost).sum::<f64>();
+        assert!(cost(&q.subquery(&[0, 1])) <= cost(&q));
     }
 }

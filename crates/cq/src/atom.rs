@@ -59,7 +59,9 @@ impl From<&str> for Predicate {
 /// A relational atom `P(t1, ..., tn)`.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Atom {
+    /// The relation the atom ranges over.
     pub predicate: Predicate,
+    /// The terms, one per column of the relation.
     pub args: Vec<Term>,
 }
 

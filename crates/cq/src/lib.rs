@@ -23,6 +23,8 @@
 //! evaluates premises, blocked tests and containment mappings through its
 //! own compiled join kernel).
 
+#![deny(missing_docs)]
+
 pub mod atom;
 pub mod atomset;
 pub mod chase;

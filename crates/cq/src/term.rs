@@ -107,7 +107,9 @@ impl fmt::Display for Constant {
 /// A term: variable or constant.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Term {
+    /// A variable.
     Var(Variable),
+    /// A constant.
     Const(Constant),
 }
 

@@ -21,6 +21,8 @@
 //! * [`encode`] — encoding of concrete documents into ground GReX facts, used
 //!   by the storage substrate and by semantics tests.
 
+#![deny(missing_docs)]
+
 pub mod compile;
 pub mod encode;
 pub mod schema;

@@ -3,7 +3,6 @@
 use crate::error::MarsError;
 use crate::result::{BlockReformulation, MarsResult};
 use mars_chase::{CbOptions, ChaseBackchase, ReformulationBudget};
-use mars_cost::{CostEstimator, WeightedAtomEstimator};
 use mars_cq::{ConjunctiveQuery, Constant, Ded, Predicate, Term};
 use mars_grex::{
     compile_view, compile_xbind, compile_xic, tix_constraints_core, CompileContext, GrexSchema,
@@ -14,7 +13,6 @@ use mars_xquery::{decorrelate, parse_xquery, XBindAtom, XBindQuery, Xic};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The schema correspondence between the public and proprietary schemas
@@ -114,15 +112,6 @@ impl MarsOptions {
         self.cb = CbOptions::exhaustive();
         self
     }
-
-    /// Builder: replace the exhaustive subquery enumeration with greedy
-    /// minimization of the initial reformulation. An explicit trade of
-    /// completeness (at most one reformulation, not necessarily the optimum)
-    /// for speed on very wide candidate pools; it is never applied silently.
-    pub fn with_greedy_minimization(mut self) -> MarsOptions {
-        self.cb.backchase.greedy = true;
-        self
-    }
 }
 
 /// The MARS system, ready to reformulate client queries.
@@ -134,26 +123,15 @@ pub struct Mars {
 
 impl Mars {
     /// Build the system: compile the correspondence into DEDs and set up the
-    /// C&B engine with the default cost estimator.
+    /// C&B engine with the default options.
     pub fn new(correspondence: SchemaCorrespondence) -> Mars {
         Mars::with_options(correspondence, MarsOptions::default())
     }
 
     /// Build the system with explicit options.
     pub fn with_options(correspondence: SchemaCorrespondence, options: MarsOptions) -> Mars {
-        Mars::with_estimator(correspondence, options, Arc::new(WeightedAtomEstimator::default()))
-    }
-
-    /// Build the system with a plug-in cost estimator.
-    pub fn with_estimator(
-        correspondence: SchemaCorrespondence,
-        options: MarsOptions,
-        estimator: Arc<dyn CostEstimator>,
-    ) -> Mars {
         let (deds, proprietary) = Self::compile(&correspondence, &options);
-        let engine = ChaseBackchase::new(deds, proprietary)
-            .with_estimator(estimator)
-            .with_options(options.cb.clone());
+        let engine = ChaseBackchase::new(deds, proprietary).with_options(options.cb.clone());
         Mars { correspondence, options, engine }
     }
 
@@ -471,27 +449,39 @@ mod tests {
         assert!(sql.contains("bookRel"));
     }
 
+    /// A correspondence that compiles to no dependency at all — `bib.xml`
+    /// stored natively, no view, no constraint, no TIX — takes the
+    /// backchase's core path: one reformulation, the client query with its
+    /// redundant second `//book` binding dropped.
     #[test]
-    fn greedy_minimization_opt_in_yields_a_single_reformulation() {
-        let mars = Mars::with_options(
-            mini_correspondence(),
-            MarsOptions::default().with_greedy_minimization(),
-        );
+    fn dependency_free_correspondence_yields_a_single_reformulation() {
+        let native = SchemaCorrespondence {
+            public_documents: vec!["bib.xml".to_string()],
+            proprietary_documents: vec!["bib.xml".to_string()],
+            ..Default::default()
+        };
+        let mars =
+            Mars::with_options(native, MarsOptions { include_tix: false, ..Default::default() });
+        assert!(mars.dependencies().is_empty());
+        let book = |var: &str| XBindAtom::AbsolutePath {
+            document: "bib.xml".to_string(),
+            path: parse_path("//book").unwrap(),
+            var: var.to_string(),
+        };
         let client = XBindQuery::new("Client")
             .with_head(&["a"])
-            .with_atom(XBindAtom::AbsolutePath {
-                document: "bib.xml".to_string(),
-                path: parse_path("//book").unwrap(),
-                var: "b".to_string(),
-            })
+            .with_atom(book("b"))
             .with_atom(XBindAtom::RelativePath {
                 path: parse_path("./author/text()").unwrap(),
                 source: "b".to_string(),
                 var: "a".to_string(),
-            });
+            })
+            .with_atom(book("b2"));
         let block = mars.reformulate_xbind(&client);
         assert!(block.result.has_reformulation());
-        assert!(block.result.minimal.len() <= 1, "greedy yields at most one reformulation");
+        assert_eq!(block.result.minimal.len(), 1, "the core path yields one reformulation");
+        assert!(block.result.minimal[0].0.body.len() < block.compiled.body.len());
+        assert_eq!(block.result.stats.candidates_inspected, 0);
     }
 
     /// Regression: unparsable XQuery used to surface as the raw parser error

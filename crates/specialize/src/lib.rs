@@ -21,6 +21,8 @@
 //! Proposition 5.1 (each mapping is a single entity pattern with leaf
 //! fields), which keeps the specialization step linear in the query size.
 
+#![deny(missing_docs)]
+
 pub mod infer;
 pub mod mapping;
 pub mod rewrite;

@@ -29,6 +29,8 @@
 //!   recording the chosen route and estimated vs actual cost. Every route
 //!   returns byte-identical rows (property-tested).
 
+#![deny(missing_docs)]
+
 pub mod doc_index;
 pub mod executor;
 pub mod materialize;

@@ -24,6 +24,8 @@
 //! behind the cross-backend differential suite and the golden routing
 //! decisions (`tests/golden/routes/`).
 
+#![deny(missing_docs)]
+
 pub mod chaos;
 pub mod example11;
 pub mod scenarios;

@@ -213,11 +213,11 @@ impl Scenario {
             // No views and no constraints: the TIX built-ins could only
             // inflate the universal plan (≈100 atoms, seconds of backchase)
             // without enabling any rewriting — the intended best *is* the
-            // compiled navigation query, so greedy minimization suffices
-            // (subset enumeration over a 27–42 atom pure-navigation pool
-            // takes ~12 s per scenario for an identical outcome).
-            let mut options = MarsOptions::default().with_greedy_minimization();
-            options.include_tix = false;
+            // compiled navigation query. With no dependency left the
+            // backchase minimizes the query to its core instead of
+            // enumerating its 27–42 atom navigation pool (which took ~12 s
+            // per scenario for an identical outcome).
+            let options = MarsOptions { include_tix: false, ..Default::default() };
             Mars::with_options(self.correspondence(), options)
         } else {
             let mut options = MarsOptions::specialized();

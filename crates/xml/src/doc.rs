@@ -31,9 +31,15 @@ impl fmt::Debug for NodeId {
 pub enum NodeKind {
     /// An element node with a tag name, shared by every element of that
     /// tag in the document.
-    Element { tag: Arc<str> },
+    Element {
+        /// The element's tag name.
+        tag: Arc<str>,
+    },
     /// A text node.
-    Text { value: String },
+    Text {
+        /// The text content.
+        value: String,
+    },
 }
 
 /// A node in the arena.

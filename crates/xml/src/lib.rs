@@ -18,6 +18,8 @@
 //! * [`XmlShape`] descriptions (a DTD-like structural summary) used by the
 //!   hybrid-inlining specialization inference in `mars-specialize`.
 
+#![deny(missing_docs)]
+
 pub mod doc;
 pub mod parse;
 pub mod shape;

@@ -18,6 +18,8 @@
 //! * XML integrity constraints ([`Xic`]) in the style of Section 2.1
 //!   (constraints (1) and (2)).
 
+#![deny(missing_docs)]
+
 pub mod ast;
 pub mod decorrelate;
 pub mod parser;

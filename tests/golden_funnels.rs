@@ -4,11 +4,11 @@
 //! query at NC = 4 and 5 (exhaustive and cost-pruned), the XMark query
 //! suite, Example 1.1's client query, and every scenario-matrix point's
 //! client query. Each file records the backchase funnel (candidates
-//! inspected, equivalence checks, memoized resumes, dead-cone skips, minimal
-//! reformulations found), the chase to the universal plan (applied steps,
-//! rounds, premise rows, universal-plan atoms), and every minimal
-//! reformulation with its cost, the route the router picks for it and the
-//! rows it returns on a small populated store.
+//! inspected, cost-pruned, equivalence checks, memoized resumes, dead-cone
+//! skips, minimal reformulations found), the chase to the universal plan
+//! (applied steps, rounds, premise rows, universal-plan atoms), and every
+//! minimal reformulation with its cost, the route the router picks for it
+//! and the rows it returns on a small populated store.
 //!
 //! Every counter here is deterministic, so an engine change that claims
 //! "same search, same answers" leaves these files byte-identical, and one
@@ -43,6 +43,7 @@ fn funnel(mars: &Mars, query: &XBindQuery, xml: &XmlStore, db: &RelationalDataba
     let mut out = String::new();
     let lines = [
         ("backchase.candidates_inspected", stats.candidates_inspected),
+        ("backchase.pruned_by_cost", stats.pruned_by_cost),
         ("backchase.equivalence_checks", stats.equivalence_checks),
         ("backchase.chase_cache_hits", stats.chase_cache_hits),
         ("backchase.dead_cone_skips", stats.containment_dead_cone_skips),
