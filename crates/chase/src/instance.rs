@@ -32,6 +32,7 @@
 use mars_cq::{
     Atom, ConjunctiveQuery, FxHashMap, FxHashSet, Predicate, Substitution, Term, Variable,
 };
+use std::cell::Cell;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard};
@@ -44,9 +45,22 @@ use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 /// must not rebuild anything.
 static INDEX_BUILDS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// The calling thread's share of [`INDEX_BUILDS`].
+    static THREAD_INDEX_BUILDS: Cell<usize> = const { Cell::new(0) };
+}
+
 /// The process-wide column-index build count (see [`Relation::index`]).
 pub fn index_build_count() -> usize {
     INDEX_BUILDS.load(Ordering::SeqCst)
+}
+
+/// The column-index builds performed on the calling thread since it
+/// started. A reformulation runs on its calling thread from start to
+/// finish, so the difference across one call is exactly that call's builds,
+/// whatever other threads (parallel tests, other requests) do meanwhile.
+pub fn thread_index_build_count() -> usize {
+    THREAD_INDEX_BUILDS.with(Cell::get)
 }
 
 /// A hash index over one column set: key terms (in column order) → indices of
@@ -169,6 +183,7 @@ impl Relation {
         // only it counts as a build.
         Arc::clone(cache.entry(cols.to_vec()).or_insert_with(|| {
             INDEX_BUILDS.fetch_add(1, Ordering::SeqCst);
+            THREAD_INDEX_BUILDS.with(|n| n.set(n.get() + 1));
             self.builds.fetch_add(1, Ordering::Relaxed);
             Arc::new(index)
         }))

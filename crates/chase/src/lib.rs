@@ -68,6 +68,6 @@ pub use evaluate::{
     evaluate_bindings, maps_into, satisfiable, Binding, ContainmentProgram, JoinScratch,
     SCAN_THRESHOLD,
 };
-pub use instance::{index_build_count, Relation, SymbolicInstance};
+pub use instance::{index_build_count, thread_index_build_count, Relation, SymbolicInstance};
 pub use reach::{prune_parallel_desc, ReachabilityGraph};
 pub use shortcut::{detect_closure_constraints, ClosureConstraints};

@@ -69,6 +69,12 @@ impl StarConfig {
     /// The client XBind query: join `R` with all NC corners, returning `K`
     /// and every corner's `B`.
     pub fn client_query(&self) -> XBindQuery {
+        self.corner_query(&(1..=self.nc).collect::<Vec<_>>())
+    }
+
+    /// The star query over a subset of the corners (1-based, in the order
+    /// given): join `R` with each of them, returning `K` and each one's `B`.
+    pub fn corner_query(&self, corners: &[usize]) -> XBindQuery {
         let doc = self.document();
         let mut head: Vec<String> = vec!["k".to_string()];
         let mut q = XBindQuery::new("StarQ")
@@ -82,7 +88,7 @@ impl StarConfig {
                 source: "r".to_string(),
                 var: "k".to_string(),
             });
-        for i in 1..=self.nc {
+        for &i in corners {
             q = q
                 .with_atom(XBindAtom::RelativePath {
                     path: parse_path(&format!("./A{i}/text()")).unwrap(),

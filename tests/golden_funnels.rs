@@ -1,14 +1,17 @@
 //! Golden-file tests for the work a cold reformulation does.
 //!
 //! One snapshot per query that `mars-workloads` builds: the star client
-//! query at NC = 4 and 5 (exhaustive and cost-pruned), the XMark query
-//! suite, Example 1.1's client query, and every scenario-matrix point's
-//! client query. Each file records the backchase funnel (candidates
-//! inspected, cost-pruned, equivalence checks, memoized resumes, dead-cone
-//! skips, minimal reformulations found), the chase to the universal plan
-//! (applied steps, rounds, premise rows, universal-plan atoms), and every
-//! minimal reformulation with its cost, the route the router picks for it
-//! and the rows it returns on a small populated store.
+//! query at NC = 4 and 5 (exhaustive and cost-pruned), star corner subsets
+//! on an NC = 6 document, the XMark query suite, Example 1.1's client
+//! query, and every scenario-matrix point's client query. Each file records
+//! the backchase funnel (candidates inspected, cost-pruned, equivalence
+//! checks, memoized resumes, dead-cone skips, minimal reformulations found),
+//! the chase to the universal plan (applied steps, rounds, premise rows,
+//! universal-plan atoms), the column-index builds of the whole
+//! reformulation (counted on the calling thread, so parallel tests cannot
+//! perturb them), and every minimal reformulation with its cost, the route
+//! the router picks for it and the rows it returns on a small populated
+//! store.
 //!
 //! Every counter here is deterministic, so an engine change that claims
 //! "same search, same answers" leaves these files byte-identical, and one
@@ -27,6 +30,7 @@ mod common;
 
 use common::assert_matches_golden;
 use mars::{Mars, MarsOptions};
+use mars_system::chase::thread_index_build_count;
 use mars_system::storage::{BackendRouter, RelationalDatabase, XmlStore};
 use mars_system::xquery::XBindQuery;
 use mars_workloads::scenarios::Scenario;
@@ -38,7 +42,9 @@ const DIR: &str = "tests/golden/funnels";
 /// Reformulate `query` cold on `mars` and render its funnel, its chase and
 /// its minimal reformulations as routed and executed over `xml` / `db`.
 fn funnel(mars: &Mars, query: &XBindQuery, xml: &XmlStore, db: &RelationalDatabase) -> String {
+    let builds_before = thread_index_build_count();
     let block = mars.try_reformulate_xbind(query).expect("workload queries are well-formed");
+    let index_builds = thread_index_build_count() - builds_before;
     let (result, stats) = (&block.result, &block.result.stats);
     let mut out = String::new();
     let lines = [
@@ -52,6 +58,7 @@ fn funnel(mars: &Mars, query: &XBindQuery, xml: &XmlStore, db: &RelationalDataba
         ("chase.rounds", stats.chase.rounds),
         ("chase.premise_rows", stats.chase.premise_rows),
         ("chase.universal_plan_atoms", stats.universal_plan_atoms),
+        ("chase.index_builds", index_builds),
     ];
     for (name, value) in lines {
         writeln!(out, "{name} {value}").unwrap();
@@ -80,6 +87,26 @@ fn star_funnels_are_stable() {
             let actual = funnel(&cfg.mars(options), &cfg.client_query(), &xml, &db);
             assert_matches_golden(DIR, &format!("star-nc{nc}-{mode}.txt"), &actual);
         }
+    }
+}
+
+/// The star templates of the benchmark's NC = 6 tenant, cost-pruned as it
+/// runs them: at NV = 5 the smallest, a middle and the full corner set, and
+/// the full set again at NV = 4, the tenant's other tuning.
+#[test]
+fn star_corner_template_funnels_are_stable() {
+    for (nv, corners) in [
+        (5, vec![1, 2]),
+        (5, vec![1, 2, 3]),
+        (5, vec![1, 2, 3, 4, 5, 6]),
+        (4, vec![1, 2, 3, 4, 5, 6]),
+    ] {
+        let cfg = StarConfig { nc: 6, nv, proprietary_includes_document: true };
+        let (xml, db) = cfg.populate(5, 4, 17);
+        let actual =
+            funnel(&cfg.mars(MarsOptions::specialized()), &cfg.corner_query(&corners), &xml, &db);
+        let ids: String = corners.iter().map(usize::to_string).collect();
+        assert_matches_golden(DIR, &format!("star-nc6-nv{nv}-c{ids}.txt"), &actual);
     }
 }
 
