@@ -6,10 +6,21 @@
 //! application of the unsatisfied steps. The `(refl)/(base)/(trans)` TIX
 //! constraints are short-cut by a direct transitive-closure computation
 //! (Section 3.2) when [`ChaseOptions::use_shortcut`] is enabled.
+//!
+//! A step invents only the existentials nothing determines. Like the
+//! closure shortcut, this applies an outcome known before the step runs: an
+//! existential at a determined column of a functional dependency whose key
+//! the step has bound (the root a view expansion reaches the document by,
+//! the hub it finds by its key, that hub's fields) is bound to the term the
+//! existing tuple carries — the term the dependency's EGD would otherwise
+//! merge the invented variable into one round later, at the price of a
+//! rewrite of every relation mentioning it, a round restart and a
+//! recomputed closure. The EGDs stay in the set and fire wherever this
+//! does not apply.
 
-use crate::compiled::{CompiledDed, CompiledDeps, DedIndex};
-use crate::evaluate::JoinScratch;
-use crate::instance::SymbolicInstance;
+use crate::compiled::{CompiledDed, CompiledDeps, DedIndex, FunctionalDependencies};
+use crate::evaluate::{JoinScratch, SCAN_THRESHOLD};
+use crate::instance::{Relation, SymbolicInstance};
 use crate::shortcut::{apply_closure_watermarked, ClosureConstraints, ClosureInputMark};
 use mars_cq::{Atom, Conjunct, ConjunctiveQuery, Ded, Predicate, Substitution, Term, Variable};
 use std::collections::HashSet;
@@ -200,6 +211,65 @@ enum RoundResult {
     Split(Vec<Branch>),
 }
 
+/// The first tuple of `rel`, in tuple order, carrying `key` on the columns
+/// `cols` — read the way a join step reads a relation: a scan up to
+/// [`SCAN_THRESHOLD`] tuples, the persistent column index above that.
+fn first_with_key<'r>(rel: &'r Relation, cols: &[usize], key: &[Term]) -> Option<&'r [Term]> {
+    let tuples = rel.tuples();
+    let id = if cols.is_empty() {
+        (!tuples.is_empty()).then_some(0)
+    } else if rel.len() <= SCAN_THRESHOLD {
+        tuples.iter().position(|t| cols.iter().zip(key).all(|(&c, k)| t[c] == *k))
+    } else {
+        rel.index(cols).get(key).map(|ids| ids[0])
+    };
+    id.map(|i| tuples[i].as_slice())
+}
+
+/// Bind the existentials of `conjunct` that a functional dependency already
+/// determines. For a conclusion atom `P(t̄)` and an FD `K → D` of `P` whose
+/// key positions of `t̄` are all constants or bound, each still-unbound
+/// variable at a `D` position is bound to the term the first `P` tuple
+/// agreeing on `K` carries there — the term the FD's EGD would merge the
+/// invented variable into one round later. Repeated to fixpoint, since a
+/// binding can complete another FD's key (a hub found by its key fixes the
+/// hub's fields). A premise-bound term is never rebound: a disagreement
+/// there stays the EGD's to resolve.
+fn bind_determined(
+    sub: &mut Substitution,
+    conjunct: &Conjunct,
+    inst: &SymbolicInstance,
+    fds: &FunctionalDependencies,
+) {
+    let unbound = |sub: &Substitution, t: Term| matches!(t, Term::Var(v) if !sub.binds(v));
+    let mut key = Vec::new();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for atom in &conjunct.atoms {
+            let Some(rel) = inst.relation_data(atom.predicate) else { continue };
+            for fd in fds.of(atom.predicate) {
+                if !fd.determined.iter().any(|&c| unbound(sub, atom.args[c]))
+                    || fd.key.iter().any(|&c| unbound(sub, atom.args[c]))
+                {
+                    continue;
+                }
+                key.clear();
+                key.extend(fd.key.iter().map(|&c| sub.apply_term(atom.args[c])));
+                let Some(tuple) = first_with_key(rel, &fd.key, &key) else { continue };
+                for &c in &fd.determined {
+                    if let Term::Var(v) = atom.args[c] {
+                        if !sub.binds(v) {
+                            sub.set(v, tuple[c]);
+                            changed = true;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Apply one conclusion conjunct under homomorphism `h`. Returns `Err(())` if
 /// the application forces two distinct constants to be equal.
 fn apply_conjunct(
@@ -207,9 +277,12 @@ fn apply_conjunct(
     conjunct: &Conjunct,
     h: &Substitution,
     index: &DedIndex,
+    fds: &FunctionalDependencies,
 ) -> Result<(), ()> {
     let mut sub = h.clone();
-    // Freshen every conclusion variable not bound by the premise mapping.
+    bind_determined(&mut sub, conjunct, &branch.resident.inst, fds);
+    // Freshen every other conclusion variable not bound by the premise
+    // mapping.
     for v in conjunct.variables() {
         if !sub.binds(v) {
             sub.set(v, Term::Var(Variable { name: v.name, index: branch.fresh }));
@@ -257,6 +330,7 @@ fn run_round(
     branch: &mut Branch,
     compiled: &[CompiledDed],
     index: &DedIndex,
+    fds: &FunctionalDependencies,
     stats: &mut ChaseStats,
     max_atoms: usize,
     scratch: &mut JoinScratch,
@@ -285,7 +359,7 @@ fn run_round(
                 let mut children = Vec::new();
                 for c in &ded.conclusions {
                     let mut child = branch.clone();
-                    if apply_conjunct(&mut child, &c.conjunct, &h, index).is_ok() {
+                    if apply_conjunct(&mut child, &c.conjunct, &h, index, fds).is_ok() {
                         children.push(child);
                     } else {
                         stats.failed_branches += 1;
@@ -294,7 +368,7 @@ fn run_round(
                 return RoundResult::Split(children);
             }
             let conclusion = &ded.conclusions[0];
-            match apply_conjunct(branch, &conclusion.conjunct, &h, index) {
+            match apply_conjunct(branch, &conclusion.conjunct, &h, index, fds) {
                 Ok(()) => changed = true,
                 Err(()) => return RoundResult::Failed,
             }
@@ -532,6 +606,7 @@ fn chase_branch(
     compiled: &[CompiledDed],
     closure: Option<&ClosureConstraints>,
     index: &DedIndex,
+    fds: &FunctionalDependencies,
     options: &ChaseOptions,
     stats: &mut ChaseStats,
 ) -> BranchOutcome {
@@ -578,7 +653,7 @@ fn chase_branch(
             }
         }
 
-        match run_round(&mut branch, compiled, index, stats, options.max_atoms, &mut scratch) {
+        match run_round(&mut branch, compiled, index, fds, stats, options.max_atoms, &mut scratch) {
             RoundResult::NoChange => {
                 if !shortcut_changed {
                     return BranchOutcome::Done(Box::new(branch));
@@ -617,6 +692,7 @@ fn run_chase(
 ) -> ResidentChase {
     let start = Instant::now();
     let (compiled, closure, index) = deps.for_chase(options.use_shortcut);
+    let fds = deps.functional_dependencies();
 
     let mut stats = ChaseStats { completed: true, ..Default::default() };
     let base_fresh =
@@ -646,7 +722,7 @@ fn run_chase(
         let mut next: Vec<Branch> = Vec::new();
         for branch in level {
             let mut s = ChaseStats { completed: true, ..Default::default() };
-            let outcome = chase_branch(branch, compiled, closure, index, options, &mut s);
+            let outcome = chase_branch(branch, compiled, closure, index, fds, options, &mut s);
             stats.rounds += s.rounds;
             stats.applied_steps += s.applied_steps;
             stats.premise_rows += s.premise_rows;
@@ -917,6 +993,170 @@ mod tests {
         let plan = seeded.primary();
         let s_atom = plan.body.iter().find(|a| a.predicate.name() == "S").unwrap();
         assert_eq!(s_atom.args[0], plan.head[0], "S must mention the surviving head variable");
+    }
+
+    /// Chase `q` with `deds` and check the determined-existential contract:
+    /// the chase invents no variable, applies only the `steps` TGD steps
+    /// (no EGD merges an invented variable away), and reaches a plan
+    /// head-preservingly equivalent to the naive chase's.
+    fn assert_reuses_every_existential(q: &ConjunctiveQuery, deds: &[Ded], steps: usize) {
+        let up = chase_to_universal_plan(q, deds, &ChaseOptions::default());
+        assert!(up.stats.completed);
+        assert_eq!(up.stats.applied_steps, steps, "no EGD step is left to apply");
+        let plan = up.primary();
+        assert!(
+            plan.body.iter().flat_map(|a| a.variables()).all(|v| v.index == 0),
+            "no variable is invented: {plan}"
+        );
+        let naive = naive_chase(q, deds, &ChaseBudget::small());
+        let naive = naive.single().unwrap();
+        use mars_cq::containment::containment_mapping;
+        assert!(containment_mapping(plan, naive).is_some());
+        assert!(containment_mapping(naive, plan).is_some());
+    }
+
+    #[test]
+    fn a_fresh_root_is_the_existing_root() {
+        // Every A-node hangs below a root; the root is unique.
+        let q = ConjunctiveQuery::new("Q")
+            .with_head(vec![t("x")])
+            .with_body(vec![root(t("r")), Atom::named("A", vec![t("x")])]);
+        let below = Ded::tgd(
+            "below",
+            vec![Atom::named("A", vec![t("x")])],
+            vec![v("r2")],
+            vec![root(t("r2")), desc(t("r2"), t("x"))],
+        );
+        let unique = Ded::egd("root_unique", vec![root(t("u")), root(t("w"))], t("u"), t("w"));
+        let deds = [below, unique];
+        assert_reuses_every_existential(&q, &deds, 1);
+        let up = chase_to_universal_plan(&q, &deds, &ChaseOptions::default());
+        assert!(up.primary().body.contains(&desc(t("r"), t("x"))));
+    }
+
+    #[test]
+    fn a_fresh_hub_is_the_hub_its_key_names() {
+        // V(k) comes from a hub R(h, k) with a T-fact; k is a key for R.
+        let q = ConjunctiveQuery::new("Q").with_head(vec![t("k")]).with_body(vec![
+            Atom::named("R", vec![t("h"), t("k")]),
+            Atom::named("V", vec![t("k")]),
+        ]);
+        let b_v = Ded::tgd(
+            "bV",
+            vec![Atom::named("V", vec![t("k")])],
+            vec![v("h2")],
+            vec![Atom::named("R", vec![t("h2"), t("k")]), Atom::named("T", vec![t("h2")])],
+        );
+        let key = Ded::egd(
+            "R_key",
+            vec![Atom::named("R", vec![t("x"), t("k")]), Atom::named("R", vec![t("y"), t("k")])],
+            t("x"),
+            t("y"),
+        );
+        assert_reuses_every_existential(&q, &[b_v, key], 1);
+    }
+
+    #[test]
+    fn a_hub_found_by_its_key_fixes_its_fields() {
+        // The hub comes back by its key (R_key), then its fields by the
+        // hub's identity (F_fd): one step, nothing invented, nothing merged.
+        let q = ConjunctiveQuery::new("Q").with_head(vec![t("k")]).with_body(vec![
+            Atom::named("R", vec![t("h"), t("k")]),
+            Atom::named("F", vec![t("h"), t("a"), t("b")]),
+            Atom::named("V", vec![t("k")]),
+        ]);
+        let b_v = Ded::tgd(
+            "bV",
+            vec![Atom::named("V", vec![t("k")])],
+            vec![v("h2"), v("a2"), v("b2")],
+            vec![
+                Atom::named("W", vec![t("a2"), t("b2")]),
+                Atom::named("F", vec![t("h2"), t("a2"), t("b2")]),
+                Atom::named("R", vec![t("h2"), t("k")]),
+            ],
+        );
+        let key = Ded::egd(
+            "R_key",
+            vec![Atom::named("R", vec![t("x"), t("k")]), Atom::named("R", vec![t("y"), t("k")])],
+            t("x"),
+            t("y"),
+        );
+        let fields = Ded::disjunctive(
+            "F_fd",
+            vec![
+                Atom::named("F", vec![t("h"), t("a"), t("b")]),
+                Atom::named("F", vec![t("h"), t("c"), t("d")]),
+            ],
+            vec![Conjunct::equalities(vec![(t("a"), t("c")), (t("b"), t("d"))])],
+        );
+        let deds = [b_v, key, fields];
+        assert_reuses_every_existential(&q, &deds, 1);
+        let up = chase_to_universal_plan(&q, &deds, &ChaseOptions::default());
+        assert!(up.primary().body.contains(&Atom::named("W", vec![t("a"), t("b")])));
+    }
+
+    /// Reuse reads the relation the way a join step does: past
+    /// [`SCAN_THRESHOLD`] tuples through the column index, and either way
+    /// the first tuple with the key.
+    #[test]
+    fn the_first_tuple_with_the_key_is_reused_on_both_sides_of_the_scan_threshold() {
+        for hubs in [2, SCAN_THRESHOLD + 4] {
+            let mut body: Vec<Atom> = (0..hubs)
+                .map(|i| Atom::named("R", vec![t(&format!("h{i}")), t(&format!("k{i}"))]))
+                .collect();
+            let last = hubs - 1;
+            body.push(Atom::named("V", vec![t(&format!("k{last}"))]));
+            let q = ConjunctiveQuery::new("Q").with_head(vec![]).with_body(body);
+            let b_v = Ded::tgd(
+                "bV",
+                vec![Atom::named("V", vec![t("k")])],
+                vec![v("h2")],
+                vec![Atom::named("R", vec![t("h2"), t("k")]), Atom::named("T", vec![t("h2")])],
+            );
+            let key = Ded::egd(
+                "R_key",
+                vec![
+                    Atom::named("R", vec![t("x"), t("k")]),
+                    Atom::named("R", vec![t("y"), t("k")]),
+                ],
+                t("x"),
+                t("y"),
+            );
+            let up = chase_to_universal_plan(&q, &[b_v, key], &ChaseOptions::default());
+            assert_eq!(up.stats.applied_steps, 1, "{hubs} hubs");
+            assert!(up.primary().body.contains(&Atom::named("T", vec![t(&format!("h{last}"))])));
+        }
+    }
+
+    /// A premise-bound term is never rebound: of the two determined
+    /// columns, the step binds the existential one and leaves the one the
+    /// premise fills to the EGD, which still reports the constant clash as
+    /// a failed branch.
+    #[test]
+    fn a_premise_bound_clash_is_still_the_egds() {
+        let (one, two) = (Term::constant_int(1), Term::constant_int(2));
+        let q = ConjunctiveQuery::new("Q").with_head(vec![]).with_body(vec![
+            Atom::named("R", vec![t("k"), one, t("x")]),
+            Atom::named("V", vec![t("k"), two]),
+        ]);
+        let b_v = Ded::tgd(
+            "bV",
+            vec![Atom::named("V", vec![t("k"), t("a")])],
+            vec![v("z")],
+            vec![Atom::named("R", vec![t("k"), t("a"), t("z")])],
+        );
+        let fd = Ded::disjunctive(
+            "R_fd",
+            vec![
+                Atom::named("R", vec![t("k"), t("a"), t("b")]),
+                Atom::named("R", vec![t("k"), t("c"), t("d")]),
+            ],
+            vec![Conjunct::equalities(vec![(t("a"), t("c")), (t("b"), t("d"))])],
+        );
+        let up = chase_to_universal_plan(&q, &[b_v, fd], &ChaseOptions::default());
+        assert!(up.stats.completed);
+        assert!(up.branches.is_empty());
+        assert_eq!(up.stats.failed_branches, 1);
     }
 
     #[test]

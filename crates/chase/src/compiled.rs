@@ -15,11 +15,14 @@
 //! [`Substitution`] is built only for a binding that is about to fire.
 //!
 //! [`CompiledDeps`] packages the full dependency set in its chase-ready form
-//! (closure-shortcut detection, EGD-priority ordering, per-DED compilation)
-//! so that a `Mars` instance — or any other long-lived engine — compiles the
-//! set **once** and shares it across every chase, back-chase, branch and
-//! query block via `Arc`. Before this type existed every chase recompiled
-//! the dependency set from scratch, which dominated the backchase hot loop.
+//! (closure-shortcut detection, EGD-priority ordering, per-DED compilation,
+//! and the functional dependencies its key-shaped EGDs state, by predicate,
+//! which let a chase step reuse the term a key already determines instead
+//! of inventing a variable for it) so that a `Mars` instance — or any other
+//! long-lived engine — compiles the set **once** and shares it across every
+//! chase, back-chase, branch and query block via `Arc`. Before this type
+//! existed every chase recompiled the dependency set from scratch, which
+//! dominated the backchase hot loop.
 
 use crate::evaluate::{
     order_atoms, EqualityFilter, ExistsScratch, JoinProgram, JoinScratch, RowBuffers, Source,
@@ -306,15 +309,102 @@ impl DedIndex {
     }
 }
 
+/// A functional dependency `P: K → D` that a key-shaped EGD asserts: two
+/// `P` tuples that agree on the key columns `K` agree on the determined
+/// columns `D`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct FunctionalDependency {
+    /// Key columns, ascending; empty when the relation holds at most one
+    /// `D` value at all (`root(x) ∧ root(y) → x = y`).
+    pub(crate) key: Vec<usize>,
+    /// Determined columns, ascending and disjoint from `key`.
+    pub(crate) determined: Vec<usize>,
+}
+
+impl FunctionalDependency {
+    /// The functional dependency `ded` states, if it is exactly one: a
+    /// premise of two atoms `P(ū)`, `P(v̄)` of one predicate and no
+    /// inequalities; on the key columns `u_i` and `v_i` are the same
+    /// variable, pairwise distinct across those columns; every other column
+    /// holds a variable occurring once in the premise; and a single
+    /// conclusion of equalities only, each `u_j = v_j` on a non-key column.
+    pub(crate) fn of(ded: &Ded) -> Option<(Predicate, FunctionalDependency)> {
+        let ([p, q], [conclusion]) = (ded.premise.as_slice(), ded.conclusions.as_slice()) else {
+            return None;
+        };
+        if p.predicate != q.predicate
+            || p.args.len() != q.args.len()
+            || !ded.premise_inequalities.is_empty()
+            || !conclusion.atoms.is_empty()
+            || conclusion.equalities.is_empty()
+        {
+            return None;
+        }
+        let occurrences = |t: &Term| p.args.iter().chain(&q.args).filter(|s| *s == t).count();
+        let mut key = Vec::new();
+        for (i, (u, v)) in p.args.iter().zip(&q.args).enumerate() {
+            let expected = if u == v { 2 } else { 1 };
+            if !u.is_var()
+                || !v.is_var()
+                || occurrences(u) != expected
+                || occurrences(v) != expected
+            {
+                return None;
+            }
+            if u == v {
+                key.push(i);
+            }
+        }
+        let mut determined = Vec::new();
+        for (a, b) in &conclusion.equalities {
+            let column = (0..p.args.len()).find(|&j| {
+                !key.contains(&j)
+                    && ((p.args[j], q.args[j]) == (*a, *b) || (p.args[j], q.args[j]) == (*b, *a))
+            })?;
+            determined.push(column);
+        }
+        determined.sort_unstable();
+        determined.dedup();
+        Some((p.predicate, FunctionalDependency { key, determined }))
+    }
+}
+
+/// The functional dependencies a dependency set states, by predicate, each
+/// once, in the order of the set.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct FunctionalDependencies {
+    by_pred: FxHashMap<Predicate, Vec<FunctionalDependency>>,
+}
+
+impl FunctionalDependencies {
+    fn new(deds: &[Ded]) -> FunctionalDependencies {
+        let mut by_pred: FxHashMap<Predicate, Vec<FunctionalDependency>> = FxHashMap::default();
+        for (p, fd) in deds.iter().filter_map(FunctionalDependency::of) {
+            let fds = by_pred.entry(p).or_default();
+            if !fds.contains(&fd) {
+                fds.push(fd);
+            }
+        }
+        FunctionalDependencies { by_pred }
+    }
+
+    /// The functional dependencies of `p`'s relation.
+    pub(crate) fn of(&self, p: Predicate) -> &[FunctionalDependency] {
+        self.by_pred.get(&p).map_or(&[], Vec::as_slice)
+    }
+}
+
 /// A dependency set compiled once for repeated chasing.
 ///
 /// Holds the source DEDs plus everything `run_chase` needs precomputed:
 /// the detected closure-shortcut constraints, the EGD-priority-sorted
 /// compiled DED lists — both with the closure constraints excluded
-/// (shortcut on) and included (shortcut off) — and the premise-predicate
-/// indexes driving the delta rounds. Build it once per engine / `Mars`
-/// instance and share it via `Arc` — every chase and back-chase then reuses
-/// the same compilation.
+/// (shortcut on) and included (shortcut off) — the premise-predicate
+/// indexes driving the delta rounds, and the functional dependencies the
+/// set's key-shaped EGDs state, by predicate (a chase step binds an
+/// existential a key already determines instead of inventing it). Build it
+/// once per engine / `Mars` instance and share it via `Arc` — every chase
+/// and back-chase then reuses the same compilation.
 #[derive(Clone, Debug)]
 pub struct CompiledDeps {
     deds: Vec<Ded>,
@@ -328,6 +418,8 @@ pub struct CompiledDeps {
     all_index: DedIndex,
     /// The detected `(refl)/(base)/(trans)` closure constraints.
     closure: ClosureConstraints,
+    /// The functional dependencies the key-shaped EGDs state.
+    functional: FunctionalDependencies,
 }
 
 /// EGD-priority order: denials first (fail fast), then pure
@@ -350,8 +442,9 @@ fn egd_priority(d: &CompiledDed) -> u8 {
 
 impl CompiledDeps {
     /// Compile a dependency set (closure detection + per-DED compilation +
-    /// EGD-priority ordering). This is the only place dependency compilation
-    /// happens; it increments the process-wide [`compilation_count`].
+    /// EGD-priority ordering + functional-dependency detection). This is the
+    /// only place dependency compilation happens; it increments the
+    /// process-wide [`compilation_count`].
     pub fn new(deds: &[Ded]) -> CompiledDeps {
         COMPILATIONS.fetch_add(1, Ordering::SeqCst);
         let closure = detect_closure_constraints(deds);
@@ -367,12 +460,25 @@ impl CompiledDeps {
         shortcut_rest.sort_by_key(egd_priority);
         let shortcut_index = DedIndex::new(&shortcut_rest);
         let all_index = DedIndex::new(&all);
-        CompiledDeps { deds: deds.to_vec(), shortcut_rest, all, shortcut_index, all_index, closure }
+        CompiledDeps {
+            deds: deds.to_vec(),
+            shortcut_rest,
+            all,
+            shortcut_index,
+            all_index,
+            closure,
+            functional: FunctionalDependencies::new(deds),
+        }
     }
 
     /// The source dependency set.
     pub fn deds(&self) -> &[Ded] {
         &self.deds
+    }
+
+    /// The functional dependencies the set's key-shaped EGDs state.
+    pub(crate) fn functional_dependencies(&self) -> &FunctionalDependencies {
+        &self.functional
     }
 
     /// The compiled DEDs the chase should run, given whether the closure
@@ -395,7 +501,7 @@ impl CompiledDeps {
 mod tests {
     use super::*;
     use mars_cq::atom::builders::*;
-    use mars_cq::{Atom, ConjunctiveQuery, Ded, Term, Variable};
+    use mars_cq::{Atom, Conjunct, ConjunctiveQuery, Ded, Term, Variable};
 
     fn t(n: &str) -> Term {
         Term::var(n)
@@ -476,6 +582,121 @@ mod tests {
             Atom::named("R", vec![t("a"), t("b")]),
         ]);
         assert_eq!(c.premise_bindings(&inst).len(), 1);
+    }
+
+    fn r(args: &[Term]) -> Atom {
+        Atom::named("R", args.to_vec())
+    }
+
+    fn fd(key: &[usize], determined: &[usize]) -> Option<(Predicate, FunctionalDependency)> {
+        Some((
+            Predicate::new("R"),
+            FunctionalDependency { key: key.to_vec(), determined: determined.to_vec() },
+        ))
+    }
+
+    #[test]
+    fn key_shaped_egds_are_functional_dependencies() {
+        // root_unique: R(x) ∧ R(y) → x = y, no key at all.
+        let root = Ded::egd("root", vec![r(&[t("x")]), r(&[t("y")])], t("x"), t("y"));
+        assert_eq!(FunctionalDependency::of(&root), fd(&[], &[0]));
+        // A key on column 1 determining column 0, equality either way round.
+        let key = Ded::egd(
+            "key",
+            vec![r(&[t("x"), t("k"), t("a")]), r(&[t("y"), t("k"), t("b")])],
+            t("y"),
+            t("x"),
+        );
+        assert_eq!(FunctionalDependency::of(&key), fd(&[1], &[0]));
+        // A specialization FD: the id determines every field, one conjunct.
+        let spec = Ded::disjunctive(
+            "spec_fd",
+            vec![r(&[t("id"), t("f0"), t("f1")]), r(&[t("id"), t("g0"), t("g1")])],
+            vec![Conjunct::equalities(vec![(t("f0"), t("g0")), (t("f1"), t("g1"))])],
+        );
+        assert_eq!(FunctionalDependency::of(&spec), fd(&[0], &[1, 2]));
+        // A composite key.
+        let attr = Ded::egd(
+            "attr_key",
+            vec![r(&[t("x"), t("n"), t("v1")]), r(&[t("x"), t("n"), t("v2")])],
+            t("v1"),
+            t("v2"),
+        );
+        assert_eq!(FunctionalDependency::of(&attr), fd(&[0, 1], &[2]));
+    }
+
+    #[test]
+    fn other_egds_are_not_functional_dependencies() {
+        let c = Term::constant_str("c");
+        let rejected = [
+            // A constant key term.
+            Ded::egd("const", vec![r(&[c, t("a")]), r(&[c, t("b")])], t("a"), t("b")),
+            // A key variable repeated across key columns.
+            Ded::egd(
+                "repeat",
+                vec![r(&[t("k"), t("k"), t("a")]), r(&[t("k"), t("k"), t("b")])],
+                t("a"),
+                t("b"),
+            ),
+            // A non-key variable that occurs twice.
+            Ded::egd(
+                "twice",
+                vec![r(&[t("k"), t("a"), t("a")]), r(&[t("k"), t("b"), t("c")])],
+                t("a"),
+                t("b"),
+            ),
+            // A premise inequality.
+            Ded::egd("neq", vec![r(&[t("k"), t("a")]), r(&[t("k"), t("b")])], t("a"), t("b"))
+                .with_premise_inequalities(vec![(t("a"), t("b"))]),
+            // Three premise atoms.
+            Ded::egd(
+                "three",
+                vec![r(&[t("k"), t("a")]), r(&[t("k"), t("b")]), r(&[t("k"), t("c")])],
+                t("a"),
+                t("b"),
+            ),
+            // Two predicates.
+            Ded::egd(
+                "two_preds",
+                vec![r(&[t("k"), t("a")]), Atom::named("S", vec![t("k"), t("b")])],
+                t("a"),
+                t("b"),
+            ),
+            // An equality across columns.
+            Ded::egd(
+                "across",
+                vec![r(&[t("k"), t("a"), t("c")]), r(&[t("k"), t("b"), t("d")])],
+                t("a"),
+                t("d"),
+            ),
+            // A disjunctive EGD.
+            Ded::disjunctive(
+                "line",
+                vec![r(&[t("x"), t("u")]), r(&[t("y"), t("u")])],
+                vec![
+                    Conjunct::equalities(vec![(t("x"), t("y"))]),
+                    Conjunct::atoms(vec![Atom::named("S", vec![t("x"), t("y")])]),
+                ],
+            ),
+            // A TGD.
+            Ded::tgd(
+                "tgd",
+                vec![r(&[t("k"), t("a")]), r(&[t("k"), t("b")])],
+                vec![],
+                vec![Atom::named("S", vec![t("a"), t("b")])],
+            ),
+        ];
+        for ded in &rejected {
+            assert_eq!(FunctionalDependency::of(ded), None, "{}", ded.name);
+        }
+    }
+
+    #[test]
+    fn each_functional_dependency_is_kept_once_per_predicate() {
+        let root = |name: &str| Ded::egd(name, vec![r(&[t("x")]), r(&[t("y")])], t("x"), t("y"));
+        let fds = FunctionalDependencies::new(&[root("a"), root("b")]);
+        assert_eq!(fds.of(Predicate::new("R")).len(), 1);
+        assert!(fds.of(Predicate::new("S")).is_empty());
     }
 
     #[test]

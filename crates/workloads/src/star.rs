@@ -171,10 +171,14 @@ impl StarConfig {
 
     /// DTD single-occurrence constraints of the star document: each hub has
     /// exactly one `K` and one `A_i` subelement, each corner one `A` and one
-    /// `B` (`<!ELEMENT R (K, A1, …)>`). Declaring them lets the backchase's
-    /// equivalence chases unify the duplicated navigation that arises when a
-    /// hub is reconstructed from several views, instead of accumulating a
-    /// cross-product of equivalent patterns.
+    /// `B` (`<!ELEMENT R (K, A1, …)>`). Without specialization they let the
+    /// backchase's equivalence chases unify the duplicated navigation that
+    /// arises when a hub is reconstructed from several views. Under
+    /// specialization (`StarConfig::mars` with `MarsOptions::specialized()`,
+    /// what the benchmark's cold templates run) their `_spec` forms never
+    /// produce a premise row: a hub reconstructed from a view is found by
+    /// the spec-level key on `Rspec.K` and its fields by `Rspec`'s
+    /// single-valued-field dependency, so no duplicated navigation arises.
     pub fn dtd_constraints(&self) -> Vec<Xic> {
         let doc = self.document();
         let one = |name: &str, elements: &str, child: &str| {
@@ -411,13 +415,19 @@ mod tests {
 
     /// The blocked test pushed into the premise joins changes how much the
     /// chase does, never what it does. Star NC = 4, exhaustive: the minimal
-    /// reformulations and the `applied_steps` / `rounds` of the universal-plan
-    /// chase are the ones recorded at commit 038592a, before the push-down,
-    /// where `premise_bindings` handed that same chase 416 homomorphisms to
-    /// test one by one; now fewer than a third as many rows leave a premise
-    /// program (113 — what is left are the bindings of the TGDs, whose
-    /// blocked test needs the whole row). On the plan itself, a fixpoint,
-    /// every binding of every pure-equality EGD dies inside the join.
+    /// reformulations are the ones recorded at commit 038592a, before the
+    /// push-down, where `premise_bindings` handed that same chase 416
+    /// homomorphisms to test one by one; now fewer than a third as many rows
+    /// leave a premise program (105 — what is left are the bindings of the
+    /// TGDs, whose blocked test needs the whole row). On the plan itself, a
+    /// fixpoint, every binding of every pure-equality EGD dies inside the
+    /// join.
+    ///
+    /// The universal-plan chase took (43, 15) `(applied_steps, rounds)`
+    /// until a chase step began binding each existential that a key of the
+    /// dependency set already determines to the term the existing tuple
+    /// carries: before that, every such variable was invented and then
+    /// merged away by one more EGD step, with a round restart after it.
     #[test]
     fn pushed_down_blocked_test_cuts_premise_rows_not_steps() {
         use mars_chase::{CompiledDeps, JoinScratch, SymbolicInstance};
@@ -450,7 +460,7 @@ mod tests {
             ]
         );
         let chase = &result.stats.chase;
-        assert_eq!((chase.applied_steps, chase.rounds), (43, 15));
+        assert_eq!((chase.applied_steps, chase.rounds), (39, 11));
         const PREMISE_BINDINGS_BEFORE: usize = 416;
         assert!(chase.premise_rows >= chase.applied_steps);
         assert!(

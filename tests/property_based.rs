@@ -318,6 +318,84 @@ proptest! {
     }
 }
 
+/// A chase step binds an existential that a functional dependency already
+/// determines to the existing term instead of inventing it. Under a random
+/// subset of FD-shaped EGDs (a unique root, a key, a key-to-fields FD) and
+/// TGDs whose existentials sit in determined columns — a root, a hub found
+/// by its key, the hub's fields found by the hub, plus one existential
+/// nothing determines — the set-oriented chase of a random query reaches a
+/// universal plan head-preservingly homomorphically equivalent to the naive
+/// chase's, both ways, and the two fail together when an FD forces two
+/// constants equal. One seeded round per case; the totals show that both
+/// outcomes are exercised.
+#[test]
+fn determined_existentials_chase_like_the_naive_chase() {
+    use mars_system::cq::containment::containment_mapping;
+    use mars_system::cq::{Conjunct, Variable};
+
+    let t = Term::var;
+    let a = |rel: &str, args: &[&str]| Atom::named(rel, args.iter().map(|n| t(n)).collect());
+    let exists = |names: &[&str]| names.iter().map(|n| Variable::named(n)).collect::<Vec<_>>();
+    let dependencies = [
+        Ded::egd("root_unique", vec![a("Root", &["u"]), a("Root", &["w"])], t("u"), t("w")),
+        Ded::egd("R_key", vec![a("R", &["u", "k"]), a("R", &["w", "k"])], t("u"), t("w")),
+        Ded::disjunctive(
+            "F_fd",
+            vec![a("F", &["h", "p", "q"]), a("F", &["h", "r", "s"])],
+            vec![Conjunct::equalities(vec![(t("p"), t("r")), (t("q"), t("s"))])],
+        ),
+        Ded::tgd(
+            "bV",
+            vec![a("V", &["k", "b"])],
+            exists(&["h", "f"]),
+            vec![a("R", &["h", "k"]), a("F", &["h", "f", "b"])],
+        ),
+        Ded::tgd(
+            "below",
+            vec![a("S", &["x", "y"])],
+            exists(&["r"]),
+            vec![a("Root", &["r"]), a("S2", &["r", "x"])],
+        ),
+        Ded::tgd(
+            "fields",
+            vec![a("R", &["h", "k"])],
+            exists(&["f", "g"]),
+            vec![a("F", &["h", "f", "g"])],
+        ),
+        Ded::tgd("hub", vec![a("U", &["x"])], exists(&["h"]), vec![a("R", &["h", "x"])]),
+        Ded::tgd("free", vec![a("U", &["x"])], exists(&["z"]), vec![a("S2", &["z", "x"])]),
+    ];
+    let relations = [("Root", 1), ("R", 2), ("F", 3), ("F", 3), ("V", 2), ("S", 2), ("U", 1)];
+    let pool = [t("x0"), t("x1"), t("x2"), Term::constant_str("c"), Term::constant_str("d")];
+    let (mut clashes, mut merges_saved) = (0, 0);
+    for seed in 1..=1024 {
+        let mut rng = TestRng::new(seed);
+        let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+        let deds: Vec<Ded> = dependencies.iter().filter(|_| pick(4) != 0).cloned().collect();
+        let mut q = ConjunctiveQuery::new("Q");
+        for _ in 2..4 + pick(5) {
+            let (rel, arity) = relations[pick(relations.len())];
+            q = q.with_atom(Atom::named(rel, (0..arity).map(|_| pool[pick(pool.len())]).collect()));
+        }
+        let vars: Vec<Term> = q.variables().into_iter().map(Term::Var).collect();
+        if !vars.is_empty() {
+            q = q.with_head((0..1 + pick(2)).map(|_| vars[pick(vars.len())]).collect());
+        }
+
+        let naive = naive_chase(&q, &deds, &ChaseBudget::small());
+        let fast = chase_to_universal_plan(&q, &deds, &ChaseOptions::default());
+        assert!(naive.terminated() && fast.stats.completed, "seed {seed}: {q:?} under {deds:?}");
+        assert_eq!(naive.leaves.is_empty(), fast.branches.is_empty(), "seed {seed}: {q:?}");
+        clashes += usize::from(fast.branches.is_empty());
+        merges_saved += usize::from(fast.stats.applied_steps < naive.steps);
+        if let (Some(naive), [fast]) = (naive.single(), fast.branches.as_slice()) {
+            assert!(containment_mapping(naive, fast).is_some(), "seed {seed}: {naive} into {fast}");
+            assert!(containment_mapping(fast, naive).is_some(), "seed {seed}: {fast} into {naive}");
+        }
+    }
+    assert!(clashes >= 10 && merges_saved >= 100, "{clashes} clashes, {merges_saved} saved");
+}
+
 /// Build a redundant-storage C&B engine over a length-`len` chain query:
 /// every relation gets a stored proprietary copy when the corresponding bit
 /// of `copy_mask` is set, and adjacent pairs additionally get a stored join
@@ -1343,5 +1421,140 @@ proptest! {
         let extent = stored_extent(&view, &xml, &db);
         prop_assert_eq!(stored, extent.len(), "{}: stored rows are a set", view.body);
         prop_assert_eq!(extent, expected, "{}", view.body);
+    }
+}
+
+/// Tokens of the three input languages (XML documents, XQuery, XPath), a
+/// few multi-byte characters, and the pieces in between.
+const FUZZ_TOKENS: &[&str] = &[
+    "<",
+    ">",
+    "</",
+    "/>",
+    "<?",
+    "?>",
+    "<!--",
+    "-->",
+    "<![CDATA[",
+    "]]>",
+    "<!DOCTYPE",
+    "&",
+    "&amp;",
+    "&lt;",
+    "&#",
+    "&#x",
+    "&#65;",
+    "&#x1F980;",
+    "&#xD800;",
+    ";",
+    "=",
+    "\"",
+    "'",
+    " ",
+    "\n",
+    "\t",
+    "a",
+    "R",
+    "K",
+    "x1",
+    "_",
+    "-",
+    ".",
+    ":",
+    "for",
+    "let",
+    "where",
+    "return",
+    "in",
+    "and",
+    "or",
+    "if",
+    "then",
+    "else",
+    "some",
+    "satisfies",
+    "$",
+    "$x",
+    "$r",
+    "//",
+    "/",
+    "..",
+    "@",
+    "@id",
+    "*",
+    "text()",
+    "node()",
+    "[",
+    "]",
+    "(",
+    ")",
+    "{",
+    "}",
+    ",",
+    "!=",
+    "<=",
+    "document(",
+    "\"d.xml\")",
+    "0",
+    "42",
+    "-1",
+    "::",
+    "child::",
+    "descendant::",
+    "|",
+    "é",
+    "中",
+    "🦀",
+    "\u{0}",
+];
+
+/// Well-formed inputs of each language, to be cut short or spliced into.
+const FUZZ_SEEDS: &[&str] = &[
+    "<?xml version=\"1.0\"?><star><R id=\"r1\"><K>k&amp;1</K><!-- c --><A1>a</A1></R></star>",
+    "for $r in //R, $k in $r/K/text() where $k = \"k1\" return <row><k>$k</k></row>",
+    "for $c in document(\"case.xml\")//case return <a>{ for $d in $c/drug return $d/text() }</a>",
+    "//R[@id]/A1/text()",
+    "./name/first/text()",
+];
+
+/// One random input: tokens strung together, or a well-formed seed cut at
+/// a random character or with a random token spliced in.
+fn fuzz_input(rng: &mut TestRng) -> String {
+    let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+    match pick(3) {
+        0 => (0..pick(24)).map(|_| FUZZ_TOKENS[pick(FUZZ_TOKENS.len())]).collect(),
+        kind => {
+            let seed = FUZZ_SEEDS[pick(FUZZ_SEEDS.len())];
+            let cuts: Vec<usize> =
+                seed.char_indices().map(|(i, _)| i).chain([seed.len()]).collect();
+            let at = cuts[pick(cuts.len())];
+            if kind == 1 {
+                seed[..at].to_string()
+            } else {
+                format!("{}{}{}", &seed[..at], FUZZ_TOKENS[pick(FUZZ_TOKENS.len())], &seed[at..])
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The three parsers that read client input answer every string with a
+    /// value or an error, never a panic.
+    #[test]
+    fn parsers_never_panic_on_arbitrary_input(seed in 1u64..u64::MAX) {
+        use mars_system::xml::{parse_document, parse_path};
+        use mars_system::xquery::parse_xquery;
+        use std::panic::catch_unwind;
+
+        let mut rng = TestRng::new(seed);
+        for _ in 0..256 {
+            let input = fuzz_input(&mut rng);
+            let input = input.as_str();
+            prop_assert!(catch_unwind(|| parse_document("fuzz.xml", input)).is_ok(), "parse_document({input:?})");
+            prop_assert!(catch_unwind(|| parse_xquery(input)).is_ok(), "parse_xquery({input:?})");
+            prop_assert!(catch_unwind(|| parse_path(input)).is_ok(), "parse_path({input:?})");
+        }
     }
 }
