@@ -281,8 +281,7 @@ fn apply_conjunct(
 ) -> Result<(), ()> {
     let mut sub = h.clone();
     bind_determined(&mut sub, conjunct, &branch.resident.inst, fds);
-    // Freshen every other conclusion variable not bound by the premise
-    // mapping.
+    // Freshen every conclusion variable still unbound.
     for v in conjunct.variables() {
         if !sub.binds(v) {
             sub.set(v, Term::Var(Variable { name: v.name, index: branch.fresh }));

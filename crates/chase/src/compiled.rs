@@ -369,8 +369,8 @@ impl FunctionalDependency {
     }
 }
 
-/// The functional dependencies a dependency set states, by predicate, each
-/// once, in the order of the set.
+/// The functional dependencies a dependency set states, by predicate, in
+/// the order of the set.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct FunctionalDependencies {
     by_pred: FxHashMap<Predicate, Vec<FunctionalDependency>>,
@@ -380,10 +380,7 @@ impl FunctionalDependencies {
     fn new(deds: &[Ded]) -> FunctionalDependencies {
         let mut by_pred: FxHashMap<Predicate, Vec<FunctionalDependency>> = FxHashMap::default();
         for (p, fd) in deds.iter().filter_map(FunctionalDependency::of) {
-            let fds = by_pred.entry(p).or_default();
-            if !fds.contains(&fd) {
-                fds.push(fd);
-            }
+            by_pred.entry(p).or_default().push(fd);
         }
         FunctionalDependencies { by_pred }
     }
@@ -689,14 +686,6 @@ mod tests {
         for ded in &rejected {
             assert_eq!(FunctionalDependency::of(ded), None, "{}", ded.name);
         }
-    }
-
-    #[test]
-    fn each_functional_dependency_is_kept_once_per_predicate() {
-        let root = |name: &str| Ded::egd(name, vec![r(&[t("x")]), r(&[t("y")])], t("x"), t("y"));
-        let fds = FunctionalDependencies::new(&[root("a"), root("b")]);
-        assert_eq!(fds.of(Predicate::new("R")).len(), 1);
-        assert!(fds.of(Predicate::new("S")).is_empty());
     }
 
     #[test]
