@@ -15,10 +15,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mars_chase::{maps_into, SymbolicInstance};
-use mars_cq::{
-    find_all_homomorphisms, Atom, AtomIndex, ConjunctiveQuery, ContainmentTarget, Substitution,
-    Term,
-};
+use mars_cq::{Atom, ConjunctiveQuery, Substitution, Term};
+use mars_oracle::{find_all_homomorphisms, AtomIndex, ContainmentTarget};
 
 /// The probe query: a chain R0(x0,x1)..R{m-1}(x{m-1},xm) plus a marker atom
 /// S(x0,xm) that only the sibling's fresh atom can satisfy.

@@ -10,8 +10,9 @@
 
 use mars::MarsOptions;
 use mars_bench::{measure_fig5, measure_fig8};
-use mars_chase::{chase_to_universal_plan, ChaseOptions};
-use mars_cq::{naive_chase, ChaseBudget};
+use mars_chase::{chase_to_resident_compiled, ChaseOptions, CompiledDeps};
+use mars_cq::{ConjunctiveQuery, Ded};
+use mars_oracle::{naive_chase, ChaseBudget};
 use mars_workloads::{example11, star::StarConfig, stress, xmark};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -135,6 +136,14 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1000.0
 }
 
+/// Chase `q` with `deds` to its universal plan and count the plan's atoms:
+/// the "new implementation" the stress experiments time, dependency
+/// compilation and rendering the plan included.
+fn universal_plan_atoms(q: &ConjunctiveQuery, deds: &[Ded], options: &ChaseOptions) -> usize {
+    let chase = chase_to_resident_compiled(q, &CompiledDeps::new(deds), options);
+    chase.primary(&q.name).map_or(0, |plan| plan.body.len())
+}
+
 /// CPU cores visible to this process (0 when undetectable).
 fn detected_cpu_cores() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(0)
@@ -229,15 +238,15 @@ fn stress_experiment(results: &mut HashMap<String, serde_json::Value>) {
     };
 
     let start = Instant::now();
-    let no_shortcut = chase_to_universal_plan(&q, &tix, &ChaseOptions::without_shortcut());
+    universal_plan_atoms(&q, &tix, &ChaseOptions::without_shortcut());
     let no_shortcut_time = start.elapsed();
 
     let start = Instant::now();
-    let with_shortcut = chase_to_universal_plan(&q, &tix, &ChaseOptions::default());
+    let plan_atoms = universal_plan_atoms(&q, &tix, &ChaseOptions::default());
     let with_shortcut_time = start.elapsed();
 
     println!("input atoms:                 {}", q.body.len());
-    println!("universal plan atoms:        {}", with_shortcut.primary().body.len());
+    println!("universal plan atoms:        {plan_atoms}");
     println!("old (naive) implementation:  {naive_label}   (paper: >12 h)");
     println!("new join-tree implementation: {:.1} ms   (paper: 2.6 s)", ms(no_shortcut_time));
     println!("new + closure shortcut:       {:.1} ms   (paper: 640 ms)", ms(with_shortcut_time));
@@ -249,9 +258,8 @@ fn stress_experiment(results: &mut HashMap<String, serde_json::Value>) {
     for d in [6usize, 8, 10, 12] {
         let q = stress::compiled_stress_query(d);
         let start = Instant::now();
-        let up = chase_to_universal_plan(&q, &tix, &ChaseOptions::default());
+        let atoms = universal_plan_atoms(&q, &tix, &ChaseOptions::default());
         let time = start.elapsed();
-        let atoms = up.primary().body.len();
         println!("{:>6} {:>12.1} {:>8}", d, ms(time), atoms);
         sweep.push(serde_json::json!({
             "depth": d,
@@ -263,7 +271,7 @@ fn stress_experiment(results: &mut HashMap<String, serde_json::Value>) {
     results.insert(
         "stress".to_string(),
         serde_json::json!({
-            "universal_plan_atoms": with_shortcut.primary().body.len(),
+            "universal_plan_atoms": plan_atoms,
             "naive_ms": ms(naive_time),
             "naive_terminated": naive.terminated(),
             "join_tree_ms": ms(no_shortcut_time),
@@ -271,7 +279,6 @@ fn stress_experiment(results: &mut HashMap<String, serde_json::Value>) {
             "depth_sweep": serde_json::Value::Array(sweep),
         }),
     );
-    let _ = no_shortcut;
 }
 
 /// Old vs new C&B implementation on path queries of growing depth.
@@ -287,7 +294,7 @@ fn old_vs_new(results: &mut HashMap<String, serde_json::Value>) {
         let old = naive_chase(&q, &tix, &ChaseBudget::default().with_timeout(cap));
         let old_time = start.elapsed();
         let start = Instant::now();
-        let _ = chase_to_universal_plan(&q, &tix, &ChaseOptions::default());
+        universal_plan_atoms(&q, &tix, &ChaseOptions::default());
         let new_time = start.elapsed();
         let speedup = old_time.as_secs_f64() / new_time.as_secs_f64().max(1e-9);
         println!(

@@ -48,9 +48,8 @@
 //! per-level memo budget — does not depend on the set. Navigation legality
 //! (criteria 2–3) is never checked per candidate: every candidate is an
 //! entry point grown by atoms it enables, so it is constructible by
-//! construction. The legality fixpoint,
-//! [`ReachabilityGraph::is_legal_subset`], is the oracle the tests hold that
-//! growth against.
+//! construction. The legality fixpoint, `reach::reference::is_legal_subset`
+//! (test code), is the oracle the tests hold that growth against.
 //!
 //! The best cost a candidate is pruned against stays frozen for its level
 //! (the level's discoveries take effect at its end), for two reasons. The
@@ -666,14 +665,12 @@ fn minimize_to_core(
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods, clippy::disallowed_types)]
 mod tests {
     use super::*;
-    use crate::chase::chase_to_universal_plan;
     use mars_cq::atom::builders::{child, desc, root, tag, text};
-    use mars_cq::containment::containment_mapping;
     use mars_cq::ded::view_dependencies;
-    use mars_cq::{naive_chase, Atom, ChaseBudget, Conjunct, Ded, Term, Variable};
+    use mars_cq::{Atom, Conjunct, Ded, Term, Variable};
+    use mars_oracle::{containment_mapping, naive_chase, ChaseBudget};
     use proptest::prelude::*;
 
     fn t(n: &str) -> Term {
@@ -781,8 +778,9 @@ mod tests {
     #[test]
     fn initial_reformulation_restricts_to_proprietary_atoms() {
         let (q, deds, proprietary) = section_2_3_setup();
-        let up = chase_to_universal_plan(&q, &deds, &ChaseOptions::default());
-        let initial = initial_reformulation(up.primary(), &proprietary);
+        let up =
+            chase_to_resident_compiled(&q, &CompiledDeps::new(&deds), &ChaseOptions::default());
+        let initial = initial_reformulation(&up.primary(&q.name).unwrap(), &proprietary);
         assert_eq!(initial.body.len(), 1);
         assert_eq!(initial.body[0].predicate.name(), "V");
     }

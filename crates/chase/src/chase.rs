@@ -22,7 +22,7 @@ use crate::compiled::{CompiledDed, CompiledDeps, DedIndex, FunctionalDependencie
 use crate::evaluate::{JoinScratch, SCAN_THRESHOLD};
 use crate::instance::{Relation, SymbolicInstance};
 use crate::shortcut::{apply_closure_watermarked, ClosureConstraints, ClosureInputMark};
-use mars_cq::{Atom, Conjunct, ConjunctiveQuery, Ded, Predicate, Substitution, Term, Variable};
+use mars_cq::{Atom, Conjunct, ConjunctiveQuery, Predicate, Substitution, Term, Variable};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -126,26 +126,6 @@ pub struct ChaseStats {
     pub stop: Option<ChaseStop>,
     /// Wall-clock duration.
     pub duration: Duration,
-}
-
-/// The chase result rendered as queries, one universal plan per surviving
-/// branch — the form tests, `experiments` and the stress workload read. The
-/// engine keeps the [`ResidentChase`] it is rendered from.
-#[derive(Clone, Debug)]
-pub struct UniversalPlan {
-    /// Surviving branches (exactly one for non-disjunctive dependency sets).
-    pub branches: Vec<ConjunctiveQuery>,
-    /// Chase statistics.
-    pub stats: ChaseStats,
-}
-
-impl UniversalPlan {
-    /// The first branch; panics if the query was inconsistent with the
-    /// constraints (no surviving branch). The engine does not come this way:
-    /// it reads [`ResidentChase::primary`], which is an `Option`.
-    pub fn primary(&self) -> &ConjunctiveQuery {
-        self.branches.first().expect("universal plan has no surviving branch")
-    }
 }
 
 /// One branch of the chase tree during execution: the [`ResidentBranch`] it
@@ -399,30 +379,6 @@ fn run_round(
     RoundResult::NoChange
 }
 
-/// Chase `query` with `deds` to the universal plan.
-///
-/// Convenience wrapper that compiles the dependency set for this one chase.
-/// Long-lived callers (the C&B engine, `Mars`) must build a [`CompiledDeps`]
-/// once and use [`chase_to_universal_plan_compiled`] instead — recompiling
-/// per chase is exactly the overhead the shared compilation removes.
-pub fn chase_to_universal_plan(
-    query: &ConjunctiveQuery,
-    deds: &[Ded],
-    options: &ChaseOptions,
-) -> UniversalPlan {
-    chase_to_universal_plan_compiled(query, &CompiledDeps::new(deds), options)
-}
-
-/// Chase `query` to the universal plan with an already-compiled dependency
-/// set (see [`CompiledDeps`]).
-pub fn chase_to_universal_plan_compiled(
-    query: &ConjunctiveQuery,
-    compiled: &CompiledDeps,
-    options: &ChaseOptions,
-) -> UniversalPlan {
-    chase_to_resident_compiled(query, compiled, options).into_universal_plan(&query.name)
-}
-
 /// One chased branch kept *resident*: the symbolic instance (with its warm
 /// column indexes), the head and inequalities it carries, and the renaming
 /// the chase accumulated.
@@ -511,24 +467,12 @@ impl ResidentChase {
     pub fn primary(&self, name: &str) -> Option<ConjunctiveQuery> {
         self.branches.first().map(|b| b.to_query(&format!("{name}_up0")))
     }
-
-    /// Convert to a [`UniversalPlan`]: each surviving branch rendered as a
-    /// query named `{name}_up{i}`.
-    pub fn into_universal_plan(self, name: &str) -> UniversalPlan {
-        let branches = self
-            .branches
-            .iter()
-            .enumerate()
-            .map(|(i, b)| b.to_query(&format!("{name}_up{i}")))
-            .collect();
-        UniversalPlan { branches, stats: self.stats }
-    }
 }
 
-/// Chase `query` to a *resident* result (see [`ResidentChase`]) with an
-/// already-compiled dependency set. Identical chase to
-/// [`chase_to_universal_plan_compiled`]; only the result form differs — the
-/// branches keep their warm instances instead of flattening to queries.
+/// Chase `query` with an already-compiled dependency set (see
+/// [`CompiledDeps`]; build it once per dependency set, not per chase) to a
+/// *resident* result (see [`ResidentChase`]): the branches keep their warm
+/// instances, and [`ResidentChase::primary`] renders the universal plan.
 pub fn chase_to_resident_compiled(
     query: &ConjunctiveQuery,
     compiled: &CompiledDeps,
@@ -745,18 +689,28 @@ fn run_chase(
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods, clippy::disallowed_types)]
 mod tests {
     use super::*;
     use mars_cq::atom::builders::*;
     use mars_cq::ded::view_dependencies;
-    use mars_cq::{naive_chase, Atom, ChaseBudget, Conjunct, Term};
+    use mars_cq::{Atom, Conjunct, Ded, Term};
+    use mars_oracle::{containment_mapping, naive_chase, ChaseBudget};
 
     fn t(n: &str) -> Term {
         Term::var(n)
     }
     fn v(n: &str) -> Variable {
         Variable::named(n)
+    }
+
+    /// The chase of `q` with `deds`, compiled for this one chase.
+    fn chase(q: &ConjunctiveQuery, deds: &[Ded], options: &ChaseOptions) -> ResidentChase {
+        chase_to_resident_compiled(q, &CompiledDeps::new(deds), options)
+    }
+
+    /// The universal plan: the first surviving branch, rendered.
+    fn plan(up: &ResidentChase) -> ConjunctiveQuery {
+        up.primary("Q").expect("a surviving branch")
     }
 
     fn tix_core() -> Vec<Ded> {
@@ -788,9 +742,9 @@ mod tests {
         ]);
         let (c_v, b_v) = view_dependencies("V", &defq);
         let deds = vec![ind, c_v, b_v];
-        let up = chase_to_universal_plan(&q, &deds, &ChaseOptions::default());
+        let up = chase(&q, &deds, &ChaseOptions::default());
         assert!(up.stats.completed);
-        let plan = up.primary();
+        let plan = plan(&up);
         assert_eq!(plan.body.len(), 3);
         let preds: Vec<&str> = plan.body.iter().map(|a| a.predicate.name()).collect();
         assert!(preds.contains(&"V"));
@@ -808,10 +762,10 @@ mod tests {
             body.push(child(t(&format!("x{i}")), t(&format!("x{}", i + 1))));
         }
         let q = ConjunctiveQuery::new("path").with_head(vec![t(&format!("x{n}"))]).with_body(body);
-        let with = chase_to_universal_plan(&q, &tix_core(), &ChaseOptions::default());
-        let without = chase_to_universal_plan(&q, &tix_core(), &ChaseOptions::without_shortcut());
+        let with = chase(&q, &tix_core(), &ChaseOptions::default());
+        let without = chase(&q, &tix_core(), &ChaseOptions::without_shortcut());
         assert!(with.stats.completed && without.stats.completed);
-        assert_eq!(with.primary().body.len(), without.primary().body.len());
+        assert_eq!(plan(&with).body.len(), plan(&without).body.len());
         assert!(with.stats.shortcut_desc_added > 0);
         assert_eq!(without.stats.shortcut_desc_added, 0);
         // The shortcut replaces many individual steps.
@@ -831,8 +785,8 @@ mod tests {
             t("p"),
             t("q"),
         );
-        let up = chase_to_universal_plan(&q, &[key], &ChaseOptions::default());
-        let plan = up.primary();
+        let up = chase(&q, &[key], &ChaseOptions::default());
+        let plan = plan(&up);
         assert_eq!(plan.head[0], plan.head[1], "head variables must be unified");
         assert_eq!(plan.body.len(), 1);
     }
@@ -861,15 +815,13 @@ mod tests {
             std::slice::from_ref(&extra),
             &compiled,
             &opts,
-        )
-        .into_universal_plan("S");
-        let scratch = chase_to_universal_plan(&q_sub.clone().with_atom(extra), &[ind], &opts);
+        );
+        let scratch = chase(&q_sub.clone().with_atom(extra), &[ind], &opts);
         assert!(seeded.stats.completed && scratch.stats.completed);
-        assert_eq!(seeded.primary().body.len(), scratch.primary().body.len());
+        assert_eq!(plan(&seeded).body.len(), plan(&scratch).body.len());
         // Homomorphically equivalent (head-preserving both ways).
-        use mars_cq::containment::containment_mapping;
-        assert!(containment_mapping(seeded.primary(), scratch.primary()).is_some());
-        assert!(containment_mapping(scratch.primary(), seeded.primary()).is_some());
+        assert!(containment_mapping(&plan(&seeded), &plan(&scratch)).is_some());
+        assert!(containment_mapping(&plan(&scratch), &plan(&seeded)).is_some());
     }
 
     /// A resident resume reaches a universal plan homomorphically equivalent
@@ -899,7 +851,7 @@ mod tests {
             [Atom::named("A", vec![t("y"), t("w")]), Atom::named("A", vec![t("w"), t("u")])];
         let resumed =
             chase_resident_with_atoms_compiled(resident.branches(), &extras, &compiled, &opts);
-        let scratch = chase_to_universal_plan_compiled(
+        let scratch = chase_to_resident_compiled(
             &q_sub.clone().with_atom(extras[0].clone()).with_atom(extras[1].clone()),
             &compiled,
             &opts,
@@ -913,21 +865,17 @@ mod tests {
                 &opts,
             );
             chase_resident_with_atoms_compiled(first.branches(), &extras[1..], &compiled, &opts)
-                .into_universal_plan("S")
         };
         assert!(resumed.stats().completed && scratch.stats.completed && seeded.stats.completed);
         let resumed_q = &resumed.branches()[0].to_query("S_up0");
-        assert_eq!(resumed_q.body.len(), scratch.primary().body.len());
-        assert_eq!(resumed_q.body.len(), seeded.primary().body.len());
-        use mars_cq::containment::containment_mapping;
-        for other in [scratch.primary(), seeded.primary()] {
-            assert!(containment_mapping(resumed_q, other).is_some());
-            assert!(containment_mapping(other, resumed_q).is_some());
+        assert_eq!(resumed_q.body.len(), plan(&scratch).body.len());
+        assert_eq!(resumed_q.body.len(), plan(&seeded).body.len());
+        for other in [plan(&scratch), plan(&seeded)] {
+            assert!(containment_mapping(resumed_q, &other).is_some());
+            assert!(containment_mapping(&other, resumed_q).is_some());
         }
-        // The resident form converts to a universal plan with the same
-        // naming scheme as the query-level API.
-        let as_plan = resumed.into_universal_plan("S");
-        assert_eq!(as_plan.branches[0].name, "S_up0");
+        // The universal plan is the first branch, named after the query.
+        assert_eq!(resumed.primary("S").unwrap().name, "S_up0");
     }
 
     /// A resident seed is a true fixpoint resume: inserting nothing fires
@@ -987,9 +935,8 @@ mod tests {
             &[Atom::named("S", vec![t("y")])],
             &compiled,
             &ChaseOptions::default(),
-        )
-        .into_universal_plan("S");
-        let plan = seeded.primary();
+        );
+        let plan = plan(&seeded);
         let s_atom = plan.body.iter().find(|a| a.predicate.name() == "S").unwrap();
         assert_eq!(s_atom.args[0], plan.head[0], "S must mention the surviving head variable");
     }
@@ -999,19 +946,18 @@ mod tests {
     /// (no EGD merges an invented variable away), and reaches a plan
     /// head-preservingly equivalent to the naive chase's.
     fn assert_reuses_every_existential(q: &ConjunctiveQuery, deds: &[Ded], steps: usize) {
-        let up = chase_to_universal_plan(q, deds, &ChaseOptions::default());
+        let up = chase(q, deds, &ChaseOptions::default());
         assert!(up.stats.completed);
         assert_eq!(up.stats.applied_steps, steps, "no EGD step is left to apply");
-        let plan = up.primary();
+        let plan = plan(&up);
         assert!(
             plan.body.iter().flat_map(|a| a.variables()).all(|v| v.index == 0),
             "no variable is invented: {plan}"
         );
         let naive = naive_chase(q, deds, &ChaseBudget::small());
         let naive = naive.single().unwrap();
-        use mars_cq::containment::containment_mapping;
-        assert!(containment_mapping(plan, naive).is_some());
-        assert!(containment_mapping(naive, plan).is_some());
+        assert!(containment_mapping(&plan, naive).is_some());
+        assert!(containment_mapping(naive, &plan).is_some());
     }
 
     #[test]
@@ -1029,8 +975,8 @@ mod tests {
         let unique = Ded::egd("root_unique", vec![root(t("u")), root(t("w"))], t("u"), t("w"));
         let deds = [below, unique];
         assert_reuses_every_existential(&q, &deds, 1);
-        let up = chase_to_universal_plan(&q, &deds, &ChaseOptions::default());
-        assert!(up.primary().body.contains(&desc(t("r"), t("x"))));
+        let up = chase(&q, &deds, &ChaseOptions::default());
+        assert!(plan(&up).body.contains(&desc(t("r"), t("x"))));
     }
 
     #[test]
@@ -1090,8 +1036,8 @@ mod tests {
         );
         let deds = [b_v, key, fields];
         assert_reuses_every_existential(&q, &deds, 1);
-        let up = chase_to_universal_plan(&q, &deds, &ChaseOptions::default());
-        assert!(up.primary().body.contains(&Atom::named("W", vec![t("a"), t("b")])));
+        let up = chase(&q, &deds, &ChaseOptions::default());
+        assert!(plan(&up).body.contains(&Atom::named("W", vec![t("a"), t("b")])));
     }
 
     /// Reuse reads the relation the way a join step does: past
@@ -1121,9 +1067,9 @@ mod tests {
                 t("x"),
                 t("y"),
             );
-            let up = chase_to_universal_plan(&q, &[b_v, key], &ChaseOptions::default());
+            let up = chase(&q, &[b_v, key], &ChaseOptions::default());
             assert_eq!(up.stats.applied_steps, 1, "{hubs} hubs");
-            assert!(up.primary().body.contains(&Atom::named("T", vec![t(&format!("h{last}"))])));
+            assert!(plan(&up).body.contains(&Atom::named("T", vec![t(&format!("h{last}"))])));
         }
     }
 
@@ -1152,9 +1098,9 @@ mod tests {
             ],
             vec![Conjunct::equalities(vec![(t("a"), t("c")), (t("b"), t("d"))])],
         );
-        let up = chase_to_universal_plan(&q, &[b_v, fd], &ChaseOptions::default());
+        let up = chase(&q, &[b_v, fd], &ChaseOptions::default());
         assert!(up.stats.completed);
-        assert!(up.branches.is_empty());
+        assert!(up.branches().is_empty());
         assert_eq!(up.stats.failed_branches, 1);
     }
 
@@ -1162,8 +1108,8 @@ mod tests {
     fn denial_fails_all_branches() {
         let q = ConjunctiveQuery::new("Q").with_body(vec![child(t("x"), t("x"))]);
         let denial = Ded::denial("no_self", vec![child(t("u"), t("u"))]);
-        let up = chase_to_universal_plan(&q, &[denial], &ChaseOptions::default());
-        assert!(up.branches.is_empty());
+        let up = chase(&q, &[denial], &ChaseOptions::default());
+        assert!(up.branches().is_empty());
         assert_eq!(up.stats.failed_branches, 1);
     }
 
@@ -1180,9 +1126,9 @@ mod tests {
         let q = ConjunctiveQuery::new("Q")
             .with_head(vec![t("a")])
             .with_body(vec![Atom::named("R", vec![t("a")])]);
-        let up = chase_to_universal_plan(&q, &[d], &ChaseOptions::default());
-        assert_eq!(up.branches.len(), 2);
-        assert!(up.branches.iter().all(|b| b.body.len() == 2));
+        let up = chase(&q, &[d], &ChaseOptions::default());
+        assert_eq!(up.branches().len(), 2);
+        assert!(up.branches().iter().all(|b| b.instance().len() == 2));
     }
 
     #[test]
@@ -1197,9 +1143,9 @@ mod tests {
             .with_head(vec![t("a")])
             .with_body(vec![Atom::named("R", vec![t("a"), t("b")])]);
         let opts = ChaseOptions { max_rounds: 4, ..Default::default() };
-        let up = chase_to_universal_plan(&q, &[d], &opts);
+        let up = chase(&q, &[d], &opts);
         assert!(!up.stats.completed);
-        assert!(!up.branches.is_empty());
+        assert!(!up.branches().is_empty());
     }
 
     #[test]
@@ -1214,8 +1160,8 @@ mod tests {
             Atom::named("B", vec![t("y"), t("z")]),
         ]);
         let (c_v, b_v) = view_dependencies("V", &defq);
-        let up = chase_to_universal_plan(&q, &[c_v, b_v], &ChaseOptions::default());
-        let plan = up.primary();
+        let up = chase(&q, &[c_v, b_v], &ChaseOptions::default());
+        let plan = plan(&up);
         assert!(plan.body.iter().all(|a| a.predicate.name() != "V"));
     }
 
@@ -1233,8 +1179,8 @@ mod tests {
             vec![v("z")],
             vec![Atom::named("B", vec![t("y"), t("z")])],
         );
-        let up = chase_to_universal_plan(&q, &[ind], &ChaseOptions::default());
-        let plan = up.primary();
+        let up = chase(&q, &[ind], &ChaseOptions::default());
+        let plan = plan(&up);
         let b_atoms: Vec<&Atom> = plan.body.iter().filter(|a| a.predicate.name() == "B").collect();
         assert_eq!(b_atoms.len(), 2);
         assert_ne!(b_atoms[0].args[1], b_atoms[1].args[1]);
@@ -1252,7 +1198,7 @@ mod tests {
             .with_head(vec![t("a")])
             .with_body(vec![Atom::named("R", vec![t("a"), t("b")])]);
         let opts = ChaseOptions::default().with_deadline(Instant::now());
-        let up = chase_to_universal_plan(&q, &[d], &opts);
+        let up = chase(&q, &[d], &opts);
         assert!(!up.stats.completed);
         assert_eq!(up.stats.stop, Some(ChaseStop::Deadline));
     }
@@ -1269,23 +1215,20 @@ mod tests {
         let q = ConjunctiveQuery::new("Q")
             .with_head(vec![t("a")])
             .with_body(vec![Atom::named("R", vec![t("a"), t("b")])]);
-        let rounds = chase_to_universal_plan(
+        let rounds = chase(
             &q,
             std::slice::from_ref(&d),
             &ChaseOptions { max_rounds: 4, ..Default::default() },
         );
         assert_eq!(rounds.stats.stop, Some(ChaseStop::Rounds));
-        let atoms = chase_to_universal_plan(
+        let atoms = chase(
             &q,
             std::slice::from_ref(&d),
             &ChaseOptions { max_atoms: 2, ..Default::default() },
         );
         assert_eq!(atoms.stats.stop, Some(ChaseStop::Atoms));
-        let complete = chase_to_universal_plan(
-            &q,
-            &[],
-            &ChaseOptions { max_rounds: 4, max_atoms: 2, ..Default::default() },
-        );
+        let complete =
+            chase(&q, &[], &ChaseOptions { max_rounds: 4, max_atoms: 2, ..Default::default() });
         assert!(complete.stats.completed);
         assert_eq!(complete.stats.stop, None);
     }
@@ -1337,9 +1280,6 @@ mod tests {
             &ChaseOptions::default(),
         );
         assert!(bounded.stats().completed);
-        assert_eq!(
-            format!("{:?}", bounded.into_universal_plan("S").branches),
-            format!("{:?}", unbounded.into_universal_plan("S").branches)
-        );
+        assert_eq!(format!("{:?}", bounded.primary("S")), format!("{:?}", unbounded.primary("S")));
     }
 }

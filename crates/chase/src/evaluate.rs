@@ -507,7 +507,7 @@ pub fn satisfiable(
 ///
 /// `false` on an arity mismatch, on a head constant the target does not
 /// carry, and on a repeated head variable whose positions carry different
-/// terms. As in `mars_cq::containment_mapping` (the oracle this is
+/// terms. As in `mars_oracle::containment_mapping` (the oracle this is
 /// property-tested against) `from`'s inequalities take no part.
 pub fn maps_into(from: &ConjunctiveQuery, inst: &SymbolicInstance, head: &[Term]) -> bool {
     let mut aligned = Substitution::new();
@@ -566,7 +566,6 @@ impl ContainmentProgram {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods, clippy::disallowed_types)]
 mod tests {
     use super::*;
     use mars_cq::atom::builders::*;
@@ -756,7 +755,7 @@ mod tests {
             let e_len = inst.relation_len(pattern[3].predicate);
             assert_eq!(child_len, parents * per_parent);
             assert_eq!(e_len, child_len + padding);
-            let index = mars_cq::AtomIndex::new(&inst.atoms());
+            let index = mars_oracle::AtomIndex::new(&inst.atoms());
             // Per parent: ordered pairs of distinct "a"-tagged children.
             let tagged_a = per_parent.div_ceil(2);
             let per_parent_bindings = tagged_a * (tagged_a - 1);
@@ -789,7 +788,8 @@ mod tests {
                     "child = {child_len}, E = {e_len}: bindings must come in ascending trail order"
                 );
 
-                let mut slow = mars_cq::find_all_homomorphisms(&pattern, &index, &initial, None);
+                let mut slow =
+                    mars_oracle::find_all_homomorphisms(&pattern, &index, &initial, None);
                 slow.retain(|h| ineqs.iter().all(|(a, b)| h.apply_term(*a) != h.apply_term(*b)));
                 slow.sort_by_key(&trail);
                 assert_eq!(fast, slow, "child = {child_len}, E = {e_len}");

@@ -28,8 +28,8 @@
 //!   with a query's head variables bound, is the containment-mapping test
 //!   ([`maps_into`]; [`ContainmentProgram`] when one query is mapped into
 //!   many targets): the engine has one conjunctive-query
-//!   evaluator, and `mars_cq`'s backtracking search is the oracle it is
-//!   tested against (`clippy.toml` keeps product code here off it),
+//!   evaluator, and `mars-oracle`'s backtracking search, a dev-dependency
+//!   only, is the oracle it is tested against,
 //! * the **chase shortcut** of Section 3.2 (the effect of the TIX constraints
 //!   `(refl)`, `(base)`, `(trans)` is computed directly as a transitive
 //!   closure instead of step-by-step),
@@ -59,9 +59,8 @@ pub mod shortcut;
 pub use backchase::{backchase, BackchaseOptions, BackchaseOutcome, Degradation};
 pub use cb::{CbOptions, CbStatistics, ChaseBackchase, ReformulationBudget, ReformulationResult};
 pub use chase::{
-    chase_resident_with_atoms_compiled, chase_to_resident_compiled, chase_to_universal_plan,
-    chase_to_universal_plan_compiled, ChaseOptions, ChaseStats, ChaseStop, ResidentBranch,
-    ResidentChase, UniversalPlan,
+    chase_resident_with_atoms_compiled, chase_to_resident_compiled, ChaseOptions, ChaseStats,
+    ChaseStop, ResidentBranch, ResidentChase,
 };
 pub use compiled::{compilation_count, CompiledConclusion, CompiledDed, CompiledDeps, Unblocked};
 pub use evaluate::{

@@ -16,9 +16,9 @@
 //! produced variables become word bitsets over dense variable ids, so the
 //! atoms a candidate enables are found with word operations
 //! ([`ReachabilityGraph::enabled_into`]). Every candidate the backchase grows
-//! is an entry point extended by enabled atoms, hence legal by construction;
-//! [`ReachabilityGraph::is_legal_subset`] states the definition and is the
-//! oracle the growth is tested against.
+//! is an entry point extended by enabled atoms, hence legal by construction.
+//! The legality fixpoint that states the definition lives beside the tests,
+//! as the oracle the growth is held against.
 
 use mars_cq::{Atom, AtomSet, ConjunctiveQuery, FxHashMap, FxHashSet, Term, Variable};
 use std::collections::VecDeque;
@@ -203,48 +203,14 @@ impl ReachabilityGraph {
             (0..self.atoms()).filter(|&i| !mask.contains(i) && self.is_enabled_by(i, produced)),
         );
     }
-
-    /// Is the subset of atom indices a *legal* subquery body according to
-    /// criteria 2–3? The subset must be *constructible*: starting from its
-    /// entry points, every atom must become enabled (all required variables
-    /// produced) by atoms added before it. This is strictly stronger than
-    /// checking that requirements are produced *somewhere* in the subset —
-    /// that weaker test accepts navigation cycles detached from any entry
-    /// point, which no XQuery navigation can express.
-    ///
-    /// The backchase never asks: every candidate it grows from the roots by
-    /// [`ReachabilityGraph::enabled_into`] is constructible by construction,
-    /// and conversely. This fixpoint is the oracle the tests hold that
-    /// growth against.
-    pub fn is_legal_subset(&self, subset: &[usize]) -> bool {
-        let mut produced = vec![0; self.words];
-        let mut pending = subset.to_vec();
-        loop {
-            let before = pending.len();
-            pending.retain(|&i| {
-                if !self.is_enabled_by(i, &produced) {
-                    return true;
-                }
-                for (p, w) in produced.iter_mut().zip(self.produces(i)) {
-                    *p |= w;
-                }
-                false
-            });
-            if pending.is_empty() {
-                return !subset.is_empty();
-            }
-            if pending.len() == before {
-                return false;
-            }
-        }
-    }
 }
 
-/// The set-based forms the compiled ones replaced, kept as the oracles the
-/// tests compare against.
+/// The set-based forms the compiled ones replaced, and the legality
+/// fixpoint the growth by [`ReachabilityGraph::enabled_into`] is held
+/// against: the oracles the tests compare with.
 #[cfg(test)]
 mod reference {
-    use super::atom_io;
+    use super::{atom_io, ReachabilityGraph};
     use mars_cq::{Atom, ConjunctiveQuery, Term, Variable};
     use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -259,6 +225,40 @@ mod reference {
             .filter(|i| !chosen.contains(i))
             .filter(|&i| io[i].0.iter().all(|v| produced.contains(v)))
             .collect()
+    }
+
+    /// Is the subset of atom indices a *legal* subquery body according to
+    /// criteria 2–3? The subset must be *constructible*: starting from its
+    /// entry points, every atom must become enabled (all required variables
+    /// produced) by atoms added before it. This is strictly stronger than
+    /// checking that requirements are produced *somewhere* in the subset —
+    /// that weaker test accepts navigation cycles detached from any entry
+    /// point, which no XQuery navigation can express.
+    ///
+    /// The backchase never asks: every candidate it grows from the roots by
+    /// [`ReachabilityGraph::enabled_into`] is constructible by construction,
+    /// and conversely.
+    pub fn is_legal_subset(g: &ReachabilityGraph, subset: &[usize]) -> bool {
+        let mut produced = vec![0; g.words];
+        let mut pending = subset.to_vec();
+        loop {
+            let before = pending.len();
+            pending.retain(|&i| {
+                if !g.is_enabled_by(i, &produced) {
+                    return true;
+                }
+                for (p, w) in produced.iter_mut().zip(g.produces(i)) {
+                    *p |= w;
+                }
+                false
+            });
+            if pending.is_empty() {
+                return !subset.is_empty();
+            }
+            if pending.len() == before {
+                return false;
+            }
+        }
     }
 
     /// Criterion 1 with the surviving edges re-indexed for every search.
@@ -325,7 +325,6 @@ mod reference {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use mars_cq::atom::builders::*;
@@ -492,9 +491,9 @@ mod tests {
             child(t("y"), t("x")),
         ]);
         let g = ReachabilityGraph::new(&q);
-        assert!(g.is_legal_subset(&[0, 1]));
-        assert!(!g.is_legal_subset(&[0, 1, 2, 3]), "detached cycle must be illegal");
-        assert!(!g.is_legal_subset(&[2, 3]));
+        assert!(reference::is_legal_subset(&g, &[0, 1]));
+        assert!(!reference::is_legal_subset(&g, &[0, 1, 2, 3]), "detached cycle must be illegal");
+        assert!(!reference::is_legal_subset(&g, &[2, 3]));
     }
 
     #[test]
@@ -516,18 +515,18 @@ mod tests {
         // Prefixes are legal.
         for k in 1..=5usize {
             let subset: Vec<usize> = (0..k).collect();
-            assert!(g.is_legal_subset(&subset), "prefix of length {k} must be legal");
+            assert!(reference::is_legal_subset(&g, &subset), "prefix of length {k} must be legal");
         }
         // The subquery {root(x1), child(x2,x3)} violates contiguity (criterion 2).
-        assert!(!g.is_legal_subset(&[0, 2]));
+        assert!(!reference::is_legal_subset(&g, &[0, 2]));
         // The subquery {child(x1,x2), child(x2,x3)} has no entry point (criterion 3).
-        assert!(!g.is_legal_subset(&[1, 2]));
+        assert!(!reference::is_legal_subset(&g, &[1, 2]));
         // Count all legal subsets by brute force: must be exactly n (the prefixes).
         let n = q.body.len();
         let mut legal = 0;
         for mask in 1u32..(1 << n) {
             let subset: Vec<usize> = (0..n).filter(|i| mask & (1 << i) != 0).collect();
-            if g.is_legal_subset(&subset) {
+            if reference::is_legal_subset(&g, &subset) {
                 legal += 1;
             }
         }
@@ -557,7 +556,7 @@ mod tests {
         for k in 1..=70 {
             let prefix: Vec<usize> = (0..k).collect();
             assert_eq!(level, [prefix.iter().copied().collect::<AtomSet>()], "size {k}");
-            assert!(g.is_legal_subset(&prefix));
+            assert!(reference::is_legal_subset(&g, &prefix));
             let grown = enabled(&g, &prefix);
             assert_eq!(grown, reference::enabled(&q, &prefix));
             level = grown.iter().map(|&a| level[0].with(a)).collect();
@@ -565,7 +564,7 @@ mod tests {
         assert!(level.is_empty());
         // A gap at the word boundary: illegal, and it enables only the gap.
         let gapped: Vec<usize> = (0..70).filter(|&i| i != 63).collect();
-        assert!(!g.is_legal_subset(&gapped));
+        assert!(!reference::is_legal_subset(&g, &gapped));
         assert_eq!(enabled(&g, &gapped), [63]);
         assert_eq!(reference::enabled(&q, &gapped), [63]);
     }
@@ -626,7 +625,7 @@ mod tests {
                 }
             }
             let legal: FxHashSet<u32> =
-                (0u32..1 << n).filter(|&bits| g.is_legal_subset(&indices(bits, n))).collect();
+                (0u32..1 << n).filter(|&bits| reference::is_legal_subset(&g, &indices(bits, n))).collect();
             prop_assert_eq!(grown, legal, "{}", q);
         }
     }
@@ -641,9 +640,9 @@ mod tests {
         ]);
         let g = ReachabilityGraph::new(&q);
         assert!(g.roots.contains(&0) && g.roots.contains(&1) && g.roots.contains(&2));
-        assert!(g.is_legal_subset(&[0]));
-        assert!(g.is_legal_subset(&[0, 1]));
-        assert!(!g.is_legal_subset(&[3]));
-        assert!(g.is_legal_subset(&[2, 3]));
+        assert!(reference::is_legal_subset(&g, &[0]));
+        assert!(reference::is_legal_subset(&g, &[0, 1]));
+        assert!(!reference::is_legal_subset(&g, &[3]));
+        assert!(reference::is_legal_subset(&g, &[2, 3]));
     }
 }

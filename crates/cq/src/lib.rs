@@ -1,37 +1,29 @@
 //! # mars-cq — relational logic core for the MARS system
 //!
-//! This crate implements the relational framework that the MARS system
-//! (Deutsch & Tannen, VLDB 2003) compiles XML publishing problems into:
+//! This crate holds the data types of the relational framework that the
+//! MARS system (Deutsch & Tannen, VLDB 2003) compiles XML publishing
+//! problems into:
 //!
 //! * interned [`Symbol`]s, [`Term`]s, [`Atom`]s and [`ConjunctiveQuery`]s
 //!   (with inequalities), plus [`AtomSet`] — the growable
 //!   atom-index bitset the backchase enumerates subqueries with,
+//! * [`Substitution`]s,
 //! * [`Ded`]s — *disjunctive embedded dependencies* — the constraint language
 //!   used for relational integrity constraints, compiled XML integrity
-//!   constraints (XICs) and compiled XQuery views,
-//! * homomorphism search between atom sets ([`homomorphism`]),
-//! * the **naive chase** ([`chase`]) — a direct, per-homomorphism
-//!   implementation corresponding to the original C&B prototype that the
-//!   paper uses as its baseline ("old implementation"),
-//! * containment, equivalence and tableau minimization under constraints
-//!   ([`containment`]).
+//!   constraints (XICs) and compiled XQuery views.
 //!
-//! The scalable join-tree based chase of Section 3.1 of the paper lives in
-//! the `mars-chase` crate; it shares all data types defined here. The last
-//! three items above are the paper's old implementation and the oracle the
-//! engine is tested against: no product path calls them (`mars-chase`
-//! evaluates premises, blocked tests and containment mappings through its
-//! own compiled join kernel).
+//! It evaluates nothing. The set-oriented chase and backchase of Section 3
+//! live in `mars-chase`; the paper's old implementation (backtracking
+//! homomorphism search, naive chase, chase-based containment), which the
+//! engine is tested against, lives in `mars-oracle`, on which no product
+//! crate depends.
 
 #![deny(missing_docs)]
 
 pub mod atom;
 pub mod atomset;
-pub mod chase;
-pub mod containment;
 pub mod ded;
 pub mod fx;
-pub mod homomorphism;
 pub mod query;
 pub mod substitution;
 pub mod symbol;
@@ -39,13 +31,8 @@ pub mod term;
 
 pub use atom::{Atom, Predicate};
 pub use atomset::AtomSet;
-pub use chase::{naive_chase, ChaseBudget, ChaseOutcome, ChaseTree};
-pub use containment::{contained_in, equivalent, minimize, ContainmentOptions, ContainmentTarget};
 pub use ded::{Conjunct, Ded};
 pub use fx::{FxBuild, FxHashMap, FxHashSet, FxHasher};
-pub use homomorphism::{
-    extend_to_conclusion, find_all_homomorphisms, find_homomorphism, AtomIndex,
-};
 pub use query::ConjunctiveQuery;
 pub use substitution::Substitution;
 pub use symbol::{symbol, symbol_name, Symbol};

@@ -139,7 +139,9 @@ impl GrexSchema {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mars_chase::{chase_to_universal_plan, detect_closure_constraints, ChaseOptions};
+    use mars_chase::{
+        chase_to_resident_compiled, detect_closure_constraints, ChaseOptions, CompiledDeps,
+    };
     use mars_cq::ConjunctiveQuery;
 
     #[test]
@@ -176,10 +178,10 @@ mod tests {
             s.child_atom(Term::var("n1"), Term::var("n2")),
             s.tag_atom(Term::var("n2"), "b"),
         ]);
-        let up = chase_to_universal_plan(&q, &tix_constraints(&s), &ChaseOptions::default());
-        assert!(up.stats.completed, "TIX chase must terminate");
-        assert!(!up.branches.is_empty());
-        let plan = up.primary();
+        let tix = CompiledDeps::new(&tix_constraints(&s));
+        let up = chase_to_resident_compiled(&q, &tix, &ChaseOptions::default());
+        assert!(up.stats().completed, "TIX chase must terminate");
+        let plan = up.primary(&q.name).expect("a surviving branch");
         // The chase derived el facts, ids, reflexive/transitive desc facts.
         assert!(plan.body.len() > q.body.len());
         assert!(plan.body.iter().any(|a| a.predicate == s.el()));

@@ -13,12 +13,8 @@
 //! conclusions (EGD components) unify terms; unifying two distinct constants
 //! fails the branch. Denial constraints fail the branch outright.
 
-use crate::atom::Atom;
-use crate::ded::{Conjunct, Ded};
 use crate::homomorphism::{extend_to_conclusion, find_all_homomorphisms, AtomIndex};
-use crate::query::ConjunctiveQuery;
-use crate::substitution::Substitution;
-use crate::term::{Term, VarGen};
+use mars_cq::{Atom, Conjunct, ConjunctiveQuery, Ded, Substitution, Term, VarGen};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -290,10 +286,9 @@ pub fn naive_chase(query: &ConjunctiveQuery, deds: &[Ded], budget: &ChaseBudget)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::atom::builders::*;
-    use crate::atom::Atom;
-    use crate::ded::{view_dependencies, Conjunct, Ded};
-    use crate::term::{Term, Variable};
+    use mars_cq::atom::builders::*;
+    use mars_cq::ded::view_dependencies;
+    use mars_cq::Variable;
 
     fn t(n: &str) -> Term {
         Term::var(n)

@@ -1,18 +1,14 @@
-//! Containment, equivalence and minimization of conjunctive queries under
-//! DED constraints.
+//! Containment of conjunctive queries under DED constraints.
 //!
 //! `Q1 ⊆ Q2` under a set of dependencies Σ holds iff there is a containment
 //! mapping from `Q2` into (every leaf of) the chase of `Q1` with Σ that is the
 //! identity on the head. This is the classical chase-based containment test
-//! that the backchase phase relies on when checking that a subquery of the
-//! universal plan is equivalent to the original query.
+//! the backchase's equivalence check is tested against; the engine's own
+//! check is `mars_chase::maps_into` over the chase's resident instances.
 
 use crate::chase::{naive_chase, ChaseBudget};
-use crate::ded::Ded;
 use crate::homomorphism::{find_homomorphism, AtomIndex};
-use crate::query::ConjunctiveQuery;
-use crate::substitution::Substitution;
-use crate::term::Term;
+use mars_cq::{ConjunctiveQuery, Ded, Substitution, Term};
 
 /// Options controlling the containment test.
 #[derive(Clone, Debug, Default)]
@@ -121,52 +117,12 @@ pub fn contained_in(
     tree.leaves.iter().all(|leaf| containment_mapping(q2, leaf).is_some())
 }
 
-/// `q1 ≡ q2` under the dependencies.
-pub fn equivalent(
-    q1: &ConjunctiveQuery,
-    q2: &ConjunctiveQuery,
-    deds: &[Ded],
-    opts: &ContainmentOptions,
-) -> bool {
-    contained_in(q1, q2, deds, opts) && contained_in(q2, q1, deds, opts)
-}
-
-/// Tableau-minimize `q` under the dependencies: repeatedly drop body atoms as
-/// long as the result stays equivalent to the original. The result is a
-/// *minimal* query in the sense of the paper — no atom can be removed without
-/// compromising equivalence.
-pub fn minimize(q: &ConjunctiveQuery, deds: &[Ded], opts: &ContainmentOptions) -> ConjunctiveQuery {
-    let mut current = q.clone();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for i in 0..current.body.len() {
-            if current.body.len() == 1 {
-                break;
-            }
-            let mut candidate = current.clone();
-            candidate.body.remove(i);
-            if !candidate.is_safe() {
-                continue;
-            }
-            if equivalent(&candidate, q, deds, opts) {
-                current = candidate;
-                changed = true;
-                break;
-            }
-        }
-    }
-    current.name = format!("{}_min", q.name);
-    current
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::atom::builders::*;
-    use crate::atom::Atom;
-    use crate::ded::{view_dependencies, Ded};
-    use crate::term::{Term, Variable};
+    use mars_cq::atom::builders::*;
+    use mars_cq::ded::view_dependencies;
+    use mars_cq::{Atom, Variable};
 
     fn t(n: &str) -> Term {
         Term::var(n)
@@ -185,16 +141,6 @@ mod tests {
         let opts = ContainmentOptions::small();
         assert!(contained_in(&q1, &q2, &[], &opts));
         assert!(!contained_in(&q2, &q1, &[], &opts));
-        assert!(!equivalent(&q1, &q2, &[], &opts));
-    }
-
-    #[test]
-    fn self_equivalence() {
-        let q = ConjunctiveQuery::new("Q")
-            .with_head(vec![t("x")])
-            .with_body(vec![child(t("x"), t("y")), tag(t("y"), "a")]);
-        let opts = ContainmentOptions::small();
-        assert!(equivalent(&q, &q, &[], &opts));
     }
 
     #[test]
@@ -231,33 +177,11 @@ mod tests {
         let (c_v, b_v) = view_dependencies("V", &defq);
         let deds = vec![ind, c_v, b_v];
         let opts = ContainmentOptions::small();
-        assert!(equivalent(&q, &s, &deds, &opts));
-        // Without (ind), the rewriting is NOT equivalent (V requires a B-fact
-        // that Q does not imply).
+        assert!(contained_in(&q, &s, &deds, &opts) && contained_in(&s, &q, &deds, &opts));
+        // Without (ind), Q is not contained in the rewriting (V requires a
+        // B-fact that Q does not imply).
         let deds_no_ind = vec![deds[1].clone(), deds[2].clone()];
-        assert!(!equivalent(&q, &s, &deds_no_ind, &opts));
-    }
-
-    #[test]
-    fn minimization_removes_redundant_atoms() {
-        // Q(x) :- R(x,y), R(x,y') minimizes to a single R atom.
-        let q = ConjunctiveQuery::new("Q").with_head(vec![t("x")]).with_body(vec![
-            Atom::named("R", vec![t("x"), t("y")]),
-            Atom::named("R", vec![t("x"), t("y2")]),
-        ]);
-        let m = minimize(&q, &[], &ContainmentOptions::small());
-        assert_eq!(m.body.len(), 1);
-        assert!(equivalent(&m, &q, &[], &ContainmentOptions::small()));
-    }
-
-    #[test]
-    fn minimization_keeps_necessary_atoms() {
-        let q = ConjunctiveQuery::new("Q").with_head(vec![t("x"), t("z")]).with_body(vec![
-            Atom::named("R", vec![t("x"), t("y")]),
-            Atom::named("S", vec![t("y"), t("z")]),
-        ]);
-        let m = minimize(&q, &[], &ContainmentOptions::small());
-        assert_eq!(m.body.len(), 2);
+        assert!(!contained_in(&q, &s, &deds_no_ind, &opts));
     }
 
     #[test]

@@ -7,10 +7,7 @@
 //! containment checks; the scalable join-tree evaluation lives in
 //! `mars-chase`.
 
-use crate::atom::{Atom, Predicate};
-use crate::ded::Conjunct;
-use crate::substitution::Substitution;
-use crate::term::{Term, Variable};
+use mars_cq::{Atom, Conjunct, Predicate, Substitution, Term, Variable};
 use std::collections::HashMap;
 
 /// A per-predicate index over a set of target atoms, to avoid scanning the
@@ -129,8 +126,7 @@ fn plan_order(source: &[Atom], target: &AtomIndex, initial: &Substitution) -> Ve
     if n <= 1 {
         return (0..n).collect();
     }
-    let mut bound: std::collections::HashSet<crate::term::Variable> =
-        initial.iter().map(|(v, _)| v).collect();
+    let mut bound: std::collections::HashSet<Variable> = initial.iter().map(|(v, _)| v).collect();
     let mut order = Vec::with_capacity(n);
     let mut used = vec![false; n];
     for _ in 0..n {
@@ -288,9 +284,7 @@ pub fn extend_to_conclusion(conjunct: &Conjunct, h: &Substitution, target: &Atom
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::atom::builders::*;
-    use crate::ded::Conjunct;
-    use crate::term::{Term, Variable};
+    use mars_cq::atom::builders::*;
 
     fn t(n: &str) -> Term {
         Term::var(n)

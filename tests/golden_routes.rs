@@ -57,3 +57,21 @@ fn routing_decisions_are_stable_across_the_scenario_matrix() {
     assert!(routed.contains(&(false, Route::Xml)), "no navigation-heavy scenario went to XML");
     assert!(routed.contains(&(true, Route::Relational)), "no view-backed scenario went relational");
 }
+
+/// One snapshot per scenario-matrix point for its client query compiled to
+/// pure navigation (`navigation_query`): the auto route with every backend's
+/// estimate, and the rows it returns.
+#[test]
+fn navigation_queries_route_stably_across_the_scenario_matrix() {
+    for scenario in Scenario::matrix() {
+        let (xml, db) = scenario.populate(SCALE, SEED);
+        let router = BackendRouter::new(&db, &xml);
+        let plan = router.plan(&scenario.navigation_query());
+        let rows = router.execute(&plan).expect("a navigation query executes").rows.len();
+        assert_matches_golden(
+            "tests/golden/routes",
+            &format!("{}.navigation.route.txt", scenario.name()),
+            &format!("{}\nrows {rows}\n", plan.decision.to_string().trim_end()),
+        );
+    }
+}

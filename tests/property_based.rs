@@ -1,10 +1,12 @@
 //! Property-based tests over the core data structures and algorithms.
 
-use mars_system::chase::{chase_to_universal_plan, ChaseOptions, SymbolicInstance};
-use mars_system::cq::{
-    contained_in, find_all_homomorphisms, naive_chase, Atom, ChaseBudget, ConjunctiveQuery,
-    ContainmentOptions, Ded, Substitution, Term,
+use mars_oracle::{
+    contained_in, find_all_homomorphisms, naive_chase, ChaseBudget, ContainmentOptions,
 };
+use mars_system::chase::{
+    chase_to_resident_compiled, ChaseOptions, CompiledDeps, SymbolicInstance,
+};
+use mars_system::cq::{Atom, ConjunctiveQuery, Ded, Substitution, Term};
 use proptest::prelude::*;
 
 /// Generate a random chain query R0(x0,x1), R1(x1,x2), ... (bounded length).
@@ -64,7 +66,7 @@ proptest! {
         let target_q = ConjunctiveQuery::new("T").with_body(target_atoms);
         let inst = SymbolicInstance::from_query(&target_q);
         // The instance is a set: index its atoms, not the generated list.
-        let index = mars_system::cq::AtomIndex::new(&inst.atoms());
+        let index = mars_oracle::AtomIndex::new(&inst.atoms());
 
         // A chain over R, one atom of which may carry the constant, plus
         // optionally a T atom repeating a variable within the atom.
@@ -119,10 +121,8 @@ proptest! {
     /// variable, or have one position more than the target's.
     #[test]
     fn kernel_confirm_agrees_with_containment_mapping(seed in 1u64..1_000_000) {
-        use mars_system::chase::{
-            chase_to_resident_compiled, maps_into, CompiledDeps, ContainmentProgram,
-        };
-        use mars_system::cq::containment::containment_mapping;
+        use mars_system::chase::{maps_into, ContainmentProgram};
+        use mars_oracle::containment_mapping;
         use mars_system::cq::ded::view_dependencies;
         use mars_system::cq::Conjunct;
 
@@ -220,7 +220,8 @@ proptest! {
         seed in 1u64..1_000_000,
     ) {
         use mars_system::chase::{CompiledDed, JoinScratch};
-        use mars_system::cq::{extend_to_conclusion, Conjunct, Variable};
+        use mars_oracle::extend_to_conclusion;
+        use mars_system::cq::{Conjunct, Variable};
 
         let mut rng = TestRng::new(seed);
         let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
@@ -236,7 +237,7 @@ proptest! {
                 inst.insert_atom(&Atom::named("U", vec![domain[pick(6)]]));
             }
         }
-        let index = mars_system::cq::AtomIndex::new(&inst.atoms());
+        let index = mars_oracle::AtomIndex::new(&inst.atoms());
 
         let x = |i: usize| Term::var(&format!("x{i}"));
         let mut premise = vec![
@@ -311,10 +312,10 @@ proptest! {
             ),
         ];
         let naive = naive_chase(&q, &deds, &ChaseBudget::small());
-        let fast = chase_to_universal_plan(&q, &deds, &ChaseOptions::default());
+        let fast = chase_to_resident_compiled(&q, &CompiledDeps::new(&deds), &ChaseOptions::default());
         prop_assert!(naive.terminated());
-        prop_assert!(fast.stats.completed);
-        prop_assert_eq!(naive.single().unwrap().body.len(), fast.primary().body.len());
+        prop_assert!(fast.stats().completed);
+        prop_assert_eq!(naive.single().unwrap().body.len(), fast.primary(&q.name).unwrap().body.len());
     }
 }
 
@@ -330,7 +331,7 @@ proptest! {
 /// outcomes are exercised.
 #[test]
 fn determined_existentials_chase_like_the_naive_chase() {
-    use mars_system::cq::containment::containment_mapping;
+    use mars_oracle::containment_mapping;
     use mars_system::cq::{Conjunct, Variable};
 
     let t = Term::var;
@@ -383,12 +384,14 @@ fn determined_existentials_chase_like_the_naive_chase() {
         }
 
         let naive = naive_chase(&q, &deds, &ChaseBudget::small());
-        let fast = chase_to_universal_plan(&q, &deds, &ChaseOptions::default());
-        assert!(naive.terminated() && fast.stats.completed, "seed {seed}: {q:?} under {deds:?}");
-        assert_eq!(naive.leaves.is_empty(), fast.branches.is_empty(), "seed {seed}: {q:?}");
-        clashes += usize::from(fast.branches.is_empty());
-        merges_saved += usize::from(fast.stats.applied_steps < naive.steps);
-        if let (Some(naive), [fast]) = (naive.single(), fast.branches.as_slice()) {
+        let fast =
+            chase_to_resident_compiled(&q, &CompiledDeps::new(&deds), &ChaseOptions::default());
+        assert!(naive.terminated() && fast.stats().completed, "seed {seed}: {q:?} under {deds:?}");
+        assert_eq!(naive.leaves.is_empty(), fast.is_empty(), "seed {seed}: {q:?}");
+        clashes += usize::from(fast.is_empty());
+        merges_saved += usize::from(fast.stats().applied_steps < naive.steps);
+        if let (Some(naive), [fast]) = (naive.single(), fast.branches()) {
+            let fast = &fast.to_query(&q.name);
             assert!(containment_mapping(naive, fast).is_some(), "seed {seed}: {naive} into {fast}");
             assert!(containment_mapping(fast, naive).is_some(), "seed {seed}: {fast} into {naive}");
         }
@@ -1094,10 +1097,8 @@ proptest! {
 /// the reformulations.
 #[test]
 fn star_back_chases_confirm_like_the_oracle() {
-    use mars_system::chase::{
-        chase_to_resident_compiled, maps_into, CompiledDeps, ContainmentProgram,
-    };
-    use mars_system::cq::containment::containment_mapping;
+    use mars_oracle::containment_mapping;
+    use mars_system::chase::{maps_into, ContainmentProgram};
     use mars_system::mars::MarsOptions;
     use mars_system::workloads::star::StarConfig;
 
