@@ -377,6 +377,41 @@ mod tests {
         assert_eq!(exec.rows.len(), 2);
     }
 
+    /// The tail after the mixed join: an inequality between a navigation and
+    /// a relational variable, an unsafe head variable and a head constant;
+    /// and a navigation half that shares no variable with the relational
+    /// half, so it contributes a width-0 batch to a cross product.
+    #[test]
+    fn mixed_tails_and_cross_products_agree_with_relational() {
+        let (mut db, xml) = stores();
+        for row in [["bolt", "de", "nut"], ["nut", "fr", "nut"], ["washer", "uk", "bolt"]] {
+            db.insert_strs("origin", &row);
+        }
+        let (i, n, o, alt) = (Term::var("i"), Term::var("n"), Term::var("o"), Term::var("alt"));
+        let origin = Atom::named("origin", vec![n, o, alt]);
+        let tail = ConjunctiveQuery::new("Q")
+            .with_head(vec![n, o, Term::var("ghost"), Term::constant_str("lit")])
+            .with_body(vec![
+                nav("tag", vec![i, Term::constant_str("name")]),
+                nav("text", vec![i, n]),
+                origin.clone(),
+            ])
+            .with_inequality(n, alt);
+        let cross = ConjunctiveQuery::new("Q")
+            .with_head(vec![o])
+            .with_body(vec![nav("tag", vec![i, Term::constant_str("item")]), origin]);
+        let router = BackendRouter::new(&db, &xml);
+        for (q, expected) in [(tail, 2), (cross, 3)] {
+            let reference = db.query(&q);
+            assert_eq!(reference.len(), expected, "{q}");
+            let forced = router.plan_forced(&q, Route::Mixed);
+            assert_eq!(forced.decision.route, Route::Mixed);
+            for plan in [forced, router.plan(&q)] {
+                assert_eq!(router.execute(&plan).unwrap().rows, reference, "{q} on {plan:?}");
+            }
+        }
+    }
+
     /// Forcing XML on a query with relational atoms degrades to mixed, and
     /// to relational when nothing is navigational — the effective route is
     /// recorded, never silently lied about.
