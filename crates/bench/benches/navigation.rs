@@ -5,7 +5,8 @@
 //! A lookup is seeded from the value index and must stay flat in the
 //! document size; a scan reads the document once. Rows are checked against
 //! the relational executor before timing, and each case prints the
-//! deterministic work counter (`nav_tuples`) next to its estimate.
+//! deterministic work counter (`nav_tuples`) next to the estimate of the
+//! plan's `NavScan` leaf, which is in the same unit.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mars_cq::{Substitution, Term};
@@ -31,7 +32,7 @@ fn bench(c: &mut Criterion) {
             assert_eq!(exec.route, Route::Xml);
             assert_eq!(exec.rows, db.query(&q), "{name} {form}: routes must agree before timing");
             println!(
-                "{name} {form}: {} rows, nav_tuples {} (estimated {:.1})",
+                "{name} {form}: {} rows, nav_tuples {} (NavScan estimate {:.1})",
                 exec.rows.len(),
                 exec.nav_tuples,
                 exec.estimated_cost

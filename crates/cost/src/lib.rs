@@ -21,16 +21,18 @@
 //! * [`physical_plan`], the logical→physical compiler turning a conjunctive
 //!   query into an executable operator tree (pruned scans with constant
 //!   pushdown, statistics-ordered hash joins with chosen build sides,
-//!   residual filters, project/distinct) — executed by `mars-storage`,
-//! * [`route_query`], the backend router: prices one reformulated query
-//!   against the relational executor, native XML navigation (via the
-//!   [`NavigationStatistics`] trait) and a mixed split plan, and returns a
-//!   deterministic [`RoutingDecision`] — executed by `mars-storage`'s
-//!   `BackendRouter`,
-//! * [`plan_navigation`], the one orderer of the XML route: it picks the
+//!   residual filters, project/distinct) — executed by `mars-storage`.
+//!   Handed [`NavigationStatistics`], it plans the atoms over stored
+//!   documents as one [`NavScan`] leaf run by native navigation, so one tree
+//!   serves every route and [`PhysicalPlan::estimated_cost`] prices them all,
+//! * [`route_query`], the backend router: prices the all-scans tree against
+//!   the native one and returns a deterministic [`RoutingDecision`] whose
+//!   [`Route`] names the cheaper tree's leaves — executed by
+//!   `mars-storage`'s `BackendRouter`,
+//! * [`plan_navigation`], the one orderer of native navigation: it picks the
 //!   next navigation atom by estimated output cardinality given what is
-//!   bound; [`route_query`] prices that order and `mars-storage` compiles
-//!   exactly it into its navigation kernel.
+//!   bound; the `NavScan` leaf stores that order and its price, and
+//!   `mars-storage` compiles exactly it into its navigation kernel.
 
 #![deny(missing_docs)]
 
@@ -40,7 +42,7 @@ pub mod route;
 pub mod stats;
 
 pub use estimator::atom_cost;
-pub use physical::{physical_plan, BuildSide, Operand, PhysicalPlan, TableScan};
+pub use physical::{physical_plan, BuildSide, NavScan, Operand, PhysicalPlan, TableScan};
 pub use route::{
     navigation_atom, plan_navigation, route_query, NavBase, NavOrder, NavigationStatistics, Route,
     RouteCosts, RoutingDecision,

@@ -7,25 +7,33 @@
 //!   (constant arguments become scan predicates), intra-atom repeated
 //!   variables checked in the scan, and **column pruning** (only columns
 //!   consumed above the scan survive);
-//! * `HashJoin` — a left-deep join tree whose **join order** and per-join
-//!   **build side** are chosen from the catalog's exact statistics (smallest
-//!   estimated input first, then greedily the connected atom minimizing the
+//! * [`NavScan`] — when the planner is handed [`NavigationStatistics`] (the
+//!   router's case), one leaf for all the atoms that navigate a stored
+//!   document, run natively in the order [`plan_navigation`] chose and priced
+//!   by it; every other atom stays a `TableScan`;
+//! * `HashJoin` — a left-deep join tree over the leaves whose **join order**
+//!   and per-join **build side** are chosen from the estimates (smallest
+//!   estimated leaf first, then greedily the connected leaf minimizing the
 //!   estimated join output; the smaller estimated side is hashed); join
 //!   outputs are pruned to the columns still needed above;
 //! * `Filter` — residual inequalities, applied once all operands are bound;
 //! * `Project` / `Distinct` — the head row and set semantics at the root.
 //!
+//! One tree serves every route: its leaves say which store serves them, and
+//! [`PhysicalPlan::estimated_cost`] prices all of them in one unit.
+//!
 //! The planner is **advisory by construction**: every choice (order, build
-//! side, pruning) changes cost only, never the result set. Executors (see
-//! `mars_storage`) are property-tested byte-identical to the naive evaluator
-//! for any planner choice.
+//! side, pruning, which store serves a leaf) changes cost only, never the
+//! result set. Executors (see `mars_storage`) are property-tested
+//! byte-identical to the naive evaluator for any planner choice.
 //!
 //! [`PhysicalPlan`]'s [`fmt::Display`] rendering is stable and is snapshot-
 //! tested (`tests/golden/plans/`), so plan-shape regressions show up as
 //! golden diffs the same way emitted SQL does.
 
+use crate::route::{navigates_stored, plan_navigation, NavOrder, NavigationStatistics};
 use crate::stats::StatisticsCatalog;
-use mars_cq::{ConjunctiveQuery, Constant, Predicate, Term, Variable};
+use mars_cq::{Atom, ConjunctiveQuery, Constant, Predicate, Term, Variable};
 use std::fmt;
 
 /// Where an operand of a `Filter` predicate or `Project` column comes from.
@@ -70,16 +78,32 @@ pub struct TableScan {
     pub input_rows: f64,
 }
 
+/// Native navigation of stored documents (leaf): the query's navigation
+/// atoms over documents the XML store holds, run by the navigation kernel.
+#[derive(Clone, Debug)]
+pub struct NavScan {
+    /// The navigation atoms, in body order.
+    pub atoms: Vec<Atom>,
+    /// The order [`plan_navigation`] chose for `atoms`, with its estimated
+    /// cost (rows touched, the unit the kernel counts its work in) and rows.
+    pub nav: NavOrder,
+    /// The variables materialized as output columns: those the head, an
+    /// inequality or another leaf reads.
+    pub output: Vec<Variable>,
+}
+
 /// A physical operator tree for one conjunctive query.
 #[derive(Clone, Debug)]
 pub enum PhysicalPlan {
     /// Scan one relation (leaf).
     TableScan(TableScan),
+    /// Navigate stored documents natively (leaf).
+    NavScan(NavScan),
     /// Hash `build` side on the key columns, stream the other side through it.
     HashJoin {
         /// Accumulated left input.
         left: Box<PhysicalPlan>,
-        /// Newly joined right input (always a scan in left-deep plans).
+        /// Newly joined right input (always a leaf in left-deep plans).
         right: Box<PhysicalPlan>,
         /// Equi-join keys: `(left output column, right output column)`.
         keys: Vec<(usize, usize)>,
@@ -122,6 +146,7 @@ impl PhysicalPlan {
     pub fn output_vars(&self) -> &[Variable] {
         match self {
             PhysicalPlan::TableScan(scan) => &scan.output,
+            PhysicalPlan::NavScan(scan) => &scan.output,
             PhysicalPlan::HashJoin { output, .. } => output,
             PhysicalPlan::Filter { input, .. } => input.output_vars(),
             PhysicalPlan::Project { .. } | PhysicalPlan::Distinct { .. } => &[],
@@ -132,6 +157,7 @@ impl PhysicalPlan {
     pub fn est_rows(&self) -> f64 {
         match self {
             PhysicalPlan::TableScan(scan) => scan.est_rows,
+            PhysicalPlan::NavScan(scan) => scan.nav.rows,
             PhysicalPlan::HashJoin { est_rows, .. } => *est_rows,
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
@@ -139,15 +165,17 @@ impl PhysicalPlan {
         }
     }
 
-    /// Estimated total work of executing this operator tree: every scan pays
-    /// its full input cardinality, every hash join pays both inputs (build +
-    /// probe) plus its output, and the row-at-a-time tail operators pay their
-    /// input once more. The unit is "rows touched" — the same unit the
-    /// backchase estimators use — so costs are comparable across plans and,
-    /// via `mars_cost::route_query`, across backends.
+    /// Estimated total work of executing this operator tree: every table
+    /// scan pays its full input cardinality, a navigation scan the rows its
+    /// order touches, every hash join pays both inputs (build + probe) plus
+    /// its output, and the row-at-a-time tail operators pay their input once
+    /// more. The unit is "rows touched", so costs are comparable across
+    /// plans and, via `mars_cost::route_query`, across the stores the leaves
+    /// read.
     pub fn estimated_cost(&self) -> f64 {
         match self {
             PhysicalPlan::TableScan(scan) => scan.input_rows,
+            PhysicalPlan::NavScan(scan) => scan.nav.cost,
             PhysicalPlan::HashJoin { left, right, est_rows, .. } => {
                 left.estimated_cost()
                     + right.estimated_cost()
@@ -160,66 +188,75 @@ impl PhysicalPlan {
             | PhysicalPlan::Distinct { input } => input.estimated_cost() + input.est_rows(),
         }
     }
+
+    /// The leaves of this tree, left to right.
+    pub fn leaves(&self) -> Vec<&PhysicalPlan> {
+        match self {
+            PhysicalPlan::TableScan(_) | PhysicalPlan::NavScan(_) => vec![self],
+            PhysicalPlan::HashJoin { left, right, .. } => {
+                let mut leaves = left.leaves();
+                leaves.extend(right.leaves());
+                leaves
+            }
+            PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::Project { input, .. }
+            | PhysicalPlan::Distinct { input } => input.leaves(),
+        }
+    }
 }
 
-/// Compile `q` into a physical plan against `stats`.
+/// Compile `q` into a physical plan against `stats`. Handed `nav`, the atoms
+/// that navigate a document it stores become one [`NavScan`] leaf, after the
+/// [`TableScan`]s of the others; without it every atom is a `TableScan`.
 ///
 /// Deterministic: the same query and statistics always produce the same plan
-/// (ties break on atom index). The plan changes with the statistics, but the
+/// (ties break on leaf index). The plan changes with the statistics, but the
 /// executed *result set* does not — that is the planner's core invariant.
 ///
 /// # Panics
 ///
 /// Panics if the query body is empty (no relation to scan); callers handle
 /// body-less queries directly.
-pub fn physical_plan(q: &ConjunctiveQuery, stats: &dyn StatisticsCatalog) -> PhysicalPlan {
+pub fn physical_plan(
+    q: &ConjunctiveQuery,
+    stats: &dyn StatisticsCatalog,
+    nav: Option<&dyn NavigationStatistics>,
+) -> PhysicalPlan {
     assert!(!q.body.is_empty(), "physical_plan requires a non-empty body");
 
-    // Variables consumed above the scans: head, inequalities, other atoms.
-    let ineq_vars: Vec<Variable> = q
-        .inequalities
-        .iter()
-        .flat_map(|(a, b)| [a, b])
-        .filter_map(|t| match t {
-            Term::Var(v) => Some(*v),
-            Term::Const(_) => None,
-        })
-        .collect();
-    let head_vars: Vec<Variable> = q
-        .head
-        .iter()
-        .filter_map(|t| match t {
-            Term::Var(v) => Some(*v),
-            Term::Const(_) => None,
-        })
-        .collect();
-    let atom_vars: Vec<Vec<Variable>> = q
-        .body
-        .iter()
-        .map(|atom| {
-            let mut vars = Vec::new();
-            for arg in &atom.args {
-                if let Term::Var(v) = arg {
-                    if !vars.contains(v) {
-                        vars.push(*v);
-                    }
-                }
+    // Variables consumed above the leaves: head, inequalities, other leaves.
+    let ineq_vars: Vec<Variable> =
+        q.inequalities.iter().flat_map(|(a, b)| [a, b]).filter_map(Term::as_var).collect();
+    let head_vars: Vec<Variable> = q.head.iter().filter_map(Term::as_var).collect();
+
+    // One leaf per scanned atom, in body order, then the navigation leaf.
+    let (native, scanned): (Vec<usize>, Vec<usize>) =
+        (0..q.body.len()).partition(|&i| nav.is_some_and(|nav| navigates_stored(&q.body[i], nav)));
+    let vars_of = |atoms: &[usize]| {
+        let mut vars: Vec<Variable> = Vec::new();
+        for v in atoms.iter().flat_map(|&i| q.body[i].variables()) {
+            if !vars.contains(&v) {
+                vars.push(v);
             }
-            vars
-        })
-        .collect();
-    let needed_above_scan = |i: usize, v: &Variable| {
+        }
+        vars
+    };
+    let mut leaf_vars: Vec<Vec<Variable>> = scanned.iter().map(|&i| vars_of(&[i])).collect();
+    if !native.is_empty() {
+        leaf_vars.push(vars_of(&native));
+    }
+    let needed_above_leaf = |l: usize, v: &Variable| {
         head_vars.contains(v)
             || ineq_vars.contains(v)
-            || atom_vars.iter().enumerate().any(|(j, vars)| j != i && vars.contains(v))
+            || leaf_vars.iter().enumerate().any(|(k, vars)| k != l && vars.contains(v))
     };
 
-    // One pruned, predicate-pushed scan per atom.
-    let scans: Vec<TableScan> = q
-        .body
+    // One pruned, predicate-pushed scan per scanned atom.
+    let mut leaves: Vec<PhysicalPlan> = scanned
         .iter()
         .enumerate()
-        .map(|(i, atom)| {
+        .map(|(l, &i)| {
+            let atom = &q.body[i];
             let relation = atom.predicate;
             let mut pushdown = Vec::new();
             let mut duplicates = Vec::new();
@@ -234,7 +271,7 @@ pub fn physical_plan(q: &ConjunctiveQuery, stats: &dyn StatisticsCatalog) -> Phy
                 }
             }
             let (output, columns): (Vec<Variable>, Vec<usize>) =
-                first.iter().filter(|(v, _)| needed_above_scan(i, v)).copied().unzip();
+                first.iter().filter(|(v, _)| needed_above_leaf(l, v)).copied().unzip();
 
             let mut est = stats.tuple_count(relation) as f64;
             for (col, _) in &pushdown {
@@ -247,7 +284,7 @@ pub fn physical_plan(q: &ConjunctiveQuery, stats: &dyn StatisticsCatalog) -> Phy
                     .max(1);
                 est /= d as f64;
             }
-            TableScan {
+            PhysicalPlan::TableScan(TableScan {
                 relation,
                 columns,
                 output,
@@ -255,49 +292,67 @@ pub fn physical_plan(q: &ConjunctiveQuery, stats: &dyn StatisticsCatalog) -> Phy
                 duplicates,
                 est_rows: est,
                 input_rows: stats.tuple_count(relation) as f64,
-            }
+            })
         })
         .collect();
+    if let Some(nav) = nav.filter(|_| !native.is_empty()) {
+        let atoms: Vec<Atom> = native.iter().map(|&i| q.body[i].clone()).collect();
+        let order = plan_navigation(&atoms, nav).expect("every atom navigates a stored document");
+        let l = leaves.len();
+        let output = leaf_vars[l].iter().filter(|v| needed_above_leaf(l, v)).copied().collect();
+        leaves.push(PhysicalPlan::NavScan(NavScan { atoms, nav: order, output }));
+    }
 
-    // Greedy stats-driven join order: smallest estimated scan first, then the
-    // connected atom minimizing the estimated join output. Disconnected atoms
-    // (cross products) are deferred until nothing connected remains.
-    let mut remaining: Vec<usize> = (0..scans.len()).collect();
+    // Greedy stats-driven join order: smallest estimated leaf first, then the
+    // connected leaf minimizing the estimated join output. Disconnected
+    // leaves (cross products) are deferred until nothing connected remains.
+    let mut remaining: Vec<usize> = (0..leaves.len()).collect();
     let start = remaining
         .iter()
         .copied()
-        .min_by(|&a, &b| scans[a].est_rows.partial_cmp(&scans[b].est_rows).unwrap().then(a.cmp(&b)))
+        .min_by(|&a, &b| {
+            leaves[a].est_rows().partial_cmp(&leaves[b].est_rows()).unwrap().then(a.cmp(&b))
+        })
         .expect("non-empty body");
     remaining.retain(|&i| i != start);
 
     // Per-variable distinct estimate in the accumulated intermediate result:
-    // the minimum distinct count over the scans that bound it so far.
-    let var_distinct = |scan: &TableScan, v: &Variable, stats: &dyn StatisticsCatalog| -> f64 {
-        scan.output
-            .iter()
-            .position(|sv| sv == v)
-            .map(|k| stats.distinct_in_column(scan.relation, scan.columns[k]).max(1) as f64)
-            .unwrap_or(1.0)
+    // the minimum distinct count over the leaves that bound it so far. A
+    // table scan reads its column's exact count; navigation keeps no
+    // per-variable statistics, so each of its rows counts as distinct.
+    let var_distinct = |leaf: &PhysicalPlan, v: &Variable| -> f64 {
+        match leaf {
+            PhysicalPlan::TableScan(scan) => scan
+                .output
+                .iter()
+                .position(|sv| sv == v)
+                .map(|k| stats.distinct_in_column(scan.relation, scan.columns[k]).max(1) as f64)
+                .unwrap_or(1.0),
+            _ => leaf.est_rows().max(1.0),
+        }
     };
     let mut bound_distinct: Vec<(Variable, f64)> =
-        scans[start].output.iter().map(|v| (*v, var_distinct(&scans[start], v, stats))).collect();
+        leaves[start].output_vars().iter().map(|v| (*v, var_distinct(&leaves[start], v))).collect();
 
-    let order_atoms_left = |remaining: &[usize], bound: &[(Variable, f64)], cur_est: f64| {
-        let mut best: Option<(usize, f64, bool)> = None; // (atom, est_out, connected)
+    let order_leaves_left = |remaining: &[usize], bound: &[(Variable, f64)], cur_est: f64| {
+        let mut best: Option<(usize, f64, bool)> = None; // (leaf, est_out, connected)
         for &i in remaining {
-            let shared: Vec<&Variable> =
-                scans[i].output.iter().filter(|v| bound.iter().any(|(bv, _)| bv == *v)).collect();
+            let shared: Vec<&Variable> = leaves[i]
+                .output_vars()
+                .iter()
+                .filter(|v| bound.iter().any(|(bv, _)| bv == *v))
+                .collect();
             let connected = !shared.is_empty();
-            let mut est_out = cur_est * scans[i].est_rows;
+            let mut est_out = cur_est * leaves[i].est_rows();
             for v in &shared {
                 let dl = bound.iter().find(|(bv, _)| bv == *v).map(|(_, d)| *d).unwrap_or(1.0);
-                let dr = var_distinct(&scans[i], v, stats);
+                let dr = var_distinct(&leaves[i], v);
                 est_out /= dl.max(dr).max(1.0);
             }
             let better = match &best {
                 None => true,
-                // A connected atom always beats a cross product; among equals
-                // the smaller estimated output wins, ties on atom index.
+                // A connected leaf always beats a cross product; among equals
+                // the smaller estimated output wins, ties on leaf index.
                 Some((_, best_est, best_conn)) => {
                     (connected && !best_conn) || (connected == *best_conn && est_out < *best_est)
                 }
@@ -309,47 +364,48 @@ pub fn physical_plan(q: &ConjunctiveQuery, stats: &dyn StatisticsCatalog) -> Phy
         best.expect("remaining is non-empty")
     };
 
-    let mut plan = PhysicalPlan::TableScan(scans[start].clone());
+    let mut plan = leaves[start].clone();
     while !remaining.is_empty() {
         let (next, est_out, _connected) =
-            order_atoms_left(&remaining, &bound_distinct, plan.est_rows());
+            order_leaves_left(&remaining, &bound_distinct, plan.est_rows());
         remaining.retain(|&i| i != next);
-        let scan = &scans[next];
+        let leaf = &leaves[next];
+        let leaf_output = leaf.output_vars();
 
         let left_vars: Vec<Variable> = plan.output_vars().to_vec();
         let keys: Vec<(usize, usize)> = left_vars
             .iter()
             .enumerate()
-            .filter_map(|(lc, v)| scan.output.iter().position(|sv| sv == v).map(|rc| (lc, rc)))
+            .filter_map(|(lc, v)| leaf_output.iter().position(|sv| sv == v).map(|rc| (lc, rc)))
             .collect();
 
         // Column pruning at the join output: keep a variable only if the
-        // head, an inequality or a not-yet-joined atom still needs it.
+        // head, an inequality or a not-yet-joined leaf still needs it.
         let needed_later = |v: &Variable| {
             head_vars.contains(v)
                 || ineq_vars.contains(v)
-                || remaining.iter().any(|&j| atom_vars[j].contains(v))
+                || remaining.iter().any(|&j| leaf_vars[j].contains(v))
         };
         let left_keep: Vec<usize> =
             (0..left_vars.len()).filter(|&c| needed_later(&left_vars[c])).collect();
         // Shared variables keep their left copy; the right copy is equal by
         // the join and is dropped.
-        let right_keep: Vec<usize> = (0..scan.output.len())
-            .filter(|&c| needed_later(&scan.output[c]) && !left_vars.contains(&scan.output[c]))
+        let right_keep: Vec<usize> = (0..leaf_output.len())
+            .filter(|&c| needed_later(&leaf_output[c]) && !left_vars.contains(&leaf_output[c]))
             .collect();
         let output: Vec<Variable> = left_keep
             .iter()
             .map(|&c| left_vars[c])
-            .chain(right_keep.iter().map(|&c| scan.output[c]))
+            .chain(right_keep.iter().map(|&c| leaf_output[c]))
             .collect();
 
-        // Build the smaller estimated input; ties build the fresh scan (its
-        // hash table is bounded by one relation, not an intermediate result).
+        // Build the smaller estimated input; ties build the fresh leaf (its
+        // hash table is bounded by one leaf, not an intermediate result).
         let build =
-            if scan.est_rows <= plan.est_rows() { BuildSide::Right } else { BuildSide::Left };
+            if leaf.est_rows() <= plan.est_rows() { BuildSide::Right } else { BuildSide::Left };
 
-        for v in &scan.output {
-            let dr = var_distinct(scan, v, stats);
+        for v in leaf_output {
+            let dr = var_distinct(leaf, v);
             match bound_distinct.iter_mut().find(|(bv, _)| bv == v) {
                 Some((_, dl)) => *dl = dl.min(dr),
                 None => bound_distinct.push((*v, dr)),
@@ -358,7 +414,7 @@ pub fn physical_plan(q: &ConjunctiveQuery, stats: &dyn StatisticsCatalog) -> Phy
 
         plan = PhysicalPlan::HashJoin {
             left: Box::new(plan),
-            right: Box::new(PhysicalPlan::TableScan(scan.clone())),
+            right: Box::new(leaf.clone()),
             keys,
             build,
             left_keep,
@@ -419,6 +475,18 @@ fn render_node(plan: &PhysicalPlan, f: &mut fmt::Formatter<'_>, prefix: &str) ->
                 write!(f, " dup=[{}]", dups.join(", "))?;
             }
             write!(f, " ~{:.0} rows", scan.est_rows)
+        }
+        PhysicalPlan::NavScan(scan) => {
+            let order: Vec<String> =
+                scan.nav.order.iter().map(|&i| scan.atoms[i].to_string()).collect();
+            let out: Vec<String> = scan.output.iter().map(|v| v.to_string()).collect();
+            write!(
+                f,
+                "NavScan order=[{}] out=[{}] ~{:.0} rows",
+                order.join(", "),
+                out.join(", "),
+                scan.nav.rows
+            )
         }
         PhysicalPlan::HashJoin { left, right, keys, build, output, est_rows, .. } => {
             let lvars = left.output_vars();
@@ -514,7 +582,7 @@ mod tests {
                 Atom::named("small", vec![Term::var("y"), Term::var("z"), Term::constant_str("k")]),
             ]);
         let s = stats(&[("big", 10_000, &[10_000, 100]), ("small", 50, &[50, 50, 5])]);
-        let plan = physical_plan(&q, &s);
+        let plan = physical_plan(&q, &s, None);
         let text = plan.to_string();
         assert!(text.contains("pushdown=[c2='k']"), "constant must be pushed down:\n{text}");
         // The left-deep start is the selective `small` scan, so the join
@@ -532,7 +600,7 @@ mod tests {
             Atom::named("s", vec![Term::var("b"), Term::var("junk2")]),
         ]);
         let s = stats(&[("r", 10, &[10, 10, 10]), ("s", 10, &[10, 10])]);
-        let plan = physical_plan(&q, &s);
+        let plan = physical_plan(&q, &s, None);
         let text = plan.to_string();
         assert!(!text.contains("junk"), "unused columns must be pruned:\n{text}");
         assert!(text.contains("c0→a"), "needed columns must survive:\n{text}");
@@ -545,7 +613,7 @@ mod tests {
             .with_head(vec![Term::var("x")])
             .with_body(vec![Atom::named("r", vec![Term::var("x"), Term::var("x")])]);
         let s = stats(&[("r", 10, &[5, 5])]);
-        let plan = physical_plan(&q, &s);
+        let plan = physical_plan(&q, &s, None);
         let text = plan.to_string();
         assert!(text.contains("dup=[c0=c1]"), "repeated variable must be a scan check:\n{text}");
         assert!(text.contains("~2 rows"), "duplicate check must reduce the estimate:\n{text}");
@@ -560,7 +628,7 @@ mod tests {
             .with_body(vec![Atom::named("r", vec![Term::var("x"), Term::var("y")])])
             .with_inequality(Term::var("x"), Term::var("y"));
         let s = stats(&[("r", 10, &[10, 10])]);
-        let text = physical_plan(&q, &s).to_string();
+        let text = physical_plan(&q, &s, None).to_string();
         assert!(text.contains("Filter [x <> y]"), "{text}");
         assert!(text.contains("Project [x, 'tag', unbound(ghost)]"), "{text}");
         assert!(text.starts_with("Distinct"), "{text}");

@@ -1,26 +1,25 @@
 //! Statistics-driven backend routing for reformulated query blocks.
 //!
-//! The backchase picks the cheapest *reformulation*; this module picks the
-//! cheapest *backend* for executing it. A minimal reformulation over GReX
-//! navigation predicates can run three ways:
+//! The backchase picks the cheapest *reformulation*; this module picks where
+//! it runs. A minimal reformulation over GReX navigation predicates is one
+//! [`PhysicalPlan`] tree whose leaves say which store serves them, and
+//! [`route_query`] prices exactly two trees with
+//! [`PhysicalPlan::estimated_cost`] against a [`StatisticsCatalog`] (the
+//! relational side) and a [`NavigationStatistics`] source (the XML side):
 //!
-//! * **relational** — through the physical executor over the loaded ground
-//!   facts and materialized views ([`crate::physical_plan`]);
-//! * **xml** — by native navigation of the stored documents (feasible only
-//!   when every body atom is a GReX navigation atom over a stored document);
-//! * **mixed** — navigation atoms on the XML engine, the rest on the
-//!   relational engine, hash-joined on the shared variables (feasible only
-//!   when both groups are non-empty).
+//! * every atom a `TableScan` over the loaded facts and materialized views;
+//! * the atoms over stored documents one `NavScan`, run by native
+//!   navigation, and the rest `TableScan`s joined with it.
 //!
-//! [`route_query`] prices all three against a [`StatisticsCatalog`] (the
-//! relational side) and a [`NavigationStatistics`] source (the XML side) and
-//! returns a [`RoutingDecision`]. The decision is **advisory by
-//! construction**: every route returns byte-identical rows (property-tested
-//! in `mars-storage`'s router and in `tests/property_based.rs`), so a bad
-//! estimate costs time, never correctness. Decisions render stably and are
-//! golden-snapshotted under `tests/golden/routes/`.
+//! The cheaper tree's leaves name the [`Route`]: only table scans is
+//! **relational**, only a navigation scan is **xml**, both is **mixed**.
+//! The decision is **advisory by construction**: every route returns
+//! byte-identical rows (property-tested in `mars-storage`'s router and in
+//! `tests/property_based.rs`), so a bad estimate costs time, never
+//! correctness. Decisions render stably and are golden-snapshotted under
+//! `tests/golden/routes/`.
 
-use crate::physical_plan;
+use crate::physical::{physical_plan, PhysicalPlan};
 use crate::stats::StatisticsCatalog;
 use mars_cq::{Atom, ConjunctiveQuery, Constant, Term, Variable};
 use std::fmt;
@@ -85,6 +84,12 @@ pub fn navigation_atom(atom: &Atom) -> Option<(NavBase, &'static str)> {
     (atom.args.len() == base.arity()).then_some((base, document))
 }
 
+/// Whether `atom` navigates a document `nav` stores: what native navigation
+/// can run.
+pub(crate) fn navigates_stored(atom: &Atom, nav: &dyn NavigationStatistics) -> bool {
+    navigation_atom(atom).is_some_and(|(_, document)| nav.has_document(document))
+}
+
 /// The statistics the XML side of the router reads: per-document counters a
 /// document store maintains (implemented by `mars_storage::XmlStore`, which
 /// serves every one in O(1) from its resident per-document index — the
@@ -113,15 +118,27 @@ pub trait NavigationStatistics {
     fn attr_count(&self, document: &str) -> usize;
 }
 
-/// Which backend executes a (sub)query.
+/// Which stores serve a plan's leaves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Route {
-    /// The physical relational executor over loaded facts and views.
+    /// Table scans only: loaded facts and views.
     Relational,
-    /// Native navigation of the stored XML documents.
+    /// A navigation scan only: native navigation of the stored documents.
     Xml,
-    /// Navigation atoms on the XML engine, the rest relational, joined.
+    /// Both, joined.
     Mixed,
+}
+
+impl Route {
+    /// The route `plan`'s leaves describe.
+    pub fn of(plan: &PhysicalPlan) -> Route {
+        let leaves = plan.leaves();
+        match leaves.iter().any(|leaf| matches!(leaf, PhysicalPlan::NavScan(_))) {
+            false => Route::Relational,
+            true if leaves.len() == 1 => Route::Xml,
+            true => Route::Mixed,
+        }
+    }
 }
 
 impl fmt::Display for Route {
@@ -134,14 +151,16 @@ impl fmt::Display for Route {
     }
 }
 
-/// The estimated cost of each backend for one query (`None` = infeasible).
+/// The estimated cost of each route for one query (`None` = infeasible).
+/// The tree with a navigation scan prices whichever of `xml` and `mixed` its
+/// leaves describe; the other stays `None`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RouteCosts {
-    /// Relational execution (always feasible; body-less queries cost 0).
+    /// Every atom scanned (always feasible; body-less queries cost 0).
     pub relational: f64,
-    /// Pure native navigation, when every atom is navigational.
+    /// Native navigation, when every atom navigates a stored document.
     pub xml: Option<f64>,
-    /// The split plan, when both atom groups are non-empty.
+    /// Native navigation joined with table scans, when both occur.
     pub mixed: Option<f64>,
 }
 
@@ -161,27 +180,16 @@ pub struct NavOrder {
 /// A priced routing decision for one query.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RoutingDecision {
-    /// The chosen backend (the argmin of the feasible costs; ties prefer
-    /// relational, then xml, then mixed — a fixed order, so decisions are
-    /// deterministic and snapshot-stable).
+    /// The chosen route: the native tree's only when it is strictly
+    /// cheaper, so equal estimates always resolve to relational and decisions
+    /// are deterministic and snapshot-stable.
     pub route: Route,
-    /// The per-backend estimates the choice was made from.
+    /// The per-route estimates the choice was made from.
     pub costs: RouteCosts,
     /// Body atoms classified as GReX navigation over a stored document.
     pub navigation_atoms: usize,
     /// Remaining body atoms (base relations, views, specializations).
     pub relational_atoms: usize,
-}
-
-impl RoutingDecision {
-    /// The estimated cost of the chosen route.
-    pub fn chosen_cost(&self) -> f64 {
-        match self.route {
-            Route::Relational => self.costs.relational,
-            Route::Xml => self.costs.xml.unwrap_or(self.costs.relational),
-            Route::Mixed => self.costs.mixed.unwrap_or(self.costs.relational),
-        }
-    }
 }
 
 fn render_cost(f: &mut fmt::Formatter<'_>, label: &str, c: Option<f64>) -> fmt::Result {
@@ -276,11 +284,11 @@ fn expansion(atom: &PlannedAtom, s: &DocStats, is_bound: [bool; 3], from_root: b
 /// binding. A constant-valued `text` or `tag` probe is therefore a seed like
 /// `root`, not a filter waiting for a document scan to reach it.
 ///
-/// This is the one orderer of the XML route: [`route_query`] prices the
-/// returned order and `mars_storage` compiles exactly it into its navigation
-/// kernel, so the estimate prices the plan that runs by construction.
-/// Returns `None` when any atom is not a navigation atom over a stored
-/// document (the route is infeasible).
+/// This is the one orderer of native navigation: [`physical_plan`] stores
+/// the returned order in its `NavScan` leaf, [`route_query`] prices that leaf
+/// and `mars_storage` compiles exactly its order into the navigation kernel,
+/// so the estimate prices the plan that runs by construction. Returns `None`
+/// when any atom is not a navigation atom over a stored document.
 pub fn plan_navigation(atoms: &[Atom], nav: &dyn NavigationStatistics) -> Option<NavOrder> {
     let mut docs: Vec<DocStats> = Vec::new();
     let mut variables: Vec<Variable> = Vec::new();
@@ -354,67 +362,38 @@ pub fn plan_navigation(atoms: &[Atom], nav: &dyn NavigationStatistics) -> Option
     Some(NavOrder { order, cost, rows })
 }
 
-/// Price `q` against every backend and choose the cheapest feasible one.
-///
-/// * relational cost: [`physical_plan`]`(q, rel).estimated_cost()`;
-/// * xml cost: [`plan_navigation`]'s over the whole body, feasible only when
-///   every atom is navigational over a stored document;
-/// * mixed cost: navigation cost of the navigational group + physical cost
-///   of the relational subquery + the estimated join volume, feasible only
-///   when both groups are non-empty.
-///
-/// Deterministic: equal costs resolve in the fixed order relational, xml,
-/// mixed.
+/// Price `q` as two trees and choose the cheaper: every atom a table scan
+/// ([`physical_plan`] without navigation statistics), or the atoms over
+/// stored documents navigated natively (with them). Both are priced by
+/// [`PhysicalPlan::estimated_cost`], tails included; the native tree exists
+/// only when some atom navigates a stored document, and wins only when
+/// strictly cheaper.
 pub fn route_query(
     q: &ConjunctiveQuery,
     rel: &dyn StatisticsCatalog,
     nav: &dyn NavigationStatistics,
 ) -> RoutingDecision {
-    let is_nav = |a: &Atom| navigation_atom(a).is_some_and(|(_, d)| nav.has_document(d));
-    let nav_group: Vec<Atom> = q.body.iter().filter(|a| is_nav(a)).cloned().collect();
-    let rel_indices: Vec<usize> =
-        q.body.iter().enumerate().filter(|(_, a)| !is_nav(a)).map(|(i, _)| i).collect();
-    let navigation_atoms = nav_group.len();
-    let relational_atoms = rel_indices.len();
-
-    let relational = if q.body.is_empty() { 0.0 } else { physical_plan(q, rel).estimated_cost() };
-    let xml = if relational_atoms == 0 && navigation_atoms > 0 {
-        plan_navigation(&q.body, nav).map(|n| n.cost)
-    } else {
-        None
+    let navigation_atoms = q.body.iter().filter(|a| navigates_stored(a, nav)).count();
+    let mut decision = RoutingDecision {
+        route: Route::Relational,
+        costs: RouteCosts { relational: 0.0, xml: None, mixed: None },
+        navigation_atoms,
+        relational_atoms: q.body.len() - navigation_atoms,
     };
-    let mixed = if navigation_atoms > 0 && relational_atoms > 0 {
-        plan_navigation(&nav_group, nav).map(|n| {
-            let sub = q.subquery(&rel_indices);
-            let plan = physical_plan(&sub, rel);
-            // Join volume: both sides are touched once more by the hash join.
-            n.cost + plan.estimated_cost() + n.rows + plan.est_rows()
-        })
-    } else {
-        None
-    };
-
-    let costs = RouteCosts { relational, xml, mixed };
-    RoutingDecision { route: choose(&costs), costs, navigation_atoms, relational_atoms }
-}
-
-/// The argmin over feasible costs; equal estimates resolve in the fixed
-/// order relational, xml, mixed (strict improvement required to switch).
-fn choose(costs: &RouteCosts) -> Route {
-    let mut route = Route::Relational;
-    let mut best = costs.relational;
-    if let Some(c) = costs.xml {
-        if c < best {
-            route = Route::Xml;
-            best = c;
-        }
+    if !q.body.is_empty() {
+        decision.costs.relational = physical_plan(q, rel, None).estimated_cost();
     }
-    if let Some(c) = costs.mixed {
-        if c < best {
-            route = Route::Mixed;
-        }
+    if navigation_atoms == 0 {
+        return decision;
     }
-    route
+    let native = physical_plan(q, rel, Some(nav));
+    let (route, cost) = (Route::of(&native), native.estimated_cost());
+    *if route == Route::Xml { &mut decision.costs.xml } else { &mut decision.costs.mixed } =
+        Some(cost);
+    if cost < decision.costs.relational {
+        decision.route = route;
+    }
+    decision
 }
 
 #[cfg(test)]
@@ -595,20 +574,31 @@ mod tests {
             text,
             "route=xml atoms=3 navigation + 0 relational\n  relational: 120.0\n  xml: 14.5\n  mixed: infeasible\n"
         );
-        assert_eq!(d.chosen_cost(), 14.5);
     }
 
-    /// Ties prefer the fixed order relational < xml < mixed, so equal
-    /// estimates can never flap between runs; a strict improvement switches.
+    /// Equal estimates resolve to relational, so decisions can never flap
+    /// between runs; a strictly cheaper native tree switches to the route its
+    /// leaves name.
     #[test]
     fn ties_break_deterministically() {
-        let tie = RouteCosts { relational: 10.0, xml: Some(10.0), mixed: Some(10.0) };
-        assert_eq!(choose(&tie), Route::Relational);
-        let xml_tie_mixed = RouteCosts { relational: 10.0, xml: Some(5.0), mixed: Some(5.0) };
-        assert_eq!(choose(&xml_tie_mixed), Route::Xml);
-        let mixed_wins = RouteCosts { relational: 10.0, xml: Some(5.0), mixed: Some(4.0) };
-        assert_eq!(choose(&mixed_wins), Route::Mixed);
-        let infeasible = RouteCosts { relational: 10.0, xml: None, mixed: None };
-        assert_eq!(choose(&infeasible), Route::Relational);
+        let x = Term::var("x");
+        let q =
+            ConjunctiveQuery::new("Q").with_head(vec![x]).with_body(vec![nav_atom("el", vec![x])]);
+        let nav = FixedNav { elements: 100, pairs: 500 };
+        let rel =
+            |n: usize| FixedRel([(Predicate::new("el#d.xml"), (n, vec![n]))].into_iter().collect());
+        // Scan (100) + project pass (100) + distinct pass (100), either way.
+        let tie = route_query(&q, &rel(100), &nav);
+        assert_eq!(
+            (tie.route, tie.costs.relational, tie.costs.xml),
+            (Route::Relational, 300.0, Some(300.0))
+        );
+        assert_eq!(route_query(&q, &rel(101), &nav).route, Route::Xml);
+
+        let mut stats = rel(101);
+        stats.0.insert(Predicate::new("V1"), (1, vec![1]));
+        let mixed = route_query(&q.with_atom(Atom::named("V1", vec![x])), &stats, &nav);
+        assert_eq!(mixed.route, Route::Mixed, "{mixed}");
+        assert!(mixed.costs.xml.is_none(), "{mixed}");
     }
 }

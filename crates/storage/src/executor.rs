@@ -1,7 +1,9 @@
-//! Vectorized evaluation of physical plans over the stored facts.
+//! Vectorized evaluation of physical plans over the stored facts and
+//! documents.
 //!
 //! `execute_plan` walks a [`PhysicalPlan`] (compiled by
-//! [`mars_cost::physical_plan`] from exact storage statistics) bottom-up.
+//! [`mars_cost::physical_plan`] from exact storage statistics) bottom-up; it
+//! runs every route, because a route is only what the plan's leaves read.
 //! Every operator materializes its output as one flat row-major `Batch` —
 //! a single `Vec<Term>` holding `len` rows of `width` columns in the
 //! operator's pruned layout — so executing a plan performs a constant number
@@ -10,6 +12,10 @@
 //! * `TableScan` streams one relation, applying the pushed-down constant
 //!   predicates and intra-atom duplicate-variable checks, and keeps only the
 //!   pruned columns;
+//! * `NavScan` compiles its atoms, in the leaf's order, into the native
+//!   navigation kernel ([`crate::navigation`]) over the stored documents and
+//!   materializes the leaf's output columns, counting the candidate tuples
+//!   the kernel enumerates;
 //! * `HashJoin` hashes the plan-chosen build side on the key columns
 //!   (Fx-style multiplicative hashing, with a single-column fast path that
 //!   indexes the bare [`Term`]) and probes it with the other side
@@ -28,7 +34,9 @@
 //! pruning produces the same row set (property-tested byte-identical to the
 //! naive evaluator in `tests/property_based.rs`).
 
+use crate::navigation::NavPlan;
 use crate::relational::Row;
+use crate::xml_engine::{XmlStore, XmlStoreError};
 use mars_chase::SymbolicInstance;
 use mars_cost::{BuildSide, Operand, PhysicalPlan};
 use mars_cq::Term;
@@ -61,18 +69,25 @@ impl Batch {
     }
 }
 
-/// Execute `plan` against the stored facts, returning the deduplicated head
-/// rows in ascending order. `plan` must be a root plan (ending in
-/// `Distinct ∘ Project`, as [`mars_cost::physical_plan`] produces).
-pub(crate) fn execute_plan(plan: &PhysicalPlan, inst: &SymbolicInstance) -> Vec<Row> {
-    let batch = eval(plan, inst);
+/// Execute `plan` — table scans over `inst`, navigation scans over `xml`'s
+/// documents — returning the deduplicated head rows in ascending order and
+/// the candidate tuples navigation enumerated. `plan` must be a root plan
+/// (ending in `Distinct ∘ Project`, as [`mars_cost::physical_plan`]
+/// produces). Fails when a navigation scan reads a document `xml` lacks.
+pub(crate) fn execute_plan(
+    plan: &PhysicalPlan,
+    inst: &SymbolicInstance,
+    xml: &XmlStore,
+) -> Result<(Vec<Row>, u64), XmlStoreError> {
+    let mut nav_tuples = 0;
+    let batch = eval(plan, inst, xml, &mut nav_tuples)?;
     let rows: BTreeSet<Row> = batch.rows().map(<[Term]>::to_vec).collect();
-    rows.into_iter().collect()
+    Ok((rows.into_iter().collect(), nav_tuples))
 }
 
 /// Resolve an operand against a row (unsafe/unbound variables evaluate to
 /// themselves, exactly like the naive evaluator's `apply_term`).
-pub(crate) fn resolve(op: &Operand, row: &[Term]) -> Term {
+fn resolve(op: &Operand, row: &[Term]) -> Term {
     match op {
         Operand::Column(c) => row[*c],
         Operand::Const(k) => Term::Const(*k),
@@ -85,7 +100,7 @@ pub(crate) fn resolve(op: &Operand, row: &[Term]) -> Term {
 /// matching pair in probe-major order. Single-column keys — the common case
 /// for chained star joins — index the bare [`Term`] and skip the per-row
 /// key allocation entirely.
-pub(crate) fn hash_join(
+fn hash_join(
     build: &Batch,
     probe: &Batch,
     build_cols: &[usize],
@@ -125,8 +140,13 @@ pub(crate) fn hash_join(
     }
 }
 
-fn eval(plan: &PhysicalPlan, inst: &SymbolicInstance) -> Batch {
-    match plan {
+fn eval(
+    plan: &PhysicalPlan,
+    inst: &SymbolicInstance,
+    xml: &XmlStore,
+    nav_tuples: &mut u64,
+) -> Result<Batch, XmlStoreError> {
+    Ok(match plan {
         PhysicalPlan::TableScan(scan) => {
             let mut out = Batch::new(scan.columns.len());
             for tuple in inst.relation(scan.relation) {
@@ -141,12 +161,18 @@ fn eval(plan: &PhysicalPlan, inst: &SymbolicInstance) -> Batch {
             }
             out
         }
+        PhysicalPlan::NavScan(scan) => {
+            let (batch, tuples) =
+                NavPlan::compile(&scan.atoms, &scan.nav.order, xml)?.execute(&scan.output);
+            *nav_tuples += tuples;
+            batch
+        }
         PhysicalPlan::HashJoin { left, right, keys, build, left_keep, right_keep, .. } => {
-            let left_rows = eval(left, inst);
-            let right_rows = eval(right, inst);
+            let left_rows = eval(left, inst, xml, nav_tuples)?;
+            let right_rows = eval(right, inst, xml, nav_tuples)?;
             let mut out = Batch::new(left_keep.len() + right_keep.len());
             if left_rows.len == 0 || right_rows.len == 0 {
-                return out;
+                return Ok(out);
             }
             let lk: Vec<usize> = keys.iter().map(|&(lc, _)| lc).collect();
             let rk: Vec<usize> = keys.iter().map(|&(_, rc)| rc).collect();
@@ -166,7 +192,7 @@ fn eval(plan: &PhysicalPlan, inst: &SymbolicInstance) -> Batch {
             out
         }
         PhysicalPlan::Filter { input, predicates } => {
-            let mut batch = eval(input, inst);
+            let mut batch = eval(input, inst, xml, nav_tuples)?;
             // In-place compaction: copy each surviving row down over the
             // gap left by dropped ones (rows are `Copy` terms).
             let width = batch.width;
@@ -185,7 +211,7 @@ fn eval(plan: &PhysicalPlan, inst: &SymbolicInstance) -> Batch {
             batch
         }
         PhysicalPlan::Project { input, columns } => {
-            let batch = eval(input, inst);
+            let batch = eval(input, inst, xml, nav_tuples)?;
             let mut out = Batch::new(columns.len());
             out.data.reserve(columns.len() * batch.len);
             for i in 0..batch.len {
@@ -197,6 +223,6 @@ fn eval(plan: &PhysicalPlan, inst: &SymbolicInstance) -> Batch {
         }
         // Rows are a set: the one deduplication (and the output order) is
         // `execute_plan`'s, at the root.
-        PhysicalPlan::Distinct { input } => eval(input, inst),
-    }
+        PhysicalPlan::Distinct { input } => eval(input, inst, xml, nav_tuples)?,
+    })
 }

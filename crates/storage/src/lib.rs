@@ -24,10 +24,11 @@
 //!   sorted-outer-union assembly of the XML result from decorrelated binding
 //!   tables);
 //! * the [`BackendRouter`] — the statistics-driven dispatcher that prices a
-//!   reformulated query block against the relational executor, native XML
-//!   navigation and a mixed plan, and executes it through a [`RoutedPlan`]
-//!   recording the chosen route and estimated vs actual cost. Every route
-//!   returns byte-identical rows (property-tested).
+//!   reformulated query block as two physical plans, every atom scanned or
+//!   the atoms over stored documents navigated natively, and executes the
+//!   cheaper through a [`RoutedPlan`] recording the route its leaves
+//!   describe and estimated vs actual cost. Every route returns
+//!   byte-identical rows (property-tested).
 
 #![deny(missing_docs)]
 

@@ -1,9 +1,10 @@
 //! The native navigation kernel: a conjunction of GReX navigation atoms
 //! compiled once into typed steps and run over a flat slot batch.
 //!
-//! `NavPlan::compile` takes the atom order [`mars_cost::plan_navigation`]
-//! chose — the same order the router's estimate prices — and resolves every
-//! atom's access path at compile time from what is bound when it runs:
+//! `NavPlan::compile` takes a `NavScan` leaf's atoms in the order
+//! [`mars_cost::plan_navigation`] chose for them — the order the leaf's
+//! estimate prices — and resolves every atom's access path at compile time
+//! from what is bound when it runs:
 //!
 //! | atom, bound arguments | step | enumerates |
 //! |---|---|---|
@@ -37,7 +38,7 @@
 use crate::doc_index::DocIndex;
 use crate::executor::Batch;
 use crate::xml_engine::{XmlStore, XmlStoreError};
-use mars_cost::{navigation_atom, plan_navigation, NavBase};
+use mars_cost::{navigation_atom, NavBase};
 use mars_cq::{Atom, Term, Variable};
 use mars_xml::{Document, NodeId};
 
@@ -282,7 +283,7 @@ struct Compiler<'a, 's> {
     atoms: &'a [Atom],
     /// Base and document (an index into `plan.docs`) per atom.
     parsed: Vec<(NavBase, usize)>,
-    order: Vec<usize>,
+    order: &'a [usize],
     /// Tag atoms fused into the step that binds their node.
     fused: Vec<bool>,
     node_bound: Vec<bool>,
@@ -293,15 +294,19 @@ struct Compiler<'a, 's> {
 }
 
 impl<'s> NavPlan<'s> {
-    /// Compile `atoms` against the documents of `xml`, in the order
-    /// [`plan_navigation`] chooses.
+    /// Compile `atoms` against the documents of `xml`, in `order` (indices
+    /// into `atoms`, as [`mars_cost::plan_navigation`] returns them).
     ///
     /// # Errors
     ///
     /// [`XmlStoreError::NotNavigable`] for an atom that is not GReX
     /// navigation, [`XmlStoreError::MissingDocument`] for navigation over a
     /// document the store does not hold.
-    pub(crate) fn compile(atoms: &[Atom], xml: &'s XmlStore) -> Result<NavPlan<'s>, XmlStoreError> {
+    pub(crate) fn compile(
+        atoms: &[Atom],
+        order: &[usize],
+        xml: &'s XmlStore,
+    ) -> Result<NavPlan<'s>, XmlStoreError> {
         let mut docs: Vec<(&Document, &DocIndex)> = Vec::new();
         let mut parsed = Vec::with_capacity(atoms.len());
         for atom in atoms {
@@ -318,10 +323,6 @@ impl<'s> NavPlan<'s> {
             };
             parsed.push((base, doc));
         }
-        let order = plan_navigation(atoms, xml)
-            .expect("every atom was just classified as navigation over a stored document")
-            .order;
-
         // A variable is a node slot when every occurrence is a node position
         // of one document; any other use makes it a term slot.
         let mut kinds: Vec<(Variable, Option<usize>)> = Vec::new();
@@ -379,11 +380,6 @@ impl<'s> NavPlan<'s> {
 
     fn slot(&self, v: Variable) -> Option<Slot> {
         self.slots.iter().find(|(w, _)| *w == v).map(|(_, s)| *s)
-    }
-
-    /// Whether the plan binds `v`.
-    pub(crate) fn binds(&self, v: Variable) -> bool {
-        self.slot(v).is_some()
     }
 
     /// Run the plan. Returns the surviving bindings and the number of

@@ -12,6 +12,7 @@
 //! RDBMS.
 
 use crate::executor::execute_plan;
+use crate::xml_engine::{XmlStore, XmlStoreError};
 use mars_chase::{evaluate_bindings, SymbolicInstance};
 use mars_cost::{physical_plan, PhysicalPlan, StatisticsCatalog};
 use mars_cq::{Atom, ConjunctiveQuery, Predicate, Substitution, Term, Variable};
@@ -71,7 +72,7 @@ impl RelationalDatabase {
     /// Panics on a body-less query (nothing to scan); [`Self::query`]
     /// handles that degenerate case without planning.
     pub fn plan(&self, q: &ConjunctiveQuery) -> PhysicalPlan {
-        physical_plan(q, &self.inst)
+        physical_plan(q, &self.inst, None)
     }
 
     /// Execute a conjunctive query through its physical plan.
@@ -84,7 +85,21 @@ impl RelationalDatabase {
             // Nothing to scan, nothing to plan.
             return self.query_naive(q);
         }
-        execute_plan(&self.plan(q), &self.inst)
+        let (rows, _) = self
+            .execute(&self.plan(q), &XmlStore::new())
+            .expect("a plan of table scans reads no document");
+        rows
+    }
+
+    /// Execute a plan whose table scans read this store and whose navigation
+    /// scan reads `xml`'s documents. Returns the rows, as [`Self::query`]
+    /// does, and the candidate tuples navigation enumerated.
+    pub(crate) fn execute(
+        &self,
+        plan: &PhysicalPlan,
+        xml: &XmlStore,
+    ) -> Result<(Vec<Row>, u64), XmlStoreError> {
+        execute_plan(plan, &self.inst, xml)
     }
 
     /// Execute with the naive evaluator — the executor's correctness oracle

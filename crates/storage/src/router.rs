@@ -1,38 +1,36 @@
-//! The backend router: execute one reformulated query block on the cheapest
-//! backend.
+//! The backend router: execute one reformulated query block on the stores
+//! that serve it cheapest.
 //!
 //! [`BackendRouter`] prices a conjunctive query (a minimal reformulation from
 //! the backchase) with [`mars_cost::route_query`] against the relational
-//! store's exact statistics and the XML store's navigation statistics, then
-//! executes it through a [`RoutedPlan`]:
+//! store's exact statistics and the XML store's navigation statistics. The
+//! route it records is a description of one [`PhysicalPlan`] tree's leaves:
 //!
-//! * **relational** — [`RelationalDatabase::query`] (the physical executor);
-//! * **xml** — the native navigation kernel ([`crate::navigation`]) over the
-//!   stored [`Document`](mars_xml::Document)s: the navigation atoms (`root#d`,
-//!   `el#d`, `child#d`, `desc#d`, `tag#d`, `attr#d`, `id#d`, `text#d`) are
-//!   compiled, in the order the estimate was priced for, into typed steps
-//!   over each document's resident index, producing exactly the bindings
-//!   joining `mars_grex::encode_document`'s facts would (node identities are
-//!   the same `"<doc>/n<k>"` constants), so the two backends agree byte for
-//!   byte;
-//! * **mixed** — the navigation atoms run on that kernel, the remaining
-//!   atoms run as a relational subquery, and the two binding sets are
-//!   hash-joined on their shared variables.
+//! * **relational** — every atom a `TableScan` over the loaded facts and
+//!   materialized views;
+//! * **xml** — one `NavScan`: the navigation atoms (`root#d`, `el#d`,
+//!   `child#d`, `desc#d`, `tag#d`, `attr#d`, `id#d`, `text#d`) compiled, in
+//!   the order the estimate was priced for, into the native navigation
+//!   kernel ([`crate::navigation`]) over each stored
+//!   [`Document`](mars_xml::Document)'s resident index, producing exactly the
+//!   bindings joining `mars_grex::encode_document`'s facts would (node
+//!   identities are the same `"<doc>/n<k>"` constants), so the two stores
+//!   agree byte for byte;
+//! * **mixed** — that `NavScan` hash-joined with `TableScan`s for the
+//!   remaining atoms.
 //!
-//! Every route ends in the same head projection (unsafe head variables
-//! evaluate to themselves), residual inequality filtering, and ascending
-//! [`BTreeSet`] deduplication as the relational executor — the routing
-//! decision is advisory, the row set is invariant (property-tested in
-//! `tests/property_based.rs` and gated in CI).
+//! [`BackendRouter::execute`] re-plans the tree the route names and runs it
+//! through the one executor ([`crate::executor`]), so every route ends in the
+//! same residual inequality filter, head projection (unsafe head variables
+//! evaluate to themselves) and ascending [`BTreeSet`](std::collections::BTreeSet)
+//! deduplication — the routing decision is advisory, the row set is
+//! invariant (property-tested in `tests/property_based.rs` and gated in CI).
 
-use crate::executor::{hash_join, resolve, Batch};
-use crate::navigation::NavPlan;
 use crate::relational::{RelationalDatabase, Row};
 use crate::xml_engine::{XmlStore, XmlStoreError};
-use mars_cost::{navigation_atom, route_query, Operand};
+use mars_cost::{navigation_atom, physical_plan, route_query, NavigationStatistics, PhysicalPlan};
 pub use mars_cost::{Route, RouteCosts, RoutingDecision};
-use mars_cq::{Atom, ConjunctiveQuery, Term, Variable};
-use std::collections::BTreeSet;
+use mars_cq::{Atom, ConjunctiveQuery};
 use std::time::{Duration, Instant};
 
 /// A query paired with its priced routing decision (see [`BackendRouter::plan`]).
@@ -47,14 +45,15 @@ pub struct RoutedPlan {
 /// The outcome of executing a [`RoutedPlan`]: estimated vs actual cost.
 #[derive(Clone, Debug)]
 pub struct RoutedExecution {
-    /// The route that actually executed (equals the plan's decision).
+    /// The route that actually executed: the one the executed tree's leaves
+    /// describe (the plan's decision while the stores are as it saw them).
     pub route: Route,
-    /// The router's estimate for that route, in rows touched.
+    /// The navigation leaf's estimate, in rows touched: what `nav_tuples`
+    /// is the actual of. 0 on the relational route.
     pub estimated_cost: f64,
     /// Candidate tuples the navigation kernel enumerated — the actual in
     /// the unit of the navigation estimate, exact and repeatable where the
-    /// wall clock is not. 0 on the relational route; on the mixed route it
-    /// covers the navigation side only.
+    /// wall clock is not. 0 on the relational route.
     pub nav_tuples: u64,
     /// The result rows — deduplicated, ascending, identical on every route.
     pub rows: Vec<Row>,
@@ -91,27 +90,14 @@ impl<'a> BackendRouter<'a> {
         RoutedPlan { query: query.clone(), decision }
     }
 
-    /// Force a route, clamped to feasibility: forcing XML on a query with
-    /// relational atoms degrades to mixed (navigation still runs natively
-    /// wherever possible) and to relational when nothing is navigational;
-    /// forcing mixed degrades the same way. The decision records the
-    /// *effective* route, so ablation results stay honest.
+    /// Force a route: relational scans every atom; xml and mixed both mean
+    /// "navigate natively", and the decision records the route that tree's
+    /// leaves describe — mixed when relational atoms remain, relational when
+    /// nothing navigates a stored document — so ablation results stay
+    /// honest.
     pub fn plan_forced(&self, query: &ConjunctiveQuery, route: Route) -> RoutedPlan {
         let mut decision = route_query(query, self.db, self.xml);
-        decision.route = match route {
-            Route::Relational => Route::Relational,
-            Route::Xml | Route::Mixed => {
-                if route == Route::Xml && decision.costs.xml.is_some() {
-                    Route::Xml
-                } else if decision.costs.mixed.is_some() {
-                    Route::Mixed
-                } else if decision.costs.xml.is_some() {
-                    Route::Xml
-                } else {
-                    Route::Relational
-                }
-            }
-        };
+        decision.route = self.tree(query, route).as_ref().map_or(Route::Relational, Route::of);
         RoutedPlan { query: query.clone(), decision }
     }
 
@@ -127,111 +113,51 @@ impl<'a> BackendRouter<'a> {
     pub fn execute(&self, plan: &RoutedPlan) -> Result<RoutedExecution, XmlStoreError> {
         let start = Instant::now();
         let q = &plan.query;
-        let (rows, nav_tuples) = match plan.decision.route {
-            Route::Relational => (self.db.query(q), 0),
-            Route::Xml => self.execute_navigation(q, &q.body, &[])?,
-            Route::Mixed => {
-                let is_nav = |a: &Atom| {
-                    navigation_atom(a).is_some_and(|(_, d)| self.xml.document(d).is_some())
-                };
-                let (nav, rel): (Vec<Atom>, Vec<Atom>) = q.body.iter().cloned().partition(is_nav);
-                self.execute_navigation(q, &nav, &rel)?
-            }
+        let tree = self.tree(q, plan.decision.route);
+        let route = tree.as_ref().map_or(Route::Relational, Route::of);
+        if let Some(error) = (route != plan.decision.route).then(|| self.off_route(q)).flatten() {
+            return Err(error);
+        }
+        let (rows, nav_tuples) = match &tree {
+            Some(tree) => self.db.execute(tree, self.xml)?,
+            None => (self.db.query(q), 0),
         };
-        Ok(RoutedExecution {
-            route: plan.decision.route,
-            estimated_cost: plan.decision.chosen_cost(),
-            nav_tuples,
-            rows,
-            duration: start.elapsed(),
-        })
+        let estimated_cost = (tree.iter().flat_map(PhysicalPlan::leaves))
+            .find_map(|leaf| match leaf {
+                PhysicalPlan::NavScan(scan) => Some(scan.nav.cost),
+                _ => None,
+            })
+            .unwrap_or(0.0);
+        Ok(RoutedExecution { route, estimated_cost, nav_tuples, rows, duration: start.elapsed() })
     }
 
-    /// Run `nav_atoms` on the navigation kernel, join the bindings with the
-    /// relational subquery over `rel_atoms` on their shared variables (the
-    /// mixed route; the XML route has none), and finish the query. Returns
-    /// the rows and the candidate tuples the kernel enumerated.
-    fn execute_navigation(
-        &self,
-        q: &ConjunctiveQuery,
-        nav_atoms: &[Atom],
-        rel_atoms: &[Atom],
-    ) -> Result<(Vec<Row>, u64), XmlStoreError> {
-        let plan = NavPlan::compile(nav_atoms, self.xml)?;
-        let mut rel_vars: Vec<Variable> = Vec::new();
-        for v in rel_atoms.iter().flat_map(Atom::variables) {
-            if !rel_vars.contains(&v) {
-                rel_vars.push(v);
-            }
-        }
-        // Navigation materializes only what the join and the tail read.
-        let mut columns: Vec<Variable> = Vec::new();
-        let read = q.head.iter().chain(q.inequalities.iter().flat_map(|(a, b)| [a, b]));
-        for v in read.filter_map(Term::as_var).chain(rel_vars.iter().copied()) {
-            if plan.binds(v) && !columns.contains(&v) {
-                columns.push(v);
-            }
-        }
-        let (nav, tuples) = plan.execute(&columns);
-        if rel_atoms.is_empty() {
-            return Ok((finish(q, &columns, &nav), tuples));
-        }
-
-        // The relational subquery answers *all* variables of its atoms so the
-        // join loses nothing; inequalities are applied once, after the join.
-        let sub = ConjunctiveQuery::new(&format!("{}__rel", q.name))
-            .with_head(rel_vars.iter().map(|v| Term::Var(*v)).collect())
-            .with_body(rel_atoms.to_vec());
-        let rel_rows = self.db.query(&sub);
-        let rel = Batch { width: rel_vars.len(), len: rel_rows.len(), data: rel_rows.concat() };
-
-        // Hash the relational side on the shared variables, probe with the
-        // navigation bindings. An empty shared set is a cross product.
-        let (mut rel_keys, mut nav_keys) = (Vec::new(), Vec::new());
-        for (rc, v) in rel_vars.iter().enumerate() {
-            if let Some(nc) = columns.iter().position(|c| c == v) {
-                rel_keys.push(rc);
-                nav_keys.push(nc);
-            }
-        }
-        let mut joined = Batch::new(nav.width + rel.width);
-        hash_join(&rel, &nav, &rel_keys, &nav_keys, |b, p| {
-            joined.data.extend_from_slice(nav.row(p));
-            joined.data.extend_from_slice(rel.row(b));
-            joined.len += 1;
-        });
-        columns.extend(rel_vars);
-        Ok((finish(q, &columns, &joined), tuples))
+    /// The tree `route` runs `q` as: every atom a table scan on the
+    /// relational route, the atoms over stored documents one navigation scan
+    /// on the others. `None` for a body-less query, which scans nothing and
+    /// is answered by [`RelationalDatabase::query`].
+    fn tree(&self, q: &ConjunctiveQuery, route: Route) -> Option<PhysicalPlan> {
+        let nav = (route != Route::Relational).then_some(self.xml as &dyn NavigationStatistics);
+        (!q.body.is_empty()).then(|| physical_plan(q, self.db, nav))
     }
-}
 
-/// Apply the residual inequalities and the head projection to a binding
-/// batch over `columns`, then deduplicate in ascending order — the exact tail
-/// the physical executor runs (`Filter`, `Project`, `Distinct`), including
-/// the unsafe-head-variable convention (an unbound variable evaluates to
-/// itself).
-fn finish(q: &ConjunctiveQuery, columns: &[Variable], bindings: &Batch) -> Vec<Row> {
-    let operand = |t: &Term| match t {
-        Term::Const(c) => Operand::Const(*c),
-        Term::Var(v) => {
-            columns.iter().position(|c| c == v).map_or(Operand::Unbound(*v), Operand::Column)
-        }
-    };
-    let head: Vec<Operand> = q.head.iter().map(operand).collect();
-    let distinct: Vec<(Operand, Operand)> =
-        q.inequalities.iter().map(|(a, b)| (operand(a), operand(b))).collect();
-    let mut out: BTreeSet<Row> = BTreeSet::new();
-    for row in bindings.rows() {
-        if distinct.iter().all(|(a, b)| resolve(a, row) != resolve(b, row)) {
-            out.insert(head.iter().map(|op| resolve(op, row)).collect());
+    /// Why `q`'s tree lacks the leaves its plan's route names: a
+    /// navigation atom over a document the store does not hold, else an atom
+    /// that is not navigation. `None` when neither exists, which leaves the
+    /// tree navigating more than the plan asked: a cost, not an error.
+    fn off_route(&self, q: &ConjunctiveQuery) -> Option<XmlStoreError> {
+        let document = |atom: &Atom| navigation_atom(atom).map(|(_, document)| document);
+        match q.body.iter().filter_map(document).find(|d| !self.xml.has_document(d)) {
+            Some(d) => Some(XmlStoreError::MissingDocument { document: d.to_string() }),
+            None => (q.body.iter().find(|atom| document(atom).is_none()))
+                .map(|atom| XmlStoreError::NotNavigable { predicate: atom.predicate }),
         }
     }
-    out.into_iter().collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mars_cq::Term;
     use mars_grex::encode_document;
     use mars_xml::{parse_document, Document};
 
@@ -317,7 +243,9 @@ mod tests {
             ),
         ];
         for (label, q) in cases {
-            let (native, _) = router.execute_navigation(&q, &q.body, &[]).unwrap();
+            let native = router.execute(&router.plan_forced(&q, Route::Xml)).unwrap();
+            assert_eq!(native.route, Route::Xml);
+            let native = native.rows;
             assert_eq!(native, db.query(&q), "base {label} disagrees with the encoding");
             assert!(!native.is_empty(), "base {label} should match something");
         }
@@ -511,8 +439,9 @@ mod tests {
         ];
         for body in bodies {
             let q = ConjunctiveQuery::new("Q").with_head(vec![x, y, z]).with_body(body);
-            let (native, _) = router.execute_navigation(&q, &q.body, &[]).unwrap();
-            assert_eq!(native, db.query(&q), "{q}");
+            let native = router.execute(&router.plan_forced(&q, Route::Xml)).unwrap();
+            assert_eq!(native.route, Route::Xml);
+            assert_eq!(native.rows, db.query(&q), "{q}");
         }
     }
 

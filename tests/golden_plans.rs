@@ -2,9 +2,11 @@
 //!
 //! Snapshots the rendered physical plan ([`mars_cost::physical_plan`] via
 //! `RelationalDatabase::plan`) for the chosen reformulations of the paper's
-//! scenarios over deterministically populated stores, so planner changes —
-//! join order, build-side choice, pruning, pushdown — cannot silently alter
-//! plan shapes. The planner steers cost only, never results (the executors
+//! scenarios over deterministically populated stores, and the router's tree
+//! for the two reformulations that navigate natively (planned with the XML
+//! store's statistics, so their navigation atoms form a `NavScan` leaf), so
+//! planner changes — join order, build-side choice, pruning, pushdown, the
+//! navigation order — cannot silently alter plan shapes. The planner steers cost only, never results (the executors
 //! are property-tested byte-identical for any plan), so a golden diff here is
 //! a *performance* review, not a correctness one.
 //!
@@ -23,9 +25,10 @@
 mod common;
 
 use mars::MarsOptions;
+use mars_system::cost::{physical_plan, Route};
 use mars_system::cq::{Atom, ConjunctiveQuery, Term};
 use mars_system::storage::RelationalDatabase;
-use mars_workloads::{example11, star::StarConfig};
+use mars_workloads::{example11, star::StarConfig, xmark};
 
 fn assert_matches_golden(name: &str, actual: &str) {
     common::assert_matches_golden("tests/golden/plans", name, actual);
@@ -65,6 +68,32 @@ fn example_1_1_best_reformulation_plan_is_stable() {
     let block = system.reformulate_xbind(&example11::client_query());
     let best = block.result.best_or_initial().expect("example 1.1 must reformulate");
     assert_matches_golden("example11_best.plan.txt", &db.plan(best).to_string());
+}
+
+/// The router's tree for Example 1.1's best reformulation over the same
+/// stores: the cached document's navigation as one `NavScan`, hash-joined
+/// with the `drugPrice` scan — the mixed route.
+#[test]
+fn example_1_1_mixed_tree_is_stable() {
+    let (xml, db) = example11::populate(4);
+    let block = example11::mars().reformulate_xbind(&example11::client_query());
+    let best = block.result.best_or_initial().expect("example 1.1 must reformulate");
+    let tree = physical_plan(best, &db, Some(&xml));
+    assert_eq!(Route::of(&tree), Route::Mixed);
+    assert_matches_golden("example11_mixed.plan.txt", &tree.to_string());
+}
+
+/// The router's tree for XMark Q4's best reformulation: one `NavScan` under
+/// the tail — the xml route.
+#[test]
+fn xmark_q4_native_tree_is_stable() {
+    let (xml, db) = xmark::populate(12, 8, 10);
+    let q4 = xmark::query_suite().into_iter().find(|q| q.name == "Q4_item_names").unwrap();
+    let block = xmark::mars(true).reformulate_xbind(&q4);
+    let best = block.result.best_or_initial().expect("Q4 must reformulate");
+    let tree = physical_plan(best, &db, Some(&xml));
+    assert_eq!(Route::of(&tree), Route::Xml);
+    assert_matches_golden("xmark_q4_native.plan.txt", &tree.to_string());
 }
 
 /// A hand-written query over a skewed catalog, pinning all three planner

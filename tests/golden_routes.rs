@@ -5,11 +5,11 @@
 //! reformulation of every scenario-matrix point, of Example 1.1 (the one
 //! mixed route) and of the XMark query suite over deterministically
 //! populated stores. Router changes (the navigation cost model, the greedy
-//! atom order, feasibility clamping) cannot silently flip a route or shift an
-//! estimate: the routing layer steers *where* a query runs, never what it
-//! returns (the differential suite in `property_based.rs` pins byte-identical
-//! rows on every route), so a golden diff here is a routing review, not a
-//! correctness one.
+//! atom and join orders, which atoms a tree navigates) cannot silently flip
+//! a route or shift an estimate: the routing layer steers *where* a query
+//! runs, never what it returns (the differential suite in `property_based.rs`
+//! pins byte-identical rows on every route), so a golden diff here is a
+//! routing review, not a correctness one.
 //!
 //! # Regenerating the snapshots
 //!
