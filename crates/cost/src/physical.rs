@@ -9,8 +9,9 @@
 //!   consumed above the scan survive);
 //! * [`NavScan`] — when the planner is handed [`NavigationStatistics`] (the
 //!   router's case), one leaf for all the atoms that navigate a stored
-//!   document, run natively in the order [`plan_navigation`] chose and priced
-//!   by it; every other atom stays a `TableScan`;
+//!   document, run natively in the order
+//!   [`plan_navigation`](crate::plan_navigation) chose and priced by it;
+//!   every other atom stays a `TableScan`;
 //! * `HashJoin` — a left-deep join tree over the leaves whose **join order**
 //!   and per-join **build side** are chosen from the estimates (smallest
 //!   estimated leaf first, then greedily the connected leaf minimizing the
@@ -31,7 +32,7 @@
 //! tested (`tests/golden/plans/`), so plan-shape regressions show up as
 //! golden diffs the same way emitted SQL does.
 
-use crate::route::{navigates_stored, plan_navigation, NavOrder, NavigationStatistics};
+use crate::route::{plan_native, NavOrder, NavigationStatistics};
 use crate::stats::StatisticsCatalog;
 use mars_cq::{Atom, ConjunctiveQuery, Constant, Predicate, Term, Variable};
 use std::fmt;
@@ -84,8 +85,9 @@ pub struct TableScan {
 pub struct NavScan {
     /// The navigation atoms, in body order.
     pub atoms: Vec<Atom>,
-    /// The order [`plan_navigation`] chose for `atoms`, with its estimated
-    /// cost (rows touched, the unit the kernel counts its work in) and rows.
+    /// The order [`plan_navigation`](crate::plan_navigation) chose for
+    /// `atoms`, with its estimated cost (rows touched, the unit the kernel
+    /// counts its work in) and rows.
     pub nav: NavOrder,
     /// The variables materialized as output columns: those the head, an
     /// inequality or another leaf reads.
@@ -189,6 +191,14 @@ impl PhysicalPlan {
         }
     }
 
+    /// The navigation leaf, if this tree has one.
+    pub fn nav_scan(&self) -> Option<&NavScan> {
+        self.leaves().into_iter().find_map(|leaf| match leaf {
+            PhysicalPlan::NavScan(scan) => Some(scan),
+            _ => None,
+        })
+    }
+
     /// The leaves of this tree, left to right.
     pub fn leaves(&self) -> Vec<&PhysicalPlan> {
         match self {
@@ -230,8 +240,10 @@ pub fn physical_plan(
     let head_vars: Vec<Variable> = q.head.iter().filter_map(Term::as_var).collect();
 
     // One leaf per scanned atom, in body order, then the navigation leaf.
-    let (native, scanned): (Vec<usize>, Vec<usize>) =
-        (0..q.body.len()).partition(|&i| nav.is_some_and(|nav| navigates_stored(&q.body[i], nav)));
+    let navigation =
+        nav.map(|nav| plan_native(&q.body, nav)).filter(|(native, _)| !native.is_empty());
+    let native: &[usize] = navigation.as_ref().map_or(&[], |(native, _)| native);
+    let scanned: Vec<usize> = (0..q.body.len()).filter(|i| !native.contains(i)).collect();
     let vars_of = |atoms: &[usize]| {
         let mut vars: Vec<Variable> = Vec::new();
         for v in atoms.iter().flat_map(|&i| q.body[i].variables()) {
@@ -243,7 +255,7 @@ pub fn physical_plan(
     };
     let mut leaf_vars: Vec<Vec<Variable>> = scanned.iter().map(|&i| vars_of(&[i])).collect();
     if !native.is_empty() {
-        leaf_vars.push(vars_of(&native));
+        leaf_vars.push(vars_of(native));
     }
     let needed_above_leaf = |l: usize, v: &Variable| {
         head_vars.contains(v)
@@ -295,9 +307,8 @@ pub fn physical_plan(
             })
         })
         .collect();
-    if let Some(nav) = nav.filter(|_| !native.is_empty()) {
-        let atoms: Vec<Atom> = native.iter().map(|&i| q.body[i].clone()).collect();
-        let order = plan_navigation(&atoms, nav).expect("every atom navigates a stored document");
+    if let Some((native, order)) = navigation {
+        let atoms = native.iter().map(|&i| q.body[i].clone()).collect();
         let l = leaves.len();
         let output = leaf_vars[l].iter().filter(|v| needed_above_leaf(l, v)).copied().collect();
         leaves.push(PhysicalPlan::NavScan(NavScan { atoms, nav: order, output }));
@@ -364,12 +375,29 @@ pub fn physical_plan(
         best.expect("remaining is non-empty")
     };
 
-    let mut plan = leaves[start].clone();
+    // Decide the order reading the leaves in place: (leaf, estimated join
+    // output) per join.
+    let mut joins: Vec<(usize, f64)> = Vec::new();
+    let mut est_rows = leaves[start].est_rows();
     while !remaining.is_empty() {
-        let (next, est_out, _connected) =
-            order_leaves_left(&remaining, &bound_distinct, plan.est_rows());
+        let (next, est_out, _connected) = order_leaves_left(&remaining, &bound_distinct, est_rows);
         remaining.retain(|&i| i != next);
-        let leaf = &leaves[next];
+        for v in leaves[next].output_vars() {
+            let dr = var_distinct(&leaves[next], v);
+            match bound_distinct.iter_mut().find(|(bv, _)| bv == v) {
+                Some((_, dl)) => *dl = dl.min(dr),
+                None => bound_distinct.push((*v, dr)),
+            }
+        }
+        joins.push((next, est_out));
+        est_rows = est_out;
+    }
+
+    // Then assemble the left-deep tree, moving each leaf into it once.
+    let mut leaves: Vec<Option<PhysicalPlan>> = leaves.into_iter().map(Some).collect();
+    let mut plan = leaves[start].take().expect("each leaf joins once");
+    for (j, &(next, est_out)) in joins.iter().enumerate() {
+        let leaf = leaves[next].take().expect("each leaf joins once");
         let leaf_output = leaf.output_vars();
 
         let left_vars: Vec<Variable> = plan.output_vars().to_vec();
@@ -384,7 +412,7 @@ pub fn physical_plan(
         let needed_later = |v: &Variable| {
             head_vars.contains(v)
                 || ineq_vars.contains(v)
-                || remaining.iter().any(|&j| leaf_vars[j].contains(v))
+                || joins[j + 1..].iter().any(|&(k, _)| leaf_vars[k].contains(v))
         };
         let left_keep: Vec<usize> =
             (0..left_vars.len()).filter(|&c| needed_later(&left_vars[c])).collect();
@@ -404,17 +432,9 @@ pub fn physical_plan(
         let build =
             if leaf.est_rows() <= plan.est_rows() { BuildSide::Right } else { BuildSide::Left };
 
-        for v in leaf_output {
-            let dr = var_distinct(leaf, v);
-            match bound_distinct.iter_mut().find(|(bv, _)| bv == v) {
-                Some((_, dl)) => *dl = dl.min(dr),
-                None => bound_distinct.push((*v, dr)),
-            }
-        }
-
         plan = PhysicalPlan::HashJoin {
             left: Box::new(plan),
-            right: Box::new(leaf.clone()),
+            right: Box::new(leaf),
             keys,
             build,
             left_keep,

@@ -84,12 +84,6 @@ pub fn navigation_atom(atom: &Atom) -> Option<(NavBase, &'static str)> {
     (atom.args.len() == base.arity()).then_some((base, document))
 }
 
-/// Whether `atom` navigates a document `nav` stores: what native navigation
-/// can run.
-pub(crate) fn navigates_stored(atom: &Atom, nav: &dyn NavigationStatistics) -> bool {
-    navigation_atom(atom).is_some_and(|(_, document)| nav.has_document(document))
-}
-
 /// The statistics the XML side of the router reads: per-document counters a
 /// document store maintains (implemented by `mars_storage::XmlStore`, which
 /// serves every one in O(1) from its resident per-document index — the
@@ -132,11 +126,10 @@ pub enum Route {
 impl Route {
     /// The route `plan`'s leaves describe.
     pub fn of(plan: &PhysicalPlan) -> Route {
-        let leaves = plan.leaves();
-        match leaves.iter().any(|leaf| matches!(leaf, PhysicalPlan::NavScan(_))) {
-            false => Route::Relational,
-            true if leaves.len() == 1 => Route::Xml,
-            true => Route::Mixed,
+        match (plan.nav_scan(), plan.leaves().len()) {
+            (None, _) => Route::Relational,
+            (Some(_), 1) => Route::Xml,
+            (Some(_), _) => Route::Mixed,
         }
     }
 }
@@ -290,17 +283,26 @@ fn expansion(atom: &PlannedAtom, s: &DocStats, is_bound: [bool; 3], from_root: b
 /// so the estimate prices the plan that runs by construction. Returns `None`
 /// when any atom is not a navigation atom over a stored document.
 pub fn plan_navigation(atoms: &[Atom], nav: &dyn NavigationStatistics) -> Option<NavOrder> {
+    let (native, order) = plan_native(atoms, nav);
+    (native.len() == atoms.len()).then_some(order)
+}
+
+/// [`plan_navigation`] over the atoms of `atoms` that navigate a document
+/// `nav` stores: their indices, ascending, and the order of that subset.
+pub(crate) fn plan_native(
+    atoms: &[Atom],
+    nav: &dyn NavigationStatistics,
+) -> (Vec<usize>, NavOrder) {
+    let mut native = Vec::new();
     let mut docs: Vec<DocStats> = Vec::new();
     let mut variables: Vec<Variable> = Vec::new();
     let mut planned: Vec<PlannedAtom> = Vec::with_capacity(atoms.len());
-    for atom in atoms {
-        let (base, document) = navigation_atom(atom)?;
+    for (i, atom) in atoms.iter().enumerate() {
+        let Some((base, document)) = navigation_atom(atom) else { continue };
         let stats = match docs.iter().position(|s| s.document == document) {
             Some(i) => i,
+            None if !nav.has_document(document) => continue,
             None => {
-                if !nav.has_document(document) {
-                    return None;
-                }
                 let x = nav.text_count(document) as f64;
                 docs.push(DocStats {
                     document,
@@ -329,13 +331,14 @@ pub fn plan_navigation(atoms: &[Atom], nav: &dyn NavigationStatistics) -> Option
             }
             _ => None,
         };
+        native.push(i);
         planned.push(PlannedAtom { base, stats, vars, bucket });
     }
 
     let mut bound = vec![false; variables.len()];
     let mut is_root = vec![false; variables.len()];
-    let mut remaining: Vec<usize> = (0..atoms.len()).collect();
-    let mut order = Vec::with_capacity(atoms.len());
+    let mut remaining: Vec<usize> = (0..planned.len()).collect();
+    let mut order = Vec::with_capacity(planned.len());
     let (mut rows, mut cost) = (1.0_f64, 0.0_f64);
     while !remaining.is_empty() {
         let mut best = (0, f64::INFINITY);
@@ -359,34 +362,37 @@ pub fn plan_navigation(atoms: &[Atom], nav: &dyn NavigationStatistics) -> Option
             is_root[v] |= planned[i].base == NavBase::Root;
         }
     }
-    Some(NavOrder { order, cost, rows })
+    (native, NavOrder { order, cost, rows })
 }
 
 /// Price `q` as two trees and choose the cheaper: every atom a table scan
 /// ([`physical_plan`] without navigation statistics), or the atoms over
 /// stored documents navigated natively (with them). Both are priced by
-/// [`PhysicalPlan::estimated_cost`], tails included; the native tree exists
-/// only when some atom navigates a stored document, and wins only when
-/// strictly cheaper.
+/// [`PhysicalPlan::estimated_cost`], tails included; the native tree counts
+/// only when it has a navigation leaf, and wins only when strictly cheaper.
 pub fn route_query(
     q: &ConjunctiveQuery,
     rel: &dyn StatisticsCatalog,
     nav: &dyn NavigationStatistics,
 ) -> RoutingDecision {
-    let navigation_atoms = q.body.iter().filter(|a| navigates_stored(a, nav)).count();
     let mut decision = RoutingDecision {
         route: Route::Relational,
         costs: RouteCosts { relational: 0.0, xml: None, mixed: None },
-        navigation_atoms,
-        relational_atoms: q.body.len() - navigation_atoms,
+        navigation_atoms: 0,
+        relational_atoms: q.body.len(),
     };
-    if !q.body.is_empty() {
-        decision.costs.relational = physical_plan(q, rel, None).estimated_cost();
-    }
-    if navigation_atoms == 0 {
+    if q.body.is_empty() {
         return decision;
     }
+    // Without a navigation leaf the native tree is the all-scans tree.
     let native = physical_plan(q, rel, Some(nav));
+    let Some(scan) = native.nav_scan() else {
+        decision.costs.relational = native.estimated_cost();
+        return decision;
+    };
+    decision.costs.relational = physical_plan(q, rel, None).estimated_cost();
+    decision.navigation_atoms = scan.atoms.len();
+    decision.relational_atoms -= scan.atoms.len();
     let (route, cost) = (Route::of(&native), native.estimated_cost());
     *if route == Route::Xml { &mut decision.costs.xml } else { &mut decision.costs.mixed } =
         Some(cost);

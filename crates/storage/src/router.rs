@@ -122,12 +122,8 @@ impl<'a> BackendRouter<'a> {
             Some(tree) => self.db.execute(tree, self.xml)?,
             None => (self.db.query(q), 0),
         };
-        let estimated_cost = (tree.iter().flat_map(PhysicalPlan::leaves))
-            .find_map(|leaf| match leaf {
-                PhysicalPlan::NavScan(scan) => Some(scan.nav.cost),
-                _ => None,
-            })
-            .unwrap_or(0.0);
+        let estimated_cost =
+            tree.as_ref().and_then(PhysicalPlan::nav_scan).map_or(0.0, |s| s.nav.cost);
         Ok(RoutedExecution { route, estimated_cost, nav_tuples, rows, duration: start.elapsed() })
     }
 

@@ -6,9 +6,10 @@
 //! for the two reformulations that navigate natively (planned with the XML
 //! store's statistics, so their navigation atoms form a `NavScan` leaf), so
 //! planner changes — join order, build-side choice, pruning, pushdown, the
-//! navigation order — cannot silently alter plan shapes. The planner steers cost only, never results (the executors
-//! are property-tested byte-identical for any plan), so a golden diff here is
-//! a *performance* review, not a correctness one.
+//! navigation order — cannot silently alter plan shapes. The planner steers
+//! cost only, never results (the executors are property-tested
+//! byte-identical for any plan), so a golden diff here is a *performance*
+//! review, not a correctness one.
 //!
 //! # Regenerating the snapshots
 //!
