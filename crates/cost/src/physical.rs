@@ -83,15 +83,18 @@ pub struct TableScan {
 /// atoms over documents the XML store holds, run by the navigation kernel.
 #[derive(Clone, Debug)]
 pub struct NavScan {
-    /// The navigation atoms, in body order.
+    /// The navigation atoms, in the order
+    /// [`plan_navigation`](crate::plan_navigation) chose: the order the
+    /// kernel runs them in.
     pub atoms: Vec<Atom>,
-    /// The order [`plan_navigation`](crate::plan_navigation) chose for
-    /// `atoms`, with its estimated cost (rows touched, the unit the kernel
-    /// counts its work in) and rows.
-    pub nav: NavOrder,
     /// The variables materialized as output columns: those the head, an
     /// inequality or another leaf reads.
     pub output: Vec<Variable>,
+    /// Rows the order is estimated to touch ([`NavOrder::cost`]): the unit
+    /// the kernel counts its work in.
+    pub cost: f64,
+    /// Estimated output rows ([`NavOrder::rows`]).
+    pub est_rows: f64,
 }
 
 /// A physical operator tree for one conjunctive query.
@@ -159,7 +162,7 @@ impl PhysicalPlan {
     pub fn est_rows(&self) -> f64 {
         match self {
             PhysicalPlan::TableScan(scan) => scan.est_rows,
-            PhysicalPlan::NavScan(scan) => scan.nav.rows,
+            PhysicalPlan::NavScan(scan) => scan.est_rows,
             PhysicalPlan::HashJoin { est_rows, .. } => *est_rows,
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
@@ -177,7 +180,7 @@ impl PhysicalPlan {
     pub fn estimated_cost(&self) -> f64 {
         match self {
             PhysicalPlan::TableScan(scan) => scan.input_rows,
-            PhysicalPlan::NavScan(scan) => scan.nav.cost,
+            PhysicalPlan::NavScan(scan) => scan.cost,
             PhysicalPlan::HashJoin { left, right, est_rows, .. } => {
                 left.estimated_cost()
                     + right.estimated_cost()
@@ -241,8 +244,8 @@ pub fn physical_plan(
 
     // One leaf per scanned atom, in body order, then the navigation leaf.
     let navigation =
-        nav.map(|nav| plan_native(&q.body, nav)).filter(|(native, _)| !native.is_empty());
-    let native: &[usize] = navigation.as_ref().map_or(&[], |(native, _)| native);
+        nav.map(|nav| plan_native(&q.body, nav)).filter(|planned| !planned.order.is_empty());
+    let native: &[usize] = navigation.as_ref().map_or(&[], |planned| &planned.order);
     let scanned: Vec<usize> = (0..q.body.len()).filter(|i| !native.contains(i)).collect();
     let vars_of = |atoms: &[usize]| {
         let mut vars: Vec<Variable> = Vec::new();
@@ -307,11 +310,11 @@ pub fn physical_plan(
             })
         })
         .collect();
-    if let Some((native, order)) = navigation {
-        let atoms = native.iter().map(|&i| q.body[i].clone()).collect();
+    if let Some(NavOrder { order, cost, rows }) = navigation {
+        let atoms = order.iter().map(|&i| q.body[i].clone()).collect();
         let l = leaves.len();
         let output = leaf_vars[l].iter().filter(|v| needed_above_leaf(l, v)).copied().collect();
-        leaves.push(PhysicalPlan::NavScan(NavScan { atoms, nav: order, output }));
+        leaves.push(PhysicalPlan::NavScan(NavScan { atoms, output, cost, est_rows: rows }));
     }
 
     // Greedy stats-driven join order: smallest estimated leaf first, then the
@@ -321,9 +324,7 @@ pub fn physical_plan(
     let start = remaining
         .iter()
         .copied()
-        .min_by(|&a, &b| {
-            leaves[a].est_rows().partial_cmp(&leaves[b].est_rows()).unwrap().then(a.cmp(&b))
-        })
+        .min_by(|&a, &b| leaves[a].est_rows().total_cmp(&leaves[b].est_rows()).then(a.cmp(&b)))
         .expect("non-empty body");
     remaining.retain(|&i| i != start);
 
@@ -332,15 +333,12 @@ pub fn physical_plan(
     // table scan reads its column's exact count; navigation keeps no
     // per-variable statistics, so each of its rows counts as distinct.
     let var_distinct = |leaf: &PhysicalPlan, v: &Variable| -> f64 {
-        match leaf {
-            PhysicalPlan::TableScan(scan) => scan
-                .output
-                .iter()
-                .position(|sv| sv == v)
-                .map(|k| stats.distinct_in_column(scan.relation, scan.columns[k]).max(1) as f64)
-                .unwrap_or(1.0),
-            _ => leaf.est_rows().max(1.0),
-        }
+        let PhysicalPlan::TableScan(scan) = leaf else { return leaf.est_rows().max(1.0) };
+        scan.output
+            .iter()
+            .position(|sv| sv == v)
+            .map(|k| stats.distinct_in_column(scan.relation, scan.columns[k]).max(1) as f64)
+            .unwrap_or(1.0)
     };
     let mut bound_distinct: Vec<(Variable, f64)> =
         leaves[start].output_vars().iter().map(|v| (*v, var_distinct(&leaves[start], v))).collect();
@@ -348,16 +346,17 @@ pub fn physical_plan(
     let order_leaves_left = |remaining: &[usize], bound: &[(Variable, f64)], cur_est: f64| {
         let mut best: Option<(usize, f64, bool)> = None; // (leaf, est_out, connected)
         for &i in remaining {
-            let shared: Vec<&Variable> = leaves[i]
+            let leaf = &leaves[i];
+            let shared: Vec<&Variable> = leaf
                 .output_vars()
                 .iter()
                 .filter(|v| bound.iter().any(|(bv, _)| bv == *v))
                 .collect();
             let connected = !shared.is_empty();
-            let mut est_out = cur_est * leaves[i].est_rows();
+            let mut est_out = cur_est * leaf.est_rows();
             for v in &shared {
                 let dl = bound.iter().find(|(bv, _)| bv == *v).map(|(_, d)| *d).unwrap_or(1.0);
-                let dr = var_distinct(&leaves[i], v);
+                let dr = var_distinct(leaf, v);
                 est_out /= dl.max(dr).max(1.0);
             }
             let better = match &best {
@@ -497,16 +496,10 @@ fn render_node(plan: &PhysicalPlan, f: &mut fmt::Formatter<'_>, prefix: &str) ->
             write!(f, " ~{:.0} rows", scan.est_rows)
         }
         PhysicalPlan::NavScan(scan) => {
-            let order: Vec<String> =
-                scan.nav.order.iter().map(|&i| scan.atoms[i].to_string()).collect();
+            let order: Vec<String> = scan.atoms.iter().map(|a| a.to_string()).collect();
             let out: Vec<String> = scan.output.iter().map(|v| v.to_string()).collect();
-            write!(
-                f,
-                "NavScan order=[{}] out=[{}] ~{:.0} rows",
-                order.join(", "),
-                out.join(", "),
-                scan.nav.rows
-            )
+            let (order, out) = (order.join(", "), out.join(", "));
+            write!(f, "NavScan order=[{order}] out=[{out}] ~{:.0} rows", scan.est_rows)
         }
         PhysicalPlan::HashJoin { left, right, keys, build, output, est_rows, .. } => {
             let lvars = left.output_vars();

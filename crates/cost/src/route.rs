@@ -283,16 +283,14 @@ fn expansion(atom: &PlannedAtom, s: &DocStats, is_bound: [bool; 3], from_root: b
 /// so the estimate prices the plan that runs by construction. Returns `None`
 /// when any atom is not a navigation atom over a stored document.
 pub fn plan_navigation(atoms: &[Atom], nav: &dyn NavigationStatistics) -> Option<NavOrder> {
-    let (native, order) = plan_native(atoms, nav);
-    (native.len() == atoms.len()).then_some(order)
+    let planned = plan_native(atoms, nav);
+    (planned.order.len() == atoms.len()).then_some(planned)
 }
 
 /// [`plan_navigation`] over the atoms of `atoms` that navigate a document
-/// `nav` stores: their indices, ascending, and the order of that subset.
-pub(crate) fn plan_native(
-    atoms: &[Atom],
-    nav: &dyn NavigationStatistics,
-) -> (Vec<usize>, NavOrder) {
+/// `nav` stores, skipping the others: `order` holds their indices into
+/// `atoms`.
+pub(crate) fn plan_native(atoms: &[Atom], nav: &dyn NavigationStatistics) -> NavOrder {
     let mut native = Vec::new();
     let mut docs: Vec<DocStats> = Vec::new();
     let mut variables: Vec<Variable> = Vec::new();
@@ -354,7 +352,7 @@ pub(crate) fn plan_native(
             }
         }
         let i = remaining.remove(best.0);
-        order.push(i);
+        order.push(native[i]);
         cost += rows * best.1.max(1.0);
         rows *= best.1;
         for v in planned[i].vars.into_iter().flatten() {
@@ -362,7 +360,7 @@ pub(crate) fn plan_native(
             is_root[v] |= planned[i].base == NavBase::Root;
         }
     }
-    (native, NavOrder { order, cost, rows })
+    NavOrder { order, cost, rows }
 }
 
 /// Price `q` as two trees and choose the cheaper: every atom a table scan

@@ -12,7 +12,7 @@
 //! * `TableScan` streams one relation, applying the pushed-down constant
 //!   predicates and intra-atom duplicate-variable checks, and keeps only the
 //!   pruned columns;
-//! * `NavScan` compiles its atoms, in the leaf's order, into the native
+//! * `NavScan` compiles its atoms, in the order they are listed, into the native
 //!   navigation kernel ([`crate::navigation`]) over the stored documents and
 //!   materializes the leaf's output columns, counting the candidate tuples
 //!   the kernel enumerates;
@@ -162,8 +162,7 @@ fn eval(
             out
         }
         PhysicalPlan::NavScan(scan) => {
-            let (batch, tuples) =
-                NavPlan::compile(&scan.atoms, &scan.nav.order, xml)?.execute(&scan.output);
+            let (batch, tuples) = NavPlan::compile(&scan.atoms, xml)?.execute(&scan.output);
             *nav_tuples += tuples;
             batch
         }

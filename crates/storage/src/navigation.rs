@@ -283,7 +283,6 @@ struct Compiler<'a, 's> {
     atoms: &'a [Atom],
     /// Base and document (an index into `plan.docs`) per atom.
     parsed: Vec<(NavBase, usize)>,
-    order: &'a [usize],
     /// Tag atoms fused into the step that binds their node.
     fused: Vec<bool>,
     node_bound: Vec<bool>,
@@ -294,19 +293,14 @@ struct Compiler<'a, 's> {
 }
 
 impl<'s> NavPlan<'s> {
-    /// Compile `atoms` against the documents of `xml`, in `order` (indices
-    /// into `atoms`, as [`mars_cost::plan_navigation`] returns them).
+    /// Compile `atoms`, in the order given, against the documents of `xml`.
     ///
     /// # Errors
     ///
     /// [`XmlStoreError::NotNavigable`] for an atom that is not GReX
     /// navigation, [`XmlStoreError::MissingDocument`] for navigation over a
     /// document the store does not hold.
-    pub(crate) fn compile(
-        atoms: &[Atom],
-        order: &[usize],
-        xml: &'s XmlStore,
-    ) -> Result<NavPlan<'s>, XmlStoreError> {
+    pub(crate) fn compile(atoms: &[Atom], xml: &'s XmlStore) -> Result<NavPlan<'s>, XmlStoreError> {
         let mut docs: Vec<(&Document, &DocIndex)> = Vec::new();
         let mut parsed = Vec::with_capacity(atoms.len());
         for atom in atoms {
@@ -367,10 +361,9 @@ impl<'s> NavPlan<'s> {
             node_bound: vec![false; node_width],
             value_bound: vec![false; value_width],
             pending: Vec::new(),
-            order,
         };
-        for at in 0..compiler.order.len() {
-            if !compiler.fused[compiler.order[at]] && compiler.atom(at).is_none() {
+        for at in 0..atoms.len() {
+            if !compiler.fused[at] && compiler.atom(at).is_none() {
                 compiler.plan.satisfiable = false;
                 break;
             }
@@ -653,7 +646,7 @@ impl Compiler<'_, '_> {
         if !matches!(t, Term::Var(v) if matches!(self.plan.slot(v), Some(Slot::Node { .. }))) {
             return None;
         }
-        let later = self.order[at + 1..].iter().copied().find(|&j| {
+        let later = (at + 1..self.atoms.len()).find(|&j| {
             let tag = &self.atoms[j];
             !self.fused[j]
                 && self.parsed[j] == (NavBase::Tag, doc)
@@ -677,13 +670,12 @@ impl Compiler<'_, '_> {
         }
     }
 
-    /// Emit the steps of the atom at position `at` of the order. `None` when
-    /// the atom can match nothing (see [`Compiler::node_arg`]).
+    /// Emit the steps of the atom at position `at`. `None` when the atom can
+    /// match nothing (see [`Compiler::node_arg`]).
     fn atom(&mut self, at: usize) -> Option<()> {
-        let i = self.order[at];
-        let (base, doc) = self.parsed[i];
+        let (base, doc) = self.parsed[at];
         let atoms = self.atoms;
-        let args = &atoms[i].args;
+        let args = &atoms[at].args;
         let (t0, t1) = (args[0], args.get(1).copied());
         let first = self.node_arg(t0, doc)?;
         let step = match base {

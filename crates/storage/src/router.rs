@@ -122,8 +122,7 @@ impl<'a> BackendRouter<'a> {
             Some(tree) => self.db.execute(tree, self.xml)?,
             None => (self.db.query(q), 0),
         };
-        let estimated_cost =
-            tree.as_ref().and_then(PhysicalPlan::nav_scan).map_or(0.0, |s| s.nav.cost);
+        let estimated_cost = tree.as_ref().and_then(PhysicalPlan::nav_scan).map_or(0.0, |s| s.cost);
         Ok(RoutedExecution { route, estimated_cost, nav_tuples, rows, duration: start.elapsed() })
     }
 
