@@ -277,11 +277,13 @@ fn expansion(atom: &PlannedAtom, s: &DocStats, is_bound: [bool; 3], from_root: b
 /// binding. A constant-valued `text` or `tag` probe is therefore a seed like
 /// `root`, not a filter waiting for a document scan to reach it.
 ///
-/// This is the one orderer of native navigation: [`physical_plan`] stores
-/// the returned order in its `NavScan` leaf, [`route_query`] prices that leaf
-/// and `mars_storage` compiles exactly its order into the navigation kernel,
-/// so the estimate prices the plan that runs by construction. Returns `None`
-/// when any atom is not a navigation atom over a stored document.
+/// This is the one orderer of native navigation: [`physical_plan`] runs the
+/// same pass over a whole body and stores the navigation atoms in its
+/// `NavScan` leaf in this order, [`route_query`] prices that leaf, and
+/// `mars_storage` compiles the atoms in exactly that order into the
+/// navigation kernel, so the estimate prices the plan that runs by
+/// construction. Returns `None` when any atom is not a navigation atom over a
+/// stored document.
 pub fn plan_navigation(atoms: &[Atom], nav: &dyn NavigationStatistics) -> Option<NavOrder> {
     let planned = plan_native(atoms, nav);
     (planned.order.len() == atoms.len()).then_some(planned)

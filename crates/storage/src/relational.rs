@@ -12,7 +12,7 @@
 //! RDBMS.
 
 use crate::executor::execute_plan;
-use crate::xml_engine::{XmlStore, XmlStoreError};
+use crate::xml_engine::XmlStore;
 use mars_chase::{evaluate_bindings, SymbolicInstance};
 use mars_cost::{physical_plan, PhysicalPlan, StatisticsCatalog};
 use mars_cq::{Atom, ConjunctiveQuery, Predicate, Substitution, Term, Variable};
@@ -25,7 +25,7 @@ pub type Row = Vec<Term>;
 /// An in-memory relational database of ground facts.
 #[derive(Clone, Debug, Default)]
 pub struct RelationalDatabase {
-    inst: SymbolicInstance,
+    pub(crate) inst: SymbolicInstance,
 }
 
 impl RelationalDatabase {
@@ -85,21 +85,9 @@ impl RelationalDatabase {
             // Nothing to scan, nothing to plan.
             return self.query_naive(q);
         }
-        let (rows, _) = self
-            .execute(&self.plan(q), &XmlStore::new())
+        let (rows, _) = execute_plan(&self.plan(q), &self.inst, &XmlStore::new())
             .expect("a plan of table scans reads no document");
         rows
-    }
-
-    /// Execute a plan whose table scans read this store and whose navigation
-    /// scan reads `xml`'s documents. Returns the rows, as [`Self::query`]
-    /// does, and the candidate tuples navigation enumerated.
-    pub(crate) fn execute(
-        &self,
-        plan: &PhysicalPlan,
-        xml: &XmlStore,
-    ) -> Result<(Vec<Row>, u64), XmlStoreError> {
-        execute_plan(plan, &self.inst, xml)
     }
 
     /// Execute with the naive evaluator — the executor's correctness oracle

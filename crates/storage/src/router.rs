@@ -26,6 +26,7 @@
 //! deduplication — the routing decision is advisory, the row set is
 //! invariant (property-tested in `tests/property_based.rs` and gated in CI).
 
+use crate::executor::execute_plan;
 use crate::relational::{RelationalDatabase, Row};
 use crate::xml_engine::{XmlStore, XmlStoreError};
 use mars_cost::{navigation_atom, physical_plan, route_query, NavigationStatistics, PhysicalPlan};
@@ -119,7 +120,7 @@ impl<'a> BackendRouter<'a> {
             return Err(error);
         }
         let (rows, nav_tuples) = match &tree {
-            Some(tree) => self.db.execute(tree, self.xml)?,
+            Some(tree) => execute_plan(tree, &self.db.inst, self.xml)?,
             None => (self.db.query(q), 0),
         };
         let estimated_cost = tree.as_ref().and_then(PhysicalPlan::nav_scan).map_or(0.0, |s| s.cost);
