@@ -7,8 +7,8 @@
 //! [`ChaseBackchase::reformulate`] — full C&B: chase to the universal plan,
 //! compute the initial reformulation (Section 2.3; the time to it is
 //! [`CbStatistics::time_to_initial`]), run the backchase, return all minimal
-//! reformulations and the cost-optimal one. Candidates are priced by
-//! [`mars_cost::atom_cost`].
+//! reformulations and the cost-optimal one. Candidates are priced by the
+//! backchase's additive per-atom cost model ([`mod@crate::backchase`]).
 
 use crate::backchase::{
     backchase, initial_reformulation, BackchaseOptions, BackchaseOutcome, Degradation,

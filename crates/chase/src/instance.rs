@@ -14,13 +14,13 @@
 //! lets regression tests pin this contract down.
 //!
 //! Relations also answer **exact statistics** — tuple counts and per-column
-//! distinct counts ([`Relation::distinct_in_column`]) — exposed through the
-//! shared `mars_cost::StatisticsCatalog`. The distinct counts are *lazy*:
-//! counted on the first read after the relation last changed and cached
-//! until the next insert, so they are always exact, never sampled or stale —
-//! and the chase, which inserts constantly and never reads them, pays
-//! nothing for them. Only the storage-side planner reads them, over stores
-//! that stop changing once loaded.
+//! distinct counts ([`Relation::distinct_in_column`]) — which
+//! `mars_storage::RelationalDatabase` hands the storage planner. The
+//! distinct counts are *lazy*: counted on the first read after the relation
+//! last changed and cached until the next insert, so they are always exact,
+//! never sampled or stale — and the chase, which inserts constantly and
+//! never reads them, pays nothing for them. Only the storage planner reads
+//! them, over stores that stop changing once loaded.
 //!
 //! Dedup sets, column indexes and the per-instance relation map hash with
 //! the workspace's Fx-style hasher (`mars_cq::fx`). Relations sit behind
@@ -226,25 +226,6 @@ impl Relation {
     }
 }
 
-/// The chase side of the shared statistics catalog (`mars_cost`): the
-/// symbolic instance exposes its exact counters — tuple counts and (lazily
-/// counted) per-column distincts — through the same trait the storage layer
-/// implements, so the physical planner and the cost estimators read either
-/// substrate interchangeably. The trait is read-only.
-impl mars_cost::StatisticsCatalog for SymbolicInstance {
-    fn tuple_count(&self, relation: Predicate) -> usize {
-        self.relation_len(relation)
-    }
-
-    fn column_count(&self, relation: Predicate) -> usize {
-        self.relation_data(relation).map(|r| r.arity()).unwrap_or(0)
-    }
-
-    fn distinct_in_column(&self, relation: Predicate, col: usize) -> usize {
-        self.relation_data(relation).map(|r| r.distinct_in_column(col)).unwrap_or(0)
-    }
-}
-
 /// The symbolic database instance associated with a query.
 #[derive(Clone, Debug, Default)]
 pub struct SymbolicInstance {
@@ -435,7 +416,7 @@ mod tests {
     fn from_query_counts_atoms() {
         let inst = SymbolicInstance::from_query(&sample_query());
         assert_eq!(inst.len(), 5);
-        assert_eq!(inst.relation(mars_cq::Predicate::new("child")).len(), 1);
+        assert_eq!(inst.relation(mars_cq::Predicate::new("child#d.xml")).len(), 1);
         assert!(inst.contains_atom(&root(t("r"))));
         assert!(!inst.contains_atom(&root(t("x"))));
     }
@@ -502,7 +483,7 @@ mod tests {
         inst.insert_atom(&child(t("a"), t("b")));
         inst.insert_atom(&child(t("a"), t("c")));
         inst.insert_atom(&child(t("d"), t("e")));
-        let p = mars_cq::Predicate::new("child");
+        let p = mars_cq::Predicate::new("child#d.xml");
 
         // Build counts are asserted through the race-free per-relation
         // counter; the process-wide `index_build_count` is exercised by the
@@ -553,7 +534,7 @@ mod tests {
         inst.insert_atom(&child(t("a"), t("x")));
         inst.insert_atom(&child(t("a"), t("y")));
         inst.insert_atom(&child(t("b"), t("x")));
-        let p = mars_cq::Predicate::new("child");
+        let p = mars_cq::Predicate::new("child#d.xml");
         let rel = inst.relation_data(p).unwrap();
         assert_eq!(rel.distinct_in_column(0), 2, "a, b");
         assert_eq!(rel.distinct_in_column(1), 2, "x, y");
@@ -574,7 +555,7 @@ mod tests {
         inst.insert_atom(&child(t("a"), t("x")));
         inst.insert_atom(&child(t("b"), t("y")));
         inst.insert_atom(&child(t("c"), t("y")));
-        let p = mars_cq::Predicate::new("child");
+        let p = mars_cq::Predicate::new("child#d.xml");
         assert_eq!(inst.relation_data(p).unwrap().distinct_in_column(1), 2);
 
         let mut s = Substitution::new();
@@ -596,7 +577,7 @@ mod tests {
         inst.insert_atom(&child(t("a"), t("x")));
         inst.insert_atom(&child(t("a"), t("y")));
         inst.insert_atom(&child(t("b"), t("x")));
-        let p = mars_cq::Predicate::new("child");
+        let p = mars_cq::Predicate::new("child#d.xml");
         let rel = inst.relation_data(p).unwrap();
         assert_eq!((rel.distinct_in_column(0), rel.distinct_in_column(1)), (2, 2));
         assert!(rel.distinct.get().is_some(), "the first read fills the cell");
@@ -626,7 +607,8 @@ mod tests {
         let mut inst = SymbolicInstance::new();
         inst.insert_atom(&child(t("a"), t("x")));
         inst.insert_atom(&tag(t("x"), "book"));
-        let (child_p, tag_p) = (mars_cq::Predicate::new("child"), mars_cq::Predicate::new("tag"));
+        let (child_p, tag_p) =
+            (mars_cq::Predicate::new("child#d.xml"), mars_cq::Predicate::new("tag#d.xml"));
         let _ = inst.relation_data(child_p).unwrap().index(&[0]);
 
         let mut first = inst.clone();
@@ -654,7 +636,7 @@ mod tests {
         inst.insert_atom(&child(t("a"), t("x")));
         inst.insert_atom(&child(t("a"), t("y")));
         inst.insert_atom(&child(t("b"), t("x")));
-        let p = mars_cq::Predicate::new("child");
+        let p = mars_cq::Predicate::new("child#d.xml");
         let _ = inst.relation_data(p).unwrap().index(&[0]);
         assert_eq!(inst.relation_data(p).unwrap().index_builds(), 1);
 
@@ -679,8 +661,8 @@ mod tests {
         let mut inst = SymbolicInstance::new();
         inst.insert_atom(&child(t("a"), t("x")));
         inst.insert_atom(&tag(t("n"), "book"));
-        let child_p = mars_cq::Predicate::new("child");
-        let tag_p = mars_cq::Predicate::new("tag");
+        let child_p = mars_cq::Predicate::new("child#d.xml");
+        let tag_p = mars_cq::Predicate::new("tag#d.xml");
         let _ = inst.relation_data(child_p).unwrap().index(&[0]);
         let _ = inst.relation_data(tag_p).unwrap().index(&[1]);
 

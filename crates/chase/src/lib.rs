@@ -44,6 +44,11 @@
 //! One reformulation runs on the calling thread from start to finish. The
 //! engine is `Send + Sync`, and the request is the unit of parallelism: a
 //! resident service reformulates different requests on different threads.
+//!
+//! The crate depends on `mars-cq` alone. What is XML-specific about it — the
+//! pruning criteria, the closure shortcut, the cost weights — applies to the
+//! atoms `mars_cq`'s classifier ([`mars_cq::Atom::navigation`]) reads as GReX
+//! navigation, and to nothing else.
 
 #![deny(missing_docs)]
 

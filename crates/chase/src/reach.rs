@@ -12,6 +12,11 @@
 //!   traversing a directed *reachability graph* whose nodes are the atoms of
 //!   the universal plan.
 //!
+//! Both read an atom as navigation only through the GReX classifier
+//! ([`Atom::navigation`]): `base#document` at the base's arity. Any other
+//! atom — a view or table called `desc` or `id` included — is a relation,
+//! hence an entry point, and never a `desc` edge.
+//!
 //! The graph is compiled once per backchase: each atom's required and
 //! produced variables become word bitsets over dense variable ids, so the
 //! atoms a candidate enables are found with word operations
@@ -20,37 +25,41 @@
 //! The legality fixpoint that states the definition lives beside the tests,
 //! as the oracle the growth is held against.
 
-use mars_cq::{Atom, AtomSet, ConjunctiveQuery, FxHashMap, FxHashSet, Term, Variable};
+use mars_cq::{Atom, AtomSet, ConjunctiveQuery, FxHashMap, FxHashSet, NavBase, Term, Variable};
 use std::collections::VecDeque;
 
 const WORD_BITS: usize = 64;
 
 /// The variable(s) an atom *requires* to be already bound for its navigation
-/// to be contiguous, and the variable(s) it *produces*. GReX navigation
-/// predicates (with or without a `#document` suffix) are the ones subject to
-/// the navigation legality criteria; every other predicate (base relations,
-/// materialized views, specialization relations) is a valid entry point by
-/// itself.
+/// to be contiguous, and the variable(s) it *produces*.
 fn atom_io(atom: &Atom) -> (Vec<Variable>, Vec<Variable>) {
-    let vars: Vec<Option<Variable>> = atom.args.iter().map(|t| t.as_var()).collect();
-    let var = |i: usize| -> Vec<Variable> { vars.get(i).copied().flatten().into_iter().collect() };
-    match atom.predicate.grex().0 {
+    let var = |i: usize| -> Vec<Variable> { atom.args[i].as_var().into_iter().collect() };
+    let Some((base, _)) = atom.navigation() else {
+        // Relations, views, specialization relations and Skolem graphs are
+        // entry points producing all their variables.
+        return (vec![], atom.variables().collect());
+    };
+    match base {
         // root(x): produces x, requires nothing — an entry point.
-        "root" => (vec![], var(0)),
-        // el(x): structural marker; requires the node, produces nothing new.
-        "el" => (var(0), vec![]),
-        // child(x,y) / desc(x,y): navigate from x to y.
-        "child" | "desc" => (var(0), var(1)),
-        // tag(x,t): requires the node; a tag test produces no new node.
-        "tag" => (var(0), vec![]),
-        // text(x,v), id(x,v): require the node, produce the value.
-        "text" | "id" => (var(0), var(1)),
+        NavBase::Root => (vec![], var(0)),
+        // el(x), tag(x,t): require the node, produce nothing new.
+        NavBase::El | NavBase::Tag => (var(0), vec![]),
+        // child(x,y) / desc(x,y) navigate from x to y; text(x,v) and id(x,v)
+        // produce the value of a bound node.
+        NavBase::Child | NavBase::Desc | NavBase::Text | NavBase::Id => (var(0), var(1)),
         // attr(x,name,v): requires the node, produces the value.
-        "attr" => (var(0), var(2)),
-        // Anything else (relations, views, specialization relations, Skolem
-        // graphs) is an entry point producing all its variables.
-        _ => (vec![], atom.variables().collect()),
+        NavBase::Attr => (var(0), var(2)),
     }
+}
+
+/// Is the atom a `child` or `desc` edge — an edge of criterion 1's graph?
+fn is_edge(atom: &Atom) -> bool {
+    matches!(atom.navigation(), Some((NavBase::Child | NavBase::Desc, _)))
+}
+
+/// Is the atom a `desc` edge — one criterion 1 may drop?
+fn is_desc(atom: &Atom) -> bool {
+    matches!(atom.navigation(), Some((NavBase::Desc, _)))
 }
 
 /// Is this atom a valid entry point into the data (criterion 3)?
@@ -75,8 +84,7 @@ pub fn is_entry_point(atom: &Atom) -> bool {
 pub fn prune_parallel_desc(plan: &ConjunctiveQuery) -> ConjunctiveQuery {
     let mut adjacency: FxHashMap<Term, Vec<(usize, Term)>> = FxHashMap::default();
     for (i, a) in plan.body.iter().enumerate() {
-        let base = a.predicate.grex().0;
-        if (base == "desc" || base == "child") && a.arity() == 2 {
+        if is_edge(a) {
             adjacency.entry(a.args[0]).or_default().push((i, a.args[1]));
         }
     }
@@ -108,7 +116,7 @@ pub fn prune_parallel_desc(plan: &ConjunctiveQuery) -> ConjunctiveQuery {
     while changed {
         changed = false;
         for (i, a) in plan.body.iter().enumerate() {
-            if !keep[i] || a.predicate.grex().0 != "desc" || a.arity() != 2 {
+            if !keep[i] || !is_desc(a) {
                 continue;
             }
             if reachable_without(a.args[0], a.args[1], i, &keep) {
@@ -210,7 +218,7 @@ impl ReachabilityGraph {
 /// against: the oracles the tests compare with.
 #[cfg(test)]
 mod reference {
-    use super::{atom_io, ReachabilityGraph};
+    use super::{atom_io, is_desc, is_edge, ReachabilityGraph};
     use mars_cq::{Atom, ConjunctiveQuery, Term, Variable};
     use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -263,10 +271,6 @@ mod reference {
 
     /// Criterion 1 with the surviving edges re-indexed for every search.
     pub fn prune_parallel_desc(plan: &ConjunctiveQuery) -> ConjunctiveQuery {
-        let is_nav = |a: &Atom| {
-            let base = a.predicate.grex().0;
-            (base == "desc" || base == "child") && a.arity() == 2
-        };
         let mut keep = vec![true; plan.body.len()];
 
         let reachable_without = |from: Term, to: Term, skip: usize, keep: &[bool]| -> bool {
@@ -275,7 +279,7 @@ mod reference {
             }
             let mut adj: HashMap<Term, Vec<Term>> = HashMap::new();
             for (i, a) in plan.body.iter().enumerate() {
-                if keep[i] && i != skip && is_nav(a) {
+                if keep[i] && i != skip && is_edge(a) {
                     adj.entry(a.args[0]).or_default().push(a.args[1]);
                 }
             }
@@ -299,7 +303,7 @@ mod reference {
         while changed {
             changed = false;
             for (i, a) in plan.body.iter().enumerate() {
-                if !keep[i] || a.predicate.grex().0 != "desc" || a.arity() != 2 {
+                if !keep[i] || !is_desc(a) {
                     continue;
                 }
                 if reachable_without(a.args[0], a.args[1], i, &keep) {
@@ -366,7 +370,7 @@ mod tests {
             .with_atom(desc(t("x2"), t("x4")))
             .with_atom(desc(t("x2"), t("x2")));
         let pruned = prune_parallel_desc(&q);
-        assert!(pruned.body.iter().all(|a| a.predicate.name() != "desc"));
+        assert!(pruned.body.iter().all(|a| a.predicate.name() != "desc#d.xml"));
         assert_eq!(pruned.body.len(), 4); // root + 3 child atoms
     }
 
@@ -420,7 +424,7 @@ mod tests {
             let mut frontier = vec![t("x")];
             while let Some(cur) = frontier.pop() {
                 for a in &pruned.body {
-                    if (a.predicate.name() == "desc" || a.predicate.name() == "child")
+                    if (a.predicate.name() == "desc#d.xml" || a.predicate.name() == "child#d.xml")
                         && a.args[0] == cur
                         && !seen.contains(&a.args[1])
                     {

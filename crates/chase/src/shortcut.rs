@@ -8,25 +8,20 @@
 //! In the paper's stress test this cuts the chase of `//a/b/.../j` with TIX
 //! from 2.6 s to 640 ms.
 //!
-//! GReX predicates are suffixed with their document name (`child#case.xml`);
-//! closure constraints are therefore detected and applied *per document*.
+//! The constraints are recognized through the GReX vocabulary
+//! ([`Atom::navigation`]): every navigation predicate names its document
+//! (`child#case.xml`), so closure constraints are detected and applied *per
+//! document*, and a constraint over relations that merely share a base's
+//! name is an ordinary dependency.
 
 use crate::instance::SymbolicInstance;
-use mars_cq::{Atom, Ded, FxHashMap, FxHashSet, Predicate, Term};
+use mars_cq::{Atom, Ded, FxHashMap, FxHashSet, NavBase, Predicate, Term};
 
-fn pred_for(base: &str, doc: &Option<String>) -> Predicate {
-    match doc {
-        Some(d) => Predicate::new(&format!("{base}#{d}")),
-        None => Predicate::new(base),
-    }
-}
-
-/// The closure constraints of one document (or of the unsuffixed GReX
-/// predicates when `document` is `None`).
+/// The closure constraints of one document.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ClosureGroup {
     /// Document the group's predicates refer to.
-    pub document: Option<String>,
+    pub document: String,
     /// Index of the `(base)` constraint (`child(x,y) → desc(x,y)`).
     pub base: Option<usize>,
     /// Index of the `(trans)` constraint.
@@ -49,12 +44,12 @@ pub struct ClosureConstraints {
 }
 
 impl ClosureGroup {
-    fn new(document: Option<String>) -> ClosureGroup {
+    fn new(document: &str) -> ClosureGroup {
         ClosureGroup {
-            child: pred_for("child", &document),
-            desc: pred_for("desc", &document),
-            el: pred_for("el", &document),
-            document,
+            child: NavBase::Child.predicate(document),
+            desc: NavBase::Desc.predicate(document),
+            el: NavBase::El.predicate(document),
+            document: document.to_string(),
             base: None,
             trans: None,
             refl: None,
@@ -116,7 +111,7 @@ impl ClosureConstraints {
         !self.groups.is_empty()
     }
 
-    fn group_mut(&mut self, doc: Option<String>) -> &mut ClosureGroup {
+    fn group_mut(&mut self, doc: &str) -> &mut ClosureGroup {
         if let Some(pos) = self.groups.iter().position(|g| g.document == doc) {
             &mut self.groups[pos]
         } else {
@@ -126,85 +121,45 @@ impl ClosureConstraints {
     }
 }
 
-fn is_binary_base(a: &Atom, base: &str) -> Option<Option<String>> {
-    let (b, doc) = a.predicate.grex();
-    if b == base && a.arity() == 2 && a.args.iter().all(Term::is_var) {
-        Some(doc.map(str::to_string))
-    } else {
-        None
+/// The document of `a` when it is a `base` navigation atom over variables
+/// only.
+fn over_vars(a: &Atom, base: NavBase) -> Option<&'static str> {
+    match a.navigation() {
+        Some((b, document)) if b == base && a.args.iter().all(Term::is_var) => Some(document),
+        _ => None,
     }
 }
 
-fn is_unary_base(a: &Atom, base: &str) -> Option<Option<String>> {
-    let (b, doc) = a.predicate.grex();
-    if b == base && a.arity() == 1 && a.args.iter().all(Term::is_var) {
-        Some(doc.map(str::to_string))
-    } else {
-        None
+/// The conclusion atom of a dependency with one conclusion of one atom and
+/// no equalities.
+fn sole_conclusion(d: &Ded) -> Option<&Atom> {
+    match d.conclusions.as_slice() {
+        [c] if c.atoms.len() == 1 && c.equalities.is_empty() => Some(&c.atoms[0]),
+        _ => None,
     }
 }
 
 /// `child(x,y) → desc(x,y)` (same document on both sides).
-fn match_base(d: &Ded) -> Option<Option<String>> {
-    if d.premise.len() != 1 || d.conclusions.len() != 1 {
-        return None;
-    }
-    let c = &d.conclusions[0];
-    if c.atoms.len() != 1 || !c.equalities.is_empty() {
-        return None;
-    }
-    let doc_p = is_binary_base(&d.premise[0], "child")?;
-    let doc_c = is_binary_base(&c.atoms[0], "desc")?;
-    if doc_p == doc_c && d.premise[0].args == c.atoms[0].args {
-        Some(doc_p)
-    } else {
-        None
-    }
+fn match_base(d: &Ded) -> Option<&'static str> {
+    let ([p], Some(q)) = (d.premise.as_slice(), sole_conclusion(d)) else { return None };
+    let doc = over_vars(p, NavBase::Child)?;
+    (over_vars(q, NavBase::Desc)? == doc && p.args == q.args).then_some(doc)
 }
 
 /// `desc(x,y) ∧ desc(y,z) → desc(x,z)`.
-fn match_trans(d: &Ded) -> Option<Option<String>> {
-    if d.premise.len() != 2 || d.conclusions.len() != 1 {
-        return None;
-    }
-    let c = &d.conclusions[0];
-    if c.atoms.len() != 1 || !c.equalities.is_empty() {
-        return None;
-    }
-    let d1 = is_binary_base(&d.premise[0], "desc")?;
-    let d2 = is_binary_base(&d.premise[1], "desc")?;
-    let d3 = is_binary_base(&c.atoms[0], "desc")?;
-    if d1 != d2 || d2 != d3 {
-        return None;
-    }
-    let (p1, p2, q) = (&d.premise[0], &d.premise[1], &c.atoms[0]);
-    if p1.args[1] == p2.args[0] && q.args[0] == p1.args[0] && q.args[1] == p2.args[1] {
-        Some(d1)
-    } else {
-        None
-    }
+fn match_trans(d: &Ded) -> Option<&'static str> {
+    let ([p1, p2], Some(q)) = (d.premise.as_slice(), sole_conclusion(d)) else { return None };
+    let doc = over_vars(p1, NavBase::Desc)?;
+    let same = over_vars(p2, NavBase::Desc)? == doc && over_vars(q, NavBase::Desc)? == doc;
+    let chained = p1.args[1] == p2.args[0] && q.args[0] == p1.args[0] && q.args[1] == p2.args[1];
+    (same && chained).then_some(doc)
 }
 
 /// `el(x) → desc(x,x)`.
-fn match_refl(d: &Ded) -> Option<Option<String>> {
-    if d.premise.len() != 1 || d.conclusions.len() != 1 {
-        return None;
-    }
-    let c = &d.conclusions[0];
-    if c.atoms.len() != 1 || !c.equalities.is_empty() {
-        return None;
-    }
-    let dp = is_unary_base(&d.premise[0], "el")?;
-    let dc = is_binary_base(&c.atoms[0], "desc")?;
-    if dp != dc {
-        return None;
-    }
-    let (p, q) = (&d.premise[0], &c.atoms[0]);
-    if q.args[0] == p.args[0] && q.args[1] == p.args[0] {
-        Some(dp)
-    } else {
-        None
-    }
+fn match_refl(d: &Ded) -> Option<&'static str> {
+    let ([p], Some(q)) = (d.premise.as_slice(), sole_conclusion(d)) else { return None };
+    let doc = over_vars(p, NavBase::El)?;
+    (over_vars(q, NavBase::Desc)? == doc && q.args == [p.args[0], p.args[0]]).then_some(doc)
 }
 
 /// Structurally detect the `(base)`, `(trans)` and `(refl)` constraints in a
@@ -345,15 +300,28 @@ mod tests {
         Atom::named(&format!("{base}#{doc}"), args)
     }
 
+    /// The three constraints of one document form one group; the same
+    /// shapes over relations that merely share the bases' names (no
+    /// document) are ordinary dependencies.
     #[test]
-    fn detection_finds_all_three_unsuffixed() {
+    fn detection_finds_all_three() {
         let c = detect_closure_constraints(&tix_core());
         assert!(c.any());
         assert_eq!(c.groups.len(), 1);
         let g = &c.groups[0];
-        assert_eq!(g.document, None);
+        assert_eq!(g.document, DOCUMENT);
         assert_eq!((g.base, g.trans, g.refl), (Some(0), Some(1), Some(2)));
         assert_eq!(c.indices().len(), 3);
+
+        let bare = |a: &Atom| Atom::named(a.navigation().unwrap().0.name(), a.args.clone());
+        let unsuffixed: Vec<Ded> = tix_core()
+            .into_iter()
+            .map(|d| {
+                let conclusion = d.conclusions[0].atoms.iter().map(bare).collect();
+                Ded::tgd(&d.name, d.premise.iter().map(bare).collect(), vec![], conclusion)
+            })
+            .collect();
+        assert!(!detect_closure_constraints(&unsuffixed).any());
     }
 
     #[test]

@@ -572,9 +572,6 @@ mod tests {
         fn tuple_count(&self, relation: Predicate) -> usize {
             self.0.get(&relation).map(|(n, _)| *n).unwrap_or(0)
         }
-        fn column_count(&self, relation: Predicate) -> usize {
-            self.0.get(&relation).map(|(_, d)| d.len()).unwrap_or(0)
-        }
         fn distinct_in_column(&self, relation: Predicate, col: usize) -> usize {
             self.0.get(&relation).and_then(|(_, d)| d.get(col)).copied().unwrap_or(0)
         }

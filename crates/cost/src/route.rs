@@ -21,68 +21,8 @@
 
 use crate::physical::{physical_plan, PhysicalPlan};
 use crate::stats::StatisticsCatalog;
-use mars_cq::{Atom, ConjunctiveQuery, Constant, Term, Variable};
+use mars_cq::{Atom, ConjunctiveQuery, Constant, NavBase, Term, Variable};
 use std::fmt;
-
-/// A GReX navigation predicate base (mirrors `mars_grex::GrexSchema`: a
-/// navigation predicate is named `base#document`, read by
-/// [`mars_cq::Predicate::grex`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NavBase {
-    /// `root#d(n)` — the document's root element.
-    Root,
-    /// `el#d(n)` — every element.
-    El,
-    /// `child#d(p, c)` — parent/child edges between elements.
-    Child,
-    /// `desc#d(a, d)` — descendant-or-self pairs.
-    Desc,
-    /// `tag#d(n, t)` — an element's tag name.
-    Tag,
-    /// `attr#d(n, name, value)` — attribute entries.
-    Attr,
-    /// `id#d(n, n)` — node identity.
-    Id,
-    /// `text#d(n, v)` — an element's non-empty direct text.
-    Text,
-}
-
-impl NavBase {
-    fn parse(base: &str) -> Option<NavBase> {
-        Some(match base {
-            "root" => NavBase::Root,
-            "el" => NavBase::El,
-            "child" => NavBase::Child,
-            "desc" => NavBase::Desc,
-            "tag" => NavBase::Tag,
-            "attr" => NavBase::Attr,
-            "id" => NavBase::Id,
-            "text" => NavBase::Text,
-            _ => return None,
-        })
-    }
-
-    /// Number of arguments of the base's GReX relation.
-    pub fn arity(self) -> usize {
-        match self {
-            NavBase::Root | NavBase::El => 1,
-            NavBase::Child | NavBase::Desc | NavBase::Tag | NavBase::Id | NavBase::Text => 2,
-            NavBase::Attr => 3,
-        }
-    }
-}
-
-/// Classify an atom as GReX navigation: its base and document, provided the
-/// arity matches the base's relation. An atom that merely *looks* like
-/// navigation (right name, wrong arity) matches no encoded fact, so it is an
-/// ordinary relational atom to every consumer.
-pub fn navigation_atom(atom: &Atom) -> Option<(NavBase, &'static str)> {
-    let (base, Some(document)) = atom.predicate.grex() else {
-        return None;
-    };
-    let base = NavBase::parse(base)?;
-    (atom.args.len() == base.arity()).then_some((base, document))
-}
 
 /// The statistics the XML side of the router reads: per-document counters a
 /// document store maintains (implemented by `mars_storage::XmlStore`, which
@@ -298,7 +238,7 @@ pub(crate) fn plan_native(atoms: &[Atom], nav: &dyn NavigationStatistics) -> Nav
     let mut variables: Vec<Variable> = Vec::new();
     let mut planned: Vec<PlannedAtom> = Vec::with_capacity(atoms.len());
     for (i, atom) in atoms.iter().enumerate() {
-        let Some((base, document)) = navigation_atom(atom) else { continue };
+        let Some((base, document)) = atom.navigation() else { continue };
         let stats = match docs.iter().position(|s| s.document == document) {
             Some(i) => i,
             None if !nav.has_document(document) => continue,
@@ -413,9 +353,6 @@ mod tests {
     impl StatisticsCatalog for FixedRel {
         fn tuple_count(&self, relation: Predicate) -> usize {
             self.0.get(&relation).map(|(n, _)| *n).unwrap_or(0)
-        }
-        fn column_count(&self, relation: Predicate) -> usize {
-            self.0.get(&relation).map(|(_, d)| d.len()).unwrap_or(0)
         }
         fn distinct_in_column(&self, relation: Predicate, col: usize) -> usize {
             self.0.get(&relation).and_then(|(_, d)| d.get(col)).copied().unwrap_or(0)

@@ -24,17 +24,72 @@ impl Predicate {
     pub fn symbol(&self) -> Symbol {
         Symbol(self.0)
     }
+}
 
-    /// The name read by the GReX convention `base#document`
-    /// (`child#case.xml`): the base name and the document the predicate
-    /// refers to. A name without a `#` is its own base and has no document;
-    /// whether the base is a navigation relation is the caller's question.
-    pub fn grex(&self) -> (&'static str, Option<&'static str>) {
-        let name = self.name();
-        match name.split_once('#') {
-            Some((base, document)) => (base, Some(document)),
-            None => (name, None),
+/// A base of the GReX encoding of XML, `[root, el, child, desc, tag, attr,
+/// id, text]`. A GReX navigation predicate is named `base#document`
+/// (`child#case.xml`), so the encodings of several documents coexist in one
+/// reformulation problem; [`Atom::navigation`] is the one place that reads a
+/// predicate as navigation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum NavBase {
+    /// `root#d(n)` — the document's root element.
+    Root,
+    /// `el#d(n)` — every element.
+    El,
+    /// `child#d(p, c)` — parent/child edges between elements.
+    Child,
+    /// `desc#d(a, d)` — descendant-or-self pairs.
+    Desc,
+    /// `tag#d(n, t)` — an element's tag name.
+    Tag,
+    /// `attr#d(n, name, value)` — attribute entries.
+    Attr,
+    /// `id#d(n, n)` — node identity.
+    Id,
+    /// `text#d(n, v)` — an element's non-empty direct text.
+    Text,
+}
+
+impl NavBase {
+    /// The eight bases, in GReX order.
+    pub const ALL: [NavBase; 8] = [
+        NavBase::Root,
+        NavBase::El,
+        NavBase::Child,
+        NavBase::Desc,
+        NavBase::Tag,
+        NavBase::Attr,
+        NavBase::Id,
+        NavBase::Text,
+    ];
+
+    /// The base's name, the part of a navigation predicate before the `#`.
+    pub fn name(self) -> &'static str {
+        match self {
+            NavBase::Root => "root",
+            NavBase::El => "el",
+            NavBase::Child => "child",
+            NavBase::Desc => "desc",
+            NavBase::Tag => "tag",
+            NavBase::Attr => "attr",
+            NavBase::Id => "id",
+            NavBase::Text => "text",
         }
+    }
+
+    /// Number of arguments of the base's relation.
+    pub fn arity(self) -> usize {
+        match self {
+            NavBase::Root | NavBase::El => 1,
+            NavBase::Child | NavBase::Desc | NavBase::Tag | NavBase::Id | NavBase::Text => 2,
+            NavBase::Attr => 3,
+        }
+    }
+
+    /// The base's predicate over `document`: `base#document`.
+    pub fn predicate(self, document: &str) -> Predicate {
+        Predicate::new(&format!("{}#{document}", self.name()))
     }
 }
 
@@ -95,6 +150,30 @@ impl Atom {
     pub fn is_ground(&self) -> bool {
         self.args.iter().all(Term::is_const)
     }
+
+    /// The atom read as GReX navigation: its base and document, when the
+    /// predicate is `base#document` for a known base and the atom has the
+    /// base's arity. Anything else — a name without a document, an unknown
+    /// base, a known base at the wrong arity — matches no encoded fact and is
+    /// an ordinary relation to every consumer: the backchase's pruning
+    /// criteria, cost weights and closure shortcut, and the router.
+    pub fn navigation(&self) -> Option<(NavBase, &'static str)> {
+        let (base, document) = self.predicate.name().split_once('#')?;
+        // The inverse of `NavBase::name`, as one string match: the router
+        // and the navigation kernel classify every atom of every execution.
+        let base = match base {
+            "root" => NavBase::Root,
+            "el" => NavBase::El,
+            "child" => NavBase::Child,
+            "desc" => NavBase::Desc,
+            "tag" => NavBase::Tag,
+            "attr" => NavBase::Attr,
+            "id" => NavBase::Id,
+            "text" => NavBase::Text,
+            _ => return None,
+        };
+        (self.args.len() == base.arity()).then_some((base, document))
+    }
 }
 
 impl fmt::Debug for Atom {
@@ -116,42 +195,50 @@ impl fmt::Display for Atom {
     }
 }
 
-/// Convenience macro-free builders for the GReX relations used pervasively in
-/// tests and in the `mars-grex` crate.
+/// Macro-free builders of GReX navigation atoms over one fixed document,
+/// [`DOCUMENT`](builders::DOCUMENT), for unit tests: `child(x, y)` is
+/// `child#d.xml(x, y)`, so every consumer reads it as navigation.
 pub mod builders {
     use super::*;
 
+    /// The document every builder navigates.
+    pub const DOCUMENT: &str = "d.xml";
+
+    fn nav(base: NavBase, args: Vec<Term>) -> Atom {
+        Atom::new(base.predicate(DOCUMENT), args)
+    }
+
     /// `root(x)`
     pub fn root(x: Term) -> Atom {
-        Atom::named("root", vec![x])
+        nav(NavBase::Root, vec![x])
     }
     /// `el(x)`
     pub fn el(x: Term) -> Atom {
-        Atom::named("el", vec![x])
+        nav(NavBase::El, vec![x])
     }
     /// `child(x, y)`
     pub fn child(x: Term, y: Term) -> Atom {
-        Atom::named("child", vec![x, y])
+        nav(NavBase::Child, vec![x, y])
     }
     /// `desc(x, y)`
     pub fn desc(x: Term, y: Term) -> Atom {
-        Atom::named("desc", vec![x, y])
+        nav(NavBase::Desc, vec![x, y])
     }
     /// `tag(x, "t")`
     pub fn tag(x: Term, t: &str) -> Atom {
-        Atom::named("tag", vec![x, Term::constant_str(t)])
+        nav(NavBase::Tag, vec![x, Term::constant_str(t)])
     }
     /// `text(x, v)`
     pub fn text(x: Term, v: Term) -> Atom {
-        Atom::named("text", vec![x, v])
+        nav(NavBase::Text, vec![x, v])
     }
     /// `attr(x, "name", v)`
     pub fn attr(x: Term, name: &str, v: Term) -> Atom {
-        Atom::named("attr", vec![x, Term::constant_str(name), v])
+        nav(NavBase::Attr, vec![x, Term::constant_str(name), v])
     }
     /// `id(x, i)`
     pub fn id(x: Term, i: Term) -> Atom {
-        Atom::named("id", vec![x, i])
+        nav(NavBase::Id, vec![x, i])
     }
 }
 
@@ -189,19 +276,48 @@ mod tests {
     #[test]
     fn atom_display() {
         let a = child(Term::var("p"), Term::var("c"));
-        assert_eq!(format!("{a}"), "child(p, c)");
+        assert_eq!(format!("{a}"), "child#d.xml(p, c)");
         let t = tag(Term::var("c"), "author");
-        assert_eq!(format!("{t}"), "tag(c, \"author\")");
+        assert_eq!(format!("{t}"), "tag#d.xml(c, \"author\")");
     }
 
     #[test]
     fn grex_builders() {
-        assert_eq!(root(Term::var("r")).predicate.name(), "root");
-        assert_eq!(el(Term::var("r")).arity(), 1);
-        assert_eq!(desc(Term::var("a"), Term::var("b")).arity(), 2);
-        assert_eq!(attr(Term::var("x"), "id", Term::var("v")).arity(), 3);
-        assert_eq!(id(Term::var("x"), Term::var("i")).predicate.name(), "id");
-        assert_eq!(text(Term::var("x"), Term::var("v")).predicate.name(), "text");
+        let (x, y) = (Term::var("x"), Term::var("y"));
+        let built = [
+            (root(x), NavBase::Root),
+            (el(x), NavBase::El),
+            (child(x, y), NavBase::Child),
+            (desc(x, y), NavBase::Desc),
+            (tag(x, "a"), NavBase::Tag),
+            (attr(x, "id", y), NavBase::Attr),
+            (id(x, y), NavBase::Id),
+            (text(x, y), NavBase::Text),
+        ];
+        for (atom, base) in built {
+            assert_eq!(atom.navigation(), Some((base, DOCUMENT)), "{atom}");
+        }
+    }
+
+    /// The classifier accepts exactly `base#document` at the base's arity,
+    /// and `NavBase::predicate` spells what it reads back, for every base.
+    #[test]
+    fn navigation_needs_a_known_base_a_document_and_the_arity() {
+        for base in NavBase::ALL {
+            let p = base.predicate("case.xml");
+            assert_eq!(p.name(), format!("{}#case.xml", base.name()));
+            let args = vec![Term::var("x"); base.arity()];
+            assert_eq!(Atom::new(p, args.clone()).navigation(), Some((base, "case.xml")));
+            // No document: a relation that happens to share the base's name.
+            assert_eq!(Atom::named(base.name(), args.clone()).navigation(), None, "{base:?}");
+            // A known base at the wrong arity matches no encoded fact.
+            let mut wrong = args;
+            wrong.push(Term::var("y"));
+            assert_eq!(Atom::new(p, wrong).navigation(), None, "{base:?}");
+        }
+        let xy = vec![Term::var("x"), Term::var("y")];
+        assert_eq!(Atom::named("sibling#case.xml", xy.clone()).navigation(), None);
+        assert_eq!(Atom::named("V1#star", xy).navigation(), None);
     }
 
     #[test]

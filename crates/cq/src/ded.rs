@@ -371,7 +371,7 @@ mod tests {
     fn denial_constraints() {
         let d = Ded::denial("no_self_child", vec![child(t("x"), t("x"))]);
         assert!(d.is_denial());
-        assert_eq!(format!("{d}"), "[no_self_child] child(x, x) → ⊥");
+        assert_eq!(format!("{d}"), "[no_self_child] child#d.xml(x, x) → ⊥");
     }
 
     #[test]
@@ -411,8 +411,8 @@ mod tests {
     fn predicate_sets() {
         let base =
             Ded::tgd("base", vec![child(t("x"), t("y"))], vec![], vec![desc(t("x"), t("y"))]);
-        assert!(base.premise_predicates().contains(&Predicate::new("child")));
-        assert!(base.conclusion_predicates().contains(&Predicate::new("desc")));
+        assert!(base.premise_predicates().contains(&Predicate::new("child#d.xml")));
+        assert!(base.conclusion_predicates().contains(&Predicate::new("desc#d.xml")));
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //! * interned [`Symbol`]s, [`Term`]s, [`Atom`]s and [`ConjunctiveQuery`]s
 //!   (with inequalities), plus [`AtomSet`] — the growable
 //!   atom-index bitset the backchase enumerates subqueries with,
+//! * the GReX vocabulary: the eight [`NavBase`]s of the XML encoding, and
+//!   [`Atom::navigation`], the one classifier every crate asks whether an
+//!   atom navigates a document,
 //! * [`Substitution`]s,
 //! * [`Ded`]s — *disjunctive embedded dependencies* — the constraint language
 //!   used for relational integrity constraints, compiled XML integrity
@@ -29,7 +32,7 @@ pub mod substitution;
 pub mod symbol;
 pub mod term;
 
-pub use atom::{Atom, Predicate};
+pub use atom::{Atom, NavBase, Predicate};
 pub use atomset::AtomSet;
 pub use ded::{Conjunct, Ded};
 pub use fx::{FxBuild, FxHashMap, FxHashSet, FxHasher};

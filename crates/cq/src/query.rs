@@ -217,8 +217,8 @@ mod tests {
     fn predicates_and_joins() {
         let q = sample();
         let preds: Vec<&str> = q.predicates().iter().map(|p| p.name()).collect();
-        assert!(preds.contains(&"child"));
-        assert!(preds.contains(&"root"));
+        assert!(preds.contains(&"child#d.xml"));
+        assert!(preds.contains(&"root#d.xml"));
     }
 
     #[test]

@@ -8,14 +8,22 @@
 
 use crate::schema::GrexSchema;
 use mars_cq::{Atom, Term};
-use mars_xml::Document;
+use mars_xml::{Document, NodeId};
 
-/// Encode a document into ground GReX atoms. Node identities are string
-/// constants `"<document>/n<k>"`.
+/// The identity of node `id` of `document`: the string constant
+/// `"<document>/n<k>"`. The encoded facts and the native navigation index
+/// both spell nodes this way, which is what lets the two stores agree byte
+/// for byte.
+pub fn node_constant(document: &str, id: NodeId) -> Term {
+    Term::constant_str(&format!("{document}/n{}", id.0))
+}
+
+/// Encode a document into ground GReX atoms, nodes named by
+/// [`node_constant`].
 pub fn encode_document(doc: &Document) -> Vec<Atom> {
     let schema = GrexSchema::new(&doc.name);
     let mut out = Vec::new();
-    let node_const = |id: mars_xml::NodeId| Term::constant_str(&format!("{}/n{}", doc.name, id.0));
+    let node_const = |id: NodeId| node_constant(&doc.name, id);
 
     let Some(root) = doc.root() else {
         return out;

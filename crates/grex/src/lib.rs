@@ -19,7 +19,8 @@
 //!   "direction-neutral" DED pairs, including the Skolem-function constraints
 //!   of Section 2.4 for views that construct new XML elements,
 //! * [`encode`] — encoding of concrete documents into ground GReX facts, used
-//!   by the storage substrate and by semantics tests.
+//!   by the storage substrate and by semantics tests, and [`node_constant`],
+//!   the one spelling of a node's identity.
 
 #![deny(missing_docs)]
 
@@ -30,7 +31,7 @@ pub mod tix;
 pub mod views;
 
 pub use compile::{compile_xbind, compile_xic, CompileContext};
-pub use encode::encode_document;
+pub use encode::{encode_document, node_constant};
 pub use schema::GrexSchema;
 pub use tix::{tix_constraints, tix_constraints_core};
 pub use views::{compile_view, ViewDef, ViewOutput};

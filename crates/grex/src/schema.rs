@@ -2,12 +2,12 @@
 //!
 //! Several documents (public and proprietary) take part in one reformulation
 //! problem; the paper writes `GReX1`, `GReX2`, … for their encodings. Here the
-//! GReX predicates are suffixed with the document name (`child#catalog.xml`),
-//! which keeps the encodings disjoint while remaining recognizable to the
-//! XML-specific optimizations in `mars-chase` (which match on the base name
-//! before the `#`).
+//! GReX predicates are suffixed with the document name (`child#catalog.xml`,
+//! spelled by [`NavBase::predicate`]), which keeps the encodings disjoint;
+//! every crate reads them back through the one classifier,
+//! [`Atom::navigation`](mars_cq::Atom::navigation).
 
-use mars_cq::{Atom, Predicate, Term};
+use mars_cq::{Atom, NavBase, Predicate, Term};
 
 /// The GReX relational schema of one document.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -22,55 +22,46 @@ impl GrexSchema {
         GrexSchema { document: document.to_string() }
     }
 
-    fn pred(&self, base: &str) -> Predicate {
-        Predicate::new(&format!("{base}#{}", self.document))
+    fn pred(&self, base: NavBase) -> Predicate {
+        base.predicate(&self.document)
     }
 
     /// `root(x)` — x is the document's root element.
     pub fn root(&self) -> Predicate {
-        self.pred("root")
+        self.pred(NavBase::Root)
     }
     /// `el(x)` — x is an element node.
     pub fn el(&self) -> Predicate {
-        self.pred("el")
+        self.pred(NavBase::El)
     }
     /// `child(x, y)` — y is a child of x.
     pub fn child(&self) -> Predicate {
-        self.pred("child")
+        self.pred(NavBase::Child)
     }
     /// `desc(x, y)` — y is a descendant-or-self of x.
     pub fn desc(&self) -> Predicate {
-        self.pred("desc")
+        self.pred(NavBase::Desc)
     }
     /// `tag(x, t)` — element x has tag t.
     pub fn tag(&self) -> Predicate {
-        self.pred("tag")
+        self.pred(NavBase::Tag)
     }
     /// `attr(x, n, v)` — element x has attribute n with value v.
     pub fn attr(&self) -> Predicate {
-        self.pred("attr")
+        self.pred(NavBase::Attr)
     }
     /// `id(x, i)` — element x has node identity i.
     pub fn id(&self) -> Predicate {
-        self.pred("id")
+        self.pred(NavBase::Id)
     }
     /// `text(x, v)` — element x has text content v.
     pub fn text(&self) -> Predicate {
-        self.pred("text")
+        self.pred(NavBase::Text)
     }
 
     /// All eight GReX predicates of this document.
     pub fn all_predicates(&self) -> Vec<Predicate> {
-        vec![
-            self.root(),
-            self.el(),
-            self.child(),
-            self.desc(),
-            self.tag(),
-            self.attr(),
-            self.id(),
-            self.text(),
-        ]
+        NavBase::ALL.map(|base| self.pred(base)).to_vec()
     }
 
     /// Convenience atom builders.
@@ -110,28 +101,6 @@ impl GrexSchema {
     pub fn owns(&self, p: Predicate) -> bool {
         self.all_predicates().contains(&p)
     }
-
-    /// Base name and document of a GReX predicate of any document.
-    fn navigation(p: Predicate) -> Option<(&'static str, &'static str)> {
-        match p.grex() {
-            (
-                base @ ("root" | "el" | "child" | "desc" | "tag" | "attr" | "id" | "text"),
-                Some(document),
-            ) => Some((base, document)),
-            _ => None,
-        }
-    }
-
-    /// The base name (e.g. `child`) of a GReX predicate of any document, or
-    /// `None` for non-GReX predicates.
-    pub fn base_name(p: Predicate) -> Option<String> {
-        Self::navigation(p).map(|(base, _)| base.to_string())
-    }
-
-    /// The document a GReX predicate refers to, if any.
-    pub fn document_of(p: Predicate) -> Option<String> {
-        Self::navigation(p).map(|(_, document)| document.to_string())
-    }
 }
 
 #[cfg(test)]
@@ -148,13 +117,16 @@ mod tests {
         assert!(!a.owns(b.desc()));
     }
 
+    /// The schema's atoms read back as navigation of its document; other
+    /// relations, suffixed or not, do not.
     #[test]
     fn base_name_and_document_extraction() {
         let s = GrexSchema::new("case.xml");
-        assert_eq!(GrexSchema::base_name(s.child()), Some("child".to_string()));
-        assert_eq!(GrexSchema::document_of(s.tag()), Some("case.xml".to_string()));
-        assert_eq!(GrexSchema::base_name(Predicate::new("drugPrice")), None);
-        assert_eq!(GrexSchema::base_name(Predicate::new("V1#star")), None);
+        let (x, y) = (Term::var("x"), Term::var("y"));
+        assert_eq!(s.child_atom(x, y).navigation(), Some((NavBase::Child, "case.xml")));
+        assert_eq!(s.tag_atom(x, "a").navigation(), Some((NavBase::Tag, "case.xml")));
+        assert_eq!(Atom::named("drugPrice", vec![x, y]).navigation(), None);
+        assert_eq!(Atom::named("V1#star", vec![x, y]).navigation(), None);
     }
 
     #[test]

@@ -164,7 +164,7 @@ mod tests {
         let closure = detect_closure_constraints(&tix);
         assert!(closure.any());
         assert_eq!(closure.indices().len(), 3);
-        assert_eq!(closure.groups[0].document.as_deref(), Some("case.xml"));
+        assert_eq!(closure.groups[0].document, "case.xml");
     }
 
     #[test]

@@ -449,6 +449,55 @@ mod tests {
         assert!(sql.contains("bookRel"));
     }
 
+    /// Regression: a view is a relation whatever it is called. A LAV view
+    /// caching `//item`'s `(k, v)` pairs answers the same client query with
+    /// the same search under every name, including the names of the GReX
+    /// bases, which the backchase used to read as navigation (no
+    /// reformulation at all for seven of them).
+    #[test]
+    fn views_named_like_grex_bases_are_ordinary_relations() {
+        let item = |var: &str| XBindAtom::AbsolutePath {
+            document: "shop.xml".to_string(),
+            path: parse_path("//item").unwrap(),
+            var: var.to_string(),
+        };
+        let field = |field: &str| XBindAtom::RelativePath {
+            path: parse_path(&format!("./{field}/text()")).unwrap(),
+            source: "i".to_string(),
+            var: field.to_string(),
+        };
+        let pairs = |name: &str| {
+            XBindQuery::new(name).with_head(&["k", "v"]).with_atom(item("i")).with_atom(field("k"))
+        };
+        let run = |name: &str| {
+            let view = ViewDef::relational(name, pairs(name).with_atom(field("v")));
+            let correspondence = SchemaCorrespondence {
+                public_documents: vec!["shop.xml".to_string()],
+                lav_views: vec![view],
+                ..Default::default()
+            };
+            let block =
+                Mars::new(correspondence).reformulate_xbind(&pairs("Client").with_atom(field("v")));
+            let s = &block.result.stats;
+            let funnel = (
+                s.candidates_inspected,
+                s.pruned_by_cost,
+                s.equivalence_checks,
+                s.chase_cache_hits,
+                s.containment_dead_cone_skips,
+            );
+            (block.result.minimal, funnel)
+        };
+        let (_, control) = run("items");
+        for name in ["id", "tag", "text", "el", "child", "desc", "attr", "root", "items"] {
+            let (minimal, funnel) = run(name);
+            assert_eq!(minimal.len(), 1, "view {name}: {minimal:?}");
+            let (m, cost) = &minimal[0];
+            assert_eq!(m.body, [mars_cq::Atom::new(Predicate::new(name), m.head.clone())]);
+            assert_eq!((funnel, *cost), (control, 2.0), "view {name}");
+        }
+    }
+
     /// A correspondence that compiles to no dependency at all — `bib.xml`
     /// stored natively, no view, no constraint, no TIX — takes the
     /// backchase's core path: one reformulation, the client query with its

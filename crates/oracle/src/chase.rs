@@ -377,7 +377,7 @@ mod tests {
         let tree = naive_chase(&q, &[base, trans], &ChaseBudget::small());
         assert!(tree.terminated());
         let up = tree.single().unwrap();
-        let desc_count = up.body.iter().filter(|a| a.predicate.name() == "desc").count();
+        let desc_count = up.body.iter().filter(|a| a.predicate.name() == "desc#d.xml").count();
         // pairs (i,j) with i<j over 4 nodes: 6
         assert_eq!(desc_count, 6);
     }

@@ -445,7 +445,7 @@ mod tests {
         assert!(!idx.contains_exact(&child(t("b"), t("a"))));
         idx.push(desc(t("a"), t("b")));
         assert_eq!(idx.len(), 2);
-        assert_eq!(idx.candidates(Predicate::new("desc")).len(), 1);
-        assert!(idx.candidates(Predicate::new("tag")).is_empty());
+        assert_eq!(idx.candidates(Predicate::new("desc#d.xml")).len(), 1);
+        assert!(idx.candidates(Predicate::new("tag#d.xml")).is_empty());
     }
 }

@@ -3,8 +3,8 @@
 //! One `DocIndex` lives in the [`XmlStore`](crate::XmlStore) beside each
 //! document, built once on first use. It holds what the navigation kernel
 //! ([`crate::navigation`]) needs to run a GReX atom without touching a string:
-//! dense arena-indexed arrays for every element's node constant (the same
-//! `"<doc>/n<k>"` identity `mars_grex::encode_document` emits), tag term and
+//! dense arena-indexed arrays for every element's node constant
+//! ([`mars_grex::node_constant`], the identity the encoded facts use), tag term and
 //! pre-interned direct text; the preorder numbering that turns descendant
 //! enumeration into a slice and ancestry into two comparisons; and Fx-hashed
 //! value indexes by tag, by text and by (tag, text). The same pass counts the
@@ -12,6 +12,7 @@
 
 use crate::executor::Fx;
 use mars_cq::Term;
+use mars_grex::node_constant;
 use mars_xml::{Document, NodeId};
 use std::collections::HashMap;
 
@@ -98,7 +99,7 @@ impl DocIndex {
     fn enter(&mut self, doc: &Document, id: NodeId) {
         let node = doc.node(id);
         let slot = id.index();
-        let term = Term::constant_str(&format!("{}/n{}", doc.name, id.0));
+        let term = node_constant(&doc.name, id);
         let tag = Term::constant_str(node.tag().unwrap_or_default());
         self.rank[slot] = self.preorder.len() as u32;
         self.preorder.push(id);

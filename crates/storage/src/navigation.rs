@@ -38,8 +38,7 @@
 use crate::doc_index::DocIndex;
 use crate::executor::Batch;
 use crate::xml_engine::{XmlStore, XmlStoreError};
-use mars_cost::{navigation_atom, NavBase};
-use mars_cq::{Atom, Term, Variable};
+use mars_cq::{Atom, NavBase, Term, Variable};
 use mars_xml::{Document, NodeId};
 
 /// A bound node operand: a slot of the row, or a constant of the query
@@ -304,7 +303,8 @@ impl<'s> NavPlan<'s> {
         let mut docs: Vec<(&Document, &DocIndex)> = Vec::new();
         let mut parsed = Vec::with_capacity(atoms.len());
         for atom in atoms {
-            let (base, document) = navigation_atom(atom)
+            let (base, document) = atom
+                .navigation()
                 .ok_or(XmlStoreError::NotNavigable { predicate: atom.predicate })?;
             let doc = match docs.iter().position(|(d, _)| d.name == document) {
                 Some(doc) => doc,
@@ -686,7 +686,7 @@ impl Compiler<'_, '_> {
                 return self.convert_pending();
             }
             NavBase::Child | NavBase::Desc | NavBase::Id => {
-                let t1 = t1.expect("arity checked by navigation_atom");
+                let t1 = t1.expect("arity checked by Atom::navigation");
                 let mut second = self.node_arg(t1, doc)?;
                 // The cheap direction of an edge with one bound end.
                 if let (Arg::Free(out), Arg::Bound(bound)) = (first, second) {
@@ -730,7 +730,7 @@ impl Compiler<'_, '_> {
                 }
             }
             NavBase::Tag => {
-                let t1 = t1.expect("arity checked by navigation_atom");
+                let t1 = t1.expect("arity checked by Atom::navigation");
                 match (first, self.value_arg(t1)) {
                     // The by-tag bucket is the atom's whole answer.
                     (Arg::Free(out), Arg::Bound(tag)) => {
@@ -744,7 +744,7 @@ impl Compiler<'_, '_> {
                 }
             }
             NavBase::Text => {
-                let t1 = t1.expect("arity checked by navigation_atom");
+                let t1 = t1.expect("arity checked by Atom::navigation");
                 match (first, self.value_arg(t1)) {
                     (Arg::Free(out), Arg::Bound(value)) => {
                         self.node_bound[out] = true;

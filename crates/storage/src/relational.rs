@@ -1,8 +1,8 @@
 //! In-memory relational engine.
 //!
 //! Tables are stored as ground facts in a symbolic instance (the same
-//! representation the chase uses, so the counters behind the shared
-//! [`mars_cost::StatisticsCatalog`] are maintained on every insert), and
+//! representation the chase uses, whose relations keep the exact counters
+//! [`mars_cost::StatisticsCatalog`] reads), and
 //! conjunctive queries — in particular, the relational parts of MARS
 //! reformulations — execute directly against it through a cost-based
 //! physical plan ([`RelationalDatabase::plan`], executed by
@@ -72,7 +72,7 @@ impl RelationalDatabase {
     /// Panics on a body-less query (nothing to scan); [`Self::query`]
     /// handles that degenerate case without planning.
     pub fn plan(&self, q: &ConjunctiveQuery) -> PhysicalPlan {
-        physical_plan(q, &self.inst, None)
+        physical_plan(q, self, None)
     }
 
     /// Execute a conjunctive query through its physical plan.
@@ -119,21 +119,16 @@ impl RelationalDatabase {
     }
 }
 
-/// The storage side of the shared statistics catalog: the database keeps its
-/// facts in the chase's instance representation, so the same exact counters
-/// (tuple counts, per-column distincts) are maintained on every
-/// insert/load and read here by the physical planner and cost estimators.
+/// The statistics the physical planner reads: the database keeps its facts
+/// in the chase's instance representation, whose relations count their
+/// tuples on insert and their per-column distincts on first read.
 impl StatisticsCatalog for RelationalDatabase {
     fn tuple_count(&self, relation: Predicate) -> usize {
-        self.inst.tuple_count(relation)
-    }
-
-    fn column_count(&self, relation: Predicate) -> usize {
-        self.inst.column_count(relation)
+        self.inst.relation_len(relation)
     }
 
     fn distinct_in_column(&self, relation: Predicate, col: usize) -> usize {
-        self.inst.distinct_in_column(relation, col)
+        self.inst.relation_data(relation).map_or(0, |r| r.distinct_in_column(col))
     }
 }
 
@@ -310,7 +305,6 @@ mod tests {
         let db = patient_db();
         let p = Predicate::new("patientDrug");
         assert_eq!(db.tuple_count(p), 3);
-        assert_eq!(db.column_count(p), 3);
         assert_eq!(db.distinct_in_column(p, 0), 2, "ann appears twice");
         assert_eq!(db.distinct_in_column(p, 1), 3);
         assert_eq!(db.tuple_count(Predicate::new("missing")), 0);

@@ -29,7 +29,7 @@
 use crate::executor::execute_plan;
 use crate::relational::{RelationalDatabase, Row};
 use crate::xml_engine::{XmlStore, XmlStoreError};
-use mars_cost::{navigation_atom, physical_plan, route_query, NavigationStatistics, PhysicalPlan};
+use mars_cost::{physical_plan, route_query, NavigationStatistics, PhysicalPlan};
 pub use mars_cost::{Route, RouteCosts, RoutingDecision};
 use mars_cq::{Atom, ConjunctiveQuery};
 use std::time::{Duration, Instant};
@@ -141,7 +141,7 @@ impl<'a> BackendRouter<'a> {
     /// that is not navigation. `None` when neither exists, which leaves the
     /// tree navigating more than the plan asked: a cost, not an error.
     fn off_route(&self, q: &ConjunctiveQuery) -> Option<XmlStoreError> {
-        let document = |atom: &Atom| navigation_atom(atom).map(|(_, document)| document);
+        let document = |atom: &Atom| atom.navigation().map(|(_, document)| document);
         match q.body.iter().filter_map(document).find(|d| !self.xml.has_document(d)) {
             Some(d) => Some(XmlStoreError::MissingDocument { document: d.to_string() }),
             None => (q.body.iter().find(|atom| document(atom).is_none()))

@@ -15,10 +15,6 @@
 //! * [`xmark`] — a scaled-down XMark-like auction scenario with realistic
 //!   queries and redundant views (Section 4.2's feasibility experiment).
 //!
-//! For robustness testing, [`chaos`] provides a deterministic fault
-//! injector and an adversarial (cache-defeating) arrival stream used by the
-//! chaos accounting test (`tests/chaos.rs`).
-//!
 //! For the backend router, [`scenarios`] provides the 12-point scenario
 //! matrix (chain/snowflake schema × uniform/skewed data × redundancy 0–2)
 //! behind the cross-backend differential suite and the golden routing
@@ -26,7 +22,6 @@
 
 #![deny(missing_docs)]
 
-pub mod chaos;
 pub mod example11;
 pub mod scenarios;
 pub mod star;
