@@ -3,7 +3,7 @@
 //! returns the same answers over the proprietary storage as the original
 //! query over the published data.
 
-use mars::MarsOptions;
+use mars::{Mars, MarsOptions};
 use mars_workloads::{example11, star::StarConfig, xmark};
 use std::collections::HashMap;
 
@@ -39,6 +39,41 @@ fn example_1_1_reformulates_and_executes() {
     let best = block.result.best_or_initial().unwrap();
     let rows = db.query(best);
     assert!(!rows.is_empty(), "diagnosis-price associations must be returned: {best}");
+}
+
+/// Resuming back-chases from the memo must find exactly what chasing every
+/// candidate from scratch finds: every minimal reformulation with its cost,
+/// in discovery order, and the same best — on the exhaustive star at NC = 4
+/// and on Example 1.1.
+#[test]
+fn memoized_and_scratch_backchase_agree_on_the_workloads() {
+    let star = StarConfig::figure5(4);
+    let cases = [
+        (
+            "star NC = 4",
+            star.client_query(),
+            Box::new(|o| star.mars(o)) as Box<dyn Fn(MarsOptions) -> Mars>,
+            MarsOptions::specialized().exhaustive(),
+        ),
+        (
+            "Example 1.1",
+            example11::client_query(),
+            Box::new(|o| Mars::with_options(example11::correspondence(), o)),
+            MarsOptions::default(),
+        ),
+    ];
+    for (name, query, build, options) in cases {
+        let mut scratch_options = options.clone();
+        scratch_options.cb.backchase.chase_cache_per_level = 0;
+        let memo = build(options).try_reformulate_xbind(&query).expect("reformulates").result;
+        let scratch =
+            build(scratch_options).try_reformulate_xbind(&query).expect("reformulates").result;
+        assert!(memo.stats.chase_cache_hits > 0, "{name}: the memo must be exercised");
+        assert_eq!(scratch.stats.chase_cache_hits, 0, "{name}");
+        assert!(!memo.minimal.is_empty(), "{name}");
+        assert_eq!(memo.minimal, scratch.minimal, "{name}");
+        assert_eq!(memo.best, scratch.best, "{name}");
+    }
 }
 
 #[test]
