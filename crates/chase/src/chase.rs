@@ -19,7 +19,7 @@
 //! does not apply.
 
 use crate::compiled::{CompiledDed, CompiledDeps, DedIndex, FunctionalDependencies};
-use crate::evaluate::{JoinScratch, SCAN_THRESHOLD};
+use crate::evaluate::JoinScratch;
 use crate::instance::{Relation, SymbolicInstance};
 use crate::shortcut::{apply_closure_watermarked, ClosureConstraints, ClosureInputMark};
 use mars_cq::{Atom, Conjunct, ConjunctiveQuery, Predicate, Substitution, Term, Variable};
@@ -146,13 +146,16 @@ struct Branch {
     /// Rounds consumed on the root-to-leaf path (per-branch round budget).
     rounds: usize,
     /// Closure-shortcut input watermarks, one per detected group (empty =
-    /// unknown, forcing the first application). Lets [`chase_branch`] skip
-    /// the transitive-closure recomputation on rounds where no
-    /// `child`/`desc`/`el` relation changed.
+    /// unknown, forcing the depth-first closure). They let [`chase_branch`]
+    /// extend the closure by the `child`/`desc`/`el` rows appended since,
+    /// instead of re-closing `desc`.
     closure_marks: Vec<ClosureInputMark>,
     /// EGD rewrite epoch: bumped whenever a unification rewrites the
-    /// instance in place (lengths alone then no longer witness "unchanged").
+    /// instance in place (rows then change where they stand, so a watermark
+    /// no longer separates the old rows from the new ones).
     rewrites: u64,
+    /// The conclusion row being inserted, reused across steps.
+    row: Vec<Term>,
 }
 
 impl Branch {
@@ -165,6 +168,7 @@ impl Branch {
             rounds: 0,
             closure_marks: Vec::new(),
             rewrites: 0,
+            row: Vec::new(),
         }
     }
 
@@ -191,19 +195,16 @@ enum RoundResult {
     Split(Vec<Branch>),
 }
 
-/// The first tuple of `rel`, in tuple order, carrying `key` on the columns
-/// `cols` — read the way a join step reads a relation: a scan up to
-/// [`SCAN_THRESHOLD`] tuples, the persistent column index above that.
+/// The first tuple of `rel`, in row order, carrying `key` on the columns
+/// `cols` — read the way a join step reads a relation
+/// ([`Relation::any_with_key`]).
 fn first_with_key<'r>(rel: &'r Relation, cols: &[usize], key: &[Term]) -> Option<&'r [Term]> {
-    let tuples = rel.tuples();
-    let id = if cols.is_empty() {
-        (!tuples.is_empty()).then_some(0)
-    } else if rel.len() <= SCAN_THRESHOLD {
-        tuples.iter().position(|t| cols.iter().zip(key).all(|(&c, k)| t[c] == *k))
-    } else {
-        rel.index(cols).get(key).map(|ids| ids[0])
-    };
-    id.map(|i| tuples[i].as_slice())
+    let mut first = None;
+    rel.any_with_key(cols, key, |row| {
+        first = Some(row);
+        true
+    });
+    first
 }
 
 /// Bind the existentials of `conjunct` that a functional dependency already
@@ -268,10 +269,12 @@ fn apply_conjunct(
             branch.fresh += 1;
         }
     }
+    let Branch { resident, needs_check, row, .. } = &mut *branch;
     for atom in &conjunct.atoms {
-        let applied = sub.apply_atom(atom);
-        if branch.resident.inst.insert_atom(&applied) {
-            index.mark(applied.predicate, &mut branch.needs_check);
+        row.clear();
+        row.extend(atom.args.iter().map(|t| sub.apply_term(*t)));
+        if resident.inst.insert(atom.predicate, row) {
+            index.mark(atom.predicate, needs_check);
         }
     }
     for (a, b) in &conjunct.equalities {
@@ -508,8 +511,8 @@ pub fn chase_resident_with_atoms_compiled(
         .map(|seed| {
             let mut b = Branch::live(seed.clone());
             // The seed's closure is at fixpoint over the pre-insert relations:
-            // mark it *before* the inserts so the first round only recomputes
-            // groups whose inputs the inserted atoms actually grew.
+            // mark it *before* the inserts so the first round extends it by
+            // the inserted atoms alone.
             if let Some(c) = closure {
                 b.closure_marks = c.marks_at_fixpoint(&b.resident.inst, b.rewrites);
             }
@@ -691,6 +694,7 @@ fn run_chase(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluate::SCAN_THRESHOLD;
     use mars_cq::atom::builders::*;
     use mars_cq::ded::view_dependencies;
     use mars_cq::{Atom, Conjunct, Ded, Term};

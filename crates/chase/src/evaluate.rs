@@ -25,18 +25,18 @@
 //!
 //! Joins probe the instance's **persistent** per-predicate column indexes
 //! ([`crate::instance::Relation::index`]): an index is built at most once per
-//! (relation, column-set) and maintained incrementally on insert, so repeated
-//! evaluations over a growing instance never rebuild hash tables.
+//! (relation, column-set) and maintained on insert and on EGD rewrites, so
+//! repeated evaluations over a changing instance never rebuild hash tables.
 //!
 //! Whether one join step *scans* its relation or *probes* the hash index is
 //! decided at run time by the constant [`SCAN_THRESHOLD`]: a relation of at
 //! most that many tuples is scanned with the selections applied inline,
 //! anything larger is probed (building the index on first use); a step all of
 //! whose positions are bound is a membership test on the relation's dedup
-//! set. Every strategy enumerates matching tuples in ascending tuple-index
-//! order, so the choice can never change a result, only its cost — the
-//! agreement tests against the backtracking search of `mars-cq` cover
-//! relations on both sides of the threshold.
+//! table. Every strategy enumerates matching tuples in ascending row order,
+//! skipping tombstones, so the choice can never change a result, only its
+//! cost — the agreement tests against the backtracking search of `mars-cq`
+//! cover relations on both sides of the threshold.
 
 use crate::instance::{ColumnIndex, Relation, SymbolicInstance};
 use mars_cq::{Atom, ConjunctiveQuery, Constant, Predicate, Substitution, Term, Variable};
@@ -140,9 +140,9 @@ enum Access {
     Member,
     /// At most [`SCAN_THRESHOLD`] tuples: compare each against the key.
     Scan,
-    /// Probe the persistent column index. Posting lists are ascending tuple
-    /// indices — the enumeration order of the scan, which is why the choice
-    /// is invisible in the results.
+    /// Probe the persistent column index. Posting lists are ascending row
+    /// ids — the enumeration order of the scan, which is why the choice is
+    /// invisible in the results.
     Probe(Arc<ColumnIndex>),
 }
 
@@ -174,18 +174,18 @@ impl JoinStep {
         key: &[Term],
         mut visit: impl FnMut(&[Term]) -> bool,
     ) -> bool {
-        let tuples = rel.tuples();
         let repeats_agree = |tuple: &[Term]| self.dups.iter().all(|&(i, p)| tuple[i] == tuple[p]);
         match access {
-            Access::Every => tuples.iter().any(|t| repeats_agree(t) && visit(t)),
+            Access::Every => rel.rows().any(|t| repeats_agree(t) && visit(t)),
             Access::Member => rel.contains(key) && visit(key),
-            Access::Scan => tuples.iter().any(|t| {
+            Access::Scan => rel.rows().any(|t| {
                 self.key_cols.iter().zip(key).all(|(&c, want)| t[c] == *want)
                     && repeats_agree(t)
                     && visit(t)
             }),
-            Access::Probe(index) => index.get(key).is_some_and(|ids| {
-                ids.iter().any(|&ti| repeats_agree(&tuples[ti]) && visit(&tuples[ti]))
+            Access::Probe(index) => index.get(rel, key).any(|id| {
+                let t = rel.row(id);
+                repeats_agree(t) && visit(t)
             }),
         }
     }
@@ -773,9 +773,8 @@ mod tests {
                         .iter()
                         .map(|&ai| {
                             let image = h.apply_atom(&pattern[ai]);
-                            inst.relation(image.predicate)
-                                .iter()
-                                .position(|tuple| *tuple == image.args)
+                            inst.rows(image.predicate)
+                                .position(|tuple| tuple == image.args.as_slice())
                                 .expect("a binding maps every atom onto a tuple")
                         })
                         .collect()

@@ -149,7 +149,7 @@ fn eval(
     Ok(match plan {
         PhysicalPlan::TableScan(scan) => {
             let mut out = Batch::new(scan.columns.len());
-            for tuple in inst.relation(scan.relation) {
+            for tuple in inst.rows(scan.relation) {
                 if scan.pushdown.iter().any(|(c, k)| tuple[*c] != Term::Const(*k)) {
                     continue;
                 }

@@ -60,7 +60,7 @@ impl RelationalDatabase {
 
     /// Cardinality of one relation.
     pub fn cardinality(&self, relation: &str) -> usize {
-        self.inst.relation(Predicate::new(relation)).len()
+        self.inst.relation_len(Predicate::new(relation))
     }
 
     /// Compile `q` into a physical plan against this store's exact

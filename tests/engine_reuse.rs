@@ -106,7 +106,7 @@ fn multi_block_reformulation_compiles_dependencies_once() {
 /// The per-predicate index contract: evaluating the same conjunction again
 /// over an unchanged — or grown-by-insert — instance must not rebuild any
 /// hash index (the instance's persistent column indexes are built once and
-/// maintained incrementally; only an EGD rewrite of a relation drops them).
+/// maintained incrementally, by inserts and EGD rewrites alike).
 #[test]
 fn premise_evaluation_reuses_instance_indexes() {
     use mars_system::chase::{evaluate_bindings, satisfiable, SymbolicInstance};
