@@ -10,6 +10,12 @@
 //!   chain of three `child` edges below one of its nodes and applies the
 //!   closure shortcut once, from its watermark. The clone and the appends
 //!   (a map of handles, then the written relations copied) are timed too.
+//! - `backchase_resume/reformulate_example11`: Example 1.1's client query
+//!   reformulated cold, chase and backchase, as every `cold_templates`
+//!   round of `marsbench` does twice. Its pool holds the `el` and `id`
+//!   atoms the chase adds to the cached document's nodes, so this is the
+//!   case pruning criterion 4 (a candidate holding an implied atom is never
+//!   grown) is measured on.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mars::MarsOptions;
@@ -19,6 +25,7 @@ use mars_chase::{
     ChaseOptions, CompiledDeps, SymbolicInstance,
 };
 use mars_cq::{Atom, ConjunctiveQuery, NavBase, Term, Variable};
+use mars_workloads::example11;
 use mars_workloads::star::StarConfig;
 
 fn bench_resume(c: &mut Criterion) {
@@ -94,5 +101,16 @@ fn bench_closure(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_resume, bench_closure);
+fn bench_example11(c: &mut Criterion) {
+    let mars = example11::mars();
+    let query = example11::client_query();
+    let mut g = c.benchmark_group("backchase_resume");
+    g.sample_size(20);
+    g.bench_function("reformulate_example11", |b| {
+        b.iter(|| mars.reformulate_xbind(black_box(&query)))
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_resume, bench_closure, bench_example11);
 criterion_main!(benches);

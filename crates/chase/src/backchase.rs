@@ -1,7 +1,8 @@
 //! The backchase: bottom-up enumeration of subqueries of the universal plan
-//! with cost-based pruning (Section 2.3) and the XML-specific navigation
-//! pruning of Section 3.2 — or, for a query under no dependencies at all,
-//! minimization to its core.
+//! with cost-based pruning (Section 2.3), the XML-specific navigation
+//! pruning of Section 3.2 and a fourth criterion that never grows a
+//! candidate holding an atom another of its atoms implies — or, for a query
+//! under no dependencies at all, minimization to its core.
 //!
 //! Reformulations may only mention the *proprietary* schema, so the
 //! enumeration is restricted to the subquery `M` of the universal plan induced
@@ -50,6 +51,39 @@
 //! entry point grown by atoms it enables, so it is constructible by
 //! construction. The legality fixpoint, `reach::reference::is_legal_subset`
 //! (test code), is the oracle the tests hold that growth against.
+//!
+//! # Criterion 4: implied atoms
+//!
+//! The paper's criteria prune navigation; a fourth prunes redundancy that
+//! Σ itself states. Pool atom `b` *implies* pool atom `a` when a TGD of Σ
+//! with one premise atom, one conjunct and no equality or inequality fires
+//! on `b` and derives an atom `a` maps onto by a map that fixes every
+//! variable `a` shares with the rest of the pool, the head or an
+//! inequality; and dropping `a` beside `b` keeps the candidate
+//! constructible (every variable `a` produces is private to it, or `b`
+//! produces it and requires nothing `a` does not). The relation is closed
+//! transitively over the pool, once per backchase, from the single-premise
+//! TGDs [`CompiledDeps`] collects once per engine. On a GReX pool it relates
+//! `child(x,y)` to the `el(x)`, `el(y)` TIX `child_el` derives, and an
+//! `el(x)` to the `id(x,i)` `el_id` derives when `i` occurs nowhere else;
+//! on a relational pool, a relation to a view with a one-atom body over it.
+//!
+//! Growth skips a child `mask ∪ {g}` whenever `g` implies, or is implied
+//! by, an atom of `mask` — one word test per probe, counted as
+//! [`CbStatistics::implied_skips`]. This is sound. A candidate `S` holding
+//! `b` and an `a` it implies is equivalent to `S ∖ {a}`: the chase of
+//! `S ∖ {a}` satisfies the TGD on `b`, so the identity extended by the map
+//! sends `S` into it, and the converse containment is trivial. `S ∖ {a}`
+//! keeps the head (a head variable of `a` is shared, so `b` holds it), is
+//! constructible, and costs less (`atom_cost` is positive), so it, or a
+//! subset of it, was inspected a level earlier and `S` is not minimal. A
+//! subset of a candidate without an implied pair has none either, so every
+//! other candidate is grown from the same parents in the same order: in a
+//! run no budget cuts, `minimal`, its costs, `best` and its ties are what
+//! the enumeration without the criterion finds; only the funnel counters,
+//! which candidates the per-level memo keeps, and the candidates' ordinals
+//! move. The proof for chains and
+//! for the constructibility condition is in the `implied` module.
 //!
 //! The best cost a candidate is pruned against stays frozen for its level
 //! (the level's discoveries take effect at its end), for two reasons. The
@@ -106,6 +140,7 @@ use crate::chase::{
 };
 use crate::compiled::CompiledDeps;
 use crate::evaluate::{maps_into, ContainmentProgram};
+use crate::implied::ImpliedAtoms;
 use crate::reach::{prune_parallel_desc, ReachabilityGraph};
 use mars_cq::{
     Atom, AtomSet, ConjunctiveQuery, FxHashMap, FxHashSet, NavBase, Predicate, Variable,
@@ -429,9 +464,9 @@ impl SafetyPrefilter {
 ///
 /// The backchase's work is added to `stats`: the funnel counters
 /// (`candidates_inspected`, `pruned_by_cost`, `equivalence_checks`,
-/// `chase_cache_hits`, `containment_dead_cone_skips`), the phase times, the
-/// duration, and whether and why a budget cut it (`backchase_truncated`,
-/// merged into `degradation`).
+/// `chase_cache_hits`, `containment_dead_cone_skips`, `implied_skips`), the
+/// phase times, the duration, and whether and why a budget cut it
+/// (`backchase_truncated`, merged into `degradation`).
 #[allow(clippy::too_many_arguments)]
 pub fn backchase(
     original: &ConjunctiveQuery,
@@ -497,6 +532,7 @@ pub fn backchase(
     }
 
     let graph = ReachabilityGraph::new(&pool_query);
+    let implied = ImpliedAtoms::new(&pool_query, deds.single_premise_tgds());
     let atom_costs: Vec<f64> = pool.iter().map(atom_cost).collect();
     let safety = SafetyPrefilter::new(&pool_query, &pool);
 
@@ -621,9 +657,14 @@ pub fn backchase(
                 }
             }
             // Grow the subset by one atom: each child is probed in place and
-            // only a new one is cloned.
+            // only a new one is cloned. A child holding an implied pair is
+            // never minimal (criterion 4) and is not grown.
             graph.enabled_into(&mask, &mut produced, &mut enabled);
             for &g in &enabled {
+                if implied.pairs_with(g, &mask) {
+                    stats.implied_skips += 1;
+                    continue;
+                }
                 mask.insert(g);
                 if !visited.contains(&mask) {
                     visited.insert(mask.clone());
@@ -686,7 +727,8 @@ fn minimize_to_core(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mars_cq::atom::builders::{child, desc, root, tag, text};
+    use crate::reach::reference::is_legal_subset;
+    use mars_cq::atom::builders::{child, desc, el, id, root, tag, text};
     use mars_cq::ded::view_dependencies;
     use mars_cq::{Atom, Conjunct, Ded, Term, Variable};
     use mars_oracle::{containment_mapping, naive_chase, ChaseBudget};
@@ -1230,5 +1272,232 @@ mod tests {
                 prop_assert_eq!((m.body.len(), *c), (body.len(), cost), "{}", q);
             }
         }
+    }
+
+    /// Every minimal reformulation by brute force, bodies sorted: each subset
+    /// of the pool that criteria 2–3 accept (`is_legal_subset`), smallest
+    /// first, decided from scratch by `Equivalence::check`. A subset holding
+    /// an equivalent one is not minimal and is not checked. `None` when the
+    /// pool is wider than 16 atoms.
+    fn brute_force_minimal(
+        q: &ConjunctiveQuery,
+        deds: &[Ded],
+        proprietary: &HashSet<Predicate>,
+    ) -> Option<Vec<Vec<Atom>>> {
+        let compiled = CompiledDeps::new(deds);
+        let up = chase_to_resident_compiled(q, &compiled, &ChaseOptions::default());
+        let primary = up.primary(&q.name).expect("the query has a universal plan");
+        let body = prune_parallel_desc(&primary).body;
+        let pool = ConjunctiveQuery {
+            body: body.into_iter().filter(|a| proprietary.contains(&a.predicate)).collect(),
+            ..primary
+        };
+        let n = pool.body.len();
+        if n > 16 {
+            return None;
+        }
+        let above = pool.variables().iter().chain(&q.variables()).map(|v| v.index).max();
+        let equivalence = Equivalence {
+            original: ContainmentProgram::new(q),
+            plan: up.branches(),
+            deds: &compiled,
+            chase: ChaseOptions { min_fresh_index: above.unwrap_or(0) + 1, ..Default::default() },
+        };
+        let graph = ReachabilityGraph::new(&pool);
+        let mut masks: Vec<u32> = (1..1 << n).collect();
+        masks.sort_by_key(|m| m.count_ones());
+        let mut found: Vec<Vec<usize>> = Vec::new();
+        for mask in masks {
+            let subset: Vec<usize> = (0..n).filter(|i| mask & (1 << i) != 0).collect();
+            if found.iter().any(|f| f.iter().all(|i| subset.contains(i)))
+                || !is_legal_subset(&graph, &subset)
+            {
+                continue;
+            }
+            let check = equivalence.check(&pool.subquery(&subset), None);
+            if matches!(check.verdict, Verdict::Equivalent) {
+                found.push(subset);
+            }
+        }
+        let mut bodies: Vec<Vec<Atom>> = found
+            .iter()
+            .map(|subset| subset.iter().map(|&i| pool.body[i].clone()).collect())
+            .collect();
+        bodies.sort();
+        Some(bodies)
+    }
+
+    /// The minimal bodies an exhaustive backchase finds, sorted, and its
+    /// statistics.
+    fn exhaustive_minimal(
+        q: &ConjunctiveQuery,
+        deds: &[Ded],
+        proprietary: &HashSet<Predicate>,
+    ) -> (Vec<Vec<Atom>>, CbStatistics) {
+        let (out, stats) = run(q, deds, proprietary, &BackchaseOptions::exhaustive());
+        assert!(!stats.backchase_truncated && stats.degradation.is_none());
+        let mut bodies: Vec<Vec<Atom>> = out.minimal.into_iter().map(|(m, _)| m.body).collect();
+        bodies.sort();
+        (bodies, stats)
+    }
+
+    /// The TIX constraints of `d.xml` a path query's chase fires, written
+    /// out: the closure (`base`, `trans`, `refl`), `child_el` and `el_id` —
+    /// the two single-premise TGDs criterion 4 reads — and the keys.
+    fn tix() -> Vec<Ded> {
+        let (x, y, z, i, j) = (t("x"), t("y"), t("z"), t("i"), t("j"));
+        vec![
+            Ded::tgd("base", vec![child(x, y)], vec![], vec![desc(x, y)]),
+            Ded::tgd("trans", vec![desc(x, y), desc(y, z)], vec![], vec![desc(x, z)]),
+            Ded::tgd("refl", vec![el(x)], vec![], vec![desc(x, x)]),
+            Ded::tgd("child_el", vec![child(x, y)], vec![], vec![el(x), el(y)]),
+            Ded::tgd("el_id", vec![el(x)], vec![Variable::named("i")], vec![id(x, i)]),
+            Ded::egd("id_key", vec![id(x, i), id(x, j)], i, j),
+            Ded::egd("root_unique", vec![root(x), root(y)], x, y),
+            Ded::egd("parent_unique", vec![child(x, z), child(y, z)], x, y),
+        ]
+    }
+
+    /// The document's GReX predicates, plus `extra`.
+    fn grex_proprietary(extra: &[&str]) -> HashSet<Predicate> {
+        let (x, y) = (t("x"), t("y"));
+        [root(x), el(x), child(x, y), desc(x, y), tag(x, "a"), text(x, y), id(x, y)]
+            .iter()
+            .map(|a| a.predicate)
+            .chain(extra.iter().map(|p| Predicate::new(p)))
+            .collect()
+    }
+
+    /// `/a/b/text()` as `Q(v) :- root(r), child(r,x), tag(x,"a"),
+    /// child(x,y), tag(y,"b"), text(y,v)`, over a proprietary document that
+    /// also stores the answer as a view `V(v)` of the same body. The pool
+    /// is 13 atoms: `V`, the six of the query, and the `el` and `id` atoms
+    /// the chase adds to its three nodes.
+    fn grex_setup() -> (ConjunctiveQuery, Vec<Ded>, HashSet<Predicate>) {
+        let (r, x, y, v) = (t("r"), t("x"), t("y"), t("v"));
+        let body = vec![root(r), child(r, x), tag(x, "a"), child(x, y), tag(y, "b"), text(y, v)];
+        let q = ConjunctiveQuery::new("Q").with_head(vec![v]).with_body(body.clone());
+        let view = ConjunctiveQuery::new("V").with_head(vec![v]).with_body(body);
+        let (c_v, b_v) = view_dependencies("V", &view);
+        let mut deds = tix();
+        deds.extend([c_v, b_v]);
+        (q, deds, grex_proprietary(&["V"]))
+    }
+
+    /// Criterion 4 keeps completeness on a GReX pool: the exhaustive
+    /// backchase finds exactly the minimal reformulations brute force over
+    /// every legal subset finds, while it skips children holding an `el` or
+    /// `id` that navigation implies.
+    #[test]
+    fn implied_atom_pruning_keeps_every_minimal_reformulation_of_a_grex_pool() {
+        let (q, deds, proprietary) = grex_setup();
+        let (found, stats) = exhaustive_minimal(&q, &deds, &proprietary);
+        assert!(stats.implied_skips > 0, "the pool holds implied el / id atoms");
+        assert_eq!(Some(&found), brute_force_minimal(&q, &deds, &proprietary).as_ref());
+        let mut sizes: Vec<usize> = found.iter().map(Vec::len).collect();
+        sizes.sort();
+        assert_eq!(sizes, [1, 6], "V, and the navigation");
+    }
+
+    /// The same completeness on the XMark suite, under three engines: the
+    /// benchmark's specialized one, whose pools add the document's `el` and
+    /// `id` atoms to specialization relations and views; the same with the
+    /// navigation replaced, whose relational pools hold a specialization
+    /// relation and a view of it that imply each other; and the
+    /// unspecialized one. Pools wider than 16 atoms (Q2 and Q3 beside the
+    /// specialized engine's navigation, 39 atoms) are left out: brute force
+    /// cannot cover them. Every query is compared at least once.
+    #[test]
+    fn implied_atom_pruning_keeps_every_minimal_reformulation_of_xmark() {
+        use mars::{Mars, MarsOptions};
+        use mars_workloads::xmark;
+        let replaced = MarsOptions { spec_replaces_navigation: true, ..MarsOptions::specialized() };
+        let engines = [
+            xmark::mars(true),
+            Mars::with_options(xmark::correspondence(), replaced),
+            xmark::mars(false),
+        ];
+        let (mut compared, mut skips) = (HashSet::new(), 0);
+        for mars in &engines {
+            for query in xmark::query_suite() {
+                let block = mars.reformulate_xbind(&query);
+                let Some(initial) = block.result.initial else { continue };
+                let proprietary: HashSet<Predicate> =
+                    initial.body.iter().map(|a| a.predicate).collect();
+                let (q, deds) = (&block.compiled, mars.dependencies());
+                let Some(expected) = brute_force_minimal(q, deds, &proprietary) else { continue };
+                let (found, stats) = exhaustive_minimal(q, deds, &proprietary);
+                assert!(!found.is_empty(), "{}", query.name);
+                assert_eq!(found, expected, "{}", query.name);
+                compared.insert(query.name);
+                skips += stats.implied_skips;
+            }
+        }
+        assert_eq!(compared.len(), 4, "{compared:?}");
+        assert!(skips > 0, "some XMark pool holds an implied pair");
+    }
+
+    /// `Q(..) :- root(r), child(r,x), tag(x,"a"), id(x,i), ..`: an `id`
+    /// whose identity the head exports, or another pool atom joins, is not
+    /// implied by `el(x)`, and the reformulation that needs it is found.
+    #[test]
+    fn an_identity_the_query_uses_is_kept() {
+        let (r, x, i, v) = (t("r"), t("x"), t("i"), t("v"));
+        let navigation = vec![root(r), child(r, x), tag(x, "a"), id(x, i)];
+        let joined = Atom::named("R", vec![i, v]);
+        for (head, body) in [
+            (vec![i], navigation.clone()),
+            (vec![v], navigation.iter().cloned().chain([joined.clone()]).collect()),
+        ] {
+            let q = ConjunctiveQuery::new("Q").with_head(head).with_body(body.clone());
+            let proprietary = grex_proprietary(&["R"]);
+            let (found, stats) = exhaustive_minimal(&q, &tix(), &proprietary);
+            assert!(stats.implied_skips > 0, "the chase's own el / id atoms are still skipped");
+            let (mut needed, mut expected) = (found.concat(), body);
+            needed.sort();
+            expected.sort();
+            assert_eq!((found.len(), needed), (1, expected), "{q}");
+            assert_eq!(Some(&found), brute_force_minimal(&q, &tix(), &proprietary).as_ref());
+        }
+    }
+
+    /// A dependency set whose TGDs have no single premise atom, or carry an
+    /// inequality, relates no pool atoms: the backchase skips nothing and
+    /// finds the same reformulations.
+    #[test]
+    fn no_single_premise_tgd_skips_nothing() {
+        let (q, deds, proprietary) = grex_setup();
+        let (x, y, r) = (t("x"), t("y"), t("r"));
+        let rewritten: Vec<Ded> = deds
+            .iter()
+            .map(|d| match d.name.as_str() {
+                "child_el" => d.clone().with_premise_inequalities(vec![(x, y)]),
+                "el_id" => Ded { premise: vec![el(x), root(r)], ..d.clone() },
+                _ => d.clone(),
+            })
+            .collect();
+        let (found, stats) = exhaustive_minimal(&q, &rewritten, &proprietary);
+        assert_eq!(stats.implied_skips, 0);
+        assert_eq!(found, exhaustive_minimal(&q, &deds, &proprietary).0);
+    }
+
+    /// Dropping an implied entry point must leave the candidate
+    /// constructible. `Q(v) :- child(v,w), child(w,v)` under `V(v) :-
+    /// child(w,v)` (its `bV` alone): each `child` implies the `V` of its
+    /// target, which also produces that node. Yet `{V(v), child(v,w),
+    /// child(w,v)}` is constructible only from `V(v)` — `child(w,v)` needs
+    /// the `w` that `child(v,w)` produces, which needs `v` — so it is a
+    /// minimal reformulation, and so is its mirror image through `V(w)`.
+    #[test]
+    fn an_implied_entry_point_navigation_starts_from_is_kept() {
+        let (v, w) = (t("v"), t("w"));
+        let q =
+            ConjunctiveQuery::new("Q").with_head(vec![v]).with_body(vec![child(v, w), child(w, v)]);
+        let b_v = Ded::tgd("bV", vec![child(w, v)], vec![], vec![Atom::named("V", vec![v])]);
+        let deds = [b_v];
+        let proprietary: HashSet<Predicate> = [child(v, w).predicate, Predicate::new("V")].into();
+        let (found, _) = exhaustive_minimal(&q, &deds, &proprietary);
+        assert_eq!(found.len(), 2, "{found:?}");
+        assert_eq!(Some(found), brute_force_minimal(&q, &deds, &proprietary));
     }
 }

@@ -153,6 +153,11 @@ pub struct CbStatistics {
     /// restricts to one from the subset, so no superset can pass either —
     /// none can be a reformulation (the antichain dead-cone rule).
     pub containment_dead_cone_skips: usize,
+    /// Child probes the backchase did not generate because the child would
+    /// hold an atom another of its atoms implies (pruning criterion 4): such
+    /// a candidate is equivalent to itself without that atom, so it is never
+    /// minimal. A child reached from several parents counts once per probe.
+    pub implied_skips: usize,
     /// Backchase wall-clock spent computing candidate costs, timed once per
     /// level. With `backchase_chase_phase` and `backchase_containment_phase`
     /// it profiles `backchase_duration`: the three cover the cost passes,

@@ -18,7 +18,8 @@
 //! (closure-shortcut detection, EGD-priority ordering, per-DED compilation,
 //! and the functional dependencies its key-shaped EGDs state, by predicate,
 //! which let a chase step reuse the term a key already determines instead
-//! of inventing a variable for it) so that a `Mars` instance — or any other
+//! of inventing a variable for it; and the single-premise TGDs the
+//! backchase's pruning criterion 4 reads) so that a `Mars` instance — or any other
 //! long-lived engine — compiles the set **once** and shares it across every
 //! chase, back-chase, branch and query block via `Arc`. Before this type
 //! existed every chase recompiled the dependency set from scratch, which
@@ -27,6 +28,7 @@
 use crate::evaluate::{
     order_atoms, EqualityFilter, ExistsScratch, JoinProgram, JoinScratch, RowBuffers, Source,
 };
+use crate::implied::SinglePremiseTgds;
 use crate::instance::SymbolicInstance;
 use crate::shortcut::{detect_closure_constraints, ClosureConstraints};
 use mars_cq::{Conjunct, Ded, FxHashMap, Predicate, Substitution, Term, Variable};
@@ -399,7 +401,8 @@ impl FunctionalDependencies {
 /// (shortcut on) and included (shortcut off) — the premise-predicate
 /// indexes driving the delta rounds, and the functional dependencies the
 /// set's key-shaped EGDs state, by predicate (a chase step binds an
-/// existential a key already determines instead of inventing it). Build it
+/// existential a key already determines instead of inventing it), plus
+/// the single-premise TGDs the backchase's pruning criterion 4 reads. Build it
 /// once per engine / `Mars` instance and share it via `Arc` — every chase
 /// and back-chase then reuses the same compilation.
 #[derive(Clone, Debug)]
@@ -417,6 +420,9 @@ pub struct CompiledDeps {
     closure: ClosureConstraints,
     /// The functional dependencies the key-shaped EGDs state.
     functional: FunctionalDependencies,
+    /// The single-premise TGDs, which decide the backchase's pruning
+    /// criterion 4.
+    single_premise: SinglePremiseTgds,
 }
 
 /// EGD-priority order: denials first (fail fast), then pure
@@ -465,6 +471,7 @@ impl CompiledDeps {
             all_index,
             closure,
             functional: FunctionalDependencies::new(deds),
+            single_premise: SinglePremiseTgds::new(deds),
         }
     }
 
@@ -476,6 +483,12 @@ impl CompiledDeps {
     /// The functional dependencies the set's key-shaped EGDs state.
     pub(crate) fn functional_dependencies(&self) -> &FunctionalDependencies {
         &self.functional
+    }
+
+    /// The TGDs with one premise atom, one conjunct and no equality or
+    /// inequality, by premise predicate.
+    pub(crate) fn single_premise_tgds(&self) -> &SinglePremiseTgds {
+        &self.single_premise
     }
 
     /// The compiled DEDs the chase should run, given whether the closure

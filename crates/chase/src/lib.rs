@@ -57,6 +57,7 @@ pub mod cb;
 pub mod chase;
 pub mod compiled;
 pub mod evaluate;
+mod implied;
 pub mod instance;
 pub mod reach;
 pub mod shortcut;

@@ -32,7 +32,7 @@ const WORD_BITS: usize = 64;
 
 /// The variable(s) an atom *requires* to be already bound for its navigation
 /// to be contiguous, and the variable(s) it *produces*.
-fn atom_io(atom: &Atom) -> (Vec<Variable>, Vec<Variable>) {
+pub(crate) fn atom_io(atom: &Atom) -> (Vec<Variable>, Vec<Variable>) {
     let var = |i: usize| -> Vec<Variable> { atom.args[i].as_var().into_iter().collect() };
     let Some((base, _)) = atom.navigation() else {
         // Relations, views, specialization relations and Skolem graphs are
@@ -217,7 +217,7 @@ impl ReachabilityGraph {
 /// fixpoint the growth by [`ReachabilityGraph::enabled_into`] is held
 /// against: the oracles the tests compare with.
 #[cfg(test)]
-mod reference {
+pub(crate) mod reference {
     use super::{atom_io, is_desc, is_edge, ReachabilityGraph};
     use mars_cq::{Atom, ConjunctiveQuery, Term, Variable};
     use std::collections::{HashMap, HashSet, VecDeque};

@@ -99,6 +99,11 @@ impl AtomSet {
         self.words.iter().zip(&other.words).all(|(a, b)| a & !b == 0)
     }
 
+    /// Do `self` and `other` share no index? O(words).
+    pub fn is_disjoint(&self, other: &AtomSet) -> bool {
+        self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
+    }
+
     /// The union `self ∪ other`. O(words).
     pub fn union(&self, other: &AtomSet) -> AtomSet {
         let (long, short) =
@@ -211,6 +216,8 @@ mod tests {
         assert_eq!(small.union(&large), large);
         // Canonical-form subset: a longer array never subsets a shorter one.
         assert!(!AtomSet::singleton(500).is_subset_of(&AtomSet::singleton(1)));
+        assert!(small.is_disjoint(&AtomSet::from_indices([64, 129])));
+        assert!(!AtomSet::from_indices([1, 129]).is_disjoint(&large));
     }
 
     #[test]
@@ -236,6 +243,7 @@ mod tests {
             assert_eq!(as_u128(&a), a128);
             assert_eq!(a.len() as u32, a128.count_ones());
             assert_eq!(a.is_subset_of(&b), a128 & !b128 == 0);
+            assert_eq!(a.is_disjoint(&b), a128 & b128 == 0);
             assert_eq!(as_u128(&a.union(&b)), a128 | b128);
             let idx = (rng.next() % 128) as usize;
             assert_eq!(a.contains(idx), a128 & (1 << idx) != 0);
