@@ -5,7 +5,8 @@
 //! on an NC = 6 document, the XMark query suite, Example 1.1's client
 //! query, and every scenario-matrix point's client query. Each file records
 //! the backchase funnel (candidates inspected, cost-pruned, equivalence
-//! checks, memoized resumes, dead-cone skips, minimal reformulations found),
+//! checks, memoized resumes, dead-cone skips, child probes skipped by
+//! pruning criterion 4, minimal reformulations found),
 //! the chase to the universal plan (applied steps, rounds, premise rows,
 //! universal-plan atoms), the column-index builds of the whole
 //! reformulation (counted on the calling thread, so parallel tests cannot
@@ -53,6 +54,7 @@ fn funnel(mars: &Mars, query: &XBindQuery, xml: &XmlStore, db: &RelationalDataba
         ("backchase.equivalence_checks", stats.equivalence_checks),
         ("backchase.chase_cache_hits", stats.chase_cache_hits),
         ("backchase.dead_cone_skips", stats.containment_dead_cone_skips),
+        ("backchase.implied_skips", stats.implied_skips),
         ("backchase.minimal_found", result.minimal.len()),
         ("chase.applied_steps", stats.chase.applied_steps),
         ("chase.rounds", stats.chase.rounds),
