@@ -82,8 +82,8 @@
 //! run no budget cuts, `minimal`, its costs, `best` and its ties are what
 //! the enumeration without the criterion finds; only the funnel counters,
 //! which candidates the per-level memo keeps, and the candidates' ordinals
-//! move. The proof for chains and
-//! for the constructibility condition is in the `implied` module.
+//! move. Why the constructibility condition and the transitive closure
+//! keep this sound is argued in the `implied` module.
 //!
 //! The best cost a candidate is pruned against stays frozen for its level
 //! (the level's discoveries take effect at its end), for two reasons. The

@@ -17,20 +17,19 @@
 //!
 //! The relation is closed transitively over the pool ([`ImpliedAtoms`]).
 //!
-//! **Soundness.** Let a candidate `S` hold `a` and `b`, `b` implying `a`.
-//! The chase of `S ∖ {a}` satisfies Σ, so it holds the derived atom, and the
-//! identity on `S ∖ {a}` extended by the map sends `a` there: `S ∖ {a} ⊆ S`,
-//! and `S ⊆ S ∖ {a}` trivially. The two are equivalent. `S ∖ {a}` keeps the
-//! head variables and the inequalities (both are shared, so `b` holds
-//! them), costs less (`atom_cost` is positive) and is constructible: with
-//! every product of `a` private, no other atom needs `a`; otherwise `b`,
-//! placed where `a` stood in a construction order of `S`, is enabled there
-//! and produces what `a` did. A chain `c ⇒ b ⇒ a` keeps both conditions
-//! (a shared variable of `a` is shared in `b`), so the closure is sound too.
-//! `S` is therefore not minimal: `S ∖ {a}`, or a subset of it, is one
-//! level earlier. And a subset of a candidate without an implied pair has
-//! none either, so skipping the candidates that have one leaves every
-//! other candidate reached from the same parent in the same order.
+//! **Soundness** of one pair is argued in the `backchase` module docs: a
+//! candidate `S` holding `b` and `a` is equivalent to `S ∖ {a}`, which is
+//! constructible and cheaper, so `S` is never minimal. Constructibility:
+//! with every product of `a` private, no other atom needs `a`; otherwise
+//! `b`, placed where `a` stood in a construction order of `S`, is enabled
+//! there and produces what `a` did. Requiring only that `b` produce `a`'s
+//! shared products is not enough: `V(v)` implied by `child(w,v)` may be
+//! the entry point the cycle `child(v,w)`, `child(w,v)` is built from.
+//! The closure is sound because both conditions compose along a chain
+//! `c ⇒ b ⇒ a`: a variable `a` shares is a variable of `b`, shared there
+//! too, so the maps compose; and when `a` produces a shared variable, `b`
+//! produces it as a shared one, so `c` produces it too and requires no
+//! more than `b`, which requires no more than `a`.
 
 use crate::reach::atom_io;
 use mars_cq::{Atom, AtomSet, ConjunctiveQuery, Ded, FxHashMap, Predicate, Term, Variable};
@@ -170,14 +169,12 @@ impl ImpliedAtoms {
         }
         let private = |i: usize, v: Variable| owner.get(&v) == Some(&Some(i));
         let io: Vec<_> = pool.body.iter().map(atom_io).collect();
-        // Dropping `a` beside `b` keeps the candidate constructible.
+        // Dropping `a` beside `b` keeps the candidate constructible: `b`
+        // can stand where `a` stood when it requires nothing `a` does not.
         let droppable = |a: usize, b: usize| {
             let ((requires_a, produces_a), (requires_b, produces_b)) = (&io[a], &io[b]);
-            let private_or = |by_b: bool| {
-                produces_a.iter().all(|&v| private(a, v) || (by_b && produces_b.contains(&v)))
-            };
-            private_or(false)
-                || (requires_b.iter().all(|v| requires_a.contains(v)) && private_or(true))
+            let stands_in = requires_b.iter().all(|v| requires_a.contains(v));
+            produces_a.iter().all(|&v| private(a, v) || (stands_in && produces_b.contains(&v)))
         };
 
         let mut implies = vec![AtomSet::new(); n];
