@@ -1342,8 +1342,10 @@ mod tests {
     }
 
     /// The TIX constraints of `d.xml` a path query's chase fires, written
-    /// out: the closure (`base`, `trans`, `refl`), `child_el` and `el_id` —
-    /// the two single-premise TGDs criterion 4 reads — and the keys.
+    /// out: the closure (`base`, `trans`, `refl`), `child_el` and `el_id`,
+    /// and the keys. Of the single-premise TGDs, `child_el` and `el_id`
+    /// relate pool atoms; `base` and `refl` derive `desc` atoms criterion 1
+    /// already drops from the pool.
     fn tix() -> Vec<Ded> {
         let (x, y, z, i, j) = (t("x"), t("y"), t("z"), t("i"), t("j"));
         vec![

@@ -227,7 +227,7 @@ mod tests {
         Term::var(n)
     }
 
-    /// The two TIX TGDs criterion 4 reads on a GReX pool.
+    /// The two TIX TGDs that relate atoms of a GReX pool.
     fn el_id_tgds() -> Vec<Ded> {
         vec![
             Ded::tgd("child_el", vec![child(t("x"), t("y"))], vec![], vec![el(t("x")), el(t("y"))]),
