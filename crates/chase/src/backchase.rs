@@ -141,6 +141,7 @@ use crate::chase::{
 use crate::compiled::CompiledDeps;
 use crate::evaluate::{maps_into, ContainmentProgram};
 use crate::implied::ImpliedAtoms;
+use crate::instance::thread_index_build_count;
 use crate::reach::{prune_parallel_desc, ReachabilityGraph};
 use mars_cq::{
     Atom, AtomSet, ConjunctiveQuery, FxHashMap, FxHashSet, NavBase, Predicate, Variable,
@@ -479,6 +480,26 @@ pub fn backchase(
     stats: &mut CbStatistics,
 ) -> BackchaseOutcome {
     let start = Instant::now();
+    let builds = thread_index_build_count();
+    let outcome = search(original, primary, plan, proprietary, deds, chase, options, stats);
+    stats.index_builds += thread_index_build_count() - builds;
+    stats.backchase_duration += start.elapsed();
+    outcome
+}
+
+/// The backchase's search, without the accounting [`backchase`] wraps it
+/// in.
+#[allow(clippy::too_many_arguments)]
+fn search(
+    original: &ConjunctiveQuery,
+    primary: &ConjunctiveQuery,
+    plan: &[ResidentBranch],
+    proprietary: &HashSet<Predicate>,
+    deds: &CompiledDeps,
+    chase: &ChaseOptions,
+    options: &BackchaseOptions,
+    stats: &mut CbStatistics,
+) -> BackchaseOutcome {
     let mut outcome = BackchaseOutcome::default();
 
     // Pool of candidate atoms: proprietary atoms of the plan, minus the
@@ -489,7 +510,6 @@ pub fn backchase(
         .filter(|a| proprietary.contains(&a.predicate))
         .collect();
     if pool.is_empty() {
-        stats.backchase_duration += start.elapsed();
         return outcome;
     }
     let pool_query = ConjunctiveQuery {
@@ -527,7 +547,6 @@ pub fn backchase(
             outcome.best = Some((core.clone(), cost));
             outcome.minimal.push((core, cost));
         }
-        stats.backchase_duration += start.elapsed();
         return outcome;
     }
 
@@ -681,7 +700,6 @@ pub fn backchase(
     }
 
     stats.candidates_inspected += inspected;
-    stats.backchase_duration += start.elapsed();
     outcome
 }
 

@@ -15,6 +15,7 @@ use crate::backchase::{
 };
 use crate::chase::{chase_to_resident_compiled, ChaseOptions, ChaseStats};
 use crate::compiled::CompiledDeps;
+use crate::instance::thread_index_build_count;
 use mars_cq::{ConjunctiveQuery, Ded, Predicate};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -158,17 +159,24 @@ pub struct CbStatistics {
     /// a candidate is equivalent to itself without that atom, so it is never
     /// minimal. A child reached from several parents counts once per probe.
     pub implied_skips: usize,
+    /// Column indexes built from scratch ([`crate::Relation::index`]) by
+    /// the chase to the universal plan and by the backchase, whichever
+    /// thread built them: the calling thread's builds plus each backchase
+    /// helper's builds over its share of the checks.
+    pub index_builds: usize,
     /// Backchase wall-clock spent computing candidate costs, timed once per
     /// level. With `backchase_chase_phase` and `backchase_containment_phase`
-    /// it profiles `backchase_duration`: the three cover the cost passes,
-    /// the back-chases and the two containment halves. The rest — growing
-    /// and deduplicating candidates, the memo probes, rendering the
-    /// subqueries that reach the equivalence check — belongs to no phase.
+    /// it profiles the backchase: the three cover the cost passes, the
+    /// back-chases and the two containment halves. The rest — growing and
+    /// deduplicating candidates, the memo probes, rendering the subqueries
+    /// that reach the equivalence check — belongs to no phase.
     pub backchase_cost_phase: Duration,
-    /// Backchase wall-clock spent in back-chases (scratch or resumed).
+    /// Time spent in back-chases (scratch or resumed), summed over the
+    /// threads a level's checks run on: work time, not wall-clock, so with
+    /// the containment phase it can exceed `backchase_duration`.
     pub backchase_chase_phase: Duration,
-    /// Backchase wall-clock spent in containment checks (both halves of the
-    /// equivalence test).
+    /// Time spent in containment checks (both halves of the equivalence
+    /// test), summed over threads like `backchase_chase_phase`.
     pub backchase_containment_phase: Duration,
     /// `true` when a budget ([`BackchaseOptions::max_candidates`] or
     /// [`ChaseOptions::deadline`]) stopped the backchase's enumeration before
@@ -263,6 +271,7 @@ impl ChaseBackchase {
         budget: &ReformulationBudget,
     ) -> ReformulationResult {
         let start = Instant::now();
+        let builds = thread_index_build_count();
         let options = budget.apply(&self.options);
         let up = chase_to_resident_compiled(query, &self.compiled, &options.chase);
         let time_to_universal_plan = start.elapsed();
@@ -280,6 +289,7 @@ impl ChaseBackchase {
             time_to_universal_plan,
             time_to_initial,
             universal_plan_atoms: primary.as_ref().map_or(0, |p| p.body.len()),
+            index_builds: thread_index_build_count() - builds,
             degradation: Degradation::of_chase(up.stats()),
             ..CbStatistics::default()
         };

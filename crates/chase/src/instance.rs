@@ -73,10 +73,11 @@ pub fn index_build_count() -> usize {
 }
 
 /// The column-index builds performed on the calling thread since it
-/// started. A reformulation runs on its calling thread from start to
-/// finish, so the difference across one call is exactly that call's builds,
-/// whatever other threads (parallel tests, other requests) do meanwhile.
-pub fn thread_index_build_count() -> usize {
+/// started. The difference across a stretch of work on one thread is that
+/// work's builds, whatever other threads (parallel tests, other requests)
+/// do meanwhile; [`CbStatistics::index_builds`](crate::CbStatistics) is
+/// counted this way.
+pub(crate) fn thread_index_build_count() -> usize {
     THREAD_INDEX_BUILDS.with(Cell::get)
 }
 

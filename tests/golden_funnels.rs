@@ -9,8 +9,8 @@
 //! pruning criterion 4, minimal reformulations found),
 //! the chase to the universal plan (applied steps, rounds, premise rows,
 //! universal-plan atoms), the column-index builds of the whole
-//! reformulation (counted on the calling thread, so parallel tests cannot
-//! perturb them), and every minimal reformulation with its cost, the route
+//! reformulation (`CbStatistics::index_builds`: counted per thread, so
+//! parallel tests cannot perturb them), and every minimal reformulation with its cost, the route
 //! the router picks for it and the rows it returns on a small populated
 //! store.
 //!
@@ -31,7 +31,6 @@ mod common;
 
 use common::assert_matches_golden;
 use mars::{Mars, MarsOptions};
-use mars_system::chase::thread_index_build_count;
 use mars_system::storage::{BackendRouter, RelationalDatabase, XmlStore};
 use mars_system::xquery::XBindQuery;
 use mars_workloads::scenarios::Scenario;
@@ -43,9 +42,7 @@ const DIR: &str = "tests/golden/funnels";
 /// Reformulate `query` cold on `mars` and render its funnel, its chase and
 /// its minimal reformulations as routed and executed over `xml` / `db`.
 fn funnel(mars: &Mars, query: &XBindQuery, xml: &XmlStore, db: &RelationalDatabase) -> String {
-    let builds_before = thread_index_build_count();
     let block = mars.try_reformulate_xbind(query).expect("workload queries are well-formed");
-    let index_builds = thread_index_build_count() - builds_before;
     let (result, stats) = (&block.result, &block.result.stats);
     let mut out = String::new();
     let lines = [
@@ -60,7 +57,7 @@ fn funnel(mars: &Mars, query: &XBindQuery, xml: &XmlStore, db: &RelationalDataba
         ("chase.rounds", stats.chase.rounds),
         ("chase.premise_rows", stats.chase.premise_rows),
         ("chase.universal_plan_atoms", stats.universal_plan_atoms),
-        ("chase.index_builds", index_builds),
+        ("chase.index_builds", stats.index_builds),
     ];
     for (name, value) in lines {
         writeln!(out, "{name} {value}").unwrap();
