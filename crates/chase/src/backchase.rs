@@ -670,7 +670,9 @@ fn search(
                             && back.stats().completed
                             && !back.is_empty() =>
                     {
-                        cur_level.insert(mask.clone(), back.into_branches());
+                        let mut seed = back.into_branches();
+                        seed.iter_mut().for_each(ResidentBranch::own_relations);
+                        cur_level.insert(mask.clone(), seed);
                     }
                     Verdict::NotContained(_) | Verdict::Unsafe => {}
                 }

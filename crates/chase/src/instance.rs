@@ -718,6 +718,18 @@ impl SymbolicInstance {
         self.relations.get(&p).map_or(0, |r| r.row_bound())
     }
 
+    /// Copy every relation this instance still shares with another (a
+    /// clone, or the seed it was resumed from), so that no other instance
+    /// reads or fills its index caches. The backchase makes each memo seed
+    /// own its relations: the seeds' checks then run on different threads
+    /// without sharing a relation, and which indexes a copy-on-write carries
+    /// over does not depend on how the threads interleave.
+    pub(crate) fn own_relations(&mut self) {
+        for rel in self.relations.values_mut() {
+            Arc::make_mut(rel);
+        }
+    }
+
     /// The full relation object (rows + persistent indexes) for a
     /// predicate, if present.
     pub fn relation_data(&self, p: Predicate) -> Option<&Relation> {
