@@ -32,10 +32,16 @@
 //! ([`AtomSet`] — growable bitsets, so pools wider than 128 atoms enumerate
 //! exhaustively; the old `u128` ceiling and its silent greedy fallback are
 //! gone). Each level holds every candidate of one subquery size. Its costs
-//! are computed in one pass before the level's loop, which then judges the
-//! candidates one after the other: cost pruning, the safety prefilter, the
-//! equivalence check, and growth by one atom. Only a candidate that reaches
-//! the equivalence check is rendered as a subquery.
+//! are computed in one pass, and then the level is judged in three passes:
+//!
+//! 1. in position order, cost pruning and the safety prefilter, and for
+//!    each candidate that reaches the equivalence check its rendering as a
+//!    subquery and its memo seed;
+//! 2. the equivalence checks, on every core the process may use
+//!    (`std::thread::available_parallelism`, the calling thread one of the
+//!    workers, helpers under `std::thread::scope`);
+//! 3. in position order again, the verdicts: the funnel counters, `minimal`
+//!    and `best`, the memo of the next level, and growth by one atom.
 //!
 //! Growth is bitset work. The [`ReachabilityGraph`] compiles each pool
 //! atom's required and produced variables into word bitsets once, so the
@@ -51,6 +57,38 @@
 //! entry point grown by atoms it enables, so it is constructible by
 //! construction. The legality fixpoint, `reach::reference::is_legal_subset`
 //! (test code), is the oracle the tests hold that growth against.
+//!
+//! # Parallel checks, identical results
+//!
+//! The checks of one level are independent. Which candidates are checked
+//! depends only on the level's frozen best cost (see below) and the
+//! previous level's memo; a check reads only the universal plan, the
+//! compiled dependencies and its own seed from that memo; and nothing it
+//! decides feeds another check of its level. So a worker takes
+//! the next *group* of checks — those resuming from one seed, in position
+//! order; a check from scratch is a group of its own — and runs it, and the
+//! third pass reads the verdicts in position order, as the serial loop
+//! did. `minimal`, the costs, `best` and its ties, every funnel counter and
+//! every back-chase are what one thread computes, on any number of workers
+//! (`parallel_checks_find_what_one_worker_finds`). With one core the same
+//! code runs the checks on the caller and spawns nothing; a level with one
+//! group spawns nothing either. A helper's panic is raised again on the
+//! caller with its payload.
+//!
+//! The shared reads are safe because a relation is `Sync`: its lazily
+//! built column indexes sit behind a lock ([`crate::Relation::index`]).
+//! Index builds must also not depend on the schedule
+//! ([`CbStatistics::index_builds`] counts each thread's builds). The
+//! universal plan's relations are only read, so an index two workers race
+//! to build is kept and counted once. A memo seed, though, used to share
+//! the relations its back-chase never wrote with the seed it resumed from
+//! and with its siblings, so which indexes a later copy-on-write carried
+//! over would have depended on which worker filled a shared cache first.
+//! Instead a seed **owns its relations**: the check that keeps it copies
+//! every relation it still shares (`Arc::make_mut` on each). A seed is
+//! then read by its own group, on one worker, in order, and the count
+//! repeats exactly. Owning costs one index build in Example 1.1's
+//! reformulation (47 → 48) and two per `cold_templates` round.
 //!
 //! # Criterion 4: implied atoms
 //!
@@ -93,7 +131,9 @@
 //! reformulation found mid-level cannot cost-prune a same-size candidate:
 //! neither contains the other, both may be minimal, and in the
 //! non-exhaustive mode `minimal` keeps every one whose cost does not exceed
-//! the best of the *smaller* sizes.
+//! the best of the *smaller* sizes. It also leaves no verdict of a level
+//! that another check of the level depends on, so the checks can run in
+//! parallel (see above).
 //!
 //! Whether a candidate is equivalent to the original query is decided by one
 //! function, `Equivalence::check`, for the enumeration and for the core path
@@ -122,9 +162,10 @@
 //!   indexes. A candidate grown from an already-chased subset clones the
 //!   cached instances (a map of relation handles) and resumes with the one
 //!   new atom ([`chase_resident_with_atoms_compiled`]) — the seed is already
-//!   at fixpoint, so only consequences of the new atom fire. Because the BFS
-//!   visits subsets level by level, only the previous and current size
-//!   levels are retained.
+//!   at fixpoint, so only consequences of the new atom fire. A seed owns
+//!   its relations (see above), so it shares none with its siblings.
+//!   Because the BFS visits subsets level by level, only the previous and
+//!   current size levels are retained.
 //! * **Folded subset costs**: the cost model is additive (`atom_cost`, a
 //!   fixed weight per atom), so the pool's per-atom costs are computed once
 //!   and a candidate's cost is a fold over its bitset, one pass per level.
@@ -136,7 +177,7 @@
 use crate::cb::CbStatistics;
 use crate::chase::{
     chase_resident_with_atoms_compiled, chase_to_resident_compiled, ChaseOptions, ChaseStats,
-    ChaseStop, ResidentBranch, ResidentChase,
+    ChaseStop, ResidentBranch,
 };
 use crate::compiled::CompiledDeps;
 use crate::evaluate::{maps_into, ContainmentProgram};
@@ -147,6 +188,9 @@ use mars_cq::{
     Atom, AtomSet, ConjunctiveQuery, FxHashMap, FxHashSet, NavBase, Predicate, Variable,
 };
 use std::collections::HashSet;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// The backchase's cost model: the estimated cost of one body atom. A query
@@ -319,10 +363,12 @@ enum Verdict {
     /// universal-plan branch — and a homomorphism from any superset would
     /// restrict to one from the candidate, so no superset does either.
     OutsidePlan,
-    /// `candidate ⊆ original` was not established: the back-chase (handed
-    /// back for memoization) ran out of budget, lost every branch, or has a
-    /// branch the original does not map into.
-    NotContained(ResidentChase),
+    /// `candidate ⊆ original` was not established: the back-chase ran out
+    /// of budget, lost every branch, or has a branch the original does not
+    /// map into. It is handed back as a memo seed, owning its relations,
+    /// when the check was asked for one and the back-chase completed with a
+    /// surviving branch.
+    NotContained(Option<Vec<ResidentBranch>>),
     /// Both containments hold.
     Equivalent,
 }
@@ -364,11 +410,14 @@ impl Equivalence<'_> {
     ///   completes with at least one surviving branch and the original maps
     ///   into every one preserving the head. With a `seed` — the resident
     ///   chase of the candidate minus one atom, and that atom — the chase
-    ///   resumes from it instead of starting over.
+    ///   resumes from it instead of starting over. With `memoize`, a
+    ///   back-chase that does not confirm is kept as a seed (see
+    ///   [`Verdict::NotContained`]).
     fn check(
         &self,
         candidate: &ConjunctiveQuery,
         seed: Option<(&[ResidentBranch], &Atom)>,
+        memoize: bool,
     ) -> EquivalenceCheck {
         let mut check = EquivalenceCheck {
             verdict: Verdict::Unsafe,
@@ -411,9 +460,91 @@ impl Equivalence<'_> {
             && !back.is_empty()
             && back.branches().iter().all(|b| self.original.maps_into(b.instance(), b.head()));
         check.containment_time += confirm_start.elapsed();
-        check.verdict = if confirmed { Verdict::Equivalent } else { Verdict::NotContained(back) };
+        check.verdict = if confirmed {
+            Verdict::Equivalent
+        } else if memoize && back.stats().completed && !back.is_empty() {
+            // A seed owns its relations (see the module docs): it shares
+            // none with the seed it resumed from, nor with a sibling.
+            let mut branches = back.into_branches();
+            branches.iter_mut().for_each(ResidentBranch::own_relations);
+            Verdict::NotContained(Some(branches))
+        } else {
+            Verdict::NotContained(None)
+        };
         check
     }
+
+    /// Run a level's checks on up to `workers` threads, the caller one of
+    /// them, and return them in job order with the index builds of the
+    /// helper threads. Each worker takes the next group of jobs and runs it
+    /// in order, so the checks resuming from one seed run in order on one
+    /// thread. A helper's panic is raised again on the caller, with its
+    /// payload.
+    fn check_all(
+        &self,
+        jobs: &[Job<'_>],
+        groups: &[Vec<usize>],
+        workers: usize,
+    ) -> (Vec<EquivalenceCheck>, usize) {
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let builds = thread_index_build_count();
+            let mut done = Vec::new();
+            while let Some(group) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
+                for &j in group {
+                    let job = &jobs[j];
+                    done.push((j, self.check(&job.candidate, job.seed, job.memoize)));
+                }
+            }
+            (done, thread_index_build_count() - builds)
+        };
+        let (mut done, helper_builds) = std::thread::scope(|scope| {
+            let helpers: Vec<_> =
+                (1..workers.min(groups.len())).map(|_| scope.spawn(work)).collect();
+            let (mut done, _) = work();
+            let mut builds = 0;
+            for helper in helpers {
+                match helper.join() {
+                    Ok((more, more_builds)) => {
+                        done.extend(more);
+                        builds += more_builds;
+                    }
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+            (done, builds)
+        });
+        done.sort_unstable_by_key(|&(j, _)| j);
+        (done.into_iter().map(|(_, check)| check).collect(), helper_builds)
+    }
+}
+
+/// One equivalence check of a level, as the level's first pass prepared it.
+struct Job<'a> {
+    candidate: ConjunctiveQuery,
+    /// The memoized chase the check resumes from, and the atom it adds.
+    seed: Option<(&'a [ResidentBranch], &'a Atom)>,
+    /// Keep the back-chase as a seed if it does not confirm (the per-level
+    /// memo budget).
+    memoize: bool,
+}
+
+/// What a level's first pass decided for one candidate.
+enum Step {
+    /// It costs more than the best reformulation of a smaller size: not
+    /// checked, not grown.
+    Pruned,
+    /// It fails the safety prefilter: grown without a check.
+    Grow,
+    /// It has a [`Job`].
+    Check,
+}
+
+/// The number of threads a backchase level runs its checks on: every core
+/// the process may use, read once per process.
+fn available_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 /// Head-variable coverage prefilter: safety as a bitset fold over the head
@@ -455,19 +586,20 @@ impl SafetyPrefilter {
 ///
 /// `original` is the query being reformulated; `plan` holds the resident
 /// branches its chase produced (at least one) and `primary` is the first of
-/// them rendered as a query ([`ResidentChase::primary`]) — the universal plan
-/// whose subqueries are enumerated. `proprietary` is the set of predicates
-/// that may appear in a reformulation, `deds` the dependency set in its
-/// shared compiled form ([`CompiledDeps`] — built once per engine, reused by
-/// every back-chase here), and `chase` the engine's chase options: every
-/// back-chase runs under them, and their deadline is the clock of the
-/// enumeration.
+/// them rendered as a query
+/// ([`ResidentChase::primary`](crate::ResidentChase::primary)) — the
+/// universal plan whose subqueries are enumerated. `proprietary` is the set
+/// of predicates that may appear in a reformulation, `deds` the dependency
+/// set in its shared compiled form ([`CompiledDeps`] — built once per
+/// engine, reused by every back-chase here), and `chase` the engine's chase
+/// options: every back-chase runs under them, and their deadline is the
+/// clock of the enumeration.
 ///
 /// The backchase's work is added to `stats`: the funnel counters
 /// (`candidates_inspected`, `pruned_by_cost`, `equivalence_checks`,
 /// `chase_cache_hits`, `containment_dead_cone_skips`, `implied_skips`), the
-/// phase times, the duration, and whether and why a budget cut it
-/// (`backchase_truncated`, merged into `degradation`).
+/// index builds, the phase times, the duration, and whether and why a
+/// budget cut it (`backchase_truncated`, merged into `degradation`).
 #[allow(clippy::too_many_arguments)]
 pub fn backchase(
     original: &ConjunctiveQuery,
@@ -479,18 +611,38 @@ pub fn backchase(
     options: &BackchaseOptions,
     stats: &mut CbStatistics,
 ) -> BackchaseOutcome {
+    let workers = available_workers();
+    backchase_on(workers, original, primary, plan, proprietary, deds, chase, options, stats)
+}
+
+/// [`backchase`] with each level's checks on `workers` threads: the seam the
+/// tests fix the worker count with, to hold a parallel run against a serial
+/// one.
+#[allow(clippy::too_many_arguments)]
+fn backchase_on(
+    workers: usize,
+    original: &ConjunctiveQuery,
+    primary: &ConjunctiveQuery,
+    plan: &[ResidentBranch],
+    proprietary: &HashSet<Predicate>,
+    deds: &CompiledDeps,
+    chase: &ChaseOptions,
+    options: &BackchaseOptions,
+    stats: &mut CbStatistics,
+) -> BackchaseOutcome {
     let start = Instant::now();
     let builds = thread_index_build_count();
-    let outcome = search(original, primary, plan, proprietary, deds, chase, options, stats);
+    let outcome =
+        search(workers, original, primary, plan, proprietary, deds, chase, options, stats);
     stats.index_builds += thread_index_build_count() - builds;
     stats.backchase_duration += start.elapsed();
     outcome
 }
 
-/// The backchase's search, without the accounting [`backchase`] wraps it
-/// in.
+/// The search [`backchase_on`] times and counts index builds around.
 #[allow(clippy::too_many_arguments)]
 fn search(
+    workers: usize,
     original: &ConjunctiveQuery,
     primary: &ConjunctiveQuery,
     plan: &[ResidentBranch],
@@ -609,72 +761,106 @@ fn search(
             level.iter().map(|mask| mask.iter().map(|i| atom_costs[i]).sum()).collect();
         stats.backchase_cost_phase += cost_start.elapsed();
 
-        visited.clear();
-        let mut cur_level: FxHashMap<AtomSet, Vec<ResidentBranch>> = FxHashMap::default();
-        let mut next_best = best_cost;
-        for (position, (mut mask, cost)) in level.into_iter().zip(costs).enumerate() {
-            inspected += 1;
+        // First pass, in position order: cost pruning, the safety
+        // prefilter, and for each candidate to check its rendering and its
+        // memo seed. Checks resuming from one seed form one group.
+        let mut steps = Vec::with_capacity(level.len());
+        let mut jobs: Vec<Job<'_>> = Vec::new();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut group_of: FxHashMap<*const ResidentBranch, usize> = FxHashMap::default();
+        for (position, (mask, &cost)) in level.iter_mut().zip(&costs).enumerate() {
             // Cost-based pruning: a subquery costing more than the best found
             // so far cannot lead to the optimum (monotone cost model), so
             // neither it nor its supersets are considered further.
             if !options.exhaustive && cost > best_cost {
-                stats.pruned_by_cost += 1;
+                steps.push(Step::Pruned);
                 continue;
             }
-
             // The safety prefilter: a subset failing it is not checked, only
             // grown. (Navigation legality, criteria 2–3, holds by
             // construction: every candidate is a root grown by enabled atoms.)
-            if safety.passes(&mask) {
-                let subset: Vec<usize> = mask.iter().collect();
-                let mut candidate = pool_query.subquery(&subset);
-                candidate.name = format!("{}_candidate{inspected}", original.name);
-                // Resume from the memoized chase of the candidate minus one
-                // atom, probed by taking each atom out and putting it back.
-                let mut seed = None;
-                for &i in &subset {
-                    mask.remove(i);
-                    let memo = prev_level.get(&mask);
-                    mask.insert(i);
-                    if let Some(branches) = memo {
-                        seed = Some((branches.as_slice(), &pool[i]));
-                        break;
-                    }
+            if !safety.passes(mask) {
+                steps.push(Step::Grow);
+                continue;
+            }
+            let subset: Vec<usize> = mask.iter().collect();
+            let mut candidate = pool_query.subquery(&subset);
+            candidate.name = format!("{}_candidate{}", original.name, inspected + position + 1);
+            // Resume from the memoized chase of the candidate minus one
+            // atom, probed by taking each atom out and putting it back.
+            let mut seed = None;
+            for &i in &subset {
+                mask.remove(i);
+                let memo = prev_level.get(mask);
+                mask.insert(i);
+                if let Some(branches) = memo {
+                    seed = Some((branches.as_slice(), &pool[i]));
+                    break;
                 }
-                let check = equivalence.check(&candidate, seed);
-                stats.absorb(&check);
-                stats.equivalence_checks += usize::from(!matches!(check.verdict, Verdict::Unsafe));
-                stats.chase_cache_hits += usize::from(check.resumed);
-                match check.verdict {
-                    // Outside the plan, no superset can pass either (antichain
-                    // dead cone): the cone ends here.
-                    Verdict::OutsidePlan => {
-                        stats.containment_dead_cone_skips += 1;
-                        continue;
-                    }
-                    // No superset of a reformulation is minimal.
-                    Verdict::Equivalent => {
-                        found.push(mask);
-                        if cost < next_best {
-                            next_best = cost;
-                            outcome.best = Some((candidate.clone(), cost));
+            }
+            let group = match seed {
+                Some((branches, _)) => *group_of.entry(branches.as_ptr()).or_insert(groups.len()),
+                None => groups.len(),
+            };
+            if group == groups.len() {
+                groups.push(Vec::new());
+            }
+            groups[group].push(jobs.len());
+            steps.push(Step::Check);
+            jobs.push(Job { candidate, seed, memoize: position < options.chase_cache_per_level });
+        }
+
+        inspected += level.len();
+
+        // Second pass: the checks, on every worker. A check reads only the
+        // universal plan, the dependencies and its own seed, so it decides
+        // what it would decide alone (see the module docs).
+        let (checks, helper_builds) = equivalence.check_all(&jobs, &groups, workers);
+        stats.index_builds += helper_builds;
+        let candidates: Vec<ConjunctiveQuery> = jobs.into_iter().map(|job| job.candidate).collect();
+        let mut checked = candidates.into_iter().zip(checks);
+
+        // Third pass, in position order: the verdicts, the memo and growth.
+        visited.clear();
+        let mut cur_level: FxHashMap<AtomSet, Vec<ResidentBranch>> = FxHashMap::default();
+        let mut next_best = best_cost;
+        for ((mut mask, cost), step) in level.into_iter().zip(costs).zip(steps) {
+            match step {
+                Step::Pruned => {
+                    stats.pruned_by_cost += 1;
+                    continue;
+                }
+                Step::Grow => {}
+                Step::Check => {
+                    let (candidate, check) = checked.next().expect("a check per job");
+                    stats.absorb(&check);
+                    stats.equivalence_checks +=
+                        usize::from(!matches!(check.verdict, Verdict::Unsafe));
+                    stats.chase_cache_hits += usize::from(check.resumed);
+                    match check.verdict {
+                        // Outside the plan, no superset can pass either
+                        // (antichain dead cone): the cone ends here.
+                        Verdict::OutsidePlan => {
+                            stats.containment_dead_cone_skips += 1;
+                            continue;
                         }
-                        outcome.minimal.push((candidate, cost));
-                        continue;
+                        // No superset of a reformulation is minimal.
+                        Verdict::Equivalent => {
+                            found.push(mask);
+                            if cost < next_best {
+                                next_best = cost;
+                                outcome.best = Some((candidate.clone(), cost));
+                            }
+                            outcome.minimal.push((candidate, cost));
+                            continue;
+                        }
+                        // Not (yet) a reformulation: its supersets are chased
+                        // next level, resuming from its chase if it was kept.
+                        Verdict::NotContained(Some(seed)) => {
+                            cur_level.insert(mask.clone(), seed);
+                        }
+                        Verdict::NotContained(None) | Verdict::Unsafe => {}
                     }
-                    // Not (yet) a reformulation: its supersets are chased next
-                    // level — keep this chase as their memoization seed
-                    // (position-gated: the per-level cache budget).
-                    Verdict::NotContained(back)
-                        if position < options.chase_cache_per_level
-                            && back.stats().completed
-                            && !back.is_empty() =>
-                    {
-                        let mut seed = back.into_branches();
-                        seed.iter_mut().for_each(ResidentBranch::own_relations);
-                        cur_level.insert(mask.clone(), seed);
-                    }
-                    Verdict::NotContained(_) | Verdict::Unsafe => {}
                 }
             }
             // Grow the subset by one atom: each child is probed in place and
@@ -716,7 +902,7 @@ fn minimize_to_core(
     stats: &mut CbStatistics,
 ) -> Option<ConjunctiveQuery> {
     let mut equivalent = |candidate: &ConjunctiveQuery| {
-        let check = equivalence.check(candidate, None);
+        let check = equivalence.check(candidate, None, false);
         stats.equivalence_checks += 1;
         stats.absorb(&check);
         matches!(check.verdict, Verdict::Equivalent)
@@ -867,17 +1053,32 @@ mod tests {
         options: &BackchaseOptions,
     ) -> Run {
         let compiled = CompiledDeps::new(deds);
-        let up = chase_to_resident_compiled(q, &compiled, &ChaseOptions::default());
+        run_on(available_workers(), q, &compiled, proprietary, chase, options)
+    }
+
+    /// [`run_under`] with each level's checks on `workers` threads. The
+    /// universal plan is chased afresh, so no index an earlier run built on
+    /// its relations is reused.
+    fn run_on(
+        workers: usize,
+        q: &ConjunctiveQuery,
+        compiled: &CompiledDeps,
+        proprietary: &HashSet<Predicate>,
+        chase: &ChaseOptions,
+        options: &BackchaseOptions,
+    ) -> Run {
+        let up = chase_to_resident_compiled(q, compiled, &ChaseOptions::default());
         let mut stats = CbStatistics::default();
         let Some(primary) = up.primary(&q.name) else {
             return (BackchaseOutcome::default(), stats);
         };
-        let outcome = backchase(
+        let outcome = backchase_on(
+            workers,
             q,
             &primary,
             up.branches(),
             proprietary,
-            &compiled,
+            compiled,
             chase,
             options,
             &mut stats,
@@ -1143,11 +1344,15 @@ mod tests {
     }
 
     /// The phase profile: the recorded phases are non-zero where work
-    /// happened and sum to at most the total backchase duration.
+    /// happened and, with one worker, sum to at most the total backchase
+    /// duration (with more they sum work time over threads, which may
+    /// exceed it).
     #[test]
     fn phase_profile_is_recorded() {
         let (q, deds, proprietary) = redundant_setup();
-        let (_, stats) = run(&q, &deds, &proprietary, &BackchaseOptions::exhaustive());
+        let (compiled, chase) = (CompiledDeps::new(&deds), ChaseOptions::default());
+        let exhaustive = BackchaseOptions::exhaustive();
+        let (_, stats) = run_on(1, &q, &compiled, &proprietary, &chase, &exhaustive);
         assert!(stats.backchase_chase_phase > Duration::default());
         assert!(stats.backchase_containment_phase > Duration::default());
         assert!(
@@ -1156,6 +1361,42 @@ mod tests {
                 + stats.backchase_containment_phase
                 <= stats.backchase_duration
         );
+    }
+
+    /// A level's checks on several threads decide what one thread decides:
+    /// on the star at NC = 5 (exhaustive), Example 1.1 and the XMark suite,
+    /// runs on 1, 2 and 3 workers, each twice, find the same minimal bodies
+    /// in the same order and the same best, and record every counter of
+    /// [`CbStatistics`] alike, index builds included.
+    #[test]
+    fn parallel_checks_find_what_one_worker_finds() {
+        use mars::{Mars, MarsOptions};
+        use mars_workloads::{example11, star::StarConfig, xmark};
+        let star = StarConfig::figure5(5);
+        let star_mars = star.mars(MarsOptions::specialized().exhaustive());
+        let (example11_mars, xmark_mars) = (example11::mars(), xmark::mars(true));
+        let mut cases: Vec<(&Mars, _, BackchaseOptions)> = vec![
+            (&star_mars, star.client_query(), BackchaseOptions::exhaustive()),
+            (&example11_mars, example11::client_query(), BackchaseOptions::default()),
+        ];
+        for query in xmark::query_suite() {
+            cases.push((&xmark_mars, query, BackchaseOptions::default()));
+        }
+        for (mars, query, options) in cases {
+            let block = mars.reformulate_xbind(&query);
+            let initial = block.result.initial.expect("the query has a reformulation");
+            let proprietary: HashSet<Predicate> =
+                initial.body.iter().map(|a| a.predicate).collect();
+            let (q, compiled) = (&block.compiled, CompiledDeps::new(mars.dependencies()));
+            let chase = ChaseOptions::default();
+            let serial = run_on(1, q, &compiled, &proprietary, &chase, &options);
+            assert!(!serial.0.minimal.is_empty(), "{}", query.name);
+            let serial = strip_durations(serial);
+            for workers in [1, 2, 3, 1, 2, 3] {
+                let run = run_on(workers, q, &compiled, &proprietary, &chase, &options);
+                assert_eq!(strip_durations(run), serial, "{} on {workers} workers", query.name);
+            }
+        }
     }
 
     /// Regression for the removed 128-atom ceiling: a candidate pool wider
@@ -1334,7 +1575,7 @@ mod tests {
             {
                 continue;
             }
-            let check = equivalence.check(&pool.subquery(&subset), None);
+            let check = equivalence.check(&pool.subquery(&subset), None, false);
             if matches!(check.verdict, Verdict::Equivalent) {
                 found.push(subset);
             }
@@ -1388,6 +1629,88 @@ mod tests {
             .map(|a| a.predicate)
             .chain(extra.iter().map(|p| Predicate::new(p)))
             .collect()
+    }
+
+    /// A check that panics, on a helper thread or on the caller, panics the
+    /// caller with its own payload. The last job resumes the chase of `Q(x)
+    /// :- A(x,y)` with the unary `A(x)`, which breaks the relation's arity;
+    /// the caller usually takes the first group, of sound checks, so the
+    /// panic usually happens on a helper.
+    #[test]
+    fn a_panicking_check_panics_the_caller_with_its_payload() {
+        let q = ConjunctiveQuery::new("Q")
+            .with_head(vec![t("x")])
+            .with_body(vec![Atom::named("A", vec![t("x"), t("y")])]);
+        let compiled = CompiledDeps::new(&[]);
+        let up = chase_to_resident_compiled(&q, &compiled, &ChaseOptions::default());
+        let equivalence = Equivalence {
+            original: ContainmentProgram::new(&q),
+            plan: up.branches(),
+            deds: &compiled,
+            chase: ChaseOptions::default(),
+        };
+        let unary = Atom::named("A", vec![t("x")]);
+        let mut jobs: Vec<Job<'_>> =
+            (0..8).map(|_| Job { candidate: q.clone(), seed: None, memoize: false }).collect();
+        let seed = Some((up.branches(), &unary));
+        jobs.push(Job { candidate: q.clone(), seed, memoize: false });
+        let groups = [(0..8).collect(), vec![8]];
+        for workers in [1, 2, 3] {
+            let run = || equivalence.check_all(&jobs, &groups, workers);
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .err()
+                .expect("the checks panic");
+            let message = payload.downcast_ref::<String>().expect("a formatted panic message");
+            assert!(message.contains("every tuple of a relation has its arity"), "{message}");
+        }
+    }
+
+    /// A back-chase kept as a memo seed owns its relations: it shares none
+    /// with the seed it resumed from, though the resumed chase by itself
+    /// shares every relation it did not write. On `grex_setup`'s pool,
+    /// `{text(y,v)}` is checked from scratch and kept, and `{text(y,v),
+    /// tag(y,"b")}` resumes from it.
+    #[test]
+    fn a_kept_seed_shares_no_relation_with_the_seed_it_resumed_from() {
+        let (q, deds, proprietary) = grex_setup();
+        let compiled = CompiledDeps::new(&deds);
+        let up = chase_to_resident_compiled(&q, &compiled, &ChaseOptions::default());
+        let primary = up.primary(&q.name).unwrap();
+        let body = primary.body.iter().filter(|a| proprietary.contains(&a.predicate)).cloned();
+        let pool = ConjunctiveQuery { body: body.collect(), ..primary };
+        let above = pool.variables().iter().chain(&q.variables()).map(|v| v.index).max();
+        let chase = ChaseOptions { min_fresh_index: above.unwrap_or(0) + 1, ..Default::default() };
+        let equivalence = Equivalence {
+            original: ContainmentProgram::new(&q),
+            plan: up.branches(),
+            deds: &compiled,
+            chase: chase.clone(),
+        };
+        let at = |atom: &Atom| pool.body.iter().position(|a| a == atom).unwrap();
+        let (text_y, tag_y) = (at(&text(t("y"), t("v"))), at(&tag(t("y"), "b")));
+        let kept = |check: EquivalenceCheck| match check.verdict {
+            Verdict::NotContained(Some(seed)) => seed,
+            _ => panic!("the candidate is kept as a seed"),
+        };
+        let parent = kept(equivalence.check(&pool.subquery(&[text_y]), None, true));
+        let seed = Some((parent.as_slice(), &pool.body[tag_y]));
+        let child = kept(equivalence.check(&pool.subquery(&[text_y, tag_y]), seed, true));
+        let shared = |branches: &[ResidentBranch]| {
+            let (of, from) = (branches[0].instance(), parent[0].instance());
+            let predicates: HashSet<Predicate> = of.atoms().iter().map(|a| a.predicate).collect();
+            predicates.into_iter().any(|p| match (of.relation_data(p), from.relation_data(p)) {
+                (Some(a), Some(b)) => std::ptr::eq(a, b),
+                _ => false,
+            })
+        };
+        let resumed = chase_resident_with_atoms_compiled(
+            &parent,
+            std::slice::from_ref(&pool.body[tag_y]),
+            &compiled,
+            &chase,
+        );
+        assert!(shared(resumed.branches()), "a resumed chase shares what it did not write");
+        assert!(!shared(&child), "a kept seed owns every relation");
     }
 
     /// `/a/b/text()` as `Q(v) :- root(r), child(r,x), tag(x,"a"),

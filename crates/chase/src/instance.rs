@@ -75,8 +75,8 @@ pub fn index_build_count() -> usize {
 /// The column-index builds performed on the calling thread since it
 /// started. The difference across a stretch of work on one thread is that
 /// work's builds, whatever other threads (parallel tests, other requests)
-/// do meanwhile; [`CbStatistics::index_builds`](crate::CbStatistics) is
-/// counted this way.
+/// do meanwhile. [`CbStatistics::index_builds`](crate::CbStatistics) adds
+/// up the caller's share and each backchase helper thread's.
 pub(crate) fn thread_index_build_count() -> usize {
     THREAD_INDEX_BUILDS.with(Cell::get)
 }
@@ -335,10 +335,12 @@ pub struct Relation {
     /// (`&SymbolicInstance`) build an index lazily on first use. The cache
     /// is lock-guarded and hands out shared handles, so a relation — and
     /// with it `mars_storage::RelationalDatabase` and its router — is
-    /// `Sync`; the chase itself is single-threaded and every request chases
-    /// instances of its own, so the locks are uncontended there. Clones
-    /// share the handles; the first change to either side copies the
-    /// indexes it touches.
+    /// `Sync`. One chase runs on one thread, but the backchase runs a
+    /// level's equivalence checks on several: they all read the universal
+    /// plan's relations and share its locks, while a memo seed is read by
+    /// one thread only and owns its relations
+    /// ([`SymbolicInstance::own_relations`]). Clones share the handles; the
+    /// first change to either side copies the indexes it touches.
     indexes: RwLock<IndexCache>,
     /// From-scratch builds of this relation's indexes — the race-free
     /// (per-relation) counterpart of the process-wide [`index_build_count`],

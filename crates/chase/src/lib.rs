@@ -41,9 +41,13 @@
 //! * the top-level [`ChaseBackchase`] driver returning the initial
 //!   reformulation, all minimal reformulations and the cost-optimal one.
 //!
-//! One reformulation runs on the calling thread from start to finish. The
-//! engine is `Send + Sync`, and the request is the unit of parallelism: a
-//! resident service reformulates different requests on different threads.
+//! The engine is `Send + Sync`, and a resident service reformulates
+//! different requests on different threads. Inside one reformulation the
+//! backchase runs the equivalence checks of a BFS level on every core the
+//! process may use, the calling thread among them; everything else — the
+//! chase to the universal plan, cost pruning, growth and the bookkeeping of
+//! verdicts — runs on the calling thread, and the result is what one thread
+//! computes (see [`mod@backchase`]).
 //!
 //! The crate depends on `mars-cq` alone. What is XML-specific about it — the
 //! pruning criteria, the closure shortcut, the cost weights — applies to the

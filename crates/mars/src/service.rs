@@ -16,7 +16,8 @@
 //! entries are invalidated rather than served.
 //!
 //! The service is `Sync`: one instance can be shared across request threads
-//! (`&MarsService` handles) — the request is the unit of parallelism.
+//! (`&MarsService` handles), and inside a cold request the backchase also
+//! checks a level's candidates on every core (see `mars_chase::backchase`).
 //!
 //! # The degradation ladder
 //!
