@@ -16,6 +16,11 @@
 //!   atoms the chase adds to the cached document's nodes, so this is the
 //!   case pruning criterion 4 (a candidate holding an implied atom is never
 //!   grown) is measured on.
+//! - `backchase_resume/reformulate_star_corners`: the star corner template
+//!   of `marsbench`'s NC = 6, NV = 5 tenant with every corner {1, …, 6},
+//!   reformulated cold, cost-pruned: 143 back-chases, 111 of them resumed.
+//!   Most levels check several candidates, so this is where running a
+//!   level's checks on every core shows without `marsbench`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mars::MarsOptions;
@@ -112,5 +117,19 @@ fn bench_example11(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_resume, bench_closure, bench_example11);
+fn bench_star_corners(c: &mut Criterion) {
+    let cfg = StarConfig { nc: 6, nv: 5, proprietary_includes_document: true };
+    let mars = cfg.mars(MarsOptions::specialized());
+    let query = cfg.corner_query(&[1, 2, 3, 4, 5, 6]);
+    let checks = mars.reformulate_xbind(&query).result.stats.equivalence_checks;
+    assert_eq!(checks, 143, "the corner set's back-chases");
+    let mut g = c.benchmark_group("backchase_resume");
+    g.sample_size(20);
+    g.bench_function("reformulate_star_corners", |b| {
+        b.iter(|| mars.reformulate_xbind(black_box(&query)))
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_resume, bench_closure, bench_example11, bench_star_corners);
 criterion_main!(benches);
