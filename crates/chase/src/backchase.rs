@@ -64,12 +64,12 @@
 //! depends only on the level's frozen best cost (see below) and the
 //! previous level's memo; a check reads only the universal plan, the
 //! compiled dependencies and its own seed from that memo; and nothing it
-//! decides feeds another check of its level. So a worker takes
-//! the next *group* of checks — those resuming from one seed, in position
-//! order; a check from scratch is a group of its own — and runs it, and the
-//! third pass reads the verdicts in position order, as the serial loop
-//! did. `minimal`, the costs, `best` and its ties, every funnel counter and
-//! every back-chase are what one thread computes, on any number of workers
+//! decides feeds another check of its level. So a worker takes the next
+//! *group* of checks — those resuming from one seed, in position order; a
+//! check from scratch is a group of its own — and runs it, and the third
+//! pass reads the verdicts in position order. `minimal`, the costs, `best`
+//! and its ties, every funnel counter and every back-chase are what one
+//! thread computes, on any number of workers
 //! (`parallel_checks_find_what_one_worker_finds`). With one core the same
 //! code runs the checks on the caller and spawns nothing; a level with one
 //! group spawns nothing either. A helper's panic is raised again on the
@@ -80,15 +80,14 @@
 //! Index builds must also not depend on the schedule
 //! ([`CbStatistics::index_builds`] counts each thread's builds). The
 //! universal plan's relations are only read, so an index two workers race
-//! to build is kept and counted once. A memo seed, though, used to share
-//! the relations its back-chase never wrote with the seed it resumed from
-//! and with its siblings, so which indexes a later copy-on-write carried
-//! over would have depended on which worker filled a shared cache first.
-//! Instead a seed **owns its relations**: the check that keeps it copies
-//! every relation it still shares (`Arc::make_mut` on each). A seed is
-//! then read by its own group, on one worker, in order, and the count
-//! repeats exactly. Owning costs one index build in Example 1.1's
-//! reformulation (47 → 48) and two per `cold_templates` round.
+//! to build is kept and counted once. A resumed back-chase, though, shares
+//! the relations it never wrote with the seed it resumed from and with its
+//! siblings; kept as seeds, two of them would be read by two workers, and
+//! which indexes a later copy-on-write carried over would depend on which
+//! worker filled a shared cache first. So a seed **owns its relations**:
+//! the check that keeps it copies every relation it still shares
+//! (`Arc::make_mut` on each). A seed is then read by its own group, on one
+//! worker, in order, and the count repeats exactly.
 //!
 //! # Criterion 4: implied atoms
 //!
@@ -486,6 +485,8 @@ impl Equivalence<'_> {
         groups: &[Vec<usize>],
         workers: usize,
     ) -> (Vec<EquivalenceCheck>, usize) {
+        // The next group to take. `Relaxed` suffices: it publishes no data
+        // (the jobs are shared read-only, the checks come back by `join`).
         let next = AtomicUsize::new(0);
         let work = || {
             let builds = thread_index_build_count();
