@@ -21,6 +21,12 @@
 //!   reformulated cold, cost-pruned: 143 back-chases, 111 of them resumed.
 //!   Most levels check several candidates, so this is where running a
 //!   level's checks on every core shows without `marsbench`.
+//! - `backchase_resume/scratch_star_345`: the best reformulation of the
+//!   same tenant's corner set {3, 4, 5}, `V3 ⋈ V4 ⋈ V5`, back-chased from
+//!   scratch, as the backchase checks a candidate no memo seed covers.
+//!   Each view expansion brings a hub and its fields that the keys and
+//!   the navigation EGDs then settle, so this is where the chase's round
+//!   policy shows: the setup asserts the chase's round count.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mars::MarsOptions;
@@ -131,5 +137,34 @@ fn bench_star_corners(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_resume, bench_closure, bench_example11, bench_star_corners);
+fn bench_scratch_backchase(c: &mut Criterion) {
+    let cfg = StarConfig { nc: 6, nv: 5, proprietary_includes_document: true };
+    let mars = cfg.mars(MarsOptions::specialized());
+    let result = mars.reformulate_xbind(&cfg.corner_query(&[3, 4, 5])).result;
+    let (best, _) = result.best.expect("the corner set has a reformulation");
+    let mut views: Vec<&str> = best.body.iter().map(|a| a.predicate.name()).collect();
+    views.sort_unstable();
+    assert_eq!(views, ["V3", "V4", "V5"], "the best reformulation joins the three views");
+    let deps = CompiledDeps::new(mars.dependencies());
+    let opts = ChaseOptions::default();
+    let back = chase_to_resident_compiled(&best, &deps, &opts);
+    assert!(back.stats().completed && !back.is_empty(), "the back-chase completes");
+    assert_eq!(back.stats().rounds, 18, "the back-chase's rounds");
+
+    let mut g = c.benchmark_group("backchase_resume");
+    g.sample_size(50);
+    g.bench_function("scratch_star_345", |b| {
+        b.iter(|| chase_to_resident_compiled(black_box(&best), &deps, &opts))
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_resume,
+    bench_closure,
+    bench_example11,
+    bench_star_corners,
+    bench_scratch_backchase
+);
 criterion_main!(benches);

@@ -322,6 +322,8 @@ impl CbStatistics {
     fn absorb(&mut self, check: &EquivalenceCheck) {
         self.backchase_chase_phase += check.chase_time;
         self.backchase_containment_phase += check.containment_time;
+        self.backchase_chase_rounds += check.chase_rounds;
+        self.backchase_premise_evaluations += check.premise_evaluations;
         self.degradation = Degradation::merge(self.degradation, check.degradation);
     }
 
@@ -382,6 +384,10 @@ struct EquivalenceCheck {
     degradation: Option<Degradation>,
     chase_time: Duration,
     containment_time: Duration,
+    /// The back-chase's [`ChaseStats::rounds`] (0 when none ran).
+    chase_rounds: usize,
+    /// The back-chase's [`ChaseStats::premise_evaluations`].
+    premise_evaluations: usize,
 }
 
 /// The equivalence test of one backchase: everything about it that does not
@@ -424,6 +430,8 @@ impl Equivalence<'_> {
             degradation: None,
             chase_time: Duration::ZERO,
             containment_time: Duration::ZERO,
+            chase_rounds: 0,
+            premise_evaluations: 0,
         };
         if !candidate.is_safe() {
             return check;
@@ -454,6 +462,8 @@ impl Equivalence<'_> {
         };
         check.chase_time = chase_start.elapsed();
         check.degradation = Degradation::of_chase(back.stats());
+        check.chase_rounds = back.stats().rounds;
+        check.premise_evaluations = back.stats().premise_evaluations;
         let confirm_start = Instant::now();
         let confirmed = back.stats().completed
             && !back.is_empty()
@@ -599,7 +609,8 @@ impl SafetyPrefilter {
 /// The backchase's work is added to `stats`: the funnel counters
 /// (`candidates_inspected`, `pruned_by_cost`, `equivalence_checks`,
 /// `chase_cache_hits`, `containment_dead_cone_skips`, `implied_skips`), the
-/// index builds, the phase times, the duration, and whether and why a
+/// back-chases' rounds and premise evaluations, the index builds, the phase
+/// times, the duration, and whether and why a
 /// budget cut it (`backchase_truncated`, merged into `degradation`).
 #[allow(clippy::too_many_arguments)]
 pub fn backchase(

@@ -159,6 +159,15 @@ pub struct CbStatistics {
     /// a candidate is equivalent to itself without that atom, so it is never
     /// minimal. A child reached from several parents counts once per probe.
     pub implied_skips: usize,
+    /// Rounds the back-chases ran, summed over the equivalence checks
+    /// (scratch or resumed). A check's rounds depend only on its candidate
+    /// and its seed, so the sum does not depend on which thread ran which
+    /// check.
+    pub backchase_chase_rounds: usize,
+    /// Premise evaluations the back-chases ran
+    /// ([`ChaseStats::premise_evaluations`]), summed like
+    /// `backchase_chase_rounds`.
+    pub backchase_premise_evaluations: usize,
     /// Column indexes built from scratch ([`crate::Relation::index`]) by
     /// the chase to the universal plan and by the backchase, whichever
     /// thread built them: the calling thread's builds plus each backchase

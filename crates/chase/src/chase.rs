@@ -114,6 +114,9 @@ pub struct ChaseStats {
     /// loop. A row the pushed-down blocked test drops inside the join never
     /// leaves it and is not counted.
     pub premise_rows: usize,
+    /// Premise join programs run: one per dirty dependency a round
+    /// checks.
+    pub premise_evaluations: usize,
     /// Number of `desc` atoms added by the shortcut.
     pub shortcut_desc_added: usize,
     /// Number of failed branches (denials or constant clashes).
@@ -324,6 +327,7 @@ fn run_round(
         }
         let mut applied_any = false;
         let unblocked = ded.unblocked_bindings(&branch.resident.inst, scratch);
+        stats.premise_evaluations += 1;
         stats.premise_rows += unblocked.premise_rows;
         for h in unblocked.bindings {
             // Re-check against the (possibly grown) instance so that bulk
@@ -678,6 +682,7 @@ fn run_chase(
             stats.rounds += s.rounds;
             stats.applied_steps += s.applied_steps;
             stats.premise_rows += s.premise_rows;
+            stats.premise_evaluations += s.premise_evaluations;
             stats.shortcut_desc_added += s.shortcut_desc_added;
             stats.failed_branches += s.failed_branches;
             stats.completed &= s.completed;

@@ -6,7 +6,8 @@
 //! query, and every scenario-matrix point's client query. Each file records
 //! the backchase funnel (candidates inspected, cost-pruned, equivalence
 //! checks, memoized resumes, dead-cone skips, child probes skipped by
-//! pruning criterion 4, minimal reformulations found),
+//! pruning criterion 4, minimal reformulations found, and the rounds and
+//! premise evaluations of the back-chases, summed per check),
 //! the chase to the universal plan (applied steps, rounds, premise rows,
 //! universal-plan atoms), the column-index builds of the whole
 //! reformulation (`CbStatistics::index_builds`: counted per thread, so
@@ -53,6 +54,8 @@ fn funnel(mars: &Mars, query: &XBindQuery, xml: &XmlStore, db: &RelationalDataba
         ("backchase.dead_cone_skips", stats.containment_dead_cone_skips),
         ("backchase.implied_skips", stats.implied_skips),
         ("backchase.minimal_found", result.minimal.len()),
+        ("backchase.chase_rounds", stats.backchase_chase_rounds),
+        ("backchase.premise_evaluations", stats.backchase_premise_evaluations),
         ("chase.applied_steps", stats.chase.applied_steps),
         ("chase.rounds", stats.chase.rounds),
         ("chase.premise_rows", stats.chase.premise_rows),
