@@ -149,7 +149,8 @@ fn bench_scratch_backchase(c: &mut Criterion) {
     let opts = ChaseOptions::default();
     let back = chase_to_resident_compiled(&best, &deps, &opts);
     assert!(back.stats().completed && !back.is_empty(), "the back-chase completes");
-    assert_eq!(back.stats().rounds, 18, "the back-chase's rounds");
+    // 18 while every TGD step ended its round.
+    assert_eq!(back.stats().rounds, 3, "the back-chase's rounds");
 
     let mut g = c.benchmark_group("backchase_resume");
     g.sample_size(50);

@@ -7,6 +7,15 @@
 //! constraints are short-cut by a direct transitive-closure computation
 //! (Section 3.2) when [`ChaseOptions::use_shortcut`] is enabled.
 //!
+//! A round checks every dirty dependency once, in EGD-priority order
+//! (denials, then EGDs, then TGDs — see [`CompiledDeps`]). A TGD that
+//! applies steps does not end the round; a unification, a split, a denial
+//! and the atom budget do. So the EGDs reach their fixpoint at the start of
+//! every round, before any TGD of that round fires: the priority invariant
+//! holds per round, not per TGD step. Any fair order of steps chased to a
+//! fixpoint gives a universal model, so the policy decides cost, not
+//! answers.
+//!
 //! A step invents only the existentials nothing determines. Like the
 //! closure shortcut, this applies an outcome known before the step runs: an
 //! existential at a determined column of a functional dependency whose key
@@ -17,6 +26,13 @@
 //! rewrite of every relation mentioning it, a round restart and a
 //! recomputed closure. The EGDs stay in the set and fire wherever this
 //! does not apply.
+//!
+//! This is what makes a per-round invariant enough. A TGD firing between
+//! two unifications could invent a second copy of a hub, or of its fields,
+//! that a key is about to merge; a step binds exactly those existentials to
+//! the existing tuple's terms instead. On the recorded workloads (the
+//! funnel goldens) every chase applies the same steps to the same
+//! universal plan as one that ended its round after each TGD.
 
 use crate::compiled::{CompiledDed, CompiledDeps, DedIndex, FunctionalDependencies};
 use crate::evaluate::JoinScratch;
@@ -34,10 +50,10 @@ pub struct ChaseOptions {
     pub use_shortcut: bool,
     /// Maximum number of chase rounds per branch (root-to-leaf path; children
     /// of a split inherit the rounds their ancestors consumed). A round ends
-    /// at the first dependency that applies any step (EGD-priority restart),
-    /// so this effectively bounds the number of *dependency applications*,
-    /// not full sweeps — the default is sized accordingly (divergent chases
-    /// are additionally stopped by `max_atoms` and `deadline`).
+    /// early at the first unification (see the module docs), so this bounds
+    /// sweeps *and* EGD applications — the default is sized accordingly
+    /// (divergent chases are additionally stopped by `max_atoms` and
+    /// `deadline`).
     pub max_rounds: usize,
     /// Maximum number of atoms in any branch instance.
     pub max_atoms: usize,
@@ -299,9 +315,12 @@ fn apply_conjunct(
     Ok(())
 }
 
-/// One round over a branch: evaluate every *dirty* dependency's premise,
-/// apply every unblocked step. Returns as soon as a disjunctive or
-/// unifying step requires restarting the round.
+/// One round over a branch: evaluate every *dirty* dependency's premise
+/// once, in the compiled (EGD-priority) order, and apply every unblocked
+/// step. Returns early on a unification (the EGDs then run to fixpoint
+/// again before any TGD fires), a split, a denial or the atom budget; a TGD
+/// that applies steps hands the rest of the round to the dependencies after
+/// it, which see its atoms.
 ///
 /// Dependencies whose `needs_check` flag is off are skipped entirely: no
 /// atom of their premise predicates was inserted or rewritten since they
@@ -362,7 +381,9 @@ fn run_round(
                 return RoundResult::Changed;
             }
             // A unification may invalidate the remaining pre-computed
-            // bindings for this dependency: restart the round.
+            // bindings of every dependency: restart the round, so the EGDs
+            // (sorted to the front of `compiled`) run to fixpoint before
+            // any TGD fires again.
             if !conclusion.conjunct.equalities.is_empty() {
                 return RoundResult::Changed;
             }
@@ -373,17 +394,12 @@ fn run_round(
             // rename re-mark it through the index).
             branch.needs_check[di] = false;
         }
-        // Restart after the first dependency that applied any step, so the
-        // EGDs (sorted to the front of `compiled`) re-run before further
-        // TGDs fire. Letting a later TGD see atoms a pending unification is
-        // about to merge makes it invent existential structure for both
-        // duplicates — growth that is sound but multiplies the instance and
-        // every subsequent premise evaluation.
-        if changed {
-            return RoundResult::Changed;
-        }
     }
-    RoundResult::NoChange
+    if changed {
+        RoundResult::Changed
+    } else {
+        RoundResult::NoChange
+    }
 }
 
 /// One chased branch kept *resident*: the symbolic instance (with its warm
@@ -804,6 +820,136 @@ mod tests {
         let plan = plan(&up);
         assert_eq!(plan.head[0], plan.head[1], "head variables must be unified");
         assert_eq!(plan.body.len(), 1);
+    }
+
+    /// `P(x) → Q(x)`.
+    fn copy(name: &str, from: &str, to: &str) -> Ded {
+        Ded::tgd(
+            name,
+            vec![Atom::named(from, vec![t("x")])],
+            vec![],
+            vec![Atom::named(to, vec![t("x")])],
+        )
+    }
+
+    /// The atoms of `up`'s first branch over `predicate`.
+    fn count(up: &ResidentChase, predicate: &str) -> usize {
+        plan(up).body.iter().filter(|a| a.predicate.name() == predicate).count()
+    }
+
+    /// A TGD that applies steps does not end the round: a chain of
+    /// non-recursive TGDs, each fed by the one before it, fires in one round
+    /// (and one more confirms the fixpoint).
+    #[test]
+    fn a_chain_of_tgds_applies_in_one_round() {
+        let q = ConjunctiveQuery::new("Q")
+            .with_head(vec![t("a")])
+            .with_body(vec![Atom::named("A", vec![t("a")])]);
+        let deds = [copy("ab", "A", "B"), copy("bc", "B", "C"), copy("cd", "C", "D")];
+        let up = chase(&q, &deds, &ChaseOptions::default());
+        assert!(up.stats.completed);
+        assert_eq!((up.stats.applied_steps, up.stats.rounds), (3, 2));
+        assert_eq!(count(&up, "D"), 1);
+    }
+
+    /// EGDs run first in every round: the key merges `x` and `y` before the
+    /// TGD sees `A(x)` and `A(y)`, so it fires once, not once per duplicate.
+    /// The TGD is listed first; the compiled order puts the EGD before it.
+    #[test]
+    fn an_egd_runs_before_the_tgds_of_its_round() {
+        let q = ConjunctiveQuery::new("Q").with_head(vec![t("x")]).with_body(vec![
+            Atom::named("R", vec![t("k"), t("x")]),
+            Atom::named("R", vec![t("k"), t("y")]),
+            Atom::named("A", vec![t("x")]),
+            Atom::named("A", vec![t("y")]),
+        ]);
+        let invent = Ded::tgd(
+            "invent",
+            vec![Atom::named("A", vec![t("v")])],
+            vec![v("z")],
+            vec![Atom::named("B", vec![t("v"), t("z")])],
+        );
+        let key = Ded::egd(
+            "key",
+            vec![Atom::named("R", vec![t("u"), t("p")]), Atom::named("R", vec![t("u"), t("q")])],
+            t("p"),
+            t("q"),
+        );
+        let up = chase(&q, &[invent, key], &ChaseOptions::default());
+        assert!(up.stats.completed);
+        // Round 1 merges and restarts, round 2 fires the TGD, round 3 is
+        // the fixpoint.
+        assert_eq!((up.stats.applied_steps, up.stats.rounds), (2, 3));
+        assert_eq!(count(&up, "B"), 1, "one invented B, not one per duplicate");
+    }
+
+    /// A split ends its round: the TGD after the disjunctive dependency
+    /// fires in each child, not once in the parent before it splits.
+    #[test]
+    fn a_split_ends_the_round() {
+        let split = Ded::disjunctive(
+            "st",
+            vec![Atom::named("R", vec![t("x")])],
+            vec![
+                Conjunct::atoms(vec![Atom::named("S", vec![t("x")])]),
+                Conjunct::atoms(vec![Atom::named("T", vec![t("x")])]),
+            ],
+        );
+        let q = ConjunctiveQuery::new("Q")
+            .with_head(vec![t("a")])
+            .with_body(vec![Atom::named("R", vec![t("a")])]);
+        let up = chase(&q, &[split, copy("ru", "R", "U")], &ChaseOptions::default());
+        assert_eq!(up.branches().len(), 2);
+        assert_eq!(up.stats.applied_steps, 3, "the split, then U in each child");
+        assert!(up.branches().iter().all(|b| b.instance().len() == 3));
+    }
+
+    /// A denial ends its round, and the branch: the TGD after it never
+    /// fires.
+    #[test]
+    fn a_denial_ends_the_round() {
+        let q = ConjunctiveQuery::new("Q")
+            .with_head(vec![])
+            .with_body(vec![child(t("x"), t("x")), Atom::named("A", vec![t("x")])]);
+        let denial = Ded::denial("no_self", vec![child(t("u"), t("u"))]);
+        let up = chase(&q, &[copy("ab", "A", "B"), denial], &ChaseOptions::default());
+        assert!(up.branches().is_empty());
+        assert_eq!((up.stats.applied_steps, up.stats.rounds), (1, 1));
+    }
+
+    /// The atom budget ends its round at the step that crosses it: the
+    /// second TGD of the round never fires.
+    #[test]
+    fn the_atom_budget_ends_the_round() {
+        let q = ConjunctiveQuery::new("Q")
+            .with_head(vec![])
+            .with_body(["x1", "x2", "x3"].map(|x| Atom::named("A", vec![t(x)])).to_vec());
+        let deds = [copy("ab", "A", "B"), copy("ac", "A", "C")];
+        let up = chase(&q, &deds, &ChaseOptions { max_atoms: 4, ..Default::default() });
+        assert_eq!(up.stats.stop, Some(ChaseStop::Atoms));
+        assert_eq!((up.stats.applied_steps, up.stats.rounds), (2, 1));
+        assert_eq!(count(&up, "C"), 0);
+    }
+
+    /// A recursive TGD takes its bindings at the start of a round; what its
+    /// own steps add leaves it dirty, so it is evaluated again, round after
+    /// round, until its fixpoint. The path a → b → c → d → e closes in two
+    /// rounds (paths of length 2, then 3 and 4) and a third confirms it.
+    #[test]
+    fn a_recursive_tgd_runs_to_fixpoint() {
+        let nodes = ["a", "b", "c", "d", "e"];
+        let body = nodes.windows(2).map(|w| Atom::named("P", vec![t(w[0]), t(w[1])])).collect();
+        let q = ConjunctiveQuery::new("Q").with_head(vec![]).with_body(body);
+        let trans = Ded::tgd(
+            "trans",
+            vec![Atom::named("P", vec![t("x"), t("y")]), Atom::named("P", vec![t("y"), t("z")])],
+            vec![],
+            vec![Atom::named("P", vec![t("x"), t("z")])],
+        );
+        let up = chase(&q, &[trans], &ChaseOptions::default());
+        assert!(up.stats.completed);
+        assert_eq!(up.stats.rounds, 3);
+        assert_eq!(count(&up, "P"), 10, "every pair i < j");
     }
 
     /// Resuming a chase from a previously chased subquery plus one atom must

@@ -428,11 +428,20 @@ pub struct CompiledDeps {
 /// EGD-priority order: denials first (fail fast), then pure
 /// equality-generating dependencies, then tuple-generating ones. Since the
 /// chase restarts its round whenever an equality is applied, this runs every
-/// unification to fixpoint *before* any TGD invents new atoms — otherwise a
-/// TGD can fire on two pre-unification duplicates and create spurious
-/// existential structure that no later equality removes (the instances stay
-/// homomorphically equivalent, but grow multiplicatively with each
-/// duplicated pattern).
+/// unification to fixpoint at the start of each round, *before* that
+/// round's TGDs invent new atoms — otherwise a TGD can fire on two
+/// pre-unification duplicates and create spurious existential structure
+/// that no later equality removes (the instances stay homomorphically
+/// equivalent, but grow multiplicatively with each duplicated pattern).
+///
+/// The invariant holds per round, not per TGD step: the TGDs of a round all
+/// fire, and one may see atoms an earlier one's step lets an EGD merge next
+/// round. A step binds the existentials a key determines — the hub its key
+/// names, the hub's fields — to the existing tuple's terms
+/// (`bind_determined` in [`crate::chase`]), so the TGD reuses the hub
+/// rather than invent the duplicate; on the recorded workloads no chase
+/// applies a step or keeps an atom that ending the round after each TGD
+/// would have saved.
 fn egd_priority(d: &CompiledDed) -> u8 {
     if d.conclusions.is_empty() {
         0
