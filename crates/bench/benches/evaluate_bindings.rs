@@ -91,11 +91,12 @@ fn bench_unique_child(c: &mut Criterion) {
         })
     });
     g.bench_function(&format!("bindings_then_blocked/{label}"), |b| {
+        let mut scratch = JoinScratch::default();
         b.iter(|| {
             let mut unblocked = 0usize;
             for d in &deds {
                 let hs = d.premise_bindings(black_box(&inst));
-                unblocked += hs.iter().filter(|h| !d.blocked(h, &inst)).count();
+                unblocked += hs.iter().filter(|h| !d.blocked(h, &inst, &mut scratch)).count();
             }
             assert_eq!(unblocked, 0);
         })

@@ -270,16 +270,16 @@ fn bind_determined(
     }
 }
 
-/// Apply one conclusion conjunct under homomorphism `h`. Returns `Err(())` if
-/// the application forces two distinct constants to be equal.
+/// Apply one conclusion conjunct under the premise homomorphism `sub`,
+/// which it extends in place. Returns `Err(())` if the application forces
+/// two distinct constants to be equal.
 fn apply_conjunct(
     branch: &mut Branch,
     conjunct: &Conjunct,
-    h: &Substitution,
+    mut sub: Substitution,
     index: &DedIndex,
     fds: &FunctionalDependencies,
 ) -> Result<(), ()> {
-    let mut sub = h.clone();
     bind_determined(&mut sub, conjunct, &branch.resident.inst, fds);
     // Freshen every conclusion variable still unbound.
     for v in conjunct.variables() {
@@ -352,7 +352,7 @@ fn run_round(
             // Re-check against the (possibly grown) instance so that bulk
             // application does not duplicate work already satisfied earlier in
             // this round.
-            if ded.blocked(&h, &branch.resident.inst) {
+            if ded.blocked(&h, &branch.resident.inst, scratch) {
                 continue;
             }
             stats.applied_steps += 1;
@@ -364,7 +364,7 @@ fn run_round(
                 let mut children = Vec::new();
                 for c in &ded.conclusions {
                     let mut child = branch.clone();
-                    if apply_conjunct(&mut child, &c.conjunct, &h, index, fds).is_ok() {
+                    if apply_conjunct(&mut child, &c.conjunct, h.clone(), index, fds).is_ok() {
                         children.push(child);
                     } else {
                         stats.failed_branches += 1;
@@ -373,7 +373,7 @@ fn run_round(
                 return RoundResult::Split(children);
             }
             let conclusion = &ded.conclusions[0];
-            match apply_conjunct(branch, &conclusion.conjunct, &h, index, fds) {
+            match apply_conjunct(branch, &conclusion.conjunct, h, index, fds) {
                 Ok(()) => changed = true,
                 Err(()) => return RoundResult::Failed,
             }

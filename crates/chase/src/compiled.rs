@@ -225,12 +225,18 @@ impl CompiledDed {
 
     /// Is the chase step for the premise homomorphism `h` *blocked* (some
     /// conclusion disjunct already holds)? A premise variable `h` leaves
-    /// unbound stands for itself.
-    pub fn blocked(&self, h: &Substitution, inst: &SymbolicInstance) -> bool {
-        let row: Vec<Term> =
-            self.premise.vars().iter().map(|v| h.apply_term(Term::Var(*v))).collect();
-        let mut scratch = ExistsScratch::default();
-        self.conclusions.iter().any(|c| c.satisfied(&row, inst, &mut scratch))
+    /// unbound stands for itself. The test runs in `scratch`, so the chase's
+    /// per-step re-check allocates nothing.
+    pub fn blocked(
+        &self,
+        h: &Substitution,
+        inst: &SymbolicInstance,
+        scratch: &mut JoinScratch,
+    ) -> bool {
+        let JoinScratch { binding, exists, .. } = scratch;
+        binding.clear();
+        binding.extend(self.premise.vars().iter().map(|v| h.apply_term(Term::Var(*v))));
+        self.conclusions.iter().any(|c| c.satisfied(binding, inst, exists))
     }
 }
 
@@ -541,8 +547,8 @@ mod tests {
         let inst_with = instance_of(vec![child(t("a"), t("b")), desc(t("a"), t("b"))]);
         let hs = c.premise_bindings(&inst_without);
         assert_eq!(hs.len(), 1);
-        assert!(!c.blocked(&hs[0], &inst_without));
-        assert!(c.blocked(&hs[0], &inst_with));
+        assert!(!c.blocked(&hs[0], &inst_without, &mut JoinScratch::default()));
+        assert!(c.blocked(&hs[0], &inst_with, &mut JoinScratch::default()));
     }
 
     #[test]
@@ -562,8 +568,9 @@ mod tests {
         ]);
         let hs = c.premise_bindings(&inst);
         // Homomorphisms include mappings with a=b (blocked) and a≠b (unblocked).
-        assert!(hs.iter().any(|h| c.blocked(h, &inst)));
-        assert!(hs.iter().any(|h| !c.blocked(h, &inst)));
+        let mut scratch = JoinScratch::default();
+        assert!(hs.iter().any(|h| c.blocked(h, &inst, &mut scratch)));
+        assert!(hs.iter().any(|h| !c.blocked(h, &inst, &mut scratch)));
     }
 
     #[test]
@@ -582,8 +589,8 @@ mod tests {
             Atom::named("B", vec![t("b"), t("c")]),
         ]);
         let h = &c.premise_bindings(&inst_no_b)[0];
-        assert!(!c.blocked(h, &inst_no_b));
-        assert!(c.blocked(h, &inst_b));
+        assert!(!c.blocked(h, &inst_no_b, &mut JoinScratch::default()));
+        assert!(c.blocked(h, &inst_b, &mut JoinScratch::default()));
     }
 
     #[test]
@@ -718,6 +725,6 @@ mod tests {
         let inst = instance_of(vec![child(t("a"), t("a"))]);
         let hs = c.premise_bindings(&inst);
         assert_eq!(hs.len(), 1);
-        assert!(!c.blocked(&hs[0], &inst));
+        assert!(!c.blocked(&hs[0], &inst, &mut JoinScratch::default()));
     }
 }

@@ -250,6 +250,8 @@ impl<'a> Rows<'a> {
 pub struct JoinScratch {
     pub(crate) rows: RowBuffers,
     pub(crate) exists: ExistsScratch,
+    /// The premise row a binding's blocked test is entered with.
+    pub(crate) binding: Vec<Term>,
 }
 
 #[derive(Debug, Default)]

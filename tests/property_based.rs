@@ -274,8 +274,9 @@ proptest! {
         let compiled = CompiledDed::compile(&ded);
 
         let all = compiled.premise_bindings(&inst);
+        let mut scratch = JoinScratch::default();
         let expected: Vec<Substitution> =
-            all.iter().filter(|h| !compiled.blocked(h, &inst)).cloned().collect();
+            all.iter().filter(|h| !compiled.blocked(h, &inst, &mut scratch)).cloned().collect();
         let fused = compiled.unblocked_bindings(&inst, &mut JoinScratch::default());
         let rows = fused.premise_rows;
         prop_assert_eq!(&fused.bindings, &expected, "{:?}", ded);
@@ -285,7 +286,7 @@ proptest! {
         }
         for h in &all {
             let oracle = ded.conclusions.iter().any(|c| extend_to_conclusion(c, h, &index));
-            prop_assert_eq!(compiled.blocked(h, &inst), oracle, "{:?} under {:?}", ded, h);
+            prop_assert_eq!(compiled.blocked(h, &inst, &mut scratch), oracle, "{:?} under {:?}", ded, h);
         }
     }
 
