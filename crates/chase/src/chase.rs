@@ -31,8 +31,9 @@
 //! two unifications could invent a second copy of a hub, or of its fields,
 //! that a key is about to merge; a step binds exactly those existentials to
 //! the existing tuple's terms instead. On the recorded workloads (the
-//! funnel goldens) every chase applies the same steps to the same
-//! universal plan as one that ended its round after each TGD.
+//! funnel goldens) the chase applies as many steps, reaches the same
+//! universal plans and confirms the same reformulations as one that ended
+//! its round after each TGD step.
 
 use crate::compiled::{CompiledDed, CompiledDeps, DedIndex, FunctionalDependencies};
 use crate::evaluate::JoinScratch;
@@ -822,7 +823,7 @@ mod tests {
         assert_eq!(plan.body.len(), 1);
     }
 
-    /// `P(x) → Q(x)`.
+    /// `from(x) → to(x)`.
     fn copy(name: &str, from: &str, to: &str) -> Ded {
         Ded::tgd(
             name,
