@@ -175,8 +175,8 @@
 
 use crate::cb::CbStatistics;
 use crate::chase::{
-    chase_resident_with_atoms_compiled, chase_to_resident_compiled, ChaseOptions, ChaseStats,
-    ChaseStop, ResidentBranch,
+    add_dependency_work, chase_resident_with_atoms_compiled, chase_to_resident_compiled,
+    ChaseOptions, ChaseStats, ChaseStop, ResidentBranch,
 };
 use crate::compiled::CompiledDeps;
 use crate::evaluate::{maps_into, ContainmentProgram};
@@ -322,8 +322,9 @@ impl CbStatistics {
     fn absorb(&mut self, check: &EquivalenceCheck) {
         self.backchase_chase_phase += check.chase_time;
         self.backchase_containment_phase += check.containment_time;
-        self.backchase_chase_rounds += check.chase_rounds;
-        self.backchase_premise_evaluations += check.premise_evaluations;
+        self.backchase_chase_rounds += check.chase.rounds;
+        self.backchase_premise_evaluations += check.chase.premise_evaluations;
+        add_dependency_work(&mut self.backchase_dependencies, &check.chase.dependencies);
         self.degradation = Degradation::merge(self.degradation, check.degradation);
     }
 
@@ -384,10 +385,8 @@ struct EquivalenceCheck {
     degradation: Option<Degradation>,
     chase_time: Duration,
     containment_time: Duration,
-    /// The back-chase's [`ChaseStats::rounds`] (0 when none ran).
-    chase_rounds: usize,
-    /// The back-chase's [`ChaseStats::premise_evaluations`].
-    premise_evaluations: usize,
+    /// The back-chase's statistics (the default when none ran).
+    chase: ChaseStats,
 }
 
 /// The equivalence test of one backchase: everything about it that does not
@@ -430,8 +429,7 @@ impl Equivalence<'_> {
             degradation: None,
             chase_time: Duration::ZERO,
             containment_time: Duration::ZERO,
-            chase_rounds: 0,
-            premise_evaluations: 0,
+            chase: ChaseStats::default(),
         };
         if !candidate.is_safe() {
             return check;
@@ -461,25 +459,25 @@ impl Equivalence<'_> {
             None => chase_to_resident_compiled(candidate, self.deds, &self.chase),
         };
         check.chase_time = chase_start.elapsed();
-        check.degradation = Degradation::of_chase(back.stats());
-        check.chase_rounds = back.stats().rounds;
-        check.premise_evaluations = back.stats().premise_evaluations;
+        let (branches, chase) = back.into_parts();
+        check.degradation = Degradation::of_chase(&chase);
         let confirm_start = Instant::now();
-        let confirmed = back.stats().completed
-            && !back.is_empty()
-            && back.branches().iter().all(|b| self.original.maps_into(b.instance(), b.head()));
+        let confirmed = chase.completed
+            && !branches.is_empty()
+            && branches.iter().all(|b| self.original.maps_into(b.instance(), b.head()));
         check.containment_time += confirm_start.elapsed();
         check.verdict = if confirmed {
             Verdict::Equivalent
-        } else if memoize && back.stats().completed && !back.is_empty() {
+        } else if memoize && chase.completed && !branches.is_empty() {
             // A seed owns its relations (see the module docs): it shares
             // none with the seed it resumed from, nor with a sibling.
-            let mut branches = back.into_branches();
+            let mut branches = branches;
             branches.iter_mut().for_each(ResidentBranch::own_relations);
             Verdict::NotContained(Some(branches))
         } else {
             Verdict::NotContained(None)
         };
+        check.chase = chase;
         check
     }
 

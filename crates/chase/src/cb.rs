@@ -13,7 +13,7 @@
 use crate::backchase::{
     backchase, initial_reformulation, BackchaseOptions, BackchaseOutcome, Degradation,
 };
-use crate::chase::{chase_to_resident_compiled, ChaseOptions, ChaseStats};
+use crate::chase::{chase_to_resident_compiled, ChaseOptions, ChaseStats, DependencyWork};
 use crate::compiled::CompiledDeps;
 use crate::instance::thread_index_build_count;
 use mars_cq::{ConjunctiveQuery, Ded, Predicate};
@@ -168,6 +168,10 @@ pub struct CbStatistics {
     /// ([`ChaseStats::premise_evaluations`]), summed like
     /// `backchase_chase_rounds`.
     pub backchase_premise_evaluations: usize,
+    /// The back-chases' work per dependency ([`ChaseStats::dependencies`],
+    /// indexed the same way), summed like `backchase_chase_rounds`. The
+    /// chase to the universal plan keeps its own in `chase`.
+    pub backchase_dependencies: Vec<DependencyWork>,
     /// Column indexes built from scratch ([`crate::Relation::index`]) by
     /// the chase to the universal plan and by the backchase, whichever
     /// thread built them: the calling thread's builds plus each backchase

@@ -119,6 +119,31 @@ pub enum ChaseStop {
     Branches,
 }
 
+/// The work one compiled dependency did in a chase. All three counts are
+/// deterministic: they depend only on the query (or seed) chased and the
+/// dependency set, never on timing.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DependencyWork {
+    /// Times its premise join program ran: once per round it was dirty in.
+    pub evaluations: usize,
+    /// Rows that left its premise program, summed over those runs.
+    pub premise_rows: usize,
+    /// Chase steps it applied.
+    pub applied_steps: usize,
+}
+
+/// Add `more` into `total`, both indexed like [`ChaseStats::dependencies`].
+pub(crate) fn add_dependency_work(total: &mut Vec<DependencyWork>, more: &[DependencyWork]) {
+    if total.len() < more.len() {
+        total.resize(more.len(), DependencyWork::default());
+    }
+    for (t, m) in total.iter_mut().zip(more) {
+        t.evaluations += m.evaluations;
+        t.premise_rows += m.premise_rows;
+        t.applied_steps += m.applied_steps;
+    }
+}
+
 /// Bookkeeping collected during the chase.
 #[derive(Clone, Debug, Default)]
 pub struct ChaseStats {
@@ -134,6 +159,12 @@ pub struct ChaseStats {
     /// Premise join programs run: one per dirty dependency a round
     /// checks.
     pub premise_evaluations: usize,
+    /// The work of each dependency, indexed by its position in
+    /// [`CompiledDeps::deds`]: `evaluations`, `premise_rows` and
+    /// `applied_steps` broken down by the dependency that did them. The
+    /// vector ends at the last dependency that was evaluated; one past it
+    /// did no work.
+    pub dependencies: Vec<DependencyWork>,
     /// Number of `desc` atoms added by the shortcut.
     pub shortcut_desc_added: usize,
     /// Number of failed branches (denials or constant clashes).
@@ -349,6 +380,12 @@ fn run_round(
         let unblocked = ded.unblocked_bindings(&branch.resident.inst, scratch);
         stats.premise_evaluations += 1;
         stats.premise_rows += unblocked.premise_rows;
+        if stats.dependencies.len() <= ded.source {
+            stats.dependencies.resize(ded.source + 1, DependencyWork::default());
+        }
+        let work = &mut stats.dependencies[ded.source];
+        work.evaluations += 1;
+        work.premise_rows += unblocked.premise_rows;
         for h in unblocked.bindings {
             // Re-check against the (possibly grown) instance so that bulk
             // application does not duplicate work already satisfied earlier in
@@ -357,6 +394,7 @@ fn run_round(
                 continue;
             }
             stats.applied_steps += 1;
+            stats.dependencies[ded.source].applied_steps += 1;
             applied_any = true;
             if ded.conclusions.is_empty() {
                 return RoundResult::Failed;
@@ -489,6 +527,11 @@ impl ResidentChase {
     /// Take ownership of the resident branches (for memoization).
     pub fn into_branches(self) -> Vec<ResidentBranch> {
         self.branches
+    }
+
+    /// The resident branches and the statistics, taken apart.
+    pub(crate) fn into_parts(self) -> (Vec<ResidentBranch>, ChaseStats) {
+        (self.branches, self.stats)
     }
 
     /// The first surviving branch rendered as the query `{name}_up0` — the
@@ -694,8 +737,11 @@ fn run_chase(
         }
         let mut next: Vec<Branch> = Vec::new();
         for branch in level {
-            let mut s = ChaseStats { completed: true, ..Default::default() };
+            // The branches share one per-dependency tally.
+            let dependencies = std::mem::take(&mut stats.dependencies);
+            let mut s = ChaseStats { completed: true, dependencies, ..Default::default() };
             let outcome = chase_branch(branch, compiled, closure, index, fds, options, &mut s);
+            stats.dependencies = s.dependencies;
             stats.rounds += s.rounds;
             stats.applied_steps += s.applied_steps;
             stats.premise_rows += s.premise_rows;
@@ -851,6 +897,10 @@ mod tests {
         assert!(up.stats.completed);
         assert_eq!((up.stats.applied_steps, up.stats.rounds), (3, 2));
         assert_eq!(count(&up, "D"), 1);
+        // Each dependency's work, by its position in the set: every one
+        // fires once, and is evaluated again in the confirming round.
+        let once = DependencyWork { evaluations: 2, premise_rows: 2, applied_steps: 1 };
+        assert_eq!(up.stats.dependencies, [once; 3]);
     }
 
     /// EGDs run first in every round: the key merges `x` and `y` before the

@@ -167,6 +167,10 @@ pub struct CompiledDed {
     /// The blocked test as a filter inside the premise join — present when
     /// the only conclusion is a pure equality over premise variables.
     pushdown: Option<EqualityFilter>,
+    /// The dependency's position in the set [`CompiledDeps`] compiled it
+    /// with (0 for one compiled alone): where the chase tallies its work
+    /// ([`crate::ChaseStats::dependencies`]).
+    pub(crate) source: usize,
 }
 
 impl CompiledDed {
@@ -191,6 +195,7 @@ impl CompiledDed {
             premise,
             pushdown,
             ded: ded.clone(),
+            source: 0,
         }
     }
 
@@ -467,7 +472,11 @@ impl CompiledDeps {
         COMPILATIONS.fetch_add(1, Ordering::SeqCst);
         let closure = detect_closure_constraints(deds);
         let skip: HashSet<usize> = closure.indices().into_iter().collect();
-        let mut all: Vec<CompiledDed> = deds.iter().map(CompiledDed::compile).collect();
+        let mut all: Vec<CompiledDed> = deds
+            .iter()
+            .enumerate()
+            .map(|(source, d)| CompiledDed { source, ..CompiledDed::compile(d) })
+            .collect();
         let mut shortcut_rest: Vec<CompiledDed> = all
             .iter()
             .enumerate()

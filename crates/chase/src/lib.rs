@@ -70,7 +70,7 @@ pub use backchase::{backchase, BackchaseOptions, BackchaseOutcome, Degradation};
 pub use cb::{CbOptions, CbStatistics, ChaseBackchase, ReformulationBudget, ReformulationResult};
 pub use chase::{
     chase_resident_with_atoms_compiled, chase_to_resident_compiled, ChaseOptions, ChaseStats,
-    ChaseStop, ResidentBranch, ResidentChase,
+    ChaseStop, DependencyWork, ResidentBranch, ResidentChase,
 };
 pub use compiled::{compilation_count, CompiledConclusion, CompiledDed, CompiledDeps, Unblocked};
 pub use evaluate::{
