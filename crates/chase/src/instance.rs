@@ -782,8 +782,9 @@ impl SymbolicInstance {
     }
 
     /// Convert back to a query with the given name, head and inequalities.
-    /// Atoms are ordered by predicate name then argument order, which gives a
-    /// deterministic universal plan.
+    /// Atoms are ordered by how they are spelled ([`Atom::cmp_spelled`]),
+    /// which gives the same universal plan in every process, whatever it
+    /// interned first.
     pub fn to_query(
         &self,
         name: &str,
@@ -791,7 +792,7 @@ impl SymbolicInstance {
         inequalities: Vec<(Term, Term)>,
     ) -> ConjunctiveQuery {
         let mut atoms = self.atoms();
-        atoms.sort_by(|a, b| (a.predicate.name(), &a.args).cmp(&(b.predicate.name(), &b.args)));
+        atoms.sort_by(Atom::cmp_spelled);
         ConjunctiveQuery { name: name.to_string(), head, body: atoms, inequalities }
     }
 

@@ -3,6 +3,7 @@
 use crate::symbol::{symbol, Symbol};
 use crate::term::{Term, Variable};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A predicate (relation) name, e.g. `child`, `desc`, `patient`, `V3`.
@@ -151,6 +152,21 @@ impl Atom {
         self.args.iter().all(Term::is_const)
     }
 
+    /// Order two atoms by how they are spelled: by predicate name, then
+    /// argument by argument ([`Term::cmp_spelled`]). Unlike the derived
+    /// `Ord`, the order does not depend on the order symbols were interned
+    /// in.
+    pub fn cmp_spelled(&self, other: &Atom) -> Ordering {
+        self.predicate.name().cmp(other.predicate.name()).then_with(|| {
+            self.args
+                .iter()
+                .zip(&other.args)
+                .map(|(a, b)| a.cmp_spelled(b))
+                .find(|o| o.is_ne())
+                .unwrap_or_else(|| self.args.len().cmp(&other.args.len()))
+        })
+    }
+
     /// The atom read as GReX navigation: its base and document, when the
     /// predicate is `base#document` for a known base and the atom has the
     /// base's arity. Anything else — a name without a document, an unknown
@@ -247,6 +263,24 @@ mod tests {
     use super::builders::*;
     use super::*;
     use crate::term::Variable;
+
+    /// The spelled order ignores the interning order: `spelled_order_b` is
+    /// interned before `spelled_order_a`, so the derived order puts it
+    /// first, and the spelled order does not.
+    #[test]
+    fn spelled_order_does_not_follow_interning() {
+        let (b, a) = (Term::var("spelled_order_b"), Term::var("spelled_order_a"));
+        let r = |x: Term| Atom::named("R", vec![Term::constant_str("c"), x]);
+        assert!(b < a, "interned first");
+        assert_eq!(r(a).cmp_spelled(&r(b)), std::cmp::Ordering::Less);
+        assert_eq!(a.cmp_spelled(&Term::constant_int(0)), std::cmp::Ordering::Less);
+        assert_eq!(r(a).cmp_spelled(&r(a)), std::cmp::Ordering::Equal);
+        assert_eq!(
+            Atom::named("Q", vec![b]).cmp_spelled(&r(a)),
+            std::cmp::Ordering::Less,
+            "the predicate name decides first"
+        );
+    }
 
     #[test]
     fn predicate_interning() {

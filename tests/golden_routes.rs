@@ -40,10 +40,11 @@ const SEED: u64 = 7;
 /// best reformulation, with every backend's estimate (or `infeasible`).
 /// Then the same, with the rows, for Example 1.1 and the XMark suite.
 ///
-/// Those two run after the matrix, in this function: a reformulation's body
-/// is sorted by interned symbol, so whichever query first interns the
-/// compiler's fresh variable names decides how equal-cost navigation atoms
-/// are ordered, and with it their estimate.
+/// A universal plan's body is sorted by spelling ([`Atom::cmp_spelled`]),
+/// not by interned symbol, so the order equal-cost navigation atoms take,
+/// and with it their estimate, does not depend on which query ran first.
+///
+/// [`Atom::cmp_spelled`]: mars_system::cq::Atom::cmp_spelled
 #[test]
 fn routing_decisions_are_stable_across_the_scenario_matrix() {
     let mut routed = Vec::new();
