@@ -122,6 +122,40 @@
 //! move. Why the constructibility condition and the transitive closure
 //! keep this sound is argued in the `implied` module.
 //!
+//! # The spec-level Σ
+//!
+//! Schema specialization (Section 5, Fig. 7) runs the C&B on the
+//! specialized problem: the query, the views and the constraints are
+//! specialized, and the navigation a mapping abbreviates is restored only
+//! afterwards. A [`CompiledDeps`] built with a navigation layer
+//! ([`CompiledDeps::with_navigation_layer`]) keeps that problem's
+//! dependency set beside the full one ([`CompiledDeps::spec_level`]): Σ
+//! minus the navigation layer of every *abbreviated* document — its
+//! mappings' definitional pairs `c_m` / `b_m`, its TIX, and the
+//! `unique_child` XICs a mapping's functional dependency restates. `mars`
+//! decides which documents are abbreviated (every mapping over one has
+//! single-valued fields, and nothing outside the layer mentions its
+//! navigation). When neither the original query nor the pool holds a
+//! navigation atom, the backchase runs the spec-level Σ: every back-chase,
+//! every memo seed and criterion 4's single-premise TGDs. The chase to the
+//! universal plan, and the core-path test, read the full Σ.
+//!
+//! Leaving dependencies out never admits a wrong reformulation: for
+//! Σ' ⊆ Σ, a candidate contained in the original under Σ' is contained in
+//! it under Σ, and the other half of the test, `original ⊆ candidate`,
+//! reads the universal plan the full Σ built. What the gate guards is
+//! completeness. In a back-chase of a navigation-free candidate the only
+//! navigation is what `b_m` writes; the layer derives from it more
+//! navigation, which no dependency outside the layer reads, and
+//! specialization atoms equal to existing ones up to their fields, which
+//! the mapping's functional dependency merges. Without the gate that
+//! argument fails twice over: a mapping without single-valued fields has no
+//! functional dependency, so its DTD EGDs carry equalities nothing else
+//! derives; and a view whose dependencies mention the document's navigation
+//! (a GAV view publishing a table as the document, say) reads what the
+//! layer derives, so a LAV view over that navigation answers a query over
+//! the table only through the layer.
+//!
 //! The best cost a candidate is pruned against stays frozen for its level
 //! (the level's discoveries take effect at its end), for two reasons. The
 //! funnel counters (candidates inspected, cost-pruned, equivalence checks)
@@ -691,10 +725,18 @@ fn search(
         .chain(original.variables().iter().map(|v| v.index))
         .max()
         .unwrap_or(0);
+    // The spec-level Σ (see the module docs) when neither the original nor
+    // the pool navigates: every back-chase, memo seed and criterion 4 then
+    // run under it.
+    let navigates = |atoms: &[Atom]| atoms.iter().any(|a| a.navigation().is_some());
+    let sigma = match deds.spec_level() {
+        Some(spec) if !navigates(&original.body) && !navigates(&pool) => spec,
+        _ => deds,
+    };
     let equivalence = Equivalence {
         original: ContainmentProgram::new(original),
         plan,
-        deds,
+        deds: sigma,
         chase: ChaseOptions {
             min_fresh_index: chase.min_fresh_index.max(max_pool_index + 1),
             ..chase.clone()
@@ -713,7 +755,7 @@ fn search(
     }
 
     let graph = ReachabilityGraph::new(&pool_query);
-    let implied = ImpliedAtoms::new(&pool_query, deds.single_premise_tgds());
+    let implied = ImpliedAtoms::new(&pool_query, sigma.single_premise_tgds());
     let atom_costs: Vec<f64> = pool.iter().map(atom_cost).collect();
     let safety = SafetyPrefilter::new(&pool_query, &pool);
 

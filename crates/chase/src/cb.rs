@@ -255,10 +255,19 @@ pub struct ChaseBackchase {
 
 impl ChaseBackchase {
     /// An engine with the default options. Compiles the dependency set
-    /// once, up front.
-    pub fn new(deds: Vec<Ded>, proprietary: HashSet<Predicate>) -> ChaseBackchase {
+    /// once, up front, with the spec-level set that leaves out the
+    /// dependencies at the positions `navigation_layer` lists (see
+    /// [`CompiledDeps::with_navigation_layer`]; empty for none): the
+    /// backchase runs it when neither the query nor the candidate pool
+    /// navigates, and the chase to the universal plan always runs the
+    /// whole set.
+    pub fn new(
+        deds: Vec<Ded>,
+        navigation_layer: &[usize],
+        proprietary: HashSet<Predicate>,
+    ) -> ChaseBackchase {
         ChaseBackchase {
-            compiled: Arc::new(CompiledDeps::new(&deds)),
+            compiled: Arc::new(CompiledDeps::with_navigation_layer(&deds, navigation_layer)),
             proprietary,
             options: CbOptions::default(),
         }
@@ -357,7 +366,7 @@ mod tests {
         ]);
         let (c_v, b_v) = view_dependencies("V", &defq);
         let proprietary: HashSet<Predicate> = [Predicate::new("V")].into_iter().collect();
-        (ChaseBackchase::new(vec![ind, c_v, b_v], proprietary), q)
+        (ChaseBackchase::new(vec![ind, c_v, b_v], &[], proprietary), q)
     }
 
     #[test]
@@ -435,7 +444,7 @@ mod tests {
     #[test]
     fn unsatisfiable_query_produces_empty_plan() {
         let denial = Ded::denial("no_a", vec![Atom::named("A", vec![t("x"), t("y")])]);
-        let cb = ChaseBackchase::new(vec![denial], HashSet::new());
+        let cb = ChaseBackchase::new(vec![denial], &[], HashSet::new());
         let q = ConjunctiveQuery::new("Q")
             .with_head(vec![t("x")])
             .with_body(vec![Atom::named("A", vec![t("x"), t("y")])]);

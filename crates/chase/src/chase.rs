@@ -159,11 +159,12 @@ pub struct ChaseStats {
     /// Premise join programs run: one per dirty dependency a round
     /// checks.
     pub premise_evaluations: usize,
-    /// The work of each dependency, indexed by its position in
-    /// [`CompiledDeps::deds`]: `evaluations`, `premise_rows` and
-    /// `applied_steps` broken down by the dependency that did them. The
-    /// vector ends at the last dependency that was evaluated; one past it
-    /// did no work.
+    /// The work of each dependency, indexed by its position in the set the
+    /// engine compiled ([`CompiledDeps::deds`]; a chase under its
+    /// [spec-level set](CompiledDeps::spec_level) tallies under the same
+    /// positions): `evaluations`, `premise_rows` and `applied_steps` broken
+    /// down by the dependency that did them. The vector ends at the last
+    /// dependency that was evaluated; one past it did no work.
     pub dependencies: Vec<DependencyWork>,
     /// Number of `desc` atoms added by the shortcut.
     pub shortcut_desc_added: usize,

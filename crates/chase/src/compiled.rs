@@ -23,7 +23,9 @@
 //! long-lived engine — compiles the set **once** and shares it across every
 //! chase, back-chase, branch and query block via `Arc`. Before this type
 //! existed every chase recompiled the dependency set from scratch, which
-//! dominated the backchase hot loop.
+//! dominated the backchase hot loop. Given a navigation layer, it also
+//! packages the spec-level set the backchase runs on navigation-free
+//! pools, from the same compilation.
 
 use crate::evaluate::{
     order_atoms, EqualityFilter, ExistsScratch, JoinProgram, JoinScratch, RowBuffers, Source,
@@ -416,6 +418,11 @@ impl FunctionalDependencies {
 /// the single-premise TGDs the backchase's pruning criterion 4 reads. Build it
 /// once per engine / `Mars` instance and share it via `Arc` — every chase
 /// and back-chase then reuses the same compilation.
+///
+/// A set built with a navigation layer
+/// ([`CompiledDeps::with_navigation_layer`]) also holds the *spec-level*
+/// set, the same package for the dependencies outside that layer
+/// ([`CompiledDeps::spec_level`]), cloned from the one compilation.
 #[derive(Clone, Debug)]
 pub struct CompiledDeps {
     deds: Vec<Ded>,
@@ -434,6 +441,8 @@ pub struct CompiledDeps {
     /// The single-premise TGDs, which decide the backchase's pruning
     /// criterion 4.
     single_premise: SinglePremiseTgds,
+    /// The set without its navigation layer, when one was given.
+    spec_level: Option<Box<CompiledDeps>>,
 }
 
 /// EGD-priority order: denials first (fail fast), then pure
@@ -465,38 +474,70 @@ fn egd_priority(d: &CompiledDed) -> u8 {
 
 impl CompiledDeps {
     /// Compile a dependency set (closure detection + per-DED compilation +
-    /// EGD-priority ordering + functional-dependency detection). This is the
-    /// only place dependency compilation happens; it increments the
-    /// process-wide [`compilation_count`].
+    /// EGD-priority ordering + functional-dependency detection). This and
+    /// [`CompiledDeps::with_navigation_layer`] are the only places
+    /// dependency compilation happens; each increments the process-wide
+    /// [`compilation_count`] once.
     pub fn new(deds: &[Ded]) -> CompiledDeps {
+        CompiledDeps::with_navigation_layer(deds, &[])
+    }
+
+    /// Compile a dependency set, and keep beside it the spec-level set:
+    /// `deds` without the dependencies at the positions `navigation_layer`
+    /// lists. The caller vouches that whenever neither a query nor a
+    /// candidate pool holds a navigation atom, a back-chase under the
+    /// spec-level set confirms the candidates one under the whole set
+    /// confirms (the backchase module docs say when that holds). The
+    /// spec-level set is cloned from this one compilation; an empty layer
+    /// keeps none.
+    pub fn with_navigation_layer(deds: &[Ded], navigation_layer: &[usize]) -> CompiledDeps {
         COMPILATIONS.fetch_add(1, Ordering::SeqCst);
-        let closure = detect_closure_constraints(deds);
-        let skip: HashSet<usize> = closure.indices().into_iter().collect();
-        let mut all: Vec<CompiledDed> = deds
+        let compiled: Vec<CompiledDed> = deds
             .iter()
             .enumerate()
             .map(|(source, d)| CompiledDed { source, ..CompiledDed::compile(d) })
             .collect();
-        let mut shortcut_rest: Vec<CompiledDed> = all
+        let spec_level = (!navigation_layer.is_empty()).then(|| {
+            let kept = compiled.iter().filter(|d| !navigation_layer.contains(&d.source));
+            Box::new(CompiledDeps::assemble(kept.cloned().collect(), None))
+        });
+        CompiledDeps::assemble(compiled, spec_level)
+    }
+
+    /// Package compiled dependencies for the chase: closure detection,
+    /// EGD-priority ordering, the premise-predicate indexes, the functional
+    /// dependencies and the single-premise TGDs.
+    fn assemble(compiled: Vec<CompiledDed>, spec_level: Option<Box<CompiledDeps>>) -> CompiledDeps {
+        let deds: Vec<Ded> = compiled.iter().map(|d| d.ded.clone()).collect();
+        let closure = detect_closure_constraints(&deds);
+        let skip: HashSet<usize> = closure.indices().into_iter().collect();
+        let mut shortcut_rest: Vec<CompiledDed> = compiled
             .iter()
             .enumerate()
             .filter(|(i, _)| !skip.contains(i))
             .map(|(_, d)| d.clone())
             .collect();
+        let mut all = compiled;
         all.sort_by_key(egd_priority);
         shortcut_rest.sort_by_key(egd_priority);
-        let shortcut_index = DedIndex::new(&shortcut_rest);
-        let all_index = DedIndex::new(&all);
         CompiledDeps {
-            deds: deds.to_vec(),
+            shortcut_index: DedIndex::new(&shortcut_rest),
+            all_index: DedIndex::new(&all),
             shortcut_rest,
             all,
-            shortcut_index,
-            all_index,
             closure,
-            functional: FunctionalDependencies::new(deds),
-            single_premise: SinglePremiseTgds::new(deds),
+            functional: FunctionalDependencies::new(&deds),
+            single_premise: SinglePremiseTgds::new(&deds),
+            deds,
+            spec_level,
         }
+    }
+
+    /// The spec-level set [`CompiledDeps::with_navigation_layer`] kept, if
+    /// it was given a navigation layer. Its chases tally their work under
+    /// the positions of this set ([`crate::ChaseStats::dependencies`]).
+    pub fn spec_level(&self) -> Option<&CompiledDeps> {
+        self.spec_level.as_deref()
     }
 
     /// The source dependency set.

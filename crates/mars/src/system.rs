@@ -9,10 +9,12 @@ use mars_grex::{
     ViewDef,
 };
 use mars_specialize::{specialize_query, specialize_view, specialize_xic, SpecializationMapping};
-use mars_xquery::{decorrelate, parse_xquery, XBindAtom, XBindQuery, Xic};
+use mars_xml::Step;
+use mars_xquery::{decorrelate, parse_xquery, XBindAtom, XBindQuery, XBindTerm, Xic};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::time::Instant;
 
 /// The schema correspondence between the public and proprietary schemas
@@ -67,6 +69,91 @@ impl SchemaCorrespondence {
         }
         out
     }
+}
+
+/// The document of a DTD-style `unique_child` XIC ([`Xic::unique_child`])
+/// over a field a specialization mapping covers: its premise binds `p` by
+/// the mapping's entity path and reads one child path `c` from `p` twice,
+/// as `n` and `m`; its one conclusion is `n = m`; and `c`, or `c/text()`,
+/// is a field path of the mapping. At the spec level such an XIC says what
+/// the mapping's functional dependency says.
+fn covered_unique_child<'a>(xic: &Xic, mappings: &'a [SpecializationMapping]) -> Option<&'a str> {
+    let [XBindAtom::AbsolutePath { document, path, var: p }, XBindAtom::RelativePath { path: c, source: s, var: n }, XBindAtom::RelativePath { path: c2, source: s2, var: m }] =
+        xic.premise.as_slice()
+    else {
+        return None;
+    };
+    let [conclusion] = xic.conclusions.as_slice() else { return None };
+    let (n, m) = (XBindTerm::var(n), XBindTerm::var(m));
+    let equal = conclusion.equalities == [(n.clone(), m.clone())]
+        || conclusion.equalities == [(m.clone(), n.clone())];
+    if c != c2 || s != p || s2 != p || n == m || !conclusion.atoms.is_empty() || !equal {
+        return None;
+    }
+    let mut text = c.clone();
+    text.steps.push(Step::Text);
+    mappings
+        .iter()
+        .find(|mapping| {
+            &mapping.document == document
+                && &mapping.entity_path == path
+                && mapping.fields.iter().any(|f| f.path == *c || f.path == text)
+        })
+        .map(|mapping| mapping.document.as_str())
+}
+
+/// Add the dependencies at `range` to `document`'s navigation layer.
+fn in_layer<'a>(layers: &mut Vec<(&'a str, Vec<usize>)>, document: &'a str, range: Range<usize>) {
+    match layers.iter_mut().find(|(d, _)| *d == document) {
+        Some((_, layer)) => layer.extend(range),
+        None => layers.push((document, range.collect())),
+    }
+}
+
+/// The positions of the navigation layers of the *abbreviated* documents,
+/// ascending: the dependencies a spec-level back-chase leaves out.
+///
+/// `layers` holds each document's navigation layer: its mappings'
+/// definitional pairs `c_m` / `b_m`, its TIX and the `unique_child` XICs
+/// over fields a mapping covers. A document is abbreviated when every
+/// mapping over it has single-valued fields, and no dependency outside its
+/// layer mentions its navigation: no view's `c_V` / `b_V`, GAV or LAV, no
+/// other XIC (after specialization), no relational constraint. The caller
+/// checks that specialization replaces navigation.
+///
+/// A spec-level back-chase then confirms every candidate the full one
+/// does, as long as neither the query nor the candidate pool navigates.
+/// Inside such a back-chase navigation only comes from the `b_m` steps.
+/// What the layer derives from it is either more navigation, which no
+/// dependency outside the layer reads, or a specialization atom that
+/// `c_m` reads back off the navigation `b_m` wrote. Those atoms are equal
+/// to existing ones up to the fields, and the mapping's functional
+/// dependency, which stays, merges the fields. The `unique_child` XICs'
+/// merges of field nodes are that same dependency, one level down.
+fn abbreviated_layers(
+    deds: &[Ded],
+    layers: &[(&str, Vec<usize>)],
+    mappings: &[SpecializationMapping],
+) -> Vec<usize> {
+    let navigates = |ded: &Ded, document: &str| {
+        ded.premise
+            .iter()
+            .chain(ded.conclusions.iter().flat_map(|c| &c.atoms))
+            .any(|a| a.navigation().is_some_and(|(_, d)| d == document))
+    };
+    let mut out: Vec<usize> = layers
+        .iter()
+        .filter(|(document, layer)| {
+            mappings.iter().filter(|m| m.document == *document).all(|m| m.single_valued)
+                && deds
+                    .iter()
+                    .enumerate()
+                    .all(|(i, ded)| layer.contains(&i) || !navigates(ded, document))
+        })
+        .flat_map(|(_, layer)| layer.iter().copied())
+        .collect();
+    out.sort_unstable();
+    out
 }
 
 /// Options controlling the MARS pipeline.
@@ -130,8 +217,9 @@ impl Mars {
 
     /// Build the system with explicit options.
     pub fn with_options(correspondence: SchemaCorrespondence, options: MarsOptions) -> Mars {
-        let (deds, proprietary) = Self::compile(&correspondence, &options);
-        let engine = ChaseBackchase::new(deds, proprietary).with_options(options.cb.clone());
+        let (deds, navigation_layer, proprietary) = Self::compile(&correspondence, &options);
+        let engine = ChaseBackchase::new(deds, &navigation_layer, proprietary)
+            .with_options(options.cb.clone());
         Mars { correspondence, options, engine }
     }
 
@@ -202,13 +290,20 @@ impl Mars {
         out
     }
 
+    /// Compile the correspondence: the dependency set, the positions in it
+    /// of every abbreviated document's navigation layer (see
+    /// [`abbreviated_layers`]), and the proprietary schema.
     fn compile(
         corr: &SchemaCorrespondence,
         options: &MarsOptions,
-    ) -> (Vec<Ded>, HashSet<Predicate>) {
+    ) -> (Vec<Ded>, Vec<usize>, HashSet<Predicate>) {
         let mut ctx = CompileContext::new();
         let mut deds: Vec<Ded> = Vec::new();
         let mut proprietary: HashSet<Predicate> = HashSet::new();
+        // Per document, the dependencies of its navigation layer: its
+        // mappings' definitional pairs, its TIX, and the `unique_child`
+        // XICs a mapping's functional dependency restates.
+        let mut layers: Vec<(&str, Vec<usize>)> = Vec::new();
 
         let specialize_active = options.use_specialization && !corr.specializations.is_empty();
         let maybe_spec_view = |v: &ViewDef| -> ViewDef {
@@ -236,6 +331,9 @@ impl Mars {
             } else {
                 xic.clone()
             };
+            if let Some(document) = covered_unique_child(xic, &corr.specializations) {
+                in_layer(&mut layers, document, deds.len()..deds.len() + 1);
+            }
             deds.push(compile_xic(&mut ctx, &x));
         }
 
@@ -248,7 +346,9 @@ impl Mars {
         // proprietary schema.
         if specialize_active {
             for m in &corr.specializations {
+                let start = deds.len();
                 deds.extend(compile_view(&mut ctx, &m.definition_view()));
+                in_layer(&mut layers, &m.document, start..deds.len());
                 deds.extend(m.functional_dependency());
                 if corr.proprietary_documents.contains(&m.document) {
                     proprietary.insert(Predicate::new(&m.relation));
@@ -259,7 +359,11 @@ impl Mars {
         // TIX for every document involved.
         if options.include_tix {
             for doc in corr.all_documents() {
+                let start = deds.len();
                 deds.extend(tix_constraints_core(&GrexSchema::new(&doc)));
+                if let Some(d) = corr.specializations.iter().find(|m| m.document == doc) {
+                    in_layer(&mut layers, &d.document, start..deds.len());
+                }
             }
         }
 
@@ -279,7 +383,12 @@ impl Mars {
             }
         }
 
-        (deds, proprietary)
+        let navigation_layer = if specialize_active && options.spec_replaces_navigation {
+            abbreviated_layers(&deds, &layers, &corr.specializations)
+        } else {
+            Vec::new()
+        };
+        (deds, navigation_layer, proprietary)
     }
 
     /// Reformulate a single XBind query (one navigation block).
@@ -370,6 +479,7 @@ impl Mars {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mars_chase::ReformulationResult;
     use mars_xml::parse_path;
 
     /// A miniature publishing scenario: a proprietary table `bookRel(title,
@@ -610,6 +720,241 @@ mod tests {
         assert!(reserved.contains("bib.xml"));
         assert!(reserved.contains("book"), "view-output tag names are structural");
         assert!(!reserved.contains("some client value"));
+    }
+
+    fn absolute(document: &str, path: &str, var: &str) -> XBindAtom {
+        XBindAtom::AbsolutePath {
+            document: document.to_string(),
+            path: parse_path(path).unwrap(),
+            var: var.to_string(),
+        }
+    }
+
+    fn relative(path: &str, source: &str, var: &str) -> XBindAtom {
+        XBindAtom::RelativePath {
+            path: parse_path(path).unwrap(),
+            source: source.to_string(),
+            var: var.to_string(),
+        }
+    }
+
+    /// `mars`'s reformulation of `query`, and the same compiled query
+    /// reformulated by an engine over the same dependencies with no
+    /// navigation layer: the full Σ in every back-chase.
+    fn beside_full_sigma(
+        mars: &Mars,
+        query: &XBindQuery,
+    ) -> (ReformulationResult, ReformulationResult) {
+        let block = mars.reformulate_xbind(query);
+        let full =
+            ChaseBackchase::new(mars.dependencies().to_vec(), &[], mars.engine.proprietary.clone())
+                .with_options(mars.options.cb.clone())
+                .reformulate(&block.compiled, &ReformulationBudget::unbounded());
+        (block.result, full)
+    }
+
+    /// The minimal reformulations' bodies and costs.
+    fn bodies(result: &ReformulationResult) -> Vec<(String, f64)> {
+        let body = |q: &ConjunctiveQuery| {
+            q.body.iter().map(ToString::to_string).collect::<Vec<_>>().join(", ")
+        };
+        result.minimal.iter().map(|(q, cost)| (body(q), *cost)).collect()
+    }
+
+    /// Everything the backchase counts, the back-chases' work included.
+    fn funnel(result: &ReformulationResult) -> [usize; 8] {
+        let s = &result.stats;
+        [
+            s.candidates_inspected,
+            s.pruned_by_cost,
+            s.equivalence_checks,
+            s.chase_cache_hits,
+            s.implied_skips,
+            result.minimal.len(),
+            s.backchase_chase_rounds,
+            s.backchase_premise_evaluations,
+        ]
+    }
+
+    /// A two-corner star over `s.xml` in the style of the Section 4.1
+    /// configuration: hubs `//R` with `K`, `A1`, `A2`, corners `//S1`,
+    /// `//S2` with `A`, `B`, the key on `R.K`, the foreign keys, the DTD
+    /// `unique_child` XICs, one view `V1` joining the hub with corner 1, and
+    /// a mapping per element type, with single-valued fields or without.
+    /// The document is proprietary and read through its mappings alone.
+    fn mini_star(single_valued: bool) -> (Mars, XBindQuery) {
+        let doc = "s.xml";
+        let star = |name: &str, corners: &[usize]| {
+            let mut q = XBindQuery::new(name)
+                .with_atom(absolute(doc, "//R", "r"))
+                .with_atom(relative("./K/text()", "r", "k"));
+            let mut head = vec!["k".to_string()];
+            for i in corners {
+                let (a, s, sa, b) =
+                    (format!("a{i}"), format!("s{i}"), format!("sa{i}"), format!("b{i}"));
+                q = q
+                    .with_atom(relative(&format!("./A{i}/text()"), "r", &a))
+                    .with_atom(absolute(doc, &format!("//S{i}"), &s))
+                    .with_atom(relative("./A/text()", &s, &sa))
+                    .with_atom(relative("./B/text()", &s, &b))
+                    .with_atom(XBindAtom::Eq(XBindTerm::var(&a), XBindTerm::var(&sa)));
+                head.push(b);
+            }
+            q.head = head;
+            q
+        };
+        let one = |name: &str, elements: &str, child: &str| {
+            Xic::unique_child(name, doc, elements, child).unwrap()
+        };
+        let mut xics = vec![Xic::key("R_key", doc, "//R", "./K/text()").unwrap()];
+        let mut mappings = vec![SpecializationMapping::new(
+            "Rspec",
+            doc,
+            "//R",
+            &[("K", "./K/text()"), ("A1", "./A1/text()"), ("A2", "./A2/text()")],
+        )];
+        xics.push(one("R_one_K", "//R", "./K"));
+        for i in 1..=2 {
+            let corner = format!("//S{i}");
+            xics.push(
+                Xic::inclusion(
+                    &format!("fk_A{i}"),
+                    doc,
+                    "//R",
+                    &format!("./A{i}/text()"),
+                    &corner,
+                    "./A/text()",
+                )
+                .unwrap(),
+            );
+            xics.push(one(&format!("R_one_A{i}"), "//R", &format!("./A{i}")));
+            xics.push(one(&format!("S{i}_one_A"), &corner, "./A"));
+            xics.push(one(&format!("S{i}_one_B"), &corner, "./B"));
+            mappings.push(SpecializationMapping::new(
+                &format!("S{i}spec"),
+                doc,
+                &corner,
+                &[("A", "./A/text()"), ("B", "./B/text()")],
+            ));
+        }
+        if single_valued {
+            mappings = mappings.into_iter().map(|m| m.with_single_valued_fields()).collect();
+        }
+        let correspondence = SchemaCorrespondence {
+            public_documents: vec![doc.to_string()],
+            lav_views: vec![ViewDef::relational("V1", star("V1body", &[1]))],
+            xics,
+            proprietary_documents: vec![doc.to_string()],
+            specializations: mappings,
+            ..Default::default()
+        };
+        let options = MarsOptions {
+            spec_replaces_navigation: true,
+            ..MarsOptions::specialized().exhaustive()
+        };
+        (Mars::with_options(correspondence, options), star("StarQ", &[1, 2]))
+    }
+
+    /// The positions of `mars`'s navigation layer, by name.
+    fn layer_names(mars: &Mars) -> Vec<String> {
+        let (deds, layer, _) = Mars::compile(&mars.correspondence, &mars.options);
+        layer.iter().map(|&i| deds[i].name.clone()).collect()
+    }
+
+    /// With single-valued fields the star document is abbreviated: its
+    /// mappings' definitional pairs, its TIX and its DTD XICs leave the
+    /// back-chases, and they find what the full Σ finds — one
+    /// reformulation per subset of the views — with fewer premise
+    /// evaluations.
+    #[test]
+    fn an_abbreviated_document_back_chases_without_its_navigation() {
+        let (mars, query) = mini_star(true);
+        let layer = layer_names(&mars);
+        for name in ["cRspec", "bS2spec", "R_one_K_spec", "S1_one_B_spec", "TIX.el_id#s.xml"] {
+            assert!(layer.iter().any(|n| n == name), "{name} in {layer:?}");
+        }
+        assert!(!layer.iter().any(|n| n.ends_with("_fd") || n.starts_with("fk_")), "{layer:?}");
+        let (spec, full) = beside_full_sigma(&mars, &query);
+        assert_eq!(bodies(&spec), bodies(&full));
+        assert_eq!(spec.minimal.len(), 2, "2^NV");
+        assert!(
+            spec.stats.backchase_premise_evaluations < full.stats.backchase_premise_evaluations
+        );
+    }
+
+    /// Without single-valued fields there is no spec-level functional
+    /// dependency, and the DTD EGDs carry equalities nothing else derives:
+    /// the document keeps its navigation layer, so the back-chases run the
+    /// full Σ.
+    #[test]
+    fn a_mapping_without_single_valued_fields_keeps_its_navigation() {
+        let (mars, query) = mini_star(false);
+        let (spec, full) = beside_full_sigma(&mars, &query);
+        assert_eq!(bodies(&spec), bodies(&full));
+        assert_eq!(funnel(&spec), funnel(&full));
+        assert_eq!(layer_names(&mars), Vec::<String>::new());
+        assert!(mars.dependencies().iter().any(|d| d.name == "R_one_K_spec"));
+        assert!(!mars.dependencies().iter().any(|d| d.name.ends_with("_fd")));
+    }
+
+    /// A query that still navigates after specialization — it reads `R`'s
+    /// `C` child, which no mapping covers — back-chases under the full Σ,
+    /// abbreviated document or not: its funnel, back-chase work included,
+    /// is the full Σ's.
+    #[test]
+    fn a_navigating_query_back_chases_under_the_full_sigma() {
+        let (mars, query) = mini_star(true);
+        assert!(!layer_names(&mars).is_empty());
+        let navigating = query.with_atom(relative("./C/text()", "r", "c"));
+        let (spec, full) = beside_full_sigma(&mars, &navigating);
+        assert!(spec.stats.backchase_premise_evaluations > 0);
+        assert_eq!(funnel(&spec), funnel(&full));
+        assert_eq!(bodies(&spec), bodies(&full));
+    }
+
+    /// Completeness needs the gate. `PubMap` publishes `bookRel` as
+    /// `bib.xml`, and the LAV view `W` stores `//book`'s titles and
+    /// authors; `Book` specializes `//book` with single-valued fields. The
+    /// query `bookRel(t, a)` does not navigate, and neither does its pool
+    /// (`bookRel`, `W`), yet `W(t, a)` is a reformulation only through the
+    /// navigation `PubMap` publishes. `PubMap`'s dependencies mention that
+    /// navigation, so `bib.xml` is not abbreviated, and both reformulations
+    /// are found; leaving out every dependency that mentions navigation
+    /// would find `bookRel(t, a)` alone.
+    #[test]
+    fn a_view_over_a_documents_navigation_keeps_it_in_sigma() {
+        let mut correspondence = mini_correspondence();
+        correspondence.lav_views = vec![ViewDef::relational(
+            "W",
+            XBindQuery::new("Wbody")
+                .with_head(&["t", "a"])
+                .with_atom(absolute("bib.xml", "//book", "b"))
+                .with_atom(relative("./title/text()", "b", "t"))
+                .with_atom(relative("./author/text()", "b", "a")),
+        )];
+        correspondence.specializations = vec![SpecializationMapping::new(
+            "Book",
+            "bib.xml",
+            "//book",
+            &[("title", "./title/text()"), ("author", "./author/text()")],
+        )
+        .with_single_valued_fields()];
+        let options = MarsOptions {
+            spec_replaces_navigation: true,
+            ..MarsOptions::specialized().exhaustive()
+        };
+        let mars = Mars::with_options(correspondence, options);
+        let query = XBindQuery::new("Q").with_head(&["t", "a"]).with_atom(XBindAtom::Relational {
+            relation: "bookRel".to_string(),
+            args: vec![XBindTerm::var("t"), XBindTerm::var("a")],
+        });
+        let block = mars.reformulate_xbind(&query);
+        let mut found: Vec<String> =
+            block.result.minimal.iter().map(|(q, _)| q.body[0].predicate.name().into()).collect();
+        found.sort();
+        assert_eq!(found, ["W", "bookRel"]);
+        assert!(block.result.minimal.iter().all(|(q, _)| q.body.len() == 1));
+        assert_eq!(layer_names(&mars), Vec::<String>::new());
     }
 
     #[test]

@@ -447,7 +447,7 @@ fn redundant_chain_engine(
             proprietary.insert(Predicate::new(&name));
         }
     }
-    (mars_system::chase::ChaseBackchase::new(deds, proprietary), q)
+    (mars_system::chase::ChaseBackchase::new(deds, &[], proprietary), q)
 }
 
 proptest! {
