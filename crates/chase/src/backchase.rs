@@ -210,7 +210,7 @@
 use crate::cb::CbStatistics;
 use crate::chase::{
     add_dependency_work, chase_resident_with_atoms_compiled, chase_to_resident_compiled,
-    ChaseOptions, ChaseStats, ChaseStop, ResidentBranch,
+    ChaseOptions, ChaseStats, ChaseStop, DependencyWork, ResidentBranch,
 };
 use crate::compiled::CompiledDeps;
 use crate::evaluate::{maps_into, ContainmentProgram};
@@ -516,49 +516,56 @@ impl Equivalence<'_> {
     }
 
     /// Run a level's checks on up to `workers` threads, the caller one of
-    /// them, and return them in job order with the index builds of the
-    /// helper threads. Each worker takes the next group of jobs and runs it
-    /// in order, so the checks resuming from one seed run in order on one
-    /// thread. A helper's panic is raised again on the caller, with its
-    /// payload.
+    /// them, and return them in job order with their per-dependency work
+    /// summed ([`ChaseStats::dependencies`], taken out of each check) and
+    /// the index builds of the helper threads. Each worker takes the next
+    /// group of jobs and runs it in order, so the checks resuming from one
+    /// seed run in order on one thread. A helper's panic is raised again on
+    /// the caller, with its payload.
     fn check_all(
         &self,
         jobs: &[Job<'_>],
         groups: &[Vec<usize>],
         workers: usize,
-    ) -> (Vec<EquivalenceCheck>, usize) {
+    ) -> (Vec<EquivalenceCheck>, Vec<DependencyWork>, usize) {
         // The next group to take. `Relaxed` suffices: it publishes no data
         // (the jobs are shared read-only, the checks come back by `join`).
         let next = AtomicUsize::new(0);
         let work = || {
             let builds = thread_index_build_count();
-            let mut done = Vec::new();
+            let (mut done, mut dependencies) = (Vec::new(), Vec::new());
             while let Some(group) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
                 for &j in group {
                     let job = &jobs[j];
-                    done.push((j, self.check(&job.candidate, job.seed, job.memoize)));
+                    let mut check = self.check(&job.candidate, job.seed, job.memoize);
+                    // Summed as it finishes, on the thread that counted it:
+                    // a level holds one tally per worker, not one per check.
+                    let counted = std::mem::take(&mut check.chase.dependencies);
+                    add_dependency_work(&mut dependencies, &counted);
+                    done.push((j, check));
                 }
             }
-            (done, thread_index_build_count() - builds)
+            (done, dependencies, thread_index_build_count() - builds)
         };
-        let (mut done, helper_builds) = std::thread::scope(|scope| {
+        let (mut done, dependencies, helper_builds) = std::thread::scope(|scope| {
             let helpers: Vec<_> =
                 (1..workers.min(groups.len())).map(|_| scope.spawn(work)).collect();
-            let (mut done, _) = work();
+            let (mut done, mut dependencies, _) = work();
             let mut builds = 0;
             for helper in helpers {
                 match helper.join() {
-                    Ok((more, more_builds)) => {
+                    Ok((more, more_dependencies, more_builds)) => {
                         done.extend(more);
+                        add_dependency_work(&mut dependencies, &more_dependencies);
                         builds += more_builds;
                     }
                     Err(payload) => std::panic::resume_unwind(payload),
                 }
             }
-            (done, builds)
+            (done, dependencies, builds)
         });
         done.sort_unstable_by_key(|&(j, _)| j);
-        (done.into_iter().map(|(_, check)| check).collect(), helper_builds)
+        (done.into_iter().map(|(_, check)| check).collect(), dependencies, helper_builds)
     }
 }
 
@@ -867,8 +874,9 @@ fn search(
         // Second pass: the checks, on every worker. A check reads only the
         // universal plan, the dependencies and its own seed, so it decides
         // what it would decide alone (see the module docs).
-        let (checks, helper_builds) = equivalence.check_all(&jobs, &groups, workers);
+        let (checks, dependencies, helper_builds) = equivalence.check_all(&jobs, &groups, workers);
         stats.index_builds += helper_builds;
+        add_dependency_work(&mut stats.backchase_dependencies, &dependencies);
         let candidates: Vec<ConjunctiveQuery> = jobs.into_iter().map(|job| job.candidate).collect();
         let mut checked = candidates.into_iter().zip(checks);
 

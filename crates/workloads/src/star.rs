@@ -175,10 +175,13 @@ impl StarConfig {
     /// backchase's equivalence chases unify the duplicated navigation that
     /// arises when a hub is reconstructed from several views. Under
     /// specialization (`StarConfig::mars` with `MarsOptions::specialized()`,
-    /// what the benchmark's cold templates run) their `_spec` forms never
-    /// produce a premise row: a hub reconstructed from a view is found by
-    /// the spec-level key on `Rspec.K` and its fields by `Rspec`'s
-    /// single-valued-field dependency, so no duplicated navigation arises.
+    /// what the benchmark's cold templates run) their `_spec` forms restate
+    /// the mappings' single-valued-field dependencies: a hub reconstructed
+    /// from a view is found by the spec-level key on `Rspec.K` and its
+    /// fields by `Rspec`'s dependency. They belong to `star.xml`'s
+    /// navigation layer, which the back-chases of the navigation-free
+    /// corner templates leave out, and in the chase to the universal plan
+    /// they produce no premise row.
     pub fn dtd_constraints(&self) -> Vec<Xic> {
         let doc = self.document();
         let one = |name: &str, elements: &str, child: &str| {
