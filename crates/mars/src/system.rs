@@ -12,9 +12,8 @@ use mars_specialize::{specialize_query, specialize_view, specialize_xic, Special
 use mars_xml::Step;
 use mars_xquery::{decorrelate, parse_xquery, XBindAtom, XBindQuery, XBindTerm, Xic};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::ops::Range;
 use std::time::Instant;
 
 /// The schema correspondence between the public and proprietary schemas
@@ -102,14 +101,6 @@ fn covered_unique_child<'a>(xic: &Xic, mappings: &'a [SpecializationMapping]) ->
         .map(|mapping| mapping.document.as_str())
 }
 
-/// Add the dependencies at `range` to `document`'s navigation layer.
-fn in_layer<'a>(layers: &mut Vec<(&'a str, Vec<usize>)>, document: &'a str, range: Range<usize>) {
-    match layers.iter_mut().find(|(d, _)| *d == document) {
-        Some((_, layer)) => layer.extend(range),
-        None => layers.push((document, range.collect())),
-    }
-}
-
 /// The positions of the navigation layers of the *abbreviated* documents,
 /// ascending: the dependencies a spec-level back-chase leaves out.
 ///
@@ -132,7 +123,7 @@ fn in_layer<'a>(layers: &mut Vec<(&'a str, Vec<usize>)>, document: &'a str, rang
 /// merges of field nodes are that same dependency, one level down.
 fn abbreviated_layers(
     deds: &[Ded],
-    layers: &[(&str, Vec<usize>)],
+    layers: &HashMap<&str, Vec<usize>>,
     mappings: &[SpecializationMapping],
 ) -> Vec<usize> {
     let navigates = |ded: &Ded, document: &str| {
@@ -144,7 +135,7 @@ fn abbreviated_layers(
     let mut out: Vec<usize> = layers
         .iter()
         .filter(|(document, layer)| {
-            mappings.iter().filter(|m| m.document == *document).all(|m| m.single_valued)
+            mappings.iter().filter(|m| m.document == **document).all(|m| m.single_valued)
                 && deds
                     .iter()
                     .enumerate()
@@ -303,7 +294,7 @@ impl Mars {
         // Per document, the dependencies of its navigation layer: its
         // mappings' definitional pairs, its TIX, and the `unique_child`
         // XICs a mapping's functional dependency restates.
-        let mut layers: Vec<(&str, Vec<usize>)> = Vec::new();
+        let mut layers: HashMap<&str, Vec<usize>> = HashMap::new();
 
         let specialize_active = options.use_specialization && !corr.specializations.is_empty();
         let maybe_spec_view = |v: &ViewDef| -> ViewDef {
@@ -332,7 +323,7 @@ impl Mars {
                 xic.clone()
             };
             if let Some(document) = covered_unique_child(xic, &corr.specializations) {
-                in_layer(&mut layers, document, deds.len()..deds.len() + 1);
+                layers.entry(document).or_default().push(deds.len());
             }
             deds.push(compile_xic(&mut ctx, &x));
         }
@@ -348,7 +339,7 @@ impl Mars {
             for m in &corr.specializations {
                 let start = deds.len();
                 deds.extend(compile_view(&mut ctx, &m.definition_view()));
-                in_layer(&mut layers, &m.document, start..deds.len());
+                layers.entry(&m.document).or_default().extend(start..deds.len());
                 deds.extend(m.functional_dependency());
                 if corr.proprietary_documents.contains(&m.document) {
                     proprietary.insert(Predicate::new(&m.relation));
@@ -362,7 +353,7 @@ impl Mars {
                 let start = deds.len();
                 deds.extend(tix_constraints_core(&GrexSchema::new(&doc)));
                 if let Some(d) = corr.specializations.iter().find(|m| m.document == doc) {
-                    in_layer(&mut layers, &d.document, start..deds.len());
+                    layers.entry(&d.document).or_default().extend(start..deds.len());
                 }
             }
         }
