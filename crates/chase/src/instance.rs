@@ -782,7 +782,7 @@ impl SymbolicInstance {
     }
 
     /// Convert back to a query with the given name, head and inequalities.
-    /// Atoms are ordered by how they are spelled ([`Atom::cmp_spelled`]),
+    /// Atoms are ordered by how they are spelled ([`Atom::spelling`]),
     /// which gives the same universal plan in every process, whatever it
     /// interned first.
     pub fn to_query(
@@ -792,7 +792,7 @@ impl SymbolicInstance {
         inequalities: Vec<(Term, Term)>,
     ) -> ConjunctiveQuery {
         let mut atoms = self.atoms();
-        atoms.sort_by(Atom::cmp_spelled);
+        atoms.sort_by_cached_key(Atom::spelling);
         ConjunctiveQuery { name: name.to_string(), head, body: atoms, inequalities }
     }
 

@@ -3,7 +3,6 @@
 use crate::symbol::{symbol, Symbol};
 use crate::term::{Term, Variable};
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 use std::fmt;
 
 /// A predicate (relation) name, e.g. `child`, `desc`, `patient`, `V3`.
@@ -152,19 +151,11 @@ impl Atom {
         self.args.iter().all(Term::is_const)
     }
 
-    /// Order two atoms by how they are spelled: by predicate name, then
-    /// argument by argument ([`Term::cmp_spelled`]). Unlike the derived
-    /// `Ord`, the order does not depend on the order symbols were interned
-    /// in.
-    pub fn cmp_spelled(&self, other: &Atom) -> Ordering {
-        self.predicate.name().cmp(other.predicate.name()).then_with(|| {
-            self.args
-                .iter()
-                .zip(&other.args)
-                .map(|(a, b)| a.cmp_spelled(b))
-                .find(|o| o.is_ne())
-                .unwrap_or_else(|| self.args.len().cmp(&other.args.len()))
-        })
+    /// The atom as it is spelled, as a sort key: its predicate name, then
+    /// its arguments' [`Term::spelling`]. Unlike the derived `Ord`, the
+    /// order it gives does not depend on the order symbols were interned in.
+    pub fn spelling(&self) -> (&'static str, Vec<(u8, &'static str, i64)>) {
+        (self.predicate.name(), self.args.iter().map(Term::spelling).collect())
     }
 
     /// The atom read as GReX navigation: its base and document, when the
@@ -264,22 +255,18 @@ mod tests {
     use super::*;
     use crate::term::Variable;
 
-    /// The spelled order ignores the interning order: `spelled_order_b` is
-    /// interned before `spelled_order_a`, so the derived order puts it
-    /// first, and the spelled order does not.
+    /// The spelled order ignores the interning order: `spelling_b` is
+    /// interned before `spelling_a`, so the derived order puts it first,
+    /// and the spelled order does not.
     #[test]
     fn spelled_order_does_not_follow_interning() {
-        let (b, a) = (Term::var("spelled_order_b"), Term::var("spelled_order_a"));
+        let (b, a) = (Term::var("spelling_b"), Term::var("spelling_a"));
         let r = |x: Term| Atom::named("R", vec![Term::constant_str("c"), x]);
-        assert!(b < a, "interned first");
-        assert_eq!(r(a).cmp_spelled(&r(b)), std::cmp::Ordering::Less);
-        assert_eq!(a.cmp_spelled(&Term::constant_int(0)), std::cmp::Ordering::Less);
-        assert_eq!(r(a).cmp_spelled(&r(a)), std::cmp::Ordering::Equal);
-        assert_eq!(
-            Atom::named("Q", vec![b]).cmp_spelled(&r(a)),
-            std::cmp::Ordering::Less,
-            "the predicate name decides first"
-        );
+        assert!(b < a && r(b) < r(a), "interned first");
+        assert!(r(a).spelling() < r(b).spelling());
+        assert!(a.spelling() < Term::constant_str("a").spelling());
+        assert!(Term::constant_str("z").spelling() < Term::constant_int(0).spelling());
+        assert!(Atom::named("Q", vec![b]).spelling() < r(a).spelling(), "the predicate first");
     }
 
     #[test]

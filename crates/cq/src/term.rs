@@ -7,7 +7,6 @@
 
 use crate::symbol::{symbol, Symbol};
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 use std::fmt;
 
 /// A query variable.
@@ -156,20 +155,18 @@ impl Term {
         }
     }
 
-    /// Order two terms by how they are spelled: variables before constants,
-    /// a variable by its name and then its disambiguator, a string constant
-    /// by its text, before every integer. The derived `Ord` compares
-    /// interned symbols, so it follows whichever string the process happened
-    /// to intern first; this order is the same in every process.
-    pub fn cmp_spelled(&self, other: &Term) -> Ordering {
-        fn key(t: &Term) -> (u8, &'static str, i64) {
-            match *t {
-                Term::Var(v) => (0, Symbol(v.name).as_str(), i64::from(v.index)),
-                Term::Const(Constant::Str(s)) => (1, Symbol(s).as_str(), 0),
-                Term::Const(Constant::Int(i)) => (2, "", i),
-            }
+    /// The term as it is spelled, as a sort key: variables before
+    /// constants, a variable by its name and then its disambiguator, a
+    /// string constant by its text, before every integer. The derived `Ord`
+    /// compares interned symbols, so it follows whichever string the process
+    /// happened to intern first; this key orders terms the same way in every
+    /// process.
+    pub fn spelling(&self) -> (u8, &'static str, i64) {
+        match *self {
+            Term::Var(v) => (0, Symbol(v.name).as_str(), i64::from(v.index)),
+            Term::Const(Constant::Str(s)) => (1, Symbol(s).as_str(), 0),
+            Term::Const(Constant::Int(i)) => (2, "", i),
         }
-        key(self).cmp(&key(other))
     }
 }
 

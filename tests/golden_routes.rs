@@ -40,11 +40,11 @@ const SEED: u64 = 7;
 /// best reformulation, with every backend's estimate (or `infeasible`).
 /// Then the same, with the rows, for Example 1.1 and the XMark suite.
 ///
-/// A universal plan's body is sorted by spelling ([`Atom::cmp_spelled`]),
+/// A universal plan's body is sorted by spelling ([`Atom::spelling`]),
 /// not by interned symbol, so the order equal-cost navigation atoms take,
 /// and with it their estimate, does not depend on which query ran first.
 ///
-/// [`Atom::cmp_spelled`]: mars_system::cq::Atom::cmp_spelled
+/// [`Atom::spelling`]: mars_system::cq::Atom::spelling
 #[test]
 fn routing_decisions_are_stable_across_the_scenario_matrix() {
     let mut routed = Vec::new();
