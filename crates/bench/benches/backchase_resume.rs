@@ -21,6 +21,11 @@
 //!   reformulated cold, cost-pruned: 143 back-chases, 111 of them resumed.
 //!   Most levels check several candidates, so this is where running a
 //!   level's checks on every core shows without `marsbench`.
+//! - `backchase_resume/reformulate_star_c123`: the same tenant's corner
+//!   set {1, 2, 3}, reformulated cold, cost-pruned: 7 back-chases. This is
+//!   the shape of `marsbench`'s median `cold_templates` request, where
+//!   building the candidates outweighed checking them while a breadth-first
+//!   frontier held every legal subset (728 sets for 7 checks).
 //! - `backchase_resume/scratch_star_345`: the best reformulation of the
 //!   same tenant's corner set {3, 4, 5}, `V3 ⋈ V4 ⋈ V5`, back-chased from
 //!   scratch, as the backchase checks a candidate no memo seed covers.
@@ -137,6 +142,21 @@ fn bench_star_corners(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_star_c123(c: &mut Criterion) {
+    let cfg = StarConfig { nc: 6, nv: 5, proprietary_includes_document: true };
+    let mars = cfg.mars(MarsOptions::specialized());
+    let query = cfg.corner_query(&[1, 2, 3]);
+    let stats = mars.reformulate_xbind(&query).result.stats;
+    assert_eq!(stats.equivalence_checks, 7, "the corner set's back-chases");
+    assert_eq!(stats.candidates_inspected, 7, "the walk builds only the candidates it checks");
+    let mut g = c.benchmark_group("backchase_resume");
+    g.sample_size(50);
+    g.bench_function("reformulate_star_c123", |b| {
+        b.iter(|| mars.reformulate_xbind(black_box(&query)))
+    });
+    g.finish();
+}
+
 fn bench_scratch_backchase(c: &mut Criterion) {
     let cfg = StarConfig { nc: 6, nv: 5, proprietary_includes_document: true };
     let mars = cfg.mars(MarsOptions::specialized());
@@ -166,6 +186,7 @@ criterion_group!(
     bench_closure,
     bench_example11,
     bench_star_corners,
+    bench_star_c123,
     bench_scratch_backchase
 );
 criterion_main!(benches);

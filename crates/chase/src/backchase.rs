@@ -28,35 +28,105 @@
 //!
 //! # Engine structure
 //!
-//! The enumeration is a **level-synchronous** BFS over candidate atom sets
-//! ([`AtomSet`] — growable bitsets, so pools wider than 128 atoms enumerate
-//! exhaustively; the old `u128` ceiling and its silent greedy fallback are
-//! gone). Each level holds every candidate of one subquery size. Its costs
-//! are computed in one pass, and then the level is judged in three passes:
+//! The enumeration is **level-synchronous**: level `L` checks candidate
+//! atom sets ([`AtomSet`] — growable bitsets, so pools wider than 128 atoms
+//! enumerate exhaustively) of `L` atoms, and its verdicts are read before
+//! level `L + 1` is built. A *walk* builds each level's candidates: exactly
+//! the sets a breadth-first frontier of every legal subset would check, in
+//! that frontier's order, without building the unsafe subsets in between
+//! (see below). A level is then judged in three passes:
 //!
-//! 1. in position order, cost pruning and the safety prefilter, and for
-//!    each candidate that reaches the equivalence check its rendering as a
-//!    subquery and its memo seed;
+//! 1. in position order, each candidate's rendering as a subquery and its
+//!    memo seed;
 //! 2. the equivalence checks, on every core the process may use
 //!    (`std::thread::available_parallelism`, the calling thread one of the
 //!    workers, helpers under `std::thread::scope`);
 //! 3. in position order again, the verdicts: the funnel counters, `minimal`
-//!    and `best`, the memo of the next level, and growth by one atom.
+//!    and `best`, the memo of the next level, and what the walk extends.
 //!
-//! Growth is bitset work. The [`ReachabilityGraph`] compiles each pool
-//! atom's required and produced variables into word bitsets once, so the
-//! atoms a candidate enables are found with word operations
-//! ([`ReachabilityGraph::enabled_into`]). Each child is probed in place (the
-//! atom inserted into the candidate, looked up, removed) against an
-//! Fx-hashed set of the next level's candidates, and only a new child is
-//! cloned; that set starts empty at every level, because a (k+1)-subset is
-//! only ever grown at level k. The frontier keeps first-insertion order, so
-//! the candidate order — and with it `minimal`, `best` ties and the
-//! per-level memo budget — does not depend on the set. Navigation legality
-//! (criteria 2–3) is never checked per candidate: every candidate is an
-//! entry point grown by atoms it enables, so it is constructible by
-//! construction. The legality fixpoint, `reach::reference::is_legal_subset`
-//! (test code), is the oracle the tests hold that growth against.
+//! ## The canonical sequence
+//!
+//! A set of pool atoms is *constructible* (criteria 2–3) when its atoms can
+//! be added one at a time, each *enabled* by the atoms before it: every
+//! variable it requires is produced by one of them
+//! ([`ReachabilityGraph`], which compiles both to word bitsets). Its
+//! *canonical sequence* is the construction order that always takes the
+//! smallest atom the earlier atoms enable. The walk extends a prefix
+//! `P = (a₁ … a_d)` by an atom `g` only when all three hold: `g ∉ P`; `P`
+//! enables `g`; and no `j` has both `g < a_j` and `g` enabled by
+//! `a₁ … a_{j−1}` (then the canonical sequence would have taken `g` at
+//! step `j`). So every extension is again a canonical sequence, every
+//! canonical sequence is reached through its own prefixes, and the walk
+//! reaches each constructible set exactly once, with no visited set. The
+//! third condition is a bitset per prefix, its *blocked* atoms
+//! ([`ReachabilityGraph::extensions_into`] skips them): extending `P` by
+//! `g` blocks, for that child, every atom `P` could be extended by that is
+//! smaller than `g`. In a relational pool every atom is an entry point, so
+//! the canonical sequences are the ascending ones and the walk enumerates
+//! combinations.
+//!
+//! **Why this is the BFS order.** The breadth-first enumeration the walk
+//! replaced held level `k + 1` in first-insertion order: it grew level
+//! `k`'s sets in their order, each by the atoms it enables in ascending
+//! order, and kept a child the first time a parent produced it. Suppose
+//! level `k` is in canonical-sequence order (level 1 is: the entry points
+//! ascending). Let `S` have canonical sequence `(a₁ … a_{k+1})` and
+//! `C = {a₁ … a_k}`. Any other parent `S ∖ {a_j}`, `j ≤ k`, that is
+//! constructible agrees with `S`'s sequence on `a₁ … a_{j−1}` and then
+//! takes an atom greater than `a_j`, which is what `C`'s takes: `C` is
+//! `S`'s earliest parent. So `S` sits where `(C's sequence, a_{k+1})` —
+//! its own canonical sequence — sorts, and level `k + 1` is in canonical
+//! order too. Pruning keeps the argument: a set that is not grown (found,
+//! outside the plan, or too costly) has only supersets that are dropped
+//! too — they hold a found or outside-plan set, or cost more than a best
+//! that only falls — so a candidate's canonical prefixes are all grown.
+//! The walk sorts each level's candidates by canonical sequence.
+//!
+//! ## The cover bound and the buckets
+//!
+//! Most legal sets are unsafe: some head variable none of their atoms
+//! mentions. They are only ever grown. For a prefix `P`, the *cover bound*
+//! `LB(P)` counts, greedily, missing head variables whose covering pool
+//! atoms are pairwise disjoint (the safety prefilter's bits): a safe
+//! superset needs a distinct atom for each. It is infinite when every atom
+//! covering a missing variable is blocked. No safe set built from `P` has
+//! fewer than `ready(P) = |P| + LB(P)` atoms, and a child's `ready` is kept
+//! no lower than its parent's. A prefix waits in the bucket of its `ready`
+//! level, and building level `L` expands bucket `L`:
+//!
+//! * a child with `ready ≤ L` is expanded at once;
+//! * a child of `L` atoms that covers the head is a candidate of level `L`;
+//! * any other child waits in its own bucket.
+//!
+//! After the verdicts, a candidate neither equivalent nor outside the plan
+//! waits for level `L + 1`. Three rules cut an extension: it holds an
+//! implied pair (criterion 4, below); it holds a found or outside-plan set
+//! (only the sets holding the new atom are tested: the prefix holds none);
+//! or, cost-pruned, even its cheapest way to `ready` atoms costs more than
+//! the level's frozen best — as does a waiting prefix when its level comes.
+//! Each prefix is expanded at most once
+//! ([`CbStatistics::prefixes_expanded`]). The search ends when no bucket at
+//! or above the next level holds a prefix, or, cost-pruned, when the next
+//! level's size times the cheapest atom costs more than the best.
+//!
+//! The walk checks what the BFS checked. A candidate `S` of level `L`
+//! passes every cut at every canonical prefix: each is cheaper, holds no
+//! dead set and no implied pair, and has `ready ≤ L` because `S` is a safe
+//! set built from it. A prefix expanded at level `ℓ` has fewer than `ℓ`
+//! atoms, so `S`'s last prefix is expanded at level `L` exactly, and `S` is
+//! built there. Conversely a set the walk emits passes every test the BFS
+//! applies at its level. `the_walk_checks_what_the_bfs_checks` holds the
+//! walk against that BFS (`reference::Bfs`, test code) on random pools
+//! fed random verdicts. Navigation legality is never checked per
+//! candidate: every set the walk builds is constructible by construction,
+//! and `reach::reference::is_legal_subset` (test code) is the oracle the
+//! tests hold that against.
+//!
+//! The walk holds the prefixes waiting for later levels. The candidate
+//! budget bounds them as well as the checks
+//! ([`BackchaseOptions::max_candidates`]): a pool whose head few sets cover
+//! (an unspecialized navigation pool) stops there, truncated, instead of
+//! growing without bound.
 //!
 //! # Parallel checks, identical results
 //!
@@ -105,8 +175,8 @@
 //! `el(x)` to the `id(x,i)` `el_id` derives when `i` occurs nowhere else;
 //! on a relational pool, a relation to a view with a one-atom body over it.
 //!
-//! Growth skips a child `mask ∪ {g}` whenever `g` implies, or is implied
-//! by, an atom of `mask` — one word test per probe, counted as
+//! The walk cuts an extension `P ∪ {g}` whenever `g` implies, or is
+//! implied by, an atom of `P` — one word test per extension, counted as
 //! [`CbStatistics::implied_skips`]. This is sound. A candidate `S` holding
 //! `b` and an `a` it implies is equivalent to `S ∖ {a}`: the chase of
 //! `S ∖ {a}` satisfies the TGD on `b`, so the identity extended by the map
@@ -115,11 +185,11 @@
 //! constructible, and costs less (`atom_cost` is positive), so it, or a
 //! subset of it, was inspected a level earlier and `S` is not minimal. A
 //! subset of a candidate without an implied pair has none either, so every
-//! other candidate is grown from the same parents in the same order: in a
-//! run no budget cuts, `minimal`, its costs, `best` and its ties are what
-//! the enumeration without the criterion finds; only the funnel counters,
-//! which candidates the per-level memo keeps, and the candidates' ordinals
-//! move. Why the constructibility condition and the transitive closure
+//! other candidate is built along the same canonical prefixes and checked
+//! in the same order: in a run no budget cuts, `minimal`, its costs, `best`
+//! and its ties are what the enumeration without the criterion finds; only
+//! the funnel counters, which candidates the per-level memo keeps, and the
+//! candidates' ordinals move. Why the constructibility condition and the transitive closure
 //! keep this sound is argued in the `implied` module.
 //!
 //! # The spec-level Σ
@@ -197,11 +267,11 @@
 //!   new atom ([`chase_resident_with_atoms_compiled`]) — the seed is already
 //!   at fixpoint, so only consequences of the new atom fire. A seed owns
 //!   its relations (see above), so it shares none with its siblings.
-//!   Because the BFS visits subsets level by level, only the previous and
-//!   current size levels are retained.
+//!   Because the candidates come level by level, only the previous and
+//!   current levels' seeds are retained.
 //! * **Folded subset costs**: the cost model is additive (`atom_cost`, a
 //!   fixed weight per atom), so the pool's per-atom costs are computed once
-//!   and a candidate's cost is a fold over its bitset, one pass per level.
+//!   and a prefix's cost is its parent's plus one atom's.
 //!
 //! The backchase's work — the funnel counters, the phase times, whether and
 //! why a budget cut it — is written into the [`CbStatistics`] it is handed;
@@ -217,9 +287,7 @@ use crate::evaluate::{maps_into, ContainmentProgram};
 use crate::implied::ImpliedAtoms;
 use crate::instance::thread_index_build_count;
 use crate::reach::{prune_parallel_desc, ReachabilityGraph};
-use mars_cq::{
-    Atom, AtomSet, ConjunctiveQuery, FxHashMap, FxHashSet, NavBase, Predicate, Variable,
-};
+use mars_cq::{Atom, AtomSet, ConjunctiveQuery, FxHashMap, NavBase, Predicate, Variable};
 use std::collections::HashSet;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -256,8 +324,8 @@ fn atom_cost(atom: &Atom) -> f64 {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Degradation {
     /// The wall-clock deadline ([`ChaseOptions::deadline`]) expired
-    /// mid-search (the chase to the universal plan, a back-chase, or the BFS
-    /// level loop).
+    /// mid-search (the chase to the universal plan, a back-chase, or the
+    /// backchase's level loop).
     DeadlineExceeded,
     /// [`BackchaseOptions::max_candidates`] stopped the enumeration.
     CandidateBudget,
@@ -314,12 +382,15 @@ pub struct BackchaseOptions {
     /// a query under no dependencies is minimized to its core instead of
     /// enumerated (see the module docs).
     pub exhaustive: bool,
-    /// Upper bound on the number of candidate subqueries inspected. When the
-    /// bound stops the enumeration, [`CbStatistics::backchase_truncated`] is
-    /// set.
+    /// Upper bound on the number of candidate subqueries handed to the
+    /// equivalence checks ([`CbStatistics::candidates_inspected`]), and on
+    /// the prefixes the walk holds at once (waiting for a later level: its
+    /// memory). When either bound stops the enumeration,
+    /// [`CbStatistics::backchase_truncated`] is set.
     pub max_candidates: usize,
     /// Upper bound on the number of memoized back-chase results retained per
-    /// BFS size level (memory guard for very wide pools).
+    /// level, the first this many of its candidates (memory guard for very
+    /// wide pools).
     pub chase_cache_per_level: usize,
 }
 
@@ -579,17 +650,6 @@ struct Job<'a> {
     memoize: bool,
 }
 
-/// What a level's first pass decided for one candidate.
-enum Step {
-    /// It costs more than the best reformulation of a smaller size: not
-    /// checked, not grown.
-    Pruned,
-    /// It fails the safety prefilter: grown without a check.
-    Grow,
-    /// It has a [`Job`].
-    Check,
-}
-
 /// The number of threads a backchase level runs its checks on: every core
 /// the process may use, read once per process.
 fn available_workers() -> usize {
@@ -606,6 +666,11 @@ struct SafetyPrefilter {
     active: bool,
     full: u64,
     per_atom: Vec<u64>,
+    /// Per head variable, the pool atoms that mention it.
+    covering: Vec<AtomSet>,
+    /// Per head variable, every head variable a pool atom mentions beside
+    /// it: the variables whose covering atoms are not disjoint from its own.
+    conflicts: Vec<u64>,
 }
 
 impl SafetyPrefilter {
@@ -624,11 +689,300 @@ impl SafetyPrefilter {
                     .fold(0u64, |acc, (j, _)| acc | (1 << j))
             })
             .collect();
-        SafetyPrefilter { active, full, per_atom }
+        let covering: Vec<AtomSet> = (0..safety_vars.len().min(63))
+            .map(|j| (0..pool.len()).filter(|&i| per_atom[i] >> j & 1 != 0).collect())
+            .collect();
+        let conflicts =
+            covering.iter().map(|atoms| atoms.iter().fold(0, |acc, i| acc | per_atom[i])).collect();
+        SafetyPrefilter { active, full, per_atom, covering, conflicts }
     }
 
-    fn passes(&self, mask: &AtomSet) -> bool {
-        !self.active || mask.iter().fold(0u64, |acc, i| acc | self.per_atom[i]) == self.full
+    /// The head variables pool atom `i` mentions.
+    fn bits(&self, i: usize) -> u64 {
+        self.per_atom[i]
+    }
+
+    /// Do atoms mentioning the head variables `covered` make a safe
+    /// candidate?
+    fn covers(&self, covered: u64) -> bool {
+        !self.active || covered == self.full
+    }
+
+    /// A lower bound on the atoms a set covering `covered` must add to be
+    /// safe, when it may not add a `blocked` atom: greedily, the missing
+    /// head variables whose covering pool atoms are pairwise disjoint, each
+    /// of which takes an atom of its own. `usize::MAX` when every atom
+    /// covering a missing one is blocked (or there is none); 0 when the
+    /// prefilter is off.
+    fn lower_bound(&self, covered: u64, blocked: &AtomSet) -> usize {
+        if !self.active {
+            return 0;
+        }
+        let (mut missing, mut taken, mut count) = (self.full & !covered, 0u64, 0);
+        while missing != 0 {
+            let j = missing.trailing_zeros() as usize;
+            missing &= missing - 1;
+            if self.covering[j].is_subset_of(blocked) {
+                return usize::MAX;
+            }
+            if taken >> j & 1 == 0 {
+                count += 1;
+                taken |= self.conflicts[j];
+            }
+        }
+        count
+    }
+}
+
+/// One prefix of the walk: a set of pool atoms, built along its canonical
+/// sequence, with what extending it needs.
+struct Prefix {
+    /// The canonical sequence: the atoms in the order the walk added them.
+    sequence: Vec<usize>,
+    atoms: AtomSet,
+    /// The atoms no extension may add: each was enabled before some later,
+    /// greater atom of the sequence.
+    blocked: AtomSet,
+    /// The variables the atoms produce ([`ReachabilityGraph::produce`]).
+    produced: Vec<u64>,
+    /// The atoms' cost. `atom_cost` is a small integer, so the sum is
+    /// exact in any order.
+    cost: f64,
+    /// The head variables the atoms mention ([`SafetyPrefilter::bits`]).
+    covered: u64,
+    /// No safe set the walk builds from this prefix has fewer atoms: its
+    /// size plus the cover bound, and never below its parent's.
+    ready: usize,
+}
+
+/// The walk that builds each level's candidates (see the module docs): the
+/// prefixes waiting for each level, and the sets no candidate may hold.
+struct Walk<'a> {
+    graph: &'a ReachabilityGraph,
+    implied: &'a ImpliedAtoms,
+    safety: &'a SafetyPrefilter,
+    costs: &'a [f64],
+    /// The cheapest pool atom's cost.
+    cheapest: f64,
+    exhaustive: bool,
+    /// `waiting[L]`: the prefixes expanded when level `L` is built.
+    waiting: Vec<Vec<Prefix>>,
+    /// The last level built (0 before the first).
+    level: usize,
+    /// The found and outside-plan sets: no set holding one is built.
+    dead: Vec<AtomSet>,
+    /// For each pool atom, the dead sets holding it.
+    dead_with: Vec<Vec<usize>>,
+    /// The prefixes the walk holds: waiting, to expand, or candidates.
+    held: usize,
+    /// The most prefixes the walk may hold at once.
+    max_held: usize,
+    /// The walk stopped building a level at `max_held`.
+    cut: bool,
+    /// Scratch: the atoms a prefix may be extended by.
+    extensions: Vec<usize>,
+}
+
+impl<'a> Walk<'a> {
+    fn new(
+        graph: &'a ReachabilityGraph,
+        implied: &'a ImpliedAtoms,
+        safety: &'a SafetyPrefilter,
+        costs: &'a [f64],
+        exhaustive: bool,
+        max_held: usize,
+    ) -> Walk<'a> {
+        let n = costs.len();
+        let mut walk = Walk {
+            graph,
+            implied,
+            safety,
+            costs,
+            cheapest: costs.iter().copied().fold(f64::INFINITY, f64::min),
+            exhaustive,
+            waiting: (0..=n).map(|_| Vec::new()).collect(),
+            level: 0,
+            dead: Vec::new(),
+            dead_with: vec![Vec::new(); n],
+            held: 1,
+            max_held,
+            cut: false,
+            extensions: Vec::new(),
+        };
+        let ready = safety.lower_bound(0, &AtomSet::new());
+        let empty = Prefix {
+            sequence: Vec::new(),
+            atoms: AtomSet::new(),
+            blocked: AtomSet::new(),
+            produced: graph.nothing_produced(),
+            cost: 0.0,
+            covered: 0,
+            ready,
+        };
+        walk.wait(ready.max(1), empty);
+        walk
+    }
+
+    /// Let `prefix` wait for `level`. Past the pool's size no set is safe.
+    fn wait(&mut self, level: usize, prefix: Prefix) {
+        match self.waiting.get_mut(level) {
+            Some(waiting) => waiting.push(prefix),
+            None => self.held -= 1,
+        }
+    }
+
+    /// Is the search over: no prefix waits for the next level or a later
+    /// one, or (cost-pruned) the next level's cheapest set costs more than
+    /// `best`?
+    fn is_over(&self, best: f64) -> bool {
+        let next = self.level + 1;
+        self.waiting.get(next..).is_none_or(|later| later.iter().all(Vec::is_empty))
+            || (!self.exhaustive && next as f64 * self.cheapest > best)
+    }
+
+    /// Does every safe set a prefix of `size` atoms costing `cost`, ready
+    /// for level `ready`, leads to cost more than `best`? It holds at least
+    /// `ready` atoms, each costing at least the cheapest.
+    fn too_costly(&self, cost: f64, size: usize, ready: usize, best: f64) -> bool {
+        !self.exhaustive && cost + ready.saturating_sub(size) as f64 * self.cheapest > best
+    }
+
+    /// Build the next level: expand every prefix waiting for it, and every
+    /// extension ready for it, and return the level's candidates in the
+    /// order of their canonical sequences. `best` is the level's frozen
+    /// best cost. The cuts and expansions are counted in `stats`. Holding
+    /// `max_held` prefixes stops the level short and sets `cut`.
+    fn next_level(&mut self, best: f64, stats: &mut CbStatistics) -> Vec<Prefix> {
+        self.level += 1;
+        let level = self.level;
+        let mut stack = std::mem::take(&mut self.waiting[level]);
+        let mut extensions = std::mem::take(&mut self.extensions);
+        let mut candidates = Vec::new();
+        'expand: while let Some(prefix) = stack.pop() {
+            self.held -= 1;
+            // A waiting prefix meets a best it was not built against.
+            let len = prefix.sequence.len();
+            if self.too_costly(prefix.cost, len, prefix.ready.max(len + 1), best) {
+                stats.pruned_by_cost += 1;
+                continue;
+            }
+            stats.prefixes_expanded += 1;
+            let graph = self.graph;
+            graph.extensions_into(
+                &prefix.atoms,
+                &prefix.blocked,
+                &prefix.produced,
+                &mut extensions,
+            );
+            // Each extension blocks the ones before it for its children.
+            let mut blocked = prefix.blocked.clone();
+            for &g in &extensions {
+                if let Some((covered, ready)) = self.admit(&prefix, g, &blocked, best, stats) {
+                    if self.held == self.max_held {
+                        self.cut = true;
+                        break 'expand;
+                    }
+                    self.held += 1;
+                    let child = prefix.extend(g, blocked.clone(), covered, ready, self);
+                    if len + 1 == level && self.safety.covers(covered) {
+                        candidates.push(child);
+                    } else if ready <= level {
+                        stack.push(child);
+                    } else {
+                        self.wait(ready, child);
+                    }
+                }
+                blocked.insert(g);
+            }
+        }
+        self.held -= stack.len();
+        self.extensions = extensions;
+        candidates.sort_unstable_by(|a, b| a.sequence.cmp(&b.sequence));
+        candidates
+    }
+
+    /// Is `prefix ∪ {g}`, whose extensions may not add a `blocked` atom,
+    /// built? Then its head coverage and readiness. It is cut when it holds
+    /// an implied pair (criterion 4), holds a dead set, leads to no safe set,
+    /// or costs more than `best` on every way to one; `stats` counts the
+    /// first and the last.
+    fn admit(
+        &self,
+        prefix: &Prefix,
+        g: usize,
+        blocked: &AtomSet,
+        best: f64,
+        stats: &mut CbStatistics,
+    ) -> Option<(u64, usize)> {
+        if self.implied.pairs_with(g, &prefix.atoms) {
+            stats.implied_skips += 1;
+            return None;
+        }
+        if self.holds_dead(&prefix.atoms, g) {
+            return None;
+        }
+        let size = prefix.sequence.len() + 1;
+        let covered = prefix.covered | self.safety.bits(g);
+        let ready =
+            prefix.ready.max(size.saturating_add(self.safety.lower_bound(covered, blocked)));
+        if ready >= self.waiting.len() {
+            return None;
+        }
+        if self.too_costly(prefix.cost + self.costs[g], size, ready, best) {
+            stats.pruned_by_cost += 1;
+            return None;
+        }
+        Some((covered, ready))
+    }
+
+    /// Does `atoms ∪ {g}` hold a dead set? `atoms` holds none, so only the
+    /// dead sets holding `g` are tested.
+    fn holds_dead(&self, atoms: &AtomSet, g: usize) -> bool {
+        self.dead_with[g].iter().any(|&d| self.dead[d].iter().all(|i| i == g || atoms.contains(i)))
+    }
+
+    /// A candidate neither equivalent nor outside the plan: its extensions
+    /// are built with the next level.
+    fn grow_later(&mut self, candidate: Prefix) {
+        self.wait(self.level + 1, candidate);
+    }
+
+    /// A candidate found equivalent, or outside the plan: no set holding it
+    /// is built.
+    fn close(&mut self, atoms: AtomSet) {
+        self.held -= 1;
+        for i in atoms.iter() {
+            self.dead_with[i].push(self.dead.len());
+        }
+        self.dead.push(atoms);
+    }
+}
+
+impl Prefix {
+    /// The prefix extended by `g`, with the given blocked atoms, head
+    /// coverage and readiness.
+    fn extend(
+        &self,
+        g: usize,
+        blocked: AtomSet,
+        covered: u64,
+        ready: usize,
+        walk: &Walk,
+    ) -> Prefix {
+        let mut sequence = Vec::with_capacity(self.sequence.len() + 1);
+        sequence.extend_from_slice(&self.sequence);
+        sequence.push(g);
+        let mut produced = self.produced.clone();
+        walk.graph.produce(g, &mut produced);
+        Prefix {
+            sequence,
+            atoms: self.atoms.with(g),
+            blocked,
+            produced,
+            cost: self.cost + walk.costs[g],
+            covered,
+            ready,
+        }
     }
 }
 
@@ -766,27 +1120,24 @@ fn search(
     let atom_costs: Vec<f64> = pool.iter().map(atom_cost).collect();
     let safety = SafetyPrefilter::new(&pool_query, &pool);
 
-    // Level-synchronous breadth-first enumeration by subset size. Seeds: the
-    // entry points of the navigation (pruning criterion 3).
-    let mut frontier: Vec<AtomSet> = graph.roots.iter().map(|&s| AtomSet::singleton(s)).collect();
-    // The next level's candidates, for deduplication: a (k+1)-subset is only
-    // ever grown at level k, so the set starts empty at every level.
-    let mut visited: FxHashSet<AtomSet> = FxHashSet::default();
-    let (mut produced, mut enabled) = (Vec::new(), Vec::new());
-    let mut found: Vec<AtomSet> = Vec::new();
+    // The walk builds each level's candidates: the sets a level-synchronous
+    // enumeration by subset size checks, in its order (see the module docs).
+    // The candidate budget also bounds the prefixes it holds.
+    let (exhaustive, budget) = (options.exhaustive, options.max_candidates);
+    let mut walk = Walk::new(&graph, &implied, &safety, &atom_costs, exhaustive, budget);
     // Best reformulation cost as of the end of the previous level. Frozen
     // for the whole level (see the module docs): a reformulation discovered
     // mid-level cannot cost-prune its own level, only the next one. Sound
     // (monotone cost model) and bounded: at most one level of same-size
     // candidates is evaluated without the tighter bound.
     let mut best_cost = f64::INFINITY;
-    // Memoized back-chases of the previous BFS size level.
+    // Memoized back-chases of the previous level's candidates.
     let mut prev_level: FxHashMap<AtomSet, Vec<ResidentBranch>> = FxHashMap::default();
-    // Candidates inspected so far: the candidate budget, and (continuing
-    // across levels) the candidates' names.
+    // Candidates handed to the checks so far: the candidate budget, and
+    // (continuing across levels) the candidates' names.
     let mut inspected = 0usize;
 
-    while !frontier.is_empty() {
+    while !walk.is_over(best_cost) {
         // Anytime deadline, checked level-synchronously: an expired deadline
         // stops the enumeration *between* levels, keeping everything found
         // so far — never mid-level, so an undegraded run is byte-identical
@@ -795,53 +1146,26 @@ fn search(
             stats.truncate(Degradation::DeadlineExceeded);
             break;
         }
-        // Minimality pruning: supersets of a found reformulation are not
-        // minimal and are dropped without counting as inspected. (Within a
-        // level no candidate can be a strict superset of another of the same
-        // size, so found reformulations of previous levels suffice.)
-        let mut level: Vec<AtomSet> = std::mem::take(&mut frontier)
-            .into_iter()
-            .filter(|m| !found.iter().any(|f| f.is_subset_of(m)))
-            .collect();
+        // The level's candidates: safe, cheap enough for the level's frozen
+        // best, and holding no found reformulation, no outside-plan set and
+        // no implied pair.
+        let walk_start = Instant::now();
+        let mut level = walk.next_level(best_cost, stats);
+        stats.backchase_cost_phase += walk_start.elapsed();
         let remaining = options.max_candidates.saturating_sub(inspected);
-        let truncated = level.len() > remaining;
+        let truncated = level.len() > remaining || walk.cut;
         if truncated {
             stats.truncate(Degradation::CandidateBudget);
             level.truncate(remaining);
         }
-        if level.is_empty() {
-            break;
-        }
 
-        // The level's costs, in one pass: the bound they are pruned against
-        // is frozen for the level.
-        let cost_start = Instant::now();
-        let costs: Vec<f64> =
-            level.iter().map(|mask| mask.iter().map(|i| atom_costs[i]).sum()).collect();
-        stats.backchase_cost_phase += cost_start.elapsed();
-
-        // First pass, in position order: cost pruning, the safety
-        // prefilter, and for each candidate to check its rendering and its
+        // First pass, in position order: each candidate's rendering and its
         // memo seed. Checks resuming from one seed form one group.
-        let mut steps = Vec::with_capacity(level.len());
-        let mut jobs: Vec<Job<'_>> = Vec::new();
+        let mut jobs: Vec<Job<'_>> = Vec::with_capacity(level.len());
         let mut groups: Vec<Vec<usize>> = Vec::new();
         let mut group_of: FxHashMap<*const ResidentBranch, usize> = FxHashMap::default();
-        for (position, (mask, &cost)) in level.iter_mut().zip(&costs).enumerate() {
-            // Cost-based pruning: a subquery costing more than the best found
-            // so far cannot lead to the optimum (monotone cost model), so
-            // neither it nor its supersets are considered further.
-            if !options.exhaustive && cost > best_cost {
-                steps.push(Step::Pruned);
-                continue;
-            }
-            // The safety prefilter: a subset failing it is not checked, only
-            // grown. (Navigation legality, criteria 2–3, holds by
-            // construction: every candidate is a root grown by enabled atoms.)
-            if !safety.passes(mask) {
-                steps.push(Step::Grow);
-                continue;
-            }
+        for (position, prefix) in level.iter_mut().enumerate() {
+            let mask = &mut prefix.atoms;
             let subset: Vec<usize> = mask.iter().collect();
             let mut candidate = pool_query.subquery(&subset);
             candidate.name = format!("{}_candidate{}", original.name, inspected + position + 1);
@@ -865,7 +1189,6 @@ fn search(
                 groups.push(Vec::new());
             }
             groups[group].push(jobs.len());
-            steps.push(Step::Check);
             jobs.push(Job { candidate, seed, memoize: position < options.chase_cache_per_level });
         }
 
@@ -877,67 +1200,40 @@ fn search(
         let (checks, dependencies, helper_builds) = equivalence.check_all(&jobs, &groups, workers);
         stats.index_builds += helper_builds;
         add_dependency_work(&mut stats.backchase_dependencies, &dependencies);
-        let candidates: Vec<ConjunctiveQuery> = jobs.into_iter().map(|job| job.candidate).collect();
-        let mut checked = candidates.into_iter().zip(checks);
+        let candidates = jobs.into_iter().map(|job| job.candidate);
 
-        // Third pass, in position order: the verdicts, the memo and growth.
-        visited.clear();
+        // Third pass, in position order: the verdicts, the memo, and what
+        // the walk extends.
         let mut cur_level: FxHashMap<AtomSet, Vec<ResidentBranch>> = FxHashMap::default();
         let mut next_best = best_cost;
-        for ((mut mask, cost), step) in level.into_iter().zip(costs).zip(steps) {
-            match step {
-                Step::Pruned => {
-                    stats.pruned_by_cost += 1;
-                    continue;
+        for ((prefix, candidate), check) in level.into_iter().zip(candidates).zip(checks) {
+            stats.absorb(&check);
+            stats.equivalence_checks += usize::from(!matches!(check.verdict, Verdict::Unsafe));
+            stats.chase_cache_hits += usize::from(check.resumed);
+            match check.verdict {
+                // Outside the plan, no superset can pass either (antichain
+                // dead cone): no set holding it is built.
+                Verdict::OutsidePlan => {
+                    stats.containment_dead_cone_skips += 1;
+                    walk.close(prefix.atoms);
                 }
-                Step::Grow => {}
-                Step::Check => {
-                    let (candidate, check) = checked.next().expect("a check per job");
-                    stats.absorb(&check);
-                    stats.equivalence_checks +=
-                        usize::from(!matches!(check.verdict, Verdict::Unsafe));
-                    stats.chase_cache_hits += usize::from(check.resumed);
-                    match check.verdict {
-                        // Outside the plan, no superset can pass either
-                        // (antichain dead cone): the cone ends here.
-                        Verdict::OutsidePlan => {
-                            stats.containment_dead_cone_skips += 1;
-                            continue;
-                        }
-                        // No superset of a reformulation is minimal.
-                        Verdict::Equivalent => {
-                            found.push(mask);
-                            if cost < next_best {
-                                next_best = cost;
-                                outcome.best = Some((candidate.clone(), cost));
-                            }
-                            outcome.minimal.push((candidate, cost));
-                            continue;
-                        }
-                        // Not (yet) a reformulation: its supersets are chased
-                        // next level, resuming from its chase if it was kept.
-                        Verdict::NotContained(Some(seed)) => {
-                            cur_level.insert(mask.clone(), seed);
-                        }
-                        Verdict::NotContained(None) | Verdict::Unsafe => {}
+                // No superset of a reformulation is minimal.
+                Verdict::Equivalent => {
+                    let cost = prefix.cost;
+                    walk.close(prefix.atoms);
+                    if cost < next_best {
+                        next_best = cost;
+                        outcome.best = Some((candidate.clone(), cost));
                     }
+                    outcome.minimal.push((candidate, cost));
                 }
-            }
-            // Grow the subset by one atom: each child is probed in place and
-            // only a new one is cloned. A child holding an implied pair is
-            // never minimal (criterion 4) and is not grown.
-            graph.enabled_into(&mask, &mut produced, &mut enabled);
-            for &g in &enabled {
-                if implied.pairs_with(g, &mask) {
-                    stats.implied_skips += 1;
-                    continue;
+                // Not (yet) a reformulation: its supersets are chased next
+                // level, resuming from its chase if it was kept.
+                Verdict::NotContained(Some(seed)) => {
+                    cur_level.insert(prefix.atoms.clone(), seed);
+                    walk.grow_later(prefix);
                 }
-                mask.insert(g);
-                if !visited.contains(&mask) {
-                    visited.insert(mask.clone());
-                    frontier.push(mask.clone());
-                }
-                mask.remove(g);
+                Verdict::NotContained(None) | Verdict::Unsafe => walk.grow_later(prefix),
             }
         }
         best_cost = next_best;
@@ -990,9 +1286,111 @@ fn minimize_to_core(
     Some(current)
 }
 
+/// The level builder the walk replaced: a breadth-first frontier of every
+/// legal set, deduplicated through a visited set and grown by the atoms
+/// each set enables. It is the oracle the walk is held against. One rule is
+/// the walk's: a set holding an outside-plan set is dropped like one
+/// holding a reformulation. (The builder it replaced checked such a set
+/// again when another parent reached it, and counted a second dead-cone
+/// skip: the verdict was the same.)
+#[cfg(test)]
+mod reference {
+    use super::SafetyPrefilter;
+    use crate::implied::ImpliedAtoms;
+    use crate::reach::reference::enabled_into;
+    use crate::reach::ReachabilityGraph;
+    use mars_cq::{AtomSet, FxHashSet};
+
+    /// The breadth-first enumeration by subset size, fed its checked
+    /// candidates' fates level by level.
+    pub(super) struct Bfs<'a> {
+        graph: &'a ReachabilityGraph,
+        implied: &'a ImpliedAtoms,
+        safety: &'a SafetyPrefilter,
+        costs: &'a [f64],
+        exhaustive: bool,
+        /// The next level's sets, in first-insertion order.
+        frontier: Vec<AtomSet>,
+        /// The level built last: each set, and whether it was checked.
+        level: Vec<(AtomSet, bool)>,
+        /// The found and outside-plan sets: a set holding one is dropped.
+        dead: Vec<AtomSet>,
+        /// The sets the levels held, after the dead ones were dropped.
+        pub(super) built: usize,
+    }
+
+    impl<'a> Bfs<'a> {
+        pub(super) fn new(
+            graph: &'a ReachabilityGraph,
+            implied: &'a ImpliedAtoms,
+            safety: &'a SafetyPrefilter,
+            costs: &'a [f64],
+            exhaustive: bool,
+        ) -> Bfs<'a> {
+            let frontier = graph.roots.iter().map(|&r| AtomSet::singleton(r)).collect();
+            let (level, dead) = (Vec::new(), Vec::new());
+            Bfs { graph, implied, safety, costs, exhaustive, frontier, level, dead, built: 0 }
+        }
+
+        pub(super) fn is_over(&self) -> bool {
+            self.frontier.is_empty()
+        }
+
+        /// The next level's checked candidates, in order: the frontier's
+        /// sets that hold no dead set, cost no more than `best` (unless
+        /// exhaustive) and pass the safety prefilter. The others are grown
+        /// unchecked, except the cost-pruned ones.
+        pub(super) fn next_level(&mut self, best: f64) -> Vec<AtomSet> {
+            let mut checked = Vec::new();
+            for mask in std::mem::take(&mut self.frontier) {
+                if self.dead.iter().any(|d| d.is_subset_of(&mask)) {
+                    continue;
+                }
+                self.built += 1;
+                let cost: f64 = mask.iter().map(|i| self.costs[i]).sum();
+                if !self.exhaustive && cost > best {
+                    continue;
+                }
+                let covered = mask.iter().fold(0, |acc, i| acc | self.safety.bits(i));
+                let check = self.safety.covers(covered);
+                if check {
+                    checked.push(mask.clone());
+                }
+                self.level.push((mask, check));
+            }
+            checked
+        }
+
+        /// The level's checked candidates closed (found or outside the
+        /// plan) or not, in order: grow the level by one enabled atom, skipping
+        /// a child that holds an implied pair.
+        pub(super) fn settle(&mut self, closed: &[bool]) {
+            let mut closed = closed.iter();
+            let mut visited: FxHashSet<AtomSet> = FxHashSet::default();
+            for (mut mask, checked) in std::mem::take(&mut self.level) {
+                if checked && *closed.next().expect("a fate per checked candidate") {
+                    self.dead.push(mask);
+                    continue;
+                }
+                for g in enabled_into(self.graph, &mask) {
+                    if self.implied.pairs_with(g, &mask) {
+                        continue;
+                    }
+                    mask.insert(g);
+                    if visited.insert(mask.clone()) {
+                        self.frontier.push(mask.clone());
+                    }
+                    mask.remove(g);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::implied::SinglePremiseTgds;
     use crate::reach::reference::is_legal_subset;
     use mars_cq::atom::builders::{child, desc, el, id, root, tag, text};
     use mars_cq::ded::view_dependencies;
@@ -1463,6 +1861,8 @@ mod tests {
     /// than 128 atoms is enumerated exhaustively (no silent greedy fallback,
     /// no truncation flag). The pool is a 139-atom navigation chain, so the
     /// reachability pruning keeps the search space linear: the prefixes.
+    /// Only the full chain binds the head, so the walk expands the chain's
+    /// prefixes, the empty one included, and checks the full chain alone.
     #[test]
     fn pool_wider_than_128_atoms_is_enumerated_exhaustively() {
         let steps = 138usize;
@@ -1479,7 +1879,8 @@ mod tests {
         assert_eq!(out.minimal.len(), 1, "only the full chain binds the head");
         assert_eq!(out.minimal[0].0.body.len(), steps + 1);
         // Navigation pruning keeps it linear: one prefix per size.
-        assert_eq!(stats.candidates_inspected, steps + 1);
+        assert_eq!(stats.prefixes_expanded, steps + 1);
+        assert_eq!(stats.candidates_inspected, 1);
     }
 
     /// Under no dependencies a cost-pruned run takes the core path: it finds
@@ -1904,5 +2305,343 @@ mod tests {
         let (found, _) = exhaustive_minimal(&q, &deds, &proprietary);
         assert_eq!(found.len(), 2, "{found:?}");
         assert_eq!(Some(found), brute_force_minimal(&q, &deds, &proprietary));
+    }
+
+    /// The parts of a backchase its enumeration reads, over a pool given
+    /// directly: no chase runs.
+    struct Enumeration {
+        graph: ReachabilityGraph,
+        implied: ImpliedAtoms,
+        safety: SafetyPrefilter,
+        costs: Vec<f64>,
+    }
+
+    impl Enumeration {
+        fn new(pool: &ConjunctiveQuery, deds: &[Ded], costs: Vec<f64>) -> Enumeration {
+            Enumeration {
+                graph: ReachabilityGraph::new(pool),
+                implied: ImpliedAtoms::new(pool, &SinglePremiseTgds::new(deds)),
+                safety: SafetyPrefilter::new(pool, &pool.body),
+                costs,
+            }
+        }
+
+        /// Each level the walk builds, fed `found` / `outside` as its
+        /// candidates' verdicts: its number and its candidates in order,
+        /// levels without one left out. Also the prefixes it expanded.
+        fn walk(
+            &self,
+            exhaustive: bool,
+            fate: impl Fn(&AtomSet) -> Fate,
+        ) -> (Vec<(usize, Vec<AtomSet>)>, usize) {
+            let (graph, implied, safety) = (&self.graph, &self.implied, &self.safety);
+            let mut walk = Walk::new(graph, implied, safety, &self.costs, exhaustive, usize::MAX);
+            let (mut levels, mut best, mut stats) = (Vec::new(), f64::INFINITY, Default::default());
+            while !walk.is_over(best) {
+                let candidates = walk.next_level(best, &mut stats);
+                let sets: Vec<AtomSet> = candidates.iter().map(|c| c.atoms.clone()).collect();
+                let mut next_best = best;
+                for candidate in candidates {
+                    match fate(&candidate.atoms) {
+                        Fate::Found => {
+                            next_best = next_best.min(candidate.cost);
+                            walk.close(candidate.atoms);
+                        }
+                        Fate::Outside => walk.close(candidate.atoms),
+                        Fate::Open => walk.grow_later(candidate),
+                    }
+                }
+                best = next_best;
+                if !sets.is_empty() {
+                    levels.push((walk.level, sets));
+                }
+            }
+            (levels, stats.prefixes_expanded)
+        }
+
+        /// [`Enumeration::walk`] on the reference BFS, with the sets its
+        /// levels held.
+        fn bfs(
+            &self,
+            exhaustive: bool,
+            fate: impl Fn(&AtomSet) -> Fate,
+        ) -> (Vec<(usize, Vec<AtomSet>)>, usize) {
+            let mut bfs = reference::Bfs::new(
+                &self.graph,
+                &self.implied,
+                &self.safety,
+                &self.costs,
+                exhaustive,
+            );
+            let (mut levels, mut best, mut size) = (Vec::new(), f64::INFINITY, 0);
+            while !bfs.is_over() {
+                size += 1;
+                let sets = bfs.next_level(best);
+                let fates: Vec<Fate> = sets.iter().map(&fate).collect();
+                for (set, f) in sets.iter().zip(&fates) {
+                    if *f == Fate::Found {
+                        best = best.min(set.iter().map(|i| self.costs[i]).sum());
+                    }
+                }
+                bfs.settle(&fates.iter().map(|f| *f != Fate::Open).collect::<Vec<_>>());
+                if !sets.is_empty() {
+                    levels.push((size, sets));
+                }
+            }
+            (levels, bfs.built)
+        }
+    }
+
+    /// What a check's verdict tells the enumeration of its candidate.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Fate {
+        /// Equivalent: a reformulation; no superset is built.
+        Found,
+        /// Outside the plan; no superset is built.
+        Outside,
+        /// Neither: its supersets are built.
+        Open,
+    }
+
+    /// A verdict for every set, fixed by `seed`: one in eight is found, one
+    /// in sixteen outside the plan.
+    fn random_fate(seed: u64) -> impl Fn(&AtomSet) -> Fate {
+        move |set| {
+            let mut h = seed;
+            for i in set.iter() {
+                h = (h ^ i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29);
+            }
+            match h % 16 {
+                0 | 1 => Fate::Found,
+                2 => Fate::Outside,
+                _ => Fate::Open,
+            }
+        }
+    }
+
+    /// A random pool of at most 12 atoms, its dependencies and its atoms'
+    /// costs. Three shapes: relational atoms under single-premise TGDs that
+    /// relate some of them; GReX navigation of `d.xml` under `tix()`, whose
+    /// `child_el` and `el_id` relate `child`, `el` and `id` atoms; and
+    /// relations mentioning 70 head variables, with navigation below them,
+    /// where the safety prefilter is off.
+    fn random_enumeration(seed: u64) -> (ConjunctiveQuery, Vec<Ded>, Vec<f64>) {
+        let mut rng = TestRng::new(seed);
+        let len = 1 + (rng.next_u64() % 12) as usize;
+        let var = |k: u64| t(&format!("x{k}"));
+        let (mut body, mut head) = (Vec::new(), Vec::new());
+        let deds = match rng.next_u64() % 3 {
+            0 => {
+                let r = |k: u64, a: Term, b: Term| Atom::named(&format!("R{k}"), vec![a, b]);
+                while body.len() < len {
+                    let (k, a, b) = (rng.next_u64() % 3, rng.next_u64() % 6, rng.next_u64() % 6);
+                    body.push(r(k, var(a), var(b)));
+                }
+                let (x, y) = (t("x"), t("y"));
+                let z = Variable::named("z");
+                vec![
+                    Ded::tgd("r0_r1", vec![r(0, x, y)], vec![], vec![r(1, x, y)]),
+                    Ded::tgd("r1_r2", vec![r(1, x, y)], vec![z], vec![r(2, y, Term::Var(z))]),
+                    Ded::tgd("r2_r0", vec![r(2, x, y)], vec![], vec![r(0, y, x)]),
+                ]
+            }
+            1 => {
+                while body.len() < len {
+                    let (x, y) = (var(rng.next_u64() % 5), var(rng.next_u64() % 5));
+                    let value = t(&format!("v{}", rng.next_u64() % 3));
+                    body.push(match rng.next_u64() % 10 {
+                        0 | 1 => root(x),
+                        2 | 3 => child(x, y),
+                        4 => desc(x, y),
+                        5 => el(x),
+                        6 => id(x, value),
+                        7 => tag(x, "a"),
+                        8 => text(x, value),
+                        _ => Atom::named("V", vec![x, value]),
+                    });
+                }
+                tix()
+            }
+            _ => {
+                while body.len() < len {
+                    if rng.next_u64().is_multiple_of(3) {
+                        body.push(child(var(rng.next_u64() % 70), var(rng.next_u64() % 70)));
+                    } else {
+                        let from = rng.next_u64() % 60;
+                        let args = (from..from + 10).map(var).collect();
+                        body.push(Atom::named(&format!("W{}", rng.next_u64() % 3), args));
+                    }
+                }
+                head = (0..70).map(var).collect();
+                tix()
+            }
+        };
+        if head.is_empty() {
+            let vars = ConjunctiveQuery::new("B").with_body(body.clone()).variables();
+            head = (0..rng.next_u64() % 3)
+                .filter_map(|_| vars.get(rng.next_u64() as usize % vars.len().max(1)))
+                .map(|&v| Term::Var(v))
+                .collect();
+        }
+        let costs = body.iter().map(|_| [1.0, 2.0, 4.0][(rng.next_u64() % 3) as usize]).collect();
+        (ConjunctiveQuery::new("P").with_head(head).with_body(body), deds, costs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The walk builds each level's candidates exactly as the BFS it
+        /// replaced checks them, in the same order, when both are fed the
+        /// same verdicts — cost-pruned or exhaustive, with criterion-4
+        /// pairs, with the prefilter on and off — and it never expands more
+        /// prefixes than the BFS held sets, plus the empty prefix.
+        #[test]
+        fn the_walk_checks_what_the_bfs_checks(seed in 0u64..u64::MAX) {
+            let (pool, deds, costs) = random_enumeration(seed);
+            let enumeration = Enumeration::new(&pool, &deds, costs);
+            for exhaustive in [false, true] {
+                let (walk, expanded) = enumeration.walk(exhaustive, random_fate(seed));
+                let (bfs, built) = enumeration.bfs(exhaustive, random_fate(seed));
+                prop_assert_eq!(&walk, &bfs, "{} exhaustive {}", pool, exhaustive);
+                prop_assert!(expanded <= built + 1, "{} exhaustive {}", pool, exhaustive);
+            }
+        }
+    }
+
+    /// A prefilter-off pool: every set is a candidate, so the walk and the
+    /// BFS check every legal set without an implied pair.
+    #[test]
+    fn without_the_prefilter_every_legal_set_is_a_candidate() {
+        let head: Vec<Term> = (0..64).map(|k| t(&format!("x{k}"))).collect();
+        let body = vec![
+            Atom::named("W", head.clone()),
+            child(t("x0"), t("y")),
+            el(t("y")),
+            Atom::named("R", vec![t("x1"), t("z")]),
+        ];
+        let pool = ConjunctiveQuery::new("P").with_head(head).with_body(body);
+        let enumeration = Enumeration::new(&pool, &tix(), vec![2.0, 1.0, 2.0, 2.0]);
+        assert!(!enumeration.safety.active);
+        let open = |_: &AtomSet| Fate::Open;
+        let (walk, _) = enumeration.walk(true, open);
+        assert_eq!(walk, enumeration.bfs(true, open).0);
+        let sizes: Vec<usize> = walk.iter().map(|(_, sets)| sets.len()).collect();
+        // {W}, {R}; {W,child}, {W,R}; {W,child,R}. `el(y)` needs the `y`
+        // `child` produces, and `child` implies it, so no set holds it.
+        assert_eq!(sizes, [2, 2, 1], "{walk:?}");
+    }
+
+    /// The walk holds at most `max_held` prefixes — waiting, or candidates
+    /// not yet settled — and stops building a level (`cut`) at that bound,
+    /// which the backchase reports as its candidate budget. The pool's 13
+    /// relations are all entry points, and only sets holding both `R0` and
+    /// `H` are safe, so most prefixes wait.
+    #[test]
+    fn the_walk_holds_at_most_max_held_prefixes() {
+        let body: Vec<Atom> = (0..12)
+            .map(|k| Atom::named(&format!("R{k}"), vec![t(&format!("x{k}"))]))
+            .chain([Atom::named("H", vec![t("h")])])
+            .collect();
+        let pool = ConjunctiveQuery::new("P").with_head(vec![t("h"), t("x0")]).with_body(body);
+        let e = Enumeration::new(&pool, &[], vec![2.0; 13]);
+        let mut walk = Walk::new(&e.graph, &e.implied, &e.safety, &e.costs, true, 10);
+        let mut stats = CbStatistics::default();
+        while !walk.is_over(f64::INFINITY) && !walk.cut {
+            let candidates = walk.next_level(f64::INFINITY, &mut stats);
+            let waiting: usize = walk.waiting.iter().map(Vec::len).sum();
+            assert_eq!(walk.held, waiting + candidates.len());
+            assert!(walk.held <= 10, "{} prefixes held", walk.held);
+            candidates.into_iter().for_each(|c| walk.grow_later(c));
+        }
+        assert!(walk.cut, "the pool's walk holds more than 10 prefixes");
+        let (unbounded, _) = e.walk(true, |_| Fate::Open);
+        assert_eq!(unbounded.iter().map(|(_, sets)| sets.len()).sum::<usize>(), 1 << 11);
+    }
+
+    /// A random reformulation problem small enough for brute force: a
+    /// relational chain query under LAV views of its sub-chains, a stored
+    /// copy of `A` with a view over it (a criterion-4 pair) and sometimes an
+    /// inclusion dependency; or a GReX path query `/a/b/text()` of depth 1
+    /// or 2 under `tix()`, with a view of the whole path or of its first
+    /// step.
+    fn random_reformulation(seed: u64) -> (ConjunctiveQuery, Vec<Ded>, HashSet<Predicate>) {
+        let mut rng = TestRng::new(seed);
+        let var = |k: usize| t(&format!("x{k}"));
+        let mut deds = Vec::new();
+        let view = |name: &str, head: Vec<Term>, body: Vec<Atom>, deds: &mut Vec<Ded>| {
+            let def = ConjunctiveQuery::new(name).with_head(head).with_body(body);
+            let (c, b) = view_dependencies(name, &def);
+            deds.extend([c, b]);
+            Predicate::new(name)
+        };
+        if rng.next_u64().is_multiple_of(2) {
+            let chain = 2 + (rng.next_u64() % 2) as usize;
+            let body: Vec<Atom> = (0..chain)
+                .map(|k| Atom::named(["A", "B", "C"][k], vec![var(k), var(k + 1)]))
+                .collect();
+            let head = if rng.next_u64().is_multiple_of(2) {
+                vec![var(0)]
+            } else {
+                vec![var(0), var(chain)]
+            };
+            let mut proprietary = HashSet::new();
+            for k in 0..3 {
+                let from = (rng.next_u64() % chain as u64) as usize;
+                let to = (from + 1 + (rng.next_u64() % 2) as usize).min(chain);
+                let head: Vec<Term> = (from..=to).map(var).collect();
+                proprietary.insert(view(
+                    &format!("V{k}"),
+                    head,
+                    body[from..to].to_vec(),
+                    &mut deds,
+                ));
+            }
+            let a = Atom::named("A", vec![t("x"), t("y")]);
+            proprietary.insert(view("Astored", vec![t("x"), t("y")], vec![a], &mut deds));
+            let stored = Atom::named("Astored", vec![t("x"), t("y")]);
+            proprietary.insert(view("W", vec![t("x"), t("y")], vec![stored], &mut deds));
+            if rng.next_u64().is_multiple_of(2) {
+                let z = Variable::named("z");
+                let (a, b) = (vec![t("x"), t("y")], vec![t("y"), Term::Var(z)]);
+                let ind =
+                    Ded::tgd("ind", vec![Atom::named("A", a)], vec![z], vec![Atom::named("B", b)]);
+                deds.push(ind);
+            }
+            let q = ConjunctiveQuery::new("Q").with_head(head).with_body(body);
+            (q, deds, proprietary)
+        } else {
+            let (r, v) = (t("r"), t("v"));
+            let tags: Vec<&str> =
+                (0..2).map(|_| if rng.next_u64().is_multiple_of(2) { "a" } else { "b" }).collect();
+            let mut body = vec![root(r), child(r, var(1)), tag(var(1), tags[0])];
+            let depth = 1 + (rng.next_u64() % 2) as usize;
+            if depth == 2 {
+                body.extend([child(var(1), var(2)), tag(var(2), tags[1])]);
+            }
+            body.push(text(var(depth), v));
+            let extra = if rng.next_u64().is_multiple_of(2) {
+                view("V", vec![v], body.clone(), &mut deds)
+            } else {
+                view("V", vec![var(1)], body[..3].to_vec(), &mut deds)
+            };
+            deds.extend(tix());
+            let q = ConjunctiveQuery::new("Q").with_head(vec![v]).with_body(body);
+            (q, deds, grex_proprietary(&[extra.name()]))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The walk loses no minimal reformulation: an exhaustive backchase
+        /// finds exactly what brute force over every legal subset finds.
+        #[test]
+        fn the_exhaustive_walk_finds_what_brute_force_finds(seed in 0u64..u64::MAX) {
+            let (q, deds, proprietary) = random_reformulation(seed);
+            if let Some(expected) = brute_force_minimal(&q, &deds, &proprietary) {
+                let (found, _) = exhaustive_minimal(&q, &deds, &proprietary);
+                prop_assert_eq!(found, expected, "{}", q);
+            }
+        }
     }
 }

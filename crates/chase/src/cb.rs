@@ -38,10 +38,10 @@ pub struct ReformulationBudget {
     /// Wall-clock budget for the whole chase → backchase pipeline. Converted
     /// to one absolute [`Instant`] when applied ([`ChaseOptions::deadline`]),
     /// the clock the initial chase, every back-chase (resumed ones included)
-    /// and the BFS level loop all read.
+    /// and the backchase's level loop all read.
     pub deadline: Option<Duration>,
-    /// Ceiling on backchase candidates inspected (`None` keeps the engine's
-    /// [`BackchaseOptions::max_candidates`]).
+    /// Ceiling on the backchase candidates handed to the equivalence checks
+    /// (`None` keeps the engine's [`BackchaseOptions::max_candidates`]).
     pub max_candidates: Option<usize>,
     /// Ceiling on atoms per chase branch (`None` keeps the engine's
     /// [`ChaseOptions::max_atoms`]).
@@ -60,7 +60,7 @@ impl ReformulationBudget {
         self
     }
 
-    /// Builder: bound the number of backchase candidates inspected.
+    /// Builder: bound the number of backchase candidates checked.
     pub fn with_max_candidates(mut self, n: usize) -> ReformulationBudget {
         self.max_candidates = Some(n);
         self
@@ -134,11 +134,19 @@ pub struct CbStatistics {
     pub total: Duration,
     /// Number of atoms in the (primary) universal plan.
     pub universal_plan_atoms: usize,
-    /// Candidate subqueries the backchase's enumeration inspected (the core
-    /// path inspects none: it only drops atoms).
+    /// Candidate subqueries the backchase's enumeration handed to the
+    /// equivalence checks. That equals `equivalence_checks` unless the
+    /// safety prefilter is off (64 or more head variables), when a candidate
+    /// `is_safe()` rejects counts here alone. The core path inspects none:
+    /// it only drops atoms.
     pub candidates_inspected: usize,
-    /// Inspected candidates discarded by cost-based pruning: they cost more
-    /// than the best reformulation of a smaller size.
+    /// Prefixes the backchase's walk expanded to build its candidates: the
+    /// enumeration's own work, beside the checks it feeds. The empty prefix
+    /// counts; each prefix is expanded at most once.
+    pub prefixes_expanded: usize,
+    /// Extensions of a prefix the walk cut because they cost more than the
+    /// best reformulation of a smaller size (cost-based pruning; never in an
+    /// exhaustive run).
     pub pruned_by_cost: usize,
     /// Equivalence (chase) checks performed by the backchase.
     pub equivalence_checks: usize,
@@ -154,10 +162,10 @@ pub struct CbStatistics {
     /// restricts to one from the subset, so no superset can pass either —
     /// none can be a reformulation (the antichain dead-cone rule).
     pub containment_dead_cone_skips: usize,
-    /// Child probes the backchase did not generate because the child would
+    /// Extensions of a prefix the walk cut because the extended set would
     /// hold an atom another of its atoms implies (pruning criterion 4): such
-    /// a candidate is equivalent to itself without that atom, so it is never
-    /// minimal. A child reached from several parents counts once per probe.
+    /// a set is equivalent to itself without that atom, so it is never
+    /// minimal.
     pub implied_skips: usize,
     /// Rounds the back-chases ran, summed over the equivalence checks
     /// (scratch or resumed). A check's rounds depend only on its candidate
@@ -177,12 +185,13 @@ pub struct CbStatistics {
     /// thread built them: the calling thread's builds plus each backchase
     /// helper's builds over its share of the checks.
     pub index_builds: usize,
-    /// Backchase wall-clock spent computing candidate costs, timed once per
-    /// level. With `backchase_chase_phase` and `backchase_containment_phase`
-    /// it profiles the backchase: the three cover the cost passes, the
-    /// back-chases and the two containment halves. The rest — growing and
-    /// deduplicating candidates, the memo probes, rendering the subqueries
-    /// that reach the equivalence check — belongs to no phase.
+    /// Backchase wall-clock spent building each level's candidates: the
+    /// walk, which prices each extension as it builds it and cuts it by
+    /// cost, timed once per level. With `backchase_chase_phase` and
+    /// `backchase_containment_phase` it profiles the backchase: the three
+    /// cover the walk, the back-chases and the two containment halves. The
+    /// rest — the memo probes, rendering the subqueries that reach the
+    /// equivalence check, the verdicts — belongs to no phase.
     pub backchase_cost_phase: Duration,
     /// Time spent in back-chases (scratch or resumed), summed over the
     /// threads a level's checks run on: work time, not wall-clock, so with

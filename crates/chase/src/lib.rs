@@ -34,19 +34,21 @@
 //!   `(refl)`, `(base)`, `(trans)` is computed directly as a transitive
 //!   closure instead of step-by-step),
 //! * the **backchase** with level-synchronous bottom-up subquery enumeration
-//!   over growable [`mars_cq::AtomSet`] bitsets (no pool-width ceiling),
-//!   cost-based pruning and the three XML-specific pruning criteria
-//!   implemented on the atom reachability graph — or, for a query under no
-//!   dependencies, minimization to its core,
+//!   over growable [`mars_cq::AtomSet`] bitsets (no pool-width ceiling): a
+//!   walk that builds only the candidates a level checks, with cost-based
+//!   pruning and the three XML-specific pruning criteria implemented on the
+//!   atom reachability graph — or, for a query under no dependencies,
+//!   minimization to its core,
 //! * the top-level [`ChaseBackchase`] driver returning the initial
 //!   reformulation, all minimal reformulations and the cost-optimal one.
 //!
 //! The engine is `Send + Sync`, and a resident service reformulates
 //! different requests on different threads. Inside one reformulation the
-//! backchase runs the equivalence checks of a BFS level on every core the
+//! backchase runs the equivalence checks of a level on every core the
 //! process may use, the calling thread among them; everything else — the
-//! chase to the universal plan, cost pruning, growth and the bookkeeping of
-//! verdicts — runs on the calling thread, and the result is what one thread
+//! chase to the universal plan, the walk that builds the candidates and the
+//! bookkeeping of verdicts — runs on the calling thread, and the result is
+//! what one thread
 //! computes (see [`mod@backchase`]).
 //!
 //! The crate depends on `mars-cq` alone. What is XML-specific about it — the

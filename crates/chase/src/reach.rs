@@ -19,11 +19,11 @@
 //!
 //! The graph is compiled once per backchase: each atom's required and
 //! produced variables become word bitsets over dense variable ids, so the
-//! atoms a candidate enables are found with word operations
-//! ([`ReachabilityGraph::enabled_into`]). Every candidate the backchase grows
-//! is an entry point extended by enabled atoms, hence legal by construction.
-//! The legality fixpoint that states the definition lives beside the tests,
-//! as the oracle the growth is held against.
+//! atoms a prefix of the backchase's walk may be extended by are found with
+//! word operations ([`ReachabilityGraph::extensions_into`]). Every set the
+//! walk builds is an entry point extended by enabled atoms, hence legal by
+//! construction. The legality fixpoint that states the definition lives
+//! beside the tests, as the oracle the growth is held against.
 
 use mars_cq::{Atom, AtomSet, ConjunctiveQuery, FxHashMap, FxHashSet, NavBase, Term, Variable};
 use std::collections::VecDeque;
@@ -194,33 +194,58 @@ impl ReachabilityGraph {
         self.requires(i).iter().zip(produced).all(|(r, p)| r & !p == 0)
     }
 
-    /// The atoms outside `mask` that `mask` *enables* (all required variables
-    /// produced by an atom of `mask`), ascending, into `out` — the atoms the
-    /// subset can grow by. `produced` is scratch space for the variables the
-    /// mask produces; both buffers are overwritten.
-    pub fn enabled_into(&self, mask: &AtomSet, produced: &mut Vec<u64>, out: &mut Vec<usize>) {
-        produced.clear();
-        produced.resize(self.words, 0);
-        for i in mask.iter() {
-            for (p, w) in produced.iter_mut().zip(self.produces(i)) {
-                *p |= w;
-            }
+    /// The variables no atom produces: where a set's produced variables
+    /// start ([`ReachabilityGraph::produce`] adds an atom's).
+    pub fn nothing_produced(&self) -> Vec<u64> {
+        vec![0; self.words]
+    }
+
+    /// Add the variables atom `i` produces to `produced`.
+    pub fn produce(&self, i: usize, produced: &mut [u64]) {
+        for (p, w) in produced.iter_mut().zip(self.produces(i)) {
+            *p |= w;
         }
+    }
+
+    /// The atoms outside `mask` and `blocked` that `produced` *enables* (each
+    /// variable they require is in it), ascending, into `out`, which is
+    /// overwritten. With `produced` the variables `mask`'s atoms produce,
+    /// these are the atoms the set can grow by, less the blocked ones.
+    pub fn extensions_into(
+        &self,
+        mask: &AtomSet,
+        blocked: &AtomSet,
+        produced: &[u64],
+        out: &mut Vec<usize>,
+    ) {
         out.clear();
-        out.extend(
-            (0..self.atoms()).filter(|&i| !mask.contains(i) && self.is_enabled_by(i, produced)),
-        );
+        out.extend((0..self.atoms()).filter(|&i| {
+            !mask.contains(i) && !blocked.contains(i) && self.is_enabled_by(i, produced)
+        }));
     }
 }
 
 /// The set-based forms the compiled ones replaced, and the legality
-/// fixpoint the growth by [`ReachabilityGraph::enabled_into`] is held
-/// against: the oracles the tests compare with.
+/// fixpoint that growth by enabled atoms is held against: the oracles the
+/// tests compare with. (The backchase's walk grows a set only by atoms it
+/// enables, so it builds legal sets alone.)
 #[cfg(test)]
 pub(crate) mod reference {
     use super::{atom_io, is_desc, is_edge, ReachabilityGraph};
-    use mars_cq::{Atom, ConjunctiveQuery, Term, Variable};
+    use mars_cq::{Atom, AtomSet, ConjunctiveQuery, Term, Variable};
     use std::collections::{HashMap, HashSet, VecDeque};
+
+    /// The atoms outside `mask` that `mask` enables, ascending, by the
+    /// graph's word bitsets: the atoms a set can grow by.
+    pub fn enabled_into(g: &ReachabilityGraph, mask: &AtomSet) -> Vec<usize> {
+        let mut produced = g.nothing_produced();
+        for i in mask.iter() {
+            g.produce(i, &mut produced);
+        }
+        let mut out = Vec::new();
+        g.extensions_into(mask, &AtomSet::new(), &produced, &mut out);
+        out
+    }
 
     /// The atoms (outside `subset`) whose required variables `subset`
     /// produces, ascending.
@@ -243,9 +268,9 @@ pub(crate) mod reference {
     /// that weaker test accepts navigation cycles detached from any entry
     /// point, which no XQuery navigation can express.
     ///
-    /// The backchase never asks: every candidate it grows from the roots by
-    /// [`ReachabilityGraph::enabled_into`] is constructible by construction,
-    /// and conversely.
+    /// The backchase never asks: every set its walk grows from the roots by
+    /// the atoms [`ReachabilityGraph::extensions_into`] offers is
+    /// constructible by construction, and conversely.
     pub fn is_legal_subset(g: &ReachabilityGraph, subset: &[usize]) -> bool {
         let mut produced = vec![0; g.words];
         let mut pending = subset.to_vec();
@@ -348,11 +373,9 @@ mod tests {
         ConjunctiveQuery::new("chain").with_head(vec![t(&format!("x{n}"))]).with_body(body)
     }
 
-    /// [`ReachabilityGraph::enabled_into`] on the set of `subset`'s indices.
+    /// The atoms `subset` enables, by the graph's word bitsets.
     fn enabled(g: &ReachabilityGraph, subset: &[usize]) -> Vec<usize> {
-        let (mut produced, mut out) = (Vec::new(), Vec::new());
-        g.enabled_into(&subset.iter().copied().collect(), &mut produced, &mut out);
-        out
+        reference::enabled_into(g, &subset.iter().copied().collect())
     }
 
     /// The indices of `bits`, ascending.
@@ -484,8 +507,8 @@ mod tests {
 
     /// Regression (criteria 2–3): a navigation cycle detached from the entry
     /// point satisfies the naive "requirements produced somewhere" test but
-    /// is not constructible and must be rejected — `is_legal_subset` and the
-    /// growth by `enabled_into` must agree on the search space.
+    /// is not constructible and must be rejected — `is_legal_subset` and
+    /// growth by enabled atoms must agree on the search space.
     #[test]
     fn criteria_2_3_reject_detached_cycles() {
         let q = ConjunctiveQuery::new("Q").with_head(vec![t("b")]).with_body(vec![
@@ -608,10 +631,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The search space is the same, proved over every subset: (i) growth
-        /// from the roots by `enabled_into` reaches exactly the subsets the
-        /// legality fixpoint accepts — the invariant that keeps the fixpoint
-        /// out of the backchase — and (ii) `enabled_into` agrees with the
-        /// set-based reference on each one.
+        /// from the roots by the atoms each set enables reaches exactly the
+        /// subsets the legality fixpoint accepts — the invariant that keeps
+        /// the fixpoint out of the backchase — and (ii) the word bitsets
+        /// agree with the set-based reference on each one.
         #[test]
         fn growth_from_the_roots_reaches_exactly_the_legal_subsets(seed in 0u64..u64::MAX) {
             let q = random_pool(seed);
