@@ -4,10 +4,11 @@
 //! query at NC = 4 and 5 (exhaustive and cost-pruned), star corner subsets
 //! on an NC = 6 document, the XMark query suite, Example 1.1's client
 //! query, and every scenario-matrix point's client query. Each file records
-//! the backchase funnel (candidates inspected, cost-pruned, equivalence
-//! checks, memoized resumes, dead-cone skips, child probes skipped by
-//! pruning criterion 4, minimal reformulations found, and the rounds and
-//! premise evaluations of the back-chases, summed per check),
+//! the backchase funnel (candidates handed to the checks, prefixes the
+//! walk expanded to build them, extensions cut by cost, equivalence
+//! checks, memoized resumes, dead-cone skips, extensions cut by pruning
+//! criterion 4, minimal reformulations found, and the rounds and premise
+//! evaluations of the back-chases, summed per check),
 //! the chase to the universal plan (applied steps, rounds, premise rows,
 //! universal-plan atoms), the column-index builds of the whole
 //! reformulation (`CbStatistics::index_builds`: counted per thread, so
@@ -48,6 +49,7 @@ fn funnel(mars: &Mars, query: &XBindQuery, xml: &XmlStore, db: &RelationalDataba
     let mut out = String::new();
     let lines = [
         ("backchase.candidates_inspected", stats.candidates_inspected),
+        ("backchase.prefixes_expanded", stats.prefixes_expanded),
         ("backchase.pruned_by_cost", stats.pruned_by_cost),
         ("backchase.equivalence_checks", stats.equivalence_checks),
         ("backchase.chase_cache_hits", stats.chase_cache_hits),
