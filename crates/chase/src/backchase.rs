@@ -110,9 +110,9 @@
 //! level's size times the cheapest atom costs more than the best.
 //!
 //! The walk checks what the BFS checked. A candidate `S` of level `L`
-//! passes every cut at every canonical prefix: each is cheaper, holds no
-//! dead set and no implied pair, and has `ready ≤ L` because `S` is a safe
-//! set built from it. A prefix expanded at level `ℓ` has fewer than `ℓ`
+//! passes every cut at every canonical prefix: `S` completes each within
+//! the best, each holds no dead set and no implied pair, and each has
+//! `ready ≤ L` because `S` is a safe set built from it. A prefix expanded at level `ℓ` has fewer than `ℓ`
 //! atoms, so `S`'s last prefix is expanded at level `L` exactly, and `S` is
 //! built there. Conversely a set the walk emits passes every test the BFS
 //! applies at its level. `the_walk_checks_what_the_bfs_checks` holds the
@@ -2493,16 +2493,27 @@ mod tests {
         /// The walk builds each level's candidates exactly as the BFS it
         /// replaced checks them, in the same order, when both are fed the
         /// same verdicts — cost-pruned or exhaustive, with criterion-4
-        /// pairs, with the prefilter on and off — and it never expands more
-        /// prefixes than the BFS held sets, plus the empty prefix.
+        /// pairs, with the prefilter on and off.
         #[test]
         fn the_walk_checks_what_the_bfs_checks(seed in 0u64..u64::MAX) {
             let (pool, deds, costs) = random_enumeration(seed);
             let enumeration = Enumeration::new(&pool, &deds, costs);
             for exhaustive in [false, true] {
-                let (walk, expanded) = enumeration.walk(exhaustive, random_fate(seed));
-                let (bfs, built) = enumeration.bfs(exhaustive, random_fate(seed));
+                let (walk, _) = enumeration.walk(exhaustive, random_fate(seed));
+                let (bfs, _) = enumeration.bfs(exhaustive, random_fate(seed));
                 prop_assert_eq!(&walk, &bfs, "{} exhaustive {}", pool, exhaustive);
+            }
+        }
+
+        /// Never more work than the BFS: the walk expands no more prefixes
+        /// than the BFS's levels held sets, plus the empty prefix.
+        #[test]
+        fn the_walk_expands_no_more_than_the_bfs_builds(seed in 0u64..u64::MAX) {
+            let (pool, deds, costs) = random_enumeration(seed);
+            let enumeration = Enumeration::new(&pool, &deds, costs);
+            for exhaustive in [false, true] {
+                let (_, expanded) = enumeration.walk(exhaustive, random_fate(seed));
+                let (_, built) = enumeration.bfs(exhaustive, random_fate(seed));
                 prop_assert!(expanded <= built + 1, "{} exhaustive {}", pool, exhaustive);
             }
         }

@@ -144,9 +144,10 @@ pub struct CbStatistics {
     /// enumeration's own work, beside the checks it feeds. The empty prefix
     /// counts; each prefix is expanded at most once.
     pub prefixes_expanded: usize,
-    /// Extensions of a prefix the walk cut because they cost more than the
-    /// best reformulation of a smaller size (cost-based pruning; never in an
-    /// exhaustive run).
+    /// Extensions of a prefix, and waiting prefixes when their level came,
+    /// that the walk cut because every safe set they lead to costs more than
+    /// the best reformulation of a smaller size (cost-based pruning; never
+    /// in an exhaustive run).
     pub pruned_by_cost: usize,
     /// Equivalence (chase) checks performed by the backchase.
     pub equivalence_checks: usize,
