@@ -19,8 +19,8 @@
 //! - `backchase_resume/reformulate_star_corners`: the star corner template
 //!   of `marsbench`'s NC = 6, NV = 5 tenant with every corner {1, …, 6},
 //!   reformulated cold, cost-pruned: 143 back-chases, 111 of them resumed.
-//!   Most levels check several candidates, so this is where running a
-//!   level's checks on every core shows without `marsbench`.
+//!   Most levels check several candidates, so this is where the cost of a
+//!   level's checks shows without `marsbench`.
 //! - `backchase_resume/reformulate_star_c123`: the same tenant's corner
 //!   set {1, 2, 3}, reformulated cold, cost-pruned: 7 back-chases. This is
 //!   the shape of `marsbench`'s median `cold_templates` request, where

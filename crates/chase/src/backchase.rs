@@ -34,15 +34,11 @@
 //! level `L + 1` is built. A *walk* builds each level's candidates: exactly
 //! the sets a breadth-first frontier of every legal subset would check, in
 //! that frontier's order, without building the unsafe subsets in between
-//! (see below). A level is then judged in three passes:
-//!
-//! 1. in position order, each candidate's rendering as a subquery and its
-//!    memo seed;
-//! 2. the equivalence checks, on every core the process may use
-//!    (`std::thread::available_parallelism`, the calling thread one of the
-//!    workers, helpers under `std::thread::scope`);
-//! 3. in position order again, the verdicts: the funnel counters, `minimal`
-//!    and `best`, the memo of the next level, and what the walk extends.
+//! (see below). A level is then judged in one pass on the calling thread,
+//! in position order: each candidate is rendered as a subquery, its memo
+//! seed is probed, it is checked, and its verdict is recorded — the funnel
+//! counters, `minimal` and `best`, the memo of the next level, and what the
+//! walk extends.
 //!
 //! ## The canonical sequence
 //!
@@ -128,37 +124,6 @@
 //! (an unspecialized navigation pool) stops there, truncated, instead of
 //! growing without bound.
 //!
-//! # Parallel checks, identical results
-//!
-//! The checks of one level are independent. Which candidates are checked
-//! depends only on the level's frozen best cost (see below) and the
-//! previous level's memo; a check reads only the universal plan, the
-//! compiled dependencies and its own seed from that memo; and nothing it
-//! decides feeds another check of its level. So a worker takes the next
-//! *group* of checks — those resuming from one seed, in position order; a
-//! check from scratch is a group of its own — and runs it, and the third
-//! pass reads the verdicts in position order. `minimal`, the costs, `best`
-//! and its ties, every funnel counter and every back-chase are what one
-//! thread computes, on any number of workers
-//! (`parallel_checks_find_what_one_worker_finds`). With one core the same
-//! code runs the checks on the caller and spawns nothing; a level with one
-//! group spawns nothing either. A helper's panic is raised again on the
-//! caller with its payload.
-//!
-//! The shared reads are safe because a relation is `Sync`: its lazily
-//! built column indexes sit behind a lock ([`crate::Relation::index`]).
-//! Index builds must also not depend on the schedule
-//! ([`CbStatistics::index_builds`] counts each thread's builds). The
-//! universal plan's relations are only read, so an index two workers race
-//! to build is kept and counted once. A resumed back-chase, though, shares
-//! the relations it never wrote with the seed it resumed from and with its
-//! siblings; kept as seeds, two of them would be read by two workers, and
-//! which indexes a later copy-on-write carried over would depend on which
-//! worker filled a shared cache first. So a seed **owns its relations**:
-//! the check that keeps it copies every relation it still shares
-//! (`Arc::make_mut` on each). A seed is then read by its own group, on one
-//! worker, in order, and the count repeats exactly.
-//!
 //! # Criterion 4: implied atoms
 //!
 //! The paper's criteria prune navigation; a fourth prunes redundancy that
@@ -234,9 +199,7 @@
 //! reformulation found mid-level cannot cost-prune a same-size candidate:
 //! neither contains the other, both may be minimal, and in the
 //! non-exhaustive mode `minimal` keeps every one whose cost does not exceed
-//! the best of the *smaller* sizes. It also leaves no verdict of a level
-//! that another check of the level depends on, so the checks can run in
-//! parallel (see above).
+//! the best of the *smaller* sizes.
 //!
 //! Whether a candidate is equivalent to the original query is decided by one
 //! function, `Equivalence::check`, for the enumeration and for the core path
@@ -265,10 +228,9 @@
 //!   indexes. A candidate grown from an already-chased subset clones the
 //!   cached instances (a map of relation handles) and resumes with the one
 //!   new atom ([`chase_resident_with_atoms_compiled`]) — the seed is already
-//!   at fixpoint, so only consequences of the new atom fire. A seed owns
-//!   its relations (see above), so it shares none with its siblings.
-//!   Because the candidates come level by level, only the previous and
-//!   current levels' seeds are retained.
+//!   at fixpoint, so only consequences of the new atom fire. Because the
+//!   candidates come level by level, only the previous and current levels'
+//!   seeds are retained.
 //! * **Folded subset costs**: the cost model is additive (`atom_cost`, a
 //!   fixed weight per atom), so the pool's per-atom costs are computed once
 //!   and a prefix's cost is its parent's plus one atom's.
@@ -280,7 +242,7 @@
 use crate::cb::CbStatistics;
 use crate::chase::{
     add_dependency_work, chase_resident_with_atoms_compiled, chase_to_resident_compiled,
-    ChaseOptions, ChaseStats, ChaseStop, DependencyWork, ResidentBranch,
+    ChaseOptions, ChaseStats, ChaseStop, ResidentBranch,
 };
 use crate::compiled::CompiledDeps;
 use crate::evaluate::{maps_into, ContainmentProgram};
@@ -289,9 +251,6 @@ use crate::instance::thread_index_build_count;
 use crate::reach::{prune_parallel_desc, ReachabilityGraph};
 use mars_cq::{Atom, AtomSet, ConjunctiveQuery, FxHashMap, NavBase, Predicate, Variable};
 use std::collections::HashSet;
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// The backchase's cost model: the estimated cost of one body atom. A query
@@ -472,9 +431,8 @@ enum Verdict {
     OutsidePlan,
     /// `candidate ⊆ original` was not established: the back-chase ran out
     /// of budget, lost every branch, or has a branch the original does not
-    /// map into. It is handed back as a memo seed, owning its relations,
-    /// when the check was asked for one and the back-chase completed with a
-    /// surviving branch.
+    /// map into. It is handed back as a memo seed when the check was asked
+    /// for one and the back-chase completed with a surviving branch.
     NotContained(Option<Vec<ResidentBranch>>),
     /// Both containments hold.
     Equivalent,
@@ -574,10 +532,6 @@ impl Equivalence<'_> {
         check.verdict = if confirmed {
             Verdict::Equivalent
         } else if memoize && chase.completed && !branches.is_empty() {
-            // A seed owns its relations (see the module docs): it shares
-            // none with the seed it resumed from, nor with a sibling.
-            let mut branches = branches;
-            branches.iter_mut().for_each(ResidentBranch::own_relations);
             Verdict::NotContained(Some(branches))
         } else {
             Verdict::NotContained(None)
@@ -585,76 +539,6 @@ impl Equivalence<'_> {
         check.chase = chase;
         check
     }
-
-    /// Run a level's checks on up to `workers` threads, the caller one of
-    /// them, and return them in job order with their per-dependency work
-    /// summed ([`ChaseStats::dependencies`], taken out of each check) and
-    /// the index builds of the helper threads. Each worker takes the next
-    /// group of jobs and runs it in order, so the checks resuming from one
-    /// seed run in order on one thread. A helper's panic is raised again on
-    /// the caller, with its payload.
-    fn check_all(
-        &self,
-        jobs: &[Job<'_>],
-        groups: &[Vec<usize>],
-        workers: usize,
-    ) -> (Vec<EquivalenceCheck>, Vec<DependencyWork>, usize) {
-        // The next group to take. `Relaxed` suffices: it publishes no data
-        // (the jobs are shared read-only, the checks come back by `join`).
-        let next = AtomicUsize::new(0);
-        let work = || {
-            let builds = thread_index_build_count();
-            let (mut done, mut dependencies) = (Vec::new(), Vec::new());
-            while let Some(group) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
-                for &j in group {
-                    let job = &jobs[j];
-                    let mut check = self.check(&job.candidate, job.seed, job.memoize);
-                    // Summed as it finishes, on the thread that counted it:
-                    // a level holds one tally per worker, not one per check.
-                    let counted = std::mem::take(&mut check.chase.dependencies);
-                    add_dependency_work(&mut dependencies, &counted);
-                    done.push((j, check));
-                }
-            }
-            (done, dependencies, thread_index_build_count() - builds)
-        };
-        let (mut done, dependencies, helper_builds) = std::thread::scope(|scope| {
-            let helpers: Vec<_> =
-                (1..workers.min(groups.len())).map(|_| scope.spawn(work)).collect();
-            let (mut done, mut dependencies, _) = work();
-            let mut builds = 0;
-            for helper in helpers {
-                match helper.join() {
-                    Ok((more, more_dependencies, more_builds)) => {
-                        done.extend(more);
-                        add_dependency_work(&mut dependencies, &more_dependencies);
-                        builds += more_builds;
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            (done, dependencies, builds)
-        });
-        done.sort_unstable_by_key(|&(j, _)| j);
-        (done.into_iter().map(|(_, check)| check).collect(), dependencies, helper_builds)
-    }
-}
-
-/// One equivalence check of a level, as the level's first pass prepared it.
-struct Job<'a> {
-    candidate: ConjunctiveQuery,
-    /// The memoized chase the check resumes from, and the atom it adds.
-    seed: Option<(&'a [ResidentBranch], &'a Atom)>,
-    /// Keep the back-chase as a seed if it does not confirm (the per-level
-    /// memo budget).
-    memoize: bool,
-}
-
-/// The number of threads a backchase level runs its checks on: every core
-/// the process may use, read once per process.
-fn available_workers() -> usize {
-    static WORKERS: OnceLock<usize> = OnceLock::new();
-    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 /// Head-variable coverage prefilter: safety as a bitset fold over the head
@@ -1016,38 +900,17 @@ pub fn backchase(
     options: &BackchaseOptions,
     stats: &mut CbStatistics,
 ) -> BackchaseOutcome {
-    let workers = available_workers();
-    backchase_on(workers, original, primary, plan, proprietary, deds, chase, options, stats)
-}
-
-/// [`backchase`] with each level's checks on `workers` threads: the seam the
-/// tests fix the worker count with, to hold a parallel run against a serial
-/// one.
-#[allow(clippy::too_many_arguments)]
-fn backchase_on(
-    workers: usize,
-    original: &ConjunctiveQuery,
-    primary: &ConjunctiveQuery,
-    plan: &[ResidentBranch],
-    proprietary: &HashSet<Predicate>,
-    deds: &CompiledDeps,
-    chase: &ChaseOptions,
-    options: &BackchaseOptions,
-    stats: &mut CbStatistics,
-) -> BackchaseOutcome {
     let start = Instant::now();
     let builds = thread_index_build_count();
-    let outcome =
-        search(workers, original, primary, plan, proprietary, deds, chase, options, stats);
+    let outcome = search(original, primary, plan, proprietary, deds, chase, options, stats);
     stats.index_builds += thread_index_build_count() - builds;
     stats.backchase_duration += start.elapsed();
     outcome
 }
 
-/// The search [`backchase_on`] times and counts index builds around.
+/// The search [`backchase`] times and counts index builds around.
 #[allow(clippy::too_many_arguments)]
 fn search(
-    workers: usize,
     original: &ConjunctiveQuery,
     primary: &ConjunctiveQuery,
     plan: &[ResidentBranch],
@@ -1159,54 +1022,30 @@ fn search(
             level.truncate(remaining);
         }
 
-        // First pass, in position order: each candidate's rendering and its
-        // memo seed. Checks resuming from one seed form one group.
-        let mut jobs: Vec<Job<'_>> = Vec::with_capacity(level.len());
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut group_of: FxHashMap<*const ResidentBranch, usize> = FxHashMap::default();
-        for (position, prefix) in level.iter_mut().enumerate() {
-            let mask = &mut prefix.atoms;
-            let subset: Vec<usize> = mask.iter().collect();
+        // One pass, in position order: each candidate's rendering, its memo
+        // seed, its check, and its verdict — the funnel counters, the memo,
+        // and what the walk extends.
+        let mut cur_level: FxHashMap<AtomSet, Vec<ResidentBranch>> = FxHashMap::default();
+        let mut next_best = best_cost;
+        for (position, mut prefix) in level.into_iter().enumerate() {
+            inspected += 1;
+            let subset: Vec<usize> = prefix.atoms.iter().collect();
             let mut candidate = pool_query.subquery(&subset);
-            candidate.name = format!("{}_candidate{}", original.name, inspected + position + 1);
+            candidate.name = format!("{}_candidate{inspected}", original.name);
             // Resume from the memoized chase of the candidate minus one
             // atom, probed by taking each atom out and putting it back.
             let mut seed = None;
             for &i in &subset {
-                mask.remove(i);
-                let memo = prev_level.get(mask);
-                mask.insert(i);
+                prefix.atoms.remove(i);
+                let memo = prev_level.get(&prefix.atoms);
+                prefix.atoms.insert(i);
                 if let Some(branches) = memo {
                     seed = Some((branches.as_slice(), &pool[i]));
                     break;
                 }
             }
-            let group = match seed {
-                Some((branches, _)) => *group_of.entry(branches.as_ptr()).or_insert(groups.len()),
-                None => groups.len(),
-            };
-            if group == groups.len() {
-                groups.push(Vec::new());
-            }
-            groups[group].push(jobs.len());
-            jobs.push(Job { candidate, seed, memoize: position < options.chase_cache_per_level });
-        }
-
-        inspected += level.len();
-
-        // Second pass: the checks, on every worker. A check reads only the
-        // universal plan, the dependencies and its own seed, so it decides
-        // what it would decide alone (see the module docs).
-        let (checks, dependencies, helper_builds) = equivalence.check_all(&jobs, &groups, workers);
-        stats.index_builds += helper_builds;
-        add_dependency_work(&mut stats.backchase_dependencies, &dependencies);
-        let candidates = jobs.into_iter().map(|job| job.candidate);
-
-        // Third pass, in position order: the verdicts, the memo, and what
-        // the walk extends.
-        let mut cur_level: FxHashMap<AtomSet, Vec<ResidentBranch>> = FxHashMap::default();
-        let mut next_best = best_cost;
-        for ((prefix, candidate), check) in level.into_iter().zip(candidates).zip(checks) {
+            let memoize = position < options.chase_cache_per_level;
+            let check = equivalence.check(&candidate, seed, memoize);
             stats.absorb(&check);
             stats.equivalence_checks += usize::from(!matches!(check.verdict, Verdict::Unsafe));
             stats.chase_cache_hits += usize::from(check.resumed);
@@ -1510,15 +1349,13 @@ mod tests {
         chase: &ChaseOptions,
         options: &BackchaseOptions,
     ) -> Run {
-        let compiled = CompiledDeps::new(deds);
-        run_on(available_workers(), q, &compiled, proprietary, chase, options)
+        run_compiled(q, &CompiledDeps::new(deds), proprietary, chase, options)
     }
 
-    /// [`run_under`] with each level's checks on `workers` threads. The
-    /// universal plan is chased afresh, so no index an earlier run built on
-    /// its relations is reused.
-    fn run_on(
-        workers: usize,
+    /// [`run_under`] with the dependencies compiled. The universal plan is
+    /// chased afresh, so no index an earlier run built on its relations is
+    /// reused.
+    fn run_compiled(
         q: &ConjunctiveQuery,
         compiled: &CompiledDeps,
         proprietary: &HashSet<Predicate>,
@@ -1530,8 +1367,7 @@ mod tests {
         let Some(primary) = up.primary(&q.name) else {
             return (BackchaseOutcome::default(), stats);
         };
-        let outcome = backchase_on(
-            workers,
+        let outcome = backchase(
             q,
             &primary,
             up.branches(),
@@ -1802,15 +1638,12 @@ mod tests {
     }
 
     /// The phase profile: the recorded phases are non-zero where work
-    /// happened and, with one worker, sum to at most the total backchase
-    /// duration (with more they sum work time over threads, which may
-    /// exceed it).
+    /// happened and, being wall time on the caller, sum to at most the
+    /// total backchase duration.
     #[test]
     fn phase_profile_is_recorded() {
         let (q, deds, proprietary) = redundant_setup();
-        let (compiled, chase) = (CompiledDeps::new(&deds), ChaseOptions::default());
-        let exhaustive = BackchaseOptions::exhaustive();
-        let (_, stats) = run_on(1, &q, &compiled, &proprietary, &chase, &exhaustive);
+        let (_, stats) = run(&q, &deds, &proprietary, &BackchaseOptions::exhaustive());
         assert!(stats.backchase_chase_phase > Duration::default());
         assert!(stats.backchase_containment_phase > Duration::default());
         assert!(
@@ -1821,13 +1654,12 @@ mod tests {
         );
     }
 
-    /// A level's checks on several threads decide what one thread decides:
-    /// on the star at NC = 5 (exhaustive), Example 1.1 and the XMark suite,
-    /// runs on 1, 2 and 3 workers, each twice, find the same minimal bodies
-    /// in the same order and the same best, and record every counter of
-    /// [`CbStatistics`] alike, index builds included.
+    /// A backchase repeats itself: on the star at NC = 5 (exhaustive),
+    /// Example 1.1 and the XMark suite, two runs in one process find the
+    /// same minimal bodies in the same order and the same best, and record
+    /// every counter of [`CbStatistics`] alike, index builds included.
     #[test]
-    fn parallel_checks_find_what_one_worker_finds() {
+    fn a_backchase_repeats_itself() {
         use mars::{Mars, MarsOptions};
         use mars_workloads::{example11, star::StarConfig, xmark};
         let star = StarConfig::figure5(5);
@@ -1847,13 +1679,10 @@ mod tests {
                 initial.body.iter().map(|a| a.predicate).collect();
             let (q, compiled) = (&block.compiled, CompiledDeps::new(mars.dependencies()));
             let chase = ChaseOptions::default();
-            let serial = run_on(1, q, &compiled, &proprietary, &chase, &options);
-            assert!(!serial.0.minimal.is_empty(), "{}", query.name);
-            let serial = strip_durations(serial);
-            for workers in [1, 2, 3, 1, 2, 3] {
-                let run = run_on(workers, q, &compiled, &proprietary, &chase, &options);
-                assert_eq!(strip_durations(run), serial, "{} on {workers} workers", query.name);
-            }
+            let first = run_compiled(q, &compiled, &proprietary, &chase, &options);
+            assert!(!first.0.minimal.is_empty(), "{}", query.name);
+            let second = run_compiled(q, &compiled, &proprietary, &chase, &options);
+            assert_eq!(strip_durations(second), strip_durations(first), "{}", query.name);
         }
     }
 
@@ -2090,88 +1919,6 @@ mod tests {
             .map(|a| a.predicate)
             .chain(extra.iter().map(|p| Predicate::new(p)))
             .collect()
-    }
-
-    /// A check that panics, on a helper thread or on the caller, panics the
-    /// caller with its own payload. The last job resumes the chase of `Q(x)
-    /// :- A(x,y)` with the unary `A(x)`, which breaks the relation's arity;
-    /// the caller usually takes the first group, of sound checks, so the
-    /// panic usually happens on a helper.
-    #[test]
-    fn a_panicking_check_panics_the_caller_with_its_payload() {
-        let q = ConjunctiveQuery::new("Q")
-            .with_head(vec![t("x")])
-            .with_body(vec![Atom::named("A", vec![t("x"), t("y")])]);
-        let compiled = CompiledDeps::new(&[]);
-        let up = chase_to_resident_compiled(&q, &compiled, &ChaseOptions::default());
-        let equivalence = Equivalence {
-            original: ContainmentProgram::new(&q),
-            plan: up.branches(),
-            deds: &compiled,
-            chase: ChaseOptions::default(),
-        };
-        let unary = Atom::named("A", vec![t("x")]);
-        let mut jobs: Vec<Job<'_>> =
-            (0..8).map(|_| Job { candidate: q.clone(), seed: None, memoize: false }).collect();
-        let seed = Some((up.branches(), &unary));
-        jobs.push(Job { candidate: q.clone(), seed, memoize: false });
-        let groups = [(0..8).collect(), vec![8]];
-        for workers in [1, 2, 3] {
-            let run = || equivalence.check_all(&jobs, &groups, workers);
-            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
-                .err()
-                .expect("the checks panic");
-            let message = payload.downcast_ref::<String>().expect("a formatted panic message");
-            assert!(message.contains("every tuple of a relation has its arity"), "{message}");
-        }
-    }
-
-    /// A back-chase kept as a memo seed owns its relations: it shares none
-    /// with the seed it resumed from, though the resumed chase by itself
-    /// shares every relation it did not write. On `grex_setup`'s pool,
-    /// `{text(y,v)}` is checked from scratch and kept, and `{text(y,v),
-    /// tag(y,"b")}` resumes from it.
-    #[test]
-    fn a_kept_seed_shares_no_relation_with_the_seed_it_resumed_from() {
-        let (q, deds, proprietary) = grex_setup();
-        let compiled = CompiledDeps::new(&deds);
-        let up = chase_to_resident_compiled(&q, &compiled, &ChaseOptions::default());
-        let primary = up.primary(&q.name).unwrap();
-        let body = primary.body.iter().filter(|a| proprietary.contains(&a.predicate)).cloned();
-        let pool = ConjunctiveQuery { body: body.collect(), ..primary };
-        let above = pool.variables().iter().chain(&q.variables()).map(|v| v.index).max();
-        let chase = ChaseOptions { min_fresh_index: above.unwrap_or(0) + 1, ..Default::default() };
-        let equivalence = Equivalence {
-            original: ContainmentProgram::new(&q),
-            plan: up.branches(),
-            deds: &compiled,
-            chase: chase.clone(),
-        };
-        let at = |atom: &Atom| pool.body.iter().position(|a| a == atom).unwrap();
-        let (text_y, tag_y) = (at(&text(t("y"), t("v"))), at(&tag(t("y"), "b")));
-        let kept = |check: EquivalenceCheck| match check.verdict {
-            Verdict::NotContained(Some(seed)) => seed,
-            _ => panic!("the candidate is kept as a seed"),
-        };
-        let parent = kept(equivalence.check(&pool.subquery(&[text_y]), None, true));
-        let seed = Some((parent.as_slice(), &pool.body[tag_y]));
-        let child = kept(equivalence.check(&pool.subquery(&[text_y, tag_y]), seed, true));
-        let shared = |branches: &[ResidentBranch]| {
-            let (of, from) = (branches[0].instance(), parent[0].instance());
-            let predicates: HashSet<Predicate> = of.atoms().iter().map(|a| a.predicate).collect();
-            predicates.into_iter().any(|p| match (of.relation_data(p), from.relation_data(p)) {
-                (Some(a), Some(b)) => std::ptr::eq(a, b),
-                _ => false,
-            })
-        };
-        let resumed = chase_resident_with_atoms_compiled(
-            &parent,
-            std::slice::from_ref(&pool.body[tag_y]),
-            &compiled,
-            &chase,
-        );
-        assert!(shared(resumed.branches()), "a resumed chase shares what it did not write");
-        assert!(!shared(&child), "a kept seed owns every relation");
     }
 
     /// `/a/b/text()` as `Q(v) :- root(r), child(r,x), tag(x,"a"),

@@ -170,8 +170,7 @@ pub struct CbStatistics {
     pub implied_skips: usize,
     /// Rounds the back-chases ran, summed over the equivalence checks
     /// (scratch or resumed). A check's rounds depend only on its candidate
-    /// and its seed, so the sum does not depend on which thread ran which
-    /// check.
+    /// and its seed.
     pub backchase_chase_rounds: usize,
     /// Premise evaluations the back-chases ran
     /// ([`ChaseStats::premise_evaluations`]), summed like
@@ -182,9 +181,8 @@ pub struct CbStatistics {
     /// chase to the universal plan keeps its own in `chase`.
     pub backchase_dependencies: Vec<DependencyWork>,
     /// Column indexes built from scratch ([`crate::Relation::index`]) by
-    /// the chase to the universal plan and by the backchase, whichever
-    /// thread built them: the calling thread's builds plus each backchase
-    /// helper's builds over its share of the checks.
+    /// the chase to the universal plan and by the backchase, on the calling
+    /// thread.
     pub index_builds: usize,
     /// Backchase wall-clock spent building each level's candidates: the
     /// walk, which prices each extension as it builds it and cuts it by
@@ -194,12 +192,12 @@ pub struct CbStatistics {
     /// rest — the memo probes, rendering the subqueries that reach the
     /// equivalence check, the verdicts — belongs to no phase.
     pub backchase_cost_phase: Duration,
-    /// Time spent in back-chases (scratch or resumed), summed over the
-    /// threads a level's checks run on: work time, not wall-clock, so with
-    /// the containment phase it can exceed `backchase_duration`.
+    /// Wall-clock spent in back-chases (scratch or resumed), on the calling
+    /// thread. With the cost and containment phases it sums to at most
+    /// `backchase_duration`.
     pub backchase_chase_phase: Duration,
-    /// Time spent in containment checks (both halves of the equivalence
-    /// test), summed over threads like `backchase_chase_phase`.
+    /// Wall-clock spent in containment checks (both halves of the
+    /// equivalence test), on the calling thread like `backchase_chase_phase`.
     pub backchase_containment_phase: Duration,
     /// `true` when a budget ([`BackchaseOptions::max_candidates`] or
     /// [`ChaseOptions::deadline`]) stopped the backchase's enumeration before

@@ -485,12 +485,6 @@ impl ResidentBranch {
         &self.inst
     }
 
-    /// Copy every relation the branch shares with another instance (see
-    /// [`SymbolicInstance::own_relations`]).
-    pub(crate) fn own_relations(&mut self) {
-        self.inst.own_relations();
-    }
-
     /// The branch as a query with the given name (deterministic atom order,
     /// as in [`SymbolicInstance::to_query`]).
     pub fn to_query(&self, name: &str) -> ConjunctiveQuery {

@@ -75,8 +75,8 @@ pub fn index_build_count() -> usize {
 /// The column-index builds performed on the calling thread since it
 /// started. The difference across a stretch of work on one thread is that
 /// work's builds, whatever other threads (parallel tests, other requests)
-/// do meanwhile. [`CbStatistics::index_builds`](crate::CbStatistics) adds
-/// up the caller's share and each backchase helper thread's.
+/// do meanwhile: [`CbStatistics::index_builds`](crate::CbStatistics) of one
+/// reformulation.
 pub(crate) fn thread_index_build_count() -> usize {
     THREAD_INDEX_BUILDS.with(Cell::get)
 }
@@ -335,12 +335,9 @@ pub struct Relation {
     /// (`&SymbolicInstance`) build an index lazily on first use. The cache
     /// is lock-guarded and hands out shared handles, so a relation — and
     /// with it `mars_storage::RelationalDatabase` and its router — is
-    /// `Sync`. One chase runs on one thread, but the backchase runs a
-    /// level's equivalence checks on several: they all read the universal
-    /// plan's relations and share its locks, while a memo seed is read by
-    /// one thread only and owns its relations
-    /// ([`SymbolicInstance::own_relations`]). Clones share the handles; the
-    /// first change to either side copies the indexes it touches.
+    /// `Sync`, and concurrent requests may read one. Clones share the
+    /// handles; the first change to either side copies the indexes it
+    /// touches.
     indexes: RwLock<IndexCache>,
     /// From-scratch builds of this relation's indexes — the race-free
     /// (per-relation) counterpart of the process-wide [`index_build_count`],
@@ -718,18 +715,6 @@ impl SymbolicInstance {
     /// [`Relation::row_bound`] of a predicate's relation (0 if absent).
     pub fn row_bound(&self, p: Predicate) -> usize {
         self.relations.get(&p).map_or(0, |r| r.row_bound())
-    }
-
-    /// Copy every relation this instance still shares with another (a
-    /// clone, or the seed it was resumed from), so that no other instance
-    /// reads or fills its index caches. The backchase makes each memo seed
-    /// own its relations: the seeds' checks then run on different threads
-    /// without sharing a relation, and which indexes a copy-on-write carries
-    /// over does not depend on how the threads interleave.
-    pub(crate) fn own_relations(&mut self) {
-        for rel in self.relations.values_mut() {
-            Arc::make_mut(rel);
-        }
     }
 
     /// The full relation object (rows + persistent indexes) for a

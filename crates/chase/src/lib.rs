@@ -43,13 +43,10 @@
 //!   reformulation, all minimal reformulations and the cost-optimal one.
 //!
 //! The engine is `Send + Sync`, and a resident service reformulates
-//! different requests on different threads. Inside one reformulation the
-//! backchase runs the equivalence checks of a level on every core the
-//! process may use, the calling thread among them; everything else — the
-//! chase to the universal plan, the walk that builds the candidates and the
-//! bookkeeping of verdicts — runs on the calling thread, and the result is
-//! what one thread
-//! computes (see [`mod@backchase`]).
+//! different requests on different threads. One reformulation runs on the
+//! calling thread and spawns none: the chase to the universal plan, the
+//! walk that builds the candidates, and each level's equivalence checks in
+//! position order (see [`mod@backchase`]).
 //!
 //! The crate depends on `mars-cq` alone. What is XML-specific about it — the
 //! pruning criteria, the closure shortcut, the cost weights — applies to the

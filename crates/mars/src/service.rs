@@ -16,8 +16,7 @@
 //! entries are invalidated rather than served.
 //!
 //! The service is `Sync`: one instance can be shared across request threads
-//! (`&MarsService` handles), and inside a cold request the backchase also
-//! checks a level's candidates on every core (see `mars_chase::backchase`).
+//! (`&MarsService` handles). A cold request reformulates on its own thread.
 //!
 //! # The degradation ladder
 //!
