@@ -45,7 +45,7 @@ pub fn encode_document(doc: &Document) -> Vec<Atom> {
         if !text.is_empty() {
             out.push(schema.text_atom(me, Term::constant_str(&text)));
         }
-        for (name, value) in &node.attributes {
+        for (name, value) in node.attributes {
             out.push(schema.attr_atom(me, name, Term::constant_str(value)));
         }
         for c in doc.child_elements(id) {

@@ -5,8 +5,10 @@
 //! `bench_function` / `bench_with_input`, `Bencher::iter` and `black_box` —
 //! with a simple wall-clock harness: each benchmark is warmed up once and
 //! then timed over `sample_size` batches, reporting the per-iteration mean
-//! and minimum. No statistics, plotting or CLI beyond ignoring Cargo's
-//! `--bench` flag.
+//! and minimum. No statistics or plotting. The one command-line flag it reads
+//! is `--test` (`cargo bench -- --test`): as in Criterion, every benchmark
+//! body then runs once, untimed, so the benches' own assertions run. Cargo's
+//! `--bench` flag and filters are ignored.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -37,12 +39,17 @@ impl fmt::Display for BenchmarkId {
 pub struct Bencher {
     samples: Vec<Duration>,
     sample_size: usize,
+    test_mode: bool,
 }
 
 impl Bencher {
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        // One warm-up iteration outside the timed region.
+        // One warm-up iteration outside the timed region; in test mode, the
+        // only one.
         black_box(routine());
+        if self.test_mode {
+            return;
+        }
         for _ in 0..self.sample_size {
             let start = Instant::now();
             black_box(routine());
@@ -81,9 +88,18 @@ impl<'a> BenchmarkGroup<'a> {
     }
 
     fn run<F: FnOnce(&mut Bencher)>(&mut self, id: String, f: F) {
-        let mut bencher = Bencher { samples: Vec::new(), sample_size: self.sample_size };
-        f(&mut bencher);
+        let test_mode = self.criterion.test_mode;
+        let mut bencher = Bencher { samples: Vec::new(), sample_size: self.sample_size, test_mode };
         let full_id = format!("{}/{}", self.name, id);
+        if test_mode {
+            println!("Testing {full_id}");
+        }
+        f(&mut bencher);
+        if test_mode {
+            println!("Success");
+            self.criterion.benchmarks_run += 1;
+            return;
+        }
         if bencher.samples.is_empty() {
             println!("{full_id:<56} (no samples)");
             return;
@@ -104,9 +120,16 @@ impl<'a> BenchmarkGroup<'a> {
 }
 
 /// Entry point mirroring `criterion::Criterion`.
-#[derive(Default)]
 pub struct Criterion {
     benchmarks_run: usize,
+    /// `--test` was passed: run every body once, untimed.
+    test_mode: bool,
+}
+
+impl Default for Criterion {
+    fn default() -> Self {
+        Criterion { benchmarks_run: 0, test_mode: std::env::args().any(|arg| arg == "--test") }
+    }
 }
 
 impl Criterion {
@@ -142,7 +165,7 @@ macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
             // Cargo passes `--bench` (and possibly filter arguments); this
-            // harness runs everything unconditionally.
+            // harness runs everything, once each under `--test`.
             $( $group(); )+
         }
     };

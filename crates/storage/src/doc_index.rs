@@ -13,7 +13,7 @@
 use crate::executor::Fx;
 use mars_cq::Term;
 use mars_grex::node_constant;
-use mars_xml::{Document, NodeId};
+use mars_xml::{Children, Document, NodeId};
 use std::collections::HashMap;
 
 /// Rank of an arena slot that is not an element (a text node; every element
@@ -78,20 +78,23 @@ impl DocIndex {
             text_count: 0,
             attr_count: 0,
         };
-        // Iterative preorder walk; a node is closed (its subtree end fixed)
-        // when it comes off the stack the second time.
-        let mut stack: Vec<(NodeId, bool)> = doc.root().map(|r| (r, false)).into_iter().collect();
-        while let Some((id, closing)) = stack.pop() {
-            if closing {
-                let end = index.preorder.len() as u32;
-                index.subtree_end[id.index()] = end;
-                index.descendant_pairs += (end - index.rank[id.index()]) as usize;
+        // Preorder walk with one child cursor per open element; an element is
+        // closed (its subtree end fixed) when its cursor runs out.
+        let mut open: Vec<(NodeId, Children<'_>)> = Vec::new();
+        if let Some(root) = doc.root() {
+            index.enter(doc, root);
+            open.push((root, doc.node(root).children()));
+        }
+        while let Some((id, children)) = open.last_mut() {
+            if let Some(child) = children.find(|c| doc.node(*c).is_element()) {
+                index.enter(doc, child);
+                open.push((child, doc.node(child).children()));
                 continue;
             }
-            index.enter(doc, id);
-            stack.push((id, true));
-            let children = doc.node(id).children.iter().rev();
-            stack.extend(children.filter(|c| doc.node(**c).is_element()).map(|c| (*c, false)));
+            let end = index.preorder.len() as u32;
+            index.subtree_end[id.index()] = end;
+            index.descendant_pairs += (end - index.rank[id.index()]) as usize;
+            open.pop();
         }
         index
     }

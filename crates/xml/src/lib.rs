@@ -9,7 +9,7 @@
 //!
 //! The crate provides:
 //!
-//! * an arena-based [`Document`] model with cheap [`NodeId`] handles,
+//! * a flat-arena [`Document`] model with cheap [`NodeId`] handles,
 //! * a hand-written XML [`parser`](parse::parse_document) and serializer
 //!   (no external dependencies),
 //! * an XPath fragment ([`xpath`]) covering the navigation used by the paper:
@@ -25,7 +25,7 @@ pub mod parse;
 pub mod shape;
 pub mod xpath;
 
-pub use doc::{Document, Node, NodeId, NodeKind};
+pub use doc::{Children, Descendants, Document, Node, NodeId, NodeKind};
 pub use parse::{parse_document, ParseError};
 pub use shape::{Multiplicity, ShapeElement, XmlShape};
 pub use xpath::{eval_path, parse_path, Path, PathError, PathValue, Step};

@@ -26,13 +26,14 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
+    text: &'a str,
     input: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(input: &'a str) -> Parser<'a> {
-        Parser { input: input.as_bytes(), pos: 0 }
+        Parser { text: input, input: input.as_bytes(), pos: 0 }
     }
 
     fn error<T>(&self, message: &str) -> Result<T, ParseError> {
@@ -77,7 +78,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn read_name(&mut self) -> Result<String, ParseError> {
+    fn read_name(&mut self) -> Result<&'a str, ParseError> {
         let start = self.pos;
         while let Some(c) = self.peek() {
             if c.is_ascii_alphanumeric() || c == b'_' || c == b'-' || c == b'.' || c == b':' {
@@ -89,10 +90,10 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return self.error("expected a name");
         }
-        Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned())
+        Ok(&self.text[start..self.pos])
     }
 
-    fn read_attribute(&mut self) -> Result<(String, String), ParseError> {
+    fn read_attribute(&mut self) -> Result<(&'a str, String), ParseError> {
         let name = self.read_name()?;
         self.skip_ws();
         if self.peek() != Some(b'=') {
@@ -120,21 +121,84 @@ impl<'a> Parser<'a> {
         Ok((name, unescape(&value)))
     }
 
-    /// Parse one element (after `<` has been seen at `self.pos`), adding it to
-    /// the document under `parent` (or as root).
-    fn parse_element(
+    /// Parse the root element and everything in it (after `<` has been seen
+    /// at `self.pos`). The elements still open are a stack on the heap, so
+    /// nesting costs no call stack.
+    fn parse_root(&mut self, doc: &mut Document) -> Result<(), ParseError> {
+        let mut open: Vec<OpenElement<'a>> = Vec::new();
+        loop {
+            // `self.pos` is at the `<` of a start tag.
+            let parent = open.last().map(|open| open.node);
+            open.extend(self.start_tag(doc, parent)?);
+            // Content, up to the next start tag.
+            loop {
+                let Some(&OpenElement { node, tag, content }) = open.last() else {
+                    return Ok(());
+                };
+                if self.starts_with("<!--") {
+                    match self.input[self.pos..].windows(3).position(|w| w == b"-->") {
+                        Some(rel) => self.pos += rel + 3,
+                        None => return self.error("unterminated comment"),
+                    }
+                    continue;
+                }
+                if self.starts_with("</") {
+                    self.pos += 2;
+                    let close = self.read_name()?;
+                    if close != tag {
+                        return self
+                            .error(&format!("mismatched closing tag: <{tag}> vs </{close}>"));
+                    }
+                    self.skip_ws();
+                    if self.peek() != Some(b'>') {
+                        return self.error("expected '>' in closing tag");
+                    }
+                    self.pos += 1;
+                    open.pop();
+                    continue;
+                }
+                match self.peek() {
+                    Some(b'<') => break,
+                    Some(_) => {
+                        let start = self.pos;
+                        while let Some(c) = self.peek() {
+                            if c == b'<' {
+                                break;
+                            }
+                            self.pos += 1;
+                        }
+                        let raw = &self.text[start..self.pos];
+                        // Text that is the element's whole content is its
+                        // value, whitespace included; beside elements or
+                        // comments the surrounding whitespace is layout.
+                        let whole = start == content && self.starts_with("</");
+                        let text = unescape(if whole { raw } else { raw.trim() });
+                        if !text.is_empty() {
+                            doc.add_text(node, &text);
+                        }
+                    }
+                    None => return self.error("unexpected end of input in element content"),
+                }
+            }
+        }
+    }
+
+    /// Read the start tag at `self.pos` and add its element under `parent`
+    /// (or as root). `None` for an empty-element tag (`<e/>`), which leaves
+    /// nothing open.
+    fn start_tag(
         &mut self,
         doc: &mut Document,
         parent: Option<NodeId>,
-    ) -> Result<NodeId, ParseError> {
+    ) -> Result<Option<OpenElement<'a>>, ParseError> {
         if self.peek() != Some(b'<') {
             return self.error("expected '<'");
         }
         self.pos += 1;
         let tag = self.read_name()?;
         let node = match parent {
-            Some(p) => doc.add_element(p, &tag),
-            None => doc.create_root(&tag),
+            Some(p) => doc.add_element(p, tag),
+            None => doc.create_root(tag),
         };
         loop {
             self.skip_ws();
@@ -145,68 +209,29 @@ impl<'a> Parser<'a> {
                         return self.error("expected '>' after '/'");
                     }
                     self.pos += 1;
-                    return Ok(node);
+                    return Ok(None);
                 }
                 Some(b'>') => {
                     self.pos += 1;
-                    break;
+                    return Ok(Some(OpenElement { node, tag, content: self.pos }));
                 }
                 Some(_) => {
                     let (name, value) = self.read_attribute()?;
-                    doc.set_attribute(node, &name, &value);
+                    doc.set_attribute(node, name, &value);
                 }
                 None => return self.error("unexpected end of input in tag"),
             }
         }
-        // Content.
-        let content = self.pos;
-        loop {
-            if self.starts_with("<!--") {
-                match self.input[self.pos..].windows(3).position(|w| w == b"-->") {
-                    Some(rel) => self.pos += rel + 3,
-                    None => return self.error("unterminated comment"),
-                }
-                continue;
-            }
-            if self.starts_with("</") {
-                self.pos += 2;
-                let close = self.read_name()?;
-                if close != tag {
-                    return self.error(&format!("mismatched closing tag: <{tag}> vs </{close}>"));
-                }
-                self.skip_ws();
-                if self.peek() != Some(b'>') {
-                    return self.error("expected '>' in closing tag");
-                }
-                self.pos += 1;
-                return Ok(node);
-            }
-            match self.peek() {
-                Some(b'<') => {
-                    self.parse_element(doc, Some(node))?;
-                }
-                Some(_) => {
-                    let start = self.pos;
-                    while let Some(c) = self.peek() {
-                        if c == b'<' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    let raw = String::from_utf8_lossy(&self.input[start..self.pos]);
-                    // Text that is the element's whole content is its value,
-                    // whitespace included; beside elements or comments the
-                    // surrounding whitespace is layout.
-                    let whole = start == content && self.starts_with("</");
-                    let text = unescape(if whole { &raw } else { raw.trim() });
-                    if !text.is_empty() {
-                        doc.add_text(node, &text);
-                    }
-                }
-                None => return self.error("unexpected end of input in element content"),
-            }
-        }
     }
+}
+
+/// An element whose end tag the parser has not reached yet.
+#[derive(Clone, Copy)]
+struct OpenElement<'a> {
+    node: NodeId,
+    tag: &'a str,
+    /// Where its content starts.
+    content: usize,
 }
 
 /// Parse an XML string into a [`Document`] with the given logical name.
@@ -223,7 +248,7 @@ pub fn parse_document(name: &str, input: &str) -> Result<Document, ParseError> {
     if parser.peek().is_none() {
         return parser.error("empty document");
     }
-    parser.parse_element(&mut doc, None)?;
+    parser.parse_root(&mut doc)?;
     parser.skip_ws();
     // Trailing comments are allowed.
     let _ = parser.skip_prolog();
@@ -315,5 +340,22 @@ mod tests {
         let xml = "<!DOCTYPE catalog SYSTEM \"catalog.dtd\"><catalog/>";
         let doc = parse_document("t", xml).unwrap();
         assert_eq!(doc.node(doc.root().unwrap()).tag(), Some("catalog"));
+    }
+
+    #[test]
+    fn deep_nesting_round_trips_on_a_test_thread() {
+        const DEPTH: usize = 200_000;
+        let xml = "<a>".repeat(DEPTH) + "x" + &"</a>".repeat(DEPTH);
+        let doc = parse_document("deep.xml", &xml).unwrap();
+        assert_eq!(doc.element_count(), DEPTH);
+        let reparsed = parse_document("deep.xml", &doc.to_xml()).unwrap();
+        assert!(reparsed == doc, "parse → to_xml → parse changes a deep document");
+        let root = doc.root().unwrap();
+        assert_eq!(doc.descendants(root).count(), DEPTH - 1);
+        let mut copy = Document::new("copy.xml");
+        let top = copy.create_root("copy");
+        copy.deep_copy_from(&doc, root, top);
+        assert_eq!(copy.element_count(), DEPTH + 1);
+        assert_eq!(copy.to_xml().lines().count(), 2 * DEPTH + 1);
     }
 }

@@ -163,30 +163,28 @@ impl XmlShape {
 }
 
 fn infer_element(doc: &Document, node: NodeId) -> ShapeElement {
-    let tag = doc.node(node).tag().unwrap_or("#text").to_string();
+    let element = doc.node(node);
     let mut shape = ShapeElement {
-        tag,
+        tag: element.tag().unwrap_or("#text").to_string(),
         children: BTreeMap::new(),
-        has_text: !doc.text_of(node).is_empty(),
-        attributes: doc.node(node).attributes.iter().map(|(n, _)| n.clone()).collect(),
+        has_text: element
+            .children()
+            .any(|c| doc.node(c).text_value().is_some_and(|t| !t.is_empty())),
+        attributes: element.attributes.iter().map(|(n, _)| n.clone()).collect(),
     };
-    // Group children by tag, merging their shapes and tracking counts.
-    let mut groups: BTreeMap<String, Vec<NodeId>> = BTreeMap::new();
+    // Group children by tag, merging their shapes in document order and
+    // counting them.
+    let mut groups: BTreeMap<String, (ShapeElement, usize)> = BTreeMap::new();
     for c in doc.child_elements(node) {
-        let ctag = doc.node(c).tag().unwrap_or("#text").to_string();
-        groups.entry(ctag).or_default().push(c);
+        let child = infer_element(doc, c);
+        let (merged, count) = match groups.remove(&child.tag) {
+            Some((prev, count)) => (merge(prev, child), count + 1),
+            None => (child, 1),
+        };
+        groups.insert(merged.tag.clone(), (merged, count));
     }
-    for (ctag, nodes) in groups {
-        let mut merged: Option<ShapeElement> = None;
-        for n in &nodes {
-            let s = infer_element(doc, *n);
-            merged = Some(match merged {
-                None => s,
-                Some(prev) => merge(prev, s),
-            });
-        }
-        let mult = Multiplicity::One.observe(nodes.len());
-        shape.children.insert(ctag, (merged.expect("non-empty group"), mult));
+    for (ctag, (merged, count)) in groups {
+        shape.children.insert(ctag, (merged, Multiplicity::One.observe(count)));
     }
     shape
 }

@@ -235,8 +235,7 @@ pub fn eval_path(doc: &Document, path: &Path, context: Option<NodeId>) -> Vec<Pa
                         doc.descendants(node)
                     };
                     next.extend(
-                        pool.into_iter()
-                            .filter(|n| doc.node(*n).tag() == Some(name.as_str()))
+                        pool.filter(|n| doc.node(*n).tag() == Some(name.as_str()))
                             .map(PathValue::Node),
                     );
                 }
@@ -246,7 +245,7 @@ pub fn eval_path(doc: &Document, path: &Path, context: Option<NodeId>) -> Vec<Pa
                     } else {
                         doc.descendants(node)
                     };
-                    next.extend(pool.into_iter().map(PathValue::Node));
+                    next.extend(pool.map(PathValue::Node));
                 }
                 Step::Text => {
                     next.push(PathValue::Text(doc.text_of(node)));

@@ -1,0 +1,100 @@
+//! How many allocations tagging a result and dropping it makes.
+//!
+//! A tagged `Document` is three growing buffers (node records, text, tags),
+//! so the count must not grow with the number of rows beyond those buffers'
+//! doublings. The counting allocator is this binary's global allocator,
+//! which is why the test has a file of its own.
+
+use mars_system::storage::{tag_results, Value, XmlStore};
+use mars_system::xquery::{decorrelate, parse_xquery, DecorrelatedQuery};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::HashMap;
+
+/// The system allocator, counting the allocations and reallocations each
+/// thread makes.
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the thread's counter may already be gone while it exits.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; counting touches only a const-initialized
+// thread-local `Cell`, which allocates nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's guarantees for `layout` are passed on.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was allocated by `System` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` was allocated by `System` with `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+type Bindings = HashMap<String, Vec<HashMap<String, Value>>>;
+
+/// The `tagging` bench's flat shape: one block, five printed values a row.
+const FLAT: &str = "<result> for $r in //row $a in $r/a/text() $b in $r/b/text() \
+    $c in $r/c/text() $d in $r/d/text() $e in $r/e/text() \
+    return <row><a>$a</a><b>$b</b><c>$c</c><d>$d</d><e>$e</e></row> </result>";
+
+fn flat(rows: usize) -> (DecorrelatedQuery, Bindings) {
+    let query = decorrelate(&parse_xquery(FLAT).expect("the template parses"), "rows.xml");
+    let cells = |i: usize| {
+        [
+            ("a", format!("k{i}")),
+            ("b", format!("value {i}")),
+            ("c", format!("{}", i * 7)),
+            ("d", format!("R&D <{i}>")),
+            ("e", "constant".to_string()),
+        ]
+    };
+    let rows = (0..rows)
+        .map(|i| cells(i).into_iter().map(|(var, text)| (var.to_string(), Value::Str(text))))
+        .map(|row| row.collect())
+        .collect();
+    let name = query.blocks[0].name.clone();
+    (query, HashMap::from([(name, rows)]))
+}
+
+/// Allocations made by tagging `rows` rows and dropping the result.
+fn tag_and_drop(rows: usize) -> u64 {
+    let (query, bindings) = flat(rows);
+    let store = XmlStore::new();
+    let before = ALLOCATIONS.with(Cell::get);
+    let document = tag_results(&query, &bindings, &store, "result.xml");
+    assert_eq!(document.len(), 2 + rows * 11, "two wrappers, and per row 6 elements, 5 texts");
+    drop(document);
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+#[test]
+fn tagging_allocates_independently_of_the_row_count() {
+    let (thousand, two_thousand) = (tag_and_drop(1000), tag_and_drop(2000));
+    println!("tag_results + drop: {thousand} allocations at 1000 rows, {two_thousand} at 2000");
+    // Twice the rows make each of the three growing buffers double at most
+    // once more.
+    assert!(
+        two_thousand <= thousand + 3,
+        "{thousand} allocations at 1000 rows, {two_thousand} at 2000"
+    );
+    assert!(thousand < 100, "{thousand} allocations for 1000 rows");
+}

@@ -73,10 +73,10 @@ struct Element {
 fn content(doc: &Document) -> Vec<Element> {
     let describe = |id: NodeId| Element {
         tag: doc.node(id).tag().unwrap_or_default().to_string(),
-        attributes: doc.node(id).attributes.clone(),
+        attributes: doc.node(id).attributes.to_vec(),
         text: doc.text_of(id),
     };
-    doc.descendants_or_self(doc.root().expect("a root")).into_iter().map(describe).collect()
+    doc.descendants_or_self(doc.root().expect("a root")).map(describe).collect()
 }
 
 #[test]
@@ -84,7 +84,7 @@ fn leaf_text_is_read_back_verbatim_and_layout_is_not_content() {
     let text_children = |xml: &str| -> Vec<String> {
         let doc = parse_document("t.xml", xml).unwrap();
         let root = doc.node(doc.root().unwrap());
-        root.children.iter().filter_map(|c| doc.node(*c).text_value().map(str::to_string)).collect()
+        root.children().filter_map(|c| doc.node(c).text_value().map(str::to_string)).collect()
     };
     // All of an element's content: kept as written, whitespace-only included.
     assert_eq!(text_children("<e> x </e>"), [" x "]);
