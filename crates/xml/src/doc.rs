@@ -940,6 +940,7 @@ mod tests {
     /// The tree as it was before the arena: a child list per node.
     #[derive(Default)]
     struct Model {
+        /// `Ok(tag)` for an element, `Err(text)` for a text node.
         kind: Vec<Result<String, String>>,
         parent: Vec<Option<NodeId>>,
         children: Vec<Vec<NodeId>>,
