@@ -5,7 +5,8 @@
 //! layer buys — pushed-down constants, pruned scan columns and
 //! statistics-ordered hash joins versus the chase's general binding
 //! enumeration — on a skewed fact/dimension join at 1k, 10k and 100k fact
-//! tuples.
+//! tuples, and on a point lookup of one fact by its unique `v` (a pushed-down
+//! scan that probes the relation's persistent column index).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mars_cq::{Atom, ConjunctiveQuery, Term};
@@ -40,6 +41,19 @@ fn workload(n: usize) -> (RelationalDatabase, ConjunctiveQuery) {
     (db, q)
 }
 
+/// The `k` of the one fact whose `v` is `v<n/2>`.
+fn point_lookup(n: usize) -> ConjunctiveQuery {
+    ConjunctiveQuery::new("point").with_head(vec![Term::var("k")]).with_atom(Atom::named(
+        "fact",
+        vec![
+            Term::var("k"),
+            Term::constant_str(&format!("v{}", n / 2)),
+            Term::var("tag"),
+            Term::var("day"),
+        ],
+    ))
+}
+
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("executor");
     g.sample_size(10);
@@ -48,6 +62,15 @@ fn bench(c: &mut Criterion) {
         assert_eq!(db.query(&q), db.query_naive(&q), "executors must agree before timing");
         g.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| b.iter(|| db.query_naive(&q)));
         g.bench_with_input(BenchmarkId::new("physical", n), &n, |b, _| b.iter(|| db.query(&q)));
+        let point = point_lookup(n);
+        assert_eq!(db.query(&point).len(), 1, "the lookup matches one fact");
+        assert_eq!(db.query(&point), db.query_naive(&point), "executors must agree before timing");
+        g.bench_with_input(BenchmarkId::new("point_naive", n), &n, |b, _| {
+            b.iter(|| db.query_naive(&point))
+        });
+        g.bench_with_input(BenchmarkId::new("point_physical", n), &n, |b, _| {
+            b.iter(|| db.query(&point))
+        });
     }
     g.finish();
 }

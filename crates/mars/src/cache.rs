@@ -11,21 +11,26 @@
 //!   fingerprint are unreachable by construction and are swept out by
 //!   [`PlanCache::invalidate_except`].
 //!
+//! Entries are nested by fingerprint, then by shape key, so a lookup probes
+//! with the borrowed key and copies nothing on a miss.
+//!
 //! On a hit the cached [`BlockReformulation`] is **re-substituted**: the
 //! stored entry's variables and constants are mapped pairwise onto the new
 //! query's (both shapes list them in first-occurrence order, and equal shape
-//! keys guarantee the lists align), every query in the result is rewritten in
-//! one simultaneous pass, and nothing derived from them is kept beside them
-//! (the SQL is rendered from the rewritten best query when asked for). The
-//! service layer property-tests that this equals a cold reformulation byte
-//! for byte.
+//! keys guarantee the lists align), and the hit is built from the cached
+//! block in one pass, every query rewritten simultaneously as it is copied.
+//! Nothing derived from the queries is kept beside them (the SQL is rendered
+//! from the rewritten best query when asked for). The service layer
+//! property-tests that this equals a cold reformulation byte for byte.
 
 use crate::result::BlockReformulation;
-use mars_cq::{ConjunctiveQuery, Constant, Term, Variable};
+use mars_chase::ReformulationResult;
+use mars_cq::{Atom, ConjunctiveQuery, Constant, Term, Variable};
 use mars_xquery::QueryShape;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 /// Hit/miss/invalidation counters and the current entry count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -45,17 +50,21 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-/// One cached reformulation: the shape it was stored under (whose
-/// `variables`/`constants` lists drive re-substitution) and the result.
+/// One cached reformulation: the variables and constants of the shape it
+/// was stored under (they drive re-substitution) and the result.
 struct CachedEntry {
-    shape: QueryShape,
+    variables: Vec<String>,
+    constants: Vec<String>,
     block: BlockReformulation,
 }
+
+/// The cached entries by fingerprint, then by shape key.
+type Entries = HashMap<u64, HashMap<String, CachedEntry>>;
 
 /// A concurrent, shape-keyed reformulation cache (see the module docs).
 #[derive(Default)]
 pub struct PlanCache {
-    entries: Mutex<HashMap<(String, u64), CachedEntry>>,
+    entries: Mutex<Entries>,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
@@ -67,7 +76,7 @@ impl PlanCache {
     // lookup) leaves the map valid — every update is one insert or removal of
     // a finished entry — so a poisoned lock is recovered instead of turning
     // one failed request into an outage.
-    fn entries(&self) -> MutexGuard<'_, HashMap<(String, u64), CachedEntry>> {
+    fn entries(&self) -> MutexGuard<'_, Entries> {
         self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -84,7 +93,7 @@ impl PlanCache {
             misses: self.misses.load(Ordering::SeqCst),
             invalidations: self.invalidations.load(Ordering::SeqCst),
             degraded_uncached: self.degraded_uncached.load(Ordering::SeqCst),
-            entries: self.entries().len(),
+            entries: self.entries().values().map(HashMap::len).sum(),
         }
     }
 
@@ -96,16 +105,18 @@ impl PlanCache {
 
     /// Look up a reformulation for `shape` under `fingerprint`. On a hit the
     /// stored result is re-substituted with `shape`'s variables and
-    /// constants; on a miss `None` is returned and the miss is counted.
+    /// constants, and its `duration` is zero: the time spent producing the
+    /// hit is the caller's to measure. On a miss `None` is returned and the
+    /// miss is counted.
     pub fn lookup(&self, shape: &QueryShape, fingerprint: u64) -> Option<BlockReformulation> {
         let entries = self.entries();
-        let entry = entries.get(&(shape.key.clone(), fingerprint));
+        let entry = entries.get(&fingerprint).and_then(|shapes| shapes.get(&shape.key));
         match entry {
             Some(e)
-                if e.shape.variables.len() == shape.variables.len()
-                    && e.shape.constants.len() == shape.constants.len() =>
+                if e.variables.len() == shape.variables.len()
+                    && e.constants.len() == shape.constants.len() =>
             {
-                let block = resubstitute(&e.block, &e.shape, shape);
+                let block = resubstitute(e, shape);
                 drop(entries);
                 self.hits.fetch_add(1, Ordering::SeqCst);
                 Some(block)
@@ -122,8 +133,10 @@ impl PlanCache {
     /// First writer wins: a concurrent duplicate insert leaves the resident
     /// entry in place, so racing warm readers keep seeing one plan.
     pub fn insert(&self, shape: QueryShape, fingerprint: u64, block: BlockReformulation) {
+        let QueryShape { key, constants, variables } = shape;
         let mut entries = self.entries();
-        entries.entry((shape.key.clone(), fingerprint)).or_insert(CachedEntry { shape, block });
+        let shapes = entries.entry(fingerprint).or_default();
+        shapes.entry(key).or_insert(CachedEntry { variables, constants, block });
     }
 
     /// Drop every entry whose fingerprint differs from `current` (the
@@ -131,9 +144,13 @@ impl PlanCache {
     /// invalidations.
     pub fn invalidate_except(&self, current: u64) {
         let mut entries = self.entries();
-        let before = entries.len();
-        entries.retain(|(_, fp), _| *fp == current);
-        let dropped = (before - entries.len()) as u64;
+        let mut dropped = 0;
+        entries.retain(|fp, shapes| {
+            if *fp != current {
+                dropped += shapes.len() as u64;
+            }
+            *fp == current
+        });
         drop(entries);
         self.invalidations.fetch_add(dropped, Ordering::SeqCst);
     }
@@ -143,65 +160,60 @@ impl PlanCache {
 /// shape of the incoming query: variables and constants are mapped pairwise
 /// (position `i` of one list to position `i` of the other — both are in
 /// first-occurrence order and the equal shape key guarantees alignment), and
-/// every query is rewritten in one simultaneous pass. The SQL is re-rendered
-/// from the rewritten best query so constant literals in `WHERE` clauses
-/// track the substitution.
-fn resubstitute(
-    block: &BlockReformulation,
-    stored: &QueryShape,
-    incoming: &QueryShape,
-) -> BlockReformulation {
-    let vars: HashMap<Variable, Variable> = stored
+/// the hit is built from the cached block in one pass, each query rewritten
+/// as it is copied. The SQL is re-rendered from the rewritten best query so
+/// constant literals in `WHERE` clauses track the substitution.
+fn resubstitute(entry: &CachedEntry, incoming: &QueryShape) -> BlockReformulation {
+    // A handful of pairs: searched directly, not hashed.
+    let vars: Vec<(Variable, Variable)> = entry
         .variables
         .iter()
-        .zip(incoming.variables.iter())
+        .zip(&incoming.variables)
         .filter(|(a, b)| a != b)
         .map(|(a, b)| (Variable::named(a), Variable::named(b)))
         .collect();
-    let consts: HashMap<Constant, Constant> = stored
+    let consts: Vec<(Constant, Constant)> = entry
         .constants
         .iter()
-        .zip(incoming.constants.iter())
+        .zip(&incoming.constants)
         .filter(|(a, b)| a != b)
         .map(|(a, b)| (Constant::str(a), Constant::str(b)))
         .collect();
-    if vars.is_empty() && consts.is_empty() {
-        return block.clone();
-    }
     let q = |query: &ConjunctiveQuery| remap_query(query, &vars, &consts);
-    let mut result = block.result.clone();
-    result.universal_plan = q(&result.universal_plan);
-    result.initial = result.initial.as_ref().map(&q);
-    result.minimal = result.minimal.iter().map(|(m, c)| (q(m), *c)).collect();
-    result.best = result.best.as_ref().map(|(b, c)| (q(b), *c));
+    let (block, result) = (&entry.block, &entry.block.result);
     BlockReformulation {
         name: block.name.clone(),
         compiled: q(&block.compiled),
-        result,
+        result: ReformulationResult {
+            universal_plan: q(&result.universal_plan),
+            initial: result.initial.as_ref().map(&q),
+            minimal: result.minimal.iter().map(|(m, c)| (q(m), *c)).collect(),
+            best: result.best.as_ref().map(|(b, c)| (q(b), *c)),
+            stats: result.stats.clone(),
+        },
         // Routing depends on the query shape and the store statistics, not
         // on the constants a shape abstracts over — replay it verbatim.
         route: block.route.clone(),
-        duration: block.duration,
+        duration: Duration::ZERO,
     }
 }
 
-/// One simultaneous pass: every term is looked up in both maps exactly once,
-/// so `a→b, b→a` swaps correctly rather than cascading.
-fn remap_term(
-    t: Term,
-    vars: &HashMap<Variable, Variable>,
-    consts: &HashMap<Constant, Constant>,
-) -> Term {
+/// One simultaneous pass: every term is looked up in the pairs exactly
+/// once, so `a→b, b→a` swaps correctly rather than cascading.
+fn remap_term(t: Term, vars: &[(Variable, Variable)], consts: &[(Constant, Constant)]) -> Term {
+    fn image<T: Copy + PartialEq>(pairs: &[(T, T)], x: T) -> T {
+        pairs.iter().find(|(from, _)| *from == x).map_or(x, |&(_, to)| to)
+    }
     match t {
-        Term::Var(v) => Term::Var(vars.get(&v).copied().unwrap_or(v)),
-        Term::Const(c) => Term::Const(consts.get(&c).copied().unwrap_or(c)),
+        Term::Var(v) => Term::Var(image(vars, v)),
+        Term::Const(c) => Term::Const(image(consts, c)),
     }
 }
 
 fn remap_query(
     q: &ConjunctiveQuery,
-    vars: &HashMap<Variable, Variable>,
-    consts: &HashMap<Constant, Constant>,
+    vars: &[(Variable, Variable)],
+    consts: &[(Constant, Constant)],
 ) -> ConjunctiveQuery {
     let t = |term: &Term| remap_term(*term, vars, consts);
     ConjunctiveQuery {
@@ -210,7 +222,7 @@ fn remap_query(
         body: q
             .body
             .iter()
-            .map(|a| mars_cq::Atom::new(a.predicate, a.args.iter().map(&t).collect()))
+            .map(|a| Atom::new(a.predicate, a.args.iter().map(&t).collect()))
             .collect(),
         inequalities: q.inequalities.iter().map(|(a, b)| (t(a), t(b))).collect(),
     }
@@ -219,9 +231,7 @@ fn remap_query(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mars_chase::{CbStatistics, ReformulationResult};
-    use mars_cq::Atom;
-    use std::time::Duration;
+    use mars_chase::CbStatistics;
 
     fn shape(key: &str, vars: &[&str], consts: &[&str]) -> QueryShape {
         QueryShape {

@@ -238,6 +238,7 @@ impl MarsService {
         budget: &ReformulationBudget,
         stores: Option<(&RelationalDatabase, &XmlStore)>,
     ) -> Result<BlockReformulation, MarsError> {
+        let start = Instant::now();
         let _permit = self.admit()?;
         let routed = |mut block: BlockReformulation| {
             if let (None, Some((db, xml))) = (&block.route, stores) {
@@ -254,7 +255,10 @@ impl MarsService {
             }
             let shape = shape_of(xbind, &self.reserved);
             if let Some(hit) = self.cache.lookup(&shape, self.fingerprint) {
-                return Ok(routed(hit));
+                // A hit took this request's time, not the cold run's.
+                let mut hit = routed(hit);
+                hit.duration = start.elapsed();
+                return Ok(hit);
             }
             if let Some(hook) = &self.fault_hook {
                 hook("reformulate");
@@ -402,6 +406,19 @@ mod tests {
         assert!(!warm.sql().unwrap().contains("First Title"));
         let stats = service.cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+    }
+
+    /// A hit reports the time the request spent producing it, not the
+    /// duration of the cold run that filled the entry.
+    #[test]
+    fn a_hit_reports_its_own_duration() {
+        let service = MarsService::new(Mars::new(correspondence()));
+        service.reformulate_xbind(&title_filter("First Title")).unwrap();
+        let start = Instant::now();
+        let warm = service.reformulate_xbind(&title_filter("Second Title")).unwrap();
+        let wall = start.elapsed();
+        assert_eq!(service.cache_stats().hits, 1);
+        assert!(warm.duration <= wall, "a hit of {wall:?} reported {:?}", warm.duration);
     }
 
     /// Degenerate inputs surface the structured errors of the cold path and

@@ -9,9 +9,13 @@
 //! operator's pruned layout — so executing a plan performs a constant number
 //! of allocations per operator, not per row. The operators:
 //!
-//! * `TableScan` streams one relation, applying the pushed-down constant
-//!   predicates and intra-atom duplicate-variable checks, and keeps only the
-//!   pruned columns;
+//! * `TableScan` reads one relation, keeps the rows matching the pushed-down
+//!   constants and the intra-atom duplicate-variable checks, and keeps only
+//!   the pruned columns. A pushdown is read the way the chase's join steps
+//!   read a key ([`mars_chase::Relation::any_with_key`]): a relation of at
+//!   most [`mars_chase::SCAN_THRESHOLD`] rows is scanned, a larger one is
+//!   probed through its persistent column index, built once per column set
+//!   and kept up to date on insert. Rows come out in row order either way;
 //! * `NavScan` compiles its atoms, in the order they are listed, into the native
 //!   navigation kernel ([`crate::navigation`]) over the stored documents and
 //!   materializes the leaf's output columns, counting the candidate tuples
@@ -149,15 +153,18 @@ fn eval(
     Ok(match plan {
         PhysicalPlan::TableScan(scan) => {
             let mut out = Batch::new(scan.columns.len());
-            for tuple in inst.rows(scan.relation) {
-                if scan.pushdown.iter().any(|(c, k)| tuple[*c] != Term::Const(*k)) {
-                    continue;
-                }
-                if scan.duplicates.iter().any(|(a, b)| tuple[*a] != tuple[*b]) {
-                    continue;
-                }
-                out.data.extend(scan.columns.iter().map(|&c| tuple[c]));
-                out.len += 1;
+            if let Some(relation) = inst.relation_data(scan.relation) {
+                // The pushed-down columns are ascending, so they name the
+                // persistent index a join step over them would probe.
+                let cols: Vec<usize> = scan.pushdown.iter().map(|&(c, _)| c).collect();
+                let key: Vec<Term> = scan.pushdown.iter().map(|&(_, k)| Term::Const(k)).collect();
+                relation.any_with_key(&cols, &key, |tuple| {
+                    if scan.duplicates.iter().all(|(a, b)| tuple[*a] == tuple[*b]) {
+                        out.data.extend(scan.columns.iter().map(|&c| tuple[c]));
+                        out.len += 1;
+                    }
+                    false
+                });
             }
             out
         }
@@ -224,4 +231,67 @@ fn eval(
         // `execute_plan`'s, at the root.
         PhysicalPlan::Distinct { input } => eval(input, inst, xml, nav_tuples)?,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::RelationalDatabase;
+    use mars_cq::{Atom, ConjunctiveQuery, Predicate, Term};
+
+    /// `r(k<i>, g<i mod 7>, x<i mod 3>, h<i mod 5>)` with `n` rows.
+    fn database(n: usize) -> RelationalDatabase {
+        let mut db = RelationalDatabase::new();
+        for i in 0..n {
+            let row = [
+                format!("k{i}"),
+                format!("g{}", i % 7),
+                format!("x{}", i % 3),
+                format!("h{}", i % 5),
+            ];
+            db.insert_strs("r", &row.iter().map(String::as_str).collect::<Vec<_>>());
+        }
+        db
+    }
+
+    fn lookup(args: Vec<Term>) -> ConjunctiveQuery {
+        ConjunctiveQuery::new("Q").with_head(vec![Term::var("v")]).with_atom(Atom::named("r", args))
+    }
+
+    fn builds(db: &RelationalDatabase) -> usize {
+        db.inst.relation_data(Predicate::new("r")).unwrap().index_builds()
+    }
+
+    /// A pushed-down scan follows the chase's access-path rule: a relation
+    /// over `SCAN_THRESHOLD` rows is probed through one persistent index,
+    /// built on the first lookup; a smaller one is scanned and builds none;
+    /// and the rows are the naive evaluator's either way.
+    #[test]
+    fn pushed_down_scans_probe_a_persistent_index_above_the_scan_threshold() {
+        let db = database(1_000);
+        for i in (0..1_000).step_by(10) {
+            let key = Term::constant_str(&format!("k{i}"));
+            let q = lookup(vec![key, Term::var("v"), Term::var("a"), Term::var("b")]);
+            assert_eq!(db.query(&q), vec![vec![Term::constant_str(&format!("g{}", i % 7))]]);
+        }
+        assert_eq!(builds(&db), 1, "100 lookups on one column build its index once");
+
+        let small = database(mars_chase::SCAN_THRESHOLD);
+        let q =
+            lookup(vec![Term::constant_str("k3"), Term::var("v"), Term::var("a"), Term::var("b")]);
+        assert_eq!(small.query(&q), vec![vec![Term::constant_str("g3")]]);
+        assert_eq!(builds(&small), 0, "a relation of at most SCAN_THRESHOLD rows builds no index");
+
+        let q = lookup(vec![
+            Term::var("v"),
+            Term::constant_str("g2"),
+            Term::var("a"),
+            Term::constant_str("h4"),
+        ]);
+        let text = db.plan(&q).to_string();
+        assert!(text.contains("pushdown=[c1='g2', c3='h4']"), "two pushed columns:\n{text}");
+        let rows = db.query(&q);
+        assert_eq!(rows.len(), 1_000 / 35 + 1, "every 35th row carries g2 and h4");
+        assert_eq!(builds(&db), 2, "the two columns have an index of their own");
+        assert_eq!(rows, db.query_naive(&q));
+    }
 }

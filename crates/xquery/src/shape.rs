@@ -25,6 +25,7 @@
 use crate::xbind::{XBindAtom, XBindQuery, XBindTerm};
 use std::collections::HashMap;
 use std::collections::HashSet;
+use std::fmt::{self, Write};
 
 /// The normal form of an [`XBindQuery`]: the cache key plus the concrete
 /// values abstracted out of it, in a deterministic order so a cache hit can
@@ -43,65 +44,115 @@ pub struct QueryShape {
     pub variables: Vec<String>,
 }
 
-/// State threaded through the canonical rendering.
-struct Normalizer<'a> {
-    reserved: &'a HashSet<String>,
-    vars: HashMap<String, usize>,
-    var_order: Vec<String>,
-    params: HashMap<String, usize>,
-    param_order: Vec<String>,
+/// State threaded through the canonical rendering: the key written so far,
+/// and the variables and parameters numbered so far, by the names the query
+/// spells them with.
+struct Normalizer<'q> {
+    reserved: &'q HashSet<String>,
+    key: String,
+    vars: HashMap<&'q str, usize>,
+    var_order: Vec<&'q str>,
+    params: HashMap<&'q str, usize>,
+    param_order: Vec<&'q str>,
 }
 
-impl<'a> Normalizer<'a> {
-    fn var(&mut self, name: &str) -> String {
-        let next = self.vars.len();
-        let i = *self.vars.entry(name.to_string()).or_insert(next);
-        if i == next && self.var_order.len() == next {
-            self.var_order.push(name.to_string());
-        }
-        format!("v{i}")
+/// The number of `name` in first-occurrence order, numbering it if new.
+fn number<'q>(
+    seen: &mut HashMap<&'q str, usize>,
+    order: &mut Vec<&'q str>,
+    name: &'q str,
+) -> usize {
+    *seen.entry(name).or_insert_with(|| {
+        order.push(name);
+        order.len() - 1
+    })
+}
+
+impl<'q> Normalizer<'q> {
+    fn var(&mut self, name: &'q str) -> fmt::Result {
+        let i = number(&mut self.vars, &mut self.var_order, name);
+        write!(self.key, "v{i}")
     }
 
-    fn constant(&mut self, value: &str) -> String {
+    /// The variables `names`, comma-separated.
+    fn vars(&mut self, names: impl IntoIterator<Item = &'q String>) -> fmt::Result {
+        for (i, name) in names.into_iter().enumerate() {
+            if i > 0 {
+                self.key.push(',');
+            }
+            self.var(name)?;
+        }
+        Ok(())
+    }
+
+    fn constant(&mut self, value: &'q str) -> fmt::Result {
         if self.reserved.contains(value) {
             // Structural constant: keep it literal (escaped so a value can
             // never collide with the surrounding syntax).
-            return format!("{value:?}");
+            return write!(self.key, "{value:?}");
         }
-        let next = self.params.len();
-        let i = *self.params.entry(value.to_string()).or_insert(next);
-        if i == next && self.param_order.len() == next {
-            self.param_order.push(value.to_string());
-        }
-        format!("?{i}")
+        let i = number(&mut self.params, &mut self.param_order, value);
+        write!(self.key, "?{i}")
     }
 
-    fn term(&mut self, t: &XBindTerm) -> String {
-        match t {
-            XBindTerm::Var(v) => self.var(v),
-            XBindTerm::Str(s) => self.constant(s),
+    /// The terms `terms`, comma-separated.
+    fn terms(&mut self, terms: impl IntoIterator<Item = &'q XBindTerm>) -> fmt::Result {
+        for (i, t) in terms.into_iter().enumerate() {
+            if i > 0 {
+                self.key.push(',');
+            }
+            match t {
+                XBindTerm::Var(v) => self.var(v)?,
+                XBindTerm::Str(s) => self.constant(s)?,
+            }
         }
+        Ok(())
     }
 
-    fn atom(&mut self, a: &XBindAtom) -> String {
+    fn atom(&mut self, a: &'q XBindAtom) -> fmt::Result {
         match a {
             XBindAtom::AbsolutePath { document, path, var } => {
-                format!("doc({document:?})[{path}]({})", self.var(var))
+                write!(self.key, "doc({document:?})[{path}](")?;
+                self.var(var)?;
             }
             XBindAtom::RelativePath { path, source, var } => {
-                format!("rel[{path}]({},{})", self.var(source), self.var(var))
+                write!(self.key, "rel[{path}](")?;
+                self.vars([source, var])?;
             }
             XBindAtom::QueryRef { name, vars } => {
-                let vs: Vec<String> = vars.iter().map(|v| self.var(v)).collect();
-                format!("ref {name}({})", vs.join(","))
+                write!(self.key, "ref {name}(")?;
+                self.vars(vars)?;
             }
             XBindAtom::Relational { relation, args } => {
-                let ts: Vec<String> = args.iter().map(|t| self.term(t)).collect();
-                format!("{relation}({})", ts.join(","))
+                write!(self.key, "{relation}(")?;
+                self.terms(args)?;
             }
-            XBindAtom::Eq(a, b) => format!("eq({},{})", self.term(a), self.term(b)),
-            XBindAtom::Neq(a, b) => format!("neq({},{})", self.term(a), self.term(b)),
+            XBindAtom::Eq(a, b) => {
+                self.key.push_str("eq(");
+                self.terms([a, b])?;
+            }
+            XBindAtom::Neq(a, b) => {
+                self.key.push_str("neq(");
+                self.terms([a, b])?;
+            }
         }
+        self.key.push(')');
+        Ok(())
+    }
+
+    /// `{name}[ distinct]({head}) :- {atom} & {atom} & …`.
+    fn query(&mut self, q: &'q XBindQuery) -> fmt::Result {
+        let distinct = if q.distinct { " distinct" } else { "" };
+        write!(self.key, "{}{distinct}(", q.name)?;
+        self.vars(&q.head)?;
+        self.key.push_str(") :- ");
+        for (i, a) in q.atoms.iter().enumerate() {
+            if i > 0 {
+                self.key.push_str(" & ");
+            }
+            self.atom(a)?;
+        }
+        Ok(())
     }
 }
 
@@ -111,25 +162,23 @@ impl<'a> Normalizer<'a> {
 /// schema correspondence (see the module docs); everything else is
 /// parameterized out. The walk order (head, then atoms in order) is the
 /// deterministic first-occurrence order both the variable alpha-renaming and
-/// the constant parameter numbering follow.
+/// the constant parameter numbering follow. The key is written in that one
+/// walk, into one buffer.
 pub fn shape_of(q: &XBindQuery, reserved: &HashSet<String>) -> QueryShape {
     let mut n = Normalizer {
         reserved,
+        key: String::new(),
         vars: HashMap::new(),
         var_order: Vec::new(),
         params: HashMap::new(),
         param_order: Vec::new(),
     };
-    let head: Vec<String> = q.head.iter().map(|v| n.var(v)).collect();
-    let atoms: Vec<String> = q.atoms.iter().map(|a| n.atom(a)).collect();
-    let key = format!(
-        "{name}{distinct}({head}) :- {atoms}",
-        name = q.name,
-        distinct = if q.distinct { " distinct" } else { "" },
-        head = head.join(","),
-        atoms = atoms.join(" & "),
-    );
-    QueryShape { key, constants: n.param_order, variables: n.var_order }
+    n.query(q).expect("writing to a String does not fail");
+    QueryShape {
+        key: n.key,
+        constants: n.param_order.into_iter().map(str::to_string).collect(),
+        variables: n.var_order.into_iter().map(str::to_string).collect(),
+    }
 }
 
 #[cfg(test)]

@@ -583,6 +583,44 @@ fn service_request(
     q
 }
 
+/// The star configuration of Figure 5 at NC 6 (NV 5).
+fn star_nc6() -> mars_workloads::star::StarConfig {
+    mars_workloads::star::StarConfig::figure5(6)
+}
+
+/// The star NC 6 client query filtered on the hub key `key`, with every
+/// variable renamed `<name>_<suffix>`.
+fn star_key_lookup(key: &str, suffix: &str) -> mars_system::xquery::XBindQuery {
+    use mars_system::xquery::{XBindAtom, XBindTerm};
+
+    let rename = |v: &mut String| *v = format!("{v}_{suffix}");
+    let rename_term = |t: &mut XBindTerm| {
+        if let XBindTerm::Var(v) = t {
+            rename(v);
+        }
+    };
+    let mut q = star_nc6()
+        .client_query()
+        .with_atom(XBindAtom::Eq(XBindTerm::var("k"), XBindTerm::str(key)));
+    q.head.iter_mut().for_each(rename);
+    for atom in &mut q.atoms {
+        match atom {
+            XBindAtom::AbsolutePath { var, .. } => rename(var),
+            XBindAtom::RelativePath { source, var, .. } => {
+                rename(source);
+                rename(var);
+            }
+            XBindAtom::QueryRef { vars, .. } => vars.iter_mut().for_each(rename),
+            XBindAtom::Relational { args, .. } => args.iter_mut().for_each(rename_term),
+            XBindAtom::Eq(a, b) | XBindAtom::Neq(a, b) => {
+                rename_term(a);
+                rename_term(b);
+            }
+        }
+    }
+    q
+}
+
 /// Everything a client can observe of a block reformulation, rendered to
 /// bytes (durations and wall-clock statistics excluded).
 fn block_bytes(block: &mars_system::mars::BlockReformulation) -> String {
@@ -604,32 +642,48 @@ proptest! {
     /// re-substituting fresh constants into the cached plan is byte-identical
     /// to reformulating the same request cold on a fresh system — across
     /// single-filter and double-filter templates, including the
-    /// same-constant-twice (implicit equality join) variant.
+    /// same-constant-twice (implicit equality join) variant, and across star
+    /// NC 6 / NV 5 key lookups whose variables are renamed per request (32
+    /// minimal reformulations and the universal plan to re-substitute).
     #[test]
     fn warm_cache_hit_is_byte_identical_to_cold(
         filter_author in proptest::bool::ANY,
         join_constants in proptest::bool::ANY,
     ) {
-        use mars_system::mars::{Mars, MarsService};
+        use mars_system::mars::{Mars, MarsOptions, MarsService};
 
-        let make_request = || {
-            let title = fresh_constant("title");
-            let author = if join_constants { title.clone() } else { fresh_constant("author") };
-            service_request(&title, filter_author, &author)
-        };
+        for star in [false, true] {
+            let system = || {
+                if star {
+                    star_nc6().mars(MarsOptions::specialized())
+                } else {
+                    Mars::new(service_correspondence())
+                }
+            };
+            let make_request = || {
+                if star {
+                    return star_key_lookup(&fresh_constant("key"), &fresh_constant("r"));
+                }
+                let title = fresh_constant("title");
+                let author =
+                    if join_constants { title.clone() } else { fresh_constant("author") };
+                service_request(&title, filter_author, &author)
+            };
 
-        let service = MarsService::new(Mars::new(service_correspondence()));
-        let first = make_request();
-        service.reformulate_xbind(&first).expect("cold reformulation");
+            let service = MarsService::new(system());
+            let first = make_request();
+            service.reformulate_xbind(&first).expect("cold reformulation");
 
-        let second = make_request();
-        let warm = service.reformulate_xbind(&second).expect("warm reformulation");
-        prop_assert!(service.cache_stats().hits >= 1, "the repeat must hit the cache");
+            let second = make_request();
+            let warm = service.reformulate_xbind(&second).expect("warm reformulation");
+            prop_assert!(service.cache_stats().hits >= 1, "the repeat must hit the cache");
 
-        let cold = Mars::new(service_correspondence())
-            .try_reformulate_xbind(&second)
-            .expect("cold reformulation");
-        prop_assert_eq!(block_bytes(&warm), block_bytes(&cold));
+            let cold = system().try_reformulate_xbind(&second).expect("cold reformulation");
+            if star {
+                prop_assert_eq!(cold.minimal_count(), 32);
+            }
+            prop_assert_eq!(block_bytes(&warm), block_bytes(&cold));
+        }
     }
 
     /// Shape-key separation: the same constant twice (an implicit equality
@@ -746,8 +800,10 @@ fn mix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A random ground database (skewed values, arities 1–3) and a random query
-/// over it — deliberately including cross products, duplicate variables,
+/// A random ground database (arities 1–3, values drawn from ten of the
+/// twelve `VALUES`, so relations of every arity can outgrow the executor's
+/// scan threshold and some constants match nothing) and a random query over
+/// it — deliberately including cross products, duplicate variables,
 /// repeated atoms, constants in bodies and heads, inequalities, and *unsafe*
 /// heads (variables bound nowhere), so the agreement test covers every
 /// operand kind the planner can emit.
@@ -758,13 +814,14 @@ fn random_db_and_query(
     atoms: usize,
 ) -> (mars_system::storage::RelationalDatabase, ConjunctiveQuery) {
     let mut s = seed;
-    const VALUES: [&str; 6] = ["c0", "c1", "c2", "c3", "c4", "O'Brien"];
+    const VALUES: [&str; 12] =
+        ["c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8", "c9", "c10", "O'Brien"];
     let mut db = mars_system::storage::RelationalDatabase::new();
     let arity = |r: usize| 1 + (r % 3);
     for r in 0..relations {
         for _ in 0..rows {
             let tuple: Vec<&str> =
-                (0..arity(r)).map(|_| VALUES[(mix(&mut s) % 4) as usize]).collect();
+                (0..arity(r)).map(|_| VALUES[(mix(&mut s) % 10) as usize]).collect();
             db.insert_strs(&format!("r{r}"), &tuple);
         }
     }
@@ -797,12 +854,14 @@ proptest! {
 
     /// The cost-based physical executor returns byte-identical rows to the
     /// naive bindings evaluator on arbitrary databases and queries — whatever
-    /// join order, build side, pushdown or pruning the planner chose.
+    /// join order, build side, pushdown or pruning the planner chose, and on
+    /// both sides of the scan threshold, where a pushed-down scan turns into
+    /// an index probe.
     #[test]
     fn physical_and_naive_executors_agree_on_random_queries(
         seed in 0u64..1_000_000,
         relations in 1usize..4,
-        rows in 0usize..12,
+        rows in 0usize..40,
         atoms in 1usize..5,
     ) {
         let (db, q) = random_db_and_query(seed, relations, rows, atoms);
