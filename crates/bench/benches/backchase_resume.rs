@@ -7,9 +7,10 @@
 //!   step a `cold_templates` round of `marsbench` takes ≈ 6 800 times.
 //! - `backchase_resume/closure_after_edges`: the star NC = 6 universal plan
 //!   with its `desc` relation closed; each iteration clones it, appends a
-//!   chain of three `child` edges below one of its nodes and applies the
-//!   closure shortcut once, from its watermark. The clone and the appends
-//!   (a map of handles, then the written relations copied) are timed too.
+//!   chain of three `child` edges below one of its nodes and re-closes
+//!   `desc` once with the depth-first closure, as a chase round does when
+//!   a closure group's inputs changed. The clone and the appends (a map of
+//!   handles, then the written relations copied) are timed too.
 //! - `backchase_resume/reformulate_example11`: Example 1.1's client query
 //!   reformulated cold, chase and backchase, as every `cold_templates`
 //!   round of `marsbench` does twice. Its pool holds the `el` and `id`
@@ -35,7 +36,6 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mars::MarsOptions;
-use mars_chase::shortcut::apply_closure_watermarked;
 use mars_chase::{
     chase_resident_with_atoms_compiled, chase_to_resident_compiled, detect_closure_constraints,
     ChaseOptions, CompiledDeps, SymbolicInstance,
@@ -80,9 +80,11 @@ fn bench_closure(c: &mut Criterion) {
     let mars = cfg.mars(MarsOptions::default());
     let plan = mars.reformulate_xbind(&cfg.client_query()).result.universal_plan;
     let closure = detect_closure_constraints(mars.dependencies());
+    let close = |inst: &mut SymbolicInstance| -> usize {
+        closure.groups.iter().map(|g| g.close(inst)).sum()
+    };
     let mut closed = SymbolicInstance::from_query(&plan);
-    let mut marks = Vec::new();
-    apply_closure_watermarked(&mut closed, &closure, &mut marks, 0);
+    close(&mut closed);
     // A chain of three new `child` edges below the target of one of the
     // plan's own `child` atoms.
     let below = plan
@@ -105,11 +107,10 @@ fn bench_closure(c: &mut Criterion) {
     g.bench_function(&format!("closure_after_edges/nc6_{}_atoms", closed.len()), |b| {
         b.iter(|| {
             let mut inst = black_box(&closed).clone();
-            let mut marks = marks.clone();
             for edge in &edges {
                 inst.insert_atom(edge);
             }
-            let added = apply_closure_watermarked(&mut inst, &closure, &mut marks, 0);
+            let added = close(&mut inst);
             assert!(added > 0, "the appended edges extend the closure");
             inst
         })

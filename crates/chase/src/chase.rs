@@ -38,7 +38,7 @@
 use crate::compiled::{CompiledDed, CompiledDeps, DedIndex, FunctionalDependencies};
 use crate::evaluate::JoinScratch;
 use crate::instance::{Relation, SymbolicInstance};
-use crate::shortcut::{apply_closure_watermarked, ClosureConstraints, ClosureInputMark};
+use crate::shortcut::ClosureConstraints;
 use mars_cq::{Atom, Conjunct, ConjunctiveQuery, Predicate, Substitution, Term, Variable};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -190,22 +190,15 @@ struct Branch {
     /// confirmed at fixpoint (an atom of one of its premise predicates was
     /// inserted or rewritten). Dependencies with a false flag are skipped by
     /// [`run_round`] — the instance only grows and blocked steps stay
-    /// blocked, so skipping them is sound.
+    /// blocked, so skipping them is sound. The slots past the dependencies
+    /// are the closure groups (see [`DedIndex`]): a false flag means the
+    /// group's `desc` relation is closed over its inputs as they stand.
     needs_check: Vec<bool>,
     /// Next fresh-variable disambiguator. Per-branch: branches are chased
     /// independently (children inherit the parent's counter at a split).
     fresh: u32,
     /// Rounds consumed on the root-to-leaf path (per-branch round budget).
     rounds: usize,
-    /// Closure-shortcut input watermarks, one per detected group (empty =
-    /// unknown, forcing the depth-first closure). They let [`chase_branch`]
-    /// extend the closure by the `child`/`desc`/`el` rows appended since,
-    /// instead of re-closing `desc`.
-    closure_marks: Vec<ClosureInputMark>,
-    /// EGD rewrite epoch: bumped whenever a unification rewrites the
-    /// instance in place (rows then change where they stand, so a watermark
-    /// no longer separates the old rows from the new ones).
-    rewrites: u64,
     /// The conclusion row being inserted, reused across steps.
     row: Vec<Term>,
 }
@@ -213,19 +206,10 @@ struct Branch {
 impl Branch {
     /// A chase about to start (or resume) from `resident`.
     fn live(resident: ResidentBranch) -> Branch {
-        Branch {
-            resident,
-            needs_check: Vec::new(),
-            fresh: 0,
-            rounds: 0,
-            closure_marks: Vec::new(),
-            rewrites: 0,
-            row: Vec::new(),
-        }
+        Branch { resident, needs_check: Vec::new(), fresh: 0, rounds: 0, row: Vec::new() }
     }
 
     fn rename(&mut self, s: &Substitution, index: &DedIndex) {
-        self.rewrites += 1;
         let at = &mut self.resident;
         for p in at.inst.apply_substitution(s) {
             index.mark(p, &mut self.needs_check);
@@ -519,11 +503,6 @@ impl ResidentChase {
         &self.branches
     }
 
-    /// Take ownership of the resident branches (for memoization).
-    pub fn into_branches(self) -> Vec<ResidentBranch> {
-        self.branches
-    }
-
     /// The resident branches and the statistics, taken apart.
     pub(crate) fn into_parts(self) -> (Vec<ResidentBranch>, ChaseStats) {
         (self.branches, self.stats)
@@ -570,17 +549,10 @@ pub fn chase_resident_with_atoms_compiled(
     compiled: &CompiledDeps,
     options: &ChaseOptions,
 ) -> ResidentChase {
-    let (_, closure, _) = compiled.for_chase(options.use_shortcut);
     let initial: Vec<Branch> = seeds
         .iter()
         .map(|seed| {
             let mut b = Branch::live(seed.clone());
-            // The seed's closure is at fixpoint over the pre-insert relations:
-            // mark it *before* the inserts so the first round extends it by
-            // the inserted atoms alone.
-            if let Some(c) = closure {
-                b.closure_marks = c.marks_at_fixpoint(&b.resident.inst, b.rewrites);
-            }
             for a in extra {
                 let renamed = b.resident.renaming.apply_atom_deep(a);
                 b.resident.inst.insert_atom(&renamed);
@@ -589,15 +561,16 @@ pub fn chase_resident_with_atoms_compiled(
         })
         .collect();
     // The seeds are at fixpoint, so only dependencies whose premise mentions
-    // a predicate of the inserted atoms can have new unblocked steps — the
-    // chase starts with exactly those dirty (renaming preserves predicates).
+    // a predicate of the inserted atoms can have new unblocked steps, and
+    // only closure groups reading one can grow — the chase starts with
+    // exactly those dirty (renaming preserves predicates).
     let dirty: HashSet<Predicate> = extra.iter().map(|a| a.predicate).collect();
     run_chase(initial, compiled, options, Some(&dirty))
 }
 
 /// What chasing one branch to quiescence produced. The finished branch is
-/// boxed: a `Branch` carries its instance and closure marks inline, which
-/// would otherwise dwarf the other variants.
+/// boxed: a `Branch` carries its instance, head and renaming inline,
+/// which would otherwise dwarf the other variants.
 enum BranchOutcome {
     /// Reached a fixpoint (or ran out of budget — `completed` is cleared in
     /// the per-branch stats then).
@@ -641,27 +614,23 @@ fn chase_branch(
         branch.rounds += 1;
         stats.rounds += 1;
 
+        // Re-close every group whose inputs changed since it was last
+        // closed. Its `desc` inserts re-check exactly the dependencies whose
+        // premise mentions that relation — and mark the group's own slot,
+        // which is closed now.
         let mut shortcut_changed = false;
-        if let Some(closure) = closure {
-            if closure.any() {
-                let added = apply_closure_watermarked(
-                    &mut branch.resident.inst,
-                    closure,
-                    &mut branch.closure_marks,
-                    branch.rewrites,
-                );
-                stats.shortcut_desc_added += added;
-                shortcut_changed = added > 0;
-                if added > 0 {
-                    // The closure inserted `desc` atoms behind the index's
-                    // back: re-check exactly the dependencies whose premise
-                    // mentions a group's `desc` relation — the only ones the
-                    // shortcut can unblock.
-                    for g in &closure.groups {
-                        index.mark(g.desc_pred(), &mut branch.needs_check);
-                    }
-                }
+        let groups = closure.map_or(&[][..], |c| &c.groups);
+        for (slot, group) in (compiled.len()..).zip(groups) {
+            if !branch.needs_check[slot] {
+                continue;
             }
+            let added = group.close(&mut branch.resident.inst);
+            if added > 0 {
+                stats.shortcut_desc_added += added;
+                shortcut_changed = true;
+                index.mark(group.desc_pred(), &mut branch.needs_check);
+            }
+            branch.needs_check[slot] = false;
         }
 
         match run_round(&mut branch, compiled, index, fds, stats, options.max_atoms, &mut scratch) {
@@ -768,6 +737,7 @@ mod tests {
     use mars_cq::ded::view_dependencies;
     use mars_cq::{Atom, Conjunct, Ded, Term};
     use mars_oracle::{containment_mapping, naive_chase, ChaseBudget};
+    use proptest::prelude::*;
 
     fn t(n: &str) -> Term {
         Term::var(n)
@@ -1488,5 +1458,67 @@ mod tests {
         );
         assert!(bounded.stats().completed);
         assert_eq!(format!("{:?}", bounded.primary("S")), format!("{:?}", unbounded.primary("S")));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A closure group's dirty slot never skips a needed re-closure.
+        /// Batches of random `child` / `desc` / `el` atoms are each added by
+        /// resuming the previous chase, for every subset of the three
+        /// closure constraints; some batches carry a `same(a, b)` atom
+        /// (alone or not), whose EGD renames one node into another. After
+        /// every batch, `desc` is the closure computed from scratch over the
+        /// batches so far, renamed as the chase renamed them, and holds no
+        /// duplicate row.
+        #[test]
+        fn resumed_chases_keep_the_closure_closed(seed in 0u64..u64::MAX) {
+            let mut rng = TestRng::new(seed);
+            let mut pick = move |n: usize| (rng.next_u64() % n as u64) as usize;
+            let present = 1 + pick(7);
+            let refl = Ded::tgd("refl", vec![el(t("x"))], vec![], vec![desc(t("x"), t("x"))]);
+            let same = |a: Term, b: Term| Atom::named("same", vec![a, b]);
+            let mut deds: Vec<Ded> = tix_core()
+                .into_iter()
+                .chain([refl])
+                .enumerate()
+                .filter(|(i, _)| present & (1 << i) != 0)
+                .map(|(_, d)| d)
+                .collect();
+            deds.push(Ded::egd("same", vec![same(t("x"), t("y"))], t("x"), t("y")));
+            let deps = CompiledDeps::new(&deds);
+            let closure = deps.for_chase(true).1.expect("the shortcut is on");
+            let desc_p = closure.groups[0].desc_pred();
+            let nodes = 2 + pick(11);
+            let node = |i: usize| Term::Var(Variable::with_index("n", i as u32));
+            let opts = ChaseOptions::default();
+            let mut up = chase_to_resident_compiled(&ConjunctiveQuery::new("Q"), &deps, &opts);
+            let mut facts: Vec<Atom> = Vec::new();
+            for batch in 0..2 + pick(4) {
+                let mut extra = Vec::new();
+                if pick(3) == 0 {
+                    extra.push(same(node(pick(nodes)), node(pick(nodes))));
+                }
+                for _ in 0..pick(7) {
+                    let (x, y) = (node(pick(nodes)), node(pick(nodes)));
+                    extra.push([child(x, y), desc(x, y), el(x)][pick(3)].clone());
+                }
+                up = chase_resident_with_atoms_compiled(up.branches(), &extra, &deps, &opts);
+                facts.extend(extra);
+                prop_assert!(up.stats().completed);
+                let [branch] = up.branches() else { panic!("no disjunction, no denial") };
+                let renamed = facts.iter().map(|a| branch.renaming.apply_atom_deep(a)).collect();
+                let mut scratch =
+                    SymbolicInstance::from_query(&ConjunctiveQuery::new("F").with_body(renamed));
+                for g in &closure.groups {
+                    g.close(&mut scratch);
+                }
+                let rows: Vec<&[Term]> = branch.inst.rows(desc_p).collect();
+                let set: HashSet<&[Term]> = rows.iter().copied().collect();
+                prop_assert_eq!(set.len(), rows.len(), "desc holds no duplicate");
+                let closed: HashSet<&[Term]> = scratch.rows(desc_p).collect();
+                prop_assert_eq!(set, closed, "batch {}", batch);
+            }
+        }
     }
 }

@@ -32,7 +32,7 @@ use crate::evaluate::{
 };
 use crate::implied::SinglePremiseTgds;
 use crate::instance::SymbolicInstance;
-use crate::shortcut::{detect_closure_constraints, ClosureConstraints};
+use crate::shortcut::{detect_closure_constraints, ClosureConstraints, ClosureGroup};
 use mars_cq::{Conjunct, Ded, FxHashMap, Predicate, Substitution, Term, Variable};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -274,25 +274,38 @@ pub fn compilation_count() -> usize {
 /// touched since it was last confirmed at fixpoint cannot acquire a new
 /// unblocked premise binding (the instance only grows, and blocked steps
 /// stay blocked), so the round skips it without evaluating anything.
+///
+/// Its slots are the compiled dependencies, in order, then one per closure
+/// group the chase applies directly, keyed on the relations that group's
+/// closure reads (`ClosureGroup::inputs`): a group none of whose inputs
+/// changed is still closed, so the chase skips it too.
 #[derive(Clone, Debug, Default)]
 pub struct DedIndex {
-    /// Per predicate, every dependency whose premise mentions it.
+    /// Per predicate, every slot whose premise or closure input mentions it.
     by_pred: FxHashMap<Predicate, Vec<usize>>,
     n: usize,
 }
 
 impl DedIndex {
-    fn new(compiled: &[CompiledDed]) -> DedIndex {
+    fn new(compiled: &[CompiledDed], closure: &[ClosureGroup]) -> DedIndex {
         let mut by_pred: FxHashMap<Predicate, Vec<usize>> = FxHashMap::default();
+        let mut slot = |i: usize, p: Predicate| {
+            let slots = by_pred.entry(p).or_default();
+            if slots.last() != Some(&i) {
+                slots.push(i);
+            }
+        };
         for (i, d) in compiled.iter().enumerate() {
             for a in &d.ded.premise {
-                let dis = by_pred.entry(a.predicate).or_default();
-                if dis.last() != Some(&i) {
-                    dis.push(i);
-                }
+                slot(i, a.predicate);
             }
         }
-        DedIndex { by_pred, n: compiled.len() }
+        for (g, group) in closure.iter().enumerate() {
+            for p in group.inputs() {
+                slot(compiled.len() + g, p);
+            }
+        }
+        DedIndex { by_pred, n: compiled.len() + closure.len() }
     }
 
     /// The needs-check vector a chase starts from. `None` means everything
@@ -312,8 +325,8 @@ impl DedIndex {
         }
     }
 
-    /// Mark every dependency whose premise mentions `p` as needing a
-    /// re-check (an atom of that predicate was inserted, or an EGD
+    /// Mark every slot whose premise or closure input mentions `p` as
+    /// needing a re-check (an atom of that predicate was inserted, or an EGD
     /// unification rewrote its relation).
     pub fn mark(&self, p: Predicate, needs: &mut [bool]) {
         if let Some(dis) = self.by_pred.get(&p) {
@@ -431,7 +444,8 @@ pub struct CompiledDeps {
     shortcut_rest: Vec<CompiledDed>,
     /// EGD-priority-sorted compiled DEDs, all of them (shortcut off).
     all: Vec<CompiledDed>,
-    /// Premise-predicate indexes aligned with the two lists above.
+    /// Premise-predicate indexes aligned with the two lists above; the
+    /// shortcut's also holds a slot per closure group.
     shortcut_index: DedIndex,
     all_index: DedIndex,
     /// The detected `(refl)/(base)/(trans)` closure constraints.
@@ -521,8 +535,8 @@ impl CompiledDeps {
         all.sort_by_key(egd_priority);
         shortcut_rest.sort_by_key(egd_priority);
         CompiledDeps {
-            shortcut_index: DedIndex::new(&shortcut_rest),
-            all_index: DedIndex::new(&all),
+            shortcut_index: DedIndex::new(&shortcut_rest, &closure.groups),
+            all_index: DedIndex::new(&all, &[]),
             shortcut_rest,
             all,
             closure,
@@ -559,7 +573,8 @@ impl CompiledDeps {
     /// The compiled DEDs the chase should run, given whether the closure
     /// shortcut is active, plus the closure constraints to apply directly
     /// (`None` when the shortcut is off) and the premise-predicate index
-    /// aligned with the returned list.
+    /// aligned with the returned list, whose slot `compiled.len() + g` is
+    /// closure group `g`.
     pub fn for_chase(
         &self,
         use_shortcut: bool,

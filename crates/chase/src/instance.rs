@@ -451,28 +451,15 @@ impl Relation {
         self.dead.get(id).is_some_and(|&dead| dead)
     }
 
-    /// The ids of the live rows from `start` on, ascending.
-    fn live_ids(&self, start: usize) -> impl Iterator<Item = usize> + '_ {
-        (start..self.rows).filter(move |&id| !self.is_tombstone(id))
-    }
-
-    /// The live rows with ids from `start` on, ascending — with a
-    /// [`Relation::row_bound`] read earlier, exactly the rows added since
-    /// (as long as no EGD rewrite intervened).
-    pub fn rows_from(&self, start: usize) -> impl Iterator<Item = &[Term]> + '_ {
-        self.live_ids(start).map(move |id| self.row(id))
+    /// The ids of the live rows, ascending.
+    fn live_ids(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.rows).filter(move |&id| !self.is_tombstone(id))
     }
 
     /// All live rows in row order: insertion order, a rewritten row where it
     /// stood.
     pub fn rows(&self) -> impl Iterator<Item = &[Term]> + '_ {
-        self.rows_from(0)
-    }
-
-    /// Row ids handed out so far, tombstones included: the id the next new
-    /// row gets. Rows are only ever appended, so this is a watermark.
-    pub fn row_bound(&self) -> usize {
-        self.rows
+        self.live_ids().map(move |id| self.row(id))
     }
 
     /// Number of live rows.
@@ -518,7 +505,7 @@ impl Relation {
         }
         let mut index = ColumnIndex::new(cols.to_vec());
         index.next = vec![NONE; self.rows];
-        for id in self.live_ids(0) {
+        for id in self.live_ids() {
             index.link(self.view(), id);
         }
         let mut cache = self.indexes.write().unwrap_or_else(PoisonError::into_inner);
@@ -699,22 +686,10 @@ impl SymbolicInstance {
         self.contains(atom.predicate, &atom.args)
     }
 
-    /// The live rows of a predicate's relation from row id `start` on, in
-    /// row order (none if absent) — with a [`SymbolicInstance::row_bound`]
-    /// read earlier, the rows added since.
-    pub fn rows_from(&self, p: Predicate, start: usize) -> impl Iterator<Item = &[Term]> + '_ {
-        self.relations.get(&p).into_iter().flat_map(move |r| r.rows_from(start))
-    }
-
     /// The live rows of a predicate's relation, in row order (none if
     /// absent).
     pub fn rows(&self, p: Predicate) -> impl Iterator<Item = &[Term]> + '_ {
-        self.rows_from(p, 0)
-    }
-
-    /// [`Relation::row_bound`] of a predicate's relation (0 if absent).
-    pub fn row_bound(&self, p: Predicate) -> usize {
-        self.relations.get(&p).map_or(0, |r| r.row_bound())
+        self.relations.get(&p).into_iter().flat_map(|r| r.rows())
     }
 
     /// The full relation object (rows + persistent indexes) for a
@@ -798,7 +773,7 @@ impl SymbolicInstance {
         let mut touched: Vec<usize> = Vec::new();
         for (p, rel) in self.relations.iter_mut() {
             touched.clear();
-            for id in rel.live_ids(0) {
+            for id in rel.live_ids() {
                 let mut hit = false;
                 for &t in rel.row(id) {
                     let renamed = s.apply_term_deep(t);
@@ -1228,7 +1203,7 @@ mod tests {
                 rel.cached_indexes().keys().cloned().collect()
             };
             let rank: FxHashMap<usize, usize> =
-                rel.live_ids(0).enumerate().map(|(i, id)| (id, i)).collect();
+                rel.live_ids().enumerate().map(|(i, id)| (id, i)).collect();
             for cols in column_sets {
                 let index = rel.index(&cols);
                 for key in tuples(&alphabet, cols.len()) {

@@ -8,19 +8,13 @@
 //! In the paper's stress test this cuts the chase of `//a/b/.../j` with TIX
 //! from 2.6 s to 640 ms.
 //!
-//! The closure is applied at the start of every chase round, and a resumed
-//! back-chase adds a handful of edges to a `desc` relation that is already
-//! closed. Each group therefore keeps a watermark ([`ClosureInputMark`]):
-//! the row ids its `child`, `desc` and `el` relations had handed out when
-//! its closure last held, and the branch's rewrite epoch. Relations change
-//! only by appending rows, or by an EGD rewrite, which bumps the epoch.
-//! While the epoch holds, the closure **extends from the watermark**: each
-//! `child`/`desc` edge `(u, v)` appended since adds `desc(a, d)` for every
-//! `a ∈ {u} ∪ {a : desc(a, u)}` and `d ∈ {v} ∪ {d : desc(v, d)}`, read off
-//! the closed `desc` relation through its column indexes, and each new
-//! `el(x)` adds `desc(x, x)`. The depth-first closure over every node runs
-//! only on a group's first application and on the first after a rewrite,
-//! which changes rows where they stand.
+//! Each group is one more slot of the chase's dirty flags
+//! ([`crate::compiled::DedIndex`]), keyed on the relations its closure
+//! reads (`ClosureGroup::inputs`). An insert into one of them, an EGD
+//! rewrite of one, or a resumed back-chase inserting into one marks the
+//! slot, and the chase re-closes a marked group with the depth-first
+//! [`ClosureGroup::close`] at the start of its next round. A group whose
+//! inputs did not change is skipped.
 //!
 //! The constraints are recognized through the GReX vocabulary
 //! ([`Atom::navigation`]): every navigation predicate names its document
@@ -29,7 +23,7 @@
 //! name is an ordinary dependency.
 
 use crate::instance::SymbolicInstance;
-use mars_cq::{Atom, Ded, FxHashMap, FxHashSet, NavBase, Predicate, Term};
+use mars_cq::{Atom, Ded, FxHashMap, NavBase, Predicate, Term};
 
 /// The closure constraints of one document.
 #[derive(Clone, Debug, PartialEq)]
@@ -76,50 +70,78 @@ impl ClosureGroup {
         self.desc
     }
 
-    /// Snapshot of this group's closure *inputs* on `inst`: the row ids the
-    /// `child`/`desc`/`el` relations have handed out, plus the branch rewrite
-    /// epoch. While the epoch is unchanged the relations have only grown by
-    /// appending, so the rows past a mark are exactly those added since.
-    fn input_mark(&self, inst: &SymbolicInstance, rewrites: u64) -> ClosureInputMark {
-        ClosureInputMark {
-            child: inst.row_bound(self.child),
-            desc: inst.row_bound(self.desc),
-            el: inst.row_bound(self.el),
-            rewrites,
-        }
+    /// The relations [`ClosureGroup::close`] reads: `child` under `(base)`,
+    /// `desc` under `(trans)`, `el` under `(refl)`. The group's closure can
+    /// change only when one of them does.
+    pub(crate) fn inputs(&self) -> impl Iterator<Item = Predicate> {
+        [(self.child, self.base), (self.desc, self.trans), (self.el, self.refl)]
+            .into_iter()
+            .filter_map(|(p, constraint)| constraint.map(|_| p))
     }
-}
 
-/// Per-group watermark of the closure shortcut's input relations (see
-/// `ClosureGroup::input_mark`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ClosureInputMark {
-    child: usize,
-    desc: usize,
-    el: usize,
-    rewrites: u64,
+    /// Apply the closure shortcut: add `desc` atoms for every pair of terms
+    /// connected by a path of `child` edges (under `(base)`) and `desc`
+    /// edges (under `(trans)`), one edge long without `(trans)`, and
+    /// `desc(x,x)` for every `el(x)` under `(refl)`. Returns the number of
+    /// atoms added.
+    pub fn close(&self, inst: &mut SymbolicInstance) -> usize {
+        // Nodes numbered in first-seen tuple order, so the order `desc`
+        // atoms are inserted in does not depend on a hasher.
+        let mut number: FxHashMap<Term, usize> = FxHashMap::default();
+        let mut nodes: Vec<Term> = Vec::new();
+        let mut adjacency: Vec<Vec<usize>> = Vec::new();
+        let mut edge = |from: Term, to: Term| {
+            let [from, to] = [from, to].map(|n| {
+                *number.entry(n).or_insert_with(|| {
+                    nodes.push(n);
+                    adjacency.push(Vec::new());
+                    nodes.len() - 1
+                })
+            });
+            adjacency[from].push(to);
+        };
+        if self.base.is_some() {
+            for row in inst.rows(self.child) {
+                edge(row[0], row[1]);
+            }
+        }
+        if self.trans.is_some() {
+            for row in inst.rows(self.desc) {
+                edge(row[0], row[1]);
+            }
+        }
+
+        let mut added = 0usize;
+        // `seen[v] == s`: node `v` was already reached from node `s`.
+        let mut seen = vec![usize::MAX; nodes.len()];
+        let mut stack: Vec<usize> = Vec::new();
+        for (s, &start) in nodes.iter().enumerate() {
+            stack.extend(&adjacency[s]);
+            while let Some(v) = stack.pop() {
+                if seen[v] == s {
+                    continue;
+                }
+                seen[v] = s;
+                added += usize::from(inst.insert(self.desc, &[start, nodes[v]]));
+                if self.trans.is_some() {
+                    stack.extend(&adjacency[v]);
+                }
+            }
+        }
+        if self.refl.is_some() {
+            let els: Vec<Term> = inst.rows(self.el).map(|row| row[0]).collect();
+            for e in els {
+                added += usize::from(inst.insert(self.desc, &[e, e]));
+            }
+        }
+        added
+    }
 }
 
 impl ClosureConstraints {
     /// Indices of all detected closure constraints.
     pub fn indices(&self) -> Vec<usize> {
         self.groups.iter().flat_map(|g| [g.base, g.trans, g.refl]).flatten().collect()
-    }
-
-    /// The input marks of every group on an instance already at closure
-    /// fixpoint — the state a resumed chase seeds its branches with, so the
-    /// first rounds extend the closure by the atoms the resume inserts.
-    pub fn marks_at_fixpoint(
-        &self,
-        inst: &SymbolicInstance,
-        rewrites: u64,
-    ) -> Vec<ClosureInputMark> {
-        self.groups.iter().map(|g| g.input_mark(inst, rewrites)).collect()
-    }
-
-    /// Were any closure constraints detected?
-    pub fn any(&self) -> bool {
-        !self.groups.is_empty()
     }
 
     fn group_mut(&mut self, doc: &str) -> &mut ClosureGroup {
@@ -199,160 +221,19 @@ pub fn detect_closure_constraints(deds: &[Ded]) -> ClosureConstraints {
     out
 }
 
-/// Apply the closure shortcut for one group: add `desc` atoms for every pair
-/// of terms connected by a path of `child`/`desc` edges, and `desc(x,x)` for
-/// every `el(x)` when `(refl)` is present. Returns the number of atoms added.
-fn apply_group(inst: &mut SymbolicInstance, group: &ClosureGroup) -> usize {
-    // Nodes in first-seen tuple order, so the order `desc` atoms are inserted
-    // in does not depend on a hasher.
-    let mut adjacency: FxHashMap<Term, Vec<Term>> = FxHashMap::default();
-    let mut nodes: Vec<Term> = Vec::new();
-    let mut edge = |from: Term, to: Term| {
-        for n in [from, to] {
-            adjacency.entry(n).or_insert_with(|| {
-                nodes.push(n);
-                Vec::new()
-            });
-        }
-        adjacency.get_mut(&from).expect("both ends were just added").push(to);
-    };
-    if group.base.is_some() || group.trans.is_some() {
-        for row in inst.rows(group.child) {
-            edge(row[0], row[1]);
-        }
-    }
-    for row in inst.rows(group.desc) {
-        edge(row[0], row[1]);
-    }
-
-    let mut added = 0usize;
-    if group.trans.is_some() || group.base.is_some() {
-        let mut seen: FxHashSet<Term> = FxHashSet::default();
-        for &start in &nodes {
-            seen.clear();
-            let mut stack: Vec<Term> = adjacency[&start].clone();
-            while let Some(next) = stack.pop() {
-                if !seen.insert(next) {
-                    continue;
-                }
-                added += usize::from(inst.insert(group.desc, &[start, next]));
-                if group.trans.is_some() {
-                    stack.extend(adjacency[&next].iter().copied());
-                }
-            }
-        }
-    }
-    if group.refl.is_some() {
-        let els: Vec<Term> = inst.rows(group.el).map(|row| row[0]).collect();
-        for e in els {
-            added += usize::from(inst.insert(group.desc, &[e, e]));
-        }
-    }
-    added
-}
-
-/// Extend one group's closure from its watermark `mark`, taken in the
-/// current rewrite epoch: `desc` is closed over the rows below the mark, so
-/// each `child`/`desc` edge `(u, v)` appended since adds `desc(a, d)` for
-/// every `a` in `u` and its `desc` ancestors and `d` in `v` and its `desc`
-/// descendants, read off `desc` as it grows, and each new `el(x)` adds
-/// `desc(x, x)`. Without `(trans)` a new `child` edge only becomes a `desc`
-/// atom itself. Returns the number of atoms added.
-fn extend_group(
-    inst: &mut SymbolicInstance,
-    group: &ClosureGroup,
-    mark: &ClosureInputMark,
-) -> usize {
-    let mut added = 0;
-    if group.base.is_some() || group.trans.is_some() {
-        let mut edges: Vec<(Term, Term)> =
-            inst.rows_from(group.child, mark.child).map(|row| (row[0], row[1])).collect();
-        let child_edges = edges.len();
-        if group.trans.is_some() {
-            edges.extend(inst.rows_from(group.desc, mark.desc).map(|row| (row[0], row[1])));
-        }
-        let (mut above, mut below) = (Vec::new(), Vec::new());
-        for (k, &(u, v)) in edges.iter().enumerate() {
-            // A `child` edge `desc` already holds adds nothing: the closure
-            // is closed over it, or it is a new `desc` edge still to come.
-            if k < child_edges && inst.contains(group.desc, &[u, v]) {
-                continue;
-            }
-            above.clear();
-            below.clear();
-            above.push(u);
-            below.push(v);
-            if let Some(desc) = inst.relation_data(group.desc).filter(|_| group.trans.is_some()) {
-                desc.any_with_key(&[1], &[u], |row| {
-                    if row[0] != u {
-                        above.push(row[0]);
-                    }
-                    false
-                });
-                desc.any_with_key(&[0], &[v], |row| {
-                    if row[1] != v {
-                        below.push(row[1]);
-                    }
-                    false
-                });
-            }
-            for &a in &above {
-                for &d in &below {
-                    added += usize::from(inst.insert(group.desc, &[a, d]));
-                }
-            }
-        }
-    }
-    if group.refl.is_some() {
-        let els: Vec<Term> = inst.rows_from(group.el, mark.el).map(|row| row[0]).collect();
-        for e in els {
-            added += usize::from(inst.insert(group.desc, &[e, e]));
-        }
-    }
-    added
-}
-
-/// Apply the closure shortcut for every detected group, returning the total
-/// number of `desc` atoms added. A group whose watermark in `marks` was
-/// taken in the current rewrite epoch extends its closure by the rows
-/// appended since (nothing at all when no input grew); any other group — on
-/// its first application, or after an EGD rewrite changed rows where they
-/// stand — is closed from scratch by the depth-first `apply_group`. `marks`
-/// is updated in place to the post-application state; an empty vector means
-/// "unknown".
-pub fn apply_closure_watermarked(
-    inst: &mut SymbolicInstance,
-    closure: &ClosureConstraints,
-    marks: &mut Vec<ClosureInputMark>,
-    rewrites: u64,
-) -> usize {
-    let known = marks.len() == closure.groups.len();
-    let mut added = 0;
-    for (gi, g) in closure.groups.iter().enumerate() {
-        added += match marks.get(gi) {
-            Some(mark) if known && mark.rewrites == rewrites => extend_group(inst, g, mark),
-            _ => apply_group(inst, g),
-        };
-    }
-    *marks = closure.groups.iter().map(|g| g.input_mark(inst, rewrites)).collect();
-    added
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mars_cq::atom::builders::*;
-    use mars_cq::{Conjunct, ConjunctiveQuery, Substitution, Variable};
-    use proptest::prelude::*;
-    use std::collections::HashSet;
+    use mars_cq::{Conjunct, ConjunctiveQuery};
 
     fn t(n: &str) -> Term {
         Term::var(n)
     }
 
-    /// The full (unmarked) application of every group.
+    /// The closure of every group.
     fn apply_closure(inst: &mut SymbolicInstance, closure: &ClosureConstraints) -> usize {
-        closure.groups.iter().map(|g| apply_group(inst, g)).sum()
+        closure.groups.iter().map(|g| g.close(inst)).sum()
     }
 
     fn tix_core() -> Vec<Ded> {
@@ -378,7 +259,7 @@ mod tests {
     #[test]
     fn detection_finds_all_three() {
         let c = detect_closure_constraints(&tix_core());
-        assert!(c.any());
+        assert!(!c.groups.is_empty());
         assert_eq!(c.groups.len(), 1);
         let g = &c.groups[0];
         assert_eq!(g.document, DOCUMENT);
@@ -393,7 +274,7 @@ mod tests {
                 Ded::tgd(&d.name, d.premise.iter().map(bare).collect(), vec![], conclusion)
             })
             .collect();
-        assert!(!detect_closure_constraints(&unsuffixed).any());
+        assert!(detect_closure_constraints(&unsuffixed).groups.is_empty());
     }
 
     #[test]
@@ -442,7 +323,7 @@ mod tests {
             vec![doc_atom("desc", "b.xml", vec![t("x"), t("y")])],
         );
         let c = detect_closure_constraints(&[bogus, disj, cross]);
-        assert!(!c.any());
+        assert!(c.groups.is_empty());
     }
 
     #[test]
@@ -504,60 +385,20 @@ mod tests {
         assert!(!inst.contains_atom(&desc(t("f"), t("f"))));
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// Extending from the watermark closes `desc` to the set the
-        /// depth-first closure computes from scratch, after every batch of
-        /// appended `child` / `desc` / `el` facts — with an EGD rename
-        /// between batches or not, for every subset of the three
-        /// constraints — and `desc` never holds a duplicate.
-        #[test]
-        fn the_watermark_closure_is_the_closure_from_scratch(seed in 0u64..u64::MAX) {
-            let mut rng = TestRng::new(seed);
-            let mut pick = move |n: usize| (rng.next_u64() % n as u64) as usize;
-            let present = 1 + pick(7);
-            let deds: Vec<Ded> = tix_core()
-                .into_iter()
-                .enumerate()
-                .filter(|(i, _)| present & (1 << i) != 0)
-                .map(|(_, d)| d)
-                .collect();
-            let closure = detect_closure_constraints(&deds);
-            let desc_p = closure.groups[0].desc_pred();
-            let nodes = 2 + pick(11);
-            let node = |i: usize| Term::Var(Variable::with_index("n", i as u32));
-            let mut inst = SymbolicInstance::new();
-            let mut facts: Vec<Atom> = Vec::new();
-            let (mut marks, mut rewrites) = (Vec::new(), 0u64);
-            for batch in 0..2 + pick(3) {
-                if batch > 0 && pick(3) == 0 {
-                    let (from, to) = (pick(nodes), pick(nodes));
-                    if from != to {
-                        let mut s = Substitution::new();
-                        s.set(Variable::with_index("n", from as u32), node(to));
-                        inst.apply_substitution(&s);
-                        facts = facts.iter().map(|a| s.apply_atom(a)).collect();
-                        rewrites += 1;
-                    }
-                }
-                for _ in 0..1 + pick(6) {
-                    let (x, y) = (node(pick(nodes)), node(pick(nodes)));
-                    let fact = [child(x, y), desc(x, y), el(x)][pick(3)].clone();
-                    inst.insert_atom(&fact);
-                    facts.push(fact);
-                }
-                apply_closure_watermarked(&mut inst, &closure, &mut marks, rewrites);
-                let mut scratch = SymbolicInstance::from_query(
-                    &ConjunctiveQuery::new("facts").with_body(facts.clone()),
-                );
-                apply_closure(&mut scratch, &closure);
-                let rows: Vec<&[Term]> = inst.rows(desc_p).collect();
-                let set: HashSet<&[Term]> = rows.iter().copied().collect();
-                prop_assert_eq!(set.len(), rows.len(), "desc holds no duplicate");
-                prop_assert_eq!(set, scratch.rows(desc_p).collect::<HashSet<_>>(), "batch {}", batch);
-            }
-        }
+    /// Without `(base)`, a `child` edge is no `desc` edge: `(trans)` alone
+    /// closes `desc` over its own edges.
+    #[test]
+    fn trans_alone_closes_desc_only() {
+        let q = ConjunctiveQuery::new("q").with_body(vec![
+            child(t("a"), t("b")),
+            desc(t("b"), t("c")),
+            desc(t("c"), t("d")),
+        ]);
+        let mut inst = SymbolicInstance::from_query(&q);
+        let closure = detect_closure_constraints(&tix_core()[1..2]);
+        assert_eq!(apply_closure(&mut inst, &closure), 1);
+        assert!(inst.contains_atom(&desc(t("b"), t("d"))));
+        assert!(!inst.contains_atom(&desc(t("a"), t("b"))));
     }
 
     #[test]

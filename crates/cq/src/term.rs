@@ -33,11 +33,6 @@ impl Variable {
         Variable { name: symbol(name).0, index }
     }
 
-    /// The base name symbol.
-    pub fn name_symbol(&self) -> Symbol {
-        Symbol(self.name)
-    }
-
     /// Render the variable, including the disambiguator when non-zero.
     pub fn display_name(&self) -> String {
         if self.index == 0 {
@@ -225,13 +220,6 @@ impl VarGen {
     /// A fresh variable derived from `base`.
     pub fn fresh(&mut self, base: Variable) -> Variable {
         let v = Variable { name: base.name, index: self.next };
-        self.next += 1;
-        v
-    }
-
-    /// A fresh variable with an explicit base name.
-    pub fn fresh_named(&mut self, name: &str) -> Variable {
-        let v = Variable::with_index(name, self.next);
         self.next += 1;
         v
     }

@@ -1,18 +1,16 @@
 //! The shape-keyed plan cache behind [`crate::MarsService`].
 //!
-//! Entries are keyed on `(shape key, dependency fingerprint)`:
+//! Entries are keyed on the **shape key** ([`mars_xquery::shape_of`]): the
+//! incoming query with variables alpha-renamed and non-reserved constants
+//! parameterized out, so arrivals of the same template with different
+//! constants share one entry. A lookup probes with the borrowed key and
+//! copies nothing on a miss.
 //!
-//! * the **shape key** ([`mars_xquery::shape_of`]) is the incoming query with
-//!   variables alpha-renamed and non-reserved constants parameterized out, so
-//!   arrivals of the same template with different constants share one entry;
-//! * the **fingerprint** ([`crate::Mars::fingerprint`]) digests the compiled
-//!   dependency set, the proprietary schema and the engine options, so a
-//!   changed correspondence can never serve a stale plan — entries of an old
-//!   fingerprint are unreachable by construction and are swept out by
-//!   [`PlanCache::invalidate_except`].
-//!
-//! Entries are nested by fingerprint, then by shape key, so a lookup probes
-//! with the borrowed key and copies nothing on a miss.
+//! One cache serves one system: every entry was reformulated against the
+//! system its [`crate::MarsService`] wraps, and replacing that system
+//! ([`crate::MarsService::replace`], which holds the service exclusively)
+//! drops every entry ([`PlanCache::clear`]), so a changed correspondence
+//! can never serve a stale plan.
 //!
 //! On a hit the cached [`BlockReformulation`] is **re-substituted**: the
 //! stored entry's variables and constants are mapped pairwise onto the new
@@ -39,7 +37,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that fell through to a cold reformulation.
     pub misses: u64,
-    /// Entries dropped because their fingerprint no longer matches.
+    /// Entries dropped because the system they were reformulated against
+    /// was replaced.
     pub invalidations: u64,
     /// Cold results that were computed but **not** inserted because they were
     /// degraded (a budget cut them short). Cache hygiene rule: a degraded
@@ -58,8 +57,8 @@ struct CachedEntry {
     block: BlockReformulation,
 }
 
-/// The cached entries by fingerprint, then by shape key.
-type Entries = HashMap<u64, HashMap<String, CachedEntry>>;
+/// The cached entries by shape key.
+type Entries = HashMap<String, CachedEntry>;
 
 /// A concurrent, shape-keyed reformulation cache (see the module docs).
 #[derive(Default)]
@@ -93,7 +92,7 @@ impl PlanCache {
             misses: self.misses.load(Ordering::SeqCst),
             invalidations: self.invalidations.load(Ordering::SeqCst),
             degraded_uncached: self.degraded_uncached.load(Ordering::SeqCst),
-            entries: self.entries().values().map(HashMap::len).sum(),
+            entries: self.entries().len(),
         }
     }
 
@@ -103,15 +102,13 @@ impl PlanCache {
         self.degraded_uncached.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Look up a reformulation for `shape` under `fingerprint`. On a hit the
-    /// stored result is re-substituted with `shape`'s variables and
-    /// constants, and its `duration` is zero: the time spent producing the
-    /// hit is the caller's to measure. On a miss `None` is returned and the
-    /// miss is counted.
-    pub fn lookup(&self, shape: &QueryShape, fingerprint: u64) -> Option<BlockReformulation> {
+    /// Look up a reformulation for `shape`. On a hit the stored result is
+    /// re-substituted with `shape`'s variables and constants, and its
+    /// `duration` is zero: the time spent producing the hit is the caller's
+    /// to measure. On a miss `None` is returned and the miss is counted.
+    pub fn lookup(&self, shape: &QueryShape) -> Option<BlockReformulation> {
         let entries = self.entries();
-        let entry = entries.get(&fingerprint).and_then(|shapes| shapes.get(&shape.key));
-        match entry {
+        match entries.get(&shape.key) {
             Some(e)
                 if e.variables.len() == shape.variables.len()
                     && e.constants.len() == shape.constants.len() =>
@@ -129,30 +126,19 @@ impl PlanCache {
         }
     }
 
-    /// Insert a reformulation computed cold for `shape` under `fingerprint`.
-    /// First writer wins: a concurrent duplicate insert leaves the resident
-    /// entry in place, so racing warm readers keep seeing one plan.
-    pub fn insert(&self, shape: QueryShape, fingerprint: u64, block: BlockReformulation) {
+    /// Insert a reformulation computed cold for `shape`. First writer wins:
+    /// a concurrent duplicate insert leaves the resident entry in place, so
+    /// racing warm readers keep seeing one plan.
+    pub fn insert(&self, shape: QueryShape, block: BlockReformulation) {
         let QueryShape { key, constants, variables } = shape;
-        let mut entries = self.entries();
-        let shapes = entries.entry(fingerprint).or_default();
-        shapes.entry(key).or_insert(CachedEntry { variables, constants, block });
+        self.entries().entry(key).or_insert(CachedEntry { variables, constants, block });
     }
 
-    /// Drop every entry whose fingerprint differs from `current` (the
-    /// spec/dependency set changed). Dropped entries are counted as
-    /// invalidations.
-    pub fn invalidate_except(&self, current: u64) {
-        let mut entries = self.entries();
-        let mut dropped = 0;
-        entries.retain(|fp, shapes| {
-            if *fp != current {
-                dropped += shapes.len() as u64;
-            }
-            *fp == current
-        });
-        drop(entries);
-        self.invalidations.fetch_add(dropped, Ordering::SeqCst);
+    /// Drop every entry (the system they were reformulated against was
+    /// replaced). Dropped entries are counted as invalidations.
+    pub fn clear(&self) {
+        let dropped = std::mem::take(&mut *self.entries()).len();
+        self.invalidations.fetch_add(dropped as u64, Ordering::SeqCst);
     }
 }
 
@@ -266,15 +252,14 @@ mod tests {
     fn stats_count_hits_misses_and_invalidations() {
         let cache = PlanCache::new();
         let s = shape("k", &["x"], &["a", "b"]);
-        assert!(cache.lookup(&s, 1).is_none());
-        cache.insert(s.clone(), 1, block("a", "b"));
-        assert!(cache.lookup(&s, 1).is_some());
-        assert!(cache.lookup(&s, 2).is_none(), "a different fingerprint is a different key");
-        cache.invalidate_except(2);
-        assert!(cache.lookup(&s, 1).is_none(), "the old-fingerprint entry is gone");
+        assert!(cache.lookup(&s).is_none());
+        cache.insert(s.clone(), block("a", "b"));
+        assert!(cache.lookup(&s).is_some());
+        cache.clear();
+        assert!(cache.lookup(&s).is_none(), "the cleared entry is gone");
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 3);
+        assert_eq!(stats.misses, 2);
         assert_eq!(stats.invalidations, 1);
         assert_eq!(stats.entries, 0);
     }
@@ -283,9 +268,9 @@ mod tests {
     fn first_writer_wins_on_duplicate_insert() {
         let cache = PlanCache::new();
         let s = shape("k", &["x"], &["a", "b"]);
-        cache.insert(s.clone(), 1, block("a", "b"));
-        cache.insert(s.clone(), 1, block("other", "values"));
-        let hit = cache.lookup(&s, 1).unwrap();
+        cache.insert(s.clone(), block("a", "b"));
+        cache.insert(s.clone(), block("other", "values"));
+        let hit = cache.lookup(&s).unwrap();
         assert!(hit.sql().unwrap().contains('a'), "the first entry stayed resident");
         assert_eq!(cache.stats().entries, 1);
     }
@@ -296,8 +281,8 @@ mod tests {
     #[test]
     fn resubstitution_is_simultaneous() {
         let cache = PlanCache::new();
-        cache.insert(shape("k", &["x"], &["a", "b"]), 1, block("a", "b"));
-        let swapped = cache.lookup(&shape("k", &["x"], &["b", "a"]), 1).unwrap();
+        cache.insert(shape("k", &["x"], &["a", "b"]), block("a", "b"));
+        let swapped = cache.lookup(&shape("k", &["x"], &["b", "a"])).unwrap();
         let atom = &swapped.compiled.body[0];
         assert_eq!(atom.args[1], Term::constant_str("b"));
         assert_eq!(atom.args[2], Term::constant_str("a"));
@@ -316,7 +301,7 @@ mod tests {
     fn a_poisoned_lock_is_recovered() {
         let cache = PlanCache::new();
         let s = shape("k", &["x"], &["a", "b"]);
-        cache.insert(s.clone(), 1, block("a", "b"));
+        cache.insert(s.clone(), block("a", "b"));
         let panicked = std::thread::scope(|scope| {
             scope
                 .spawn(|| {
@@ -328,19 +313,19 @@ mod tests {
         assert!(panicked.is_err() && cache.entries.is_poisoned());
 
         assert_eq!(cache.stats().entries, 1);
-        assert!(cache.lookup(&s, 1).is_some());
-        cache.insert(shape("other", &["x"], &["a", "b"]), 1, block("a", "b"));
+        assert!(cache.lookup(&s).is_some());
+        cache.insert(shape("other", &["x"], &["a", "b"]), block("a", "b"));
         assert_eq!(cache.stats().entries, 2);
-        cache.invalidate_except(2);
+        cache.clear();
         assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]
     fn arity_mismatch_is_treated_as_a_miss() {
         let cache = PlanCache::new();
-        cache.insert(shape("k", &["x"], &["a", "b"]), 1, block("a", "b"));
+        cache.insert(shape("k", &["x"], &["a", "b"]), block("a", "b"));
         assert!(
-            cache.lookup(&shape("k", &["x"], &["a"]), 1).is_none(),
+            cache.lookup(&shape("k", &["x"], &["a"])).is_none(),
             "an entry whose parameter list cannot align is never re-substituted"
         );
     }

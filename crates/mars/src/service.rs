@@ -11,9 +11,9 @@
 //! re-substituted warm answer is byte-identical to what a cold run would
 //! produce (property-tested in `tests/property_based.rs`).
 //!
-//! Entries are scoped to the system's [fingerprint](Mars::fingerprint); use
-//! [`MarsService::replace`] when the correspondence changes and the stale
-//! entries are invalidated rather than served.
+//! Entries are scoped to the wrapped system; use [`MarsService::replace`]
+//! when the correspondence changes and the stale entries are invalidated
+//! rather than served.
 //!
 //! The service is `Sync`: one instance can be shared across request threads
 //! (`&MarsService` handles). A cold request reformulates on its own thread.
@@ -89,7 +89,6 @@ impl Drop for InFlightPermit<'_> {
 pub struct MarsService {
     mars: Mars,
     cache: PlanCache,
-    fingerprint: u64,
     reserved: HashSet<String>,
     default_budget: ReformulationBudget,
     max_in_flight: usize,
@@ -102,15 +101,13 @@ pub struct MarsService {
 }
 
 impl MarsService {
-    /// Wrap a compiled system. The fingerprint and the reserved-constant set
-    /// (the constants [`shape_of`] must keep literal) are computed once here.
+    /// Wrap a compiled system. The reserved-constant set (the constants
+    /// [`shape_of`] must keep literal) is computed once here.
     pub fn new(mars: Mars) -> MarsService {
-        let fingerprint = mars.fingerprint();
         let reserved = mars.reserved_constants();
         MarsService {
             mars,
             cache: PlanCache::new(),
-            fingerprint,
             reserved,
             default_budget: ReformulationBudget::unbounded(),
             max_in_flight: 0,
@@ -159,24 +156,18 @@ impl MarsService {
         &self.mars
     }
 
-    /// The fingerprint cache entries are currently scoped to.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
     /// Plan-cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
 
     /// Swap in a rebuilt system (the schema correspondence or the options
-    /// changed). The fingerprint and reserved constants are recomputed and
-    /// every cache entry of the old fingerprint is invalidated.
+    /// changed). The reserved constants are recomputed and every cache
+    /// entry, reformulated against the old system, is invalidated.
     pub fn replace(&mut self, mars: Mars) {
-        self.fingerprint = mars.fingerprint();
         self.reserved = mars.reserved_constants();
         self.mars = mars;
-        self.cache.invalidate_except(self.fingerprint);
+        self.cache.clear();
     }
 
     /// Reformulate one navigation block through the cache under the
@@ -254,7 +245,7 @@ impl MarsService {
                 hook("lookup");
             }
             let shape = shape_of(xbind, &self.reserved);
-            if let Some(hit) = self.cache.lookup(&shape, self.fingerprint) {
+            if let Some(hit) = self.cache.lookup(&shape) {
                 // A hit took this request's time, not the cold run's.
                 let mut hit = routed(hit);
                 hit.duration = start.elapsed();
@@ -267,7 +258,7 @@ impl MarsService {
             if block.is_degraded() {
                 self.cache.note_degraded_uncached();
             } else {
-                self.cache.insert(shape, self.fingerprint, block.clone());
+                self.cache.insert(shape, block.clone());
             }
             Ok(block)
         }));
@@ -431,26 +422,25 @@ mod tests {
         assert_eq!(service.cache_stats().entries, 0);
     }
 
-    /// Replacing the system invalidates entries scoped to the old
-    /// fingerprint; the next arrival reformulates cold against the new one.
+    /// Replacing the system invalidates the entries reformulated against
+    /// the old one; the next arrival reformulates cold against the new one.
     #[test]
     fn replace_invalidates_stale_plans() {
         let mut service = MarsService::new(Mars::new(correspondence()));
         service.reformulate_xbind(&title_filter("T")).unwrap();
         assert_eq!(service.cache_stats().entries, 1);
-        let old_fp = service.fingerprint();
 
         let mut changed = correspondence();
         changed.proprietary_relations.push("extraRel".to_string());
         service.replace(Mars::new(changed));
-        assert_ne!(service.fingerprint(), old_fp);
         let stats = service.cache_stats();
         assert_eq!(stats.entries, 0);
         assert_eq!(stats.invalidations, 1);
-        // The template still reformulates — cold, under the new fingerprint.
+        // The template still reformulates — cold, against the new system.
         let again = service.reformulate_xbind(&title_filter("T")).unwrap();
         assert!(again.result.has_reformulation());
-        assert_eq!(service.cache_stats().entries, 1);
+        let stats = service.cache_stats();
+        assert_eq!((stats.entries, stats.misses, stats.hits), (1, 2, 0));
     }
 
     /// A saturated admission limit sheds the excess arrival with a typed

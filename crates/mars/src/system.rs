@@ -11,9 +11,7 @@ use mars_grex::{
 use mars_specialize::{specialize_query, specialize_view, specialize_xic, SpecializationMapping};
 use mars_xml::Step;
 use mars_xquery::{decorrelate, parse_xquery, XBindAtom, XBindQuery, XBindTerm, Xic};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
 /// The schema correspondence between the public and proprietary schemas
@@ -224,25 +222,6 @@ impl Mars {
         &self.correspondence
     }
 
-    /// A digest of everything a reformulation depends on besides the query
-    /// itself: the compiled dependency set, the proprietary-schema predicates
-    /// and the pipeline options. Two systems with equal fingerprints
-    /// reformulate identical inputs identically, so the fingerprint is the
-    /// invalidation key of the [`crate::PlanCache`] — rebuilding the system
-    /// from a changed correspondence changes the fingerprint and strands
-    /// every cached plan of the old one.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        for d in self.engine.deds() {
-            d.to_string().hash(&mut h);
-        }
-        let mut proprietary: Vec<&str> = self.engine.proprietary.iter().map(|p| p.name()).collect();
-        proprietary.sort_unstable();
-        proprietary.hash(&mut h);
-        format!("{:?}", self.options).hash(&mut h);
-        h.finish()
-    }
-
     /// Every string constant the compiled dependency set mentions, plus all
     /// document names of the correspondence. These constants are *structural*:
     /// the chase joins a client query's constants against them, so the plan
@@ -425,8 +404,8 @@ impl Mars {
     /// [`Mars::try_reformulate_xbind`] under a per-request budget — the entry
     /// point resident services use. The engine tightens a copy of its
     /// standing options for this one request ([`ChaseBackchase::reformulate`];
-    /// the shared engine and its fingerprint are untouched, so cache keys
-    /// stay comparable across budgets). Budget exhaustion degrades rather
+    /// the shared engine is untouched, so one cached plan serves every
+    /// budget). Budget exhaustion degrades rather
     /// than errors: the result carries the best reformulation found, tagged
     /// via [`BlockReformulation::degradation`].
     ///
@@ -683,23 +662,6 @@ mod tests {
         });
         let err = mars.try_reformulate_xbind(&q).unwrap_err();
         assert_eq!(err, MarsError::EmptyCorrespondence);
-    }
-
-    /// The fingerprint is stable for equal systems and moves when the
-    /// correspondence (and hence the compiled dependency set) changes.
-    #[test]
-    fn fingerprint_tracks_the_compiled_correspondence() {
-        let a = Mars::new(mini_correspondence());
-        let b = Mars::new(mini_correspondence());
-        assert_eq!(a.fingerprint(), b.fingerprint());
-
-        let mut changed = mini_correspondence();
-        changed.proprietary_relations.push("extraRel".to_string());
-        assert_ne!(a.fingerprint(), Mars::new(changed).fingerprint());
-
-        let other_options =
-            Mars::with_options(mini_correspondence(), MarsOptions::default().exhaustive());
-        assert_ne!(a.fingerprint(), other_options.fingerprint(), "options are fingerprinted too");
     }
 
     /// Reserved constants are the structural ones: document names and every

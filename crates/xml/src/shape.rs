@@ -80,12 +80,6 @@ impl ShapeElement {
         self
     }
 
-    /// Builder: add an attribute name.
-    pub fn with_attribute(mut self, name: &str) -> ShapeElement {
-        self.attributes.push(name.to_string());
-        self
-    }
-
     /// Is this a leaf (no element children)?
     pub fn is_leaf(&self) -> bool {
         self.children.is_empty()

@@ -207,9 +207,9 @@ fn plan_cache_counts_hits_and_misses() {
     assert_eq!(stats.invalidations, 0);
 }
 
-/// Fingerprint invalidation: replacing the system with one built from a
-/// changed correspondence strands every cached plan — the service counts
-/// the invalidations and reformulates the next arrival cold.
+/// Replacing the system with one built from a changed correspondence drops
+/// every cached plan — the service counts the invalidations and
+/// reformulates the next arrival cold.
 #[test]
 fn plan_cache_invalidates_on_fingerprint_change() {
     use mars_system::mars::MarsService;
@@ -217,20 +217,18 @@ fn plan_cache_invalidates_on_fingerprint_change() {
     let _serial = COUNTER_LOCK.lock().unwrap();
     let mut service = MarsService::new(Mars::new(correspondence()));
     service.reformulate_xbind(&title_filter("alpha")).expect("reformulates");
-    let old_fingerprint = service.fingerprint();
     assert_eq!(service.cache_stats().entries, 1);
 
     let mut changed = correspondence();
     changed.proprietary_relations.push("auditLog".to_string());
     service.replace(Mars::new(changed));
-    assert_ne!(service.fingerprint(), old_fingerprint, "the dependency set changed");
 
     let stats = service.cache_stats();
     assert_eq!(stats.entries, 0, "stale plans are dropped, not served");
     assert_eq!(stats.invalidations, 1);
 
     let again = service.reformulate_xbind(&title_filter("alpha")).expect("reformulates");
-    assert!(again.result.has_reformulation(), "cold reformulation under the new fingerprint");
+    assert!(again.result.has_reformulation(), "cold reformulation against the new system");
     let stats = service.cache_stats();
     assert_eq!((stats.hits, stats.misses), (0, 2));
 }
@@ -441,9 +439,9 @@ fn warm_plan_cache_hits_replay_the_cached_route() {
     assert!(cold_route.to_string().starts_with("route=xml"), "{cold_route}");
 }
 
-/// Fingerprint invalidation strands cached routes along with cached plans:
-/// after `replace()` with a changed correspondence, the stale route is
-/// dropped and the next routed arrival re-prices cold under the new system.
+/// Replacing the system drops cached routes along with cached plans: after
+/// `replace()` with a changed correspondence, the stale route is dropped and
+/// the next routed arrival re-prices cold under the new system.
 #[test]
 fn fingerprint_invalidation_drops_cached_routes() {
     use mars_system::mars::MarsService;
@@ -459,12 +457,10 @@ fn fingerprint_invalidation_drops_cached_routes() {
 
     service.reformulate_xbind_routed(&scenario.client_query(), &db, &xml).expect("reformulates");
     assert_eq!(service.cache_stats().entries, 1);
-    let old_fingerprint = service.fingerprint();
 
     let mut changed = scenario.correspondence();
     changed.proprietary_relations.push("auditLog".to_string());
     service.replace(Mars::new(changed));
-    assert_ne!(service.fingerprint(), old_fingerprint, "the dependency set changed");
     let stats = service.cache_stats();
     assert_eq!(
         (stats.entries, stats.invalidations),
@@ -474,7 +470,7 @@ fn fingerprint_invalidation_drops_cached_routes() {
 
     let again = service
         .reformulate_xbind_routed(&scenario.client_query(), &db, &xml)
-        .expect("re-prices cold under the new fingerprint");
+        .expect("re-prices cold under the new system");
     assert!(again.route.is_some(), "the cold path prices a fresh route");
     let stats = service.cache_stats();
     assert_eq!((stats.hits, stats.misses), (0, 2));
