@@ -776,7 +776,7 @@ mod tests {
                         .map(|&ai| {
                             let image = h.apply_atom(&pattern[ai]);
                             inst.rows(image.predicate)
-                                .position(|tuple| tuple == image.args.as_slice())
+                                .position(|tuple| tuple == &*image.args)
                                 .expect("a binding maps every atom onto a tuple")
                         })
                         .collect()

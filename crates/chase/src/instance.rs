@@ -719,7 +719,7 @@ impl SymbolicInstance {
         let mut out = Vec::with_capacity(self.atom_count);
         for (p, rel) in &self.relations {
             for row in rel.rows() {
-                out.push(Atom::new(*p, row.to_vec()));
+                out.push(Atom { predicate: *p, args: row.into() });
             }
         }
         out

@@ -192,7 +192,7 @@ fn match_trans(d: &Ded) -> Option<&'static str> {
 fn match_refl(d: &Ded) -> Option<&'static str> {
     let ([p], Some(q)) = (d.premise.as_slice(), sole_conclusion(d)) else { return None };
     let doc = over_vars(p, NavBase::El)?;
-    (over_vars(q, NavBase::Desc)? == doc && q.args == [p.args[0], p.args[0]]).then_some(doc)
+    (over_vars(q, NavBase::Desc)? == doc && *q.args == [p.args[0], p.args[0]]).then_some(doc)
 }
 
 /// Structurally detect the `(base)`, `(trans)` and `(refl)` constraints in a
@@ -266,7 +266,7 @@ mod tests {
         assert_eq!((g.base, g.trans, g.refl), (Some(0), Some(1), Some(2)));
         assert_eq!(c.indices().len(), 3);
 
-        let bare = |a: &Atom| Atom::named(a.navigation().unwrap().0.name(), a.args.clone());
+        let bare = |a: &Atom| Atom::named(a.navigation().unwrap().0.name(), a.args.to_vec());
         let unsuffixed: Vec<Ded> = tix_core()
             .into_iter()
             .map(|d| {

@@ -1,5 +1,6 @@
 //! Relational atoms and predicates.
 
+use crate::args::Args;
 use crate::symbol::{symbol, Symbol};
 use crate::term::{Term, Variable};
 use serde::{Deserialize, Serialize};
@@ -116,19 +117,21 @@ impl From<&str> for Predicate {
 pub struct Atom {
     /// The relation the atom ranges over.
     pub predicate: Predicate,
-    /// The terms, one per column of the relation.
-    pub args: Vec<Term>,
+    /// The terms, one per column of the relation; up to [`Args::INLINE`]
+    /// of them are stored in the atom itself.
+    pub args: Args,
 }
 
 impl Atom {
-    /// Build an atom.
+    /// Build an atom. A hot path that computes its terms builds the atom
+    /// literally, collecting them straight into [`Args`].
     pub fn new(predicate: Predicate, args: Vec<Term>) -> Atom {
-        Atom { predicate, args }
+        Atom { predicate, args: args.into() }
     }
 
     /// Build an atom from a predicate name and terms.
     pub fn named(predicate: &str, args: Vec<Term>) -> Atom {
-        Atom { predicate: Predicate::new(predicate), args }
+        Atom::new(Predicate::new(predicate), args)
     }
 
     /// Arity of the atom.

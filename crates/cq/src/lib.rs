@@ -4,8 +4,9 @@
 //! MARS system (Deutsch & Tannen, VLDB 2003) compiles XML publishing
 //! problems into:
 //!
-//! * interned [`Symbol`]s, [`Term`]s, [`Atom`]s and [`ConjunctiveQuery`]s
-//!   (with inequalities), plus [`AtomSet`] — the growable
+//! * interned [`Symbol`]s, [`Term`]s, [`Atom`]s (their arguments an inline
+//!   [`Args`] list) and [`ConjunctiveQuery`]s (with inequalities), plus
+//!   [`AtomSet`] — the growable
 //!   atom-index bitset the backchase enumerates subqueries with,
 //! * the GReX vocabulary: the eight [`NavBase`]s of the XML encoding, and
 //!   [`Atom::navigation`], the one classifier every crate asks whether an
@@ -23,6 +24,7 @@
 
 #![deny(missing_docs)]
 
+pub mod args;
 pub mod atom;
 pub mod atomset;
 pub mod ded;
@@ -32,6 +34,7 @@ pub mod substitution;
 pub mod symbol;
 pub mod term;
 
+pub use args::Args;
 pub use atom::{Atom, NavBase, Predicate};
 pub use atomset::AtomSet;
 pub use ded::{Conjunct, Ded};

@@ -119,14 +119,16 @@ fn compile_atoms(ctx: &mut CompileContext, xatoms: &[XBindAtom]) -> CompiledAtom
                 ));
             }
             XBindAtom::QueryRef { name, vars } => {
-                out.atoms.push(Atom::new(
-                    Predicate::new(name),
-                    vars.iter().map(|v| Term::var(v)).collect(),
-                ));
+                out.atoms.push(Atom {
+                    predicate: Predicate::new(name),
+                    args: vars.iter().map(|v| Term::var(v)).collect(),
+                });
             }
             XBindAtom::Relational { relation, args } => {
-                out.atoms
-                    .push(Atom::new(Predicate::new(relation), args.iter().map(xterm).collect()));
+                out.atoms.push(Atom {
+                    predicate: Predicate::new(relation),
+                    args: args.iter().map(xterm).collect(),
+                });
             }
             XBindAtom::Eq(x, y) => out.equalities.push((xterm(x), xterm(y))),
             XBindAtom::Neq(x, y) => out.inequalities.push((xterm(x), xterm(y))),
@@ -402,6 +404,6 @@ mod tests {
         assert!(q
             .body
             .iter()
-            .any(|a| a.predicate == s.desc() && a.args == vec![Term::var("x"), Term::var("y")]));
+            .any(|a| a.predicate == s.desc() && *a.args == [Term::var("x"), Term::var("y")]));
     }
 }

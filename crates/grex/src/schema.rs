@@ -9,6 +9,12 @@
 
 use mars_cq::{Atom, NavBase, Predicate, Term};
 
+/// A GReX atom. Its one to three arguments are copied into the atom,
+/// with no `Vec` built first: `encode_document` makes one per fact.
+fn atom(predicate: Predicate, args: &[Term]) -> Atom {
+    Atom { predicate, args: args.into() }
+}
+
 /// The GReX relational schema of one document.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GrexSchema {
@@ -66,35 +72,35 @@ impl GrexSchema {
 
     /// Convenience atom builders.
     pub fn root_atom(&self, x: Term) -> Atom {
-        Atom::new(self.root(), vec![x])
+        atom(self.root(), &[x])
     }
     /// `el(x)` atom.
     pub fn el_atom(&self, x: Term) -> Atom {
-        Atom::new(self.el(), vec![x])
+        atom(self.el(), &[x])
     }
     /// `child(x,y)` atom.
     pub fn child_atom(&self, x: Term, y: Term) -> Atom {
-        Atom::new(self.child(), vec![x, y])
+        atom(self.child(), &[x, y])
     }
     /// `desc(x,y)` atom.
     pub fn desc_atom(&self, x: Term, y: Term) -> Atom {
-        Atom::new(self.desc(), vec![x, y])
+        atom(self.desc(), &[x, y])
     }
     /// `tag(x,"t")` atom.
     pub fn tag_atom(&self, x: Term, tag: &str) -> Atom {
-        Atom::new(self.tag(), vec![x, Term::constant_str(tag)])
+        atom(self.tag(), &[x, Term::constant_str(tag)])
     }
     /// `text(x,v)` atom.
     pub fn text_atom(&self, x: Term, v: Term) -> Atom {
-        Atom::new(self.text(), vec![x, v])
+        atom(self.text(), &[x, v])
     }
     /// `attr(x,"n",v)` atom.
     pub fn attr_atom(&self, x: Term, name: &str, v: Term) -> Atom {
-        Atom::new(self.attr(), vec![x, Term::constant_str(name), v])
+        atom(self.attr(), &[x, Term::constant_str(name), v])
     }
     /// `id(x,i)` atom.
     pub fn id_atom(&self, x: Term, i: Term) -> Atom {
-        Atom::new(self.id(), vec![x, i])
+        atom(self.id(), &[x, i])
     }
 
     /// Does the predicate belong to this document's GReX encoding?

@@ -17,6 +17,8 @@
 //! query's (both shapes list them in first-occurrence order, and equal shape
 //! keys guarantee the lists align), and the hit is built from the cached
 //! block in one pass, every query rewritten simultaneously as it is copied.
+//! Entries are shared handles: a hit takes one under the cache's lock and
+//! rewrites after releasing it, so concurrent hits run side by side.
 //! Nothing derived from the queries is kept beside them (the SQL is rendered
 //! from the rewritten best query when asked for). The service layer
 //! property-tests that this equals a cold reformulation byte for byte.
@@ -27,7 +29,7 @@ use mars_cq::{Atom, ConjunctiveQuery, Constant, Term, Variable};
 use mars_xquery::QueryShape;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Hit/miss/invalidation counters and the current entry count.
@@ -57,8 +59,9 @@ struct CachedEntry {
     block: BlockReformulation,
 }
 
-/// The cached entries by shape key.
-type Entries = HashMap<String, CachedEntry>;
+/// The cached entries by shape key. An entry is shared: a hit takes a
+/// handle under the lock and re-substitutes after releasing it.
+type Entries = HashMap<String, Arc<CachedEntry>>;
 
 /// A concurrent, shape-keyed reformulation cache (see the module docs).
 #[derive(Default)]
@@ -71,10 +74,11 @@ pub struct PlanCache {
 }
 
 impl PlanCache {
-    // A panic while this guard is held (say, inside `resubstitute` during a
-    // lookup) leaves the map valid — every update is one insert or removal of
-    // a finished entry — so a poisoned lock is recovered instead of turning
-    // one failed request into an outage.
+    // The guard is held only to probe, insert or clear: a hit re-substitutes
+    // after releasing it, so concurrent hits do not serialize on the rewrite.
+    // Every update is one insert or removal of a finished entry, so a panic
+    // while a guard is held leaves the map valid, and a poisoned lock is
+    // recovered instead of turning one failed request into an outage.
     fn entries(&self) -> MutexGuard<'_, Entries> {
         self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -103,23 +107,21 @@ impl PlanCache {
     }
 
     /// Look up a reformulation for `shape`. On a hit the stored result is
-    /// re-substituted with `shape`'s variables and constants, and its
-    /// `duration` is zero: the time spent producing the hit is the caller's
-    /// to measure. On a miss `None` is returned and the miss is counted.
+    /// re-substituted with `shape`'s variables and constants, outside the
+    /// cache's lock, and its `duration` is zero: the time spent producing the
+    /// hit is the caller's to measure. On a miss `None` is returned and the
+    /// miss is counted.
     pub fn lookup(&self, shape: &QueryShape) -> Option<BlockReformulation> {
-        let entries = self.entries();
-        match entries.get(&shape.key) {
-            Some(e)
-                if e.variables.len() == shape.variables.len()
-                    && e.constants.len() == shape.constants.len() =>
-            {
-                let block = resubstitute(e, shape);
-                drop(entries);
+        let entry = self.entries().get(&shape.key).cloned().filter(|e| {
+            e.variables.len() == shape.variables.len() && e.constants.len() == shape.constants.len()
+        });
+        match entry {
+            Some(e) => {
+                let block = resubstitute(&e, shape);
                 self.hits.fetch_add(1, Ordering::SeqCst);
                 Some(block)
             }
-            _ => {
-                drop(entries);
+            None => {
                 self.misses.fetch_add(1, Ordering::SeqCst);
                 None
             }
@@ -131,7 +133,9 @@ impl PlanCache {
     /// racing warm readers keep seeing one plan.
     pub fn insert(&self, shape: QueryShape, block: BlockReformulation) {
         let QueryShape { key, constants, variables } = shape;
-        self.entries().entry(key).or_insert(CachedEntry { variables, constants, block });
+        self.entries()
+            .entry(key)
+            .or_insert_with(|| Arc::new(CachedEntry { variables, constants, block }));
     }
 
     /// Drop every entry (the system they were reformulated against was
@@ -208,7 +212,7 @@ fn remap_query(
         body: q
             .body
             .iter()
-            .map(|a| Atom::new(a.predicate, a.args.iter().map(&t).collect()))
+            .map(|a| Atom { predicate: a.predicate, args: a.args.iter().map(&t).collect() })
             .collect(),
         inequalities: q.inequalities.iter().map(|(a, b)| (t(a), t(b))).collect(),
     }
@@ -318,6 +322,38 @@ mod tests {
         assert_eq!(cache.stats().entries, 2);
         cache.clear();
         assert_eq!(cache.stats().entries, 0);
+    }
+
+    /// Hits rewrite outside the lock: threads hitting one entry at once
+    /// with their own constants each get those constants back, and every
+    /// lookup is counted as a hit.
+    #[test]
+    fn concurrent_hits_each_get_their_own_constants() {
+        const THREADS: usize = 4;
+        const LOOKUPS: usize = 50;
+        let cache = PlanCache::new();
+        cache.insert(shape("k", &["x"], &["a", "b"]), block("a", "b"));
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for thread in 0..THREADS {
+                let (cache, start) = (&cache, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..LOOKUPS {
+                        let (c0, c1) = (format!("t{thread}_{i}"), format!("u{thread}"));
+                        let hit = cache.lookup(&shape("k", &["x"], &[&c0, &c1])).unwrap();
+                        assert_eq!(hit.sql(), block(&c0, &c1).sql());
+                        assert_eq!(
+                            *hit.compiled.body[0].args,
+                            [Term::var("x"), Term::constant_str(&c0), Term::constant_str(&c1)]
+                        );
+                    }
+                });
+            }
+        });
+        let stats = cache.stats();
+        assert_eq!(stats.hits, (THREADS * LOOKUPS) as u64);
+        assert_eq!((stats.misses, stats.entries), (0, 1));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::executor::execute_plan;
 use crate::xml_engine::XmlStore;
 use mars_chase::{evaluate_bindings, SymbolicInstance};
 use mars_cost::{physical_plan, PhysicalPlan, StatisticsCatalog};
-use mars_cq::{Atom, ConjunctiveQuery, Predicate, Substitution, Term, Variable};
+use mars_cq::{Args, Atom, ConjunctiveQuery, Predicate, Substitution, Term, Variable};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -36,8 +36,8 @@ impl RelationalDatabase {
 
     /// Insert a row of string values into a relation.
     pub fn insert_strs(&mut self, relation: &str, values: &[&str]) {
-        let atom = Atom::named(relation, values.iter().map(|v| Term::constant_str(v)).collect());
-        self.inst.insert_atom(&atom);
+        let row: Args = values.iter().map(|v| Term::constant_str(v)).collect();
+        self.inst.insert(Predicate::new(relation), &row);
     }
 
     /// Bulk-load ground facts (e.g. a GReX document encoding).

@@ -9,6 +9,11 @@ use mars_system::chase::{
 use mars_system::cq::{Atom, ConjunctiveQuery, Ded, Substitution, Term};
 use proptest::prelude::*;
 
+#[path = "common/star.rs"]
+mod star;
+
+use star::{star_key_lookup, star_nc6};
+
 /// Generate a random chain query R0(x0,x1), R1(x1,x2), ... (bounded length).
 fn chain_query(len: usize, shared_relation: bool) -> ConjunctiveQuery {
     let mut q = ConjunctiveQuery::new("chain").with_head(vec![Term::var("x0")]);
@@ -579,44 +584,6 @@ fn service_request(
         .with_atom(XBindAtom::Eq(XBindTerm::var("t"), XBindTerm::str(c_title)));
     if filter_author {
         q = q.with_atom(XBindAtom::Eq(XBindTerm::var("a"), XBindTerm::str(c_author)));
-    }
-    q
-}
-
-/// The star configuration of Figure 5 at NC 6 (NV 5).
-fn star_nc6() -> mars_workloads::star::StarConfig {
-    mars_workloads::star::StarConfig::figure5(6)
-}
-
-/// The star NC 6 client query filtered on the hub key `key`, with every
-/// variable renamed `<name>_<suffix>`.
-fn star_key_lookup(key: &str, suffix: &str) -> mars_system::xquery::XBindQuery {
-    use mars_system::xquery::{XBindAtom, XBindTerm};
-
-    let rename = |v: &mut String| *v = format!("{v}_{suffix}");
-    let rename_term = |t: &mut XBindTerm| {
-        if let XBindTerm::Var(v) = t {
-            rename(v);
-        }
-    };
-    let mut q = star_nc6()
-        .client_query()
-        .with_atom(XBindAtom::Eq(XBindTerm::var("k"), XBindTerm::str(key)));
-    q.head.iter_mut().for_each(rename);
-    for atom in &mut q.atoms {
-        match atom {
-            XBindAtom::AbsolutePath { var, .. } => rename(var),
-            XBindAtom::RelativePath { source, var, .. } => {
-                rename(source);
-                rename(var);
-            }
-            XBindAtom::QueryRef { vars, .. } => vars.iter_mut().for_each(rename),
-            XBindAtom::Relational { args, .. } => args.iter_mut().for_each(rename_term),
-            XBindAtom::Eq(a, b) | XBindAtom::Neq(a, b) => {
-                rename_term(a);
-                rename_term(b);
-            }
-        }
     }
     q
 }
