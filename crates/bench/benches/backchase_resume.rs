@@ -57,7 +57,7 @@ fn bench_resume(c: &mut Criterion) {
     let (added, rest) = best.body.split_last().expect("a reformulation has atoms");
     let seed_query = ConjunctiveQuery { body: rest.to_vec(), ..best.clone() };
     let seed = chase_to_resident_compiled(&seed_query, &deps, &opts);
-    assert!(seed.stats().completed && !seed.is_empty(), "the seed is a completed chase");
+    assert!(seed.stats().completed() && !seed.is_empty(), "the seed is a completed chase");
     let atoms = seed.branches()[0].instance().len();
 
     let mut g = c.benchmark_group("backchase_resume");
@@ -169,7 +169,7 @@ fn bench_scratch_backchase(c: &mut Criterion) {
     let deps = CompiledDeps::new(mars.dependencies());
     let opts = ChaseOptions::default();
     let back = chase_to_resident_compiled(&best, &deps, &opts);
-    assert!(back.stats().completed && !back.is_empty(), "the back-chase completes");
+    assert!(back.stats().completed() && !back.is_empty(), "the back-chase completes");
     // 18 while every TGD step ended its round.
     assert_eq!(back.stats().rounds, 3, "the back-chase's rounds");
 

@@ -319,7 +319,7 @@ impl Degradation {
     /// [`Degradation::AtomCeiling`]; a clock stop maps to
     /// [`Degradation::DeadlineExceeded`].
     pub fn of_chase(stats: &ChaseStats) -> Option<Degradation> {
-        if stats.completed {
+        if stats.completed() {
             return None;
         }
         Some(match stats.stop {
@@ -525,13 +525,13 @@ impl Equivalence<'_> {
         let (branches, chase) = back.into_parts();
         check.degradation = Degradation::of_chase(&chase);
         let confirm_start = Instant::now();
-        let confirmed = chase.completed
+        let confirmed = chase.completed()
             && !branches.is_empty()
             && branches.iter().all(|b| self.original.maps_into(b.instance(), b.head()));
         check.containment_time += confirm_start.elapsed();
         check.verdict = if confirmed {
             Verdict::Equivalent
-        } else if memoize && chase.completed && !branches.is_empty() {
+        } else if memoize && chase.completed() && !branches.is_empty() {
             Verdict::NotContained(Some(branches))
         } else {
             Verdict::NotContained(None)

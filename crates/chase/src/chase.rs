@@ -5,7 +5,9 @@
 //! 3.1), a semijoin extension check per homomorphism, and set-oriented
 //! application of the unsatisfied steps. The `(refl)/(base)/(trans)` TIX
 //! constraints are short-cut by a direct transitive-closure computation
-//! (Section 3.2) when [`ChaseOptions::use_shortcut`] is enabled.
+//! (Section 3.2) wherever the compiled set detected them: the shortcut is a
+//! property of the [`CompiledDeps`] a chase runs on, and a set compiled by
+//! [`CompiledDeps::without_shortcut`] chases them step by step.
 //!
 //! A round checks every dirty dependency once, in EGD-priority order
 //! (denials, then EGDs, then TGDs — see [`CompiledDeps`]). A TGD that
@@ -38,7 +40,6 @@
 use crate::compiled::{CompiledDed, CompiledDeps, DedIndex, FunctionalDependencies};
 use crate::evaluate::JoinScratch;
 use crate::instance::{Relation, SymbolicInstance};
-use crate::shortcut::ClosureConstraints;
 use mars_cq::{Atom, Conjunct, ConjunctiveQuery, Predicate, Substitution, Term, Variable};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -46,9 +47,6 @@ use std::time::{Duration, Instant};
 /// Options controlling the chase.
 #[derive(Clone, Debug)]
 pub struct ChaseOptions {
-    /// Short-cut the `(refl)/(base)/(trans)` constraints by computing the
-    /// transitive closure directly (Section 3.2).
-    pub use_shortcut: bool,
     /// Maximum number of chase rounds per branch (root-to-leaf path; children
     /// of a split inherit the rounds their ancestors consumed). A round ends
     /// early at the first unification (see the module docs), so this bounds
@@ -65,7 +63,7 @@ pub struct ChaseOptions {
     /// level, every *resumed* chase and the backchase's level loop check
     /// against the same point in time, so a deadline set before a resume
     /// cannot be silently ignored. A chase stopped by the deadline reports
-    /// `completed = false` with [`ChaseStop::Deadline`].
+    /// [`ChaseStop::Deadline`].
     pub deadline: Option<Instant>,
     /// Lower bound for the disambiguator indices of invented (fresh)
     /// variables. The backchase raises this above every variable index of the
@@ -79,7 +77,6 @@ pub struct ChaseOptions {
 impl Default for ChaseOptions {
     fn default() -> Self {
         ChaseOptions {
-            use_shortcut: true,
             max_rounds: 500_000,
             max_atoms: 200_000,
             max_branches: 32,
@@ -90,11 +87,6 @@ impl Default for ChaseOptions {
 }
 
 impl ChaseOptions {
-    /// Options with the shortcut disabled (used by the ablation experiments).
-    pub fn without_shortcut() -> ChaseOptions {
-        ChaseOptions { use_shortcut: false, ..Default::default() }
-    }
-
     /// Builder: set an absolute wall-clock deadline honored by this run and
     /// by every chase resumed from its branches (see
     /// [`ChaseOptions::deadline`]).
@@ -105,7 +97,7 @@ impl ChaseOptions {
 }
 
 /// Which budget stopped an incomplete chase. `None` in [`ChaseStats::stop`]
-/// whenever the chase reached its fixpoint ([`ChaseStats::completed`]).
+/// exactly when the chase reached its fixpoint ([`ChaseStats::completed`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChaseStop {
     /// A branch exhausted [`ChaseOptions::max_rounds`].
@@ -170,14 +162,20 @@ pub struct ChaseStats {
     pub shortcut_desc_added: usize,
     /// Number of failed branches (denials or constant clashes).
     pub failed_branches: usize,
-    /// True if the chase reached a fixpoint within the budget.
-    pub completed: bool,
-    /// The first budget that stopped the chase when `completed` is false
-    /// (`None` on a completed chase). Degraded answers are tagged from this
+    /// The first budget that stopped the chase, `None` when it reached its
+    /// fixpoint within the budget. Degraded answers are tagged from this
     /// upstream, so a deadline stop is distinguishable from a size ceiling.
     pub stop: Option<ChaseStop>,
     /// Wall-clock duration.
     pub duration: Duration,
+}
+
+impl ChaseStats {
+    /// True if the chase reached a fixpoint within the budget: no budget
+    /// stopped it.
+    pub fn completed(&self) -> bool {
+        self.stop.is_none()
+    }
 }
 
 /// One branch of the chase tree during execution: the [`ResidentBranch`] it
@@ -572,8 +570,8 @@ pub fn chase_resident_with_atoms_compiled(
 /// boxed: a `Branch` carries its instance, head and renaming inline,
 /// which would otherwise dwarf the other variants.
 enum BranchOutcome {
-    /// Reached a fixpoint (or ran out of budget — `completed` is cleared in
-    /// the per-branch stats then).
+    /// Reached a fixpoint (or ran out of budget — the run's `stop` is set
+    /// then, unless an earlier branch set it).
     Done(Box<Branch>),
     /// A denial fired or a unification forced a constant clash.
     Failed,
@@ -582,18 +580,16 @@ enum BranchOutcome {
     Split(Vec<Branch>),
 }
 
-/// Chase one branch until it finishes, fails or splits. Self-contained: all
-/// state lives in the branch (fresh counter, dirty flags, round budget)
-/// and in the per-branch `stats`.
+/// Chase one branch until it finishes, fails or splits. All its state
+/// lives in the branch (fresh counter, dirty flags, round budget); its work
+/// is tallied into the run's `stats`, where the first stop wins.
 fn chase_branch(
     mut branch: Branch,
-    compiled: &[CompiledDed],
-    closure: Option<&ClosureConstraints>,
-    index: &DedIndex,
-    fds: &FunctionalDependencies,
+    deps: &CompiledDeps,
     options: &ChaseOptions,
     stats: &mut ChaseStats,
 ) -> BranchOutcome {
+    let (compiled, index, fds) = (deps.compiled(), deps.index(), deps.functional_dependencies());
     // One working memory for every premise evaluation of this branch.
     let mut scratch = JoinScratch::default();
     loop {
@@ -607,8 +603,7 @@ fn chase_branch(
             None
         };
         if let Some(stop) = over_budget {
-            stats.completed = false;
-            stats.stop = Some(stop);
+            stats.stop.get_or_insert(stop);
             return BranchOutcome::Done(Box::new(branch));
         }
         branch.rounds += 1;
@@ -619,8 +614,7 @@ fn chase_branch(
         // premise mentions that relation — and mark the group's own slot,
         // which is closed now.
         let mut shortcut_changed = false;
-        let groups = closure.map_or(&[][..], |c| &c.groups);
-        for (slot, group) in (compiled.len()..).zip(groups) {
+        for (slot, group) in (compiled.len()..).zip(&deps.closure().groups) {
             if !branch.needs_check[slot] {
                 continue;
             }
@@ -662,8 +656,8 @@ fn chase_branch(
 ///
 /// The branch worklist is **level-synchronous**: the pending branches of a
 /// level are chased one after the other, each with its own fresh-variable
-/// counter and statistics, and the children of a split wait for the next
-/// level.
+/// counter, all tallied into one statistics record, and the children of a
+/// split wait for the next level.
 fn run_chase(
     initial: Vec<Branch>,
     deps: &CompiledDeps,
@@ -671,17 +665,14 @@ fn run_chase(
     initial_dirty: Option<&HashSet<Predicate>>,
 ) -> ResidentChase {
     let start = Instant::now();
-    let (compiled, closure, index) = deps.for_chase(options.use_shortcut);
-    let fds = deps.functional_dependencies();
-
-    let mut stats = ChaseStats { completed: true, ..Default::default() };
+    let mut stats = ChaseStats::default();
     let base_fresh =
         (initial.iter().map(|b| b.resident.inst.max_variable_index()).max().unwrap_or_default()
             + 1)
         .max(options.min_fresh_index);
     let mut level = initial;
     for b in &mut level {
-        b.needs_check = index.initial_needs(initial_dirty);
+        b.needs_check = deps.index().initial_needs(initial_dirty);
         b.fresh = base_fresh;
     }
     let mut done: Vec<Branch> = Vec::new();
@@ -690,7 +681,6 @@ fn run_chase(
         // Branch budget: branches beyond it are parked unchased (and the
         // plan is flagged incomplete), matching the old worklist behaviour.
         if done.len() + level.len() > options.max_branches {
-            stats.completed = false;
             stats.stop.get_or_insert(ChaseStop::Branches);
             let keep = options.max_branches.saturating_sub(done.len());
             let parked = level.split_off(keep);
@@ -701,22 +691,7 @@ fn run_chase(
         }
         let mut next: Vec<Branch> = Vec::new();
         for branch in level {
-            // The branches share one per-dependency tally.
-            let dependencies = std::mem::take(&mut stats.dependencies);
-            let mut s = ChaseStats { completed: true, dependencies, ..Default::default() };
-            let outcome = chase_branch(branch, compiled, closure, index, fds, options, &mut s);
-            stats.dependencies = s.dependencies;
-            stats.rounds += s.rounds;
-            stats.applied_steps += s.applied_steps;
-            stats.premise_rows += s.premise_rows;
-            stats.premise_evaluations += s.premise_evaluations;
-            stats.shortcut_desc_added += s.shortcut_desc_added;
-            stats.failed_branches += s.failed_branches;
-            stats.completed &= s.completed;
-            if stats.stop.is_none() {
-                stats.stop = s.stop;
-            }
-            match outcome {
+            match chase_branch(branch, deps, options, &mut stats) {
                 BranchOutcome::Done(b) => done.push(*b),
                 BranchOutcome::Failed => {}
                 BranchOutcome::Split(children) => next.extend(children),
@@ -786,7 +761,7 @@ mod tests {
         let (c_v, b_v) = view_dependencies("V", &defq);
         let deds = vec![ind, c_v, b_v];
         let up = chase(&q, &deds, &ChaseOptions::default());
-        assert!(up.stats.completed);
+        assert!(up.stats.completed());
         let plan = plan(&up);
         assert_eq!(plan.body.len(), 3);
         let preds: Vec<&str> = plan.body.iter().map(|a| a.predicate.name()).collect();
@@ -806,8 +781,12 @@ mod tests {
         }
         let q = ConjunctiveQuery::new("path").with_head(vec![t(&format!("x{n}"))]).with_body(body);
         let with = chase(&q, &tix_core(), &ChaseOptions::default());
-        let without = chase(&q, &tix_core(), &ChaseOptions::without_shortcut());
-        assert!(with.stats.completed && without.stats.completed);
+        let without = chase_to_resident_compiled(
+            &q,
+            &CompiledDeps::without_shortcut(&tix_core()),
+            &ChaseOptions::default(),
+        );
+        assert!(with.stats.completed() && without.stats.completed());
         assert_eq!(plan(&with).body.len(), plan(&without).body.len());
         assert!(with.stats.shortcut_desc_added > 0);
         assert_eq!(without.stats.shortcut_desc_added, 0);
@@ -859,7 +838,7 @@ mod tests {
             .with_body(vec![Atom::named("A", vec![t("a")])]);
         let deds = [copy("ab", "A", "B"), copy("bc", "B", "C"), copy("cd", "C", "D")];
         let up = chase(&q, &deds, &ChaseOptions::default());
-        assert!(up.stats.completed);
+        assert!(up.stats.completed());
         assert_eq!((up.stats.applied_steps, up.stats.rounds), (3, 2));
         assert_eq!(count(&up, "D"), 1);
         // Each dependency's work, by its position in the set: every one
@@ -892,7 +871,7 @@ mod tests {
             t("q"),
         );
         let up = chase(&q, &[invent, key], &ChaseOptions::default());
-        assert!(up.stats.completed);
+        assert!(up.stats.completed());
         // Round 1 merges and restarts, round 2 fires the TGD, round 3 is
         // the fixpoint.
         assert_eq!((up.stats.applied_steps, up.stats.rounds), (2, 3));
@@ -963,7 +942,7 @@ mod tests {
             vec![Atom::named("P", vec![t("x"), t("z")])],
         );
         let up = chase(&q, &[trans], &ChaseOptions::default());
-        assert!(up.stats.completed);
+        assert!(up.stats.completed());
         assert_eq!(up.stats.rounds, 3);
         assert_eq!(count(&up, "P"), 10, "every pair i < j");
     }
@@ -994,7 +973,7 @@ mod tests {
             &opts,
         );
         let scratch = chase(&q_sub.clone().with_atom(extra), &[ind], &opts);
-        assert!(seeded.stats.completed && scratch.stats.completed);
+        assert!(seeded.stats.completed() && scratch.stats.completed());
         assert_eq!(plan(&seeded).body.len(), plan(&scratch).body.len());
         // Homomorphically equivalent (head-preserving both ways).
         assert!(containment_mapping(&plan(&seeded), &plan(&scratch)).is_some());
@@ -1020,7 +999,7 @@ mod tests {
         let compiled = CompiledDeps::new(std::slice::from_ref(&ind));
 
         let resident = chase_to_resident_compiled(&q_sub, &compiled, &opts);
-        assert!(resident.stats().completed);
+        assert!(resident.stats().completed());
         assert_eq!(resident.branches().len(), 1);
         assert!(!resident.is_empty());
 
@@ -1043,7 +1022,9 @@ mod tests {
             );
             chase_resident_with_atoms_compiled(first.branches(), &extras[1..], &compiled, &opts)
         };
-        assert!(resumed.stats().completed && scratch.stats.completed && seeded.stats.completed);
+        assert!(
+            resumed.stats().completed() && scratch.stats.completed() && seeded.stats.completed()
+        );
         let resumed_q = &resumed.branches()[0].to_query("S_up0");
         assert_eq!(resumed_q.body.len(), plan(&scratch).body.len());
         assert_eq!(resumed_q.body.len(), plan(&seeded).body.len());
@@ -1079,11 +1060,11 @@ mod tests {
             &compiled,
             &opts,
         );
-        assert!(resumed.stats().completed);
+        assert!(resumed.stats().completed());
         // A resume that inserts nothing fires nothing: the seed really is at
         // fixpoint and the dirty-cone restriction sees an empty delta.
         let noop = chase_resident_with_atoms_compiled(resident.branches(), &[], &compiled, &opts);
-        assert!(noop.stats().completed);
+        assert!(noop.stats().completed());
         assert_eq!(noop.stats().applied_steps, 0, "fixpoint seed plus nothing fires nothing");
     }
 
@@ -1124,7 +1105,7 @@ mod tests {
     /// head-preservingly equivalent to the naive chase's.
     fn assert_reuses_every_existential(q: &ConjunctiveQuery, deds: &[Ded], steps: usize) {
         let up = chase(q, deds, &ChaseOptions::default());
-        assert!(up.stats.completed);
+        assert!(up.stats.completed());
         assert_eq!(up.stats.applied_steps, steps, "no EGD step is left to apply");
         let plan = plan(&up);
         assert!(
@@ -1276,7 +1257,7 @@ mod tests {
             vec![Conjunct::equalities(vec![(t("a"), t("c")), (t("b"), t("d"))])],
         );
         let up = chase(&q, &[b_v, fd], &ChaseOptions::default());
-        assert!(up.stats.completed);
+        assert!(up.stats.completed());
         assert!(up.branches().is_empty());
         assert_eq!(up.stats.failed_branches, 1);
     }
@@ -1321,7 +1302,7 @@ mod tests {
             .with_body(vec![Atom::named("R", vec![t("a"), t("b")])]);
         let opts = ChaseOptions { max_rounds: 4, ..Default::default() };
         let up = chase(&q, &[d], &opts);
-        assert!(!up.stats.completed);
+        assert!(!up.stats.completed());
         assert!(!up.branches().is_empty());
     }
 
@@ -1376,7 +1357,7 @@ mod tests {
             .with_body(vec![Atom::named("R", vec![t("a"), t("b")])]);
         let opts = ChaseOptions::default().with_deadline(Instant::now());
         let up = chase(&q, &[d], &opts);
-        assert!(!up.stats.completed);
+        assert!(!up.stats.completed());
         assert_eq!(up.stats.stop, Some(ChaseStop::Deadline));
     }
 
@@ -1406,7 +1387,7 @@ mod tests {
         assert_eq!(atoms.stats.stop, Some(ChaseStop::Atoms));
         let complete =
             chase(&q, &[], &ChaseOptions { max_rounds: 4, max_atoms: 2, ..Default::default() });
-        assert!(complete.stats.completed);
+        assert!(complete.stats.completed());
         assert_eq!(complete.stats.stop, None);
     }
 
@@ -1427,7 +1408,7 @@ mod tests {
         let compiled = CompiledDeps::new(std::slice::from_ref(&ind));
         // Seed chased to fixpoint without any deadline pressure.
         let resident = chase_to_resident_compiled(&q, &compiled, &ChaseOptions::default());
-        assert!(resident.stats().completed);
+        assert!(resident.stats().completed());
 
         let expired = Instant::now() - Duration::from_secs(1);
         let extra = Atom::named("A", vec![t("y"), t("w")]);
@@ -1438,7 +1419,7 @@ mod tests {
             &compiled,
             &ChaseOptions::default().with_deadline(expired),
         );
-        assert!(!resumed.stats().completed, "an already-expired deadline must stop the resume");
+        assert!(!resumed.stats().completed(), "an already-expired deadline must stop the resume");
         assert_eq!(resumed.stats().stop, Some(ChaseStop::Deadline));
         assert_eq!(resumed.stats().applied_steps, 0);
         // A generous deadline changes nothing: the resume completes and is
@@ -1456,7 +1437,7 @@ mod tests {
             &compiled,
             &ChaseOptions::default(),
         );
-        assert!(bounded.stats().completed);
+        assert!(bounded.stats().completed());
         assert_eq!(format!("{:?}", bounded.primary("S")), format!("{:?}", unbounded.primary("S")));
     }
 
@@ -1487,7 +1468,7 @@ mod tests {
                 .collect();
             deds.push(Ded::egd("same", vec![same(t("x"), t("y"))], t("x"), t("y")));
             let deps = CompiledDeps::new(&deds);
-            let closure = deps.for_chase(true).1.expect("the shortcut is on");
+            let closure = deps.closure();
             let desc_p = closure.groups[0].desc_pred();
             let nodes = 2 + pick(11);
             let node = |i: usize| Term::Var(Variable::with_index("n", i as u32));
@@ -1505,7 +1486,7 @@ mod tests {
                 }
                 up = chase_resident_with_atoms_compiled(up.branches(), &extra, &deps, &opts);
                 facts.extend(extra);
-                prop_assert!(up.stats().completed);
+                prop_assert!(up.stats().completed());
                 let [branch] = up.branches() else { panic!("no disjunction, no denial") };
                 let renamed = facts.iter().map(|a| branch.renaming.apply_atom_deep(a)).collect();
                 let mut scratch =

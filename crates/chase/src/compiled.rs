@@ -422,15 +422,20 @@ impl FunctionalDependencies {
 /// A dependency set compiled once for repeated chasing.
 ///
 /// Holds the source DEDs plus everything `run_chase` needs precomputed:
-/// the detected closure-shortcut constraints, the EGD-priority-sorted
-/// compiled DED lists — both with the closure constraints excluded
-/// (shortcut on) and included (shortcut off) — the premise-predicate
-/// indexes driving the delta rounds, and the functional dependencies the
-/// set's key-shaped EGDs state, by predicate (a chase step binds an
-/// existential a key already determines instead of inventing it), plus
-/// the single-premise TGDs the backchase's pruning criterion 4 reads. Build it
-/// once per engine / `Mars` instance and share it via `Arc` — every chase
-/// and back-chase then reuses the same compilation.
+/// the detected closure-shortcut constraints, the other dependencies
+/// compiled and sorted in EGD-priority order, the premise-predicate index
+/// driving the delta rounds (one slot per listed dependency, then one per
+/// closure group), and the functional dependencies the set's key-shaped
+/// EGDs state, by predicate (a chase step binds an existential a key
+/// already determines instead of inventing it), plus the single-premise
+/// TGDs the backchase's pruning criterion 4 reads. Build it once per engine
+/// / `Mars` instance and share it via `Arc` — every chase and back-chase
+/// then reuses the same compilation.
+///
+/// The closure shortcut (Section 3.2) is a property of the compiled set,
+/// not of a chase: [`CompiledDeps::new`] applies it to every closure group
+/// it detects, and [`CompiledDeps::without_shortcut`] — the paper's
+/// ablation — detects none, so its list holds every dependency.
 ///
 /// A set built with a navigation layer
 /// ([`CompiledDeps::with_navigation_layer`]) also holds the *spec-level*
@@ -439,15 +444,12 @@ impl FunctionalDependencies {
 #[derive(Clone, Debug)]
 pub struct CompiledDeps {
     deds: Vec<Ded>,
-    /// EGD-priority-sorted compiled DEDs excluding the closure-shortcut
-    /// constraints (used when `ChaseOptions::use_shortcut` is on).
-    shortcut_rest: Vec<CompiledDed>,
-    /// EGD-priority-sorted compiled DEDs, all of them (shortcut off).
-    all: Vec<CompiledDed>,
-    /// Premise-predicate indexes aligned with the two lists above; the
-    /// shortcut's also holds a slot per closure group.
-    shortcut_index: DedIndex,
-    all_index: DedIndex,
+    /// The compiled DEDs the chase evaluates, EGD-priority-sorted: every
+    /// dependency except the closure constraints.
+    compiled: Vec<CompiledDed>,
+    /// The premise-predicate index over `compiled`, whose slot
+    /// `compiled.len() + g` is closure group `g`.
+    index: DedIndex,
     /// The detected `(refl)/(base)/(trans)` closure constraints.
     closure: ClosureConstraints,
     /// The functional dependencies the key-shaped EGDs state.
@@ -488,9 +490,10 @@ fn egd_priority(d: &CompiledDed) -> u8 {
 
 impl CompiledDeps {
     /// Compile a dependency set (closure detection + per-DED compilation +
-    /// EGD-priority ordering + functional-dependency detection). This and
-    /// [`CompiledDeps::with_navigation_layer`] are the only places
-    /// dependency compilation happens; each increments the process-wide
+    /// EGD-priority ordering + functional-dependency detection). This,
+    /// [`CompiledDeps::with_navigation_layer`] and
+    /// [`CompiledDeps::without_shortcut`] are the only places dependency
+    /// compilation happens; each increments the process-wide
     /// [`compilation_count`] once.
     pub fn new(deds: &[Ded]) -> CompiledDeps {
         CompiledDeps::with_navigation_layer(deds, &[])
@@ -505,45 +508,48 @@ impl CompiledDeps {
     /// spec-level set is cloned from this one compilation; an empty layer
     /// keeps none.
     pub fn with_navigation_layer(deds: &[Ded], navigation_layer: &[usize]) -> CompiledDeps {
-        COMPILATIONS.fetch_add(1, Ordering::SeqCst);
-        let compiled: Vec<CompiledDed> = deds
-            .iter()
-            .enumerate()
-            .map(|(source, d)| CompiledDed { source, ..CompiledDed::compile(d) })
-            .collect();
+        let compiled = compile_each(deds);
         let spec_level = (!navigation_layer.is_empty()).then(|| {
             let kept = compiled.iter().filter(|d| !navigation_layer.contains(&d.source));
-            Box::new(CompiledDeps::assemble(kept.cloned().collect(), None))
+            Box::new(CompiledDeps::assemble(kept.cloned().collect(), detect_closure_constraints))
         });
-        CompiledDeps::assemble(compiled, spec_level)
+        CompiledDeps { spec_level, ..CompiledDeps::assemble(compiled, detect_closure_constraints) }
     }
 
-    /// Package compiled dependencies for the chase: closure detection,
-    /// EGD-priority ordering, the premise-predicate indexes, the functional
-    /// dependencies and the single-premise TGDs.
-    fn assemble(compiled: Vec<CompiledDed>, spec_level: Option<Box<CompiledDeps>>) -> CompiledDeps {
+    /// Compile a dependency set for chasing without the closure shortcut,
+    /// as the Section 3.2 ablation does: no closure constraint is detected,
+    /// so the `(refl)/(base)/(trans)` constraints run as ordinary
+    /// dependencies and the set has no closure group.
+    pub fn without_shortcut(deds: &[Ded]) -> CompiledDeps {
+        CompiledDeps::assemble(compile_each(deds), |_| ClosureConstraints::default())
+    }
+
+    /// Package compiled dependencies for the chase: the closure constraints
+    /// `detect` finds are left out of the EGD-priority-sorted list, each of
+    /// their groups becomes a slot of the premise-predicate index, and the
+    /// functional dependencies and single-premise TGDs are collected.
+    fn assemble(
+        compiled: Vec<CompiledDed>,
+        detect: impl FnOnce(&[Ded]) -> ClosureConstraints,
+    ) -> CompiledDeps {
         let deds: Vec<Ded> = compiled.iter().map(|d| d.ded.clone()).collect();
-        let closure = detect_closure_constraints(&deds);
-        let skip: HashSet<usize> = closure.indices().into_iter().collect();
-        let mut shortcut_rest: Vec<CompiledDed> = compiled
-            .iter()
+        let closure = detect(&deds);
+        let skip = closure.indices();
+        let mut compiled: Vec<CompiledDed> = compiled
+            .into_iter()
             .enumerate()
             .filter(|(i, _)| !skip.contains(i))
-            .map(|(_, d)| d.clone())
+            .map(|(_, d)| d)
             .collect();
-        let mut all = compiled;
-        all.sort_by_key(egd_priority);
-        shortcut_rest.sort_by_key(egd_priority);
+        compiled.sort_by_key(egd_priority);
         CompiledDeps {
-            shortcut_index: DedIndex::new(&shortcut_rest, &closure.groups),
-            all_index: DedIndex::new(&all, &[]),
-            shortcut_rest,
-            all,
+            index: DedIndex::new(&compiled, &closure.groups),
+            compiled,
             closure,
             functional: FunctionalDependencies::new(&deds),
             single_premise: SinglePremiseTgds::new(&deds),
             deds,
-            spec_level,
+            spec_level: None,
         }
     }
 
@@ -559,6 +565,23 @@ impl CompiledDeps {
         &self.deds
     }
 
+    /// The compiled DEDs the chase evaluates, in EGD-priority order: the
+    /// set without its closure constraints.
+    pub fn compiled(&self) -> &[CompiledDed] {
+        &self.compiled
+    }
+
+    /// The closure constraints the chase applies directly, by group.
+    pub(crate) fn closure(&self) -> &ClosureConstraints {
+        &self.closure
+    }
+
+    /// The premise-predicate index over [`CompiledDeps::compiled`] and the
+    /// closure groups.
+    pub(crate) fn index(&self) -> &DedIndex {
+        &self.index
+    }
+
     /// The functional dependencies the set's key-shaped EGDs state.
     pub(crate) fn functional_dependencies(&self) -> &FunctionalDependencies {
         &self.functional
@@ -569,29 +592,23 @@ impl CompiledDeps {
     pub(crate) fn single_premise_tgds(&self) -> &SinglePremiseTgds {
         &self.single_premise
     }
+}
 
-    /// The compiled DEDs the chase should run, given whether the closure
-    /// shortcut is active, plus the closure constraints to apply directly
-    /// (`None` when the shortcut is off) and the premise-predicate index
-    /// aligned with the returned list, whose slot `compiled.len() + g` is
-    /// closure group `g`.
-    pub fn for_chase(
-        &self,
-        use_shortcut: bool,
-    ) -> (&[CompiledDed], Option<&ClosureConstraints>, &DedIndex) {
-        if use_shortcut {
-            (&self.shortcut_rest, Some(&self.closure), &self.shortcut_index)
-        } else {
-            (&self.all, None, &self.all_index)
-        }
-    }
+/// Compile every dependency of `deds`, tagged with its position; counted
+/// as one dependency-set compilation.
+fn compile_each(deds: &[Ded]) -> Vec<CompiledDed> {
+    COMPILATIONS.fetch_add(1, Ordering::SeqCst);
+    deds.iter()
+        .enumerate()
+        .map(|(source, d)| CompiledDed { source, ..CompiledDed::compile(d) })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mars_cq::atom::builders::*;
-    use mars_cq::{Atom, Conjunct, ConjunctiveQuery, Ded, Term, Variable};
+    use mars_cq::{Atom, Conjunct, ConjunctiveQuery, Ded, NavBase, Term, Variable};
 
     fn t(n: &str) -> Term {
         Term::var(n)
@@ -780,6 +797,111 @@ mod tests {
         for ded in &rejected {
             assert_eq!(FunctionalDependency::of(ded), None, "{}", ded.name);
         }
+    }
+
+    /// Σ over two documents: each document's `(base)` and `(trans)`, one
+    /// `(refl)`, and a TGD, an EGD and a denial listed out of EGD-priority
+    /// order.
+    fn two_document_sigma() -> Vec<Ded> {
+        let nav = |base: NavBase, doc: &str, args: &[&str]| {
+            Atom::new(base.predicate(doc), args.iter().map(|a| t(a)).collect())
+        };
+        let mut deds = vec![Ded::tgd(
+            "copy",
+            vec![Atom::named("A", vec![t("x")])],
+            vec![],
+            vec![Atom::named("B", vec![t("x")])],
+        )];
+        for doc in ["a.xml", "b.xml"] {
+            deds.push(Ded::tgd(
+                &format!("base {doc}"),
+                vec![nav(NavBase::Child, doc, &["x", "y"])],
+                vec![],
+                vec![nav(NavBase::Desc, doc, &["x", "y"])],
+            ));
+            deds.push(Ded::tgd(
+                &format!("trans {doc}"),
+                vec![nav(NavBase::Desc, doc, &["x", "y"]), nav(NavBase::Desc, doc, &["y", "z"])],
+                vec![],
+                vec![nav(NavBase::Desc, doc, &["x", "z"])],
+            ));
+        }
+        deds.push(Ded::tgd(
+            "refl a.xml",
+            vec![nav(NavBase::El, "a.xml", &["x"])],
+            vec![],
+            vec![nav(NavBase::Desc, "a.xml", &["x", "x"])],
+        ));
+        deds.push(Ded::egd(
+            "key",
+            vec![r(&[t("k"), t("a")]), r(&[t("k"), t("b")])],
+            t("a"),
+            t("b"),
+        ));
+        deds.push(Ded::denial("no_self", vec![child(t("x"), t("x"))]));
+        deds
+    }
+
+    fn names(compiled: &[CompiledDed]) -> Vec<&str> {
+        compiled.iter().map(|d| d.ded.name.as_str()).collect()
+    }
+
+    /// The default package is Σ without exactly its closure constraints, in
+    /// EGD-priority order, each tallied under its position in Σ; its index
+    /// has one slot per listed dependency and then one per closure group,
+    /// keyed on the relations that group's closure reads.
+    #[test]
+    fn the_package_leaves_out_the_closure_constraints_and_slots_each_group() {
+        let sigma = two_document_sigma();
+        let deps = CompiledDeps::new(&sigma);
+        assert_eq!(deps.deds(), sigma.as_slice());
+        assert_eq!(names(deps.compiled()), ["no_self", "key", "copy"]);
+        let sources: Vec<usize> = deps.compiled().iter().map(|d| d.source).collect();
+        assert_eq!(sources, [7, 6, 0]);
+        let groups = &deps.closure().groups;
+        let documents: Vec<&str> = groups.iter().map(|g| g.document.as_str()).collect();
+        assert_eq!(documents, ["a.xml", "b.xml"]);
+        let mut skipped = deps.closure().indices();
+        skipped.sort_unstable();
+        assert_eq!(skipped, [1, 2, 3, 4, 5]);
+
+        let index = deps.index();
+        assert_eq!(index.initial_needs(None).len(), deps.compiled().len() + groups.len());
+        let marked = |p: Predicate| {
+            let mut needs = index.initial_needs(Some(&HashSet::new()));
+            index.mark(p, &mut needs);
+            needs
+        };
+        // a.xml's `el` is read by a.xml's group alone (its `(refl)`), and
+        // b.xml's `desc` by b.xml's group alone (its `(trans)`).
+        assert_eq!(marked(NavBase::El.predicate("a.xml")), [false, false, false, true, false]);
+        assert_eq!(marked(NavBase::Desc.predicate("b.xml")), [false, false, false, false, true]);
+        // The denial reads the builders' `child`, which no group here does.
+        assert_eq!(marked(child(t("x"), t("y")).predicate), [true, false, false, false, false]);
+    }
+
+    /// Compiled without the shortcut, the package holds every dependency,
+    /// in EGD-priority order, and no closure group.
+    #[test]
+    fn without_the_shortcut_the_package_holds_every_dependency_and_no_group() {
+        let sigma = two_document_sigma();
+        let deps = CompiledDeps::without_shortcut(&sigma);
+        assert_eq!(deps.deds(), sigma.as_slice());
+        assert_eq!(
+            names(deps.compiled()),
+            [
+                "no_self",
+                "key",
+                "copy",
+                "base a.xml",
+                "trans a.xml",
+                "base b.xml",
+                "trans b.xml",
+                "refl a.xml"
+            ]
+        );
+        assert!(deps.closure().groups.is_empty());
+        assert_eq!(deps.index().initial_needs(None).len(), sigma.len());
     }
 
     #[test]

@@ -180,7 +180,7 @@ mod tests {
         ]);
         let tix = CompiledDeps::new(&tix_constraints(&s));
         let up = chase_to_resident_compiled(&q, &tix, &ChaseOptions::default());
-        assert!(up.stats().completed, "TIX chase must terminate");
+        assert!(up.stats().completed(), "TIX chase must terminate");
         let plan = up.primary(&q.name).expect("a surviving branch");
         // The chase derived el facts, ids, reflexive/transitive desc facts.
         assert!(plan.body.len() > q.body.len());

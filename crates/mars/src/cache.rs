@@ -25,7 +25,7 @@
 
 use crate::result::BlockReformulation;
 use mars_chase::ReformulationResult;
-use mars_cq::{Atom, ConjunctiveQuery, Constant, Term, Variable};
+use mars_cq::{symbol, Atom, ConjunctiveQuery, Constant, Term, Variable};
 use mars_xquery::QueryShape;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,12 +51,23 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-/// One cached reformulation: the variables and constants of the shape it
-/// was stored under (they drive re-substitution) and the result.
+/// One cached reformulation: its shape's variables and constants, interned
+/// beside their spellings (they drive re-substitution), and the result.
 struct CachedEntry {
-    variables: Vec<String>,
-    constants: Vec<String>,
+    variables: Vec<(&'static str, Variable)>,
+    constants: Vec<(&'static str, Constant)>,
     block: BlockReformulation,
+}
+
+/// Each of `names` interned by `intern`, beside its spelling.
+fn interned<T>(names: Vec<&str>, intern: fn(&str) -> T) -> Vec<(&'static str, T)> {
+    names.into_iter().map(|name| (symbol(name).as_str(), intern(name))).collect()
+}
+
+/// The stored terms whose spelling differs from the incoming name, each with that name interned.
+fn differing<T: Copy>(stored: &[(&str, T)], names: &[&str], intern: fn(&str) -> T) -> Vec<(T, T)> {
+    let pairs = stored.iter().zip(names).filter(|((spelling, _), name)| spelling != *name);
+    pairs.map(|(&(_, from), name)| (from, intern(name))).collect()
 }
 
 /// The cached entries by shape key. An entry is shared: a hit takes a
@@ -111,7 +122,7 @@ impl PlanCache {
     /// cache's lock, and its `duration` is zero: the time spent producing the
     /// hit is the caller's to measure. On a miss `None` is returned and the
     /// miss is counted.
-    pub fn lookup(&self, shape: &QueryShape) -> Option<BlockReformulation> {
+    pub fn lookup(&self, shape: &QueryShape<'_>) -> Option<BlockReformulation> {
         let entry = self.entries().get(&shape.key).cloned().filter(|e| {
             e.variables.len() == shape.variables.len() && e.constants.len() == shape.constants.len()
         });
@@ -131,10 +142,11 @@ impl PlanCache {
     /// Insert a reformulation computed cold for `shape`. First writer wins:
     /// a concurrent duplicate insert leaves the resident entry in place, so
     /// racing warm readers keep seeing one plan.
-    pub fn insert(&self, shape: QueryShape, block: BlockReformulation) {
-        let QueryShape { key, constants, variables } = shape;
+    pub fn insert(&self, shape: QueryShape<'_>, block: BlockReformulation) {
+        let variables = interned(shape.variables, Variable::named);
+        let constants = interned(shape.constants, Constant::str);
         self.entries()
-            .entry(key)
+            .entry(shape.key)
             .or_insert_with(|| Arc::new(CachedEntry { variables, constants, block }));
     }
 
@@ -153,22 +165,10 @@ impl PlanCache {
 /// the hit is built from the cached block in one pass, each query rewritten
 /// as it is copied. The SQL is re-rendered from the rewritten best query so
 /// constant literals in `WHERE` clauses track the substitution.
-fn resubstitute(entry: &CachedEntry, incoming: &QueryShape) -> BlockReformulation {
+fn resubstitute(entry: &CachedEntry, incoming: &QueryShape<'_>) -> BlockReformulation {
     // A handful of pairs: searched directly, not hashed.
-    let vars: Vec<(Variable, Variable)> = entry
-        .variables
-        .iter()
-        .zip(&incoming.variables)
-        .filter(|(a, b)| a != b)
-        .map(|(a, b)| (Variable::named(a), Variable::named(b)))
-        .collect();
-    let consts: Vec<(Constant, Constant)> = entry
-        .constants
-        .iter()
-        .zip(&incoming.constants)
-        .filter(|(a, b)| a != b)
-        .map(|(a, b)| (Constant::str(a), Constant::str(b)))
-        .collect();
+    let vars = differing(&entry.variables, &incoming.variables, Variable::named);
+    let consts = differing(&entry.constants, &incoming.constants, Constant::str);
     let q = |query: &ConjunctiveQuery| remap_query(query, &vars, &consts);
     let (block, result) = (&entry.block, &entry.block.result);
     BlockReformulation {
@@ -223,12 +223,8 @@ mod tests {
     use super::*;
     use mars_chase::CbStatistics;
 
-    fn shape(key: &str, vars: &[&str], consts: &[&str]) -> QueryShape {
-        QueryShape {
-            key: key.to_string(),
-            constants: consts.iter().map(|s| s.to_string()).collect(),
-            variables: vars.iter().map(|s| s.to_string()).collect(),
-        }
+    fn shape<'q>(key: &str, vars: &[&'q str], consts: &[&'q str]) -> QueryShape<'q> {
+        QueryShape { key: key.to_string(), constants: consts.to_vec(), variables: vars.to_vec() }
     }
 
     /// `Q(x) :- r(x, c0, c1)` as a full block reformulation.

@@ -478,7 +478,7 @@ mod tests {
         let deps = CompiledDeps::new(mars.dependencies());
         let mut scratch = JoinScratch::default();
         let (mut egd_bindings, mut egd_rows) = (0, 0);
-        for ded in deps.for_chase(true).0 {
+        for ded in deps.compiled() {
             let unblocked = ded.unblocked_bindings(&plan, &mut scratch);
             assert!(unblocked.bindings.is_empty(), "{}: the plan is a fixpoint", ded.ded.name);
             if ded.ded.is_egd() {

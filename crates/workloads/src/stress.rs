@@ -81,10 +81,12 @@ mod tests {
     #[test]
     fn chase_with_and_without_shortcut_agree_on_small_depths() {
         let q = compiled_stress_query(5);
-        let tix = CompiledDeps::new(&stress_constraints());
-        let with = chase_to_resident_compiled(&q, &tix, &ChaseOptions::default());
-        let without = chase_to_resident_compiled(&q, &tix, &ChaseOptions::without_shortcut());
-        assert!(with.stats().completed && without.stats().completed);
+        let tix = stress_constraints();
+        let options = ChaseOptions::default();
+        let with = chase_to_resident_compiled(&q, &CompiledDeps::new(&tix), &options);
+        let without =
+            chase_to_resident_compiled(&q, &CompiledDeps::without_shortcut(&tix), &options);
+        assert!(with.stats().completed() && without.stats().completed());
         let atoms = |up: &mars_chase::ResidentChase| up.primary(&q.name).unwrap().body.len();
         assert_eq!(atoms(&with), atoms(&without));
         // The universal plan is much larger than the input (closure + el/id facts).

@@ -29,26 +29,26 @@ use std::fmt::{self, Write};
 
 /// The normal form of an [`XBindQuery`]: the cache key plus the concrete
 /// values abstracted out of it, in a deterministic order so a cache hit can
-/// re-substitute them pairwise.
+/// re-substitute them pairwise. The values are borrowed from the query.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct QueryShape {
+pub struct QueryShape<'q> {
     /// The canonical rendering: block name, head, distinct flag and atoms
     /// with variables alpha-renamed to `v0, v1, …` and non-reserved
     /// constants replaced by `?0, ?1, …` (one parameter per distinct value).
     pub key: String,
     /// The distinct non-reserved constant values, in parameter order
     /// (`constants[i]` is the value of `?i`).
-    pub constants: Vec<String>,
+    pub constants: Vec<&'q str>,
     /// The original variable names, in alpha-renaming order
     /// (`variables[i]` is the name `v{i}` stands for).
-    pub variables: Vec<String>,
+    pub variables: Vec<&'q str>,
 }
 
 /// State threaded through the canonical rendering: the key written so far,
 /// and the variables and parameters numbered so far, by the names the query
 /// spells them with.
-struct Normalizer<'q> {
-    reserved: &'q HashSet<String>,
+struct Normalizer<'q, 'r> {
+    reserved: &'r HashSet<String>,
     key: String,
     vars: HashMap<&'q str, usize>,
     var_order: Vec<&'q str>,
@@ -68,7 +68,7 @@ fn number<'q>(
     })
 }
 
-impl<'q> Normalizer<'q> {
+impl<'q> Normalizer<'q, '_> {
     fn var(&mut self, name: &'q str) -> fmt::Result {
         let i = number(&mut self.vars, &mut self.var_order, name);
         write!(self.key, "v{i}")
@@ -163,8 +163,8 @@ impl<'q> Normalizer<'q> {
 /// parameterized out. The walk order (head, then atoms in order) is the
 /// deterministic first-occurrence order both the variable alpha-renaming and
 /// the constant parameter numbering follow. The key is written in that one
-/// walk, into one buffer.
-pub fn shape_of(q: &XBindQuery, reserved: &HashSet<String>) -> QueryShape {
+/// walk, into one buffer; the names are not copied.
+pub fn shape_of<'q>(q: &'q XBindQuery, reserved: &HashSet<String>) -> QueryShape<'q> {
     let mut n = Normalizer {
         reserved,
         key: String::new(),
@@ -174,11 +174,7 @@ pub fn shape_of(q: &XBindQuery, reserved: &HashSet<String>) -> QueryShape {
         param_order: Vec::new(),
     };
     n.query(q).expect("writing to a String does not fail");
-    QueryShape {
-        key: n.key,
-        constants: n.param_order.into_iter().map(str::to_string).collect(),
-        variables: n.var_order.into_iter().map(str::to_string).collect(),
-    }
+    QueryShape { key: n.key, constants: n.param_order, variables: n.var_order }
 }
 
 #[cfg(test)]
@@ -205,8 +201,8 @@ mod tests {
 
     #[test]
     fn constants_are_parameterized_out() {
-        let a = shape_of(&filter_query("Q", "x", "k1", "k2"), &reserved());
-        let b = shape_of(&filter_query("Q", "x", "zz", "ww"), &reserved());
+        let (qa, qb) = (filter_query("Q", "x", "k1", "k2"), filter_query("Q", "x", "zz", "ww"));
+        let (a, b) = (shape_of(&qa, &reserved()), shape_of(&qb, &reserved()));
         assert_eq!(a.key, b.key, "queries differing only in constants share a shape");
         assert_eq!(a.constants, vec!["k1", "k2"]);
         assert_eq!(b.constants, vec!["zz", "ww"]);
@@ -214,8 +210,9 @@ mod tests {
 
     #[test]
     fn variables_are_alpha_renamed() {
-        let a = shape_of(&filter_query("Q", "x", "k", "k2"), &reserved());
-        let b = shape_of(&filter_query("Q", "renamed", "k", "k2"), &reserved());
+        let qa = filter_query("Q", "x", "k", "k2");
+        let qb = filter_query("Q", "renamed", "k", "k2");
+        let (a, b) = (shape_of(&qa, &reserved()), shape_of(&qb, &reserved()));
         assert_eq!(a.key, b.key, "alpha-renaming erases variable names");
         assert_eq!(a.variables, vec!["x", "y"]);
         assert_eq!(b.variables, vec!["renamed", "y"]);
@@ -225,8 +222,9 @@ mod tests {
     /// constants are two parameters. The shapes must differ.
     #[test]
     fn repeated_constant_is_not_conflated_with_distinct_constants() {
-        let joined = shape_of(&filter_query("Q", "x", "same", "same"), &reserved());
-        let split = shape_of(&filter_query("Q", "x", "one", "two"), &reserved());
+        let (qj, qs) =
+            (filter_query("Q", "x", "same", "same"), filter_query("Q", "x", "one", "two"));
+        let (joined, split) = (shape_of(&qj, &reserved()), shape_of(&qs, &reserved()));
         assert_ne!(joined.key, split.key);
         assert_eq!(joined.constants, vec!["same"]);
         assert_eq!(split.constants, vec!["one", "two"]);
@@ -236,11 +234,13 @@ mod tests {
     fn reserved_constants_stay_literal() {
         let mut r = HashSet::new();
         r.insert("k1".to_string());
-        let shape = shape_of(&filter_query("Q", "x", "k1", "k2"), &r);
+        let q = filter_query("Q", "x", "k1", "k2");
+        let shape = shape_of(&q, &r);
         assert!(shape.key.contains("\"k1\""), "reserved value is structural: {}", shape.key);
         assert_eq!(shape.constants, vec!["k2"], "only the free constant is a parameter");
         // A different value in the reserved position is a different shape.
-        let other = shape_of(&filter_query("Q", "x", "other", "k2"), &r);
+        let other = filter_query("Q", "x", "other", "k2");
+        let other = shape_of(&other, &r);
         assert_ne!(shape.key, other.key);
     }
 

@@ -33,13 +33,20 @@ fn main() {
     for block in &result.blocks {
         println!("navigation block {}:", block.name);
         println!("  compiled over GReX: {} atoms", block.compiled.body.len());
-        match block.result.best_or_initial() {
-            Some(best) => {
-                println!("  best reformulation: {best}");
-                println!("  as SQL:\n{}", block.sql().as_deref().unwrap_or("<none>"));
+        // The SQL renders the best reformulation, or the initial one the
+        // result falls back to when none was proved equivalent.
+        match (&block.result.best, &block.result.initial) {
+            (Some((best, _)), _) => println!("  best reformulation: {best}"),
+            (None, Some(initial)) => {
+                println!("  no reformulation proved equivalent; fell back to the initial one:");
+                println!("  {initial}");
             }
-            None => println!("  no reformulation found"),
+            (None, None) => {
+                println!("  no reformulation found");
+                continue;
+            }
         }
+        println!("  as SQL:\n{}", block.sql().as_deref().unwrap_or("<none>"));
     }
     println!("total reformulation time: {:?}", result.total);
 }

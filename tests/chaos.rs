@@ -201,8 +201,8 @@ fn adversarial_requests_are_safe_and_shape_divergent() {
     assert!(keys.len() >= 3, "the stream must defeat the shape cache, got {keys:?}");
     // Constants are parameterized out: same width + same duplication
     // phase = same shape, different key constant.
-    let a = shape_of(&adversarial_request(&cfg, 0), &reserved);
-    let b = shape_of(&adversarial_request(&cfg, 6), &reserved);
+    let (first, seventh) = (adversarial_request(&cfg, 0), adversarial_request(&cfg, 6));
+    let (a, b) = (shape_of(&first, &reserved), shape_of(&seventh, &reserved));
     assert_eq!(a.key, b.key);
     assert_ne!(a.constants, b.constants);
 }

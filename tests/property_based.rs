@@ -197,7 +197,7 @@ proptest! {
                 &CompiledDeps::new(&deds),
                 &ChaseOptions::default(),
             );
-            prop_assert!(back.stats().completed);
+            prop_assert!(back.stats().completed());
             let compiled_once = ContainmentProgram::new(&source);
             for branch in back.branches() {
                 let rendered = branch.to_query("branch");
@@ -320,7 +320,7 @@ proptest! {
         let naive = naive_chase(&q, &deds, &ChaseBudget::small());
         let fast = chase_to_resident_compiled(&q, &CompiledDeps::new(&deds), &ChaseOptions::default());
         prop_assert!(naive.terminated());
-        prop_assert!(fast.stats().completed);
+        prop_assert!(fast.stats().completed());
         prop_assert_eq!(naive.single().unwrap().body.len(), fast.primary(&q.name).unwrap().body.len());
     }
 }
@@ -392,7 +392,10 @@ fn determined_existentials_chase_like_the_naive_chase() {
         let naive = naive_chase(&q, &deds, &ChaseBudget::small());
         let fast =
             chase_to_resident_compiled(&q, &CompiledDeps::new(&deds), &ChaseOptions::default());
-        assert!(naive.terminated() && fast.stats().completed, "seed {seed}: {q:?} under {deds:?}");
+        assert!(
+            naive.terminated() && fast.stats().completed(),
+            "seed {seed}: {q:?} under {deds:?}"
+        );
         assert_eq!(naive.leaves.is_empty(), fast.is_empty(), "seed {seed}: {q:?}");
         clashes += usize::from(fast.is_empty());
         merges_saved += usize::from(fast.stats().applied_steps < naive.steps);
@@ -1152,7 +1155,7 @@ fn star_back_chases_confirm_like_the_oracle() {
             continue;
         }
         let back = chase_to_resident_compiled(candidate, &deds, &ChaseOptions::default());
-        assert!(back.stats().completed && !back.is_empty());
+        assert!(back.stats().completed() && !back.is_empty());
         back_chases += 1;
         for branch in back.branches() {
             let kernel = maps_into(original, branch.instance(), branch.head());
