@@ -16,7 +16,7 @@ use crate::backchase::{
 use crate::chase::{chase_to_resident_compiled, ChaseOptions, ChaseStats, DependencyWork};
 use crate::compiled::CompiledDeps;
 use crate::instance::thread_index_build_count;
-use mars_cq::{ConjunctiveQuery, Ded, Predicate};
+use mars_cq::{ConjunctiveQuery, Ded, Predicate, Renamed};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -217,14 +217,19 @@ pub struct CbStatistics {
 }
 
 /// The result of reformulating one query.
+///
+/// The universal plan and the minimal set are the large fields, and a
+/// request runs neither: they are [`Renamed`] values, which a plan-cache hit
+/// shares with its cached entry and renames only if they are read. A cold
+/// result's are their own source, so reading them costs nothing.
 #[derive(Clone, Debug)]
 pub struct ReformulationResult {
     /// The universal plan (primary branch).
-    pub universal_plan: ConjunctiveQuery,
+    pub universal_plan: Renamed<ConjunctiveQuery>,
     /// The initial reformulation (largest proprietary subquery), if non-empty.
     pub initial: Option<ConjunctiveQuery>,
     /// All minimal reformulations found (with estimated costs).
-    pub minimal: Vec<(ConjunctiveQuery, f64)>,
+    pub minimal: Renamed<Vec<(ConjunctiveQuery, f64)>>,
     /// The cost-optimal reformulation.
     pub best: Option<(ConjunctiveQuery, f64)>,
     /// Statistics.
@@ -344,7 +349,13 @@ impl ChaseBackchase {
             inequalities: query.inequalities.clone(),
         });
         stats.total = start.elapsed();
-        ReformulationResult { universal_plan, initial, minimal, best, stats }
+        ReformulationResult {
+            universal_plan: universal_plan.into(),
+            initial,
+            minimal: minimal.into(),
+            best,
+            stats,
+        }
     }
 }
 

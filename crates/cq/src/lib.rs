@@ -11,7 +11,9 @@
 //! * the GReX vocabulary: the eight [`NavBase`]s of the XML encoding, and
 //!   [`Atom::navigation`], the one classifier every crate asks whether an
 //!   atom navigates a document,
-//! * [`Substitution`]s,
+//! * [`Substitution`]s, and the simultaneous [`Renaming`]s of variables and
+//!   constants a plan-cache hit applies, with [`Renamed`] values that apply
+//!   one only when first read,
 //! * [`Ded`]s — *disjunctive embedded dependencies* — the constraint language
 //!   used for relational integrity constraints, compiled XML integrity
 //!   constraints (XICs) and compiled XQuery views.
@@ -30,6 +32,7 @@ pub mod atomset;
 pub mod ded;
 pub mod fx;
 pub mod query;
+pub mod renaming;
 pub mod substitution;
 pub mod symbol;
 pub mod term;
@@ -40,6 +43,7 @@ pub use atomset::AtomSet;
 pub use ded::{Conjunct, Ded};
 pub use fx::{FxBuild, FxHashMap, FxHashSet, FxHasher};
 pub use query::ConjunctiveQuery;
+pub use renaming::{Rename, Renamed, Renaming};
 pub use substitution::Substitution;
 pub use symbol::{symbol, symbol_name, Symbol};
 pub use term::{Constant, Term, VarGen, Variable};

@@ -15,17 +15,21 @@
 //! On a hit the cached [`BlockReformulation`] is **re-substituted**: the
 //! stored entry's variables and constants are mapped pairwise onto the new
 //! query's (both shapes list them in first-occurrence order, and equal shape
-//! keys guarantee the lists align), and the hit is built from the cached
-//! block in one pass, every query rewritten simultaneously as it is copied.
+//! keys guarantee the lists align) by one [`Renaming`]. The hit renames only
+//! the queries a request runs: the compiled query and the initial and best
+//! reformulations. The universal plan and the minimal reformulations, the
+//! large fields, are shared with the entry together with the renaming, and
+//! are renamed only if something reads them ([`mars_cq::Renamed`]).
 //! Entries are shared handles: a hit takes one under the cache's lock and
-//! rewrites after releasing it, so concurrent hits run side by side.
+//! renames after releasing it, so concurrent hits run side by side.
 //! Nothing derived from the queries is kept beside them (the SQL is rendered
-//! from the rewritten best query when asked for). The service layer
-//! property-tests that this equals a cold reformulation byte for byte.
+//! from the renamed best query when asked for). The service layer
+//! property-tests that every field of a hit equals a cold reformulation
+//! byte for byte.
 
 use crate::result::BlockReformulation;
 use mars_chase::ReformulationResult;
-use mars_cq::{symbol, Atom, ConjunctiveQuery, Constant, Term, Variable};
+use mars_cq::{symbol, Constant, Rename, Renaming, Variable};
 use mars_xquery::QueryShape;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,7 +90,7 @@ pub struct PlanCache {
 
 impl PlanCache {
     // The guard is held only to probe, insert or clear: a hit re-substitutes
-    // after releasing it, so concurrent hits do not serialize on the rewrite.
+    // after releasing it, so concurrent hits do not serialize on the renaming.
     // Every update is one insert or removal of a finished entry, so a panic
     // while a guard is held leaves the map valid, and a poisoned lock is
     // recovered instead of turning one failed request into an outage.
@@ -159,26 +163,31 @@ impl PlanCache {
 }
 
 /// Rewrite a cached reformulation from the shape it was stored under to the
-/// shape of the incoming query: variables and constants are mapped pairwise
+/// shape of the incoming query. Variables and constants are mapped pairwise
 /// (position `i` of one list to position `i` of the other — both are in
-/// first-occurrence order and the equal shape key guarantees alignment), and
-/// the hit is built from the cached block in one pass, each query rewritten
-/// as it is copied. The SQL is re-rendered from the rewritten best query so
-/// constant literals in `WHERE` clauses track the substitution.
+/// first-occurrence order and the equal shape key guarantees alignment) by
+/// one [`Renaming`]. The queries a request runs — the compiled query, the
+/// initial and the best reformulation, which [`best_or_initial`] picks from
+/// — are renamed here. The universal plan and the minimal set share the
+/// entry's with that renaming and are renamed only if read. The SQL is
+/// rendered from the renamed best query when asked for, so constant
+/// literals in `WHERE` clauses track the substitution.
+///
+/// [`best_or_initial`]: ReformulationResult::best_or_initial
 fn resubstitute(entry: &CachedEntry, incoming: &QueryShape<'_>) -> BlockReformulation {
-    // A handful of pairs: searched directly, not hashed.
-    let vars = differing(&entry.variables, &incoming.variables, Variable::named);
-    let consts = differing(&entry.constants, &incoming.constants, Constant::str);
-    let q = |query: &ConjunctiveQuery| remap_query(query, &vars, &consts);
+    let renaming = Arc::new(Renaming::new(
+        differing(&entry.variables, &incoming.variables, Variable::named),
+        differing(&entry.constants, &incoming.constants, Constant::str),
+    ));
     let (block, result) = (&entry.block, &entry.block.result);
     BlockReformulation {
         name: block.name.clone(),
-        compiled: q(&block.compiled),
+        compiled: block.compiled.rename(&renaming),
         result: ReformulationResult {
-            universal_plan: q(&result.universal_plan),
-            initial: result.initial.as_ref().map(&q),
-            minimal: result.minimal.iter().map(|(m, c)| (q(m), *c)).collect(),
-            best: result.best.as_ref().map(|(b, c)| (q(b), *c)),
+            universal_plan: result.universal_plan.renamed(&renaming),
+            initial: result.initial.as_ref().map(|q| q.rename(&renaming)),
+            minimal: result.minimal.renamed(&renaming),
+            best: result.best.as_ref().map(|best| best.rename(&renaming)),
             stats: result.stats.clone(),
         },
         // Routing depends on the query shape and the store statistics, not
@@ -188,40 +197,11 @@ fn resubstitute(entry: &CachedEntry, incoming: &QueryShape<'_>) -> BlockReformul
     }
 }
 
-/// One simultaneous pass: every term is looked up in the pairs exactly
-/// once, so `a→b, b→a` swaps correctly rather than cascading.
-fn remap_term(t: Term, vars: &[(Variable, Variable)], consts: &[(Constant, Constant)]) -> Term {
-    fn image<T: Copy + PartialEq>(pairs: &[(T, T)], x: T) -> T {
-        pairs.iter().find(|(from, _)| *from == x).map_or(x, |&(_, to)| to)
-    }
-    match t {
-        Term::Var(v) => Term::Var(image(vars, v)),
-        Term::Const(c) => Term::Const(image(consts, c)),
-    }
-}
-
-fn remap_query(
-    q: &ConjunctiveQuery,
-    vars: &[(Variable, Variable)],
-    consts: &[(Constant, Constant)],
-) -> ConjunctiveQuery {
-    let t = |term: &Term| remap_term(*term, vars, consts);
-    ConjunctiveQuery {
-        name: q.name.clone(),
-        head: q.head.iter().map(&t).collect(),
-        body: q
-            .body
-            .iter()
-            .map(|a| Atom { predicate: a.predicate, args: a.args.iter().map(&t).collect() })
-            .collect(),
-        inequalities: q.inequalities.iter().map(|(a, b)| (t(a), t(b))).collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mars_chase::CbStatistics;
+    use mars_cq::{Atom, ConjunctiveQuery, Term};
 
     fn shape<'q>(key: &str, vars: &[&'q str], consts: &[&'q str]) -> QueryShape<'q> {
         QueryShape { key: key.to_string(), constants: consts.to_vec(), variables: vars.to_vec() }
@@ -237,9 +217,9 @@ mod tests {
             name: "Q".to_string(),
             compiled: q.clone(),
             result: ReformulationResult {
-                universal_plan: q.clone(),
+                universal_plan: q.clone().into(),
                 initial: Some(q.clone()),
-                minimal: vec![(q.clone(), 1.0)],
+                minimal: vec![(q.clone(), 1.0)].into(),
                 best: Some((q, 1.0)),
                 stats: CbStatistics::default(),
             },

@@ -19,8 +19,8 @@ pub struct BlockReformulation {
     /// The backend routing decision for the chosen reformulation, when one
     /// was priced (see [`MarsService::reformulate_xbind_routed`]). Cached and
     /// replayed with the plan: the decision depends only on the query
-    /// shape and the store statistics, never on the constants, so
-    /// resubstitution clones it verbatim.
+    /// shape and the store statistics, never on the constants, so a
+    /// plan-cache hit replays it verbatim, unrenamed.
     ///
     /// [`MarsService::reformulate_xbind_routed`]: crate::MarsService::reformulate_xbind_routed
     pub route: Option<RoutingDecision>,
@@ -84,9 +84,9 @@ mod tests {
             name: "Q".to_string(),
             compiled: q.clone(),
             result: ReformulationResult {
-                universal_plan: q.clone(),
+                universal_plan: q.clone().into(),
                 initial: None,
-                minimal: if with_best { vec![(q.clone(), 1.0)] } else { vec![] },
+                minimal: if with_best { vec![(q.clone(), 1.0)] } else { vec![] }.into(),
                 best: if with_best { Some((q, 1.0)) } else { None },
                 stats: CbStatistics::default(),
             },

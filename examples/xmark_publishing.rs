@@ -16,16 +16,17 @@ fn main() {
         let elapsed = start.elapsed();
         println!("{}", q.name);
         println!("  reformulation time: {elapsed:?}");
-        match block.result.best_or_initial() {
-            Some(best) => {
-                let answers = db.query(best).len();
-                println!(
-                    "  best reformulation: {} atoms, {} answers over the views",
-                    best.body.len(),
-                    answers
-                );
+        // Only a reformulation the backchase proved equivalent is the best
+        // one; without it the result falls back to the initial one.
+        let (label, plan) = match (&block.result.best, &block.result.initial) {
+            (Some((best, _)), _) => ("best reformulation", best),
+            (None, Some(initial)) => ("no reformulation proved equivalent; initial one", initial),
+            (None, None) => {
+                println!("  no reformulation");
+                continue;
             }
-            None => println!("  no reformulation"),
-        }
+        };
+        let answers = db.query(plan).len();
+        println!("  {label}: {} atoms, {answers} answers over the views", plan.body.len());
     }
 }
