@@ -221,7 +221,8 @@ pub struct CbStatistics {
 /// The universal plan and the minimal set are the large fields, and a
 /// request runs neither: they are [`Renamed`] values, which a plan-cache hit
 /// shares with its cached entry and renames only if they are read. A cold
-/// result's are their own source, so reading them costs nothing.
+/// result's are their own source, so reading them costs nothing. The
+/// statistics are shared too: a hit reports the cold run's.
 #[derive(Clone, Debug)]
 pub struct ReformulationResult {
     /// The universal plan (primary branch).
@@ -232,8 +233,10 @@ pub struct ReformulationResult {
     pub minimal: Renamed<Vec<(ConjunctiveQuery, f64)>>,
     /// The cost-optimal reformulation.
     pub best: Option<(ConjunctiveQuery, f64)>,
-    /// Statistics.
-    pub stats: CbStatistics,
+    /// Statistics of the run that computed the result: a plan-cache hit
+    /// shares its entry's, since it did no chase or backchase work of its
+    /// own.
+    pub stats: Arc<CbStatistics>,
 }
 
 impl ReformulationResult {
@@ -354,7 +357,7 @@ impl ChaseBackchase {
             initial,
             minimal: minimal.into(),
             best,
-            stats,
+            stats: Arc::new(stats),
         }
     }
 }

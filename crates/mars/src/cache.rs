@@ -188,7 +188,7 @@ fn resubstitute(entry: &CachedEntry, incoming: &QueryShape<'_>) -> BlockReformul
             initial: result.initial.as_ref().map(|q| q.rename(&renaming)),
             minimal: result.minimal.renamed(&renaming),
             best: result.best.as_ref().map(|best| best.rename(&renaming)),
-            stats: result.stats.clone(),
+            stats: Arc::clone(&result.stats),
         },
         // Routing depends on the query shape and the store statistics, not
         // on the constants a shape abstracts over — replay it verbatim.
@@ -200,7 +200,6 @@ fn resubstitute(entry: &CachedEntry, incoming: &QueryShape<'_>) -> BlockReformul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mars_chase::CbStatistics;
     use mars_cq::{Atom, ConjunctiveQuery, Term};
 
     fn shape<'q>(key: &str, vars: &[&'q str], consts: &[&'q str]) -> QueryShape<'q> {
@@ -221,7 +220,7 @@ mod tests {
                 initial: Some(q.clone()),
                 minimal: vec![(q.clone(), 1.0)].into(),
                 best: Some((q, 1.0)),
-                stats: CbStatistics::default(),
+                stats: Arc::default(),
             },
             route: None,
             duration: Duration::default(),
@@ -273,6 +272,17 @@ mod tests {
             format!("{}", cold.result.universal_plan)
         );
         assert_eq!(swapped.sql(), cold.sql());
+    }
+
+    /// A hit did no chase or backchase work: it shares the statistics of
+    /// the cold run its entry holds instead of copying them.
+    #[test]
+    fn hits_share_their_entry_statistics() {
+        let cache = PlanCache::new();
+        cache.insert(shape("k", &["x"], &["a", "b"]), block("a", "b"));
+        let first = cache.lookup(&shape("k", &["y"], &["c", "d"])).unwrap();
+        let second = cache.lookup(&shape("k", &["z"], &["e", "f"])).unwrap();
+        assert!(Arc::ptr_eq(&first.result.stats, &second.result.stats));
     }
 
     /// A request that panics under the cache's lock poisons the mutex; the

@@ -76,7 +76,8 @@ impl MarsResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mars_chase::{CbStatistics, ReformulationResult};
+    use mars_chase::ReformulationResult;
+    use std::sync::Arc;
 
     fn dummy_block(with_best: bool) -> BlockReformulation {
         let q = ConjunctiveQuery::new("Q");
@@ -88,7 +89,7 @@ mod tests {
                 initial: None,
                 minimal: if with_best { vec![(q.clone(), 1.0)] } else { vec![] }.into(),
                 best: if with_best { Some((q, 1.0)) } else { None },
-                stats: CbStatistics::default(),
+                stats: Arc::default(),
             },
             route: None,
             duration: Duration::default(),

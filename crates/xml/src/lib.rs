@@ -28,4 +28,4 @@ pub mod xpath;
 pub use doc::{Children, Descendants, Document, Node, NodeId, NodeKind};
 pub use parse::{parse_document, ParseError};
 pub use shape::{Multiplicity, ShapeElement, XmlShape};
-pub use xpath::{eval_path, parse_path, Path, PathError, PathValue, Step};
+pub use xpath::{check_path, eval_path, parse_path, Path, PathError, PathValue, Step};

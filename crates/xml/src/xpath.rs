@@ -102,42 +102,89 @@ impl std::error::Error for PathError {}
 
 /// Parse an XPath expression from the fragment described above.
 pub fn parse_path(input: &str) -> Result<Path, PathError> {
-    let mut s = input.trim();
+    let (absolute, mut scanner) = scan(input)?;
+    let mut steps = Vec::new();
+    while let Some(step) = scanner.next_step()? {
+        steps.push(step.to_step());
+    }
+    Ok(Path { absolute, steps })
+}
+
+/// Check that `input` is an XPath expression of the fragment, building
+/// nothing: `check_path(input)` is `Ok` exactly when [`parse_path`] is, and
+/// fails with the same error.
+pub fn check_path(input: &str) -> Result<(), PathError> {
+    let (_, mut scanner) = scan(input)?;
+    while scanner.next_step()?.is_some() {}
+    Ok(())
+}
+
+/// A step as written, borrowing its name from the path text.
+enum RawStep<'a> {
+    Child(&'a str),
+    Descendant(&'a str),
+    ChildAny,
+    DescendantAny,
+    Text,
+    Attribute(&'a str),
+}
+
+impl RawStep<'_> {
+    fn to_step(&self) -> Step {
+        match *self {
+            RawStep::Child(name) => Step::Child(name.to_string()),
+            RawStep::Descendant(name) => Step::Descendant(name.to_string()),
+            RawStep::ChildAny => Step::ChildAny,
+            RawStep::DescendantAny => Step::DescendantAny,
+            RawStep::Text => Step::Text,
+            RawStep::Attribute(name) => Step::Attribute(name.to_string()),
+        }
+    }
+}
+
+/// The tokenizer of the fragment: the steps of a path not yet read.
+struct Scanner<'a> {
+    rest: &'a str,
+    /// The next step has no leading `/`: the first step of a bare name.
+    bare: bool,
+}
+
+/// Start scanning `input`: whether the path is absolute, and its steps.
+fn scan(input: &str) -> Result<(bool, Scanner<'_>), PathError> {
+    let s = input.trim();
     if s.is_empty() {
         return Err(PathError { message: "empty path".to_string() });
     }
-    let absolute;
-    if let Some(rest) = s.strip_prefix('.') {
-        absolute = false;
-        s = rest;
+    Ok(if let Some(rest) = s.strip_prefix('.') {
+        (false, Scanner { rest, bare: false })
     } else if s.starts_with('/') {
-        absolute = true;
+        (true, Scanner { rest: s, bare: false })
     } else {
         // A bare name like `book` is treated as a relative child step.
-        absolute = false;
-        return Ok(Path { absolute, steps: parse_steps(&format!("/{s}"))? });
-    }
-    if s.is_empty() {
-        return Ok(Path { absolute, steps: Vec::new() });
-    }
-    Ok(Path { absolute, steps: parse_steps(s)? })
+        (false, Scanner { rest: s, bare: true })
+    })
 }
 
-fn parse_steps(mut s: &str) -> Result<Vec<Step>, PathError> {
-    let mut steps = Vec::new();
-    while !s.is_empty() {
-        let descendant = if let Some(rest) = s.strip_prefix("//") {
-            s = rest;
+impl<'a> Scanner<'a> {
+    /// The next step, or `None` at the end of the path.
+    fn next_step(&mut self) -> Result<Option<RawStep<'a>>, PathError> {
+        if self.rest.is_empty() {
+            return Ok(None);
+        }
+        let descendant = if std::mem::take(&mut self.bare) {
+            false
+        } else if let Some(rest) = self.rest.strip_prefix("//") {
+            self.rest = rest;
             true
-        } else if let Some(rest) = s.strip_prefix('/') {
-            s = rest;
+        } else if let Some(rest) = self.rest.strip_prefix('/') {
+            self.rest = rest;
             false
         } else {
-            return Err(PathError { message: format!("expected '/' near '{s}'") });
+            return Err(PathError { message: format!("expected '/' near '{}'", self.rest) });
         };
-        let end = s.find('/').unwrap_or(s.len());
-        let token = &s[..end];
-        s = &s[end..];
+        let end = self.rest.find('/').unwrap_or(self.rest.len());
+        let (token, rest) = self.rest.split_at(end);
+        self.rest = rest;
         if token.is_empty() {
             return Err(PathError { message: "empty step".to_string() });
         }
@@ -145,30 +192,29 @@ fn parse_steps(mut s: &str) -> Result<Vec<Step>, PathError> {
             if descendant {
                 return Err(PathError { message: "`//text()` is not supported".to_string() });
             }
-            Step::Text
+            RawStep::Text
         } else if let Some(attr) = token.strip_prefix('@') {
             if descendant {
                 return Err(PathError { message: "`//@attr` is not supported".to_string() });
             }
-            Step::Attribute(attr.to_string())
+            RawStep::Attribute(attr)
         } else if token == "*" {
             if descendant {
-                Step::DescendantAny
+                RawStep::DescendantAny
             } else {
-                Step::ChildAny
+                RawStep::ChildAny
             }
         } else if token.chars().all(|c| c.is_alphanumeric() || c == '_' || c == '-' || c == '.') {
             if descendant {
-                Step::Descendant(token.to_string())
+                RawStep::Descendant(token)
             } else {
-                Step::Child(token.to_string())
+                RawStep::Child(token)
             }
         } else {
             return Err(PathError { message: format!("unsupported step '{token}'") });
         };
-        steps.push(step);
+        Ok(Some(step))
     }
-    Ok(steps)
 }
 
 /// A value produced by evaluating a path: either an element node or a string
@@ -266,6 +312,7 @@ pub fn eval_path(doc: &Document, path: &Path, context: Option<NodeId>) -> Vec<Pa
 mod tests {
     use super::*;
     use crate::parse::parse_document;
+    use proptest::prelude::*;
 
     fn books() -> Document {
         parse_document(
@@ -315,6 +362,31 @@ mod tests {
         assert!(parse_path("/a//@x").is_err());
         assert!(parse_path("/a/b[1]").is_err());
         assert!(parse_path("a//").is_err());
+        for text in ["", ".x", "/", "a//", "//text()", "/a//@x", "/a/b[1]", "./title/text()"] {
+            assert_eq!(check_path(text), parse_path(text).map(drop), "{text:?}");
+        }
+    }
+
+    /// A string over the fragment's characters, `text`, and one non-ASCII
+    /// letter, so that every error of the tokenizer is reachable.
+    fn path_like(rng: &mut TestRng) -> String {
+        const PIECES: [&str; 13] =
+            ["/", "/", "//", ".", "@", "*", "(", ")", "text", "a", "bc", "_-", "é"];
+        let len = rng.next_u64() % 9;
+        (0..len).map(|_| PIECES[(rng.next_u64() % PIECES.len() as u64) as usize]).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn check_path_agrees_with_parse_path(seed in 0u64..u64::MAX) {
+            let mut rng = TestRng::new(seed);
+            for _ in 0..16 {
+                let text = path_like(&mut rng);
+                prop_assert_eq!(check_path(&text), parse_path(&text).map(drop), "{:?}", text);
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! references become the *tagging template*, which `mars-storage` uses to
 //! assemble the XML result from the blocks' binding tables.
 
-use crate::ast::{Condition, Operand, SourceExpr, XQueryExpr};
+use crate::ast::{Condition, ForBinding, Operand, SourceExpr, XQueryExpr};
 use crate::xbind::{XBindAtom, XBindQuery, XBindTerm};
+use mars_xml::Path;
 use serde::{Deserialize, Serialize};
 
 /// A node of the tagging template.
@@ -65,19 +66,13 @@ impl DecorrelatedQuery {
     }
 }
 
-struct Ctx {
+struct Ctx<'d> {
     blocks: Vec<XBindQuery>,
-    default_document: String,
+    default_document: &'d str,
 }
 
-impl Ctx {
-    fn fresh_block_name(&self) -> String {
-        format!("Xb{}", self.blocks.len())
-    }
-}
-
-fn operand_to_term(op: &Operand) -> XBindTerm {
-    match op {
+fn operand_to_term(op: &Operand<'_>) -> XBindTerm {
+    match *op {
         Operand::Var(v) => XBindTerm::var(v),
         Operand::Str(s) => XBindTerm::str(s),
     }
@@ -85,90 +80,92 @@ fn operand_to_term(op: &Operand) -> XBindTerm {
 
 /// Translate one FLWR block into an XBind query; returns the block index.
 fn translate_flwr(
-    ctx: &mut Ctx,
-    bindings: &[crate::ast::ForBinding],
-    conditions: &[Condition],
+    ctx: &mut Ctx<'_>,
+    bindings: &[ForBinding<'_>],
+    conditions: &[Condition<'_>],
     parent: Option<usize>,
 ) -> usize {
-    let name = ctx.fresh_block_name();
-    let mut q = XBindQuery::new(&name);
-
     // Correlate with the parent block: import its head variables.
-    let mut head: Vec<String> = Vec::new();
-    if let Some(p) = parent {
-        let parent_head = ctx.blocks[p].head.clone();
-        q = q.with_atom(XBindAtom::QueryRef {
-            name: ctx.blocks[p].name.clone(),
-            vars: parent_head.clone(),
-        });
-        head.extend(parent_head);
+    let outer = parent.map(|p| &ctx.blocks[p]);
+    let imported = outer.map_or(0, |o| o.head.len());
+    let mut head: Vec<String> = Vec::with_capacity(imported + bindings.len());
+    let mut atoms =
+        Vec::with_capacity(usize::from(outer.is_some()) + bindings.len() + conditions.len());
+    if let Some(outer) = outer {
+        head.extend(outer.head.iter().cloned());
+        atoms.push(XBindAtom::QueryRef { name: outer.name.clone(), vars: outer.head.clone() });
     }
 
     for b in bindings {
-        if b.distinct {
-            q = q.with_distinct();
-        }
-        let atom = match &b.source {
+        atoms.push(match b.source {
             SourceExpr::AbsolutePath { document, path } => XBindAtom::AbsolutePath {
-                document: document.clone().unwrap_or_else(|| ctx.default_document.clone()),
-                path: path.clone(),
-                var: b.var.clone(),
+                document: document.unwrap_or(ctx.default_document).to_string(),
+                path: path.to_path(),
+                var: b.var.to_string(),
             },
+            // The path after a variable navigates from the variable's node.
             SourceExpr::VarPath { var, path } => XBindAtom::RelativePath {
-                path: path.clone(),
-                source: var.clone(),
-                var: b.var.clone(),
+                path: Path::relative(path.to_path().steps),
+                source: var.to_string(),
+                var: b.var.to_string(),
             },
-            SourceExpr::Var(v) => XBindAtom::Eq(XBindTerm::var(&b.var), XBindTerm::var(v)),
-        };
-        q = q.with_atom(atom);
-        head.push(b.var.clone());
+            SourceExpr::Var(v) => XBindAtom::Eq(XBindTerm::var(b.var), XBindTerm::var(v)),
+        });
+        head.push(b.var.to_string());
     }
-    for c in conditions {
-        let atom = match c {
-            Condition::Eq(a, b) => XBindAtom::Eq(operand_to_term(a), operand_to_term(b)),
-            Condition::Neq(a, b) => XBindAtom::Neq(operand_to_term(a), operand_to_term(b)),
-        };
-        q = q.with_atom(atom);
-    }
-    q.head = head;
-    ctx.blocks.push(q);
+    atoms.extend(conditions.iter().map(|c| match c {
+        Condition::Eq(a, b) => XBindAtom::Eq(operand_to_term(a), operand_to_term(b)),
+        Condition::Neq(a, b) => XBindAtom::Neq(operand_to_term(a), operand_to_term(b)),
+    }));
+    let name = format!("Xb{}", ctx.blocks.len());
+    let distinct = bindings.iter().any(|b| b.distinct);
+    ctx.blocks.push(XBindQuery { name, head, atoms, distinct });
     ctx.blocks.len() - 1
 }
 
-/// Translate a return/content expression into template nodes, creating blocks
-/// for nested FLWRs. `block` is the index of the enclosing block (providing
-/// the variables in scope).
-fn translate_content(ctx: &mut Ctx, expr: &XQueryExpr, block: Option<usize>) -> Vec<TemplateNode> {
+/// Translate a return/content expression into template nodes pushed onto
+/// `out`, creating blocks for nested FLWRs. `block` is the index of the
+/// enclosing block (providing the variables in scope).
+fn translate_content(
+    ctx: &mut Ctx<'_>,
+    expr: &XQueryExpr<'_>,
+    block: Option<usize>,
+    out: &mut Vec<TemplateNode>,
+) {
     match expr {
-        XQueryExpr::Literal(s) => vec![TemplateNode::Literal(s.clone())],
+        XQueryExpr::Literal(s) => out.push(TemplateNode::Literal(s.to_string())),
         XQueryExpr::VarRef(v) => {
-            vec![TemplateNode::VarText { block: block.unwrap_or(0), var: v.clone() }]
+            out.push(TemplateNode::VarText { block: block.unwrap_or(0), var: v.to_string() })
         }
         XQueryExpr::Element { tag, children } => {
-            let mut out = Vec::new();
+            let mut nodes = Vec::with_capacity(children.len());
             for c in children {
-                out.extend(translate_content(ctx, c, block));
+                translate_content(ctx, c, block, &mut nodes);
             }
-            vec![TemplateNode::Element { tag: tag.clone(), children: out }]
+            out.push(TemplateNode::Element { tag: tag.to_string(), children: nodes });
         }
         XQueryExpr::Sequence(items) => {
-            items.iter().flat_map(|i| translate_content(ctx, i, block)).collect()
+            for i in items {
+                translate_content(ctx, i, block, out);
+            }
         }
         XQueryExpr::Flwr { bindings, conditions, ret } => {
             let idx = translate_flwr(ctx, bindings, conditions, block);
-            let children = translate_content(ctx, ret, Some(idx));
-            vec![TemplateNode::ForEach { block: idx, children }]
+            let mut children = Vec::with_capacity(1);
+            translate_content(ctx, ret, Some(idx), &mut children);
+            out.push(TemplateNode::ForEach { block: idx, children });
         }
     }
 }
 
 /// Decorrelate an XQuery into its navigation XBind queries and tagging
 /// template. `default_document` names the public-schema document that
-/// document-unqualified absolute paths navigate.
-pub fn decorrelate(query: &XQueryExpr, default_document: &str) -> DecorrelatedQuery {
-    let mut ctx = Ctx { blocks: Vec::new(), default_document: default_document.to_string() };
-    let roots = translate_content(&mut ctx, query, None);
+/// document-unqualified absolute paths navigate. Every name, literal and
+/// path of the result is built once, from the borrowed tree.
+pub fn decorrelate(query: &XQueryExpr<'_>, default_document: &str) -> DecorrelatedQuery {
+    let mut ctx = Ctx { blocks: Vec::with_capacity(query.flwr_count()), default_document };
+    let mut roots = Vec::with_capacity(1);
+    translate_content(&mut ctx, query, None, &mut roots);
     DecorrelatedQuery { blocks: ctx.blocks, template: TaggingTemplate { roots } }
 }
 

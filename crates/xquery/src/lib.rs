@@ -27,7 +27,7 @@ pub mod shape;
 pub mod xbind;
 pub mod xic;
 
-pub use ast::{Condition, ForBinding, SourceExpr, XQueryExpr};
+pub use ast::{Condition, ForBinding, Operand, PathText, SourceExpr, XQueryExpr};
 pub use decorrelate::{decorrelate, DecorrelatedQuery, TaggingTemplate, TemplateNode};
 pub use parser::{parse_xquery, XQueryParseError};
 pub use shape::{shape_of, QueryShape};

@@ -13,9 +13,13 @@
 //! cond        := operand ('=' | '!=') operand
 //! operand     := '$'name | string-literal
 //! ```
+//!
+//! The parser slices the input: the tree it returns borrows every tag,
+//! variable, literal and path from the query text, and allocates only its
+//! own vectors and boxes. A path is checked against the XPath fragment here
+//! ([`check_path`](mars_xml::check_path)) and parsed by decorrelation.
 
-use crate::ast::{Condition, ForBinding, Operand, SourceExpr, XQueryExpr};
-use mars_xml::parse_path;
+use crate::ast::{Condition, ForBinding, Operand, PathText, SourceExpr, XQueryExpr};
 use std::fmt;
 
 /// XQuery parse error.
@@ -36,6 +40,7 @@ impl fmt::Display for XQueryParseError {
 impl std::error::Error for XQueryParseError {}
 
 struct P<'a> {
+    input: &'a str,
     s: &'a [u8],
     pos: usize,
 }
@@ -85,7 +90,14 @@ impl<'a> P<'a> {
         }
     }
 
-    fn name(&mut self) -> Result<String, XQueryParseError> {
+    /// `input[start..self.pos]`. The parser steps over a non-ASCII byte only
+    /// in a run that it ends at an ASCII byte or at the end of the input, so
+    /// every position is a character boundary and the slice never panics.
+    fn since(&self, start: usize) -> &'a str {
+        &self.input[start..self.pos]
+    }
+
+    fn name(&mut self) -> Result<&'a str, XQueryParseError> {
         self.ws();
         let start = self.pos;
         while let Some(c) = self.peek() {
@@ -98,15 +110,15 @@ impl<'a> P<'a> {
         if self.pos == start {
             return self.err("expected a name");
         }
-        Ok(String::from_utf8_lossy(&self.s[start..self.pos]).into_owned())
+        Ok(self.since(start))
     }
 
-    fn variable(&mut self) -> Result<String, XQueryParseError> {
+    fn variable(&mut self) -> Result<&'a str, XQueryParseError> {
         self.expect("$")?;
         self.name()
     }
 
-    fn string_literal(&mut self) -> Result<String, XQueryParseError> {
+    fn string_literal(&mut self) -> Result<&'a str, XQueryParseError> {
         self.ws();
         let quote = match self.peek() {
             Some(q @ (b'"' | b'\'')) => q,
@@ -123,13 +135,14 @@ impl<'a> P<'a> {
         if self.peek() != Some(quote) {
             return self.err("unterminated string literal");
         }
-        let out = String::from_utf8_lossy(&self.s[start..self.pos]).into_owned();
+        let out = self.since(start);
         self.pos += 1;
         Ok(out)
     }
 
-    /// Read a path token: a maximal run of path characters.
-    fn path_token(&mut self) -> Result<String, XQueryParseError> {
+    /// Read a path token: a maximal run of path characters, checked against
+    /// the XPath fragment.
+    fn path(&mut self) -> Result<PathText<'a>, XQueryParseError> {
         self.ws();
         let start = self.pos;
         while let Some(c) = self.peek() {
@@ -153,10 +166,11 @@ impl<'a> P<'a> {
         if self.pos == start {
             return self.err("expected a path");
         }
-        Ok(String::from_utf8_lossy(&self.s[start..self.pos]).into_owned())
+        PathText::checked(self.since(start))
+            .map_err(|e| XQueryParseError { offset: self.pos, message: e.message })
     }
 
-    fn source(&mut self) -> Result<(SourceExpr, bool), XQueryParseError> {
+    fn source(&mut self) -> Result<(SourceExpr<'a>, bool), XQueryParseError> {
         self.ws();
         if self.keyword("distinct") {
             self.expect("(")?;
@@ -168,29 +182,23 @@ impl<'a> P<'a> {
             self.expect("(")?;
             let doc = self.string_literal()?;
             self.expect(")")?;
-            let tok = self.path_token()?;
-            let path = parse_path(&tok)
-                .map_err(|e| XQueryParseError { offset: self.pos, message: e.message })?;
+            let path = self.path()?;
             return Ok((SourceExpr::AbsolutePath { document: Some(doc), path }, false));
         }
         if self.peek() == Some(b'$') {
             let var = self.variable()?;
             // Optional trailing path.
             if self.peek() == Some(b'/') {
-                let tok = self.path_token()?;
-                let path = parse_path(&format!(".{tok}"))
-                    .map_err(|e| XQueryParseError { offset: self.pos, message: e.message })?;
+                let path = self.path()?;
                 return Ok((SourceExpr::VarPath { var, path }, false));
             }
             return Ok((SourceExpr::Var(var), false));
         }
-        let tok = self.path_token()?;
-        let path = parse_path(&tok)
-            .map_err(|e| XQueryParseError { offset: self.pos, message: e.message })?;
+        let path = self.path()?;
         Ok((SourceExpr::AbsolutePath { document: None, path }, false))
     }
 
-    fn operand(&mut self) -> Result<Operand, XQueryParseError> {
+    fn operand(&mut self) -> Result<Operand<'a>, XQueryParseError> {
         self.ws();
         if self.peek() == Some(b'$') {
             Ok(Operand::Var(self.variable()?))
@@ -199,7 +207,7 @@ impl<'a> P<'a> {
         }
     }
 
-    fn condition(&mut self) -> Result<Condition, XQueryParseError> {
+    fn condition(&mut self) -> Result<Condition<'a>, XQueryParseError> {
         let left = self.operand()?;
         self.ws();
         if self.starts("!=") {
@@ -213,7 +221,7 @@ impl<'a> P<'a> {
         }
     }
 
-    fn flwr(&mut self) -> Result<XQueryExpr, XQueryParseError> {
+    fn flwr(&mut self) -> Result<XQueryExpr<'a>, XQueryParseError> {
         // 'for' has been consumed by the caller.
         let mut bindings = Vec::new();
         loop {
@@ -253,7 +261,7 @@ impl<'a> P<'a> {
         Ok(XQueryExpr::Flwr { bindings, conditions, ret: Box::new(ret) })
     }
 
-    fn element(&mut self) -> Result<XQueryExpr, XQueryParseError> {
+    fn element(&mut self) -> Result<XQueryExpr<'a>, XQueryParseError> {
         self.expect("<")?;
         let tag = self.name()?;
         self.ws();
@@ -299,7 +307,7 @@ impl<'a> P<'a> {
                         }
                         self.pos += 1;
                     }
-                    let text = String::from_utf8_lossy(&self.s[start..self.pos]).trim().to_string();
+                    let text = self.since(start).trim();
                     if !text.is_empty() {
                         children.push(XQueryExpr::Literal(text));
                     }
@@ -310,7 +318,7 @@ impl<'a> P<'a> {
         Ok(XQueryExpr::Element { tag, children })
     }
 
-    fn expr(&mut self) -> Result<XQueryExpr, XQueryParseError> {
+    fn expr(&mut self) -> Result<XQueryExpr<'a>, XQueryParseError> {
         self.ws();
         if self.keyword("for") {
             return self.flwr();
@@ -324,9 +332,10 @@ impl<'a> P<'a> {
     }
 }
 
-/// Parse an XQuery from the supported fragment.
-pub fn parse_xquery(input: &str) -> Result<XQueryExpr, XQueryParseError> {
-    let mut p = P { s: input.as_bytes(), pos: 0 };
+/// Parse an XQuery from the supported fragment. The tree borrows its names,
+/// literals and paths from `input`.
+pub fn parse_xquery(input: &str) -> Result<XQueryExpr<'_>, XQueryParseError> {
+    let mut p = P { input, s: input.as_bytes(), pos: 0 };
     let e = p.expr()?;
     p.ws();
     if p.peek().is_some() {
@@ -338,7 +347,6 @@ pub fn parse_xquery(input: &str) -> Result<XQueryExpr, XQueryParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::SourceExpr;
 
     /// The exact query Q of Example 2.1 (modulo whitespace).
     const EXAMPLE_2_1: &str = r#"<result>
@@ -361,12 +369,12 @@ mod tests {
         assert_eq!(q.bound_variables(), vec!["a", "b", "a1", "t"]);
         // Check the distinct flag and the nested structure.
         if let XQueryExpr::Element { tag, children } = &q {
-            assert_eq!(tag, "result");
+            assert_eq!(*tag, "result");
             if let XQueryExpr::Flwr { bindings, conditions, ret } = &children[0] {
                 assert!(bindings[0].distinct);
                 assert!(conditions.is_empty());
                 if let XQueryExpr::Element { tag, children } = ret.as_ref() {
-                    assert_eq!(tag, "item");
+                    assert_eq!(*tag, "item");
                     assert_eq!(children.len(), 2);
                 } else {
                     panic!("return of outer block should be <item>");
@@ -377,6 +385,27 @@ mod tests {
         } else {
             panic!("query should be an element constructor");
         }
+    }
+
+    #[test]
+    fn the_tree_of_example_2_1_is_the_hand_built_one() {
+        assert_eq!(parse_xquery(EXAMPLE_2_1).unwrap(), crate::ast::tests::example_2_1_ast());
+    }
+
+    #[test]
+    fn the_tree_borrows_the_text() {
+        let text = String::from(r#"for $x in $y/a/@b where $x = "é" return <r>ü $x</r>"#);
+        let q = parse_xquery(&text).unwrap();
+        let range = text.as_bytes().as_ptr_range();
+        let borrowed = |s: &str| range.contains(&s.as_ptr());
+        let XQueryExpr::Flwr { bindings, conditions, ret } = &q else { panic!("expected FLWR") };
+        let SourceExpr::VarPath { var, path } = bindings[0].source else { panic!() };
+        assert_eq!((bindings[0].var, var, path.as_str()), ("x", "y", "/a/@b"));
+        assert!([bindings[0].var, var, path.as_str()].into_iter().all(borrowed));
+        assert_eq!(conditions[0], Condition::Eq(Operand::Var("x"), Operand::Str("é")));
+        let XQueryExpr::Element { tag, children } = ret.as_ref() else { panic!("expected <r>") };
+        assert_eq!(children[0], XQueryExpr::Literal("ü"));
+        assert!(borrowed(tag));
     }
 
     #[test]
@@ -392,8 +421,9 @@ mod tests {
             assert_eq!(bindings.len(), 2);
             match &bindings[0].source {
                 SourceExpr::AbsolutePath { document, path } => {
-                    assert_eq!(document.as_deref(), Some("catalog.xml"));
-                    assert_eq!(path.to_string(), "//drug");
+                    assert_eq!(*document, Some("catalog.xml"));
+                    assert_eq!(path.as_str(), "//drug");
+                    assert_eq!(path.to_path().to_string(), "//drug");
                 }
                 other => panic!("unexpected source {other:?}"),
             }
@@ -406,10 +436,10 @@ mod tests {
     #[test]
     fn parse_self_closing_and_literals() {
         let q = parse_xquery("<empty/>").unwrap();
-        assert_eq!(q, XQueryExpr::Element { tag: "empty".into(), children: vec![] });
+        assert_eq!(q, XQueryExpr::Element { tag: "empty", children: vec![] });
         let q2 = parse_xquery("<greet>hello</greet>").unwrap();
         if let XQueryExpr::Element { children, .. } = q2 {
-            assert_eq!(children, vec![XQueryExpr::Literal("hello".into())]);
+            assert_eq!(children, vec![XQueryExpr::Literal("hello")]);
         }
     }
 

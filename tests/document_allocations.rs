@@ -2,52 +2,17 @@
 //!
 //! A tagged `Document` is three growing buffers (node records, text, tags),
 //! so the count must not grow with the number of rows beyond those buffers'
-//! doublings. The counting allocator is this binary's global allocator,
-//! which is why the test has a file of its own.
+//! doublings. The counting allocator (`common/counting.rs`) is this binary's
+//! global allocator, which is why the test has a file of its own.
 
 use mars_system::storage::{tag_results, Value, XmlStore};
 use mars_system::xquery::{decorrelate, parse_xquery, DecorrelatedQuery};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::HashMap;
 
-/// The system allocator, counting the allocations and reallocations each
-/// thread makes.
-struct Counting;
+#[path = "common/counting.rs"]
+mod counting;
 
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    // `try_with`: the thread's counter may already be gone while it exits.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; counting touches only a const-initialized
-// thread-local `Cell`, which allocates nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller's guarantees for `layout` are passed on.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was allocated by `System` with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: `ptr` was allocated by `System` with `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
+use counting::counted;
 
 type Bindings = HashMap<String, Vec<HashMap<String, Value>>>;
 
@@ -79,11 +44,12 @@ fn flat(rows: usize) -> (DecorrelatedQuery, Bindings) {
 fn tag_and_drop(rows: usize) -> u64 {
     let (query, bindings) = flat(rows);
     let store = XmlStore::new();
-    let before = ALLOCATIONS.with(Cell::get);
-    let document = tag_results(&query, &bindings, &store, "result.xml");
-    assert_eq!(document.len(), 2 + rows * 11, "two wrappers, and per row 6 elements, 5 texts");
-    drop(document);
-    ALLOCATIONS.with(Cell::get) - before
+    let ((), allocations) = counted(|| {
+        let document = tag_results(&query, &bindings, &store, "result.xml");
+        assert_eq!(document.len(), 2 + rows * 11, "two wrappers, and per row 6 elements, 5 texts");
+        drop(document)
+    });
+    allocations
 }
 
 #[test]
