@@ -14,9 +14,16 @@
 //! - `plan_cache/star_key_lookup_hit_then_read`: the same hit, then a read
 //!   of the universal plan and the minimal set, which renames both: what a
 //!   caller that inspects them pays.
+//! - `plan_cache/star_key_lookup_hit_and_execute`: the hit routed against
+//!   populated stores (`reformulate_xbind_routed`), then executed on the
+//!   router: what a `warm_point` request pays between its parse and its
+//!   tagging. The execute runs the physical tree the entry keeps and plans
+//!   nothing. The setup asserts that its rows equal those of a cold routed
+//!   run of the same request.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mars::{BlockReformulation, MarsOptions, MarsService};
+use mars_storage::{BackendRouter, RelationalDatabase, RoutedPlan, Row, XmlStore};
 use mars_workloads::star::StarConfig;
 use mars_xquery::{XBindAtom, XBindQuery, XBindTerm};
 
@@ -65,5 +72,41 @@ fn bench_hit(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_hit);
+/// Serve `request` routed against the stores, then execute it.
+fn serve_and_execute(
+    service: &MarsService,
+    request: &XBindQuery,
+    (db, xml): (&RelationalDatabase, &XmlStore),
+) -> Vec<Row> {
+    let block = service.reformulate_xbind_routed(request, db, xml).expect("routed reformulation");
+    let query = block.result.best_or_initial().expect("an executable query").clone();
+    let plan = RoutedPlan { query, decision: block.route.expect("a routed decision") };
+    BackendRouter::new(db, xml).execute(&plan).expect("executes").rows
+}
+
+fn bench_hit_and_execute(c: &mut Criterion) {
+    let cfg = StarConfig::figure5(6);
+    let (xml, db) = cfg.populate(40, 8, 5);
+    let stores = (&db, &xml);
+    let service = MarsService::new(cfg.mars(MarsOptions::specialized()));
+    serve_and_execute(&service, &key_lookup(&cfg, "k3"), stores);
+    let request = key_lookup(&cfg, "k17");
+    let warm = serve_and_execute(&service, &request, stores);
+    assert_eq!(service.cache_stats().hits, 1, "the second key hits the cached template");
+    let cold = serve_and_execute(
+        &MarsService::new(cfg.mars(MarsOptions::specialized())),
+        &request,
+        stores,
+    );
+    assert_eq!(warm.len(), 1, "one hub carries the key");
+    assert_eq!(warm, cold, "the hit executes the cold rows");
+
+    let mut g = c.benchmark_group("plan_cache");
+    g.bench_function("star_key_lookup_hit_and_execute", |b| {
+        b.iter(|| black_box(serve_and_execute(&service, black_box(&request), stores)))
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_hit, bench_hit_and_execute);
 criterion_main!(benches);

@@ -17,8 +17,9 @@
 //!   serves every route and [`PhysicalPlan::estimated_cost`] prices them all,
 //! * [`route_query`], the backend router: prices the all-scans tree against
 //!   the native one and returns a deterministic [`RoutingDecision`] whose
-//!   [`Route`] names the cheaper tree's leaves — executed by
-//!   `mars-storage`'s `BackendRouter`,
+//!   [`Route`] names the cheaper tree's leaves and which keeps that tree —
+//!   executed by `mars-storage`'s `BackendRouter`. A tree names the query's
+//!   terms by [`Position`], so it runs every query of its shape,
 //! * [`plan_navigation`], the one orderer of native navigation: it picks the
 //!   next navigation atom by estimated output cardinality given what is
 //!   bound; the `NavScan` leaf stores that order and its price, and
@@ -30,7 +31,7 @@ pub mod physical;
 pub mod route;
 pub mod stats;
 
-pub use physical::{physical_plan, BuildSide, NavScan, Operand, PhysicalPlan, TableScan};
+pub use physical::{physical_plan, BuildSide, NavScan, Operand, PhysicalPlan, Position, TableScan};
 pub use route::{
     plan_navigation, route_query, NavOrder, NavigationStatistics, Route, RouteCosts,
     RoutingDecision,

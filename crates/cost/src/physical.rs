@@ -23,30 +23,87 @@
 //! One tree serves every route: its leaves say which store serves them, and
 //! [`PhysicalPlan::estimated_cost`] prices all of them in one unit.
 //!
+//! **The tree names terms by position, not by value.** A scan names its body
+//! atom, a pushdown the column whose constant the query holds there, an
+//! output column the [`Position`] of a variable occurrence, and a `Filter`
+//! or `Project` operand that no column binds the head term or inequality
+//! side it stands for ([`Operand`]). Executors read the terms from the query
+//! they run. So one tree serves every query of its shape — the same atoms,
+//! the same pattern of repeated variables and constants — whatever its
+//! constants or its variables' spellings: the router keeps the tree it chose
+//! in its [`RoutingDecision`](crate::RoutingDecision), and a plan-cache hit
+//! runs that tree, frozen at the statistics of the request that planned it.
+//!
 //! The planner is **advisory by construction**: every choice (order, build
 //! side, pruning, which store serves a leaf) changes cost only, never the
 //! result set. Executors (see `mars_storage`) are property-tested
-//! byte-identical to the naive evaluator for any planner choice.
+//! byte-identical to the naive evaluator for any planner choice, which is
+//! also why a frozen tree stays correct when the statistics move.
 //!
-//! [`PhysicalPlan`]'s [`fmt::Display`] rendering is stable and is snapshot-
-//! tested (`tests/golden/plans/`), so plan-shape regressions show up as
-//! golden diffs the same way emitted SQL does.
+//! [`PhysicalPlan::display`] renders a tree with the names of one query; the
+//! rendering is stable and is snapshot-tested (`tests/golden/plans/`), so
+//! plan-shape regressions show up as golden diffs the same way emitted SQL
+//! does.
 
 use crate::route::{plan_native, NavOrder, NavigationStatistics};
 use crate::stats::StatisticsCatalog;
-use mars_cq::{Atom, ConjunctiveQuery, Constant, Predicate, Term, Variable};
+use mars_cq::{ConjunctiveQuery, Predicate, Term, Variable};
 use std::fmt;
+
+/// Where a term sits in a query: argument `arg` of body atom `atom`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Position {
+    /// Index into the query's body.
+    pub atom: usize,
+    /// Index into that atom's arguments.
+    pub arg: usize,
+}
+
+impl Position {
+    /// The variable an output column binds: the term `q` holds at this
+    /// position, which a tree names only when it is a variable.
+    ///
+    /// # Panics
+    ///
+    /// Panics when that term is a constant: `q` is not of the shape the tree
+    /// was planned for.
+    pub fn var(self, q: &ConjunctiveQuery) -> Variable {
+        let term = q.body[self.atom].args[self.arg];
+        term.as_var().expect("an output column names a variable occurrence")
+    }
+}
 
 /// Where an operand of a `Filter` predicate or `Project` column comes from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Operand {
     /// A column of the operator's input row.
     Column(usize),
-    /// A literal constant from the query text.
-    Const(Constant),
-    /// A variable the query body never binds (unsafe query); executors must
-    /// emit the variable itself, matching the naive evaluator.
-    Unbound(Variable),
+    /// The query's head term at this index, which no column binds: a
+    /// constant, or a variable the body never binds (unsafe query), which
+    /// executors emit as itself, matching the naive evaluator.
+    Head(usize),
+    /// One side of the query's inequality at index `pair`, which no column
+    /// binds: the right side when `right`, else the left.
+    Inequality {
+        /// Index into the query's inequalities.
+        pair: usize,
+        /// Which side of the pair.
+        right: bool,
+    },
+}
+
+impl Operand {
+    /// The term of `q` a non-column operand stands for; `None` for a column.
+    pub fn term(self, q: &ConjunctiveQuery) -> Option<Term> {
+        match self {
+            Operand::Column(_) => None,
+            Operand::Head(i) => Some(q.head[i]),
+            Operand::Inequality { pair, right } => {
+                let (a, b) = q.inequalities[pair];
+                Some(if right { b } else { a })
+            }
+        }
+    }
 }
 
 /// Which side of a hash join is hashed (the other side streams and probes).
@@ -59,16 +116,19 @@ pub enum BuildSide {
 }
 
 /// A pruned, predicate-pushed scan of one stored relation (one body atom).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TableScan {
     /// The scanned relation.
     pub relation: Predicate,
-    /// Kept input columns, ascending — everything else is pruned at the scan.
-    pub columns: Vec<usize>,
-    /// The variable each kept column binds (parallel to `columns`).
-    pub output: Vec<Variable>,
-    /// Pushed-down constant equalities: `(input column, constant)`.
-    pub pushdown: Vec<(usize, Constant)>,
+    /// The body atom scanned.
+    pub atom: usize,
+    /// The kept columns, ascending: each the position of the variable it
+    /// binds, whose `arg` is the input column. Everything else is pruned at
+    /// the scan.
+    pub output: Vec<Position>,
+    /// Pushed-down input columns, ascending: the scan keeps the rows equal
+    /// to the constant the query's atom holds in each.
+    pub pushdown: Vec<usize>,
     /// Intra-atom repeated-variable equalities: `(first column, later column)`.
     pub duplicates: Vec<(usize, usize)>,
     /// Estimated output rows (from exact tuple counts and distincts).
@@ -81,15 +141,16 @@ pub struct TableScan {
 
 /// Native navigation of stored documents (leaf): the query's navigation
 /// atoms over documents the XML store holds, run by the navigation kernel.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NavScan {
-    /// The navigation atoms, in the order
+    /// The navigation atoms' body indices, in the order
     /// [`plan_navigation`](crate::plan_navigation) chose: the order the
     /// kernel runs them in.
-    pub atoms: Vec<Atom>,
-    /// The variables materialized as output columns: those the head, an
-    /// inequality or another leaf reads.
-    pub output: Vec<Variable>,
+    pub atoms: Vec<usize>,
+    /// The variables materialized as output columns — those the head, an
+    /// inequality or another leaf reads — each by the position of one of
+    /// its occurrences in the navigation atoms.
+    pub output: Vec<Position>,
     /// Rows the order is estimated to touch ([`NavOrder::cost`]): the unit
     /// the kernel counts its work in.
     pub cost: f64,
@@ -98,7 +159,7 @@ pub struct NavScan {
 }
 
 /// A physical operator tree for one conjunctive query.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum PhysicalPlan {
     /// Scan one relation (leaf).
     TableScan(TableScan),
@@ -110,8 +171,10 @@ pub enum PhysicalPlan {
         left: Box<PhysicalPlan>,
         /// Newly joined right input (always a leaf in left-deep plans).
         right: Box<PhysicalPlan>,
-        /// Equi-join keys: `(left output column, right output column)`.
-        keys: Vec<(usize, usize)>,
+        /// Equi-join key columns of the left output.
+        left_keys: Vec<usize>,
+        /// The right output columns, pairwise equal to `left_keys`.
+        right_keys: Vec<usize>,
         /// Which input is hashed — chosen from estimated cardinalities.
         build: BuildSide,
         /// Left output columns kept after the join (column pruning).
@@ -119,7 +182,7 @@ pub enum PhysicalPlan {
         /// Right output columns kept after the join.
         right_keep: Vec<usize>,
         /// The variable each output column binds (left-kept then right-kept).
-        output: Vec<Variable>,
+        output: Vec<Position>,
         /// Estimated output rows.
         est_rows: f64,
     },
@@ -146,14 +209,14 @@ pub enum PhysicalPlan {
 }
 
 impl PhysicalPlan {
-    /// The variables bound by this operator's output columns (empty above
-    /// `Project`, whose output is rows, not bindings).
-    pub fn output_vars(&self) -> &[Variable] {
+    /// The variable occurrences this operator's output columns bind (empty
+    /// above `Project`, whose output is rows, not bindings).
+    pub fn output(&self) -> &[Position] {
         match self {
             PhysicalPlan::TableScan(scan) => &scan.output,
             PhysicalPlan::NavScan(scan) => &scan.output,
             PhysicalPlan::HashJoin { output, .. } => output,
-            PhysicalPlan::Filter { input, .. } => input.output_vars(),
+            PhysicalPlan::Filter { input, .. } => input.output(),
             PhysicalPlan::Project { .. } | PhysicalPlan::Distinct { .. } => &[],
         }
     }
@@ -196,26 +259,48 @@ impl PhysicalPlan {
 
     /// The navigation leaf, if this tree has one.
     pub fn nav_scan(&self) -> Option<&NavScan> {
-        self.leaves().into_iter().find_map(|leaf| match leaf {
-            PhysicalPlan::NavScan(scan) => Some(scan),
-            _ => None,
-        })
-    }
-
-    /// The leaves of this tree, left to right.
-    pub fn leaves(&self) -> Vec<&PhysicalPlan> {
         match self {
-            PhysicalPlan::TableScan(_) | PhysicalPlan::NavScan(_) => vec![self],
-            PhysicalPlan::HashJoin { left, right, .. } => {
-                let mut leaves = left.leaves();
-                leaves.extend(right.leaves());
-                leaves
-            }
+            PhysicalPlan::TableScan(_) => None,
+            PhysicalPlan::NavScan(scan) => Some(scan),
+            PhysicalPlan::HashJoin { left, right, .. } => left.nav_scan().or(right.nav_scan()),
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::Distinct { input } => input.leaves(),
+            | PhysicalPlan::Distinct { input } => input.nav_scan(),
         }
     }
+
+    /// The number of leaves of this tree.
+    pub fn leaf_count(&self) -> usize {
+        match self {
+            PhysicalPlan::TableScan(_) | PhysicalPlan::NavScan(_) => 1,
+            PhysicalPlan::HashJoin { left, right, .. } => left.leaf_count() + right.leaf_count(),
+            PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::Project { input, .. }
+            | PhysicalPlan::Distinct { input } => input.leaf_count(),
+        }
+    }
+
+    /// This tree rendered with the terms of `q`, a query of the shape it
+    /// was planned for (stable; snapshot-tested under `tests/golden/plans/`).
+    pub fn display<'a>(&'a self, q: &'a ConjunctiveQuery) -> impl fmt::Display + 'a {
+        Rendered { plan: self, q }
+    }
+}
+
+/// The first occurrence of each variable of the atoms `atoms` index, in
+/// their order.
+fn first_occurrences(q: &ConjunctiveQuery, atoms: &[usize]) -> Vec<(Variable, Position)> {
+    let mut vars: Vec<(Variable, Position)> = Vec::new();
+    for &atom in atoms {
+        for (arg, t) in q.body[atom].args.iter().enumerate() {
+            if let Term::Var(v) = t {
+                if !vars.iter().any(|(w, _)| w == v) {
+                    vars.push((*v, Position { atom, arg }));
+                }
+            }
+        }
+    }
+    vars
 }
 
 /// Compile `q` into a physical plan against `stats`. Handed `nav`, the atoms
@@ -225,6 +310,8 @@ impl PhysicalPlan {
 /// Deterministic: the same query and statistics always produce the same plan
 /// (ties break on leaf index). The plan changes with the statistics, but the
 /// executed *result set* does not — that is the planner's core invariant.
+/// The plan names terms by position (module docs), so it runs any query of
+/// `q`'s shape.
 ///
 /// # Panics
 ///
@@ -236,6 +323,7 @@ pub fn physical_plan(
     nav: Option<&dyn NavigationStatistics>,
 ) -> PhysicalPlan {
     assert!(!q.body.is_empty(), "physical_plan requires a non-empty body");
+    let var = |p: &Position| p.var(q);
 
     // Variables consumed above the leaves: head, inequalities, other leaves.
     let ineq_vars: Vec<Variable> =
@@ -247,23 +335,21 @@ pub fn physical_plan(
         nav.map(|nav| plan_native(&q.body, nav)).filter(|planned| !planned.order.is_empty());
     let native: &[usize] = navigation.as_ref().map_or(&[], |planned| &planned.order);
     let scanned: Vec<usize> = (0..q.body.len()).filter(|i| !native.contains(i)).collect();
-    let vars_of = |atoms: &[usize]| {
-        let mut vars: Vec<Variable> = Vec::new();
-        for v in atoms.iter().flat_map(|&i| q.body[i].variables()) {
-            if !vars.contains(&v) {
-                vars.push(v);
-            }
-        }
-        vars
-    };
-    let mut leaf_vars: Vec<Vec<Variable>> = scanned.iter().map(|&i| vars_of(&[i])).collect();
+    let mut leaf_vars: Vec<Vec<(Variable, Position)>> =
+        scanned.iter().map(|&i| first_occurrences(q, &[i])).collect();
     if !native.is_empty() {
-        leaf_vars.push(vars_of(native));
+        leaf_vars.push(first_occurrences(q, native));
     }
     let needed_above_leaf = |l: usize, v: &Variable| {
         head_vars.contains(v)
             || ineq_vars.contains(v)
-            || leaf_vars.iter().enumerate().any(|(k, vars)| k != l && vars.contains(v))
+            || leaf_vars
+                .iter()
+                .enumerate()
+                .any(|(k, vars)| k != l && vars.iter().any(|(w, _)| w == v))
+    };
+    let needed_output = |l: usize| -> Vec<Position> {
+        leaf_vars[l].iter().filter(|(v, _)| needed_above_leaf(l, v)).map(|&(_, p)| p).collect()
     };
 
     // One pruned, predicate-pushed scan per scanned atom.
@@ -275,22 +361,19 @@ pub fn physical_plan(
             let relation = atom.predicate;
             let mut pushdown = Vec::new();
             let mut duplicates = Vec::new();
-            let mut first: Vec<(Variable, usize)> = Vec::new();
             for (col, arg) in atom.args.iter().enumerate() {
                 match arg {
-                    Term::Const(c) => pushdown.push((col, *c)),
-                    Term::Var(v) => match first.iter().find(|(fv, _)| fv == v) {
-                        Some((_, first_col)) => duplicates.push((*first_col, col)),
-                        None => first.push((*v, col)),
+                    Term::Const(_) => pushdown.push(col),
+                    Term::Var(v) => match leaf_vars[l].iter().find(|(w, _)| w == v) {
+                        Some((_, first)) if first.arg != col => duplicates.push((first.arg, col)),
+                        _ => {}
                     },
                 }
             }
-            let (output, columns): (Vec<Variable>, Vec<usize>) =
-                first.iter().filter(|(v, _)| needed_above_leaf(l, v)).copied().unzip();
 
             let mut est = stats.tuple_count(relation) as f64;
-            for (col, _) in &pushdown {
-                est /= stats.distinct_in_column(relation, *col).max(1) as f64;
+            for &col in &pushdown {
+                est /= stats.distinct_in_column(relation, col).max(1) as f64;
             }
             for (a, b) in &duplicates {
                 let d = stats
@@ -301,8 +384,8 @@ pub fn physical_plan(
             }
             PhysicalPlan::TableScan(TableScan {
                 relation,
-                columns,
-                output,
+                atom: i,
+                output: needed_output(l),
                 pushdown,
                 duplicates,
                 est_rows: est,
@@ -311,10 +394,8 @@ pub fn physical_plan(
         })
         .collect();
     if let Some(NavOrder { order, cost, rows }) = navigation {
-        let atoms = order.iter().map(|&i| q.body[i].clone()).collect();
-        let l = leaves.len();
-        let output = leaf_vars[l].iter().filter(|v| needed_above_leaf(l, v)).copied().collect();
-        leaves.push(PhysicalPlan::NavScan(NavScan { atoms, output, cost, est_rows: rows }));
+        let output = needed_output(leaves.len());
+        leaves.push(PhysicalPlan::NavScan(NavScan { atoms: order, output, cost, est_rows: rows }));
     }
 
     // Greedy stats-driven join order: smallest estimated leaf first, then the
@@ -332,32 +413,31 @@ pub fn physical_plan(
     // the minimum distinct count over the leaves that bound it so far. A
     // table scan reads its column's exact count; navigation keeps no
     // per-variable statistics, so each of its rows counts as distinct.
-    let var_distinct = |leaf: &PhysicalPlan, v: &Variable| -> f64 {
+    let var_distinct = |leaf: &PhysicalPlan, v: Variable| -> f64 {
         let PhysicalPlan::TableScan(scan) = leaf else { return leaf.est_rows().max(1.0) };
         scan.output
             .iter()
-            .position(|sv| sv == v)
-            .map(|k| stats.distinct_in_column(scan.relation, scan.columns[k]).max(1) as f64)
+            .find(|p| var(p) == v)
+            .map(|p| stats.distinct_in_column(scan.relation, p.arg).max(1) as f64)
             .unwrap_or(1.0)
     };
-    let mut bound_distinct: Vec<(Variable, f64)> =
-        leaves[start].output_vars().iter().map(|v| (*v, var_distinct(&leaves[start], v))).collect();
+    let mut bound_distinct: Vec<(Variable, f64)> = leaves[start]
+        .output()
+        .iter()
+        .map(|p| (var(p), var_distinct(&leaves[start], var(p))))
+        .collect();
 
     let order_leaves_left = |remaining: &[usize], bound: &[(Variable, f64)], cur_est: f64| {
         let mut best: Option<(usize, f64, bool)> = None; // (leaf, est_out, connected)
         for &i in remaining {
             let leaf = &leaves[i];
-            let shared: Vec<&Variable> = leaf
-                .output_vars()
-                .iter()
-                .filter(|v| bound.iter().any(|(bv, _)| bv == *v))
-                .collect();
-            let connected = !shared.is_empty();
+            let mut connected = false;
             let mut est_out = cur_est * leaf.est_rows();
-            for v in &shared {
-                let dl = bound.iter().find(|(bv, _)| bv == *v).map(|(_, d)| *d).unwrap_or(1.0);
-                let dr = var_distinct(leaf, v);
-                est_out /= dl.max(dr).max(1.0);
+            for v in leaf.output().iter().map(var) {
+                if let Some((_, dl)) = bound.iter().find(|(bv, _)| *bv == v) {
+                    connected = true;
+                    est_out /= dl.max(var_distinct(leaf, v)).max(1.0);
+                }
             }
             let better = match &best {
                 None => true,
@@ -381,11 +461,11 @@ pub fn physical_plan(
     while !remaining.is_empty() {
         let (next, est_out, _connected) = order_leaves_left(&remaining, &bound_distinct, est_rows);
         remaining.retain(|&i| i != next);
-        for v in leaves[next].output_vars() {
+        for v in leaves[next].output().iter().map(var) {
             let dr = var_distinct(&leaves[next], v);
-            match bound_distinct.iter_mut().find(|(bv, _)| bv == v) {
+            match bound_distinct.iter_mut().find(|(bv, _)| *bv == v) {
                 Some((_, dl)) => *dl = dl.min(dr),
-                None => bound_distinct.push((*v, dr)),
+                None => bound_distinct.push((v, dr)),
             }
         }
         joins.push((next, est_out));
@@ -397,33 +477,33 @@ pub fn physical_plan(
     let mut plan = leaves[start].take().expect("each leaf joins once");
     for (j, &(next, est_out)) in joins.iter().enumerate() {
         let leaf = leaves[next].take().expect("each leaf joins once");
-        let leaf_output = leaf.output_vars();
+        let left_vars: Vec<Variable> = plan.output().iter().map(var).collect();
+        let right_vars: Vec<Variable> = leaf.output().iter().map(var).collect();
 
-        let left_vars: Vec<Variable> = plan.output_vars().to_vec();
-        let keys: Vec<(usize, usize)> = left_vars
+        let (left_keys, right_keys): (Vec<usize>, Vec<usize>) = left_vars
             .iter()
             .enumerate()
-            .filter_map(|(lc, v)| leaf_output.iter().position(|sv| sv == v).map(|rc| (lc, rc)))
-            .collect();
+            .filter_map(|(lc, v)| right_vars.iter().position(|rv| rv == v).map(|rc| (lc, rc)))
+            .unzip();
 
         // Column pruning at the join output: keep a variable only if the
         // head, an inequality or a not-yet-joined leaf still needs it.
         let needed_later = |v: &Variable| {
             head_vars.contains(v)
                 || ineq_vars.contains(v)
-                || joins[j + 1..].iter().any(|&(k, _)| leaf_vars[k].contains(v))
+                || joins[j + 1..].iter().any(|&(k, _)| leaf_vars[k].iter().any(|(w, _)| w == v))
         };
         let left_keep: Vec<usize> =
             (0..left_vars.len()).filter(|&c| needed_later(&left_vars[c])).collect();
         // Shared variables keep their left copy; the right copy is equal by
         // the join and is dropped.
-        let right_keep: Vec<usize> = (0..leaf_output.len())
-            .filter(|&c| needed_later(&leaf_output[c]) && !left_vars.contains(&leaf_output[c]))
+        let right_keep: Vec<usize> = (0..right_vars.len())
+            .filter(|&c| needed_later(&right_vars[c]) && !left_vars.contains(&right_vars[c]))
             .collect();
-        let output: Vec<Variable> = left_keep
+        let output: Vec<Position> = left_keep
             .iter()
-            .map(|&c| left_vars[c])
-            .chain(right_keep.iter().map(|&c| leaf_output[c]))
+            .map(|&c| plan.output()[c])
+            .chain(right_keep.iter().map(|&c| leaf.output()[c]))
             .collect();
 
         // Build the smaller estimated input; ties build the fresh leaf (its
@@ -434,7 +514,8 @@ pub fn physical_plan(
         plan = PhysicalPlan::HashJoin {
             left: Box::new(plan),
             right: Box::new(leaf),
-            keys,
+            left_keys,
+            right_keys,
             build,
             left_keep,
             right_keep,
@@ -444,19 +525,25 @@ pub fn physical_plan(
     }
 
     // Residual inequalities, then the head projection, then set semantics.
-    let layout: Vec<Variable> = plan.output_vars().to_vec();
-    let operand = |t: &Term| match t {
-        Term::Const(c) => Operand::Const(*c),
-        Term::Var(v) => match layout.iter().position(|lv| lv == v) {
-            Some(c) => Operand::Column(c),
-            None => Operand::Unbound(*v),
-        },
+    // A term no column binds is named by where the query holds it.
+    let layout: Vec<Variable> = plan.output().iter().map(var).collect();
+    let operand = |t: &Term, unbound: Operand| {
+        t.as_var()
+            .and_then(|v| layout.iter().position(|&lv| lv == v))
+            .map_or(unbound, Operand::Column)
     };
     if !q.inequalities.is_empty() {
-        let predicates = q.inequalities.iter().map(|(a, b)| (operand(a), operand(b))).collect();
+        let predicates = (q.inequalities.iter().enumerate())
+            .map(|(pair, (a, b))| {
+                (
+                    operand(a, Operand::Inequality { pair, right: false }),
+                    operand(b, Operand::Inequality { pair, right: true }),
+                )
+            })
+            .collect();
         plan = PhysicalPlan::Filter { input: Box::new(plan), predicates };
     }
-    let columns = q.head.iter().map(operand).collect();
+    let columns = q.head.iter().enumerate().map(|(i, t)| operand(t, Operand::Head(i))).collect();
     plan = PhysicalPlan::Project { input: Box::new(plan), columns };
     PhysicalPlan::Distinct { input: Box::new(plan) }
 }
@@ -465,27 +552,55 @@ pub fn physical_plan(
 // Rendering (stable; snapshot-tested under tests/golden/plans/)
 // ---------------------------------------------------------------------------
 
-/// Render an operand against the variable layout of the operator's input.
-fn render_operand(op: &Operand, layout: &[Variable]) -> String {
-    match op {
-        Operand::Column(c) => match layout.get(*c) {
-            Some(v) => v.to_string(),
-            None => format!("#{c}"),
-        },
-        Operand::Const(c) => format!("'{}'", c.render()),
-        Operand::Unbound(v) => format!("unbound({v})"),
+/// A tree beside the query whose terms it renders ([`PhysicalPlan::display`]).
+struct Rendered<'a> {
+    plan: &'a PhysicalPlan,
+    q: &'a ConjunctiveQuery,
+}
+
+impl fmt::Display for Rendered<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        render_node(self.plan, self.q, f, "")
     }
 }
 
-fn render_node(plan: &PhysicalPlan, f: &mut fmt::Formatter<'_>, prefix: &str) -> fmt::Result {
+/// The variable names of `output`, comma-separated.
+fn render_vars(output: &[Position], q: &ConjunctiveQuery) -> String {
+    output.iter().map(|p| p.var(q).to_string()).collect::<Vec<_>>().join(", ")
+}
+
+/// Render an operand against the output of the operator's input.
+fn render_operand(op: Operand, layout: &[Position], q: &ConjunctiveQuery) -> String {
+    match (op, op.term(q)) {
+        (Operand::Column(c), _) => match layout.get(c) {
+            Some(p) => p.var(q).to_string(),
+            None => format!("#{c}"),
+        },
+        (_, Some(Term::Const(c))) => format!("'{}'", c.render()),
+        (_, Some(Term::Var(v))) => format!("unbound({v})"),
+        (_, None) => unreachable!("only a column names no term"),
+    }
+}
+
+fn render_node(
+    plan: &PhysicalPlan,
+    q: &ConjunctiveQuery,
+    f: &mut fmt::Formatter<'_>,
+    prefix: &str,
+) -> fmt::Result {
     match plan {
         PhysicalPlan::TableScan(scan) => {
             let cols: Vec<String> =
-                scan.columns.iter().zip(&scan.output).map(|(c, v)| format!("c{c}→{v}")).collect();
+                scan.output.iter().map(|p| format!("c{}→{}", p.arg, p.var(q))).collect();
             write!(f, "TableScan {} cols=[{}]", scan.relation.name(), cols.join(", "))?;
             if !scan.pushdown.is_empty() {
-                let preds: Vec<String> =
-                    scan.pushdown.iter().map(|(c, k)| format!("c{c}='{}'", k.render())).collect();
+                let args = &q.body[scan.atom].args;
+                let preds: Vec<String> = (scan.pushdown.iter())
+                    .map(|&c| {
+                        let k = args[c].as_const().expect("a pushed-down column holds a constant");
+                        format!("c{c}='{}'", k.render())
+                    })
+                    .collect();
                 write!(f, " pushdown=[{}]", preds.join(", "))?;
             }
             if !scan.duplicates.is_empty() {
@@ -496,17 +611,16 @@ fn render_node(plan: &PhysicalPlan, f: &mut fmt::Formatter<'_>, prefix: &str) ->
             write!(f, " ~{:.0} rows", scan.est_rows)
         }
         PhysicalPlan::NavScan(scan) => {
-            let order: Vec<String> = scan.atoms.iter().map(|a| a.to_string()).collect();
-            let out: Vec<String> = scan.output.iter().map(|v| v.to_string()).collect();
-            let (order, out) = (order.join(", "), out.join(", "));
+            let order: Vec<String> = scan.atoms.iter().map(|&i| q.body[i].to_string()).collect();
+            let (order, out) = (order.join(", "), render_vars(&scan.output, q));
             write!(f, "NavScan order=[{order}] out=[{out}] ~{:.0} rows", scan.est_rows)
         }
-        PhysicalPlan::HashJoin { left, right, keys, build, output, est_rows, .. } => {
-            let lvars = left.output_vars();
-            let key_names: Vec<String> = keys
+        PhysicalPlan::HashJoin { left, right, left_keys, build, output, est_rows, .. } => {
+            let lvars = left.output();
+            let key_names: Vec<String> = left_keys
                 .iter()
-                .map(|(lc, _)| match lvars.get(*lc) {
-                    Some(v) => v.to_string(),
+                .map(|&lc| match lvars.get(lc) {
+                    Some(p) => p.var(q).to_string(),
                     None => format!("#{lc}"),
                 })
                 .collect();
@@ -514,49 +628,44 @@ fn render_node(plan: &PhysicalPlan, f: &mut fmt::Formatter<'_>, prefix: &str) ->
                 BuildSide::Left => "left",
                 BuildSide::Right => "right",
             };
-            let out: Vec<String> = output.iter().map(|v| v.to_string()).collect();
             writeln!(
                 f,
                 "HashJoin on [{}] build={side} out=[{}] ~{est_rows:.0} rows",
                 key_names.join(", "),
-                out.join(", "),
+                render_vars(output, q),
             )?;
             write!(f, "{prefix}├─ ")?;
-            render_node(left, f, &format!("{prefix}│  "))?;
+            render_node(left, q, f, &format!("{prefix}│  "))?;
             writeln!(f)?;
             write!(f, "{prefix}└─ ")?;
-            render_node(right, f, &format!("{prefix}   "))
+            render_node(right, q, f, &format!("{prefix}   "))
         }
         PhysicalPlan::Filter { input, predicates } => {
-            let layout = input.output_vars();
+            let layout = input.output();
             let preds: Vec<String> = predicates
                 .iter()
-                .map(|(a, b)| {
-                    format!("{} <> {}", render_operand(a, layout), render_operand(b, layout))
+                .map(|&(a, b)| {
+                    let (a, b) = (render_operand(a, layout, q), render_operand(b, layout, q));
+                    format!("{a} <> {b}")
                 })
                 .collect();
             writeln!(f, "Filter [{}]", preds.join(", "))?;
             write!(f, "{prefix}└─ ")?;
-            render_node(input, f, &format!("{prefix}   "))
+            render_node(input, q, f, &format!("{prefix}   "))
         }
         PhysicalPlan::Project { input, columns } => {
-            let layout = input.output_vars();
-            let cols: Vec<String> = columns.iter().map(|op| render_operand(op, layout)).collect();
+            let layout = input.output();
+            let cols: Vec<String> =
+                columns.iter().map(|&op| render_operand(op, layout, q)).collect();
             writeln!(f, "Project [{}]", cols.join(", "))?;
             write!(f, "{prefix}└─ ")?;
-            render_node(input, f, &format!("{prefix}   "))
+            render_node(input, q, f, &format!("{prefix}   "))
         }
         PhysicalPlan::Distinct { input } => {
             writeln!(f, "Distinct")?;
             write!(f, "{prefix}└─ ")?;
-            render_node(input, f, &format!("{prefix}   "))
+            render_node(input, q, f, &format!("{prefix}   "))
         }
-    }
-}
-
-impl fmt::Display for PhysicalPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        render_node(self, f, "")
     }
 }
 
@@ -593,7 +702,7 @@ mod tests {
             ]);
         let s = stats(&[("big", 10_000, &[10_000, 100]), ("small", 50, &[50, 50, 5])]);
         let plan = physical_plan(&q, &s, None);
-        let text = plan.to_string();
+        let text = plan.display(&q).to_string();
         assert!(text.contains("pushdown=[c2='k']"), "constant must be pushed down:\n{text}");
         // The left-deep start is the selective `small` scan, so the join
         // builds on the accumulated (smaller) left side.
@@ -611,7 +720,7 @@ mod tests {
         ]);
         let s = stats(&[("r", 10, &[10, 10, 10]), ("s", 10, &[10, 10])]);
         let plan = physical_plan(&q, &s, None);
-        let text = plan.to_string();
+        let text = plan.display(&q).to_string();
         assert!(!text.contains("junk"), "unused columns must be pruned:\n{text}");
         assert!(text.contains("c0→a"), "needed columns must survive:\n{text}");
     }
@@ -624,7 +733,7 @@ mod tests {
             .with_body(vec![Atom::named("r", vec![Term::var("x"), Term::var("x")])]);
         let s = stats(&[("r", 10, &[5, 5])]);
         let plan = physical_plan(&q, &s, None);
-        let text = plan.to_string();
+        let text = plan.display(&q).to_string();
         assert!(text.contains("dup=[c0=c1]"), "repeated variable must be a scan check:\n{text}");
         assert!(text.contains("~2 rows"), "duplicate check must reduce the estimate:\n{text}");
     }
@@ -638,7 +747,7 @@ mod tests {
             .with_body(vec![Atom::named("r", vec![Term::var("x"), Term::var("y")])])
             .with_inequality(Term::var("x"), Term::var("y"));
         let s = stats(&[("r", 10, &[10, 10])]);
-        let text = physical_plan(&q, &s, None).to_string();
+        let text = physical_plan(&q, &s, None).display(&q).to_string();
         assert!(text.contains("Filter [x <> y]"), "{text}");
         assert!(text.contains("Project [x, 'tag', unbound(ghost)]"), "{text}");
         assert!(text.starts_with("Distinct"), "{text}");

@@ -12,7 +12,10 @@
 //!   navigation, and the rest `TableScan`s joined with it.
 //!
 //! The cheaper tree's leaves name the [`Route`]: only table scans is
-//! **relational**, only a navigation scan is **xml**, both is **mixed**.
+//! **relational**, only a navigation scan is **xml**, both is **mixed**. The
+//! decision keeps that tree ([`RoutingDecision::tree`]), the one the
+//! executor runs: it names the query's terms by position, so it serves
+//! every query of the priced query's shape.
 //! The decision is **advisory by construction**: every route returns
 //! byte-identical rows (property-tested in `mars-storage`'s router and in
 //! `tests/property_based.rs`), so a bad estimate costs time, never
@@ -23,6 +26,7 @@ use crate::physical::{physical_plan, PhysicalPlan};
 use crate::stats::StatisticsCatalog;
 use mars_cq::{Atom, ConjunctiveQuery, Constant, NavBase, Term, Variable};
 use std::fmt;
+use std::sync::Arc;
 
 /// The statistics the XML side of the router reads: per-document counters a
 /// document store maintains (implemented by `mars_storage::XmlStore`, which
@@ -66,7 +70,7 @@ pub enum Route {
 impl Route {
     /// The route `plan`'s leaves describe.
     pub fn of(plan: &PhysicalPlan) -> Route {
-        match (plan.nav_scan(), plan.leaves().len()) {
+        match (plan.nav_scan(), plan.leaf_count()) {
             (None, _) => Route::Relational,
             (Some(_), 1) => Route::Xml,
             (Some(_), _) => Route::Mixed,
@@ -123,6 +127,11 @@ pub struct RoutingDecision {
     pub navigation_atoms: usize,
     /// Remaining body atoms (base relations, views, specializations).
     pub relational_atoms: usize,
+    /// The tree the route runs: the one priced for it, shared. It names
+    /// terms by position, so it runs any query of the priced query's shape;
+    /// a plan-cache hit runs it as is. `None` for a body-less query, which
+    /// scans nothing.
+    pub tree: Option<Arc<PhysicalPlan>>,
 }
 
 fn render_cost(f: &mut fmt::Formatter<'_>, label: &str, c: Option<f64>) -> fmt::Result {
@@ -310,6 +319,7 @@ pub(crate) fn plan_native(atoms: &[Atom], nav: &dyn NavigationStatistics) -> Nav
 /// stored documents navigated natively (with them). Both are priced by
 /// [`PhysicalPlan::estimated_cost`], tails included; the native tree counts
 /// only when it has a navigation leaf, and wins only when strictly cheaper.
+/// The decision keeps the chosen tree ([`RoutingDecision::tree`]).
 pub fn route_query(
     q: &ConjunctiveQuery,
     rel: &dyn StatisticsCatalog,
@@ -320,6 +330,7 @@ pub fn route_query(
         costs: RouteCosts { relational: 0.0, xml: None, mixed: None },
         navigation_atoms: 0,
         relational_atoms: q.body.len(),
+        tree: None,
     };
     if q.body.is_empty() {
         return decision;
@@ -328,17 +339,23 @@ pub fn route_query(
     let native = physical_plan(q, rel, Some(nav));
     let Some(scan) = native.nav_scan() else {
         decision.costs.relational = native.estimated_cost();
+        decision.tree = Some(Arc::new(native));
         return decision;
     };
-    decision.costs.relational = physical_plan(q, rel, None).estimated_cost();
+    let relational = physical_plan(q, rel, None);
+    decision.costs.relational = relational.estimated_cost();
     decision.navigation_atoms = scan.atoms.len();
     decision.relational_atoms -= scan.atoms.len();
     let (route, cost) = (Route::of(&native), native.estimated_cost());
     *if route == Route::Xml { &mut decision.costs.xml } else { &mut decision.costs.mixed } =
         Some(cost);
-    if cost < decision.costs.relational {
+    let chosen = if cost < decision.costs.relational {
         decision.route = route;
-    }
+        native
+    } else {
+        relational
+    };
+    decision.tree = Some(Arc::new(chosen));
     decision
 }
 
@@ -511,6 +528,7 @@ mod tests {
             costs: RouteCosts { relational: 120.0, xml: Some(14.5), mixed: None },
             navigation_atoms: 3,
             relational_atoms: 0,
+            tree: None,
         };
         let text = d.to_string();
         assert_eq!(

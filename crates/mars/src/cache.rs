@@ -22,10 +22,15 @@
 //! are renamed only if something reads them ([`mars_cq::Renamed`]).
 //! Entries are shared handles: a hit takes one under the cache's lock and
 //! renames after releasing it, so concurrent hits run side by side.
-//! Nothing derived from the queries is kept beside them (the SQL is rendered
-//! from the renamed best query when asked for). The service layer
-//! property-tests that every field of a hit equals a cold reformulation
-//! byte for byte.
+//! One thing derived from the queries is kept beside them: a routed entry's
+//! [`RoutingDecision`](mars_cost::RoutingDecision) holds the physical tree
+//! its cold request planned. The tree names the query's terms by position,
+//! so a hit shares it, unrenamed, and runs it with its own renamed best
+//! query; it is built once per shape and frozen at the statistics of the
+//! request that missed, as the route is, and [`PlanCache::clear`] drops it
+//! with its entry. The SQL is rendered from the renamed best query when
+//! asked for. The service layer property-tests that every field of a hit
+//! equals a cold reformulation byte for byte.
 
 use crate::result::BlockReformulation;
 use mars_chase::ReformulationResult;
@@ -191,7 +196,8 @@ fn resubstitute(entry: &CachedEntry, incoming: &QueryShape<'_>) -> BlockReformul
             stats: Arc::clone(&result.stats),
         },
         // Routing depends on the query shape and the store statistics, not
-        // on the constants a shape abstracts over — replay it verbatim.
+        // on the constants a shape abstracts over — replay it verbatim, with
+        // the tree it priced, which names terms by position.
         route: block.route.clone(),
         duration: Duration::ZERO,
     }

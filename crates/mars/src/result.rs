@@ -17,10 +17,11 @@ pub struct BlockReformulation {
     /// The C&B result: universal plan, initial, minimal and best reformulations.
     pub result: ReformulationResult,
     /// The backend routing decision for the chosen reformulation, when one
-    /// was priced (see [`MarsService::reformulate_xbind_routed`]). Cached and
-    /// replayed with the plan: the decision depends only on the query
-    /// shape and the store statistics, never on the constants, so a
-    /// plan-cache hit replays it verbatim, unrenamed.
+    /// was priced (see [`MarsService::reformulate_xbind_routed`]), with the
+    /// physical tree it chose. Cached and replayed with the plan: the
+    /// decision depends only on the query shape and the store statistics,
+    /// never on the constants, and the tree names terms by position, so a
+    /// plan-cache hit replays both verbatim, unrenamed.
     ///
     /// [`MarsService::reformulate_xbind_routed`]: crate::MarsService::reformulate_xbind_routed
     pub route: Option<RoutingDecision>,

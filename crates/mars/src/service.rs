@@ -196,7 +196,9 @@ impl MarsService {
     /// exact statistics, the XML store's navigation statistics — and the
     /// route is cached *inside* the block, so a warm shape hit replays the
     /// cached decision byte-identically instead of re-pricing (the decision
-    /// depends on the query shape and store statistics, not the constants).
+    /// depends on the query shape and store statistics, not the constants),
+    /// and `BackendRouter::execute` runs the decision's physical tree with
+    /// the hit's query instead of re-planning.
     /// A warm hit cached by an unrouted entry point carries no route and is
     /// priced on the fly, without rewriting the cache entry; a block whose
     /// reformulation produced no executable query carries none.

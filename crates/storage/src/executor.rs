@@ -4,13 +4,17 @@
 //! `execute_plan` walks a [`PhysicalPlan`] (compiled by
 //! [`mars_cost::physical_plan`] from exact storage statistics) bottom-up; it
 //! runs every route, because a route is only what the plan's leaves read.
+//! The tree names the query's terms by position, and `execute_plan` reads
+//! them from the query it is handed — any query of the shape the tree was
+//! planned for, so a plan-cache hit runs the tree its entry keeps.
 //! Every operator materializes its output as one flat row-major `Batch` —
 //! a single `Vec<Term>` holding `len` rows of `width` columns in the
 //! operator's pruned layout — so executing a plan performs a constant number
 //! of allocations per operator, not per row. The operators:
 //!
 //! * `TableScan` reads one relation, keeps the rows matching the pushed-down
-//!   constants and the intra-atom duplicate-variable checks, and keeps only
+//!   constants (the query's, in the pushed columns of the scanned atom) and
+//!   the intra-atom duplicate-variable checks, and keeps only
 //!   the pruned columns. A pushdown is read the way the chase's join steps
 //!   read a key ([`mars_chase::Relation::any_with_key`]): a relation of at
 //!   most [`mars_chase::SCAN_THRESHOLD`] rows is scanned, a larger one is
@@ -26,9 +30,9 @@
 //!   (intermediate row order is plan-dependent — the root `Distinct`
 //!   canonicalizes it away);
 //! * `Filter` compacts out rows failing a residual inequality, in place;
-//! * `Project` assembles the head row (columns, literal constants, or the
-//!   variable itself for unsafe head variables — matching the naive
-//!   evaluator);
+//! * `Project` assembles the head row (columns, or the query's head term
+//!   itself: a literal constant, or the variable for an unsafe head variable
+//!   — matching the naive evaluator);
 //! * `Distinct`, the plan's root, is `execute_plan` itself: it deduplicates
 //!   and emits rows in **ascending [`Row`] order** — the deterministic output
 //!   order `RelationalDatabase::query` guarantees for both the physical and
@@ -43,7 +47,7 @@ use crate::relational::Row;
 use crate::xml_engine::{XmlStore, XmlStoreError};
 use mars_chase::SymbolicInstance;
 use mars_cost::{BuildSide, Operand, PhysicalPlan};
-use mars_cq::Term;
+use mars_cq::{Args, ConjunctiveQuery, Term};
 use std::collections::{BTreeSet, HashMap};
 
 /// The workspace's Fx-style hasher (`mars_cq::fx`): join keys are one or two
@@ -73,29 +77,32 @@ impl Batch {
     }
 }
 
-/// Execute `plan` — table scans over `inst`, navigation scans over `xml`'s
-/// documents — returning the deduplicated head rows in ascending order and
-/// the candidate tuples navigation enumerated. `plan` must be a root plan
-/// (ending in `Distinct ∘ Project`, as [`mars_cost::physical_plan`]
-/// produces). Fails when a navigation scan reads a document `xml` lacks.
+/// Execute `plan` for `q` — table scans over `inst`, navigation scans over
+/// `xml`'s documents — returning the deduplicated head rows in ascending
+/// order and the candidate tuples navigation enumerated. `plan` must be a
+/// root plan (ending in `Distinct ∘ Project`, as [`mars_cost::physical_plan`]
+/// produces) planned for a query of `q`'s shape; its constants and variable
+/// names are `q`'s. Fails when a navigation scan reads a document `xml`
+/// lacks.
 pub(crate) fn execute_plan(
     plan: &PhysicalPlan,
+    q: &ConjunctiveQuery,
     inst: &SymbolicInstance,
     xml: &XmlStore,
 ) -> Result<(Vec<Row>, u64), XmlStoreError> {
     let mut nav_tuples = 0;
-    let batch = eval(plan, inst, xml, &mut nav_tuples)?;
+    let batch = eval(plan, q, inst, xml, &mut nav_tuples)?;
     let rows: BTreeSet<Row> = batch.rows().map(<[Term]>::to_vec).collect();
     Ok((rows.into_iter().collect(), nav_tuples))
 }
 
-/// Resolve an operand against a row (unsafe/unbound variables evaluate to
-/// themselves, exactly like the naive evaluator's `apply_term`).
-fn resolve(op: &Operand, row: &[Term]) -> Term {
+/// Resolve an operand against a row: a column, else the query's own term
+/// (unsafe/unbound variables evaluate to themselves, exactly like the naive
+/// evaluator's `apply_term`).
+fn resolve(op: Operand, row: &[Term], q: &ConjunctiveQuery) -> Term {
     match op {
-        Operand::Column(c) => row[*c],
-        Operand::Const(k) => Term::Const(*k),
-        Operand::Unbound(v) => Term::Var(*v),
+        Operand::Column(c) => row[c],
+        _ => op.term(q).expect("a non-column operand names a query term"),
     }
 }
 
@@ -146,21 +153,22 @@ fn hash_join(
 
 fn eval(
     plan: &PhysicalPlan,
+    q: &ConjunctiveQuery,
     inst: &SymbolicInstance,
     xml: &XmlStore,
     nav_tuples: &mut u64,
 ) -> Result<Batch, XmlStoreError> {
     Ok(match plan {
         PhysicalPlan::TableScan(scan) => {
-            let mut out = Batch::new(scan.columns.len());
+            let mut out = Batch::new(scan.output.len());
             if let Some(relation) = inst.relation_data(scan.relation) {
                 // The pushed-down columns are ascending, so they name the
                 // persistent index a join step over them would probe.
-                let cols: Vec<usize> = scan.pushdown.iter().map(|&(c, _)| c).collect();
-                let key: Vec<Term> = scan.pushdown.iter().map(|&(_, k)| Term::Const(k)).collect();
-                relation.any_with_key(&cols, &key, |tuple| {
+                let args = &q.body[scan.atom].args;
+                let key: Args = scan.pushdown.iter().map(|&c| args[c]).collect();
+                relation.any_with_key(&scan.pushdown, &key, |tuple| {
                     if scan.duplicates.iter().all(|(a, b)| tuple[*a] == tuple[*b]) {
-                        out.data.extend(scan.columns.iter().map(|&c| tuple[c]));
+                        out.data.extend(scan.output.iter().map(|p| tuple[p.arg]));
                         out.len += 1;
                     }
                     false
@@ -169,43 +177,51 @@ fn eval(
             out
         }
         PhysicalPlan::NavScan(scan) => {
-            let (batch, tuples) = NavPlan::compile(&scan.atoms, xml)?.execute(&scan.output);
+            let columns = scan.output.iter().map(|p| p.var(q));
+            let (batch, tuples) = NavPlan::compile(&q.body, &scan.atoms, xml)?.execute(columns);
             *nav_tuples += tuples;
             batch
         }
-        PhysicalPlan::HashJoin { left, right, keys, build, left_keep, right_keep, .. } => {
-            let left_rows = eval(left, inst, xml, nav_tuples)?;
-            let right_rows = eval(right, inst, xml, nav_tuples)?;
+        PhysicalPlan::HashJoin {
+            left,
+            right,
+            left_keys: lk,
+            right_keys: rk,
+            build,
+            left_keep,
+            right_keep,
+            ..
+        } => {
+            let left_rows = eval(left, q, inst, xml, nav_tuples)?;
+            let right_rows = eval(right, q, inst, xml, nav_tuples)?;
             let mut out = Batch::new(left_keep.len() + right_keep.len());
             if left_rows.len == 0 || right_rows.len == 0 {
                 return Ok(out);
             }
-            let lk: Vec<usize> = keys.iter().map(|&(lc, _)| lc).collect();
-            let rk: Vec<usize> = keys.iter().map(|&(_, rc)| rc).collect();
             let mut emit = |lrow: &[Term], rrow: &[Term]| {
                 out.data.extend(left_keep.iter().map(|&c| lrow[c]));
                 out.data.extend(right_keep.iter().map(|&c| rrow[c]));
                 out.len += 1;
             };
             match build {
-                BuildSide::Right => hash_join(&right_rows, &left_rows, &rk, &lk, |b, p| {
+                BuildSide::Right => hash_join(&right_rows, &left_rows, rk, lk, |b, p| {
                     emit(left_rows.row(p), right_rows.row(b))
                 }),
-                BuildSide::Left => hash_join(&left_rows, &right_rows, &lk, &rk, |b, p| {
+                BuildSide::Left => hash_join(&left_rows, &right_rows, lk, rk, |b, p| {
                     emit(left_rows.row(b), right_rows.row(p))
                 }),
             }
             out
         }
         PhysicalPlan::Filter { input, predicates } => {
-            let mut batch = eval(input, inst, xml, nav_tuples)?;
+            let mut batch = eval(input, q, inst, xml, nav_tuples)?;
             // In-place compaction: copy each surviving row down over the
             // gap left by dropped ones (rows are `Copy` terms).
             let width = batch.width;
             let mut kept = 0;
             for i in 0..batch.len {
                 let row = batch.row(i);
-                if predicates.iter().all(|(a, b)| resolve(a, row) != resolve(b, row)) {
+                if predicates.iter().all(|&(a, b)| resolve(a, row, q) != resolve(b, row, q)) {
                     if kept != i {
                         batch.data.copy_within(i * width..(i + 1) * width, kept * width);
                     }
@@ -217,19 +233,19 @@ fn eval(
             batch
         }
         PhysicalPlan::Project { input, columns } => {
-            let batch = eval(input, inst, xml, nav_tuples)?;
+            let batch = eval(input, q, inst, xml, nav_tuples)?;
             let mut out = Batch::new(columns.len());
             out.data.reserve(columns.len() * batch.len);
             for i in 0..batch.len {
                 let row = batch.row(i);
-                out.data.extend(columns.iter().map(|op| resolve(op, row)));
+                out.data.extend(columns.iter().map(|&op| resolve(op, row, q)));
                 out.len += 1;
             }
             out
         }
         // Rows are a set: the one deduplication (and the output order) is
         // `execute_plan`'s, at the root.
-        PhysicalPlan::Distinct { input } => eval(input, inst, xml, nav_tuples)?,
+        PhysicalPlan::Distinct { input } => eval(input, q, inst, xml, nav_tuples)?,
     })
 }
 
@@ -287,7 +303,7 @@ mod tests {
             Term::var("a"),
             Term::constant_str("h4"),
         ]);
-        let text = db.plan(&q).to_string();
+        let text = db.plan(&q).display(&q).to_string();
         assert!(text.contains("pushdown=[c1='g2', c3='h4']"), "two pushed columns:\n{text}");
         let rows = db.query(&q);
         assert_eq!(rows.len(), 1_000 / 35 + 1, "every 35th row carries g2 and h4");

@@ -1,7 +1,8 @@
 //! The native navigation kernel: a conjunction of GReX navigation atoms
 //! compiled once into typed steps and run over a flat slot batch.
 //!
-//! `NavPlan::compile` takes a `NavScan` leaf's atoms in the order
+//! `NavPlan::compile` takes a `NavScan` leaf's atoms (body indices of the
+//! query being run) in the order
 //! [`mars_cost::plan_navigation`] chose for them — the order the leaf's
 //! estimate prices — and resolves every atom's access path at compile time
 //! from what is bound when it runs:
@@ -279,7 +280,7 @@ pub(crate) struct NavPlan<'s> {
 /// Compilation state: the plan under construction plus what is bound so far.
 struct Compiler<'a, 's> {
     plan: NavPlan<'s>,
-    atoms: &'a [Atom],
+    atoms: Vec<&'a Atom>,
     /// Base and document (an index into `plan.docs`) per atom.
     parsed: Vec<(NavBase, usize)>,
     /// Tag atoms fused into the step that binds their node.
@@ -292,17 +293,23 @@ struct Compiler<'a, 's> {
 }
 
 impl<'s> NavPlan<'s> {
-    /// Compile `atoms`, in the order given, against the documents of `xml`.
+    /// Compile the atoms of `body` that `order` indexes, in that order,
+    /// against the documents of `xml`.
     ///
     /// # Errors
     ///
     /// [`XmlStoreError::NotNavigable`] for an atom that is not GReX
     /// navigation, [`XmlStoreError::MissingDocument`] for navigation over a
     /// document the store does not hold.
-    pub(crate) fn compile(atoms: &[Atom], xml: &'s XmlStore) -> Result<NavPlan<'s>, XmlStoreError> {
+    pub(crate) fn compile(
+        body: &[Atom],
+        order: &[usize],
+        xml: &'s XmlStore,
+    ) -> Result<NavPlan<'s>, XmlStoreError> {
+        let atoms: Vec<&Atom> = order.iter().map(|&i| &body[i]).collect();
         let mut docs: Vec<(&Document, &DocIndex)> = Vec::new();
         let mut parsed = Vec::with_capacity(atoms.len());
-        for atom in atoms {
+        for atom in &atoms {
             let (base, document) = atom
                 .navigation()
                 .ok_or(XmlStoreError::NotNavigable { predicate: atom.predicate })?;
@@ -355,14 +362,14 @@ impl<'s> NavPlan<'s> {
                 node_width,
                 value_width,
             },
+            fused: vec![false; atoms.len()],
             atoms,
             parsed,
-            fused: vec![false; atoms.len()],
             node_bound: vec![false; node_width],
             value_bound: vec![false; value_width],
             pending: Vec::new(),
         };
-        for at in 0..atoms.len() {
+        for at in 0..compiler.atoms.len() {
             if !compiler.fused[at] && compiler.atom(at).is_none() {
                 compiler.plan.satisfiable = false;
                 break;
@@ -551,14 +558,13 @@ impl<'s> NavPlan<'s> {
     /// Run the plan and materialize `columns` (variables the plan binds) as
     /// a term batch — the one place node slots become `"<doc>/n<k>"`
     /// constants. Also returns the candidate tuples enumerated.
-    pub(crate) fn execute(&self, columns: &[Variable]) -> (Batch, u64) {
+    pub(crate) fn execute(&self, columns: impl Iterator<Item = Variable>) -> (Batch, u64) {
         let (rows, tuples) = self.run();
         let slots: Vec<Slot> = columns
-            .iter()
-            .map(|v| self.slot(*v).expect("projected columns are variables the plan binds"))
+            .map(|v| self.slot(v).expect("projected columns are variables the plan binds"))
             .collect();
-        let mut out = Batch::new(columns.len());
-        out.data.reserve(columns.len() * rows.len);
+        let mut out = Batch::new(slots.len());
+        out.data.reserve(slots.len() * rows.len);
         for i in 0..rows.len {
             out.data.extend(slots.iter().map(|slot| match *slot {
                 Slot::Node { slot, doc } => self.docs[doc].1.node_term(rows.nodes(i)[slot]),
@@ -674,8 +680,8 @@ impl Compiler<'_, '_> {
     /// match nothing (see [`Compiler::node_arg`]).
     fn atom(&mut self, at: usize) -> Option<()> {
         let (base, doc) = self.parsed[at];
-        let atoms = self.atoms;
-        let args = &atoms[at].args;
+        let atom = self.atoms[at];
+        let args = &atom.args;
         let (t0, t1) = (args[0], args.get(1).copied());
         let first = self.node_arg(t0, doc)?;
         let step = match base {

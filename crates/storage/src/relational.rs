@@ -85,7 +85,7 @@ impl RelationalDatabase {
             // Nothing to scan, nothing to plan.
             return self.query_naive(q);
         }
-        let (rows, _) = execute_plan(&self.plan(q), &self.inst, &XmlStore::new())
+        let (rows, _) = execute_plan(&self.plan(q), q, &self.inst, &XmlStore::new())
             .expect("a plan of table scans reads no document");
         rows
     }
@@ -268,7 +268,7 @@ mod tests {
         let rows = db.query_strings(&q);
         assert_eq!(rows, vec![vec!["vitaminC".to_string()]]);
         // The constant lands in the scan, not a separate filter.
-        let plan = db.plan(&q).to_string();
+        let plan = db.plan(&q).display(&q).to_string();
         assert!(plan.contains("pushdown=[c2='daily']"), "{plan}");
     }
 

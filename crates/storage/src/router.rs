@@ -19,12 +19,19 @@
 //! * **mixed** — that `NavScan` hash-joined with `TableScan`s for the
 //!   remaining atoms.
 //!
-//! [`BackendRouter::execute`] re-plans the tree the route names and runs it
-//! through the one executor ([`crate::executor`]), so every route ends in the
-//! same residual inequality filter, head projection (unsafe head variables
-//! evaluate to themselves) and ascending [`BTreeSet`](std::collections::BTreeSet)
-//! deduplication — the routing decision is advisory, the row set is
-//! invariant (property-tested in `tests/property_based.rs` and gated in CI).
+//! The decision keeps the tree it priced for its route
+//! ([`RoutingDecision::tree`]), and [`BackendRouter::execute`] runs that tree,
+//! reading the query's terms from the plan's own query: it never plans. The
+//! tree names terms by position, so a plan-cache hit, whose query has fresh
+//! constants and its own variable names, runs the tree its entry keeps, built
+//! once per shape from the statistics of the request that missed. Every route
+//! runs through the one executor ([`crate::executor`]), so every route ends in
+//! the same residual inequality filter, head projection (unsafe head
+//! variables evaluate to themselves) and ascending
+//! [`BTreeSet`](std::collections::BTreeSet) deduplication — the routing
+//! decision is advisory, the row set is invariant (property-tested in
+//! `tests/property_based.rs` and gated in CI), which is also why a tree
+//! frozen at older statistics stays correct.
 
 use crate::executor::execute_plan;
 use crate::relational::{RelationalDatabase, Row};
@@ -32,14 +39,18 @@ use crate::xml_engine::{XmlStore, XmlStoreError};
 use mars_cost::{physical_plan, route_query, NavigationStatistics, PhysicalPlan};
 pub use mars_cost::{Route, RouteCosts, RoutingDecision};
 use mars_cq::{Atom, ConjunctiveQuery};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A query paired with its priced routing decision (see [`BackendRouter::plan`]).
 #[derive(Clone, Debug)]
 pub struct RoutedPlan {
-    /// The query to execute (a reformulation's `best_or_initial`).
+    /// The query to execute (a reformulation's `best_or_initial`): its
+    /// constants and variable names are the ones the decision's tree runs
+    /// with.
     pub query: ConjunctiveQuery,
-    /// The decision: chosen route and per-backend estimates.
+    /// The decision: chosen route, per-backend estimates and the tree, priced
+    /// for this query or for another of its shape (a plan-cache hit's).
     pub decision: RoutingDecision,
 }
 
@@ -47,7 +58,7 @@ pub struct RoutedPlan {
 #[derive(Clone, Debug)]
 pub struct RoutedExecution {
     /// The route that actually executed: the one the executed tree's leaves
-    /// describe (the plan's decision while the stores are as it saw them).
+    /// describe (the plan's decision unless its route was edited by hand).
     pub route: Route,
     /// The navigation leaf's estimate, in rows touched: what `nav_tuples`
     /// is the actual of. 0 on the relational route.
@@ -92,45 +103,50 @@ impl<'a> BackendRouter<'a> {
     }
 
     /// Force a route: relational scans every atom; xml and mixed both mean
-    /// "navigate natively", and the decision records the route that tree's
-    /// leaves describe — mixed when relational atoms remain, relational when
-    /// nothing navigates a stored document — so ablation results stay
-    /// honest.
+    /// "navigate natively", and the decision keeps that tree and records the
+    /// route its leaves describe — mixed when relational atoms remain,
+    /// relational when nothing navigates a stored document — so ablation
+    /// results stay honest.
     pub fn plan_forced(&self, query: &ConjunctiveQuery, route: Route) -> RoutedPlan {
         let mut decision = route_query(query, self.db, self.xml);
-        decision.route = self.tree(query, route).as_ref().map_or(Route::Relational, Route::of);
+        let tree = self.tree(query, route);
+        decision.route = tree.as_ref().map_or(Route::Relational, Route::of);
+        decision.tree = tree.map(Arc::new);
         RoutedPlan { query: query.clone(), decision }
     }
 
-    /// Execute a routed plan.
+    /// Execute a routed plan: run its decision's tree with the plan's query.
+    /// Nothing is planned; a decision without a tree (a body-less query) is
+    /// answered by [`RelationalDatabase::query`].
     ///
     /// # Errors
     ///
     /// [`XmlStoreError::MissingDocument`] when an XML or mixed route
     /// references a document that left the store after planning, and
-    /// [`XmlStoreError::NotNavigable`] when a hand-built plan sends a
-    /// non-navigation atom down the XML route (routing itself never chooses
-    /// a route over absent documents or foreign atoms).
+    /// [`XmlStoreError::NotNavigable`] when a hand-edited plan names a route
+    /// its tree does not run and the query sends a non-navigation atom down
+    /// it (routing itself never chooses a route over absent documents or
+    /// foreign atoms).
     pub fn execute(&self, plan: &RoutedPlan) -> Result<RoutedExecution, XmlStoreError> {
         let start = Instant::now();
-        let q = &plan.query;
-        let tree = self.tree(q, plan.decision.route);
-        let route = tree.as_ref().map_or(Route::Relational, Route::of);
+        let (q, tree) = (&plan.query, plan.decision.tree.as_deref());
+        let route = tree.map_or(Route::Relational, Route::of);
         if let Some(error) = (route != plan.decision.route).then(|| self.off_route(q)).flatten() {
             return Err(error);
         }
-        let (rows, nav_tuples) = match &tree {
-            Some(tree) => execute_plan(tree, &self.db.inst, self.xml)?,
+        let (rows, nav_tuples) = match tree {
+            Some(tree) => execute_plan(tree, q, &self.db.inst, self.xml)?,
             None => (self.db.query(q), 0),
         };
-        let estimated_cost = tree.as_ref().and_then(PhysicalPlan::nav_scan).map_or(0.0, |s| s.cost);
+        let estimated_cost = tree.and_then(PhysicalPlan::nav_scan).map_or(0.0, |s| s.cost);
         Ok(RoutedExecution { route, estimated_cost, nav_tuples, rows, duration: start.elapsed() })
     }
 
     /// The tree `route` runs `q` as: every atom a table scan on the
     /// relational route, the atoms over stored documents one navigation scan
     /// on the others. `None` for a body-less query, which scans nothing and
-    /// is answered by [`RelationalDatabase::query`].
+    /// is answered by [`RelationalDatabase::query`]. Only a forced plan is
+    /// built here; an automatic one keeps the tree [`route_query`] priced.
     fn tree(&self, q: &ConjunctiveQuery, route: Route) -> Option<PhysicalPlan> {
         let nav = (route != Route::Relational).then_some(self.xml as &dyn NavigationStatistics);
         (!q.body.is_empty()).then(|| physical_plan(q, self.db, nav))
@@ -139,7 +155,8 @@ impl<'a> BackendRouter<'a> {
     /// Why `q`'s tree lacks the leaves its plan's route names: a
     /// navigation atom over a document the store does not hold, else an atom
     /// that is not navigation. `None` when neither exists, which leaves the
-    /// tree navigating more than the plan asked: a cost, not an error.
+    /// tree running another route than the plan names: a cost, not an
+    /// error.
     fn off_route(&self, q: &ConjunctiveQuery) -> Option<XmlStoreError> {
         let document = |atom: &Atom| atom.navigation().map(|(_, document)| document);
         match q.body.iter().filter_map(document).find(|d| !self.xml.has_document(d)) {

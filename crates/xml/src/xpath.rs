@@ -147,6 +147,8 @@ struct Scanner<'a> {
     rest: &'a str,
     /// The next step has no leading `/`: the first step of a bare name.
     bare: bool,
+    /// A value step (`text()`, `@name`) was read: it must be the last.
+    ended: bool,
 }
 
 /// Start scanning `input`: whether the path is absolute, and its steps.
@@ -156,12 +158,12 @@ fn scan(input: &str) -> Result<(bool, Scanner<'_>), PathError> {
         return Err(PathError { message: "empty path".to_string() });
     }
     Ok(if let Some(rest) = s.strip_prefix('.') {
-        (false, Scanner { rest, bare: false })
+        (false, Scanner { rest, bare: false, ended: false })
     } else if s.starts_with('/') {
-        (true, Scanner { rest: s, bare: false })
+        (true, Scanner { rest: s, bare: false, ended: false })
     } else {
         // A bare name like `book` is treated as a relative child step.
-        (false, Scanner { rest: s, bare: true })
+        (false, Scanner { rest: s, bare: true, ended: false })
     })
 }
 
@@ -170,6 +172,10 @@ impl<'a> Scanner<'a> {
     fn next_step(&mut self) -> Result<Option<RawStep<'a>>, PathError> {
         if self.rest.is_empty() {
             return Ok(None);
+        }
+        if self.ended {
+            let message = format!("no step may follow `text()` or `@attr`: '{}'", self.rest);
+            return Err(PathError { message });
         }
         let descendant = if std::mem::take(&mut self.bare) {
             false
@@ -192,11 +198,16 @@ impl<'a> Scanner<'a> {
             if descendant {
                 return Err(PathError { message: "`//text()` is not supported".to_string() });
             }
+            self.ended = true;
             RawStep::Text
         } else if let Some(attr) = token.strip_prefix('@') {
             if descendant {
                 return Err(PathError { message: "`//@attr` is not supported".to_string() });
             }
+            if attr.is_empty() {
+                return Err(PathError { message: "attribute step without a name".to_string() });
+            }
+            self.ended = true;
             RawStep::Attribute(attr)
         } else if token == "*" {
             if descendant {
@@ -362,7 +373,23 @@ mod tests {
         assert!(parse_path("/a//@x").is_err());
         assert!(parse_path("/a/b[1]").is_err());
         assert!(parse_path("a//").is_err());
-        for text in ["", ".x", "/", "a//", "//text()", "/a//@x", "/a/b[1]", "./title/text()"] {
+        assert!(parse_path("/a/@").is_err(), "an attribute step needs a name");
+        for after_a_value in ["/a/@/b", "/a/@x/b", "/a/text()/b", "./text()/@x", "/a/@x/"] {
+            assert!(parse_path(after_a_value).is_err(), "{after_a_value:?}");
+        }
+        for text in [
+            "",
+            ".x",
+            "/",
+            "a//",
+            "//text()",
+            "/a//@x",
+            "/a/b[1]",
+            "./title/text()",
+            "/a/@",
+            "/a/@/b",
+            "/a/text()/b",
+        ] {
             assert_eq!(check_path(text), parse_path(text).map(drop), "{text:?}");
         }
     }

@@ -23,7 +23,6 @@
 //!   reformulation. They stay literal in the key and are never parameterized.
 
 use crate::xbind::{XBindAtom, XBindQuery, XBindTerm};
-use std::collections::HashMap;
 use std::collections::HashSet;
 use std::fmt::{self, Write};
 
@@ -46,32 +45,44 @@ pub struct QueryShape<'q> {
 
 /// State threaded through the canonical rendering: the key written so far,
 /// and the variables and parameters numbered so far, by the names the query
-/// spells them with.
+/// spells them with, in first-occurrence order.
 struct Normalizer<'q, 'r> {
     reserved: &'r HashSet<String>,
     key: String,
-    vars: HashMap<&'q str, usize>,
     var_order: Vec<&'q str>,
-    params: HashMap<&'q str, usize>,
     param_order: Vec<&'q str>,
 }
 
-/// The number of `name` in first-occurrence order, numbering it if new.
-fn number<'q>(
-    seen: &mut HashMap<&'q str, usize>,
-    order: &mut Vec<&'q str>,
-    name: &'q str,
-) -> usize {
-    *seen.entry(name).or_insert_with(|| {
+/// The number of `name` in first-occurrence order, numbering it if new. A
+/// block names a few dozen terms at most, so a linear search beats hashing.
+fn number<'q>(order: &mut Vec<&'q str>, name: &'q str) -> usize {
+    order.iter().position(|&seen| seen == name).unwrap_or_else(|| {
         order.push(name);
         order.len() - 1
     })
 }
 
+/// Append `{tag}{i}` to `key`, with `i` in decimal.
+fn push_numbered(key: &mut String, tag: char, mut i: usize) {
+    key.push(tag);
+    let mut digits = [0u8; 20];
+    let mut len = 0;
+    loop {
+        digits[len] = b'0' + (i % 10) as u8;
+        len += 1;
+        i /= 10;
+        if i == 0 {
+            break;
+        }
+    }
+    key.extend(digits[..len].iter().rev().map(|&d| char::from(d)));
+}
+
 impl<'q> Normalizer<'q, '_> {
     fn var(&mut self, name: &'q str) -> fmt::Result {
-        let i = number(&mut self.vars, &mut self.var_order, name);
-        write!(self.key, "v{i}")
+        let i = number(&mut self.var_order, name);
+        push_numbered(&mut self.key, 'v', i);
+        Ok(())
     }
 
     /// The variables `names`, comma-separated.
@@ -91,8 +102,9 @@ impl<'q> Normalizer<'q, '_> {
             // never collide with the surrounding syntax).
             return write!(self.key, "{value:?}");
         }
-        let i = number(&mut self.params, &mut self.param_order, value);
-        write!(self.key, "?{i}")
+        let i = number(&mut self.param_order, value);
+        push_numbered(&mut self.key, '?', i);
+        Ok(())
     }
 
     /// The terms `terms`, comma-separated.
@@ -156,6 +168,10 @@ impl<'q> Normalizer<'q, '_> {
     }
 }
 
+/// Room reserved in the key per atom, the head counting as one: the star
+/// NC 6 key lookup writes 825 bytes for 33 atoms, so one buffer holds it.
+const KEY_BYTES_PER_ATOM: usize = 32;
+
 /// Normalize a query to its [`QueryShape`].
 ///
 /// `reserved` holds the constant values that are structural for the current
@@ -163,14 +179,12 @@ impl<'q> Normalizer<'q, '_> {
 /// parameterized out. The walk order (head, then atoms in order) is the
 /// deterministic first-occurrence order both the variable alpha-renaming and
 /// the constant parameter numbering follow. The key is written in that one
-/// walk, into one buffer; the names are not copied.
+/// walk, into one buffer sized up front; the names are not copied.
 pub fn shape_of<'q>(q: &'q XBindQuery, reserved: &HashSet<String>) -> QueryShape<'q> {
     let mut n = Normalizer {
         reserved,
-        key: String::new(),
-        vars: HashMap::new(),
+        key: String::with_capacity(KEY_BYTES_PER_ATOM * (q.atoms.len() + 1)),
         var_order: Vec::new(),
-        params: HashMap::new(),
         param_order: Vec::new(),
     };
     n.query(q).expect("writing to a String does not fail");

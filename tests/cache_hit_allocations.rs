@@ -1,15 +1,18 @@
-//! How many allocations one warm plan-cache hit makes.
+//! How many allocations one warm plan-cache hit makes, and one execute of
+//! the plan it returns.
 //!
 //! A hit renames the queries a request runs — the compiled query, the
 //! initial and the best reformulation — and shares the cached universal
 //! plan and minimal reformulations, which it renames only if they are read.
 //! An atom keeps up to four arguments in place, so copying a query costs its
 //! own few buffers (name, head, body, an atom of a wider relation), never
-//! one allocation per atom. The counting allocator (`common/counting.rs`) is
+//! one allocation per atom. Executing the hit runs the physical tree its
+//! entry keeps, so nothing is planned. The counting allocator (`common/counting.rs`) is
 //! this binary's global allocator, which is why the test has a file of its
 //! own.
 
 use mars_system::mars::{MarsOptions, MarsService};
+use mars_system::storage::{BackendRouter, RoutedPlan};
 
 #[path = "common/counting.rs"]
 mod counting;
@@ -37,11 +40,12 @@ fn a_warm_hit_allocates_per_query_not_per_atom() {
     // atom wider than `Args::INLINE`: the hub's `Rspec`, of arity 8. The
     // rest is the request's shape (its key, and two lists of the names it
     // borrows from the request), the renaming and the hit's few fixed
-    // buffers: 37 in all, whatever the number of minimal reformulations;
-    // 39 while a hit copied the cold run's statistics, 171 while it renamed
-    // all 36 queries of the block.
+    // buffers: 25 in all, whatever the number of minimal reformulations;
+    // 37 while the shape numbered names through two hash maps, 39 while a
+    // hit copied the cold run's statistics, 171 while it renamed all 36
+    // queries of the block.
     println!("one warm hit: {allocations} allocations before its deferred fields are read");
-    assert!(allocations <= 38, "{allocations} allocations for a hit");
+    assert!(allocations <= 25, "{allocations} allocations for a hit");
 
     // Reading the deferred fields renames them, four buffers a query plus
     // the minimal set's list.
@@ -52,4 +56,31 @@ fn a_warm_hit_allocates_per_query_not_per_atom() {
     });
     println!("reading them: {read} allocations for {queries} queries");
     assert!(read <= 4 * queries as u64 + 1, "{read} allocations for {queries} queries");
+}
+
+#[test]
+fn a_warm_execute_runs_the_cached_tree() {
+    let (xml, db) = star_nc6().populate(40, 8, 5);
+    let service = MarsService::new(star_nc6().mars(MarsOptions::specialized()));
+    let serve = |key: &str, suffix: &str| {
+        let block = service
+            .reformulate_xbind_routed(&star_key_lookup(key, suffix), &db, &xml)
+            .expect("routed reformulation");
+        let query = block.result.best_or_initial().expect("an executable query").clone();
+        RoutedPlan { query, decision: block.route.expect("a routed decision") }
+    };
+    serve("k3", "cold");
+    let plan = serve("k17", "warm");
+    assert_eq!(service.cache_stats().hits, 1);
+    // One execute first, so that the persistent column index the pushed-down
+    // key probes exists before the counted one.
+    let router = BackendRouter::new(&db, &xml);
+    router.execute(&plan).expect("executes");
+
+    // The operators' batches and hash tables and the result rows: 48. It was
+    // 206 while every execute planned the tree again.
+    let (executed, allocations) = counted(|| router.execute(&plan).expect("executes"));
+    assert_eq!(executed.rows.len(), 1, "one hub carries the key");
+    println!("one warm execute: {allocations} allocations");
+    assert!(allocations <= 48, "{allocations} allocations for a warm execute");
 }

@@ -99,6 +99,10 @@ const MALFORMED: &[&str] = &[
     "for $x in //a*b return $x",
     "for $x in //b where $x = \"abc return $x",
     "<r>{for $x in //a return $x}</s>",
+    "for $x in //a/@ return $x",
+    "for $x in //a/@/b return $x",
+    "for $x in //a/@x/b return $x",
+    "for $x in //a/text()/b return $x",
 ];
 
 /// The blocks of a decorrelated query: per block its `Display`, head and

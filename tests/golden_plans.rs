@@ -45,7 +45,7 @@ fn star_best_reformulation_plan_is_stable() {
     let mars = cfg.mars(MarsOptions::specialized());
     let block = mars.reformulate_xbind(&cfg.client_query());
     let best = block.result.best_or_initial().expect("star query must reformulate");
-    assert_matches_golden("star_nc3_best.plan.txt", &db.plan(best).to_string());
+    assert_matches_golden("star_nc3_best.plan.txt", &db.plan(best).display(best).to_string());
 }
 
 /// The star's initial (pre-minimization) reformulation plan over the same
@@ -58,7 +58,10 @@ fn star_initial_reformulation_plan_is_stable() {
     let block = mars.reformulate_xbind(&cfg.client_query());
     let initial =
         block.result.initial.as_ref().expect("star query must have an initial reformulation");
-    assert_matches_golden("star_nc3_initial.plan.txt", &db.plan(initial).to_string());
+    assert_matches_golden(
+        "star_nc3_initial.plan.txt",
+        &db.plan(initial).display(initial).to_string(),
+    );
 }
 
 /// Example 1.1's best reformulation planned over its populated stores.
@@ -68,7 +71,7 @@ fn example_1_1_best_reformulation_plan_is_stable() {
     let system = example11::mars();
     let block = system.reformulate_xbind(&example11::client_query());
     let best = block.result.best_or_initial().expect("example 1.1 must reformulate");
-    assert_matches_golden("example11_best.plan.txt", &db.plan(best).to_string());
+    assert_matches_golden("example11_best.plan.txt", &db.plan(best).display(best).to_string());
 }
 
 /// The router's tree for Example 1.1's best reformulation over the same
@@ -81,7 +84,7 @@ fn example_1_1_mixed_tree_is_stable() {
     let best = block.result.best_or_initial().expect("example 1.1 must reformulate");
     let tree = physical_plan(best, &db, Some(&xml));
     assert_eq!(Route::of(&tree), Route::Mixed);
-    assert_matches_golden("example11_mixed.plan.txt", &tree.to_string());
+    assert_matches_golden("example11_mixed.plan.txt", &tree.display(best).to_string());
 }
 
 /// The router's tree for XMark Q4's best reformulation: one `NavScan` under
@@ -94,7 +97,7 @@ fn xmark_q4_native_tree_is_stable() {
     let best = block.result.best_or_initial().expect("Q4 must reformulate");
     let tree = physical_plan(best, &db, Some(&xml));
     assert_eq!(Route::of(&tree), Route::Xml);
-    assert_matches_golden("xmark_q4_native.plan.txt", &tree.to_string());
+    assert_matches_golden("xmark_q4_native.plan.txt", &tree.display(best).to_string());
 }
 
 /// A hand-written query over a skewed catalog, pinning all three planner
@@ -132,7 +135,7 @@ fn pushdown_pruning_and_build_side_are_visible() {
             Atom::named("customers", vec![Term::var("c"), Term::var("region")]),
         ])
         .with_inequality(Term::var("region"), Term::constant_str("EU"));
-    assert_matches_golden("pushdown_demo.plan.txt", &db.plan(&q).to_string());
+    assert_matches_golden("pushdown_demo.plan.txt", &db.plan(&q).display(&q).to_string());
     // The executed rows must agree with the naive evaluator regardless of
     // what the snapshot pinned.
     assert_eq!(db.query(&q), db.query_naive(&q));
