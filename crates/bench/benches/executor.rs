@@ -5,8 +5,11 @@
 //! layer buys — pushed-down constants, pruned scan columns and
 //! statistics-ordered hash joins versus the chase's general binding
 //! enumeration — on a skewed fact/dimension join at 1k, 10k and 100k fact
-//! tuples, and on a point lookup of one fact by its unique `v` (a pushed-down
-//! scan that probes the relation's persistent column index).
+//! tuples, on a point lookup of one fact by its unique `v` (a pushed-down
+//! scan that probes the relation's persistent column index), and on four
+//! relations joined 1:1 on a key at 1k and 10k keys (`key_join`: the view
+//! joins of a scan-sized star answer, three hash joins and a `Distinct` over
+//! every key).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mars_cq::{Atom, ConjunctiveQuery, Term};
@@ -54,6 +57,23 @@ fn point_lookup(n: usize) -> ConjunctiveQuery {
     ))
 }
 
+/// `v1(k, b1)` … `v4(k, b4)`, each with one row per key `k0` … `k<n-1>`,
+/// and the query joining all four on `k`: `n` rows of five columns.
+fn key_join(n: usize) -> (RelationalDatabase, ConjunctiveQuery) {
+    let mut db = RelationalDatabase::new();
+    let mut q = ConjunctiveQuery::new("key_join").with_head(vec![Term::var("k")]);
+    for v in 1..=4 {
+        let relation = format!("v{v}");
+        for i in 0..n {
+            db.insert_strs(&relation, &[&format!("k{i}"), &format!("b{v}_{}", i % 40)]);
+        }
+        let b = Term::var(&format!("b{v}"));
+        q.head.push(b);
+        q = q.with_atom(Atom::named(&relation, vec![Term::var("k"), b]));
+    }
+    (db, q)
+}
+
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("executor");
     g.sample_size(10);
@@ -71,6 +91,13 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("point_physical", n), &n, |b, _| {
             b.iter(|| db.query(&point))
         });
+    }
+    for n in [1_000usize, 10_000] {
+        let (db, q) = key_join(n);
+        let rows = db.query(&q);
+        assert_eq!(rows.len(), n, "one row per key");
+        assert_eq!(rows, db.query_naive(&q), "executors must agree before timing");
+        g.bench_with_input(BenchmarkId::new("key_join", n), &n, |b, _| b.iter(|| db.query(&q)));
     }
     g.finish();
 }

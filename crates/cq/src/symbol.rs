@@ -3,14 +3,20 @@
 //! Queries, constraints and the symbolic chase instances manipulate very large
 //! numbers of predicate names, tag names and string constants. Interning them
 //! as `u32` [`Symbol`]s makes atom comparison, hashing and homomorphism search
-//! cheap. The interner is global and append-only, guarded by an `RwLock`;
-//! interned strings are leaked (`Box::leak`) so that resolving a symbol back
-//! to its string ([`symbol_name`]) returns a `&'static str` without
-//! allocating — the resolve path sits on hot loops (per-atom cost estimation,
-//! navigation classification in the backchase reachability graph) where a
-//! fresh `String` per call showed up in profiles. The leak is bounded by the
-//! number of distinct strings ever interned, which the interner retains for
-//! the lifetime of the process anyway.
+//! cheap. The interner is global and append-only. Interning goes through a
+//! map guarded by an `RwLock`; resolving takes no lock. Under the write lock,
+//! each new name is published into an append-only table of doubling chunks
+//! (chunk `k` holds the `64 << k` ids after those of the chunks before it),
+//! whose chunks and slots are `OnceLock`s: a reader finds a name's slot by
+//! arithmetic on its id and reads it with one acquire load. Interned strings
+//! are leaked (`Box::leak`) so that resolving a symbol back to its string
+//! ([`symbol_name`]) returns a `&'static str` without allocating — the
+//! resolve path sits on hot loops (per-atom cost estimation, navigation
+//! classification in the backchase reachability graph, rendering every
+//! constant of a scan's rows) where a fresh `String`, or a lock, per call
+//! showed up in profiles. The leak is bounded by the number of distinct
+//! strings ever interned, which the interner retains for the lifetime of the
+//! process anyway.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -20,23 +26,70 @@ use std::sync::{OnceLock, PoisonError, RwLock};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(pub u32);
 
+/// The ids of the first chunk of [`NAMES`]; chunk `k` holds `FIRST_CHUNK << k`.
+const FIRST_CHUNK: usize = 64;
+
+/// Chunks enough for every id below `FIRST_CHUNK * (2^CHUNKS - 1)`, just
+/// short of `u32::MAX`.
+const CHUNKS: usize = 26;
+
+/// The names by id, readable without a lock: a chunk is allocated, and a
+/// slot set, once, under the interner's write lock.
+struct Names {
+    chunks: [OnceLock<Box<[OnceLock<&'static str>]>>; CHUNKS],
+}
+
+static NAMES: Names = Names::new();
+
+impl Names {
+    const fn new() -> Names {
+        Names { chunks: [const { OnceLock::new() }; CHUNKS] }
+    }
+
+    /// The chunk holding `id`, and `id`'s slot in it.
+    fn locate(id: u32) -> (usize, usize) {
+        let chunk = (id as usize / FIRST_CHUNK + 1).ilog2() as usize;
+        (chunk, id as usize - FIRST_CHUNK * ((1 << chunk) - 1))
+    }
+
+    fn get(&self, id: u32) -> Option<&'static str> {
+        let (chunk, slot) = Names::locate(id);
+        self.chunks.get(chunk)?.get()?[slot].get().copied()
+    }
+
+    /// Publish `name` as `id`'s. Ids are published once each, in order,
+    /// under the interner's write lock.
+    fn publish(&self, id: u32, name: &'static str) {
+        let (chunk, slot) = Names::locate(id);
+        let len = FIRST_CHUNK << chunk;
+        let slots = self.chunks.get(chunk).expect("an id below the table's end");
+        let slots = slots.get_or_init(|| (0..len).map(|_| OnceLock::new()).collect());
+        assert!(slots[slot].set(name).is_ok(), "an id is published once");
+    }
+}
+
 struct Interner {
-    names: Vec<&'static str>,
+    /// Ids handed out so far.
+    len: u32,
     map: HashMap<&'static str, u32>,
 }
 
 impl Interner {
     fn new() -> Self {
-        Interner { names: Vec::new(), map: HashMap::new() }
+        Interner { len: 0, map: HashMap::new() }
     }
 
+    /// The id of `s`, interning it if new. The id is counted before the name
+    /// is published and published before the map points at it, so a panic
+    /// in between wastes the id and nothing else.
     fn intern(&mut self, s: &str) -> u32 {
         if let Some(&id) = self.map.get(s) {
             return id;
         }
         let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        let id = self.names.len() as u32;
-        self.names.push(leaked);
+        let id = self.len;
+        self.len += 1;
+        NAMES.publish(id, leaked);
         self.map.insert(leaked, id);
         id
     }
@@ -49,10 +102,10 @@ fn interner() -> &'static RwLock<Interner> {
 
 /// Intern `s`, returning its [`Symbol`].
 ///
-/// A poisoned lock is recovered, here and in [`symbol_name`]: the interner
-/// is append-only and a name is pushed before the map points at it, so a
-/// panic under a guard leaves it valid — and a resident service must not
-/// lose every later request to one that died.
+/// A poisoned lock is recovered: the interner is append-only and a name is
+/// published before the map points at it, so a panic under a guard leaves it
+/// valid — and a resident service must not lose every later request to one
+/// that died.
 pub fn symbol(s: &str) -> Symbol {
     // Fast path: check under a read lock first (most symbols repeat).
     {
@@ -65,11 +118,12 @@ pub fn symbol(s: &str) -> Symbol {
     Symbol(guard.intern(s))
 }
 
-/// Resolve a [`Symbol`] back to its string. Allocation-free: the interner
-/// leaks each distinct string once, so the resolved name is `'static`.
+/// Resolve a [`Symbol`] back to its string. Lock- and allocation-free: the
+/// interner leaks each distinct string once and publishes it in a table
+/// read without a lock, so the resolved name is `'static`. An id never
+/// handed out resolves to `<sym:invalid>`.
 pub fn symbol_name(sym: Symbol) -> &'static str {
-    let guard = interner().read().unwrap_or_else(PoisonError::into_inner);
-    guard.names.get(sym.0 as usize).copied().unwrap_or("<sym:invalid>")
+    NAMES.get(sym.0).unwrap_or("<sym:invalid>")
 }
 
 impl Symbol {
@@ -156,6 +210,75 @@ mod tests {
         let s1 = symbol_name(a);
         let s2 = a.as_str();
         assert!(std::ptr::eq(s1, s2));
+    }
+
+    /// More than three chunks of fresh names: every id resolves, the first
+    /// and last id of every chunk included; in a table of its own, so the ids
+    /// are known, and through the global interner.
+    #[test]
+    fn names_resolve_across_chunk_boundaries() {
+        let table = Names::new();
+        let ids = 1_000u32;
+        let names: Vec<&'static str> =
+            (0..ids).map(|i| &*Box::leak(format!("n{i}").into_boxed_str())).collect();
+        for (id, name) in (0..).zip(&names) {
+            table.publish(id, name);
+        }
+        let (mut first, mut chunk) = (0u32, 0);
+        while first < ids {
+            let last = first + (FIRST_CHUNK << chunk) as u32 - 1;
+            assert_eq!(Names::locate(first), (chunk, 0));
+            assert_eq!(Names::locate(last), (chunk, (FIRST_CHUNK << chunk) - 1));
+            for id in [first, last.min(ids - 1)] {
+                assert_eq!(table.get(id), Some(names[id as usize]));
+            }
+            (first, chunk) = (last + 1, chunk + 1);
+        }
+        assert!(chunk > 3, "{ids} ids span more than three chunks");
+        assert!((0..ids).all(|id| table.get(id) == Some(names[id as usize])));
+        assert_eq!(table.get(ids), None, "a slot not yet published");
+        assert_eq!(table.get(first + 1), None, "a chunk not yet allocated");
+        assert_eq!(table.get(u32::MAX), None, "an id past the table");
+
+        let fresh: Vec<(Symbol, String)> = (0..ids)
+            .map(|i| format!("chunk-boundary-{i}"))
+            .map(|name| (symbol(&name), name))
+            .collect();
+        assert!(fresh.iter().all(|(sym, name)| symbol_name(*sym) == name));
+    }
+
+    /// Four threads intern 1 000 names each, half of them shared, and resolve
+    /// the other threads' symbols as they arrive: every name round-trips.
+    #[test]
+    fn names_resolve_while_other_threads_intern() {
+        const THREADS: usize = 4;
+        let (senders, receivers): (Vec<_>, Vec<_>) =
+            (0..THREADS).map(|_| std::sync::mpsc::channel::<(Symbol, String)>()).unzip();
+        std::thread::scope(|scope| {
+            for (t, inbox) in receivers.into_iter().enumerate() {
+                let senders = senders.clone();
+                scope.spawn(move || {
+                    let check = |(sym, name): (Symbol, String)| {
+                        assert_eq!(symbol_name(sym), name);
+                        assert_eq!(symbol(&name), sym);
+                    };
+                    for j in 0..1_000 {
+                        let name = match j % 2 {
+                            0 => format!("shared-name-{j}"),
+                            _ => format!("own-name-{t}-{j}"),
+                        };
+                        let sym = symbol(&name);
+                        for (_, to) in senders.iter().enumerate().filter(|(u, _)| *u != t) {
+                            to.send((sym, name.clone())).expect("the receiver runs");
+                        }
+                        inbox.try_iter().for_each(check);
+                    }
+                    drop(senders);
+                    inbox.iter().for_each(check);
+                });
+            }
+            drop(senders);
+        });
     }
 
     #[test]

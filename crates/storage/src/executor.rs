@@ -24,17 +24,23 @@
 //!   navigation kernel ([`crate::navigation`]) over the stored documents and
 //!   materializes the leaf's output columns, counting the candidate tuples
 //!   the kernel enumerates;
-//! * `HashJoin` hashes the plan-chosen build side on the key columns
-//!   (Fx-style multiplicative hashing, with a single-column fast path that
-//!   indexes the bare [`Term`]) and probes it with the other side
-//!   (intermediate row order is plan-dependent — the root `Distinct`
-//!   canonicalizes it away);
+//! * `HashJoin` hashes the plan-chosen build side on the key columns into
+//!   one chained table (Fx-style multiplicative hashing): an open-addressed
+//!   array holds one head per distinct key, the key's first build row, and
+//!   one `next` link per build row chains the key's other rows in row order.
+//!   A key is confirmed against its head's build row, whatever its width, so
+//!   a join allocates the two arrays and nothing per key or per row. The
+//!   other side probes it; matches come out probe-major, each probe row's
+//!   build rows ascending (intermediate row order is plan-dependent — the
+//!   root `Distinct` canonicalizes it away);
 //! * `Filter` compacts out rows failing a residual inequality, in place;
 //! * `Project` assembles the head row (columns, or the query's head term
 //!   itself: a literal constant, or the variable for an unsafe head variable
 //!   — matching the naive evaluator);
-//! * `Distinct`, the plan's root, is `execute_plan` itself: it deduplicates
-//!   and emits rows in **ascending [`Row`] order** — the deterministic output
+//! * `Distinct`, the plan's root, is `execute_plan` itself: it sorts the
+//!   root batch's row indices by the rows' slice order, drops adjacent
+//!   duplicates and allocates each surviving [`Row`] once, so rows come out
+//!   deduplicated in **ascending [`Row`] order** — the deterministic output
 //!   order `RelationalDatabase::query` guarantees for both the physical and
 //!   the naive evaluator.
 //!
@@ -48,7 +54,7 @@ use crate::xml_engine::{XmlStore, XmlStoreError};
 use mars_chase::SymbolicInstance;
 use mars_cost::{BuildSide, Operand, PhysicalPlan};
 use mars_cq::{Args, ConjunctiveQuery, Term};
-use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// The workspace's Fx-style hasher (`mars_cq::fx`): join keys are one or two
 /// tiny `Copy` terms, so SipHash's per-key setup would dominate the probe.
@@ -92,8 +98,27 @@ pub(crate) fn execute_plan(
 ) -> Result<(Vec<Row>, u64), XmlStoreError> {
     let mut nav_tuples = 0;
     let batch = eval(plan, q, inst, xml, &mut nav_tuples)?;
-    let rows: BTreeSet<Row> = batch.rows().map(<[Term]>::to_vec).collect();
-    Ok((rows.into_iter().collect(), nav_tuples))
+    Ok((distinct(&batch), nav_tuples))
+}
+
+/// The distinct rows of `batch` in ascending [`Row`] order: its row indices
+/// sorted by the rows they name, adjacent duplicates dropped, each surviving
+/// row copied out once. A batch of width 0 and any length above 0 yields one
+/// empty row.
+fn distinct(batch: &Batch) -> Vec<Row> {
+    let row = |i: &u32| batch.row(*i as usize);
+    let mut order: Vec<u32> = (0..row_index(batch.len)).collect();
+    order.sort_unstable_by(|a, b| row(a).cmp(row(b)));
+    order.dedup_by(|a, b| row(a) == row(b));
+    order.iter().map(|i| row(i).to_vec()).collect()
+}
+
+/// `len` as a `u32` row index: a batch holds fewer than `u32::MAX` rows.
+fn row_index(len: usize) -> u32 {
+    u32::try_from(len)
+        .ok()
+        .filter(|&at| at != NONE)
+        .expect("a batch addresses its rows with u32 indices")
 }
 
 /// Resolve an operand against a row: a column, else the query's own term
@@ -106,11 +131,85 @@ fn resolve(op: Operand, row: &[Term], q: &ConjunctiveQuery) -> Term {
     }
 }
 
+/// The end of a chain, and an empty slot of [`Chains::heads`].
+const NONE: u32 = u32::MAX;
+
+/// A chained hash table over the build side of a join. `heads` is an
+/// open-addressed array (linear probing) holding, for each distinct key, the
+/// first build row that carries it; `next[i]` is the build row after `i`
+/// with the same key, so a key's chain lists its rows in row order. Keys are
+/// never stored: a slot's key is read off its head row.
+struct Chains<'b> {
+    build: &'b Batch,
+    cols: &'b [usize],
+    heads: Vec<u32>,
+    next: Vec<u32>,
+    /// `64 - log2(heads.len())`: a slot is the top bits of the key's hash.
+    shift: u32,
+}
+
+impl<'b> Chains<'b> {
+    fn new(build: &'b Batch, cols: &'b [usize]) -> Chains<'b> {
+        // At most half full, so a probe of an absent key stops soon.
+        let slots = (2 * build.len).next_power_of_two().max(2);
+        let mut chains = Chains {
+            build,
+            cols,
+            heads: vec![NONE; slots],
+            next: vec![NONE; build.len],
+            shift: 64 - slots.trailing_zeros(),
+        };
+        // Rows go in last first, each pushed in front of its key's chain,
+        // so every chain runs in ascending row order.
+        for i in (0..row_index(build.len)).rev() {
+            let row = build.row(i as usize);
+            let slot = chains.slot(row, cols);
+            let head = std::mem::replace(&mut chains.heads[slot], i);
+            chains.next[i as usize] = head;
+        }
+        chains
+    }
+
+    /// The slot of the key `cols` pick from `row`: the one holding that
+    /// key's head, else the empty one where the probe for it ends.
+    fn slot(&self, row: &[Term], cols: &[usize]) -> usize {
+        let mut hasher = Fx::default().build_hasher();
+        for &c in cols {
+            row[c].hash(&mut hasher);
+        }
+        let mask = self.heads.len() - 1;
+        let mut slot = (hasher.finish() >> self.shift) as usize;
+        loop {
+            match self.heads[slot] {
+                NONE => return slot,
+                head => {
+                    let head = self.build.row(head as usize);
+                    if self.cols.iter().zip(cols).all(|(&b, &c)| head[b] == row[c]) {
+                        return slot;
+                    }
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// The build rows whose key equals the one `cols` pick from `row`, in
+    /// row order.
+    fn matches(&self, row: &[Term], cols: &[usize]) -> impl Iterator<Item = usize> + '_ {
+        let first = self.heads[self.slot(row, cols)];
+        std::iter::successors((first != NONE).then_some(first), |&b| {
+            let next = self.next[b as usize];
+            (next != NONE).then_some(next)
+        })
+        .map(|b| b as usize)
+    }
+}
+
 /// Hash the `build` batch on `build_cols`, probe with the `probe` batch on
 /// `probe_cols`, and call `on_match(build_row, probe_row)` for every
-/// matching pair in probe-major order. Single-column keys — the common case
-/// for chained star joins — index the bare [`Term`] and skip the per-row
-/// key allocation entirely.
+/// matching pair in probe-major order, each probe row's build rows
+/// ascending. One [`Chains`] table serves every key width, in two
+/// allocations.
 fn hash_join(
     build: &Batch,
     probe: &Batch,
@@ -118,35 +217,10 @@ fn hash_join(
     probe_cols: &[usize],
     mut on_match: impl FnMut(usize, usize),
 ) {
-    if let (&[bc], &[pc]) = (build_cols, probe_cols) {
-        let mut table: HashMap<Term, Vec<u32>, Fx> =
-            HashMap::with_capacity_and_hasher(build.len, Fx::default());
-        for (i, row) in build.rows().enumerate() {
-            table.entry(row[bc]).or_default().push(i as u32);
-        }
-        for (p, row) in probe.rows().enumerate() {
-            if let Some(ids) = table.get(&row[pc]) {
-                for &b in ids {
-                    on_match(b as usize, p);
-                }
-            }
-        }
-        return;
-    }
-    let mut table: HashMap<Vec<Term>, Vec<u32>, Fx> =
-        HashMap::with_capacity_and_hasher(build.len, Fx::default());
-    for (i, row) in build.rows().enumerate() {
-        let key: Vec<Term> = build_cols.iter().map(|&c| row[c]).collect();
-        table.entry(key).or_default().push(i as u32);
-    }
-    let mut key: Vec<Term> = Vec::with_capacity(probe_cols.len());
+    let chains = Chains::new(build, build_cols);
     for (p, row) in probe.rows().enumerate() {
-        key.clear();
-        key.extend(probe_cols.iter().map(|&c| row[c]));
-        if let Some(ids) = table.get(&key) {
-            for &b in ids {
-                on_match(b as usize, p);
-            }
+        for b in chains.matches(row, probe_cols) {
+            on_match(b, p);
         }
     }
 }
@@ -162,6 +236,9 @@ fn eval(
         PhysicalPlan::TableScan(scan) => {
             let mut out = Batch::new(scan.output.len());
             if let Some(relation) = inst.relation_data(scan.relation) {
+                if scan.pushdown.is_empty() {
+                    out.data.reserve(relation.len() * out.width);
+                }
                 // The pushed-down columns are ascending, so they name the
                 // persistent index a join step over them would probe.
                 let args = &q.body[scan.atom].args;
@@ -198,6 +275,12 @@ fn eval(
             if left_rows.len == 0 || right_rows.len == 0 {
                 return Ok(out);
             }
+            // Room for one match per probe row: a key join's output.
+            let probed = match build {
+                BuildSide::Right => left_rows.len,
+                BuildSide::Left => right_rows.len,
+            };
+            out.data.reserve(probed * out.width);
             let mut emit = |lrow: &[Term], rrow: &[Term]| {
                 out.data.extend(left_keep.iter().map(|&c| lrow[c]));
                 out.data.extend(right_keep.iter().map(|&c| rrow[c]));
@@ -247,6 +330,99 @@ fn eval(
         // `execute_plan`'s, at the root.
         PhysicalPlan::Distinct { input } => eval(input, q, inst, xml, nav_tuples)?,
     })
+}
+
+/// `Distinct` and the join table as they were before the sorted indices and
+/// the chained table: a `BTreeSet` of owned rows, and a `Vec` of build rows
+/// per key. Kept as the reference the executor is compared with.
+#[cfg(test)]
+mod reference {
+    use super::{Batch, Fx};
+    use crate::relational::Row;
+    use mars_cq::Term;
+    use std::collections::{BTreeSet, HashMap};
+
+    pub fn distinct(batch: &Batch) -> Vec<Row> {
+        let rows: BTreeSet<Row> = batch.rows().map(<[Term]>::to_vec).collect();
+        rows.into_iter().collect()
+    }
+
+    /// The `(build, probe)` pairs of the join, in the order it emits them.
+    pub fn hash_join(
+        build: &Batch,
+        probe: &Batch,
+        build_cols: &[usize],
+        probe_cols: &[usize],
+    ) -> Vec<(usize, usize)> {
+        let key =
+            |row: &[Term], cols: &[usize]| -> Vec<Term> { cols.iter().map(|&c| row[c]).collect() };
+        let mut table: HashMap<Vec<Term>, Vec<u32>, Fx> = HashMap::default();
+        for (i, row) in build.rows().enumerate() {
+            table.entry(key(row, build_cols)).or_default().push(i as u32);
+        }
+        let mut pairs = Vec::new();
+        for (p, row) in probe.rows().enumerate() {
+            for &b in table.get(&key(row, probe_cols)).map_or(&[][..], Vec::as_slice) {
+                pairs.push((b as usize, p));
+            }
+        }
+        pairs
+    }
+}
+
+/// The sorted `Distinct` and the chained join against [`reference`], on
+/// random batches of widths 0–4 over a three-term alphabet, so that rows and
+/// keys repeat often.
+#[cfg(test)]
+mod against_reference {
+    use super::{distinct, hash_join, reference, Batch};
+    use mars_cq::Term;
+    use proptest::prelude::*;
+
+    fn below(rng: &mut TestRng, n: usize) -> usize {
+        (rng.next_u64() % n as u64) as usize
+    }
+
+    fn batch(rng: &mut TestRng, width: usize, len: usize) -> Batch {
+        let alphabet = [Term::constant_str("a"), Term::constant_str("b"), Term::var("v")];
+        let mut batch = Batch::new(width);
+        batch.data = (0..width * len).map(|_| alphabet[below(rng, 3)]).collect();
+        batch.len = len;
+        batch
+    }
+
+    #[test]
+    fn a_width_zero_batch_has_one_empty_row() {
+        assert_eq!(distinct(&Batch { width: 0, len: 5, data: Vec::new() }), vec![Vec::new()]);
+        assert!(distinct(&Batch::new(0)).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn sorted_distinct_equals_btreeset_collection(seed in 0u64..u64::MAX) {
+            let mut rng = TestRng::new(seed);
+            let (width, len) = (below(&mut rng, 5), below(&mut rng, 40));
+            let batch = batch(&mut rng, width, len);
+            prop_assert_eq!(distinct(&batch), reference::distinct(&batch));
+        }
+
+        #[test]
+        fn chained_join_emits_the_vec_per_key_pairs(seed in 0u64..u64::MAX) {
+            let mut rng = TestRng::new(seed);
+            let keys = 1 + below(&mut rng, 3);
+            let (build_width, probe_width) = (keys + below(&mut rng, 2), keys + below(&mut rng, 2));
+            let (build_len, probe_len) = (below(&mut rng, 30), below(&mut rng, 30));
+            let build = batch(&mut rng, build_width, build_len);
+            let probe = batch(&mut rng, probe_width, probe_len);
+            let build_cols: Vec<usize> = (0..keys).map(|_| below(&mut rng, build_width)).collect();
+            let probe_cols: Vec<usize> = (0..keys).map(|_| below(&mut rng, probe_width)).collect();
+            let mut pairs = Vec::new();
+            hash_join(&build, &probe, &build_cols, &probe_cols, |b, p| pairs.push((b, p)));
+            prop_assert_eq!(pairs, reference::hash_join(&build, &probe, &build_cols, &probe_cols));
+        }
+    }
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use crate::router::{BackendRouter, Route};
 use crate::xml_engine::{Value, XmlStore, XmlStoreError};
 use mars_cq::Term;
 use mars_grex::{compile_xbind, CompileContext, ViewDef, ViewOutput};
-use mars_xml::{Document, NodeId};
+use mars_xml::{Document, NodeId, TagId};
 use mars_xquery::{DecorrelatedQuery, TemplateNode, XBindAtom};
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
@@ -104,16 +104,18 @@ pub fn materialize_view(
 /// A row binds variables of its block's head. A nested block's rows are
 /// instantiated under the enclosing rows they agree with on every variable
 /// the heads share, in row order; a variable one side leaves unbound agrees
-/// with anything.
+/// with anything. The template's element tags are interned into the result
+/// once per call, and every element appended by its tag id.
 pub fn tag_results(
     query: &DecorrelatedQuery,
     blocks: &HashMap<String, Vec<HashMap<String, Value>>>,
     xml: &XmlStore,
     result_name: &str,
 ) -> Document {
-    let steps = compile(&query.template.roots, query, blocks, &mut Vec::new());
+    let mut doc = Document::new(result_name);
+    let steps = compile(&query.template.roots, query, blocks, &mut Vec::new(), &mut doc);
     let (each, nested) = estimated_nodes(&steps);
-    let mut doc = Document::with_capacity(result_name, 1 + each + nested);
+    doc.reserve(1 + each + nested);
     let root = doc.create_root("xquery-result");
     Tagger { xml, doc: &mut doc, frames: Vec::new() }.instantiate(&steps, root);
     doc
@@ -124,7 +126,7 @@ type Binding = HashMap<String, Value>;
 /// The tagging template compiled against one call's binding tables.
 enum Step<'a> {
     Literal(&'a str),
-    Element { tag: &'a str, children: Vec<Step<'a>> },
+    Element { tag: TagId, children: Vec<Step<'a>> },
     VarText(&'a str),
     ForEach { rows: &'a [Binding], correlation: Correlation<'a>, children: Vec<Step<'a>> },
 }
@@ -188,21 +190,24 @@ fn bound<'a>(frames: &[&'a Binding], var: &str) -> Option<&'a Value> {
     frames.iter().rev().find_map(|frame| frame.get(var))
 }
 
-/// Compile template nodes nested in blocks whose heads bind `visible`.
+/// Compile template nodes nested in blocks whose heads bind `visible`,
+/// interning their element tags into `doc`.
 fn compile<'a>(
     nodes: &'a [TemplateNode],
     query: &'a DecorrelatedQuery,
     blocks: &'a HashMap<String, Vec<Binding>>,
     visible: &mut Vec<&'a str>,
+    doc: &mut Document,
 ) -> Vec<Step<'a>> {
     let mut steps = Vec::with_capacity(nodes.len());
     for node in nodes {
         steps.push(match node {
             TemplateNode::Literal(s) => Step::Literal(s),
             TemplateNode::VarText { var, .. } => Step::VarText(var),
-            TemplateNode::Element { tag, children } => {
-                Step::Element { tag, children: compile(children, query, blocks, visible) }
-            }
+            TemplateNode::Element { tag, children } => Step::Element {
+                tag: doc.intern_tag(tag),
+                children: compile(children, query, blocks, visible, doc),
+            },
             TemplateNode::ForEach { block, children } => {
                 let Some(block) = query.blocks.get(*block) else { continue };
                 let rows = blocks.get(&block.name).map_or(&[][..], Vec::as_slice);
@@ -210,7 +215,7 @@ fn compile<'a>(
                 let correlation = Correlation::new(shared.collect(), rows);
                 let outer = visible.len();
                 visible.extend(block.head.iter().map(String::as_str));
-                let children = compile(children, query, blocks, visible);
+                let children = compile(children, query, blocks, visible, doc);
                 visible.truncate(outer);
                 Step::ForEach { rows, correlation, children }
             }
@@ -250,7 +255,7 @@ impl<'a> Tagger<'a> {
                     self.doc.add_text(parent, s);
                 }
                 Step::Element { tag, children } => {
-                    let el = self.doc.add_element(parent, tag);
+                    let el = self.doc.add_element_by_tag(parent, *tag);
                     self.instantiate(children, el);
                 }
                 Step::VarText(var) => match bound(&self.frames, var) {

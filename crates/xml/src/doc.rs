@@ -3,7 +3,8 @@
 //! A [`Document`] keeps its whole tree in three growing buffers: one `Vec` of
 //! small `Copy` node records, one `String` holding the content of every text
 //! node back to back, and a table of the document's distinct element tags
-//! (with a map from each tag to its index). A record names its tag by index
+//! (with a map from each tag to its index; a caller may intern a tag once and
+//! append elements by its [`TagId`]). A record names its tag by index
 //! and its text by byte range, and links to its parent, first and last child
 //! and next sibling by index; attributes, which few elements carry, sit in a
 //! side table. Building a document is amortized pushes onto those buffers and
@@ -32,6 +33,12 @@ impl fmt::Debug for NodeId {
         write!(f, "n{}", self.0)
     }
 }
+
+/// A tag in one [`Document`]'s tag table, as [`Document::intern_tag`]
+/// returns it: [`Document::add_element_by_tag`] appends an element by it
+/// without looking the tag up again. It names a tag of that document only.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TagId(u32);
 
 /// Kind of a node, borrowed from its document.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -216,20 +223,20 @@ const SCANNED_TAGS: usize = 8;
 impl Document {
     /// An empty document with the given name.
     pub fn new(name: &str) -> Document {
-        Document::with_capacity(name, 0)
-    }
-
-    /// An empty document with room for `nodes` nodes (elements + text nodes).
-    pub fn with_capacity(name: &str, nodes: usize) -> Document {
         Document {
             name: name.to_string(),
-            nodes: Vec::with_capacity(nodes),
+            nodes: Vec::new(),
             text: String::new(),
             tags: Vec::new(),
             tag_ids: HashMap::new(),
             attributes: Vec::new(),
             root: None,
         }
+    }
+
+    /// Make room for `nodes` more nodes (elements + text nodes).
+    pub fn reserve(&mut self, nodes: usize) {
+        self.nodes.reserve(nodes);
     }
 
     fn tag_index(&self, tag: &str) -> Option<u32> {
@@ -284,6 +291,22 @@ impl Document {
     /// Append a child element under `parent`.
     pub fn add_element(&mut self, parent: NodeId, tag: &str) -> NodeId {
         self.push_element(tag, Some(parent))
+    }
+
+    /// The id of `tag` in this document's tag table, adding it if new: a
+    /// caller that appends many elements of a few tags interns them once
+    /// and appends by id ([`Document::add_element_by_tag`]).
+    pub fn intern_tag(&mut self, tag: &str) -> TagId {
+        TagId(self.intern(tag))
+    }
+
+    /// Append a child element under `parent`, its tag one this document
+    /// interned ([`Document::intern_tag`]): what [`Document::add_element`]
+    /// does with the tag's name, without comparing names. Panics on an id
+    /// past this document's tag table.
+    pub fn add_element_by_tag(&mut self, parent: NodeId, tag: TagId) -> NodeId {
+        assert!((tag.0 as usize) < self.tags.len(), "a tag this document interned");
+        self.push(Content::Element { tag: tag.0, attributes: NONE }, Some(parent))
     }
 
     /// Append a text child under `parent`.
@@ -746,6 +769,37 @@ mod tests {
         let root = d.root().unwrap();
         assert_eq!(d.node(root).tag(), Some("catalog"));
         assert_eq!(d.child_elements(root).count(), 2);
+    }
+
+    /// Appending by interned tag id builds the document `add_element` does,
+    /// whatever order the tags were interned in.
+    #[test]
+    fn elements_appended_by_tag_id_equal_those_appended_by_name() {
+        let mut d = Document::new("catalog.xml");
+        let [price, name, drug] = ["price", "name", "drug"].map(|tag| d.intern_tag(tag));
+        let root = d.create_root("catalog");
+        for (n, p) in [("aspirin", "3"), ("ibuprofen", "5")] {
+            let el = d.add_element_by_tag(root, drug);
+            let leaf = d.add_element_by_tag(el, name);
+            d.add_text(leaf, n);
+            let leaf = d.add_element_by_tag(el, price);
+            d.add_text(leaf, p);
+        }
+        assert_eq!(d.intern_tag("drug"), drug, "a known tag keeps its id");
+        assert_eq!(d, catalog());
+        assert_eq!(d.to_xml(), catalog().to_xml());
+        let first = d.child_elements(root).next().unwrap();
+        assert_eq!(d.text_of(d.children_with_tag(first, "price").next().unwrap()), "3");
+    }
+
+    #[test]
+    #[should_panic(expected = "a tag this document interned")]
+    fn a_tag_id_past_the_tag_table_is_refused() {
+        let mut other = Document::new("other.xml");
+        let (_, tag) = (other.intern_tag("a"), other.intern_tag("b"));
+        let mut d = Document::new("d.xml");
+        let root = d.create_root("r");
+        d.add_element_by_tag(root, tag);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod parse;
 pub mod shape;
 pub mod xpath;
 
-pub use doc::{Children, Descendants, Document, Node, NodeId, NodeKind};
+pub use doc::{Children, Descendants, Document, Node, NodeId, NodeKind, TagId};
 pub use parse::{parse_document, ParseError};
 pub use shape::{Multiplicity, ShapeElement, XmlShape};
 pub use xpath::{check_path, eval_path, parse_path, Path, PathError, PathValue, Step};
