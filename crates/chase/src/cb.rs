@@ -16,7 +16,7 @@ use crate::backchase::{
 use crate::chase::{chase_to_resident_compiled, ChaseOptions, ChaseStats, DependencyWork};
 use crate::compiled::CompiledDeps;
 use crate::instance::thread_index_build_count;
-use mars_cq::{ConjunctiveQuery, Ded, Predicate, Renamed};
+use mars_cq::{ConjunctiveQuery, Ded, Predicate};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -219,18 +219,17 @@ pub struct CbStatistics {
 /// The result of reformulating one query.
 ///
 /// The universal plan and the minimal set are the large fields, and a
-/// request runs neither: they are [`Renamed`] values, which a plan-cache hit
-/// shares with its cached entry and renames only if they are read. A cold
-/// result's are their own source, so reading them costs nothing. The
-/// statistics are shared too: a hit reports the cold run's.
+/// request runs neither: they are shared, so a plan-cache hit answers with
+/// its cached entry's, copying nothing. The statistics are shared too: a
+/// hit reports the cold run's.
 #[derive(Clone, Debug)]
 pub struct ReformulationResult {
     /// The universal plan (primary branch).
-    pub universal_plan: Renamed<ConjunctiveQuery>,
+    pub universal_plan: Arc<ConjunctiveQuery>,
     /// The initial reformulation (largest proprietary subquery), if non-empty.
     pub initial: Option<ConjunctiveQuery>,
     /// All minimal reformulations found (with estimated costs).
-    pub minimal: Renamed<Vec<(ConjunctiveQuery, f64)>>,
+    pub minimal: Arc<Vec<(ConjunctiveQuery, f64)>>,
     /// The cost-optimal reformulation.
     pub best: Option<(ConjunctiveQuery, f64)>,
     /// Statistics of the run that computed the result: a plan-cache hit
@@ -353,9 +352,9 @@ impl ChaseBackchase {
         });
         stats.total = start.elapsed();
         ReformulationResult {
-            universal_plan: universal_plan.into(),
+            universal_plan: Arc::new(universal_plan),
             initial,
-            minimal: minimal.into(),
+            minimal: Arc::new(minimal),
             best,
             stats: Arc::new(stats),
         }

@@ -5,7 +5,7 @@
 //! of the workloads (a specialized hub relation such as the star's `Rspec`
 //! is the exception, with eight). [`Args`] keeps up to
 //! [`Args::INLINE`] terms inside the atom itself, so copying such an atom —
-//! a plan-cache hit copies every atom of the queries it renames — is a copy
+//! a plan-cache hit copies every atom of the queries it instantiates — is a copy
 //! of bytes, not an allocation. A longer list spills to one boxed slice.
 //!
 //! `Args` dereferences to `[Term]`, and its equality, order and hash are the

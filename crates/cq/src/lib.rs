@@ -11,9 +11,10 @@
 //! * the GReX vocabulary: the eight [`NavBase`]s of the XML encoding, and
 //!   [`Atom::navigation`], the one classifier every crate asks whether an
 //!   atom navigates a document,
-//! * [`Substitution`]s, and the simultaneous [`Renaming`]s of variables and
-//!   constants a plan-cache hit applies, with [`Renamed`] values that apply
-//!   one only when first read,
+//! * [`Substitution`]s,
+//! * the parameters ([`Constant::Param`]) of a query shape's canonical
+//!   block: a plan-cache entry is reformulated over them, and a request
+//!   binds its own constants into the queries it runs,
 //! * [`Ded`]s — *disjunctive embedded dependencies* — the constraint language
 //!   used for relational integrity constraints, compiled XML integrity
 //!   constraints (XICs) and compiled XQuery views.
@@ -32,7 +33,6 @@ pub mod atomset;
 pub mod ded;
 pub mod fx;
 pub mod query;
-pub mod renaming;
 pub mod substitution;
 pub mod symbol;
 pub mod term;
@@ -43,7 +43,6 @@ pub use atomset::AtomSet;
 pub use ded::{Conjunct, Ded};
 pub use fx::{FxBuild, FxHashMap, FxHashSet, FxHasher};
 pub use query::ConjunctiveQuery;
-pub use renaming::{Rename, Renamed, Renaming};
 pub use substitution::Substitution;
 pub use symbol::{symbol, symbol_name, Symbol};
 pub use term::{Constant, Term, VarGen, Variable};

@@ -1,9 +1,9 @@
 //! Terms: variables and constants.
 //!
 //! A [`Term`] appears as an argument of an [`Atom`](crate::Atom). Constants
-//! are either interned strings (tag names, text values) or integers; the
-//! distinction matters only for cost estimation and for executing
-//! reformulations over actual storage.
+//! are interned strings (tag names, text values), integers, or the
+//! parameters of a canonical block; the distinction matters only for cost
+//! estimation and for executing reformulations over actual storage.
 
 use crate::symbol::{symbol, Symbol};
 use serde::{Deserialize, Serialize};
@@ -62,6 +62,10 @@ pub enum Constant {
     Str(u32),
     /// Integer constant.
     Int(i64),
+    /// Parameter `i` of a canonical block: the place of the `i`-th constant
+    /// a request of the block's shape supplies. It equals no other constant,
+    /// so nothing the chase and backchase prove depends on its value.
+    Param(u32),
 }
 
 impl Constant {
@@ -80,6 +84,7 @@ impl Constant {
         match self {
             Constant::Str(s) => Symbol(*s).as_str().to_string(),
             Constant::Int(i) => i.to_string(),
+            Constant::Param(i) => format!("?{i}"),
         }
     }
 }
@@ -89,6 +94,7 @@ impl fmt::Debug for Constant {
         match self {
             Constant::Str(s) => write!(f, "\"{}\"", Symbol(*s).as_str()),
             Constant::Int(i) => write!(f, "{i}"),
+            Constant::Param(i) => write!(f, "?{i}"),
         }
     }
 }
@@ -152,7 +158,8 @@ impl Term {
 
     /// The term as it is spelled, as a sort key: variables before
     /// constants, a variable by its name and then its disambiguator, a
-    /// string constant by its text, before every integer. The derived `Ord`
+    /// string constant by its text, before every integer, and an integer
+    /// before every parameter, by number. The derived `Ord`
     /// compares interned symbols, so it follows whichever string the process
     /// happened to intern first; this key orders terms the same way in every
     /// process.
@@ -161,6 +168,7 @@ impl Term {
             Term::Var(v) => (0, Symbol(v.name).as_str(), i64::from(v.index)),
             Term::Const(Constant::Str(s)) => (1, Symbol(s).as_str(), 0),
             Term::Const(Constant::Int(i)) => (2, "", i),
+            Term::Const(Constant::Param(i)) => (3, "", i64::from(i)),
         }
     }
 }
@@ -256,6 +264,8 @@ mod tests {
         assert_ne!(Constant::str("1"), Constant::int(1));
         assert_eq!(Constant::int(1).render(), "1");
         assert_eq!(Constant::str("book").render(), "book");
+        assert_eq!(Constant::Param(2).render(), "?2");
+        assert_ne!(Constant::Param(0), Constant::str("?0"));
     }
 
     #[test]

@@ -35,6 +35,7 @@ fn xterm(t: &XBindTerm) -> Term {
     match t {
         XBindTerm::Var(v) => Term::var(v),
         XBindTerm::Str(s) => Term::constant_str(s),
+        XBindTerm::Param(i) => Term::Const(mars_cq::Constant::Param(*i)),
     }
 }
 

@@ -12,34 +12,34 @@
 //! drops every entry ([`PlanCache::clear`]), so a changed correspondence
 //! can never serve a stale plan.
 //!
-//! On a hit the cached [`BlockReformulation`] is **re-substituted**: the
-//! stored entry's variables and constants are mapped pairwise onto the new
-//! query's (both shapes list them in first-occurrence order, and equal shape
-//! keys guarantee the lists align) by one [`Renaming`]. The hit renames only
-//! the queries a request runs: the compiled query and the initial and best
-//! reformulations. The universal plan and the minimal reformulations, the
-//! large fields, are shared with the entry together with the renaming, and
-//! are renamed only if something reads them ([`mars_cq::Renamed`]).
-//! Entries are shared handles: a hit takes one under the cache's lock and
-//! renames after releasing it, so concurrent hits run side by side.
+//! An entry is the reformulation of its shape's **canonical block**
+//! ([`QueryShape::canonical`]): its queries name variables `v0, v1, …` and
+//! hold parameters ([`Constant::Param`]) where a request holds its
+//! constants, so one entry serves every request of its shape and nothing is
+//! renamed. A hit **instantiates** the entry ([`instantiate`]): the queries
+//! a request runs, the initial and the best reformulation, get parameter
+//! `i` replaced by the request's `i`-th constant; the compiled query, the
+//! universal plan, the minimal reformulations and the statistics are the
+//! entry's, shared. Entries are shared handles: a hit takes one under the
+//! cache's lock and instantiates it after releasing the lock, so concurrent
+//! hits run side by side.
 //! One thing derived from the queries is kept beside them: a routed entry's
 //! [`RoutingDecision`](mars_cost::RoutingDecision) holds the physical tree
 //! its cold request planned. The tree names the query's terms by position,
-//! so a hit shares it, unrenamed, and runs it with its own renamed best
-//! query; it is built once per shape and frozen at the statistics of the
-//! request that missed, as the route is, and [`PlanCache::clear`] drops it
-//! with its entry. The SQL is rendered from the renamed best query when
-//! asked for. The service layer property-tests that every field of a hit
-//! equals a cold reformulation byte for byte.
+//! so a hit runs it with its own instantiated best query; it is built once
+//! per shape and frozen at the statistics of the request that missed, as
+//! the route is, and [`PlanCache::clear`] drops it with its entry. The
+//! service answers a miss with the same instantiation, so a hit equals a
+//! fresh service's cold answer to the same request byte for byte
+//! (property-tested).
 
 use crate::result::BlockReformulation;
 use mars_chase::ReformulationResult;
-use mars_cq::{symbol, Constant, Rename, Renaming, Variable};
+use mars_cq::{ConjunctiveQuery, Constant, Term};
 use mars_xquery::QueryShape;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 /// Hit/miss/invalidation counters and the current entry count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -60,27 +60,15 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-/// One cached reformulation: its shape's variables and constants, interned
-/// beside their spellings (they drive re-substitution), and the result.
+/// One cached reformulation of a canonical block, with the number of
+/// parameters its shape has.
 struct CachedEntry {
-    variables: Vec<(&'static str, Variable)>,
-    constants: Vec<(&'static str, Constant)>,
+    parameters: usize,
     block: BlockReformulation,
 }
 
-/// Each of `names` interned by `intern`, beside its spelling.
-fn interned<T>(names: Vec<&str>, intern: fn(&str) -> T) -> Vec<(&'static str, T)> {
-    names.into_iter().map(|name| (symbol(name).as_str(), intern(name))).collect()
-}
-
-/// The stored terms whose spelling differs from the incoming name, each with that name interned.
-fn differing<T: Copy>(stored: &[(&str, T)], names: &[&str], intern: fn(&str) -> T) -> Vec<(T, T)> {
-    let pairs = stored.iter().zip(names).filter(|((spelling, _), name)| spelling != *name);
-    pairs.map(|(&(_, from), name)| (from, intern(name))).collect()
-}
-
 /// The cached entries by shape key. An entry is shared: a hit takes a
-/// handle under the lock and re-substitutes after releasing it.
+/// handle under the lock and instantiates it after releasing it.
 type Entries = HashMap<String, Arc<CachedEntry>>;
 
 /// A concurrent, shape-keyed reformulation cache (see the module docs).
@@ -94,8 +82,8 @@ pub struct PlanCache {
 }
 
 impl PlanCache {
-    // The guard is held only to probe, insert or clear: a hit re-substitutes
-    // after releasing it, so concurrent hits do not serialize on the renaming.
+    // The guard is held only to probe, insert or clear: a hit instantiates
+    // after releasing it, so concurrent hits do not serialize on the copy.
     // Every update is one insert or removal of a finished entry, so a panic
     // while a guard is held leaves the map valid, and a poisoned lock is
     // recovered instead of turning one failed request into an outage.
@@ -126,18 +114,16 @@ impl PlanCache {
         self.degraded_uncached.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Look up a reformulation for `shape`. On a hit the stored result is
-    /// re-substituted with `shape`'s variables and constants, outside the
-    /// cache's lock, and its `duration` is zero: the time spent producing the
-    /// hit is the caller's to measure. On a miss `None` is returned and the
-    /// miss is counted.
+    /// Look up a reformulation for `shape`. On a hit the entry is
+    /// instantiated with `shape`'s constants, outside the cache's lock; its
+    /// `duration` is the cold run's, and the time spent producing the hit is
+    /// the caller's to measure. On a miss `None` is returned and the miss is
+    /// counted.
     pub fn lookup(&self, shape: &QueryShape<'_>) -> Option<BlockReformulation> {
-        let entry = self.entries().get(&shape.key).cloned().filter(|e| {
-            e.variables.len() == shape.variables.len() && e.constants.len() == shape.constants.len()
-        });
-        match entry {
+        let entry = self.entries().get(&shape.key).cloned();
+        match entry.filter(|e| e.parameters == shape.constants.len()) {
             Some(e) => {
-                let block = resubstitute(&e, shape);
+                let block = instantiate(&e.block, &shape.constants);
                 self.hits.fetch_add(1, Ordering::SeqCst);
                 Some(block)
             }
@@ -148,15 +134,14 @@ impl PlanCache {
         }
     }
 
-    /// Insert a reformulation computed cold for `shape`. First writer wins:
-    /// a concurrent duplicate insert leaves the resident entry in place, so
-    /// racing warm readers keep seeing one plan.
+    /// Insert `block`, the reformulation of `shape`'s canonical block. First
+    /// writer wins: a concurrent duplicate insert leaves the resident entry
+    /// in place, so racing warm readers keep seeing one plan.
     pub fn insert(&self, shape: QueryShape<'_>, block: BlockReformulation) {
-        let variables = interned(shape.variables, Variable::named);
-        let constants = interned(shape.constants, Constant::str);
+        let parameters = shape.constants.len();
         self.entries()
             .entry(shape.key)
-            .or_insert_with(|| Arc::new(CachedEntry { variables, constants, block }));
+            .or_insert_with(|| Arc::new(CachedEntry { parameters, block }));
     }
 
     /// Drop every entry (the system they were reformulated against was
@@ -167,60 +152,69 @@ impl PlanCache {
     }
 }
 
-/// Rewrite a cached reformulation from the shape it was stored under to the
-/// shape of the incoming query. Variables and constants are mapped pairwise
-/// (position `i` of one list to position `i` of the other — both are in
-/// first-occurrence order and the equal shape key guarantees alignment) by
-/// one [`Renaming`]. The queries a request runs — the compiled query, the
-/// initial and the best reformulation, which [`best_or_initial`] picks from
-/// — are renamed here. The universal plan and the minimal set share the
-/// entry's with that renaming and are renamed only if read. The SQL is
-/// rendered from the renamed best query when asked for, so constant
-/// literals in `WHERE` clauses track the substitution.
+/// `block`, the reformulation of a canonical block, bound to a request's
+/// `constants`: parameter `i` of the queries a request runs — the initial
+/// and the best reformulation, which [`best_or_initial`] picks from — is
+/// replaced by `constants[i]`, so the SQL and the executor see the
+/// request's literals. Everything else, the duration included, is
+/// `block`'s.
 ///
 /// [`best_or_initial`]: ReformulationResult::best_or_initial
-fn resubstitute(entry: &CachedEntry, incoming: &QueryShape<'_>) -> BlockReformulation {
-    let renaming = Arc::new(Renaming::new(
-        differing(&entry.variables, &incoming.variables, Variable::named),
-        differing(&entry.constants, &incoming.constants, Constant::str),
-    ));
-    let (block, result) = (&entry.block, &entry.block.result);
+pub(crate) fn instantiate(block: &BlockReformulation, constants: &[&str]) -> BlockReformulation {
+    let constants: Vec<Constant> = constants.iter().map(|c| Constant::str(c)).collect();
+    let bind = |q: &ConjunctiveQuery| {
+        let mut q = q.clone();
+        let body = q.body.iter_mut().flat_map(|a| a.args.iter_mut());
+        let inequalities = q.inequalities.iter_mut().flat_map(|(a, b)| [a, b]);
+        for t in q.head.iter_mut().chain(body).chain(inequalities) {
+            if let Term::Const(Constant::Param(i)) = *t {
+                *t = Term::Const(constants[i as usize]);
+            }
+        }
+        q
+    };
+    let result = &block.result;
     BlockReformulation {
         name: block.name.clone(),
-        compiled: block.compiled.rename(&renaming),
+        compiled: Arc::clone(&block.compiled),
         result: ReformulationResult {
-            universal_plan: result.universal_plan.renamed(&renaming),
-            initial: result.initial.as_ref().map(|q| q.rename(&renaming)),
-            minimal: result.minimal.renamed(&renaming),
-            best: result.best.as_ref().map(|best| best.rename(&renaming)),
+            universal_plan: Arc::clone(&result.universal_plan),
+            initial: result.initial.as_ref().map(bind),
+            minimal: Arc::clone(&result.minimal),
+            best: result.best.as_ref().map(|(q, cost)| (bind(q), *cost)),
             stats: Arc::clone(&result.stats),
         },
         // Routing depends on the query shape and the store statistics, not
-        // on the constants a shape abstracts over — replay it verbatim, with
+        // on the constants a shape abstracts over: replay it verbatim, with
         // the tree it priced, which names terms by position.
         route: block.route.clone(),
-        duration: Duration::ZERO,
+        duration: block.duration,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mars_cq::{Atom, ConjunctiveQuery, Term};
+    use mars_cq::Atom;
+    use std::time::Duration;
 
     fn shape<'q>(key: &str, vars: &[&'q str], consts: &[&'q str]) -> QueryShape<'q> {
         QueryShape { key: key.to_string(), constants: consts.to_vec(), variables: vars.to_vec() }
     }
 
+    /// Parameter `i` of a canonical block.
+    fn param(i: u32) -> Term {
+        Term::Const(Constant::Param(i))
+    }
+
     /// `Q(x) :- r(x, c0, c1)` as a full block reformulation.
-    fn block(c0: &str, c1: &str) -> BlockReformulation {
-        let q = ConjunctiveQuery::new("Q").with_head(vec![Term::var("x")]).with_atom(Atom::named(
-            "r",
-            vec![Term::var("x"), Term::constant_str(c0), Term::constant_str(c1)],
-        ));
+    fn block(c0: Term, c1: Term) -> BlockReformulation {
+        let q = ConjunctiveQuery::new("Q")
+            .with_head(vec![Term::var("x")])
+            .with_atom(Atom::named("r", vec![Term::var("x"), c0, c1]));
         BlockReformulation {
             name: "Q".to_string(),
-            compiled: q.clone(),
+            compiled: q.clone().into(),
             result: ReformulationResult {
                 universal_plan: q.clone().into(),
                 initial: Some(q.clone()),
@@ -233,12 +227,22 @@ mod tests {
         }
     }
 
+    /// The entry of shape `k`: the block over its two parameters.
+    fn canonical() -> BlockReformulation {
+        block(param(0), param(1))
+    }
+
+    /// The block a request with constants `c0` and `c1` runs.
+    fn literal(c0: &str, c1: &str) -> BlockReformulation {
+        block(Term::constant_str(c0), Term::constant_str(c1))
+    }
+
     #[test]
     fn stats_count_hits_misses_and_invalidations() {
         let cache = PlanCache::new();
         let s = shape("k", &["x"], &["a", "b"]);
         assert!(cache.lookup(&s).is_none());
-        cache.insert(s.clone(), block("a", "b"));
+        cache.insert(s.clone(), canonical());
         assert!(cache.lookup(&s).is_some());
         cache.clear();
         assert!(cache.lookup(&s).is_none(), "the cleared entry is gone");
@@ -253,42 +257,46 @@ mod tests {
     fn first_writer_wins_on_duplicate_insert() {
         let cache = PlanCache::new();
         let s = shape("k", &["x"], &["a", "b"]);
-        cache.insert(s.clone(), block("a", "b"));
-        cache.insert(s.clone(), block("other", "values"));
+        cache.insert(s.clone(), canonical());
+        cache.insert(s.clone(), literal("other", "values"));
         let hit = cache.lookup(&s).unwrap();
-        assert!(hit.sql().unwrap().contains('a'), "the first entry stayed resident");
+        assert_eq!(hit.sql(), literal("a", "b").sql(), "the first entry stayed resident");
         assert_eq!(cache.stats().entries, 1);
     }
 
-    /// Re-substitution maps stored constants to incoming constants pairwise
-    /// and simultaneously: swapping two constants must not cascade
-    /// (`a→b` then `b→a` applied in sequence would collapse both to `a`).
+    /// Instantiation replaces each parameter by its constant at once:
+    /// constants `b, a` bind into the entry of a request that had `a, b`
+    /// without either collapsing into the other.
     #[test]
-    fn resubstitution_is_simultaneous() {
+    fn instantiation_is_simultaneous() {
         let cache = PlanCache::new();
-        cache.insert(shape("k", &["x"], &["a", "b"]), block("a", "b"));
+        cache.insert(shape("k", &["x"], &["a", "b"]), canonical());
         let swapped = cache.lookup(&shape("k", &["x"], &["b", "a"])).unwrap();
-        let atom = &swapped.compiled.body[0];
-        assert_eq!(atom.args[1], Term::constant_str("b"));
-        assert_eq!(atom.args[2], Term::constant_str("a"));
-        // Every result field and the SQL rendering track the substitution.
-        let cold = block("b", "a");
-        assert_eq!(
-            format!("{}", swapped.result.universal_plan),
-            format!("{}", cold.result.universal_plan)
-        );
+        let (best, _) = swapped.result.best.as_ref().unwrap();
+        let (a, b) = (Term::constant_str("a"), Term::constant_str("b"));
+        assert_eq!(*best.body[0].args, [Term::var("x"), b, a]);
+        // The queries a request runs and the SQL track the constants.
+        let cold = literal("b", "a");
+        assert_eq!(swapped.result.initial, cold.result.initial);
         assert_eq!(swapped.sql(), cold.sql());
     }
 
     /// A hit did no chase or backchase work: it shares the statistics of
-    /// the cold run its entry holds instead of copying them.
+    /// the cold run its entry holds instead of copying them, and the
+    /// compiled query, universal plan and minimal set too, with their
+    /// parameters.
     #[test]
     fn hits_share_their_entry_statistics() {
         let cache = PlanCache::new();
-        cache.insert(shape("k", &["x"], &["a", "b"]), block("a", "b"));
+        cache.insert(shape("k", &["x"], &["a", "b"]), canonical());
         let first = cache.lookup(&shape("k", &["y"], &["c", "d"])).unwrap();
         let second = cache.lookup(&shape("k", &["z"], &["e", "f"])).unwrap();
-        assert!(Arc::ptr_eq(&first.result.stats, &second.result.stats));
+        let (a, b) = (&first.result, &second.result);
+        assert!(Arc::ptr_eq(&a.stats, &b.stats));
+        assert!(Arc::ptr_eq(&first.compiled, &second.compiled));
+        assert!(Arc::ptr_eq(&a.universal_plan, &b.universal_plan));
+        assert!(Arc::ptr_eq(&a.minimal, &b.minimal));
+        assert_eq!(*first.compiled, *canonical().compiled);
     }
 
     /// A request that panics under the cache's lock poisons the mutex; the
@@ -297,7 +305,7 @@ mod tests {
     fn a_poisoned_lock_is_recovered() {
         let cache = PlanCache::new();
         let s = shape("k", &["x"], &["a", "b"]);
-        cache.insert(s.clone(), block("a", "b"));
+        cache.insert(s.clone(), canonical());
         let panicked = std::thread::scope(|scope| {
             scope
                 .spawn(|| {
@@ -310,13 +318,13 @@ mod tests {
 
         assert_eq!(cache.stats().entries, 1);
         assert!(cache.lookup(&s).is_some());
-        cache.insert(shape("other", &["x"], &["a", "b"]), block("a", "b"));
+        cache.insert(shape("other", &["x"], &["a", "b"]), canonical());
         assert_eq!(cache.stats().entries, 2);
         cache.clear();
         assert_eq!(cache.stats().entries, 0);
     }
 
-    /// Hits rewrite outside the lock: threads hitting one entry at once
+    /// Hits instantiate outside the lock: threads hitting one entry at once
     /// with their own constants each get those constants back, and every
     /// lookup is counted as a hit.
     #[test]
@@ -324,7 +332,7 @@ mod tests {
         const THREADS: usize = 4;
         const LOOKUPS: usize = 50;
         let cache = PlanCache::new();
-        cache.insert(shape("k", &["x"], &["a", "b"]), block("a", "b"));
+        cache.insert(shape("k", &["x"], &["a", "b"]), canonical());
         let start = std::sync::Barrier::new(THREADS);
         std::thread::scope(|scope| {
             for thread in 0..THREADS {
@@ -334,9 +342,10 @@ mod tests {
                     for i in 0..LOOKUPS {
                         let (c0, c1) = (format!("t{thread}_{i}"), format!("u{thread}"));
                         let hit = cache.lookup(&shape("k", &["x"], &[&c0, &c1])).unwrap();
-                        assert_eq!(hit.sql(), block(&c0, &c1).sql());
+                        assert_eq!(hit.sql(), literal(&c0, &c1).sql());
+                        let (best, _) = hit.result.best.as_ref().unwrap();
                         assert_eq!(
-                            *hit.compiled.body[0].args,
+                            *best.body[0].args,
                             [Term::var("x"), Term::constant_str(&c0), Term::constant_str(&c1)]
                         );
                     }
@@ -351,10 +360,10 @@ mod tests {
     #[test]
     fn arity_mismatch_is_treated_as_a_miss() {
         let cache = PlanCache::new();
-        cache.insert(shape("k", &["x"], &["a", "b"]), block("a", "b"));
+        cache.insert(shape("k", &["x"], &["a", "b"]), canonical());
         assert!(
             cache.lookup(&shape("k", &["x"], &["a"])).is_none(),
-            "an entry whose parameter list cannot align is never re-substituted"
+            "an entry whose parameters the request cannot bind is never instantiated"
         );
     }
 }

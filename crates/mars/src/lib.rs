@@ -17,8 +17,9 @@
 //!
 //! For resident deployments the [`MarsService`] wraps a compiled system with
 //! a shape-keyed [`PlanCache`]: repeated query templates that differ only in
-//! constants skip the Chase & Backchase and are answered by re-substituting
-//! the fresh constants into the cached reformulation. Degenerate inputs
+//! constants skip the Chase & Backchase and are answered by binding the
+//! fresh constants into the cached reformulation of the template's canonical
+//! block. Degenerate inputs
 //! surface as structured [`MarsError`]s rather than panics.
 //!
 //! Requests are survivable end to end: per-request

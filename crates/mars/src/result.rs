@@ -5,6 +5,7 @@ use mars_cost::RoutingDecision;
 use mars_cq::ConjunctiveQuery;
 use mars_storage::sql_for_query;
 use mars_xquery::DecorrelatedQuery;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The reformulation of one decorrelated navigation block.
@@ -13,7 +14,8 @@ pub struct BlockReformulation {
     /// Block (XBind query) name.
     pub name: String,
     /// The compiled relational query over GReX (or the specialized schema).
-    pub compiled: ConjunctiveQuery,
+    /// Shared: a plan-cache hit answers with its entry's.
+    pub compiled: Arc<ConjunctiveQuery>,
     /// The C&B result: universal plan, initial, minimal and best reformulations.
     pub result: ReformulationResult,
     /// The backend routing decision for the chosen reformulation, when one
@@ -21,7 +23,7 @@ pub struct BlockReformulation {
     /// physical tree it chose. Cached and replayed with the plan: the
     /// decision depends only on the query shape and the store statistics,
     /// never on the constants, and the tree names terms by position, so a
-    /// plan-cache hit replays both verbatim, unrenamed.
+    /// plan-cache hit runs it with the query it binds its constants into.
     ///
     /// [`MarsService::reformulate_xbind_routed`]: crate::MarsService::reformulate_xbind_routed
     pub route: Option<RoutingDecision>,
@@ -78,13 +80,12 @@ impl MarsResult {
 mod tests {
     use super::*;
     use mars_chase::ReformulationResult;
-    use std::sync::Arc;
 
     fn dummy_block(with_best: bool) -> BlockReformulation {
         let q = ConjunctiveQuery::new("Q");
         BlockReformulation {
             name: "Q".to_string(),
-            compiled: q.clone(),
+            compiled: q.clone().into(),
             result: ReformulationResult {
                 universal_plan: q.clone().into(),
                 initial: None,

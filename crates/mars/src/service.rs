@@ -5,11 +5,14 @@
 //! compiled once and then millions of client queries arrive against it, most
 //! of them instances of a few templates that differ only in constants. The
 //! service normalizes each arrival to its [`QueryShape`](mars_xquery::QueryShape)
-//! (variables alpha-renamed, non-reserved constants parameterized out) and
-//! answers repeats from the cache by re-substituting the fresh constants into
-//! the cached reformulation — skipping the chase & backchase entirely. The
-//! re-substituted warm answer is byte-identical to what a cold run would
-//! produce (property-tested in `tests/property_based.rs`).
+//! (variables alpha-renamed, non-reserved constants parameterized out). A
+//! miss reformulates the shape's canonical block
+//! ([`QueryShape::canonical`](mars_xquery::QueryShape::canonical)) and
+//! caches the result as it is; a repeat is answered from the cache by
+//! binding its own constants into the cached plan — skipping the chase &
+//! backchase entirely. A miss is answered with the same binding, so a warm
+//! answer is byte-identical to a fresh service's cold answer to the same
+//! request (property-tested in `tests/property_based.rs`).
 //!
 //! Entries are scoped to the wrapped system; use [`MarsService::replace`]
 //! when the correspondence changes and the stale entries are invalidated
@@ -38,7 +41,7 @@
 //! entry points differ only in the budget they pass it and in whether they
 //! hand it the stores to price a route against.
 
-use crate::cache::{CacheStats, PlanCache};
+use crate::cache::{instantiate, CacheStats, PlanCache};
 use crate::error::MarsError;
 use crate::result::{BlockReformulation, MarsResult};
 use crate::system::Mars;
@@ -171,9 +174,10 @@ impl MarsService {
     }
 
     /// Reformulate one navigation block through the cache under the
-    /// service's default budget: a shape hit re-substitutes the cached plan
-    /// with this query's constants, a miss runs
-    /// [`Mars::try_reformulate_xbind_budgeted`] cold. Non-degraded cold
+    /// service's default budget: a shape hit binds this query's constants
+    /// into the cached plan, a miss runs
+    /// [`Mars::try_reformulate_xbind_budgeted`] cold on the shape's
+    /// canonical block and binds them the same way. Non-degraded cold
     /// results are cached; degraded ones are not (module docs). Degenerate
     /// blocks surface the same [`MarsError`]s as the cold path.
     pub fn reformulate_xbind(&self, xbind: &XBindQuery) -> Result<BlockReformulation, MarsError> {
@@ -256,13 +260,18 @@ impl MarsService {
             if let Some(hook) = &self.fault_hook {
                 hook("reformulate");
             }
-            let block = routed(self.mars.try_reformulate_xbind_budgeted(xbind, budget)?);
-            if block.is_degraded() {
+            // The entry is the canonical block's reformulation as it is; the
+            // answer binds this request's constants into it, as a hit would.
+            let block =
+                self.mars.try_reformulate_xbind_budgeted(&shape.canonical(xbind), budget)?;
+            let answer = routed(instantiate(&block, &shape.constants));
+            if answer.is_degraded() {
                 self.cache.note_degraded_uncached();
             } else {
-                self.cache.insert(shape, block.clone());
+                self.cache
+                    .insert(shape, BlockReformulation { route: answer.route.clone(), ..block });
             }
-            Ok(block)
+            Ok(answer)
         }));
         match outcome {
             Ok(Ok(block)) => {
@@ -326,6 +335,7 @@ impl MarsService {
 mod tests {
     use super::*;
     use crate::system::SchemaCorrespondence;
+    use mars_cq::{Constant, Term};
     use mars_grex::ViewDef;
     use mars_xml::parse_path;
     use mars_xquery::{XBindAtom, XBindTerm};
@@ -399,6 +409,32 @@ mod tests {
         assert!(!warm.sql().unwrap().contains("First Title"));
         let stats = service.cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+    }
+
+    /// A parameter is a term of its own, never a string: a correspondence
+    /// whose Σ holds the constant `"?0"` keeps it literal in the key, and a
+    /// hit answers with the request's own constant and no parameter left.
+    #[test]
+    fn a_reserved_constant_spelled_like_a_parameter_stays_literal() {
+        let titled = title_filter("?0").with_head(&["a"]);
+        let mut corr = correspondence();
+        corr.lav_views.push(ViewDef::relational("questionCache", titled));
+        let service = MarsService::new(Mars::new(corr));
+        let request = |author: &str| {
+            title_filter("?0").with_atom(XBindAtom::Eq(XBindTerm::var("a"), XBindTerm::str(author)))
+        };
+        let reserved = service.mars().reserved_constants();
+        let first = request("First Author");
+        assert!(shape_of(&first, &reserved).key.contains("\"?0\""), "Σ reserves \"?0\"");
+
+        service.reformulate_xbind(&first).unwrap();
+        let warm = service.reformulate_xbind(&request("Second Author")).unwrap();
+        assert_eq!(service.cache_stats().hits, 1);
+        let sql = warm.sql().unwrap();
+        assert!(sql.contains("Second Author") && !sql.contains("First Author"), "{sql}");
+        let best = warm.result.best_or_initial().unwrap();
+        let terms = best.body.iter().flat_map(|a| a.args.iter());
+        assert!(!terms.into_iter().any(|t| matches!(t, Term::Const(Constant::Param(_)))));
     }
 
     /// A hit reports the time the request spent producing it, not the

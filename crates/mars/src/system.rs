@@ -12,6 +12,7 @@ use mars_specialize::{specialize_query, specialize_view, specialize_xic, Special
 use mars_xml::Step;
 use mars_xquery::{decorrelate, parse_xquery, XBindAtom, XBindQuery, XBindTerm, Xic};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The schema correspondence between the public and proprietary schemas
@@ -383,7 +384,7 @@ impl Mars {
         let result = self.engine.reformulate(&compiled, budget);
         BlockReformulation {
             name: xbind.name.clone(),
-            compiled,
+            compiled: Arc::new(compiled),
             result,
             route: None,
             duration: start.elapsed(),

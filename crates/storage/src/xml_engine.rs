@@ -267,6 +267,8 @@ impl XmlStore {
             match t {
                 XBindTerm::Var(v) => row.get(v).cloned(),
                 XBindTerm::Str(s) => Some(Value::Str(s.clone())),
+                // A canonical block's parameter stands for no value here.
+                XBindTerm::Param(_) => None,
             }
         };
         Some(resolve(a)? == resolve(b)?)

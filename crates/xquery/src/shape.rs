@@ -4,9 +4,12 @@
 //! query *templates* with different constants. The shape of an
 //! [`XBindQuery`] is the query with its variables alpha-renamed (first
 //! occurrence order) and its non-reserved constants parameterized out — two
-//! queries that differ only in constant values share a shape, so the second
-//! arrival can reuse the first one's reformulation with the constants
-//! re-substituted.
+//! queries that differ only in variable spellings and constant values share
+//! a shape. They also share its **canonical block**
+//! ([`QueryShape::canonical`]): the query spelled with the shape's own
+//! names, variables `v0, v1, …` and parameters ([`XBindTerm::Param`]) for the
+//! constants. The service reformulates that block once, and every arrival
+//! of the shape binds its own constants into the plan.
 //!
 //! Two correctness subtleties the normalization must respect:
 //!
@@ -20,15 +23,17 @@
 //!   correspondence (tag names, document names, specialization labels) are
 //!   part of the query's *structure*: the chase joins them against the
 //!   dependency set, so substituting a different value would change the
-//!   reformulation. They stay literal in the key and are never parameterized.
+//!   reformulation. They stay literal in the key and in the canonical block,
+//!   and are never parameterized.
 
 use crate::xbind::{XBindAtom, XBindQuery, XBindTerm};
 use std::collections::HashSet;
 use std::fmt::{self, Write};
 
 /// The normal form of an [`XBindQuery`]: the cache key plus the concrete
-/// values abstracted out of it, in a deterministic order so a cache hit can
-/// re-substitute them pairwise. The values are borrowed from the query.
+/// names abstracted out of it, in a deterministic order: the canonical
+/// block numbers them so, and a cache hit binds the constants by number.
+/// The names are borrowed from the query.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QueryShape<'q> {
     /// The canonical rendering: block name, head, distinct flag and atoms
@@ -116,6 +121,7 @@ impl<'q> Normalizer<'q, '_> {
             match t {
                 XBindTerm::Var(v) => self.var(v)?,
                 XBindTerm::Str(s) => self.constant(s)?,
+                XBindTerm::Param(i) => write!(self.key, "param({i})")?,
             }
         }
         Ok(())
@@ -191,6 +197,52 @@ pub fn shape_of<'q>(q: &'q XBindQuery, reserved: &HashSet<String>) -> QueryShape
     QueryShape { key: n.key, constants: n.param_order, variables: n.var_order }
 }
 
+impl QueryShape<'_> {
+    /// The canonical block of `q`, the query this shape was taken from:
+    /// `q` with variable `variables[i]` renamed `v{i}` and constant
+    /// `constants[i]` replaced by [`XBindTerm::Param`] `i`. Reserved
+    /// constants stay literal, as they do in the key. Every query of the
+    /// shape has this one canonical block.
+    ///
+    /// # Panics
+    ///
+    /// When `q` names a variable the shape does not: `q` is not the query
+    /// the shape was taken from.
+    pub fn canonical(&self, q: &XBindQuery) -> XBindQuery {
+        let var = |name: &mut String| {
+            let i = self.variables.iter().position(|v| v == name);
+            *name = format!("v{}", i.expect("the shape numbers every variable of its query"));
+        };
+        let term = |t: &mut XBindTerm| match t {
+            XBindTerm::Var(v) => var(v),
+            XBindTerm::Str(s) => {
+                if let Some(i) = self.constants.iter().position(|c| c == s) {
+                    *t = XBindTerm::Param(u32::try_from(i).expect("a block has few constants"));
+                }
+            }
+            XBindTerm::Param(_) => {}
+        };
+        let mut canonical = q.clone();
+        canonical.head.iter_mut().for_each(var);
+        for atom in &mut canonical.atoms {
+            match atom {
+                XBindAtom::AbsolutePath { var: v, .. } => var(v),
+                XBindAtom::RelativePath { source, var: v, .. } => {
+                    var(source);
+                    var(v);
+                }
+                XBindAtom::QueryRef { vars, .. } => vars.iter_mut().for_each(var),
+                XBindAtom::Relational { args, .. } => args.iter_mut().for_each(term),
+                XBindAtom::Eq(a, b) | XBindAtom::Neq(a, b) => {
+                    term(a);
+                    term(b);
+                }
+            }
+        }
+        canonical
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,6 +308,30 @@ mod tests {
         let other = filter_query("Q", "x", "other", "k2");
         let other = shape_of(&other, &r);
         assert_ne!(shape.key, other.key);
+    }
+
+    /// Requests that differ only in variable spellings and non-reserved
+    /// constants share their canonical block; a reserved constant stays
+    /// literal in it.
+    #[test]
+    fn queries_of_one_shape_have_one_canonical_block() {
+        let r: HashSet<String> = ["k1".to_string()].into();
+        let (qa, qb) = (filter_query("Q", "x", "k1", "a"), filter_query("Q", "renamed", "k1", "b"));
+        let canonical = shape_of(&qa, &r).canonical(&qa);
+        assert_eq!(canonical, shape_of(&qb, &r).canonical(&qb));
+        assert_eq!(canonical.head, ["v0", "v1"]);
+        assert_eq!(canonical.atoms[1], XBindAtom::Eq(XBindTerm::var("v0"), XBindTerm::str("k1")));
+        assert_eq!(canonical.atoms[2], XBindAtom::Eq(XBindTerm::var("v1"), XBindTerm::Param(0)));
+    }
+
+    /// The same constant twice is one parameter of the canonical block, so
+    /// the implicit equality join survives it.
+    #[test]
+    fn a_repeated_constant_is_one_parameter() {
+        let q = filter_query("Q", "x", "same", "same");
+        let canonical = shape_of(&q, &reserved()).canonical(&q);
+        assert_eq!(canonical.atoms[1], XBindAtom::Eq(XBindTerm::var("v0"), XBindTerm::Param(0)));
+        assert_eq!(canonical.atoms[2], XBindAtom::Eq(XBindTerm::var("v1"), XBindTerm::Param(0)));
     }
 
     #[test]

@@ -10,13 +10,17 @@ use mars_xml::Path;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// A term of an XBind atom: a variable or a string constant.
+/// A term of an XBind atom: a variable, a string constant, or a parameter
+/// of a canonical block.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum XBindTerm {
     /// A query variable (without the `$` sign).
     Var(String),
     /// A string constant.
     Str(String),
+    /// Parameter `i` of a canonical block ([`crate::QueryShape::canonical`]):
+    /// the place of the shape's `i`-th constant. Parsing never produces one.
+    Param(u32),
 }
 
 impl XBindTerm {
@@ -34,7 +38,7 @@ impl XBindTerm {
     pub fn as_var(&self) -> Option<&str> {
         match self {
             XBindTerm::Var(v) => Some(v),
-            XBindTerm::Str(_) => None,
+            XBindTerm::Str(_) | XBindTerm::Param(_) => None,
         }
     }
 }
@@ -44,6 +48,7 @@ impl fmt::Display for XBindTerm {
         match self {
             XBindTerm::Var(v) => write!(f, "{v}"),
             XBindTerm::Str(s) => write!(f, "\"{s}\""),
+            XBindTerm::Param(i) => write!(f, "?{i}"),
         }
     }
 }

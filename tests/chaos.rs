@@ -165,7 +165,7 @@ pub fn adversarial_request(cfg: &StarConfig, i: usize) -> XBindQuery {
             });
     }
     // A unique key constant per arrival: parameterized out of the shape,
-    // so it exercises re-substitution, not the cache key.
+    // so it exercises instantiation, not the cache key.
     q = q.with_atom(XBindAtom::Eq(XBindTerm::var("k"), XBindTerm::str(&format!("key{i}"))));
     q.head = head;
     q

@@ -233,9 +233,24 @@ fn plan_cache_invalidates_on_fingerprint_change() {
     assert_eq!((stats.hits, stats.misses), (0, 2));
 }
 
+/// Every field a client can observe of a block, rendered to bytes.
+fn observable(block: &mars_system::mars::BlockReformulation) -> String {
+    let result = &block.result;
+    format!(
+        "{} | {} | {:?} | {:?} | {:?} | {}",
+        block.compiled,
+        result.universal_plan,
+        result.initial,
+        result.minimal,
+        result.best,
+        block.sql().as_deref().unwrap_or("-")
+    )
+}
+
 /// Concurrent warm access is deterministic: every thread hammering the same
 /// shared service gets, for each request constant, output identical to every
-/// other thread's and to a cold single-threaded reformulation.
+/// other thread's and to a fresh service's cold answer, and the plan it runs
+/// is the one a cold `Mars` reformulation finds.
 #[test]
 fn concurrent_warm_cache_access_is_deterministic() {
     use mars_system::mars::MarsService;
@@ -253,12 +268,7 @@ fn concurrent_warm_cache_access_is_deterministic() {
                         .map(|k| {
                             let block =
                                 service.reformulate_xbind(&title_filter(k)).expect("reformulates");
-                            format!(
-                                "{} | {:?} | {}",
-                                block.result.universal_plan,
-                                block.result.minimal,
-                                block.sql().as_deref().unwrap_or("-")
-                            )
+                            observable(&block)
                         })
                         .collect()
                 })
@@ -270,17 +280,19 @@ fn concurrent_warm_cache_access_is_deterministic() {
         assert_eq!(&per_thread[0], other, "all threads must observe identical warm plans");
     }
 
-    // And the warm plans are exactly what a cold system computes.
-    let cold = Mars::new(correspondence());
+    // The warm plans are exactly what a fresh service answers cold, and they
+    // run what a cold `Mars` reformulation finds.
+    let mars = Mars::new(correspondence());
     for (i, k) in keys.iter().enumerate() {
-        let block = cold.try_reformulate_xbind(&title_filter(k)).expect("reformulates");
-        let rendered = format!(
-            "{} | {:?} | {}",
-            block.result.universal_plan,
-            block.result.minimal,
-            block.sql().as_deref().unwrap_or("-")
-        );
-        assert_eq!(per_thread[0][i], rendered, "warm output differs from cold for {k}");
+        let fresh = MarsService::new(Mars::new(correspondence()));
+        let cold = fresh.reformulate_xbind(&title_filter(k)).expect("reformulates");
+        assert_eq!(fresh.cache_stats().misses, 1);
+        assert_eq!(per_thread[0][i], observable(&cold), "warm output differs from cold for {k}");
+        let direct = mars.try_reformulate_xbind(&title_filter(k)).expect("reformulates");
+        assert_eq!(cold.sql(), direct.sql(), "{k}");
+        assert_eq!(cold.minimal_count(), direct.minimal_count(), "{k}");
+        let atoms = |b: &mars_system::mars::BlockReformulation| b.result.universal_plan.body.len();
+        assert_eq!(atoms(&cold), atoms(&direct), "{k}");
     }
 }
 

@@ -608,13 +608,15 @@ fn block_bytes(block: &mars_system::mars::BlockReformulation) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The plan-cache re-substitution contract: a warm hit answered by
-    /// re-substituting fresh constants into the cached plan is byte-identical
-    /// to reformulating the same request cold on a fresh system — across
+    /// The plan-cache contract: a warm hit, answered by binding fresh
+    /// constants into the cached plan of the shape's canonical block, is
+    /// byte-identical to a fresh service's cold answer to the same request,
+    /// and runs the plan a cold `Mars` reformulation of the request finds
+    /// (the same SQL, minimal set size and universal plan size) — across
     /// single-filter and double-filter templates, including the
     /// same-constant-twice (implicit equality join) variant, and across star
     /// NC 6 / NV 5 key lookups whose variables are renamed per request (32
-    /// minimal reformulations and the universal plan to re-substitute).
+    /// minimal reformulations).
     #[test]
     fn warm_cache_hit_is_byte_identical_to_cold(
         filter_author in proptest::bool::ANY,
@@ -648,11 +650,21 @@ proptest! {
             let warm = service.reformulate_xbind(&second).expect("warm reformulation");
             prop_assert!(service.cache_stats().hits >= 1, "the repeat must hit the cache");
 
-            let cold = system().try_reformulate_xbind(&second).expect("cold reformulation");
-            if star {
-                prop_assert_eq!(cold.minimal_count(), 32);
-            }
+            let fresh = MarsService::new(system());
+            let cold = fresh.reformulate_xbind(&second).expect("cold reformulation");
+            prop_assert_eq!(fresh.cache_stats().misses, 1);
             prop_assert_eq!(block_bytes(&warm), block_bytes(&cold));
+
+            let direct = system().try_reformulate_xbind(&second).expect("cold reformulation");
+            if star {
+                prop_assert_eq!(direct.minimal_count(), 32);
+            }
+            prop_assert_eq!(warm.sql(), direct.sql());
+            prop_assert_eq!(warm.minimal_count(), direct.minimal_count());
+            prop_assert_eq!(
+                warm.result.universal_plan.body.len(),
+                direct.result.universal_plan.body.len()
+            );
         }
     }
 
@@ -1141,7 +1153,7 @@ fn star_back_chases_confirm_like_the_oracle() {
     let compiled_once = ContainmentProgram::new(original);
 
     let mut candidates = vec![(block.result.initial.clone().expect("initial"), true)];
-    for (minimal, _) in &block.result.minimal {
+    for (minimal, _) in block.result.minimal.iter() {
         candidates.push((minimal.clone(), true));
         for i in 0..minimal.body.len() {
             let mut smaller = minimal.clone();

@@ -58,6 +58,7 @@ mod reference {
             match t {
                 XBindTerm::Var(v) => self.var(v),
                 XBindTerm::Str(s) => self.constant(s),
+                XBindTerm::Param(i) => format!("param({i})"),
             }
         }
 
