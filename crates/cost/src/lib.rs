@@ -18,12 +18,13 @@
 //! * [`route_query`], the backend router: prices the all-scans tree against
 //!   the native one and returns a deterministic [`RoutingDecision`] whose
 //!   [`Route`] names the cheaper tree's leaves and which keeps that tree —
-//!   executed by `mars-storage`'s `BackendRouter`. A tree names the query's
-//!   terms by [`Position`], so it runs every query of its shape,
-//! * [`plan_navigation`], the one orderer of native navigation: it picks the
-//!   next navigation atom by estimated output cardinality given what is
-//!   bound; the `NavScan` leaf stores that order and its price, and
-//!   `mars-storage` compiles exactly it into its navigation kernel.
+//!   executed by `mars-storage`'s `BackendRouter`; [`route_forced`] keeps
+//!   the tree of a requested route instead. A tree names the query's terms
+//!   by [`Position`], so it runs every query of its shape. The native tree's
+//!   `NavScan` leaf holds its atoms in the order the one orderer of native
+//!   navigation chose (next the atom of smallest estimated output given
+//!   what is bound, priced from each document's [`NavStats`]), and
+//!   `mars-storage` compiles exactly that order into its navigation kernel.
 
 #![deny(missing_docs)]
 
@@ -33,7 +34,6 @@ pub mod stats;
 
 pub use physical::{physical_plan, BuildSide, NavScan, Operand, PhysicalPlan, Position, TableScan};
 pub use route::{
-    plan_navigation, route_query, NavOrder, NavigationStatistics, Route, RouteCosts,
-    RoutingDecision,
+    route_forced, route_query, NavStats, NavigationStatistics, Route, RouteCosts, RoutingDecision,
 };
 pub use stats::StatisticsCatalog;

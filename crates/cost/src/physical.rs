@@ -9,8 +9,8 @@
 //!   consumed above the scan survive);
 //! * [`NavScan`] — when the planner is handed [`NavigationStatistics`] (the
 //!   router's case), one leaf for all the atoms that navigate a stored
-//!   document, run natively in the order
-//!   [`plan_navigation`](crate::plan_navigation) chose and priced by it;
+//!   document, run natively in the order the one orderer of native
+//!   navigation chose and priced from the documents' statistics;
 //!   every other atom stays a `TableScan`;
 //! * `HashJoin` — a left-deep join tree over the leaves whose **join order**
 //!   and per-join **build side** are chosen from the estimates (smallest
@@ -45,7 +45,7 @@
 //! plan-shape regressions show up as golden diffs the same way emitted SQL
 //! does.
 
-use crate::route::{plan_native, NavOrder, NavigationStatistics};
+use crate::route::{plan_native, NavigationStatistics};
 use crate::stats::StatisticsCatalog;
 use mars_cq::{ConjunctiveQuery, Predicate, Term, Variable};
 use std::fmt;
@@ -143,18 +143,17 @@ pub struct TableScan {
 /// atoms over documents the XML store holds, run by the navigation kernel.
 #[derive(Clone, Debug, PartialEq)]
 pub struct NavScan {
-    /// The navigation atoms' body indices, in the order
-    /// [`plan_navigation`](crate::plan_navigation) chose: the order the
-    /// kernel runs them in.
+    /// The navigation atoms' body indices, in the order the planner chose:
+    /// the order the kernel runs them in.
     pub atoms: Vec<usize>,
     /// The variables materialized as output columns — those the head, an
     /// inequality or another leaf reads — each by the position of one of
     /// its occurrences in the navigation atoms.
     pub output: Vec<Position>,
-    /// Rows the order is estimated to touch ([`NavOrder::cost`]): the unit
-    /// the kernel counts its work in.
+    /// Rows the order is estimated to touch: the unit the kernel counts its
+    /// work in.
     pub cost: f64,
-    /// Estimated output rows ([`NavOrder::rows`]).
+    /// Estimated output rows.
     pub est_rows: f64,
 }
 
@@ -331,9 +330,8 @@ pub fn physical_plan(
     let head_vars: Vec<Variable> = q.head.iter().filter_map(Term::as_var).collect();
 
     // One leaf per scanned atom, in body order, then the navigation leaf.
-    let navigation =
-        nav.map(|nav| plan_native(&q.body, nav)).filter(|planned| !planned.order.is_empty());
-    let native: &[usize] = navigation.as_ref().map_or(&[], |planned| &planned.order);
+    let navigation = nav.map(|nav| plan_native(&q.body, nav)).filter(|scan| !scan.atoms.is_empty());
+    let native: &[usize] = navigation.as_ref().map_or(&[], |scan| &scan.atoms);
     let scanned: Vec<usize> = (0..q.body.len()).filter(|i| !native.contains(i)).collect();
     let mut leaf_vars: Vec<Vec<(Variable, Position)>> =
         scanned.iter().map(|&i| first_occurrences(q, &[i])).collect();
@@ -393,9 +391,9 @@ pub fn physical_plan(
             })
         })
         .collect();
-    if let Some(NavOrder { order, cost, rows }) = navigation {
-        let output = needed_output(leaves.len());
-        leaves.push(PhysicalPlan::NavScan(NavScan { atoms: order, output, cost, est_rows: rows }));
+    if let Some(mut scan) = navigation {
+        scan.output = needed_output(leaves.len());
+        leaves.push(PhysicalPlan::NavScan(scan));
     }
 
     // Greedy stats-driven join order: smallest estimated leaf first, then the

@@ -15,45 +15,52 @@
 //! **relational**, only a navigation scan is **xml**, both is **mixed**. The
 //! decision keeps that tree ([`RoutingDecision::tree`]), the one the
 //! executor runs: it names the query's terms by position, so it serves
-//! every query of the priced query's shape.
+//! every query of the priced query's shape. [`route_forced`] keeps the tree
+//! of a requested route instead.
 //! The decision is **advisory by construction**: every route returns
 //! byte-identical rows (property-tested in `mars-storage`'s router and in
 //! `tests/property_based.rs`), so a bad estimate costs time, never
 //! correctness. Decisions render stably and are golden-snapshotted under
 //! `tests/golden/routes/`.
 
-use crate::physical::{physical_plan, PhysicalPlan};
+use crate::physical::{physical_plan, NavScan, PhysicalPlan};
 use crate::stats::StatisticsCatalog;
 use mars_cq::{Atom, ConjunctiveQuery, Constant, NavBase, Term, Variable};
 use std::fmt;
 use std::sync::Arc;
 
-/// The statistics the XML side of the router reads: per-document counters a
-/// document store maintains (implemented by `mars_storage::XmlStore`, which
-/// serves every one in O(1) from its resident per-document index — the
-/// planner reads them on the request path). All counts refer to the *GReX
-/// encoding* of the document, so they price exactly the tuples native
+/// The navigation counters of one stored document. Every count refers to
+/// the document's *GReX encoding*, so it prices exactly the tuples native
 /// navigation enumerates.
-pub trait NavigationStatistics {
-    /// Whether `document` is stored (navigation atoms over absent documents
-    /// make a route infeasible).
-    fn has_document(&self, document: &str) -> bool;
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct NavStats {
     /// Element nodes (the `el#d` cardinality).
-    fn element_count(&self, document: &str) -> usize;
+    pub elements: usize,
     /// Descendant-or-self pairs (the `desc#d` cardinality; reflexive).
-    fn descendant_pairs(&self, document: &str) -> usize;
+    pub descendant_pairs: usize,
+    /// Elements with non-empty direct text (the `text#d` cardinality).
+    pub texts: usize,
+    /// Distinct direct-text values (`texts / distinct_texts` is the expected
+    /// bucket of a value probe whose value is a bound variable).
+    pub distinct_texts: usize,
+    /// Attribute entries across all elements (the `attr#d` cardinality).
+    pub attributes: usize,
+}
+
+/// The statistics the XML side of the router reads (implemented by
+/// `mars_storage::XmlStore`, which serves each in O(1) from its resident
+/// per-document index — the planner reads them on the request path): one
+/// [`NavStats`] record per document, and the two bucket probes a constant
+/// `tag` or `text` argument is priced by.
+pub trait NavigationStatistics {
+    /// The counters of `document`; `None` when it is not stored (navigation
+    /// atoms over an absent document make a route infeasible).
+    fn stats(&self, document: &str) -> Option<NavStats>;
     /// Elements with tag `tag` (the exact bucket of `tag#d(n, 'tag')`).
     fn tag_count(&self, document: &str, tag: Constant) -> usize;
-    /// Elements with non-empty direct text (the `text#d` cardinality).
-    fn text_count(&self, document: &str) -> usize;
     /// Elements whose direct text is `value` (the exact bucket of
     /// `text#d(n, 'value')`).
     fn text_value_count(&self, document: &str, value: Constant) -> usize;
-    /// Distinct direct-text values (`text_count / distinct_text_values` is
-    /// the expected bucket of a value probe whose value is a bound variable).
-    fn distinct_text_values(&self, document: &str) -> usize;
-    /// Attribute entries across all elements (the `attr#d` cardinality).
-    fn attr_count(&self, document: &str) -> usize;
 }
 
 /// Which stores serve a plan's leaves.
@@ -101,19 +108,6 @@ pub struct RouteCosts {
     pub mixed: Option<f64>,
 }
 
-/// The order native navigation runs a conjunction of navigation atoms in,
-/// and what that order is estimated to cost (see [`plan_navigation`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct NavOrder {
-    /// Indices into the planned atom slice, in execution order.
-    pub order: Vec<usize>,
-    /// Rows touched across the evaluation — the unit
-    /// `RoutedExecution::nav_tuples` reports the actual in.
-    pub cost: f64,
-    /// Estimated bindings surviving all atoms.
-    pub rows: f64,
-}
-
 /// A priced routing decision for one query.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RoutingDecision {
@@ -155,26 +149,12 @@ impl fmt::Display for RoutingDecision {
     }
 }
 
-/// Per-document counters the planner reads once per plan.
-struct DocStats {
-    document: &'static str,
-    /// Elements.
-    n: f64,
-    /// Descendant-or-self pairs.
-    d: f64,
-    /// Elements with text.
-    x: f64,
-    /// Attribute entries.
-    a: f64,
-    /// Expected bucket of a text probe by a bound (non-constant) value.
-    probe: f64,
-}
-
 /// A navigation atom prepared for ordering: variables numbered densely, the
 /// exact index bucket of a constant `tag`/`text` argument looked up once.
 struct PlannedAtom {
     base: NavBase,
-    stats: usize,
+    /// Index of the atom's document in the planner's statistics.
+    doc: usize,
     /// Dense variable number per argument; `None` for a constant.
     vars: [Option<usize>; 3],
     bucket: Option<f64>,
@@ -186,8 +166,8 @@ struct PlannedAtom {
 ///
 /// The model is deliberately coarse — routing is advisory, so the estimates
 /// only need to *rank* atoms and backends sensibly, never to be exact.
-fn expansion(atom: &PlannedAtom, s: &DocStats, is_bound: [bool; 3], from_root: bool) -> f64 {
-    let (n, d) = (s.n, s.d);
+fn expansion(atom: &PlannedAtom, s: &NavStats, is_bound: [bool; 3], from_root: bool) -> f64 {
+    let (n, d, x) = (s.elements.max(1) as f64, s.descendant_pairs.max(1) as f64, s.texts as f64);
     match (atom.base, is_bound[0], is_bound[1]) {
         (NavBase::Root, false, _) => 1.0,
         // Of the (ancestor, node) pairs, those whose ancestor is the root.
@@ -209,60 +189,46 @@ fn expansion(atom: &PlannedAtom, s: &DocStats, is_bound: [bool; 3], from_root: b
         // exactly one tag, so the check keeps a t/n fraction.
         (NavBase::Tag, true, _) => atom.bucket.map_or(1.0, |t| (t / n).min(1.0)),
         (NavBase::Tag, false, _) => atom.bucket.unwrap_or(n),
-        (NavBase::Text, true, _) => (atom.bucket.unwrap_or(s.x) / n).min(1.0),
+        (NavBase::Text, true, _) => (atom.bucket.unwrap_or(x) / n).min(1.0),
         // A value probe: the exact bucket of a constant, the average bucket
         // of a bound variable, every text otherwise.
-        (NavBase::Text, false, true) => atom.bucket.unwrap_or(s.probe),
-        (NavBase::Text, false, false) => s.x,
-        (NavBase::Attr, true, _) => s.a / n,
-        (NavBase::Attr, false, _) => s.a,
+        (NavBase::Text, false, true) => atom.bucket.unwrap_or(x / s.distinct_texts.max(1) as f64),
+        (NavBase::Text, false, false) => x,
+        (NavBase::Attr, true, _) => s.attributes as f64 / n,
+        (NavBase::Attr, false, _) => s.attributes as f64,
     }
 }
 
-/// Order `atoms` for native navigation and price that order: repeatedly run
-/// the remaining atom with the smallest *estimated output cardinality given
-/// what is bound* (constants count as bound; ties on body position),
+/// Order the atoms of `atoms` that navigate a document `nav` stores for
+/// native navigation, skipping the others, and price that order: repeatedly
+/// run the remaining atom with the smallest *estimated output cardinality
+/// given what is bound* (constants count as bound; ties on body position),
 /// charging each atom its estimated enumeration volume per surviving
 /// binding. A constant-valued `text` or `tag` probe is therefore a seed like
-/// `root`, not a filter waiting for a document scan to reach it.
+/// `root`, not a filter waiting for a document scan to reach it. Returns
+/// the navigation leaf of that order, its `output` left to the planner.
 ///
-/// This is the one orderer of native navigation: [`physical_plan`] runs the
-/// same pass over a whole body and stores the navigation atoms in its
-/// `NavScan` leaf in this order, [`route_query`] prices that leaf, and
-/// `mars_storage` compiles the atoms in exactly that order into the
-/// navigation kernel, so the estimate prices the plan that runs by
-/// construction. Returns `None` when any atom is not a navigation atom over a
-/// stored document.
-pub fn plan_navigation(atoms: &[Atom], nav: &dyn NavigationStatistics) -> Option<NavOrder> {
-    let planned = plan_native(atoms, nav);
-    (planned.order.len() == atoms.len()).then_some(planned)
-}
-
-/// [`plan_navigation`] over the atoms of `atoms` that navigate a document
-/// `nav` stores, skipping the others: `order` holds their indices into
-/// `atoms`.
-pub(crate) fn plan_native(atoms: &[Atom], nav: &dyn NavigationStatistics) -> NavOrder {
+/// This is the one orderer of native navigation: [`physical_plan`] stores
+/// the navigation atoms in its `NavScan` leaf in this order, [`route_query`]
+/// prices that leaf, and `mars_storage` compiles the atoms in exactly that
+/// order into the navigation kernel, so the estimate prices the plan that
+/// runs by construction.
+pub(crate) fn plan_native(atoms: &[Atom], nav: &dyn NavigationStatistics) -> NavScan {
     let mut native = Vec::new();
-    let mut docs: Vec<DocStats> = Vec::new();
+    let mut docs: Vec<(&str, NavStats)> = Vec::new();
     let mut variables: Vec<Variable> = Vec::new();
     let mut planned: Vec<PlannedAtom> = Vec::with_capacity(atoms.len());
     for (i, atom) in atoms.iter().enumerate() {
         let Some((base, document)) = atom.navigation() else { continue };
-        let stats = match docs.iter().position(|s| s.document == document) {
+        let doc = match docs.iter().position(|(d, _)| *d == document) {
             Some(i) => i,
-            None if !nav.has_document(document) => continue,
-            None => {
-                let x = nav.text_count(document) as f64;
-                docs.push(DocStats {
-                    document,
-                    n: nav.element_count(document).max(1) as f64,
-                    d: nav.descendant_pairs(document).max(1) as f64,
-                    x,
-                    a: nav.attr_count(document) as f64,
-                    probe: x / nav.distinct_text_values(document).max(1) as f64,
-                });
-                docs.len() - 1
-            }
+            None => match nav.stats(document) {
+                Some(stats) => {
+                    docs.push((document, stats));
+                    docs.len() - 1
+                }
+                None => continue,
+            },
         };
         let mut vars = [None; 3];
         for (k, t) in atom.args.iter().enumerate() {
@@ -281,7 +247,7 @@ pub(crate) fn plan_native(atoms: &[Atom], nav: &dyn NavigationStatistics) -> Nav
             _ => None,
         };
         native.push(i);
-        planned.push(PlannedAtom { base, stats, vars, bucket });
+        planned.push(PlannedAtom { base, doc, vars, bucket });
     }
 
     let mut bound = vec![false; variables.len()];
@@ -295,7 +261,7 @@ pub(crate) fn plan_native(atoms: &[Atom], nav: &dyn NavigationStatistics) -> Nav
             let atom = &planned[i];
             let is_bound = atom.vars.map(|v| v.is_none_or(|v| bound[v]));
             let from_root = atom.vars[0].is_some_and(|v| is_root[v]);
-            let e = expansion(atom, &docs[atom.stats], is_bound, from_root);
+            let e = expansion(atom, &docs[atom.doc].1, is_bound, from_root);
             // `remaining` ascends, so a strict improvement keeps ties on
             // body position.
             if e < best.1 {
@@ -311,7 +277,7 @@ pub(crate) fn plan_native(atoms: &[Atom], nav: &dyn NavigationStatistics) -> Nav
             is_root[v] |= planned[i].base == NavBase::Root;
         }
     }
-    NavOrder { order, cost, rows }
+    NavScan { atoms: order, output: Vec::new(), cost, est_rows: rows }
 }
 
 /// Price `q` as two trees and choose the cheaper: every atom a table scan
@@ -324,6 +290,33 @@ pub fn route_query(
     q: &ConjunctiveQuery,
     rel: &dyn StatisticsCatalog,
     nav: &dyn NavigationStatistics,
+) -> RoutingDecision {
+    price(q, rel, nav, None)
+}
+
+/// [`route_query`] with the route forced: the same costs, and the tree the
+/// pricer built for `route` — every atom a table scan for relational, the
+/// native tree for xml and mixed alike — with the route its leaves
+/// describe: mixed when relational atoms remain, relational when nothing
+/// navigates a stored document. So an ablation runs the tree it names and
+/// records the route it ran.
+pub fn route_forced(
+    q: &ConjunctiveQuery,
+    rel: &dyn StatisticsCatalog,
+    nav: &dyn NavigationStatistics,
+    route: Route,
+) -> RoutingDecision {
+    price(q, rel, nav, Some(route))
+}
+
+/// The one pricer: build and price `q`'s two trees, then keep the native
+/// one when `forced` asks for a navigating route, or, unforced, when it is
+/// strictly cheaper.
+fn price(
+    q: &ConjunctiveQuery,
+    rel: &dyn StatisticsCatalog,
+    nav: &dyn NavigationStatistics,
+    forced: Option<Route>,
 ) -> RoutingDecision {
     let mut decision = RoutingDecision {
         route: Route::Relational,
@@ -349,7 +342,11 @@ pub fn route_query(
     let (route, cost) = (Route::of(&native), native.estimated_cost());
     *if route == Route::Xml { &mut decision.costs.xml } else { &mut decision.costs.mixed } =
         Some(cost);
-    let chosen = if cost < decision.costs.relational {
+    let navigate = match forced {
+        Some(forced) => forced != Route::Relational,
+        None => cost < decision.costs.relational,
+    };
+    let chosen = if navigate {
         decision.route = route;
         native
     } else {
@@ -382,29 +379,20 @@ mod tests {
     }
 
     impl NavigationStatistics for FixedNav {
-        fn has_document(&self, document: &str) -> bool {
-            document == "d.xml"
-        }
-        fn element_count(&self, _d: &str) -> usize {
-            self.elements
-        }
-        fn descendant_pairs(&self, _d: &str) -> usize {
-            self.pairs
+        fn stats(&self, document: &str) -> Option<NavStats> {
+            (document == "d.xml").then_some(NavStats {
+                elements: self.elements,
+                descendant_pairs: self.pairs,
+                texts: self.elements / 2,
+                distinct_texts: self.elements / 4,
+                attributes: 0,
+            })
         }
         fn tag_count(&self, _d: &str, _t: Constant) -> usize {
             self.elements / 4
         }
-        fn text_count(&self, _d: &str) -> usize {
-            self.elements / 2
-        }
         fn text_value_count(&self, _d: &str, v: Constant) -> usize {
             usize::from(v != Constant::str("never-seen"))
-        }
-        fn distinct_text_values(&self, _d: &str) -> usize {
-            self.elements / 4
-        }
-        fn attr_count(&self, _d: &str) -> usize {
-            0
         }
     }
 
@@ -492,18 +480,18 @@ mod tests {
         };
         let small = FixedNav { elements: 100, pairs: 500 };
         let large = FixedNav { elements: 10_000, pairs: 50_000 };
-        let plan = plan_navigation(&lookup("present"), &large).unwrap();
+        let plan = plan_native(&lookup("present"), &large);
         // The two one-row seeds, then up from the key; `desc` ends as a check.
-        assert_eq!(plan.order, [0, 4, 3, 2, 1]);
-        assert_eq!(plan.cost, plan_navigation(&lookup("present"), &small).unwrap().cost);
+        assert_eq!(plan.atoms, [0, 4, 3, 2, 1]);
+        assert_eq!(plan.cost, plan_native(&lookup("present"), &small).cost);
 
-        let miss = plan_navigation(&lookup("never-seen"), &large).unwrap();
-        assert_eq!((miss.order[0], miss.cost, miss.rows), (4, 1.0, 0.0), "nothing can match");
+        let miss = plan_native(&lookup("never-seen"), &large);
+        assert_eq!((miss.atoms[0], miss.cost, miss.est_rows), (4, 1.0, 0.0), "nothing can match");
 
         // Without the constant the smallest seed is the tag bucket.
         let mut scan = lookup("present");
         scan[4] = nav_atom("text", vec![Term::var("k"), Term::var("v")]);
-        assert_eq!(plan_navigation(&scan, &large).unwrap().order, [0, 2, 3, 4, 1]);
+        assert_eq!(plan_native(&scan, &large).atoms, [0, 2, 3, 4, 1]);
     }
 
     /// A small materialized view beats navigating a large document.

@@ -16,7 +16,7 @@
 //! ([`QueryShape::canonical`]): its queries name variables `v0, v1, …` and
 //! hold parameters ([`Constant::Param`]) where a request holds its
 //! constants, so one entry serves every request of its shape and nothing is
-//! renamed. A hit **instantiates** the entry ([`instantiate`]): the queries
+//! renamed. A hit **instantiates** the entry (`instantiate`): the queries
 //! a request runs, the initial and the best reformulation, get parameter
 //! `i` replaced by the request's `i`-th constant; the compiled query, the
 //! universal plan, the minimal reformulations and the statistics are the
@@ -198,8 +198,8 @@ mod tests {
     use mars_cq::Atom;
     use std::time::Duration;
 
-    fn shape<'q>(key: &str, vars: &[&'q str], consts: &[&'q str]) -> QueryShape<'q> {
-        QueryShape { key: key.to_string(), constants: consts.to_vec(), variables: vars.to_vec() }
+    fn shape<'q>(key: &str, consts: &[&'q str]) -> QueryShape<'q> {
+        QueryShape { key: key.to_string(), constants: consts.to_vec() }
     }
 
     /// Parameter `i` of a canonical block.
@@ -240,7 +240,7 @@ mod tests {
     #[test]
     fn stats_count_hits_misses_and_invalidations() {
         let cache = PlanCache::new();
-        let s = shape("k", &["x"], &["a", "b"]);
+        let s = shape("k", &["a", "b"]);
         assert!(cache.lookup(&s).is_none());
         cache.insert(s.clone(), canonical());
         assert!(cache.lookup(&s).is_some());
@@ -256,7 +256,7 @@ mod tests {
     #[test]
     fn first_writer_wins_on_duplicate_insert() {
         let cache = PlanCache::new();
-        let s = shape("k", &["x"], &["a", "b"]);
+        let s = shape("k", &["a", "b"]);
         cache.insert(s.clone(), canonical());
         cache.insert(s.clone(), literal("other", "values"));
         let hit = cache.lookup(&s).unwrap();
@@ -270,8 +270,8 @@ mod tests {
     #[test]
     fn instantiation_is_simultaneous() {
         let cache = PlanCache::new();
-        cache.insert(shape("k", &["x"], &["a", "b"]), canonical());
-        let swapped = cache.lookup(&shape("k", &["x"], &["b", "a"])).unwrap();
+        cache.insert(shape("k", &["a", "b"]), canonical());
+        let swapped = cache.lookup(&shape("k", &["b", "a"])).unwrap();
         let (best, _) = swapped.result.best.as_ref().unwrap();
         let (a, b) = (Term::constant_str("a"), Term::constant_str("b"));
         assert_eq!(*best.body[0].args, [Term::var("x"), b, a]);
@@ -288,9 +288,9 @@ mod tests {
     #[test]
     fn hits_share_their_entry_statistics() {
         let cache = PlanCache::new();
-        cache.insert(shape("k", &["x"], &["a", "b"]), canonical());
-        let first = cache.lookup(&shape("k", &["y"], &["c", "d"])).unwrap();
-        let second = cache.lookup(&shape("k", &["z"], &["e", "f"])).unwrap();
+        cache.insert(shape("k", &["a", "b"]), canonical());
+        let first = cache.lookup(&shape("k", &["c", "d"])).unwrap();
+        let second = cache.lookup(&shape("k", &["e", "f"])).unwrap();
         let (a, b) = (&first.result, &second.result);
         assert!(Arc::ptr_eq(&a.stats, &b.stats));
         assert!(Arc::ptr_eq(&first.compiled, &second.compiled));
@@ -304,7 +304,7 @@ mod tests {
     #[test]
     fn a_poisoned_lock_is_recovered() {
         let cache = PlanCache::new();
-        let s = shape("k", &["x"], &["a", "b"]);
+        let s = shape("k", &["a", "b"]);
         cache.insert(s.clone(), canonical());
         let panicked = std::thread::scope(|scope| {
             scope
@@ -318,7 +318,7 @@ mod tests {
 
         assert_eq!(cache.stats().entries, 1);
         assert!(cache.lookup(&s).is_some());
-        cache.insert(shape("other", &["x"], &["a", "b"]), canonical());
+        cache.insert(shape("other", &["a", "b"]), canonical());
         assert_eq!(cache.stats().entries, 2);
         cache.clear();
         assert_eq!(cache.stats().entries, 0);
@@ -332,7 +332,7 @@ mod tests {
         const THREADS: usize = 4;
         const LOOKUPS: usize = 50;
         let cache = PlanCache::new();
-        cache.insert(shape("k", &["x"], &["a", "b"]), canonical());
+        cache.insert(shape("k", &["a", "b"]), canonical());
         let start = std::sync::Barrier::new(THREADS);
         std::thread::scope(|scope| {
             for thread in 0..THREADS {
@@ -341,7 +341,7 @@ mod tests {
                     start.wait();
                     for i in 0..LOOKUPS {
                         let (c0, c1) = (format!("t{thread}_{i}"), format!("u{thread}"));
-                        let hit = cache.lookup(&shape("k", &["x"], &[&c0, &c1])).unwrap();
+                        let hit = cache.lookup(&shape("k", &[&c0, &c1])).unwrap();
                         assert_eq!(hit.sql(), literal(&c0, &c1).sql());
                         let (best, _) = hit.result.best.as_ref().unwrap();
                         assert_eq!(
@@ -360,9 +360,9 @@ mod tests {
     #[test]
     fn arity_mismatch_is_treated_as_a_miss() {
         let cache = PlanCache::new();
-        cache.insert(shape("k", &["x"], &["a", "b"]), canonical());
+        cache.insert(shape("k", &["a", "b"]), canonical());
         assert!(
-            cache.lookup(&shape("k", &["x"], &["a"])).is_none(),
+            cache.lookup(&shape("k", &["a"])).is_none(),
             "an entry whose parameters the request cannot bind is never instantiated"
         );
     }

@@ -30,6 +30,13 @@ pub enum MarsError {
         /// Name of the offending block.
         block: String,
     },
+    /// The request block holds a parameter (`XBindTerm::Param`), a term only
+    /// a shape's canonical block may hold: the service would bind it to one
+    /// of the request's own constants.
+    ParameterInRequest {
+        /// Name of the offending block.
+        block: String,
+    },
     /// No reformulation over the proprietary schema exists for the block.
     NoReformulation {
         /// Name of the offending block.
@@ -67,6 +74,9 @@ impl fmt::Display for MarsError {
             }
             MarsError::UnsafeBlock { block } => {
                 write!(f, "query block '{block}' is unsafe (head variable unbound in the body)")
+            }
+            MarsError::ParameterInRequest { block } => {
+                write!(f, "query block '{block}' holds a parameter; only constants may be sent")
             }
             MarsError::NoReformulation { block } => {
                 write!(f, "no proprietary-schema reformulation exists for block '{block}'")

@@ -223,18 +223,22 @@ impl MarsService {
         self.serve(xbind, &self.default_budget, Some((db, xml)))
     }
 
-    /// The one request body — the full degradation ladder: admission (shed
-    /// on overload), panic isolation, cache lookup, budgeted anytime
-    /// reformulation on a miss, and the never-cache-degraded rule. With
-    /// `stores`, a block that carries no route yet (a cold result, or a hit
-    /// cached unrouted) is priced against them before it is cached or
-    /// returned.
+    /// The one request body — the full degradation ladder: a request
+    /// holding a parameter rejected, admission (shed on overload), panic
+    /// isolation, cache lookup, budgeted anytime reformulation on a miss,
+    /// and the never-cache-degraded rule. With `stores`, a block that
+    /// carries no route yet (a cold result, or a hit cached unrouted) is
+    /// priced against them before it is cached or returned.
     fn serve(
         &self,
         xbind: &XBindQuery,
         budget: &ReformulationBudget,
         stores: Option<(&RelationalDatabase, &XmlStore)>,
     ) -> Result<BlockReformulation, MarsError> {
+        // A request's parameter would be taken for the canonical block's own.
+        if xbind.has_param() {
+            return Err(MarsError::ParameterInRequest { block: xbind.name.clone() });
+        }
         let start = Instant::now();
         let _permit = self.admit()?;
         let routed = |mut block: BlockReformulation| {
@@ -435,6 +439,22 @@ mod tests {
         let best = warm.result.best_or_initial().unwrap();
         let terms = best.body.iter().flat_map(|a| a.args.iter());
         assert!(!terms.into_iter().any(|t| matches!(t, Term::Const(Constant::Param(_)))));
+    }
+
+    /// A request holding a parameter next to a free constant would have it
+    /// taken for the canonical block's own parameter 0 and bound to the
+    /// request's first constant: it is a typed error, before the shape is
+    /// taken, so nothing is cached and no outcome is counted.
+    #[test]
+    fn a_request_holding_a_parameter_is_rejected() {
+        let service = MarsService::new(Mars::new(correspondence()));
+        let request = title_filter("First Title")
+            .with_atom(XBindAtom::Eq(XBindTerm::var("a"), XBindTerm::Param(0)));
+        let err = service.reformulate_xbind(&request).unwrap_err();
+        assert_eq!(err, MarsError::ParameterInRequest { block: "Client".to_string() });
+        assert_eq!(service.cache_stats().entries, 0);
+        assert_eq!((service.cache_stats().hits, service.cache_stats().misses), (0, 0));
+        assert_eq!(service.service_stats(), ServiceStats::default());
     }
 
     /// A hit reports the time the request spent producing it, not the

@@ -7,10 +7,11 @@
 //! ([`mars_grex::node_constant`], the identity the encoded facts use), tag term and
 //! pre-interned direct text; the preorder numbering that turns descendant
 //! enumeration into a slice and ancestry into two comparisons; and Fx-hashed
-//! value indexes by tag, by text and by (tag, text). The same pass counts the
-//! document's navigation statistics, so the planner reads them in O(1).
+//! value indexes by tag, by text and by (tag, text). The same pass fills the
+//! document's [`NavStats`] record, so the planner reads it in O(1).
 
 use crate::executor::Fx;
+use mars_cost::NavStats;
 use mars_cq::Term;
 use mars_grex::node_constant;
 use mars_xml::{Children, Document, NodeId};
@@ -53,9 +54,8 @@ pub(crate) struct DocIndex {
     /// Pre-interned (name, value) attribute entries of the elements that
     /// have any.
     attributes: HashMap<NodeId, Vec<(Term, Term)>, Fx>,
-    descendant_pairs: usize,
-    text_count: usize,
-    attr_count: usize,
+    /// The counters of the document's GReX encoding.
+    stats: NavStats,
 }
 
 impl DocIndex {
@@ -74,9 +74,7 @@ impl DocIndex {
             by_text: HashMap::default(),
             by_tag_text: HashMap::default(),
             attributes: HashMap::default(),
-            descendant_pairs: 0,
-            text_count: 0,
-            attr_count: 0,
+            stats: NavStats::default(),
         };
         // Preorder walk with one child cursor per open element; an element is
         // closed (its subtree end fixed) when its cursor runs out.
@@ -93,9 +91,11 @@ impl DocIndex {
             }
             let end = index.preorder.len() as u32;
             index.subtree_end[id.index()] = end;
-            index.descendant_pairs += (end - index.rank[id.index()]) as usize;
+            index.stats.descendant_pairs += (end - index.rank[id.index()]) as usize;
             open.pop();
         }
+        index.stats.elements = index.preorder.len();
+        index.stats.distinct_texts = index.by_text.len();
         index
     }
 
@@ -114,13 +114,13 @@ impl DocIndex {
             let entries = node.attributes.iter();
             let entries = entries.map(|(n, v)| (Term::constant_str(n), Term::constant_str(v)));
             self.attributes.insert(id, entries.collect());
-            self.attr_count += node.attributes.len();
+            self.stats.attributes += node.attributes.len();
         }
         let text = doc.text_of(id);
         if !text.is_empty() {
             let value = Term::constant_str(&text);
             self.text_term[slot] = Some(value);
-            self.text_count += 1;
+            self.stats.texts += 1;
             self.by_text.entry(value).or_default().push(id);
             self.by_tag_text.entry((tag, value)).or_default().push(id);
         }
@@ -192,23 +192,8 @@ impl DocIndex {
         self.by_tag_text.get(&(tag, value)).map(Vec::as_slice).unwrap_or_default()
     }
 
-    /// Descendant-or-self pairs (the `desc#d` cardinality).
-    pub(crate) fn descendant_pairs(&self) -> usize {
-        self.descendant_pairs
-    }
-
-    /// Elements with non-empty direct text (the `text#d` cardinality).
-    pub(crate) fn text_count(&self) -> usize {
-        self.text_count
-    }
-
-    /// Distinct direct-text values.
-    pub(crate) fn distinct_text_values(&self) -> usize {
-        self.by_text.len()
-    }
-
-    /// Attribute entries (the `attr#d` cardinality).
-    pub(crate) fn attr_count(&self) -> usize {
-        self.attr_count
+    /// The document's navigation statistics.
+    pub(crate) fn stats(&self) -> NavStats {
+        self.stats
     }
 }

@@ -2,8 +2,8 @@
 //! compiled once into typed steps and run over a flat slot batch.
 //!
 //! `NavPlan::compile` takes a `NavScan` leaf's atoms (body indices of the
-//! query being run) in the order
-//! [`mars_cost::plan_navigation`] chose for them — the order the leaf's
+//! query being run) in the order the planner
+//! ([`mars_cost::physical_plan`]) chose for them — the order the leaf's
 //! estimate prices — and resolves every atom's access path at compile time
 //! from what is bound when it runs:
 //!

@@ -27,19 +27,18 @@
 //! once per shape from the statistics of the request that missed. Every route
 //! runs through the one executor ([`crate::executor`]), so every route ends in
 //! the same residual inequality filter, head projection (unsafe head
-//! variables evaluate to themselves) and ascending
-//! [`BTreeSet`](std::collections::BTreeSet) deduplication — the routing
-//! decision is advisory, the row set is invariant (property-tested in
-//! `tests/property_based.rs` and gated in CI), which is also why a tree
-//! frozen at older statistics stays correct.
+//! variables evaluate to themselves) and deduplication, which sorts the
+//! result's row indices by the rows they name and drops adjacent repeats —
+//! the routing decision is advisory, the row set is invariant
+//! (property-tested in `tests/property_based.rs` and gated in CI), which is
+//! also why a tree frozen at older statistics stays correct.
 
 use crate::executor::execute_plan;
 use crate::relational::{RelationalDatabase, Row};
 use crate::xml_engine::{XmlStore, XmlStoreError};
-use mars_cost::{physical_plan, route_query, NavigationStatistics, PhysicalPlan};
+use mars_cost::{route_forced, route_query, PhysicalPlan};
 pub use mars_cost::{Route, RouteCosts, RoutingDecision};
 use mars_cq::{Atom, ConjunctiveQuery};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A query paired with its priced routing decision (see [`BackendRouter::plan`]).
@@ -102,16 +101,13 @@ impl<'a> BackendRouter<'a> {
         RoutedPlan { query: query.clone(), decision }
     }
 
-    /// Force a route: relational scans every atom; xml and mixed both mean
-    /// "navigate natively", and the decision keeps that tree and records the
-    /// route its leaves describe — mixed when relational atoms remain,
-    /// relational when nothing navigates a stored document — so ablation
-    /// results stay honest.
+    /// Force a route ([`mars_cost::route_forced`]): relational scans every
+    /// atom; xml and mixed both mean "navigate natively", and the decision
+    /// keeps that tree and records the route its leaves describe — mixed
+    /// when relational atoms remain, relational when nothing navigates a
+    /// stored document — so ablation results stay honest.
     pub fn plan_forced(&self, query: &ConjunctiveQuery, route: Route) -> RoutedPlan {
-        let mut decision = route_query(query, self.db, self.xml);
-        let tree = self.tree(query, route);
-        decision.route = tree.as_ref().map_or(Route::Relational, Route::of);
-        decision.tree = tree.map(Arc::new);
+        let decision = route_forced(query, self.db, self.xml, route);
         RoutedPlan { query: query.clone(), decision }
     }
 
@@ -142,16 +138,6 @@ impl<'a> BackendRouter<'a> {
         Ok(RoutedExecution { route, estimated_cost, nav_tuples, rows, duration: start.elapsed() })
     }
 
-    /// The tree `route` runs `q` as: every atom a table scan on the
-    /// relational route, the atoms over stored documents one navigation scan
-    /// on the others. `None` for a body-less query, which scans nothing and
-    /// is answered by [`RelationalDatabase::query`]. Only a forced plan is
-    /// built here; an automatic one keeps the tree [`route_query`] priced.
-    fn tree(&self, q: &ConjunctiveQuery, route: Route) -> Option<PhysicalPlan> {
-        let nav = (route != Route::Relational).then_some(self.xml as &dyn NavigationStatistics);
-        (!q.body.is_empty()).then(|| physical_plan(q, self.db, nav))
-    }
-
     /// Why `q`'s tree lacks the leaves its plan's route names: a
     /// navigation atom over a document the store does not hold, else an atom
     /// that is not navigation. `None` when neither exists, which leaves the
@@ -159,7 +145,7 @@ impl<'a> BackendRouter<'a> {
     /// error.
     fn off_route(&self, q: &ConjunctiveQuery) -> Option<XmlStoreError> {
         let document = |atom: &Atom| atom.navigation().map(|(_, document)| document);
-        match q.body.iter().filter_map(document).find(|d| !self.xml.has_document(d)) {
+        match q.body.iter().filter_map(document).find(|d| self.xml.document(d).is_none()) {
             Some(d) => Some(XmlStoreError::MissingDocument { document: d.to_string() }),
             None => (q.body.iter().find(|atom| document(atom).is_none()))
                 .map(|atom| XmlStoreError::NotNavigable { predicate: atom.predicate }),
@@ -382,6 +368,43 @@ mod tests {
             router.plan_forced(&nav_only, Route::Relational).decision.route,
             Route::Relational
         );
+    }
+
+    /// A forced decision keeps the tree the pricer built for its route: the
+    /// all-scans tree for relational, the native tree for xml and mixed.
+    /// Wherever the forced and the automatic route agree, the two decisions
+    /// hold the same tree and the same costs.
+    #[test]
+    fn forced_trees_are_the_priced_trees() {
+        let (mut db, xml) = stores();
+        db.insert_strs("origin", &["bolt", "de"]);
+        let (i, n, o) = (Term::var("i"), Term::var("n"), Term::var("o"));
+        let queries = [
+            vec![nav("el", vec![i])],
+            vec![nav("root", vec![i]), nav("desc", vec![i, n]), nav("text", vec![n, o])],
+            vec![nav("text", vec![i, n]), Atom::named("origin", vec![n, o])],
+            vec![Atom::named("origin", vec![n, o])],
+        ];
+        let router = BackendRouter::new(&db, &xml);
+        let mut agreed = Vec::new();
+        for body in queries {
+            let q = ConjunctiveQuery::new("Q").with_head(vec![n]).with_body(body);
+            let auto = router.plan(&q).decision;
+            for route in [Route::Relational, Route::Xml, Route::Mixed] {
+                let forced = router.plan_forced(&q, route).decision;
+                let nav = (route != Route::Relational).then_some(&xml as _);
+                let priced = mars_cost::physical_plan(&q, &db, nav);
+                assert_eq!(forced.tree.as_deref(), Some(&priced), "{q} forced {route}");
+                assert_eq!(forced.costs, auto.costs, "{q} forced {route}");
+                if forced.route == auto.route {
+                    assert_eq!(forced.tree, auto.tree, "{q} forced {route}");
+                    agreed.push(forced.route);
+                }
+            }
+        }
+        for route in [Route::Relational, Route::Xml, Route::Mixed] {
+            assert!(agreed.contains(&route), "forced and automatic agree on {route}");
+        }
     }
 
     /// A document that vanishes between planning and execution surfaces the

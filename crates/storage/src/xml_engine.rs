@@ -13,6 +13,7 @@
 //! from.
 
 use crate::doc_index::DocIndex;
+use mars_cost::NavStats;
 use mars_cq::{Constant, Predicate, Term};
 use mars_xml::{eval_path, Document, NodeId, PathValue};
 use mars_xquery::{XBindAtom, XBindQuery, XBindTerm};
@@ -120,11 +121,6 @@ impl XmlStore {
     pub(crate) fn indexed(&self, name: &str) -> Option<(&Document, &DocIndex)> {
         let stored = self.documents.get(name)?;
         Some((&stored.document, stored.index.get_or_init(|| DocIndex::new(&stored.document))))
-    }
-
-    /// A counter of `name`'s index; 0 for a document the store does not hold.
-    fn statistic(&self, name: &str, read: impl FnOnce(&DocIndex) -> usize) -> usize {
-        self.indexed(name).map_or(0, |(_, index)| read(index))
     }
 
     /// Names of all stored documents.
@@ -298,40 +294,21 @@ impl XmlStore {
 /// Navigation statistics over the stored documents — the XML-side counters
 /// the backend router prices native navigation with (the relational side
 /// reads the exact [`StatisticsCatalog`](mars_cost::StatisticsCatalog)
-/// counters instead). Every one is an O(1) read of the document's resident
-/// [index](crate::doc_index), which counted them while it was built: the planner reads
-/// them on the request path.
+/// counters instead). Each is an O(1) read of the document's resident
+/// [index](crate::doc_index), which counted them while it was built: the
+/// planner reads them on the request path. A document the store does not
+/// hold has no record and empty buckets.
 impl mars_cost::NavigationStatistics for XmlStore {
-    fn has_document(&self, document: &str) -> bool {
-        self.documents.contains_key(document)
-    }
-
-    fn element_count(&self, document: &str) -> usize {
-        self.statistic(document, |i| i.elements().len())
-    }
-
-    fn descendant_pairs(&self, document: &str) -> usize {
-        self.statistic(document, DocIndex::descendant_pairs)
+    fn stats(&self, document: &str) -> Option<NavStats> {
+        self.indexed(document).map(|(_, index)| index.stats())
     }
 
     fn tag_count(&self, document: &str, tag: Constant) -> usize {
-        self.statistic(document, |i| i.with_tag(Term::Const(tag)).len())
-    }
-
-    fn text_count(&self, document: &str) -> usize {
-        self.statistic(document, DocIndex::text_count)
+        self.indexed(document).map_or(0, |(_, index)| index.with_tag(Term::Const(tag)).len())
     }
 
     fn text_value_count(&self, document: &str, value: Constant) -> usize {
-        self.statistic(document, |i| i.with_text(Term::Const(value)).len())
-    }
-
-    fn distinct_text_values(&self, document: &str) -> usize {
-        self.statistic(document, DocIndex::distinct_text_values)
-    }
-
-    fn attr_count(&self, document: &str) -> usize {
-        self.statistic(document, DocIndex::attr_count)
+        self.indexed(document).map_or(0, |(_, index)| index.with_text(Term::Const(value)).len())
     }
 }
 

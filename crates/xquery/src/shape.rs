@@ -30,10 +30,10 @@ use crate::xbind::{XBindAtom, XBindQuery, XBindTerm};
 use std::collections::HashSet;
 use std::fmt::{self, Write};
 
-/// The normal form of an [`XBindQuery`]: the cache key plus the concrete
-/// names abstracted out of it, in a deterministic order: the canonical
-/// block numbers them so, and a cache hit binds the constants by number.
-/// The names are borrowed from the query.
+/// The normal form of an [`XBindQuery`]: the cache key plus the constants
+/// abstracted out of it, in a deterministic order: the canonical block
+/// numbers them so, and a cache hit binds them by number. The constants are
+/// borrowed from the query.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QueryShape<'q> {
     /// The canonical rendering: block name, head, distinct flag and atoms
@@ -43,9 +43,6 @@ pub struct QueryShape<'q> {
     /// The distinct non-reserved constant values, in parameter order
     /// (`constants[i]` is the value of `?i`).
     pub constants: Vec<&'q str>,
-    /// The original variable names, in alpha-renaming order
-    /// (`variables[i]` is the name `v{i}` stands for).
-    pub variables: Vec<&'q str>,
 }
 
 /// State threaded through the canonical rendering: the key written so far,
@@ -185,33 +182,32 @@ const KEY_BYTES_PER_ATOM: usize = 32;
 /// parameterized out. The walk order (head, then atoms in order) is the
 /// deterministic first-occurrence order both the variable alpha-renaming and
 /// the constant parameter numbering follow. The key is written in that one
-/// walk, into one buffer sized up front; the names are not copied.
+/// walk, into one buffer sized up front; the names are not copied, and the
+/// variables' numbering is dropped with the walk.
 pub fn shape_of<'q>(q: &'q XBindQuery, reserved: &HashSet<String>) -> QueryShape<'q> {
     let mut n = Normalizer {
         reserved,
         key: String::with_capacity(KEY_BYTES_PER_ATOM * (q.atoms.len() + 1)),
-        var_order: Vec::new(),
+        // A safe block binds each variable in an atom, so this rarely grows.
+        var_order: Vec::with_capacity(q.head.len() + q.atoms.len()),
         param_order: Vec::new(),
     };
     n.query(q).expect("writing to a String does not fail");
-    QueryShape { key: n.key, constants: n.param_order, variables: n.var_order }
+    QueryShape { key: n.key, constants: n.param_order }
 }
 
 impl QueryShape<'_> {
     /// The canonical block of `q`, the query this shape was taken from:
-    /// `q` with variable `variables[i]` renamed `v{i}` and constant
-    /// `constants[i]` replaced by [`XBindTerm::Param`] `i`. Reserved
-    /// constants stay literal, as they do in the key. Every query of the
-    /// shape has this one canonical block.
-    ///
-    /// # Panics
-    ///
-    /// When `q` names a variable the shape does not: `q` is not the query
-    /// the shape was taken from.
+    /// `q` with its `i`-th variable in first-occurrence order (head, then
+    /// atoms: the order the key numbers them in, [`XBindQuery::variables`])
+    /// renamed `v{i}` and constant `constants[i]` replaced by
+    /// [`XBindTerm::Param`] `i`. Reserved constants stay literal, as they do
+    /// in the key. Every query of the shape has this one canonical block.
     pub fn canonical(&self, q: &XBindQuery) -> XBindQuery {
+        let variables = q.variables();
         let var = |name: &mut String| {
-            let i = self.variables.iter().position(|v| v == name);
-            *name = format!("v{}", i.expect("the shape numbers every variable of its query"));
+            let i = variables.iter().position(|v| v == name);
+            *name = format!("v{}", i.expect("the query names each of its variables"));
         };
         let term = |t: &mut XBindTerm| match t {
             XBindTerm::Var(v) => var(v),
@@ -280,8 +276,8 @@ mod tests {
         let qb = filter_query("Q", "renamed", "k", "k2");
         let (a, b) = (shape_of(&qa, &reserved()), shape_of(&qb, &reserved()));
         assert_eq!(a.key, b.key, "alpha-renaming erases variable names");
-        assert_eq!(a.variables, vec!["x", "y"]);
-        assert_eq!(b.variables, vec!["renamed", "y"]);
+        assert_eq!(a.canonical(&qa).head, ["v0", "v1"]);
+        assert_eq!(a.canonical(&qa), b.canonical(&qb));
     }
 
     /// The same constant twice is an implicit equality join; two distinct

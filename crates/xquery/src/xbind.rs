@@ -19,7 +19,8 @@ pub enum XBindTerm {
     /// A string constant.
     Str(String),
     /// Parameter `i` of a canonical block ([`crate::QueryShape::canonical`]):
-    /// the place of the shape's `i`-th constant. Parsing never produces one.
+    /// the place of the shape's `i`-th constant. Parsing never produces one,
+    /// and a service rejects a request that holds one.
     Param(u32),
 }
 
@@ -205,6 +206,19 @@ impl XBindQuery {
     /// Is the query safe (every head variable bound by some atom)?
     pub fn is_safe(&self) -> bool {
         self.head.iter().all(|h| self.atoms.iter().any(|a| a.bound_vars().contains(&h.as_str())))
+    }
+
+    /// Does a term of the query stand for a parameter? Only a canonical
+    /// block ([`crate::QueryShape::canonical`]) holds one.
+    pub fn has_param(&self) -> bool {
+        let param = |t: &XBindTerm| matches!(t, XBindTerm::Param(_));
+        self.atoms.iter().any(|a| match a {
+            XBindAtom::Relational { args, .. } => args.iter().any(param),
+            XBindAtom::Eq(a, b) | XBindAtom::Neq(a, b) => param(a) || param(b),
+            XBindAtom::AbsolutePath { .. }
+            | XBindAtom::RelativePath { .. }
+            | XBindAtom::QueryRef { .. } => false,
+        })
     }
 
     /// Number of navigation atoms.

@@ -1093,9 +1093,9 @@ proptest! {
     /// The order navigation atoms are written in is cost only: any
     /// permutation of a navigation body — scan or key lookup — returns the
     /// rows the relational oracle returns for the original, and the estimate
-    /// the execution reports is the cost `plan_navigation` gives the order
-    /// the kernel ran (the kernel compiles that order, the router prices
-    /// it).
+    /// the execution reports is the cost of the navigation leaf the planner
+    /// builds for the permuted body, which holds every atom (the kernel
+    /// compiles that leaf's order, the router prices it).
     #[test]
     fn permuted_navigation_bodies_return_identical_rows(
         idx in 0usize..12,
@@ -1104,7 +1104,7 @@ proptest! {
         lookup in proptest::bool::ANY,
         shuffle in 0u64..1_000_000,
     ) {
-        use mars_system::cost::plan_navigation;
+        use mars_system::cost::physical_plan;
         use mars_system::storage::{BackendRouter, Route};
 
         let scenario = &matrix_reformulations()[idx].0;
@@ -1125,8 +1125,10 @@ proptest! {
         let exec = router.execute(&router.plan_forced(&permuted, Route::Xml)).unwrap();
         prop_assert_eq!(exec.route, Route::Xml);
         prop_assert_eq!(&exec.rows, &reference, "{}: permuted body {}", scenario.name(), permuted);
-        let order = plan_navigation(&permuted.body, &xml).expect("pure navigation");
-        prop_assert_eq!(exec.estimated_cost, order.cost);
+        let tree = physical_plan(&permuted, &db, Some(&xml));
+        let scan = tree.nav_scan().expect("pure navigation");
+        prop_assert_eq!(scan.atoms.len(), permuted.body.len());
+        prop_assert_eq!(exec.estimated_cost, scan.cost);
     }
 }
 
