@@ -38,8 +38,9 @@
 //!   itself: a literal constant, or the variable for an unsafe head variable
 //!   — matching the naive evaluator);
 //! * `Distinct`, the plan's root, is `execute_plan` itself: it sorts the
-//!   root batch's row indices by the rows' slice order, drops adjacent
-//!   duplicates and allocates each surviving [`Row`] once, so rows come out
+//!   root batch's row indices by the rows' slice order (comparing a `u64`
+//!   that orders each row's first term before the rows themselves), drops
+//!   adjacent duplicates and allocates each surviving [`Row`] once, so rows come out
 //!   deduplicated in **ascending [`Row`] order** — the deterministic output
 //!   order `RelationalDatabase::query` guarantees for both the physical and
 //!   the naive evaluator.
@@ -53,7 +54,7 @@ use crate::relational::Row;
 use crate::xml_engine::{XmlStore, XmlStoreError};
 use mars_chase::SymbolicInstance;
 use mars_cost::{BuildSide, Operand, PhysicalPlan};
-use mars_cq::{Args, ConjunctiveQuery, Term};
+use mars_cq::{Args, ConjunctiveQuery, Constant, Term};
 use std::hash::{BuildHasher, Hash, Hasher};
 
 /// The workspace's Fx-style hasher (`mars_cq::fx`): join keys are one or two
@@ -103,18 +104,34 @@ pub(crate) fn execute_plan(
 
 /// The distinct rows of `batch` in ascending [`Row`] order: its row indices
 /// sorted by the rows they name, adjacent duplicates dropped, each surviving
-/// row copied out once. A batch of width 0 and any length above 0 yields one
-/// empty row.
+/// row copied out once. Each index carries its row's first term as an
+/// [`order_key`], compared first, so rows whose first terms differ (most, in
+/// a keyed answer) are ordered without reading them. A batch of width 0 and
+/// any length above 0 yields one empty row.
 fn distinct(batch: &Batch) -> Vec<Row> {
-    let row = |i: &u32| batch.row(*i as usize);
-    let mut order: Vec<u32> = (0..row_index(batch.len)).collect();
-    order.sort_unstable_by(|a, b| row(a).cmp(row(b)));
-    order.dedup_by(|a, b| row(a) == row(b));
-    order.iter().map(|i| row(i).to_vec()).collect()
+    let row = |i: u32| batch.row(i as usize);
+    let key = |i: u32| if batch.width == 0 { 0 } else { order_key(row(i)[0]) };
+    let mut order: Vec<(u64, u32)> = (0..row_index(batch.len)).map(|i| (key(i), i)).collect();
+    order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| row(a.1).cmp(row(b.1))));
+    order.dedup_by(|a, b| a.0 == b.0 && row(a.1) == row(b.1));
+    order.iter().map(|&(_, i)| row(i).to_vec()).collect()
+}
+
+/// A `u64` ordered as [`Term`]s are, up to ties: variables by name, then
+/// string, integer and parameter constants, each kind in its id order.
+/// Integers all tie (a value does not fit beside the kind), as do variables
+/// of one name.
+fn order_key(t: Term) -> u64 {
+    match t {
+        Term::Var(v) => v.name as u64,
+        Term::Const(Constant::Str(s)) => 1 << 62 | s as u64,
+        Term::Const(Constant::Int(_)) => 2 << 62,
+        Term::Const(Constant::Param(p)) => 3 << 62 | p as u64,
+    }
 }
 
 /// `len` as a `u32` row index: a batch holds fewer than `u32::MAX` rows.
-fn row_index(len: usize) -> u32 {
+pub(crate) fn row_index(len: usize) -> u32 {
     u32::try_from(len)
         .ok()
         .filter(|&at| at != NONE)
@@ -132,7 +149,7 @@ fn resolve(op: Operand, row: &[Term], q: &ConjunctiveQuery) -> Term {
 }
 
 /// The end of a chain, and an empty slot of [`Chains::heads`].
-const NONE: u32 = u32::MAX;
+pub(crate) const NONE: u32 = u32::MAX;
 
 /// A chained hash table over the build side of a join. `heads` is an
 /// open-addressed array (linear probing) holding, for each distinct key, the
@@ -376,17 +393,28 @@ mod reference {
 #[cfg(test)]
 mod against_reference {
     use super::{distinct, hash_join, reference, Batch};
-    use mars_cq::Term;
+    use mars_cq::{Constant, Term, Variable};
     use proptest::prelude::*;
 
     fn below(rng: &mut TestRng, n: usize) -> usize {
         (rng.next_u64() % n as u64) as usize
     }
 
+    /// Every kind of term, with ties for `order_key`: two integers, two
+    /// variables of one name.
     fn batch(rng: &mut TestRng, width: usize, len: usize) -> Batch {
-        let alphabet = [Term::constant_str("a"), Term::constant_str("b"), Term::var("v")];
+        let v = Variable::named("v");
+        let alphabet = [
+            Term::constant_str("a"),
+            Term::constant_str("b"),
+            Term::Var(v),
+            Term::Var(Variable { index: 1, ..v }),
+            Term::constant_int(-3),
+            Term::constant_int(7),
+            Term::Const(Constant::Param(0)),
+        ];
         let mut batch = Batch::new(width);
-        batch.data = (0..width * len).map(|_| alphabet[below(rng, 3)]).collect();
+        batch.data = (0..width * len).map(|_| alphabet[below(rng, alphabet.len())]).collect();
         batch.len = len;
         batch
     }

@@ -10,6 +10,7 @@
 //!   binding tables of its decorrelated blocks, following the sorted
 //!   outer-union approach the paper adopts from XPeranto.
 
+use crate::executor::{row_index, Fx, NONE};
 use crate::relational::RelationalDatabase;
 use crate::router::{BackendRouter, Route};
 use crate::xml_engine::{Value, XmlStore, XmlStoreError};
@@ -17,7 +18,6 @@ use mars_cq::Term;
 use mars_grex::{compile_xbind, CompileContext, ViewDef, ViewOutput};
 use mars_xml::{Document, NodeId, TagId};
 use mars_xquery::{DecorrelatedQuery, TemplateNode, XBindAtom};
-use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, Hasher};
 
@@ -135,46 +135,101 @@ enum Step<'a> {
 struct Correlation<'a> {
     /// The head variables the block shares with the blocks around it.
     key: Vec<&'a str>,
-    hasher: RandomState,
-    /// Row indexes by the hash of their key values, in row order. `None` when
-    /// nothing can be looked up: the key is empty, or a row lacks a key
-    /// variable and so agrees with any value of it.
-    by_key: Option<HashMap<u64, Vec<usize>>>,
+    /// The block's rows chained by their key values. `None` when nothing can
+    /// be looked up: the key is empty, or a row lacks a key variable and so
+    /// agrees with any value of it.
+    chains: Option<KeyChains>,
+}
+
+/// Rows chained by the hash of their key values, the layout of the
+/// executor's join table: `heads` is an open-addressed array (linear
+/// probing) holding, for each distinct hash, the first row that carries it;
+/// `next[i]` is the row after `i` with the same hash, so a chain lists its
+/// rows in row order. Keys are never stored: a slot is confirmed by its head
+/// row's hash, and rows whose different keys share a hash share a chain,
+/// which [`Correlation::agrees`] sorts out.
+struct KeyChains {
+    /// Per slot, the head row of a chain, or [`NONE`].
+    heads: Vec<u32>,
+    next: Vec<u32>,
+    /// The key hash of every row.
+    hashes: Vec<u64>,
+    /// `64 - log2(heads.len())`: a slot is the top bits of the key's hash.
+    shift: u32,
+}
+
+impl KeyChains {
+    /// The slot holding the head of `hash`'s chain, else the empty one where
+    /// the probe for it ends.
+    fn slot(&self, hash: u64) -> usize {
+        let mask = self.heads.len() - 1;
+        let mut slot = (hash >> self.shift) as usize;
+        while self.heads[slot] != NONE && self.hashes[self.heads[slot] as usize] != hash {
+            slot = (slot + 1) & mask;
+        }
+        slot
+    }
 }
 
 impl<'a> Correlation<'a> {
     fn new(key: Vec<&'a str>, rows: &[Binding]) -> Correlation<'a> {
-        let mut correlation = Correlation { key, hasher: RandomState::new(), by_key: None };
-        correlation.by_key = correlation.index(rows);
+        let mut correlation = Correlation { key, chains: None };
+        if !correlation.key.is_empty() {
+            correlation.chains = correlation.index(rows);
+        }
         correlation
     }
 
-    fn index(&self, rows: &[Binding]) -> Option<HashMap<u64, Vec<usize>>> {
-        if self.key.is_empty() {
-            return None;
+    fn index(&self, rows: &[Binding]) -> Option<KeyChains> {
+        let hashes = rows.iter().map(|row| self.hash(|var| row.get(var))).collect::<Option<_>>()?;
+        // At most half full, so a probe of an absent key stops soon.
+        let slots = (2 * rows.len()).next_power_of_two().max(2);
+        let mut chains = KeyChains {
+            heads: vec![NONE; slots],
+            next: vec![NONE; rows.len()],
+            hashes,
+            shift: 64 - slots.trailing_zeros(),
+        };
+        // Rows go in last first, each pushed in front of its key's chain,
+        // so every chain runs in ascending row order.
+        for i in (0..row_index(rows.len())).rev() {
+            let slot = chains.slot(chains.hashes[i as usize]);
+            chains.next[i as usize] = std::mem::replace(&mut chains.heads[slot], i);
         }
-        let mut by_key: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (i, row) in rows.iter().enumerate() {
-            by_key.entry(self.hash(|var| row.get(var))?).or_default().push(i);
-        }
-        Some(by_key)
+        Some(chains)
     }
 
-    /// Hash of the key values `lookup` finds, `None` if one is unbound.
+    /// Fx hash of the key values `lookup` finds, `None` if one is unbound.
     fn hash<'v>(&self, lookup: impl Fn(&str) -> Option<&'v Value>) -> Option<u64> {
-        let mut hasher = self.hasher.build_hasher();
+        let mut hasher = Fx::default().build_hasher();
         for var in &self.key {
             lookup(var)?.hash(&mut hasher);
         }
         Some(hasher.finish())
     }
 
-    /// The only rows that can agree with `frames`; `None` when any row can,
-    /// because nothing was hashed or `frames` leave a key variable unbound.
-    fn bucket(&self, frames: &[&Binding]) -> Option<&[usize]> {
-        let by_key = self.by_key.as_ref()?;
-        let hash = self.hash(|var| bound(frames, var))?;
-        Some(by_key.get(&hash).map_or(&[], Vec::as_slice))
+    /// The rows that can agree with `frames`, in row order: the chain of
+    /// their key's hash, or every row when nothing was chained or `frames`
+    /// leave a key variable unbound.
+    fn candidates<'c>(
+        &'c self,
+        frames: &[&Binding],
+        rows: &[Binding],
+    ) -> impl Iterator<Item = usize> + 'c {
+        let chains = self.chains.as_ref();
+        let head = chains.and_then(|chains| {
+            Some(chains.heads[chains.slot(self.hash(|var| bound(frames, var))?)])
+        });
+        let (scan, first) = match head {
+            Some(head) => (0..0, head),
+            None => (0..rows.len(), NONE),
+        };
+        let next = chains.map_or(&[][..], |chains| &chains.next);
+        let chain = std::iter::successors((first != NONE).then_some(first), |&i| {
+            let after = next[i as usize];
+            (after != NONE).then_some(after)
+        });
+        scan.chain(chain.map(|i| i as usize))
     }
 
     fn agrees(&self, frames: &[&Binding], row: &Binding) -> bool {
@@ -270,13 +325,7 @@ impl<'a> Tagger<'a> {
                     None => {}
                 },
                 Step::ForEach { rows, correlation, children } => {
-                    // The hash bucket of the enclosing key values, or every
-                    // row when there is none to look in.
-                    let (scan, bucket) = match correlation.bucket(&self.frames) {
-                        Some(bucket) => (0..0, bucket),
-                        None => (0..rows.len(), &[][..]),
-                    };
-                    for i in scan.chain(bucket.iter().copied()) {
+                    for i in correlation.candidates(&self.frames, rows) {
                         if correlation.agrees(&self.frames, &rows[i]) {
                             self.frames.push(&rows[i]);
                             self.instantiate(children, parent);

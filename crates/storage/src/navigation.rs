@@ -11,10 +11,10 @@
 //! |---|---|---|
 //! | `root(n)` | `Root` | the root (binds or checks) |
 //! | `el(n)`, `tag(n, t)` with `n` free | `Elements{tag}` | all elements / the by-tag bucket |
-//! | `child(p, c)`, `p` bound | `Children{tag}` | `p`'s child elements |
-//! | `child(p, c)`, `c` bound | `Parent` | `c`'s parent (binds or checks) |
+//! | `child(p, c)`, `p` bound | `Children{tag}` | `p`'s slice of the child array, tags beside |
+//! | `child(p, c)`, `c` bound | `Parent` | `c`'s entry of the parent array (binds or checks) |
 //! | `desc(a, d)`, `a` bound | `Descendants{tag}` | a preorder slice / a sub-slice of the by-tag bucket |
-//! | `desc(a, d)`, `d` bound | `Ancestors{tag}` | `d`'s ancestor chain |
+//! | `desc(a, d)`, `d` bound | `Ancestors{tag}` | `d`'s ancestor chain, up the parent array |
 //! | `desc(a, d)`, both bound | `IsDescendant` | two rank comparisons |
 //! | `id(a, b)` | `Same` | the node itself (binds or checks) |
 //! | `tag(n, t)`, `n` bound | `TagOf` | `n`'s tag (binds or checks — `TagCheck`) |
@@ -33,10 +33,22 @@
 //! [`Term`] slot; the `"<doc>/n<k>"` constants are materialized only by
 //! `NavPlan::execute`. The rare variable used both ways is a term slot
 //! with `NodeOf` / `TermOf` conversion steps around the atoms that navigate
-//! from it. Steps producing at most one row per input row run in place;
-//! only the enumerating ones write a new batch.
+//! from it.
+//!
+//! Every step rewrites the batch in place, compacting survivors down over
+//! dropped rows, as long as each row yields at most one row. The steps that
+//! bind or check one value per row (`Root`, `Parent`, `Same`,
+//! `IsDescendant`, `TagOf`, `TextOf`, `NodeOf`, `TermOf`) always do. The
+//! enumerating ones (`Elements`, `Children`, `Descendants`, `Ancestors`,
+//! `TextProbe`) read their candidates straight from the index's slices and
+//! bind in place until they meet the first row with two matches; from that
+//! row on they expand into a new batch, reserved up front, which replaces
+//! the old one. `AttrOf` always writes a new batch. Either way rows keep the
+//! order of the rows they came from, candidates in index order, so the
+//! rows and the tuples counted are those of a kernel that writes a new
+//! batch at every enumerating step (`reference`, kept for the tests).
 
-use crate::doc_index::DocIndex;
+use crate::doc_index::{symbol, DocIndex};
 use crate::executor::Batch;
 use crate::xml_engine::{XmlStore, XmlStoreError};
 use mars_cq::{Atom, NavBase, Term, Variable};
@@ -259,9 +271,94 @@ impl Rows {
                 kept += 1;
             }
         }
-        self.nodes.truncate(kept * nw);
-        self.values.truncate(kept * vw);
-        self.len = kept;
+        self.truncate(kept);
+    }
+
+    /// Run an enumerating step. `candidates` yields, for a row, one item per
+    /// candidate tuple the step enumerates: the node to bind slot `out` to,
+    /// or `None` for a candidate it rejects (a fused tag that differs).
+    /// While each row has at most one match the batch is rewritten in
+    /// place, compacted as [`Rows::retain`] does; from the first row with
+    /// two, the rest expands into a new batch reserved up front. Returns the
+    /// candidate tuples.
+    fn expand<I>(&mut self, out: usize, mut candidates: impl FnMut(&[NodeId], &[Term]) -> I) -> u64
+    where
+        I: Iterator<Item = Option<NodeId>>,
+    {
+        let (nw, vw) = (self.node_width, self.value_width);
+        let (mut tuples, mut kept) = (0, 0);
+        for i in 0..self.len {
+            let (mut seen, mut found, mut two) = (0, None, false);
+            for candidate in candidates(self.nodes(i), self.values(i)) {
+                seen += 1;
+                if let Some(n) = candidate {
+                    two = found.is_some();
+                    if two {
+                        break;
+                    }
+                    found = Some(n);
+                }
+            }
+            if two {
+                return tuples + self.expand_from(i, kept, out, candidates);
+            }
+            tuples += seen;
+            let Some(n) = found else { continue };
+            if kept != i {
+                self.nodes.copy_within(i * nw..(i + 1) * nw, kept * nw);
+                self.values.copy_within(i * vw..(i + 1) * vw, kept * vw);
+            }
+            self.nodes[kept * nw + out] = n;
+            kept += 1;
+        }
+        self.truncate(kept);
+        tuples
+    }
+
+    /// [`Rows::expand`] from row `at` on, the first `kept` rows already
+    /// bound in place: they and every match of the remaining rows are
+    /// written to a new batch, which replaces this one.
+    fn expand_from<I>(
+        &mut self,
+        at: usize,
+        kept: usize,
+        out: usize,
+        mut candidates: impl FnMut(&[NodeId], &[Term]) -> I,
+    ) -> u64
+    where
+        I: Iterator<Item = Option<NodeId>>,
+    {
+        let (nw, vw) = (self.node_width, self.value_width);
+        // Row `at`'s candidates, and two matches for every later row.
+        let first = candidates(self.nodes(at), self.values(at)).size_hint();
+        let room = kept + first.1.unwrap_or(first.0) + 2 * (self.len - at - 1);
+        let mut next = Rows {
+            node_width: nw,
+            value_width: vw,
+            len: kept,
+            nodes: Vec::with_capacity(room * nw),
+            values: Vec::with_capacity(room * vw),
+        };
+        next.nodes.extend_from_slice(&self.nodes[..kept * nw]);
+        next.values.extend_from_slice(&self.values[..kept * vw]);
+        let mut tuples = 0;
+        for i in at..self.len {
+            for candidate in candidates(self.nodes(i), self.values(i)) {
+                tuples += 1;
+                if let Some(n) = candidate {
+                    next.push_bound(self, i, out, n);
+                }
+            }
+        }
+        *self = next;
+        tuples
+    }
+
+    /// Keep the first `len` rows.
+    fn truncate(&mut self, len: usize) {
+        self.nodes.truncate(len * self.node_width);
+        self.values.truncate(len * self.value_width);
+        self.len = len;
     }
 }
 
@@ -398,90 +495,74 @@ impl<'s> NavPlan<'s> {
             if rows.len == 0 {
                 break;
             }
-            rows = self.step(step, rows, &mut tuples);
+            tuples += self.step(step, &mut rows);
         }
         (rows, tuples)
     }
 
-    fn step(&self, step: &Step, mut rows: Rows, tuples: &mut u64) -> Rows {
-        // Enumerating steps fill `next`; in-place steps return `rows`.
-        let mut next = Rows::empty(self.node_width, self.value_width);
-        let has_tag = |index: &DocIndex, tag: Option<ValueIn>, values: &[Term], n: NodeId| {
-            tag.is_none_or(|t| index.tag_term(n) == t.get(values))
-        };
+    /// Run one step over `rows`, returning the candidate tuples it
+    /// enumerated.
+    fn step(&self, step: &Step, rows: &mut Rows) -> u64 {
+        let in_place = rows.len as u64;
         match *step {
             Step::Elements { doc, out, tag } => {
                 let index = self.docs[doc].1;
-                for i in 0..rows.len {
+                rows.expand(out, |_, values| {
                     let found = match tag {
-                        Some(t) => index.with_tag(t.get(rows.values(i))),
+                        Some(t) => index.with_tag(t.get(values)),
                         None => index.elements(),
                     };
-                    *tuples += found.len() as u64;
-                    for &n in found {
-                        next.push_bound(&rows, i, out, n);
-                    }
-                }
+                    found.iter().map(|&n| Some(n))
+                })
             }
             Step::Children { doc, parent, out, tag } => {
-                let (document, index) = self.docs[doc];
-                for i in 0..rows.len {
-                    for c in document.child_elements(parent.get(rows.nodes(i))) {
-                        *tuples += 1;
-                        if has_tag(index, tag, rows.values(i), c) {
-                            next.push_bound(&rows, i, out, c);
-                        }
-                    }
-                }
+                let index = self.docs[doc].1;
+                rows.expand(out, |nodes, values| {
+                    // A tag that is not a string matches no child.
+                    let tag = tag.map(|t| symbol(t.get(values)).unwrap_or(u32::MAX));
+                    let matches = move |&(c, t)| tag.is_none_or(|tag| tag == t).then_some(c);
+                    index.children(parent.get(nodes)).iter().map(matches)
+                })
             }
             Step::Descendants { doc, ancestor, out, tag } => {
                 let index = self.docs[doc].1;
-                for i in 0..rows.len {
-                    let a = ancestor.get(rows.nodes(i));
+                rows.expand(out, |nodes, values| {
+                    let a = ancestor.get(nodes);
                     let found = match tag {
-                        Some(t) => index.descendants_with_tag(a, t.get(rows.values(i))),
+                        Some(t) => index.descendants_with_tag(a, t.get(values)),
                         None => index.descendants_or_self(a),
                     };
-                    *tuples += found.len() as u64;
-                    for &d in found {
-                        next.push_bound(&rows, i, out, d);
-                    }
-                }
+                    found.iter().map(|&d| Some(d))
+                })
             }
             Step::Ancestors { doc, descendant, out, tag } => {
-                let (document, index) = self.docs[doc];
-                for i in 0..rows.len {
+                let index = self.docs[doc].1;
+                rows.expand(out, |nodes, values| {
+                    let tag = tag.map(|t| t.get(values));
                     // desc is descendant-or-self: the walk starts at the node.
-                    let mut at = Some(descendant.get(rows.nodes(i)));
-                    while let Some(a) = at {
-                        *tuples += 1;
-                        if has_tag(index, tag, rows.values(i), a) {
-                            next.push_bound(&rows, i, out, a);
-                        }
-                        at = document.node(a).parent;
-                    }
-                }
+                    let chain =
+                        std::iter::successors(Some(descendant.get(nodes)), |&a| index.parent(a));
+                    chain.map(move |a| tag.is_none_or(|t| index.tag_term(a) == t).then_some(a))
+                })
             }
             Step::TextProbe { doc, value, out, tag } => {
                 let index = self.docs[doc].1;
-                for i in 0..rows.len {
-                    let values = rows.values(i);
+                rows.expand(out, |_, values| {
                     let found = match tag {
                         Some(t) => index.with_tag_and_text(t.get(values), value.get(values)),
                         None => index.with_text(value.get(values)),
                     };
-                    *tuples += found.len() as u64;
-                    for &n in found {
-                        next.push_bound(&rows, i, out, n);
-                    }
-                }
+                    found.iter().map(|&n| Some(n))
+                })
             }
             Step::AttrOf { doc, node, name, value } => {
                 let index = self.docs[doc].1;
+                let mut next = Rows::empty(self.node_width, self.value_width);
+                let mut tuples = 0;
                 let vw = self.value_width;
                 for i in 0..rows.len {
                     for &(a, v) in index.attributes(node.get(rows.nodes(i))) {
-                        *tuples += 1;
+                        tuples += 1;
                         // Written first, checked after: `value` may compare
                         // against the slot `name` has just bound.
                         next.values.extend_from_slice(rows.values(i));
@@ -495,64 +576,57 @@ impl<'s> NavPlan<'s> {
                         }
                     }
                 }
+                *rows = next;
+                tuples
             }
             Step::Root { doc, node } => {
                 let root = self.docs[doc].0.root();
-                *tuples += rows.len as u64;
                 rows.retain(|nodes, _| root.is_some_and(|r| node.put(nodes, r)));
-                return rows;
+                in_place
             }
             Step::Parent { doc, child, parent } => {
-                let document = self.docs[doc].0;
-                *tuples += rows.len as u64;
+                let index = self.docs[doc].1;
                 rows.retain(|nodes, _| {
-                    document.node(child.get(nodes)).parent.is_some_and(|p| parent.put(nodes, p))
+                    index.parent(child.get(nodes)).is_some_and(|p| parent.put(nodes, p))
                 });
-                return rows;
+                in_place
             }
             Step::Same { from, to } => {
-                *tuples += rows.len as u64;
                 rows.retain(|nodes, _| to.put(nodes, from.get(nodes)));
-                return rows;
+                in_place
             }
             Step::IsDescendant { doc, ancestor, descendant } => {
                 let index = self.docs[doc].1;
-                *tuples += rows.len as u64;
                 rows.retain(|nodes, _| {
                     index.is_descendant_or_self(ancestor.get(nodes), descendant.get(nodes))
                 });
-                return rows;
+                in_place
             }
             Step::TagOf { doc, node, tag } => {
                 let index = self.docs[doc].1;
-                *tuples += rows.len as u64;
                 rows.retain(|nodes, values| tag.put(values, index.tag_term(node.get(nodes))));
-                return rows;
+                in_place
             }
             Step::TextOf { doc, node, value } => {
                 let index = self.docs[doc].1;
-                *tuples += rows.len as u64;
                 rows.retain(|nodes, values| {
                     index.text_term(node.get(nodes)).is_some_and(|t| value.put(values, t))
                 });
-                return rows;
+                in_place
             }
             Step::NodeOf { doc, term, out } => {
                 let index = self.docs[doc].1;
-                *tuples += rows.len as u64;
                 rows.retain(|nodes, values| {
                     index.node_of(term.get(values)).map(|n| nodes[out] = n).is_some()
                 });
-                return rows;
+                in_place
             }
             Step::TermOf { doc, node, term } => {
                 let index = self.docs[doc].1;
-                *tuples += rows.len as u64;
                 rows.retain(|nodes, values| term.put(values, index.node_term(node.get(nodes))));
-                return rows;
+                in_place
             }
         }
-        next
     }
 
     /// Run the plan and materialize `columns` (variables the plan binds) as
@@ -790,5 +864,336 @@ impl Compiler<'_, '_> {
             self.plan.steps.push(Step::TermOf { doc, node: NodeIn::Slot(hidden), term });
         }
         Some(())
+    }
+}
+
+/// The batch kernel as it was before in-place expansion: every enumerating
+/// step copies each of its output rows into a new batch, `Children` walks
+/// the document's sibling links, and `Parent` / `Ancestors` read a node view
+/// of the document per row. Kept as the reference the kernel is compared
+/// with.
+#[cfg(test)]
+mod reference {
+    use super::{DocIndex, NavPlan, Rows, Step, ValueIn};
+    use mars_cq::Term;
+    use mars_xml::NodeId;
+
+    pub(super) fn run(plan: &NavPlan<'_>) -> (Rows, u64) {
+        let mut rows = Rows::empty(plan.node_width, plan.value_width);
+        let mut tuples = 0u64;
+        if !plan.satisfiable {
+            return (rows, tuples);
+        }
+        rows.nodes = vec![NodeId(0); plan.node_width];
+        rows.values = vec![Term::constant_int(0); plan.value_width];
+        rows.len = 1;
+        for step in &plan.steps {
+            if rows.len == 0 {
+                break;
+            }
+            rows = run_step(plan, step, rows, &mut tuples);
+        }
+        (rows, tuples)
+    }
+
+    fn run_step(plan: &NavPlan<'_>, step: &Step, mut rows: Rows, tuples: &mut u64) -> Rows {
+        // Enumerating steps fill `next`; in-place steps return `rows`.
+        let mut next = Rows::empty(plan.node_width, plan.value_width);
+        let has_tag = |index: &DocIndex, tag: Option<ValueIn>, values: &[Term], n: NodeId| {
+            tag.is_none_or(|t| index.tag_term(n) == t.get(values))
+        };
+        match *step {
+            Step::Elements { doc, out, tag } => {
+                let index = plan.docs[doc].1;
+                for i in 0..rows.len {
+                    let found = match tag {
+                        Some(t) => index.with_tag(t.get(rows.values(i))),
+                        None => index.elements(),
+                    };
+                    *tuples += found.len() as u64;
+                    for &n in found {
+                        next.push_bound(&rows, i, out, n);
+                    }
+                }
+            }
+            Step::Children { doc, parent, out, tag } => {
+                let (document, index) = plan.docs[doc];
+                for i in 0..rows.len {
+                    for c in document.child_elements(parent.get(rows.nodes(i))) {
+                        *tuples += 1;
+                        if has_tag(index, tag, rows.values(i), c) {
+                            next.push_bound(&rows, i, out, c);
+                        }
+                    }
+                }
+            }
+            Step::Descendants { doc, ancestor, out, tag } => {
+                let index = plan.docs[doc].1;
+                for i in 0..rows.len {
+                    let a = ancestor.get(rows.nodes(i));
+                    let found = match tag {
+                        Some(t) => index.descendants_with_tag(a, t.get(rows.values(i))),
+                        None => index.descendants_or_self(a),
+                    };
+                    *tuples += found.len() as u64;
+                    for &d in found {
+                        next.push_bound(&rows, i, out, d);
+                    }
+                }
+            }
+            Step::Ancestors { doc, descendant, out, tag } => {
+                let (document, index) = plan.docs[doc];
+                for i in 0..rows.len {
+                    // desc is descendant-or-self: the walk starts at the node.
+                    let mut at = Some(descendant.get(rows.nodes(i)));
+                    while let Some(a) = at {
+                        *tuples += 1;
+                        if has_tag(index, tag, rows.values(i), a) {
+                            next.push_bound(&rows, i, out, a);
+                        }
+                        at = document.node(a).parent;
+                    }
+                }
+            }
+            Step::TextProbe { doc, value, out, tag } => {
+                let index = plan.docs[doc].1;
+                for i in 0..rows.len {
+                    let values = rows.values(i);
+                    let found = match tag {
+                        Some(t) => index.with_tag_and_text(t.get(values), value.get(values)),
+                        None => index.with_text(value.get(values)),
+                    };
+                    *tuples += found.len() as u64;
+                    for &n in found {
+                        next.push_bound(&rows, i, out, n);
+                    }
+                }
+            }
+            Step::AttrOf { doc, node, name, value } => {
+                let index = plan.docs[doc].1;
+                let vw = plan.value_width;
+                for i in 0..rows.len {
+                    for &(a, v) in index.attributes(node.get(rows.nodes(i))) {
+                        *tuples += 1;
+                        // Written first, checked after: `value` may compare
+                        // against the slot `name` has just bound.
+                        next.values.extend_from_slice(rows.values(i));
+                        let written = next.values.len() - vw;
+                        let row = &mut next.values[written..];
+                        if name.put(row, a) && value.put(row, v) {
+                            next.nodes.extend_from_slice(rows.nodes(i));
+                            next.len += 1;
+                        } else {
+                            next.values.truncate(written);
+                        }
+                    }
+                }
+            }
+            Step::Root { doc, node } => {
+                let root = plan.docs[doc].0.root();
+                *tuples += rows.len as u64;
+                rows.retain(|nodes, _| root.is_some_and(|r| node.put(nodes, r)));
+                return rows;
+            }
+            Step::Parent { doc, child, parent } => {
+                let document = plan.docs[doc].0;
+                *tuples += rows.len as u64;
+                rows.retain(|nodes, _| {
+                    document.node(child.get(nodes)).parent.is_some_and(|p| parent.put(nodes, p))
+                });
+                return rows;
+            }
+            Step::Same { from, to } => {
+                *tuples += rows.len as u64;
+                rows.retain(|nodes, _| to.put(nodes, from.get(nodes)));
+                return rows;
+            }
+            Step::IsDescendant { doc, ancestor, descendant } => {
+                let index = plan.docs[doc].1;
+                *tuples += rows.len as u64;
+                rows.retain(|nodes, _| {
+                    index.is_descendant_or_self(ancestor.get(nodes), descendant.get(nodes))
+                });
+                return rows;
+            }
+            Step::TagOf { doc, node, tag } => {
+                let index = plan.docs[doc].1;
+                *tuples += rows.len as u64;
+                rows.retain(|nodes, values| tag.put(values, index.tag_term(node.get(nodes))));
+                return rows;
+            }
+            Step::TextOf { doc, node, value } => {
+                let index = plan.docs[doc].1;
+                *tuples += rows.len as u64;
+                rows.retain(|nodes, values| {
+                    index.text_term(node.get(nodes)).is_some_and(|t| value.put(values, t))
+                });
+                return rows;
+            }
+            Step::NodeOf { doc, term, out } => {
+                let index = plan.docs[doc].1;
+                *tuples += rows.len as u64;
+                rows.retain(|nodes, values| {
+                    index.node_of(term.get(values)).map(|n| nodes[out] = n).is_some()
+                });
+                return rows;
+            }
+            Step::TermOf { doc, node, term } => {
+                let index = plan.docs[doc].1;
+                *tuples += rows.len as u64;
+                rows.retain(|nodes, values| term.put(values, index.node_term(node.get(nodes))));
+                return rows;
+            }
+        }
+        next
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{reference, NavPlan};
+    use crate::xml_engine::XmlStore;
+    use mars_cq::{Atom, NavBase, Term};
+    use mars_grex::node_constant;
+    use mars_xml::{Document, NodeId};
+    use proptest::prelude::*;
+
+    const TAGS: [&str; 3] = ["a", "b", "c"];
+    const TEXTS: [&str; 2] = ["x", "y"];
+
+    fn pick<T: Copy>(rng: &mut TestRng, from: &[T]) -> T {
+        from[(rng.next_u64() % from.len() as u64) as usize]
+    }
+
+    /// Run `body` in `order` through the kernel and the reference; both
+    /// must keep the same rows, in the same order, counting the same
+    /// candidate tuples. Returns the surviving rows and the tuples.
+    fn run_both(xml: &XmlStore, body: &[Atom], order: &[usize]) -> (usize, u64) {
+        let plan = NavPlan::compile(body, order, xml).expect("navigation over a stored document");
+        let (rows, tuples) = plan.run();
+        let (expected, expected_tuples) = reference::run(&plan);
+        let context = format!("{body:?} in order {order:?}");
+        assert_eq!(rows.len, expected.len, "{context}: row count");
+        assert_eq!(rows.nodes, expected.nodes, "{context}: node slots");
+        assert_eq!(rows.values, expected.values, "{context}: value slots");
+        assert_eq!(tuples, expected_tuples, "{context}: nav_tuples");
+        (rows.len, tuples)
+    }
+
+    /// A random document of at most depth 4 over three tags: texts repeat,
+    /// some split over two text nodes, and some elements carry attributes.
+    /// Returns it with its elements.
+    fn random_document(rng: &mut TestRng) -> (Document, Vec<NodeId>) {
+        let mut doc = Document::new("d.xml");
+        let root = doc.create_root(pick(rng, &TAGS));
+        let (mut elements, mut open) = (vec![root], vec![(root, 0)]);
+        let fanout = 3 + rng.next_u64() % 2;
+        while let Some((parent, depth)) = open.pop() {
+            for _ in 0..rng.next_u64() % fanout {
+                if rng.next_u64().is_multiple_of(3) {
+                    doc.add_text(parent, pick(rng, &TEXTS));
+                }
+                if depth == 3 || elements.len() >= 16 {
+                    continue;
+                }
+                let child = doc.add_element(parent, pick(rng, &TAGS));
+                if rng.next_u64().is_multiple_of(4) {
+                    doc.set_attribute(child, pick(rng, &["k", "x"]), pick(rng, &TEXTS));
+                }
+                elements.push(child);
+                open.push((child, depth + 1));
+            }
+        }
+        (doc, elements)
+    }
+
+    /// A random navigation body over `d.xml`: every base, node and value
+    /// variables (some used in both kinds of position), node constants
+    /// (one denoting no element) and text constants.
+    fn random_body(rng: &mut TestRng, elements: &[NodeId]) -> Vec<Atom> {
+        let node = |rng: &mut TestRng| match rng.next_u64() % 16 {
+            0..=12 => Term::var(pick(rng, &["n0", "n0", "n1", "n1", "n2"])),
+            13 | 14 => node_constant("d.xml", pick(rng, elements)),
+            _ => pick(rng, &[node_constant("d.xml", NodeId(999)), Term::var("v0")]),
+        };
+        let value = |rng: &mut TestRng| match rng.next_u64() % 20 {
+            0..=9 => Term::var(pick(rng, &["v0", "v1"])),
+            10..=17 => Term::constant_str(pick(rng, &["a", "b", "c", "x", "y", "xy", "k"])),
+            _ => Term::var("n1"),
+        };
+        (0..1 + rng.next_u64() % 6)
+            .map(|_| {
+                let base = pick(rng, &NavBase::ALL);
+                let mut args = vec![node(rng)];
+                match base {
+                    NavBase::Root | NavBase::El => {}
+                    NavBase::Child | NavBase::Desc | NavBase::Id => args.push(node(rng)),
+                    NavBase::Tag | NavBase::Text => args.push(value(rng)),
+                    NavBase::Attr => args.extend([value(rng), value(rng)]),
+                }
+                Atom::named(&format!("{}#d.xml", base.name()), args)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The kernel returns the reference's rows, in its order, for the
+        /// same candidate tuples, on random documents and bodies run in a
+        /// random atom order.
+        #[test]
+        fn kernel_agrees_with_the_reference(seed in 0u64..u64::MAX) {
+            let mut rng = TestRng::new(seed);
+            let (doc, elements) = random_document(&mut rng);
+            let mut xml = XmlStore::new();
+            xml.add_document(doc);
+            let body = random_body(&mut rng, &elements);
+            let mut order: Vec<usize> = (0..body.len()).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+            }
+            run_both(&xml, &body, &order);
+        }
+    }
+
+    /// `child(x, y)` over items with `counts[i]` children each: the first
+    /// row with two candidates falls first, in the middle or last, after
+    /// rows the step drops and rows it binds in place.
+    #[test]
+    fn expansion_starts_at_the_first_row_with_two_candidates() {
+        for counts in
+            [[2, 1, 1, 1], [1, 0, 2, 1], [0, 1, 1, 2], [1, 1, 0, 3], [0, 0, 2, 0], [1, 0, 1, 0]]
+        {
+            let mut doc = Document::new("d.xml");
+            let root = doc.create_root("r");
+            let mut expected = Vec::new();
+            for count in counts {
+                let item = doc.add_element(root, "item");
+                doc.add_text(item, "t");
+                for _ in 0..count {
+                    expected.push((item, doc.add_leaf(item, "c", "t")));
+                }
+                doc.add_element(item, "other");
+            }
+            let mut xml = XmlStore::new();
+            xml.add_document(doc);
+            let (x, y) = (Term::var("x"), Term::var("y"));
+            let body = vec![
+                Atom::named("tag#d.xml", vec![x, Term::constant_str("item")]),
+                Atom::named("child#d.xml", vec![x, y]),
+                Atom::named("tag#d.xml", vec![y, Term::constant_str("c")]),
+            ];
+            let (rows, tuples) = run_both(&xml, &body, &[0, 1, 2]);
+            // Each item enumerates its `c` children, its `other` one and no
+            // text node.
+            let children: u64 = counts.iter().map(|&c| c + 1).sum();
+            assert_eq!((rows, tuples), (expected.len(), counts.len() as u64 + children));
+            let plan = NavPlan::compile(&body, &[0, 1, 2], &xml).unwrap();
+            let (bound, _) = plan.run();
+            let pairs: Vec<(NodeId, NodeId)> =
+                bound.nodes.chunks(bound.node_width).map(|row| (row[0], row[1])).collect();
+            assert_eq!(pairs, expected, "{counts:?}");
+        }
     }
 }

@@ -1058,6 +1058,37 @@ fn key_lookups_enumerate_scale_independent_work() {
     }
 }
 
+/// The exact candidate tuples the navigation kernel enumerates for the
+/// scenarios' key lookups and scans at two scales: the work the test above
+/// bounds, pinned to the tuple, so a kernel that enumerates one candidate
+/// more or less than the one it replaces fails here.
+#[test]
+fn navigation_work_is_pinned_exactly() {
+    use mars_system::storage::{BackendRouter, Route};
+    use mars_workloads::scenarios::Scenario;
+
+    // (scenario, key, scale, nav_tuples of the key lookup and of the scan)
+    let pinned = [
+        ("chain-uniform-r0", "k1_7", 50, [24, 1_103]),
+        ("chain-uniform-r0", "k1_7", 500, [24, 11_003]),
+        ("snowflake-skewed-r0", "k7", 50, [44, 2_154]),
+        ("snowflake-skewed-r0", "k7", 500, [44, 21_504]),
+    ];
+    for (name, key, scale, work) in pinned {
+        let scenario = Scenario::matrix().into_iter().find(|s| s.name() == name).unwrap();
+        let (xml, db) = scenario.populate(scale, 7);
+        let router = BackendRouter::new(&db, &xml);
+        let scan = scenario.navigation_query();
+        let lookup = with_head_constant(&scan, 0, key);
+        let tuples = [&lookup, &scan].map(|q| {
+            let exec = router.execute(&router.plan_forced(q, Route::Xml)).unwrap();
+            assert_eq!(exec.rows, db.query(q), "{name} at scale {scale}");
+            exec.nav_tuples
+        });
+        assert_eq!(tuples, work, "{name} at scale {scale}: lookup and scan nav_tuples");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
