@@ -698,6 +698,17 @@ impl SymbolicInstance {
         self.relations.get(&p).map(|rel| &**rel)
     }
 
+    /// Hold relation `p`, with no tuple if it has none yet: present, so
+    /// [`Self::relation_data`] tells it from a relation never declared.
+    pub fn declare(&mut self, p: Predicate) {
+        self.relations.entry(p).or_default();
+    }
+
+    /// Number of relations held, empty declared ones included.
+    pub fn relation_count(&self) -> usize {
+        self.relations.len()
+    }
+
     /// Number of tuples of a predicate (0 if absent).
     pub fn relation_len(&self, p: Predicate) -> usize {
         self.relations.get(&p).map(|r| r.len()).unwrap_or(0)

@@ -676,6 +676,9 @@ mod tests {
     struct Fixed(HashMap<Predicate, (usize, Vec<usize>)>);
 
     impl StatisticsCatalog for Fixed {
+        fn holds(&self, relation: Predicate) -> bool {
+            self.0.contains_key(&relation)
+        }
         fn tuple_count(&self, relation: Predicate) -> usize {
             self.0.get(&relation).map(|(n, _)| *n).unwrap_or(0)
         }

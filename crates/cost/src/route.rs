@@ -17,11 +17,14 @@
 //! executor runs: it names the query's terms by position, so it serves
 //! every query of the priced query's shape. [`route_forced`] keeps the tree
 //! of a requested route instead.
-//! The decision is **advisory by construction**: every route returns
-//! byte-identical rows (property-tested in `mars-storage`'s router and in
-//! `tests/property_based.rs`), so a bad estimate costs time, never
-//! correctness. Decisions render stably and are golden-snapshotted under
-//! `tests/golden/routes/`.
+//! The decision is **advisory by construction**: every feasible route
+//! returns byte-identical rows (property-tested in `mars-storage`'s router
+//! and in `tests/property_based.rs`), so a bad estimate costs time, never
+//! correctness. Feasibility is not an estimate: a tree that scans a
+//! navigation relation the relational store does not hold
+//! ([`unheld_navigation`]) cannot answer, and is chosen only when no tree
+//! can, for its execution to fail. Decisions render stably and are
+//! golden-snapshotted under `tests/golden/routes/`.
 
 use crate::physical::{physical_plan, NavScan, PhysicalPlan};
 use crate::stats::StatisticsCatalog;
@@ -100,8 +103,9 @@ impl fmt::Display for Route {
 /// leaves describe; the other stays `None`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RouteCosts {
-    /// Every atom scanned (always feasible; body-less queries cost 0).
-    pub relational: f64,
+    /// Every atom scanned, when the relational store holds every
+    /// navigation relation (body-less queries cost 0).
+    pub relational: Option<f64>,
     /// Native navigation, when every atom navigates a stored document.
     pub xml: Option<f64>,
     /// Native navigation joined with table scans, when both occur.
@@ -111,9 +115,10 @@ pub struct RouteCosts {
 /// A priced routing decision for one query.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RoutingDecision {
-    /// The chosen route: the native tree's only when it is strictly
-    /// cheaper, so equal estimates always resolve to relational and decisions
-    /// are deterministic and snapshot-stable.
+    /// The chosen route: the native tree's only when it is feasible and
+    /// strictly cheaper or the only feasible one, so equal estimates always
+    /// resolve to relational and decisions are deterministic and
+    /// snapshot-stable.
     pub route: Route,
     /// The per-route estimates the choice was made from.
     pub costs: RouteCosts,
@@ -143,7 +148,7 @@ impl fmt::Display for RoutingDecision {
             "route={} atoms={} navigation + {} relational",
             self.route, self.navigation_atoms, self.relational_atoms
         )?;
-        render_cost(f, "relational", Some(self.costs.relational))?;
+        render_cost(f, "relational", self.costs.relational)?;
         render_cost(f, "xml", self.costs.xml)?;
         render_cost(f, "mixed", self.costs.mixed)
     }
@@ -280,11 +285,26 @@ pub(crate) fn plan_native(atoms: &[Atom], nav: &dyn NavigationStatistics) -> Nav
     NavScan { atoms: order, output: Vec::new(), cost, est_rows: rows }
 }
 
+/// The first navigation atom of `q` outside `navigated` (the body indices a
+/// navigation leaf serves) whose relation `rel` does not hold. A tree that
+/// scans it cannot answer: the store lacks the document's encoding, not its
+/// rows.
+pub fn unheld_navigation<'q>(
+    q: &'q ConjunctiveQuery,
+    navigated: &[usize],
+    rel: &dyn StatisticsCatalog,
+) -> Option<&'q Atom> {
+    let scanned = q.body.iter().enumerate().filter(|(i, _)| !navigated.contains(i));
+    scanned.map(|(_, atom)| atom).find(|a| !rel.holds(a.predicate) && a.navigation().is_some())
+}
+
 /// Price `q` as two trees and choose the cheaper: every atom a table scan
 /// ([`physical_plan`] without navigation statistics), or the atoms over
 /// stored documents navigated natively (with them). Both are priced by
-/// [`PhysicalPlan::estimated_cost`], tails included; the native tree counts
-/// only when it has a navigation leaf, and wins only when strictly cheaper.
+/// [`PhysicalPlan::estimated_cost`], tails included; a tree that scans an
+/// unheld navigation relation ([`unheld_navigation`]) is infeasible. The
+/// native tree counts only when it has a navigation leaf, and wins when it
+/// is feasible and strictly cheaper, or the relational tree is infeasible.
 /// The decision keeps the chosen tree ([`RoutingDecision::tree`]).
 pub fn route_query(
     q: &ConjunctiveQuery,
@@ -320,7 +340,7 @@ fn price(
 ) -> RoutingDecision {
     let mut decision = RoutingDecision {
         route: Route::Relational,
-        costs: RouteCosts { relational: 0.0, xml: None, mixed: None },
+        costs: RouteCosts { relational: Some(0.0), xml: None, mixed: None },
         navigation_atoms: 0,
         relational_atoms: q.body.len(),
         tree: None,
@@ -328,23 +348,25 @@ fn price(
     if q.body.is_empty() {
         return decision;
     }
+    let feasible = |tree: &PhysicalPlan, navigated: &[usize]| {
+        unheld_navigation(q, navigated, rel).is_none().then(|| tree.estimated_cost())
+    };
     // Without a navigation leaf the native tree is the all-scans tree.
     let native = physical_plan(q, rel, Some(nav));
     let Some(scan) = native.nav_scan() else {
-        decision.costs.relational = native.estimated_cost();
+        decision.costs.relational = feasible(&native, &[]);
         decision.tree = Some(Arc::new(native));
         return decision;
     };
     let relational = physical_plan(q, rel, None);
-    decision.costs.relational = relational.estimated_cost();
+    decision.costs.relational = feasible(&relational, &[]);
     decision.navigation_atoms = scan.atoms.len();
     decision.relational_atoms -= scan.atoms.len();
-    let (route, cost) = (Route::of(&native), native.estimated_cost());
-    *if route == Route::Xml { &mut decision.costs.xml } else { &mut decision.costs.mixed } =
-        Some(cost);
+    let (route, cost) = (Route::of(&native), feasible(&native, &scan.atoms));
+    *if route == Route::Xml { &mut decision.costs.xml } else { &mut decision.costs.mixed } = cost;
     let navigate = match forced {
         Some(forced) => forced != Route::Relational,
-        None => cost < decision.costs.relational,
+        None => cost.is_some_and(|c| decision.costs.relational.is_none_or(|r| c < r)),
     };
     let chosen = if navigate {
         decision.route = route;
@@ -365,6 +387,9 @@ mod tests {
     struct FixedRel(HashMap<Predicate, (usize, Vec<usize>)>);
 
     impl StatisticsCatalog for FixedRel {
+        fn holds(&self, relation: Predicate) -> bool {
+            self.0.contains_key(&relation)
+        }
         fn tuple_count(&self, relation: Predicate) -> usize {
             self.0.get(&relation).map(|(n, _)| *n).unwrap_or(0)
         }
@@ -439,6 +464,33 @@ mod tests {
         assert_eq!((d.navigation_atoms, d.relational_atoms), (0, 1));
     }
 
+    /// A navigation relation the relational store lacks is no empty table:
+    /// scanning it would answer with nothing, so the native tree serves the
+    /// query however cheap the scan looks, and with neither store holding
+    /// the document no route is feasible.
+    #[test]
+    fn absent_relations_make_relational_infeasible() {
+        let nav = FixedNav { elements: 100, pairs: 500 };
+        let x = Term::var("x");
+        let q = ConjunctiveQuery::new("Q").with_head(vec![x]).with_body(vec![
+            nav_atom("el", vec![x]),
+            nav_atom("tag", vec![x, Term::constant_str("item")]),
+        ]);
+        let d = route_query(&q, &FixedRel(HashMap::new()), &nav);
+        assert_eq!((d.route, d.costs.relational), (Route::Xml, None), "{d}");
+        assert!(d.costs.xml.is_some(), "{d}");
+        let forced = route_forced(&q, &FixedRel(HashMap::new()), &nav, Route::Relational);
+        assert_eq!(forced.route, Route::Relational, "forcing keeps the tree asked for");
+
+        // The native tree scans what no store holds: nothing is feasible.
+        let other = q.with_atom(Atom::named("el#other.xml", vec![x]));
+        let d = route_query(&other, &FixedRel(HashMap::new()), &nav);
+        assert_eq!(d.costs, RouteCosts { relational: None, xml: None, mixed: None }, "{d}");
+        assert_eq!(d.route, Route::Relational, "{d}");
+        let unheld = unheld_navigation(&other, &[], &FixedRel(HashMap::new()));
+        assert_eq!(unheld, Some(&other.body[0]), "what the chosen tree's execution fails on");
+    }
+
     /// When the relational side would scan a huge loaded `desc#` table but
     /// native navigation starts from the unique root, the router picks XML.
     #[test]
@@ -460,7 +512,7 @@ mod tests {
         ]);
         let d = route_query(&q, &rel, &nav);
         assert_eq!(d.route, Route::Xml, "{d}");
-        assert!(d.costs.xml.unwrap() < d.costs.relational, "{d}");
+        assert!(d.costs.xml.unwrap() < d.costs.relational.unwrap(), "{d}");
     }
 
     /// A constant-valued `text` probe is a one-row seed, not a filter that
@@ -505,7 +557,7 @@ mod tests {
         let d = route_query(&q, &rel, &nav);
         assert_eq!(d.route, Route::Relational);
         // Scan (8) + project pass (8) + distinct pass (8).
-        assert_eq!(d.costs.relational, 24.0);
+        assert_eq!(d.costs.relational, Some(24.0));
     }
 
     /// The decision renders stably (golden-snapshot format).
@@ -513,7 +565,7 @@ mod tests {
     fn decision_display_is_stable() {
         let d = RoutingDecision {
             route: Route::Xml,
-            costs: RouteCosts { relational: 120.0, xml: Some(14.5), mixed: None },
+            costs: RouteCosts { relational: Some(120.0), xml: Some(14.5), mixed: None },
             navigation_atoms: 3,
             relational_atoms: 0,
             tree: None,
@@ -540,7 +592,7 @@ mod tests {
         let tie = route_query(&q, &rel(100), &nav);
         assert_eq!(
             (tie.route, tie.costs.relational, tie.costs.xml),
-            (Route::Relational, 300.0, Some(300.0))
+            (Route::Relational, Some(300.0), Some(300.0))
         );
         assert_eq!(route_query(&q, &rel(101), &nav).route, Route::Xml);
 

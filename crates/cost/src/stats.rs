@@ -6,15 +6,25 @@
 //! trait, so their tests can hand them fixed numbers instead.
 //!
 //! All counters are **exact** (maintained on the insert path, never sampled)
-//! and **advisory**: they steer plan shape and cost only — a wrong statistic
-//! can produce a slow plan, never a wrong answer.
+//! and **advisory**: they steer plan shape and cost only — a wrong count
+//! can produce a slow plan, never a wrong answer. Whether a relation is held
+//! at all is not advisory: a zero count says "empty", and only
+//! [`StatisticsCatalog::holds`] tells it from "absent". A GReX navigation
+//! relation the store does not hold (its document's encoding was never
+//! loaded) makes every route that scans it infeasible
+//! ([`crate::route::unheld_navigation`]), where scanning it as empty would
+//! answer with no rows.
 
 use mars_cq::Predicate;
 
 /// Exact relation-level statistics of a tuple store. Methods take the
 /// relation by [`Predicate`]; unknown relations report zero
-/// tuples/distincts.
+/// tuples/distincts, and [`StatisticsCatalog::holds`] tells them from empty
+/// ones.
 pub trait StatisticsCatalog {
+    /// Whether the store holds `relation`, empty or not.
+    fn holds(&self, relation: Predicate) -> bool;
+
     /// Number of tuples currently stored in `relation` (0 if absent).
     fn tuple_count(&self, relation: Predicate) -> usize;
 

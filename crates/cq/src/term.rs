@@ -1,9 +1,15 @@
 //! Terms: variables and constants.
 //!
 //! A [`Term`] appears as an argument of an [`Atom`](crate::Atom). Constants
-//! are interned strings (tag names, text values), integers, or the
-//! parameters of a canonical block; the distinction matters only for cost
-//! estimation and for executing reformulations over actual storage.
+//! are interned strings (tag names, text values), the element nodes of
+//! stored documents, integers, or the parameters of a canonical block; the
+//! distinction matters only for cost estimation and for executing
+//! reformulations over actual storage.
+//!
+//! A node is typed, not spelled: [`Constant::Node`] holds its document's
+//! interned name and its arena slot, so loading a document formats and
+//! interns nothing per node. It still prints as `<document>/n<slot>`, and it
+//! equals no string constant, that spelling included.
 
 use crate::symbol::{symbol, Symbol};
 use serde::{Deserialize, Serialize};
@@ -55,11 +61,21 @@ impl fmt::Display for Variable {
     }
 }
 
-/// A constant value.
+/// A constant value. The derived order puts strings (by symbol id) before
+/// nodes (by document symbol, then slot: document order within one
+/// document), nodes before integers, and integers before parameters.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Constant {
-    /// Interned string constant (tag names, text values, node labels).
+    /// Interned string constant (tag names, text values).
     Str(u32),
+    /// Element `id` (its arena slot) of the document whose name is the
+    /// symbol `doc`.
+    Node {
+        /// The document name's symbol id.
+        doc: u32,
+        /// The element's arena slot.
+        id: u32,
+    },
     /// Integer constant.
     Int(i64),
     /// Parameter `i` of a canonical block: the place of the `i`-th constant
@@ -79,10 +95,16 @@ impl Constant {
         Constant::Int(i)
     }
 
+    /// Element `id` of the document whose name is `doc`.
+    pub fn node(doc: Symbol, id: u32) -> Constant {
+        Constant::Node { doc: doc.0, id }
+    }
+
     /// Render the constant for display / SQL generation.
     pub fn render(&self) -> String {
         match self {
             Constant::Str(s) => Symbol(*s).as_str().to_string(),
+            Constant::Node { doc, id } => format!("{}/n{id}", Symbol(*doc).as_str()),
             Constant::Int(i) => i.to_string(),
             Constant::Param(i) => format!("?{i}"),
         }
@@ -93,6 +115,7 @@ impl fmt::Debug for Constant {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Constant::Str(s) => write!(f, "\"{}\"", Symbol(*s).as_str()),
+            Constant::Node { doc, id } => write!(f, "\"{}/n{id}\"", Symbol(*doc).as_str()),
             Constant::Int(i) => write!(f, "{i}"),
             Constant::Param(i) => write!(f, "?{i}"),
         }
@@ -158,8 +181,9 @@ impl Term {
 
     /// The term as it is spelled, as a sort key: variables before
     /// constants, a variable by its name and then its disambiguator, a
-    /// string constant by its text, before every integer, and an integer
-    /// before every parameter, by number. The derived `Ord`
+    /// string constant by its text, before every node, a node by its
+    /// document's name and then its slot, before every integer, and an
+    /// integer before every parameter, by number. The derived `Ord`
     /// compares interned symbols, so it follows whichever string the process
     /// happened to intern first; this key orders terms the same way in every
     /// process.
@@ -167,8 +191,9 @@ impl Term {
         match *self {
             Term::Var(v) => (0, Symbol(v.name).as_str(), i64::from(v.index)),
             Term::Const(Constant::Str(s)) => (1, Symbol(s).as_str(), 0),
-            Term::Const(Constant::Int(i)) => (2, "", i),
-            Term::Const(Constant::Param(i)) => (3, "", i64::from(i)),
+            Term::Const(Constant::Node { doc, id }) => (2, Symbol(doc).as_str(), i64::from(id)),
+            Term::Const(Constant::Int(i)) => (3, "", i),
+            Term::Const(Constant::Param(i)) => (4, "", i64::from(i)),
         }
     }
 }
@@ -187,6 +212,9 @@ impl fmt::Display for Term {
         fmt::Debug::fmt(self, f)
     }
 }
+
+// A node fits beside the integer's eight bytes: terms stay two words.
+const _: () = assert!(std::mem::size_of::<Term>() == 16);
 
 impl From<Variable> for Term {
     fn from(v: Variable) -> Term {
@@ -307,5 +335,25 @@ mod tests {
         assert_eq!(format!("{}", Term::var("a")), "a");
         assert_eq!(format!("{}", Term::constant_str("t")), "\"t\"");
         assert_eq!(format!("{}", Term::constant_int(3)), "3");
+        let node = Term::Const(Constant::node(symbol("d.xml"), 7));
+        assert_eq!(format!("{node}"), "\"d.xml/n7\"");
+    }
+
+    /// A node prints as the string constant `<document>/n<slot>` did, and
+    /// equals no string, its own spelling included.
+    #[test]
+    fn nodes_are_typed_and_spelled_as_before() {
+        let node = |doc: &str, id| Constant::node(symbol(doc), id);
+        assert_eq!(node("shop.xml", 12).render(), "shop.xml/n12");
+        assert_ne!(node("shop.xml", 12), Constant::str("shop.xml/n12"));
+        assert_ne!(node("a.xml", 1), node("b.xml", 1));
+        // Document order within a document; strings first, integers after.
+        assert!(node("shop.xml", 2) < node("shop.xml", 10));
+        assert!(Constant::str("zzz") < node("shop.xml", 0));
+        assert!(node("shop.xml", u32::MAX) < Constant::int(i64::MIN));
+        let (a, b) = (Term::Const(node("shop.xml", 2)), Term::Const(node("shop.xml", 10)));
+        assert!(a.spelling() < b.spelling());
+        assert!(Term::constant_str("zzz").spelling() < a.spelling());
+        assert!(b.spelling() < Term::constant_int(i64::MIN).spelling());
     }
 }

@@ -263,6 +263,7 @@ fn compile_conjunct(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mars_cq::NavBase;
     use mars_xml::parse_path;
     use mars_xquery::xbind::example_2_1;
 
@@ -277,12 +278,12 @@ mod tests {
         assert_eq!(q.body.len(), 4);
         let s = GrexSchema::new("books.xml");
         let preds: Vec<Predicate> = q.body.iter().map(|a| a.predicate).collect();
-        assert!(preds.contains(&s.root()));
-        assert!(preds.contains(&s.desc()));
-        assert!(preds.contains(&s.tag()));
-        assert!(preds.contains(&s.text()));
+        assert!(preds.contains(&s.predicate(NavBase::Root)));
+        assert!(preds.contains(&s.predicate(NavBase::Desc)));
+        assert!(preds.contains(&s.predicate(NavBase::Tag)));
+        assert!(preds.contains(&s.predicate(NavBase::Text)));
         // The text atom binds the head variable.
-        let text_atom = q.body.iter().find(|a| a.predicate == s.text()).unwrap();
+        let text_atom = q.body.iter().find(|a| a.predicate == s.predicate(NavBase::Text)).unwrap();
         assert_eq!(text_atom.args[1], Term::var("a"));
     }
 
@@ -299,7 +300,7 @@ mod tests {
         assert!(q.body.iter().any(|a| a.predicate == Predicate::new("Xbo")));
         // All navigation is over books.xml.
         let s = GrexSchema::new("books.xml");
-        assert!(q.body.iter().any(|a| a.predicate == s.child()));
+        assert!(q.body.iter().any(|a| a.predicate == s.predicate(NavBase::Child)));
         assert!(q.is_safe());
     }
 
@@ -334,9 +335,9 @@ mod tests {
         let mut ctx = CompileContext::new();
         let q = compile_xbind(&mut ctx, &xb);
         let s = GrexSchema::new("bib.xml");
-        assert!(q.body.iter().any(|a| a.predicate == s.attr()));
+        assert!(q.body.iter().any(|a| a.predicate == s.predicate(NavBase::Attr)));
         // attr atom: (node, "year", y)
-        let attr = q.body.iter().find(|a| a.predicate == s.attr()).unwrap();
+        let attr = q.body.iter().find(|a| a.predicate == s.predicate(NavBase::Attr)).unwrap();
         assert_eq!(attr.args[1], Term::constant_str("year"));
         assert_eq!(attr.args[2], Term::var("y"));
     }
@@ -365,7 +366,7 @@ mod tests {
         let s = GrexSchema::new("people.xml");
         // premise: root(r), desc(r,p), tag(p,"person")
         assert_eq!(ded.premise.len(), 3);
-        assert!(ded.premise.iter().any(|a| a.predicate == s.tag()));
+        assert!(ded.premise.iter().any(|a| a.predicate == s.predicate(NavBase::Tag)));
         // conclusion: ∃s child(p,s) ∧ tag(s,"ssn")
         assert_eq!(ded.conclusions.len(), 1);
         let c = &ded.conclusions[0];
@@ -402,9 +403,7 @@ mod tests {
         let mut ctx = CompileContext::new();
         let q = compile_xbind(&mut ctx, &xb);
         let s = GrexSchema::new("d.xml");
-        assert!(q
-            .body
-            .iter()
-            .any(|a| a.predicate == s.desc() && *a.args == [Term::var("x"), Term::var("y")]));
+        assert!(q.body.iter().any(|a| a.predicate == s.predicate(NavBase::Desc)
+            && *a.args == [Term::var("x"), Term::var("y")]));
     }
 }

@@ -5,25 +5,31 @@
 //! executes relational reformulations that mention GReX predicates of
 //! proprietary XML documents, and the test suite checks that reformulations
 //! return the same answers as the original queries.
+//!
+//! A node is the typed constant [`Constant::Node`]: its document's symbol,
+//! resolved once per document, and its arena slot. Encoding a document
+//! formats nothing per node and interns only its tags, texts and attribute
+//! names and values; the schema's eight predicates are resolved once.
 
 use crate::schema::GrexSchema;
-use mars_cq::{Atom, Term};
+use mars_cq::{symbol, Atom, Constant, Term};
 use mars_xml::{Document, NodeId};
 
-/// The identity of node `id` of `document`: the string constant
-/// `"<document>/n<k>"`. The encoded facts and the native navigation index
-/// both spell nodes this way, which is what lets the two stores agree byte
-/// for byte.
+/// The identity of node `id` of `document`: the typed constant
+/// [`Constant::Node`], printed `"<document>/n<k>"`. The encoded facts and
+/// the native navigation index both name nodes this way, which is what lets
+/// the two stores agree byte for byte.
 pub fn node_constant(document: &str, id: NodeId) -> Term {
-    Term::constant_str(&format!("{document}/n{}", id.0))
+    Term::Const(Constant::node(symbol(document), id.0))
 }
 
 /// Encode a document into ground GReX atoms, nodes named by
 /// [`node_constant`].
 pub fn encode_document(doc: &Document) -> Vec<Atom> {
     let schema = GrexSchema::new(&doc.name);
+    let document = symbol(&doc.name);
     let mut out = Vec::new();
-    let node_const = |id: NodeId| node_constant(&doc.name, id);
+    let node_const = |id: NodeId| Term::Const(Constant::node(document, id.0));
 
     let Some(root) = doc.root() else {
         return out;
@@ -63,7 +69,7 @@ pub fn encode_document(doc: &Document) -> Vec<Atom> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mars_cq::Predicate;
+    use mars_cq::{NavBase, Predicate};
     use mars_xml::parse_document;
 
     fn sample() -> Document {
@@ -86,15 +92,15 @@ mod tests {
         let doc = sample();
         let atoms = encode_document(&doc);
         let s = GrexSchema::new("catalog.xml");
-        assert_eq!(count(&atoms, s.root()), 1);
-        assert_eq!(count(&atoms, s.el()), 7);
-        assert_eq!(count(&atoms, s.tag()), 7);
-        assert_eq!(count(&atoms, s.child()), 6);
+        assert_eq!(count(&atoms, s.predicate(NavBase::Root)), 1);
+        assert_eq!(count(&atoms, s.predicate(NavBase::El)), 7);
+        assert_eq!(count(&atoms, s.predicate(NavBase::Tag)), 7);
+        assert_eq!(count(&atoms, s.predicate(NavBase::Child)), 6);
         // desc: per node, self + descendants: 7 + 6 (root) + 2*2 (drugs) + 0 = 17
-        assert_eq!(count(&atoms, s.desc()), 17);
-        assert_eq!(count(&atoms, s.text()), 4);
-        assert_eq!(count(&atoms, s.attr()), 2);
-        assert_eq!(count(&atoms, s.id()), 7);
+        assert_eq!(count(&atoms, s.predicate(NavBase::Desc)), 17);
+        assert_eq!(count(&atoms, s.predicate(NavBase::Text)), 4);
+        assert_eq!(count(&atoms, s.predicate(NavBase::Attr)), 2);
+        assert_eq!(count(&atoms, s.predicate(NavBase::Id)), 7);
     }
 
     #[test]
@@ -109,15 +115,36 @@ mod tests {
         assert!(encode_document(&doc).is_empty());
     }
 
+    /// Every node of the encoding is its typed constant, spelled as the
+    /// string constant `<document>/n<k>` was, and no text is a node.
+    #[test]
+    fn nodes_are_typed_constants() {
+        let atoms = encode_document(&sample());
+        let s = GrexSchema::new("catalog.xml");
+        let root = node_constant("catalog.xml", NodeId(0));
+        assert_eq!(root.to_string(), "\"catalog.xml/n0\"");
+        assert!(atoms
+            .iter()
+            .any(|a| a.predicate == s.predicate(NavBase::Root) && a.args[0] == root));
+        assert!(atoms
+            .iter()
+            .filter(|a| a.predicate == s.predicate(NavBase::El))
+            .all(|a| matches!(a.args[0], Term::Const(Constant::Node { .. }))));
+        assert!(atoms
+            .iter()
+            .filter(|a| a.predicate == s.predicate(NavBase::Text))
+            .all(|a| matches!(a.args[1], Term::Const(Constant::Str(_)))));
+    }
+
     #[test]
     fn text_values_appear_as_constants() {
         let atoms = encode_document(&sample());
         let s = GrexSchema::new("catalog.xml");
+        assert!(atoms.iter().any(|a| a.predicate == s.predicate(NavBase::Text)
+            && a.args[1] == Term::constant_str("aspirin")));
         assert!(atoms
             .iter()
-            .any(|a| a.predicate == s.text() && a.args[1] == Term::constant_str("aspirin")));
-        assert!(atoms
-            .iter()
-            .any(|a| a.predicate == s.attr() && a.args[2] == Term::constant_str("d1")));
+            .any(|a| a.predicate == s.predicate(NavBase::Attr)
+                && a.args[2] == Term::constant_str("d1")));
     }
 }

@@ -20,7 +20,9 @@
 //!   of Section 2.4 for views that construct new XML elements,
 //! * [`encode`] — encoding of concrete documents into ground GReX facts, used
 //!   by the storage substrate and by semantics tests, and [`node_constant`],
-//!   the one spelling of a node's identity.
+//!   the one identity of a node: the typed term
+//!   [`Constant::Node`](mars_cq::Constant::Node) of its document and arena
+//!   slot, printed `<doc>/n<k>`, not an interned string.
 
 #![deny(missing_docs)]
 

@@ -8,6 +8,7 @@
 //! [`Atom::navigation`](mars_cq::Atom::navigation).
 
 use mars_cq::{Atom, NavBase, Predicate, Term};
+use std::sync::OnceLock;
 
 /// A GReX atom. Its one to three arguments are copied into the atom,
 /// with no `Vec` built first: `encode_document` makes one per fact.
@@ -20,92 +21,65 @@ fn atom(predicate: Predicate, args: &[Term]) -> Atom {
 pub struct GrexSchema {
     /// Document name, e.g. `case.xml`.
     pub document: String,
+    /// The eight predicates, in [`NavBase::ALL`] order, each spelled and
+    /// interned on first use, not once per atom built.
+    predicates: [OnceLock<Predicate>; 8],
 }
 
 impl GrexSchema {
     /// The schema of the given document.
     pub fn new(document: &str) -> GrexSchema {
-        GrexSchema { document: document.to_string() }
+        GrexSchema { document: document.to_string(), predicates: Default::default() }
     }
 
-    fn pred(&self, base: NavBase) -> Predicate {
-        base.predicate(&self.document)
-    }
-
-    /// `root(x)` — x is the document's root element.
-    pub fn root(&self) -> Predicate {
-        self.pred(NavBase::Root)
-    }
-    /// `el(x)` — x is an element node.
-    pub fn el(&self) -> Predicate {
-        self.pred(NavBase::El)
-    }
-    /// `child(x, y)` — y is a child of x.
-    pub fn child(&self) -> Predicate {
-        self.pred(NavBase::Child)
-    }
-    /// `desc(x, y)` — y is a descendant-or-self of x.
-    pub fn desc(&self) -> Predicate {
-        self.pred(NavBase::Desc)
-    }
-    /// `tag(x, t)` — element x has tag t.
-    pub fn tag(&self) -> Predicate {
-        self.pred(NavBase::Tag)
-    }
-    /// `attr(x, n, v)` — element x has attribute n with value v.
-    pub fn attr(&self) -> Predicate {
-        self.pred(NavBase::Attr)
-    }
-    /// `id(x, i)` — element x has node identity i.
-    pub fn id(&self) -> Predicate {
-        self.pred(NavBase::Id)
-    }
-    /// `text(x, v)` — element x has text content v.
-    pub fn text(&self) -> Predicate {
-        self.pred(NavBase::Text)
+    /// The document's predicate of `base`: `root(x)`, `el(x)`, `child(x, y)`
+    /// (y a child of x), `desc(x, y)` (y a descendant-or-self of x),
+    /// `tag(x, t)`, `attr(x, n, v)`, `id(x, i)` and `text(x, v)`.
+    pub fn predicate(&self, base: NavBase) -> Predicate {
+        *self.predicates[base as usize].get_or_init(|| base.predicate(&self.document))
     }
 
     /// All eight GReX predicates of this document.
     pub fn all_predicates(&self) -> Vec<Predicate> {
-        NavBase::ALL.map(|base| self.pred(base)).to_vec()
+        NavBase::ALL.map(|base| self.predicate(base)).to_vec()
     }
 
     /// Convenience atom builders.
     pub fn root_atom(&self, x: Term) -> Atom {
-        atom(self.root(), &[x])
+        atom(self.predicate(NavBase::Root), &[x])
     }
     /// `el(x)` atom.
     pub fn el_atom(&self, x: Term) -> Atom {
-        atom(self.el(), &[x])
+        atom(self.predicate(NavBase::El), &[x])
     }
     /// `child(x,y)` atom.
     pub fn child_atom(&self, x: Term, y: Term) -> Atom {
-        atom(self.child(), &[x, y])
+        atom(self.predicate(NavBase::Child), &[x, y])
     }
     /// `desc(x,y)` atom.
     pub fn desc_atom(&self, x: Term, y: Term) -> Atom {
-        atom(self.desc(), &[x, y])
+        atom(self.predicate(NavBase::Desc), &[x, y])
     }
     /// `tag(x,"t")` atom.
     pub fn tag_atom(&self, x: Term, tag: &str) -> Atom {
-        atom(self.tag(), &[x, Term::constant_str(tag)])
+        atom(self.predicate(NavBase::Tag), &[x, Term::constant_str(tag)])
     }
     /// `text(x,v)` atom.
     pub fn text_atom(&self, x: Term, v: Term) -> Atom {
-        atom(self.text(), &[x, v])
+        atom(self.predicate(NavBase::Text), &[x, v])
     }
     /// `attr(x,"n",v)` atom.
     pub fn attr_atom(&self, x: Term, name: &str, v: Term) -> Atom {
-        atom(self.attr(), &[x, Term::constant_str(name), v])
+        atom(self.predicate(NavBase::Attr), &[x, Term::constant_str(name), v])
     }
     /// `id(x,i)` atom.
     pub fn id_atom(&self, x: Term, i: Term) -> Atom {
-        atom(self.id(), &[x, i])
+        atom(self.predicate(NavBase::Id), &[x, i])
     }
 
     /// Does the predicate belong to this document's GReX encoding?
     pub fn owns(&self, p: Predicate) -> bool {
-        self.all_predicates().contains(&p)
+        NavBase::ALL.iter().any(|&base| self.predicate(base) == p)
     }
 }
 
@@ -117,10 +91,13 @@ mod tests {
     fn predicates_are_document_scoped() {
         let a = GrexSchema::new("case.xml");
         let b = GrexSchema::new("catalog.xml");
-        assert_ne!(a.child(), b.child());
+        assert_ne!(a.predicate(NavBase::Child), b.predicate(NavBase::Child));
         assert_eq!(a.all_predicates().len(), 8);
-        assert!(a.owns(a.desc()));
-        assert!(!a.owns(b.desc()));
+        assert!(a.owns(a.predicate(NavBase::Desc)));
+        assert!(!a.owns(b.predicate(NavBase::Desc)));
+        for base in NavBase::ALL {
+            assert_eq!(a.predicate(base), base.predicate("case.xml"), "{base:?}");
+        }
     }
 
     /// The schema's atoms read back as navigation of its document; other
@@ -139,7 +116,7 @@ mod tests {
     fn atom_builders() {
         let s = GrexSchema::new("d.xml");
         let a = s.tag_atom(Term::var("x"), "author");
-        assert_eq!(a.predicate, s.tag());
+        assert_eq!(a.predicate, s.predicate(NavBase::Tag));
         assert_eq!(a.args[1], Term::constant_str("author"));
         assert_eq!(s.attr_atom(Term::var("x"), "year", Term::var("v")).arity(), 3);
         assert_eq!(s.child_atom(Term::var("x"), Term::var("y")).arity(), 2);

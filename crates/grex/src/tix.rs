@@ -6,7 +6,7 @@
 //! DEDs; they are added to every reformulation problem, once per document.
 
 use crate::schema::GrexSchema;
-use mars_cq::{Conjunct, Ded, Term, Variable};
+use mars_cq::{Conjunct, Ded, NavBase, Term, Variable};
 
 fn t(n: &str) -> Term {
     Term::var(n)
@@ -20,6 +20,7 @@ fn v(n: &str) -> Variable {
 pub fn tix_constraints(schema: &GrexSchema) -> Vec<Ded> {
     let d = &schema.document;
     let name = |base: &str| format!("TIX.{base}#{d}");
+    let tag = |x, tag| mars_cq::Atom::new(schema.predicate(NavBase::Tag), vec![t(x), t(tag)]);
     vec![
         // (base)  child ⊆ desc
         Ded::tgd(
@@ -54,12 +55,7 @@ pub fn tix_constraints(schema: &GrexSchema) -> Vec<Ded> {
         ),
         // Keys: an element has at most one tag / text / identity, and at most
         // one value per attribute name.
-        Ded::egd(
-            &name("tag_key"),
-            vec![schema.tag_atom_var(t("x"), t("t1")), schema.tag_atom_var(t("x"), t("t2"))],
-            t("t1"),
-            t("t2"),
-        ),
+        Ded::egd(&name("tag_key"), vec![tag("x", "t1"), tag("x", "t2")], t("t1"), t("t2")),
         Ded::egd(
             &name("text_key"),
             vec![schema.text_atom(t("x"), t("t1")), schema.text_atom(t("x"), t("t2"))],
@@ -75,8 +71,8 @@ pub fn tix_constraints(schema: &GrexSchema) -> Vec<Ded> {
         Ded::egd(
             &name("attr_key"),
             vec![
-                mars_cq::Atom::new(schema.attr(), vec![t("x"), t("n"), t("v1")]),
-                mars_cq::Atom::new(schema.attr(), vec![t("x"), t("n"), t("v2")]),
+                mars_cq::Atom::new(schema.predicate(NavBase::Attr), vec![t("x"), t("n"), t("v1")]),
+                mars_cq::Atom::new(schema.predicate(NavBase::Attr), vec![t("x"), t("n"), t("v2")]),
             ],
             t("v1"),
             t("v2"),
@@ -129,13 +125,6 @@ pub fn tix_constraints_core(schema: &GrexSchema) -> Vec<Ded> {
     tix_constraints(schema).into_iter().filter(|d| !d.name.starts_with("TIX.line")).collect()
 }
 
-impl GrexSchema {
-    /// `tag(x, t)` atom with a variable tag (only used inside TIX).
-    fn tag_atom_var(&self, x: Term, tag_var: Term) -> mars_cq::Atom {
-        mars_cq::Atom::new(self.tag(), vec![x, tag_var])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,7 +173,7 @@ mod tests {
         let plan = up.primary(&q.name).expect("a surviving branch");
         // The chase derived el facts, ids, reflexive/transitive desc facts.
         assert!(plan.body.len() > q.body.len());
-        assert!(plan.body.iter().any(|a| a.predicate == s.el()));
-        assert!(plan.body.iter().any(|a| a.predicate == s.id()));
+        assert!(plan.body.iter().any(|a| a.predicate == s.predicate(NavBase::El)));
+        assert!(plan.body.iter().any(|a| a.predicate == s.predicate(NavBase::Id)));
     }
 }

@@ -244,6 +244,7 @@ pub fn compile_view(ctx: &mut CompileContext, view: &ViewDef) -> Vec<Ded> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mars_cq::NavBase;
     use mars_xml::parse_path;
     use mars_xquery::XBindAtom;
 
@@ -316,7 +317,10 @@ mod tests {
         // The structure constraint mentions the output document's GReX schema.
         let out_schema = GrexSchema::new("cacheEntry.xml");
         let structure = deds.iter().find(|d| d.name == "CacheEntry_structure").unwrap();
-        assert!(structure.conclusions[0].atoms.iter().any(|a| a.predicate == out_schema.text()));
+        assert!(structure.conclusions[0]
+            .atoms
+            .iter()
+            .any(|a| a.predicate == out_schema.predicate(NavBase::Text)));
         // The output predicates of an XML view are the document's GReX relations.
         assert_eq!(view.output_predicates().len(), 8);
     }
@@ -351,8 +355,11 @@ mod tests {
         // proprietary navigation facts.
         let b_v = deds.iter().find(|d| d.name == "bIdMap").unwrap();
         let pub_schema = GrexSchema::new("public_catalog.xml");
-        assert!(b_v.premise.iter().any(|a| a.predicate == pub_schema.child()));
+        assert!(b_v.premise.iter().any(|a| a.predicate == pub_schema.predicate(NavBase::Child)));
         let prop_schema = GrexSchema::new("catalog.xml");
-        assert!(b_v.conclusions[0].atoms.iter().any(|a| a.predicate == prop_schema.child()));
+        assert!(b_v.conclusions[0]
+            .atoms
+            .iter()
+            .any(|a| a.predicate == prop_schema.predicate(NavBase::Child)));
     }
 }

@@ -3,9 +3,8 @@
 //! One `DocIndex` lives in the [`XmlStore`](crate::XmlStore) beside each
 //! document, built once on first use. It holds what the navigation kernel
 //! ([`crate::navigation`]) needs to run a GReX atom without touching a string:
-//! dense arena-indexed arrays for every element's node constant
-//! ([`mars_grex::node_constant`], the identity the encoded facts use), tag term,
-//! pre-interned direct text; the **parent array**, one `u32` per arena slot,
+//! dense arena-indexed arrays for every element's tag term and pre-interned
+//! direct text; the **parent array**, one `u32` per arena slot,
 //! which `child` with a bound child and `desc` with a bound descendant walk
 //! up without building a node view; the **child array**, every element's
 //! element children as one contiguous slice, each child beside its tag
@@ -16,6 +15,10 @@
 //! text and by (tag, text), each one flat array of elements with an
 //! Fx-hashed map from the key's interned symbol ids to a range of it.
 //!
+//! No node is stored, formatted or interned: an element's constant is the
+//! typed [`Constant::Node`] of the document's symbol and its arena slot, as
+//! in the encoded facts ([`mars_grex::node_constant`]).
+//!
 //! One preorder walk fills all of it, and the document's [`NavStats`]
 //! record, so the planner reads it in O(1). Entering an element lays out
 //! its child slice and sets its children's parents in the one pass over
@@ -24,8 +27,7 @@
 
 use crate::executor::Fx;
 use mars_cost::NavStats;
-use mars_cq::{Constant, Term};
-use mars_grex::node_constant;
+use mars_cq::{Constant, Symbol, Term};
 use mars_xml::{Document, NodeId};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -37,8 +39,8 @@ const NONE: u32 = u32::MAX;
 /// Lookup structures and statistics of one stored document (see module docs).
 #[derive(Clone, Debug)]
 pub(crate) struct DocIndex {
-    /// Node constant per arena slot (meaningful for elements only).
-    node_term: Vec<Term>,
+    /// The document name's symbol: the `doc` of its node constants.
+    document: Symbol,
     /// Tag term per arena slot (meaningful for elements only).
     tag_term: Vec<Term>,
     /// Direct text per arena slot; `None` when empty (no `text#d` fact).
@@ -58,9 +60,6 @@ pub(crate) struct DocIndex {
     subtree_end: Vec<u32>,
     /// All elements in preorder.
     preorder: Vec<NodeId>,
-    /// The element a node constant denotes — where bound constants and the
-    /// mixed route's join values re-enter navigation.
-    node_of: HashMap<Term, NodeId, Fx>,
     /// Elements by tag symbol, each bucket in preorder (so the descendants
     /// carrying a tag are a sub-slice found by binary search).
     by_tag: Buckets<u32>,
@@ -84,7 +83,7 @@ impl DocIndex {
         let slots = doc.len();
         let placeholder = Term::constant_int(0);
         let mut index = DocIndex {
-            node_term: vec![placeholder; slots],
+            document: Symbol::intern(&doc.name),
             tag_term: vec![placeholder; slots],
             text_term: vec![None; slots],
             parent: vec![NONE; slots],
@@ -93,7 +92,6 @@ impl DocIndex {
             rank: vec![NONE; slots],
             subtree_end: vec![0; slots],
             preorder: Vec::new(),
-            node_of: HashMap::default(),
             by_tag: Buckets::default(),
             by_text: Buckets::default(),
             by_tag_text: Buckets::default(),
@@ -148,13 +146,10 @@ impl DocIndex {
     ) {
         let node = doc.node(id);
         let slot = id.index();
-        let term = node_constant(&doc.name, id);
         let tag = Term::constant_str(node.tag().unwrap_or_default());
         self.rank[slot] = self.preorder.len() as u32;
         self.preorder.push(id);
-        self.node_term[slot] = term;
         self.tag_term[slot] = tag;
-        self.node_of.insert(term, id);
         if !node.attributes.is_empty() {
             let entries = node.attributes.iter();
             let entries = entries.map(|(n, v)| (Term::constant_str(n), Term::constant_str(v)));
@@ -193,7 +188,7 @@ impl DocIndex {
 
     /// The node constant of an element.
     pub(crate) fn node_term(&self, id: NodeId) -> Term {
-        self.node_term[id.index()]
+        Term::Const(Constant::node(self.document, id.0))
     }
 
     /// The tag term of an element.
@@ -226,7 +221,13 @@ impl DocIndex {
 
     /// The element `t` denotes, if it is a node constant of this document.
     pub(crate) fn node_of(&self, t: Term) -> Option<NodeId> {
-        self.node_of.get(&t).copied()
+        match t {
+            Term::Const(Constant::Node { doc, id }) if doc == self.document.0 => {
+                let element = self.rank.get(id as usize).is_some_and(|&r| r != NONE);
+                element.then_some(NodeId(id))
+            }
+            _ => None,
+        }
     }
 
     /// All elements, in preorder.

@@ -118,15 +118,17 @@ fn distinct(batch: &Batch) -> Vec<Row> {
 }
 
 /// A `u64` ordered as [`Term`]s are, up to ties: variables by name, then
-/// string, integer and parameter constants, each kind in its id order.
-/// Integers all tie (a value does not fit beside the kind), as do variables
-/// of one name.
+/// string, node, integer and parameter constants, each kind in its id
+/// order, the kind in the top three bits. Integers all tie (a value does
+/// not fit beside the kind), as do variables of one name and a document's
+/// nodes eight slots at a time (its symbol and slot do not both fit).
 fn order_key(t: Term) -> u64 {
     match t {
         Term::Var(v) => v.name as u64,
-        Term::Const(Constant::Str(s)) => 1 << 62 | s as u64,
-        Term::Const(Constant::Int(_)) => 2 << 62,
-        Term::Const(Constant::Param(p)) => 3 << 62 | p as u64,
+        Term::Const(Constant::Str(s)) => 1 << 61 | s as u64,
+        Term::Const(Constant::Node { doc, id }) => 2 << 61 | (doc as u64) << 29 | (id >> 3) as u64,
+        Term::Const(Constant::Int(_)) => 3 << 61,
+        Term::Const(Constant::Param(p)) => 4 << 61 | p as u64,
     }
 }
 
@@ -393,7 +395,7 @@ mod reference {
 #[cfg(test)]
 mod against_reference {
     use super::{distinct, hash_join, reference, Batch};
-    use mars_cq::{Constant, Term, Variable};
+    use mars_cq::{symbol, Constant, Term, Variable};
     use proptest::prelude::*;
 
     fn below(rng: &mut TestRng, n: usize) -> usize {
@@ -401,9 +403,11 @@ mod against_reference {
     }
 
     /// Every kind of term, with ties for `order_key`: two integers, two
-    /// variables of one name.
+    /// variables of one name, and nodes of one document within eight slots;
+    /// nodes of two documents, so the document orders before the slot.
     fn batch(rng: &mut TestRng, width: usize, len: usize) -> Batch {
         let v = Variable::named("v");
+        let node = |doc: &str, id| Term::Const(Constant::node(symbol(doc), id));
         let alphabet = [
             Term::constant_str("a"),
             Term::constant_str("b"),
@@ -412,6 +416,12 @@ mod against_reference {
             Term::constant_int(-3),
             Term::constant_int(7),
             Term::Const(Constant::Param(0)),
+            node("order_key_a.xml", 3),
+            node("order_key_a.xml", 5),
+            node("order_key_a.xml", 9),
+            node("order_key_a.xml", u32::MAX),
+            node("order_key_b.xml", 0),
+            node("order_key_b.xml", 4),
         ];
         let mut batch = Batch::new(width);
         batch.data = (0..width * len).map(|_| alphabet[below(rng, alphabet.len())]).collect();

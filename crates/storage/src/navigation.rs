@@ -30,10 +30,10 @@
 //!
 //! Slots are typed at compile time: a variable that only ever stands in node
 //! positions of one document is a [`NodeId`] slot, everything else a
-//! [`Term`] slot; the `"<doc>/n<k>"` constants are materialized only by
-//! `NavPlan::execute`. The rare variable used both ways is a term slot
-//! with `NodeOf` / `TermOf` conversion steps around the atoms that navigate
-//! from it.
+//! [`Term`] slot; node constants (`Constant::Node`, built from the slot,
+//! never looked up) are materialized only by `NavPlan::execute`. The rare
+//! variable used both ways is a term slot with `NodeOf` / `TermOf`
+//! conversion steps around the atoms that navigate from it.
 //!
 //! Every step rewrites the batch in place, compacting survivors down over
 //! dropped rows, as long as each row yields at most one row. The steps that
@@ -630,8 +630,8 @@ impl<'s> NavPlan<'s> {
     }
 
     /// Run the plan and materialize `columns` (variables the plan binds) as
-    /// a term batch — the one place node slots become `"<doc>/n<k>"`
-    /// constants. Also returns the candidate tuples enumerated.
+    /// a term batch — the one place node slots become node constants. Also
+    /// returns the candidate tuples enumerated.
     pub(crate) fn execute(&self, columns: impl Iterator<Item = Variable>) -> (Batch, u64) {
         let (rows, tuples) = self.run();
         let slots: Vec<Slot> = columns

@@ -15,7 +15,7 @@ use crate::executor::execute_plan;
 use crate::xml_engine::XmlStore;
 use mars_chase::{evaluate_bindings, SymbolicInstance};
 use mars_cost::{physical_plan, PhysicalPlan, StatisticsCatalog};
-use mars_cq::{Args, Atom, ConjunctiveQuery, Predicate, Substitution, Term, Variable};
+use mars_cq::{Args, Atom, ConjunctiveQuery, NavBase, Predicate, Substitution, Term, Variable};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -40,11 +40,18 @@ impl RelationalDatabase {
         self.inst.insert(Predicate::new(relation), &row);
     }
 
-    /// Bulk-load ground facts (e.g. a GReX document encoding).
+    /// Bulk-load ground facts (e.g. a GReX document encoding). A document
+    /// with facts [holds](StatisticsCatalog::holds) all eight GReX
+    /// relations: without attributes, its `attr#d` is empty, not absent.
     pub fn load_facts(&mut self, facts: &[Atom]) {
         for fact in facts {
             debug_assert!(fact.is_ground(), "facts must be ground: {fact}");
+            let relations = self.inst.relation_count();
             self.inst.insert_atom(fact);
+            let opened = self.inst.relation_count() > relations;
+            if let Some((_, document)) = opened.then(|| fact.navigation()).flatten() {
+                NavBase::ALL.into_iter().for_each(|b| self.inst.declare(b.predicate(document)));
+            }
         }
     }
 
@@ -123,6 +130,10 @@ impl RelationalDatabase {
 /// in the chase's instance representation, whose relations count their
 /// tuples on insert and their per-column distincts on first read.
 impl StatisticsCatalog for RelationalDatabase {
+    fn holds(&self, relation: Predicate) -> bool {
+        self.inst.relation_data(relation).is_some()
+    }
+
     fn tuple_count(&self, relation: Predicate) -> usize {
         self.inst.relation_len(relation)
     }
@@ -308,6 +319,29 @@ mod tests {
         assert_eq!(db.distinct_in_column(p, 0), 2, "ann appears twice");
         assert_eq!(db.distinct_in_column(p, 1), 3);
         assert_eq!(db.tuple_count(Predicate::new("missing")), 0);
+        assert!(db.holds(p) && !db.holds(Predicate::new("missing")));
+    }
+
+    /// Loading a document's facts holds all eight of its GReX relations:
+    /// one without attributes has an empty `attr#d`, not an absent one, so
+    /// the relational route still answers over it, with no row.
+    #[test]
+    fn loaded_documents_hold_every_navigation_relation() {
+        let doc = mars_xml::parse_document("plain.xml", "<a><b>x</b></a>").unwrap();
+        let mut db = RelationalDatabase::new();
+        db.load_facts(&mars_grex::encode_document(&doc));
+        for base in NavBase::ALL {
+            assert!(db.holds(base.predicate("plain.xml")), "{base:?}");
+            assert!(!db.holds(base.predicate("other.xml")), "{base:?}");
+        }
+        let (n, k, v) = (Term::var("n"), Term::var("k"), Term::var("v"));
+        let attr = Atom::new(NavBase::Attr.predicate("plain.xml"), vec![n, k, v]);
+        let q = ConjunctiveQuery::new("Q").with_head(vec![n]).with_body(vec![attr]);
+        let xml = crate::XmlStore::new();
+        let router = crate::BackendRouter::new(&db, &xml);
+        let plan = router.plan(&q);
+        assert!(plan.decision.costs.relational.is_some(), "{}", plan.decision);
+        assert_eq!(router.execute(&plan).unwrap().rows, Vec::<Row>::new());
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   kernel ([`crate::navigation`]) over each stored
 //!   [`Document`](mars_xml::Document)'s resident index, producing exactly the
 //!   bindings joining `mars_grex::encode_document`'s facts would (node
-//!   identities are the same `"<doc>/n<k>"` constants), so the two stores
-//!   agree byte for byte;
+//!   identities are the same typed constants, `mars_grex::node_constant`),
+//!   so the two stores agree byte for byte;
 //! * **mixed** — that `NavScan` hash-joined with `TableScan`s for the
 //!   remaining atoms.
 //!
@@ -36,7 +36,7 @@
 use crate::executor::execute_plan;
 use crate::relational::{RelationalDatabase, Row};
 use crate::xml_engine::{XmlStore, XmlStoreError};
-use mars_cost::{route_forced, route_query, PhysicalPlan};
+use mars_cost::{route_forced, route_query, unheld_navigation, PhysicalPlan};
 pub use mars_cost::{Route, RouteCosts, RoutingDecision};
 use mars_cq::{Atom, ConjunctiveQuery};
 use std::time::{Duration, Instant};
@@ -122,7 +122,9 @@ impl<'a> BackendRouter<'a> {
     /// [`XmlStoreError::NotNavigable`] when a hand-edited plan names a route
     /// its tree does not run and the query sends a non-navigation atom down
     /// it (routing itself never chooses a route over absent documents or
-    /// foreign atoms).
+    /// foreign atoms), and [`XmlStoreError::NotLoaded`] when the tree scans
+    /// a navigation relation the relational store does not hold — a forced
+    /// route, or a query no route can answer.
     pub fn execute(&self, plan: &RoutedPlan) -> Result<RoutedExecution, XmlStoreError> {
         let start = Instant::now();
         let (q, tree) = (&plan.query, plan.decision.tree.as_deref());
@@ -130,11 +132,15 @@ impl<'a> BackendRouter<'a> {
         if let Some(error) = (route != plan.decision.route).then(|| self.off_route(q)).flatten() {
             return Err(error);
         }
+        let nav_scan = tree.and_then(PhysicalPlan::nav_scan);
+        if let Some(atom) = unheld_navigation(q, nav_scan.map_or(&[], |s| &s.atoms), self.db) {
+            return Err(XmlStoreError::NotLoaded { predicate: atom.predicate });
+        }
         let (rows, nav_tuples) = match tree {
             Some(tree) => execute_plan(tree, q, &self.db.inst, self.xml)?,
             None => (self.db.query(q), 0),
         };
-        let estimated_cost = tree.and_then(PhysicalPlan::nav_scan).map_or(0.0, |s| s.cost);
+        let estimated_cost = nav_scan.map_or(0.0, |s| s.cost);
         Ok(RoutedExecution { route, estimated_cost, nav_tuples, rows, duration: start.elapsed() })
     }
 
@@ -157,8 +163,8 @@ impl<'a> BackendRouter<'a> {
 mod tests {
     use super::*;
     use mars_cq::Term;
-    use mars_grex::encode_document;
-    use mars_xml::{parse_document, Document};
+    use mars_grex::{encode_document, node_constant};
+    use mars_xml::{parse_document, Document, NodeId};
 
     fn sample_doc() -> Document {
         parse_document(
@@ -438,7 +444,9 @@ mod tests {
 
     /// The shapes the typed compiler has to special-case — repeated
     /// variables, constants in node positions, one variable used as a node
-    /// and as a value, two documents — against the relational oracle.
+    /// and as a value, two documents — against the relational oracle. A
+    /// node is a typed constant: a text spelled like one is a string and
+    /// joins with no node.
     #[test]
     fn kernel_agrees_with_the_encoding_on_awkward_bodies() {
         let (mut db, mut xml) = stores();
@@ -453,7 +461,10 @@ mod tests {
         let router = BackendRouter::new(&db, &xml);
         let other = |base: &str, args: Vec<Term>| Atom::named(&format!("{base}#refs.xml"), args);
         let (x, y, z) = (Term::var("x"), Term::var("y"), Term::var("z"));
-        let n1 = Term::constant_str("shop.xml/n1");
+        let n1 = node_constant("shop.xml", NodeId(1));
+        // Slot 3 of shop.xml is a text node, which no element constant names.
+        assert_eq!(xml.document("shop.xml").unwrap().node(NodeId(3)).text_value(), Some("bolt"));
+        let text_slot = node_constant("shop.xml", NodeId(3));
         let bodies: Vec<Vec<Atom>> = vec![
             vec![nav("child", vec![x, x])],
             vec![nav("desc", vec![x, x])],
@@ -461,7 +472,9 @@ mod tests {
             vec![nav("tag", vec![x, Term::constant_str("item")]), nav("id", vec![x, y])],
             vec![nav("desc", vec![n1, x]), nav("tag", vec![x, y])],
             vec![nav("child", vec![x, n1]), nav("desc", vec![y, n1])],
-            vec![nav("el", vec![Term::constant_str("shop.xml/n999")]), nav("el", vec![x])],
+            vec![nav("el", vec![node_constant("shop.xml", NodeId(999))]), nav("el", vec![x])],
+            vec![nav("el", vec![text_slot]), nav("el", vec![x])],
+            vec![nav("child", vec![x, text_slot])],
             vec![nav("text", vec![x, Term::constant_int(3)])],
             // `y` is a text value of refs.xml and a node of shop.xml.
             vec![other("text", vec![x, y]), nav("child", vec![y, z])],
@@ -478,6 +491,17 @@ mod tests {
             let native = router.execute(&router.plan_forced(&q, Route::Xml)).unwrap();
             assert_eq!(native.route, Route::Xml);
             assert_eq!(native.rows, db.query(&q), "{q}");
+        }
+        // refs.xml's first text prints as node 1 of shop.xml does, yet it is
+        // that node on neither route; the node itself is an element.
+        let spelled = Term::constant_str("shop.xml/n1");
+        assert_eq!(spelled.to_string(), n1.to_string());
+        for (node, rows) in [(spelled, 0), (n1, 1)] {
+            let q = ConjunctiveQuery::new("Q")
+                .with_head(vec![x])
+                .with_body(vec![nav("el", vec![x]), nav("id", vec![x, node])]);
+            let native = router.execute(&router.plan_forced(&q, Route::Xml)).unwrap().rows;
+            assert_eq!((native.len(), db.query(&q)), (rows, native), "{q}");
         }
     }
 

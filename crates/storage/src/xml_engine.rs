@@ -42,6 +42,12 @@ pub enum XmlStoreError {
         /// The offending atom's predicate.
         predicate: Predicate,
     },
+    /// A plan scans a navigation relation the relational store does not
+    /// hold: the document's encoding was never loaded there.
+    NotLoaded {
+        /// The unheld relation.
+        predicate: Predicate,
+    },
 }
 
 impl fmt::Display for XmlStoreError {
@@ -52,6 +58,9 @@ impl fmt::Display for XmlStoreError {
             }
             XmlStoreError::NotNavigable { predicate } => {
                 write!(f, "atom over '{}' cannot run on the XML backend", predicate.name())
+            }
+            XmlStoreError::NotLoaded { predicate } => {
+                write!(f, "relation '{}' is not loaded in the relational store", predicate.name())
             }
         }
     }

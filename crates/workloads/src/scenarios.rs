@@ -282,10 +282,16 @@ impl Scenario {
     /// relational database so navigation atoms can execute relationally —
     /// the precondition for cross-backend differential comparison.
     pub fn populate(&self, scale: usize, seed: u64) -> (XmlStore, RelationalDatabase) {
-        let mut xml = XmlStore::new();
         let doc = self.generate_document(scale, seed);
         let mut db = RelationalDatabase::new();
         db.load_facts(&encode_document(&doc));
+        self.store(doc, db)
+    }
+
+    /// Store `doc` natively and materialize the views and (at redundancy
+    /// ≥ 1) the specialization relations into `db`.
+    fn store(&self, doc: Document, mut db: RelationalDatabase) -> (XmlStore, RelationalDatabase) {
+        let mut xml = XmlStore::new();
         xml.add_document(doc);
         for view in self.views() {
             materialize_view(&view, &mut xml, &mut db)
@@ -441,7 +447,7 @@ fn chain_specializations(doc: &str) -> Vec<SpecializationMapping> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mars_storage::{BackendRouter, Route};
+    use mars_storage::{BackendRouter, Route, XmlStoreError};
     use std::collections::HashSet;
 
     #[test]
@@ -452,6 +458,31 @@ mod tests {
         assert_eq!(names.len(), 12);
         assert!(names.contains("chain-uniform-r0"));
         assert!(names.contains("snowflake-skewed-r2"));
+    }
+
+    /// With the document stored natively only — its GReX encoding not
+    /// loaded into the relational store — every scenario's navigation query
+    /// answers what `populate`'s stores answer. The relational route would
+    /// scan the absent relations as empty, so it is infeasible, and forcing
+    /// it fails typed.
+    #[test]
+    fn a_natively_stored_document_is_never_scanned_as_empty() {
+        for s in Scenario::matrix() {
+            let q = s.navigation_query();
+            let (xml, db) = s.populate(20, 1);
+            let router = BackendRouter::new(&db, &xml);
+            let expected = router.execute(&router.plan(&q)).unwrap().rows;
+            assert!(!expected.is_empty(), "{}", s.name());
+
+            let (xml, db) = s.store(s.generate_document(20, 1), RelationalDatabase::new());
+            let router = BackendRouter::new(&db, &xml);
+            let plan = router.plan(&q);
+            assert_eq!(plan.decision.costs.relational, None, "{}", s.name());
+            let exec = router.execute(&plan).unwrap();
+            assert_eq!(exec.rows, expected, "{}: native-only storage disagrees", s.name());
+            let forced = router.execute(&router.plan_forced(&q, Route::Relational));
+            assert!(matches!(forced, Err(XmlStoreError::NotLoaded { .. })), "{}", s.name());
+        }
     }
 
     #[test]

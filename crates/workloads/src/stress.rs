@@ -64,6 +64,7 @@ fn _t(n: &str) -> Term {
 mod tests {
     use super::*;
     use mars_chase::{chase_to_resident_compiled, ChaseOptions, CompiledDeps};
+    use mars_cq::NavBase;
 
     #[test]
     fn compiled_query_has_the_papers_shape() {
@@ -72,9 +73,9 @@ mod tests {
         let q = compiled_stress_query(10);
         assert_eq!(q.body.len(), expected_compiled_atoms(10));
         let s = GrexSchema::new(STRESS_DOC);
-        assert_eq!(q.body.iter().filter(|a| a.predicate == s.child()).count(), 9);
-        assert_eq!(q.body.iter().filter(|a| a.predicate == s.desc()).count(), 1);
-        assert_eq!(q.body.iter().filter(|a| a.predicate == s.tag()).count(), 10);
+        assert_eq!(q.body.iter().filter(|a| a.predicate == s.predicate(NavBase::Child)).count(), 9);
+        assert_eq!(q.body.iter().filter(|a| a.predicate == s.predicate(NavBase::Desc)).count(), 1);
+        assert_eq!(q.body.iter().filter(|a| a.predicate == s.predicate(NavBase::Tag)).count(), 10);
         assert_eq!(stress_path(3), "//a/b/c");
     }
 

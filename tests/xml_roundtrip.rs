@@ -1,6 +1,7 @@
 //! Property tests of the XML substrate: parse/serialize round trips and
 //! GReX encodings.
 
+use mars_system::cq::NavBase;
 use mars_system::grex::encode_document;
 use mars_system::xml::{parse_document, Document, NodeId};
 use proptest::prelude::*;
@@ -128,9 +129,8 @@ proptest! {
         let doc = arbitrary_document(depth, width);
         let facts = encode_document(&doc);
         let schema = mars_system::grex::GrexSchema::new("gen.xml");
-        let els = facts.iter().filter(|a| a.predicate == schema.el()).count();
-        let tags = facts.iter().filter(|a| a.predicate == schema.tag()).count();
-        let childs = facts.iter().filter(|a| a.predicate == schema.child()).count();
+        let count = |base| facts.iter().filter(|a| a.predicate == schema.predicate(base)).count();
+        let (els, tags, childs) = (count(NavBase::El), count(NavBase::Tag), count(NavBase::Child));
         prop_assert_eq!(els, doc.element_count());
         prop_assert_eq!(tags, doc.element_count());
         prop_assert_eq!(childs, doc.element_count() - 1);
