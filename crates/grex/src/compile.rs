@@ -98,22 +98,25 @@ struct CompiledAtoms {
 fn compile_atoms(ctx: &mut CompileContext, xatoms: &[XBindAtom]) -> CompiledAtoms {
     let mut out =
         CompiledAtoms { atoms: Vec::new(), equalities: Vec::new(), inequalities: Vec::new() };
+    // One schema per document of the block, so each predicate is spelled
+    // and interned once however many paths use it.
+    let mut schemas = Vec::new();
     for a in xatoms {
         match a {
             XBindAtom::AbsolutePath { document, path, var } => {
-                let schema = GrexSchema::new(document);
-                out.atoms.extend(compile_path(ctx, &schema, path, None, Term::var(var)));
+                let schema = schema_of(&mut schemas, document);
+                out.atoms.extend(compile_path(ctx, schema, path, None, Term::var(var)));
             }
             XBindAtom::RelativePath { path, source, var } => {
                 // The document of a relative path is that of its source
                 // variable; since GReX node identities are document-scoped the
                 // schema only matters for predicate naming, and we recover it
                 // from the first absolute atom that bound the source. For
-                // robustness we default to the last absolute document seen.
-                let schema = GrexSchema::new(&ctx_document(xatoms, source));
+                // robustness we default to the first absolute document seen.
+                let schema = schema_of(&mut schemas, ctx_document(xatoms, source));
                 out.atoms.extend(compile_path(
                     ctx,
-                    &schema,
+                    schema,
                     path,
                     Some(Term::var(source)),
                     Term::var(var),
@@ -138,13 +141,25 @@ fn compile_atoms(ctx: &mut CompileContext, xatoms: &[XBindAtom]) -> CompiledAtom
     out
 }
 
+/// The schema of `document` among `schemas`, added on first use.
+fn schema_of<'s>(schemas: &'s mut Vec<GrexSchema>, document: &str) -> &'s GrexSchema {
+    let at = match schemas.iter().position(|s| s.document == document) {
+        Some(at) => at,
+        None => {
+            schemas.push(GrexSchema::new(document));
+            schemas.len() - 1
+        }
+    };
+    &schemas[at]
+}
+
 /// Find the document in which `var` was bound (for resolving relative paths).
-fn ctx_document(atoms: &[XBindAtom], var: &str) -> String {
+fn ctx_document<'a>(atoms: &'a [XBindAtom], var: &str) -> &'a str {
     // Direct binding by an absolute path.
     for a in atoms {
         if let XBindAtom::AbsolutePath { document, var: v, .. } = a {
             if v == var {
-                return document.clone();
+                return document;
             }
         }
     }
@@ -159,10 +174,10 @@ fn ctx_document(atoms: &[XBindAtom], var: &str) -> String {
     // Fall back to the first absolute document mentioned anywhere.
     for a in atoms {
         if let XBindAtom::AbsolutePath { document, .. } = a {
-            return document.clone();
+            return document;
         }
     }
-    "default.xml".to_string()
+    "default.xml"
 }
 
 /// Turn compile-time equalities into a substitution (variables are unified,

@@ -219,15 +219,20 @@ impl DocIndex {
         self.attributes.get(&id).map(Vec::as_slice).unwrap_or_default()
     }
 
-    /// The element `t` denotes, if it is a node constant of this document.
-    pub(crate) fn node_of(&self, t: Term) -> Option<NodeId> {
+    /// The node `t` names, if it is a node constant of this document: a
+    /// document check only, enough for a term that a step over this index
+    /// bound, which is always an element.
+    pub(crate) fn node(&self, t: Term) -> Option<NodeId> {
         match t {
-            Term::Const(Constant::Node { doc, id }) if doc == self.document.0 => {
-                let element = self.rank.get(id as usize).is_some_and(|&r| r != NONE);
-                element.then_some(NodeId(id))
-            }
+            Term::Const(Constant::Node { doc, id }) if doc == self.document.0 => Some(NodeId(id)),
             _ => None,
         }
+    }
+
+    /// The element `t` denotes, if it is a node constant of this document
+    /// naming one: the check for a constant of a query.
+    pub(crate) fn node_of(&self, t: Term) -> Option<NodeId> {
+        self.node(t).filter(|n| self.rank.get(n.index()).is_some_and(|&r| r != NONE))
     }
 
     /// All elements, in preorder.

@@ -21,9 +21,10 @@
 //!   probed through its persistent column index, built once per column set
 //!   and kept up to date on insert. Rows come out in row order either way;
 //! * `NavScan` compiles its atoms, in the order they are listed, into the native
-//!   navigation kernel ([`crate::navigation`]) over the stored documents and
-//!   materializes the leaf's output columns, counting the candidate tuples
-//!   the kernel enumerates;
+//!   navigation kernel ([`crate::navigation`]) over the stored documents,
+//!   whose rows are a `Batch` with one slot per variable, and projects the
+//!   leaf's output columns out of them, counting the candidate tuples the
+//!   kernel enumerates;
 //! * `HashJoin` hashes the plan-chosen build side on the key columns into
 //!   one chained table (Fx-style multiplicative hashing): an open-addressed
 //!   array holds one head per distinct key, the key's first build row, and
@@ -33,7 +34,8 @@
 //!   other side probes it; matches come out probe-major, each probe row's
 //!   build rows ascending (intermediate row order is plan-dependent — the
 //!   root `Distinct` canonicalizes it away);
-//! * `Filter` compacts out rows failing a residual inequality, in place;
+//! * `Filter` compacts out rows failing a residual inequality, in place
+//!   (`Batch::retain`, which the navigation kernel's steps share);
 //! * `Project` assembles the head row (columns, or the query's head term
 //!   itself: a literal constant, or the variable for an unsafe head variable
 //!   — matching the naive evaluator);
@@ -81,6 +83,29 @@ impl Batch {
 
     pub(crate) fn rows(&self) -> impl Iterator<Item = &[Term]> {
         (0..self.len).map(|i| self.row(i))
+    }
+
+    /// Keep the rows `keep` accepts, in order, in place: each survivor is
+    /// copied down over the gap dropped rows left (rows are `Copy` terms).
+    /// `keep` may rewrite the row it is handed.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&mut [Term]) -> bool) {
+        let width = self.width;
+        let mut kept = 0;
+        for i in 0..self.len {
+            if keep(&mut self.data[i * width..(i + 1) * width]) {
+                if kept != i {
+                    self.data.copy_within(i * width..(i + 1) * width, kept * width);
+                }
+                kept += 1;
+            }
+        }
+        self.truncate(kept);
+    }
+
+    /// Keep the first `len` rows.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.data.truncate(len * self.width);
+        self.len = len;
     }
 }
 
@@ -317,21 +342,9 @@ fn eval(
         }
         PhysicalPlan::Filter { input, predicates } => {
             let mut batch = eval(input, q, inst, xml, nav_tuples)?;
-            // In-place compaction: copy each surviving row down over the
-            // gap left by dropped ones (rows are `Copy` terms).
-            let width = batch.width;
-            let mut kept = 0;
-            for i in 0..batch.len {
-                let row = batch.row(i);
-                if predicates.iter().all(|&(a, b)| resolve(a, row, q) != resolve(b, row, q)) {
-                    if kept != i {
-                        batch.data.copy_within(i * width..(i + 1) * width, kept * width);
-                    }
-                    kept += 1;
-                }
-            }
-            batch.data.truncate(kept * width);
-            batch.len = kept;
+            batch.retain(|row| {
+                predicates.iter().all(|&(a, b)| resolve(a, row, q) != resolve(b, row, q))
+            });
             batch
         }
         PhysicalPlan::Project { input, columns } => {

@@ -1,5 +1,5 @@
 //! The native navigation kernel: a conjunction of GReX navigation atoms
-//! compiled once into typed steps and run over a flat slot batch.
+//! compiled once into steps and run over the executor's row [`Batch`].
 //!
 //! `NavPlan::compile` takes a `NavScan` leaf's atoms (body indices of the
 //! query being run) in the order the planner
@@ -16,7 +16,7 @@
 //! | `desc(a, d)`, `a` bound | `Descendants{tag}` | a preorder slice / a sub-slice of the by-tag bucket |
 //! | `desc(a, d)`, `d` bound | `Ancestors{tag}` | `d`'s ancestor chain, up the parent array |
 //! | `desc(a, d)`, both bound | `IsDescendant` | two rank comparisons |
-//! | `id(a, b)` | `Same` | the node itself (binds or checks) |
+//! | `id(a, b)`; `el(n)`, `n` bound but not as an element of the document | `Same` | the node itself (binds or checks) |
 //! | `tag(n, t)`, `n` bound | `TagOf` | `n`'s tag (binds or checks — `TagCheck`) |
 //! | `text(n, v)`, `n` bound | `TextOf` | `n`'s text (binds or checks) |
 //! | `text(n, v)`, `v` bound | `TextProbe{tag}` | the by-text / by-(tag, text) bucket |
@@ -28,25 +28,27 @@
 //! then enumerates through the matching index (or rejects candidates before
 //! a row is written) and the atom's own step disappears.
 //!
-//! Slots are typed at compile time: a variable that only ever stands in node
-//! positions of one document is a [`NodeId`] slot, everything else a
-//! [`Term`] slot; node constants (`Constant::Node`, built from the slot,
-//! never looked up) are materialized only by `NavPlan::execute`. The rare
-//! variable used both ways is a term slot with `NodeOf` / `TermOf`
-//! conversion steps around the atoms that navigate from it.
+//! Every variable is one [`Term`] slot of the row, and a node is the typed
+//! constant (`Constant::Node`) its document's index builds from the arena
+//! slot, as in the encoded facts: `NavPlan::execute` only projects columns.
+//! A step reads a node operand through its document's index
+//! ([`DocIndex::node`], a document check); a value, or a node of another
+//! document, has no element there and drops the row. Only a step over that
+//! index puts a node in a slot, and a node constant of the query is checked
+//! to be an element when it is compiled.
 //!
 //! Every step rewrites the batch in place, compacting survivors down over
 //! dropped rows, as long as each row yields at most one row. The steps that
 //! bind or check one value per row (`Root`, `Parent`, `Same`,
-//! `IsDescendant`, `TagOf`, `TextOf`, `NodeOf`, `TermOf`) always do. The
-//! enumerating ones (`Elements`, `Children`, `Descendants`, `Ancestors`,
-//! `TextProbe`) read their candidates straight from the index's slices and
-//! bind in place until they meet the first row with two matches; from that
-//! row on they expand into a new batch, reserved up front, which replaces
-//! the old one. `AttrOf` always writes a new batch. Either way rows keep the
-//! order of the rows they came from, candidates in index order, so the
-//! rows and the tuples counted are those of a kernel that writes a new
-//! batch at every enumerating step (`reference`, kept for the tests).
+//! `IsDescendant`, `TagOf`, `TextOf`) always do. The enumerating ones
+//! (`Elements`, `Children`, `Descendants`, `Ancestors`, `TextProbe`) read
+//! their candidates straight from the index's slices and bind in place until
+//! they meet the first row with two matches; from that row on they expand
+//! into a new batch, reserved up front, which replaces the old one. `AttrOf`
+//! always writes a new batch. Either way rows keep the order of the rows
+//! they came from, candidates in index order, so the rows and the tuples
+//! counted are those of a kernel that writes a new batch at every
+//! enumerating step (`reference`, kept for the tests).
 
 use crate::doc_index::{symbol, DocIndex};
 use crate::executor::Batch;
@@ -54,268 +56,131 @@ use crate::xml_engine::{XmlStore, XmlStoreError};
 use mars_cq::{Atom, NavBase, Term, Variable};
 use mars_xml::{Document, NodeId};
 
-/// A bound node operand: a slot of the row, or a constant of the query
-/// resolved to its element at compile time.
+/// A bound operand: a slot of the row, or a constant of the query (in a
+/// node position, resolved to an element of its document at compile time).
 #[derive(Clone, Copy, PartialEq)]
-enum NodeIn {
-    Slot(usize),
-    Const(NodeId),
-}
-
-impl NodeIn {
-    fn get(self, nodes: &[NodeId]) -> NodeId {
-        match self {
-            NodeIn::Slot(s) => nodes[s],
-            NodeIn::Const(n) => n,
-        }
-    }
-}
-
-/// A bound value operand.
-#[derive(Clone, Copy)]
-enum ValueIn {
+enum In {
     Slot(usize),
     Const(Term),
 }
 
-impl ValueIn {
-    fn get(self, values: &[Term]) -> Term {
+impl In {
+    fn get(self, row: &[Term]) -> Term {
         match self {
-            ValueIn::Slot(s) => values[s],
-            ValueIn::Const(t) => t,
+            In::Slot(s) => row[s],
+            In::Const(t) => t,
         }
+    }
+
+    /// The node of `index`'s document the operand holds, if it holds one.
+    fn node(self, row: &[Term], index: &DocIndex) -> Option<NodeId> {
+        index.node(self.get(row))
     }
 }
 
-/// What a step does with a node it produces: bind a free slot, or compare
+/// What a step does with a term it produces: bind a free slot, or compare
 /// with an operand that is already bound.
 #[derive(Clone, Copy)]
-enum NodeOut {
+enum Out {
     Bind(usize),
-    Check(NodeIn),
+    Check(In),
 }
 
-impl NodeOut {
-    fn put(self, nodes: &mut [NodeId], n: NodeId) -> bool {
+impl Out {
+    fn put(self, row: &mut [Term], t: Term) -> bool {
         match self {
-            NodeOut::Bind(s) => {
-                nodes[s] = n;
+            Out::Bind(s) => {
+                row[s] = t;
                 true
             }
-            NodeOut::Check(c) => c.get(nodes) == n,
-        }
-    }
-}
-
-/// The value counterpart of [`NodeOut`].
-#[derive(Clone, Copy)]
-enum ValueOut {
-    Bind(usize),
-    Check(ValueIn),
-}
-
-impl ValueOut {
-    fn put(self, values: &mut [Term], t: Term) -> bool {
-        match self {
-            ValueOut::Bind(s) => {
-                values[s] = t;
-                true
-            }
-            ValueOut::Check(c) => c.get(values) == t,
+            Out::Check(c) => c.get(row) == t,
         }
     }
 }
 
 /// One compiled navigation step (see the module table). `doc` indexes
-/// [`NavPlan::docs`]; `out` is the node slot an enumerating step binds.
+/// [`NavPlan::docs`]; `out` is the slot an enumerating step binds.
 enum Step {
-    Elements {
-        doc: usize,
-        out: usize,
-        tag: Option<ValueIn>,
-    },
-    Children {
-        doc: usize,
-        parent: NodeIn,
-        out: usize,
-        tag: Option<ValueIn>,
-    },
-    Descendants {
-        doc: usize,
-        ancestor: NodeIn,
-        out: usize,
-        tag: Option<ValueIn>,
-    },
-    Ancestors {
-        doc: usize,
-        descendant: NodeIn,
-        out: usize,
-        tag: Option<ValueIn>,
-    },
-    TextProbe {
-        doc: usize,
-        value: ValueIn,
-        out: usize,
-        tag: Option<ValueIn>,
-    },
-    AttrOf {
-        doc: usize,
-        node: NodeIn,
-        name: ValueOut,
-        value: ValueOut,
-    },
-    Root {
-        doc: usize,
-        node: NodeOut,
-    },
-    Parent {
-        doc: usize,
-        child: NodeIn,
-        parent: NodeOut,
-    },
-    Same {
-        from: NodeIn,
-        to: NodeOut,
-    },
-    IsDescendant {
-        doc: usize,
-        ancestor: NodeIn,
-        descendant: NodeIn,
-    },
-    TagOf {
-        doc: usize,
-        node: NodeIn,
-        tag: ValueOut,
-    },
-    TextOf {
-        doc: usize,
-        node: NodeIn,
-        value: ValueOut,
-    },
-    /// The element a bound term denotes (drops the row if none).
-    NodeOf {
-        doc: usize,
-        term: ValueIn,
-        out: usize,
-    },
-    /// The node constant of a bound element.
-    TermOf {
-        doc: usize,
-        node: NodeIn,
-        term: ValueOut,
-    },
-}
-
-/// Where a variable lives in the batch.
-#[derive(Clone, Copy, PartialEq)]
-enum Slot {
-    Node { slot: usize, doc: usize },
-    Value(usize),
+    Elements { doc: usize, out: usize, tag: Option<In> },
+    Children { doc: usize, parent: In, out: usize, tag: Option<In> },
+    Descendants { doc: usize, ancestor: In, out: usize, tag: Option<In> },
+    Ancestors { doc: usize, descendant: In, out: usize, tag: Option<In> },
+    TextProbe { doc: usize, value: In, out: usize, tag: Option<In> },
+    AttrOf { doc: usize, node: In, name: Out, value: Out },
+    Root { doc: usize, node: Out },
+    Parent { doc: usize, child: In, parent: Out },
+    Same { doc: usize, from: In, to: Out },
+    IsDescendant { doc: usize, ancestor: In, descendant: In },
+    TagOf { doc: usize, node: In, tag: Out },
+    TextOf { doc: usize, node: In, value: Out },
 }
 
 /// An argument as the compiler sees it when its atom runs.
 #[derive(Clone, Copy)]
-enum Arg<I> {
-    Bound(I),
+enum Arg {
+    Bound(In),
     Free(usize),
 }
 
-/// The binding batch: `len` rows of `node_width` node slots and
-/// `value_width` term slots, row-major in two flat allocations. A slot holds
-/// a placeholder until the step that binds it has run; the compiler never
-/// emits a read before that.
-struct Rows {
-    node_width: usize,
-    value_width: usize,
-    len: usize,
-    nodes: Vec<NodeId>,
-    values: Vec<Term>,
+/// What the steps compiled so far put in a slot.
+#[derive(Clone, Copy, PartialEq)]
+enum Held {
+    Nothing,
+    Value,
+    /// An element of a document (an index into [`NavPlan::docs`]).
+    Element(usize),
 }
 
-impl Rows {
-    fn empty(node_width: usize, value_width: usize) -> Rows {
-        Rows { node_width, value_width, len: 0, nodes: Vec::new(), values: Vec::new() }
-    }
-
-    fn nodes(&self, i: usize) -> &[NodeId] {
-        &self.nodes[i * self.node_width..(i + 1) * self.node_width]
-    }
-
-    fn values(&self, i: usize) -> &[Term] {
-        &self.values[i * self.value_width..(i + 1) * self.value_width]
-    }
-
-    /// Append row `i` of `from` with node slot `slot` bound to `node`.
-    fn push_bound(&mut self, from: &Rows, i: usize, slot: usize, node: NodeId) {
-        let at = self.nodes.len();
-        self.nodes.extend_from_slice(from.nodes(i));
-        self.nodes[at + slot] = node;
-        self.values.extend_from_slice(from.values(i));
+impl Batch {
+    /// Append row `i` of `from` with slot `slot` bound to `t`.
+    fn push_bound(&mut self, from: &Batch, i: usize, slot: usize, t: Term) {
+        let at = self.data.len();
+        self.data.extend_from_slice(from.row(i));
+        self.data[at + slot] = t;
         self.len += 1;
-    }
-
-    /// Run an at-most-one-output step in place: `step` binds or checks on
-    /// the row it is handed and says whether the row survives; survivors are
-    /// compacted down over the gaps.
-    fn retain(&mut self, mut step: impl FnMut(&mut [NodeId], &mut [Term]) -> bool) {
-        let (nw, vw) = (self.node_width, self.value_width);
-        let mut kept = 0;
-        for i in 0..self.len {
-            let nodes = &mut self.nodes[i * nw..(i + 1) * nw];
-            let values = &mut self.values[i * vw..(i + 1) * vw];
-            if step(nodes, values) {
-                if kept != i {
-                    self.nodes.copy_within(i * nw..(i + 1) * nw, kept * nw);
-                    self.values.copy_within(i * vw..(i + 1) * vw, kept * vw);
-                }
-                kept += 1;
-            }
-        }
-        self.truncate(kept);
     }
 
     /// Run an enumerating step. `candidates` yields, for a row, one item per
     /// candidate tuple the step enumerates: the node to bind slot `out` to,
     /// or `None` for a candidate it rejects (a fused tag that differs).
     /// While each row has at most one match the batch is rewritten in
-    /// place, compacted as [`Rows::retain`] does; from the first row with
+    /// place, compacted as [`Batch::retain`] does; from the first row with
     /// two, the rest expands into a new batch reserved up front. Returns the
     /// candidate tuples.
-    fn expand<I>(&mut self, out: usize, mut candidates: impl FnMut(&[NodeId], &[Term]) -> I) -> u64
+    fn expand<I>(&mut self, out: usize, mut candidates: impl FnMut(&[Term]) -> I) -> u64
     where
-        I: Iterator<Item = Option<NodeId>>,
+        I: Iterator<Item = Option<Term>>,
     {
-        let (nw, vw) = (self.node_width, self.value_width);
+        let width = self.width;
         let (mut tuples, mut kept) = (0, 0);
         for i in 0..self.len {
             let (mut seen, mut found, mut two) = (0, None, false);
-            for candidate in candidates(self.nodes(i), self.values(i)) {
+            for candidate in candidates(self.row(i)) {
                 seen += 1;
-                if let Some(n) = candidate {
+                if let Some(t) = candidate {
                     two = found.is_some();
                     if two {
                         break;
                     }
-                    found = Some(n);
+                    found = Some(t);
                 }
             }
             if two {
                 return tuples + self.expand_from(i, kept, out, candidates);
             }
             tuples += seen;
-            let Some(n) = found else { continue };
+            let Some(t) = found else { continue };
             if kept != i {
-                self.nodes.copy_within(i * nw..(i + 1) * nw, kept * nw);
-                self.values.copy_within(i * vw..(i + 1) * vw, kept * vw);
+                self.data.copy_within(i * width..(i + 1) * width, kept * width);
             }
-            self.nodes[kept * nw + out] = n;
+            self.data[kept * width + out] = t;
             kept += 1;
         }
         self.truncate(kept);
         tuples
     }
 
-    /// [`Rows::expand`] from row `at` on, the first `kept` rows already
+    /// [`Batch::expand`] from row `at` on, the first `kept` rows already
     /// bound in place: they and every match of the remaining rows are
     /// written to a new batch, which replaces this one.
     fn expand_from<I>(
@@ -323,42 +188,29 @@ impl Rows {
         at: usize,
         kept: usize,
         out: usize,
-        mut candidates: impl FnMut(&[NodeId], &[Term]) -> I,
+        mut candidates: impl FnMut(&[Term]) -> I,
     ) -> u64
     where
-        I: Iterator<Item = Option<NodeId>>,
+        I: Iterator<Item = Option<Term>>,
     {
-        let (nw, vw) = (self.node_width, self.value_width);
         // Row `at`'s candidates, and two matches for every later row.
-        let first = candidates(self.nodes(at), self.values(at)).size_hint();
+        let first = candidates(self.row(at)).size_hint();
         let room = kept + first.1.unwrap_or(first.0) + 2 * (self.len - at - 1);
-        let mut next = Rows {
-            node_width: nw,
-            value_width: vw,
-            len: kept,
-            nodes: Vec::with_capacity(room * nw),
-            values: Vec::with_capacity(room * vw),
-        };
-        next.nodes.extend_from_slice(&self.nodes[..kept * nw]);
-        next.values.extend_from_slice(&self.values[..kept * vw]);
+        let mut next = Batch::new(self.width);
+        next.data.reserve(room * self.width);
+        next.data.extend_from_slice(&self.data[..kept * self.width]);
+        next.len = kept;
         let mut tuples = 0;
         for i in at..self.len {
-            for candidate in candidates(self.nodes(i), self.values(i)) {
+            for candidate in candidates(self.row(i)) {
                 tuples += 1;
-                if let Some(n) = candidate {
-                    next.push_bound(self, i, out, n);
+                if let Some(t) = candidate {
+                    next.push_bound(self, i, out, t);
                 }
             }
         }
         *self = next;
         tuples
-    }
-
-    /// Keep the first `len` rows.
-    fn truncate(&mut self, len: usize) {
-        self.nodes.truncate(len * self.node_width);
-        self.values.truncate(len * self.value_width);
-        self.len = len;
     }
 }
 
@@ -369,9 +221,8 @@ pub(crate) struct NavPlan<'s> {
     /// `false` when a constant in a node position denotes no element of its
     /// document: no binding can exist and nothing runs.
     satisfiable: bool,
-    slots: Vec<(Variable, Slot)>,
-    node_width: usize,
-    value_width: usize,
+    /// The variable of each slot of a row.
+    slots: Vec<Variable>,
 }
 
 /// Compilation state: the plan under construction plus what is bound so far.
@@ -382,11 +233,8 @@ struct Compiler<'a, 's> {
     parsed: Vec<(NavBase, usize)>,
     /// Tag atoms fused into the step that binds their node.
     fused: Vec<bool>,
-    node_bound: Vec<bool>,
-    value_bound: Vec<bool>,
-    /// Hidden node slots standing in for a free term-slot variable, to be
-    /// converted back once the atom that binds them has been emitted.
-    pending: Vec<(usize, usize, usize)>,
+    /// What each slot holds once the steps emitted so far have run.
+    held: Vec<Held>,
 }
 
 impl<'s> NavPlan<'s> {
@@ -406,6 +254,7 @@ impl<'s> NavPlan<'s> {
         let atoms: Vec<&Atom> = order.iter().map(|&i| &body[i]).collect();
         let mut docs: Vec<(&Document, &DocIndex)> = Vec::new();
         let mut parsed = Vec::with_capacity(atoms.len());
+        let mut slots = Vec::new();
         for atom in &atoms {
             let (base, document) = atom
                 .navigation()
@@ -420,51 +269,18 @@ impl<'s> NavPlan<'s> {
                 }
             };
             parsed.push((base, doc));
-        }
-        // A variable is a node slot when every occurrence is a node position
-        // of one document; any other use makes it a term slot.
-        let mut kinds: Vec<(Variable, Option<usize>)> = Vec::new();
-        for (atom, &(base, doc)) in atoms.iter().zip(&parsed) {
-            for (k, t) in atom.args.iter().enumerate() {
-                let Term::Var(v) = t else { continue };
-                let kind = (k == 0 || matches!(base, NavBase::Child | NavBase::Desc | NavBase::Id))
-                    .then_some(doc);
-                match kinds.iter_mut().find(|(w, _)| w == v) {
-                    Some((_, seen)) if *seen != kind => *seen = None,
-                    Some(_) => {}
-                    None => kinds.push((*v, kind)),
+            for v in atom.args.iter().filter_map(Term::as_var) {
+                if !slots.contains(&v) {
+                    slots.push(v);
                 }
             }
         }
-        let (mut node_width, mut value_width) = (0, 0);
-        let slots = kinds
-            .into_iter()
-            .map(|(v, kind)| {
-                let width = if kind.is_some() { &mut node_width } else { &mut value_width };
-                *width += 1;
-                let slot = match kind {
-                    Some(doc) => Slot::Node { slot: *width - 1, doc },
-                    None => Slot::Value(*width - 1),
-                };
-                (v, slot)
-            })
-            .collect();
-
         let mut compiler = Compiler {
-            plan: NavPlan {
-                docs,
-                steps: Vec::new(),
-                satisfiable: true,
-                slots,
-                node_width,
-                value_width,
-            },
+            held: vec![Held::Nothing; slots.len()],
+            plan: NavPlan { docs, steps: Vec::new(), satisfiable: true, slots },
             fused: vec![false; atoms.len()],
             atoms,
             parsed,
-            node_bound: vec![false; node_width],
-            value_bound: vec![false; value_width],
-            pending: Vec::new(),
         };
         for at in 0..compiler.atoms.len() {
             if !compiler.fused[at] && compiler.atom(at).is_none() {
@@ -475,22 +291,29 @@ impl<'s> NavPlan<'s> {
         Ok(compiler.plan)
     }
 
-    fn slot(&self, v: Variable) -> Option<Slot> {
-        self.slots.iter().find(|(w, _)| *w == v).map(|(_, s)| *s)
+    /// The slot of variable `v`.
+    fn slot(&self, v: Variable) -> Option<usize> {
+        self.slots.iter().position(|&w| w == v)
+    }
+
+    /// The batch the steps start from: one row of placeholders, none when
+    /// the plan is unsatisfiable. The compiler never emits a read of a slot
+    /// before the step that binds it.
+    fn start(&self) -> Batch {
+        let mut rows = Batch::new(self.slots.len());
+        if self.satisfiable {
+            rows.data = vec![Term::constant_int(0); rows.width];
+            rows.len = 1;
+        }
+        rows
     }
 
     /// Run the plan. Returns the surviving bindings and the number of
     /// candidate tuples enumerated on the way: per step, one per input row
     /// for an in-place step, one per candidate for an enumerating one.
-    fn run(&self) -> (Rows, u64) {
-        let mut rows = Rows::empty(self.node_width, self.value_width);
+    fn run(&self) -> (Batch, u64) {
+        let mut rows = self.start();
         let mut tuples = 0u64;
-        if !self.satisfiable {
-            return (rows, tuples);
-        }
-        rows.nodes = vec![NodeId(0); self.node_width];
-        rows.values = vec![Term::constant_int(0); self.value_width];
-        rows.len = 1;
         for step in &self.steps {
             if rows.len == 0 {
                 break;
@@ -502,77 +325,83 @@ impl<'s> NavPlan<'s> {
 
     /// Run one step over `rows`, returning the candidate tuples it
     /// enumerated.
-    fn step(&self, step: &Step, rows: &mut Rows) -> u64 {
+    fn step(&self, step: &Step, rows: &mut Batch) -> u64 {
         let in_place = rows.len as u64;
+        let nodes = |index: &'s DocIndex, found: &'s [NodeId]| {
+            found.iter().map(move |&n| Some(index.node_term(n)))
+        };
         match *step {
             Step::Elements { doc, out, tag } => {
                 let index = self.docs[doc].1;
-                rows.expand(out, |_, values| {
+                rows.expand(out, |row| {
                     let found = match tag {
-                        Some(t) => index.with_tag(t.get(values)),
+                        Some(t) => index.with_tag(t.get(row)),
                         None => index.elements(),
                     };
-                    found.iter().map(|&n| Some(n))
+                    nodes(index, found)
                 })
             }
             Step::Children { doc, parent, out, tag } => {
                 let index = self.docs[doc].1;
-                rows.expand(out, |nodes, values| {
+                rows.expand(out, |row| {
                     // A tag that is not a string matches no child.
-                    let tag = tag.map(|t| symbol(t.get(values)).unwrap_or(u32::MAX));
-                    let matches = move |&(c, t)| tag.is_none_or(|tag| tag == t).then_some(c);
-                    index.children(parent.get(nodes)).iter().map(matches)
+                    let tag = tag.map(|t| symbol(t.get(row)).unwrap_or(u32::MAX));
+                    let children = parent.node(row, index).map_or(&[][..], |p| index.children(p));
+                    children.iter().map(move |&(c, t)| {
+                        tag.is_none_or(|tag| tag == t).then(|| index.node_term(c))
+                    })
                 })
             }
             Step::Descendants { doc, ancestor, out, tag } => {
                 let index = self.docs[doc].1;
-                rows.expand(out, |nodes, values| {
-                    let a = ancestor.get(nodes);
-                    let found = match tag {
-                        Some(t) => index.descendants_with_tag(a, t.get(values)),
-                        None => index.descendants_or_self(a),
+                rows.expand(out, |row| {
+                    let found = match (ancestor.node(row, index), tag) {
+                        (None, _) => &[][..],
+                        (Some(a), Some(t)) => index.descendants_with_tag(a, t.get(row)),
+                        (Some(a), None) => index.descendants_or_self(a),
                     };
-                    found.iter().map(|&d| Some(d))
+                    nodes(index, found)
                 })
             }
             Step::Ancestors { doc, descendant, out, tag } => {
                 let index = self.docs[doc].1;
-                rows.expand(out, |nodes, values| {
-                    let tag = tag.map(|t| t.get(values));
+                rows.expand(out, |row| {
+                    let tag = tag.map(|t| t.get(row));
                     // desc is descendant-or-self: the walk starts at the node.
                     let chain =
-                        std::iter::successors(Some(descendant.get(nodes)), |&a| index.parent(a));
-                    chain.map(move |a| tag.is_none_or(|t| index.tag_term(a) == t).then_some(a))
+                        std::iter::successors(descendant.node(row, index), |&a| index.parent(a));
+                    chain.map(move |a| {
+                        tag.is_none_or(|t| index.tag_term(a) == t).then(|| index.node_term(a))
+                    })
                 })
             }
             Step::TextProbe { doc, value, out, tag } => {
                 let index = self.docs[doc].1;
-                rows.expand(out, |_, values| {
+                rows.expand(out, |row| {
                     let found = match tag {
-                        Some(t) => index.with_tag_and_text(t.get(values), value.get(values)),
-                        None => index.with_text(value.get(values)),
+                        Some(t) => index.with_tag_and_text(t.get(row), value.get(row)),
+                        None => index.with_text(value.get(row)),
                     };
-                    found.iter().map(|&n| Some(n))
+                    nodes(index, found)
                 })
             }
             Step::AttrOf { doc, node, name, value } => {
                 let index = self.docs[doc].1;
-                let mut next = Rows::empty(self.node_width, self.value_width);
+                let mut next = Batch::new(rows.width);
                 let mut tuples = 0;
-                let vw = self.value_width;
-                for i in 0..rows.len {
-                    for &(a, v) in index.attributes(node.get(rows.nodes(i))) {
+                for row in rows.rows() {
+                    let attributes = node.node(row, index).map_or(&[][..], |n| index.attributes(n));
+                    for &(a, v) in attributes {
                         tuples += 1;
                         // Written first, checked after: `value` may compare
                         // against the slot `name` has just bound.
-                        next.values.extend_from_slice(rows.values(i));
-                        let written = next.values.len() - vw;
-                        let row = &mut next.values[written..];
-                        if name.put(row, a) && value.put(row, v) {
-                            next.nodes.extend_from_slice(rows.nodes(i));
+                        let written = next.data.len();
+                        next.data.extend_from_slice(row);
+                        let bound = &mut next.data[written..];
+                        if name.put(bound, a) && value.put(bound, v) {
                             next.len += 1;
                         } else {
-                            next.values.truncate(written);
+                            next.data.truncate(written);
                         }
                     }
                 }
@@ -580,152 +409,124 @@ impl<'s> NavPlan<'s> {
                 tuples
             }
             Step::Root { doc, node } => {
-                let root = self.docs[doc].0.root();
-                rows.retain(|nodes, _| root.is_some_and(|r| node.put(nodes, r)));
+                let (document, index) = self.docs[doc];
+                let root = document.root().map(|r| index.node_term(r));
+                rows.retain(|row| root.is_some_and(|r| node.put(row, r)));
                 in_place
             }
             Step::Parent { doc, child, parent } => {
                 let index = self.docs[doc].1;
-                rows.retain(|nodes, _| {
-                    index.parent(child.get(nodes)).is_some_and(|p| parent.put(nodes, p))
+                rows.retain(|row| {
+                    let p = child.node(row, index).and_then(|c| index.parent(c));
+                    p.is_some_and(|p| parent.put(row, index.node_term(p)))
                 });
                 in_place
             }
-            Step::Same { from, to } => {
-                rows.retain(|nodes, _| to.put(nodes, from.get(nodes)));
+            Step::Same { doc, from, to } => {
+                let index = self.docs[doc].1;
+                rows.retain(|row| from.node(row, index).is_some() && to.put(row, from.get(row)));
                 in_place
             }
             Step::IsDescendant { doc, ancestor, descendant } => {
                 let index = self.docs[doc].1;
-                rows.retain(|nodes, _| {
-                    index.is_descendant_or_self(ancestor.get(nodes), descendant.get(nodes))
+                rows.retain(|row| match (ancestor.node(row, index), descendant.node(row, index)) {
+                    (Some(a), Some(d)) => index.is_descendant_or_self(a, d),
+                    _ => false,
                 });
                 in_place
             }
             Step::TagOf { doc, node, tag } => {
                 let index = self.docs[doc].1;
-                rows.retain(|nodes, values| tag.put(values, index.tag_term(node.get(nodes))));
+                rows.retain(|row| {
+                    node.node(row, index).is_some_and(|n| tag.put(row, index.tag_term(n)))
+                });
                 in_place
             }
             Step::TextOf { doc, node, value } => {
                 let index = self.docs[doc].1;
-                rows.retain(|nodes, values| {
-                    index.text_term(node.get(nodes)).is_some_and(|t| value.put(values, t))
+                rows.retain(|row| {
+                    let text = node.node(row, index).and_then(|n| index.text_term(n));
+                    text.is_some_and(|t| value.put(row, t))
                 });
-                in_place
-            }
-            Step::NodeOf { doc, term, out } => {
-                let index = self.docs[doc].1;
-                rows.retain(|nodes, values| {
-                    index.node_of(term.get(values)).map(|n| nodes[out] = n).is_some()
-                });
-                in_place
-            }
-            Step::TermOf { doc, node, term } => {
-                let index = self.docs[doc].1;
-                rows.retain(|nodes, values| term.put(values, index.node_term(node.get(nodes))));
                 in_place
             }
         }
     }
 
-    /// Run the plan and materialize `columns` (variables the plan binds) as
-    /// a term batch — the one place node slots become node constants. Also
-    /// returns the candidate tuples enumerated.
+    /// Run the plan and project `columns` (variables the plan binds) out of
+    /// its rows. Also returns the candidate tuples enumerated.
     pub(crate) fn execute(&self, columns: impl Iterator<Item = Variable>) -> (Batch, u64) {
         let (rows, tuples) = self.run();
-        let slots: Vec<Slot> = columns
+        let columns: Vec<usize> = columns
             .map(|v| self.slot(v).expect("projected columns are variables the plan binds"))
             .collect();
-        let mut out = Batch::new(slots.len());
-        out.data.reserve(slots.len() * rows.len);
-        for i in 0..rows.len {
-            out.data.extend(slots.iter().map(|slot| match *slot {
-                Slot::Node { slot, doc } => self.docs[doc].1.node_term(rows.nodes(i)[slot]),
-                Slot::Value(slot) => rows.values(i)[slot],
-            }));
-        }
+        let mut out = Batch::new(columns.len());
+        out.data.reserve(columns.len() * rows.len);
+        out.data.extend(rows.rows().flat_map(|row| columns.iter().map(|&c| row[c])));
         out.len = rows.len;
         (out, tuples)
     }
 }
 
 impl Compiler<'_, '_> {
-    fn index(&self, doc: usize) -> &DocIndex {
-        self.plan.docs[doc].1
-    }
-
-    fn hidden_node_slot(&mut self) -> usize {
-        self.node_bound.push(false);
-        self.plan.node_width += 1;
-        self.plan.node_width - 1
+    /// Resolve an argument: a constant is bound, a variable bound once a
+    /// step has bound its slot.
+    fn arg(&self, t: Term) -> Arg {
+        let Term::Var(v) = t else { return Arg::Bound(In::Const(t)) };
+        let slot = self.plan.slot(v).expect("every variable of the atoms has a slot");
+        if self.held[slot] == Held::Nothing {
+            Arg::Free(slot)
+        } else {
+            Arg::Bound(In::Slot(slot))
+        }
     }
 
     /// Resolve a node-position argument. `None`: a constant that denotes no
     /// element of `doc`, so the atom — and the plan — matches nothing.
-    fn node_arg(&mut self, t: Term, doc: usize) -> Option<Arg<NodeIn>> {
-        let Term::Var(v) = t else {
-            return self.index(doc).node_of(t).map(|n| Arg::Bound(NodeIn::Const(n)));
-        };
-        Some(match self.plan.slot(v).expect("every variable of the atoms has a slot") {
-            Slot::Node { slot, .. } if self.node_bound[slot] => Arg::Bound(NodeIn::Slot(slot)),
-            Slot::Node { slot, .. } => Arg::Free(slot),
-            // A term-slot variable in a node position navigates through a
-            // hidden node slot: looked up before the atom when the variable
-            // is bound, converted back after it otherwise.
-            Slot::Value(value) => {
-                let hidden = self.hidden_node_slot();
-                if self.value_bound[value] {
-                    self.plan.steps.push(Step::NodeOf {
-                        doc,
-                        term: ValueIn::Slot(value),
-                        out: hidden,
-                    });
-                    self.node_bound[hidden] = true;
-                    Arg::Bound(NodeIn::Slot(hidden))
-                } else {
-                    self.pending.push((doc, hidden, value));
-                    Arg::Free(hidden)
-                }
-            }
-        })
+    fn node_arg(&self, t: Term, doc: usize) -> Option<Arg> {
+        if t.is_const() {
+            self.plan.docs[doc].1.node_of(t)?;
+        }
+        Some(self.arg(t))
     }
 
-    fn value_arg(&self, t: Term) -> Arg<ValueIn> {
-        let Term::Var(v) = t else { return Arg::Bound(ValueIn::Const(t)) };
-        match self.plan.slot(v).expect("every variable of the atoms has a slot") {
-            Slot::Value(slot) if self.value_bound[slot] => Arg::Bound(ValueIn::Slot(slot)),
-            Slot::Value(slot) => Arg::Free(slot),
-            Slot::Node { .. } => unreachable!("a variable in a value position is a term slot"),
+    /// Whether a node operand of an atom over `doc` is known to hold an
+    /// element of `doc`: a constant passed [`Compiler::node_arg`]'s check.
+    fn is_element(&self, n: In, doc: usize) -> bool {
+        match n {
+            In::Const(_) => true,
+            In::Slot(s) => self.held[s] == Held::Element(doc),
         }
     }
 
-    fn node_out(&mut self, arg: Arg<NodeIn>) -> NodeOut {
+    /// Record that a step binds `slot` to an element of `doc`.
+    fn bind(&mut self, slot: usize, doc: usize) -> usize {
+        self.held[slot] = Held::Element(doc);
+        slot
+    }
+
+    /// What a step producing an element of `doc` does with `arg`.
+    fn node_out(&mut self, arg: Arg, doc: usize) -> Out {
         match arg {
-            Arg::Bound(n) => NodeOut::Check(n),
-            Arg::Free(slot) => {
-                self.node_bound[slot] = true;
-                NodeOut::Bind(slot)
-            }
+            Arg::Bound(n) => Out::Check(n),
+            Arg::Free(slot) => Out::Bind(self.bind(slot, doc)),
         }
     }
 
-    fn value_out(&mut self, t: Term) -> ValueOut {
-        match self.value_arg(t) {
-            Arg::Bound(v) => ValueOut::Check(v),
+    /// What a step producing a value does with the argument `t`.
+    fn value_out(&mut self, t: Term) -> Out {
+        match self.arg(t) {
+            Arg::Bound(v) => Out::Check(v),
             Arg::Free(slot) => {
-                self.value_bound[slot] = true;
-                ValueOut::Bind(slot)
+                self.held[slot] = Held::Value;
+                Out::Bind(slot)
             }
         }
     }
 
     /// Tag pushdown: claim a later `tag(t, "c")` atom over `doc` for the
-    /// step about to bind the free node variable `t`.
-    fn fuse_tag(&mut self, t: Term, doc: usize, at: usize) -> Option<ValueIn> {
-        if !matches!(t, Term::Var(v) if matches!(self.plan.slot(v), Some(Slot::Node { .. }))) {
-            return None;
-        }
+    /// step about to bind the free variable `t`.
+    fn fuse_tag(&mut self, t: Term, doc: usize, at: usize) -> Option<In> {
         let later = (at + 1..self.atoms.len()).find(|&j| {
             let tag = &self.atoms[j];
             !self.fused[j]
@@ -734,18 +535,18 @@ impl Compiler<'_, '_> {
                 && tag.args[1].is_const()
         })?;
         self.fused[later] = true;
-        Some(ValueIn::Const(self.atoms[later].args[1]))
+        Some(In::Const(self.atoms[later].args[1]))
     }
 
     /// Make a node argument bound, enumerating all elements into it if free.
-    fn seeded(&mut self, arg: Arg<NodeIn>, t: Term, doc: usize, at: usize) -> NodeIn {
+    fn seeded(&mut self, arg: Arg, t: Term, doc: usize, at: usize) -> In {
         match arg {
             Arg::Bound(n) => n,
             Arg::Free(out) => {
                 let tag = self.fuse_tag(t, doc, at);
+                let out = self.bind(out, doc);
                 self.plan.steps.push(Step::Elements { doc, out, tag });
-                self.node_bound[out] = true;
-                NodeIn::Slot(out)
+                In::Slot(out)
             }
         }
     }
@@ -759,63 +560,66 @@ impl Compiler<'_, '_> {
         let (t0, t1) = (args[0], args.get(1).copied());
         let first = self.node_arg(t0, doc)?;
         let step = match base {
-            NavBase::Root => Step::Root { doc, node: self.node_out(first) },
-            // A bound node slot only ever holds elements of its document.
-            NavBase::El => {
-                self.seeded(first, t0, doc, at);
-                return self.convert_pending();
-            }
+            NavBase::Root => Step::Root { doc, node: self.node_out(first, doc) },
+            // `el(n)` is `id(n, n)`: only a bound `n` not yet known to be an
+            // element of `doc` needs a check.
+            NavBase::El => match first {
+                Arg::Bound(n) if !self.is_element(n, doc) => {
+                    Step::Same { doc, from: n, to: Out::Check(n) }
+                }
+                _ => {
+                    self.seeded(first, t0, doc, at);
+                    return Some(());
+                }
+            },
             NavBase::Child | NavBase::Desc | NavBase::Id => {
                 let t1 = t1.expect("arity checked by Atom::navigation");
                 let mut second = self.node_arg(t1, doc)?;
                 // The cheap direction of an edge with one bound end.
                 if let (Arg::Free(out), Arg::Bound(bound)) = (first, second) {
-                    self.node_bound[out] = true;
                     let step = match base {
                         NavBase::Child => {
-                            Step::Parent { doc, child: bound, parent: NodeOut::Bind(out) }
+                            Step::Parent { doc, child: bound, parent: Out::Bind(out) }
                         }
                         NavBase::Desc => {
                             let tag = self.fuse_tag(t0, doc, at);
                             Step::Ancestors { doc, descendant: bound, out, tag }
                         }
-                        _ => Step::Same { from: bound, to: NodeOut::Bind(out) },
+                        _ => Step::Same { doc, from: bound, to: Out::Bind(out) },
                     };
+                    self.bind(out, doc);
                     self.plan.steps.push(step);
-                    return self.convert_pending();
+                    return Some(());
                 }
                 let from = self.seeded(first, t0, doc, at);
                 // `p(x, x)` with `x` free: the seed has just bound it.
-                if matches!(second, Arg::Free(s) if from == NodeIn::Slot(s)) {
+                if matches!(second, Arg::Free(s) if from == In::Slot(s)) {
                     second = Arg::Bound(from);
                 }
                 match (base, second) {
                     (NavBase::Child, Arg::Bound(c)) => {
-                        Step::Parent { doc, child: c, parent: NodeOut::Check(from) }
+                        Step::Parent { doc, child: c, parent: Out::Check(from) }
                     }
                     (NavBase::Child, Arg::Free(out)) => {
-                        self.node_bound[out] = true;
                         let tag = self.fuse_tag(t1, doc, at);
-                        Step::Children { doc, parent: from, out, tag }
+                        Step::Children { doc, parent: from, out: self.bind(out, doc), tag }
                     }
                     (NavBase::Desc, Arg::Bound(d)) => {
                         Step::IsDescendant { doc, ancestor: from, descendant: d }
                     }
                     (NavBase::Desc, Arg::Free(out)) => {
-                        self.node_bound[out] = true;
                         let tag = self.fuse_tag(t1, doc, at);
-                        Step::Descendants { doc, ancestor: from, out, tag }
+                        Step::Descendants { doc, ancestor: from, out: self.bind(out, doc), tag }
                     }
-                    (_, second) => Step::Same { from, to: self.node_out(second) },
+                    (_, second) => Step::Same { doc, from, to: self.node_out(second, doc) },
                 }
             }
             NavBase::Tag => {
                 let t1 = t1.expect("arity checked by Atom::navigation");
-                match (first, self.value_arg(t1)) {
+                match (first, self.arg(t1)) {
                     // The by-tag bucket is the atom's whole answer.
                     (Arg::Free(out), Arg::Bound(tag)) => {
-                        self.node_bound[out] = true;
-                        Step::Elements { doc, out, tag: Some(tag) }
+                        Step::Elements { doc, out: self.bind(out, doc), tag: Some(tag) }
                     }
                     _ => {
                         let node = self.seeded(first, t0, doc, at);
@@ -825,11 +629,10 @@ impl Compiler<'_, '_> {
             }
             NavBase::Text => {
                 let t1 = t1.expect("arity checked by Atom::navigation");
-                match (first, self.value_arg(t1)) {
+                match (first, self.arg(t1)) {
                     (Arg::Free(out), Arg::Bound(value)) => {
-                        self.node_bound[out] = true;
                         let tag = self.fuse_tag(t0, doc, at);
-                        Step::TextProbe { doc, value, out, tag }
+                        Step::TextProbe { doc, value, out: self.bind(out, doc), tag }
                     }
                     _ => {
                         let node = self.seeded(first, t0, doc, at);
@@ -847,22 +650,6 @@ impl Compiler<'_, '_> {
             }
         };
         self.plan.steps.push(step);
-        self.convert_pending()
-    }
-
-    /// Convert the hidden node slots the atom just bound back into their
-    /// term-slot variables (binding the variable, or checking it when the
-    /// same atom bound it through another argument).
-    fn convert_pending(&mut self) -> Option<()> {
-        for (doc, hidden, value) in std::mem::take(&mut self.pending) {
-            let term = if self.value_bound[value] {
-                ValueOut::Check(ValueIn::Slot(value))
-            } else {
-                self.value_bound[value] = true;
-                ValueOut::Bind(value)
-            };
-            self.plan.steps.push(Step::TermOf { doc, node: NodeIn::Slot(hidden), term });
-        }
         Some(())
     }
 }
@@ -874,19 +661,13 @@ impl Compiler<'_, '_> {
 /// with.
 #[cfg(test)]
 mod reference {
-    use super::{DocIndex, NavPlan, Rows, Step, ValueIn};
+    use super::{Batch, DocIndex, In, NavPlan, Step};
     use mars_cq::Term;
     use mars_xml::NodeId;
 
-    pub(super) fn run(plan: &NavPlan<'_>) -> (Rows, u64) {
-        let mut rows = Rows::empty(plan.node_width, plan.value_width);
+    pub(super) fn run(plan: &NavPlan<'_>) -> (Batch, u64) {
+        let mut rows = plan.start();
         let mut tuples = 0u64;
-        if !plan.satisfiable {
-            return (rows, tuples);
-        }
-        rows.nodes = vec![NodeId(0); plan.node_width];
-        rows.values = vec![Term::constant_int(0); plan.value_width];
-        rows.len = 1;
         for step in &plan.steps {
             if rows.len == 0 {
                 break;
@@ -896,33 +677,34 @@ mod reference {
         (rows, tuples)
     }
 
-    fn run_step(plan: &NavPlan<'_>, step: &Step, mut rows: Rows, tuples: &mut u64) -> Rows {
+    fn run_step(plan: &NavPlan<'_>, step: &Step, mut rows: Batch, tuples: &mut u64) -> Batch {
         // Enumerating steps fill `next`; in-place steps return `rows`.
-        let mut next = Rows::empty(plan.node_width, plan.value_width);
-        let has_tag = |index: &DocIndex, tag: Option<ValueIn>, values: &[Term], n: NodeId| {
-            tag.is_none_or(|t| index.tag_term(n) == t.get(values))
+        let mut next = Batch::new(rows.width);
+        let has_tag = |index: &DocIndex, tag: Option<In>, row: &[Term], n: NodeId| {
+            tag.is_none_or(|t| index.tag_term(n) == t.get(row))
         };
         match *step {
             Step::Elements { doc, out, tag } => {
                 let index = plan.docs[doc].1;
                 for i in 0..rows.len {
                     let found = match tag {
-                        Some(t) => index.with_tag(t.get(rows.values(i))),
+                        Some(t) => index.with_tag(t.get(rows.row(i))),
                         None => index.elements(),
                     };
                     *tuples += found.len() as u64;
                     for &n in found {
-                        next.push_bound(&rows, i, out, n);
+                        next.push_bound(&rows, i, out, index.node_term(n));
                     }
                 }
             }
             Step::Children { doc, parent, out, tag } => {
                 let (document, index) = plan.docs[doc];
                 for i in 0..rows.len {
-                    for c in document.child_elements(parent.get(rows.nodes(i))) {
+                    let Some(p) = parent.node(rows.row(i), index) else { continue };
+                    for c in document.child_elements(p) {
                         *tuples += 1;
-                        if has_tag(index, tag, rows.values(i), c) {
-                            next.push_bound(&rows, i, out, c);
+                        if has_tag(index, tag, rows.row(i), c) {
+                            next.push_bound(&rows, i, out, index.node_term(c));
                         }
                     }
                 }
@@ -930,14 +712,14 @@ mod reference {
             Step::Descendants { doc, ancestor, out, tag } => {
                 let index = plan.docs[doc].1;
                 for i in 0..rows.len {
-                    let a = ancestor.get(rows.nodes(i));
+                    let Some(a) = ancestor.node(rows.row(i), index) else { continue };
                     let found = match tag {
-                        Some(t) => index.descendants_with_tag(a, t.get(rows.values(i))),
+                        Some(t) => index.descendants_with_tag(a, t.get(rows.row(i))),
                         None => index.descendants_or_self(a),
                     };
                     *tuples += found.len() as u64;
                     for &d in found {
-                        next.push_bound(&rows, i, out, d);
+                        next.push_bound(&rows, i, out, index.node_term(d));
                     }
                 }
             }
@@ -945,11 +727,11 @@ mod reference {
                 let (document, index) = plan.docs[doc];
                 for i in 0..rows.len {
                     // desc is descendant-or-self: the walk starts at the node.
-                    let mut at = Some(descendant.get(rows.nodes(i)));
+                    let mut at = descendant.node(rows.row(i), index);
                     while let Some(a) = at {
                         *tuples += 1;
-                        if has_tag(index, tag, rows.values(i), a) {
-                            next.push_bound(&rows, i, out, a);
+                        if has_tag(index, tag, rows.row(i), a) {
+                            next.push_bound(&rows, i, out, index.node_term(a));
                         }
                         at = document.node(a).parent;
                     }
@@ -958,90 +740,82 @@ mod reference {
             Step::TextProbe { doc, value, out, tag } => {
                 let index = plan.docs[doc].1;
                 for i in 0..rows.len {
-                    let values = rows.values(i);
+                    let row = rows.row(i);
                     let found = match tag {
-                        Some(t) => index.with_tag_and_text(t.get(values), value.get(values)),
-                        None => index.with_text(value.get(values)),
+                        Some(t) => index.with_tag_and_text(t.get(row), value.get(row)),
+                        None => index.with_text(value.get(row)),
                     };
                     *tuples += found.len() as u64;
                     for &n in found {
-                        next.push_bound(&rows, i, out, n);
+                        next.push_bound(&rows, i, out, index.node_term(n));
                     }
                 }
             }
             Step::AttrOf { doc, node, name, value } => {
                 let index = plan.docs[doc].1;
-                let vw = plan.value_width;
-                for i in 0..rows.len {
-                    for &(a, v) in index.attributes(node.get(rows.nodes(i))) {
+                for row in rows.rows() {
+                    let Some(n) = node.node(row, index) else { continue };
+                    for &(a, v) in index.attributes(n) {
                         *tuples += 1;
                         // Written first, checked after: `value` may compare
                         // against the slot `name` has just bound.
-                        next.values.extend_from_slice(rows.values(i));
-                        let written = next.values.len() - vw;
-                        let row = &mut next.values[written..];
-                        if name.put(row, a) && value.put(row, v) {
-                            next.nodes.extend_from_slice(rows.nodes(i));
+                        let written = next.data.len();
+                        next.data.extend_from_slice(row);
+                        let bound = &mut next.data[written..];
+                        if name.put(bound, a) && value.put(bound, v) {
                             next.len += 1;
                         } else {
-                            next.values.truncate(written);
+                            next.data.truncate(written);
                         }
                     }
                 }
             }
             Step::Root { doc, node } => {
-                let root = plan.docs[doc].0.root();
+                let (document, index) = plan.docs[doc];
+                let root = document.root().map(|r| index.node_term(r));
                 *tuples += rows.len as u64;
-                rows.retain(|nodes, _| root.is_some_and(|r| node.put(nodes, r)));
+                rows.retain(|row| root.is_some_and(|r| node.put(row, r)));
                 return rows;
             }
             Step::Parent { doc, child, parent } => {
-                let document = plan.docs[doc].0;
+                let (document, index) = plan.docs[doc];
                 *tuples += rows.len as u64;
-                rows.retain(|nodes, _| {
-                    document.node(child.get(nodes)).parent.is_some_and(|p| parent.put(nodes, p))
+                rows.retain(|row| {
+                    let p = child.node(row, index).and_then(|c| document.node(c).parent);
+                    p.is_some_and(|p| parent.put(row, index.node_term(p)))
                 });
                 return rows;
             }
-            Step::Same { from, to } => {
+            Step::Same { doc, from, to } => {
+                let index = plan.docs[doc].1;
                 *tuples += rows.len as u64;
-                rows.retain(|nodes, _| to.put(nodes, from.get(nodes)));
+                rows.retain(|row| from.node(row, index).is_some() && to.put(row, from.get(row)));
                 return rows;
             }
             Step::IsDescendant { doc, ancestor, descendant } => {
                 let index = plan.docs[doc].1;
                 *tuples += rows.len as u64;
-                rows.retain(|nodes, _| {
-                    index.is_descendant_or_self(ancestor.get(nodes), descendant.get(nodes))
+                rows.retain(|row| match (ancestor.node(row, index), descendant.node(row, index)) {
+                    (Some(a), Some(d)) => index.is_descendant_or_self(a, d),
+                    _ => false,
                 });
                 return rows;
             }
             Step::TagOf { doc, node, tag } => {
                 let index = plan.docs[doc].1;
                 *tuples += rows.len as u64;
-                rows.retain(|nodes, values| tag.put(values, index.tag_term(node.get(nodes))));
+                rows.retain(|row| {
+                    node.node(row, index).is_some_and(|n| tag.put(row, index.tag_term(n)))
+                });
                 return rows;
             }
             Step::TextOf { doc, node, value } => {
                 let index = plan.docs[doc].1;
                 *tuples += rows.len as u64;
-                rows.retain(|nodes, values| {
-                    index.text_term(node.get(nodes)).is_some_and(|t| value.put(values, t))
+                rows.retain(|row| {
+                    let text = node.node(row, index).and_then(|n| index.text_term(n));
+                    text.is_some_and(|t| value.put(row, t))
                 });
-                return rows;
-            }
-            Step::NodeOf { doc, term, out } => {
-                let index = plan.docs[doc].1;
-                *tuples += rows.len as u64;
-                rows.retain(|nodes, values| {
-                    index.node_of(term.get(values)).map(|n| nodes[out] = n).is_some()
-                });
-                return rows;
-            }
-            Step::TermOf { doc, node, term } => {
-                let index = plan.docs[doc].1;
-                *tuples += rows.len as u64;
-                rows.retain(|nodes, values| term.put(values, index.node_term(node.get(nodes))));
                 return rows;
             }
         }
@@ -1053,8 +827,9 @@ mod reference {
 mod tests {
     use super::{reference, NavPlan};
     use crate::xml_engine::XmlStore;
-    use mars_cq::{Atom, NavBase, Term};
-    use mars_grex::node_constant;
+    use crate::{BackendRouter, RelationalDatabase, Route};
+    use mars_cq::{Atom, ConjunctiveQuery, NavBase, Term};
+    use mars_grex::{encode_document, node_constant};
     use mars_xml::{Document, NodeId};
     use proptest::prelude::*;
 
@@ -1074,8 +849,7 @@ mod tests {
         let (expected, expected_tuples) = reference::run(&plan);
         let context = format!("{body:?} in order {order:?}");
         assert_eq!(rows.len, expected.len, "{context}: row count");
-        assert_eq!(rows.nodes, expected.nodes, "{context}: node slots");
-        assert_eq!(rows.values, expected.values, "{context}: value slots");
+        assert_eq!(rows.data, expected.data, "{context}: slots");
         assert_eq!(tuples, expected_tuples, "{context}: nav_tuples");
         (rows.len, tuples)
     }
@@ -1155,6 +929,33 @@ mod tests {
             }
             run_both(&xml, &body, &order);
         }
+
+        /// The router's forced XML route returns, on the same random
+        /// documents and bodies, the rows the relational executor finds in
+        /// the document's GReX encoding: an oracle that, unlike the
+        /// reference, does not run the steps the kernel's compiler emits.
+        #[test]
+        fn kernel_agrees_with_the_encoding(seed in 0u64..u64::MAX) {
+            let mut rng = TestRng::new(seed);
+            let (doc, elements) = random_document(&mut rng);
+            let mut db = RelationalDatabase::new();
+            db.load_facts(&encode_document(&doc));
+            let mut xml = XmlStore::new();
+            xml.add_document(doc);
+            let body = random_body(&mut rng, &elements);
+            let mut head = Vec::new();
+            for &t in body.iter().flat_map(|atom| atom.args.iter()) {
+                if t.is_var() && !head.contains(&t) {
+                    head.push(t);
+                }
+            }
+            let q = ConjunctiveQuery::new("Q").with_head(head).with_body(body);
+            let router = BackendRouter::new(&db, &xml);
+            let native = router.execute(&router.plan_forced(&q, Route::Xml));
+            let native = native.expect("navigation over a stored document");
+            assert_eq!(native.route, Route::Xml, "{q}");
+            assert_eq!(native.rows, db.query(&q), "{q}");
+        }
     }
 
     /// `child(x, y)` over items with `counts[i]` children each: the first
@@ -1191,8 +992,10 @@ mod tests {
             assert_eq!((rows, tuples), (expected.len(), counts.len() as u64 + children));
             let plan = NavPlan::compile(&body, &[0, 1, 2], &xml).unwrap();
             let (bound, _) = plan.run();
-            let pairs: Vec<(NodeId, NodeId)> =
-                bound.nodes.chunks(bound.node_width).map(|row| (row[0], row[1])).collect();
+            let pairs: Vec<(Term, Term)> = bound.rows().map(|row| (row[0], row[1])).collect();
+            let node = |n| node_constant("d.xml", n);
+            let expected: Vec<(Term, Term)> =
+                expected.iter().map(|&(x, y)| (node(x), node(y))).collect();
             assert_eq!(pairs, expected, "{counts:?}");
         }
     }

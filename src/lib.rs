@@ -2,7 +2,7 @@
 //!
 //! Re-exports the crates of the MARS reproduction so that examples and
 //! integration tests can use a single dependency. See the README for the
-//! architecture overview and `DESIGN.md` / `EXPERIMENTS.md` for the mapping
+//! architecture overview and `ARCHITECTURE.md` / `EXPERIMENTS.md` for the mapping
 //! between the paper and this codebase.
 
 pub use mars;

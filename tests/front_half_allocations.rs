@@ -8,6 +8,7 @@
 //! this binary's global allocator, which is why the test has a file of its
 //! own.
 
+use mars_system::grex::{compile_xbind, CompileContext};
 use mars_system::xquery::{decorrelate, parse_xquery};
 
 #[path = "common/counting.rs"]
@@ -33,7 +34,15 @@ fn the_front_half_allocates_each_owned_name_once() {
     let (ast, parse) = counted(|| parse_xquery(STAR_SIX_CORNER_LOOKUP).expect("the lookup parses"));
     let (dec, decorrelate) = counted(|| decorrelate(&ast, "star.xml"));
     assert_eq!((dec.blocks.len(), dec.blocks[0].atoms.len()), (1, 33));
-    println!("parse_xquery: {parse} allocations; decorrelate: {decorrelate} allocations");
+    // One compile first, so that the interner holds the block's names.
+    let compile_block = || compile_xbind(&mut CompileContext::new(), &dec.blocks[0]);
+    let first = compile_block();
+    let (compiled, compile) = counted(compile_block);
+    assert_eq!(compiled, first);
+    println!(
+        "parse_xquery: {parse} allocations; decorrelate: {decorrelate} allocations; \
+         compile_xbind: {compile} allocations"
+    );
 
     // Parsing allocates the tree's vectors and boxes only: 26 bindings, 7
     // conditions, the return box and the constructors' child lists (214
@@ -44,4 +53,8 @@ fn the_front_half_allocates_each_owned_name_once() {
     // condition its two terms, per constructor its tag and children (197
     // while it cloned an owned tree and regrew every vector).
     assert!(decorrelate <= 180, "{decorrelate} allocations to decorrelate the lookup");
+    // Compiling builds one GReX schema for the block's one document, so each
+    // predicate is spelled and interned once, then the atoms and the query
+    // (266 while every path atom built a schema of its own).
+    assert!(compile <= 90, "{compile} allocations to compile the lookup");
 }

@@ -6,12 +6,17 @@
 //! of about 1 000 rows each, then the root `Distinct`. A join's table and
 //! the `Distinct` allocate a fixed number of buffers whatever the number of
 //! rows or keys, so the count is the result's rows plus a constant. The
-//! counting allocator (`common/counting.rs`) is this binary's global
-//! allocator, which is why the test has a file of its own.
+//! same holds on the XML route, where the navigation kernel writes its rows
+//! into one batch per enumerating step that expands: a key lookup over the
+//! chain and snowflake scenarios allocates a constant, a scan its rows plus
+//! a constant. The counting allocator (`common/counting.rs`) is this
+//! binary's global allocator, which is why the test has a file of its own.
 
 use mars_system::cost::PhysicalPlan;
+use mars_system::cq::{Substitution, Term};
 use mars_system::mars::{MarsOptions, MarsService};
 use mars_system::storage::{BackendRouter, Route, RoutedPlan};
+use mars_system::workloads::scenarios::Scenario;
 use mars_system::workloads::star::StarConfig;
 use mars_system::xquery::{XBindAtom, XBindTerm};
 
@@ -56,4 +61,32 @@ fn a_four_view_scan_allocates_per_row_not_per_key() {
     assert!(rows > 900, "{rows} rows: most hubs keep their row");
     println!("one execute of a {rows}-row scan: {allocations} allocations");
     assert!(allocations <= rows + 64, "{allocations} allocations for {rows} rows");
+}
+
+/// The `navigation` bench's cases: the key lookup and the whole-document
+/// scan of the chain and snowflake scenarios at scale 1 000, seed 1, on the
+/// XML route. A lookup's batches hold a row or two whatever the document's
+/// size; a scan's result holds a `Row` per answer.
+#[test]
+fn xml_route_lookups_allocate_a_constant_and_scans_per_row() {
+    for (name, key) in [("chain-uniform-r0", "k1_500"), ("snowflake-skewed-r0", "k500")] {
+        let scenario = Scenario::matrix().into_iter().find(|s| s.name() == name).unwrap();
+        let (xml, db) = scenario.populate(1_000, 1);
+        let router = BackendRouter::new(&db, &xml);
+        let scan = scenario.navigation_query();
+        let mut fixed = Substitution::new();
+        fixed.set(scan.head[0].as_var().expect("the key heads the query"), Term::constant_str(key));
+        let lookup = scan.apply(&fixed);
+        for (form, q, rows) in [("lookup", lookup, 1), ("scan", scan, 1_000)] {
+            let plan = router.plan_forced(&q, Route::Xml);
+            // One execute first: the document's index is built on first use.
+            router.execute(&plan).expect("the scenario document is stored");
+            let (executed, allocations) =
+                counted(|| router.execute(&plan).expect("the scenario document is stored"));
+            assert_eq!((executed.route, executed.rows.len()), (Route::Xml, rows), "{name} {form}");
+            println!("{name} {form}: {allocations} allocations for {rows} rows");
+            let bound = if rows == 1 { 24 } else { rows as u64 + 24 };
+            assert!(allocations <= bound, "{name} {form}: {allocations} allocations");
+        }
+    }
 }
