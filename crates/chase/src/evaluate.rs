@@ -437,7 +437,7 @@ impl JoinProgram {
             return false;
         }
         // The unbound slots hold a placeholder until their step writes them.
-        slots.resize(self.vars.len(), Term::Const(Constant::Int(0)));
+        slots.resize(self.vars.len(), Term::Const(Constant::Param(0)));
         if keys.len() < self.steps.len() {
             keys.resize_with(self.steps.len(), Vec::new);
         }
@@ -556,7 +556,7 @@ impl ContainmentProgram {
         }
         // Fill the slots, then read every position back: a constant, or a
         // repeated variable whose positions carry different terms, disagrees.
-        let mut slots = vec![Term::Const(Constant::Int(0)); self.body.bound];
+        let mut slots = vec![Term::Const(Constant::Param(0)); self.body.bound];
         for (source, image) in self.head.iter().zip(head) {
             if let Source::Slot(slot) = source {
                 slots[*slot] = *image;

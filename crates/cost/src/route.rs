@@ -21,10 +21,11 @@
 //! returns byte-identical rows (property-tested in `mars-storage`'s router
 //! and in `tests/property_based.rs`), so a bad estimate costs time, never
 //! correctness. Feasibility is not an estimate: a tree that scans a
-//! navigation relation the relational store does not hold
-//! ([`unheld_navigation`]) cannot answer, and is chosen only when no tree
-//! can, for its execution to fail. Decisions render stably and are
-//! golden-snapshotted under `tests/golden/routes/`.
+//! relation the relational store does not hold ([`unheld_navigation`]) — a
+//! document's encoding never loaded, a view never materialized — cannot
+//! answer, and is chosen only when no tree can, for its execution to fail.
+//! Decisions render stably and are golden-snapshotted under
+//! `tests/golden/routes/`.
 
 use crate::physical::{physical_plan, NavScan, PhysicalPlan};
 use crate::stats::StatisticsCatalog;
@@ -285,24 +286,24 @@ pub(crate) fn plan_native(atoms: &[Atom], nav: &dyn NavigationStatistics) -> Nav
     NavScan { atoms: order, output: Vec::new(), cost, est_rows: rows }
 }
 
-/// The first navigation atom of `q` outside `navigated` (the body indices a
+/// The first atom of `q` outside `navigated` (the body indices a
 /// navigation leaf serves) whose relation `rel` does not hold. A tree that
-/// scans it cannot answer: the store lacks the document's encoding, not its
-/// rows.
+/// scans it cannot answer: the store lacks the relation — a document's GReX
+/// encoding, a materialized view — not its rows.
 pub fn unheld_navigation<'q>(
     q: &'q ConjunctiveQuery,
     navigated: &[usize],
     rel: &dyn StatisticsCatalog,
 ) -> Option<&'q Atom> {
     let scanned = q.body.iter().enumerate().filter(|(i, _)| !navigated.contains(i));
-    scanned.map(|(_, atom)| atom).find(|a| !rel.holds(a.predicate) && a.navigation().is_some())
+    scanned.map(|(_, atom)| atom).find(|a| !rel.holds(a.predicate))
 }
 
 /// Price `q` as two trees and choose the cheaper: every atom a table scan
 /// ([`physical_plan`] without navigation statistics), or the atoms over
 /// stored documents navigated natively (with them). Both are priced by
 /// [`PhysicalPlan::estimated_cost`], tails included; a tree that scans an
-/// unheld navigation relation ([`unheld_navigation`]) is infeasible. The
+/// unheld relation ([`unheld_navigation`]) is infeasible. The
 /// native tree counts only when it has a navigation leaf, and wins when it
 /// is feasible and strictly cheaper, or the relational tree is infeasible.
 /// The decision keeps the chosen tree ([`RoutingDecision::tree`]).

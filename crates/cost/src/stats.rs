@@ -9,9 +9,9 @@
 //! and **advisory**: they steer plan shape and cost only — a wrong count
 //! can produce a slow plan, never a wrong answer. Whether a relation is held
 //! at all is not advisory: a zero count says "empty", and only
-//! [`StatisticsCatalog::holds`] tells it from "absent". A GReX navigation
-//! relation the store does not hold (its document's encoding was never
-//! loaded) makes every route that scans it infeasible
+//! [`StatisticsCatalog::holds`] tells it from "absent". A relation the
+//! store does not hold (a document whose encoding was never loaded, a view
+//! never materialized) makes every route that scans it infeasible
 //! ([`crate::route::unheld_navigation`]), where scanning it as empty would
 //! answer with no rows.
 

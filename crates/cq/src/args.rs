@@ -34,7 +34,7 @@ enum Repr {
 }
 
 /// What an unused inline slot holds. Never read: the slice ends before it.
-const FILL: Term = Term::Const(Constant::Int(0));
+const FILL: Term = Term::Const(Constant::Param(0));
 
 impl Args {
     /// The most terms stored without a heap allocation.
@@ -207,7 +207,7 @@ mod tests {
 
     #[test]
     fn short_lists_stay_in_place() {
-        assert_eq!(std::mem::size_of::<Term>(), 16);
+        assert_eq!(std::mem::size_of::<Term>(), 12);
         for len in 0..=Args::INLINE {
             let args: Args = (0..len as i64).map(Term::constant_int).collect();
             assert!(!spilled(&args), "{len} terms");

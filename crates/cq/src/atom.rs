@@ -157,7 +157,7 @@ impl Atom {
     /// The atom as it is spelled, as a sort key: its predicate name, then
     /// its arguments' [`Term::spelling`]. Unlike the derived `Ord`, the
     /// order it gives does not depend on the order symbols were interned in.
-    pub fn spelling(&self) -> (&'static str, Vec<(u8, &'static str, i64)>) {
+    pub fn spelling(&self) -> (&'static str, Vec<(u8, &'static str, u32)>) {
         (self.predicate.name(), self.args.iter().map(Term::spelling).collect())
     }
 
@@ -256,7 +256,7 @@ pub mod builders {
 mod tests {
     use super::builders::*;
     use super::*;
-    use crate::term::Variable;
+    use crate::term::{Constant, Variable};
 
     /// The spelled order ignores the interning order: `spelling_b` is
     /// interned before `spelling_a`, so the derived order puts it first,
@@ -268,7 +268,7 @@ mod tests {
         assert!(b < a && r(b) < r(a), "interned first");
         assert!(r(a).spelling() < r(b).spelling());
         assert!(a.spelling() < Term::constant_str("a").spelling());
-        assert!(Term::constant_str("z").spelling() < Term::constant_int(0).spelling());
+        assert!(Term::constant_str("z").spelling() < Term::Const(Constant::Param(0)).spelling());
         assert!(Atom::named("Q", vec![b]).spelling() < r(a).spelling(), "the predicate first");
     }
 

@@ -277,6 +277,6 @@ mod tests {
         let mut s = Substitution::new();
         s.set(v("b"), Term::constant_int(2));
         s.set(v("a"), Term::constant_int(1));
-        assert_eq!(format!("{s:?}"), "{a ↦ 1, b ↦ 2}");
+        assert_eq!(format!("{s:?}"), r#"{a ↦ "1", b ↦ "2"}"#);
     }
 }

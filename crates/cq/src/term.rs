@@ -2,7 +2,7 @@
 //!
 //! A [`Term`] appears as an argument of an [`Atom`](crate::Atom). Constants
 //! are interned strings (tag names, text values), the element nodes of
-//! stored documents, integers, or the parameters of a canonical block; the
+//! stored documents, or the parameters of a canonical block; the
 //! distinction matters only for cost estimation and for executing
 //! reformulations over actual storage.
 //!
@@ -63,7 +63,7 @@ impl fmt::Display for Variable {
 
 /// A constant value. The derived order puts strings (by symbol id) before
 /// nodes (by document symbol, then slot: document order within one
-/// document), nodes before integers, and integers before parameters.
+/// document), and nodes before parameters.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Constant {
     /// Interned string constant (tag names, text values).
@@ -76,8 +76,6 @@ pub enum Constant {
         /// The element's arena slot.
         id: u32,
     },
-    /// Integer constant.
-    Int(i64),
     /// Parameter `i` of a canonical block: the place of the `i`-th constant
     /// a request of the block's shape supplies. It equals no other constant,
     /// so nothing the chase and backchase prove depends on its value.
@@ -90,11 +88,6 @@ impl Constant {
         Constant::Str(symbol(s).0)
     }
 
-    /// Integer constant.
-    pub fn int(i: i64) -> Constant {
-        Constant::Int(i)
-    }
-
     /// Element `id` of the document whose name is `doc`.
     pub fn node(doc: Symbol, id: u32) -> Constant {
         Constant::Node { doc: doc.0, id }
@@ -105,7 +98,6 @@ impl Constant {
         match self {
             Constant::Str(s) => Symbol(*s).as_str().to_string(),
             Constant::Node { doc, id } => format!("{}/n{id}", Symbol(*doc).as_str()),
-            Constant::Int(i) => i.to_string(),
             Constant::Param(i) => format!("?{i}"),
         }
     }
@@ -116,7 +108,6 @@ impl fmt::Debug for Constant {
         match self {
             Constant::Str(s) => write!(f, "\"{}\"", Symbol(*s).as_str()),
             Constant::Node { doc, id } => write!(f, "\"{}/n{id}\"", Symbol(*doc).as_str()),
-            Constant::Int(i) => write!(f, "{i}"),
             Constant::Param(i) => write!(f, "?{i}"),
         }
     }
@@ -148,9 +139,9 @@ impl Term {
         Term::Const(Constant::str(s))
     }
 
-    /// Integer-constant term.
+    /// The string-constant term that spells `i` in decimal.
     pub fn constant_int(i: i64) -> Term {
-        Term::Const(Constant::Int(i))
+        Term::constant_str(&i.to_string())
     }
 
     /// Is this term a variable?
@@ -182,18 +173,17 @@ impl Term {
     /// The term as it is spelled, as a sort key: variables before
     /// constants, a variable by its name and then its disambiguator, a
     /// string constant by its text, before every node, a node by its
-    /// document's name and then its slot, before every integer, and an
-    /// integer before every parameter, by number. The derived `Ord`
+    /// document's name and then its slot, before every parameter, and a
+    /// parameter by number. The derived `Ord`
     /// compares interned symbols, so it follows whichever string the process
     /// happened to intern first; this key orders terms the same way in every
     /// process.
-    pub fn spelling(&self) -> (u8, &'static str, i64) {
+    pub fn spelling(&self) -> (u8, &'static str, u32) {
         match *self {
-            Term::Var(v) => (0, Symbol(v.name).as_str(), i64::from(v.index)),
+            Term::Var(v) => (0, Symbol(v.name).as_str(), v.index),
             Term::Const(Constant::Str(s)) => (1, Symbol(s).as_str(), 0),
-            Term::Const(Constant::Node { doc, id }) => (2, Symbol(doc).as_str(), i64::from(id)),
-            Term::Const(Constant::Int(i)) => (3, "", i),
-            Term::Const(Constant::Param(i)) => (4, "", i64::from(i)),
+            Term::Const(Constant::Node { doc, id }) => (2, Symbol(doc).as_str(), id),
+            Term::Const(Constant::Param(i)) => (3, "", i),
         }
     }
 }
@@ -213,8 +203,10 @@ impl fmt::Display for Term {
     }
 }
 
-// A node fits beside the integer's eight bytes: terms stay two words.
-const _: () = assert!(std::mem::size_of::<Term>() == 16);
+// Every kind holds at most two `u32`s beside its tag, and `Term` and
+// `Option<Term>` encode their own variants in unused tag values: twelve bytes.
+const _: () = assert!(std::mem::size_of::<Term>() == 12);
+const _: () = assert!(std::mem::size_of::<Option<Term>>() == 12);
 
 impl From<Variable> for Term {
     fn from(v: Variable) -> Term {
@@ -289,8 +281,7 @@ mod tests {
     fn constants() {
         assert_eq!(Constant::str("a"), Constant::str("a"));
         assert_ne!(Constant::str("a"), Constant::str("b"));
-        assert_ne!(Constant::str("1"), Constant::int(1));
-        assert_eq!(Constant::int(1).render(), "1");
+        assert_eq!(Term::constant_int(-1), Term::constant_str("-1"));
         assert_eq!(Constant::str("book").render(), "book");
         assert_eq!(Constant::Param(2).render(), "?2");
         assert_ne!(Constant::Param(0), Constant::str("?0"));
@@ -303,9 +294,9 @@ mod tests {
         assert!(!t.is_const());
         assert_eq!(t.as_var(), Some(Variable::named("x")));
         assert_eq!(t.as_const(), None);
-        let c = Term::constant_int(5);
+        let c = Term::constant_str("5");
         assert!(c.is_const());
-        assert_eq!(c.as_const(), Some(Constant::Int(5)));
+        assert_eq!(c.as_const(), Some(Constant::str("5")));
         assert_eq!(c.as_var(), None);
     }
 
@@ -334,7 +325,7 @@ mod tests {
     fn term_display() {
         assert_eq!(format!("{}", Term::var("a")), "a");
         assert_eq!(format!("{}", Term::constant_str("t")), "\"t\"");
-        assert_eq!(format!("{}", Term::constant_int(3)), "3");
+        assert_eq!(format!("{}", Term::Const(Constant::Param(3))), "?3");
         let node = Term::Const(Constant::node(symbol("d.xml"), 7));
         assert_eq!(format!("{node}"), "\"d.xml/n7\"");
     }
@@ -347,13 +338,13 @@ mod tests {
         assert_eq!(node("shop.xml", 12).render(), "shop.xml/n12");
         assert_ne!(node("shop.xml", 12), Constant::str("shop.xml/n12"));
         assert_ne!(node("a.xml", 1), node("b.xml", 1));
-        // Document order within a document; strings first, integers after.
+        // Document order within a document; strings first, parameters after.
         assert!(node("shop.xml", 2) < node("shop.xml", 10));
         assert!(Constant::str("zzz") < node("shop.xml", 0));
-        assert!(node("shop.xml", u32::MAX) < Constant::int(i64::MIN));
+        assert!(node("shop.xml", u32::MAX) < Constant::Param(0));
         let (a, b) = (Term::Const(node("shop.xml", 2)), Term::Const(node("shop.xml", 10)));
         assert!(a.spelling() < b.spelling());
         assert!(Term::constant_str("zzz").spelling() < a.spelling());
-        assert!(b.spelling() < Term::constant_int(i64::MIN).spelling());
+        assert!(b.spelling() < Term::Const(Constant::Param(0)).spelling());
     }
 }

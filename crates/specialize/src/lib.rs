@@ -10,23 +10,23 @@
 //! backchase (Figure 8 shows the ratio growing exponentially with the star
 //! size).
 //!
-//! In this reproduction specialization operates on the XBind level, exactly
+//! In this reproduction specialization operates on the XBind level,
 //! following Figure 7's pipeline: the query (and every view body / XIC) is
 //! rewritten to use the specialization relations *before* the GReX
-//! compilation, and reformulations are post-processed back by re-expanding
-//! the specialization relations. The mappings themselves are either written
-//! by a domain expert ([`SpecializationMapping`]) or inferred from an
-//! [`XmlShape`](mars_xml::XmlShape) by hybrid inlining
-//! ([`infer_specializations`]), and they satisfy the restrictions of
-//! Proposition 5.1 (each mapping is a single entity pattern with leaf
-//! fields), which keeps the specialization step linear in the query size.
+//! compilation. A specialization relation is not re-expanded into
+//! navigation afterwards: it is a materialized view
+//! ([`SpecializationMapping::definition_view`]) that reformulations read
+//! like any other stored relation. The mappings are written by a domain
+//! expert ([`SpecializationMapping`]; Figure 6's is
+//! [`author_mapping`](mapping::author_mapping)), and they satisfy the
+//! restrictions of Proposition 5.1 ([`SpecializationMapping::is_restricted`]:
+//! each mapping is a single entity pattern with leaf fields), which keeps
+//! the specialization step linear in the query size.
 
 #![deny(missing_docs)]
 
-pub mod infer;
 pub mod mapping;
 pub mod rewrite;
 
-pub use infer::infer_specializations;
 pub use mapping::{FieldMapping, SpecializationMapping};
 pub use rewrite::{specialize_query, specialize_view, specialize_xic};

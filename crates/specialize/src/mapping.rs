@@ -91,11 +91,6 @@ impl SpecializationMapping {
         })
     }
 
-    /// Column index of a field reached by the given relative path, if any.
-    pub fn column_for_path(&self, path: &Path) -> Option<usize> {
-        self.fields.iter().position(|f| &f.path == path).map(|i| i + 1)
-    }
-
     /// The defining XBind body of the specialization relation:
     /// `Relation(id, f_0, …, f_n) :- entity_path ⇒ id, field paths ⇒ f_i`.
     /// Used both to compile the definitional constraints linking the relation
@@ -177,7 +172,6 @@ pub fn author_mapping() -> SpecializationMapping {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mars_xml::parse_path;
 
     #[test]
     fn author_mapping_matches_figure_6() {
@@ -185,8 +179,6 @@ mod tests {
         assert_eq!(m.relation, "Author");
         assert_eq!(m.arity(), 7); // id + 6 fields
         assert!(m.is_restricted());
-        assert_eq!(m.column_for_path(&parse_path("./address/city/text()").unwrap()), Some(4));
-        assert_eq!(m.column_for_path(&parse_path("./phone/text()").unwrap()), None);
     }
 
     #[test]

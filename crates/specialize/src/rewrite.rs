@@ -1,4 +1,4 @@
-//! Specializing queries, views and XICs, and post-processing back.
+//! Specializing queries, views and XICs.
 //!
 //! Specialization replaces a *group* of XBind atoms — the atom binding an
 //! entity element plus the relative atoms reading its inlined fields — by a
@@ -11,15 +11,10 @@ use crate::mapping::SpecializationMapping;
 use mars_grex::ViewDef;
 use mars_xquery::{XBindAtom, XBindQuery, XBindTerm, Xic, XicConjunct};
 
-/// Specialize the atoms of one query body. Returns the rewritten atoms and
-/// the number of atoms eliminated.
-fn specialize_atoms(
-    atoms: &[XBindAtom],
-    mappings: &[SpecializationMapping],
-) -> (Vec<XBindAtom>, usize) {
+/// Specialize the atoms of one query body.
+fn specialize_atoms(atoms: &[XBindAtom], mappings: &[SpecializationMapping]) -> Vec<XBindAtom> {
     let mut consumed = vec![false; atoms.len()];
     let mut out: Vec<XBindAtom> = Vec::new();
-    let mut eliminated = 0usize;
 
     for (i, atom) in atoms.iter().enumerate() {
         if consumed[i] {
@@ -52,7 +47,6 @@ fn specialize_atoms(
                     if source == &entity_var && path == &field.path {
                         bound = Some(var.clone());
                         consumed[j] = true;
-                        eliminated += 1;
                         break;
                     }
                 }
@@ -78,12 +72,12 @@ fn specialize_atoms(
         }
         out.push(XBindAtom::Relational { relation: mapping.relation.clone(), args: columns });
     }
-    (out, eliminated)
+    out
 }
 
 /// Specialize an XBind query (Figure 7: `CQ → CQ'`).
 pub fn specialize_query(query: &XBindQuery, mappings: &[SpecializationMapping]) -> XBindQuery {
-    let (atoms, _) = specialize_atoms(&query.atoms, mappings);
+    let atoms = specialize_atoms(&query.atoms, mappings);
     XBindQuery {
         name: format!("{}_spec", query.name),
         head: query.head.clone(),
@@ -107,67 +101,18 @@ pub fn specialize_view(view: &ViewDef, mappings: &[SpecializationMapping]) -> Vi
 
 /// Specialize an XIC.
 pub fn specialize_xic(xic: &Xic, mappings: &[SpecializationMapping]) -> Xic {
-    let (premise, _) = specialize_atoms(&xic.premise, mappings);
+    let premise = specialize_atoms(&xic.premise, mappings);
     let conclusions = xic
         .conclusions
         .iter()
         .map(|c| XicConjunct {
             exists: c.exists.clone(),
-            atoms: specialize_atoms(&c.atoms, mappings).0,
+            atoms: specialize_atoms(&c.atoms, mappings),
             equalities: c.equalities.clone(),
         })
         .collect();
     Xic { name: format!("{}_spec", xic.name), premise, conclusions }
 }
-
-/// Post-processing (Figure 7's final step): re-expand specialization-relation
-/// atoms of a reformulation back into XML navigation over the original
-/// proprietary schema.
-pub fn expand_query(query: &XBindQuery, mappings: &[SpecializationMapping]) -> XBindQuery {
-    let mut atoms = Vec::new();
-    for atom in &query.atoms {
-        match atom {
-            XBindAtom::Relational { relation, args } => {
-                if let Some(m) = mappings.iter().find(|m| &m.relation == relation) {
-                    let entity = args[0].as_var().unwrap_or("e").to_string();
-                    atoms.push(XBindAtom::AbsolutePath {
-                        document: m.document.clone(),
-                        path: m.entity_path.clone(),
-                        var: entity.clone(),
-                    });
-                    for (i, field) in m.fields.iter().enumerate() {
-                        if let Some(v) = args.get(i + 1).and_then(|t| t.as_var()) {
-                            atoms.push(XBindAtom::RelativePath {
-                                path: field.path.clone(),
-                                source: entity.clone(),
-                                var: v.to_string(),
-                            });
-                        }
-                    }
-                } else {
-                    atoms.push(atom.clone());
-                }
-            }
-            other => atoms.push(other.clone()),
-        }
-    }
-    XBindQuery {
-        name: format!("{}_expanded", query.name),
-        head: query.head.clone(),
-        atoms,
-        distinct: query.distinct,
-    }
-}
-
-/// The specialization relation predicates contributed by a set of mappings
-/// (they become part of the compilation target schema).
-pub fn specialization_predicates(mappings: &[SpecializationMapping]) -> Vec<mars_cq::Predicate> {
-    mappings.iter().map(|m| mars_cq::Predicate::new(&m.relation)).collect()
-}
-
-/// Keep `ViewOutput` re-exported locally so downstream code can pattern-match
-/// without importing `mars-grex` directly.
-pub use mars_grex::ViewOutput as SpecializedViewOutput;
 
 #[cfg(test)]
 mod tests {
@@ -241,21 +186,6 @@ mod tests {
             compiled_spec.body.len(),
             compiled_plain.body.len()
         );
-    }
-
-    #[test]
-    fn expansion_round_trips_the_navigation() {
-        let q = section_5_1_query();
-        let m = [author_mapping()];
-        let spec = specialize_query(&q, &m);
-        let back = expand_query(&spec, &m);
-        // The re-expanded query mentions the author entity and its city field
-        // again (extra don't-care field reads are allowed).
-        assert!(back.atoms.iter().any(|a| matches!(a, XBindAtom::AbsolutePath { path, .. }
-            if path == &parse_path("//author").unwrap())));
-        assert!(back.atoms.iter().any(|a| matches!(a, XBindAtom::RelativePath { path, var, .. }
-            if path == &parse_path("./address/city/text()").unwrap() && var == "c")));
-        assert!(back.atoms.len() >= q.atoms.len());
     }
 
     #[test]
@@ -343,6 +273,5 @@ mod tests {
         });
         let spec = specialize_query(&q, &[author_mapping()]);
         assert_eq!(spec.atoms, q.atoms);
-        assert_eq!(specialization_predicates(&[author_mapping()]).len(), 1);
     }
 }

@@ -81,7 +81,7 @@ pub(crate) struct DocIndex {
 impl DocIndex {
     pub(crate) fn new(doc: &Document) -> DocIndex {
         let slots = doc.len();
-        let placeholder = Term::constant_int(0);
+        let placeholder = Term::Const(Constant::Param(0));
         let mut index = DocIndex {
             document: Symbol::intern(&doc.name),
             tag_term: vec![placeholder; slots],

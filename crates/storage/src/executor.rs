@@ -143,17 +143,16 @@ fn distinct(batch: &Batch) -> Vec<Row> {
 }
 
 /// A `u64` ordered as [`Term`]s are, up to ties: variables by name, then
-/// string, node, integer and parameter constants, each kind in its id
-/// order, the kind in the top three bits. Integers all tie (a value does
-/// not fit beside the kind), as do variables of one name and a document's
-/// nodes eight slots at a time (its symbol and slot do not both fit).
+/// string, node and parameter constants, each kind in its id order, the
+/// kind in the top three bits. Variables of one name tie, as do a
+/// document's nodes eight slots at a time (its symbol and slot do not both
+/// fit).
 fn order_key(t: Term) -> u64 {
     match t {
         Term::Var(v) => v.name as u64,
         Term::Const(Constant::Str(s)) => 1 << 61 | s as u64,
         Term::Const(Constant::Node { doc, id }) => 2 << 61 | (doc as u64) << 29 | (id >> 3) as u64,
-        Term::Const(Constant::Int(_)) => 3 << 61,
-        Term::Const(Constant::Param(p)) => 4 << 61 | p as u64,
+        Term::Const(Constant::Param(p)) => 3 << 61 | p as u64,
     }
 }
 
@@ -415,8 +414,8 @@ mod against_reference {
         (rng.next_u64() % n as u64) as usize
     }
 
-    /// Every kind of term, with ties for `order_key`: two integers, two
-    /// variables of one name, and nodes of one document within eight slots;
+    /// Every kind of term, with ties for `order_key`: two variables of one
+    /// name, and nodes of one document within eight slots;
     /// nodes of two documents, so the document orders before the slot.
     fn batch(rng: &mut TestRng, width: usize, len: usize) -> Batch {
         let v = Variable::named("v");

@@ -14,7 +14,7 @@ use crate::executor::{row_index, Fx, NONE};
 use crate::relational::RelationalDatabase;
 use crate::router::{BackendRouter, Route};
 use crate::xml_engine::{Value, XmlStore, XmlStoreError};
-use mars_cq::Term;
+use mars_cq::{Predicate, Term};
 use mars_grex::{compile_xbind, CompileContext, ViewDef, ViewOutput};
 use mars_xml::{Document, NodeId, TagId};
 use mars_xquery::{DecorrelatedQuery, TemplateNode, XBindAtom};
@@ -78,6 +78,9 @@ pub fn materialize_view(
 
     match &view.output {
         ViewOutput::Relation { name } => {
+            // Held even when empty: a route may scan an empty extent, never
+            // an absent one.
+            relational.inst.declare(Predicate::new(name));
             for r in &unique {
                 let refs: Vec<&str> = r.iter().map(String::as_str).collect();
                 relational.insert_strs(name, &refs);

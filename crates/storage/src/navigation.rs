@@ -1,5 +1,5 @@
 //! The native navigation kernel: a conjunction of GReX navigation atoms
-//! compiled once into steps and run over the executor's row [`Batch`].
+//! compiled once into steps and run over the executor's row `Batch`.
 //!
 //! `NavPlan::compile` takes a `NavScan` leaf's atoms (body indices of the
 //! query being run) in the order the planner
@@ -32,7 +32,7 @@
 //! constant (`Constant::Node`) its document's index builds from the arena
 //! slot, as in the encoded facts: `NavPlan::execute` only projects columns.
 //! A step reads a node operand through its document's index
-//! ([`DocIndex::node`], a document check); a value, or a node of another
+//! (`DocIndex::node`, a document check); a value, or a node of another
 //! document, has no element there and drops the row. Only a step over that
 //! index puts a node in a slot, and a node constant of the query is checked
 //! to be an element when it is compiled.
@@ -53,7 +53,7 @@
 use crate::doc_index::{symbol, DocIndex};
 use crate::executor::Batch;
 use crate::xml_engine::{XmlStore, XmlStoreError};
-use mars_cq::{Atom, NavBase, Term, Variable};
+use mars_cq::{Atom, Constant, NavBase, Term, Variable};
 use mars_xml::{Document, NodeId};
 
 /// A bound operand: a slot of the row, or a constant of the query (in a
@@ -302,7 +302,7 @@ impl<'s> NavPlan<'s> {
     fn start(&self) -> Batch {
         let mut rows = Batch::new(self.slots.len());
         if self.satisfiable {
-            rows.data = vec![Term::constant_int(0); rows.width];
+            rows.data = vec![Term::Const(Constant::Param(0)); rows.width];
             rows.len = 1;
         }
         rows

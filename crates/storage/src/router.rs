@@ -123,8 +123,8 @@ impl<'a> BackendRouter<'a> {
     /// its tree does not run and the query sends a non-navigation atom down
     /// it (routing itself never chooses a route over absent documents or
     /// foreign atoms), and [`XmlStoreError::NotLoaded`] when the tree scans
-    /// a navigation relation the relational store does not hold — a forced
-    /// route, or a query no route can answer.
+    /// a relation the relational store does not hold — a forced route, or a
+    /// query no route can answer.
     pub fn execute(&self, plan: &RoutedPlan) -> Result<RoutedExecution, XmlStoreError> {
         let start = Instant::now();
         let (q, tree) = (&plan.query, plan.decision.tree.as_deref());

@@ -42,8 +42,8 @@ pub enum XmlStoreError {
         /// The offending atom's predicate.
         predicate: Predicate,
     },
-    /// A plan scans a navigation relation the relational store does not
-    /// hold: the document's encoding was never loaded there.
+    /// A plan scans a relation the relational store does not hold: a
+    /// document's encoding never loaded there, a view never materialized.
     NotLoaded {
         /// The unheld relation.
         predicate: Predicate,

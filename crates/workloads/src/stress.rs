@@ -6,7 +6,7 @@
 //! with the closure shortcut. The generator is parametric in the path length
 //! so the benches can sweep it.
 
-use mars_cq::{ConjunctiveQuery, Ded, Term};
+use mars_cq::{ConjunctiveQuery, Ded};
 use mars_grex::{compile_xbind, tix_constraints, CompileContext, GrexSchema};
 use mars_xml::parse_path;
 use mars_xquery::{XBindAtom, XBindQuery};
@@ -49,17 +49,6 @@ pub fn stress_constraints() -> Vec<Ded> {
     tix_constraints(&GrexSchema::new(STRESS_DOC))
 }
 
-/// Sanity helper: the expected atom count of the compiled query
-/// (1 root + 1 desc + (depth−1) child + depth tag).
-pub fn expected_compiled_atoms(depth: usize) -> usize {
-    1 + 1 + (depth - 1) + depth
-}
-
-#[allow(unused)]
-fn _t(n: &str) -> Term {
-    Term::var(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,7 +60,7 @@ mod tests {
         // Depth 10: 20 atoms in the paper's counting (9 child, 1 desc, 10 tag)
         // plus the explicit root atom of our encoding.
         let q = compiled_stress_query(10);
-        assert_eq!(q.body.len(), expected_compiled_atoms(10));
+        assert_eq!(q.body.len(), 21);
         let s = GrexSchema::new(STRESS_DOC);
         assert_eq!(q.body.iter().filter(|a| a.predicate == s.predicate(NavBase::Child)).count(), 9);
         assert_eq!(q.body.iter().filter(|a| a.predicate == s.predicate(NavBase::Desc)).count(), 1);

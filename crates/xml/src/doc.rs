@@ -435,49 +435,6 @@ impl Document {
         self.node(id).attributes.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
     }
 
-    /// Deep-copy the subtree rooted at `source` (from `other`) under
-    /// `parent` in this document. Returns the id of the copy. Used when
-    /// materializing XQuery views that return deep copies of input elements.
-    pub fn deep_copy_from(&mut self, other: &Document, source: NodeId, parent: NodeId) -> NodeId {
-        let copy = self.copy_node(other, source, parent);
-        // Walk the source in preorder; `to` is the copy of `from`.
-        let (mut from, mut to) = (source, copy);
-        loop {
-            let first_child = other.nodes[from.index()].first_child;
-            if let Some(child) = link(first_child) {
-                (from, to) = (child, self.copy_node(other, child, to));
-                continue;
-            }
-            loop {
-                if from == source {
-                    return copy;
-                }
-                let record = &other.nodes[from.index()];
-                let up = NodeId(self.nodes[to.index()].parent);
-                if let Some(sibling) = link(record.next_sibling) {
-                    (from, to) = (sibling, self.copy_node(other, sibling, up));
-                    break;
-                }
-                (from, to) = (NodeId(record.parent), up);
-            }
-        }
-    }
-
-    /// Append a copy of `other`'s node `source`, without its children.
-    fn copy_node(&mut self, other: &Document, source: NodeId, parent: NodeId) -> NodeId {
-        let src = other.node(source);
-        match src.kind {
-            NodeKind::Element { tag } => {
-                let id = self.add_element(parent, tag);
-                for (n, v) in src.attributes {
-                    self.set_attribute(id, n, v);
-                }
-                id
-            }
-            NodeKind::Text { value } => self.add_text(parent, value),
-        }
-    }
-
     /// Serialize to XML text (no declaration, two-space indentation).
     ///
     /// One node per line, except that an element whose only child is a text
@@ -842,20 +799,6 @@ mod tests {
         assert!(xml.contains("<catalog>"));
         assert!(xml.contains("<name>aspirin</name>"));
         assert!(xml.contains("</catalog>"));
-    }
-
-    #[test]
-    fn deep_copy_between_documents() {
-        let src = catalog();
-        let mut dst = Document::new("copy.xml");
-        let root = dst.create_root("result");
-        let first_drug = src.child_elements(src.root().unwrap()).next().unwrap();
-        dst.deep_copy_from(&src, first_drug, root);
-        assert_eq!(dst.element_count(), 4); // result + drug + name + price
-        let drug = dst.child_elements(root).next().unwrap();
-        assert_eq!(dst.node(drug).tag(), Some("drug"));
-        let name = dst.children_with_tag(drug, "name").next().unwrap();
-        assert_eq!(dst.text_of(name), "aspirin");
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! ships them to storage engines. Nevertheless a concrete XML data model is
 //! needed throughout the reproduction — to materialize views, to execute
 //! reformulated and unreformulated queries (the "Galax substitute" of the
-//! experiments), to encode documents into the GReX relations for tests, and to
-//! drive schema-specialization inference.
+//! experiments), and to encode documents into the GReX relations for tests.
 //!
 //! The crate provides:
 //!
@@ -14,18 +13,14 @@
 //!   (no external dependencies),
 //! * an XPath fragment ([`xpath`]) covering the navigation used by the paper:
 //!   child (`/`) and descendant (`//`) steps, name tests, wildcards,
-//!   `text()` and attribute access,
-//! * [`XmlShape`] descriptions (a DTD-like structural summary) used by the
-//!   hybrid-inlining specialization inference in `mars-specialize`.
+//!   `text()` and attribute access.
 
 #![deny(missing_docs)]
 
 pub mod doc;
 pub mod parse;
-pub mod shape;
 pub mod xpath;
 
 pub use doc::{Children, Descendants, Document, Node, NodeId, NodeKind, TagId};
 pub use parse::{parse_document, ParseError};
-pub use shape::{Multiplicity, ShapeElement, XmlShape};
 pub use xpath::{check_path, eval_path, parse_path, Path, PathError, PathValue, Step};

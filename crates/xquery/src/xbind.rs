@@ -220,11 +220,6 @@ impl XBindQuery {
             | XBindAtom::QueryRef { .. } => false,
         })
     }
-
-    /// Number of navigation atoms.
-    pub fn path_atom_count(&self) -> usize {
-        self.atoms.iter().filter(|a| a.is_path()).count()
-    }
 }
 
 impl fmt::Display for XBindQuery {
@@ -282,12 +277,10 @@ mod tests {
         let (xbo, xbi) = example_2_1();
         assert_eq!(xbo.head, vec!["a"]);
         assert!(xbo.distinct);
-        assert_eq!(xbo.path_atom_count(), 1);
         assert!(xbo.is_safe());
 
         assert_eq!(xbi.head, vec!["a", "b", "a1", "t"]);
         assert_eq!(xbi.atoms.len(), 5);
-        assert_eq!(xbi.path_atom_count(), 3);
         assert!(xbi.is_safe());
         assert_eq!(xbi.variables(), vec!["a", "b", "a1", "t"]);
     }

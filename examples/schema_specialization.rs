@@ -1,33 +1,24 @@
-//! Schema specialization (Section 5): infer Author-style entity relations
-//! from a regular document and compare the size of the compiled queries with
-//! and without specialization.
+//! Schema specialization (Section 5, Figures 6 and 7): specialize the
+//! Section 5.1 query with Figure 6's hand-written `Author` mapping and
+//! compare the size of the compiled queries with and without it.
 //!
 //! Run with `cargo run --example schema_specialization`.
 
 use mars_grex::{compile_xbind, CompileContext};
-use mars_specialize::{infer_specializations, specialize_query};
-use mars_xml::{parse_document, XmlShape};
+use mars_specialize::mapping::author_mapping;
+use mars_specialize::specialize_query;
 use mars_xquery::{XBindAtom, XBindQuery};
 
 fn main() {
-    let doc = parse_document(
-        "pubs.xml",
-        r#"<pubs>
-             <author><name><first>Alin</first><last>Deutsch</last></name>
-               <address><street>x</street><city>San Diego</city><state>CA</state><zip>1</zip></address></author>
-             <author><name><first>Val</first><last>Tannen</last></name>
-               <address><street>y</street><city>Philadelphia</city><state>PA</state><zip>2</zip></address></author>
-             <publisher><address><city>Philadelphia</city></address></publisher>
-           </pubs>"#,
-    )
-    .unwrap();
-
-    let shape = XmlShape::infer(&doc).unwrap();
-    let mappings = infer_specializations(&shape);
-    println!("inferred specializations:");
-    for m in &mappings {
-        println!("  {}({} columns) for {} entities", m.relation, m.arity(), m.entity_path);
-    }
+    let mapping = author_mapping();
+    assert!(mapping.is_restricted(), "Figure 6's mapping meets Proposition 5.1");
+    println!("specialization mapping:");
+    println!(
+        "  {}({} columns) for {} entities",
+        mapping.relation,
+        mapping.arity(),
+        mapping.entity_path
+    );
 
     // The Section 5.1 query: last names of authors living in a publisher city.
     let query = XBindQuery::new("Xb")
@@ -55,7 +46,7 @@ fn main() {
 
     let mut ctx = CompileContext::new();
     let plain = compile_xbind(&mut ctx, &query);
-    let specialized = specialize_query(&query, &mappings);
+    let specialized = specialize_query(&query, &[mapping]);
     let compiled_spec = compile_xbind(&mut ctx, &specialized);
     println!("compiled atoms without specialization: {}", plain.body.len());
     println!("compiled atoms with specialization:    {}", compiled_spec.body.len());

@@ -4,6 +4,7 @@
 //! query over the published data.
 
 use mars::{Mars, MarsOptions};
+use mars_storage::{materialize_view, BackendRouter, RelationalDatabase, XmlStoreError};
 use mars_workloads::{example11, star::StarConfig, xmark};
 use std::collections::HashMap;
 
@@ -23,6 +24,40 @@ fn star_reformulation_preserves_answers() {
         reformulated.len(),
         "reformulated query must return the same number of answers"
     );
+}
+
+/// A specialization relation is a materialized view: a reformulation that
+/// reads `Rspec` and the `S_ispec` fails with `NotLoaded` on stores that
+/// never materialized them, instead of answering with no rows; an empty
+/// extent answers with none.
+#[test]
+fn unmaterialized_specializations_are_not_loaded() {
+    let cfg = StarConfig::figure5(3);
+    let mars = cfg.mars(MarsOptions::specialized());
+    let block = mars.reformulate_xbind(&cfg.corner_query(&[1, 2, 3]));
+    let (best, _) = block.result.best.as_ref().expect("a best reformulation");
+    let mut relations: Vec<&str> = best.body.iter().map(|a| a.predicate.name()).collect();
+    relations.sort_unstable();
+    assert_eq!(relations, ["Rspec", "S1spec", "S2spec", "S3spec"], "{best}");
+
+    let (mut xml, db) = cfg.populate(20, 4, 11);
+    let router = BackendRouter::new(&db, &xml);
+    assert_eq!(router.execute(&router.plan(best)).unwrap().rows.len(), 20, "one row per hub");
+
+    let mut views_only = RelationalDatabase::new();
+    for l in 1..=cfg.nv {
+        materialize_view(&cfg.view(l), &mut xml, &mut views_only).unwrap();
+    }
+    let router = BackendRouter::new(&views_only, &xml);
+    match router.execute(&router.plan(best)) {
+        Err(XmlStoreError::NotLoaded { predicate }) => assert_eq!(predicate.name(), "Rspec"),
+        other => panic!("expected NotLoaded {{ Rspec }}, got {other:?}"),
+    }
+
+    // An empty extent is held: a star without hubs answers with no rows.
+    let (xml, db) = cfg.populate(0, 4, 11);
+    let router = BackendRouter::new(&db, &xml);
+    assert!(router.execute(&router.plan(best)).unwrap().rows.is_empty());
 }
 
 #[test]
