@@ -34,7 +34,7 @@ pub mod stats;
 
 pub use physical::{physical_plan, BuildSide, NavScan, Operand, PhysicalPlan, Position, TableScan};
 pub use route::{
-    route_forced, route_query, unheld_navigation, NavStats, NavigationStatistics, Route,
-    RouteCosts, RoutingDecision,
+    route_forced, route_query, unheld_relation, NavStats, NavigationStatistics, Route, RouteCosts,
+    RoutingDecision,
 };
 pub use stats::StatisticsCatalog;

@@ -21,7 +21,7 @@
 //! returns byte-identical rows (property-tested in `mars-storage`'s router
 //! and in `tests/property_based.rs`), so a bad estimate costs time, never
 //! correctness. Feasibility is not an estimate: a tree that scans a
-//! relation the relational store does not hold ([`unheld_navigation`]) — a
+//! relation the relational store does not hold ([`unheld_relation`]) — a
 //! document's encoding never loaded, a view never materialized — cannot
 //! answer, and is chosen only when no tree can, for its execution to fail.
 //! Decisions render stably and are golden-snapshotted under
@@ -290,7 +290,7 @@ pub(crate) fn plan_native(atoms: &[Atom], nav: &dyn NavigationStatistics) -> Nav
 /// navigation leaf serves) whose relation `rel` does not hold. A tree that
 /// scans it cannot answer: the store lacks the relation — a document's GReX
 /// encoding, a materialized view — not its rows.
-pub fn unheld_navigation<'q>(
+pub fn unheld_relation<'q>(
     q: &'q ConjunctiveQuery,
     navigated: &[usize],
     rel: &dyn StatisticsCatalog,
@@ -303,7 +303,7 @@ pub fn unheld_navigation<'q>(
 /// ([`physical_plan`] without navigation statistics), or the atoms over
 /// stored documents navigated natively (with them). Both are priced by
 /// [`PhysicalPlan::estimated_cost`], tails included; a tree that scans an
-/// unheld relation ([`unheld_navigation`]) is infeasible. The
+/// unheld relation ([`unheld_relation`]) is infeasible. The
 /// native tree counts only when it has a navigation leaf, and wins when it
 /// is feasible and strictly cheaper, or the relational tree is infeasible.
 /// The decision keeps the chosen tree ([`RoutingDecision::tree`]).
@@ -350,7 +350,7 @@ fn price(
         return decision;
     }
     let feasible = |tree: &PhysicalPlan, navigated: &[usize]| {
-        unheld_navigation(q, navigated, rel).is_none().then(|| tree.estimated_cost())
+        unheld_relation(q, navigated, rel).is_none().then(|| tree.estimated_cost())
     };
     // Without a navigation leaf the native tree is the all-scans tree.
     let native = physical_plan(q, rel, Some(nav));
@@ -488,7 +488,7 @@ mod tests {
         let d = route_query(&other, &FixedRel(HashMap::new()), &nav);
         assert_eq!(d.costs, RouteCosts { relational: None, xml: None, mixed: None }, "{d}");
         assert_eq!(d.route, Route::Relational, "{d}");
-        let unheld = unheld_navigation(&other, &[], &FixedRel(HashMap::new()));
+        let unheld = unheld_relation(&other, &[], &FixedRel(HashMap::new()));
         assert_eq!(unheld, Some(&other.body[0]), "what the chosen tree's execution fails on");
     }
 

@@ -12,7 +12,7 @@
 //! [`StatisticsCatalog::holds`] tells it from "absent". A relation the
 //! store does not hold (a document whose encoding was never loaded, a view
 //! never materialized) makes every route that scans it infeasible
-//! ([`crate::route::unheld_navigation`]), where scanning it as empty would
+//! ([`crate::route::unheld_relation`]), where scanning it as empty would
 //! answer with no rows.
 
 use mars_cq::Predicate;

@@ -36,7 +36,7 @@
 use crate::executor::execute_plan;
 use crate::relational::{RelationalDatabase, Row};
 use crate::xml_engine::{XmlStore, XmlStoreError};
-use mars_cost::{route_forced, route_query, unheld_navigation, PhysicalPlan};
+use mars_cost::{route_forced, route_query, unheld_relation, PhysicalPlan};
 pub use mars_cost::{Route, RouteCosts, RoutingDecision};
 use mars_cq::{Atom, ConjunctiveQuery};
 use std::time::{Duration, Instant};
@@ -133,7 +133,7 @@ impl<'a> BackendRouter<'a> {
             return Err(error);
         }
         let nav_scan = tree.and_then(PhysicalPlan::nav_scan);
-        if let Some(atom) = unheld_navigation(q, nav_scan.map_or(&[], |s| &s.atoms), self.db) {
+        if let Some(atom) = unheld_relation(q, nav_scan.map_or(&[], |s| &s.atoms), self.db) {
             return Err(XmlStoreError::NotLoaded { predicate: atom.predicate });
         }
         let (rows, nav_tuples) = match tree {

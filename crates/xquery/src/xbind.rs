@@ -123,11 +123,6 @@ impl XBindAtom {
             }
         }
     }
-
-    /// Is this a navigation (path) atom?
-    pub fn is_path(&self) -> bool {
-        matches!(self, XBindAtom::AbsolutePath { .. } | XBindAtom::RelativePath { .. })
-    }
 }
 
 impl fmt::Display for XBindAtom {
@@ -311,7 +306,6 @@ mod tests {
             args: vec![XBindTerm::var("d"), XBindTerm::var("p"), XBindTerm::str("usd")],
         };
         assert_eq!(a.bound_vars(), vec!["d", "p"]);
-        assert!(!a.is_path());
     }
 
     #[test]
