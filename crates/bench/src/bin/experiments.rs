@@ -320,57 +320,82 @@ fn old_vs_new(results: &mut HashMap<String, serde_json::Value>) {
     results.insert("old_vs_new".to_string(), serde_json::Value::Array(rows));
 }
 
-/// Section 4.2: reformulation time vs execution-time saving.
+/// Section 4.2: reformulation time vs execution-time saving, at growing
+/// document sizes. One cold reformulation per NC is charged against every
+/// size's execution, and the first size where the saving turns positive is
+/// printed per NC.
 fn net_savings(results: &mut HashMap<String, serde_json::Value>) {
-    println!("\n== Section 4.2: net saving of reformulation (star, small document) ==");
+    println!("\n== Section 4.2: net saving of reformulation (star, growing document) ==");
     println!(
-        "{:>4} {:>16} {:>20} {:>18} {:>16}",
-        "NC", "reformulate (ms)", "unreformulated (ms)", "reformulated (ms)", "net saving (ms)"
+        "{:>4} {:>6} {:>16} {:>20} {:>18} {:>16}",
+        "NC",
+        "hubs",
+        "reformulate (ms)",
+        "unreformulated (ms)",
+        "reformulated (ms)",
+        "net saving (ms)"
     );
     let mut rows = Vec::new();
+    let mut break_even = Vec::new();
     for nc in [3usize, 4, 5] {
         let cfg = StarConfig::figure5(nc);
-        let (xml, db) = cfg.populate(5, 4, 17);
         let mars = cfg.mars(MarsOptions::specialized());
-
         let start = Instant::now();
         let block = mars.reformulate_xbind(&cfg.client_query());
         let reform_time = start.elapsed();
-
-        // Unreformulated execution on the naive XML engine (the Galax stand-in).
-        let start = Instant::now();
-        let unref = xml
-            .eval_xbind(&cfg.client_query(), &HashMap::new())
-            .expect("star documents are stored");
-        let unref_time = start.elapsed();
-
-        // Reformulated execution: the best reformulation runs on the relational
-        // engine over the materialized views.
         let best = block.result.best_or_initial().cloned();
-        let start = Instant::now();
-        let reformulated_rows = best.as_ref().map(|q| db.query(q).len()).unwrap_or(0);
-        let ref_time = start.elapsed();
+        let mut positive_at = None;
+        for hubs in [5usize, 50, 500] {
+            let (xml, db) = cfg.populate(hubs, 4, 17);
 
-        let saving = unref_time.as_secs_f64() - (reform_time + ref_time).as_secs_f64();
-        println!(
-            "{:>4} {:>16.2} {:>20.2} {:>18.2} {:>16.2}",
-            nc,
-            ms(reform_time),
-            ms(unref_time),
-            ms(ref_time),
-            saving * 1000.0
-        );
-        rows.push(serde_json::json!({
-            "nc": nc,
-            "reformulation_ms": ms(reform_time),
-            "unreformulated_exec_ms": ms(unref_time),
-            "reformulated_exec_ms": ms(ref_time),
-            "net_saving_ms": saving * 1000.0,
-            "unreformulated_rows": unref.len(),
-            "reformulated_rows": reformulated_rows,
-        }));
+            // Unreformulated execution on the naive XML engine (the Galax
+            // stand-in).
+            let start = Instant::now();
+            let unref = xml
+                .eval_xbind(&cfg.client_query(), &HashMap::new())
+                .expect("star documents are stored");
+            let unref_time = start.elapsed();
+
+            // Reformulated execution: the best reformulation runs on the
+            // relational engine over the materialized views.
+            let start = Instant::now();
+            let reformulated_rows = best.as_ref().map(|q| db.query(q).len()).unwrap_or(0);
+            let ref_time = start.elapsed();
+
+            let saving = unref_time.as_secs_f64() - (reform_time + ref_time).as_secs_f64();
+            if saving > 0.0 && positive_at.is_none() {
+                positive_at = Some(hubs);
+            }
+            println!(
+                "{:>4} {:>6} {:>16.2} {:>20.2} {:>18.2} {:>16.2}",
+                nc,
+                hubs,
+                ms(reform_time),
+                ms(unref_time),
+                ms(ref_time),
+                saving * 1000.0
+            );
+            rows.push(serde_json::json!({
+                "nc": nc,
+                "hubs": hubs,
+                "corner_size": 4,
+                "reformulation_ms": ms(reform_time),
+                "unreformulated_exec_ms": ms(unref_time),
+                "reformulated_exec_ms": ms(ref_time),
+                "net_saving_ms": saving * 1000.0,
+                "unreformulated_rows": unref.len(),
+                "reformulated_rows": reformulated_rows,
+            }));
+        }
+        match positive_at {
+            Some(hubs) => println!("NC {nc}: the net saving turns positive at {hubs} hubs"),
+            None => println!("NC {nc}: the net saving stays negative up to 500 hubs"),
+        }
+        let positive_at = positive_at.map_or(serde_json::Value::Null, serde_json::Value::from);
+        break_even.push(serde_json::json!({ "nc": nc, "positive_at_hubs": positive_at }));
     }
     results.insert("net_savings".to_string(), serde_json::Value::Array(rows));
+    results.insert("net_savings_break_even".to_string(), serde_json::Value::Array(break_even));
     executor_scale_sweep(results);
 }
 

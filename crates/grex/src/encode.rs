@@ -24,16 +24,17 @@ pub fn node_constant(document: &str, id: NodeId) -> Term {
 }
 
 /// Encode a document into ground GReX atoms, nodes named by
-/// [`node_constant`].
+/// [`node_constant`]. The atoms are written into one allocation of their
+/// exact count.
 pub fn encode_document(doc: &Document) -> Vec<Atom> {
     let schema = GrexSchema::new(&doc.name);
     let document = symbol(&doc.name);
-    let mut out = Vec::new();
     let node_const = |id: NodeId| Term::Const(Constant::node(document, id.0));
 
     let Some(root) = doc.root() else {
-        return out;
+        return Vec::new();
     };
+    let mut out = Vec::with_capacity(fact_count(doc));
     out.push(schema.root_atom(node_const(root)));
 
     for id in doc.all_nodes() {
@@ -64,6 +65,30 @@ pub fn encode_document(doc: &Document) -> Vec<Atom> {
         }
     }
     out
+}
+
+/// The number of facts [`encode_document`] writes for a document with a
+/// root: the root fact, and per element its `el`, `id`, `tag` and reflexive
+/// `desc` facts, a `child` fact unless it is the root, one `desc` fact per
+/// element ancestor, a `text` fact when its direct text is not empty and an
+/// `attr` fact per attribute. One pass over the arena, where a parent comes
+/// before its children, counts every element's ancestors.
+fn fact_count(doc: &Document) -> usize {
+    let mut ancestors = vec![0; doc.len()];
+    let mut facts = 1;
+    for id in doc.all_nodes() {
+        let node = doc.node(id);
+        if !node.is_element() {
+            continue;
+        }
+        let above = node.parent.map_or(0, |p| ancestors[p.index()] + 1);
+        ancestors[id.index()] = above;
+        let mut texts = node.children().filter_map(|c| doc.node(c).text_value());
+        let text = texts.any(|t| !t.is_empty());
+        facts += 4 + usize::from(node.parent.is_some()) + above;
+        facts += usize::from(text) + node.attributes.len();
+    }
+    facts
 }
 
 #[cfg(test)]
@@ -101,6 +126,21 @@ mod tests {
         assert_eq!(count(&atoms, s.predicate(NavBase::Text)), 4);
         assert_eq!(count(&atoms, s.predicate(NavBase::Attr)), 2);
         assert_eq!(count(&atoms, s.predicate(NavBase::Id)), 7);
+    }
+
+    /// The encoding is written into exactly the room reserved for it.
+    #[test]
+    fn encoding_reserves_its_exact_fact_count() {
+        use mars_workloads::{scenarios::Scenario, star::StarConfig};
+        let mut documents = vec![sample()];
+        for scenario in Scenario::matrix().into_iter().filter(|s| s.redundancy == 0) {
+            documents.push(scenario.generate_document(50, 1));
+        }
+        documents.push(StarConfig::figure5(4).generate_document(20, 5, 1));
+        for doc in &documents {
+            let atoms = encode_document(doc);
+            assert_eq!(atoms.len(), atoms.capacity(), "{}", doc.name);
+        }
     }
 
     #[test]

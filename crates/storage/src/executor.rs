@@ -177,69 +177,62 @@ fn resolve(op: Operand, row: &[Term], q: &ConjunctiveQuery) -> Term {
 /// The end of a chain, and an empty slot of [`Chains::heads`].
 pub(crate) const NONE: u32 = u32::MAX;
 
-/// A chained hash table over the build side of a join. `heads` is an
-/// open-addressed array (linear probing) holding, for each distinct key, the
-/// first build row that carries it; `next[i]` is the build row after `i`
-/// with the same key, so a key's chain lists its rows in row order. Keys are
-/// never stored: a slot's key is read off its head row.
-struct Chains<'b> {
-    build: &'b Batch,
-    cols: &'b [usize],
+/// A chained hash table over rows, each given by its key's hash. `heads` is
+/// an open-addressed array (linear probing) holding, for each distinct key,
+/// the first row that carries it; `next[i]` is the row after `i` with the
+/// same key, so a key's chain lists its rows in row order. Keys are never
+/// stored: a slot is confirmed by a closure its caller supplies, which
+/// decides whether the slot's head row carries the key sought.
+pub(crate) struct Chains {
     heads: Vec<u32>,
     next: Vec<u32>,
     /// `64 - log2(heads.len())`: a slot is the top bits of the key's hash.
     shift: u32,
 }
 
-impl<'b> Chains<'b> {
-    fn new(build: &'b Batch, cols: &'b [usize]) -> Chains<'b> {
+impl Chains {
+    /// Chain `len` rows, row `i` hashing to `hash(i)`; `same(head, i)` says
+    /// whether the head row `head` carries row `i`'s key.
+    pub(crate) fn new(
+        len: usize,
+        hash: impl Fn(u32) -> u64,
+        same: impl Fn(u32, u32) -> bool,
+    ) -> Chains {
         // At most half full, so a probe of an absent key stops soon.
-        let slots = (2 * build.len).next_power_of_two().max(2);
+        let slots = (2 * len).next_power_of_two().max(2);
         let mut chains = Chains {
-            build,
-            cols,
             heads: vec![NONE; slots],
-            next: vec![NONE; build.len],
+            next: vec![NONE; len],
             shift: 64 - slots.trailing_zeros(),
         };
         // Rows go in last first, each pushed in front of its key's chain,
         // so every chain runs in ascending row order.
-        for i in (0..row_index(build.len)).rev() {
-            let row = build.row(i as usize);
-            let slot = chains.slot(row, cols);
-            let head = std::mem::replace(&mut chains.heads[slot], i);
-            chains.next[i as usize] = head;
+        for i in (0..row_index(len)).rev() {
+            let slot = chains.slot(hash(i), |head| same(head, i));
+            chains.next[i as usize] = std::mem::replace(&mut chains.heads[slot], i);
         }
         chains
     }
 
-    /// The slot of the key `cols` pick from `row`: the one holding that
-    /// key's head, else the empty one where the probe for it ends.
-    fn slot(&self, row: &[Term], cols: &[usize]) -> usize {
-        let mut hasher = Fx::default().build_hasher();
-        for &c in cols {
-            row[c].hash(&mut hasher);
-        }
+    /// The slot of the key hashing to `hash` whose head row `is_key`
+    /// accepts, else the empty one where the probe for it ends.
+    fn slot(&self, hash: u64, is_key: impl Fn(u32) -> bool) -> usize {
         let mask = self.heads.len() - 1;
-        let mut slot = (hasher.finish() >> self.shift) as usize;
-        loop {
-            match self.heads[slot] {
-                NONE => return slot,
-                head => {
-                    let head = self.build.row(head as usize);
-                    if self.cols.iter().zip(cols).all(|(&b, &c)| head[b] == row[c]) {
-                        return slot;
-                    }
-                }
-            }
+        let mut slot = (hash >> self.shift) as usize;
+        while self.heads[slot] != NONE && !is_key(self.heads[slot]) {
             slot = (slot + 1) & mask;
         }
+        slot
     }
 
-    /// The build rows whose key equals the one `cols` pick from `row`, in
-    /// row order.
-    fn matches(&self, row: &[Term], cols: &[usize]) -> impl Iterator<Item = usize> + '_ {
-        let first = self.heads[self.slot(row, cols)];
+    /// The rows of the key hashing to `hash` whose head row `is_key`
+    /// accepts, in row order.
+    pub(crate) fn matches(
+        &self,
+        hash: u64,
+        is_key: impl Fn(u32) -> bool,
+    ) -> impl Iterator<Item = usize> + '_ {
+        let first = self.heads[self.slot(hash, is_key)];
         std::iter::successors((first != NONE).then_some(first), |&b| {
             let next = self.next[b as usize];
             (next != NONE).then_some(next)
@@ -248,11 +241,20 @@ impl<'b> Chains<'b> {
     }
 }
 
+/// The Fx hash of the key `cols` pick from `row`.
+fn key_hash(row: &[Term], cols: &[usize]) -> u64 {
+    let mut hasher = Fx::default().build_hasher();
+    for &c in cols {
+        row[c].hash(&mut hasher);
+    }
+    hasher.finish()
+}
+
 /// Hash the `build` batch on `build_cols`, probe with the `probe` batch on
 /// `probe_cols`, and call `on_match(build_row, probe_row)` for every
 /// matching pair in probe-major order, each probe row's build rows
 /// ascending. One [`Chains`] table serves every key width, in two
-/// allocations.
+/// allocations; a slot is confirmed on its head build row's key columns.
 fn hash_join(
     build: &Batch,
     probe: &Batch,
@@ -260,9 +262,16 @@ fn hash_join(
     probe_cols: &[usize],
     mut on_match: impl FnMut(usize, usize),
 ) {
-    let chains = Chains::new(build, build_cols);
+    let built = |b: u32| build.row(b as usize);
+    // Does build row `head` carry the key `cols` pick from `row`?
+    let carries = |head, row: &[Term], cols: &[usize]| {
+        let head = built(head);
+        build_cols.iter().zip(cols).all(|(&b, &c)| head[b] == row[c])
+    };
+    let hash = |i| key_hash(built(i), build_cols);
+    let chains = Chains::new(build.len, hash, |head, i| carries(head, built(i), build_cols));
     for (p, row) in probe.rows().enumerate() {
-        for b in chains.matches(row, probe_cols) {
+        for b in chains.matches(key_hash(row, probe_cols), |head| carries(head, row, probe_cols)) {
             on_match(b, p);
         }
     }

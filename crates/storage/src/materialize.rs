@@ -10,11 +10,12 @@
 //!   binding tables of its decorrelated blocks, following the sorted
 //!   outer-union approach the paper adopts from XPeranto.
 
-use crate::executor::{row_index, Fx, NONE};
+use crate::doc_index::symbol;
+use crate::executor::{Chains, Fx};
 use crate::relational::RelationalDatabase;
 use crate::router::{BackendRouter, Route};
 use crate::xml_engine::{Value, XmlStore, XmlStoreError};
-use mars_cq::{Predicate, Term};
+use mars_cq::{symbol_name, Constant, Predicate, Symbol, Term};
 use mars_grex::{compile_xbind, CompileContext, ViewDef, ViewOutput};
 use mars_xml::{Document, NodeId, TagId};
 use mars_xquery::{DecorrelatedQuery, TemplateNode, XBindAtom};
@@ -41,16 +42,17 @@ pub fn materialize_view(
     for atom in &body.atoms {
         if let XBindAtom::AbsolutePath { document, .. } = atom {
             let missing = || XmlStoreError::MissingDocument { document: document.clone() };
-            documents.push(xml.indexed(document).ok_or_else(missing)?);
+            documents.push(xml.indexed(document).ok_or_else(missing)?.1);
         }
     }
     let router = BackendRouter::new(relational, xml);
     let query = compile_xbind(&mut CompileContext::new(), body);
-    let rows = router.execute(&router.plan_forced(&query, Route::Xml))?.rows;
+    let mut rows = router.execute(&router.plan_forced(&query, Route::Xml))?.rows;
     // A head column bound by a path that ends in an element step holds node
-    // constants. It is stored as the element's text content (the common case
+    // constants. It is stored as the element's direct text (the common case
     // for the paper's flat views), so rows are deduplicated again after that
-    // projection. An unbound head variable stores the empty string.
+    // projection. An unbound head variable stores the empty string, and a
+    // node constant in a value column its spelling.
     let element = |head: &String| {
         body.atoms.iter().any(|atom| match atom {
             XBindAtom::AbsolutePath { path, var, .. }
@@ -59,40 +61,42 @@ pub fn materialize_view(
         })
     };
     let elements: Vec<bool> = body.head.iter().map(element).collect();
-    let text = |node| documents.iter().find_map(|(d, index)| Some(d.text_of(index.node_of(node)?)));
-    let mut seen = HashSet::new();
-    let unique: Vec<Vec<String>> = rows
-        .iter()
-        .map(|row| -> Vec<String> {
-            row.iter()
-                .zip(&elements)
-                .map(|(value, element)| match value {
-                    Term::Var(_) => String::new(),
-                    Term::Const(_) if *element => text(*value).unwrap_or_default(),
-                    Term::Const(c) => c.render(),
-                })
-                .collect()
-        })
-        .filter(|row| seen.insert(row.clone()))
-        .collect();
+    let empty = Term::constant_str("");
+    let text = |node| {
+        let held = documents.iter().find_map(|index| Some(index.text_term(index.node_of(node)?)));
+        held.flatten().unwrap_or(empty)
+    };
+    for row in &mut rows {
+        for (value, &element) in row.iter_mut().zip(&elements) {
+            *value = match *value {
+                Term::Var(_) => empty,
+                node if element => text(node),
+                Term::Const(Constant::Str(_)) => *value,
+                Term::Const(c) => Term::constant_str(&c.render()),
+            };
+        }
+    }
+    let mut seen = HashSet::with_capacity_and_hasher(rows.len(), Fx::default());
+    let unique: Vec<&[Term]> = rows.iter().map(Vec::as_slice).filter(|r| seen.insert(*r)).collect();
 
     match &view.output {
         ViewOutput::Relation { name } => {
             // Held even when empty: a route may scan an empty extent, never
             // an absent one.
-            relational.inst.declare(Predicate::new(name));
-            for r in &unique {
-                let refs: Vec<&str> = r.iter().map(String::as_str).collect();
-                relational.insert_strs(name, &refs);
+            let relation = Predicate::new(name);
+            relational.inst.declare(relation);
+            for row in &unique {
+                relational.inst.insert(relation, row);
             }
         }
         ViewOutput::XmlFlat { document, row_tag, field_tags } => {
             let mut doc = Document::new(document);
             let root = doc.create_root(&format!("{row_tag}s"));
-            for r in &unique {
+            for row in &unique {
                 let row_el = doc.add_element(root, row_tag);
-                for (tag, value) in field_tags.iter().zip(r.iter()) {
-                    doc.add_leaf(row_el, tag, value);
+                for (tag, &value) in field_tags.iter().zip(row.iter()) {
+                    let value = symbol(value).expect("a stored cell is a string");
+                    doc.add_leaf(row_el, tag, symbol_name(Symbol(value)));
                 }
             }
             xml.add_document(doc);
@@ -138,40 +142,13 @@ enum Step<'a> {
 struct Correlation<'a> {
     /// The head variables the block shares with the blocks around it.
     key: Vec<&'a str>,
-    /// The block's rows chained by their key values. `None` when nothing can
-    /// be looked up: the key is empty, or a row lacks a key variable and so
-    /// agrees with any value of it.
-    chains: Option<KeyChains>,
-}
-
-/// Rows chained by the hash of their key values, the layout of the
-/// executor's join table: `heads` is an open-addressed array (linear
-/// probing) holding, for each distinct hash, the first row that carries it;
-/// `next[i]` is the row after `i` with the same hash, so a chain lists its
-/// rows in row order. Keys are never stored: a slot is confirmed by its head
-/// row's hash, and rows whose different keys share a hash share a chain,
-/// which [`Correlation::agrees`] sorts out.
-struct KeyChains {
-    /// Per slot, the head row of a chain, or [`NONE`].
-    heads: Vec<u32>,
-    next: Vec<u32>,
-    /// The key hash of every row.
-    hashes: Vec<u64>,
-    /// `64 - log2(heads.len())`: a slot is the top bits of the key's hash.
-    shift: u32,
-}
-
-impl KeyChains {
-    /// The slot holding the head of `hash`'s chain, else the empty one where
-    /// the probe for it ends.
-    fn slot(&self, hash: u64) -> usize {
-        let mask = self.heads.len() - 1;
-        let mut slot = (hash >> self.shift) as usize;
-        while self.heads[slot] != NONE && self.hashes[self.heads[slot] as usize] != hash {
-            slot = (slot + 1) & mask;
-        }
-        slot
-    }
+    /// The block's rows chained by the hash of their key values, and that
+    /// hash of every row: a slot is confirmed by its head row's hash, so rows
+    /// whose different keys share a hash share a chain, which
+    /// [`Correlation::agrees`] sorts out. `None` when nothing can be looked
+    /// up: the key is empty, or a row lacks a key variable and so agrees with
+    /// any value of it.
+    chains: Option<(Chains, Vec<u64>)>,
 }
 
 impl<'a> Correlation<'a> {
@@ -183,23 +160,11 @@ impl<'a> Correlation<'a> {
         correlation
     }
 
-    fn index(&self, rows: &[Binding]) -> Option<KeyChains> {
-        let hashes = rows.iter().map(|row| self.hash(|var| row.get(var))).collect::<Option<_>>()?;
-        // At most half full, so a probe of an absent key stops soon.
-        let slots = (2 * rows.len()).next_power_of_two().max(2);
-        let mut chains = KeyChains {
-            heads: vec![NONE; slots],
-            next: vec![NONE; rows.len()],
-            hashes,
-            shift: 64 - slots.trailing_zeros(),
-        };
-        // Rows go in last first, each pushed in front of its key's chain,
-        // so every chain runs in ascending row order.
-        for i in (0..row_index(rows.len())).rev() {
-            let slot = chains.slot(chains.hashes[i as usize]);
-            chains.next[i as usize] = std::mem::replace(&mut chains.heads[slot], i);
-        }
-        Some(chains)
+    fn index(&self, rows: &[Binding]) -> Option<(Chains, Vec<u64>)> {
+        let hashes: Vec<u64> =
+            rows.iter().map(|row| self.hash(|var| row.get(var))).collect::<Option<_>>()?;
+        let hash = |i: u32| hashes[i as usize];
+        Some((Chains::new(rows.len(), hash, |head, i| hash(head) == hash(i)), hashes))
     }
 
     /// Fx hash of the key values `lookup` finds, `None` if one is unbound.
@@ -219,20 +184,12 @@ impl<'a> Correlation<'a> {
         frames: &[&Binding],
         rows: &[Binding],
     ) -> impl Iterator<Item = usize> + 'c {
-        let chains = self.chains.as_ref();
-        let head = chains.and_then(|chains| {
-            Some(chains.heads[chains.slot(self.hash(|var| bound(frames, var))?)])
+        let chain = self.chains.as_ref().and_then(|(chains, hashes)| {
+            let hash = self.hash(|var| bound(frames, var))?;
+            Some(chains.matches(hash, move |head| hashes[head as usize] == hash))
         });
-        let (scan, first) = match head {
-            Some(head) => (0..0, head),
-            None => (0..rows.len(), NONE),
-        };
-        let next = chains.map_or(&[][..], |chains| &chains.next);
-        let chain = std::iter::successors((first != NONE).then_some(first), |&i| {
-            let after = next[i as usize];
-            (after != NONE).then_some(after)
-        });
-        scan.chain(chain.map(|i| i as usize))
+        let scan = if chain.is_none() { 0..rows.len() } else { 0..0 };
+        scan.chain(chain.into_iter().flatten())
     }
 
     fn agrees(&self, frames: &[&Binding], row: &Binding) -> bool {
@@ -342,14 +299,66 @@ impl<'a> Tagger<'a> {
 }
 
 /// `tag_results` as it was before the compiled plan: one merged context map
-/// per row, every child row tried against every parent row. Kept as the
-/// reference the plan is compared with.
+/// per row, every child row tried against every parent row. And
+/// `materialize_view`'s projection as it was before extents were stored as
+/// terms: every cell rendered to a `String` (an element's through
+/// `Document::text_of`) and rows deduplicated as strings. Kept as the
+/// references the tagger and the stored extents are compared with.
 #[cfg(test)]
 mod reference {
     use super::{Binding, Value, XmlStore};
+    use crate::router::{BackendRouter, Route};
+    use crate::xml_engine::XmlStoreError;
+    use crate::RelationalDatabase;
+    use mars_cq::Term;
+    use mars_grex::{compile_xbind, CompileContext, ViewDef};
     use mars_xml::{Document, NodeId};
-    use mars_xquery::{DecorrelatedQuery, TemplateNode};
-    use std::collections::HashMap;
+    use mars_xquery::{DecorrelatedQuery, TemplateNode, XBindAtom};
+    use std::collections::{HashMap, HashSet};
+
+    /// The rows `materialize_view` would write for `view`, in order.
+    pub fn extent(
+        view: &ViewDef,
+        xml: &XmlStore,
+        relational: &RelationalDatabase,
+    ) -> Result<Vec<Vec<String>>, XmlStoreError> {
+        let body = &view.body;
+        let mut documents = Vec::new();
+        for atom in &body.atoms {
+            if let XBindAtom::AbsolutePath { document, .. } = atom {
+                let missing = || XmlStoreError::MissingDocument { document: document.clone() };
+                documents.push(xml.indexed(document).ok_or_else(missing)?);
+            }
+        }
+        let router = BackendRouter::new(relational, xml);
+        let query = compile_xbind(&mut CompileContext::new(), body);
+        let rows = router.execute(&router.plan_forced(&query, Route::Xml))?.rows;
+        let element = |head: &String| {
+            body.atoms.iter().any(|atom| match atom {
+                XBindAtom::AbsolutePath { path, var, .. }
+                | XBindAtom::RelativePath { path, var, .. } => var == head && !path.returns_value(),
+                _ => false,
+            })
+        };
+        let elements: Vec<bool> = body.head.iter().map(element).collect();
+        let text =
+            |node| documents.iter().find_map(|(d, index)| Some(d.text_of(index.node_of(node)?)));
+        let mut seen = HashSet::new();
+        Ok(rows
+            .iter()
+            .map(|row| -> Vec<String> {
+                row.iter()
+                    .zip(&elements)
+                    .map(|(value, element)| match value {
+                        Term::Var(_) => String::new(),
+                        Term::Const(_) if *element => text(*value).unwrap_or_default(),
+                        Term::Const(c) => c.render(),
+                    })
+                    .collect()
+            })
+            .filter(|row| seen.insert(row.clone()))
+            .collect())
+    }
 
     pub fn tag_results(
         query: &DecorrelatedQuery,
@@ -832,5 +841,96 @@ mod tests {
         assert_eq!(materialize_view(&view, &mut xml, &mut db).unwrap(), 2);
         let extent = stored_extent(&view, &xml, &db);
         assert_eq!(sorted(extent), [["aspirin", "3", ""], ["inhaler", "25", ""]]);
+    }
+
+    /// Materialize `views` in order, requiring each stored extent to equal
+    /// the `String`-path reference row for row and in order. Returns the
+    /// rows stored.
+    fn materialize_as_the_reference(
+        views: &[ViewDef],
+        xml: &mut XmlStore,
+        db: &mut RelationalDatabase,
+    ) -> usize {
+        let mut total = 0;
+        for view in views {
+            let expected = reference::extent(view, xml, db).unwrap();
+            assert_eq!(materialize_view(view, xml, db).unwrap(), expected.len(), "{}", view.name);
+            let stored: Vec<Vec<String>> = match &view.output {
+                ViewOutput::Relation { name } => (db.inst.rows(Predicate::new(name)))
+                    .map(|row| row.iter().map(|t| t.as_const().unwrap().render()).collect())
+                    .collect(),
+                ViewOutput::XmlFlat { .. } => stored_extent(view, xml, db),
+            };
+            assert_eq!(stored, expected, "{}", view.name);
+            total += stored.len();
+        }
+        total
+    }
+
+    /// Extents stored as terms equal the `String` path's, row for row and in
+    /// order, over the views and specialization relations of a small star,
+    /// of XMark, of Example 1.1 and of every scenario with a view.
+    #[test]
+    fn stored_extents_equal_the_string_reference() {
+        use mars_workloads::{example11, scenarios::Scenario, star::StarConfig, xmark};
+        let stores = |doc| {
+            let mut xml = XmlStore::new();
+            xml.add_document(doc);
+            (xml, RelationalDatabase::new())
+        };
+
+        let star = StarConfig::figure5(6);
+        let mut views: Vec<ViewDef> = (1..=star.nv).map(|l| star.view(l)).collect();
+        views.extend(star.specializations().iter().map(|m| m.definition_view()));
+        let (mut xml, mut db) = stores(star.generate_document(6, 3, 1));
+        assert!(materialize_as_the_reference(&views, &mut xml, &mut db) > 0, "star");
+
+        let correspondence = xmark::correspondence();
+        let mut views = correspondence.lav_views.clone();
+        views.extend(correspondence.specializations.iter().map(|m| m.definition_view()));
+        let (mut xml, mut db) = stores(xmark::generate_document(8, 8, 8, 42));
+        assert!(materialize_as_the_reference(&views, &mut xml, &mut db) > 0, "XMark");
+
+        // Example 1.1's base storage, copied from its populated stores.
+        let (base_xml, base_db) = example11::populate(8);
+        let catalog = base_xml.document(example11::names::CATALOG).unwrap().clone();
+        let (mut xml, mut db) = stores(catalog);
+        for (table, arity) in
+            [(example11::names::PATIENT_DIAG, 2), (example11::names::PATIENT_DRUG, 3)]
+        {
+            let columns: Vec<Term> = (0..arity).map(|i| Term::var(&format!("c{i}"))).collect();
+            let scan = ConjunctiveQuery::new("Table")
+                .with_head(columns.clone())
+                .with_atom(Atom::named(table, columns));
+            for row in base_db.query(&scan) {
+                db.inst.insert(Predicate::new(table), &row);
+            }
+        }
+        let views = [example11::case_map(), example11::drug_price_map(), example11::cache_map()];
+        assert!(materialize_as_the_reference(&views, &mut xml, &mut db) > 0, "Example 1.1");
+
+        // A head variable a GReX atom binds holds node constants in a value
+        // column, which store their spelling.
+        let nodes = XBindQuery::new("Nodes").with_head(&["e"]).with_atom(XBindAtom::Relational {
+            relation: "el#catalog.xml".to_string(),
+            args: vec![XBindTerm::var("e")],
+        });
+        let views = [
+            ViewDef::relational("nodes", nodes.clone()),
+            ViewDef::xml_flat("N", nodes, "n.xml", "n", &["e"]),
+        ];
+        assert!(materialize_as_the_reference(&views, &mut catalog_store(), &mut db) > 0, "nodes");
+
+        for scenario in Scenario::matrix().into_iter().filter(|s| s.redundancy > 0) {
+            let doc = scenario.generate_document(20, 1);
+            let facts = mars_grex::encode_document(&doc);
+            let (mut xml, mut db) = stores(doc);
+            db.load_facts(&facts);
+            let mut views = scenario.views();
+            let specializations = scenario.correspondence().specializations;
+            views.extend(specializations.iter().map(|m| m.definition_view()));
+            let stored = materialize_as_the_reference(&views, &mut xml, &mut db);
+            assert!(stored > 0, "{}", scenario.name());
+        }
     }
 }
