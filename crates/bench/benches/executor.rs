@@ -7,9 +7,12 @@
 //! enumeration — on a skewed fact/dimension join at 1k, 10k and 100k fact
 //! tuples, on a point lookup of one fact by its unique `v` (a pushed-down
 //! scan that probes the relation's persistent column index), and on four
-//! relations joined 1:1 on a key at 1k and 10k keys (`key_join`: the view
-//! joins of a scan-sized star answer, three hash joins and a `Distinct` over
-//! every key).
+//! relations joined 1:1 on a key at 1k, 5k, 10k, 20k and 40k keys
+//! (`key_join`: the view joins of a scan-sized star answer, three hash joins
+//! and a `Distinct` over every key; `key_join_naive` is the naive evaluator
+//! on the same join). The keys are symbols interned in order, so `key_join`
+//! also shows whether the join's chained table spreads sequential ids: its
+//! time per key should not rise with the key count.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mars_cq::{Atom, ConjunctiveQuery, Term};
@@ -92,12 +95,15 @@ fn bench(c: &mut Criterion) {
             b.iter(|| db.query(&point))
         });
     }
-    for n in [1_000usize, 10_000] {
+    for n in [1_000usize, 5_000, 10_000, 20_000, 40_000] {
         let (db, q) = key_join(n);
         let rows = db.query(&q);
         assert_eq!(rows.len(), n, "one row per key");
         assert_eq!(rows, db.query_naive(&q), "executors must agree before timing");
         g.bench_with_input(BenchmarkId::new("key_join", n), &n, |b, _| b.iter(|| db.query(&q)));
+        g.bench_with_input(BenchmarkId::new("key_join_naive", n), &n, |b, _| {
+            b.iter(|| db.query_naive(&q))
+        });
     }
     g.finish();
 }

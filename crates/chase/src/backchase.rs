@@ -35,10 +35,32 @@
 //! the sets a breadth-first frontier of every legal subset would check, in
 //! that frontier's order, without building the unsafe subsets in between
 //! (see below). A level is then judged in one pass on the calling thread,
-//! in position order: each candidate is rendered as a subquery, its memo
-//! seed is probed, it is checked, and its verdict is recorded — the funnel
-//! counters, `minimal` and `best`, the memo of the next level, and what the
-//! walk extends.
+//! in position order: each candidate's memo seed is probed, it is checked,
+//! and its verdict is recorded — the funnel counters, `minimal` and `best`,
+//! the memo of the next level, and what the walk extends.
+//!
+//! ## A candidate is an atom set until it is proved
+//!
+//! A candidate reaches its check as a set of pool atoms, and is rendered as
+//! a query only where something reads one. Most checks need none, because
+//! two facts hold of every candidate:
+//!
+//! * **It binds the head.** While the safety prefilter is active (fewer
+//!   than 64 head variables), the walk emits only sets whose atoms cover
+//!   every head variable, so the check does not test safety again. With
+//!   the prefilter off, and on the core path, it does.
+//! * **It lies in the plan's first branch.** The pool is taken from
+//!   `primary`, the rendering of the universal plan's first branch, so
+//!   every pool atom is an atom of that branch, under its head, and the
+//!   identity maps the candidate there. `original ⊆ candidate` is searched
+//!   only on the other branches of a disjunctive plan.
+//!
+//! A resumed back-chase reads its seed and the one atom it adds; a
+//! from-scratch one, and a search into another branch, render the
+//! candidate once, without a name. Only a candidate found equivalent is
+//! rendered as `{name}_candidate{n}`, `n` its position among the checked
+//! candidates of the whole run. Debug builds still run both skipped tests,
+//! as assertions.
 //!
 //! ## The canonical sequence
 //!
@@ -204,7 +226,8 @@
 //! Whether a candidate is equivalent to the original query is decided by one
 //! function, `Equivalence::check`, for the enumeration and for the core path
 //! alike: safety, then `original ⊆ candidate` (the candidate maps into
-//! every universal-plan branch), then the "back" chase of the candidate —
+//! every universal-plan branch; into the first by the identity, see above),
+//! then the "back" chase of the candidate —
 //! from scratch or resumed from a memoized subset — under the engine's one
 //! [`ChaseOptions`], then `candidate ⊆ original` (the original maps into
 //! every back-chase branch). Both containment halves run the chase's own
@@ -249,7 +272,8 @@ use crate::evaluate::{maps_into, ContainmentProgram};
 use crate::implied::ImpliedAtoms;
 use crate::instance::thread_index_build_count;
 use crate::reach::{prune_parallel_desc, ReachabilityGraph};
-use mars_cq::{Atom, AtomSet, ConjunctiveQuery, FxHashMap, NavBase, Predicate, Variable};
+use mars_cq::{Atom, AtomSet, ConjunctiveQuery, FxHashMap, NavBase, Predicate, Term, Variable};
+use std::cell::OnceCell;
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -408,16 +432,39 @@ pub fn initial_reformulation(
     universal_plan: &ConjunctiveQuery,
     proprietary: &HashSet<Predicate>,
 ) -> ConjunctiveQuery {
-    let indices: Vec<usize> = universal_plan
-        .body
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| proprietary.contains(&a.predicate))
-        .map(|(i, _)| i)
-        .collect();
-    let mut q = universal_plan.subquery(&indices);
-    q.name = format!("{}_initial", universal_plan.name);
-    q
+    let body = proprietary_atoms(&universal_plan.body, proprietary);
+    universal_plan.subquery_with(body, format!("{}_initial", universal_plan.name))
+}
+
+/// The atoms of `body` over a `proprietary` predicate, in order. A plan's
+/// atoms come grouped by predicate, so the set is asked once per run of
+/// atoms sharing one.
+fn proprietary_atoms(body: &[Atom], proprietary: &HashSet<Predicate>) -> Vec<Atom> {
+    let mut last: Option<(Predicate, bool)> = None;
+    let mut kept = |p: Predicate| match last {
+        Some((q, keep)) if q == p => keep,
+        _ => last.insert((p, proprietary.contains(&p))).1,
+    };
+    body.iter().filter(|a| kept(a.predicate)).cloned().collect()
+}
+
+/// The pool of candidate atoms: the proprietary atoms of the plan, minus
+/// the parallel `desc` atoms (pruning criterion 1). The criterion drops only
+/// `desc` atoms, so it runs only when the proprietary atoms hold one.
+fn candidate_pool(primary: &ConjunctiveQuery, proprietary: &HashSet<Predicate>) -> Vec<Atom> {
+    let pool = proprietary_atoms(&primary.body, proprietary);
+    if pool.iter().any(|a| matches!(a.navigation(), Some((NavBase::Desc, _)))) {
+        return proprietary_atoms(&prune_parallel_desc(primary).body, proprietary);
+    }
+    pool
+}
+
+/// The largest variable disambiguator of `q`'s head, body and inequalities.
+fn max_variable_index(q: &ConjunctiveQuery) -> u32 {
+    let body = q.body.iter().flat_map(|a| a.args.iter());
+    let inequalities = q.inequalities.iter().flat_map(|(a, b)| [a, b]);
+    let terms = q.head.iter().chain(body).chain(inequalities);
+    terms.filter_map(Term::as_var).map(|v| v.index).max().unwrap_or(0)
 }
 
 /// What one equivalence check concluded.
@@ -452,6 +499,37 @@ struct EquivalenceCheck {
     chase: ChaseStats,
 }
 
+/// A candidate as [`Equivalence::check`] reads it. Both kinds are
+/// subqueries of the pool, whose atoms are atoms of the universal plan's
+/// first branch under its head.
+#[derive(Clone, Copy)]
+enum Candidate<'a> {
+    /// Pool atoms, ascending: one of the enumeration's, rendered as a query
+    /// only for a step that reads one (see the module docs). `covers_head`:
+    /// the walk built it with the safety prefilter active, so every head
+    /// variable is an atom's.
+    Atoms { pool: &'a ConjunctiveQuery, atoms: &'a [usize], covers_head: bool },
+    /// A query: one of the core path's.
+    Query(&'a ConjunctiveQuery),
+}
+
+impl<'a> Candidate<'a> {
+    /// The candidate as a query. Pool atoms are rendered once, into
+    /// `rendered`, without a name.
+    fn query<'s>(&self, rendered: &'s OnceCell<ConjunctiveQuery>) -> &'s ConjunctiveQuery
+    where
+        'a: 's,
+    {
+        match *self {
+            Candidate::Query(q) => q,
+            Candidate::Atoms { pool, atoms, .. } => rendered.get_or_init(|| {
+                let body = atoms.iter().map(|&i| pool.body[i].clone()).collect();
+                pool.subquery_with(body, String::new())
+            }),
+        }
+    }
+}
+
 /// The equivalence test of one backchase: everything about it that does not
 /// depend on the candidate, prepared once.
 struct Equivalence<'a> {
@@ -466,13 +544,13 @@ struct Equivalence<'a> {
 }
 
 impl Equivalence<'_> {
-    /// Is `candidate` (a subquery of the universal plan, same head)
-    /// equivalent to the original query under the dependencies?
+    /// Is `candidate` (a subquery of the pool, same head) equivalent to the
+    /// original query under the dependencies?
     ///
     /// * `original ⊆ candidate` holds iff `candidate` maps into every branch
-    ///   of the universal plan preserving the head — for subqueries of a
-    ///   branch this is the identity mapping, but every branch is checked so
-    ///   that multi-branch (disjunctive) plans are handled.
+    ///   of the universal plan preserving the head. Into the first branch,
+    ///   whose atoms and head the pool's are, the identity maps it, so only
+    ///   the other branches of a disjunctive plan are searched.
     /// * `candidate ⊆ original` holds iff chasing `candidate` ("back")
     ///   completes with at least one surviving branch and the original maps
     ///   into every one preserving the head. With a `seed` — the resident
@@ -482,7 +560,7 @@ impl Equivalence<'_> {
     ///   [`Verdict::NotContained`]).
     fn check(
         &self,
-        candidate: &ConjunctiveQuery,
+        candidate: Candidate<'_>,
         seed: Option<(&[ResidentBranch], &Atom)>,
         memoize: bool,
     ) -> EquivalenceCheck {
@@ -494,15 +572,30 @@ impl Equivalence<'_> {
             containment_time: Duration::ZERO,
             chase: ChaseStats::default(),
         };
-        if !candidate.is_safe() {
+        let rendered = OnceCell::new();
+        let safe = match candidate {
+            Candidate::Atoms { covers_head: true, .. } => {
+                debug_assert!(candidate.query(&rendered).is_safe(), "the walk covers the head");
+                true
+            }
+            _ => candidate.query(&rendered).is_safe(),
+        };
+        if !safe {
             return check;
         }
         let containment_start = Instant::now();
-        let maps_into_plan = self.plan.iter().all(|b| {
-            let (head, inst) = (b.head(), b.instance());
-            (candidate.head == head && candidate.body.iter().all(|a| inst.contains_atom(a)))
-                || maps_into(candidate, inst, head)
-        });
+        // A candidate whose atoms occur verbatim in a branch, under its
+        // head, maps there by the identity.
+        let identity = |b: &ResidentBranch| {
+            let candidate = candidate.query(&rendered);
+            candidate.head == b.head()
+                && candidate.body.iter().all(|a| b.instance().contains_atom(a))
+        };
+        let (first, others) = self.plan.split_first().expect("a universal plan has a branch");
+        debug_assert!(identity(first), "a pool atom is an atom of the first branch");
+        let maps_into_plan = others
+            .iter()
+            .all(|b| identity(b) || maps_into(candidate.query(&rendered), b.instance(), b.head()));
         check.containment_time = containment_start.elapsed();
         if !maps_into_plan {
             check.verdict = Verdict::OutsidePlan;
@@ -519,7 +612,7 @@ impl Equivalence<'_> {
                     &self.chase,
                 )
             }
-            None => chase_to_resident_compiled(candidate, self.deds, &self.chase),
+            None => chase_to_resident_compiled(candidate.query(&rendered), self.deds, &self.chase),
         };
         check.chase_time = chase_start.elapsed();
         let (branches, chase) = back.into_parts();
@@ -922,39 +1015,28 @@ fn search(
 ) -> BackchaseOutcome {
     let mut outcome = BackchaseOutcome::default();
 
-    // Pool of candidate atoms: proprietary atoms of the plan, minus the
-    // parallel `desc` atoms (pruning criterion 1).
-    let pool: Vec<_> = prune_parallel_desc(primary)
-        .body
-        .into_iter()
-        .filter(|a| proprietary.contains(&a.predicate))
-        .collect();
+    let pool = candidate_pool(primary, proprietary);
     if pool.is_empty() {
         return outcome;
     }
     let pool_query = ConjunctiveQuery {
         name: format!("{}_pool", primary.name),
         head: primary.head.clone(),
-        body: pool.clone(),
+        body: pool,
         inequalities: primary.inequalities.clone(),
     };
+    let pool = pool_query.body.as_slice();
 
     // Back-chases invent variables strictly above every pool variable index,
     // so a cached chase can later absorb any further pool atom without an
     // invented variable colliding with a pool variable of the same base name.
-    let max_pool_index = pool_query
-        .variables()
-        .iter()
-        .map(|v| v.index)
-        .chain(original.variables().iter().map(|v| v.index))
-        .max()
-        .unwrap_or(0);
+    let max_pool_index = max_variable_index(&pool_query).max(max_variable_index(original));
     // The spec-level Σ (see the module docs) when neither the original nor
     // the pool navigates: every back-chase, memo seed and criterion 4 then
     // run under it.
     let navigates = |atoms: &[Atom]| atoms.iter().any(|a| a.navigation().is_some());
     let sigma = match deds.spec_level() {
-        Some(spec) if !navigates(&original.body) && !navigates(&pool) => spec,
+        Some(spec) if !navigates(&original.body) && !navigates(pool) => spec,
         _ => deds,
     };
     let equivalence = Equivalence {
@@ -969,7 +1051,8 @@ fn search(
 
     if deds.deds().is_empty() && !options.exhaustive {
         // The core path (see the module docs): one minimal reformulation.
-        let initial = ConjunctiveQuery { name: format!("{}_initial", primary.name), ..pool_query };
+        let initial =
+            ConjunctiveQuery { name: format!("{}_initial", primary.name), ..pool_query.clone() };
         if let Some(core) = minimize_to_core(&initial, &equivalence, stats) {
             let cost = core.body.iter().map(atom_cost).sum();
             outcome.best = Some((core.clone(), cost));
@@ -981,7 +1064,7 @@ fn search(
     let graph = ReachabilityGraph::new(&pool_query);
     let implied = ImpliedAtoms::new(&pool_query, sigma.single_premise_tgds());
     let atom_costs: Vec<f64> = pool.iter().map(atom_cost).collect();
-    let safety = SafetyPrefilter::new(&pool_query, &pool);
+    let safety = SafetyPrefilter::new(&pool_query, pool);
 
     // The walk builds each level's candidates: the sets a level-synchronous
     // enumeration by subset size checks, in its order (see the module docs).
@@ -1025,13 +1108,13 @@ fn search(
         // One pass, in position order: each candidate's rendering, its memo
         // seed, its check, and its verdict — the funnel counters, the memo,
         // and what the walk extends.
-        let mut cur_level: FxHashMap<AtomSet, Vec<ResidentBranch>> = FxHashMap::default();
+        let memoized = level.len().min(options.chase_cache_per_level);
+        let mut cur_level: FxHashMap<AtomSet, Vec<ResidentBranch>> =
+            FxHashMap::with_capacity_and_hasher(memoized, Default::default());
         let mut next_best = best_cost;
         for (position, mut prefix) in level.into_iter().enumerate() {
             inspected += 1;
             let subset: Vec<usize> = prefix.atoms.iter().collect();
-            let mut candidate = pool_query.subquery(&subset);
-            candidate.name = format!("{}_candidate{inspected}", original.name);
             // Resume from the memoized chase of the candidate minus one
             // atom, probed by taking each atom out and putting it back.
             let mut seed = None;
@@ -1045,7 +1128,9 @@ fn search(
                 }
             }
             let memoize = position < options.chase_cache_per_level;
-            let check = equivalence.check(&candidate, seed, memoize);
+            let candidate =
+                Candidate::Atoms { pool: &pool_query, atoms: &subset, covers_head: safety.active };
+            let check = equivalence.check(candidate, seed, memoize);
             stats.absorb(&check);
             stats.equivalence_checks += usize::from(!matches!(check.verdict, Verdict::Unsafe));
             stats.chase_cache_hits += usize::from(check.resumed);
@@ -1056,8 +1141,12 @@ fn search(
                     stats.containment_dead_cone_skips += 1;
                     walk.close(prefix.atoms);
                 }
-                // No superset of a reformulation is minimal.
+                // No superset of a reformulation is minimal. A reformulation
+                // is the one candidate rendered with its name.
                 Verdict::Equivalent => {
+                    let body = subset.iter().map(|&i| pool[i].clone()).collect();
+                    let name = format!("{}_candidate{inspected}", original.name);
+                    let candidate = pool_query.subquery_with(body, name);
                     let cost = prefix.cost;
                     walk.close(prefix.atoms);
                     if cost < next_best {
@@ -1097,7 +1186,7 @@ fn minimize_to_core(
     stats: &mut CbStatistics,
 ) -> Option<ConjunctiveQuery> {
     let mut equivalent = |candidate: &ConjunctiveQuery| {
-        let check = equivalence.check(candidate, None, false);
+        let check = equivalence.check(Candidate::Query(candidate), None, false);
         stats.equivalence_checks += 1;
         stats.absorb(&check);
         matches!(check.verdict, Verdict::Equivalent)
@@ -1865,7 +1954,7 @@ mod tests {
             {
                 continue;
             }
-            let check = equivalence.check(&pool.subquery(&subset), None, false);
+            let check = equivalence.check(Candidate::Query(&pool.subquery(&subset)), None, false);
             if matches!(check.verdict, Verdict::Equivalent) {
                 found.push(subset);
             }
@@ -2399,6 +2488,80 @@ mod tests {
             if let Some(expected) = brute_force_minimal(&q, &deds, &proprietary) {
                 let (found, _) = exhaustive_minimal(&q, &deds, &proprietary);
                 prop_assert_eq!(found, expected, "{}", q);
+            }
+        }
+    }
+
+    /// The pool's atoms in `set` as the check renders them.
+    fn rendered(pool: &ConjunctiveQuery, set: &AtomSet) -> ConjunctiveQuery {
+        pool.subquery_with(set.iter().map(|i| pool.body[i].clone()).collect(), String::new())
+    }
+
+    /// A random pool of [`random_enumeration`] as a plan, with a random
+    /// half of its predicates proprietary, and the universal plan of a
+    /// [`random_reformulation`] problem with its proprietary predicates.
+    fn random_plans(seed: u64) -> Vec<(ConjunctiveQuery, HashSet<Predicate>)> {
+        let mut rng = TestRng::new(seed);
+        let (pool, _, _) = random_enumeration(seed);
+        let proprietary =
+            pool.predicates().into_iter().filter(|_| rng.next_u64().is_multiple_of(2));
+        let mut plans = vec![(pool.clone(), proprietary.collect())];
+        let (q, deds, proprietary) = random_reformulation(seed);
+        let up = chase_to_resident_compiled(&q, &CompiledDeps::new(&deds), &Default::default());
+        plans.extend(up.primary(&q.name).map(|primary| (primary, proprietary)));
+        plans
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Criterion 1's gate changes no pool: the pool is the proprietary
+        /// filter of the pruned plan, and with no proprietary `desc` atom
+        /// that is the proprietary filter of the plan itself.
+        #[test]
+        fn the_criterion_1_gate_changes_no_pool(seed in 0u64..u64::MAX) {
+            for (plan, proprietary) in random_plans(seed) {
+                let keep = |body: Vec<Atom>| -> Vec<Atom> {
+                    body.into_iter().filter(|a| proprietary.contains(&a.predicate)).collect()
+                };
+                let (pruned, filtered) = (keep(prune_parallel_desc(&plan).body), keep(plan.body.clone()));
+                prop_assert_eq!(&candidate_pool(&plan, &proprietary), &pruned, "{}", plan);
+                if !filtered.iter().any(|a| matches!(a.navigation(), Some((NavBase::Desc, _)))) {
+                    prop_assert_eq!(&filtered, &pruned, "{}", plan);
+                }
+            }
+        }
+
+        /// What the checks no longer test. With the safety prefilter active,
+        /// every candidate the walk hands to a check binds the head; and
+        /// every candidate of a chased plan's pool lies in the plan's first
+        /// branch, under its head, so the identity maps it there.
+        #[test]
+        fn a_checked_candidate_is_safe_and_in_the_first_branch(seed in 0u64..u64::MAX) {
+            let (pool, deds, costs) = random_enumeration(seed);
+            let enumeration = Enumeration::new(&pool, &deds, costs);
+            for exhaustive in [false, true] {
+                let (levels, _) = enumeration.walk(exhaustive, random_fate(seed));
+                for set in levels.iter().flat_map(|(_, sets)| sets) {
+                    let safe = rendered(&pool, set).is_safe();
+                    prop_assert!(safe || !enumeration.safety.active, "{} {:?}", pool, set);
+                }
+            }
+            let (q, deds, proprietary) = random_reformulation(seed);
+            let up = chase_to_resident_compiled(&q, &CompiledDeps::new(&deds), &Default::default());
+            let Some(primary) = up.primary(&q.name) else { return };
+            let pool = ConjunctiveQuery { body: candidate_pool(&primary, &proprietary), ..primary };
+            let enumeration = Enumeration::new(&pool, &deds, pool.body.iter().map(atom_cost).collect());
+            prop_assert!(enumeration.safety.active);
+            let first = &up.branches()[0];
+            for exhaustive in [false, true] {
+                let (levels, _) = enumeration.walk(exhaustive, random_fate(seed));
+                for set in levels.iter().flat_map(|(_, sets)| sets) {
+                    let candidate = rendered(&pool, set);
+                    prop_assert!(candidate.is_safe(), "{} {:?}", pool, set);
+                    prop_assert_eq!(&candidate.head[..], first.head());
+                    prop_assert!(candidate.body.iter().all(|a| first.instance().contains_atom(a)));
+                }
             }
         }
     }

@@ -189,8 +189,10 @@ pub struct CbStatistics {
     /// cost, timed once per level. With `backchase_chase_phase` and
     /// `backchase_containment_phase` it profiles the backchase: the three
     /// cover the walk, the back-chases and the two containment halves. The
-    /// rest — the memo probes, rendering the subqueries that reach the
-    /// equivalence check, the verdicts — belongs to no phase.
+    /// rest belongs to no phase: what a backchase prepares once (the pool,
+    /// the compiled original, the reachability graph, criterion 4's pairs,
+    /// the safety prefilter), and per candidate the memo probe, the verdict
+    /// and the rendering of a reformulation found.
     pub backchase_cost_phase: Duration,
     /// Wall-clock spent in back-chases (scratch or resumed), on the calling
     /// thread. With the cost and containment phases it sums to at most

@@ -40,8 +40,7 @@
 use crate::compiled::{CompiledDed, CompiledDeps, DedIndex, FunctionalDependencies};
 use crate::evaluate::JoinScratch;
 use crate::instance::{Relation, SymbolicInstance};
-use mars_cq::{Atom, Conjunct, ConjunctiveQuery, Predicate, Substitution, Term, Variable};
-use std::collections::HashSet;
+use mars_cq::{Atom, Conjunct, ConjunctiveQuery, Substitution, Term, Variable};
 use std::time::{Duration, Instant};
 
 /// Options controlling the chase.
@@ -562,8 +561,7 @@ pub fn chase_resident_with_atoms_compiled(
     // a predicate of the inserted atoms can have new unblocked steps, and
     // only closure groups reading one can grow — the chase starts with
     // exactly those dirty (renaming preserves predicates).
-    let dirty: HashSet<Predicate> = extra.iter().map(|a| a.predicate).collect();
-    run_chase(initial, compiled, options, Some(&dirty))
+    run_chase(initial, compiled, options, Some(extra))
 }
 
 /// What chasing one branch to quiescence produced. The finished branch is
@@ -651,7 +649,7 @@ fn chase_branch(
 /// compilation, EGD-priority ordering, premise-predicate index — see
 /// [`CompiledDeps`]); nothing is compiled per chase. `initial_dirty`
 /// restricts the initial delta (see [`DedIndex::initial_needs`]): `None` for
-/// a from-scratch chase, the inserted predicates for a chase resumed from
+/// a from-scratch chase, the inserted atoms for a chase resumed from
 /// fixpoint seeds.
 ///
 /// The branch worklist is **level-synchronous**: the pending branches of a
@@ -662,7 +660,7 @@ fn run_chase(
     initial: Vec<Branch>,
     deps: &CompiledDeps,
     options: &ChaseOptions,
-    initial_dirty: Option<&HashSet<Predicate>>,
+    initial_dirty: Option<&[Atom]>,
 ) -> ResidentChase {
     let start = Instant::now();
     let mut stats = ChaseStats::default();
@@ -713,6 +711,7 @@ mod tests {
     use mars_cq::{Atom, Conjunct, Ded, Term};
     use mars_oracle::{containment_mapping, naive_chase, ChaseBudget};
     use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn t(n: &str) -> Term {
         Term::var(n)

@@ -33,8 +33,7 @@ use crate::evaluate::{
 use crate::implied::SinglePremiseTgds;
 use crate::instance::SymbolicInstance;
 use crate::shortcut::{detect_closure_constraints, ClosureConstraints, ClosureGroup};
-use mars_cq::{Conjunct, Ded, FxHashMap, Predicate, Substitution, Term, Variable};
-use std::collections::HashSet;
+use mars_cq::{Atom, Conjunct, Ded, FxHashMap, Predicate, Substitution, Term, Variable};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One conclusion equality, compiled. The conclusion's row starts as the
@@ -309,16 +308,16 @@ impl DedIndex {
     }
 
     /// The needs-check vector a chase starts from. `None` means everything
-    /// is dirty (a from-scratch chase); `Some(preds)` restricts the initial
-    /// work to dependencies whose premise mentions one of `preds` (a chase
-    /// resumed from a fixpoint seed extended with atoms of those predicates).
-    pub fn initial_needs(&self, dirty: Option<&HashSet<Predicate>>) -> Vec<bool> {
+    /// is dirty (a from-scratch chase); `Some(atoms)` restricts the initial
+    /// work to dependencies whose premise mentions a predicate of `atoms` (a
+    /// chase resumed from a fixpoint seed extended with those atoms).
+    pub fn initial_needs(&self, dirty: Option<&[Atom]>) -> Vec<bool> {
         match dirty {
             None => vec![true; self.n],
-            Some(set) => {
+            Some(atoms) => {
                 let mut needs = vec![false; self.n];
-                for p in set {
-                    self.mark(*p, &mut needs);
+                for a in atoms {
+                    self.mark(a.predicate, &mut needs);
                 }
                 needs
             }
@@ -868,7 +867,7 @@ mod tests {
         let index = deps.index();
         assert_eq!(index.initial_needs(None).len(), deps.compiled().len() + groups.len());
         let marked = |p: Predicate| {
-            let mut needs = index.initial_needs(Some(&HashSet::new()));
+            let mut needs = index.initial_needs(Some(&[]));
             index.mark(p, &mut needs);
             needs
         };

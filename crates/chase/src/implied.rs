@@ -51,36 +51,37 @@ enum Derived {
 }
 
 impl SinglePremiseTgd {
-    /// The atoms the TGD derives from `b`, when its premise matches `b`.
-    fn fire(&self, b: &Atom) -> Option<Vec<(Predicate, Vec<Derived>)>> {
+    /// Does the premise match `b`? Then `binding` holds the premise's
+    /// variables' images (it is overwritten either way).
+    fn fires_on(&self, b: &Atom, binding: &mut Vec<(Variable, Term)>) -> bool {
+        binding.clear();
         if self.premise.args.len() != b.args.len() {
-            return None;
+            return false;
         }
-        let mut binding: Vec<(Variable, Term)> = Vec::new();
         for (p, t) in self.premise.args.iter().zip(&b.args) {
             match *p {
                 Term::Var(v) => match binding.iter().find(|(w, _)| *w == v) {
-                    Some((_, bound)) if bound != t => return None,
+                    Some((_, bound)) if bound != t => return false,
                     Some(_) => {}
                     None => binding.push((v, *t)),
                 },
-                constant if constant != *t => return None,
+                constant if constant != *t => return false,
                 _ => {}
             }
         }
-        let derive = |t: &Term| match *t {
-            Term::Var(v) => binding
-                .iter()
-                .find(|(w, _)| *w == v)
-                .map_or(Derived::Fresh(v), |&(_, bound)| Derived::Term(bound)),
-            constant => Derived::Term(constant),
-        };
-        Some(
-            self.conclusion
-                .iter()
-                .map(|a| (a.predicate, a.args.iter().map(derive).collect()))
-                .collect(),
-        )
+        true
+    }
+}
+
+/// One argument of a conclusion atom, derived under `binding` (a premise
+/// match, [`SinglePremiseTgd::fires_on`]).
+fn derive(binding: &[(Variable, Term)], t: Term) -> Derived {
+    match t {
+        Term::Var(v) => binding
+            .iter()
+            .find(|(w, _)| *w == v)
+            .map_or(Derived::Fresh(v), |&(_, bound)| Derived::Term(bound)),
+        constant => Derived::Term(constant),
     }
 }
 
@@ -116,17 +117,19 @@ impl SinglePremiseTgds {
     }
 }
 
-/// Does `a` map onto the derived atom `(p, args)` by a map that moves only
-/// the variables `private` accepts?
+/// Does `a` map onto the derived arguments `args` (of `a`'s predicate) by a
+/// map that moves only the variables `private` accepts? The map is built in
+/// `map`, which is overwritten.
 fn maps_onto(
     a: &Atom,
-    (p, args): &(Predicate, Vec<Derived>),
+    args: &[Derived],
     private: impl Fn(Variable) -> bool,
+    map: &mut Vec<(Variable, Derived)>,
 ) -> bool {
-    if a.predicate != *p || a.args.len() != args.len() {
+    if a.args.len() != args.len() {
         return false;
     }
-    let mut map: Vec<(Variable, Derived)> = Vec::new();
+    map.clear();
     a.args.iter().zip(args).all(|(t, &d)| match *t {
         Term::Var(u) if private(u) => match map.iter().find(|(w, _)| *w == u) {
             Some(&(_, image)) => image == d,
@@ -177,15 +180,31 @@ impl ImpliedAtoms {
             produces_a.iter().all(|&v| private(a, v) || (stands_in && produces_b.contains(&v)))
         };
 
+        // The pool atoms of each predicate: the only ones a derived atom of
+        // that predicate can be mapped from.
+        let mut of_predicate: FxHashMap<Predicate, Vec<usize>> = FxHashMap::default();
+        for (a, atom) in pool.body.iter().enumerate() {
+            of_predicate.entry(atom.predicate).or_default().push(a);
+        }
         let mut implies = vec![AtomSet::new(); n];
+        let (mut binding, mut args, mut map) = (Vec::new(), Vec::new(), Vec::new());
         for (b, atom_b) in pool.body.iter().enumerate() {
-            for derived in tgds.of(atom_b.predicate).iter().filter_map(|tgd| tgd.fire(atom_b)) {
-                for (a, atom_a) in pool.body.iter().enumerate() {
-                    if a != b
-                        && derived.iter().any(|d| maps_onto(atom_a, d, |v| private(a, v)))
-                        && droppable(a, b)
-                    {
-                        implies[b].insert(a);
+            for tgd in tgds.of(atom_b.predicate) {
+                if !tgd.fires_on(atom_b, &mut binding) {
+                    continue;
+                }
+                for derived in &tgd.conclusion {
+                    let Some(atoms) = of_predicate.get(&derived.predicate) else { continue };
+                    args.clear();
+                    args.extend(derived.args.iter().map(|&t| derive(&binding, t)));
+                    for &a in atoms {
+                        if a != b
+                            && !implies[b].contains(a)
+                            && maps_onto(&pool.body[a], &args, |v| private(a, v), &mut map)
+                            && droppable(a, b)
+                        {
+                            implies[b].insert(a);
+                        }
                     }
                 }
             }

@@ -96,6 +96,22 @@ fn hash_terms(terms: impl Iterator<Item = Term>) -> u32 {
     (h.finish() >> 32) as u32
 }
 
+/// Two rows of one arity in the order of their terms' [`Term::spelling`]s,
+/// term by term. Equal terms are spelled alike, and so are the names of two
+/// variables with one name symbol, so only the rest are spelled.
+fn spelling_order(a: &[Term], b: &[Term]) -> std::cmp::Ordering {
+    use std::cmp::Ordering::Equal;
+    a.iter()
+        .zip(b)
+        .map(|(s, t)| match (s, t) {
+            _ if s == t => Equal,
+            (Term::Var(v), Term::Var(w)) if v.name == w.name => v.index.cmp(&w.index),
+            _ => s.spelling().cmp(&t.spelling()),
+        })
+        .find(|order| order.is_ne())
+        .unwrap_or(Equal)
+}
+
 /// A relation's rows as index maintenance reads them.
 #[derive(Clone, Copy)]
 struct RowView<'a> {
@@ -756,14 +772,30 @@ impl SymbolicInstance {
     /// Atoms are ordered by how they are spelled ([`Atom::spelling`]),
     /// which gives the same universal plan in every process, whatever it
     /// interned first.
+    ///
+    /// No key is built per atom: the relations are taken in the order of
+    /// their predicates' names (a name is interned once, so no two
+    /// relations share one), and each relation's rows are sorted, stably,
+    /// by their terms' [`Term::spelling`]. Rows of one relation have one
+    /// arity, so that is the order of the atoms' spellings, equal keys
+    /// keeping row order.
     pub fn to_query(
         &self,
         name: &str,
         head: Vec<Term>,
         inequalities: Vec<(Term, Term)>,
     ) -> ConjunctiveQuery {
-        let mut atoms = self.atoms();
-        atoms.sort_by_cached_key(Atom::spelling);
+        let mut relations: Vec<(&'static str, Predicate, &Relation)> =
+            self.relations.iter().map(|(p, rel)| (p.name(), *p, &**rel)).collect();
+        relations.sort_unstable_by_key(|&(name, _, _)| name);
+        let mut atoms = Vec::with_capacity(self.atom_count);
+        let mut rows: Vec<&[Term]> = Vec::new();
+        for (_, predicate, rel) in relations {
+            rows.clear();
+            rows.extend(rel.rows());
+            rows.sort_by(|a, b| spelling_order(a, b));
+            atoms.extend(rows.iter().map(|row| Atom { predicate, args: (*row).into() }));
+        }
         ConjunctiveQuery { name: name.to_string(), head, body: atoms, inequalities }
     }
 
@@ -1283,6 +1315,80 @@ mod tests {
                 assert_store_matches(&current.0, &current.1, build);
                 for side in &saved {
                     assert_store_matches(&side.0, &side.1, build);
+                }
+            }
+        }
+    }
+
+    /// The order [`SymbolicInstance::to_query`] gave while it built a key
+    /// per atom: every atom, sorted (stably) by [`Atom::spelling`].
+    fn spelled_by_key(inst: &SymbolicInstance) -> Vec<Atom> {
+        let mut atoms = inst.atoms();
+        atoms.sort_by_cached_key(Atom::spelling);
+        atoms
+    }
+
+    /// Terms whose spellings tie on a prefix, or on everything but their
+    /// kind: variables `x`, `x1` and `y` at two indexes, the strings `x`,
+    /// `10` and `9`, nodes of two documents and two parameters.
+    fn spelling_alphabet() -> Vec<Term> {
+        let mut terms: Vec<Term> = ["x", "x1", "y"]
+            .iter()
+            .flat_map(|name| (0..2).map(|i| Term::Var(Variable::with_index(name, i))))
+            .collect();
+        terms.extend(["x", "10", "9"].map(Term::constant_str));
+        for doc in ["d.xml", "e.xml"] {
+            terms.extend(
+                (0..2).map(|id| Term::Const(mars_cq::Constant::node(mars_cq::symbol(doc), id))),
+            );
+        }
+        terms.extend((0..2).map(|i| Term::Const(mars_cq::Constant::Param(i))));
+        terms
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `to_query` renders the order a key per atom gives: random
+        /// relations whose names share prefixes, rows over terms whose
+        /// spellings tie on prefixes, and substitutions that rewrite rows
+        /// where they stand (so row order is not insertion order).
+        #[test]
+        fn to_query_orders_atoms_by_their_spelling(seed in 0u64..u64::MAX) {
+            let mut rng = TestRng::new(seed);
+            let mut pick = move |n: usize| (rng.next_u64() % n as u64) as usize;
+            let alphabet = spelling_alphabet();
+            let vars: Vec<Variable> = alphabet.iter().filter_map(Term::as_var).collect();
+            let relations = [("R", 2), ("R0", 1), ("Ra", 3), ("child#d.xml", 2), ("P", 1)];
+            let mut inst = SymbolicInstance::new();
+            for _ in 0..40 {
+                if pick(6) == 0 {
+                    let mut s = Substitution::new();
+                    s.set(vars[pick(vars.len())], alphabet[pick(alphabet.len())]);
+                    inst.apply_substitution(&s);
+                } else {
+                    let (name, arity) = relations[pick(relations.len())];
+                    let args: Vec<Term> =
+                        (0..arity).map(|_| alphabet[pick(alphabet.len())]).collect();
+                    inst.insert_atom(&Atom::named(name, args));
+                }
+            }
+            prop_assert_eq!(inst.to_query("Q", vec![], vec![]).body, spelled_by_key(&inst));
+        }
+
+        /// Row by row, `spelling_order` is the order of the rows' spellings,
+        /// equal rows (the ties a stable sort keeps in row order) included.
+        #[test]
+        fn spelling_order_compares_spellings(seed in 0u64..u64::MAX) {
+            let mut rng = TestRng::new(seed);
+            let mut pick = move |n: usize| (rng.next_u64() % n as u64) as usize;
+            let alphabet = spelling_alphabet();
+            let rows: Vec<Vec<Term>> =
+                (0..6).map(|_| (0..2).map(|_| alphabet[pick(alphabet.len())]).collect()).collect();
+            for a in &rows {
+                for b in rows.iter().chain([a]) {
+                    let keys = |row: &[Term]| row.iter().map(Term::spelling).collect::<Vec<_>>();
+                    prop_assert_eq!(spelling_order(a, b), keys(a).cmp(&keys(b)));
                 }
             }
         }

@@ -6,10 +6,11 @@
 //! XQuery `where` clauses.
 
 use crate::atom::{Atom, Predicate};
+use crate::fx::FxHashSet;
 use crate::substitution::Substitution;
 use crate::term::{Term, Variable};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A conjunctive query with optional inequality side conditions:
@@ -64,7 +65,7 @@ impl ConjunctiveQuery {
 
     /// All variables of the query (head and body), deduplicated, in first-occurrence order.
     pub fn variables(&self) -> Vec<Variable> {
-        let mut seen = HashSet::new();
+        let mut seen = FxHashSet::default();
         let mut out = Vec::new();
         let mut push = |t: &Term| {
             if let Term::Var(v) = t {
@@ -114,7 +115,7 @@ impl ConjunctiveQuery {
 
     /// A *safe* query binds every head variable in the body.
     pub fn is_safe(&self) -> bool {
-        let body_vars: HashSet<Variable> = self.body.iter().flat_map(|a| a.variables()).collect();
+        let body_vars: FxHashSet<Variable> = self.body.iter().flat_map(|a| a.variables()).collect();
         self.head_variables().iter().all(|v| body_vars.contains(v))
     }
 
@@ -129,26 +130,22 @@ impl ConjunctiveQuery {
     /// This is exactly the notion of *subquery of the universal plan* from the
     /// backchase phase (Section 2.3 of the paper).
     pub fn subquery(&self, atom_indices: &[usize]) -> ConjunctiveQuery {
-        let body: Vec<Atom> = atom_indices.iter().map(|&i| self.body[i].clone()).collect();
-        let vars: HashSet<Variable> = body.iter().flat_map(|a| a.variables()).collect();
-        let inequalities = self
-            .inequalities
-            .iter()
-            .filter(|(a, b)| {
-                let ok = |t: &Term| match t {
-                    Term::Var(v) => vars.contains(v),
-                    Term::Const(_) => true,
-                };
-                ok(a) && ok(b)
-            })
-            .cloned()
-            .collect();
-        ConjunctiveQuery {
-            name: format!("{}[{}]", self.name, atom_indices.len()),
-            head: self.head.clone(),
-            body,
-            inequalities,
-        }
+        let body = atom_indices.iter().map(|&i| self.body[i].clone()).collect();
+        self.subquery_with(body, format!("{}[{}]", self.name, atom_indices.len()))
+    }
+
+    /// The sub-query named `name` whose body is `body`, atoms of this
+    /// query: the same head, and each inequality whose variables `body`
+    /// mentions (one over a variable the body projects away is dropped).
+    pub fn subquery_with(&self, body: Vec<Atom>, name: String) -> ConjunctiveQuery {
+        let inequalities = if self.inequalities.is_empty() {
+            Vec::new()
+        } else {
+            let vars: FxHashSet<Variable> = body.iter().flat_map(|a| a.variables()).collect();
+            let bound = |t: &Term| t.as_var().is_none_or(|v| vars.contains(&v));
+            self.inequalities.iter().filter(|(a, b)| bound(a) && bound(b)).copied().collect()
+        };
+        ConjunctiveQuery { name, head: self.head.clone(), body, inequalities }
     }
 }
 

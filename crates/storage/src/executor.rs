@@ -183,11 +183,13 @@ pub(crate) const NONE: u32 = u32::MAX;
 /// same key, so a key's chain lists its rows in row order. Keys are never
 /// stored: a slot is confirmed by a closure its caller supplies, which
 /// decides whether the slot's head row carries the key sought.
+///
+/// A key's home slot is its hash's bits from 32 up, masked to the table, as
+/// the chase's column indexes take theirs: the top bits of an Fx hash of
+/// sequential symbol ids cluster, and linear probing then walks long runs.
 pub(crate) struct Chains {
     heads: Vec<u32>,
     next: Vec<u32>,
-    /// `64 - log2(heads.len())`: a slot is the top bits of the key's hash.
-    shift: u32,
 }
 
 impl Chains {
@@ -200,11 +202,7 @@ impl Chains {
     ) -> Chains {
         // At most half full, so a probe of an absent key stops soon.
         let slots = (2 * len).next_power_of_two().max(2);
-        let mut chains = Chains {
-            heads: vec![NONE; slots],
-            next: vec![NONE; len],
-            shift: 64 - slots.trailing_zeros(),
-        };
+        let mut chains = Chains { heads: vec![NONE; slots], next: vec![NONE; len] };
         // Rows go in last first, each pushed in front of its key's chain,
         // so every chain runs in ascending row order.
         for i in (0..row_index(len)).rev() {
@@ -214,11 +212,16 @@ impl Chains {
         chains
     }
 
+    /// Where the probe for the key hashing to `hash` starts.
+    fn home(&self, hash: u64) -> usize {
+        (hash >> 32) as usize & (self.heads.len() - 1)
+    }
+
     /// The slot of the key hashing to `hash` whose head row `is_key`
     /// accepts, else the empty one where the probe for it ends.
     fn slot(&self, hash: u64, is_key: impl Fn(u32) -> bool) -> usize {
         let mask = self.heads.len() - 1;
-        let mut slot = (hash >> self.shift) as usize;
+        let mut slot = self.home(hash);
         while self.heads[slot] != NONE && !is_key(self.heads[slot]) {
             slot = (slot + 1) & mask;
         }
@@ -415,9 +418,32 @@ mod reference {
 /// keys repeat often.
 #[cfg(test)]
 mod against_reference {
-    use super::{distinct, hash_join, reference, Batch};
+    use super::{distinct, hash_join, key_hash, reference, Batch, Chains};
     use mars_cq::{symbol, Constant, Term, Variable};
     use proptest::prelude::*;
+
+    /// Keys spread over the table: chaining `n` single-term keys with
+    /// sequential symbol ids (the ids a document's values get, interned in
+    /// order), a key is found within two slots of its home on average. Taking
+    /// the hash's top bits as the slot averaged 9.31 at 10 000 keys.
+    #[test]
+    fn sequential_symbol_keys_probe_at_most_two_slots_on_average() {
+        for n in [1_000u32, 2_000, 5_000, 10_000, 20_000, 40_000] {
+            let key = |i: u32| [Term::Const(Constant::Str(1_000 + i))];
+            let hash = |i: u32| key_hash(&key(i), &[0]);
+            let chains = Chains::new(n as usize, hash, |head, i| key(head) == key(i));
+            let mask = chains.heads.len() - 1;
+            let probes: usize = (0..n)
+                .map(|i| {
+                    let found = chains.slot(hash(i), |head| key(head) == key(i));
+                    assert_eq!(chains.heads[found], i, "each key heads its own chain");
+                    (found.wrapping_sub(chains.home(hash(i))) & mask) + 1
+                })
+                .sum();
+            let mean = probes as f64 / f64::from(n);
+            assert!(mean <= 2.0, "{n} keys: mean probe {mean:.2}");
+        }
+    }
 
     fn below(rng: &mut TestRng, n: usize) -> usize {
         (rng.next_u64() % n as u64) as usize
