@@ -271,7 +271,7 @@ use crate::compiled::CompiledDeps;
 use crate::evaluate::{maps_into, ContainmentProgram};
 use crate::implied::ImpliedAtoms;
 use crate::instance::thread_index_build_count;
-use crate::reach::{prune_parallel_desc, ReachabilityGraph};
+use crate::reach::{atom_io, prune_parallel_desc, ReachabilityGraph};
 use mars_cq::{Atom, AtomSet, ConjunctiveQuery, FxHashMap, NavBase, Predicate, Term, Variable};
 use std::cell::OnceCell;
 use std::collections::HashSet;
@@ -1061,8 +1061,9 @@ fn search(
         return outcome;
     }
 
-    let graph = ReachabilityGraph::new(&pool_query);
-    let implied = ImpliedAtoms::new(&pool_query, sigma.single_premise_tgds());
+    let io: Vec<_> = pool.iter().map(atom_io).collect();
+    let graph = ReachabilityGraph::from_io(&io);
+    let implied = ImpliedAtoms::new(&pool_query, &io, sigma.single_premise_tgds());
     let atom_costs: Vec<f64> = pool.iter().map(atom_cost).collect();
     let safety = SafetyPrefilter::new(&pool_query, pool);
 
@@ -2154,9 +2155,10 @@ mod tests {
 
     impl Enumeration {
         fn new(pool: &ConjunctiveQuery, deds: &[Ded], costs: Vec<f64>) -> Enumeration {
+            let io: Vec<_> = pool.body.iter().map(atom_io).collect();
             Enumeration {
-                graph: ReachabilityGraph::new(pool),
-                implied: ImpliedAtoms::new(pool, &SinglePremiseTgds::new(deds)),
+                graph: ReachabilityGraph::from_io(&io),
+                implied: ImpliedAtoms::new(pool, &io, &SinglePremiseTgds::new(deds)),
                 safety: SafetyPrefilter::new(pool, &pool.body),
                 costs,
             }

@@ -31,7 +31,7 @@
 //! produces it as a shared one, so `c` produces it too and requires no
 //! more than `b`, which requires no more than `a`.
 
-use crate::reach::atom_io;
+use crate::reach::AtomIo;
 use mars_cq::{Atom, AtomSet, ConjunctiveQuery, Ded, FxHashMap, Predicate, Term, Variable};
 
 /// A TGD whose premise is one atom and whose conclusion is one conjunct of
@@ -152,8 +152,13 @@ pub(crate) struct ImpliedAtoms {
 
 impl ImpliedAtoms {
     /// The relation over `pool`'s body, whose head and inequalities count
-    /// as further occurrences of their variables.
-    pub(crate) fn new(pool: &ConjunctiveQuery, tgds: &SinglePremiseTgds) -> ImpliedAtoms {
+    /// as further occurrences of their variables; `io` is the body's
+    /// [`atom_io`](crate::reach::atom_io), in body order.
+    pub(crate) fn new(
+        pool: &ConjunctiveQuery,
+        io: &[AtomIo],
+        tgds: &SinglePremiseTgds,
+    ) -> ImpliedAtoms {
         let n = pool.body.len();
         // The one pool atom a private variable occurs in; `None` for a
         // shared one.
@@ -171,7 +176,6 @@ impl ImpliedAtoms {
             }
         }
         let private = |i: usize, v: Variable| owner.get(&v) == Some(&Some(i));
-        let io: Vec<_> = pool.body.iter().map(atom_io).collect();
         // Dropping `a` beside `b` keeps the candidate constructible: `b`
         // can stand where `a` stood when it requires nothing `a` does not.
         let droppable = |a: usize, b: usize| {
@@ -265,7 +269,8 @@ mod tests {
         let pool = ConjunctiveQuery::new("P")
             .with_head(head.iter().map(|v| t(v)).collect())
             .with_body(body);
-        let implied = ImpliedAtoms::new(&pool, &SinglePremiseTgds::new(deds));
+        let io: Vec<_> = pool.body.iter().map(crate::reach::atom_io).collect();
+        let implied = ImpliedAtoms::new(&pool, &io, &SinglePremiseTgds::new(deds));
         (0..n)
             .flat_map(|g| (g + 1..n).map(move |h| (g, h)))
             .filter(|&(g, h)| implied.pairs_with(g, &AtomSet::singleton(h)))

@@ -318,13 +318,45 @@ impl ColumnIndex {
     /// Lay the keys out again in a table at most half full, dropping the
     /// `GONE` markers.
     fn rehash(&mut self) {
-        let capacity = ((self.keys + 1) * 2).next_power_of_two().max(8);
+        self.relayout(((self.keys + 1) * 2).next_power_of_two().max(8));
+    }
+
+    /// Lay the keys out again in a table of `capacity` slots, dropping the
+    /// `GONE` markers.
+    fn relayout(&mut self, capacity: usize) {
         let old = std::mem::replace(&mut self.slots, vec![EMPTY; capacity]);
         (self.used, self.keys) = (0, 0);
         for slot in old.into_iter().filter(|s| s.head < GONE) {
             self.add_key(slot);
         }
     }
+
+    /// Make room for `rows` more rows, each a new key at most, in one step:
+    /// the `next` links to their exact count, and the table to the size
+    /// adding the keys one at a time would grow it to, the smallest power
+    /// of two they fill at most three quarters of.
+    fn reserve(&mut self, rows: usize) {
+        self.next.reserve_exact(rows);
+        if (self.used + rows) * 4 > self.slots.len() * 3 {
+            self.relayout(table_size(self.keys + rows));
+        }
+    }
+
+    /// Give back what [`ColumnIndex::reserve`] set aside for rows that did
+    /// not come: the links past the last row, and a table larger than its
+    /// keys need.
+    fn fit(&mut self) {
+        self.next.shrink_to_fit();
+        if self.slots.len() > table_size(self.keys) {
+            self.relayout(table_size(self.keys));
+        }
+    }
+}
+
+/// The smallest table [`ColumnIndex::add_key`] leaves `keys` keys in: a
+/// power of two, at least 8, that they fill at most three quarters of.
+fn table_size(keys: usize) -> usize {
+    (keys * 4).div_ceil(3).next_power_of_two().max(8)
 }
 
 /// The cached column indexes of one relation, by (ascending) column set.
@@ -415,9 +447,44 @@ impl Relation {
             (_, true) => false,
             (hash, false) => {
                 self.push_new(tuple, hash);
+                self.distinct.take();
                 true
             }
         }
+    }
+
+    /// Insert the tuples of `rows`, `arity` terms each and back to back,
+    /// in order; returns how many were new. What [`Relation::insert`] does
+    /// per tuple, with the room for the rows, their dedup table links and
+    /// keys reserved once — no more than inserting them one at a time would
+    /// leave — and the distinct counts dropped once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arity` is 0, if `rows` is not whole rows, or if the
+    /// relation already holds tuples of another arity.
+    pub fn insert_rows(&mut self, arity: usize, rows: &[Term]) -> usize {
+        assert!(arity > 0 && rows.len().is_multiple_of(arity), "whole rows of a positive arity");
+        let (before, count) = (self.rows, rows.len() / arity);
+        self.data.reserve_exact(rows.len());
+        if self.rows == 0 {
+            self.set = ColumnIndex::new((0..arity).collect());
+        }
+        self.set.reserve(count);
+        for row in rows.chunks_exact(arity) {
+            if let (hash, false) = self.lookup(row) {
+                self.push_new(row, hash);
+            }
+        }
+        let added = self.rows - before;
+        if added < count {
+            self.data.shrink_to_fit();
+            self.set.fit();
+        }
+        if added > 0 {
+            self.distinct.take();
+        }
+        added
     }
 
     /// The hash of `tuple` in the dedup table, and whether a live row holds
@@ -430,11 +497,13 @@ impl Relation {
     }
 
     /// Append a tuple the dedup table does not hold; `hash` is its hash
-    /// there.
+    /// there. The caller drops the distinct counts.
     fn push_new(&mut self, tuple: &[Term], hash: u32) {
         if self.rows == 0 {
             self.arity = tuple.len();
-            self.set = ColumnIndex::new((0..self.arity).collect());
+            if self.set.cols.len() != self.arity {
+                self.set = ColumnIndex::new((0..self.arity).collect());
+            }
         }
         assert_eq!(tuple.len(), self.arity, "every tuple of a relation has its arity");
         let id = self.rows;
@@ -450,7 +519,6 @@ impl Relation {
         for index in indexes.values_mut() {
             Arc::make_mut(index).link(rows, id);
         }
-        self.distinct.take();
     }
 
     /// Does the relation hold the tuple (as a live row)?
@@ -643,6 +711,11 @@ impl Relation {
     }
 }
 
+/// The largest disambiguator of a variable among `terms` (0 if none).
+fn max_var_index(terms: &[Term]) -> u32 {
+    terms.iter().filter_map(Term::as_var).map(|v| v.index).max().unwrap_or(0)
+}
+
 /// The symbolic database instance associated with a query.
 #[derive(Clone, Debug, Default)]
 pub struct SymbolicInstance {
@@ -682,14 +755,30 @@ impl SymbolicInstance {
         }
         // Copy-on-write: a relation still shared with a memoized seed or a
         // sibling branch is copied here, at its first new tuple.
-        Arc::make_mut(rel).push_new(args, hash);
+        let rel = Arc::make_mut(rel);
+        rel.push_new(args, hash);
+        rel.distinct.take();
         self.atom_count += 1;
-        for t in args {
-            if let Term::Var(v) = t {
-                self.max_var = self.max_var.max(v.index);
-            }
-        }
+        self.max_var = self.max_var.max(max_var_index(args));
         true
+    }
+
+    /// Insert the tuples of `rows`, `arity` terms each and back to back,
+    /// into relation `p`, declaring it; returns how many were new. The
+    /// same instance as inserting them one at a time
+    /// ([`Self::insert`]), with the relation's room reserved once
+    /// ([`Relation::insert_rows`]): a store loads a relation whole.
+    ///
+    /// # Panics
+    ///
+    /// As [`Relation::insert_rows`].
+    pub fn insert_rows(&mut self, p: Predicate, arity: usize, rows: &[Term]) -> usize {
+        let rel = Arc::make_mut(self.relations.entry(p).or_default());
+        let before = rel.rows;
+        let added = rel.insert_rows(arity, rows);
+        self.atom_count += added;
+        self.max_var = self.max_var.max(max_var_index(&rel.data[before * arity..]));
+        added
     }
 
     /// Does relation `p` hold the tuple `args`?
@@ -1318,6 +1407,74 @@ mod tests {
                 }
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Inserting a batch of rows at once ([`SymbolicInstance::insert_rows`])
+        /// gives the instance inserting them one at a time gives, against
+        /// the reference model: rows in order, membership, the postings of
+        /// the indexes built before a batch and after it, distinct counts,
+        /// the fresh-variable bound and the new-row count. Over the small
+        /// alphabet most batches repeat rows, so the dedup check runs. No
+        /// buffer — the rows, the dedup table's links or its slots — ends
+        /// larger than one-at-a-time insertion leaves it.
+        #[test]
+        fn batch_inserts_agree_with_single_inserts(seed in 0u64..u64::MAX) {
+            let mut rng = TestRng::new(seed);
+            let mut pick = move |n: usize| (rng.next_u64() % n as u64) as usize;
+            let alphabet = alphabet();
+            let (mut batched, mut single) = (SymbolicInstance::new(), SymbolicInstance::new());
+            let mut models = [Model::default(), Model::default()];
+            for _ in 0..6 {
+                let r = pick(2);
+                let (p, arity) = schema()[r];
+                if pick(3) == 0 {
+                    batched.relation_data(p).map(|rel| rel.index(&[0]));
+                }
+                let rows: Vec<Term> =
+                    (0..pick(40) * arity).map(|_| alphabet[pick(alphabet.len())]).collect();
+                // A batch declares its relation, even an empty batch.
+                single.declare(p);
+                let mut new = 0;
+                for row in rows.chunks_exact(arity) {
+                    let fresh = models[r].insert(row);
+                    prop_assert_eq!(single.insert(p, row), fresh);
+                    new += usize::from(fresh);
+                }
+                prop_assert_eq!(batched.insert_rows(p, arity, &rows), new);
+                assert_store_matches(&batched, &models, pick(3) == 0);
+                assert_store_matches(&single, &models, false);
+                let (b, s) = (&batched.relations[&p], &single.relations[&p]);
+                prop_assert!(b.data.capacity() <= s.data.capacity());
+                prop_assert!(b.set.next.capacity() <= s.set.next.capacity());
+                prop_assert!(b.set.slots.len() <= s.set.slots.len());
+            }
+        }
+    }
+
+    /// A batch of distinct rows into an empty relation reserves exactly its
+    /// rows and links, and the dedup table adding them one at a time ends
+    /// with; a batch of repeats gives back what it reserved.
+    #[test]
+    fn a_batch_reserves_what_its_rows_need() {
+        let p = Predicate::new("batch");
+        let rows: Vec<Term> = (0..1000).map(|i| Term::constant_str(&format!("b{i}"))).collect();
+        let (mut batched, mut single) = (SymbolicInstance::new(), SymbolicInstance::new());
+        assert_eq!(batched.insert_rows(p, 2, &rows), 500);
+        rows.chunks_exact(2).for_each(|row| assert!(single.insert(p, row)));
+        let (b, s) = (&batched.relations[&p], &single.relations[&p]);
+        assert_eq!((b.data.capacity(), b.set.next.capacity()), (1000, 500));
+        assert_eq!(b.set.slots.len(), s.set.slots.len());
+        assert_eq!(b.set.slots.len(), 1024);
+        assert_eq!(batched.insert_rows(p, 2, &rows), 0);
+        let b = &batched.relations[&p];
+        assert_eq!(
+            (b.data.capacity(), b.set.next.capacity(), b.set.slots.len()),
+            (1000, 500, 1024)
+        );
+        assert_eq!(batched.len(), 500);
     }
 
     /// The order [`SymbolicInstance::to_query`] gave while it built a key

@@ -30,9 +30,12 @@ use std::collections::VecDeque;
 
 const WORD_BITS: usize = 64;
 
+/// The variables an atom requires and those it produces ([`atom_io`]).
+pub(crate) type AtomIo = (Vec<Variable>, Vec<Variable>);
+
 /// The variable(s) an atom *requires* to be already bound for its navigation
 /// to be contiguous, and the variable(s) it *produces*.
-pub(crate) fn atom_io(atom: &Atom) -> (Vec<Variable>, Vec<Variable>) {
+pub(crate) fn atom_io(atom: &Atom) -> AtomIo {
     let var = |i: usize| -> Vec<Variable> { atom.args[i].as_var().into_iter().collect() };
     let Some((base, _)) = atom.navigation() else {
         // Relations, views, specialization relations and Skolem graphs are
@@ -150,7 +153,12 @@ impl ReachabilityGraph {
     /// densely and compiling what each atom requires and produces into
     /// bitsets.
     pub fn new(query: &ConjunctiveQuery) -> ReachabilityGraph {
-        let io: Vec<_> = query.body.iter().map(atom_io).collect();
+        ReachabilityGraph::from_io(&query.body.iter().map(atom_io).collect::<Vec<_>>())
+    }
+
+    /// The graph of a body whose atoms' [`atom_io`] is `io`, in body order:
+    /// a backchase computes it once for this graph and criterion 4.
+    pub(crate) fn from_io(io: &[AtomIo]) -> ReachabilityGraph {
         let mut ids: FxHashMap<Variable, usize> = FxHashMap::default();
         for &v in io.iter().flat_map(|(r, p)| r.iter().chain(p)) {
             let next = ids.len();

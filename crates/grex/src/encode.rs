@@ -12,7 +12,7 @@
 //! names and values; the schema's eight predicates are resolved once.
 
 use crate::schema::GrexSchema;
-use mars_cq::{symbol, Atom, Constant, Term};
+use mars_cq::{symbol, Atom, Constant, NavBase, Predicate, Term};
 use mars_xml::{Document, NodeId};
 
 /// The identity of node `id` of `document`: the typed constant
@@ -23,59 +23,149 @@ pub fn node_constant(document: &str, id: NodeId) -> Term {
     Term::Const(Constant::node(symbol(document), id.0))
 }
 
-/// Encode a document into ground GReX atoms, nodes named by
-/// [`node_constant`]. The atoms are written into one allocation of their
-/// exact count.
-pub fn encode_document(doc: &Document) -> Vec<Atom> {
+/// A document's ground GReX encoding, held as its eight relations: one
+/// row-major `Vec<Term>` per [`NavBase`], row `i` of a base of arity `k`
+/// being the terms `i * k .. (i + 1) * k`. Nothing is allocated per fact,
+/// so a store loads a relation as one slice
+/// (`mars_storage::RelationalDatabase::load_facts`).
+#[derive(Clone, Debug)]
+pub struct GrexFacts {
+    schema: GrexSchema,
+    /// The rows of each base, in [`NavBase::ALL`] order.
+    relations: [Vec<Term>; 8],
+}
+
+impl GrexFacts {
+    /// The document's predicate of `base`.
+    pub fn predicate(&self, base: NavBase) -> Predicate {
+        self.schema.predicate(base)
+    }
+
+    /// The rows of `base`'s relation, back to back: `base.arity()` terms
+    /// per row, in the order the encoding writes them.
+    pub fn relation(&self, base: NavBase) -> &[Term] {
+        &self.relations[base as usize]
+    }
+
+    /// Number of facts, over all eight relations.
+    pub fn len(&self) -> usize {
+        NavBase::ALL.iter().map(|&base| self.relation(base).len() / base.arity()).sum()
+    }
+
+    /// Does the encoding hold no fact (a document without a root)?
+    pub fn is_empty(&self) -> bool {
+        self.relations.iter().all(Vec::is_empty)
+    }
+
+    /// Every fact as an atom, relation by relation in [`NavBase::ALL`]
+    /// order and each relation's rows in order: for tests and oracles,
+    /// which read facts one at a time.
+    pub fn atoms(&self) -> impl Iterator<Item = Atom> + '_ {
+        NavBase::ALL.into_iter().flat_map(move |base| {
+            let predicate = self.predicate(base);
+            let rows = self.relation(base).chunks_exact(base.arity());
+            rows.map(move |row| Atom { predicate, args: row.into() })
+        })
+    }
+
+    /// Append a row to `base`'s relation, resolving its predicate on the
+    /// first one.
+    fn push(&mut self, base: NavBase, row: &[Term]) {
+        self.schema.predicate(base);
+        self.relations[base as usize].extend_from_slice(row);
+    }
+}
+
+/// Encode a document into ground GReX facts, nodes named by
+/// [`node_constant`]. Each relation is written into one allocation of its
+/// exact row count, counted in one pass over the arena first.
+///
+/// Symbols are interned in one fixed order, which fixes their ids: the
+/// document's name, then per element in arena order its tag, its direct
+/// text and its attributes (each value before its name); a predicate at the
+/// first fact of its relation (`tag#d` before the first tag, `text#d` after
+/// the first text, `attr#d` between the first value and its name). A
+/// tag's symbol is resolved once, at its first element, and an element
+/// whose direct text is a single text node interns that node's text where
+/// it lies.
+pub fn encode_document(doc: &Document) -> GrexFacts {
     let schema = GrexSchema::new(&doc.name);
     let document = symbol(&doc.name);
     let node_const = |id: NodeId| Term::Const(Constant::node(document, id.0));
 
     let Some(root) = doc.root() else {
-        return Vec::new();
+        return GrexFacts { schema, relations: Default::default() };
     };
-    let mut out = Vec::with_capacity(fact_count(doc));
-    out.push(schema.root_atom(node_const(root)));
+    let counts = row_counts(doc);
+    let relations =
+        NavBase::ALL.map(|base| Vec::with_capacity(counts[base as usize] * base.arity()));
+    let mut facts = GrexFacts { schema, relations };
+    let mut tags: Vec<Option<Term>> = vec![None; doc.tag_count()];
+    let mut joined = String::new();
+    facts.push(NavBase::Root, &[node_const(root)]);
 
     for id in doc.all_nodes() {
-        let node = doc.node(id);
-        if !node.is_element() {
+        let Some(tag) = doc.tag_id(id) else {
             continue;
-        }
+        };
+        let node = doc.node(id);
         let me = node_const(id);
-        out.push(schema.el_atom(me));
-        out.push(schema.id_atom(me, me));
-        if let Some(tag) = node.tag() {
-            out.push(schema.tag_atom(me, tag));
-        }
-        let text = doc.text_of(id);
+        facts.push(NavBase::El, &[me]);
+        facts.push(NavBase::Id, &[me, me]);
+        let tag = match tags[tag.index()] {
+            Some(tag) => tag,
+            None => {
+                // `tag#d` is interned before the first tag.
+                facts.schema.predicate(NavBase::Tag);
+                let term = Term::constant_str(node.tag().expect("an element has a tag"));
+                tags[tag.index()] = Some(term);
+                term
+            }
+        };
+        facts.push(NavBase::Tag, &[me, tag]);
+        let mut texts = node.children().filter_map(|c| doc.node(c).text_value());
+        let text = match (texts.next(), texts.next()) {
+            (Some(only), None) => only,
+            (Some(first), Some(second)) => {
+                joined.clear();
+                joined.extend([first, second].into_iter().chain(texts));
+                &joined
+            }
+            (None, _) => "",
+        };
         if !text.is_empty() {
-            out.push(schema.text_atom(me, Term::constant_str(&text)));
+            facts.push(NavBase::Text, &[me, Term::constant_str(text)]);
         }
         for (name, value) in node.attributes {
-            out.push(schema.attr_atom(me, name, Term::constant_str(value)));
+            // The value, `attr#d` on the first attribute, then the name.
+            let value = Term::constant_str(value);
+            facts.schema.predicate(NavBase::Attr);
+            facts.push(NavBase::Attr, &[me, Term::constant_str(name), value]);
         }
         for c in doc.child_elements(id) {
-            out.push(schema.child_atom(me, node_const(c)));
+            facts.push(NavBase::Child, &[me, node_const(c)]);
         }
         // desc is reflexive-transitive (descendant-or-self).
-        out.push(schema.desc_atom(me, me));
+        facts.push(NavBase::Desc, &[me, me]);
         for d in doc.descendants(id) {
-            out.push(schema.desc_atom(me, node_const(d)));
+            facts.push(NavBase::Desc, &[me, node_const(d)]);
         }
     }
-    out
+    facts
 }
 
-/// The number of facts [`encode_document`] writes for a document with a
-/// root: the root fact, and per element its `el`, `id`, `tag` and reflexive
-/// `desc` facts, a `child` fact unless it is the root, one `desc` fact per
-/// element ancestor, a `text` fact when its direct text is not empty and an
-/// `attr` fact per attribute. One pass over the arena, where a parent comes
-/// before its children, counts every element's ancestors.
-fn fact_count(doc: &Document) -> usize {
+/// The number of rows [`encode_document`] writes into each relation of a
+/// document with a root, in [`NavBase::ALL`] order: one `root` row, per
+/// element its `el`, `id`, `tag` and reflexive `desc` rows, a `child` row
+/// unless it is the root, one `desc` row per element ancestor, a `text` row
+/// when its direct text is not empty and an `attr` row per attribute. One
+/// pass over the arena, where a parent comes before its children, counts
+/// every element's ancestors.
+fn row_counts(doc: &Document) -> [usize; 8] {
     let mut ancestors = vec![0; doc.len()];
-    let mut facts = 1;
+    let mut counts = [0; 8];
+    let mut count = |base: NavBase, rows: usize| counts[base as usize] += rows;
+    count(NavBase::Root, 1);
     for id in doc.all_nodes() {
         let node = doc.node(id);
         if !node.is_element() {
@@ -84,17 +174,20 @@ fn fact_count(doc: &Document) -> usize {
         let above = node.parent.map_or(0, |p| ancestors[p.index()] + 1);
         ancestors[id.index()] = above;
         let mut texts = node.children().filter_map(|c| doc.node(c).text_value());
-        let text = texts.any(|t| !t.is_empty());
-        facts += 4 + usize::from(node.parent.is_some()) + above;
-        facts += usize::from(text) + node.attributes.len();
+        for base in [NavBase::El, NavBase::Id, NavBase::Tag] {
+            count(base, 1);
+        }
+        count(NavBase::Desc, 1 + above);
+        count(NavBase::Child, usize::from(node.parent.is_some()));
+        count(NavBase::Text, usize::from(texts.any(|t| !t.is_empty())));
+        count(NavBase::Attr, node.attributes.len());
     }
-    facts
+    counts
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mars_cq::{NavBase, Predicate};
     use mars_xml::parse_document;
 
     fn sample() -> Document {
@@ -108,27 +201,32 @@ mod tests {
         .unwrap()
     }
 
-    fn count(atoms: &[Atom], p: Predicate) -> usize {
-        atoms.iter().filter(|a| a.predicate == p).count()
+    fn count(facts: &GrexFacts, base: NavBase) -> usize {
+        facts.relation(base).len() / base.arity()
     }
 
     #[test]
     fn encoding_counts_match_document_structure() {
-        let doc = sample();
-        let atoms = encode_document(&doc);
-        let s = GrexSchema::new("catalog.xml");
-        assert_eq!(count(&atoms, s.predicate(NavBase::Root)), 1);
-        assert_eq!(count(&atoms, s.predicate(NavBase::El)), 7);
-        assert_eq!(count(&atoms, s.predicate(NavBase::Tag)), 7);
-        assert_eq!(count(&atoms, s.predicate(NavBase::Child)), 6);
+        let facts = encode_document(&sample());
+        assert_eq!(count(&facts, NavBase::Root), 1);
+        assert_eq!(count(&facts, NavBase::El), 7);
+        assert_eq!(count(&facts, NavBase::Tag), 7);
+        assert_eq!(count(&facts, NavBase::Child), 6);
         // desc: per node, self + descendants: 7 + 6 (root) + 2*2 (drugs) + 0 = 17
-        assert_eq!(count(&atoms, s.predicate(NavBase::Desc)), 17);
-        assert_eq!(count(&atoms, s.predicate(NavBase::Text)), 4);
-        assert_eq!(count(&atoms, s.predicate(NavBase::Attr)), 2);
-        assert_eq!(count(&atoms, s.predicate(NavBase::Id)), 7);
+        assert_eq!(count(&facts, NavBase::Desc), 17);
+        assert_eq!(count(&facts, NavBase::Text), 4);
+        assert_eq!(count(&facts, NavBase::Attr), 2);
+        assert_eq!(count(&facts, NavBase::Id), 7);
+        assert_eq!(facts.len(), 51);
+        assert_eq!(facts.atoms().count(), 51);
+        let s = GrexSchema::new("catalog.xml");
+        for base in NavBase::ALL {
+            let atoms = facts.atoms().filter(|a| a.predicate == s.predicate(base));
+            assert_eq!(atoms.count(), count(&facts, base), "{base:?}");
+        }
     }
 
-    /// The encoding is written into exactly the room reserved for it.
+    /// Each relation is written into exactly the room reserved for it.
     #[test]
     fn encoding_reserves_its_exact_fact_count() {
         use mars_workloads::{scenarios::Scenario, star::StarConfig};
@@ -138,52 +236,111 @@ mod tests {
         }
         documents.push(StarConfig::figure5(4).generate_document(20, 5, 1));
         for doc in &documents {
-            let atoms = encode_document(doc);
-            assert_eq!(atoms.len(), atoms.capacity(), "{}", doc.name);
+            let facts = encode_document(doc);
+            for base in NavBase::ALL {
+                let relation = &facts.relations[base as usize];
+                assert_eq!(relation.len(), relation.capacity(), "{} {base:?}", doc.name);
+            }
         }
+    }
+
+    /// An element's direct text is its text children joined, in order,
+    /// whether it has one, several or none that is not empty.
+    #[test]
+    fn direct_text_joins_the_text_children() {
+        let mut doc = Document::new("texts.xml");
+        let root = doc.create_root("r");
+        let one = doc.add_leaf(root, "a", "x");
+        let two = doc.add_leaf(root, "a", "y");
+        doc.add_element(two, "b");
+        doc.add_text(two, "z");
+        let blank = doc.add_leaf(root, "a", "");
+        let facts = encode_document(&doc);
+        let texts: Vec<Atom> =
+            facts.atoms().filter(|a| a.predicate == facts.predicate(NavBase::Text)).collect();
+        let expected = [(one, "x"), (two, "yz")].map(|(id, text)| Atom {
+            predicate: facts.predicate(NavBase::Text),
+            args: [node_constant("texts.xml", id), Term::constant_str(text)].as_slice().into(),
+        });
+        assert_eq!(texts, expected);
+        assert!(texts.iter().all(|a| a.args[0] != node_constant("texts.xml", blank)));
+    }
+
+    /// Symbols are interned in the one order the encoding fixes (see
+    /// [`encode_document`]), so their ids, and the order of a `Distinct`
+    /// over them, do not depend on how the encoding is stored. The names
+    /// are this test's own, so each is new to the interner.
+    #[test]
+    fn symbols_are_interned_in_the_encoding_order() {
+        let doc = parse_document(
+            "interning.xml",
+            r#"<in_r in_n1="in_v1"><in_a>in_t1</in_a><in_b in_n2="in_v2">in_t2</in_b><in_a>in_t3</in_a></in_r>"#,
+        )
+        .unwrap();
+        encode_document(&doc);
+        let order = [
+            "interning.xml",
+            "root#interning.xml",
+            "el#interning.xml",
+            "id#interning.xml",
+            "tag#interning.xml",
+            "in_r",
+            "in_v1",
+            "attr#interning.xml",
+            "in_n1",
+            "child#interning.xml",
+            "desc#interning.xml",
+            "in_a",
+            "in_t1",
+            "text#interning.xml",
+            "in_b",
+            "in_t2",
+            "in_v2",
+            "in_n2",
+            "in_t3",
+        ];
+        let ids: Vec<u32> = order.iter().map(|name| symbol(name).0).collect();
+        assert!(ids.windows(2).all(|pair| pair[0] < pair[1]), "{order:?} got ids {ids:?}");
     }
 
     #[test]
     fn encoding_is_ground() {
-        let atoms = encode_document(&sample());
-        assert!(atoms.iter().all(|a| a.is_ground()));
+        assert!(encode_document(&sample()).atoms().all(|a| a.is_ground()));
     }
 
     #[test]
     fn empty_document_encodes_to_nothing() {
-        let doc = Document::new("empty.xml");
-        assert!(encode_document(&doc).is_empty());
+        let facts = encode_document(&Document::new("empty.xml"));
+        assert!(facts.is_empty());
+        assert_eq!((facts.len(), facts.atoms().count()), (0, 0));
     }
 
     /// Every node of the encoding is its typed constant, spelled as the
     /// string constant `<document>/n<k>` was, and no text is a node.
     #[test]
     fn nodes_are_typed_constants() {
-        let atoms = encode_document(&sample());
-        let s = GrexSchema::new("catalog.xml");
+        let facts = encode_document(&sample());
         let root = node_constant("catalog.xml", NodeId(0));
         assert_eq!(root.to_string(), "\"catalog.xml/n0\"");
-        assert!(atoms
+        assert_eq!(facts.relation(NavBase::Root), [root]);
+        assert!(facts
+            .relation(NavBase::El)
             .iter()
-            .any(|a| a.predicate == s.predicate(NavBase::Root) && a.args[0] == root));
-        assert!(atoms
-            .iter()
-            .filter(|a| a.predicate == s.predicate(NavBase::El))
-            .all(|a| matches!(a.args[0], Term::Const(Constant::Node { .. }))));
-        assert!(atoms
-            .iter()
-            .filter(|a| a.predicate == s.predicate(NavBase::Text))
-            .all(|a| matches!(a.args[1], Term::Const(Constant::Str(_)))));
+            .all(|t| matches!(t, Term::Const(Constant::Node { .. }))));
+        assert!(facts
+            .relation(NavBase::Text)
+            .chunks_exact(2)
+            .all(|row| matches!(row[1], Term::Const(Constant::Str(_)))));
     }
 
     #[test]
     fn text_values_appear_as_constants() {
-        let atoms = encode_document(&sample());
+        let facts = encode_document(&sample());
         let s = GrexSchema::new("catalog.xml");
-        assert!(atoms.iter().any(|a| a.predicate == s.predicate(NavBase::Text)
+        assert!(facts.atoms().any(|a| a.predicate == s.predicate(NavBase::Text)
             && a.args[1] == Term::constant_str("aspirin")));
-        assert!(atoms
-            .iter()
+        assert!(facts
+            .atoms()
             .any(|a| a.predicate == s.predicate(NavBase::Attr)
                 && a.args[2] == Term::constant_str("d1")));
     }

@@ -18,8 +18,9 @@
 //! * [`views`] — compilation of view definitions (GAV and LAV alike) into
 //!   "direction-neutral" DED pairs, including the Skolem-function constraints
 //!   of Section 2.4 for views that construct new XML elements,
-//! * [`encode`] — encoding of concrete documents into ground GReX facts, used
-//!   by the storage substrate and by semantics tests, and [`node_constant`],
+//! * [`encode`] — encoding of concrete documents into ground GReX facts
+//!   ([`GrexFacts`]: the eight relations, each one flat row-major buffer),
+//!   used by the storage substrate and by semantics tests, and [`node_constant`],
 //!   the one identity of a node: the typed term
 //!   [`Constant::Node`](mars_cq::Constant::Node) of its document and arena
 //!   slot, printed `<doc>/n<k>`, not an interned string.
@@ -33,7 +34,7 @@ pub mod tix;
 pub mod views;
 
 pub use compile::{compile_xbind, compile_xic, CompileContext};
-pub use encode::{encode_document, node_constant};
+pub use encode::{encode_document, node_constant, GrexFacts};
 pub use schema::GrexSchema;
 pub use tix::{tix_constraints, tix_constraints_core};
 pub use views::{compile_view, ViewDef, ViewOutput};

@@ -11,7 +11,7 @@ use mars_cq::{Atom, NavBase, Predicate, Term};
 use std::sync::OnceLock;
 
 /// A GReX atom. Its one to three arguments are copied into the atom,
-/// with no `Vec` built first: `encode_document` makes one per fact.
+/// with no `Vec` built first.
 fn atom(predicate: Predicate, args: &[Term]) -> Atom {
     Atom { predicate, args: args.into() }
 }

@@ -5,7 +5,13 @@
 //!   storage. This is the tuning step of the paper (materialized views,
 //!   caches of previously answered queries such as `cacheEntry.xml`). The
 //!   body runs as the query `compile_view` builds `c_V` / `b_V` from, on the
-//!   [`BackendRouter`]: what is stored satisfies what the chase assumes.
+//!   [`BackendRouter`]. What is stored satisfies what the chase assumes in
+//!   every value column, but not in an element-valued head column: that
+//!   column stores the element's direct text, where the chase reads the
+//!   element. Every specialization relation's `id` is such a column, and
+//!   on the star's `Rspec` and `S*spec` it reads `""` on every row, which
+//!   breaks their single-valued-field FDs (ROADMAP defect 5; item 26 stores
+//!   the element).
 //! * [`tag_results`] assembles the XML result of a client query from the
 //!   binding tables of its decorrelated blocks, following the sorted
 //!   outer-union approach the paper adopts from XPeranto.

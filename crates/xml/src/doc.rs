@@ -40,6 +40,14 @@ impl fmt::Debug for NodeId {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TagId(u32);
 
+impl TagId {
+    /// The tag's index in its document's tag table, below
+    /// [`Document::tag_count`]: tags are numbered in order of first use.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// Kind of a node, borrowed from its document.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NodeKind<'a> {
@@ -298,6 +306,20 @@ impl Document {
     /// and appends by id ([`Document::add_element_by_tag`]).
     pub fn intern_tag(&mut self, tag: &str) -> TagId {
         TagId(self.intern(tag))
+    }
+
+    /// Number of distinct element tags.
+    pub fn tag_count(&self) -> usize {
+        self.tags.len()
+    }
+
+    /// The tag of node `id` as its id in this document's tag table; `None`
+    /// for a text node.
+    pub fn tag_id(&self, id: NodeId) -> Option<TagId> {
+        match self.nodes[id.index()].content {
+            Content::Element { tag, .. } => Some(TagId(tag)),
+            Content::Text { .. } => None,
+        }
     }
 
     /// Append a child element under `parent`, its tag one this document

@@ -1,6 +1,7 @@
 //! A counting global allocator for the allocation tests
 //! (`document_allocations`, `cache_hit_allocations`,
-//! `front_half_allocations`, `scan_allocations`, `oracle_memory`). Included
+//! `front_half_allocations`, `scan_allocations`, `oracle_memory`,
+//! `load_memory`). Included
 //! with `#[path]`, not through `common/mod.rs`: a binary that includes it
 //! makes [`Counting`] its global allocator, which is why each allocation
 //! test has a file of its own.

@@ -36,7 +36,7 @@ fn buckets(atoms: &[&Atom]) -> BTreeMap<String, (Constant, usize)> {
 /// record, so the caller can see what the documents cover.
 fn assert_statistics_match_the_encoding(store: &XmlStore, doc: &Document) -> NavStats {
     let name = doc.name.as_str();
-    let encoding = encode_document(doc);
+    let encoding: Vec<Atom> = encode_document(doc).atoms().collect();
     let count = |base| facts(&encoding, base, name).len();
     let texts = facts(&encoding, NavBase::Text, name);
     let text_values = buckets(&texts);

@@ -129,11 +129,11 @@ proptest! {
         let doc = arbitrary_document(depth, width);
         let facts = encode_document(&doc);
         let schema = mars_system::grex::GrexSchema::new("gen.xml");
-        let count = |base| facts.iter().filter(|a| a.predicate == schema.predicate(base)).count();
+        let count = |base| facts.atoms().filter(|a| a.predicate == schema.predicate(base)).count();
         let (els, tags, childs) = (count(NavBase::El), count(NavBase::Tag), count(NavBase::Child));
         prop_assert_eq!(els, doc.element_count());
         prop_assert_eq!(tags, doc.element_count());
         prop_assert_eq!(childs, doc.element_count() - 1);
-        prop_assert!(facts.iter().all(|a| a.is_ground()));
+        prop_assert!(facts.atoms().all(|a| a.is_ground()));
     }
 }
