@@ -424,22 +424,13 @@ impl CbStatistics {
     }
 }
 
-/// The *initial reformulation*: the largest subquery of the universal plan
-/// induced by proprietary-schema atoms. If any reformulation exists, this is
+/// The atoms of `body` over a `proprietary` predicate, in order: the body
+/// of the *initial reformulation* of a universal plan, the largest subquery
+/// induced by proprietary-schema atoms. If any reformulation exists, that is
 /// one (not necessarily minimal), and every minimal reformulation is a
-/// subquery of it.
-pub fn initial_reformulation(
-    universal_plan: &ConjunctiveQuery,
-    proprietary: &HashSet<Predicate>,
-) -> ConjunctiveQuery {
-    let body = proprietary_atoms(&universal_plan.body, proprietary);
-    universal_plan.subquery_with(body, format!("{}_initial", universal_plan.name))
-}
-
-/// The atoms of `body` over a `proprietary` predicate, in order. A plan's
-/// atoms come grouped by predicate, so the set is asked once per run of
-/// atoms sharing one.
-fn proprietary_atoms(body: &[Atom], proprietary: &HashSet<Predicate>) -> Vec<Atom> {
+/// subquery of it. A plan's atoms come grouped by predicate, so the set is
+/// asked once per run of atoms sharing one.
+pub(crate) fn proprietary_atoms(body: &[Atom], proprietary: &HashSet<Predicate>) -> Vec<Atom> {
     let mut last: Option<(Predicate, bool)> = None;
     let mut kept = |p: Predicate| match last {
         Some((q, keep)) if q == p => keep,
@@ -448,15 +439,22 @@ fn proprietary_atoms(body: &[Atom], proprietary: &HashSet<Predicate>) -> Vec<Ato
     body.iter().filter(|a| kept(a.predicate)).cloned().collect()
 }
 
-/// The pool of candidate atoms: the proprietary atoms of the plan, minus
-/// the parallel `desc` atoms (pruning criterion 1). The criterion drops only
-/// `desc` atoms, so it runs only when the proprietary atoms hold one.
-fn candidate_pool(primary: &ConjunctiveQuery, proprietary: &HashSet<Predicate>) -> Vec<Atom> {
-    let pool = proprietary_atoms(&primary.body, proprietary);
-    if pool.iter().any(|a| matches!(a.navigation(), Some((NavBase::Desc, _)))) {
-        return proprietary_atoms(&prune_parallel_desc(primary).body, proprietary);
+/// The pool of candidate atoms: `atoms`, the proprietary atoms of the plan,
+/// minus the parallel `desc` atoms (pruning criterion 1). The criterion drops
+/// only `desc` atoms, so it runs only when `atoms` hold one, and the plan it
+/// prunes is filtered again only when it dropped one.
+fn candidate_pool(
+    primary: &ConjunctiveQuery,
+    atoms: Vec<Atom>,
+    proprietary: &HashSet<Predicate>,
+) -> Vec<Atom> {
+    if atoms.iter().any(|a| matches!(a.navigation(), Some((NavBase::Desc, _)))) {
+        let pruned = prune_parallel_desc(primary);
+        if pruned.body.len() < primary.body.len() {
+            return proprietary_atoms(&pruned.body, proprietary);
+        }
     }
-    pool
+    atoms
 }
 
 /// The largest variable disambiguator of `q`'s head, body and inequalities.
@@ -970,8 +968,9 @@ impl Prefix {
 /// them rendered as a query
 /// ([`ResidentChase::primary`](crate::ResidentChase::primary)) — the
 /// universal plan whose subqueries are enumerated. `proprietary` is the set
-/// of predicates that may appear in a reformulation, `deds` the dependency
-/// set in its shared compiled form ([`CompiledDeps`] — built once per
+/// of predicates that may appear in a reformulation, `atoms` the
+/// proprietary atoms of `primary`, in order, `deds` the dependency set in its
+/// shared compiled form ([`CompiledDeps`] — built once per
 /// engine, reused by every back-chase here), and `chase` the engine's chase
 /// options: every back-chase runs under them, and their deadline is the
 /// clock of the enumeration.
@@ -986,6 +985,7 @@ impl Prefix {
 pub fn backchase(
     original: &ConjunctiveQuery,
     primary: &ConjunctiveQuery,
+    atoms: Vec<Atom>,
     plan: &[ResidentBranch],
     proprietary: &HashSet<Predicate>,
     deds: &CompiledDeps,
@@ -995,7 +995,7 @@ pub fn backchase(
 ) -> BackchaseOutcome {
     let start = Instant::now();
     let builds = thread_index_build_count();
-    let outcome = search(original, primary, plan, proprietary, deds, chase, options, stats);
+    let outcome = search(original, primary, atoms, plan, proprietary, deds, chase, options, stats);
     stats.index_builds += thread_index_build_count() - builds;
     stats.backchase_duration += start.elapsed();
     outcome
@@ -1006,6 +1006,7 @@ pub fn backchase(
 fn search(
     original: &ConjunctiveQuery,
     primary: &ConjunctiveQuery,
+    atoms: Vec<Atom>,
     plan: &[ResidentBranch],
     proprietary: &HashSet<Predicate>,
     deds: &CompiledDeps,
@@ -1015,7 +1016,7 @@ fn search(
 ) -> BackchaseOutcome {
     let mut outcome = BackchaseOutcome::default();
 
-    let pool = candidate_pool(primary, proprietary);
+    let pool = candidate_pool(primary, atoms, proprietary);
     if pool.is_empty() {
         return outcome;
     }
@@ -1051,8 +1052,7 @@ fn search(
 
     if deds.deds().is_empty() && !options.exhaustive {
         // The core path (see the module docs): one minimal reformulation.
-        let initial =
-            ConjunctiveQuery { name: format!("{}_initial", primary.name), ..pool_query.clone() };
+        let initial = ConjunctiveQuery { name: format!("{}_initial", primary.name), ..pool_query };
         if let Some(core) = minimize_to_core(&initial, &equivalence, stats) {
             let cost = core.body.iter().map(atom_cost).sum();
             outcome.best = Some((core.clone(), cost));
@@ -1457,9 +1457,11 @@ mod tests {
         let Some(primary) = up.primary(&q.name) else {
             return (BackchaseOutcome::default(), stats);
         };
+        let atoms = proprietary_atoms(&primary.body, proprietary);
         let outcome = backchase(
             q,
             &primary,
+            atoms,
             up.branches(),
             proprietary,
             compiled,
@@ -1484,9 +1486,8 @@ mod tests {
     #[test]
     fn initial_reformulation_restricts_to_proprietary_atoms() {
         let (q, deds, proprietary) = section_2_3_setup();
-        let up =
-            chase_to_resident_compiled(&q, &CompiledDeps::new(&deds), &ChaseOptions::default());
-        let initial = initial_reformulation(&up.primary(&q.name).unwrap(), &proprietary);
+        let engine = crate::ChaseBackchase::new(deds, &[], proprietary);
+        let initial = engine.reformulate(&q, &Default::default()).initial.unwrap();
         assert_eq!(initial.body.len(), 1);
         assert_eq!(initial.body[0].predicate.name(), "V");
     }
@@ -2527,7 +2528,8 @@ mod tests {
                     body.into_iter().filter(|a| proprietary.contains(&a.predicate)).collect()
                 };
                 let (pruned, filtered) = (keep(prune_parallel_desc(&plan).body), keep(plan.body.clone()));
-                prop_assert_eq!(&candidate_pool(&plan, &proprietary), &pruned, "{}", plan);
+                let pool = candidate_pool(&plan, proprietary_atoms(&plan.body, &proprietary), &proprietary);
+                prop_assert_eq!(&pool, &pruned, "{}", plan);
                 if !filtered.iter().any(|a| matches!(a.navigation(), Some((NavBase::Desc, _)))) {
                     prop_assert_eq!(&filtered, &pruned, "{}", plan);
                 }
@@ -2552,7 +2554,8 @@ mod tests {
             let (q, deds, proprietary) = random_reformulation(seed);
             let up = chase_to_resident_compiled(&q, &CompiledDeps::new(&deds), &Default::default());
             let Some(primary) = up.primary(&q.name) else { return };
-            let pool = ConjunctiveQuery { body: candidate_pool(&primary, &proprietary), ..primary };
+            let atoms = proprietary_atoms(&primary.body, &proprietary);
+            let pool = ConjunctiveQuery { body: candidate_pool(&primary, atoms, &proprietary), ..primary };
             let enumeration = Enumeration::new(&pool, &deds, pool.body.iter().map(atom_cost).collect());
             prop_assert!(enumeration.safety.active);
             let first = &up.branches()[0];

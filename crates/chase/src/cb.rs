@@ -11,7 +11,7 @@
 //! backchase's additive per-atom cost model ([`mod@crate::backchase`]).
 
 use crate::backchase::{
-    backchase, initial_reformulation, BackchaseOptions, BackchaseOutcome, Degradation,
+    backchase, proprietary_atoms, BackchaseOptions, BackchaseOutcome, Degradation,
 };
 use crate::chase::{chase_to_resident_compiled, ChaseOptions, ChaseStats, DependencyWork};
 use crate::compiled::CompiledDeps;
@@ -315,12 +315,14 @@ impl ChaseBackchase {
         let up = chase_to_resident_compiled(query, &self.compiled, &options.chase);
         let time_to_universal_plan = start.elapsed();
 
-        // The one rendering of the chase result: the primary branch.
+        // The one rendering of the chase result: the primary branch, and its
+        // proprietary atoms, filtered once for the initial reformulation (with
+        // the inequalities they bind) and the backchase's pool.
         let primary = up.primary(&query.name);
-        let initial = primary
-            .as_ref()
-            .map(|p| initial_reformulation(p, &self.proprietary))
-            .filter(|initial| !initial.body.is_empty());
+        let atoms = primary.as_ref().map(|p| proprietary_atoms(&p.body, &self.proprietary));
+        let initial = (primary.as_ref().zip(atoms.as_ref()))
+            .filter(|(_, atoms)| !atoms.is_empty())
+            .map(|(p, atoms)| p.subquery_with(atoms.clone(), format!("{}_initial", p.name)));
         let time_to_initial = start.elapsed();
 
         let mut stats = CbStatistics {
@@ -332,10 +334,11 @@ impl ChaseBackchase {
             degradation: Degradation::of_chase(up.stats()),
             ..CbStatistics::default()
         };
-        let BackchaseOutcome { minimal, best } = match &primary {
-            Some(primary) => backchase(
+        let BackchaseOutcome { minimal, best } = match (&primary, atoms) {
+            (Some(primary), Some(atoms)) => backchase(
                 query,
                 primary,
+                atoms,
                 up.branches(),
                 &self.proprietary,
                 &self.compiled,
@@ -344,7 +347,7 @@ impl ChaseBackchase {
                 &mut stats,
             ),
             // No surviving branch (an unsatisfiable query): nothing found.
-            None => BackchaseOutcome::default(),
+            _ => BackchaseOutcome::default(),
         };
         let universal_plan = primary.unwrap_or_else(|| ConjunctiveQuery {
             name: format!("{}_unsat", query.name),

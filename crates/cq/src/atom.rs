@@ -3,11 +3,10 @@
 use crate::args::Args;
 use crate::symbol::{symbol, Symbol};
 use crate::term::{Term, Variable};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A predicate (relation) name, e.g. `child`, `desc`, `patient`, `V3`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Predicate(pub u32);
 
 impl Predicate {
@@ -113,7 +112,7 @@ impl From<&str> for Predicate {
 }
 
 /// A relational atom `P(t1, ..., tn)`.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Atom {
     /// The relation the atom ranges over.
     pub predicate: Predicate,

@@ -23,12 +23,11 @@
 use crate::atom::{Atom, Predicate};
 use crate::substitution::Substitution;
 use crate::term::{Term, Variable};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 
 /// One disjunct of a DED conclusion: `∃ ȳ. atoms ∧ equalities`.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Conjunct {
     /// Existentially quantified variables (those not bound by the premise).
     pub exists: Vec<Variable>,
@@ -125,7 +124,7 @@ impl fmt::Debug for Conjunct {
 }
 
 /// A disjunctive embedded dependency.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Ded {
     /// Name used for display and provenance tracking (e.g. `TIX.trans`, `cV`).
     pub name: String,

@@ -9,14 +9,13 @@ use crate::atom::{Atom, Predicate};
 use crate::fx::FxHashSet;
 use crate::substitution::Substitution;
 use crate::term::{Term, Variable};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// A conjunctive query with optional inequality side conditions:
 ///
 /// `Q(head) :- body, t1 ≠ t1', ...`
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct ConjunctiveQuery {
     /// Query name (used for display, view naming and reformulation labels).
     pub name: String,

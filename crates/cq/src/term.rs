@@ -12,7 +12,6 @@
 //! equals no string constant, that spelling included.
 
 use crate::symbol::{symbol, Symbol};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A query variable.
@@ -20,7 +19,7 @@ use std::fmt;
 /// Variables carry an interned base name plus a numeric *disambiguator*.
 /// Fresh variables created during the chase reuse disambiguators so that the
 /// same base name can be re-introduced without capture.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Variable {
     /// Interned base name, e.g. `x`.
     pub name: u32,
@@ -64,7 +63,7 @@ impl fmt::Display for Variable {
 /// A constant value. The derived order puts strings (by symbol id) before
 /// nodes (by document symbol, then slot: document order within one
 /// document), and nodes before parameters.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Constant {
     /// Interned string constant (tag names, text values).
     Str(u32),
@@ -120,7 +119,7 @@ impl fmt::Display for Constant {
 }
 
 /// A term: variable or constant.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Term {
     /// A variable.
     Var(Variable),

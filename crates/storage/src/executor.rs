@@ -511,6 +511,7 @@ mod against_reference {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use crate::RelationalDatabase;
     use mars_cq::{Atom, ConjunctiveQuery, Predicate, Term};

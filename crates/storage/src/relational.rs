@@ -64,6 +64,12 @@ impl RelationalDatabase {
         self.inst.is_empty()
     }
 
+    /// The stored facts, in the chase's instance representation: what the
+    /// dependencies the chase reasons with must hold on.
+    pub fn instance(&self) -> &SymbolicInstance {
+        &self.inst
+    }
+
     /// Cardinality of one relation.
     pub fn cardinality(&self, relation: &str) -> usize {
         self.inst.relation_len(Predicate::new(relation))
@@ -88,8 +94,10 @@ impl RelationalDatabase {
     /// choice and for [`Self::query_naive`].
     pub fn query(&self, q: &ConjunctiveQuery) -> Vec<Row> {
         if q.body.is_empty() {
-            // Nothing to scan, nothing to plan.
-            return self.query_naive(q);
+            // Nothing to scan, nothing to plan: the head itself, once, when
+            // every inequality's two sides differ.
+            let holds = q.inequalities.iter().all(|(a, b)| a != b);
+            return if holds { vec![q.head.clone()] } else { Vec::new() };
         }
         let (rows, _) = execute_plan(&self.plan(q), q, &self.inst, &XmlStore::new())
             .expect("a plan of table scans reads no document");
@@ -226,6 +234,7 @@ pub fn sql_for_query(q: &ConjunctiveQuery) -> Result<String, SqlUnboundVariable>
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use mars_cq::Atom;
@@ -307,6 +316,24 @@ mod tests {
         let mut sorted = physical.clone();
         sorted.sort();
         assert_eq!(physical, sorted, "rows must come back in ascending order");
+    }
+
+    /// A body-less query is answered without the oracle: its head once when
+    /// every inequality's two sides differ, else nothing — what
+    /// `query_naive` returns.
+    #[test]
+    fn a_body_less_query_is_its_head_when_its_inequalities_hold() {
+        let db = patient_db();
+        let (x, a) = (Term::var("x"), Term::constant_str("a"));
+        let q = ConjunctiveQuery::new("Q").with_head(vec![x, a]);
+        let holding = q.clone().with_inequality(x, a);
+        let failing = q.clone().with_inequality(x, x);
+        assert_eq!(db.query(&q), [vec![x, a]]);
+        assert_eq!(db.query(&holding), [vec![x, a]]);
+        assert!(db.query(&failing).is_empty());
+        for q in [q, holding, failing] {
+            assert_eq!(db.query(&q), db.query_naive(&q), "{q}");
+        }
     }
 
     /// The shared statistics catalog is maintained on insert and visible

@@ -55,6 +55,14 @@ pub enum XmlStoreError {
         /// The unheld relation.
         predicate: Predicate,
     },
+    /// A flat XML view's row binds a field to an element node: a text field
+    /// holds a string, and a stored relation is where a node can be kept.
+    NodeInFlatView {
+        /// The document the view writes.
+        document: String,
+        /// The field's tag.
+        field: String,
+    },
 }
 
 impl fmt::Display for XmlStoreError {
@@ -68,6 +76,9 @@ impl fmt::Display for XmlStoreError {
             }
             XmlStoreError::NotLoaded { predicate } => {
                 write!(f, "relation '{}' is not loaded in the relational store", predicate.name())
+            }
+            XmlStoreError::NodeInFlatView { document, field } => {
+                write!(f, "flat view '{document}' binds its text field '{field}' to a node")
             }
         }
     }

@@ -13,12 +13,11 @@
 //! directly onto the GReX relational encoding (`el`, `child`, `desc`, `tag`,
 //! `attr`, `id`, `text`).
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Handle to a node in a [`Document`] arena.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -208,7 +207,7 @@ impl Record {
 }
 
 /// An XML document: an arena of nodes with a distinguished root element.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Document {
     /// Logical name of the document, e.g. `catalog.xml`.
     pub name: String,

@@ -8,11 +8,10 @@
 //! leading `.`).
 
 use crate::doc::{Document, NodeId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single navigation step.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Step {
     /// `/name` — child element with the given tag.
     Child(String),
@@ -29,7 +28,7 @@ pub enum Step {
 }
 
 /// A parsed XPath expression.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Path {
     /// True if the path starts at the document root (e.g. `//book`,
     /// `/catalog/drug`), false if it is relative to a context node

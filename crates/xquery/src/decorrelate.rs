@@ -11,10 +11,9 @@
 use crate::ast::{Condition, ForBinding, Operand, SourceExpr, XQueryExpr};
 use crate::xbind::{XBindAtom, XBindQuery, XBindTerm};
 use mars_xml::Path;
-use serde::{Deserialize, Serialize};
 
 /// A node of the tagging template.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum TemplateNode {
     /// Construct an element with the given tag and children.
     Element {
@@ -43,14 +42,14 @@ pub enum TemplateNode {
 }
 
 /// The tagging template of a query.
-#[derive(Clone, Debug, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Default)]
 pub struct TaggingTemplate {
     /// Top-level template nodes.
     pub roots: Vec<TemplateNode>,
 }
 
 /// A decorrelated query: one XBind query per FLWR block plus the template.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DecorrelatedQuery {
     /// The XBind blocks, outermost first. Block 0 may be a degenerate block
     /// with no atoms when the query has constant structure only.

@@ -7,12 +7,11 @@
 //! GReX schema happens in `mars-grex`.
 
 use mars_xml::Path;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A term of an XBind atom: a variable, a string constant, or a parameter
 /// of a canonical block.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum XBindTerm {
     /// A query variable (without the `$` sign).
     Var(String),
@@ -55,7 +54,7 @@ impl fmt::Display for XBindTerm {
 }
 
 /// One atom of an XBind query body.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum XBindAtom {
     /// Unary path predicate `[p](y)`: `p` is an absolute path over the given
     /// document and `y` is bound to each node/value it reaches.
@@ -144,7 +143,7 @@ impl fmt::Display for XBindAtom {
 }
 
 /// A decorrelated XBind query.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct XBindQuery {
     /// Query name (e.g. `Xbo`, `Xbi`).
     pub name: String,

@@ -8,10 +8,9 @@
 
 use crate::xbind::{XBindAtom, XBindTerm};
 use mars_xml::{parse_path, PathError};
-use serde::{Deserialize, Serialize};
 
 /// One disjunct of an XIC conclusion.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct XicConjunct {
     /// Existentially quantified variables.
     pub exists: Vec<String>,
@@ -40,7 +39,7 @@ impl XicConjunct {
 }
 
 /// An XML integrity constraint: `∀ vars. premise → ⋁ conclusions`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Xic {
     /// Constraint name.
     pub name: String,
